@@ -55,9 +55,9 @@ bench-canon:
 bench-prune:
 	$(GO) run ./cmd/cdbbench -expt prune -cqasize 96 -rounds 3 -json BENCH_prune.json
 
-# Measures the physical planner's pairing strategies: each binary operator
-# on each workload under every forced -plan mode and under the cost
-# model's auto pick — wall time, sat decisions, est_pairs vs act_pairs.
+# Measures the filter stage's candidate enumerations: each binary operator
+# on each workload under forced dense, forced sweep and the cost model's
+# auto pick — wall time, sat decisions, est_pairs vs act_pairs.
 # Fails unless all strategies produce byte-identical output. Writes
 # BENCH_plan.json; compare two runs with scripts/benchdiff.sh.
 bench-plan:

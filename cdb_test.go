@@ -3,7 +3,6 @@ package cdb
 import (
 	"testing"
 
-	"cdb/internal/core"
 	"cdb/internal/cqa"
 )
 
@@ -127,22 +126,23 @@ R1 = project R0 on landId, x`)
 	}
 }
 
-// TestCorePackage exercises the narrow internal/core re-export.
-func TestCorePackage(t *testing.T) {
-	s, err := core.NewSchema(core.Rel("id", String), core.Con("x"))
+// TestFacadeModelAndAlgebra exercises the facade's narrow core: the
+// heterogeneous data model and two CQA operators over it.
+func TestFacadeModelAndAlgebra(t *testing.T) {
+	s, err := NewSchema(Rel("id", String), Con("x"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	r := core.NewRelation(s)
+	r := NewRelation(s)
 	cs, _ := ParseConstraints("x >= 0, x <= 1")
 	r.MustAdd(NewTuple(map[string]Value{"id": Str("a")}, And(cs...)))
-	got, err := core.Project(r, "x")
+	got, err := Project(r, "x")
 	if err != nil || got.Len() != 1 {
-		t.Fatalf("core project: %v %v", got, err)
+		t.Fatalf("project: %v %v", got, err)
 	}
-	u, err := core.Union(r, r)
+	u, err := Union(r, r)
 	if err != nil || u.Len() != 1 {
-		t.Errorf("core union: %v %v", u, err)
+		t.Errorf("union: %v %v", u, err)
 	}
 }
 

@@ -46,11 +46,11 @@
 // (failing otherwise), and -json writes the measurements (the
 // `make bench-prune` target writes BENCH_prune.json this way).
 //
-// The plan experiment measures the physical planner's pairing strategies
+// The plan experiment measures the filter stage's candidate enumerations
 // (internal/cqa/planner.go): the binary operators run over the prune
-// experiment's three workload shapes with each strategy forced in turn
-// (-plan dense | sweep | index) and once under the cost-based planner
-// (auto), -rounds times each. It reports per-mode wall time, refine-stage
+// experiment's three workload shapes with each enumeration forced in turn
+// (-plan dense | sweep) and once under the cost model (auto), -rounds
+// times each. It reports per-mode wall time, refine-stage
 // sat decisions and the estimator's est_pairs vs the actual surviving
 // act_pairs, records which strategy auto picked, checks that every mode's
 // output is byte-identical (failing otherwise), and -json writes the
@@ -128,12 +128,12 @@ func run(args []string) error {
 	jsonPath := fs.String("json", "", "cqa/canon/diff experiments: write the measurements to this JSON file")
 	cases := fs.Int("n", 100, "diff experiment: number of random (relation, operator) cases")
 	spatial := fs.Bool("spatial", false, "diff experiment: draw polygon-shaped spatial inputs")
-	plan := fs.String("plan", exec.PlanAuto, "pairing strategy for the prune experiment's filtered contexts and the diff experiment's engine: auto | dense | sweep | index | vector")
+	plan := fs.String("plan", exec.PlanAuto, "pairing strategy for the prune experiment's filtered contexts and the diff experiment's engine: auto | dense | sweep | vector")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
 	if !exec.ValidPlanMode(*plan) {
-		return fmt.Errorf("invalid -plan %q (want auto, dense, sweep, index or vector)", *plan)
+		return fmt.Errorf("invalid -plan %q (want auto, dense, sweep or vector)", *plan)
 	}
 	p := datagen.Scaled(*scale)
 	if *seed != 0 {
@@ -702,12 +702,12 @@ type planResult struct {
 	Results       []planOpResult `json:"results"`
 }
 
-// runPlan measures the physical planner's pairing strategies: the binary
+// runPlan measures the filter stage's candidate enumerations: the binary
 // operators over the prune experiment's three workload shapes, each
-// strategy forced in turn plus the cost-based auto mode, `rounds`
+// enumeration forced in turn plus the cost-based auto mode, `rounds`
 // repetitions each. Every mode's output must be byte-identical to forced
-// dense (the strategies are candidate-enumeration orders over the same
-// surviving set); the run fails otherwise.
+// dense (the enumerations are orders over the same surviving set); the
+// run fails otherwise.
 func runPlan(p datagen.Params, par, size, rounds int, jsonPath string, stats bool) error {
 	if rounds < 1 {
 		rounds = 1
@@ -746,7 +746,7 @@ func runPlan(p datagen.Params, par, size, rounds int, jsonPath string, stats boo
 		"intersect":  cqa.IntersectCtx,
 		"difference": cqa.DifferenceCtx,
 	}
-	modes := []string{exec.PlanDense, exec.PlanSweep, exec.PlanIndex, exec.PlanAuto}
+	modes := []string{exec.PlanDense, exec.PlanSweep, exec.PlanAuto}
 	res := planResult{Experiment: "plan", TuplesPerSide: size, Rounds: rounds, Workers: exec.New(par).Workers()}
 	fmt.Printf("pairing strategies: %d tuples per side (%d pairs), %d rounds, %d workers\n\n",
 		size, size*size, rounds, res.Workers)
@@ -827,7 +827,7 @@ func runPlan(p datagen.Params, par, size, rounds int, jsonPath string, stats boo
 	if !identical {
 		return fmt.Errorf("plan: some strategy's output diverges from forced dense")
 	}
-	fmt.Println("\noutputs byte-identical across dense, sweep, index and auto, every workload and operator")
+	fmt.Println("\noutputs byte-identical across dense, sweep and auto, every workload and operator")
 	return nil
 }
 

@@ -61,6 +61,7 @@ func checkGolden(t *testing.T, name, got string) {
 
 func TestGoldenQuery3(t *testing.T) {
 	got := captureRun(t, []string{
+		"-par", "1", // goldens never depend on the host's core count
 		"-db", filepath.Join("..", "..", "testdata", "hurricane.cqa"),
 		filepath.Join("..", "..", "testdata", "query3.cqa"),
 	})
@@ -72,6 +73,7 @@ func TestGoldenQuery3(t *testing.T) {
 // db text format end to end.
 func TestGoldenHurricaneDB(t *testing.T) {
 	got := captureRun(t, []string{
+		"-par", "1",
 		"-db", filepath.Join("..", "..", "testdata", "hurricane.cqa"),
 		"-e", "R = select t >= 4, t <= 9 from (join Hurricane and Land)",
 	})

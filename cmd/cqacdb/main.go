@@ -29,12 +29,12 @@
 // (entries; 0 disables it), which persists across the statements and
 // programs of a session, so repeated shapes are decided once. The binary
 // operators pair tuples through a filter-and-refine candidate filter
-// (relational hash partitioning + constraint envelopes + strategy-
-// switched enumeration); -no-prune falls back to the dense nested loop,
-// and -plan forces one pairing strategy (dense, sweep, index, vector) or
-// leaves the choice to the cost-based physical planner (auto, the
-// default). Parallel output is byte-identical to sequential output, with
-// or without the cache or the filter, and across every -plan mode.
+// (relational hash partitioning + constraint envelopes + switched
+// enumeration; docs/ARCHITECTURE.md "The filter stage"); -plan forces one
+// pairing strategy (dense, sweep, vector) or leaves the choice to the
+// filter's cost model (auto, the default). Parallel output is
+// byte-identical to sequential output, with or without the cache, and
+// across every -plan mode.
 //
 // Observability (package obs):
 //
@@ -119,8 +119,7 @@ func run(args []string) error {
 	traceJSON := fs.String("trace-json", "", "write each program's span tree as JSON to this file")
 	metricsAddr := fs.String("metrics-addr", "", "serve /metrics, expvar and /debug/pprof on this address")
 	slowlog := fs.Duration("slowlog", 0, "log spans at least this slow via slog (0 = off)")
-	noPrune := fs.Bool("no-prune", false, "disable the binary operators' candidate filter (dense nested-loop pairing)")
-	plan := fs.String("plan", exec.PlanAuto, "pairing strategy: auto (cost-based planner), dense, sweep, index, or vector")
+	plan := fs.String("plan", exec.PlanAuto, "pairing strategy: auto (cost model decides), dense, sweep, or vector")
 	queryLog := fs.String("query-log", "", "append every executed program as one NDJSON flight record to this file")
 	snapshotDir := fs.String("snapshot-dir", "", "copy-on-write snapshot store directory (enables -snap-* commands)")
 	snapList := fs.Bool("snap-list", false, "list the store's snapshots and exit")
@@ -131,11 +130,10 @@ func run(args []string) error {
 		return err
 	}
 	if !exec.ValidPlanMode(*plan) {
-		return fmt.Errorf("invalid -plan %q (want auto, dense, sweep, index or vector)", *plan)
+		return fmt.Errorf("invalid -plan %q (want auto, dense, sweep or vector)", *plan)
 	}
 	ec := exec.New(*par)
 	ec.SeqThreshold = *parThreshold
-	ec.NoPrune = *noPrune
 	ec.PlanMode = *plan
 	if *satCache > 0 {
 		ec.SatCache = constraint.NewSatCache(*satCache)

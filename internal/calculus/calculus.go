@@ -344,7 +344,7 @@ func (p *Program) RunCtx(env cqa.Env, ec *exec.Context) (*relation.Relation, err
 			ec.EndSpan(sp)
 			return nil, err
 		}
-		plan = cqa.Plan(plan, scratch, ec)
+		plan = cqa.Plan(plan, scratch)
 		out, err := plan.EvalCtx(scratch, ec)
 		if err != nil {
 			ec.EndSpan(sp)

@@ -1,32 +1,33 @@
 package cqa
 
 import (
-	"sort"
-
 	"cdb/internal/constraint"
 	"cdb/internal/relation"
+	"cdb/internal/schema"
 )
 
-// This file is the cardinality/selectivity side of the physical planner:
-// it condenses one binary-operator input pair into the numbers the cost
-// model (planner.go) ranks strategies with, built from the two filter
-// mechanisms' own data structures — relation.Partition buckets for the
-// relational part and memoized constraint.Envelope intervals for the
-// constraint part. Because the estimates count exactly the pairs the
-// filter stage can keep (bucket-matched ∧ per-attribute interval
-// overlap), est is a true upper bound on the surviving candidates: the
-// est_pairs ≥ act_pairs invariant EXPLAIN ANALYZE exposes and the
-// property tests pin.
+// This file is the cardinality/selectivity side of the filter stage: it
+// condenses one binary-operator input pair into the numbers the cost
+// model (planner.go) decides with, built from the two filter mechanisms'
+// own data structures — relation.Partition buckets for the relational
+// part and memoized constraint.Envelope intervals for the constraint
+// part. Because the estimates count exactly the pairs the filter stage
+// can keep (bucket-matched ∧ per-attribute interval overlap), est is a
+// true upper bound on the surviving candidates: the est_pairs ≥ act_pairs
+// invariant EXPLAIN ANALYZE exposes and the property tests pin.
 
-// pairStats is the estimator's summary of one t1s × t2s pairing problem.
+// pairStats is the filter stage's working set for one t1s × t2s pairing
+// problem: the partitions and envelopes, built once here and reused by
+// the enumeration, and the estimator's summary of them.
 type pairStats struct {
-	n, m         int              // input sizes
-	relPairs     int64            // pairs whose relational parts match (n·m with no shared relational attrs)
-	overlap      map[string]int64 // per shared constraint attribute: pairs whose envelope intervals intersect
-	sweepAttr    string           // the interval sweep's sort attribute ("" = none bounded on both sides)
-	indexAttrs   []string         // the R*-tree strategy's dimensions, best-scored first (nil = index not applicable)
-	est          int64            // min(relPairs, min over overlap): upper bound on surviving candidates
-	elig1, elig2 int              // tuples per side whose constraint part is vector-eligible (vector.FormOf != nil)
+	n, m         int                   // input sizes
+	env1, env2   []constraint.Envelope // per-tuple envelopes of the constraint parts
+	p1, p2       *relation.Partition   // relational-part buckets; nil with no shared relational attrs (every pair matches)
+	relPairs     int64                 // pairs whose relational parts match (n·m with no shared relational attrs)
+	overlap      map[string]int64      // per shared constraint attribute: pairs whose envelope intervals intersect
+	sweepAttr    string                // the interval sweep's sort attribute ("" = none bounded on both sides)
+	est          int64                 // min(relPairs, min over overlap): upper bound on surviving candidates
+	elig1, elig2 int                   // tuples per side whose constraint part is vector-eligible (vector.FormOf != nil)
 }
 
 // vectorFrac estimates the fraction of candidate pairs the vector fast
@@ -48,43 +49,44 @@ func (s pairStats) estSweep() int64 {
 	return min64(s.relPairs, s.overlap[s.sweepAttr])
 }
 
-// estIndex bounds the pairs the R*-tree probe emits: pairs overlapping
-// on every indexed dimension, so the tightest single dimension bounds it.
-func (s pairStats) estIndex() int64 {
-	out := s.relPairs
-	for _, a := range s.indexAttrs {
-		out = min64(out, s.overlap[a])
+// sharedAttrs splits the attributes two schemas have in common into the
+// relational ones (the partition key) and the constraint ones (the
+// envelope dimensions), in s1's declaration order.
+func sharedAttrs(s1, s2 schema.Schema) (rel, con []string) {
+	for _, a := range s1.Attrs() {
+		if !s2.Has(a.Name) {
+			continue
+		}
+		if a.Kind == schema.Relational {
+			rel = append(rel, a.Name)
+		} else {
+			con = append(con, a.Name)
+		}
 	}
-	return out
+	return rel, con
 }
 
-// relOverlapPairs counts the pairs with NULL-safe-identical relational
-// parts: Σ over shared bucket keys of |bucket1|·|bucket2| — exact, since
-// the partitions were built on the same attribute list.
-func relOverlapPairs(p1, p2 *relation.Partition) int64 {
-	var total int64
-	for _, key := range p1.Keys() {
-		total += int64(len(p1.Bucket(key))) * int64(len(p2.Bucket(key)))
-	}
-	return total
-}
-
-// analyzePairing computes the planner's estimates for one pairing
-// problem. p1/p2 are the relational-part partitions (nil when there are
-// no shared relational attributes, meaning every pair bucket-matches).
-func analyzePairing(env1, env2 []constraint.Envelope, p1, p2 *relation.Partition, sharedCon []string) pairStats {
-	s := pairStats{n: len(env1), m: len(env2)}
+// analyzePairing partitions both sides on the shared relational
+// attributes, computes (memoized) envelopes and counts what the filter
+// can keep.
+func analyzePairing(t1s, t2s []relation.Tuple, sharedRel, sharedCon []string) pairStats {
+	s := pairStats{n: len(t1s), m: len(t2s), env1: envelopes(t1s), env2: envelopes(t2s)}
 	s.relPairs = int64(s.n) * int64(s.m)
-	if p1 != nil && p2 != nil {
-		s.relPairs = relOverlapPairs(p1, p2)
+	if len(sharedRel) > 0 {
+		s.p1 = relation.NewPartition(t1s, sharedRel)
+		s.p2 = relation.NewPartition(t2s, sharedRel)
+		// Exact: the partitions were built on the same attribute list.
+		s.relPairs = 0
+		for _, key := range s.p1.Keys() {
+			s.relPairs += int64(len(s.p1.Bucket(key))) * int64(len(s.p2.Bucket(key)))
+		}
 	}
-	s.sweepAttr = chooseSweepAttr(sharedCon, env1, env2)
-	s.indexAttrs = chooseIndexAttrs(sharedCon, env1, env2)
+	s.sweepAttr = chooseSweepAttr(sharedCon, s.env1, s.env2)
 	s.est = s.relPairs
 	if len(sharedCon) > 0 {
 		s.overlap = make(map[string]int64, len(sharedCon))
 		for _, a := range sharedCon {
-			o := constraint.AttrOverlapCount(env1, env2, a)
+			o := constraint.AttrOverlapCount(s.env1, s.env2, a)
 			s.overlap[a] = o
 			s.est = min64(s.est, o)
 		}
@@ -92,36 +94,11 @@ func analyzePairing(env1, env2 []constraint.Envelope, p1, p2 *relation.Partition
 	return s
 }
 
-// chooseIndexAttrs picks the R*-tree strategy's dimensions: up to two
-// shared constraint attributes, ranked by the same boundedness score as
-// chooseSweepAttr (bounded₁·bounded₂, ties broken lexicographically so
-// the choice is deterministic whatever the schema order), keeping only
-// attributes bounded somewhere on both sides — a dimension nobody bounds
-// prunes nothing and only widens the tree's boxes. Two dimensions is
-// where the index earns its keep over the one-attribute sweep: the tree
-// rejects on the conjunction of overlaps, the sweep on a single one.
-func chooseIndexAttrs(sharedCon []string, env1, env2 []constraint.Envelope) []string {
-	attrs := append([]string{}, sharedCon...)
-	sort.Strings(attrs)
-	type scored struct {
-		attr  string
-		score int
-	}
-	var ranked []scored
-	for _, a := range attrs {
-		if score := countBounded(env1, a) * countBounded(env2, a); score > 0 {
-			ranked = append(ranked, scored{a, score})
-		}
-	}
-	sort.SliceStable(ranked, func(i, j int) bool { return ranked[i].score > ranked[j].score })
-	if len(ranked) > 2 {
-		ranked = ranked[:2]
-	}
-	out := make([]string, 0, len(ranked))
-	for _, r := range ranked {
-		out = append(out, r.attr)
-	}
-	return out
+// estimatePairs is the estimator's bound on the candidates a join of two
+// whole relations refines — what the join-chain reordering ranks by.
+func estimatePairs(r1, r2 *relation.Relation) int64 {
+	sharedRel, sharedCon := sharedAttrs(r1.Schema(), r2.Schema())
+	return analyzePairing(r1.Tuples(), r2.Tuples(), sharedRel, sharedCon).est
 }
 
 func min64(a, b int64) int64 {

@@ -145,14 +145,8 @@ func (n *ProjectNode) String() string {
 	return fmt.Sprintf("project %s on %s", n.Input, strings.Join(n.Cols, ", "))
 }
 
-// JoinNode is the natural join of two inputs. Strategy, when non-empty,
-// is the physical planner's pairing-strategy hint (exec.PlanDense/Sweep/
-// Index) stamped by PlanPhysical; empty means the operator decides at
-// execution time.
-type JoinNode struct {
-	Left, Right Node
-	Strategy    string
-}
+// JoinNode is the natural join of two inputs.
+type JoinNode struct{ Left, Right Node }
 
 // NewJoin returns a natural-join node.
 func NewJoin(l, r Node) *JoinNode { return &JoinNode{Left: l, Right: r} }
@@ -170,7 +164,7 @@ func (n *JoinNode) EvalCtx(env Env, ec *exec.Context) (*relation.Relation, error
 	if err != nil {
 		return nil, err
 	}
-	return joinCtx(ec, "join", n.Strategy, l, r)
+	return joinCtx(ec, "join", l, r)
 }
 
 func (n *JoinNode) OutSchema(env SchemaEnv) (schema.Schema, error) {
@@ -230,12 +224,8 @@ func (n *UnionNode) String() string {
 	return fmt.Sprintf("union %s and %s", n.Left, n.Right)
 }
 
-// DiffNode is the difference of two inputs with equal schemas. Strategy
-// is the physical planner's pairing-strategy hint (see JoinNode).
-type DiffNode struct {
-	Left, Right Node
-	Strategy    string
-}
+// DiffNode is the difference of two inputs with equal schemas.
+type DiffNode struct{ Left, Right Node }
 
 // NewDiff returns a difference node.
 func NewDiff(l, r Node) *DiffNode { return &DiffNode{Left: l, Right: r} }
@@ -253,7 +243,7 @@ func (n *DiffNode) EvalCtx(env Env, ec *exec.Context) (*relation.Relation, error
 	if err != nil {
 		return nil, err
 	}
-	return differenceCtx(ec, n.Strategy, l, r)
+	return DifferenceCtx(ec, l, r)
 }
 
 func (n *DiffNode) OutSchema(env SchemaEnv) (schema.Schema, error) {

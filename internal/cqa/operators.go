@@ -6,7 +6,6 @@ import (
 	"cdb/internal/constraint"
 	"cdb/internal/exec"
 	"cdb/internal/relation"
-	"cdb/internal/schema"
 	"cdb/internal/vector"
 )
 
@@ -168,31 +167,19 @@ func Join(r1, r2 *relation.Relation) (*relation.Relation, error) {
 // flattened (t1, t2) pair so output order matches the sequential
 // nested-loop order exactly.
 func JoinCtx(ec *exec.Context, r1, r2 *relation.Relation) (*relation.Relation, error) {
-	return joinCtx(ec, "join", "", r1, r2)
+	return joinCtx(ec, "join", r1, r2)
 }
 
-// joinCtx is the shared engine of Join and Intersect. hint is the
-// physical planner's pairing-strategy annotation (""=decide here); the
-// filter stage resolves it against the forced PlanMode and the runtime
-// cost model (resolveStrategy) and records the resolved strategy plus the
-// estimator's pair bound on the operator's stats, which EXPLAIN ANALYZE
+// joinCtx is the shared engine of Join and Intersect. The filter stage
+// (pairCandidates) decides the pairing strategy, and the operator records
+// it plus the estimator's pair bound on its stats, which EXPLAIN ANALYZE
 // renders as strategy= / est_pairs= / act_pairs=.
-func joinCtx(ec *exec.Context, op, hint string, r1, r2 *relation.Relation) (*relation.Relation, error) {
+func joinCtx(ec *exec.Context, op string, r1, r2 *relation.Relation) (*relation.Relation, error) {
 	js, err := r1.Schema().Join(r2.Schema())
 	if err != nil {
 		return nil, err
 	}
-	var sharedRel, sharedCon []string
-	for _, a := range r1.Schema().Attrs() {
-		if !r2.Schema().Has(a.Name) {
-			continue
-		}
-		if a.Kind == schema.Relational {
-			sharedRel = append(sharedRel, a.Name)
-		} else {
-			sharedCon = append(sharedCon, a.Name)
-		}
-	}
+	sharedRel, sharedCon := sharedAttrs(r1.Schema(), r2.Schema())
 	t1s, t2s := r1.Tuples(), r2.Tuples()
 	rec := ec.StartOp(op, len(t1s)+len(t2s))
 	pairs := 0
@@ -245,16 +232,15 @@ func joinCtx(ec *exec.Context, op, hint string, r1, r2 *relation.Relation) (*rel
 	items := pairs
 	if ec.PruneEnabled() && pairs > 0 {
 		// Filter stage: partition on sharedRel, envelope-reject over
-		// sharedCon, strategy-switched enumeration per bucket. The
-		// surviving candidates are in ascending flattened order, so
-		// mapping over them preserves the sequential nested-loop output
-		// order.
-		plan := pairCandidates(ec, hint, t1s, t2s, sharedRel, sharedCon)
-		rec.Pairing(plan.strategy, plan.estPairs)
+		// sharedCon, switched enumeration per bucket. The surviving
+		// candidates are in ascending flattened order, so mapping over
+		// them preserves the sequential nested-loop output order.
+		plan := pairCandidates(ec, t1s, t2s, sharedRel, sharedCon)
+		rec.Pairing(plan.strategy(), plan.estPairs)
 		rec.Pairs(int64(plan.total), int64(plan.pruned()))
 		items = len(plan.cands)
 		step := refine
-		if plan.strategy == exec.PlanVector {
+		if plan.vector {
 			step = vectorRefine
 		}
 		results, err = exec.Map(ec, items, func(k int) (*relation.Tuple, error) {
@@ -303,7 +289,7 @@ func IntersectCtx(ec *exec.Context, r1, r2 *relation.Relation) (*relation.Relati
 	if !r1.Schema().Equal(r2.Schema()) {
 		return nil, fmt.Errorf("cqa: intersect requires equal schemas: %s vs %s", r1.Schema(), r2.Schema())
 	}
-	return joinCtx(ec, "intersect", "", r1, r2)
+	return joinCtx(ec, "intersect", r1, r2)
 }
 
 // Union returns r1 ∪ r2. The schemas must be equal (as attribute sets with
@@ -422,94 +408,59 @@ func Difference(r1, r2 *relation.Relation) (*relation.Relation, error) {
 // complement expansions (the heaviest CQA work) fan out over ec's worker
 // pool.
 //
-// The subtrahends for each tuple of r1 go through the filter-and-refine
-// split: the surviving subtrahend set is always {identical relational
-// part ∧ envelopes not Disjoint}, but *how* it is enumerated follows the
-// planner's strategy — dense scans all of r2 per tuple, sweep looks up
-// the relational-part partition bucket, index probes one R*-tree built
-// over all of r2's envelope boxes (precomputed sequentially: the tree is
-// not safe under the worker fan-out). The survivors then pass an exact
-// intersection pre-filter (Merge + sat) — subtracting a region that does
-// not intersect t1 cannot change the semantics, but it would fragment the
-// staircase expansion syntactically. The pre-filter runs in every mode,
-// which is what keeps the output byte-identical with pruning on or off
-// and across strategies: every envelope-pruned subtrahend is one the
-// pre-filter's satisfiability decision rejects anyway.
+// The subtrahends for each tuple of r1 come from the same filter stage as
+// join's candidates (pairCandidates): the surviving list is {identical
+// relational part ∧ envelopes not Disjoint}, in input order. The
+// survivors then pass an exact intersection pre-filter (Merge + sat) —
+// subtracting a region that does not intersect t1 cannot change the
+// semantics, but it would fragment the staircase expansion syntactically.
+// The pre-filter runs in every mode, which is what keeps the output
+// byte-identical with the filter on or off and across strategies: every
+// envelope-pruned subtrahend is one the pre-filter's satisfiability
+// decision rejects anyway.
 func DifferenceCtx(ec *exec.Context, r1, r2 *relation.Relation) (*relation.Relation, error) {
-	return differenceCtx(ec, "", r1, r2)
-}
-
-func differenceCtx(ec *exec.Context, hint string, r1, r2 *relation.Relation) (*relation.Relation, error) {
 	if !r1.Schema().Equal(r2.Schema()) {
 		return nil, fmt.Errorf("cqa: difference requires equal schemas: %s vs %s", r1.Schema(), r2.Schema())
 	}
 	t1s, t2s := r1.Tuples(), r2.Tuples()
 	rec := ec.StartOp("difference", len(t1s)+len(t2s))
-	prune := ec.PruneEnabled() && len(t2s) > 0
-	conAttrs := r1.Schema().ConstraintNames()
-	strategy := exec.PlanDense
-	var part *relation.Partition
-	var env1, env2 []constraint.Envelope
-	var indexMatches [][]int
-	if prune {
-		relNames := r1.Schema().RelationalNames()
-		part = relation.NewPartition(t2s, relNames)
-		env1, env2 = envelopes(t1s), envelopes(t2s)
-		stats := analyzePairing(env1, env2, relation.NewPartition(t1s, relNames), part, conAttrs)
-		stats.elig1, stats.elig2 = countVectorEligible(t1s), countVectorEligible(t2s)
-		strategy = resolveStrategy(ec, hint, stats, ec.SweepSize())
-		if strategy == exec.PlanIndex {
-			indexMatches = indexDiffMatches(stats.indexAttrs, t1s, t2s, env1, env2, conAttrs)
-			if indexMatches == nil {
-				strategy = exec.PlanDense
-			}
-		}
-		rec.Pairing(strategy, stats.est)
+	m := len(t2s)
+	filtered := ec.PruneEnabled() && len(t1s)*m > 0
+	var plan pairPlan
+	if filtered {
+		sharedRel, sharedCon := sharedAttrs(r1.Schema(), r2.Schema())
+		plan = pairCandidates(ec, t1s, t2s, sharedRel, sharedCon)
+		rec.Pairing(plan.strategy(), plan.estPairs)
+		rec.Pairs(int64(plan.total), int64(plan.pruned()))
+	} else {
+		rec.Pairs(int64(len(t1s)*m), 0)
 	}
 	rows, err := exec.Map(ec, len(t1s), func(i int) ([]relation.Tuple, error) {
 		t1 := t1s[i]
-		// Candidate subtrahends: relational parts must be identical, and —
-		// with the filter on — envelopes must not be disjoint. All three
-		// strategies produce the same match list in input order, so the
-		// subtrahend order (and with it the staircase expansion) matches
-		// the dense scan.
+		// Candidate subtrahends, in input order either way, so the
+		// staircase expansion sees the same subtrahend order: the filter's
+		// row for t1, or — on the unfiltered reference path — every tuple
+		// with an identical relational part.
 		var matches []int
-		if prune {
-			switch {
-			case indexMatches != nil:
-				matches = indexMatches[i]
-			case strategy == exec.PlanSweep || strategy == exec.PlanVector:
-				// Bucket lookup: same match list as the dense scan (bucket
-				// lists keep input order), found without scanning all of r2.
-				for _, j := range part.Lookup(t1) {
-					if env1[i].Disjoint(env2[j], conAttrs) {
-						continue
-					}
-					matches = append(matches, j)
-				}
-			default: // dense
-				for j := range t2s {
-					if !t1.SameRelationalPart(t2s[j]) || env1[i].Disjoint(env2[j], conAttrs) {
-						continue
-					}
-					matches = append(matches, j)
-				}
+		if filtered {
+			row := plan.row(i, m)
+			matches = make([]int, 0, len(row))
+			for _, idx := range row {
+				matches = append(matches, idx%m)
 			}
-			rec.Pairs(int64(len(t2s)), int64(len(t2s)-len(matches)))
 		} else {
 			for j := range t2s {
 				if t1.SameRelationalPart(t2s[j]) {
 					matches = append(matches, j)
 				}
 			}
-			rec.Pairs(int64(len(t2s)), 0)
 		}
-		// Under PlanVector, decisions about t1's region run on its cached
-		// polygon form where one exists; every vector decision agrees with
-		// FM exactly, so the subtrahend list, the staircase expansion and
-		// the output bytes match the FM path's.
+		// With the vector flag set, decisions about t1's region run on its
+		// cached polygon form where one exists; every vector decision agrees
+		// with FM exactly, so the subtrahend list, the staircase expansion
+		// and the output bytes match the FM path's.
 		var f1 *vector.Form
-		if strategy == exec.PlanVector {
+		if plan.vector {
 			f1 = vector.FormOf(t1.Constraint())
 		}
 		// Refine, part 1 — intersection pre-filter: keep only subtrahends
@@ -527,7 +478,7 @@ func differenceCtx(ec *exec.Context, hint string, r1, r2 *relation.Relation) (*r
 					continue
 				}
 				rec.VectorFallback()
-			} else if strategy == exec.PlanVector {
+			} else if plan.vector {
 				rec.VectorFallback()
 			}
 			if !rec.Satisfiable(t1.Constraint().Merge(t2s[j].Constraint()).Canon()) {

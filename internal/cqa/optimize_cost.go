@@ -107,7 +107,11 @@ func orderAtoms(cond Condition, in Node, env Env) Condition {
 	if len(cond) < 2 {
 		return cond
 	}
-	r, ok := scanRelation(in, env)
+	scan, ok := in.(*ScanNode)
+	if !ok {
+		return cond
+	}
+	r, ok := env[scan.Name]
 	if !ok {
 		return cond
 	}
@@ -183,7 +187,7 @@ func reorderJoinChain(n *JoinNode, env Env) (Node, bool) {
 	for i, l := range leaves {
 		rels[i] = env[l.Name]
 	}
-	est := func(i, j int) int64 { return pairStatsFor(rels[i], rels[j]).est }
+	est := func(i, j int) int64 { return estimatePairs(rels[i], rels[j]) }
 	// The original plan's first-evaluated join is its deepest-left node,
 	// i.e. the first two leaves in evaluation order.
 	origFirst := est(0, 1)

@@ -11,8 +11,9 @@ import (
 )
 
 // This file is the filter stage of the binary operators' filter-and-refine
-// split. The refine step — Merge+Canon plus a satisfiability decision per
-// tuple pair, or the staircase subtraction in difference — is the
+// split — one pipeline, consumed by join, intersect and difference alike.
+// The refine step — Merge+Canon plus a satisfiability decision per tuple
+// pair, or the staircase subtraction in difference — is the
 // quantifier-elimination cost that dominates CDB evaluation; the filter
 // rejects pairs that provably cannot interact before any of it runs, using
 // three cooperating mechanisms:
@@ -24,41 +25,51 @@ import (
 //     whose envelopes are disjoint on a shared constraint attribute has an
 //     unsatisfiable merged conjunction — rejected in O(shared attrs)
 //     rational comparisons, no eliminator run;
-//  3. strategy-switched enumeration: within a bucket the candidate pairs
-//     are enumerated by one of three physical strategies, picked by the
-//     planner (planner.go) — the dense nested loop, the interval sweep
-//     (sort both sides on one attribute's envelope interval, plane-sweep
-//     the overlaps), or the R*-tree index probe (bulk-load one side's
-//     envelope boxes, probe with the other's; pairing_index.go). Under
-//     PlanAuto, buckets below exec.Context.SweepSize still run dense
-//     (strategy machinery costs more than the tiny loop it replaces); a
-//     forced PlanMode disables that escape so equivalence tests exercise
-//     the strategy they asked for.
+//  3. switched enumeration: within a bucket the candidate pairs are
+//     enumerated by the dense nested loop or by the interval sweep (sort
+//     both sides on one attribute's envelope interval, plane-sweep the
+//     overlaps), as resolveStrategy (planner.go) decided. Under PlanAuto,
+//     buckets below sweepCrossover still run dense; a forced PlanMode
+//     disables that escape so equivalence tests exercise the enumeration
+//     they asked for.
 //
 // The contract that keeps outputs byte-identical to the dense nested loop:
 // the surviving candidate set is exactly {bucket-matched pairs whose
-// envelopes are not Disjoint}, whichever enumeration ran — the sweep and
-// the index probe are both conservative superset passes (closed-endpoint
-// overlap on one attribute; outward-rounded float boxes over two) with
-// the full Disjoint check applied to every emitted pair — and the
+// envelopes are not Disjoint}, whichever enumeration ran — the sweep is a
+// conservative superset pass (closed-endpoint overlap on one attribute)
+// with the full Disjoint check applied to every emitted pair — and the
 // candidates are sorted into ascending flattened (i1·m + i2) order before
 // the refine fan-out, which is the sequential nested-loop order. Every
 // pruned pair is one the refine step would have rejected anyway, so
-// pruning on and off, and every strategy, produce the same bytes.
+// pruning on and off, and every mode, produce the same bytes.
 
 // pairPlan is the filter stage's output for one binary-operator call.
 type pairPlan struct {
-	cands      []int    // surviving pairs as flattened indexes i1*m + i2, ascending
-	total      int      // the dense candidate space |t1s|·|t2s|
-	strategy   string   // the resolved pairing strategy (exec.PlanDense/Sweep/Index/Vector)
-	enum       string   // the candidate-enumeration strategy (PlanVector substitutes the refine step, not the enumeration; equals strategy otherwise)
-	estPairs   int64    // the estimator's upper bound on surviving candidates
-	sweepAttr  string   // the sweep's sort attribute; "" = none bounded on both sides
-	indexAttrs []string // the index probe's dimensions; nil = index not applicable
+	cands    []int  // surviving pairs as flattened indexes i1*m + i2, ascending
+	total    int    // the dense candidate space |t1s|·|t2s|
+	enum     string // how candidates were enumerated: exec.PlanDense or exec.PlanSweep
+	vector   bool   // refine decides eligible pairs by polygon clipping instead of FM
+	estPairs int64  // the estimator's upper bound on surviving candidates
 }
 
 // pruned returns how many pairs the filter rejected.
 func (p pairPlan) pruned() int { return p.total - len(p.cands) }
+
+// strategy is the one label stats, EXPLAIN and flight records show for
+// the two decisions: vector when the decide flag is set, else the
+// enumeration.
+func (p pairPlan) strategy() string {
+	if p.vector {
+		return exec.PlanVector
+	}
+	return p.enum
+}
+
+// row returns the candidates of left tuple i, as flattened indexes: cands
+// is ascending, so they are the contiguous run in [i·m, (i+1)·m).
+func (p pairPlan) row(i, m int) []int {
+	return p.cands[sort.SearchInts(p.cands, i*m):sort.SearchInts(p.cands, (i+1)*m)]
+}
 
 // envelopes computes (memoized) envelopes for every tuple's constraint part.
 func envelopes(ts []relation.Tuple) []constraint.Envelope {
@@ -84,76 +95,35 @@ func countVectorEligible(ts []relation.Tuple) int {
 }
 
 // pairCandidates runs the filter stage over t1s × t2s: partition on the
-// shared relational attributes, analyze the pairing (estimate.go),
-// resolve the pairing strategy (forced PlanMode > planner hint > cost
-// model; planner.go), then enumerate candidates per bucket with that
-// strategy (see the file comment).
-func pairCandidates(ec *exec.Context, hint string, t1s, t2s []relation.Tuple, sharedRel, sharedCon []string) pairPlan {
+// shared relational attributes and analyze the pairing (estimate.go),
+// resolve the strategy (planner.go), then enumerate candidates per bucket
+// (see the file comment).
+func pairCandidates(ec *exec.Context, t1s, t2s []relation.Tuple, sharedRel, sharedCon []string) pairPlan {
 	n, m := len(t1s), len(t2s)
-	if n == 0 || m == 0 {
-		return pairPlan{strategy: exec.PlanDense}
-	}
-	plan := pairPlan{total: n * m}
-	env1, env2 := envelopes(t1s), envelopes(t2s)
-	var p1, p2 *relation.Partition
-	if len(sharedRel) > 0 {
-		p1 = relation.NewPartition(t1s, sharedRel)
-		p2 = relation.NewPartition(t2s, sharedRel)
-	}
-	stats := analyzePairing(env1, env2, p1, p2, sharedCon)
+	stats := analyzePairing(t1s, t2s, sharedRel, sharedCon)
 	stats.elig1, stats.elig2 = countVectorEligible(t1s), countVectorEligible(t2s)
-	plan.strategy = resolveStrategy(ec, hint, stats, ec.SweepSize())
-	plan.enum = plan.strategy
-	if plan.strategy == exec.PlanVector {
-		// Vector substitutes the refine step only; candidates are still
-		// enumerated by whichever of dense/sweep/index the cost model
-		// picks, keeping the candidate set strategy-independent.
-		plan.enum = decideEnum(stats, ec.SweepSize())
-	}
-	plan.estPairs = stats.est
-	plan.sweepAttr = stats.sweepAttr
-	plan.indexAttrs = stats.indexAttrs
-	auto := ec.Plan() == exec.PlanAuto
+	plan := pairPlan{total: n * m, estPairs: stats.est}
+	mode := ec.Plan()
+	plan.enum, plan.vector = resolveStrategy(mode, stats)
+	env1, env2 := stats.env1, stats.env2
+	auto := mode == exec.PlanAuto
 	emit := func(i, j int) {
 		if !env1[i].Disjoint(env2[j], sharedCon) {
 			plan.cands = append(plan.cands, i*m+j)
 		}
 	}
-	dense := func(as, bs []int) {
+	runBucket := func(as, bs []int) {
+		if plan.enum == exec.PlanSweep && !(auto && len(as)*len(bs) < sweepCrossover) {
+			sweepPairs(stats.sweepAttr, as, bs, env1, env2, emit)
+			return
+		}
 		for _, i := range as {
 			for _, j := range bs {
 				emit(i, j)
 			}
 		}
 	}
-	runBucket := func(as, bs []int) {
-		strat := plan.enum
-		if auto && strat != exec.PlanDense && len(as)*len(bs) < ec.SweepSize() {
-			strat = exec.PlanDense
-		}
-		switch strat {
-		case exec.PlanSweep:
-			sweepPairs(plan.sweepAttr, as, bs, env1, env2, emit)
-		case exec.PlanIndex:
-			// Buffer the probe's raw hits and commit only on success: a
-			// mid-probe failure would otherwise leave half a bucket
-			// emitted before the dense fallback re-enumerates it.
-			var raw []int
-			ok := indexPairs(plan.indexAttrs, as, bs, env1, env2, func(i, j int) {
-				raw = append(raw, i*m+j)
-			})
-			if !ok {
-				dense(as, bs)
-				return
-			}
-			for _, f := range raw {
-				emit(f/m, f%m)
-			}
-		default:
-			dense(as, bs)
-		}
-	}
-	if p1 == nil {
+	if stats.p1 == nil {
 		as, bs := make([]int, n), make([]int, m)
 		for i := range as {
 			as[i] = i
@@ -163,12 +133,12 @@ func pairCandidates(ec *exec.Context, hint string, t1s, t2s []relation.Tuple, sh
 		}
 		runBucket(as, bs)
 	} else {
-		for _, key := range p1.Keys() {
-			bs := p2.Bucket(key)
+		for _, key := range stats.p1.Keys() {
+			bs := stats.p2.Bucket(key)
 			if len(bs) == 0 {
 				continue
 			}
-			runBucket(p1.Bucket(key), bs)
+			runBucket(stats.p1.Bucket(key), bs)
 		}
 	}
 	// Buckets emit in bucket order; the refine fan-out must see the

@@ -11,17 +11,31 @@ import (
 )
 
 // pruneInputs builds the three workload shapes the filter is designed
-// around: skewed relational buckets (partition pruning), spatial clusters
+// around — skewed relational buckets (partition pruning), spatial clusters
 // with all-NULL ids (envelope + sweep pruning), and the plain BoxRelation
-// mix. Sizes stay small enough for the dense baseline to be cheap.
+// mix — plus the edges of the shared pipeline: an empty right side, a
+// schema with no relational attribute (no partition at all), and left
+// tuples (ids b2, b3) whose bucket does not exist on the right. Sizes stay
+// small enough for the dense baseline to be cheap.
 func pruneInputs(t *testing.T) map[string][2]*relation.Relation {
 	t.Helper()
 	p := datagen.Scaled(10)
 	p.Seed = 19
 	p2 := p
 	p2.Seed = p.Seed + 1000
+	xy := func(r *relation.Relation) *relation.Relation {
+		out, err := Project(r, "x", "y")
+		if err != nil {
+			t.Fatal(err)
+		}
+		return out
+	}
+	skewed := datagen.SkewedBoxRelation(p, 36, 6)
 	return map[string][2]*relation.Relation{
-		"boxes": {datagen.BoxRelation(p, 36, 4), datagen.BoxRelation(p2, 36, 4)},
+		"empty-right":   {skewed, relation.New(skewed.Schema())},
+		"no-relational": {xy(datagen.BoxRelation(p, 36, 4)), xy(datagen.BoxRelation(p2, 36, 4))},
+		"absent-bucket": {datagen.BoxRelation(p, 36, 4), datagen.BoxRelation(p2, 36, 2)},
+		"boxes":         {datagen.BoxRelation(p, 36, 4), datagen.BoxRelation(p2, 36, 4)},
 		"skewed": {datagen.SkewedBoxRelation(p, 36, 6),
 			datagen.SkewedBoxRelation(p2, 36, 6)},
 		"clustered": {datagen.ClusteredBoxRelation(p, 36, 5, 50, 99),
@@ -91,8 +105,8 @@ func TestSweepMatchesDenseCandidates(t *testing.T) {
 		sharedRel := []string{"id"}
 		ecSweep := &exec.Context{PlanMode: exec.PlanSweep} // every bucket sweeps
 		ecDense := &exec.Context{PlanMode: exec.PlanDense} // every bucket is dense
-		sweep := pairCandidates(ecSweep, "", t1s, t2s, sharedRel, sharedCon)
-		dense := pairCandidates(ecDense, "", t1s, t2s, sharedRel, sharedCon)
+		sweep := pairCandidates(ecSweep, t1s, t2s, sharedRel, sharedCon)
+		dense := pairCandidates(ecDense, t1s, t2s, sharedRel, sharedCon)
 		if sweep.total != dense.total {
 			t.Fatalf("%s: totals differ: %d vs %d", name, sweep.total, dense.total)
 		}

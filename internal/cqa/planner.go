@@ -4,222 +4,81 @@ import (
 	"math"
 
 	"cdb/internal/exec"
-	"cdb/internal/relation"
-	"cdb/internal/schema"
 )
 
-// This file is the physical half of the two-phase planner. The logical
-// phase (Optimize + the cost-driven rewrites in optimize_cost.go)
-// reshapes the algebra tree; the physical phase decides *how* each
-// binary node's filter stage enumerates candidate pairs — dense nested
-// loop, interval sweep, or R*-tree index probe — with a small cost model
-// over the estimates of estimate.go. The decision is made twice, by the
-// same code: PlanPhysical stamps a strategy hint on binary nodes whose
-// inputs are base relations (so EXPLAIN shows the plan before it runs,
-// and the decision is made from exact input statistics), and the
-// operators re-run the decision at execution time for inputs the planner
-// could not see (intermediate results). An explicit exec.Context.PlanMode
-// overrides both.
+// This file is the planner's entry point and the filter stage's cost
+// model. The logical phase (Optimize + the cost-driven rewrites in
+// optimize_cost.go) reshapes the algebra tree before it runs; *how* each
+// binary node's filter stage pairs its inputs is decided once, at
+// execution time, by resolveStrategy below — the only place the actual
+// input relations (base or intermediate) are in hand. docs/ARCHITECTURE.md
+// "The filter stage" describes the two axes and why there are no more.
 //
 // Cost model. Unit = one envelope-interval comparison; k = number of
 // shared constraint attributes (each surviving pair pays a k-interval
-// Disjoint check whatever the strategy):
+// Disjoint check whichever enumeration ran):
 //
 //	dense  = relPairs·k                    every bucket-matched pair checked
 //	sweep  = (n+m)·log₂(n+m) + estSweep·k  sort both sides, check overlaps on the sweep attr
-//	index  = (6m + 3n)·log₂(m) + estIndex·k  STR bulk load + probes, check multi-attr overlaps
 //
-// The index's build and probe weights are calibrated constants (page
-// serialisation and node scans cost more than a comparison); its win
-// condition is estIndex ≪ estSweep — pairs that overlap on one attribute
-// but not on both, which is exactly the spatially-clustered workload.
-// Ties prefer the simpler strategy (dense, then sweep, then index).
+// Ties prefer the simpler enumeration (dense).
 
-// decideStrategy is the cost model: it picks the cheapest applicable
-// strategy for a pairing problem summarised by s. Inputs smaller than
-// sweepSize (the legacy sweep crossover) always run dense — at that size
-// strategy machinery costs more than the loop it replaces.
+// sweepCrossover is the pair count (whole input, and per bucket under
+// auto) below which enumeration is always the dense loop: sorting two
+// tiny sides costs more than scanning them.
+const sweepCrossover = 64
+
+// resolveStrategy is the filter stage's single decision point. It picks,
+// independently, how candidate pairs are enumerated (exec.PlanDense or
+// exec.PlanSweep) and whether the refine stage decides eligible pairs by
+// exact polygon clipping (vector) instead of Fourier–Motzkin:
 //
-// The vector fast path is not an enumeration strategy but a refine-stage
-// substitution (exact polygon clipping instead of Fourier–Motzkin on the
-// eligible pairs), so its decision comes first and is driven by
-// eligibility, not candidate counts: when at least half the candidate
-// pairs are expected to be decidable in vector form, the FM savings
-// dominate whatever the enumeration does. The candidate *enumeration*
-// under PlanVector is still picked by the same cost model (decideEnum).
-func decideStrategy(s pairStats, sweepSize int) string {
-	if int64(s.n)*int64(s.m) < int64(sweepSize) {
-		return exec.PlanDense
-	}
-	if s.vectorFrac() >= 0.5 {
-		return exec.PlanVector
-	}
-	return decideEnum(s, sweepSize)
-}
-
-// decideEnum is the enumeration half of the cost model: dense, sweep or
-// index. It is what decideStrategy returns for non-vector pairings, and
-// what the filter stage runs *inside* a PlanVector pairing to enumerate
-// candidates (the candidate set is strategy-independent, so the vector
-// refine composes with any of the three).
-func decideEnum(s pairStats, sweepSize int) string {
-	if s.sweepAttr == "" || int64(s.n)*int64(s.m) < int64(sweepSize) {
-		return exec.PlanDense
-	}
-	k := float64(len(s.overlap))
-	if k < 1 {
-		k = 1
-	}
-	logNM := math.Log2(float64(s.n+s.m) + 1)
-	costDense := float64(s.relPairs) * k
-	costSweep := float64(s.n+s.m)*logNM + float64(s.estSweep())*k
-	best, bestCost := exec.PlanDense, costDense
-	if costSweep < bestCost {
-		best, bestCost = exec.PlanSweep, costSweep
-	}
-	if len(s.indexAttrs) > 0 {
-		logM := math.Log2(float64(s.m) + 1)
-		costIndex := (6*float64(s.m)+3*float64(s.n))*logM + float64(s.estIndex())*k
-		if costIndex < bestCost {
-			best = exec.PlanIndex
-		}
-	}
-	return best
-}
-
-// resolveStrategy turns the three-level precedence — forced PlanMode >
-// planner hint > runtime cost model — into the concrete strategy a
-// pairing call runs. Forcing a strategy whose prerequisites are missing
-// (sweep with no sweepable attribute, index with no indexable one)
-// degrades to dense: the degenerate enumeration is the dense loop either
-// way, and the stats then say so instead of flattering the forced mode.
-func resolveStrategy(ec *exec.Context, hint string, s pairStats, sweepSize int) string {
-	mode := ec.Plan()
-	if mode == exec.PlanAuto && hint != "" {
-		mode = hint
-	}
+//   - a forced dense or sweep mode pins the enumeration and leaves the
+//     decision to FM; forcing sweep with no sweepable attribute degrades
+//     to dense — the degenerate sweep is the dense loop anyway, and the
+//     stats then say so instead of flattering the forced mode;
+//   - a forced vector mode sets the flag whenever either side has an
+//     eligible tuple (the difference staircase profits from the
+//     minuend's form alone); with nothing eligible every pair would fall
+//     back to FM, so the flag — and the label — stay off;
+//   - auto sets the flag when at least half the candidate pairs are
+//     expected to be decidable in vector form (the FM savings dominate
+//     whatever the enumeration does), except on inputs below
+//     sweepCrossover, which always run plain dense.
+//
+// Wherever the mode does not pin the enumeration, the cost model does.
+func resolveStrategy(mode string, s pairStats) (enum string, vector bool) {
+	small := int64(s.n)*int64(s.m) < sweepCrossover
 	switch mode {
-	case exec.PlanDense:
-		return exec.PlanDense
-	case exec.PlanSweep:
-		if s.sweepAttr == "" {
-			return exec.PlanDense
-		}
-		return exec.PlanSweep
-	case exec.PlanIndex:
-		if len(s.indexAttrs) == 0 {
-			return exec.PlanDense
-		}
-		return exec.PlanIndex
+	case exec.PlanDense, exec.PlanSweep:
+		// FM decides.
 	case exec.PlanVector:
-		// Forcing vector with nothing eligible on either side would run
-		// the FM fallback per pair while reporting strategy=vector;
-		// degrade honestly instead. One eligible side is kept: the
-		// difference staircase profits from the minuend's form alone.
-		if s.elig1 == 0 && s.elig2 == 0 {
-			return exec.PlanDense
-		}
-		return exec.PlanVector
-	}
-	return decideStrategy(s, sweepSize)
-}
-
-// scanRelation resolves a node to a base relation when the node is a
-// plain scan — the only case where plan-time statistics are exact rather
-// than propagated guesses, and therefore the only case PlanPhysical
-// stamps hints for.
-func scanRelation(n Node, env Env) (*relation.Relation, bool) {
-	s, ok := n.(*ScanNode)
-	if !ok {
-		return nil, false
-	}
-	r, ok := env[s.Name]
-	return r, ok
-}
-
-// pairStatsFor computes the estimator summary for a binary node over two
-// resolved relations, deriving the shared attribute split the same way
-// joinCtx does (difference passes equal schemas, so the split degenerates
-// to all-relational + all-constraint attributes there).
-func pairStatsFor(r1, r2 *relation.Relation) pairStats {
-	var sharedRel, sharedCon []string
-	for _, a := range r1.Schema().Attrs() {
-		if !r2.Schema().Has(a.Name) {
-			continue
-		}
-		if a.Kind == schema.Relational {
-			sharedRel = append(sharedRel, a.Name)
-		} else {
-			sharedCon = append(sharedCon, a.Name)
-		}
-	}
-	t1s, t2s := r1.Tuples(), r2.Tuples()
-	env1, env2 := envelopes(t1s), envelopes(t2s)
-	var p1, p2 *relation.Partition
-	if len(sharedRel) > 0 {
-		p1 = relation.NewPartition(t1s, sharedRel)
-		p2 = relation.NewPartition(t2s, sharedRel)
-	}
-	stats := analyzePairing(env1, env2, p1, p2, sharedCon)
-	stats.elig1, stats.elig2 = countVectorEligible(t1s), countVectorEligible(t2s)
-	return stats
-}
-
-// PlanPhysical annotates the plan's binary nodes with pairing-strategy
-// hints where plan-time statistics are exact: a JoinNode or DiffNode
-// whose inputs are both base-relation scans gets the cost model's pick
-// (or the forced PlanMode) stamped into its Strategy field, which
-// EvalCtx forwards to the operator. Nodes over intermediate results are
-// left unstamped — the operator re-decides at execution time, when the
-// actual inputs exist. The returned tree shares unmodified subtrees with
-// the input; the input tree itself is never mutated.
-func PlanPhysical(n Node, env Env, ec *exec.Context) Node {
-	switch node := n.(type) {
-	case *SelectNode:
-		return NewSelect(PlanPhysical(node.Input, env, ec), node.Cond)
-	case *ProjectNode:
-		return NewProject(PlanPhysical(node.Input, env, ec), node.Cols...)
-	case *RenameNode:
-		return NewRename(PlanPhysical(node.Input, env, ec), node.Old, node.New)
-	case *UnionNode:
-		return NewUnion(PlanPhysical(node.Left, env, ec), PlanPhysical(node.Right, env, ec))
-	case *JoinNode:
-		l, r := PlanPhysical(node.Left, env, ec), PlanPhysical(node.Right, env, ec)
-		out := NewJoin(l, r)
-		out.Strategy = planHint(l, r, env, ec)
-		return out
-	case *DiffNode:
-		l, r := PlanPhysical(node.Left, env, ec), PlanPhysical(node.Right, env, ec)
-		out := NewDiff(l, r)
-		out.Strategy = planHint(l, r, env, ec)
-		return out
+		vector = s.elig1 > 0 || s.elig2 > 0
 	default:
-		return n
+		vector = !small && s.vectorFrac() >= 0.5
 	}
+	switch {
+	case mode == exec.PlanDense || s.sweepAttr == "":
+		return exec.PlanDense, vector
+	case mode == exec.PlanSweep:
+		return exec.PlanSweep, vector
+	case small:
+		return exec.PlanDense, vector
+	}
+	k := math.Max(1, float64(len(s.overlap)))
+	costDense := float64(s.relPairs) * k
+	costSweep := float64(s.n+s.m)*math.Log2(float64(s.n+s.m)+1) + float64(s.estSweep())*k
+	if costSweep < costDense {
+		return exec.PlanSweep, vector
+	}
+	return exec.PlanDense, vector
 }
 
-// planHint computes the strategy hint for one binary node, or "" when
-// its inputs are not both base relations.
-func planHint(l, r Node, env Env, ec *exec.Context) string {
-	rl, ok := scanRelation(l, env)
-	if !ok {
-		return ""
-	}
-	rr, ok := scanRelation(r, env)
-	if !ok {
-		return ""
-	}
-	return resolveStrategy(ec, "", pairStatsFor(rl, rr), ec.SweepSize())
-}
-
-// Plan is the full two-phase planner: the logical fixpoint rules
-// (Optimize), the cost-driven logical rewrites (join reordering and
-// selectivity-ordered selections, optimize_cost.go), then the physical
-// strategy annotation. This is what the query front end runs when
-// optimisation is on and an environment of real relations is in hand;
+// Plan is the planner the query front ends run when optimisation is on
+// and an environment of real relations is in hand: the logical fixpoint
+// rules (Optimize), then the cost-driven logical rewrites (join
+// reordering and selectivity-ordered selections, optimize_cost.go).
 // Optimize alone remains the schema-only entry point.
-func Plan(n Node, env Env, ec *exec.Context) Node {
-	n = Optimize(n, env.Schemas())
-	n = optimizeCost(n, env)
-	return PlanPhysical(n, env, ec)
+func Plan(n Node, env Env) Node {
+	return optimizeCost(Optimize(n, env.Schemas()), env)
 }

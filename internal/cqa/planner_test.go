@@ -10,7 +10,6 @@ import (
 	"cdb/internal/constraint"
 	"cdb/internal/exec"
 	"cdb/internal/obs"
-	"cdb/internal/rational"
 	"cdb/internal/relation"
 )
 
@@ -52,20 +51,19 @@ func TestChooseSweepAttrTieBreak(t *testing.T) {
 	}
 }
 
-// TestStrategyEquivalence is the physical planner's acceptance contract:
-// every pairing strategy — forced dense, forced sweep, forced index,
-// forced vector, and the cost model's auto pick — produces byte-identical
-// output (same
+// TestStrategyEquivalence is the filter stage's acceptance contract:
+// every pairing strategy — forced dense, forced sweep, forced vector, and
+// the cost model's auto pick — produces byte-identical output (same
 // tuples, same order) on every binary operator and workload shape, both
 // sequentially and under the worker pool. Forced modes disable the
-// small-bucket dense escape, so sweep and index really run.
+// small-bucket dense escape, so the sweep really runs.
 func TestStrategyEquivalence(t *testing.T) {
 	ops := map[string]func(ec *exec.Context, r1, r2 *relation.Relation) (*relation.Relation, error){
 		"join":       JoinCtx,
 		"intersect":  IntersectCtx,
 		"difference": DifferenceCtx,
 	}
-	modes := []string{exec.PlanDense, exec.PlanSweep, exec.PlanIndex, exec.PlanVector, exec.PlanAuto}
+	modes := []string{exec.PlanDense, exec.PlanSweep, exec.PlanVector, exec.PlanAuto}
 	for wName, pair := range pruneInputs(t) {
 		for opName, op := range ops {
 			for _, par := range []int{1, 4} {
@@ -102,7 +100,7 @@ func TestEstimatorBounds(t *testing.T) {
 		"intersect":  IntersectCtx,
 		"difference": DifferenceCtx,
 	}
-	modes := []string{exec.PlanAuto, exec.PlanDense, exec.PlanSweep, exec.PlanIndex, exec.PlanVector}
+	modes := []string{exec.PlanAuto, exec.PlanDense, exec.PlanSweep, exec.PlanVector}
 	for wName, pair := range pruneInputs(t) {
 		for opName, op := range ops {
 			for _, mode := range modes {
@@ -121,7 +119,7 @@ func TestEstimatorBounds(t *testing.T) {
 					est += s.EstPairs
 					act += s.PairsTotal - s.PairsPruned
 				}
-				if !seen {
+				if !seen && pair[0].Len()*pair[1].Len() > 0 {
 					t.Fatalf("%s %s %s: no stats row carries a strategy", wName, opName, mode)
 				}
 				if est < act {
@@ -137,61 +135,20 @@ func TestEstimatorBounds(t *testing.T) {
 	}
 }
 
-// TestPlanPhysicalAnnotations: the physical pass stamps a strategy hint
-// exactly where plan-time statistics are exact — binary nodes over two
-// base-relation scans — and leaves nodes over intermediate results for
-// the runtime decision. A forced PlanMode shows up in the stamp.
-func TestPlanPhysicalAnnotations(t *testing.T) {
-	pair := pruneInputs(t)["clustered"]
-	env := Env{"R1": pair[0], "R2": pair[1]}
-
-	ec := &exec.Context{}
-	planned := PlanPhysical(NewJoin(Scan("R1"), Scan("R2")), env, ec)
-	j, ok := planned.(*JoinNode)
-	if !ok {
-		t.Fatalf("PlanPhysical changed the node type: %T", planned)
-	}
-	switch j.Strategy {
-	case exec.PlanDense, exec.PlanSweep, exec.PlanIndex, exec.PlanVector:
-	default:
-		t.Errorf("scan-children join stamped %q, want a concrete strategy", j.Strategy)
-	}
-
-	// A child that is not a base-relation scan leaves the node unstamped.
-	cond := Condition{AttrCmpConst("x", OpLe, rational.FromInt(500))}
-	planned = PlanPhysical(NewJoin(NewSelect(Scan("R1"), cond), Scan("R2")), env, ec)
-	if s := planned.(*JoinNode).Strategy; s != "" {
-		t.Errorf("join over an intermediate stamped %q, want unstamped", s)
-	}
-
-	// Difference gets the same treatment as join.
-	planned = PlanPhysical(NewDiff(Scan("R1"), Scan("R2")), env, ec)
-	if s := planned.(*DiffNode).Strategy; s == "" {
-		t.Error("scan-children difference left unstamped")
-	}
-
-	// A forced mode overrides the cost model in the stamp (the clustered
-	// boxes bound x and y on both sides, so index is applicable).
-	forced := &exec.Context{PlanMode: exec.PlanIndex}
-	planned = PlanPhysical(NewJoin(Scan("R1"), Scan("R2")), env, forced)
-	if s := planned.(*JoinNode).Strategy; s != exec.PlanIndex {
-		t.Errorf("forced index stamped %q", s)
-	}
-}
-
 // TestExplainPlanGolden pins the EXPLAIN ANALYZE surface of the planner:
 // the rendered span tree for a planned join shows the chosen strategy and
 // the est_pairs/act_pairs columns, byte-for-byte. The render excludes
-// wall times, and the fixture is seeded, so the output is deterministic.
-// Regenerate with: go test ./internal/cqa -run TestExplainPlanGolden -update
+// wall times, the fixture is seeded and the context pins one worker (a
+// fan-out span would depend on the host's core count), so the output is
+// deterministic. Regenerate with: go test ./internal/cqa -run TestExplainPlanGolden -update
 func TestExplainPlanGolden(t *testing.T) {
 	pair := pruneInputs(t)["clustered"]
 	env := Env{"R1": pair[0], "R2": pair[1]}
 	node := NewProject(NewJoin(Scan("R1"), Scan("R2")), "id", "x", "y")
 
-	ec := &exec.Context{}
+	ec := &exec.Context{Parallelism: 1}
 	ec.Tracer = obs.NewTracer()
-	planned := Plan(node, env, ec)
+	planned := Plan(node, env)
 	if _, err := planned.EvalCtx(env, ec); err != nil {
 		t.Fatal(err)
 	}

@@ -279,7 +279,7 @@ func evalAtom(a Atom, s schema.Schema, t relation.Tuple, ec *exec.Context, rec *
 // polygon form: the added atoms clip the polygon (vector.SatExtras)
 // instead of rebuilding the conjunction for the eliminator. The emitted
 // tuple is constructed identically on every path, so the output bytes
-// never depend on which oracle decided; forcing dense/sweep/index keeps
+// never depend on which oracle decided; forcing dense or sweep keeps
 // the decisions purely on FM for baseline comparisons.
 func keepIfSat(t relation.Tuple, added []constraint.Constraint, ec *exec.Context, rec *exec.OpRecorder) []relation.Tuple {
 	if mode := ec.Plan(); mode == exec.PlanAuto || mode == exec.PlanVector {

@@ -44,14 +44,6 @@ import (
 // the pool.
 const DefaultSeqThreshold = 64
 
-// DefaultSweepThreshold is the bucket pair count (|bucket1|·|bucket2|)
-// below which the binary operators' filter stage enumerates candidates
-// with the dense nested loop instead of the sorted interval sweep, when
-// the Context does not set its own threshold. Sorting two tiny buckets
-// costs more than scanning them — the same crossover reasoning as
-// DefaultSeqThreshold.
-const DefaultSweepThreshold = 64
-
 // Context carries the parallel execution policy and collects per-operator
 // statistics. The zero value and the nil pointer are both valid: a nil
 // *Context executes sequentially and records nothing, the zero value
@@ -71,29 +63,24 @@ type Context struct {
 	// it to 1 to parallelise everything.
 	SeqThreshold int
 
-	// NoPrune disables the filter-and-refine candidate pruning in the
-	// binary CQA operators (join, intersect, difference): envelope
-	// rejects, relational-part partitioning and the interval sweep. The
-	// zero value — pruning on — is correct for all callers, including the
-	// nil Context, because the filter is a pure optimisation: outputs are
-	// byte-identical either way. Set it to measure the dense nested loop
-	// (cdbbench) or to rule the filter out while debugging.
+	// NoPrune runs the binary CQA operators (join, intersect, difference)
+	// without their filter stage: the unfiltered nested loop that the
+	// pruning-equivalence tests, bench_test.go and `cdbbench -expt
+	// cqa|canon|prune` compare the filtered pipeline against. It is the
+	// reference path, not a user-facing knob: no CLI flag or session
+	// option sets it, and the filter is always on otherwise — including
+	// on the nil Context — because it never changes output.
 	NoPrune bool
-
-	// SweepThreshold is the bucket pair count below which the filter
-	// stage's candidate enumeration falls back from the interval sweep to
-	// the dense loop. Zero or negative means DefaultSweepThreshold.
-	SweepThreshold int
 
 	// PlanMode pins the pairing strategy of the binary CQA operators.
 	// Empty or PlanAuto — the zero value, correct for every caller —
-	// lets the physical planner's cost model choose per operator; the
-	// explicit modes (PlanDense, PlanSweep, PlanIndex) force one
+	// lets the filter stage's cost model choose per operator; the
+	// explicit modes (PlanDense, PlanSweep, PlanVector) force one
 	// strategy everywhere, which is how the strategy-equivalence tests
-	// and `cdbbench -expt plan` measure each strategy in isolation.
-	// Outputs are byte-identical across all modes; only the order of
-	// candidate enumeration inside the filter stage differs, and the
-	// surviving candidate set is re-sorted to the dense order.
+	// and `cdbbench -expt plan|vector` measure each in isolation.
+	// Outputs are byte-identical across all modes: the surviving
+	// candidate set is the same whichever enumeration found it, and it is
+	// re-sorted to the dense order before the refine stage runs.
 	PlanMode string
 
 	// Ctx, when non-nil, bounds every fan-out run under this context:
@@ -163,14 +150,6 @@ func (c *Context) ParallelFor(n int) bool {
 // so it needs no opt-in.
 func (c *Context) PruneEnabled() bool { return c == nil || !c.NoPrune }
 
-// SweepSize returns the effective sweep crossover threshold.
-func (c *Context) SweepSize() int {
-	if c == nil || c.SweepThreshold <= 0 {
-		return DefaultSweepThreshold
-	}
-	return c.SweepThreshold
-}
-
 // Pairing strategies for the binary CQA operators' filter stage. These
 // are the values of Context.PlanMode (where PlanAuto means "cost model
 // decides") and of the per-operator Strategy stats column / strategy=
@@ -183,9 +162,14 @@ const (
 	PlanAuto   = "auto"
 	PlanDense  = "dense"
 	PlanSweep  = "sweep"
-	PlanIndex  = "index"
 	PlanVector = "vector"
 )
+
+// PlanIndex is the retired stats label of the R*-tree probe enumeration
+// (removed: it won no measured workload). Nothing emits it and
+// ValidPlanMode rejects it; the name stays only because the frozen
+// repository benchmark still reports an always-zero share for it.
+const PlanIndex = "index"
 
 // Plan returns the effective planning mode: PlanAuto on the nil Context
 // or when PlanMode is unset.
@@ -201,7 +185,7 @@ func (c *Context) Plan() string {
 // the -plan knob with this before it reaches a Context.
 func ValidPlanMode(s string) bool {
 	switch s {
-	case "", PlanAuto, PlanDense, PlanSweep, PlanIndex, PlanVector:
+	case "", PlanAuto, PlanDense, PlanSweep, PlanVector:
 		return true
 	}
 	return false

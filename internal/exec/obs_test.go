@@ -276,10 +276,12 @@ func TestFlightRollup(t *testing.T) {
 			CacheHits: 7, CacheMisses: 3, FMDecisions: 3, Wall: 1500 * time.Microsecond},
 		{Op: "join", TuplesIn: 8, TuplesOut: 5, PairsTotal: 16, PairsPruned: 10,
 			EstPairs: 9, Strategy: "sweep", Wall: 2 * time.Millisecond, Parallel: true},
+		{Op: "difference", TuplesIn: 6, TuplesOut: 7, PairsTotal: 9, EstPairs: 9, Strategy: "vector",
+			VectorHits: 12, VectorFalls: 2, FloatRejects: 5},
 	}
 	rolls := FlightRollup(ops)
-	if len(rolls) != 2 {
-		t.Fatalf("rollup count %d, want 2", len(rolls))
+	if len(rolls) != 3 {
+		t.Fatalf("rollup count %d, want 3", len(rolls))
 	}
 	sel := rolls[0]
 	if sel.Op != "select" || sel.In != 10 || sel.Out != 4 || sel.Sat != 10 ||
@@ -301,6 +303,13 @@ func TestFlightRollup(t *testing.T) {
 	// act_pairs is the filter's survivor count: pairs minus pruned.
 	if join.ActPairs != 6 {
 		t.Fatalf("join act_pairs %d, want 16-10=6", join.ActPairs)
+	}
+	// The vector decide path is visible per node, and absent elsewhere.
+	if d := rolls[2]; d.Strategy != "vector" || d.Vec != 12 || d.VecFallback != 2 || d.FloatRej != 5 {
+		t.Fatalf("difference roll: %+v", d)
+	}
+	if join.Vec != 0 || join.VecFallback != 0 || join.FloatRej != 0 {
+		t.Fatalf("FM-decided roll gained vector counters: %+v", join)
 	}
 	if FlightRollup(nil) != nil {
 		t.Fatal("empty rollup should be nil")

@@ -24,7 +24,7 @@ type OpStats struct {
 	CacheMisses  int64         // sat decisions that ran the raw eliminator (cache enabled)
 	FMDecisions  int64         // raw Fourier-Motzkin eliminator runs during the operator (process-wide delta; attribution is exact when one operator runs at a time)
 	EstPairs     int64         // binary operators: the planner's pre-execution estimate of surviving candidate pairs (upper bound; compare to PairsTotal-PairsPruned)
-	Strategy     string        // binary operators: the pairing strategy that ran (dense, sweep, index, vector); empty for unary operators
+	Strategy     string        // binary operators: the pairing strategy that ran (dense, sweep, vector); empty for unary operators
 	VectorHits   int64         // sat decisions answered by the vector fast path (exact polygon clipping, no FM)
 	VectorFalls  int64         // vector-path fallbacks: decisions the fast path could not take (ineligible form, extra variable, strict-degenerate) and handed to FM
 	FloatRejects int64         // vector-path pairs rejected by the outward-rounded float bounding-box filter before any exact arithmetic
@@ -168,10 +168,10 @@ func (r *OpRecorder) Pairs(total, pruned int64) {
 	r.pruned.Add(pruned)
 }
 
-// Pairing records the physical planner's decision for a binary
-// operator's filter stage: the concrete strategy that will enumerate
-// candidates (dense, sweep or index — auto already resolved) and the
-// cost model's upper-bound estimate of surviving pairs. Call it once,
+// Pairing records the filter stage's decision for a binary operator: the
+// resolved strategy label (dense or sweep enumeration, or vector when the
+// refine stage decides by clipping — auto already resolved) and the
+// estimator's upper bound on surviving pairs. Call it once,
 // before the refine fan-out starts — unlike the counters it is not
 // synchronised, mirroring how the strategy decision itself happens on
 // the plan-tree goroutine.
@@ -360,6 +360,9 @@ func FlightRollup(ops []OpStats) []obs.OpRoll {
 			CacheHits:   s.CacheHits,
 			CacheMisses: s.CacheMisses,
 			FM:          s.FMDecisions,
+			Vec:         s.VectorHits,
+			VecFallback: s.VectorFalls,
+			FloatRej:    s.FloatRejects,
 			Strategy:    s.Strategy,
 			WallMS:      float64(s.Wall.Microseconds()) / 1000,
 		}

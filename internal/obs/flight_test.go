@@ -163,18 +163,18 @@ func TestDeriveStrategiesAndQError(t *testing.T) {
 		Ops: []OpRoll{
 			{Op: "select", In: 10, Out: 5}, // unary: ignored by derive
 			{Op: "join", Strategy: "sweep", EstPairs: 100, ActPairs: 50},
-			{Op: "join", Strategy: "index", EstPairs: 400, ActPairs: 10},
+			{Op: "join", Strategy: "vector", EstPairs: 400, ActPairs: 10},
 			{Op: "intersect", Strategy: "sweep", EstPairs: 20, ActPairs: 20},
 		},
 	})
 	rec := f.Recent(0, 1)[0]
-	if want := []string{"sweep", "index"}; strings.Join(rec.Strategies, ",") != strings.Join(want, ",") {
+	if want := []string{"sweep", "vector"}; strings.Join(rec.Strategies, ",") != strings.Join(want, ",") {
 		t.Fatalf("strategies = %v, want %v", rec.Strategies, want)
 	}
 	if rec.EstPairs != 520 || rec.ActPairs != 80 {
 		t.Fatalf("pair totals = %d/%d, want 520/80", rec.EstPairs, rec.ActPairs)
 	}
-	if rec.QError != 40 { // the index node: 400 est vs 10 act
+	if rec.QError != 40 { // the vector node: 400 est vs 10 act
 		t.Fatalf("q-error = %v, want 40 (worst node)", rec.QError)
 	}
 }
@@ -240,9 +240,9 @@ func TestMisestimateWarning(t *testing.T) {
 	}
 	// At the threshold: one warning carrying the evidence.
 	f.Finish(FlightRecord{ID: "q2",
-		Ops: []OpRoll{{Op: "join", Strategy: "index", EstPairs: 1600, ActPairs: 100}}})
+		Ops: []OpRoll{{Op: "join", Strategy: "vector", EstPairs: 1600, ActPairs: 100}}})
 	out := buf.String()
-	for _, want := range []string{"planner misestimate", "query=q2", "strategy=index",
+	for _, want := range []string{"planner misestimate", "query=q2", "strategy=vector",
 		"est_pairs=1600", "act_pairs=100", "q_error=16"} {
 		if !strings.Contains(out, want) {
 			t.Errorf("misestimate log missing %q:\n%s", want, out)

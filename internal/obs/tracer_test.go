@@ -314,13 +314,13 @@ func TestSpanLabels(t *testing.T) {
 	join := tr.StartSpan("join", "")
 	join.Set("pairs", 12)
 	rec := join.StartChild("join", "")
-	rec.SetLabel("strategy", "index")
+	rec.SetLabel("strategy", "vector")
 	rec.Set("sat", 3)
 	rec.End()
 	join.End()
 
-	if got := rec.Label("strategy"); got != "index" {
-		t.Errorf("Label(strategy) = %q, want index", got)
+	if got := rec.Label("strategy"); got != "vector" {
+		t.Errorf("Label(strategy) = %q, want vector", got)
 	}
 	if got := rec.Label("absent"); got != "" {
 		t.Errorf("Label(absent) = %q, want empty", got)
@@ -330,7 +330,7 @@ func TestSpanLabels(t *testing.T) {
 	}
 
 	out := FormatTree(tr.Roots(), TreeOptions{})
-	if !strings.Contains(out, "[strategy=index sat=3 pairs=12]") {
+	if !strings.Contains(out, "[strategy=vector sat=3 pairs=12]") {
 		t.Errorf("folded line should lead with the strategy label:\n%s", out)
 	}
 
@@ -354,7 +354,7 @@ func TestSpanLabels(t *testing.T) {
 	if err := json.Unmarshal(b, &spans); err != nil {
 		t.Fatal(err)
 	}
-	if spans[0].Children[0].Labels["strategy"] != "index" {
+	if spans[0].Children[0].Labels["strategy"] != "vector" {
 		t.Errorf("TraceJSON lost the label: %+v", spans[0].Children[0])
 	}
 

@@ -90,11 +90,10 @@ func evalExpr(e *Expr, env cqa.Env, optimize bool, ec *exec.Context) (*relation.
 		return nil, err
 	}
 	if optimize {
-		// The full two-phase planner: syntactic rules, cost-driven
-		// rewrites, then physical pairing-strategy annotation — the
+		// Syntactic rules, then the cost-driven rewrites — the
 		// environment holds real relations here, so the estimator's
 		// statistics are exact.
-		node = cqa.Plan(node, env, ec)
+		node = cqa.Plan(node, env)
 	}
 	return node.EvalCtx(env, ec)
 }

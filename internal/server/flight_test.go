@@ -181,7 +181,7 @@ func TestInflightListingAndCancelByID(t *testing.T) {
 	// A cancel has the same wire shape as a deadline timeout: the same
 	// envelope keys, only status and message differ.
 	s.hookQueryStart = nil
-	slowID := openSession(t, ts, `{"db": "slow", "no_prune": true, "par": 2, "sat_cache": 0}`)
+	slowID := openSession(t, ts, `{"db": "slow", "par": 2, "sat_cache": 0}`)
 	status, _, timeoutBody := runQueryReq(t, ts, fmt.Sprintf(
 		`{"session": %q, "query": "R = join B and B", "timeout_ms": 5}`, slowID))
 	if status != http.StatusGatewayTimeout {
@@ -290,6 +290,11 @@ func TestPlannerQErrorTelemetry(t *testing.T) {
 	}
 	if joinRoll == nil || joinRoll.EstPairs != rec.EstPairs || joinRoll.ActPairs != rec.ActPairs {
 		t.Fatalf("per-node rollup does not carry the estimate: %+v", rec.Ops)
+	}
+	// Every box is polygon-eligible, so auto decides by clipping — and the
+	// record says so, with the vector counters beside the label.
+	if joinRoll.Strategy != "vector" || joinRoll.Vec != rec.ActPairs || joinRoll.VecFallback != 0 {
+		t.Fatalf("rollup hides the vector decide path: %+v", *joinRoll)
 	}
 
 	// The q-error histogram is populated with an observation > 1.

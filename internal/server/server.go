@@ -589,7 +589,6 @@ type sessionInfo struct {
 	Snapshot  string     `json:"snapshot,omitempty"` // snapshot the session is bound to
 	Workers   int        `json:"workers"`
 	SatCache  int        `json:"sat_cache_entries"`
-	NoPrune   bool       `json:"no_prune,omitempty"`
 	Plan      string     `json:"plan,omitempty"` // pairing strategy; omitted when auto
 	Queries   int64      `json:"queries"`
 	Results   []string   `json:"results,omitempty"`
@@ -616,7 +615,6 @@ func (s *Server) sessionInfo(sess *session) sessionInfo {
 		DB:        sess.dbName,
 		Snapshot:  sess.snapID,
 		Workers:   sess.ec.Workers(),
-		NoPrune:   sess.ec.NoPrune,
 		Plan:      sess.ec.PlanMode,
 		Queries:   sess.queries.Load(),
 		Results:   results,
@@ -647,7 +645,7 @@ func (s *Server) handleSessionCreate(w http.ResponseWriter, r *http.Request) {
 	}
 	if opts.Plan != nil && !exec.ValidPlanMode(*opts.Plan) {
 		writeError(w, http.StatusBadRequest,
-			fmt.Sprintf("invalid plan %q (want auto, dense, sweep, index or vector)", *opts.Plan))
+			fmt.Sprintf("invalid plan %q (want auto, dense, sweep or vector)", *opts.Plan))
 		return
 	}
 	var (

@@ -156,26 +156,35 @@ func TestSessionDefaultsAndValidation(t *testing.T) {
 
 func TestSessionPlanOption(t *testing.T) {
 	_, ts := newTestServer(t, Config{}, nil)
-	id := openSession(t, ts, `{"plan": "index"}`)
+	id := openSession(t, ts, `{"plan": "sweep"}`)
 	status, body := getJSON(t, ts.URL+"/v1/sessions/"+id)
-	if status != http.StatusOK || !bytes.Contains(body, []byte(`"plan": "index"`)) {
+	if status != http.StatusOK || !bytes.Contains(body, []byte(`"plan": "sweep"`)) {
 		t.Fatalf("session info does not echo the plan option: %d %s", status, body)
 	}
 	// The forced strategy must not change query results.
 	statusQ, resp, bodyQ := runQueryReq(t, ts,
 		fmt.Sprintf(`{"session": %q, "query": "R = join Hurricane and Land"}`, id))
 	if statusQ != http.StatusOK {
-		t.Fatalf("query on plan=index session: %d %s", statusQ, bodyQ)
+		t.Fatalf("query on plan=sweep session: %d %s", statusQ, bodyQ)
 	}
 	def := openSession(t, ts, ``)
 	_, respDef, _ := runQueryReq(t, ts,
 		fmt.Sprintf(`{"session": %q, "query": "R = join Hurricane and Land"}`, def))
 	if got, want := fmt.Sprint(resp.Tuples), fmt.Sprint(respDef.Tuples); got != want {
-		t.Errorf("plan=index result differs from default plan\nindex: %s\nauto:  %s", got, want)
+		t.Errorf("plan=sweep result differs from default plan\nsweep: %s\nauto:  %s", got, want)
 	}
-	// An unknown strategy is rejected up front.
-	if status, _, _ := postJSON(t, ts.URL+"/v1/sessions", `{"plan": "bogus"}`); status != http.StatusBadRequest {
-		t.Fatalf("invalid plan: %d, want 400", status)
+	// An unknown strategy, the retired index strategy and the retired
+	// options are rejected up front, naming the offending field.
+	for _, tc := range []struct{ body, field string }{
+		{`{"plan": "bogus"}`, "plan"},
+		{`{"plan": "index"}`, "plan"},
+		{`{"no_prune": true}`, "no_prune"},
+		{`{"sweep_threshold": 8}`, "sweep_threshold"},
+	} {
+		status, body, _ := postJSON(t, ts.URL+"/v1/sessions", tc.body)
+		if status != http.StatusBadRequest || !bytes.Contains(body, []byte(tc.field)) {
+			t.Fatalf("%s: status %d, want 400 naming %q: %s", tc.body, status, tc.field, body)
+		}
 	}
 }
 
@@ -322,17 +331,20 @@ func TestMaxRowsTruncation(t *testing.T) {
 }
 
 // slowDB builds a database whose self-join is expensive enough that a
-// millisecond deadline always fires first: one relation, all tuples in
-// one partition bucket, so the dense pair space is n².
+// millisecond deadline always fires first: one relation of big boxes in
+// one tight cluster (the repo benchmark's box-join shape), so nearly every
+// one of the n² pairs overlaps and the filter prunes next to nothing.
 func slowDB() *db.Database {
+	p := datagen.Paper()
+	p.SizeMin = 50
 	d := db.New()
-	d.Put("B", datagen.BoxRelation(datagen.Scaled(4), 80, 1))
+	d.Put("B", datagen.ClusteredBoxRelation(p, 120, 1, 10, 77))
 	return d
 }
 
 func TestQueryTimeout(t *testing.T) {
 	s, ts := newTestServer(t, Config{}, map[string]*db.Database{"slow": slowDB()})
-	id := openSession(t, ts, `{"db": "slow", "no_prune": true, "par": 2, "sat_cache": 0}`)
+	id := openSession(t, ts, `{"db": "slow", "par": 2, "sat_cache": 0}`)
 	status, _, body := runQueryReq(t, ts, fmt.Sprintf(
 		`{"session": %q, "query": "R = join B and B", "timeout_ms": 5}`, id))
 	if status != http.StatusGatewayTimeout {
@@ -346,7 +358,7 @@ func TestQueryTimeout(t *testing.T) {
 	}
 	// The session survives a timed-out query and still answers.
 	status, resp, _ := runQueryReq(t, ts, fmt.Sprintf(
-		`{"session": %q, "query": "R = select id = b0 from B", "timeout_ms": 30000}`, id))
+		`{"session": %q, "query": "R = select x >= 0 from B", "timeout_ms": 30000}`, id))
 	if status != http.StatusOK || resp.Count == 0 {
 		t.Fatalf("query after timeout: %d, count %d", status, resp.Count)
 	}

@@ -47,14 +47,12 @@ type session struct {
 // Pointers distinguish "unset, use the server default" from an explicit
 // zero (e.g. sat_cache: 0 disables the cache outright).
 type sessionOptions struct {
-	DB             string  `json:"db,omitempty"`
-	Snapshot       string  `json:"snapshot,omitempty"` // bind to a snapshot instead of a db
-	Par            *int    `json:"par,omitempty"`
-	SatCache       *int    `json:"sat_cache,omitempty"`
-	SeqThreshold   *int    `json:"seq_threshold,omitempty"`
-	SweepThreshold *int    `json:"sweep_threshold,omitempty"`
-	NoPrune        *bool   `json:"no_prune,omitempty"`
-	Plan           *string `json:"plan,omitempty"` // pairing strategy: auto|dense|sweep|index
+	DB           string  `json:"db,omitempty"`
+	Snapshot     string  `json:"snapshot,omitempty"` // bind to a snapshot instead of a db
+	Par          *int    `json:"par,omitempty"`
+	SatCache     *int    `json:"sat_cache,omitempty"`
+	SeqThreshold *int    `json:"seq_threshold,omitempty"`
+	Plan         *string `json:"plan,omitempty"` // pairing strategy: auto|dense|sweep|vector
 }
 
 // newSession builds a session against base with opts layered over the
@@ -62,10 +60,6 @@ type sessionOptions struct {
 func newSession(id, dbName string, base *db.Database, opts sessionOptions, cfg Config) *session {
 	ec := exec.New(orDefault(opts.Par, cfg.DefaultPar))
 	ec.SeqThreshold = orDefault(opts.SeqThreshold, 0)
-	ec.SweepThreshold = orDefault(opts.SweepThreshold, 0)
-	if opts.NoPrune != nil {
-		ec.NoPrune = *opts.NoPrune
-	}
 	if opts.Plan != nil {
 		ec.PlanMode = *opts.Plan
 	}

@@ -6,6 +6,7 @@
 # touches them.
 set -eu
 cd "$(dirname "$0")/.."
+T=${TMPDIR:-/tmp} # where the smoke stages put binaries, logs and JSON
 
 echo '>> go vet ./...'
 go vet ./...
@@ -37,21 +38,29 @@ go run ./cmd/cqacdb -demo hurricane -explain -stats \
 go run ./cmd/cdbbench -expt cqa -par 2 -cqasize 8 >/dev/null
 go run ./cmd/cdbbench -expt diff -n 25 -seed 7 -par 2 >/dev/null
 
+# start_daemon <outfile> [flags…]: boot cqacdbd over the demo database on
+# a free port, wait for its listen line, and set SRV_PID and BASE.
+start_daemon() {
+    out=$1
+    shift
+    "$T/cdb_cqacdbd" -demo hurricane -addr 127.0.0.1:0 -quiet "$@" > "$out" 2>&1 &
+    SRV_PID=$!
+    for _ in $(seq 1 100); do
+        BASE=$(sed -n 's#^cqacdbd listening on \(http://.*\)$#\1#p' "$out")
+        [ -n "$BASE" ] && return 0
+        sleep 0.05
+    done
+    echo "cqacdbd never printed its listen line (see $out)"
+    kill -9 "$SRV_PID" 2>/dev/null
+    exit 1
+}
+
 # Server smoke: boot the real cqacdbd on a free port, open a session, run
 # the case-study query, scrape /metrics, then SIGTERM it and require a
 # clean drain (exit 0 + the "bye" line).
 echo '>> server smoke'
-go build -o /tmp/cdb_cqacdbd ./cmd/cqacdbd
-/tmp/cdb_cqacdbd -demo hurricane -addr 127.0.0.1:0 -quiet \
-    > /tmp/cdb_cqacdbd.out 2>&1 &
-SRV_PID=$!
-BASE=''
-for _ in $(seq 1 100); do
-    BASE=$(sed -n 's#^cqacdbd listening on \(http://.*\)$#\1#p' /tmp/cdb_cqacdbd.out)
-    [ -n "$BASE" ] && break
-    sleep 0.05
-done
-[ -n "$BASE" ] || { echo 'server never printed its listen line'; kill "$SRV_PID"; exit 1; }
+go build -o "$T/cdb_cqacdbd" ./cmd/cqacdbd
+start_daemon "$T/cdb_cqacdbd.out"
 SID=$(curl -s -X POST "$BASE/v1/sessions" -d '{"par": 2}' \
       | sed -n 's/.*"id": "\([^"]*\)".*/\1/p')
 [ -n "$SID" ] || { echo 'session create failed'; kill "$SRV_PID"; exit 1; }
@@ -69,7 +78,7 @@ curl -s "$BASE/debug/queries" | grep -q 'recent queries' \
     || { echo '/debug/queries not rendering'; kill "$SRV_PID"; exit 1; }
 kill -TERM "$SRV_PID"
 wait "$SRV_PID" || { echo 'server exited non-zero'; exit 1; }
-grep -q 'cqacdbd: bye' /tmp/cdb_cqacdbd.out || { echo 'no graceful drain'; exit 1; }
+grep -q 'cqacdbd: bye' "$T/cdb_cqacdbd.out" || { echo 'no graceful drain'; exit 1; }
 
 # Snapshot smoke: the copy-on-write store survives a real kill -9.
 # Phase 1 commits a snapshot of the hurricane db and drains cleanly.
@@ -79,35 +88,16 @@ grep -q 'cqacdbd: bye' /tmp/cdb_cqacdbd.out || { echo 'no graceful drain'; exit 
 # phase-1 snapshot intact, forkable and queryable through a bound
 # session — old state, never a torn mix.
 echo '>> snapshot smoke'
-SNAPDIR=$(mktemp -d /tmp/cdb_snapsmoke.XXXXXX)
+SNAPDIR=$(mktemp -d "$T/cdb_snapsmoke.XXXXXX")
 trap 'rm -rf "$SNAPDIR"' EXIT
-/tmp/cdb_cqacdbd -demo hurricane -addr 127.0.0.1:0 -quiet -snapshot-dir "$SNAPDIR" \
-    > /tmp/cdb_snap1.out 2>&1 &
-SRV_PID=$!
-BASE=''
-for _ in $(seq 1 100); do
-    BASE=$(sed -n 's#^cqacdbd listening on \(http://.*\)$#\1#p' /tmp/cdb_snap1.out)
-    [ -n "$BASE" ] && break
-    sleep 0.05
-done
-[ -n "$BASE" ] || { echo 'phase 1: no listen line'; kill "$SRV_PID"; exit 1; }
+start_daemon "$T/cdb_snap1.out" -snapshot-dir "$SNAPDIR"
 SNAP=$(curl -s -X POST "$BASE/v1/dbs/hurricane/snapshots" \
        | sed -n 's/.*"id": "\([^"]*\)".*/\1/p')
 [ -n "$SNAP" ] || { echo 'phase 1: snapshot commit failed'; kill "$SRV_PID"; exit 1; }
 kill -TERM "$SRV_PID"
 wait "$SRV_PID" || { echo 'phase 1: server exited non-zero'; exit 1; }
 
-/tmp/cdb_cqacdbd -demo hurricane -addr 127.0.0.1:0 -quiet \
-    -snapshot-dir "$SNAPDIR" -snapshot-fault wal:1 \
-    > /tmp/cdb_snap2.out 2>&1 &
-SRV_PID=$!
-BASE=''
-for _ in $(seq 1 100); do
-    BASE=$(sed -n 's#^cqacdbd listening on \(http://.*\)$#\1#p' /tmp/cdb_snap2.out)
-    [ -n "$BASE" ] && break
-    sleep 0.05
-done
-[ -n "$BASE" ] || { echo 'phase 2: no listen line'; kill -9 "$SRV_PID"; exit 1; }
+start_daemon "$T/cdb_snap2.out" -snapshot-dir "$SNAPDIR" -snapshot-fault wal:1
 # This commit hits the armed fault: the WAL append writes a torn prefix
 # and hangs, holding the daemon mid-commit for the kill below.
 curl -s -m 10 -X POST "$BASE/v1/dbs/hurricane/snapshots" >/dev/null 2>&1 &
@@ -117,16 +107,8 @@ kill -9 "$SRV_PID"
 wait "$SRV_PID" 2>/dev/null || true
 wait "$CURL_PID" 2>/dev/null || true
 
-/tmp/cdb_cqacdbd -demo hurricane -addr 127.0.0.1:0 -quiet -snapshot-dir "$SNAPDIR" \
-    > /tmp/cdb_snap3.out 2>&1 &
-SRV_PID=$!
-BASE=''
-for _ in $(seq 1 100); do
-    BASE=$(sed -n 's#^cqacdbd listening on \(http://.*\)$#\1#p' /tmp/cdb_snap3.out)
-    [ -n "$BASE" ] && break
-    sleep 0.05
-done
-[ -n "$BASE" ] || { echo 'phase 3: store did not reopen after kill -9'; kill -9 "$SRV_PID" 2>/dev/null; exit 1; }
+# A store that does not reopen after the kill -9 fails here.
+start_daemon "$T/cdb_snap3.out" -snapshot-dir "$SNAPDIR"
 curl -s "$BASE/v1/snapshots" | grep -q "\"$SNAP\"" \
     || { echo "phase 3: snapshot $SNAP lost in the crash"; kill "$SRV_PID"; exit 1; }
 FORK=$(curl -s -X POST "$BASE/v1/snapshots/$SNAP/fork" \
@@ -144,9 +126,9 @@ wait "$SRV_PID" || { echo 'phase 3: server exited non-zero'; exit 1; }
 # The committed snapshot measurement file must stay diffable against a
 # fresh (small) run, same shape guard as the prune/plan files below.
 go run ./cmd/cdbbench -expt snapshot -cqasize 8 -rounds 1 \
-    -json /tmp/cdb_snap_smoke.json >/dev/null
-scripts/benchdiff.sh /tmp/cdb_snap_smoke.json /tmp/cdb_snap_smoke.json >/dev/null
-scripts/benchdiff.sh BENCH_snapshot.json /tmp/cdb_snap_smoke.json 1000000 >/dev/null
+    -json "$T/cdb_snap_smoke.json" >/dev/null
+scripts/benchdiff.sh "$T/cdb_snap_smoke.json" "$T/cdb_snap_smoke.json" >/dev/null
+scripts/benchdiff.sh BENCH_snapshot.json "$T/cdb_snap_smoke.json" 1000000 >/dev/null
 
 # Prune smoke: the filter-and-refine experiment checks filtered output is
 # byte-identical to the dense loop on every workload shape, then benchdiff
@@ -154,27 +136,27 @@ scripts/benchdiff.sh BENCH_snapshot.json /tmp/cdb_snap_smoke.json 1000000 >/dev/
 # flakiness).
 echo '>> prune smoke'
 go run ./cmd/cdbbench -expt prune -cqasize 16 -rounds 1 \
-    -json /tmp/cdb_prune_smoke.json >/dev/null
-scripts/benchdiff.sh /tmp/cdb_prune_smoke.json /tmp/cdb_prune_smoke.json >/dev/null
+    -json "$T/cdb_prune_smoke.json" >/dev/null
+scripts/benchdiff.sh "$T/cdb_prune_smoke.json" "$T/cdb_prune_smoke.json" >/dev/null
 # The committed measurement file must stay diffable against a fresh run
 # (guards the JSON shape `make bench-all` writes). The huge threshold
 # means only shape breakage fails, never machine-speed variance;
 # leaves that exist only at the committed -cqasize report MISSING and
 # pass by design.
-scripts/benchdiff.sh BENCH_prune.json /tmp/cdb_prune_smoke.json 1000000 >/dev/null
+scripts/benchdiff.sh BENCH_prune.json "$T/cdb_prune_smoke.json" 1000000 >/dev/null
 
-# Plan smoke: the physical-planner experiment forces every pairing
-# strategy (dense, sweep, index) against the cost model's auto pick and
-# fails inside cdbbench unless all outputs are byte-identical; benchdiff
+# Plan smoke: the plan experiment forces each candidate enumeration
+# (dense, sweep) against the cost model's auto pick and fails inside
+# cdbbench unless all outputs are byte-identical; benchdiff
 # then self-compares the JSON so the plan measurements stay diffable. The
 # 200-case oracle run guards the planner end to end: cost rewrites plus
 # strategy switching against the naive reference evaluator, zero
 # disagreements allowed.
 echo '>> plan smoke'
 go run ./cmd/cdbbench -expt plan -cqasize 16 -rounds 1 \
-    -json /tmp/cdb_plan_smoke.json >/dev/null
-scripts/benchdiff.sh /tmp/cdb_plan_smoke.json /tmp/cdb_plan_smoke.json >/dev/null
-scripts/benchdiff.sh BENCH_plan.json /tmp/cdb_plan_smoke.json 1000000 >/dev/null
+    -json "$T/cdb_plan_smoke.json" >/dev/null
+scripts/benchdiff.sh "$T/cdb_plan_smoke.json" "$T/cdb_plan_smoke.json" >/dev/null
+scripts/benchdiff.sh BENCH_plan.json "$T/cdb_plan_smoke.json" 1000000 >/dev/null
 go run ./cmd/cdbbench -expt diff -n 200 -seed 3 -par 2 >/dev/null
 
 # Vector smoke: the vector experiment forces every spatial decision
@@ -187,8 +169,8 @@ go run ./cmd/cdbbench -expt diff -n 200 -seed 3 -par 2 >/dev/null
 # disagreements allowed.
 echo '>> vector smoke'
 go run ./cmd/cdbbench -expt vector -cqasize 16 -rounds 1 \
-    -json /tmp/cdb_vector_smoke.json >/dev/null
-scripts/benchdiff.sh /tmp/cdb_vector_smoke.json /tmp/cdb_vector_smoke.json >/dev/null
-scripts/benchdiff.sh BENCH_vector.json /tmp/cdb_vector_smoke.json 1000000 >/dev/null
+    -json "$T/cdb_vector_smoke.json" >/dev/null
+scripts/benchdiff.sh "$T/cdb_vector_smoke.json" "$T/cdb_vector_smoke.json" >/dev/null
+scripts/benchdiff.sh BENCH_vector.json "$T/cdb_vector_smoke.json" 1000000 >/dev/null
 go run ./cmd/cdbbench -expt diff -n 200 -seed 5 -par 2 -spatial -plan vector >/dev/null
 echo 'OK'
