@@ -554,6 +554,42 @@ func BenchmarkJoinTupleMerge(b *testing.B) {
 	})
 }
 
+// BenchmarkCanonMerge measures the refine step's first half, Merge+Canon of
+// two canonical 4-atom boxes — the price the closure principle charges per
+// emitted tuple. Run with -benchmem: one render per surviving atom, no
+// string inside the fold, the sort or the fingerprint (46 allocations per
+// op when each of them built strings; internal/constraint's
+// TestMergeCanonAllocs holds the ceiling at 24).
+func BenchmarkCanonMerge(b *testing.B) {
+	boxes := benchRelation(64).Tuples()
+	cons := make([]constraint.Conjunction, len(boxes))
+	for i, t := range boxes {
+		cons[i] = t.Constraint().Canon()
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		_ = cons[i%len(cons)].Merge(cons[(i+7)%len(cons)]).Canon()
+	}
+}
+
+// BenchmarkSorted measures the result tail's ordering step on a 300-tuple
+// relation with 10 distinct relational parts (so most comparisons fall
+// through to the constraint rendering): both keys are computed once per
+// tuple and the comparator only compares them.
+func BenchmarkSorted(b *testing.B) {
+	src := benchRelation(300)
+	r := relation.New(src.Schema())
+	for i, t := range src.Tuples() {
+		r.MustAdd(t.WithRVal("id", relation.Str(fmt.Sprintf("f%d", i%10))).Canon())
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		_ = r.Sorted()
+	}
+}
+
 // BenchmarkJoinPruning: the filter-and-refine join against the dense
 // nested loop on the skewed-bucket workload (Zipf relational ids, boxes
 // over the full coordinate range) — the shape the candidate filter is

@@ -540,15 +540,15 @@ func printRelation(r *relation.Relation, maxRows int) {
 
 func fprintRelation(w io.Writer, r *relation.Relation, maxRows int) {
 	fmt.Fprintln(w, r.Schema())
-	tuples := r.Sorted()
-	for i, t := range tuples {
+	rows := r.Rows()
+	for i, row := range rows {
 		if i >= maxRows {
-			fmt.Fprintf(w, "  ... (%d more tuples)\n", len(tuples)-maxRows)
+			fmt.Fprintf(w, "  ... (%d more tuples)\n", len(rows)-maxRows)
 			break
 		}
-		fmt.Fprintf(w, "  %s\n", t)
+		fmt.Fprintf(w, "  %s\n", row)
 	}
-	fmt.Fprintf(w, "(%d tuples)\n", len(tuples))
+	fmt.Fprintf(w, "(%d tuples)\n", len(rows))
 }
 
 // deduceSpatialShell finds the (fid, x, y) triple of a spatial relation

@@ -1,7 +1,8 @@
 package constraint
 
 import (
-	"sort"
+	"slices"
+	"strings"
 
 	"cdb/internal/rational"
 )
@@ -25,10 +26,15 @@ import (
 //   - folded: parallel half-planes (same canonical variable part, same
 //     inequality direction) are folded keeping only the tighter bound, and
 //     duplicate atoms are removed;
-//   - sorted: atoms are in a stable total order, so two conjunctions built
-//     from the same atoms in any order canonicalise identically.
+//   - sorted: atoms are in a stable total order — by operator (=, <=, <),
+//     then by rendered expression — so two conjunctions built from the same
+//     atoms in any order canonicalise identically.
 //
-// The fingerprint is an FNV-1a hash over the canonical atoms. Equal
+// Strings are the price of a readable order, so they are paid once: Canon
+// renders each surviving atom one time and sorts on those keys; the fold
+// and the fingerprint work on the terms themselves.
+//
+// The fingerprint is an FNV-1a-style hash over the canonical atoms. Equal
 // fingerprints make equal canonical forms overwhelmingly likely but not
 // certain; callers that must be exact (the sat-cache, Normalize) verify
 // with EqualCanonical on fingerprint hits.
@@ -82,50 +88,116 @@ func (j Conjunction) Canon() Conjunction {
 		}
 		atoms = append(atoms, c.Canonical())
 	}
-	// Pass 2: dedupe equalities exactly; fold parallel inequalities
-	// (identical canonical variable part) keeping only the tighter bound.
-	// Opposite-direction half-planes have different canonical variable
-	// parts (the inequality scale is positive), so they are never folded.
-	kept := make([]Constraint, 0, len(atoms))
-	group := map[string]int{} // canonical group key -> index into kept
-	for _, c := range atoms {
-		varPart := Expr{terms: c.Expr.terms}
-		if c.Op == Eq {
-			key := "=|" + varPart.String() + "|" + c.Expr.c.Key()
-			if _, dup := group[key]; dup {
-				continue
-			}
-			group[key] = len(kept)
-			kept = append(kept, c)
-			continue
-		}
-		key := varPart.String()
-		i, ok := group[key]
-		if !ok {
-			group[key] = len(kept)
-			kept = append(kept, c)
-			continue
-		}
-		// Same variable part: varPart + k OP 0 is tighter when k is larger;
-		// at equal k the strict inequality is tighter.
-		prev := kept[i]
-		pk, ck := prev.Expr.ConstTerm(), c.Expr.ConstTerm()
-		if cmp := ck.Cmp(pk); cmp > 0 || (cmp == 0 && c.Op == Lt && prev.Op == Le) {
-			kept[i] = c
-		}
+	// Pass 2: fold parallel inequalities keeping only the tighter bound.
+	atoms = compact(atoms, foldParallel(atoms, hashTerms))
+	// Pass 3: stable total order — by operator, then by rendered
+	// expression. Each surviving atom is rendered exactly once, into one
+	// shared buffer; the sort compares those keys and builds nothing.
+	// Identical equalities (the fold leaves them alone) end up adjacent and
+	// are dropped here; exact ties are identical atoms.
+	var stack [256]byte
+	buf := stack[:0]
+	keyed := make([]keyedAtom, len(atoms))
+	for i, c := range atoms {
+		buf = c.Expr.appendTo(buf)
+		keyed[i] = keyedAtom{c: c, end: len(buf)}
 	}
-	// Pass 3: stable total order.
-	sort.Slice(kept, func(a, b int) bool { return lessConstraint(kept[a], kept[b]) })
-	return Conjunction{cs: kept, canon: true, fp: fingerprintOf(kept), env: &envBox{}, aux: &auxBox{}}
+	rendered := string(buf)
+	start := 0
+	for i := range keyed {
+		keyed[i].key = rendered[start:keyed[i].end]
+		start = keyed[i].end
+	}
+	slices.SortFunc(keyed, func(a, b keyedAtom) int {
+		if a.c.Op != b.c.Op {
+			return int(a.c.Op) - int(b.c.Op)
+		}
+		return strings.Compare(a.key, b.key)
+	})
+	atoms = atoms[:0]
+	for i, k := range keyed {
+		if i > 0 && k.c.Op == keyed[i-1].c.Op && k.key == keyed[i-1].key {
+			continue
+		}
+		atoms = append(atoms, k.c)
+	}
+	return Conjunction{cs: atoms, canon: true, fp: fingerprintOf(atoms), env: &envBox{}, aux: &auxBox{}}
 }
 
-// lessConstraint is the stable total order of canonical atoms: by operator,
-// then by rendered expression. Exact ties are identical atoms.
-func lessConstraint(a, b Constraint) bool {
-	if a.Op != b.Op {
-		return a.Op < b.Op
+// keyedAtom is a canonical atom with the rendering of its expression: the
+// sort key Canon computes once per atom (end is the key's end offset in the
+// shared render buffer while it is being filled).
+type keyedAtom struct {
+	c   Constraint
+	key string
+	end int
+}
+
+// foldParallel is the parallel-half-plane fold shared by Canon and the
+// Fourier-Motzkin redundancy sweep. atoms must be atom-canonical
+// (Constraint.Canonical): the scale of an inequality is positive, so two
+// inequalities bound the same direction iff their terms are identical, and
+// opposite half-planes never share a group. Within a group only the
+// tightest atom survives — terms + k OP 0 is tighter for the larger k, at
+// equal k the strict inequality is tighter, and on an exact tie the earlier
+// atom stays. Equalities are not folded. The result marks the losers.
+//
+// Groups are found by hash of the terms and every hit is verified
+// term-wise, so a hash collision costs a probe, never a wrong fold; no
+// string is built. hash is hashTerms everywhere but in the collision test.
+func foldParallel(atoms []Constraint, hash func([]Term) uint64) (dominated []bool) {
+	dominated = make([]bool, len(atoms))
+	tightest := make(map[uint64]int, len(atoms)) // terms hash -> index of the group's tightest atom so far
+	for i, c := range atoms {
+		if c.Op == Eq {
+			continue
+		}
+		h := hash(c.Expr.terms)
+		for {
+			p, ok := tightest[h]
+			if !ok {
+				tightest[h] = i
+				break
+			}
+			prev := atoms[p]
+			if !sameTerms(prev.Expr.terms, c.Expr.terms) {
+				h++ // collision with another group: probe the next key
+				continue
+			}
+			if cmp := c.Expr.c.Cmp(prev.Expr.c); cmp > 0 || (cmp == 0 && c.Op == Lt && prev.Op == Le) {
+				dominated[p] = true
+				tightest[h] = i
+			} else {
+				dominated[i] = true
+			}
+			break
+		}
 	}
-	return a.Expr.String() < b.Expr.String()
+	return dominated
+}
+
+// compact removes the atoms marked in drop, in place, keeping the order of
+// the rest.
+func compact(atoms []Constraint, drop []bool) []Constraint {
+	out := atoms[:0]
+	for i, c := range atoms {
+		if !drop[i] {
+			out = append(out, c)
+		}
+	}
+	return out
+}
+
+func sameTerms(a, b []Term) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if a[i].Var != b[i].Var || !a[i].Coef.Equal(b[i].Coef) {
+			return false
+		}
+	}
+	return true
 }
 
 // Fingerprint returns the 64-bit structural hash of j's canonical form.
@@ -155,26 +227,33 @@ const (
 	fnvPrime64  = 1099511628211
 )
 
-// fingerprintOf hashes a slice of (canonical) constraints. Every field is
-// terminated with an out-of-band byte so adjacent fields cannot alias.
+// fingerprintOf hashes a slice of (canonical) constraints. Coefficients and
+// constants go in as integers (rational.Rat.Hash), variable names byte by
+// byte with an out-of-band terminator; nothing is rendered. The value is
+// never printed or persisted.
 func fingerprintOf(cs []Constraint) uint64 {
 	h := uint64(fnvOffset64)
-	field := func(s string) {
-		for i := 0; i < len(s); i++ {
-			h ^= uint64(s[i])
+	for _, c := range cs {
+		h ^= uint64(c.Op) + 1
+		h *= fnvPrime64
+		h = foldTerms(h, c.Expr.terms)
+		h = c.Expr.c.Hash(h)
+	}
+	return h
+}
+
+// hashTerms is the structural key of an expression's variable part.
+func hashTerms(ts []Term) uint64 { return foldTerms(fnvOffset64, ts) }
+
+func foldTerms(h uint64, ts []Term) uint64 {
+	for _, t := range ts {
+		for i := 0; i < len(t.Var); i++ {
+			h ^= uint64(t.Var[i])
 			h *= fnvPrime64
 		}
 		h ^= 0xff
 		h *= fnvPrime64
-	}
-	for _, c := range cs {
-		h ^= uint64(c.Op) + 1
-		h *= fnvPrime64
-		for _, t := range c.Expr.Terms() {
-			field(t.Var)
-			field(t.Coef.Key())
-		}
-		field(c.Expr.ConstTerm().Key())
+		h = t.Coef.Hash(h)
 	}
 	return h
 }

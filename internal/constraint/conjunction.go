@@ -91,6 +91,14 @@ func False() Conjunction {
 	return Conjunction{cs: falseAtoms, canon: true, fp: falseFingerprint, env: falseEnvBox, aux: falseAuxBox}
 }
 
+// IsFalse reports whether j is the False() sentinel — what Canon,
+// SimplifyWith and Eliminate return for a conjunction they found
+// unsatisfiable. It is a syntactic test: an unsatisfiable conjunction nobody
+// has decided yet is not IsFalse.
+func (j Conjunction) IsFalse() bool {
+	return len(j.cs) == 1 && j.cs[0].Op == Lt && j.cs[0].Expr.IsConst() && j.cs[0].Expr.c.IsZero()
+}
+
 var (
 	falseAtoms       = []Constraint{{Expr: Expr{}, Op: Lt}}
 	falseFingerprint = fingerprintOf(falseAtoms)
@@ -255,7 +263,9 @@ func (j Conjunction) Equivalent(k Conjunction) bool {
 
 // Simplify returns an equivalent conjunction with exact duplicates and
 // redundant constraints removed. A constraint is redundant if the remaining
-// constraints entail it. Unsatisfiable conjunctions simplify to False().
+// constraints entail it. Unsatisfiable conjunctions simplify to False(), so
+// a caller that needs both the decision and the simplified form asks once
+// and tests the result with IsFalse.
 func (j Conjunction) Simplify() Conjunction {
 	return j.SimplifyWith(nil)
 }
@@ -309,12 +319,22 @@ func (j Conjunction) Key() string {
 // String renders j as " c1, c2, ..." matching the paper's comma-separated
 // conjunction syntax; the empty conjunction renders as "true".
 func (j Conjunction) String() string {
+	var buf [128]byte
+	return string(j.AppendTo(buf[:0]))
+}
+
+// AppendTo appends the String rendering of j to b and returns the extended
+// slice, so a caller rendering many tuples can build each line in one
+// buffer.
+func (j Conjunction) AppendTo(b []byte) []byte {
 	if len(j.cs) == 0 {
-		return "true"
+		return append(b, "true"...)
 	}
-	parts := make([]string, len(j.cs))
 	for i, c := range j.cs {
-		parts[i] = c.String()
+		if i > 0 {
+			b = append(b, ", "...)
+		}
+		b = c.appendTo(b)
 	}
-	return strings.Join(parts, ", ")
+	return b
 }

@@ -2,6 +2,7 @@ package constraint
 
 import (
 	"fmt"
+	"strconv"
 
 	"cdb/internal/rational"
 )
@@ -26,7 +27,7 @@ func (o Op) String() string {
 	case Lt:
 		return "<"
 	default:
-		return fmt.Sprintf("Op(%d)", int(o))
+		return "Op(" + strconv.Itoa(int(o)) + ")"
 	}
 }
 
@@ -162,16 +163,30 @@ func (c Constraint) HasVar(v string) bool { return c.Expr.HasVar(v) }
 // (see canon.go).
 func (c Constraint) Key() string {
 	cc := c.Canonical()
-	return cc.Op.String() + "|" + cc.Expr.String()
+	var buf [64]byte
+	b := append(buf[:0], cc.Op.String()...)
+	b = append(b, '|')
+	return string(cc.Expr.appendTo(b))
 }
 
 // String renders c in the form "expr OP 0" with the constant moved to the
 // right-hand side for readability, e.g. "x + 2y <= 5".
 func (c Constraint) String() string {
-	lhs := Expr{terms: c.Expr.terms}
-	rhs := c.Expr.c.Neg()
+	var buf [64]byte
+	return string(c.appendTo(buf[:0]))
+}
+
+// appendTo appends the String rendering of c to b.
+func (c Constraint) appendTo(b []byte) []byte {
 	if len(c.Expr.terms) == 0 {
-		return fmt.Sprintf("%s %s 0", c.Expr.c, c.Op)
+		b = c.Expr.c.AppendTo(b)
+		b = append(b, ' ')
+		b = append(b, c.Op.String()...)
+		return append(b, " 0"...)
 	}
-	return fmt.Sprintf("%s %s %s", lhs, c.Op, rhs)
+	b = Expr{terms: c.Expr.terms}.appendTo(b)
+	b = append(b, ' ')
+	b = append(b, c.Op.String()...)
+	b = append(b, ' ')
+	return c.Expr.c.Neg().AppendTo(b)
 }

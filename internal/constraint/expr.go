@@ -27,7 +27,6 @@ package constraint
 import (
 	"fmt"
 	"sort"
-	"strings"
 
 	"cdb/internal/rational"
 )
@@ -214,38 +213,42 @@ func (e Expr) Equal(f Expr) bool {
 
 // String renders e in human-readable form, e.g. "2x + 3/2y - 5".
 func (e Expr) String() string {
+	var buf [64]byte
+	return string(e.appendTo(buf[:0]))
+}
+
+// appendTo appends the String rendering of e to b.
+func (e Expr) appendTo(b []byte) []byte {
 	if len(e.terms) == 0 {
-		return e.c.String()
+		return e.c.AppendTo(b)
 	}
-	var b strings.Builder
 	for i, t := range e.terms {
 		coef := t.Coef
-		if i == 0 {
-			if coef.Sign() < 0 {
-				b.WriteString("-")
-				coef = coef.Neg()
-			}
-		} else {
-			if coef.Sign() < 0 {
-				b.WriteString(" - ")
-				coef = coef.Neg()
-			} else {
-				b.WriteString(" + ")
-			}
+		neg := coef.Sign() < 0
+		if neg {
+			coef = coef.Neg()
+		}
+		switch {
+		case i == 0 && neg:
+			b = append(b, '-')
+		case i == 0:
+		case neg:
+			b = append(b, " - "...)
+		default:
+			b = append(b, " + "...)
 		}
 		if !coef.Equal(rational.One) {
-			b.WriteString(coef.String())
+			b = coef.AppendTo(b)
 		}
-		b.WriteString(t.Var)
+		b = append(b, t.Var...)
 	}
-	if !e.c.IsZero() {
-		if e.c.Sign() < 0 {
-			b.WriteString(" - ")
-			b.WriteString(e.c.Neg().String())
-		} else {
-			b.WriteString(" + ")
-			b.WriteString(e.c.String())
-		}
+	switch e.c.Sign() {
+	case -1:
+		b = append(b, " - "...)
+		b = e.c.Neg().AppendTo(b)
+	case 1:
+		b = append(b, " + "...)
+		b = e.c.AppendTo(b)
 	}
-	return b.String()
+	return b
 }

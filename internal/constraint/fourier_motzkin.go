@@ -140,47 +140,24 @@ func eliminateVar(cs []Constraint, v string) []Constraint {
 	return out
 }
 
-// sweepRedundant removes syntactic duplicates and constraints dominated by
-// a parallel constraint (same canonical normal, weaker bound). It does not
-// run full entailment (that would recurse into satisfiability); it is a
-// cheap but effective guard against the quadratic FM blowup.
+// sweepRedundant removes inequalities dominated by a parallel one (same
+// canonical normal, weaker bound; an exact duplicate is the limiting case).
+// It does not run full entailment (that would recurse into satisfiability);
+// it is a cheap but effective guard against the quadratic FM blowup. The
+// fold itself is Canon's (foldParallel, canon.go), run on canonical copies;
+// the survivors are returned unscaled and in their original order.
 func sweepRedundant(cs []Constraint) []Constraint {
-	type best struct {
-		idx int
-	}
-	// Group inequalities by the canonical direction of their variable part;
-	// within a group keep only the tightest bound.
-	groups := map[string]best{}
-	var out []Constraint
-	keep := make([]bool, len(cs))
+	canon := make([]Constraint, len(cs))
 	for i, c := range cs {
-		if c.Op == Eq {
-			keep[i] = true
-			continue
+		if c.Op != Eq { // equalities are not folded; spare them the scaling
+			c = c.Canonical()
 		}
-		cc := c.Canonical()
-		varPart := Expr{terms: cc.Expr.terms}
-		key := varPart.String()
-		prev, ok := groups[key]
-		if !ok {
-			groups[key] = best{idx: i}
-			keep[i] = true
-			continue
-		}
-		p := cs[prev.idx].Canonical()
-		// Same variable part: compare constants. varPart + c <= 0 is tighter
-		// when c is larger.
-		pc, nc := p.Expr.ConstTerm(), cc.Expr.ConstTerm()
-		tighter := nc.Cmp(pc) > 0 ||
-			(nc.Equal(pc) && cc.Op == Lt && p.Op == Le)
-		if tighter {
-			keep[prev.idx] = false
-			groups[key] = best{idx: i}
-			keep[i] = true
-		}
+		canon[i] = c
 	}
+	dominated := foldParallel(canon, hashTerms)
+	out := make([]Constraint, 0, len(cs))
 	for i, c := range cs {
-		if keep[i] {
+		if !dominated[i] {
 			out = append(out, c)
 		}
 	}

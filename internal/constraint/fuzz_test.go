@@ -72,6 +72,14 @@ func FuzzCanon(f *testing.F) {
 		if got, want := c.Canon().String(), c.String(); got != want {
 			t.Fatalf("Canon not a fixpoint on %q:\n  once  %s\n  twice %s", src, want, got)
 		}
+		// The keyed sort must realise the reference order (operator, then
+		// rendered expression), strictly: exact ties are folded away.
+		atoms := c.Constraints()
+		for i := 1; i < len(atoms); i++ {
+			if !constraint.LessConstraint(atoms[i-1], atoms[i]) {
+				t.Fatalf("canonical atoms of %q out of order at %d: %s", src, i, c)
+			}
+		}
 		if j.IsSatisfiable() != c.IsSatisfiable() {
 			t.Fatalf("Canon changed satisfiability of %q: %v -> %v", src, j.IsSatisfiable(), c.IsSatisfiable())
 		}

@@ -299,8 +299,8 @@ func Union(r1, r2 *relation.Relation) (*relation.Relation, error) {
 }
 
 // UnionCtx is Union under an execution context: the per-tuple
-// normalisation work (satisfiability check plus simplification into
-// canonical form) fans out over ec's worker pool; the dedup pass that
+// normalisation work (simplification into canonical form, which also
+// decides satisfiability) fans out over ec's worker pool; the dedup pass that
 // follows is sequential in input order, replicating
 // relation.NormalizeWith exactly, so the output is byte-identical to the
 // sequential path.
@@ -318,11 +318,11 @@ func UnionCtx(ec *exec.Context, r1, r2 *relation.Relation) (*relation.Relation, 
 	}
 	results, err := exec.Map(ec, len(all), func(i int) (normed, error) {
 		t := all[i]
-		if !t.Constraint().SatisfiableWith(rec.SatFunc()) {
+		con := t.Constraint().SimplifyWith(rec.SatFunc())
+		if con.IsFalse() { // unsatisfiable: decided once, inside SimplifyWith
 			return normed{}, nil
 		}
-		nt := t.WithConstraint(t.Constraint().SimplifyWith(rec.SatFunc()).Canon())
-		return normed{t: nt, ok: true}, nil
+		return normed{t: t.WithConstraint(con.Canon()), ok: true}, nil
 	})
 	if err != nil {
 		return nil, err

@@ -180,15 +180,19 @@ func EncodeRelation(w io.Writer, name string, r *relation.Relation) error {
 		parts = append(parts, fmt.Sprintf("%s %s %s", a.Name, a.Type, a.Kind))
 	}
 	fmt.Fprintf(bw, "schema %s\n", strings.Join(parts, ", "))
-	for _, t := range r.Sorted() {
-		fmt.Fprintf(bw, "tuple %s\n", formatTuple(t))
+	for _, row := range r.Rows() {
+		fmt.Fprintf(bw, "tuple %s\n", formatTuple(row))
 	}
 	fmt.Fprintf(bw, "end\n\n")
 	return bw.Flush()
 }
 
-func formatTuple(t relation.Tuple) string {
-	rvals := t.RVals()
+// formatTuple renders one tuple line of the text format: the relational
+// bindings, " | ", the constraint atoms. The atoms are the row's rendering
+// (the one that ordered it), except that the empty conjunction is written
+// as no atoms rather than "true".
+func formatTuple(row relation.Row) string {
+	rvals := row.RVals()
 	keys := make([]string, 0, len(rvals))
 	for k := range rvals {
 		keys = append(keys, k)
@@ -203,11 +207,11 @@ func formatTuple(t relation.Tuple) string {
 			rparts = append(rparts, fmt.Sprintf("%s=%s", k, r))
 		}
 	}
-	var cparts []string
-	for _, c := range t.Constraint().Constraints() {
-		cparts = append(cparts, c.String())
+	con := row.Con
+	if row.Constraint().IsTrue() {
+		con = ""
 	}
-	return strings.Join(rparts, ", ") + " | " + strings.Join(cparts, ", ")
+	return strings.Join(rparts, ", ") + " | " + con
 }
 
 // SaveFile writes the database to a file.

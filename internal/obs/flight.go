@@ -113,15 +113,20 @@ type OpRoll struct {
 // the unit of the history ring, of the /v1/queries/recent response, and
 // of the -query-log NDJSON stream (one record per line).
 type FlightRecord struct {
-	ID          string   `json:"id"`
-	Session     string   `json:"session,omitempty"`
-	Statement   string   `json:"statement"`
-	StartUnixMS int64    `json:"start_unix_ms"`
-	WallMS      float64  `json:"wall_ms"`
-	Rows        int      `json:"rows"`
-	Outcome     string   `json:"outcome"`
-	Error       string   `json:"error,omitempty"`
-	Strategies  []string `json:"strategies,omitempty"` // distinct pairing strategies, first-use order
+	ID          string  `json:"id"`
+	Session     string  `json:"session,omitempty"`
+	Statement   string  `json:"statement"`
+	StartUnixMS int64   `json:"start_unix_ms"`
+	WallMS      float64 `json:"wall_ms"` // evaluation + normalisation
+	// RenderMS is the result tail that follows WallMS: from the end of
+	// normalisation to the last byte handed to the connection (order,
+	// render, encode, write). Zero — omitted — for queries that failed or
+	// whose front end does not measure it.
+	RenderMS   float64  `json:"render_ms,omitempty"`
+	Rows       int      `json:"rows"`
+	Outcome    string   `json:"outcome"`
+	Error      string   `json:"error,omitempty"`
+	Strategies []string `json:"strategies,omitempty"` // distinct pairing strategies, first-use order
 
 	// Planner accuracy, summed/maxed over the binary plan nodes:
 	// est/act pair totals and the worst per-node q-error

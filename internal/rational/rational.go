@@ -21,6 +21,7 @@ import (
 	"fmt"
 	"math"
 	"math/big"
+	"strconv"
 	"strings"
 )
 
@@ -338,21 +339,63 @@ func Max(r, s Rat) Rat {
 
 // String renders r as an integer ("5") or fraction ("5/3").
 func (r Rat) String() string {
+	var buf [48]byte
+	return string(r.AppendTo(buf[:0]))
+}
+
+// AppendTo appends the String rendering of r to b and returns the extended
+// slice. It is the renderer everything above builds on (expressions,
+// constraints, tuples): integers are formatted by strconv straight into the
+// caller's buffer, so rendering an inline value allocates nothing.
+func (r Rat) AppendTo(b []byte) []byte {
 	if r.b != nil {
-		if r.b.IsInt() {
-			return r.b.Num().String()
+		b = r.b.Num().Append(b, 10)
+		if !r.b.IsInt() {
+			b = append(b, '/')
+			b = r.b.Denom().Append(b, 10)
 		}
-		return r.b.String()
+		return b
 	}
-	if r.normDen() == 1 {
-		return fmt.Sprintf("%d", r.num)
+	b = strconv.AppendInt(b, r.num, 10)
+	if r.den > 1 {
+		b = append(b, '/')
+		b = strconv.AppendInt(b, r.den, 10)
 	}
-	return fmt.Sprintf("%d/%d", r.num, r.den)
+	return b
 }
 
 // Key returns a canonical comparable key for r, suitable for use as a map
 // key. Two Rats have the same Key iff they are numerically equal.
 func (r Rat) Key() string { return r.String() }
+
+// Hash folds r into the running 64-bit hash h and returns the new state.
+// Numerically equal Rats fold identically (the representation is unique:
+// lowest terms, and big only when int64 cannot hold the value). Numerator
+// and denominator are mixed in as integers — inline values as two words,
+// promoted values by the words of their magnitudes — so no string is built.
+// The value is for in-memory hashing only and may change between versions.
+func (r Rat) Hash(h uint64) uint64 {
+	if r.b != nil {
+		h = mix(h, uint64(r.b.Sign()+1))
+		for _, w := range r.b.Num().Bits() {
+			h = mix(h, uint64(w))
+		}
+		h = mix(h, 1<<63) // numerator/denominator boundary
+		for _, w := range r.b.Denom().Bits() {
+			h = mix(h, uint64(w))
+		}
+		return h
+	}
+	return mix(mix(h, uint64(r.num)), uint64(r.normDen()))
+}
+
+// mix is one FNV-1a-style step over a whole word, followed by an xor-shift
+// so the word's high bits reach the low bits of the state (FNV's multiply
+// alone only carries upwards). Both halves are bijections of h.
+func mix(h, x uint64) uint64 {
+	h = (h ^ x) * 1099511628211
+	return h ^ h>>29
+}
 
 // --- low-level helpers ---
 

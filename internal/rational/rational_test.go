@@ -253,6 +253,100 @@ func TestKeyCanonical(t *testing.T) {
 	}
 }
 
+// refString is the rendering contract stated with math/big alone: an
+// integer prints bare, anything else as num/den in lowest terms.
+func refString(b *big.Rat) string {
+	if b.IsInt() {
+		return b.Num().String()
+	}
+	return b.String()
+}
+
+// edgeRats are the values where a hand-written integer formatter goes wrong:
+// MinInt64 (no int64 negation), negative fractions, denominator 1, the zero
+// value, and values promoted to big.Rat on either side of the fraction bar.
+func edgeRats() []Rat {
+	maxI := FromInt(math.MaxInt64)
+	huge := maxI.Mul(maxI)
+	return []Rat{
+		{}, Zero, One, FromInt(-1), FromInt(5), New(10, 2), New(0, 7),
+		New(-3, 4), New(3, -4), New(-22, 7), New(1, math.MaxInt64), New(-1, math.MaxInt64),
+		FromInt(math.MinInt64), New(math.MinInt64, 3), New(math.MinInt64, 2), New(5, math.MinInt64),
+		FromInt(math.MinInt64).Neg(), FromInt(math.MinInt64).Inv(),
+		maxI, maxI.Add(One), huge, huge.Neg(), huge.Inv(), huge.Neg().Inv(), huge.Add(Half), huge.Sub(huge),
+	}
+}
+
+func TestStringMatchesBigRat(t *testing.T) {
+	check := func(r Rat) bool {
+		want := refString(r.bigVal())
+		if got := r.String(); got != want {
+			t.Errorf("String() = %q, want %q", got, want)
+			return false
+		}
+		if got := string(r.AppendTo([]byte("x="))); got != "x="+want {
+			t.Errorf("AppendTo = %q, want %q", got, "x="+want)
+			return false
+		}
+		return r.Key() == want
+	}
+	for _, r := range edgeRats() {
+		check(r)
+	}
+	f := func(an, ad, bn, bd int64) bool {
+		if ad == 0 || bd == 0 {
+			return true
+		}
+		a, b := New(an, ad), New(bn, bd)
+		return check(a) && check(b) && check(a.Mul(b)) && check(a.Add(b)) // products promote
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
+		t.Error(err)
+	}
+}
+
+// TestHashFollowsEquality: numerically equal values hash alike however they
+// were built (reduced, demoted from big, the zero value), and the spot-check
+// neighbours that a sloppy mixer would confuse do not.
+func TestHashFollowsEquality(t *testing.T) {
+	const seed = 14695981039346656037
+	maxI := FromInt(math.MaxInt64)
+	huge := maxI.Mul(maxI)
+	same := [][2]Rat{
+		{New(2, 4), New(1, 2)},
+		{Rat{}, Zero},
+		{New(3, -4), New(-3, 4)},
+		{huge.Sub(huge).Add(FromInt(7)), FromInt(7)}, // big arithmetic demoted
+		{huge, maxI.Mul(maxI)},
+		{huge.Inv().Neg(), huge.Neg().Inv()},
+		{FromBig(new(big.Rat).SetFrac64(6, 8)), New(3, 4)},
+	}
+	for _, p := range same {
+		if !p[0].Equal(p[1]) {
+			t.Fatalf("bad fixture: %s != %s", p[0], p[1])
+		}
+		if p[0].Hash(seed) != p[1].Hash(seed) {
+			t.Errorf("equal values %s hash differently", p[0])
+		}
+	}
+	seen := map[uint64]Rat{}
+	for _, r := range edgeRats() {
+		h := r.Hash(seed)
+		if prev, ok := seen[h]; ok && !prev.Equal(r) {
+			t.Errorf("%s and %s share a hash", prev, r)
+		}
+		seen[h] = r
+	}
+	for _, p := range [][2]Rat{{New(1, 2), New(2, 1)}, {One, FromInt(-1)}, {huge, huge.Neg()}, {huge, huge.Inv()}} {
+		if p[0].Hash(seed) == p[1].Hash(seed) {
+			t.Errorf("%s and %s share a hash", p[0], p[1])
+		}
+	}
+	if One.Hash(1) == One.Hash(2) {
+		t.Error("Hash ignores the running state")
+	}
+}
+
 // refOp applies the reference big.Rat implementation.
 func refBin(op string, a, b *big.Rat) *big.Rat {
 	out := new(big.Rat)
@@ -380,5 +474,15 @@ func BenchmarkCmpSmall(b *testing.B) {
 	x, y := New(355, 113), New(22, 7)
 	for i := 0; i < b.N; i++ {
 		_ = x.Cmp(y)
+	}
+}
+
+// BenchmarkRatString is the renderer under everything printed, saved or
+// sorted for display; inline values must not allocate beyond the result.
+func BenchmarkRatString(b *testing.B) {
+	xs := []Rat{FromInt(7), FromInt(-1234567), New(355, 113), New(-22, 7)}
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		_ = xs[i%len(xs)].String()
 	}
 }

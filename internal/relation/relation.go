@@ -2,6 +2,7 @@ package relation
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -111,22 +112,33 @@ func (t Tuple) Canon() Tuple {
 	return Tuple{rvals: t.rvals, con: t.con.Canon()}
 }
 
-// relationalKey is a canonical key of the relational part (used for
-// difference matching and deduplication).
-func (t Tuple) relationalKey() string {
-	keys := make([]string, 0, len(t.rvals))
+// attrs appends the bound relational attribute names to keys (pass a
+// stack-backed slice to keep the common few-attribute case off the heap) and
+// returns them sorted.
+func (t Tuple) attrs(keys []string) []string {
 	for k := range t.rvals {
 		keys = append(keys, k)
 	}
 	sort.Strings(keys)
-	var b strings.Builder
-	for _, k := range keys {
-		b.WriteString(k)
-		b.WriteByte('=')
-		b.WriteString(t.rvals[k].Key())
-		b.WriteByte(';')
+	return keys
+}
+
+// relationalKey is a canonical key of the relational part (used for
+// difference matching, deduplication and display order).
+func (t Tuple) relationalKey() string {
+	var buf [64]byte
+	return string(t.appendRelationalKey(buf[:0]))
+}
+
+func (t Tuple) appendRelationalKey(b []byte) []byte {
+	var names [4]string
+	for _, k := range t.attrs(names[:0]) {
+		b = append(b, k...)
+		b = append(b, '=')
+		b = t.rvals[k].appendKey(b)
+		b = append(b, ';')
 	}
-	return b.String()
+	return b
 }
 
 // Key returns a canonical syntactic key for the whole tuple: the relational
@@ -135,7 +147,9 @@ func (t Tuple) relationalKey() string {
 // (~2^-64); code that must be exact (Normalize's dedup) verifies key matches
 // with constraint.Conjunction.EqualCanonical.
 func (t Tuple) Key() string {
-	return t.relationalKey() + "|" + strconv.FormatUint(t.con.Fingerprint(), 16)
+	var buf [96]byte
+	b := append(t.appendRelationalKey(buf[:0]), '|')
+	return string(strconv.AppendUint(b, t.con.Fingerprint(), 16))
 }
 
 // SameRelationalPart reports whether t and o have identical relational
@@ -154,23 +168,37 @@ func (t Tuple) SameRelationalPart(o Tuple) bool {
 }
 
 // String renders the tuple as "(name="A", t >= 2, t <= 5)".
-func (t Tuple) String() string {
-	keys := make([]string, 0, len(t.rvals))
-	for k := range t.rvals {
-		keys = append(keys, k)
+func (t Tuple) String() string { return t.render("") }
+
+// render assembles the tuple's line around con, the rendering of its
+// constraint part when the caller already has it (Row), or "" to render it
+// here. (A conjunction never renders as "": the empty one is "true".)
+func (t Tuple) render(con string) string {
+	var buf [128]byte
+	b := append(buf[:0], '(')
+	var names [4]string
+	for i, k := range t.attrs(names[:0]) {
+		if i > 0 {
+			b = append(b, ", "...)
+		}
+		b = append(b, k...)
+		b = append(b, '=')
+		b = t.rvals[k].appendTo(b)
 	}
-	sort.Strings(keys)
-	parts := make([]string, 0, len(keys)+1)
-	for _, k := range keys {
-		parts = append(parts, fmt.Sprintf("%s=%s", k, t.rvals[k]))
+	switch {
+	case !t.con.IsTrue():
+		if len(b) > 1 {
+			b = append(b, ", "...)
+		}
+		if con != "" {
+			b = append(b, con...)
+		} else {
+			b = t.con.AppendTo(b)
+		}
+	case len(b) == 1: // no binding, no constraint
+		b = append(b, "true"...)
 	}
-	if !t.con.IsTrue() {
-		parts = append(parts, t.con.String())
-	}
-	if len(parts) == 0 {
-		return "(true)"
-	}
-	return "(" + strings.Join(parts, ", ") + ")"
+	return string(append(b, ')'))
 }
 
 // Relation is a finite set of heterogeneous constraint tuples over a fixed
@@ -263,10 +291,11 @@ func (r *Relation) NormalizeWith(sat constraint.SatFunc) *Relation {
 	out := New(r.schema)
 	seen := map[string][]int{} // tuple key -> indexes into out.tuples
 	for _, t := range r.tuples {
-		if !t.con.SatisfiableWith(sat) {
+		con := t.con.SimplifyWith(sat)
+		if con.IsFalse() { // unsatisfiable: decided once, inside SimplifyWith
 			continue
 		}
-		nt := t.WithConstraint(t.con.SimplifyWith(sat).Canon())
+		nt := t.WithConstraint(con.Canon())
 		k := nt.Key()
 		dup := false
 		for _, i := range seen[k] {
@@ -392,18 +421,45 @@ func covers(a, b *Relation) bool {
 	return true
 }
 
-// Sorted returns the tuples in a deterministic display order: by relational
+// Row is one tuple of a relation in display order, together with the
+// rendering of its constraint part that ordered it. Printing or saving a
+// Row reuses Con, so the result tail — order, render, encode — renders
+// each constraint part once.
+type Row struct {
+	Tuple
+	Con  string // Tuple.Constraint().String()
+	rkey string // relationalKey(), the first sort key
+}
+
+// String renders the row exactly as Tuple.String does, from Con.
+func (w Row) String() string { return w.render(w.Con) }
+
+// Rows returns the tuples in a deterministic display order: by relational
 // part, then by the rendered constraint part. (Not by Key — hash order would
-// be stable but human-hostile in printed and saved output.)
-func (r *Relation) Sorted() []Tuple {
-	out := append([]Tuple{}, r.tuples...)
-	sort.Slice(out, func(i, j int) bool {
-		ki, kj := out[i].relationalKey(), out[j].relationalKey()
-		if ki != kj {
-			return ki < kj
+// be stable but human-hostile in printed and saved output.) Both sort keys
+// are computed once per tuple; the comparator only compares strings. Tuples
+// that tie on both keys render identically.
+func (r *Relation) Rows() []Row {
+	rows := make([]Row, len(r.tuples))
+	for i, t := range r.tuples {
+		rows[i] = Row{Tuple: t, Con: t.con.String(), rkey: t.relationalKey()}
+	}
+	slices.SortFunc(rows, func(a, b Row) int {
+		if c := strings.Compare(a.rkey, b.rkey); c != 0 {
+			return c
 		}
-		return out[i].con.String() < out[j].con.String()
+		return strings.Compare(a.Con, b.Con)
 	})
+	return rows
+}
+
+// Sorted returns the tuples in Rows order.
+func (r *Relation) Sorted() []Tuple {
+	rows := r.Rows()
+	out := make([]Tuple, len(rows))
+	for i, w := range rows {
+		out[i] = w.Tuple
+	}
 	return out
 }
 
@@ -412,9 +468,9 @@ func (r *Relation) String() string {
 	var b strings.Builder
 	b.WriteString(r.schema.String())
 	b.WriteString(" {")
-	for _, t := range r.Sorted() {
+	for _, w := range r.Rows() {
 		b.WriteString("\n  ")
-		b.WriteString(t.String())
+		b.WriteString(w.String())
 	}
 	if r.Len() > 0 {
 		b.WriteString("\n")

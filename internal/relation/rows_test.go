@@ -1,0 +1,251 @@
+package relation
+
+// Order-equivalence and allocation guards for the result tail (ISSUE 15).
+// The benchmark's digest re-sorts tuple lines, so an ordering bug in Rows
+// is invisible end to end; the former comparator and renderers are kept
+// here, verbatim, as the oracles.
+
+import (
+	"fmt"
+	"math"
+	"math/rand"
+	"sort"
+	"strings"
+	"testing"
+
+	"cdb/internal/constraint"
+	"cdb/internal/rational"
+	"cdb/internal/schema"
+)
+
+// referenceRelationalKey, referenceTupleString and referenceSorted are the
+// former relationalKey, Tuple.String and Sorted: keys and lines built with
+// strings.Builder and fmt, and a comparator that renders both tuples on
+// every call.
+func referenceRelationalKey(t Tuple) string {
+	keys := make([]string, 0, len(t.rvals))
+	for k := range t.rvals {
+		keys = append(keys, k)
+	}
+	sort.Strings(keys)
+	var b strings.Builder
+	for _, k := range keys {
+		b.WriteString(k)
+		b.WriteByte('=')
+		v := t.rvals[k]
+		switch v.kind {
+		case KindNull:
+			b.WriteString("\x00null")
+		case KindString:
+			b.WriteString("s:" + v.s)
+		default:
+			b.WriteString("r:" + v.r.String())
+		}
+		b.WriteByte(';')
+	}
+	return b.String()
+}
+
+func referenceValueString(v Value) string {
+	switch v.kind {
+	case KindNull:
+		return "null"
+	case KindString:
+		return fmt.Sprintf("%q", v.s)
+	default:
+		return v.r.String()
+	}
+}
+
+func referenceTupleString(t Tuple) string {
+	keys := make([]string, 0, len(t.rvals))
+	for k := range t.rvals {
+		keys = append(keys, k)
+	}
+	sort.Strings(keys)
+	parts := make([]string, 0, len(keys)+1)
+	for _, k := range keys {
+		parts = append(parts, fmt.Sprintf("%s=%s", k, referenceValueString(t.rvals[k])))
+	}
+	if !t.con.IsTrue() {
+		parts = append(parts, t.con.String())
+	}
+	if len(parts) == 0 {
+		return "(true)"
+	}
+	return "(" + strings.Join(parts, ", ") + ")"
+}
+
+func referenceSorted(r *Relation) []Tuple {
+	out := append([]Tuple{}, r.tuples...)
+	sort.Slice(out, func(i, j int) bool {
+		ki, kj := referenceRelationalKey(out[i]), referenceRelationalKey(out[j])
+		if ki != kj {
+			return ki < kj
+		}
+		return out[i].con.String() < out[j].con.String()
+	})
+	return out
+}
+
+// orderSchema has several relational attributes of both types, so keys have
+// several fields, and three constraint attributes.
+func orderSchema() schema.Schema {
+	return schema.MustNew(
+		schema.Rel("owner", schema.String), schema.Rel("id", schema.String), schema.Rel("rank", schema.Rational),
+		schema.Con("x"), schema.Con("y"), schema.Con("t"))
+}
+
+// orderRelation builds n tuples made to collide: few distinct relational
+// parts (NULLs included — an absent binding — and strings that need
+// quoting), constraint parts drawn from a small pool (so equal relational
+// parts meet equal and different constraint parts, and whole tuples repeat
+// exactly), and bounds large enough that canonical scaling leaves big.Rat
+// coefficients behind.
+func orderRelation(rng *rand.Rand, n int) *Relation {
+	huge := rational.FromInt(math.MaxInt64 / 2)
+	big := huge.Mul(huge) // promoted
+	bounds := []rational.Rat{rational.FromInt(-3), rational.Zero, rational.New(7, 2), rational.FromInt(10), rational.New(-22, 7), huge, big, big.Neg()}
+	pick := func() rational.Rat { return bounds[rng.Intn(len(bounds))] }
+	owners := []string{"ann", "bob", `o"quoted`, "ünï", ""}
+	ids := []string{"A", "B", "A;id=s:B"} // a value that imitates the key syntax
+	cons := make([]constraint.Conjunction, 6)
+	for i := range cons {
+		var cs []constraint.Constraint
+		for _, v := range []string{"x", "y", "t"} {
+			if rng.Intn(3) > 0 {
+				cs = append(cs, constraint.GeConst(v, pick()))
+			}
+			if rng.Intn(3) > 0 {
+				cs = append(cs, constraint.LtConst(v, pick()))
+			}
+		}
+		if rng.Intn(3) == 0 { // a two-variable atom with a big coefficient
+			e := constraint.Var("x").Scale(big).Add(constraint.Var("y").Scale(rational.New(-2, 3)))
+			cs = append(cs, constraint.Constraint{Expr: e.AddConst(pick()), Op: constraint.Le})
+		}
+		cons[i] = constraint.And(cs...)
+		if rng.Intn(2) == 0 {
+			cons[i] = cons[i].Canon()
+		}
+	}
+	r := New(orderSchema())
+	for i := 0; i < n; i++ {
+		rv := map[string]Value{}
+		if rng.Intn(4) > 0 {
+			rv["owner"] = Str(owners[rng.Intn(len(owners))])
+		}
+		if rng.Intn(3) > 0 {
+			rv["id"] = Str(ids[rng.Intn(len(ids))])
+		}
+		if rng.Intn(3) == 0 {
+			rv["rank"] = Rat(pick())
+		}
+		r.MustAdd(NewTuple(rv, cons[rng.Intn(len(cons))]))
+	}
+	return r
+}
+
+// TestRowsMatchReferenceOrder: Rows, Sorted, Row.String, Tuple.String and
+// Relation.String against the former comparator and renderers. Tuples that
+// tie on both sort keys may come out in either order — they are compared by
+// what is printed, which is the only place the order shows.
+func TestRowsMatchReferenceOrder(t *testing.T) {
+	rng := rand.New(rand.NewSource(15))
+	for i := 0; i < 300; i++ {
+		r := orderRelation(rng, 1+rng.Intn(60))
+		want := referenceSorted(r)
+		rows, sorted := r.Rows(), r.Sorted()
+		if len(rows) != len(want) || len(sorted) != len(want) {
+			t.Fatalf("case %d: %d rows, %d sorted, want %d", i, len(rows), len(sorted), len(want))
+		}
+		var body strings.Builder
+		for k, w := range want {
+			line := referenceTupleString(w)
+			if got := rows[k].String(); got != line {
+				t.Fatalf("case %d, row %d: Rows order or rendering differs\n got  %s\n want %s", i, k, got, line)
+			}
+			if got := rows[k].Tuple.String(); got != line {
+				t.Fatalf("case %d, row %d: Tuple.String() = %s, want %s", i, k, got, line)
+			}
+			if got := sorted[k].String(); got != line {
+				t.Fatalf("case %d, row %d: Sorted order differs\n got  %s\n want %s", i, k, got, line)
+			}
+			if got, con := rows[k].Con, w.con.String(); got != con {
+				t.Fatalf("case %d, row %d: Con = %q, want %q", i, k, got, con)
+			}
+			if got, key := w.relationalKey(), referenceRelationalKey(w); got != key {
+				t.Fatalf("case %d: relationalKey() = %q, want %q", i, got, key)
+			}
+			body.WriteString("\n  " + line)
+		}
+		if got, want := r.String(), r.schema.String()+" {"+body.String()+"\n}"; got != want {
+			t.Fatalf("case %d: Relation.String()\n got  %s\n want %s", i, got, want)
+		}
+	}
+	empty := New(orderSchema())
+	if len(empty.Rows()) != 0 || empty.String() != empty.schema.String()+" {}" {
+		t.Errorf("empty relation renders as %q", empty.String())
+	}
+	if got := ConstraintTuple(constraint.True()).String(); got != "(true)" {
+		t.Errorf("the empty tuple renders as %q", got)
+	}
+}
+
+// TestTupleKeyUnchanged: Key is still relational key, '|', hex fingerprint.
+func TestTupleKeyUnchanged(t *testing.T) {
+	rng := rand.New(rand.NewSource(16))
+	for _, tp := range orderRelation(rng, 50).Tuples() {
+		want := fmt.Sprintf("%s|%x", referenceRelationalKey(tp), tp.con.Fingerprint())
+		if got := tp.Key(); got != want {
+			t.Fatalf("Key() = %q, want %q", got, want)
+		}
+	}
+}
+
+// TestNormalizeDecidesOnce: NormalizeWith asks the decision procedure what
+// SimplifyWith asks and nothing more — the former separate satisfiability
+// call repeated SimplifyWith's first question for every tuple.
+func TestNormalizeDecidesOnce(t *testing.T) {
+	rng := rand.New(rand.NewSource(17))
+	for i := 0; i < 100; i++ {
+		r := randRelation(rng)
+		calls := 0
+		counting := func(j constraint.Conjunction) bool { calls++; return j.IsSatisfiable() }
+		for _, tp := range r.Tuples() {
+			tp.con.SimplifyWith(counting)
+		}
+		want := calls
+		calls = 0
+		got := r.NormalizeWith(counting)
+		if calls != want {
+			t.Fatalf("case %d: NormalizeWith made %d decisions, SimplifyWith alone makes %d", i, calls, want)
+		}
+		if ref := r.Normalize(); got.String() != ref.String() {
+			t.Fatalf("case %d: counted and plain Normalize differ:\n%s\n%s", i, got, ref)
+		}
+		for _, tp := range got.Tuples() {
+			if !tp.IsSatisfiable() {
+				t.Fatalf("case %d: unsatisfiable tuple survived: %s", i, tp)
+			}
+		}
+	}
+}
+
+// TestRowsAllocsLinear keeps a rendering comparator from coming back: with
+// both keys computed once per tuple the allocation count is linear in the
+// number of tuples, where a comparator that renders allocates n log n
+// times.
+func TestRowsAllocsLinear(t *testing.T) {
+	allocs := func(n int) float64 {
+		r := orderRelation(rand.New(rand.NewSource(18)), n)
+		return testing.AllocsPerRun(5, func() { _ = r.Sorted() })
+	}
+	a300, a600 := allocs(300), allocs(600)
+	if a600 > 2.2*a300 {
+		t.Errorf("Sorted: %.0f allocations for 300 tuples, %.0f for 600 (more than 2.2x): not linear", a300, a600)
+	}
+	if a300 > 12*300 {
+		t.Errorf("Sorted: %.0f allocations for 300 tuples, ceiling %d", a300, 12*300)
+	}
+}

@@ -15,7 +15,7 @@
 package relation
 
 import (
-	"fmt"
+	"strconv"
 
 	"cdb/internal/rational"
 )
@@ -122,24 +122,36 @@ func (v Value) Compare(o Value) int {
 
 // String renders the value; strings are quoted, NULL renders as "null".
 func (v Value) String() string {
+	var buf [48]byte
+	return string(v.appendTo(buf[:0]))
+}
+
+// appendTo appends the String rendering of v to b.
+func (v Value) appendTo(b []byte) []byte {
 	switch v.kind {
 	case KindNull:
-		return "null"
+		return append(b, "null"...)
 	case KindString:
-		return fmt.Sprintf("%q", v.s)
+		return strconv.AppendQuote(b, v.s)
 	default:
-		return v.r.String()
+		return v.r.AppendTo(b)
 	}
 }
 
 // Key returns a canonical comparable key for the value.
 func (v Value) Key() string {
+	var buf [48]byte
+	return string(v.appendKey(buf[:0]))
+}
+
+// appendKey appends Key() to b.
+func (v Value) appendKey(b []byte) []byte {
 	switch v.kind {
 	case KindNull:
-		return "\x00null"
+		return append(b, "\x00null"...)
 	case KindString:
-		return "s:" + v.s
+		return append(append(b, "s:"...), v.s...)
 	default:
-		return "r:" + v.r.Key()
+		return v.r.AppendTo(append(b, "r:"...))
 	}
 }

@@ -106,8 +106,9 @@ func statsJSON(ops []exec.OpStats) []opStatsJSON {
 	return out
 }
 
-// queryResult is a finished query before rendering: the relation plus
-// the observability artifacts the request asked for.
+// queryResult is a finished query before encoding: the relation, its
+// rendered tuple lines, and the observability artifacts the request
+// asked for.
 type queryResult struct {
 	target  string
 	rel     *relation.Relation
@@ -115,6 +116,33 @@ type queryResult struct {
 	cache   *cacheInfo
 	explain string
 	trace   json.RawMessage
+
+	// The result tail's first half, filled by render: the tuple lines in
+	// relation.Rows order — the exact lines the REPL prints — cut to the
+	// request's max_rows, and how long ordering and rendering took.
+	lines     []string
+	truncated bool
+	renderDur time.Duration
+}
+
+// render orders the result and renders its tuple lines, once each
+// (relation.Rows), under a "render" span of the query's root span so
+// EXPLAIN and trace-JSON show the step. It runs after evaluation and
+// normalisation; its duration is kept out of elapsed_ms (see handleQuery).
+func (res *queryResult) render(ec *exec.Context, maxRows int) {
+	t0 := time.Now()
+	sp := ec.BeginSpan("render", "")
+	rows := res.rel.Rows()
+	if maxRows > 0 && len(rows) > maxRows {
+		rows, res.truncated = rows[:maxRows], true
+	}
+	res.lines = make([]string, len(rows))
+	for i, row := range rows {
+		res.lines[i] = row.String()
+	}
+	sp.Set("rows", int64(len(rows)))
+	ec.EndSpan(sp)
+	res.renderDur = time.Since(t0)
 }
 
 // flightExtras is what the flight recorder needs from an execution that
@@ -209,11 +237,18 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		s.hookQueryStart()
 	}
 
+	// elapsed is evaluation + normalisation — what elapsed_ms and the
+	// flight record's wall_ms have always meant. The result tail (order,
+	// render, encode, write) comes after it and is reported separately as
+	// render_ms, so the two add up to the time the request held the server.
 	t0 := time.Now()
 	s.mQueries.Inc()
 	var extras flightExtras
 	res, err := s.runOnSession(runCtx, sess, req, qid, &extras)
 	elapsed := time.Since(t0)
+	if err == nil {
+		elapsed -= res.renderDur
+	}
 
 	rec := obs.FlightRecord{
 		ID: qid, Session: sess.id, Statement: stmt,
@@ -242,15 +277,17 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		s.writeQueryError(w, status, err.Error(), qid)
 		return
 	}
+	if req.Stream {
+		s.writeStream(w, sess.id, qid, res, elapsed)
+	} else {
+		writeJSON(w, http.StatusOK, buildResponse(sess.id, qid, res, elapsed))
+	}
+	render := time.Since(t0) - elapsed
 	rec.Rows = res.rel.Len()
+	rec.RenderMS = float64(render.Microseconds()) / 1000
 	s.flight.Finish(rec)
 	s.log.Info("query ok", "query", qid, "session", sess.id, "target", res.target,
-		"tuples", res.rel.Len(), "elapsed", elapsed)
-	if req.Stream {
-		s.writeStream(w, sess.id, qid, req, res, elapsed)
-		return
-	}
-	writeJSON(w, http.StatusOK, s.buildResponse(sess.id, qid, req, res, elapsed))
+		"tuples", res.rel.Len(), "elapsed", elapsed, "render", render)
 }
 
 func admissionMessage(status int) string {
@@ -311,9 +348,9 @@ func (s *Server) runOnSession(ctx context.Context, sess *session, req queryReque
 		err error
 	)
 	if req.Query != "" {
-		res, err = runProgram(sess, req.Query, ec)
+		res, err = runProgram(sess, req, ec)
 	} else {
-		res, err = runRules(sess, req.Rules, req.Target, ec)
+		res, err = runRules(sess, req, ec)
 	}
 	if err != nil {
 		return nil, err
@@ -350,7 +387,8 @@ func (s *Server) runOnSession(ctx context.Context, sess *session, req queryReque
 // normalised for the response exactly as `cqacdb -e` normalises before
 // printing — unsatisfiable tuples dropped, constraints canonical,
 // duplicates removed.
-func runProgram(sess *session, src string, ec *exec.Context) (*queryResult, error) {
+func runProgram(sess *session, req queryRequest, ec *exec.Context) (*queryResult, error) {
+	src := req.Query
 	prog, err := query.Parse(src)
 	if err != nil {
 		return nil, &apiError{http.StatusBadRequest, err.Error()}
@@ -382,14 +420,17 @@ func runProgram(sess *session, src string, ec *exec.Context) (*queryResult, erro
 	norm := last.NormalizeWith(ec.SatFunc())
 	sp.Set("out", int64(norm.Len()))
 	ec.EndSpan(sp)
-	return &queryResult{target: target, rel: norm}, nil
+	res := &queryResult{target: target, rel: norm}
+	res.render(ec, req.MaxRows)
+	return res, nil
 }
 
 // runRules executes a calculus program; like `cqacdb -rules` the result
 // is returned as produced (rule outputs are already operator outputs).
 // When target is set the result is also bound on the session so query
 // statements can build on it.
-func runRules(sess *session, src, target string, ec *exec.Context) (*queryResult, error) {
+func runRules(sess *session, req queryRequest, ec *exec.Context) (*queryResult, error) {
+	src, target := req.Rules, req.Target
 	prog, err := calculus.Parse(src)
 	if err != nil {
 		return nil, &apiError{http.StatusBadRequest, err.Error()}
@@ -403,7 +444,9 @@ func runRules(sess *session, src, target string, ec *exec.Context) (*queryResult
 	if target != "" {
 		sess.bind(target, out)
 	}
-	return &queryResult{target: target, rel: out}, nil
+	res := &queryResult{target: target, rel: out}
+	res.render(ec, req.MaxRows)
+	return res, nil
 }
 
 // firstLine returns the first non-empty line of src, as span detail
@@ -417,39 +460,30 @@ func firstLine(src string) string {
 	return ""
 }
 
-// buildResponse renders a result as the JSON response body. Tuple
-// strings are relation.Sorted() order — the exact lines the REPL
-// prints.
-func (s *Server) buildResponse(sessionID, qid string, req queryRequest, res *queryResult, elapsed time.Duration) queryResponse {
-	tuples := res.rel.Sorted()
-	resp := queryResponse{
+// buildResponse assembles the JSON response body around the lines
+// render produced.
+func buildResponse(sessionID, qid string, res *queryResult, elapsed time.Duration) queryResponse {
+	return queryResponse{
 		Session:   sessionID,
 		QueryID:   qid,
 		Target:    res.target,
 		Schema:    res.rel.Schema().String(),
-		Count:     len(tuples),
+		Tuples:    res.lines,
+		Count:     res.rel.Len(),
 		ElapsedMS: float64(elapsed.Microseconds()) / 1000,
+		Truncated: res.truncated,
 		Stats:     res.stats,
 		Cache:     res.cache,
 		Explain:   res.explain,
 		Trace:     res.trace,
 	}
-	if req.MaxRows > 0 && len(tuples) > req.MaxRows {
-		tuples = tuples[:req.MaxRows]
-		resp.Truncated = true
-	}
-	resp.Tuples = make([]string, len(tuples))
-	for i, t := range tuples {
-		resp.Tuples[i] = t.String()
-	}
-	return resp
 }
 
-// writeStream renders a result as NDJSON: one header object, one
-// {"tuple": ...} object per result tuple, one trailer object. The
+// writeStream writes a result as NDJSON: one header object, one
+// {"tuple": ...} object per rendered line, one trailer object. The
 // stream flushes per line so a consumer sees tuples as they are
 // written.
-func (s *Server) writeStream(w http.ResponseWriter, sessionID, qid string, req queryRequest, res *queryResult, elapsed time.Duration) {
+func (s *Server) writeStream(w http.ResponseWriter, sessionID, qid string, res *queryResult, elapsed time.Duration) {
 	w.Header().Set("Content-Type", "application/x-ndjson")
 	w.WriteHeader(http.StatusOK)
 	flusher, _ := w.(http.Flusher)
@@ -459,23 +493,17 @@ func (s *Server) writeStream(w http.ResponseWriter, sessionID, qid string, req q
 		}
 	}
 	enc := json.NewEncoder(w)
-	tuples := res.rel.Sorted()
 	header := map[string]any{
 		"session":  sessionID,
 		"query_id": qid,
 		"target":   res.target,
 		"schema":   res.rel.Schema().String(),
-		"count":    len(tuples),
+		"count":    res.rel.Len(),
 	}
 	_ = enc.Encode(header)
 	flush()
-	limit := len(tuples)
-	truncated := false
-	if req.MaxRows > 0 && limit > req.MaxRows {
-		limit, truncated = req.MaxRows, true
-	}
-	for i := 0; i < limit; i++ {
-		_ = enc.Encode(map[string]string{"tuple": tuples[i].String()})
+	for _, line := range res.lines {
+		_ = enc.Encode(map[string]string{"tuple": line})
 		s.mStreamed.Inc()
 		flush()
 	}
@@ -483,7 +511,7 @@ func (s *Server) writeStream(w http.ResponseWriter, sessionID, qid string, req q
 		"done":       true,
 		"elapsed_ms": float64(elapsed.Microseconds()) / 1000,
 	}
-	if truncated {
+	if res.truncated {
 		trailer["truncated"] = true
 	}
 	if res.stats != nil {

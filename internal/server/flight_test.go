@@ -433,3 +433,50 @@ func TestStreamHeaderCarriesQueryID(t *testing.T) {
 		t.Fatalf("stream header query_id %q:\n%s", qid, header)
 	}
 }
+
+// TestRenderTimeReported: the result tail — order, render, encode, write —
+// runs after elapsed_ms is taken, so it must be reported on its own: as
+// render_ms on the flight record (buffered and streamed, rules and queries),
+// and as a "render" span under the query's root when explain is on. A failed
+// query has no tail and omits the field.
+func TestRenderTimeReported(t *testing.T) {
+	_, ts := newTestServer(t, Config{}, map[string]*db.Database{"boxes": boxesDB()})
+	id := openSession(t, ts, `{"db": "boxes", "par": 1}`)
+	for _, req := range []string{
+		`{"session": %q, "query": "R = join B and B", "explain": true, "max_rows": 3}`,
+		`{"session": %q, "query": "R = join B and B", "stream": true}`,
+		`{"session": %q, "rules": "q(id, x, y) :- B(id, x, y)."}`,
+	} {
+		status, body, _ := postJSON(t, ts.URL+"/v1/query", fmt.Sprintf(req, id))
+		if status != http.StatusOK {
+			t.Fatalf("%s: %d %s", req, status, body)
+		}
+		rec := recentRecords(t, ts.URL+"/v1/queries/recent?limit=1")[0]
+		if rec.Outcome != "ok" || rec.Rows == 0 {
+			t.Fatalf("%s: record %+v", req, rec)
+		}
+		if rec.RenderMS <= 0 {
+			t.Errorf("%s: render_ms = %v, want > 0 (wall_ms %v)", req, rec.RenderMS, rec.WallMS)
+		}
+		if strings.Contains(req, "explain") {
+			var resp queryResponse
+			if err := json.Unmarshal(body, &resp); err != nil {
+				t.Fatal(err)
+			}
+			if !resp.Truncated || len(resp.Tuples) != 3 || resp.Count != rec.Rows {
+				t.Errorf("max_rows: truncated=%v, %d tuples, count %d (rows %d)", resp.Truncated, len(resp.Tuples), resp.Count, rec.Rows)
+			}
+			norm, render := strings.Index(resp.Explain, "normalize"), strings.Index(resp.Explain, "render")
+			if norm < 0 || render < norm || !strings.Contains(grepLines(resp.Explain, "render"), "rows=3") {
+				t.Errorf("explain tree lacks a render span after normalize:\n%s", resp.Explain)
+			}
+		}
+	}
+	status, body, _ := postJSON(t, ts.URL+"/v1/query", fmt.Sprintf(`{"session": %q, "query": "R = join B and Nope"}`, id))
+	if status == http.StatusOK {
+		t.Fatalf("query over an unknown relation succeeded: %s", body)
+	}
+	if rec := recentRecords(t, ts.URL+"/v1/queries/recent?limit=1")[0]; rec.Outcome == "ok" || rec.RenderMS != 0 {
+		t.Errorf("failed query's record: %+v", rec)
+	}
+}

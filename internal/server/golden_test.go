@@ -8,7 +8,8 @@ package server
 //
 // Volatile values (the session id, the query id, elapsed wall time,
 // start timestamps) are normalised before comparison so the file is
-// stable across runs.
+// stable across runs; the flight record's render_ms — a wall time that is
+// omitted when zero — is cut out whole.
 
 import (
 	"flag"
@@ -27,6 +28,7 @@ var (
 	elapsedRe   = regexp.MustCompile(`"elapsed_ms": [0-9.]+`)
 	wallRe      = regexp.MustCompile(`"wall_ms": [0-9.]+`)
 	startRe     = regexp.MustCompile(`"start_unix_ms": [0-9]+`)
+	renderRe    = regexp.MustCompile(`\n *"render_ms": [0-9.e-]+,`)
 )
 
 func normalize(body []byte) string {
@@ -35,6 +37,7 @@ func normalize(body []byte) string {
 	out = elapsedRe.ReplaceAll(out, []byte(`"elapsed_ms": 0`))
 	out = wallRe.ReplaceAll(out, []byte(`"wall_ms": 0`))
 	out = startRe.ReplaceAll(out, []byte(`"start_unix_ms": 0`))
+	out = renderRe.ReplaceAll(out, nil)
 	return string(out)
 }
 

@@ -10,6 +10,16 @@ T=${TMPDIR:-/tmp} # where the smoke stages put binaries, logs and JSON
 
 echo '>> go vet ./...'
 go vet ./...
+
+# Render-once guard: outside tests, nothing under internal/ may order by
+# rendering inside the comparator (`a.String() < b.String()` renders twice
+# per comparison, n log n times per sort). Compute the key once per element
+# and compare keys — see relation.Rows and constraint.Conjunction.Canon.
+echo '>> no rendering comparators under internal/'
+if grep -rnE '\.String\(\) <' internal --include='*.go' | grep -v '_test\.go:'; then
+    echo 'a comparator renders per comparison (see above)'
+    exit 1
+fi
 echo '>> go test -race ./...'
 go test -race ./...
 
@@ -20,6 +30,11 @@ go test -race ./...
 # repetition shakes out scheduling-dependent ones cheaply.
 echo '>> go test -race -count=2 ./internal/constraint ./internal/exec ./internal/cqa ./internal/relation ./internal/obs ./internal/server ./internal/snapshot ./internal/vector'
 go test -race -count=2 ./internal/constraint ./internal/exec ./internal/cqa ./internal/relation ./internal/obs ./internal/server ./internal/snapshot ./internal/vector
+
+# The render-once benchmarks must keep compiling and running (their
+# allocation ceilings are plain tests, already run above).
+echo '>> render-once benchmarks, one iteration'
+go test -run '^$' -bench 'Sorted|CanonMerge|RatString' -benchtime 1x ./...
 
 # Corpus replay: the committed fuzz corpora under testdata/fuzz/ run as
 # ordinary seed inputs here — every input that ever broke the parsers,
