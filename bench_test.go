@@ -612,3 +612,65 @@ func BenchmarkJoinPruning(b *testing.B) {
 		})
 	}
 }
+
+// polygonMinusResult and boxJoinResult are operator outputs of the two
+// shapes whose normalisation used to dominate the daemon's query time
+// (benchmark workloads polygon-minus and box-join): the raw difference of
+// two clustered convex-polygon relations — DNF staircase pieces that arrive
+// with redundant atoms — and the raw join of two dense clustered box
+// relations. Both have only two-variable constraint parts.
+func polygonMinusResult(tb testing.TB) *relation.Relation {
+	// Twelve small clusters of two convex polygons a side, cluster c of
+	// both sides around one centre: the occupancy the benchmark fixes.
+	side := func(seed int64) *relation.Relation {
+		var out *relation.Relation
+		for c := int64(0); c < 12; c++ {
+			p := datagen.Paper()
+			p.Seed = seed + c
+			r := datagen.PolygonRelation(p, 2, 1, 60, 977+c)
+			if out == nil {
+				out = relation.New(r.Schema())
+			}
+			for _, t := range r.Tuples() {
+				out.MustAdd(t)
+			}
+		}
+		return out
+	}
+	out, err := cqa.Difference(side(1600), side(2600))
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return out
+}
+
+func boxJoinResult(tb testing.TB) *relation.Relation {
+	p := datagen.Paper()
+	p.SizeMin = 50
+	p.Seed = 16
+	p2 := p
+	p2.Seed += 500
+	out, err := cqa.Join(datagen.ClusteredBoxRelation(p, 20, 1, 10, 77), datagen.ClusteredBoxRelation(p2, 20, 1, 10, 77))
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return out
+}
+
+func benchNormalize(b *testing.B, r *relation.Relation) {
+	ec := exec.New(1)
+	ec.SatCache = constraint.NewSatCache(0)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		_ = r.NormalizeWith(ec.SatFunc())
+	}
+}
+
+// BenchmarkNormalizePolygonMinus and BenchmarkNormalizeBoxJoin measure the
+// result tail's normalisation as the server runs it (through a session
+// sat-cache) on two-variable operator outputs: the planar rule of
+// constraint.SimplifyWith decides every tuple, so neither asks the cache or
+// eliminates a variable (TestNormalizeMakesNoDecisions holds that).
+func BenchmarkNormalizePolygonMinus(b *testing.B) { benchNormalize(b, polygonMinusResult(b)) }
+func BenchmarkNormalizeBoxJoin(b *testing.B)      { benchNormalize(b, boxJoinResult(b)) }

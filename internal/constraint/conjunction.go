@@ -272,27 +272,36 @@ func (j Conjunction) Simplify() Conjunction {
 
 // SimplifyWith is Simplify with every satisfiability decision (the initial
 // check and the entailment sub-queries of the redundancy pass) routed
-// through sat (nil = raw Fourier-Motzkin).
+// through sat (nil = raw Fourier-Motzkin). A conjunction of inequalities
+// over at most two variables with a full-dimensional region is decided by
+// the planar rule (planar.go) and asks sat nothing.
 func (j Conjunction) SimplifyWith(sat SatFunc) Conjunction {
+	if out, ok := j.simplifyPlanar(); ok {
+		return out
+	}
 	if !j.SatisfiableWith(sat) {
 		return False()
 	}
-	// Cheap pass: canonical-key dedup.
-	seen := map[string]bool{}
-	uniq := make([]Constraint, 0, len(j.cs))
-	for _, c := range j.cs {
-		if triv, val := c.IsTrivial(); triv && val {
-			continue
+	// Cheap pass: canonical-key dedup. Canon has already dropped trivially
+	// true and duplicate atoms, so a canonical j skips it.
+	out := make([]Constraint, 0, len(j.cs))
+	if j.canon {
+		out = append(out, j.cs...)
+	} else {
+		seen := map[string]bool{}
+		for _, c := range j.cs {
+			if triv, val := c.IsTrivial(); triv && val {
+				continue
+			}
+			k := c.Key()
+			if seen[k] {
+				continue
+			}
+			seen[k] = true
+			out = append(out, c)
 		}
-		k := c.Key()
-		if seen[k] {
-			continue
-		}
-		seen[k] = true
-		uniq = append(uniq, c)
 	}
 	// Expensive pass: drop constraints entailed by the rest.
-	out := append([]Constraint{}, uniq...)
 	for i := 0; i < len(out); {
 		rest := Conjunction{cs: append(append([]Constraint{}, out[:i]...), out[i+1:]...)}
 		if rest.EntailsWith(out[i], sat) {

@@ -129,3 +129,36 @@ func FuzzFourierMotzkin(f *testing.F) {
 		}
 	})
 }
+
+// simplifyAgrees fails the test unless SimplifyWith returns, atom for atom
+// and in order, what the elimination-based reference returns for j.
+func simplifyAgrees(t *testing.T, what string, j constraint.Conjunction) {
+	t.Helper()
+	got, want := j.Simplify().Constraints(), constraint.ReferenceSimplify(j).Constraints()
+	same := len(got) == len(want)
+	for i := 0; same && i < len(got); i++ {
+		same = got[i].Op == want[i].Op && got[i].Expr.Equal(want[i].Expr)
+	}
+	if !same {
+		t.Fatalf("Simplify diverged from the reference on %s\n  input %s\n  got   %s\n  want  %s",
+			what, j, constraint.And(got...), constraint.And(want...))
+	}
+}
+
+// FuzzSimplify checks the planar redundancy rule against the reference
+// SimplifyWith it short-cuts, on the raw conjunction and on its canonical
+// form (what the operators feed it).
+func FuzzSimplify(f *testing.F) {
+	for _, s := range fuzzSeeds {
+		f.Add(s)
+	}
+	f.Fuzz(func(t *testing.T, src string) {
+		cs, ok := fuzzConstraints(src)
+		if !ok {
+			return
+		}
+		j := constraint.And(cs...)
+		simplifyAgrees(t, "raw "+src, j)
+		simplifyAgrees(t, "canonical "+src, j.Canon())
+	})
+}

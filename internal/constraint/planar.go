@@ -1,0 +1,242 @@
+package constraint
+
+import "cdb/internal/rational"
+
+// This file is the planar redundancy rule of SimplifyWith: a conjunction of
+// inequalities over at most two variables is a convex polygon (possibly
+// unbounded), and an atom is irredundant exactly when its boundary line
+// carries an edge of it. Whether it does is a one-dimensional question —
+// clip the line by every other atom's closed half-plane and look at the
+// interval that is left — so no variable is eliminated and no
+// satisfiability question is asked.
+//
+// Why the rule is exact (C is the closed relaxation of the whole
+// conjunction):
+//
+//   - Edge ⇔ positive length. If atom i's line keeps an interval of positive
+//     length and no other atom lies on that line, every other atom holds
+//     strictly at an interior point m of the interval: points just inside m
+//     are interior to the region (so it is full-dimensional, hence
+//     satisfiable) and points just outside m satisfy everything but i (so
+//     nothing entails i). The atoms that carry an edge describe C on their
+//     own.
+//   - No edge, closed or untouched. If the interval is empty, C lies
+//     strictly inside atom i; if it is a single vertex v and i is <=, C lies
+//     inside i. The edge atoms alone entail i either way.
+//   - Strict vertex. If the interval is a single vertex v and i is <, C
+//     minus v lies strictly inside i, so the others entail i iff one of
+//     them excludes v — only a strict atom through v can.
+//
+// The greedy left-to-right removal of the general path never drops an edge
+// atom, so when it reaches atom i the survivors still entail C and the
+// only thing the order decides is which strict atoms through v are still
+// there. simplifyPlanar replays exactly that and returns the same atoms.
+
+// halfPlane is an atom over the conjunction's (at most) two variables u, v,
+// scaled by a positive factor to su·u + b·v + c OP 0 with su = ±1, or, when
+// it has no u, to b·v + c OP 0 with b = ±1 — the shape canonical atoms
+// already have, and the one that keeps multiplications out of the clipping
+// loop — with what the rule finds out about it.
+type halfPlane struct {
+	su     int
+	b, c   rational.Rat
+	strict bool
+
+	kind    boundary
+	x, y    rational.Rat // the point, when kind is vertex
+	dropped bool
+}
+
+// boundary classifies what the other atoms leave of one atom's boundary
+// line.
+type boundary int
+
+const (
+	noContact boundary = iota // empty: the region does not reach the line
+	vertex                    // a single point
+	edge                      // an interval of positive length
+)
+
+// simplifyPlanar is the planar rule. It reports ok = false — deciding
+// nothing — unless every atom is a non-trivial <= or < inequality, at most
+// two variables occur, no two atoms the region touches share a boundary
+// line, and at least one atom carries an edge; an = atom, a third variable
+// and an empty or degenerate closure (segment, point, unsatisfiable only by
+// strictness) all end there. The survivors are a subsequence of j's atoms,
+// so a canonical j yields a canonical result, flagged as such.
+func (j Conjunction) simplifyPlanar() (_ Conjunction, ok bool) {
+	var stack [16]halfPlane
+	hs, ok := halfPlanes(j.cs, stack[:0])
+	if !ok {
+		return Conjunction{}, false
+	}
+	edges := 0
+	for i := range hs {
+		if !clipBoundary(hs, i) {
+			return Conjunction{}, false
+		}
+		if hs[i].kind == edge {
+			edges++
+		}
+	}
+	if edges == 0 {
+		return Conjunction{}, false
+	}
+	if edges == len(hs) {
+		return j, true
+	}
+	// Replay the greedy removal: atom i goes unless it carries an edge or
+	// is a strict atom whose vertex every other atom still there admits.
+	out := make([]Constraint, 0, edges+1)
+	for i := range hs {
+		h := &hs[i]
+		if h.kind == edge || (h.kind == vertex && h.strict && admitted(hs, i)) {
+			out = append(out, j.cs[i])
+		} else {
+			h.dropped = true
+		}
+	}
+	if !j.canon {
+		return Conjunction{cs: out}, true
+	}
+	return Conjunction{cs: out, canon: true, fp: fingerprintOf(out), env: &envBox{}, aux: &auxBox{}}, true
+}
+
+// halfPlanes reads cs as half-planes over at most two variables, appending
+// to hs; ok is false on an equality, a trivial atom or a third variable. u is
+// the variable of the first term seen: on canonical input, whose atoms are
+// scaled to a leading ±1, that leaves nothing to rescale.
+func halfPlanes(cs []Constraint, hs []halfPlane) (_ []halfPlane, ok bool) {
+	var u, v string
+	n := 0
+	for _, c := range cs {
+		ts := c.Expr.terms
+		if c.Op == Eq || len(ts) == 0 || len(ts) > 2 {
+			return nil, false
+		}
+		var a rational.Rat
+		h := halfPlane{c: c.Expr.c, strict: c.Op == Lt}
+		for _, t := range ts {
+			switch {
+			case n == 0:
+				u, n = t.Var, 1
+				a = t.Coef
+			case t.Var == u:
+				a = t.Coef
+			case n == 1:
+				v, n = t.Var, 2
+				h.b = t.Coef
+			case t.Var == v:
+				h.b = t.Coef
+			default:
+				return nil, false
+			}
+		}
+		lead := a
+		if a.IsZero() {
+			lead = h.b
+		}
+		h.su = a.Sign()
+		if k := lead.Abs(); !k.Equal(rational.One) {
+			k = k.Inv()
+			h.b, h.c = h.b.Mul(k), h.c.Mul(k)
+		}
+		hs = append(hs, h)
+	}
+	return hs, true
+}
+
+// along restricts g to the boundary line of h: with the line parametrised
+// by t — v when h has a u term (u = -su·(b·t + c)), u otherwise (v = -b·c) —
+// g reads at + slope·t OP 0.
+func (h *halfPlane) along(g *halfPlane) (at, slope rational.Rat) {
+	switch m := g.su * h.su; {
+	case h.su == 0:
+		return g.c.Sub(g.b.Mul(h.b).Mul(h.c)), rational.FromInt(int64(g.su))
+	case m == 0:
+		return g.c, g.b
+	case m > 0:
+		return g.c.Sub(h.c), g.b.Sub(h.b)
+	default:
+		return g.c.Add(h.c), g.b.Add(h.b)
+	}
+}
+
+// point is the point of h's boundary line at parameter t (see along).
+func (h *halfPlane) point(t rational.Rat) (x, y rational.Rat) {
+	if h.su == 0 {
+		return t, h.b.Mul(h.c).Neg()
+	}
+	x = h.b.Mul(t).Add(h.c)
+	if h.su > 0 {
+		x = x.Neg()
+	}
+	return x, t
+}
+
+// clipBoundary intersects the boundary line of hs[i] with the closed
+// half-plane of every other atom and records the outcome in hs[i]. Along
+// the line each other atom bounds the parameter from one side (or, when
+// parallel, admits the whole line or none of it), so what is left is an
+// interval [lo, hi]. It returns false when another atom lies on the same
+// line: the rule does not decide such a conjunction. (The scan stops as
+// soon as the interval is empty, so a pair sharing a line the region does
+// not reach goes unnoticed — both are then redundant, which is what the
+// rule answers for them.)
+func clipBoundary(hs []halfPlane, i int) bool {
+	h := &hs[i]
+	var lo, hi rational.Rat
+	hasLo, hasHi := false, false
+	for k := range hs {
+		if k == i {
+			continue
+		}
+		at, slope := h.along(&hs[k])
+		if slope.IsZero() {
+			switch at.Sign() {
+			case 0:
+				return false
+			case 1:
+				h.kind = noContact
+				return true
+			}
+			continue
+		}
+		t := at.Neg().Div(slope)
+		if slope.Sign() > 0 {
+			if !hasHi || t.Less(hi) {
+				hi, hasHi = t, true
+			}
+		} else if !hasLo || lo.Less(t) {
+			lo, hasLo = t, true
+		}
+		if hasLo && hasHi && hi.Less(lo) {
+			h.kind = noContact
+			return true
+		}
+	}
+	if hasLo && hasHi && lo.Equal(hi) {
+		h.kind = vertex
+		h.x, h.y = h.point(lo)
+	} else {
+		h.kind = edge
+	}
+	return true
+}
+
+// admitted reports whether the vertex of hs[i], which lies in the closure
+// of the whole conjunction, satisfies every other atom not yet dropped:
+// only a strict atom whose boundary passes through it can fail.
+func admitted(hs []halfPlane, i int) bool {
+	x, y := hs[i].x, hs[i].y
+	for k := range hs {
+		g := &hs[k]
+		if k == i || g.dropped || !g.strict {
+			continue
+		}
+		if g.b.Mul(y).Add(g.c).Add(x.Mul(rational.FromInt(int64(g.su)))).IsZero() {
+			return false
+		}
+	}
+	return true
+}

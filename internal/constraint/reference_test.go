@@ -198,3 +198,44 @@ func referenceConjunctionString(j Conjunction) string {
 	}
 	return strings.Join(parts, ", ")
 }
+
+// referenceSimplify is SimplifyWith as it stood before the planar rule
+// (ISSUE 16), verbatim: decide satisfiability, dedup on rendered keys, then
+// drop each atom the rest entails, left to right. The planar rule must
+// return the same atoms in the same order wherever it decides; the general
+// path of SimplifyWith is this code minus the string pass on canonical
+// input.
+func referenceSimplify(j Conjunction, sat SatFunc) Conjunction {
+	if !j.SatisfiableWith(sat) {
+		return False()
+	}
+	// Cheap pass: canonical-key dedup.
+	seen := map[string]bool{}
+	uniq := make([]Constraint, 0, len(j.cs))
+	for _, c := range j.cs {
+		if triv, val := c.IsTrivial(); triv && val {
+			continue
+		}
+		k := c.Key()
+		if seen[k] {
+			continue
+		}
+		seen[k] = true
+		uniq = append(uniq, c)
+	}
+	// Expensive pass: drop constraints entailed by the rest.
+	out := append([]Constraint{}, uniq...)
+	for i := 0; i < len(out); {
+		rest := Conjunction{cs: append(append([]Constraint{}, out[:i]...), out[i+1:]...)}
+		if rest.EntailsWith(out[i], sat) {
+			out = append(out[:i], out[i+1:]...)
+		} else {
+			i++
+		}
+	}
+	return Conjunction{cs: out}
+}
+
+// ReferenceSimplify exposes the reference to the external test packages
+// (the fuzz target here, the operator-output comparison in internal/cqa).
+func ReferenceSimplify(j Conjunction) Conjunction { return referenceSimplify(j, nil) }

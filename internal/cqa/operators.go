@@ -301,8 +301,8 @@ func Union(r1, r2 *relation.Relation) (*relation.Relation, error) {
 // UnionCtx is Union under an execution context: the per-tuple
 // normalisation work (simplification into canonical form, which also
 // decides satisfiability) fans out over ec's worker pool; the dedup pass that
-// follows is sequential in input order, replicating
-// relation.NormalizeWith exactly, so the output is byte-identical to the
+// follows is relation.Distinct, sequential in input order as in
+// relation.NormalizeWith, so the output is byte-identical to the
 // sequential path.
 func UnionCtx(ec *exec.Context, r1, r2 *relation.Relation) (*relation.Relation, error) {
 	if !r1.Schema().Equal(r2.Schema()) {
@@ -327,28 +327,15 @@ func UnionCtx(ec *exec.Context, r1, r2 *relation.Relation) (*relation.Relation, 
 	if err != nil {
 		return nil, err
 	}
-	// Dedup in input order, keyed by (relational part, constraint
-	// fingerprint) and verified exactly — the NormalizeWith contract, so a
-	// fingerprint collision can never merge distinct tuples.
-	out := relation.New(r1.Schema())
-	seen := map[string][]relation.Tuple{}
+	kept := make([]relation.Tuple, 0, len(results))
 	for _, nr := range results {
-		if !nr.ok {
-			continue
+		if nr.ok {
+			kept = append(kept, nr.t)
 		}
-		dup := false
-		k := nr.t.Key()
-		for _, prev := range seen[k] {
-			if prev.SameRelationalPart(nr.t) && prev.Constraint().EqualCanonical(nr.t.Constraint()) {
-				dup = true
-				break
-			}
-		}
-		if dup {
-			continue
-		}
-		seen[k] = append(seen[k], nr.t)
-		if err := out.Add(nr.t); err != nil {
+	}
+	out := relation.New(r1.Schema())
+	for _, t := range relation.Distinct(kept) {
+		if err := out.Add(t); err != nil {
 			return nil, err
 		}
 	}

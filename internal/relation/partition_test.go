@@ -109,7 +109,7 @@ func TestJoinTupleMatchesComposition(t *testing.T) {
 		m[k] = v
 	}
 	composed := NewTuple(m, con)
-	if fused.String() != composed.String() || fused.Key() != composed.Key() {
+	if fused.String() != composed.String() || !fused.SameRelationalPart(composed) || fused.hash() != composed.hash() {
 		t.Fatalf("JoinTuple diverges from two-copy composition:\nfused:    %s\ncomposed: %s",
 			fused, composed)
 	}

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"slices"
 	"sort"
-	"strconv"
 	"strings"
 
 	"cdb/internal/constraint"
@@ -124,7 +123,7 @@ func (t Tuple) attrs(keys []string) []string {
 }
 
 // relationalKey is a canonical key of the relational part (used for
-// difference matching, deduplication and display order).
+// difference matching and display order).
 func (t Tuple) relationalKey() string {
 	var buf [64]byte
 	return string(t.appendRelationalKey(buf[:0]))
@@ -139,17 +138,6 @@ func (t Tuple) appendRelationalKey(b []byte) []byte {
 		b = append(b, ';')
 	}
 	return b
-}
-
-// Key returns a canonical syntactic key for the whole tuple: the relational
-// part followed by the hex fingerprint of the constraint part's canonical
-// form. Equal keys imply equivalent tuples up to fingerprint collision
-// (~2^-64); code that must be exact (Normalize's dedup) verifies key matches
-// with constraint.Conjunction.EqualCanonical.
-func (t Tuple) Key() string {
-	var buf [96]byte
-	b := append(t.appendRelationalKey(buf[:0]), '|')
-	return string(strconv.AppendUint(b, t.con.Fingerprint(), 16))
 }
 
 // SameRelationalPart reports whether t and o have identical relational
@@ -284,34 +272,60 @@ func (r *Relation) Normalize() *Relation {
 
 // NormalizeWith is Normalize with every satisfiability decision routed
 // through sat (nil = raw Fourier-Motzkin); pass exec.Context.SatFunc to
-// memoize the decisions. Deduplication is keyed by (relational part,
-// constraint fingerprint) and verified exactly with EqualCanonical on key
-// matches, so a fingerprint collision can never merge distinct tuples.
+// memoize the decisions. Deduplication is Distinct's.
 func (r *Relation) NormalizeWith(sat constraint.SatFunc) *Relation {
-	out := New(r.schema)
-	seen := map[string][]int{} // tuple key -> indexes into out.tuples
+	kept := make([]Tuple, 0, len(r.tuples))
 	for _, t := range r.tuples {
 		con := t.con.SimplifyWith(sat)
 		if con.IsFalse() { // unsatisfiable: decided once, inside SimplifyWith
 			continue
 		}
-		nt := t.WithConstraint(con.Canon())
-		k := nt.Key()
-		dup := false
-		for _, i := range seen[k] {
-			if out.tuples[i].SameRelationalPart(nt) &&
-				out.tuples[i].con.EqualCanonical(nt.con) {
-				dup = true
-				break
+		kept = append(kept, t.WithConstraint(con.Canon()))
+	}
+	return &Relation{schema: r.schema, tuples: Distinct(kept)}
+}
+
+// Distinct removes from ts, whose constraint parts must be canonical, every
+// tuple identical to an earlier one — same relational part, same canonical
+// constraint part — keeping the rest in order. It compacts ts in place and
+// returns the shortened slice. Candidates are found by a 64-bit hash of
+// (relational part, constraint fingerprint) and every match is verified
+// exactly with SameRelationalPart and EqualCanonical, so a collision costs a
+// comparison and can never merge distinct tuples.
+func Distinct(ts []Tuple) []Tuple { return distinct(ts, Tuple.hash) }
+
+// distinct is Distinct over an explicit hash (the collision test's seam).
+func distinct(ts []Tuple, hash func(Tuple) uint64) []Tuple {
+	out := ts[:0]
+	last := make(map[uint64]int, len(ts)) // hash -> index in out of the latest tuple carrying it
+	prev := make([]int, 0, len(ts))       // index in out -> the one before it with the same hash, or -1
+scan:
+	for _, t := range ts {
+		h := hash(t)
+		head, ok := last[h]
+		if !ok {
+			head = -1
+		}
+		for i := head; i >= 0; i = prev[i] {
+			if out[i].SameRelationalPart(t) && out[i].con.EqualCanonical(t.con) {
+				continue scan
 			}
 		}
-		if dup {
-			continue
-		}
-		seen[k] = append(seen[k], len(out.tuples))
-		out.tuples = append(out.tuples, nt)
+		last[h] = len(out)
+		prev = append(prev, head)
+		out = append(out, t)
 	}
 	return out
+}
+
+// hash folds the tuple into 64 bits: identical tuples hash alike. The
+// bindings are summed so that map order does not matter.
+func (t Tuple) hash() uint64 {
+	var rel uint64
+	for name, v := range t.rvals {
+		rel += v.hash(hashString(fnvOffset64, name))
+	}
+	return (rel*fnvPrime64 ^ rel>>31) + t.con.Fingerprint()
 }
 
 // Point is a full assignment of schema attributes, used to probe relation

@@ -192,17 +192,6 @@ func TestRowsMatchReferenceOrder(t *testing.T) {
 	}
 }
 
-// TestTupleKeyUnchanged: Key is still relational key, '|', hex fingerprint.
-func TestTupleKeyUnchanged(t *testing.T) {
-	rng := rand.New(rand.NewSource(16))
-	for _, tp := range orderRelation(rng, 50).Tuples() {
-		want := fmt.Sprintf("%s|%x", referenceRelationalKey(tp), tp.con.Fingerprint())
-		if got := tp.Key(); got != want {
-			t.Fatalf("Key() = %q, want %q", got, want)
-		}
-	}
-}
-
 // TestNormalizeDecidesOnce: NormalizeWith asks the decision procedure what
 // SimplifyWith asks and nothing more — the former separate satisfiability
 // call repeated SimplifyWith's first question for every tuple.

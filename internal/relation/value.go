@@ -155,3 +155,27 @@ func (v Value) appendKey(b []byte) []byte {
 		return v.r.AppendTo(append(b, "r:"...))
 	}
 }
+
+// FNV-1a, 64 bit.
+const (
+	fnvOffset64 = 14695981039346656037
+	fnvPrime64  = 1099511628211
+)
+
+// hashString folds the bytes of s into the running hash h.
+func hashString(h uint64, s string) uint64 {
+	for i := 0; i < len(s); i++ {
+		h = (h ^ uint64(s[i])) * fnvPrime64
+	}
+	return h
+}
+
+// hash folds v into the running hash h: Identical values fold identically
+// (see rational.Rat.Hash), and nothing is rendered.
+func (v Value) hash(h uint64) uint64 {
+	h = (h ^ uint64(v.kind)) * fnvPrime64
+	if v.kind == KindString {
+		return hashString(h, v.s)
+	}
+	return v.r.Hash(h)
+}

@@ -81,10 +81,11 @@ func TestMetricsExpositionUnderSessionChurn(t *testing.T) {
 					return
 				default:
 				}
-				// One full lifecycle per iteration: open, query (the
-				// repeated shape keeps the sat-cache busy), close. The
-				// close folds the session's cache counters into the
-				// retired totals the scraper watches.
+				// One full lifecycle per iteration: open, query, close. The
+				// query is a three-variable join (t, x, y), so its operator
+				// asks the sat-cache; normalising a two-variable result no
+				// longer does. The close folds the session's cache counters
+				// into the retired totals the scraper watches.
 				status, body, err := post(ts.URL+"/v1/sessions", `{"par": 1, "sat_cache": 64}`)
 				if err != nil || status != http.StatusCreated {
 					t.Errorf("churn %d: open: %d %v", w, status, err)
@@ -96,7 +97,7 @@ func TestMetricsExpositionUnderSessionChurn(t *testing.T) {
 					return
 				}
 				status, body, err = post(ts.URL+"/v1/query", fmt.Sprintf(
-					`{"session": %q, "query": "R = select x >= 1 from Land"}`, info.ID))
+					`{"session": %q, "query": "R = join Landownership and Land"}`, info.ID))
 				if err != nil || status != http.StatusOK {
 					t.Errorf("churn %d: query: %d %v %s", w, status, err, body)
 					return

@@ -31,10 +31,11 @@ go test -race ./...
 echo '>> go test -race -count=2 ./internal/constraint ./internal/exec ./internal/cqa ./internal/relation ./internal/obs ./internal/server ./internal/snapshot ./internal/vector'
 go test -race -count=2 ./internal/constraint ./internal/exec ./internal/cqa ./internal/relation ./internal/obs ./internal/server ./internal/snapshot ./internal/vector
 
-# The render-once benchmarks must keep compiling and running (their
-# allocation ceilings are plain tests, already run above).
-echo '>> render-once benchmarks, one iteration'
-go test -run '^$' -bench 'Sorted|CanonMerge|RatString' -benchtime 1x ./...
+# The render-once and normalisation benchmarks must keep compiling and
+# running (their allocation and decision ceilings are plain tests, already
+# run above).
+echo '>> result-tail benchmarks, one iteration'
+go test -run '^$' -bench 'Sorted|CanonMerge|RatString|NormalizePolygonMinus|NormalizeBoxJoin' -benchtime 1x ./...
 
 # Corpus replay: the committed fuzz corpora under testdata/fuzz/ run as
 # ordinary seed inputs here — every input that ever broke the parsers,
