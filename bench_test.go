@@ -613,6 +613,38 @@ func BenchmarkJoinPruning(b *testing.B) {
 	}
 }
 
+// BenchmarkPairingModes: join and intersect on dense boxes — one tight
+// cluster of large boxes, nearly every pair overlaps, nothing to prune —
+// under each forced pairing mode and the cost model's auto pick, one
+// worker. Every box is vector-eligible, so this is the shape where auto's
+// vector rule (form construction + clipping per pair) is weighed against
+// plain Fourier-Motzkin (ROADMAP item 2).
+func BenchmarkPairingModes(b *testing.B) {
+	p := datagen.Paper()
+	p.SizeMin = 50
+	p2 := p
+	p2.Seed += 1000
+	r1 := datagen.ClusteredBoxRelation(p, 96, 1, 10, p.Seed+77)
+	r2 := datagen.ClusteredBoxRelation(p2, 96, 1, 10, p.Seed+77)
+	ops := []struct {
+		name string
+		run  func(*exec.Context, *relation.Relation, *relation.Relation) (*relation.Relation, error)
+	}{{"join", cqa.JoinCtx}, {"intersect", cqa.IntersectCtx}}
+	for _, op := range ops {
+		for _, mode := range []string{exec.PlanDense, exec.PlanSweep, exec.PlanVector, exec.PlanAuto} {
+			b.Run(op.name+"/"+mode, func(b *testing.B) {
+				ec := &exec.Context{Parallelism: 1, PlanMode: mode}
+				for i := 0; i < b.N; i++ {
+					if _, err := op.run(ec, r1, r2); err != nil {
+						b.Fatal(err)
+					}
+					ec.Reset()
+				}
+			})
+		}
+	}
+}
+
 // polygonMinusResult and boxJoinResult are operator outputs of the two
 // shapes whose normalisation used to dominate the daemon's query time
 // (benchmark workloads polygon-minus and box-join): the raw difference of

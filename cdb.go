@@ -19,9 +19,8 @@
 //   - the index layer: R*-trees with joint vs. separate strategies and
 //     disk-access accounting;
 //   - the experiment harness reproducing the paper's Figures 4-5;
-//   - the observability layer: query tracing with EXPLAIN ANALYZE-style
-//     rendering (Tracer, ExplainTree), metrics with Prometheus/expvar
-//     exposition (MetricsRegistry, ServeMetrics).
+//   - the observability layer: query tracing (Tracer) and metrics
+//     (MetricsRegistry); the commands render and serve them.
 //
 // A minimal end-to-end example:
 //
@@ -50,7 +49,6 @@ import (
 	"cdb/internal/query"
 	"cdb/internal/rational"
 	"cdb/internal/relation"
-	"cdb/internal/render"
 	"cdb/internal/rstar"
 	"cdb/internal/schema"
 	"cdb/internal/spatial"
@@ -211,17 +209,9 @@ type SatCache = constraint.SatCache
 // CacheStats is a point-in-time snapshot of a SatCache's counters.
 type CacheStats = constraint.CacheStats
 
-// DefaultSatCacheSize is the entry bound used for non-positive capacities.
-const DefaultSatCacheSize = constraint.DefaultSatCacheSize
-
 // NewSatCache returns a sat-cache bounded to roughly capacity entries
-// (non-positive = DefaultSatCacheSize).
+// (non-positive = the default size).
 func NewSatCache(capacity int) *SatCache { return constraint.NewSatCache(capacity) }
-
-// SatDecisionCount returns the number of raw Fourier-Motzkin satisfiability
-// decisions made by this process so far — the quantity the sat-cache saves.
-// Monotonic; read deltas around a workload.
-func SatDecisionCount() int64 { return constraint.DecisionCount() }
 
 // FormatStats renders operator records as an aligned table.
 func FormatStats(stats []OpStats) string { return exec.FormatStats(stats) }
@@ -230,9 +220,8 @@ func FormatStats(stats []OpStats) string { return exec.FormatStats(stats) }
 
 // Tracer collects hierarchical query execution spans. Set it on
 // ExecContext.Tracer and every plan node, calculus rule, database
-// load/save and pool fan-out records a span; render the result with
-// ExplainTree or serialise it with TraceJSON. All tracing APIs are
-// nil-safe: a nil Tracer (the default) costs a nil check.
+// load/save and pool fan-out records a span (Tracer.Roots). All tracing
+// APIs are nil-safe: a nil Tracer (the default) costs a nil check.
 type Tracer = obs.Tracer
 
 // Span is one traced region: named, timed, parent-linked, carrying
@@ -242,18 +231,6 @@ type Span = obs.Span
 // NewTracer returns an empty tracer.
 func NewTracer() *Tracer { return obs.NewTracer() }
 
-// ExplainTreeOptions tune ExplainTree rendering.
-type ExplainTreeOptions = obs.TreeOptions
-
-// ExplainTree renders finished spans as an EXPLAIN ANALYZE-style plan
-// tree (what `cqacdb -explain` prints).
-func ExplainTree(roots []*Span, opt ExplainTreeOptions) string {
-	return obs.FormatTree(roots, opt)
-}
-
-// TraceJSON serialises finished spans as a JSON tree.
-func TraceJSON(roots []*Span) ([]byte, error) { return obs.TraceJSON(roots) }
-
 // MetricsRegistry is a registry of counters, gauges and histograms with
 // Prometheus text and expvar exposition. Install it on an ExecContext
 // with InstallMetrics to collect per-operator, sat-cache and FM-decision
@@ -262,16 +239,6 @@ type MetricsRegistry = obs.Registry
 
 // NewMetricsRegistry returns an empty metrics registry.
 func NewMetricsRegistry() *MetricsRegistry { return obs.NewRegistry() }
-
-// MetricsServer is a live observability HTTP listener.
-type MetricsServer = obs.Server
-
-// ServeMetrics starts an HTTP listener serving /metrics (Prometheus
-// text format), /debug/vars (expvar) and /debug/pprof/... for the
-// registry. Close the returned server to stop it.
-func ServeMetrics(addr string, reg *MetricsRegistry) (*MetricsServer, error) {
-	return obs.ServeMetrics(addr, reg)
-}
 
 // SelectCtx, ProjectCtx, JoinCtx, IntersectCtx, UnionCtx, RenameCtx,
 // DifferenceCtx are the CQA operators under an execution context: the
@@ -305,22 +272,6 @@ type RuleProgram = calculus.Program
 //
 //	owned(name, t) :- Landownership(name, t, id), id = "A".
 func ParseRules(src string) (*RuleProgram, error) { return calculus.Parse(src) }
-
-// --- rendering (the §6 display conversion) ---
-
-// RenderOptions tune SVG rendering.
-type RenderOptions = render.Options
-
-// RenderLayer renders a feature layer as an SVG document.
-func RenderLayer(l *Layer, opts RenderOptions) (string, error) {
-	return render.Layer(l, opts)
-}
-
-// RenderRelation renders a spatial constraint relation as SVG via the §6
-// reverse conversion (constraint tuples → vertex lists → outlines).
-func RenderRelation(r *Relation, fid, x, y string, opts RenderOptions) (string, error) {
-	return render.Relation(r, fid, x, y, opts)
-}
 
 // --- nested and indefinite extensions ---
 
@@ -443,15 +394,6 @@ type RStarOptions = rstar.Options
 // NewRect validates and builds a key rectangle of any dimension.
 func NewRect(min, max []float64) (Rect, error) { return rstar.NewRect(min, max) }
 
-// IndexAdvice is the advisor's measured ranking of attribute partitions
-// (the paper's §5 open problem, solved empirically per workload).
-type IndexAdvice = rstar.Advice
-
-// NewPartitionedIndex builds one R*-tree per attribute block — the
-// generalisation of the joint (one block) and separate (singletons)
-// strategies.
-var NewPartitionedIndex = rstar.NewPartitionedIndex
-
 // AdviseIndexes enumerates all attribute partitions, replays the workload
 // on each, and returns the measured costs, best first.
 var AdviseIndexes = rstar.Advise
@@ -469,9 +411,6 @@ type ExperimentParams = datagen.Params
 
 // PaperWorkload returns the exact published workload parameters.
 func PaperWorkload() ExperimentParams { return datagen.Paper() }
-
-// ExperimentSeries is one experiment's measured disk-access series.
-type ExperimentSeries = experiments.Series
 
 // The per-figure experiment runners.
 var (

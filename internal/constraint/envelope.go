@@ -19,8 +19,6 @@ import "sync"
 // the envelope's interval — the soundness property the filter relies on:
 // envelope-disjoint on a shared variable implies the merged conjunction
 // is unsatisfiable, so the refine step would have rejected the pair too.
-// ExactEnvelope is the tightened (and much more expensive) counterpart
-// for callers that want VarBounds precision.
 
 // Envelope is the axis-aligned bounding box of a conjunction: at most one
 // rational interval per variable. Variables without an entry are
@@ -107,22 +105,4 @@ func envelopeOf(cs []Constraint) Envelope {
 		ivs[v] = iv
 	}
 	return Envelope{ivs: ivs}
-}
-
-// ExactEnvelope computes the exact per-variable bounds of j — one full
-// Fourier-Motzkin projection (VarBounds) per variable, so it costs what
-// the filter stage exists to avoid. ok is false when j is unsatisfiable.
-// It exists for the soundness property tests (every Envelope interval
-// must contain the ExactEnvelope interval) and for planners that want a
-// tightened envelope for long-lived relations.
-func (j Conjunction) ExactEnvelope() (Envelope, bool) {
-	ivs := map[string]Interval{}
-	for _, v := range j.Vars() {
-		iv, ok := j.VarBounds(v)
-		if !ok {
-			return Envelope{}, false
-		}
-		ivs[v] = iv
-	}
-	return Envelope{ivs: ivs}, true
 }

@@ -165,9 +165,8 @@ func sweepRedundant(cs []Constraint) []Constraint {
 }
 
 // decisions counts raw satisfiability runs of the Fourier-Motzkin
-// eliminator, process-wide. It is what the sat-cache saves: cdbbench's
-// canon experiment reads the delta with the cache on vs off on the same
-// workload.
+// eliminator, process-wide. It is what the sat-cache saves: the
+// benchmark's constraint.fm_decisions_per_query is its delta per query.
 var decisions atomic.Int64
 
 // DecisionCount returns the number of raw Fourier-Motzkin satisfiability

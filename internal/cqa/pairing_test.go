@@ -15,8 +15,10 @@ import (
 // with all-NULL ids (envelope + sweep pruning), and the plain BoxRelation
 // mix — plus the edges of the shared pipeline: an empty right side, a
 // schema with no relational attribute (no partition at all), and left
-// tuples (ids b2, b3) whose bucket does not exist on the right. Sizes stay
-// small enough for the dense baseline to be cheap.
+// tuples (ids b2, b3) whose bucket does not exist on the right. The two
+// polygon rows (convex × convex, triangulated-concave × convex) are the
+// inputs the vector decider clips instead of eliminating; polygonInputs
+// names them. Sizes stay small enough for the dense baseline to be cheap.
 func pruneInputs(t *testing.T) map[string][2]*relation.Relation {
 	t.Helper()
 	p := datagen.Scaled(10)
@@ -40,8 +42,20 @@ func pruneInputs(t *testing.T) map[string][2]*relation.Relation {
 			datagen.SkewedBoxRelation(p2, 36, 6)},
 		"clustered": {datagen.ClusteredBoxRelation(p, 36, 5, 50, 99),
 			datagen.ClusteredBoxRelation(p2, 36, 5, 50, 99)},
+		"polygons": {datagen.PolygonRelation(p, polyN, 3, p.CoordMax/12, 99),
+			datagen.PolygonRelation(p2, polyN, 3, p.CoordMax/12, 99)},
+		"concave": {datagen.ConcavePolygonRelation(p, polyN, 3, p.CoordMax/12, 99),
+			datagen.PolygonRelation(p2, polyN, 3, p.CoordMax/12, 99)},
 	}
 }
+
+// polyN is the polygon rows' size: difference's staircase fragments far
+// faster on overlapping polygons than on boxes.
+const polyN = 16
+
+// polygonInputs are the pruneInputs rows on which forced vector must
+// really clip (VectorHits > 0) rather than fall back to Fourier-Motzkin.
+var polygonInputs = map[string]bool{"polygons": true, "concave": true}
 
 // TestPruningEquivalence is the filter's acceptance contract: with the
 // candidate filter on, every binary operator produces byte-identical

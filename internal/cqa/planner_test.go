@@ -83,6 +83,16 @@ func TestStrategyEquivalence(t *testing.T) {
 						t.Errorf("%s %s par%d: -plan=%s output diverges from dense\ndense:\n%s\n%s:\n%s",
 							wName, opName, par, mode, wantDump, mode, dump(got))
 					}
+					if mode == exec.PlanVector && polygonInputs[wName] {
+						var hits int64
+						for _, s := range ec.Stats() {
+							hits += s.VectorHits
+						}
+						if hits == 0 {
+							t.Errorf("%s %s par%d: forced vector recorded no vector hit — the row fell back to FM",
+								wName, opName, par)
+						}
+					}
 				}
 			}
 		}

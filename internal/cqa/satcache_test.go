@@ -53,9 +53,9 @@ func TestSatCacheOutputIdentical(t *testing.T) {
 }
 
 // TestSatCacheWarmReuse checks that a cache shared across repeated operator
-// runs actually hits — the warm-workload scenario cdbbench's canon
-// experiment measures — and that the per-operator stats account for every
-// decision as a hit or a miss.
+// runs actually hits — the warm-session scenario the benchmark's
+// constraint.satcache_hit_share reports — and that the per-operator stats
+// account for every decision as a hit or a miss.
 func TestSatCacheWarmReuse(t *testing.T) {
 	r1, r2 := parInputs(t, 7, 30, 30, 0)
 	r2b, err := Rename(r2, "id", "id2")

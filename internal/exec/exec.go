@@ -28,7 +28,9 @@ package exec
 
 import (
 	"context"
+	"fmt"
 	"runtime"
+	"runtime/debug"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -65,11 +67,11 @@ type Context struct {
 
 	// NoPrune runs the binary CQA operators (join, intersect, difference)
 	// without their filter stage: the unfiltered nested loop that the
-	// pruning-equivalence tests, bench_test.go and `cdbbench -expt
-	// cqa|canon|prune` compare the filtered pipeline against. It is the
-	// reference path, not a user-facing knob: no CLI flag or session
-	// option sets it, and the filter is always on otherwise — including
-	// on the nil Context — because it never changes output.
+	// pruning-equivalence tests and bench_test.go compare the filtered
+	// pipeline against. It is the reference path, not a user-facing knob:
+	// no CLI flag or session option sets it, and the filter is always on
+	// otherwise — including on the nil Context — because it never changes
+	// output.
 	NoPrune bool
 
 	// PlanMode pins the pairing strategy of the binary CQA operators.
@@ -77,7 +79,7 @@ type Context struct {
 	// lets the filter stage's cost model choose per operator; the
 	// explicit modes (PlanDense, PlanSweep, PlanVector) force one
 	// strategy everywhere, which is how the strategy-equivalence tests
-	// and `cdbbench -expt plan|vector` measure each in isolation.
+	// and BenchmarkPairingModes run each in isolation.
 	// Outputs are byte-identical across all modes: the surviving
 	// candidate set is the same whichever enumeration found it, and it is
 	// re-sorted to the dense order before the refine stage runs.
@@ -245,6 +247,12 @@ func (c *Context) SatFunc() constraint.SatFunc {
 // failures. fn must not mutate shared state without its own
 // synchronisation.
 //
+// A panic in fn is that index's error (a *PanicError carrying the value
+// and the stack), on the pool and on the inline path alike: a pool
+// goroutine has no caller to unwind into, so an unrecovered panic there
+// would end the process and every session with it. Everything above
+// holds for it as for any other error.
+//
 // When the context carries a Ctx and it is cancelled mid-batch, workers
 // stop claiming new indices the same way and Map returns the context's
 // error (fn errors from already-claimed indices still win, preserving
@@ -264,18 +272,7 @@ func Map[T any](c *Context, n int, fn func(i int) (T, error)) ([]T, error) {
 		return nil, nil
 	}
 	if !c.ParallelFor(n) {
-		out := make([]T, n)
-		for i := 0; i < n; i++ {
-			if err := c.Err(); err != nil {
-				return nil, err
-			}
-			v, err := fn(i)
-			if err != nil {
-				return nil, err
-			}
-			out[i] = v
-		}
-		return out, nil
+		return mapInline(c, n, fn)
 	}
 	out := make([]T, n)
 	errs := make([]error, n)
@@ -301,6 +298,13 @@ func Map[T any](c *Context, n int, fn func(i int) (T, error)) ([]T, error) {
 	for w := 0; w < workers; w++ {
 		go func() {
 			defer wg.Done()
+			cur := -1 // the index inside fn; a panic becomes its error
+			defer func() {
+				if r := recover(); r != nil {
+					errs[cur] = newPanicError(r)
+					stop.Store(true)
+				}
+			}()
 			var busy time.Duration
 			if traced {
 				queueNS.Add(time.Since(start).Nanoseconds())
@@ -329,6 +333,7 @@ func Map[T any](c *Context, n int, fn func(i int) (T, error)) ([]T, error) {
 				if traced {
 					t0 = time.Now()
 				}
+				cur = i
 				out[i], errs[i] = fn(i)
 				if traced {
 					busy += time.Since(t0)
@@ -357,6 +362,43 @@ func Map[T any](c *Context, n int, fn func(i int) (T, error)) ([]T, error) {
 		return nil, err
 	}
 	return out, nil
+}
+
+// mapInline is Map's sequential path: fn runs on the calling goroutine,
+// left to right, stopping at the first error.
+func mapInline[T any](c *Context, n int, fn func(i int) (T, error)) (out []T, err error) {
+	defer func() {
+		if r := recover(); r != nil {
+			out, err = nil, newPanicError(r)
+		}
+	}()
+	out = make([]T, n)
+	for i := 0; i < n; i++ {
+		if err = c.Err(); err != nil {
+			return nil, err
+		}
+		if out[i], err = fn(i); err != nil {
+			return nil, err
+		}
+	}
+	return out, nil
+}
+
+// PanicError is a panic raised inside a Map work item, reported as that
+// item's error so one faulty tuple fails its query instead of the process.
+type PanicError struct {
+	Value any    // what was passed to panic
+	Stack []byte // the panicking goroutine's stack
+}
+
+// newPanicError must be called from the deferred function that recovered
+// r: the panicking frames are still on the stack there.
+func newPanicError(r any) *PanicError {
+	return &PanicError{Value: r, Stack: debug.Stack()}
+}
+
+func (e *PanicError) Error() string {
+	return fmt.Sprintf("exec: panic in worker: %v\n%s", e.Value, e.Stack)
 }
 
 // maxOf raises *m to v if v is larger (racing raises settle to the max).

@@ -66,6 +66,42 @@ func TestMapReturnsLowestIndexError(t *testing.T) {
 	}
 }
 
+// TestMapPanicIsIndexError: a panic in fn is that index's error, on the
+// pool and inline — it loses to no later error (index 7), the process and
+// the caller survive, and every worker has exited when Map returns.
+func TestMapPanicIsIndexError(t *testing.T) {
+	for _, par := range []int{4, 1} {
+		before := runtime.NumGoroutine()
+		c := &Context{Parallelism: par, SeqThreshold: 1}
+		_, err := Map(c, 100, func(i int) (int, error) {
+			if i == 3 {
+				panic("poisoned tuple")
+			}
+			if i == 7 {
+				return 0, errors.New("boom at 7")
+			}
+			return i, nil
+		})
+		var pe *PanicError
+		if !errors.As(err, &pe) || pe.Value != "poisoned tuple" {
+			t.Fatalf("par=%d: err = %v, want the index-3 panic", par, err)
+		}
+		if msg := err.Error(); !strings.HasPrefix(msg, "exec: panic in worker: poisoned tuple\n") ||
+			!strings.Contains(msg, "TestMapPanicIsIndexError") {
+			t.Errorf("par=%d: message lacks the value or the panicking stack:\n%s", par, msg)
+		}
+		// Workers run their deferred wg.Done before they are gone; give
+		// the scheduler a moment to retire them.
+		deadline := time.Now().Add(time.Second)
+		for runtime.NumGoroutine() > before && time.Now().Before(deadline) {
+			time.Sleep(time.Millisecond)
+		}
+		if after := runtime.NumGoroutine(); after > before {
+			t.Errorf("par=%d: %d goroutines before Map, %d after", par, before, after)
+		}
+	}
+}
+
 func TestParallelForThreshold(t *testing.T) {
 	c := &Context{Parallelism: 4, SeqThreshold: 50}
 	if c.ParallelFor(49) {

@@ -375,7 +375,7 @@ func FlightRollup(ops []OpStats) []obs.OpRoll {
 }
 
 // FormatStats renders operator records as an aligned table (the -stats
-// output of cmd/cqacdb and cmd/cdbbench).
+// output of cmd/cqacdb).
 func FormatStats(stats []OpStats) string {
 	var b strings.Builder
 	w := tabwriter.NewWriter(&b, 2, 0, 2, ' ', 0)

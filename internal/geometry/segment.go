@@ -20,9 +20,6 @@ func (s Segment) String() string {
 	return fmt.Sprintf("%s-%s", s.A, s.B)
 }
 
-// IsDegenerate reports whether the endpoints coincide.
-func (s Segment) IsDegenerate() bool { return s.A.Equal(s.B) }
-
 // onSegment reports whether collinear point p lies within s's bounding box.
 func onSegment(s Segment, p Point) bool {
 	return rational.Min(s.A.X, s.B.X).LessEq(p.X) && p.X.LessEq(rational.Max(s.A.X, s.B.X)) &&

@@ -108,24 +108,6 @@ func Parse(src string) (*Program, error) {
 	return prog, nil
 }
 
-// ParseExpr parses a single operator expression (no "Name =" prefix), for
-// interactive use.
-func ParseExpr(src string) (*Expr, error) {
-	toks, err := lex(src)
-	if err != nil {
-		return nil, err
-	}
-	p := &parser{toks: toks}
-	e, err := p.parseExpr()
-	if err != nil {
-		return nil, err
-	}
-	if p.peek().kind != tokEOF {
-		return nil, p.errf("trailing input %q", p.peek().text)
-	}
-	return e, nil
-}
-
 func (p *parser) peek() token { return p.toks[p.i] }
 func (p *parser) next() token { t := p.toks[p.i]; p.i++; return t }
 func (p *parser) line() int   { return p.peek().line }

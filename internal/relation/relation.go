@@ -257,12 +257,6 @@ func (r *Relation) MustAdd(t Tuple) {
 	}
 }
 
-// Clone returns a deep-enough copy (tuples are immutable, so sharing them
-// is safe).
-func (r *Relation) Clone() *Relation {
-	return &Relation{schema: r.schema, tuples: append([]Tuple{}, r.tuples...)}
-}
-
 // Normalize removes unsatisfiable tuples, simplifies constraint parts into
 // canonical form, and deduplicates canonically identical tuples. The
 // semantics is unchanged.

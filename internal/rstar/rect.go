@@ -143,16 +143,6 @@ func (r Rect) Center() []float64 {
 	return c
 }
 
-// CenterSqDist returns the squared distance between the centers.
-func (r Rect) CenterSqDist(o Rect) float64 {
-	a, b := r.Center(), o.Center()
-	d := 0.0
-	for i := range a {
-		d += (a[i] - b[i]) * (a[i] - b[i])
-	}
-	return d
-}
-
 // Project returns the 1-D rectangle of dimension i.
 func (r Rect) Project(i int) Rect {
 	return Rect{Min: []float64{r.Min[i]}, Max: []float64{r.Max[i]}}

@@ -17,7 +17,6 @@ package schema
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 )
 
@@ -247,12 +246,4 @@ func (s Schema) String() string {
 		parts[i] = a.String()
 	}
 	return "[" + strings.Join(parts, "; ") + "]"
-}
-
-// SortedNames returns the attribute names sorted alphabetically (useful for
-// canonical output).
-func (s Schema) SortedNames() []string {
-	out := s.Names()
-	sort.Strings(out)
-	return out
 }

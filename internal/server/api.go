@@ -168,6 +168,12 @@ func errorStatus(err error) int {
 	if errors.As(err, &ae) {
 		return ae.status
 	}
+	// A panic inside an operator's work item is the server's fault, not
+	// the request's.
+	var pe *exec.PanicError
+	if errors.As(err, &pe) {
+		return http.StatusInternalServerError
+	}
 	return http.StatusUnprocessableEntity
 }
 

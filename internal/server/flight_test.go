@@ -9,14 +9,17 @@ import (
 	"encoding/json"
 	"fmt"
 	"net/http"
+	"reflect"
 	"regexp"
 	"sort"
 	"strings"
 	"testing"
+	"unsafe"
 
 	"cdb/internal/datagen"
 	"cdb/internal/db"
 	"cdb/internal/obs"
+	"cdb/internal/relation"
 )
 
 var testQueryIDRe = regexp.MustCompile(`^q[0-9]+-[0-9a-f]{8}$`)
@@ -478,5 +481,57 @@ func TestRenderTimeReported(t *testing.T) {
 	}
 	if rec := recentRecords(t, ts.URL+"/v1/queries/recent?limit=1")[0]; rec.Outcome == "ok" || rec.RenderMS != 0 {
 		t.Errorf("failed query's record: %+v", rec)
+	}
+}
+
+// corruptTuple breaks the invariant every operator relies on: tuple i's
+// atom slice claims one atom and holds none, so the worker that evaluates
+// it dereferences nil. No API builds such a tuple — it stands in for a bug
+// in the engine's own code, which is what the pool's recover is for.
+func corruptTuple(r *relation.Relation, i int) {
+	cs := reflect.ValueOf(&r.Tuples()[i]).Elem().FieldByName("con").FieldByName("cs")
+	type sliceHeader struct {
+		data     unsafe.Pointer
+		len, cap int
+	}
+	*(*sliceHeader)(unsafe.Pointer(cs.UnsafeAddr())) = sliceHeader{nil, 1, 1}
+}
+
+// TestWorkerPanicFailsOnlyItsQuery: a panic inside a pool worker of a real
+// operator is a 500 on that query — with its id, recorded as an error —
+// and neither the daemon nor the session (its mutex, its bindings) is lost.
+func TestWorkerPanicFailsOnlyItsQuery(t *testing.T) {
+	p := datagen.Paper()
+	d := db.New()
+	d.Put("B", datagen.BoxRelation(p, 80, 0))
+	bad := datagen.BoxRelation(p, 80, 0) // ≥ exec.DefaultSeqThreshold items: select fans out
+	corruptTuple(bad, 3)
+	d.Put("P", bad)
+	_, ts := newTestServer(t, Config{}, map[string]*db.Database{"poisoned": d})
+	id := openSession(t, ts, `{"db": "poisoned", "par": 4}`)
+
+	_, body, _ := postJSON(t, ts.URL+"/v1/query",
+		fmt.Sprintf(`{"session": %q, "query": "R = select x >= 0 from P"}`, id))
+	var env struct {
+		Status  int    `json:"status"`
+		Error   string `json:"error"`
+		QueryID string `json:"query_id"`
+	}
+	if err := json.Unmarshal(body, &env); err != nil {
+		t.Fatalf("error envelope: %v\n%s", err, body)
+	}
+	if env.Status != http.StatusInternalServerError || !testQueryIDRe.MatchString(env.QueryID) ||
+		!strings.Contains(env.Error, "exec: panic in worker") {
+		t.Fatalf("panicking query: %s", body)
+	}
+	recent := recentRecords(t, ts.URL+"/v1/queries/recent")
+	if len(recent) != 1 || recent[0].ID != env.QueryID || recent[0].Outcome != obs.OutcomeError {
+		t.Fatalf("flight record of the panicking query: %+v", recent)
+	}
+
+	status, resp, body := runQueryReq(t, ts,
+		fmt.Sprintf(`{"session": %q, "query": "R = select x >= 0 from B"}`, id))
+	if status != http.StatusOK || resp.Count == 0 {
+		t.Fatalf("next query on the session: %d %s", status, body)
 	}
 }

@@ -180,6 +180,7 @@ func TestSessionPlanOption(t *testing.T) {
 		{`{"plan": "index"}`, "plan"},
 		{`{"no_prune": true}`, "no_prune"},
 		{`{"sweep_threshold": 8}`, "sweep_threshold"},
+		{`{"seq_threshold": 8}`, "seq_threshold"},
 	} {
 		status, body, _ := postJSON(t, ts.URL+"/v1/sessions", tc.body)
 		if status != http.StatusBadRequest || !bytes.Contains(body, []byte(tc.field)) {

@@ -47,27 +47,21 @@ type session struct {
 // Pointers distinguish "unset, use the server default" from an explicit
 // zero (e.g. sat_cache: 0 disables the cache outright).
 type sessionOptions struct {
-	DB           string  `json:"db,omitempty"`
-	Snapshot     string  `json:"snapshot,omitempty"` // bind to a snapshot instead of a db
-	Par          *int    `json:"par,omitempty"`
-	SatCache     *int    `json:"sat_cache,omitempty"`
-	SeqThreshold *int    `json:"seq_threshold,omitempty"`
-	Plan         *string `json:"plan,omitempty"` // pairing strategy: auto|dense|sweep|vector
+	DB       string  `json:"db,omitempty"`
+	Snapshot string  `json:"snapshot,omitempty"` // bind to a snapshot instead of a db
+	Par      *int    `json:"par,omitempty"`
+	SatCache *int    `json:"sat_cache,omitempty"`
+	Plan     *string `json:"plan,omitempty"` // pairing strategy: auto|dense|sweep|vector
 }
 
 // newSession builds a session against base with opts layered over the
 // server defaults.
 func newSession(id, dbName string, base *db.Database, opts sessionOptions, cfg Config) *session {
 	ec := exec.New(orDefault(opts.Par, cfg.DefaultPar))
-	ec.SeqThreshold = orDefault(opts.SeqThreshold, 0)
 	if opts.Plan != nil {
 		ec.PlanMode = *opts.Plan
 	}
-	cacheSize := cfg.defaultSatCache()
-	if opts.SatCache != nil {
-		cacheSize = *opts.SatCache
-	}
-	if cacheSize > 0 {
+	if cacheSize := orDefault(opts.SatCache, cfg.defaultSatCache()); cacheSize > 0 {
 		ec.SatCache = constraint.NewSatCache(cacheSize)
 	}
 	s := &session{

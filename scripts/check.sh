@@ -6,7 +6,7 @@
 # touches them.
 set -eu
 cd "$(dirname "$0")/.."
-T=${TMPDIR:-/tmp} # where the smoke stages put binaries, logs and JSON
+T=${TMPDIR:-/tmp} # where the smoke stages put binaries and logs
 
 echo '>> go vet ./...'
 go vet ./...
@@ -20,6 +20,23 @@ if grep -rnE '\.String\(\) <' internal --include='*.go' | grep -v '_test\.go:'; 
     echo 'a comparator renders per comparison (see above)'
     exit 1
 fi
+
+# One measuring instrument: benchmark/ (BENCHMARK.json) is where numbers
+# come from. The single-shot measurement files, the tool that diffed them,
+# their Makefile targets and the cdbbench experiments that wrote them are
+# gone; nothing outside the history files and the frozen benchmark/ may
+# name them again.
+echo '>> no second bench harness'
+if ls BENCH_*.json >/dev/null 2>&1; then
+    echo 'a BENCH_*.json sits at the root; measurements belong to benchmark/'
+    exit 1
+fi
+if git grep -nE 'BENCH_[a-z]+\.json|bench[d]iff|bench-(all|canon|prune|plan|vector|snapshot)|-expt (cqa|canon|prune|plan|vector|snapshot)' \
+    -- . ':!CHANGES.md' ':!ROADMAP.md' ':!ISSUE.md' ':!benchmark'; then
+    echo 'a retired measurement file, tool, target or experiment is named (see above)'
+    exit 1
+fi
+
 echo '>> go test -race ./...'
 go test -race ./...
 
@@ -31,11 +48,11 @@ go test -race ./...
 echo '>> go test -race -count=2 ./internal/constraint ./internal/exec ./internal/cqa ./internal/relation ./internal/obs ./internal/server ./internal/snapshot ./internal/vector'
 go test -race -count=2 ./internal/constraint ./internal/exec ./internal/cqa ./internal/relation ./internal/obs ./internal/server ./internal/snapshot ./internal/vector
 
-# The render-once and normalisation benchmarks must keep compiling and
-# running (their allocation and decision ceilings are plain tests, already
-# run above).
-echo '>> result-tail benchmarks, one iteration'
-go test -run '^$' -bench 'Sorted|CanonMerge|RatString|NormalizePolygonMinus|NormalizeBoxJoin' -benchtime 1x ./...
+# The render-once, normalisation and pairing-mode benchmarks must keep
+# compiling and running (their allocation and decision ceilings are plain
+# tests, already run above).
+echo '>> result-tail and pairing-mode benchmarks, one iteration'
+go test -run '^$' -bench 'Sorted|CanonMerge|RatString|NormalizePolygonMinus|NormalizeBoxJoin|PairingModes' -benchtime 1x ./...
 
 # Corpus replay: the committed fuzz corpora under testdata/fuzz/ run as
 # ordinary seed inputs here — every input that ever broke the parsers,
@@ -45,13 +62,12 @@ echo '>> fuzz corpus replay'
 go test -run Fuzz -count=1 ./internal/constraint ./internal/query ./internal/calculus ./internal/snapshot ./internal/vector
 
 # CLI smoke: both binaries must build and execute an end-to-end run —
-# cqacdb with the observability flags on, cdbbench on the cqa experiment
-# and on a short differential run against the semantic oracle.
+# cqacdb with the observability flags on, cdbbench on a short differential
+# run against the semantic oracle.
 echo '>> cli smoke'
 go build -o /dev/null ./cmd/cqacdb ./cmd/cdbbench
 go run ./cmd/cqacdb -demo hurricane -explain -stats \
     -e 'R = select landId = A from Landownership' >/dev/null
-go run ./cmd/cdbbench -expt cqa -par 2 -cqasize 8 >/dev/null
 go run ./cmd/cdbbench -expt diff -n 25 -seed 7 -par 2 >/dev/null
 
 # start_daemon <outfile> [flags…]: boot cqacdbd over the demo database on
@@ -139,54 +155,13 @@ curl -s "$BASE/v1/query" -d '{
 }' | grep -q '"count": 4' || { echo 'phase 3: query on recovered fork wrong'; kill "$SRV_PID"; exit 1; }
 kill -TERM "$SRV_PID"
 wait "$SRV_PID" || { echo 'phase 3: server exited non-zero'; exit 1; }
-# The committed snapshot measurement file must stay diffable against a
-# fresh (small) run, same shape guard as the prune/plan files below.
-go run ./cmd/cdbbench -expt snapshot -cqasize 8 -rounds 1 \
-    -json "$T/cdb_snap_smoke.json" >/dev/null
-scripts/benchdiff.sh "$T/cdb_snap_smoke.json" "$T/cdb_snap_smoke.json" >/dev/null
-scripts/benchdiff.sh BENCH_snapshot.json "$T/cdb_snap_smoke.json" 1000000 >/dev/null
 
-# Prune smoke: the filter-and-refine experiment checks filtered output is
-# byte-identical to the dense loop on every workload shape, then benchdiff
-# self-compares the JSON (validates the regression tool without wall-time
-# flakiness).
-echo '>> prune smoke'
-go run ./cmd/cdbbench -expt prune -cqasize 16 -rounds 1 \
-    -json "$T/cdb_prune_smoke.json" >/dev/null
-scripts/benchdiff.sh "$T/cdb_prune_smoke.json" "$T/cdb_prune_smoke.json" >/dev/null
-# The committed measurement file must stay diffable against a fresh run
-# (guards the JSON shape `make bench-all` writes). The huge threshold
-# means only shape breakage fails, never machine-speed variance;
-# leaves that exist only at the committed -cqasize report MISSING and
-# pass by design.
-scripts/benchdiff.sh BENCH_prune.json "$T/cdb_prune_smoke.json" 1000000 >/dev/null
-
-# Plan smoke: the plan experiment forces each candidate enumeration
-# (dense, sweep) against the cost model's auto pick and fails inside
-# cdbbench unless all outputs are byte-identical; benchdiff
-# then self-compares the JSON so the plan measurements stay diffable. The
-# 200-case oracle run guards the planner end to end: cost rewrites plus
-# strategy switching against the naive reference evaluator, zero
+# Oracle smoke: 200 random cases against the naive reference evaluator
+# guard the planner end to end (cost rewrites plus strategy switching);
+# 200 spatial cases drive polygon workloads through the forced vector path
+# — clipper, float filter, scoped staircase and FM fallback. Zero
 # disagreements allowed.
-echo '>> plan smoke'
-go run ./cmd/cdbbench -expt plan -cqasize 16 -rounds 1 \
-    -json "$T/cdb_plan_smoke.json" >/dev/null
-scripts/benchdiff.sh "$T/cdb_plan_smoke.json" "$T/cdb_plan_smoke.json" >/dev/null
-scripts/benchdiff.sh BENCH_plan.json "$T/cdb_plan_smoke.json" 1000000 >/dev/null
+echo '>> oracle smoke'
 go run ./cmd/cdbbench -expt diff -n 200 -seed 3 -par 2 >/dev/null
-
-# Vector smoke: the vector experiment forces every spatial decision
-# through exact polygon clipping against the pure-FM baseline and fails
-# inside cdbbench unless outputs are byte-identical; benchdiff then
-# self-compares the JSON and shape-guards the committed BENCH_vector.json.
-# The 200-case spatial oracle run drives polygon workloads through the
-# forced vector path against the naive reference evaluator — clipper,
-# float filter, scoped staircase and FM fallback all end to end, zero
-# disagreements allowed.
-echo '>> vector smoke'
-go run ./cmd/cdbbench -expt vector -cqasize 16 -rounds 1 \
-    -json "$T/cdb_vector_smoke.json" >/dev/null
-scripts/benchdiff.sh "$T/cdb_vector_smoke.json" "$T/cdb_vector_smoke.json" >/dev/null
-scripts/benchdiff.sh BENCH_vector.json "$T/cdb_vector_smoke.json" 1000000 >/dev/null
 go run ./cmd/cdbbench -expt diff -n 200 -seed 5 -par 2 -spatial -plan vector >/dev/null
 echo 'OK'
