@@ -31,11 +31,12 @@ obs-demo:
 		-e "$$(printf 'R0 = join Landownership and Land\nR1 = select t >= 4, t <= 9 from R0\nR2 = project R1 on name')"
 
 # Native fuzzing: 30s per target. go's -fuzz takes one package at a time,
-# so the seven targets run sequentially (~3.5min total). Inputs that fail are
+# so the nine targets run sequentially (~4.5min total). Inputs that fail are
 # auto-saved under the package's testdata/fuzz/<Target>/ — commit them;
 # they replay as regression tests in every ordinary `go test` run.
 FUZZTIME ?= 30s
 fuzz:
+	$(GO) test ./internal/rational -run '^$$' -fuzz '^FuzzRatOps$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/constraint -run '^$$' -fuzz '^FuzzCanon$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/constraint -run '^$$' -fuzz '^FuzzFourierMotzkin$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/constraint -run '^$$' -fuzz '^FuzzSimplify$$' -fuzztime $(FUZZTIME)

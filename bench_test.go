@@ -706,3 +706,72 @@ func benchNormalize(b *testing.B, r *relation.Relation) {
 // eliminates a variable (TestNormalizeMakesNoDecisions holds that).
 func BenchmarkNormalizePolygonMinus(b *testing.B) { benchNormalize(b, polygonMinusResult(b)) }
 func BenchmarkNormalizeBoxJoin(b *testing.B)      { benchNormalize(b, boxJoinResult(b)) }
+
+// benchClusteredPolygons repeats the repository benchmark's polygon-minus
+// generator (benchmark/workloads.go clusteredPolygons at seed 1): twelve
+// clusters of perCluster polygons each, 60 wide.
+func benchClusteredPolygons(rel, perCluster int, gen func(datagen.Params, int, int, float64, int64) *relation.Relation) *relation.Relation {
+	var out *relation.Relation
+	for c := 0; c < 12; c++ {
+		p := datagen.Paper()
+		p.Seed = 100000 + int64(rel)*1000 + int64(c)
+		r := gen(p, perCluster, 1, 60, 977+int64(c))
+		if out == nil {
+			out = relation.New(r.Schema())
+		}
+		for _, t := range r.Tuples() {
+			out.MustAdd(t.Canon()) // as a loaded database holds them: forms memoised
+		}
+	}
+	return out
+}
+
+// BenchmarkDifferencePolygonMinus is one request of the polygon-minus
+// workload without the server around it: `minus C0 and D0` on warm
+// canonical-form memos. Every decision runs on the vector path, so this is
+// the guard for the staircase scope, ClipRing and the rational kernel
+// together.
+func BenchmarkDifferencePolygonMinus(b *testing.B) {
+	c0 := benchClusteredPolygons(0, 2, datagen.PolygonRelation)
+	d0 := benchClusteredPolygons(100, 2, datagen.PolygonRelation)
+	ec := exec.New(1)
+	ec.SatCache = constraint.NewSatCache(0)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := cqa.DifferenceCtx(ec, c0, d0); err != nil {
+			b.Fatal(err)
+		}
+		ec.Reset()
+	}
+}
+
+// BenchmarkClipRing is the vector path's kernel: one Sutherland–Hodgman
+// clip of an octagon by a half-plane that cuts it (two exact crossings),
+// one that keeps all of it and one that keeps none (both allocation-free).
+func BenchmarkClipRing(b *testing.B) {
+	ring := geometry.MustPolygon(
+		geometry.Pt(3, 0), geometry.Pt(7, 0), geometry.Pt(10, 3), geometry.Pt(10, 7),
+		geometry.Pt(7, 10), geometry.Pt(3, 10), geometry.Pt(0, 7), geometry.Pt(0, 3),
+	).Vertices()
+	hp := func(a, b, c int64) geometry.HalfPlane {
+		return geometry.HalfPlane{A: rational.FromInt(a), B: rational.FromInt(b), C: rational.FromInt(c)}
+	}
+	for _, c := range []struct {
+		name string
+		h    geometry.HalfPlane
+	}{
+		{"cut", hp(3, 7, -50)},
+		{"keep-all", hp(1, 1, -40)},
+		{"keep-none", hp(1, 1, 1)},
+	} {
+		b.Run(c.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				benchRing = geometry.ClipRing(ring, c.h)
+			}
+		})
+	}
+}
+
+var benchRing []geometry.Point

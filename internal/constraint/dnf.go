@@ -98,41 +98,43 @@ func SubtractAllWith(j Conjunction, ks []Conjunction, sat SatFunc) Disjunction {
 	return work
 }
 
-// SubtractAllScoped is SubtractAllWith with every satisfiability decision
-// replaced by scoped(extras), where extras lists the atoms accumulated on
-// top of j by the staircase so far (negations emitted into the candidate
-// disjunct plus the prefix atoms of already-processed subtrahends). The
-// conjunction under decision is always j ∧ extras; callers that can
-// decide that conjunction from j's shape plus the extra atoms alone (the
-// vector fast path decides it by clipping j's cached polygon) avoid
-// rebuilding and re-canonicalising the conjunction per decision. The
-// emitted disjuncts and their order are exactly those of SubtractAllWith
-// whenever scoped agrees with the sat oracle.
-func SubtractAllScoped(j Conjunction, ks []Conjunction, scoped func(extras []Constraint) bool) Disjunction {
+// SubtractAllScoped is SubtractAllWith for callers that can decide a
+// conjunction from the decision made on its parent. The staircase only
+// ever decides "prefix ∧ atom", where prefix is j extended by the atoms
+// accumulated so far (negations emitted into a piece, plus the prefix atoms
+// of subtrahends already walked): step receives the scope state S its
+// parent decision returned — root for j itself, which the caller knows to
+// be satisfiable — together with prefix and the one new atom, and returns
+// the child's state and whether prefix ∧ atom is satisfiable. The vector
+// fast path keeps j's polygon clipped by the accumulated atoms as its
+// state, so a decision at any depth is one clip; prefix is there for the
+// step that has to fall back on the full conjunction. A piece is decided
+// once, when it is emitted, and carried into the next subtrahend with its
+// state. The emitted disjuncts and their order are exactly those of
+// SubtractAllWith whenever step agrees with the sat oracle.
+func SubtractAllScoped[S any](j Conjunction, ks []Conjunction, root S, step func(parent S, prefix Conjunction, atom Constraint) (S, bool)) Disjunction {
 	type piece struct {
-		con    Conjunction
-		extras []Constraint
+		con   Conjunction
+		scope S
 	}
-	work := []piece{{con: j}}
+	work := []piece{{con: j, scope: root}}
 	for _, k := range ks {
 		var next []piece
 		for _, p := range work {
-			if !scoped(p.extras) {
-				continue
-			}
-			prefix, pext := p.con, p.extras
+			prefix, scope := p.con, p.scope
 			for _, c := range k.Constraints() {
 				for _, neg := range c.Complement() {
-					ext := appendExtra(pext, neg)
-					if scoped(ext) {
-						next = append(next, piece{con: prefix.With(neg), extras: ext})
+					if child, sat := step(scope, prefix, neg); sat {
+						next = append(next, piece{con: prefix.With(neg), scope: child})
 					}
 				}
-				prefix = prefix.With(c)
-				pext = appendExtra(pext, c)
-				if !scoped(pext) {
+				var sat bool
+				if scope, sat = step(scope, prefix, c); !sat {
+					// p already entails ¬(remaining prefix); nothing further
+					// to subtract from.
 					break
 				}
+				prefix = prefix.With(c)
 			}
 		}
 		work = next
@@ -144,15 +146,6 @@ func SubtractAllScoped(j Conjunction, ks []Conjunction, scoped func(extras []Con
 	for i, p := range work {
 		out[i] = p.con
 	}
-	return out
-}
-
-// appendExtra appends with a fresh backing array: staircase pieces fan out
-// from shared prefixes, so in-place append would alias between siblings.
-func appendExtra(xs []Constraint, c Constraint) []Constraint {
-	out := make([]Constraint, len(xs)+1)
-	copy(out, xs)
-	out[len(xs)] = c
 	return out
 }
 

@@ -7,8 +7,24 @@ import (
 	"testing"
 )
 
+// extrasStep is the scope state the staircase had before it carried one:
+// the list of atoms accumulated on top of base, decided from scratch. It
+// also checks the contract of SubtractAllScoped on every call — the
+// conjunction under decision, prefix ∧ atom, is base ∧ extras.
+func extrasStep(t *testing.T, base Conjunction, decisions *int) func([]Constraint, Conjunction, Constraint) ([]Constraint, bool) {
+	return func(parent []Constraint, prefix Conjunction, atom Constraint) ([]Constraint, bool) {
+		*decisions++
+		extras := append(parent[:len(parent):len(parent)], atom)
+		full := base.With(extras...)
+		if got := prefix.With(atom); got.Key() != full.Key() {
+			t.Fatalf("step decides %q, want base ∧ extras = %q", got.Key(), full.Key())
+		}
+		return extras, full.IsSatisfiable()
+	}
+}
+
 // TestSubtractAllScopedMatchesSubtractAllWith checks the scoped staircase
-// against the reference one on random 2-D region stacks: when scoped
+// against the reference one on random 2-D region stacks: when step
 // decides exactly what the sat oracle would, the emitted disjuncts must be
 // identical atoms in identical order.
 func TestSubtractAllScopedMatchesSubtractAllWith(t *testing.T) {
@@ -34,10 +50,12 @@ func TestSubtractAllScopedMatchesSubtractAllWith(t *testing.T) {
 		for i := range ks {
 			ks[i] = randBox()
 		}
+		if !base.IsSatisfiable() {
+			continue // the root scope is the caller's promise that base is satisfiable
+		}
 		want := SubtractAllWith(base, ks, nil)
-		got := SubtractAllScoped(base, ks, func(extras []Constraint) bool {
-			return base.With(extras...).IsSatisfiable()
-		})
+		var decisions int
+		got := SubtractAllScoped(base, ks, nil, extrasStep(t, base, &decisions))
 		if len(got) != len(want) {
 			t.Fatalf("case %d: %d disjuncts, want %d", i, len(got), len(want))
 		}
@@ -49,8 +67,11 @@ func TestSubtractAllScopedMatchesSubtractAllWith(t *testing.T) {
 	}
 }
 
-// TestSubtractAllScopedExtrasReconstruct checks the scoped contract: the
-// conjunction under decision is always base ∧ extras.
+// TestSubtractAllScopedExtrasReconstruct checks the scoped contract on a
+// hand-countable staircase: the conjunction under decision is always
+// base ∧ extras (extrasStep), and a piece is decided when it is emitted and
+// not again at the top of the next subtrahend, so the number of decisions
+// is one per negation tried plus one per prefix atom walked.
 func TestSubtractAllScopedExtrasReconstruct(t *testing.T) {
 	base := box("x", "0", "10").Merge(box("y", "0", "10"))
 	ks := []Conjunction{
@@ -59,15 +80,16 @@ func TestSubtractAllScopedExtrasReconstruct(t *testing.T) {
 	}
 	want := SubtractAllWith(base, ks, nil)
 	var decisions int
-	got := SubtractAllScoped(base, ks, func(extras []Constraint) bool {
-		decisions++
-		return base.With(extras...).IsSatisfiable()
-	})
-	if decisions == 0 {
-		t.Fatal("scoped decider never consulted")
-	}
+	got := SubtractAllScoped(base, ks, nil, extrasStep(t, base, &decisions))
 	if len(got) != len(want) {
 		t.Fatalf("%d disjuncts, want %d", len(got), len(want))
+	}
+	// First subtrahend: 4 atoms, each a negation and a prefix step (8), 4
+	// pieces out. Second: each piece walks x >= 6 (negation kept, prefix
+	// step) and stops where the prefix turns empty; only the piece with
+	// x >= 4 reaches x <= 8.
+	if wantDecisions := 8 + 3*2 + 4; decisions != wantDecisions {
+		t.Fatalf("%d decisions, want %d", decisions, wantDecisions)
 	}
 }
 

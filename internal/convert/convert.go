@@ -170,6 +170,25 @@ func ConjunctionVertices(j constraint.Conjunction, xVar, yVar string) ([]geometr
 	return verts, nil
 }
 
+// HalfPlaneOf reads the expression of c as a·x + b·y + k over the two
+// variables — the half-plane a·x + b·y + k <= 0 when c is a <= atom, its
+// boundary line and closed relaxation otherwise. ok=false when c mentions
+// any other variable.
+func HalfPlaneOf(c constraint.Constraint, xVar, yVar string) (h geometry.HalfPlane, ok bool) {
+	h = geometry.HalfPlane{A: rational.Zero, B: rational.Zero, C: c.Expr.ConstTerm()}
+	for _, t := range c.Expr.Terms() {
+		switch t.Var {
+		case xVar:
+			h.A = t.Coef
+		case yVar:
+			h.B = t.Coef
+		default:
+			return h, false
+		}
+	}
+	return h, true
+}
+
 // ClosureVertices is the enumeration core of ConjunctionVertices without
 // any of its Fourier–Motzkin guards: it intersects constraint boundary
 // lines pairwise and keeps the points on the closure of the region (every
@@ -182,41 +201,43 @@ func ConjunctionVertices(j constraint.Conjunction, xVar, yVar string) ([]geometr
 // (recession cone) and must make zero FM decisions.
 func ClosureVertices(j constraint.Conjunction, xVar, yVar string) []geometry.Point {
 	cs := j.Constraints()
-	var verts []geometry.Point
-	seen := map[string]bool{}
-	add := func(p geometry.Point) {
-		k := p.String()
-		if !seen[k] {
-			seen[k] = true
-			verts = append(verts, p)
+	// Every atom's half-plane, read once: the loop below evaluates each at
+	// every candidate point. An atom over any other variable has no value
+	// at a point of the plane, so nothing is on the closure.
+	halves := make([]geometry.HalfPlane, len(cs))
+	for i, c := range cs {
+		h, ok := HalfPlaneOf(c, xVar, yVar)
+		if !ok {
+			return nil
 		}
+		halves[i] = h
 	}
 	onClosure := func(p geometry.Point) bool {
-		assign := map[string]rational.Rat{xVar: p.X, yVar: p.Y}
-		for _, c := range cs {
-			v, err := c.Expr.Eval(assign)
-			if err != nil {
-				return false
-			}
+		for i, h := range halves {
+			v := h.Eval(p)
 			// Closure: strict constraints relax to their boundary.
-			switch c.Op {
-			case constraint.Eq:
-				if !v.IsZero() {
-					return false
-				}
-			default:
-				if v.Sign() > 0 {
-					return false
-				}
+			if v.Sign() > 0 || (cs[i].Op == constraint.Eq && !v.IsZero()) {
+				return false
 			}
 		}
 		return true
 	}
+	// A region has few vertices, each met by a few boundary pairs: a scan
+	// with Point.Equal is the cheapest exact set.
+	seen := func(verts []geometry.Point, p geometry.Point) bool {
+		for _, q := range verts {
+			if p.Equal(q) {
+				return true
+			}
+		}
+		return false
+	}
+	var verts []geometry.Point
 	for i := 0; i < len(cs); i++ {
 		for k := i + 1; k < len(cs); k++ {
 			p, ok := lineIntersection(cs[i], cs[k], xVar, yVar)
-			if ok && onClosure(p) {
-				add(p)
+			if ok && onClosure(p) && !seen(verts, p) {
+				verts = append(verts, p)
 			}
 		}
 	}

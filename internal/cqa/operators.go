@@ -481,23 +481,22 @@ func DifferenceCtx(ec *exec.Context, r1, r2 *relation.Relation) (*relation.Relat
 		// map instead of copying it once per piece.
 		//
 		// With a vector form in hand the staircase decisions clip the
-		// polygon instead: SubtractAllScoped hands over just the extra
-		// atoms accumulated on top of t1, and the conjunction is only
-		// rebuilt on the rare fallback (an atom the clipper cannot decide).
+		// polygon instead: each piece carries t1's ring clipped by the atoms
+		// accumulated on top of it, a decision is one more clip of that
+		// ring, and the conjunction is only rebuilt on the rare fallback (an
+		// atom the clipper cannot decide).
 		var pieces constraint.Disjunction
 		if f1 != nil {
-			base := t1.Constraint()
-			pieces = constraint.SubtractAllScoped(base, subtrahends, func(extras []constraint.Constraint) bool {
-				if len(extras) == 0 {
-					return true // t1 itself: nonempty, witnessed by its form
-				}
-				if sat, ok := vector.SatExtras(f1, extras); ok {
-					rec.VectorHit(sat, false)
-					return sat
-				}
-				rec.VectorFallback()
-				return rec.Satisfiable(base.With(extras...))
-			})
+			pieces = constraint.SubtractAllScoped(t1.Constraint(), subtrahends, f1.Scope(),
+				func(parent vector.Scope, prefix constraint.Conjunction, atom constraint.Constraint) (vector.Scope, bool) {
+					child, sat, ok := parent.Clip(atom)
+					if ok {
+						rec.VectorHit(sat, false)
+						return child, sat
+					}
+					rec.VectorFallback()
+					return child, rec.Satisfiable(prefix.With(atom))
+				})
 		} else {
 			pieces = constraint.SubtractAllWith(t1.Constraint(), subtrahends, rec.SatFunc())
 		}

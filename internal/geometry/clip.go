@@ -52,10 +52,16 @@ func EdgeHalfPlanes(p Polygon) []HalfPlane {
 // degenerate — a single point, a segment (2 vertices), or a proper CCW
 // polygon ring — and the output may likewise degenerate to fewer than 3
 // vertices or to nil (empty intersection). Points exactly on the boundary
-// (Side == 0) are kept: the result is the exact intersection of the
+// (Eval == 0) are kept: the result is the exact intersection of the
 // closed region with the closed half-plane.
+//
+// The ring must hold no consecutive duplicate points (Polygon.Vertices and
+// ClipRing's own results hold none). h is evaluated once per vertex; when
+// no vertex is cut away the ring itself is returned, so a caller must not
+// write to a result it did not own.
 func ClipRing(ring []Point, h HalfPlane) []Point {
-	if len(ring) == 0 {
+	n := len(ring)
+	if n == 0 {
 		return nil
 	}
 	if h.IsTrivial() {
@@ -64,58 +70,62 @@ func ClipRing(ring []Point, h HalfPlane) []Point {
 		}
 		return ring // whole plane: no-op
 	}
-	if len(ring) == 1 {
-		if h.Side(ring[0]) <= 0 {
-			return ring
+	var buf [16]rational.Rat // rings this small keep their values on the stack
+	vals := buf[:0]
+	if n > len(buf) {
+		vals = make([]rational.Rat, 0, n)
+	}
+	kept := 0
+	for _, p := range ring {
+		v := h.Eval(p)
+		if v.Sign() <= 0 {
+			kept++
 		}
+		vals = append(vals, v)
+	}
+	switch kept {
+	case n:
+		return ring
+	case 0:
 		return nil
 	}
 	// A 2-point ring is an open polyline (a segment), not a closed ring:
-	// clipping the wraparound edge twice would duplicate crossings. Clip
-	// the single segment directly.
-	if len(ring) == 2 {
-		return clipSegment(ring[0], ring[1], h)
+	// clipping the wraparound edge twice would duplicate crossings. One end
+	// is kept, the other replaced by the crossing (which is the kept end
+	// itself when that end lies on the boundary).
+	if n == 2 {
+		x := crossing(ring[0], ring[1], vals[0], vals[1])
+		if vals[0].Sign() <= 0 {
+			return dedupeRing([]Point{ring[0], x})
+		}
+		return dedupeRing([]Point{x, ring[1]})
 	}
-	out := make([]Point, 0, len(ring)+1)
-	n := len(ring)
-	for i := 0; i < n; i++ {
-		cur, next := ring[i], ring[(i+1)%n]
-		cs, ns := h.Side(cur), h.Side(next)
+	out := make([]Point, 0, n+1)
+	for i, cur := range ring {
+		k := i + 1
+		if k == n {
+			k = 0
+		}
+		cs, ns := vals[i].Sign(), vals[k].Sign()
 		if cs <= 0 {
 			out = append(out, cur)
 		}
 		// Emit the exact crossing when the edge strictly straddles the
-		// boundary. Edges touching the boundary (side 0 endpoints) need no
+		// boundary. Edges touching the boundary (value 0 endpoints) need no
 		// extra point: the on-boundary endpoint itself is kept above.
 		if (cs < 0 && ns > 0) || (cs > 0 && ns < 0) {
-			out = append(out, crossing(cur, next, h))
+			out = append(out, crossing(cur, ring[k], vals[i], vals[k]))
 		}
 	}
 	return dedupeRing(out)
 }
 
-// clipSegment clips the closed segment a-b by the half-plane, returning
-// 0, 1 or 2 points.
-func clipSegment(a, b Point, h HalfPlane) []Point {
-	as, bs := h.Side(a), h.Side(b)
-	switch {
-	case as <= 0 && bs <= 0:
-		return dedupeRing([]Point{a, b})
-	case as > 0 && bs > 0:
-		return nil
-	case as <= 0: // b is cut away
-		return dedupeRing([]Point{a, crossing(a, b, h)})
-	default: // a is cut away
-		return dedupeRing([]Point{crossing(a, b, h), b})
-	}
-}
-
 // crossing returns the exact intersection of segment a-b with the
-// boundary line of h. Callers guarantee the segment strictly straddles
-// the line, so Eval(a) != Eval(b) and the denominator is non-zero.
-func crossing(a, b Point, h HalfPlane) Point {
-	va, vb := h.Eval(a), h.Eval(b)
-	t := va.Div(va.Sub(vb)) // in (0, 1)
+// boundary line of the half-plane whose values at a and b are va and vb.
+// Callers guarantee the values differ (one end is kept, the other cut), so
+// the denominator is non-zero.
+func crossing(a, b Point, va, vb rational.Rat) Point {
+	t := va.Div(va.Sub(vb)) // in [0, 1]
 	return Point{
 		X: a.X.Add(t.Mul(b.X.Sub(a.X))),
 		Y: a.Y.Add(t.Mul(b.Y.Sub(a.Y))),

@@ -21,6 +21,7 @@ import (
 	"fmt"
 	"math"
 	"math/big"
+	"math/bits"
 	"strconv"
 	"strings"
 )
@@ -53,20 +54,20 @@ func New(num, den int64) Rat {
 	if den == 0 {
 		panic("rational: zero denominator")
 	}
+	// MinInt64 has no int64 negation or magnitude; promote those cases (the
+	// result demotes again when the reduced value fits).
+	if num == math.MinInt64 || den == math.MinInt64 {
+		return fromBig(new(big.Rat).SetFrac(big.NewInt(num), big.NewInt(den)))
+	}
 	if den < 0 {
-		// Negating math.MinInt64 overflows; promote that single case.
-		if num == math.MinInt64 || den == math.MinInt64 {
-			return fromBig(new(big.Rat).SetFrac(big.NewInt(num), big.NewInt(den)))
-		}
 		num, den = -num, -den
 	}
-	g := gcd64(abs64(num), den)
-	if g > 1 {
+	if num == 0 {
+		return Rat{num: 0, den: 1}
+	}
+	if g := gcd64(abs64(num), den); g > 1 {
 		num /= g
 		den /= g
-	}
-	if num == 0 {
-		den = 1
 	}
 	return Rat{num: num, den: den}
 }
@@ -253,37 +254,103 @@ func (r Rat) Inv() Rat {
 	return Rat{num: r.normDen(), den: r.num}
 }
 
+// The inline paths below produce a lowest-terms result directly; whenever
+// an intermediate would leave int64, or a MinInt64 numerator would have to
+// be negated or made absolute, they give up and the math/big path (which
+// demotes a result that fits) takes over. Either way the representation of
+// a value is unique, so Hash, Equal and String agree.
+
 // Add returns r + s.
 func (r Rat) Add(s Rat) Rat {
-	if r.b == nil && s.b == nil {
-		rd, sd := r.normDen(), s.normDen()
-		// r.num/rd + s.num/sd = (r.num*sd + s.num*rd) / (rd*sd)
-		a, ok1 := mul64(r.num, sd)
-		b, ok2 := mul64(s.num, rd)
-		if ok1 && ok2 {
-			n, ok3 := add64(a, b)
-			d, ok4 := mul64(rd, sd)
-			if ok3 && ok4 {
-				return New(n, d)
-			}
+	if r.b == nil && s.b == nil && r.num != math.MinInt64 && s.num != math.MinInt64 {
+		if t, ok := addInline(r.num, r.normDen(), s.num, s.normDen()); ok {
+			return t
 		}
 	}
 	return fromBig(new(big.Rat).Add(r.bigVal(), s.bigVal()))
 }
 
 // Sub returns r - s.
-func (r Rat) Sub(s Rat) Rat { return r.Add(s.Neg()) }
+func (r Rat) Sub(s Rat) Rat {
+	if r.b == nil && s.b == nil && r.num != math.MinInt64 && s.num != math.MinInt64 {
+		if t, ok := addInline(r.num, r.normDen(), -s.num, s.normDen()); ok {
+			return t
+		}
+	}
+	return fromBig(new(big.Rat).Sub(r.bigVal(), s.bigVal()))
+}
+
+// addInline returns u/ud + v/vd for lowest-terms operands (ud, vd > 0,
+// neither numerator MinInt64), or ok=false when it cannot stay inline.
+// It is Knuth's addition (TAOCP 4.5.1): with d1 = gcd(ud, vd), the sum over
+// the least common denominator can only share a factor with d1 — none at
+// all when the denominators are coprime.
+func addInline(u, ud, v, vd int64) (Rat, bool) {
+	if ud == vd {
+		// Integers, or one shared denominator: add the numerators.
+		n, ok := add64(u, v)
+		if !ok {
+			return Rat{}, false
+		}
+		if ud == 1 {
+			return Rat{num: n, den: 1}, true
+		}
+		return New(n, ud), true // New promotes a MinInt64 numerator itself
+	}
+	// From here the denominators differ, so the sum is not zero: lowest-terms
+	// operands that cancel have the same denominator.
+	d1 := gcd64(ud, vd)
+	if d1 == 1 {
+		a, ok1 := mul64(u, vd)
+		b, ok2 := mul64(v, ud)
+		d, ok3 := mul64(ud, vd)
+		if !ok1 || !ok2 || !ok3 {
+			return Rat{}, false
+		}
+		n, ok := add64(a, b)
+		if !ok {
+			return Rat{}, false
+		}
+		return Rat{num: n, den: d}, true
+	}
+	a, ok1 := mul64(u, vd/d1)
+	b, ok2 := mul64(v, ud/d1)
+	if !ok1 || !ok2 {
+		return Rat{}, false
+	}
+	t, ok := add64(a, b)
+	if !ok || t == math.MinInt64 {
+		return Rat{}, false
+	}
+	d2 := gcd64(abs64(t), d1)
+	d, ok := mul64(ud/d1, vd/d2)
+	if !ok {
+		return Rat{}, false
+	}
+	return Rat{num: t / d2, den: d}, true
+}
 
 // Mul returns r * s.
 func (r Rat) Mul(s Rat) Rat {
-	if r.b == nil && s.b == nil {
-		// Cross-reduce first to keep intermediates small.
-		rn, sd := crossReduce(r.num, s.normDen())
-		sn, rd := crossReduce(s.num, r.normDen())
-		n, ok1 := mul64(rn, sn)
-		d, ok2 := mul64(rd, sd)
-		if ok1 && ok2 {
-			return New(n, d)
+	if r.b == nil && s.b == nil && r.num != math.MinInt64 && s.num != math.MinInt64 {
+		if r.num == 0 || s.num == 0 {
+			return Rat{num: 0, den: 1}
+		}
+		rd, sd := r.normDen(), s.normDen()
+		if rd == 1 && sd == 1 {
+			if n, ok := mul64(r.num, s.num); ok {
+				return Rat{num: n, den: 1}
+			}
+		} else {
+			// Cross-reduce; the factors left are pairwise coprime, so their
+			// products are already in lowest terms.
+			rn, sd2 := crossReduce(r.num, sd)
+			sn, rd2 := crossReduce(s.num, rd)
+			n, ok1 := mul64(rn, sn)
+			d, ok2 := mul64(rd2, sd2)
+			if ok1 && ok2 {
+				return Rat{num: n, den: d}
+			}
 		}
 	}
 	return fromBig(new(big.Rat).Mul(r.bigVal(), s.bigVal()))
@@ -399,40 +466,48 @@ func mix(h, x uint64) uint64 {
 
 // --- low-level helpers ---
 
+// abs64 returns |x|; x must not be MinInt64.
 func abs64(x int64) int64 {
 	if x < 0 {
-		if x == math.MinInt64 {
-			// Caller contracts avoid this; gcd handles it via uint64 below.
-			return x
-		}
 		return -x
 	}
 	return x
 }
 
-// gcd64 returns gcd(a, b) for a >= 0 (or MinInt64), b > 0.
+// gcd64 returns gcd(a, b). Contract: a >= 0 and b > 0 — callers pass a
+// positive denominator and the magnitude of a numerator that is not
+// MinInt64 — so the result is in [1, b] and fits.
+//
+// Euclid by division, with the early outs the kernel's operands mostly
+// take (an integer on either side) and the remainder loop continued in 32
+// bits as soon as both operands fit: a 32-bit division costs a fraction of
+// a 64-bit one. The binary (shift-and-subtract) algorithm measured slower
+// than this on the clipping workload (BenchmarkDifferencePolygonMinus).
 func gcd64(a, b int64) int64 {
-	ua := uint64(a)
-	if a < 0 { // only MinInt64 reaches here
-		ua = uint64(math.MaxInt64) + 1
+	if a == 0 {
+		return b
 	}
-	ub := uint64(b)
+	if a == 1 || b == 1 {
+		return 1
+	}
+	ua, ub := uint64(a), uint64(b)
 	for ub != 0 {
+		if ua|ub < 1<<32 {
+			x, y := uint32(ua), uint32(ub)
+			for y != 0 {
+				x, y = y, x%y
+			}
+			return int64(x)
+		}
 		ua, ub = ub, ua%ub
-	}
-	if ua > uint64(math.MaxInt64) {
-		return math.MaxInt64 // forces big-path via overflow checks downstream
 	}
 	return int64(ua)
 }
 
-// crossReduce divides a and b by gcd(|a|, |b|).
+// crossReduce divides a and b by gcd(|a|, b). Contract: a is neither 0 nor
+// MinInt64, b > 0.
 func crossReduce(a, b int64) (int64, int64) {
-	if a == 0 || b == 0 {
-		return a, b
-	}
-	g := gcd64(abs64(a), abs64(b))
-	if g > 1 {
+	if g := gcd64(abs64(a), b); g > 1 {
 		return a / g, b / g
 	}
 	return a, b
@@ -447,17 +522,32 @@ func add64(a, b int64) (int64, bool) {
 	return s, true
 }
 
-// mul64 returns a*b and whether it did not overflow.
+// mul64 returns a*b and whether it did not overflow. Two factors in int32
+// range cannot overflow; otherwise the 128-bit product of the magnitudes
+// decides (the magnitude of MinInt64 is representable as a uint64).
 func mul64(a, b int64) (int64, bool) {
-	if a == 0 || b == 0 {
-		return 0, true
+	if int64(int32(a)) == a && int64(int32(b)) == b {
+		return a * b, true
 	}
-	p := a * b
-	if p/b != a {
+	ua, ub := uint64(a), uint64(b)
+	if a < 0 {
+		ua = -ua
+	}
+	if b < 0 {
+		ub = -ub
+	}
+	hi, lo := bits.Mul64(ua, ub)
+	if hi != 0 {
 		return 0, false
 	}
-	if (a == math.MinInt64 && b == -1) || (b == math.MinInt64 && a == -1) {
+	if (a < 0) != (b < 0) {
+		if lo > 1<<63 {
+			return 0, false
+		}
+		return -int64(lo), true
+	}
+	if lo > math.MaxInt64 {
 		return 0, false
 	}
-	return p, true
+	return int64(lo), true
 }

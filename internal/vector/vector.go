@@ -17,7 +17,7 @@
 // pairs soundly, exact rational clipping (Sutherland–Hodgman) confirms
 // the rest — filter-and-refine one level below the envelope filter.
 //
-// The decision procedures (PairSat, SatExtras) replace only
+// The decision procedures (PairSat, Scope.Clip, SatExtras) replace only
 // *satisfiability decisions*. The constraint forms the operators emit are
 // built exactly as on the FM path, so outputs stay byte-identical.
 package vector
@@ -111,24 +111,20 @@ func computeForm(j constraint.Conjunction) *Form {
 // boundary ray on some constraint line), so checking the two
 // perpendiculars of every normal is complete.
 func unboundedDirection(normals []geometry.Point) bool {
+	inCone := func(d geometry.Point) bool {
+		for _, m := range normals {
+			if m.Dot(d).Sign() > 0 {
+				return false
+			}
+		}
+		return true
+	}
 	for _, n := range normals {
-		for _, d := range []geometry.Point{
-			{X: n.Y, Y: n.X.Neg()},
-			{X: n.Y.Neg(), Y: n.X},
-		} {
-			if d.X.IsZero() && d.Y.IsZero() {
-				continue
-			}
-			ok := true
-			for _, m := range normals {
-				if m.Dot(d).Sign() > 0 {
-					ok = false
-					break
-				}
-			}
-			if ok {
-				return true
-			}
+		if n.X.IsZero() && n.Y.IsZero() {
+			continue
+		}
+		if inCone(geometry.Point{X: n.Y, Y: n.X.Neg()}) || inCone(geometry.Point{X: n.Y.Neg(), Y: n.X}) {
+			return true
 		}
 	}
 	return false
@@ -181,14 +177,36 @@ func PairSat(f1, f2 *Form) (sat, floatReject bool) {
 	return true, false
 }
 
-// SatExtras decides satisfiability of f's conjunction extended with extra
-// atoms (select predicates, or the staircase atoms of the difference
-// operator). ok=false means the extras fall outside what the vector path
-// can decide exactly — an extra variable, an unsupported operator, or a
-// strict atom whose truth depends on a degenerate (measure-zero) region —
-// and the caller must fall back to FM.
+// Scope is a Form's region clipped by a sequence of extra atoms — select
+// predicates, or the atoms the difference staircase accumulates on top of
+// a tuple. It is a value: Clip returns the extended scope and leaves the
+// receiver usable, so sibling staircase pieces fan out from one parent.
+type Scope struct {
+	form    *Form
+	ring    []geometry.Point
+	strict  bool // some atom was clipped by its closed relaxation
+	foreign bool // some atom is beyond the clipper: nothing below is decidable
+}
+
+// Scope returns f's own region with no atom added.
+func (f *Form) Scope() Scope {
+	return Scope{form: f, ring: f.Poly.Vertices()}
+}
+
+// clipRing is geometry.ClipRing; tests swap it to count clips.
+var clipRing = geometry.ClipRing
+
+// Clip extends the scope by one atom and decides satisfiability of the
+// form's conjunction with every atom clipped so far. ok=false means the
+// atoms fall outside what the vector path can decide exactly — an extra
+// variable, an unsupported operator (both final: every scope below is
+// undecided too), or a strict atom whose truth depends on a degenerate
+// (measure-zero) region — and the caller must fall back to FM; the child
+// scope stays valid to extend, since a deeper atom can still empty the
+// ring. A decided-unsatisfiable scope has nothing below it and must not be
+// extended.
 //
-// Soundness: the clip runs on the *closed relaxation* of every extra
+// Soundness: the clip runs on the *closed relaxation* of every atom
 // (strict < relaxed to <=, equalities to a pair of opposing <=). An empty
 // clip of the relaxation is exactly unsat. A full-dimensional clip
 // (positive area) is sat even with strict atoms: the strict boundaries
@@ -197,55 +215,64 @@ func PairSat(f1, f2 *Form) (sat, floatReject bool) {
 // a degenerate clip with strict atoms in play is undecided here.
 // Constant atoms never reach the clip: trivially false decides unsat
 // outright (the relaxation argument would be unsound for them — 0 < 0
-// relaxes to 0 <= 0, which holds everywhere), trivially true ones are
-// skipped.
-func SatExtras(f *Form, extras []constraint.Constraint) (sat, ok bool) {
-	ring := f.Poly.Vertices()
-	strict := false
-	for _, c := range extras {
-		if triv, val := c.IsTrivial(); triv {
-			if !val {
-				return false, true
-			}
-			continue
+// relaxes to 0 <= 0, which holds everywhere), trivially true ones leave
+// the scope as it is.
+func (s Scope) Clip(c constraint.Constraint) (child Scope, sat, ok bool) {
+	if s.foreign {
+		return s, false, false
+	}
+	if triv, val := c.IsTrivial(); triv {
+		if !val {
+			s.ring = nil
+			return s, false, true
 		}
-		a, b := c.Expr.Coef(f.XVar), c.Expr.Coef(f.YVar)
-		for _, v := range c.Expr.Vars() {
-			if v != f.XVar && v != f.YVar {
-				return false, false
-			}
+	} else {
+		h, planar := convert.HalfPlaneOf(c, s.form.XVar, s.form.YVar)
+		if !planar {
+			s.foreign = true
+			return s, false, false
 		}
-		k := c.Expr.ConstTerm()
-		h := geometry.HalfPlane{A: a, B: b, C: k}
 		switch c.Op {
 		case constraint.Le:
-			ring = geometry.ClipRing(ring, h)
+			s.ring = clipRing(s.ring, h)
 		case constraint.Lt:
-			strict = true
-			ring = geometry.ClipRing(ring, h)
+			s.strict = true
+			s.ring = clipRing(s.ring, h)
 		case constraint.Eq:
 			// An equality is closed: clip by both opposing half-planes. The
 			// result degenerates to (part of) a line, which the no-strict
 			// degenerate rule below still decides exactly.
-			ring = geometry.ClipRing(ring, h)
-			if len(ring) != 0 {
-				ring = geometry.ClipRing(ring, geometry.HalfPlane{A: a.Neg(), B: b.Neg(), C: k.Neg()})
+			s.ring = clipRing(s.ring, h)
+			if len(s.ring) != 0 {
+				s.ring = clipRing(s.ring, geometry.HalfPlane{A: h.A.Neg(), B: h.B.Neg(), C: h.C.Neg()})
 			}
 		default:
-			return false, false
+			s.foreign = true
+			return s, false, false
 		}
-		if len(ring) == 0 {
-			return false, true
+		if len(s.ring) == 0 {
+			return s, false, true
 		}
 	}
-	if !geometry.RingArea2(ring).IsZero() {
-		return true, true
+	if !geometry.RingArea2(s.ring).IsZero() {
+		return s, true, true
 	}
 	// Degenerate result. With no strict atoms every constraint is closed
 	// and the non-empty ring is a witness; with strict atoms the witness
 	// may sit exactly on a strict boundary — undecided here.
-	if strict {
-		return false, false
+	return s, !s.strict, !s.strict
+}
+
+// SatExtras decides satisfiability of f's conjunction extended with extra
+// atoms by clipping them onto f's scope one at a time; sat and ok are
+// Scope.Clip's for the whole list.
+func SatExtras(f *Form, extras []constraint.Constraint) (sat, ok bool) {
+	s := f.Scope()
+	sat, ok = true, true // f itself: full-dimensional by construction
+	for _, c := range extras {
+		if s, sat, ok = s.Clip(c); ok && !sat {
+			break
+		}
 	}
-	return true, true
+	return sat, ok
 }

@@ -48,18 +48,18 @@ go test -race ./...
 echo '>> go test -race -count=2 ./internal/constraint ./internal/exec ./internal/cqa ./internal/relation ./internal/obs ./internal/server ./internal/snapshot ./internal/vector'
 go test -race -count=2 ./internal/constraint ./internal/exec ./internal/cqa ./internal/relation ./internal/obs ./internal/server ./internal/snapshot ./internal/vector
 
-# The render-once, normalisation and pairing-mode benchmarks must keep
-# compiling and running (their allocation and decision ceilings are plain
-# tests, already run above).
-echo '>> result-tail and pairing-mode benchmarks, one iteration'
-go test -run '^$' -bench 'Sorted|CanonMerge|RatString|NormalizePolygonMinus|NormalizeBoxJoin|PairingModes' -benchtime 1x ./...
+# The render-once, normalisation, vector-difference and pairing-mode
+# benchmarks must keep compiling and running (their allocation and decision
+# ceilings are plain tests, already run above).
+echo '>> result-tail, vector-difference and pairing-mode benchmarks, one iteration'
+go test -run '^$' -bench 'Sorted|CanonMerge|RatString|NormalizePolygonMinus|NormalizeBoxJoin|DifferencePolygonMinus|ClipRing|PairingModes' -benchtime 1x ./...
 
 # Corpus replay: the committed fuzz corpora under testdata/fuzz/ run as
 # ordinary seed inputs here — every input that ever broke the parsers,
-# the canonical kernel or the snapshot WAL stays fixed without a long
-# -fuzz session.
+# the canonical kernel, the rational kernel or the snapshot WAL stays fixed
+# without a long -fuzz session.
 echo '>> fuzz corpus replay'
-go test -run Fuzz -count=1 ./internal/constraint ./internal/query ./internal/calculus ./internal/snapshot ./internal/vector
+go test -run Fuzz -count=1 ./internal/rational ./internal/constraint ./internal/query ./internal/calculus ./internal/snapshot ./internal/vector
 
 # CLI smoke: both binaries must build and execute an end-to-end run —
 # cqacdb with the observability flags on, cdbbench on a short differential
