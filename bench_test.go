@@ -13,13 +13,16 @@ package cdb
 // shapes are identical at both scales (see EXPERIMENTS.md).
 
 import (
+	"bytes"
 	"fmt"
+	"math/rand"
 	"sync"
 	"testing"
 
 	"cdb/internal/constraint"
 	"cdb/internal/cqa"
 	"cdb/internal/datagen"
+	"cdb/internal/db"
 	"cdb/internal/exec"
 	"cdb/internal/geometry"
 	"cdb/internal/hurricane"
@@ -28,6 +31,7 @@ import (
 	"cdb/internal/relation"
 	"cdb/internal/rstar"
 	"cdb/internal/schema"
+	"cdb/internal/snapshot"
 	"cdb/internal/spatial"
 	"cdb/internal/storage"
 )
@@ -775,3 +779,109 @@ func BenchmarkClipRing(b *testing.B) {
 }
 
 var benchRing []geometry.Point
+
+// churnDB is a database of the shape the benchmark's snapshot-churn
+// workload commits and materialises: the hurricane case study on a 5×5
+// parcel grid (25 + 75 tuples with relational parts, an 8-segment track
+// with fractional slopes) beside a 1536-box relation, canonical as a loaded
+// file is.
+func churnDB(tb testing.TB) *db.Database {
+	tb.Helper()
+	const grid, cell, horizon, segments = 5, 6, 40, 8
+	rng := rand.New(rand.NewSource(1))
+	ri := func(n int) rational.Rat { return rational.FromInt(int64(n)) }
+	land := relation.New(schema.MustNew(schema.Rel("landId", schema.String), schema.Con("x"), schema.Con("y")))
+	owners := relation.New(schema.MustNew(schema.Rel("name", schema.String), schema.Con("t"), schema.Rel("landId", schema.String)))
+	for i := 0; i < grid; i++ {
+		for j := 0; j < grid; j++ {
+			id := fmt.Sprintf("p%d_%d", i, j)
+			land.MustAdd(relation.NewTuple(map[string]relation.Value{"landId": relation.Str(id)}, constraint.And(
+				constraint.GeConst("x", ri(cell*i+rng.Intn(2))), constraint.LeConst("x", ri(cell*i+cell-1)),
+				constraint.GeConst("y", ri(cell*j+rng.Intn(2))), constraint.LeConst("y", ri(cell*j+cell-1)))))
+			c1, c2 := 8+rng.Intn(9), 22+rng.Intn(11)
+			for _, iv := range [][2]int{{0, c1}, {c1 + 1, c2}, {c2 + 1, horizon}} {
+				owners.MustAdd(relation.NewTuple(map[string]relation.Value{
+					"name": relation.Str(fmt.Sprintf("o%d", rng.Intn(grid*grid))), "landId": relation.Str(id)},
+					constraint.And(constraint.GeConst("t", ri(iv[0])), constraint.LeConst("t", ri(iv[1])))))
+			}
+		}
+	}
+	track := relation.New(schema.MustNew(schema.Con("t"), schema.Con("x"), schema.Con("y")))
+	dt := horizon / segments
+	for k := 0; k < segments; k++ {
+		line := func(v string, from, to int) constraint.Constraint {
+			return constraint.MustNew(constraint.Var(v), "=",
+				constraint.Var("t").Sub(constraint.ConstInt(int64(k*dt))).Scale(rational.New(int64(to-from), int64(dt))).
+					Add(constraint.ConstInt(int64(from))))
+		}
+		at := func(k int) int { return cell * grid * k / segments }
+		track.MustAdd(relation.ConstraintTuple(constraint.And(
+			line("x", at(k)+k%3-1, at(k+1)+(k+1)%3-1), line("y", at(k)-k%3+1, at(k+1)-(k+1)%3+1),
+			constraint.GeConst("t", ri(k*dt)), constraint.LeConst("t", ri(k*dt+dt)))))
+	}
+	p := datagen.Paper()
+	p.SizeMin, p.Seed = 50, 41
+	raw := db.New()
+	for _, nr := range []struct {
+		name string
+		r    *relation.Relation
+	}{{"Land", land}, {"Landownership", owners}, {"Hurricane", track}, {"Boxes", datagen.BoxRelation(p, 1536, 0)}} {
+		if err := raw.Put(nr.name, nr.r); err != nil {
+			tb.Fatal(err)
+		}
+	}
+	var buf bytes.Buffer
+	if err := raw.Save(&buf); err != nil {
+		tb.Fatal(err)
+	}
+	d, err := db.Load(&buf)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return d
+}
+
+func churnStore(b *testing.B) *snapshot.Store {
+	st, err := snapshot.Open(b.TempDir(), snapshot.Options{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.Cleanup(func() { st.Close() })
+	return st
+}
+
+// BenchmarkSnapshotMaterialize: one fork-bound session open on the
+// snapshot-churn database — read and verify the pages, decode the records.
+func BenchmarkSnapshotMaterialize(b *testing.B) {
+	d, st := churnDB(b), churnStore(b)
+	snap, err := st.Commit(d, "", "bench")
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		got, err := st.Materialize(snap.ID)
+		if err != nil || got.TupleCount() != d.TupleCount() {
+			b.Fatalf("materialize: %d tuples, want %d (%v)", got.TupleCount(), d.TupleCount(), err)
+		}
+	}
+}
+
+// BenchmarkSnapshotCommit: commit of the snapshot-churn database into a
+// store that holds no other snapshot, then its release — every page is
+// encoded, written and freed again, fsyncs included.
+func BenchmarkSnapshotCommit(b *testing.B) {
+	d, st := churnDB(b), churnStore(b)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		snap, err := st.Commit(d, "", "bench")
+		if err != nil {
+			b.Fatal(err)
+		}
+		if err := st.Release(snap.ID); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

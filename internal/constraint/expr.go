@@ -64,6 +64,19 @@ func NewExpr(terms []Term, constant rational.Rat) Expr {
 	return Expr{terms: out, c: constant}
 }
 
+// SortedExpr is NewExpr for terms that already satisfy Expr's invariants —
+// variables strictly ascending, no zero coefficient — which it checks
+// (ok=false otherwise) instead of establishing, so nothing is allocated. It
+// takes ownership of terms.
+func SortedExpr(terms []Term, constant rational.Rat) (e Expr, ok bool) {
+	for i, t := range terms {
+		if t.Coef.IsZero() || (i > 0 && terms[i-1].Var >= t.Var) {
+			return Expr{}, false
+		}
+	}
+	return Expr{terms: terms, c: constant}, true
+}
+
 // Var returns the expression consisting of the single variable v.
 func Var(v string) Expr {
 	return Expr{terms: []Term{{Var: v, Coef: rational.One}}}

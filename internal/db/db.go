@@ -14,6 +14,13 @@
 // relational attributes (strings quoted, rationals bare: "age=40" or
 // "age=1/2"); the part after is a comma-separated conjunction of linear
 // constraints over the constraint attributes. Either part may be empty.
+// A quoted string is a Go string literal (strconv.Quote writes it,
+// strconv.Unquote reads it), and '#', '|' and ',' inside one are part of
+// the value.
+//
+// The text format is the import/export and golden format. The snapshot
+// store (package snapshot) keeps databases in its own binary records and
+// never goes through it.
 package db
 
 import (
@@ -22,6 +29,7 @@ import (
 	"io"
 	"os"
 	"sort"
+	"strconv"
 	"strings"
 
 	"cdb/internal/constraint"
@@ -159,21 +167,17 @@ func (d *Database) SaveCtx(w io.Writer, ec *exec.Context) error {
 	sp.Set("tuples", int64(d.TupleCount()))
 	bw := bufio.NewWriter(w)
 	for _, name := range d.order {
-		if err := EncodeRelation(bw, name, d.rels[name]); err != nil {
-			return err
-		}
+		encodeRelation(bw, name, d.rels[name])
 	}
-	return bw.Flush()
+	return bw.Flush() // a bufio.Writer keeps its first write error for Flush
 }
 
-// EncodeRelation writes one relation as a self-contained text-format
-// block ("relation ... end"). The encoding is deterministic — Sorted()
+// encodeRelation writes one relation as a self-contained text-format
+// block ("relation ... end"). The encoding is deterministic — Rows()
 // tuple order, sorted relational attributes — so equal relations always
-// produce identical bytes; the snapshot store's page-level deduplication
-// relies on that. Save is the concatenation of EncodeRelation over the
-// database's relations in insertion order.
-func EncodeRelation(w io.Writer, name string, r *relation.Relation) error {
-	bw := bufio.NewWriter(w)
+// produce identical bytes. Save is the concatenation of encodeRelation
+// over the database's relations in insertion order.
+func encodeRelation(bw *bufio.Writer, name string, r *relation.Relation) {
 	fmt.Fprintf(bw, "relation %s\n", name)
 	var parts []string
 	for _, a := range r.Schema().Attrs() {
@@ -184,7 +188,6 @@ func EncodeRelation(w io.Writer, name string, r *relation.Relation) error {
 		fmt.Fprintf(bw, "tuple %s\n", formatTuple(row))
 	}
 	fmt.Fprintf(bw, "end\n\n")
-	return bw.Flush()
 }
 
 // formatTuple renders one tuple line of the text format: the relational
@@ -247,10 +250,13 @@ func LoadCtx(r io.Reader, ec *exec.Context) (*Database, error) {
 	return d, nil
 }
 
+// maxLineBytes is the longest line the loader accepts, newline included.
+const maxLineBytes = 1 << 20
+
 func load(r io.Reader) (*Database, error) {
 	d := New()
 	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 1<<20), 1<<20)
+	sc.Buffer(make([]byte, 64<<10), maxLineBytes)
 	var (
 		curName   string
 		curSchema schema.Schema
@@ -260,7 +266,7 @@ func load(r io.Reader) (*Database, error) {
 	for sc.Scan() {
 		lineNo++
 		line := strings.TrimSpace(sc.Text())
-		if i := strings.IndexByte(line, '#'); i >= 0 {
+		if i := indexUnquoted(line, '#'); i >= 0 {
 			line = strings.TrimSpace(line[:i])
 		}
 		if line == "" {
@@ -310,7 +316,8 @@ func load(r io.Reader) (*Database, error) {
 		}
 	}
 	if err := sc.Err(); err != nil {
-		return nil, err
+		// The scanner stops at the line it could not deliver (over-long: bufio.ErrTooLong).
+		return nil, fmt.Errorf("db: line %d: %w", lineNo+1, err)
 	}
 	if curRel != nil || curName != "" {
 		return nil, fmt.Errorf("db: unterminated relation block %q", curName)
@@ -375,7 +382,7 @@ func parseSchema(src string) (schema.Schema, error) {
 // parseTuple parses "attr=val, attr=val | constraints".
 func parseTuple(src string, s schema.Schema) (relation.Tuple, error) {
 	rpart, cpart := src, ""
-	if i := strings.IndexByte(src, '|'); i >= 0 {
+	if i := indexUnquoted(src, '|'); i >= 0 {
 		rpart, cpart = strings.TrimSpace(src[:i]), strings.TrimSpace(src[i+1:])
 	}
 	rvals := map[string]relation.Value{}
@@ -393,8 +400,8 @@ func parseTuple(src string, s schema.Schema) (relation.Tuple, error) {
 			}
 			switch {
 			case strings.HasPrefix(valStr, `"`):
-				var unq string
-				if _, err := fmt.Sscanf(valStr, "%q", &unq); err != nil {
+				unq, err := strconv.Unquote(valStr) // the whole of valStr: trailing bytes are an error
+				if err != nil {
 					return relation.Tuple{}, fmt.Errorf("bad string literal %s", valStr)
 				}
 				rvals[name] = relation.Str(unq)
@@ -425,19 +432,32 @@ func parseTuple(src string, s schema.Schema) (relation.Tuple, error) {
 // splitTopLevel splits on commas that are not inside quotes.
 func splitTopLevel(s string) []string {
 	var out []string
-	depth := false
-	start := 0
+	for {
+		i := indexUnquoted(s, ',')
+		if i < 0 {
+			return append(out, strings.TrimSpace(s))
+		}
+		out = append(out, strings.TrimSpace(s[:i]))
+		s = s[i+1:]
+	}
+}
+
+// indexUnquoted returns the index of the first sep in s that is not inside
+// a double-quoted string literal (where a backslash escapes the next
+// byte), or -1. It is the one scan behind the comment cut and the '|' and
+// ',' splits: all three must agree on where a literal ends, or a value
+// holding one of them cannot be read back.
+func indexUnquoted(s string, sep byte) int {
+	quoted := false
 	for i := 0; i < len(s); i++ {
-		switch s[i] {
-		case '"':
-			depth = !depth
-		case ',':
-			if !depth {
-				out = append(out, strings.TrimSpace(s[start:i]))
-				start = i + 1
-			}
+		switch c := s[i]; {
+		case quoted && c == '\\':
+			i++
+		case c == '"':
+			quoted = !quoted
+		case c == sep && !quoted:
+			return i
 		}
 	}
-	out = append(out, strings.TrimSpace(s[start:]))
-	return out
+	return -1
 }

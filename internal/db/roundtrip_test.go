@@ -1,7 +1,9 @@
 package db
 
 import (
+	"bufio"
 	"bytes"
+	"errors"
 	"fmt"
 	"math/rand"
 	"strings"
@@ -125,5 +127,79 @@ func TestQuickSaveLoadEquivalent(t *testing.T) {
 			t.Fatalf("iter %d: save not a fixpoint after round trip:\n--- second save\n%s\n--- third save\n%s",
 				iter, s2, s3)
 		}
+	}
+}
+
+// TestSpecialStringsRoundTrip: a relational string value may hold the
+// characters the text format itself uses — the quote, the '|' between the
+// two parts, the ',' between bindings, the '#' of a comment — and whatever
+// strconv.Quote escapes. Each must come back as the same value, from a
+// tuple line that also carries a constraint part and a trailing comment.
+func TestSpecialStringsRoundTrip(t *testing.T) {
+	values := []string{`a",b`, `a|b`, `a#b`, "a\nb", ` lead`, `a=b`, `\`, `"`, `a\"|#,`, "", "é\x00\t"}
+	s := schema.MustNew(schema.Rel("id", schema.String), schema.Rel("note", schema.String), schema.Con("x"))
+	r := relation.New(s)
+	for i, v := range values {
+		r.MustAdd(relation.NewTuple(
+			map[string]relation.Value{"id": relation.Str(v), "note": relation.Str(values[len(values)-1-i])},
+			constraint.And(constraint.GeConst("x", rational.FromInt(int64(i))))).Canon())
+	}
+	d := New()
+	if err := d.Put("S", r); err != nil {
+		t.Fatal(err)
+	}
+	text := saveString(t, d)
+	got, err := Load(strings.NewReader(strings.ReplaceAll(text, "\ntuple", " # a comment, with | and \"\ntuple")))
+	if err != nil {
+		t.Fatalf("load: %v\n%s", err, text)
+	}
+	if again := saveString(t, got); again != text {
+		t.Fatalf("special strings did not round-trip:\n--- saved\n%s\n--- after load\n%s", text, again)
+	}
+	back, _ := got.Get("S")
+	seen := map[string]bool{}
+	for _, tp := range back.Tuples() {
+		v, _ := tp.RVal("id")
+		str, _ := v.AsString()
+		seen[str] = true
+	}
+	for _, v := range values {
+		if !seen[v] {
+			t.Errorf("value %q lost in the round trip", v)
+		}
+	}
+}
+
+// TestStringLiteralTrailingJunk: bytes after the closing quote of a string
+// literal are an error, not silently dropped.
+func TestStringLiteralTrailingJunk(t *testing.T) {
+	for _, line := range []string{`tuple id="a"junk | x >= 0`, `tuple id="a" b | x >= 0`, `tuple id="a | x >= 0`} {
+		src := "relation R\nschema id string relational, x rational constraint\n" + line + "\nend\n"
+		if _, err := Load(strings.NewReader(src)); err == nil || !strings.Contains(err.Error(), "line 3") {
+			t.Errorf("%s: loaded, or failed without naming line 3: %v", line, err)
+		}
+	}
+}
+
+// TestLongLines: the loader starts from a small buffer and still accepts
+// a line of up to maxLineBytes with its newline; a longer one is an error
+// that names the line and wraps bufio.ErrTooLong.
+func TestLongLines(t *testing.T) {
+	block := func(pad int) string {
+		line := `tuple id="` + strings.Repeat("v", pad)
+		line += `" | x >= 0`
+		return "relation R\nschema id string relational, x rational constraint\n" + line + "\nend\n"
+	}
+	const overhead = len(`tuple id="" | x >= 0`)
+	d, err := Load(strings.NewReader(block(maxLineBytes - 1 - overhead)))
+	if err != nil {
+		t.Fatalf("a line of maxLineBytes-1 bytes did not load: %v", err)
+	}
+	if r, _ := d.Get("R"); r.Len() != 1 {
+		t.Fatalf("long line loaded %d tuples, want 1", r.Len())
+	}
+	_, err = Load(strings.NewReader(block(maxLineBytes - overhead)))
+	if !errors.Is(err, bufio.ErrTooLong) || !strings.Contains(err.Error(), "db: line 3:") {
+		t.Fatalf("over-long line: err = %v, want db: line 3: wrapping bufio.ErrTooLong", err)
 	}
 }

@@ -209,6 +209,17 @@ func (r Rat) Int64() (int64, bool) {
 	return r.num, true
 }
 
+// Inline returns r's numerator and (positive) denominator when r is held
+// inline as two int64s — every value that fits is — and ok=false for a
+// promoted value (use Num and Denom there). It allocates nothing: it is how
+// a binary encoder reads a Rat without going through math/big.
+func (r Rat) Inline() (num, den int64, ok bool) {
+	if r.b != nil {
+		return 0, 0, false
+	}
+	return r.num, r.normDen(), true
+}
+
 // Float64 returns the nearest float64 value to r.
 func (r Rat) Float64() float64 {
 	if r.b != nil {

@@ -223,30 +223,82 @@ func (r *Relation) Add(t Tuple) error {
 		if !ok {
 			return fmt.Errorf("relation: binding for unknown attribute %q", name)
 		}
-		if a.Kind != schema.Relational {
-			return fmt.Errorf("relation: value binding for constraint attribute %q (use constraints)", name)
-		}
-		switch a.Type {
-		case schema.String:
-			if v.Kind() != KindString {
-				return fmt.Errorf("relation: attribute %q expects string, got %s", name, v)
-			}
-		case schema.Rational:
-			if v.Kind() != KindRational {
-				return fmt.Errorf("relation: attribute %q expects rational, got %s", name, v)
-			}
+		if err := checkBinding(a, v); err != nil {
+			return err
 		}
 	}
-	for _, v := range t.con.Vars() {
-		a, ok := r.schema.Attr(v)
-		if !ok {
-			return fmt.Errorf("relation: constraint over unknown attribute %q", v)
-		}
-		if a.Kind != schema.Constraint {
-			return fmt.Errorf("relation: constraint over relational attribute %q", v)
-		}
+	if err := r.checkVars(t.con); err != nil {
+		return err
 	}
 	r.tuples = append(r.tuples, t)
+	return nil
+}
+
+// Bound is one relational binding by schema position instead of by name.
+type Bound struct {
+	Attr int // index into Schema().Attrs()
+	Val  Value
+}
+
+// AddBound is Add for a caller that holds schema positions — a decoder of
+// stored tuples: the tuple binds attribute b.Attr to b.Val for each b in
+// binds, which must be in strictly ascending position order, and has the
+// constraint part con. The checks are Add's, with the name lookup of a
+// binding replaced by a bounds check. binds is not retained.
+func (r *Relation) AddBound(binds []Bound, con constraint.Conjunction) error {
+	attrs := r.schema.Attrs()
+	var rvals map[string]Value // nil reads as "no bindings"; tuples are never written through
+	if len(binds) > 0 {
+		rvals = make(map[string]Value, len(binds))
+	}
+	for i, b := range binds {
+		if b.Attr < 0 || b.Attr >= len(attrs) || (i > 0 && binds[i-1].Attr >= b.Attr) {
+			return fmt.Errorf("relation: binding %d at schema position %d: out of range or out of order", i, b.Attr)
+		}
+		if err := checkBinding(attrs[b.Attr], b.Val); err != nil {
+			return err
+		}
+		rvals[attrs[b.Attr].Name] = b.Val
+	}
+	if err := r.checkVars(con); err != nil {
+		return err
+	}
+	r.tuples = append(r.tuples, Tuple{rvals: rvals, con: con})
+	return nil
+}
+
+// checkBinding verifies that v may be bound to attribute a.
+func checkBinding(a schema.Attribute, v Value) error {
+	if a.Kind != schema.Relational {
+		return fmt.Errorf("relation: value binding for constraint attribute %q (use constraints)", a.Name)
+	}
+	switch a.Type {
+	case schema.String:
+		if v.Kind() != KindString {
+			return fmt.Errorf("relation: attribute %q expects string, got %s", a.Name, v)
+		}
+	case schema.Rational:
+		if v.Kind() != KindRational {
+			return fmt.Errorf("relation: attribute %q expects rational, got %s", a.Name, v)
+		}
+	}
+	return nil
+}
+
+// checkVars verifies that every variable of con names a constraint
+// attribute of the schema. It walks the atoms' terms, so it builds nothing.
+func (r *Relation) checkVars(con constraint.Conjunction) error {
+	for _, c := range con.Constraints() {
+		for _, t := range c.Expr.Terms() {
+			a, ok := r.schema.Attr(t.Var)
+			if !ok {
+				return fmt.Errorf("relation: constraint over unknown attribute %q", t.Var)
+			}
+			if a.Kind != schema.Constraint {
+				return fmt.Errorf("relation: constraint over relational attribute %q", t.Var)
+			}
+		}
+	}
 	return nil
 }
 

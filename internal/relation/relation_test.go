@@ -117,6 +117,50 @@ func TestAddValidation(t *testing.T) {
 	}
 }
 
+// TestAddBoundValidation: AddBound applies Add's checks to positions, and
+// what it accepts is the tuple Add would have stored.
+func TestAddBoundValidation(t *testing.T) {
+	s := schema.MustNew(schema.Rel("landId", schema.String), schema.Rel("age", schema.Rational), schema.Con("x"))
+	r := New(s)
+	con := constraint.And(constraint.LeConst("x", q("3"))).Canon()
+	for name, binds := range map[string][]Bound{
+		"position past the schema": {{Attr: 3, Val: Str("A")}},
+		"negative position":        {{Attr: -1, Val: Str("A")}},
+		"constraint attribute":     {{Attr: 2, Val: Int(1)}},
+		"string for a rational":    {{Attr: 1, Val: Str("A")}},
+		"rational for a string":    {{Attr: 0, Val: Int(1)}},
+		"NULL value":               {{Attr: 0, Val: Null()}},
+		"descending positions":     {{Attr: 1, Val: Int(1)}, {Attr: 0, Val: Str("A")}},
+		"repeated position":        {{Attr: 0, Val: Str("A")}, {Attr: 0, Val: Str("B")}},
+	} {
+		if err := r.AddBound(binds, con); err == nil {
+			t.Errorf("%s accepted", name)
+		}
+	}
+	if err := r.AddBound(nil, constraint.And(constraint.EqConst("age", q("40")))); err == nil {
+		t.Error("constraint over relational attribute accepted")
+	}
+	if r.Len() != 0 {
+		t.Fatalf("rejected tuples were stored: %d", r.Len())
+	}
+	if err := r.AddBound([]Bound{{Attr: 0, Val: Str("A")}, {Attr: 1, Val: Int(40)}}, con); err != nil {
+		t.Fatal(err)
+	}
+	if err := r.AddBound(nil, con); err != nil {
+		t.Fatal(err)
+	}
+	byName := NewTuple(map[string]Value{"landId": Str("A"), "age": Int(40)}, con)
+	if got := r.Tuples()[0]; !got.SameRelationalPart(byName) || got.String() != byName.String() {
+		t.Fatalf("AddBound stored %s, Add would store %s", got, byName)
+	}
+	if got := r.Tuples()[1]; !got.SameRelationalPart(ConstraintTuple(con)) || len(got.RVals()) != 0 {
+		t.Fatalf("AddBound without bindings stored %s", got)
+	}
+	if v, ok := r.Tuples()[1].WithRVal("landId", Str("B")).RVal("landId"); !ok || !v.Identical(Str("B")) {
+		t.Fatal("a tuple stored without bindings cannot be extended")
+	}
+}
+
 func TestContainsSemantics(t *testing.T) {
 	r := New(landSchema())
 	r.MustAdd(NewTuple(map[string]Value{"landId": Str("A")}, square(0, 0)))

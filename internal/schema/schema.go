@@ -150,6 +150,12 @@ func (s Schema) Attr(name string) (Attribute, bool) {
 	return s.attrs[i], true
 }
 
+// Index returns the position of the named attribute in Attrs().
+func (s Schema) Index(name string) (int, bool) {
+	i, ok := s.byName[name]
+	return i, ok
+}
+
 // ConstraintNames returns the names of the constraint attributes, in order.
 func (s Schema) ConstraintNames() []string {
 	var out []string

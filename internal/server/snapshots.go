@@ -194,7 +194,7 @@ func (s *Server) snapshotDB(id string) (*db.Database, error) {
 		return d, nil
 	}
 	s.smu.Unlock()
-	// Materialize outside smu: page reads and parsing can be slow.
+	// Materialize outside smu: page reads and decoding can be slow.
 	d, err := s.snaps.Materialize(id)
 	if err != nil {
 		return nil, err

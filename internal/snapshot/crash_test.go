@@ -33,8 +33,8 @@ type crashWorkload struct {
 func newCrashWorkload(t *testing.T) *crashWorkload {
 	t.Helper()
 	w := &crashWorkload{}
-	w.base = buildDB(t, map[string]int{"Land": 12, "Owner": 8}, "")
-	w.derived = buildDB(t, map[string]int{"Land": 12, "Owner": 8}, "Owner",
+	w.base = buildDB(t, map[string]int{"Land": 30, "Owner": 16}, "")
+	w.derived = buildDB(t, map[string]int{"Land": 30, "Owner": 16}, "Owner",
 		`tuple id="zzzz" | x >= 50, x <= 53, y >= 0, y <= 5`)
 	w.baseText = saveText(t, w.base)
 	w.derivedText = saveText(t, w.derived)

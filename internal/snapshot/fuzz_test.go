@@ -6,6 +6,8 @@ import (
 	"path/filepath"
 	"reflect"
 	"testing"
+
+	"cdb/internal/schema"
 )
 
 // Fuzz targets for the two untrusted-byte surfaces: manifest JSON (WAL
@@ -15,13 +17,15 @@ import (
 // testdata/fuzz/ replay in ordinary `go test` runs, so every regression
 // found by fuzzing stays fixed.
 
+var boxAttrs = attrsOf(schema.MustNew(schema.Rel("id", schema.String), schema.Con("x"), schema.Con("y")))
+
 func validManifestBytes(t interface{ Fatal(...any) }) []byte {
 	m := &Manifest{
 		ID: "snap1-deadbeef", Parent: "", DB: "land",
 		CreatedUnixMS: 1700000000000, Tuples: 42, NewPages: 2,
 		Relations: []RelationPages{
-			{Name: "Land", Pages: []PageRef{{Page: 1, Hash: 0xfeedface}, {Page: 2, Hash: 0x1234}}},
-			{Name: "Owner", Pages: []PageRef{{Page: 2, Hash: 0x1234}}},
+			{Name: "Land", Schema: boxAttrs, Pages: []PageRef{{Page: 1, Hash: 0xfeedface}, {Page: 2, Hash: 0x1234}}},
+			{Name: "Owner", Schema: boxAttrs, Pages: []PageRef{{Page: 2, Hash: 0x1234}}},
 		},
 	}
 	data, err := encodeManifest(m)
@@ -39,6 +43,14 @@ func FuzzManifest(f *testing.F) {
 	f.Add([]byte(`{"id":"x","bogus":true,"relations":[]}`))
 	f.Add([]byte(`{"id":"x","relations":[]}{"id":"y","relations":[]}`))
 	f.Add([]byte(`not json at all`))
+	// Stored schemas: one the schema package accepts, then an unknown
+	// type, an unknown kind, a string constraint attribute, a duplicate.
+	f.Add([]byte(`{"id":"x","relations":[{"name":"R","schema":["a b string relational","x rational constraint"],"pages":[]}]}`))
+	f.Add([]byte(`{"id":"x","relations":[{"name":"R","schema":["a float relational"],"pages":[]}]}`))
+	f.Add([]byte(`{"id":"x","relations":[{"name":"R","schema":["a string maybe"],"pages":[]}]}`))
+	f.Add([]byte(`{"id":"x","relations":[{"name":"R","schema":["a string constraint"],"pages":[]}]}`))
+	f.Add([]byte(`{"id":"x","relations":[{"name":"R","schema":["a string relational","a rational constraint"],"pages":[]}]}`))
+	f.Add([]byte(`{"id":"x","relations":[{"name":"R","schema":["string relational"," rational constraint"],"pages":[]}]}`))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		m, err := decodeManifest(data)
 		if err != nil {
@@ -57,10 +69,16 @@ func FuzzManifest(f *testing.F) {
 		if !reflect.DeepEqual(m, m2) {
 			t.Fatalf("manifest round-trip drifted:\n%+v\n%+v", m, m2)
 		}
-		// Derived accessors must not panic on any valid manifest.
+		// Derived accessors must not panic on any valid manifest, and its
+		// schemas are ones a relation can be built over.
 		_ = m.numPages()
 		_ = m.pageIDs()
 		_ = m.clone()
+		for _, rel := range m.Relations {
+			if _, err := rel.schema(); err != nil {
+				t.Fatalf("validated manifest carries an unusable schema: %v", err)
+			}
+		}
 	})
 }
 
@@ -89,6 +107,7 @@ func FuzzWALReplay(f *testing.F) {
 	torn := append(append([]byte{}, full...), frame(walCommit, manifest)[:7]...)
 	f.Add(torn)
 	f.Add([]byte("CDBWALX\n garbage"))
+	f.Add(append([]byte("CDBWAL1\n"), full[len(walMagic):]...)) // another format version: refused whole
 	f.Add([]byte{})
 
 	f.Fuzz(func(t *testing.T, data []byte) {

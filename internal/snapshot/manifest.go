@@ -4,7 +4,9 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"strings"
 
+	"cdb/internal/schema"
 	"cdb/internal/storage"
 )
 
@@ -39,16 +41,74 @@ type Manifest struct {
 	// listings keep their share accounting across a restart.
 	NewPages int `json:"new_pages,omitempty"`
 
-	// Relations lists each relation's page run, in database insertion
-	// order. Materialize concatenates the page payloads in this order
-	// and parses the result with the db text-format loader.
+	// Relations lists each relation's schema and page run, in database
+	// insertion order. Materialize decodes each run's concatenated
+	// payloads (codec.go) against that schema.
 	Relations []RelationPages `json:"relations"`
 }
 
-// RelationPages is one relation's page run inside a manifest.
+// RelationPages is one relation inside a manifest: its schema, which the
+// page records refer to by attribute position, and its page run.
 type RelationPages struct {
-	Name  string    `json:"name"`
-	Pages []PageRef `json:"pages"`
+	Name   string    `json:"name"`
+	Schema []Attr    `json:"schema"`
+	Pages  []PageRef `json:"pages"`
+}
+
+// Attr is one attribute of a stored schema. In the manifest's JSON it is
+// the text format's "name type kind" — one string, the last two words
+// being the type ("string", "rational") and the kind ("relational",
+// "constraint").
+type Attr schema.Attribute
+
+func (a Attr) MarshalText() ([]byte, error) {
+	return []byte(a.Name + " " + a.Type.String() + " " + a.Kind.String()), nil
+}
+
+func (a *Attr) UnmarshalText(text []byte) error {
+	s := string(text)
+	k := strings.LastIndexByte(s, ' ')
+	t := strings.LastIndexByte(s[:max(k, 0)], ' ')
+	if t < 0 {
+		return fmt.Errorf("snapshot: attribute %q: want \"name type kind\"", s)
+	}
+	a.Name = s[:t]
+	switch typ := s[t+1 : k]; typ {
+	case schema.String.String():
+		a.Type = schema.String
+	case schema.Rational.String():
+		a.Type = schema.Rational
+	default:
+		return fmt.Errorf("snapshot: attribute %q: unknown type %q", a.Name, typ)
+	}
+	switch kind := s[k+1:]; kind {
+	case schema.Relational.String():
+		a.Kind = schema.Relational
+	case schema.Constraint.String():
+		a.Kind = schema.Constraint
+	default:
+		return fmt.Errorf("snapshot: attribute %q: unknown kind %q", a.Name, kind)
+	}
+	return nil
+}
+
+// attrsOf is s as a manifest stores it.
+func attrsOf(s schema.Schema) []Attr {
+	out := make([]Attr, s.Len())
+	for i, a := range s.Attrs() {
+		out[i] = Attr(a)
+	}
+	return out
+}
+
+// schema rebuilds the relation's schema, rejecting anything the schema
+// package would not have let a committed relation carry.
+func (rel RelationPages) schema() (schema.Schema, error) {
+	attrs := make([]schema.Attribute, len(rel.Schema))
+	for i, a := range rel.Schema {
+		attrs[i] = schema.Attribute(a)
+	}
+	return schema.New(attrs...)
 }
 
 // PageRef points at one content page. Page is the slot in the store's
@@ -108,6 +168,9 @@ func (m *Manifest) validate() error {
 			return fmt.Errorf("snapshot: manifest %s: duplicate relation %q", m.ID, rel.Name)
 		}
 		seen[rel.Name] = true
+		if _, err := rel.schema(); err != nil {
+			return fmt.Errorf("snapshot: manifest %s: relation %q: %w", m.ID, rel.Name, err)
+		}
 		for _, ref := range rel.Pages {
 			if ref.Page == 0 {
 				return fmt.Errorf("snapshot: manifest %s: relation %q references page 0", m.ID, rel.Name)
@@ -145,7 +208,7 @@ func (m *Manifest) clone() *Manifest {
 	out := &Manifest{ID: m.ID, Parent: m.Parent, DB: m.DB, CreatedUnixMS: m.CreatedUnixMS, Tuples: m.Tuples}
 	out.Relations = make([]RelationPages, len(m.Relations))
 	for i, rel := range m.Relations {
-		out.Relations[i] = RelationPages{Name: rel.Name, Pages: append([]PageRef{}, rel.Pages...)}
+		out.Relations[i] = RelationPages{Name: rel.Name, Schema: rel.Schema, Pages: append([]PageRef{}, rel.Pages...)}
 	}
 	return out
 }

@@ -3,15 +3,17 @@
 // (package storage).
 //
 // A snapshot is a manifest of content-addressed page references over a
-// shared page file. Committing a database serializes it into
-// deterministic text-format pages (package db's format, chunked on tuple
-// lines), deduplicates every page against the store by content hash plus
-// byte comparison, and writes only the pages no earlier snapshot already
-// holds — so a derived state shares every unchanged page with its parent
-// and the marginal cost of a commit is proportional to the *edit*, not
-// the database. Fork copies a manifest and bumps refcounts: O(1) in data
-// size, no page I/O at all. Release decrements refcounts and returns
-// pages no live snapshot references to a free list for reuse.
+// shared page file. Committing a database encodes each relation as a
+// deterministic stream of binary tuple records cut into pages at record
+// boundaries (codec.go owns the layout; package db's text format is for
+// import, export and goldens, never for pages), deduplicates every page
+// against the store by content hash plus byte comparison, and writes only
+// the pages no earlier snapshot already holds — so a derived state shares
+// every unchanged page with its parent and the marginal cost of a commit
+// is proportional to the *edit*, not the database. Fork copies a manifest
+// and bumps refcounts: O(1) in data size, no page I/O at all. Release
+// decrements refcounts and returns pages no live snapshot references to a
+// free list for reuse.
 //
 // Durability is write-ahead logged: page content is fsynced to the page
 // file first, then the page-put records and the manifest are appended to
@@ -38,6 +40,7 @@ import (
 
 	"cdb/internal/db"
 	"cdb/internal/exec"
+	"cdb/internal/schema"
 	"cdb/internal/storage"
 )
 
@@ -100,18 +103,20 @@ func Open(dir string, opts Options) (*Store, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("snapshot: %w", err)
 	}
+	// The log first: it names the store's format version, and a store of
+	// another version is refused before its page file is even opened.
+	w, recs, err := openWAL(filepath.Join(dir, "wal.log"), opts.Fault)
+	if err != nil {
+		return nil, err
+	}
 	fp, err := storage.OpenFilePager(filepath.Join(dir, "pages.cdb"), opts.PageSize)
 	if err != nil {
+		w.close()
 		return nil, err
 	}
 	var pager storage.Pager = fp
 	if opts.Fault != nil {
 		pager = NewFaultPager(pager, opts.Fault)
-	}
-	w, recs, err := openWAL(filepath.Join(dir, "wal.log"), opts.Fault)
-	if err != nil {
-		fp.Close()
-		return nil, err
 	}
 	s := &Store{
 		dir:   dir,
@@ -241,7 +246,7 @@ func (s *Store) CommitCtx(d *db.Database, parent, name string, ec *exec.Context)
 	if s.closed {
 		return Snapshot{}, fmt.Errorf("snapshot: store is closed")
 	}
-	chunks, err := serialize(d, s.pager.PageSize())
+	chunks, err := encodePages(d, s.pager.PageSize())
 	if err != nil {
 		return Snapshot{}, err
 	}
@@ -269,7 +274,7 @@ func (s *Store) CommitCtx(d *db.Database, parent, name string, ec *exec.Context)
 		return Snapshot{}, err
 	}
 	for _, rc := range chunks {
-		rel := RelationPages{Name: rc.name, Pages: []PageRef{}}
+		rel := RelationPages{Name: rc.name, Schema: rc.schema, Pages: []PageRef{}}
 	nextChunk:
 		for _, payload := range rc.chunks {
 			h := hashPayload(payload)
@@ -441,18 +446,56 @@ func (s *Store) Release(id string) error {
 }
 
 // Materialize reconstructs the snapshot as an in-memory database: pages
-// read in manifest order, hashes verified, the concatenated text parsed
-// by the db loader. The result is byte-identical (under db.Save) to the
-// database that was committed.
+// read in manifest order, hashes verified, each relation's records decoded
+// against its manifest schema (codec.go). The result is byte-identical
+// (under db.Save) to the database that was committed, its tuples canonical
+// and in the committed Rows order.
 func (s *Store) Materialize(id string) (*db.Database, error) {
 	return s.MaterializeCtx(id, nil)
 }
 
 // MaterializeCtx is Materialize under an execution context ("snapshot.
-// materialize" span, page counter).
+// materialize" span, page and tuple counters). The store is locked only
+// while the pages are read and verified; decoding works on the copies, so
+// a session binding to a fork does not hold up commits, forks and releases
+// — not even a release of the snapshot being decoded.
 func (s *Store) MaterializeCtx(id string, ec *exec.Context) (*db.Database, error) {
 	sp := ec.BeginSpan("snapshot.materialize", id)
 	defer ec.EndSpan(sp)
+	rels, err := s.readRelations(id)
+	if err != nil {
+		return nil, err
+	}
+	d := db.New()
+	pages := 0
+	for _, rel := range rels {
+		r, err := decodeRelation(rel.schema, rel.stream)
+		if err != nil {
+			return nil, fmt.Errorf("snapshot: materialize %s relation %s: %w", id, rel.name, err)
+		}
+		if err := d.Put(rel.name, r); err != nil {
+			return nil, fmt.Errorf("snapshot: materialize %s: %w", id, err)
+		}
+		pages += rel.pages
+	}
+	sp.Set("pages", int64(pages))
+	sp.Set("tuples", int64(d.TupleCount()))
+	return d, nil
+}
+
+// storedRelation is one relation of a snapshot as read off the page file:
+// its record stream, verified against the manifest's hashes but not yet
+// decoded.
+type storedRelation struct {
+	name   string
+	schema schema.Schema
+	stream []byte
+	pages  int
+}
+
+// readRelations copies a snapshot's content out of the page file. It is
+// the part of Materialize that needs the store lock.
+func (s *Store) readRelations(id string) ([]storedRelation, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.closed {
@@ -462,22 +505,24 @@ func (s *Store) MaterializeCtx(id string, ec *exec.Context) (*db.Database, error
 	if !ok {
 		return nil, fmt.Errorf("snapshot: no such snapshot %q", id)
 	}
-	var buf bytes.Buffer
+	out := make([]storedRelation, 0, len(m.Relations))
 	for _, rel := range m.Relations {
+		sch, err := rel.schema()
+		if err != nil {
+			return nil, fmt.Errorf("snapshot: materialize %s relation %s: %w", id, rel.Name, err)
+		}
+		sr := storedRelation{name: rel.Name, schema: sch, pages: len(rel.Pages),
+			stream: make([]byte, 0, len(rel.Pages)*pagePayloadCap(s.pager.PageSize()))}
 		for _, ref := range rel.Pages {
 			payload, err := readPayload(s.pager, ref)
 			if err != nil {
 				return nil, fmt.Errorf("snapshot: materialize %s relation %s: %w", id, rel.Name, err)
 			}
-			buf.Write(payload)
+			sr.stream = append(sr.stream, payload...)
 		}
+		out = append(out, sr)
 	}
-	sp.Set("pages", int64(m.numPages()))
-	d, err := db.LoadCtx(&buf, ec)
-	if err != nil {
-		return nil, fmt.Errorf("snapshot: materialize %s: %w", id, err)
-	}
-	return d, nil
+	return out, nil
 }
 
 // Get returns one snapshot's metadata.
@@ -574,6 +619,50 @@ func (s *Store) acquirePage() (storage.PageID, bool, error) {
 	}
 	id, err := s.pager.Allocate()
 	return id, true, err
+}
+
+// relationChunks is one relation as a commit stores it: its schema for
+// the manifest and its record stream cut into page payloads.
+type relationChunks struct {
+	name   string
+	schema []Attr
+	chunks [][]byte
+}
+
+// encodePages renders d into per-relation page payloads, in insertion
+// order.
+func encodePages(d *db.Database, pageSize int) ([]relationChunks, error) {
+	cap := pagePayloadCap(pageSize)
+	if cap <= 0 {
+		return nil, fmt.Errorf("snapshot: page size %d too small", pageSize)
+	}
+	var out []relationChunks
+	for _, name := range d.Names() {
+		r, _ := d.Get(name)
+		stream, ends, err := encodeRelation(r)
+		if err != nil {
+			return nil, fmt.Errorf("%w (relation %s)", err, name)
+		}
+		out = append(out, relationChunks{name: name, schema: attrsOf(r.Schema()), chunks: chunkRecords(stream, ends, cap)})
+	}
+	return out, nil
+}
+
+// readPayload reads one referenced page and verifies its content hash.
+func readPayload(p storage.Pager, ref PageRef) ([]byte, error) {
+	pg, err := p.Read(storage.PageID(ref.Page))
+	if err != nil {
+		return nil, err
+	}
+	payload, err := decodePage(pg.Data)
+	if err != nil {
+		return nil, err
+	}
+	if h := hashPayload(payload); h != ref.Hash {
+		return nil, fmt.Errorf("snapshot: page %d content hash %016x does not match manifest %016x (corrupt store?)",
+			ref.Page, h, ref.Hash)
+	}
+	return payload, nil
 }
 
 // readPayloadRaw reads a page's payload without a hash check (dedup

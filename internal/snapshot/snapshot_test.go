@@ -2,12 +2,18 @@ package snapshot
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
+	"os"
 	"path/filepath"
+	"sort"
 	"strings"
+	"sync"
 	"testing"
 
+	"cdb/internal/datagen"
 	"cdb/internal/db"
+	"cdb/internal/relation"
 )
 
 // testPageSize keeps test databases multi-page without being huge.
@@ -52,7 +58,7 @@ func buildDB(t *testing.T, rels map[string]int, extraRel string, extra ...string
 }
 
 // saveText renders a database with db.Save (the byte-identity oracle).
-func saveText(t *testing.T, d *db.Database) string {
+func saveText(t testing.TB, d *db.Database) string {
 	t.Helper()
 	var buf bytes.Buffer
 	if err := d.Save(&buf); err != nil {
@@ -331,4 +337,234 @@ func TestWALFileGrowsUnderDir(t *testing.T) {
 	if st.WALAppends == 0 || st.WALFlushes == 0 || st.WALBytes == 0 {
 		t.Fatalf("wal counters flat: %+v", st)
 	}
+}
+
+// TestMaterializeIsByteAndOrderIdentical: for every family of relation,
+// what a snapshot materialises saves to the bytes the committed database
+// saves to, and iterates in the committed Rows order — at a page size that
+// splits records across pages and at the default.
+func TestMaterializeIsByteAndOrderIdentical(t *testing.T) {
+	families := codecFamilies()
+	d := db.New()
+	for _, name := range sortedKeys(families) {
+		if err := d.Put(name, families[name]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, pageSize := range []int{64, testPageSize, 0} {
+		s, err := Open(t.TempDir(), Options{PageSize: pageSize})
+		if err != nil {
+			t.Fatal(err)
+		}
+		snap, err := s.Commit(d, "", "families")
+		if err != nil {
+			t.Fatalf("page size %d: commit: %v", pageSize, err)
+		}
+		got, err := s.Materialize(snap.ID)
+		if err != nil {
+			t.Fatalf("page size %d: materialize: %v", pageSize, err)
+		}
+		if saveText(t, got) != saveText(t, d) {
+			t.Fatalf("page size %d: materialised database saves differently", pageSize)
+		}
+		for _, name := range d.Names() {
+			want, _ := d.Get(name)
+			have, _ := got.Get(name)
+			if !have.Schema().Equal(want.Schema()) || fmt.Sprint(have.Schema().Names()) != fmt.Sprint(want.Schema().Names()) {
+				t.Fatalf("page size %d: %s: schema %s, want %s", pageSize, name, have.Schema(), want.Schema())
+			}
+			requireSame(t, want, have)
+		}
+		s.Close()
+	}
+}
+
+func sortedKeys[V any](m map[string]V) []string {
+	keys := make([]string, 0, len(m))
+	for k := range m {
+		keys = append(keys, k)
+	}
+	sort.Strings(keys)
+	return keys
+}
+
+// TestOldFormatRefused: a store whose log carries another format version
+// (version 1 kept query-language text in its pages) is refused with
+// ErrFormatVersion, and refusing it changes no byte of it.
+func TestOldFormatRefused(t *testing.T) {
+	dir := t.TempDir()
+	old := append([]byte("CDBWAL1\n"), frame(walCommit, validManifestBytes(t))...)
+	old = append(old, 0xde, 0xad) // a torn tail, which a log of this version would have cut
+	path := filepath.Join(dir, "wal.log")
+	if err := os.WriteFile(path, old, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	pagesPath := filepath.Join(dir, "pages.cdb")
+	pages := []byte("whatever version 1 kept here")
+	if err := os.WriteFile(pagesPath, pages, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	_, err := Open(dir, Options{PageSize: testPageSize})
+	if !errors.Is(err, ErrFormatVersion) {
+		t.Fatalf("Open over a version-1 log: err = %v, want ErrFormatVersion", err)
+	}
+	for file, before := range map[string][]byte{path: old, pagesPath: pages} {
+		after, err := os.ReadFile(file)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(after, before) {
+			t.Fatalf("refusing the store rewrote %s: %d bytes, was %d", file, len(after), len(before))
+		}
+	}
+	if _, err := Open(dir, Options{PageSize: testPageSize}); !errors.Is(err, ErrFormatVersion) {
+		t.Fatalf("second Open: err = %v, want ErrFormatVersion", err)
+	}
+	// Not every unreadable log is an old one.
+	if err := os.WriteFile(path, []byte("garbage!\nmore"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Open(dir, Options{PageSize: testPageSize}); err == nil || errors.Is(err, ErrFormatVersion) {
+		t.Fatalf("Open over garbage: err = %v, want a plain not-a-log error", err)
+	}
+}
+
+// churnBoxes is the relation that dominates the benchmark's snapshot-churn
+// database: 1536 boxes, six in seven with an id.
+func churnBoxes() *relation.Relation {
+	p := datagen.Paper()
+	p.SizeMin, p.Seed = 50, 41
+	return canonical(datagen.BoxRelation(p, 1536, 0))
+}
+
+// TestMaterializeAllocs holds materialisation of the churn relation to 15
+// allocations per tuple (9.7 measured: the bindings map, the string, and
+// what Canon builds; the text pages cost 94).
+func TestMaterializeAllocs(t *testing.T) {
+	s, err := Open(t.TempDir(), Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	d := db.New()
+	boxes := churnBoxes()
+	if err := d.Put("Boxes", boxes); err != nil {
+		t.Fatal(err)
+	}
+	snap, err := s.Commit(d, "", "churn")
+	if err != nil {
+		t.Fatal(err)
+	}
+	perRun := testing.AllocsPerRun(5, func() {
+		if _, err := s.Materialize(snap.ID); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if perTuple := perRun / float64(boxes.Len()); perTuple > 15 {
+		t.Fatalf("materialise allocates %.1f times per tuple, ceiling 15", perTuple)
+	}
+}
+
+// TestMaterializeDecodesOutsideTheLock: once the pages are read, nothing a
+// materialise does depends on the store — a fork and a release of another
+// snapshot go through, and so does the release of the very snapshot being
+// decoded and a commit that recycles its pages.
+func TestMaterializeDecodesOutsideTheLock(t *testing.T) {
+	s := openStore(t, t.TempDir(), nil)
+	defer s.Close()
+	d := buildDB(t, map[string]int{"Land": 40, "Owner": 10}, "")
+	want := saveText(t, d)
+	snap, err := s.Commit(d, "", "a")
+	if err != nil {
+		t.Fatal(err)
+	}
+	other, err := s.Commit(buildDB(t, map[string]int{"Parcel": 30}, ""), "", "b")
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	rels, err := s.readRelations(snap.ID) // the locked half of Materialize
+	if err != nil {
+		t.Fatal(err)
+	}
+	fork, err := s.Fork(other.ID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Release(fork.ID); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Release(snap.ID); err != nil {
+		t.Fatal(err)
+	}
+	recycled, err := s.Commit(buildDB(t, map[string]int{"Lot": 45}, ""), "", "c")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if s.Stats().PagesReused == 0 {
+		t.Fatalf("the commit after the release recycled no page: %+v", recycled)
+	}
+
+	got := db.New() // the unlocked half
+	for _, rel := range rels {
+		r, err := decodeRelation(rel.schema, rel.stream)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := got.Put(rel.name, r); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if saveText(t, got) != want {
+		t.Fatal("pages read before the release decoded to something else after it")
+	}
+}
+
+// TestMaterializeBesideWriters runs materialises of one snapshot against
+// commits, forks and releases of others (go test -race is the assertion,
+// with each result's bytes).
+func TestMaterializeBesideWriters(t *testing.T) {
+	s := openStore(t, t.TempDir(), nil)
+	defer s.Close()
+	d := buildDB(t, map[string]int{"Land": 60, "Owner": 20}, "")
+	want := saveText(t, d)
+	snap, err := s.Commit(d, "", "read")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var wg sync.WaitGroup
+	for g := 0; g < 3; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 8; i++ {
+				got, err := s.Materialize(snap.ID)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				var buf bytes.Buffer
+				if err := got.Save(&buf); err != nil || buf.String() != want {
+					t.Errorf("materialised state drifted beside writers (save: %v)", err)
+					return
+				}
+			}
+		}()
+	}
+	for i := 0; i < 6; i++ {
+		w, err := s.Commit(buildDB(t, map[string]int{"Parcel": 10 + i}, ""), "", "write")
+		if err != nil {
+			t.Fatal(err)
+		}
+		f, err := s.Fork(w.ID)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, id := range []string{w.ID, f.ID} {
+			if err := s.Release(id); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	wg.Wait()
 }

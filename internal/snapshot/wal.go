@@ -3,6 +3,7 @@ package snapshot
 import (
 	"bytes"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"hash/crc32"
 	"io"
@@ -24,7 +25,23 @@ import (
 // EOF, a short frame, or a CRC mismatch; everything from the first bad
 // byte on is a torn tail and is truncated away, so a crash mid-append
 // always rolls back to the last fully-written record.
-const walMagic = "CDBWAL1\n"
+//
+// The digit of the magic is the store's format version, page content
+// included (the log is the source of truth for which pages mean
+// anything). Version 1 held query-language text in its pages; version 2
+// holds the binary records of codec.go and each relation's schema in its
+// manifest. There is one format: a log of any other version is refused
+// with ErrFormatVersion, untouched.
+const (
+	walMagic       = "CDBWAL2\n"
+	walMagicPrefix = "CDBWAL"
+)
+
+// ErrFormatVersion is what Open returns (wrapped) for a store written by
+// another version of the format. Nothing is truncated or rewritten;
+// export with the version that wrote it (snapshot → db.Save) and import
+// the text.
+var ErrFormatVersion = errors.New("snapshot: unsupported store format version")
 
 // Record types.
 const (
@@ -122,8 +139,11 @@ func openWAL(path string, fault *Fault) (*wal, []walRecord, error) {
 func readWAL(r io.Reader) ([]walRecord, int64, error) {
 	br := newByteCounter(r)
 	magic := make([]byte, len(walMagic))
-	if _, err := io.ReadFull(br, magic); err != nil || string(magic) != walMagic {
+	if _, err := io.ReadFull(br, magic); err != nil || !bytes.HasPrefix(magic, []byte(walMagicPrefix)) {
 		return nil, 0, fmt.Errorf("snapshot: not a CDB write-ahead log")
+	}
+	if string(magic) != walMagic {
+		return nil, 0, fmt.Errorf("%w: log starts %q, this build reads %q", ErrFormatVersion, magic, walMagic)
 	}
 	var recs []walRecord
 	good := br.n

@@ -37,6 +37,16 @@ if git grep -nE 'BENCH_[a-z]+\.json|bench[d]iff|bench-(all|canon|prune|plan|vect
     exit 1
 fi
 
+# One page format: a snapshot page holds the binary records of
+# internal/snapshot/codec.go. The text format of internal/db is import,
+# export and goldens; the store must not grow a second way to read or
+# write a page through it.
+echo '>> no text-format pages in the snapshot store'
+if grep -nE 'db\.(Load|LoadCtx|EncodeRelation)\(' internal/snapshot/*.go | grep -v '_test\.go:'; then
+    echo 'internal/snapshot reads or writes the db text format (see above)'
+    exit 1
+fi
+
 echo '>> go test -race ./...'
 go test -race ./...
 
@@ -48,16 +58,16 @@ go test -race ./...
 echo '>> go test -race -count=2 ./internal/constraint ./internal/exec ./internal/cqa ./internal/relation ./internal/obs ./internal/server ./internal/snapshot ./internal/vector'
 go test -race -count=2 ./internal/constraint ./internal/exec ./internal/cqa ./internal/relation ./internal/obs ./internal/server ./internal/snapshot ./internal/vector
 
-# The render-once, normalisation, vector-difference and pairing-mode
-# benchmarks must keep compiling and running (their allocation and decision
-# ceilings are plain tests, already run above).
-echo '>> result-tail, vector-difference and pairing-mode benchmarks, one iteration'
-go test -run '^$' -bench 'Sorted|CanonMerge|RatString|NormalizePolygonMinus|NormalizeBoxJoin|DifferencePolygonMinus|ClipRing|PairingModes' -benchtime 1x ./...
+# The render-once, normalisation, vector-difference, pairing-mode and
+# snapshot benchmarks must keep compiling and running (their allocation and
+# decision ceilings are plain tests, already run above).
+echo '>> result-tail, vector-difference, pairing-mode and snapshot benchmarks, one iteration'
+go test -run '^$' -bench 'Sorted|CanonMerge|RatString|NormalizePolygonMinus|NormalizeBoxJoin|DifferencePolygonMinus|ClipRing|PairingModes|SnapshotMaterialize|SnapshotCommit' -benchtime 1x ./...
 
 # Corpus replay: the committed fuzz corpora under testdata/fuzz/ run as
 # ordinary seed inputs here — every input that ever broke the parsers,
-# the canonical kernel, the rational kernel or the snapshot WAL stays fixed
-# without a long -fuzz session.
+# the canonical kernel, the rational kernel, the snapshot WAL or the page
+# codec stays fixed without a long -fuzz session.
 echo '>> fuzz corpus replay'
 go test -run Fuzz -count=1 ./internal/rational ./internal/constraint ./internal/query ./internal/calculus ./internal/snapshot ./internal/vector
 
