@@ -15,7 +15,7 @@ package cdb
 import (
 	"bytes"
 	"fmt"
-	"math/rand"
+	"sort"
 	"sync"
 	"testing"
 
@@ -780,53 +780,18 @@ func BenchmarkClipRing(b *testing.B) {
 
 var benchRing []geometry.Point
 
-// churnDB is a database of the shape the benchmark's snapshot-churn
-// workload commits and materialises: the hurricane case study on a 5×5
-// parcel grid (25 + 75 tuples with relational parts, an 8-segment track
-// with fractional slopes) beside a 1536-box relation, canonical as a loaded
-// file is.
-func churnDB(tb testing.TB) *db.Database {
+// loadedDB holds the relations the way a session sees them: saved and
+// loaded again, so every tuple is canonical with its memos attached.
+func loadedDB(tb testing.TB, rels map[string]*relation.Relation) *db.Database {
 	tb.Helper()
-	const grid, cell, horizon, segments = 5, 6, 40, 8
-	rng := rand.New(rand.NewSource(1))
-	ri := func(n int) rational.Rat { return rational.FromInt(int64(n)) }
-	land := relation.New(schema.MustNew(schema.Rel("landId", schema.String), schema.Con("x"), schema.Con("y")))
-	owners := relation.New(schema.MustNew(schema.Rel("name", schema.String), schema.Con("t"), schema.Rel("landId", schema.String)))
-	for i := 0; i < grid; i++ {
-		for j := 0; j < grid; j++ {
-			id := fmt.Sprintf("p%d_%d", i, j)
-			land.MustAdd(relation.NewTuple(map[string]relation.Value{"landId": relation.Str(id)}, constraint.And(
-				constraint.GeConst("x", ri(cell*i+rng.Intn(2))), constraint.LeConst("x", ri(cell*i+cell-1)),
-				constraint.GeConst("y", ri(cell*j+rng.Intn(2))), constraint.LeConst("y", ri(cell*j+cell-1)))))
-			c1, c2 := 8+rng.Intn(9), 22+rng.Intn(11)
-			for _, iv := range [][2]int{{0, c1}, {c1 + 1, c2}, {c2 + 1, horizon}} {
-				owners.MustAdd(relation.NewTuple(map[string]relation.Value{
-					"name": relation.Str(fmt.Sprintf("o%d", rng.Intn(grid*grid))), "landId": relation.Str(id)},
-					constraint.And(constraint.GeConst("t", ri(iv[0])), constraint.LeConst("t", ri(iv[1])))))
-			}
-		}
-	}
-	track := relation.New(schema.MustNew(schema.Con("t"), schema.Con("x"), schema.Con("y")))
-	dt := horizon / segments
-	for k := 0; k < segments; k++ {
-		line := func(v string, from, to int) constraint.Constraint {
-			return constraint.MustNew(constraint.Var(v), "=",
-				constraint.Var("t").Sub(constraint.ConstInt(int64(k*dt))).Scale(rational.New(int64(to-from), int64(dt))).
-					Add(constraint.ConstInt(int64(from))))
-		}
-		at := func(k int) int { return cell * grid * k / segments }
-		track.MustAdd(relation.ConstraintTuple(constraint.And(
-			line("x", at(k)+k%3-1, at(k+1)+(k+1)%3-1), line("y", at(k)-k%3+1, at(k+1)-(k+1)%3+1),
-			constraint.GeConst("t", ri(k*dt)), constraint.LeConst("t", ri(k*dt+dt)))))
-	}
-	p := datagen.Paper()
-	p.SizeMin, p.Seed = 50, 41
 	raw := db.New()
-	for _, nr := range []struct {
-		name string
-		r    *relation.Relation
-	}{{"Land", land}, {"Landownership", owners}, {"Hurricane", track}, {"Boxes", datagen.BoxRelation(p, 1536, 0)}} {
-		if err := raw.Put(nr.name, nr.r); err != nil {
+	names := make([]string, 0, len(rels))
+	for name := range rels {
+		names = append(names, name)
+	}
+	sort.Strings(names) // Save writes in Put order
+	for _, name := range names {
+		if err := raw.Put(name, rels[name]); err != nil {
 			tb.Fatal(err)
 		}
 	}
@@ -839,6 +804,122 @@ func churnDB(tb testing.TB) *db.Database {
 		tb.Fatal(err)
 	}
 	return d
+}
+
+// churnDB is a database of the shape the benchmark's snapshot-churn
+// workload commits and materialises: the hurricane case study on a 5×5
+// parcel grid (25 + 75 tuples with relational parts, the track) beside a
+// 1536-box relation, canonical as a loaded file is.
+func churnDB(tb testing.TB) *db.Database {
+	tb.Helper()
+	land, owners, track := datagen.HurricaneRelations(5)
+	p := datagen.Paper()
+	p.SizeMin, p.Seed = 50, 41
+	return loadedDB(tb, map[string]*relation.Relation{
+		"Land": land, "Landownership": owners, "Hurricane": track, "Boxes": datagen.BoxRelation(p, 1536, 0)})
+}
+
+// BenchmarkHurricaneQuery3Warm is one request of the benchmark's hurricane
+// workload without the server around it: the paper's Query 3 (join → join →
+// select → project, then the result tail's normalisation) on 8 × 8 parcels,
+// statement by statement as a session runs it, under one session-lifetime
+// context — default sat-cache, one worker — that has already seen every
+// window. The windows rotate over the 31 starts the request pool draws
+// from, so every pair decision of every iteration is a remembered one.
+func BenchmarkHurricaneQuery3Warm(b *testing.B) {
+	land, owners, track := datagen.HurricaneRelations(8)
+	d := loadedDB(b, map[string]*relation.Relation{"Land": land, "Landownership": owners, "Hurricane": track})
+	const starts = 31 // horizon − windowLen + 1
+	progs := make([][]*query.Program, starts)
+	for a := range progs {
+		prog, err := query.Parse(fmt.Sprintf("R0 = join Landownership and Land\nR1 = join R0 and Hurricane\n"+
+			"R2 = select t >= %d, t <= %d from R1\nR3 = project R2 on name", a, a+10))
+		if err != nil {
+			b.Fatal(err)
+		}
+		for _, st := range prog.Stmts {
+			progs[a] = append(progs[a], &query.Program{Stmts: []query.Stmt{st}})
+		}
+	}
+	ec := exec.New(1)
+	ec.SatCache = constraint.NewSatCache(0)
+	run := func(a int) {
+		env := d.Env()
+		var last *relation.Relation
+		for _, one := range progs[a] {
+			r, err := one.RunOptimizedCtx(env, ec)
+			if err != nil {
+				b.Fatal(err)
+			}
+			env[one.Stmts[0].Target], last = r, r
+		}
+		if last.NormalizeWith(ec.SatFunc()).Len() == 0 {
+			b.Fatalf("window %d: empty result", a)
+		}
+		ec.Reset()
+	}
+	for a := range progs {
+		run(a)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		run(i % starts)
+	}
+}
+
+// BenchmarkJoinPairLookup is the refine step of the hurricane joins at its
+// three prices. hit-unsat and hit-sat are one remembered pair decision each
+// (a parcel-ownership tuple against a track segment it misses, and one it
+// meets): two fingerprints mixed, both inputs' atoms verified, no Merge, no
+// Canon. miss is the whole R0 ⋈ Hurricane join through a 16-entry cache —
+// a working set the cache cannot hold, so every candidate pair merges,
+// canonicalises, runs the eliminator and evicts an entry: what the pair key
+// costs where it cannot help.
+func BenchmarkJoinPairLookup(b *testing.B) {
+	land, owners, track := datagen.HurricaneRelations(8)
+	r0, err := cqa.Join(owners, land)
+	if err != nil {
+		b.Fatal(err)
+	}
+	cache := constraint.NewSatCache(0)
+	var unsat, sat [2]constraint.Conjunction
+	for _, t0 := range r0.Tuples() {
+		for _, seg := range track.Tuples() {
+			if _, ok, _ := cache.SatisfiablePair(t0.Constraint(), seg.Constraint()); ok {
+				sat = [2]constraint.Conjunction{t0.Constraint(), seg.Constraint()}
+			} else {
+				unsat = [2]constraint.Conjunction{t0.Constraint(), seg.Constraint()}
+			}
+		}
+	}
+	for _, row := range []struct {
+		name string
+		pair [2]constraint.Conjunction
+	}{{"hit-unsat", unsat}, {"hit-sat", sat}} {
+		b.Run(row.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, _, hit := cache.SatisfiablePair(row.pair[0], row.pair[1]); !hit {
+					b.Fatal("a remembered pair missed")
+				}
+			}
+		})
+	}
+	b.Run("miss", func(b *testing.B) {
+		ec := exec.New(1)
+		ec.SatCache = constraint.NewSatCache(16)
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if _, err := cqa.JoinCtx(ec, r0, track); err != nil {
+				b.Fatal(err)
+			}
+			if s := ec.Stats()[0]; s.CacheHits != 0 {
+				b.Fatalf("%d of %d pair decisions hit a 16-entry cache", s.CacheHits, s.SatChecks)
+			}
+			ec.Reset()
+		}
+	})
 }
 
 func churnStore(b *testing.B) *snapshot.Store {

@@ -1,6 +1,7 @@
 package constraint
 
 import (
+	"slices"
 	"sort"
 
 	"cdb/internal/rational"
@@ -37,11 +38,11 @@ type endpointKey struct {
 	eps int // -1 open upper, 0 closed, +1 open lower
 }
 
-func (k endpointKey) less(o endpointKey) bool {
+func (k endpointKey) cmp(o endpointKey) int {
 	if c := k.val.Cmp(o.val); c != 0 {
-		return c < 0
+		return c
 	}
-	return k.eps < o.eps
+	return k.eps - o.eps
 }
 
 // attrIntervals extracts the non-empty intervals for variable v from each
@@ -80,7 +81,7 @@ func beforeCount(xs, ys []Interval) int64 {
 		}
 		keys = append(keys, endpointKey{val: y.Lower, eps: eps})
 	}
-	sort.Slice(keys, func(i, j int) bool { return keys[i].less(keys[j]) })
+	slices.SortFunc(keys, endpointKey.cmp)
 	var n int64
 	for _, x := range xs {
 		if !x.HasUpper {
@@ -92,7 +93,7 @@ func beforeCount(xs, ys []Interval) int64 {
 		}
 		k := endpointKey{val: x.Upper, eps: eps}
 		// Count keys strictly greater than k: x separates from those ys.
-		idx := sort.Search(len(keys), func(i int) bool { return k.less(keys[i]) })
+		idx := sort.Search(len(keys), func(i int) bool { return k.cmp(keys[i]) < 0 })
 		n += int64(len(keys) - idx)
 	}
 	return n

@@ -1,6 +1,7 @@
 package constraint
 
 import (
+	"slices"
 	"sync/atomic"
 
 	"cdb/internal/rational"
@@ -175,17 +176,27 @@ func DecisionCount() int64 { return decisions.Load() }
 
 // satisfiable decides satisfiability of a conjunction of constraints by
 // eliminating every variable and checking the residual trivial constraints.
+//
+// The elimination order is a function of the system alone (nextVar), so a
+// cold decision — what set-up and every cache miss pay — does the same work
+// and the same allocations every time it is asked.
 func satisfiable(cs []Constraint) bool {
 	decisions.Add(1)
-	// Collect variables.
-	varSet := map[string]bool{}
+	// Collect the variables, sorted, without a map: systems are small.
+	var buf [8]string
+	vars := buf[:0]
 	for _, c := range cs {
-		for _, v := range c.Expr.Vars() {
-			varSet[v] = true
+		for _, t := range c.Expr.terms {
+			if i, found := slices.BinarySearch(vars, t.Var); !found {
+				vars = slices.Insert(vars, i, t.Var)
+			}
 		}
 	}
 	work := append([]Constraint{}, cs...)
-	for v := range varSet {
+	for len(vars) > 0 {
+		k := nextVar(work, vars)
+		v := vars[k]
+		vars = slices.Delete(vars, k, k+1)
 		work = eliminateVar(work, v)
 		if len(work) > 8 {
 			work = sweepRedundant(work)
@@ -202,6 +213,46 @@ func satisfiable(cs []Constraint) bool {
 		}
 	}
 	return true
+}
+
+// nextVar picks the variable of vars (sorted, non-empty) to eliminate from
+// cs next and returns its index: a variable some equality defines if there
+// is one — the Gauss step substitutes it away and the system shrinks —
+// else the one whose Fourier-Motzkin step produces the fewest combinations
+// (lower bounds × upper bounds). Ties go to the smaller name.
+func nextVar(cs []Constraint, vars []string) int {
+	type occurrences struct{ eqs, lowers, uppers int }
+	var buf [8]occurrences
+	occ := buf[:]
+	if len(vars) > len(buf) {
+		occ = make([]occurrences, len(vars))
+	}
+	for _, c := range cs {
+		k := 0 // terms and vars are both sorted: one merge walk per atom
+		for _, t := range c.Expr.terms {
+			for vars[k] != t.Var { // every variable left in cs is still in vars
+				k++
+			}
+			switch {
+			case c.Op == Eq:
+				occ[k].eqs++
+			case t.Coef.Sign() > 0:
+				occ[k].uppers++
+			default:
+				occ[k].lowers++
+			}
+		}
+	}
+	best := 0
+	for k := range vars {
+		if occ[k].eqs > 0 {
+			return k
+		}
+		if occ[k].lowers*occ[k].uppers < occ[best].lowers*occ[best].uppers {
+			best = k
+		}
+	}
+	return best
 }
 
 // Interval is a (possibly unbounded, possibly open) rational interval.

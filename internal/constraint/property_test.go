@@ -109,3 +109,45 @@ func TestDecisionCountMonotone(t *testing.T) {
 		prev = cur
 	}
 }
+
+// TestSatisfiableRepeatableWork pins the eliminator's order: the variables
+// of a decision are eliminated in an order fixed by the system itself, not
+// by Go's map iteration, so asking the same cold question again does the
+// same work — here, the same number of allocations, fifty times over.
+func TestSatisfiableRepeatableWork(t *testing.T) {
+	q := rational.FromInt
+	v := constraint.Var
+	le := func(e constraint.Expr, k int64) constraint.Constraint {
+		return constraint.Constraint{Expr: e.Sub(constraint.ConstInt(k)), Op: constraint.Le}
+	}
+	systems := map[string]constraint.Conjunction{
+		// A parcel ∧ an ownership interval ∧ a track segment: x and y
+		// are defined by equalities, t is bounded from six sides.
+		"hurricane": constraint.And(
+			constraint.MustNew(v("x"), "=", v("t").Scale(rational.New(7, 5)).Add(constraint.ConstInt(2))),
+			constraint.MustNew(v("y"), "=", v("t").Scale(rational.New(6, 5)).Add(constraint.ConstInt(1))),
+			constraint.GeConst("t", q(0)), constraint.LeConst("t", q(5)),
+			constraint.GeConst("t", q(1)), constraint.LeConst("t", q(14)),
+			constraint.GeConst("x", q(6)), constraint.LeConst("x", q(11)),
+			constraint.GeConst("y", q(0)), constraint.LeConst("y", q(5))),
+		// Four variables, every atom over three of them: the combination
+		// step's output depends heavily on which variable goes first.
+		"dense-4": constraint.And(
+			le(v("w").Add(v("x")).Add(v("y")), 9), le(v("w").Neg().Add(v("x")).Sub(v("z")), 4),
+			le(v("x").Neg().Add(v("y")).Add(v("z")), 7), le(v("w").Sub(v("y")).Sub(v("z")), 3),
+			le(v("w").Neg().Sub(v("x")).Add(v("z")), 5), le(v("x").Sub(v("y")).Add(v("w").Scale(q(2))), 8),
+			le(v("y").Neg().Sub(v("z")).Sub(v("w")), 6), le(v("z").Sub(v("x")).Add(v("y").Scale(q(3))), 12),
+			constraint.GeConst("w", q(-5)), constraint.LeConst("z", q(5))),
+	}
+	// AllocsPerRun's integer average over ten calls absorbs the odd
+	// allocation the runtime makes beside the test; an order that moves
+	// between calls moves the average.
+	for name, j := range systems {
+		want := testing.AllocsPerRun(10, func() { j.IsSatisfiable() })
+		for run := 1; run < 50; run++ {
+			if got := testing.AllocsPerRun(10, func() { j.IsSatisfiable() }); got != want {
+				t.Fatalf("%s: run %d made %v allocations, run 0 made %v", name, run, got, want)
+			}
+		}
+	}
+}

@@ -23,11 +23,24 @@ import (
 //     canonical form (constraint.Conjunction.Canon), whatever the form of
 //     the inputs;
 //   - memoized decisions: every satisfiability decision goes through the
-//     operator's recorder (exec.OpRecorder.Satisfiable), so a sat-cache
-//     configured on ec is consulted and the hit/miss counts land in the
-//     per-operator statistics. With no context or no cache the decisions
-//     fall back to the raw Fourier-Motzkin eliminator, and the output is
-//     byte-identical either way.
+//     operator's recorder (exec.OpRecorder.Satisfiable, and for the pair
+//     decisions of join and intersect exec.OpRecorder.SatisfiablePair), so
+//     a sat-cache configured on ec is consulted and the hit/miss counts
+//     land in the per-operator statistics. With no context or no cache the
+//     decisions fall back to the raw Fourier-Motzkin eliminator, and the
+//     output is byte-identical either way.
+//
+// Join and intersect ask before they build: a candidate pair is looked up
+// under its two *input* fingerprints, a remembered unsatisfiable pair is
+// dropped without a Merge, a remembered satisfiable one reuses the stored
+// canonical merge (memoised envelope and vector form included), and only a
+// pair the cache has not seen is merged, canonicalised and decided — on the
+// canonical form, whose fold halves what the eliminator sees. One pair is
+// one sat-check and one hit or miss. The vector path and difference do not
+// use the pair lookup: they decide by clipping, never consulted the cache
+// for those decisions, and their pair working sets (box-join cycles 6400
+// distinct pairs through 4096 entries) would evict every entry before its
+// reuse.
 
 // Select returns ς_cond(r): the tuples of r restricted to the condition.
 // Per the heterogeneous semantics, conditions over constraint attributes
@@ -187,12 +200,15 @@ func joinCtx(ec *exec.Context, op string, r1, r2 *relation.Relation) (*relation.
 		pairs = len(t1s) * len(t2s)
 	}
 	// refine is the expensive per-pair step, run only on pairs whose
-	// relational parts are known to match. The relational-part copy
+	// relational parts are known to match. It asks first and builds last:
+	// the pair decision is looked up under the two input fingerprints, so
+	// a remembered pair is not merged or canonicalised again (see the
+	// invariants at the top of this file). The relational-part copy
 	// happens after the satisfiability reject, and JoinTuple merges both
 	// sides in a single map allocation.
 	refine := func(t1, t2 relation.Tuple) (*relation.Tuple, error) {
-		con := t1.Constraint().Merge(t2.Constraint()).Canon()
-		if !rec.Satisfiable(con) {
+		con, sat := rec.SatisfiablePair(t1.Constraint(), t2.Constraint())
+		if !sat {
 			return nil, nil
 		}
 		nt := relation.JoinTuple(t1, t2, con)

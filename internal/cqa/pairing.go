@@ -1,6 +1,7 @@
 package cqa
 
 import (
+	"slices"
 	"sort"
 
 	"cdb/internal/constraint"
@@ -204,7 +205,7 @@ func sweepPairs(attr string, as, bs []int, env1, env2 []constraint.Envelope, emi
 	sb := sweepItems(attr, bs, env2)
 	i, j := 0, 0
 	for i < len(sa) && j < len(sb) {
-		if !loLess(sb[j], sa[i]) { // sa[i] starts first (ties go to the a side)
+		if loCmp(sb[j], sa[i]) >= 0 { // sa[i] starts first (ties go to the a side)
 			a := sa[i]
 			for k := j; k < len(sb) && startsBeforeEnd(sb[k], a); k++ {
 				emit(a.idx, sb[k].idx)
@@ -235,23 +236,26 @@ func sweepItems(attr string, idxs []int, envs []constraint.Envelope) []sweepItem
 		}
 		out = append(out, it)
 	}
-	sort.Slice(out, func(x, y int) bool { return loLess(out[x], out[y]) })
+	slices.SortFunc(out, loCmp)
 	return out
 }
 
-// loLess is the sweep's total order on interval starts: -∞ first, then by
+// loCmp is the sweep's total order on interval starts: -∞ first, then by
 // start value, ties by tuple index.
-func loLess(a, b sweepItem) bool {
+func loCmp(a, b sweepItem) int {
 	if !a.hasLo || !b.hasLo {
 		if a.hasLo != b.hasLo {
-			return !a.hasLo
+			if !a.hasLo {
+				return -1
+			}
+			return 1
 		}
-		return a.idx < b.idx
+		return a.idx - b.idx
 	}
 	if c := a.lo.Cmp(b.lo); c != 0 {
-		return c < 0
+		return c
 	}
-	return a.idx < b.idx
+	return a.idx - b.idx
 }
 
 // startsBeforeEnd reports x.lo ≤ y.hi under closed-endpoint semantics

@@ -1,34 +1,74 @@
-package cqa
+package cqa_test
 
 import (
+	"bytes"
 	"testing"
 
 	"cdb/internal/constraint"
+	"cdb/internal/cqa"
+	"cdb/internal/datagen"
+	"cdb/internal/db"
 	"cdb/internal/exec"
 	"cdb/internal/rational"
 	"cdb/internal/relation"
 )
 
+// boxInputs are two workload-derived box relations sharing the relational
+// attribute id (idMod distinct values; 0 = all NULL).
+func boxInputs(t *testing.T, seed int64, n1, n2, idMod int) (*relation.Relation, *relation.Relation) {
+	t.Helper()
+	p := datagen.Scaled(10)
+	p.Seed = seed
+	r1 := datagen.BoxRelation(p, n1, idMod)
+	p.Seed = seed + 1000
+	r2 := datagen.BoxRelation(p, n2, idMod)
+	if r1.Len() != n1 || r2.Len() != n2 {
+		t.Fatalf("bad fixture sizes: %d, %d", r1.Len(), r2.Len())
+	}
+	return r1, r2
+}
+
+// saved is r as db.Save writes it: the bytes a user of the system sees.
+func saved(t *testing.T, r *relation.Relation) string {
+	t.Helper()
+	d := db.New()
+	if err := d.Put("R", r); err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := d.Save(&buf); err != nil {
+		t.Fatal(err)
+	}
+	return buf.String()
+}
+
+type relOp func(*exec.Context) (*relation.Relation, error)
+
 // TestSatCacheOutputIdentical asserts the determinism contract of the
 // memoized engine: with the sat-cache on, every operator's output is
-// byte-identical (tuples and order) to the cache-off run, at parallelism 1
-// and 4. Run under -race by scripts/check.sh, this also exercises the
-// cache's concurrency story through the worker pool.
+// byte-identical (db.Save bytes: tuples and order) to the cache-off run, at
+// parallelism 1 and 4. Join and intersect, whose pair decisions are looked
+// up under the two input fingerprints and whose remembered pairs reuse a
+// stored merge, are additionally run with the cache off, at capacity 16
+// (every entry evicted before its reuse) and at the default, at 1 and 4
+// workers, in every plan mode, twice per context so the second run answers
+// from what the first remembered — on boxes and on the hurricane-shaped
+// three-variable tuples with equalities. Run under -race by
+// scripts/check.sh, this also exercises the cache's concurrency story
+// through the worker pool.
 func TestSatCacheOutputIdentical(t *testing.T) {
-	cond := Condition{
-		AttrCmpConst("x", OpLe, rational.FromInt(1500)),
-		AttrCmpConst("y", OpNe, rational.FromInt(700)),
-		StrNe("id", "b3"),
+	cond := cqa.Condition{
+		cqa.AttrCmpConst("x", cqa.OpLe, rational.FromInt(1500)),
+		cqa.AttrCmpConst("y", cqa.OpNe, rational.FromInt(700)),
+		cqa.StrNe("id", "b3"),
 	}
 	for _, seed := range []int64{1, 42} {
-		r1, r2 := parInputs(t, seed, 40, 36, 5)
-		ops := map[string]func(*exec.Context) (*relation.Relation, error){
-			"select":     func(ec *exec.Context) (*relation.Relation, error) { return SelectCtx(ec, r1, cond) },
-			"project":    func(ec *exec.Context) (*relation.Relation, error) { return ProjectCtx(ec, r1, "id", "x") },
-			"join":       func(ec *exec.Context) (*relation.Relation, error) { return JoinCtx(ec, r1, r2) },
-			"intersect":  func(ec *exec.Context) (*relation.Relation, error) { return IntersectCtx(ec, r1, r2) },
-			"union":      func(ec *exec.Context) (*relation.Relation, error) { return UnionCtx(ec, r1, r2) },
-			"difference": func(ec *exec.Context) (*relation.Relation, error) { return DifferenceCtx(ec, r1, r2) },
+		r1, r2 := boxInputs(t, seed, 40, 36, 5)
+		ops := map[string]relOp{
+			"select":     func(ec *exec.Context) (*relation.Relation, error) { return cqa.SelectCtx(ec, r1, cond) },
+			"project":    func(ec *exec.Context) (*relation.Relation, error) { return cqa.ProjectCtx(ec, r1, "id", "x") },
+			"union":      func(ec *exec.Context) (*relation.Relation, error) { return cqa.UnionCtx(ec, r1, r2) },
+			"difference": func(ec *exec.Context) (*relation.Relation, error) { return cqa.DifferenceCtx(ec, r1, r2) },
 		}
 		for name, op := range ops {
 			for _, par := range []int{1, 4} {
@@ -43,9 +83,55 @@ func TestSatCacheOutputIdentical(t *testing.T) {
 				if err != nil {
 					t.Fatalf("seed %d %s par %d cache-on: %v", seed, name, par, err)
 				}
-				if dump(got) != dump(want) {
+				if saved(t, got) != saved(t, want) {
 					t.Errorf("seed %d: %s at par %d diverges with the sat-cache on\noff:\n%s\non:\n%s",
-						seed, name, par, dump(want), dump(got))
+						seed, name, par, saved(t, want), saved(t, got))
+				}
+			}
+		}
+	}
+
+	land, owners, track := datagen.HurricaneRelations(3)
+	r0, err := cqa.Join(owners, land)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b1, b2 := boxInputs(t, 1, 40, 36, 5)
+	pairOps := map[string]relOp{
+		"join boxes":      func(ec *exec.Context) (*relation.Relation, error) { return cqa.JoinCtx(ec, b1, b2) },
+		"intersect boxes": func(ec *exec.Context) (*relation.Relation, error) { return cqa.IntersectCtx(ec, b1, b2) },
+		"join owners-land": func(ec *exec.Context) (*relation.Relation, error) {
+			return cqa.JoinCtx(ec, owners, land)
+		},
+		"join r0-track":         func(ec *exec.Context) (*relation.Relation, error) { return cqa.JoinCtx(ec, r0, track) },
+		"intersect r0-r0":       func(ec *exec.Context) (*relation.Relation, error) { return cqa.IntersectCtx(ec, r0, r0) },
+		"intersect track-track": func(ec *exec.Context) (*relation.Relation, error) { return cqa.IntersectCtx(ec, track, track) },
+	}
+	caches := map[string]func() *constraint.SatCache{
+		"off":     func() *constraint.SatCache { return nil },
+		"16":      func() *constraint.SatCache { return constraint.NewSatCache(16) },
+		"default": func() *constraint.SatCache { return constraint.NewSatCache(0) },
+	}
+	for name, op := range pairOps {
+		ref, err := op(&exec.Context{Parallelism: 1, NoPrune: true})
+		if err != nil {
+			t.Fatalf("%s reference: %v", name, err)
+		}
+		want := saved(t, ref)
+		for size, newCache := range caches {
+			for _, par := range []int{1, 4} {
+				for _, mode := range []string{exec.PlanAuto, exec.PlanDense, exec.PlanSweep, exec.PlanVector} {
+					ec := &exec.Context{Parallelism: par, SeqThreshold: 1, PlanMode: mode, SatCache: newCache()}
+					for run := 0; run < 2; run++ {
+						got, err := op(ec)
+						if err != nil {
+							t.Fatalf("%s cache %s par %d %s: %v", name, size, par, mode, err)
+						}
+						if saved(t, got) != want {
+							t.Errorf("%s: cache %s, %d workers, plan %s, run %d diverges from the unfiltered cache-off run",
+								name, size, par, mode, run)
+						}
+					}
 				}
 			}
 		}
@@ -57,8 +143,8 @@ func TestSatCacheOutputIdentical(t *testing.T) {
 // constraint.satcache_hit_share reports — and that the per-operator stats
 // account for every decision as a hit or a miss.
 func TestSatCacheWarmReuse(t *testing.T) {
-	r1, r2 := parInputs(t, 7, 30, 30, 0)
-	r2b, err := Rename(r2, "id", "id2")
+	r1, r2 := boxInputs(t, 7, 30, 30, 0)
+	r2b, err := cqa.Rename(r2, "id", "id2")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -69,13 +155,13 @@ func TestSatCacheWarmReuse(t *testing.T) {
 		// the vector fast path would decide these spatial pairs without
 		// ever consulting the oracle.
 		ec := &exec.Context{Parallelism: 4, SeqThreshold: 1, SatCache: cache, PlanMode: exec.PlanSweep}
-		out, err := JoinCtx(ec, r1, r2b)
+		out, err := cqa.JoinCtx(ec, r1, r2b)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if round == 0 {
-			want = dump(out)
-		} else if dump(out) != want {
+			want = saved(t, out)
+		} else if saved(t, out) != want {
 			t.Fatal("warm run output diverges from cold run")
 		}
 		s := ec.Stats()[0]
@@ -90,5 +176,42 @@ func TestSatCacheWarmReuse(t *testing.T) {
 	}
 	if st := cache.Stats(); st.Hits == 0 || st.Collisions != 0 {
 		t.Errorf("cache stats after warm reuse: %s", st)
+	}
+}
+
+// TestWarmJoinAllocs puts a ceiling on what a remembered pair may cost: the
+// paper's Query 3 joins (owners ⋈ parcels, then ⋈ the track) on a warm
+// session cache, one worker, counted per candidate pair the filter stage
+// hands to refine. A remembered unsatisfiable pair allocates nothing and a
+// remembered satisfiable one only its result tuple; the rest is the filter
+// stage and the output relation. A Merge or a Canon on a remembered pair —
+// some twenty allocations each — cannot come back under this ceiling.
+func TestWarmJoinAllocs(t *testing.T) {
+	land, owners, track := datagen.HurricaneRelations(8)
+	ec := exec.New(1)
+	ec.SatCache = constraint.NewSatCache(0)
+	query3Joins := func() {
+		r0, err := cqa.JoinCtx(ec, owners, land)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := cqa.JoinCtx(ec, r0, track); err != nil {
+			t.Fatal(err)
+		}
+	}
+	query3Joins()
+	var cands int64
+	for _, s := range ec.Stats() {
+		cands += s.PairsTotal - s.PairsPruned
+	}
+	ec.Reset()
+	allocs := testing.AllocsPerRun(10, func() {
+		query3Joins()
+		ec.Reset()
+	})
+	const ceiling = 2.3 // allocations per candidate pair; 1.51 when set
+	if perPair := allocs / float64(cands); perPair > ceiling {
+		t.Errorf("warm Query 3 joins: %.0f allocations over %d candidate pairs = %.2f per pair, ceiling %v",
+			allocs, cands, perPair, ceiling)
 	}
 }

@@ -127,10 +127,34 @@ func (r *OpRecorder) Satisfiable(j constraint.Conjunction) bool {
 		return j.IsSatisfiable()
 	}
 	sat, hit := r.c.Satisfiable(j)
-	r.satChecks.Add(1)
-	if !sat {
-		r.pruned.Add(1)
+	r.decided(sat, hit)
+	return sat
+}
+
+// SatisfiablePair decides a ∧ b — the refine step of join and intersect —
+// and returns its canonical form a.Merge(b).Canon() when it is satisfiable
+// (the conjunction is meaningless otherwise). With a sat-cache configured
+// the pair is looked up under its two input fingerprints first
+// (constraint.SatCache.SatisfiablePair), so a remembered pair is neither
+// merged nor canonicalised again; without one it is merged, canonicalised
+// and decided by the raw eliminator. Either way it records exactly what
+// Satisfiable records: one sat-check, one pruned candidate if
+// unsatisfiable, one hit or miss when the cache is enabled.
+func (r *OpRecorder) SatisfiablePair(a, b constraint.Conjunction) (constraint.Conjunction, bool) {
+	if r == nil || r.c.SatCache == nil {
+		merged := a.Merge(b).Canon()
+		sat := merged.IsSatisfiable()
+		r.SatCheck(sat)
+		return merged, sat
 	}
+	merged, sat, hit := r.c.SatCache.SatisfiablePair(a, b)
+	r.decided(sat, hit)
+	return merged, sat
+}
+
+// decided records one decision routed through the context's oracle.
+func (r *OpRecorder) decided(sat, hit bool) {
+	r.SatCheck(sat)
 	if r.c.SatCache != nil {
 		if hit {
 			r.cacheHits.Add(1)
@@ -138,7 +162,6 @@ func (r *OpRecorder) Satisfiable(j constraint.Conjunction) bool {
 			r.cacheMisses.Add(1)
 		}
 	}
-	return sat
 }
 
 // SatFunc adapts the recorder to a constraint.SatFunc so decision

@@ -56,28 +56,41 @@ func FormOf(j constraint.Conjunction) *Form {
 }
 
 func computeForm(j constraint.Conjunction) *Form {
-	vars := j.Vars()
-	if len(vars) != 2 {
-		return nil
-	}
-	x, y := vars[0], vars[1]
 	cs := j.Constraints()
 	if len(cs) < 3 {
 		return nil // fewer than 3 half-planes cannot bound a 2-D region
 	}
-	// Every atom must be a closed half-plane over (x, y): Op Le with a
-	// non-zero normal. Strict or equality atoms make the region non-closed
-	// or degenerate — the FM path handles those.
+	// Every atom must be a closed half-plane over the same two variables:
+	// Op Le with a non-zero normal. Strict or equality atoms make the region
+	// non-closed or degenerate — the FM path handles those. The pairing
+	// stage probes every tuple of every binary operator, so the rejects
+	// come first and allocate nothing.
+	var x, y string // the two variables, sorted once both are known
+	for _, c := range cs {
+		if c.Op != constraint.Le || c.Expr.IsConst() {
+			return nil // strict, equality or constant (e.g. the False sentinel 0 < 0)
+		}
+		for _, t := range c.Expr.Terms() {
+			switch {
+			case t.Var == x || t.Var == y:
+			case x == "":
+				x = t.Var
+			case y == "":
+				y = t.Var
+			default:
+				return nil // a third variable
+			}
+		}
+	}
+	if y == "" {
+		return nil // fewer than two variables
+	}
+	if y < x {
+		x, y = y, x
+	}
 	normals := make([]geometry.Point, len(cs))
 	for i, c := range cs {
-		if c.Op != constraint.Le {
-			return nil
-		}
-		a, b := c.Expr.Coef(x), c.Expr.Coef(y)
-		if a.IsZero() && b.IsZero() {
-			return nil // constant atom (e.g. the False sentinel 0 < 0)
-		}
-		normals[i] = geometry.Point{X: a, Y: b}
+		normals[i] = geometry.Point{X: c.Expr.Coef(x), Y: c.Expr.Coef(y)}
 	}
 	if unboundedDirection(normals) {
 		return nil

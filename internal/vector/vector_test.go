@@ -71,6 +71,40 @@ func TestFormOfEligibility(t *testing.T) {
 	}
 }
 
+// TestFormOfRejectAllocs pins the probe's reject path: the pairing stage
+// calls computeForm once for every fresh tuple of every binary operator, and
+// for the shapes that can never have a polygon form — a third variable, an
+// equality, a strict atom — the answer must cost no allocation.
+func TestFormOfRejectAllocs(t *testing.T) {
+	line := func(v string, slope rational.Rat) constraint.Constraint { // v = slope·t + 1
+		return constraint.MustNew(constraint.Var(v), "=", constraint.Var("t").Scale(slope).Add(constraint.ConstInt(1)))
+	}
+	rejects := []struct {
+		name string
+		j    constraint.Conjunction
+	}{
+		{"hurricane-owner-parcel", boxConj(0, 0, 5, 5).With(
+			constraint.GeConst("t", q(0)), constraint.LeConst("t", q(12)))},
+		{"hurricane-track-segment", boxConj(0, 0, 5, 5).With(
+			line("x", rational.New(7, 5)), line("y", rational.New(6, 5)),
+			constraint.GeConst("t", q(0)), constraint.LeConst("t", q(5)))},
+		{"strict-box", constraint.And(
+			constraint.GtConst("x", q(0)), constraint.LtConst("x", q(4)),
+			constraint.GtConst("y", q(0)), constraint.LtConst("y", q(4)))},
+		{"box-one-strict-side", boxConj(0, 0, 4, 4).With(constraint.LtConst("x", q(3)))},
+	}
+	for _, tc := range rejects {
+		for _, j := range []constraint.Conjunction{tc.j, tc.j.Canon()} {
+			if computeForm(j) != nil {
+				t.Fatalf("%s: expected ineligible", tc.name)
+			}
+			if n := testing.AllocsPerRun(100, func() { computeForm(j) }); n != 0 {
+				t.Errorf("%s: computeForm allocates %v times on a reject, want 0", tc.name, n)
+			}
+		}
+	}
+}
+
 func TestFormOfTriangleFromConvert(t *testing.T) {
 	tri := geometry.MustPolygon(geometry.Pt(0, 0), geometry.Pt(6, 0), geometry.Pt(0, 6))
 	j, err := convert.ConvexPolygonToConjunction(tri, "x", "y")
