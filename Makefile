@@ -31,7 +31,7 @@ obs-demo:
 		-e "$$(printf 'R0 = join Landownership and Land\nR1 = select t >= 4, t <= 9 from R0\nR2 = project R1 on name')"
 
 # Native fuzzing: 30s per target. go's -fuzz takes one package at a time,
-# so the ten targets run sequentially (~5min total). Inputs that fail are
+# so the eleven targets run sequentially (~6min total). Inputs that fail are
 # auto-saved under the package's testdata/fuzz/<Target>/ — commit them;
 # they replay as regression tests in every ordinary `go test` run.
 FUZZTIME ?= 30s
@@ -40,6 +40,7 @@ fuzz:
 	$(GO) test ./internal/constraint -run '^$$' -fuzz '^FuzzCanon$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/constraint -run '^$$' -fuzz '^FuzzFourierMotzkin$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/constraint -run '^$$' -fuzz '^FuzzSimplify$$' -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/constraint -run '^$$' -fuzz '^FuzzBoxMerge$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/query -run '^$$' -fuzz '^FuzzQueryParse$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/calculus -run '^$$' -fuzz '^FuzzCalculusParse$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/snapshot -run '^$$' -fuzz '^FuzzManifest$$' -fuzztime $(FUZZTIME)

@@ -617,34 +617,69 @@ func BenchmarkJoinPruning(b *testing.B) {
 	}
 }
 
-// BenchmarkPairingModes: join and intersect on dense boxes — one tight
-// cluster of large boxes, nearly every pair overlaps, nothing to prune —
-// under each forced pairing mode and the cost model's auto pick, one
-// worker. Every box is vector-eligible, so this is the shape where auto's
-// vector rule (form construction + clipping per pair) is weighed against
-// plain Fourier-Motzkin (ROADMAP item 2).
+// BenchmarkPairingModes: join and intersect under each forced plan mode and
+// under auto, one worker, no cache, on the two shapes the per-pair deciders
+// split on — dense boxes (one tight cluster of large boxes, nearly every
+// pair overlaps, nothing to prune: the envelope decider's) and one cluster
+// of convex polygons (the clip decider's). Wall time is the benchmark's;
+// what it checks, on the deterministic counters of each row's last run, is
+// that auto never does more eliminations or clips than any forced mode, does
+// neither on the box rows, and clips exactly what forced vector clips on the
+// polygon rows.
 func BenchmarkPairingModes(b *testing.B) {
 	p := datagen.Paper()
 	p.SizeMin = 50
 	p2 := p
 	p2.Seed += 1000
-	r1 := datagen.ClusteredBoxRelation(p, 96, 1, 10, p.Seed+77)
-	r2 := datagen.ClusteredBoxRelation(p2, 96, 1, 10, p.Seed+77)
+	shapes := []struct {
+		name   string
+		r1, r2 *relation.Relation
+	}{
+		{"boxes", datagen.ClusteredBoxRelation(p, 96, 1, 10, p.Seed+77), datagen.ClusteredBoxRelation(p2, 96, 1, 10, p.Seed+77)},
+		{"polygons", datagen.PolygonRelation(p, 32, 1, 60, p.Seed+77), datagen.PolygonRelation(p2, 32, 1, 60, p.Seed+77)},
+	}
 	ops := []struct {
 		name string
 		run  func(*exec.Context, *relation.Relation, *relation.Relation) (*relation.Relation, error)
 	}{{"join", cqa.JoinCtx}, {"intersect", cqa.IntersectCtx}}
-	for _, op := range ops {
-		for _, mode := range []string{exec.PlanDense, exec.PlanSweep, exec.PlanVector, exec.PlanAuto} {
-			b.Run(op.name+"/"+mode, func(b *testing.B) {
-				ec := &exec.Context{Parallelism: 1, PlanMode: mode}
-				for i := 0; i < b.N; i++ {
-					if _, err := op.run(ec, r1, r2); err != nil {
-						b.Fatal(err)
+	modes := []string{exec.PlanDense, exec.PlanSweep, exec.PlanVector, exec.PlanAuto}
+	for _, shape := range shapes {
+		r1, r2 := datagen.Canonical(shape.r1), datagen.Canonical(shape.r2)
+		for _, op := range ops {
+			last := map[string]exec.OpStats{} // per mode; a -bench filter may leave some out
+			for _, mode := range modes {
+				b.Run(shape.name+"/"+op.name+"/"+mode, func(b *testing.B) {
+					ec := &exec.Context{Parallelism: 1, PlanMode: mode}
+					for i := 0; i < b.N; i++ {
+						ec.Reset()
+						if _, err := op.run(ec, r1, r2); err != nil {
+							b.Fatal(err)
+						}
 					}
-					ec.Reset()
+					last[mode] = ec.Stats()[0]
+				})
+			}
+			auto, ok := last[exec.PlanAuto]
+			if !ok {
+				continue
+			}
+			row := shape.name + "/" + op.name
+			for mode, s := range last {
+				if auto.FMDecisions+auto.VectorHits > s.FMDecisions+s.VectorHits {
+					b.Errorf("%s: auto ran %d eliminations + %d clips, forced %s only %d + %d",
+						row, auto.FMDecisions, auto.VectorHits, mode, s.FMDecisions, s.VectorHits)
 				}
-			})
+			}
+			cands := auto.PairsTotal - auto.PairsPruned
+			switch vec, forced := last[exec.PlanVector]; {
+			case cands == 0:
+				b.Errorf("%s: no candidate pairs", row)
+			case shape.name == "boxes" && (auto.EnvHits != cands || auto.VectorHits != 0 || auto.FMDecisions != 0):
+				b.Errorf("%s: auto decided %d of %d candidate pairs on the envelopes (%d clips, %d eliminations), want all of them",
+					row, auto.EnvHits, cands, auto.VectorHits, auto.FMDecisions)
+			case shape.name == "polygons" && (auto.VectorHits == 0 || auto.EnvHits != 0 || (forced && auto.VectorHits != vec.VectorHits)):
+				b.Errorf("%s: auto clipped %d pairs (env %d), forced vector %d", row, auto.VectorHits, auto.EnvHits, vec.VectorHits)
+			}
 		}
 	}
 }
@@ -865,6 +900,44 @@ func BenchmarkHurricaneQuery3Warm(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		run(i % starts)
+	}
+}
+
+// BenchmarkBoxJoinWarm is one request of the benchmark's box-join workload
+// without the server around it: each of its three forms (join, intersect,
+// join projected on x) on two dense 20-box relations as a session holds
+// them, with the result tail's normalisation, under one session-lifetime
+// context. Every candidate pair is two boxes over the shared x and y, so
+// this is the envelope decider end to end: interval merge, a projection that
+// drops bounds, a normalisation that finds nothing to do.
+func BenchmarkBoxJoinWarm(b *testing.B) {
+	p := datagen.Paper()
+	p.SizeMin, p.Seed = 50, 16
+	p2 := p
+	p2.Seed += 500
+	d := loadedDB(b, map[string]*relation.Relation{
+		"A": datagen.ClusteredBoxRelation(p, 20, 1, 10, 77), "B": datagen.ClusteredBoxRelation(p2, 20, 1, 10, 77)})
+	ec := exec.New(1)
+	ec.SatCache = constraint.NewSatCache(0)
+	for _, form := range [][2]string{{"join", "join A and B"}, {"intersect", "intersect A and B"},
+		{"project", "project (join A and B) on x"}} {
+		prog, err := query.Parse("R = " + form[1])
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.Run(form[0], func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				r, err := prog.RunOptimizedCtx(d.Env(), ec)
+				if err != nil {
+					b.Fatal(err)
+				}
+				if r.NormalizeWith(ec.SatFunc()).Len() == 0 {
+					b.Fatal("empty result")
+				}
+				ec.Reset()
+			}
+		})
 	}
 }
 

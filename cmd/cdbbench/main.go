@@ -63,7 +63,7 @@ func run(args []string) error {
 	jsonPath := fs.String("json", "", "diff experiment: write the report to this JSON file")
 	cases := fs.Int("n", 100, "diff experiment: number of random (relation, operator) cases")
 	spatial := fs.Bool("spatial", false, "diff experiment: draw polygon-shaped spatial inputs")
-	plan := fs.String("plan", exec.PlanAuto, "diff experiment: the engine's pairing strategy: auto | dense | sweep | vector")
+	plan := fs.String("plan", exec.PlanAuto, "diff experiment: the engine's plan mode: auto | dense | sweep | vector (see cqacdb -plan)")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}

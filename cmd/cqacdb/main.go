@@ -30,9 +30,11 @@
 // programs of a session, so repeated shapes are decided once. The binary
 // operators pair tuples through a filter-and-refine candidate filter
 // (relational hash partitioning + constraint envelopes + switched
-// enumeration; docs/ARCHITECTURE.md "The filter stage"); -plan forces one
-// pairing strategy (dense, sweep, vector) or leaves the choice to the
-// filter's cost model (auto, the default). Parallel output is
+// enumeration; docs/ARCHITECTURE.md "The filter stage") and decide each
+// surviving pair by the cheapest decider that is exact on it (envelopes,
+// clipping, sat-cache / Fourier-Motzkin); -plan forces an enumeration with
+// Fourier-Motzkin alone (dense, sweep) or clipping for boxes too (vector),
+// or leaves both to the engine (auto, the default). Parallel output is
 // byte-identical to sequential output, with or without the cache, and
 // across every -plan mode.
 //
@@ -119,7 +121,7 @@ func run(args []string) error {
 	traceJSON := fs.String("trace-json", "", "write each program's span tree as JSON to this file")
 	metricsAddr := fs.String("metrics-addr", "", "serve /metrics, expvar and /debug/pprof on this address")
 	slowlog := fs.Duration("slowlog", 0, "log spans at least this slow via slog (0 = off)")
-	plan := fs.String("plan", exec.PlanAuto, "pairing strategy: auto (cost model decides), dense, sweep, or vector")
+	plan := fs.String("plan", exec.PlanAuto, "binary operators: auto (cost model enumerates, cheapest exact decider per pair), or force dense / sweep (that enumeration, Fourier-Motzkin decides) or vector (clip boxes too)")
 	queryLog := fs.String("query-log", "", "append every executed program as one NDJSON flight record to this file")
 	snapshotDir := fs.String("snapshot-dir", "", "copy-on-write snapshot store directory (enables -snap-* commands)")
 	snapList := fs.Bool("snap-list", false, "list the store's snapshots and exit")

@@ -1,8 +1,8 @@
 package constraint
 
 import (
+	"bytes"
 	"slices"
-	"strings"
 
 	"cdb/internal/rational"
 )
@@ -90,47 +90,59 @@ func (j Conjunction) Canon() Conjunction {
 	}
 	// Pass 2: fold parallel inequalities keeping only the tighter bound.
 	atoms = compact(atoms, foldParallel(atoms, hashTerms))
-	// Pass 3: stable total order — by operator, then by rendered
-	// expression. Each surviving atom is rendered exactly once, into one
-	// shared buffer; the sort compares those keys and builds nothing.
-	// Identical equalities (the fold leaves them alone) end up adjacent and
-	// are dropped here; exact ties are identical atoms.
+	// Pass 3: stable total order.
+	return canonical(sortAtoms(atoms), false)
+}
+
+// canonical flags atoms — atom-canonical, trivial-free, folded and in
+// canonical order — as a canonical conjunction with fresh memo boxes (one
+// allocation holds both). box says the caller knows them to be a non-empty
+// box (see IsBox).
+func canonical(atoms []Constraint, box bool) Conjunction {
+	memo := &struct {
+		env envBox
+		aux auxBox
+	}{env: envBox{knownBox: box}}
+	return Conjunction{cs: atoms, canon: true, fp: fingerprintOf(atoms), env: &memo.env, aux: &memo.aux}
+}
+
+// sortAtoms puts atom-canonical atoms into the canonical order, in place:
+// by operator, then by rendered expression. Each atom is rendered exactly
+// once, into one shared buffer; the sort compares those keys and builds
+// nothing. Identical equalities (the fold leaves them alone) end up
+// adjacent and are dropped here; exact ties are identical atoms.
+func sortAtoms(atoms []Constraint) []Constraint {
 	var stack [256]byte
-	buf := stack[:0]
-	keyed := make([]keyedAtom, len(atoms))
-	for i, c := range atoms {
+	var few [8]keyedAtom
+	buf, keyed := stack[:0], few[:0]
+	for _, c := range atoms {
+		start := len(buf)
 		buf = c.Expr.appendTo(buf)
-		keyed[i] = keyedAtom{c: c, end: len(buf)}
+		keyed = append(keyed, keyedAtom{c: c, start: start, end: len(buf)})
 	}
-	rendered := string(buf)
-	start := 0
-	for i := range keyed {
-		keyed[i].key = rendered[start:keyed[i].end]
-		start = keyed[i].end
-	}
-	slices.SortFunc(keyed, func(a, b keyedAtom) int {
+	cmp := func(a, b keyedAtom) int {
 		if a.c.Op != b.c.Op {
 			return int(a.c.Op) - int(b.c.Op)
 		}
-		return strings.Compare(a.key, b.key)
-	})
+		return bytes.Compare(buf[a.start:a.end], buf[b.start:b.end])
+	}
+	slices.SortFunc(keyed, cmp)
 	atoms = atoms[:0]
 	for i, k := range keyed {
-		if i > 0 && k.c.Op == keyed[i-1].c.Op && k.key == keyed[i-1].key {
+		if i > 0 && cmp(keyed[i-1], k) == 0 {
 			continue
 		}
 		atoms = append(atoms, k.c)
 	}
-	return Conjunction{cs: atoms, canon: true, fp: fingerprintOf(atoms), env: &envBox{}, aux: &auxBox{}}
+	return atoms
 }
 
-// keyedAtom is a canonical atom with the rendering of its expression: the
-// sort key Canon computes once per atom (end is the key's end offset in the
-// shared render buffer while it is being filled).
+// keyedAtom is a canonical atom with where the rendering of its expression
+// — the sort key sortAtoms computes once per atom — sits in the shared
+// render buffer.
 type keyedAtom struct {
-	c   Constraint
-	key string
-	end int
+	c          Constraint
+	start, end int
 }
 
 // foldParallel is the parallel-half-plane fold shared by Canon and the

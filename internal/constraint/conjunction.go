@@ -105,7 +105,7 @@ var (
 	// Shared envelope and aux boxes for the two canonical sentinels (their
 	// sync.Once is safe to share process-wide; both envelopes are trivially
 	// empty — 0 < 0 has no variable term, so even False bounds nothing).
-	trueEnvBox  = &envBox{}
+	trueEnvBox  = &envBox{knownBox: true}
 	falseEnvBox = &envBox{}
 	trueAuxBox  = &auxBox{}
 	falseAuxBox = &auxBox{}
@@ -272,10 +272,15 @@ func (j Conjunction) Simplify() Conjunction {
 
 // SimplifyWith is Simplify with every satisfiability decision (the initial
 // check and the entailment sub-queries of the redundancy pass) routed
-// through sat (nil = raw Fourier-Motzkin). A conjunction of inequalities
-// over at most two variables with a full-dimensional region is decided by
-// the planar rule (planar.go) and asks sat nothing.
+// through sat (nil = raw Fourier-Motzkin). A non-empty box (IsBox) is
+// satisfiable and has no redundant bound, so it is returned as it is; a
+// conjunction of inequalities over at most two variables with a
+// full-dimensional region is decided by the planar rule (planar.go).
+// Neither asks sat anything.
 func (j Conjunction) SimplifyWith(sat SatFunc) Conjunction {
+	if j.IsBox() {
+		return j
+	}
 	if out, ok := j.simplifyPlanar(); ok {
 		return out
 	}

@@ -55,13 +55,20 @@ func (e Envelope) Disjoint(o Envelope, vars []string) bool {
 	return false
 }
 
-// envBox memoizes a conjunction's envelope next to the fingerprint.
+// envBox memoizes a conjunction's envelope next to the fingerprint, and
+// with it whether the conjunction is a non-empty box (IsBox, box.go).
 // Canon attaches one shared box to the canonical value it returns, so
 // every copy of that conjunction (tuples share constraint parts freely)
-// computes the envelope at most once, on first use.
+// computes both at most once, on first use.
 type envBox struct {
 	once sync.Once
 	env  Envelope
+	box  bool // set with env
+
+	// knownBox is set, before the value is shared, by the constructors
+	// that build a non-empty box from non-empty boxes (BoxMerge,
+	// dropVars): they know the answer without the envelope.
+	knownBox bool
 }
 
 // Envelope returns the conjunction's axis-aligned envelope, derived from
@@ -72,19 +79,24 @@ type envBox struct {
 // only ever ask on canonical forms.
 func (j Conjunction) Envelope() Envelope {
 	if j.env == nil {
-		return envelopeOf(j.cs)
+		env, _ := envelopeOf(j.cs)
+		return env
 	}
-	j.env.once.Do(func() { j.env.env = envelopeOf(j.cs) })
+	j.env.once.Do(func() { j.env.env, j.env.box = envelopeOf(j.cs) })
 	return j.env.env
 }
 
 // envelopeOf derives the envelope from the single-variable atoms of cs.
 // Multi-variable and constant atoms contribute nothing (conservative).
-func envelopeOf(cs []Constraint) Envelope {
+// box reports that the envelope is all of cs and no interval is empty:
+// every atom a single-variable inequality (see IsBox).
+func envelopeOf(cs []Constraint) (_ Envelope, box bool) {
 	var ivs map[string]Interval
+	box = true
 	for _, c := range cs {
 		ts := c.Expr.Terms()
 		if len(ts) != 1 {
+			box = false
 			continue
 		}
 		a, v := ts[0].Coef, ts[0].Var
@@ -95,6 +107,7 @@ func envelopeOf(cs []Constraint) Envelope {
 		iv := ivs[v]
 		switch {
 		case c.Op == Eq:
+			box = false
 			tightenLower(&iv, bound, false)
 			tightenUpper(&iv, bound, false)
 		case a.Sign() > 0: // v <= bound (open if Lt)
@@ -104,5 +117,13 @@ func envelopeOf(cs []Constraint) Envelope {
 		}
 		ivs[v] = iv
 	}
-	return Envelope{ivs: ivs}
+	if box {
+		for _, iv := range ivs {
+			if iv.IsEmpty() {
+				box = false
+				break
+			}
+		}
+	}
+	return Envelope{ivs: ivs}, box
 }

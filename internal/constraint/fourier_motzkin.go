@@ -33,7 +33,12 @@ type eliminateOpts struct {
 // extended to an assignment of vars satisfying j.
 //
 // If j is unsatisfiable the result is unsatisfiable (False after Simplify).
+// A non-empty box (IsBox) is projected by dropping the bounds of vars
+// (box.go): nothing is eliminated and the result is canonical.
 func (j Conjunction) Eliminate(vars ...string) Conjunction {
+	if j.IsBox() {
+		return j.dropVars(vars)
+	}
 	return j.eliminateWith(eliminateOpts{}, vars...)
 }
 
@@ -166,8 +171,8 @@ func sweepRedundant(cs []Constraint) []Constraint {
 }
 
 // decisions counts raw satisfiability runs of the Fourier-Motzkin
-// eliminator, process-wide. It is what the sat-cache saves: the
-// benchmark's constraint.fm_decisions_per_query is its delta per query.
+// eliminator, process-wide: the cdb_fm_decisions_total metric. What one
+// operator sent to the eliminator is counted on its exec.OpRecorder.
 var decisions atomic.Int64
 
 // DecisionCount returns the number of raw Fourier-Motzkin satisfiability

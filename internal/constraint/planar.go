@@ -99,7 +99,7 @@ func (j Conjunction) simplifyPlanar() (_ Conjunction, ok bool) {
 	if !j.canon {
 		return Conjunction{cs: out}, true
 	}
-	return Conjunction{cs: out, canon: true, fp: fingerprintOf(out), env: &envBox{}, aux: &auxBox{}}, true
+	return canonical(out, false), true
 }
 
 // halfPlanes reads cs as half-planes over at most two variables, appending

@@ -20,24 +20,13 @@ import (
 // problem: the partitions and envelopes, built once here and reused by
 // the enumeration, and the estimator's summary of them.
 type pairStats struct {
-	n, m         int                   // input sizes
-	env1, env2   []constraint.Envelope // per-tuple envelopes of the constraint parts
-	p1, p2       *relation.Partition   // relational-part buckets; nil with no shared relational attrs (every pair matches)
-	relPairs     int64                 // pairs whose relational parts match (n·m with no shared relational attrs)
-	overlap      map[string]int64      // per shared constraint attribute: pairs whose envelope intervals intersect
-	sweepAttr    string                // the interval sweep's sort attribute ("" = none bounded on both sides)
-	est          int64                 // min(relPairs, min over overlap): upper bound on surviving candidates
-	elig1, elig2 int                   // tuples per side whose constraint part is vector-eligible (vector.FormOf != nil)
-}
-
-// vectorFrac estimates the fraction of candidate pairs the vector fast
-// path can decide without FM: both tuples eligible, assuming independence
-// between the sides.
-func (s pairStats) vectorFrac() float64 {
-	if s.n == 0 || s.m == 0 {
-		return 0
-	}
-	return float64(s.elig1) / float64(s.n) * float64(s.elig2) / float64(s.m)
+	n, m       int                   // input sizes
+	env1, env2 []constraint.Envelope // per-tuple envelopes of the constraint parts
+	p1, p2     *relation.Partition   // relational-part buckets; nil with no shared relational attrs (every pair matches)
+	relPairs   int64                 // pairs whose relational parts match (n·m with no shared relational attrs)
+	overlap    map[string]int64      // per shared constraint attribute: pairs whose envelope intervals intersect
+	sweepAttr  string                // the interval sweep's sort attribute ("" = none bounded on both sides)
+	est        int64                 // min(relPairs, min over overlap): upper bound on surviving candidates
 }
 
 // estSweep bounds the pairs the interval sweep enumerates: overlaps on

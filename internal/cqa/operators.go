@@ -36,11 +36,12 @@ import (
 // canonical merge (memoised envelope and vector form included), and only a
 // pair the cache has not seen is merged, canonicalised and decided — on the
 // canonical form, whose fold halves what the eliminator sees. One pair is
-// one sat-check and one hit or miss. The vector path and difference do not
-// use the pair lookup: they decide by clipping, never consulted the cache
-// for those decisions, and their pair working sets (box-join cycles 6400
-// distinct pairs through 4096 entries) would evict every entry before its
-// reuse.
+// one sat-check and one hit or miss. That lookup is the last of the per-pair
+// deciders (pairing.go): pairs of boxes the filter compared in full and
+// pairs of polygon forms are answered before it, on their intervals and by
+// clipping, and never touch the cache — their working sets (box-join cycles
+// 6400 distinct pairs through 4096 entries) would evict every entry before
+// its reuse. Difference does not use the pair lookup.
 
 // Select returns ς_cond(r): the tuples of r restricted to the condition.
 // Per the heterogeneous semantics, conditions over constraint attributes
@@ -96,9 +97,9 @@ func SelectCtx(ec *exec.Context, r *relation.Relation, cond Condition) (*relatio
 
 // Project returns π_X(r): the restriction of every tuple to the attributes
 // X. Constraint attributes outside X are eliminated exactly (Fourier-
-// Motzkin projection of the constraint part); relational bindings outside X
-// are dropped. Tuples whose projected constraint part is unsatisfiable are
-// removed.
+// Motzkin projection of the constraint part; a box just loses their
+// bounds); relational bindings outside X are dropped. Tuples whose
+// projected constraint part is unsatisfiable are removed.
 func Project(r *relation.Relation, cols ...string) (*relation.Relation, error) {
 	return ProjectCtx(nil, r, cols...)
 }
@@ -125,7 +126,8 @@ func ProjectCtx(ec *exec.Context, r *relation.Relation, cols ...string) (*relati
 	results, err := exec.Map(ec, len(tuples), func(i int) (*relation.Tuple, error) {
 		t := tuples[i]
 		con := t.Constraint().Eliminate(dropCon...).Canon()
-		if !rec.Satisfiable(con) {
+		// A non-empty box projects to a non-empty box: nothing to ask.
+		if !t.Constraint().IsBox() && !rec.Satisfiable(con) {
 			return nil, nil
 		}
 		rvals := map[string]relation.Value{}
@@ -200,49 +202,34 @@ func joinCtx(ec *exec.Context, op string, r1, r2 *relation.Relation) (*relation.
 		pairs = len(t1s) * len(t2s)
 	}
 	// refine is the expensive per-pair step, run only on pairs whose
-	// relational parts are known to match. It asks first and builds last:
-	// the pair decision is looked up under the two input fingerprints, so
-	// a remembered pair is not merged or canonicalised again (see the
-	// invariants at the top of this file). The relational-part copy
-	// happens after the satisfiability reject, and JoinTuple merges both
-	// sides in a single map allocation.
+	// relational parts are known to match: the first decider of dec that
+	// takes the pair answers it (pairing.go), the last one by asking before
+	// it builds (see the invariants at the top of this file). Every decider
+	// emits a.Merge(b).Canon(), so the output bytes do not depend on which
+	// one ran. The relational-part copy happens after the satisfiability
+	// reject, and JoinTuple merges both sides in a single map allocation.
+	var dec deciders
 	refine := func(t1, t2 relation.Tuple) (*relation.Tuple, error) {
-		con, sat := rec.SatisfiablePair(t1.Constraint(), t2.Constraint())
+		c1, c2 := t1.Constraint(), t2.Constraint()
+		var con constraint.Conjunction
+		sat, ok := false, false
+		if dec.env && c1.IsBox() && c2.IsBox() {
+			con, sat = constraint.BoxMerge(c1, c2)
+			rec.EnvHit(sat)
+			ok = true
+		} else if dec.clip {
+			if sat, ok = clipPair(rec, c1, c2); sat {
+				con = c1.Merge(c2).Canon()
+			}
+		}
+		if !ok {
+			con, sat = rec.SatisfiablePair(c1, c2)
+		}
 		if !sat {
 			return nil, nil
 		}
 		nt := relation.JoinTuple(t1, t2, con)
 		return &nt, nil
-	}
-	// vectorRefine is refine with the satisfiability decision replaced by
-	// exact polygon clipping when both sides carry a cached vector form:
-	// same variable pair → clip (PairSat); fully disjoint variable pairs →
-	// satisfiable outright (two nonempty regions over independent
-	// variables always merge). Any other shape falls back to FM. PairSat
-	// agrees with FM exactly, and sat pairs emit the same Merge+Canon
-	// tuple, so the output bytes match refine's.
-	vectorRefine := func(t1, t2 relation.Tuple) (*relation.Tuple, error) {
-		f1, f2 := vector.FormOf(t1.Constraint()), vector.FormOf(t2.Constraint())
-		if f1 != nil && f2 != nil {
-			if f1.XVar == f2.XVar && f1.YVar == f2.YVar {
-				sat, reject := vector.PairSat(f1, f2)
-				rec.VectorHit(sat, reject)
-				if !sat {
-					return nil, nil
-				}
-			} else if f1.XVar != f2.XVar && f1.XVar != f2.YVar &&
-				f1.YVar != f2.XVar && f1.YVar != f2.YVar {
-				rec.VectorHit(true, false)
-			} else {
-				rec.VectorFallback()
-				return refine(t1, t2)
-			}
-			con := t1.Constraint().Merge(t2.Constraint()).Canon()
-			nt := relation.JoinTuple(t1, t2, con)
-			return &nt, nil
-		}
-		rec.VectorFallback()
-		return refine(t1, t2)
 	}
 	var results []*relation.Tuple
 	items := pairs
@@ -252,18 +239,16 @@ func joinCtx(ec *exec.Context, op string, r1, r2 *relation.Relation) (*relation.
 		// candidates are in ascending flattened order, so mapping over
 		// them preserves the sequential nested-loop output order.
 		plan := pairCandidates(ec, t1s, t2s, sharedRel, sharedCon)
-		rec.Pairing(plan.strategy(), plan.estPairs)
+		dec = pairDeciders(ec, r1.Schema(), r2.Schema(), sharedCon)
+		rec.Pairing(plan.enum, plan.estPairs)
 		rec.Pairs(int64(plan.total), int64(plan.pruned()))
 		items = len(plan.cands)
-		step := refine
-		if plan.vector {
-			step = vectorRefine
-		}
 		results, err = exec.Map(ec, items, func(k int) (*relation.Tuple, error) {
 			idx := plan.cands[k]
-			return step(t1s[idx/len(t2s)], t2s[idx%len(t2s)])
+			return refine(t1s[idx/len(t2s)], t2s[idx%len(t2s)])
 		})
 	} else {
+		// The reference path: no envelope compared, dec stays empty.
 		rec.Pairs(int64(pairs), 0)
 		results, err = exec.Map(ec, pairs, func(i int) (*relation.Tuple, error) {
 			t1, t2 := t1s[i/len(t2s)], t2s[i%len(t2s)]
@@ -430,10 +415,12 @@ func DifferenceCtx(ec *exec.Context, r1, r2 *relation.Relation) (*relation.Relat
 	m := len(t2s)
 	filtered := ec.PruneEnabled() && len(t1s)*m > 0
 	var plan pairPlan
+	var dec deciders
 	if filtered {
 		sharedRel, sharedCon := sharedAttrs(r1.Schema(), r2.Schema())
 		plan = pairCandidates(ec, t1s, t2s, sharedRel, sharedCon)
-		rec.Pairing(plan.strategy(), plan.estPairs)
+		dec = pairDeciders(ec, r1.Schema(), r2.Schema(), sharedCon)
+		rec.Pairing(plan.enum, plan.estPairs)
 		rec.Pairs(int64(plan.total), int64(plan.pruned()))
 	} else {
 		rec.Pairs(int64(len(t1s)*m), 0)
@@ -458,12 +445,12 @@ func DifferenceCtx(ec *exec.Context, r1, r2 *relation.Relation) (*relation.Relat
 				}
 			}
 		}
-		// With the vector flag set, decisions about t1's region run on its
-		// cached polygon form where one exists; every vector decision agrees
-		// with FM exactly, so the subtrahend list, the staircase expansion
-		// and the output bytes match the FM path's.
+		// The clip decider, per minuend (env has no part here: no workload
+		// subtracts from boxes): decisions about t1's region run on its
+		// cached polygon form where one exists; they agree with FM exactly,
+		// so the subtrahends, the staircase and the output bytes match.
 		var f1 *vector.Form
-		if plan.vector {
+		if dec.clip {
 			f1 = vector.FormOf(t1.Constraint())
 		}
 		// Refine, part 1 — intersection pre-filter: keep only subtrahends
@@ -480,8 +467,6 @@ func DifferenceCtx(ec *exec.Context, r1, r2 *relation.Relation) (*relation.Relat
 					}
 					continue
 				}
-				rec.VectorFallback()
-			} else if plan.vector {
 				rec.VectorFallback()
 			}
 			if !rec.Satisfiable(t1.Constraint().Merge(t2s[j].Constraint()).Canon()) {

@@ -8,16 +8,18 @@ import (
 	"cdb/internal/exec"
 	"cdb/internal/rational"
 	"cdb/internal/relation"
+	"cdb/internal/schema"
 	"cdb/internal/vector"
 )
 
 // This file is the filter stage of the binary operators' filter-and-refine
-// split — one pipeline, consumed by join, intersect and difference alike.
-// The refine step — Merge+Canon plus a satisfiability decision per tuple
-// pair, or the staircase subtraction in difference — is the
-// quantifier-elimination cost that dominates CDB evaluation; the filter
-// rejects pairs that provably cannot interact before any of it runs, using
-// three cooperating mechanisms:
+// split — one pipeline, consumed by join, intersect and difference alike —
+// and the list of deciders the refine stage tries on each pair that
+// survives it (deciders, below). The refine step — Merge+Canon plus a
+// satisfiability decision per tuple pair, or the staircase subtraction in
+// difference — is the quantifier-elimination cost that dominates CDB
+// evaluation; the filter rejects pairs that provably cannot interact
+// before any of it runs, using three cooperating mechanisms:
 //
 //  1. relational-part hash partitioning (relation.Partition): pairs whose
 //     shared relational attributes are not NULL-safe-identical can never
@@ -49,21 +51,78 @@ type pairPlan struct {
 	cands    []int  // surviving pairs as flattened indexes i1*m + i2, ascending
 	total    int    // the dense candidate space |t1s|·|t2s|
 	enum     string // how candidates were enumerated: exec.PlanDense or exec.PlanSweep
-	vector   bool   // refine decides eligible pairs by polygon clipping instead of FM
 	estPairs int64  // the estimator's upper bound on surviving candidates
 }
 
 // pruned returns how many pairs the filter rejected.
 func (p pairPlan) pruned() int { return p.total - len(p.cands) }
 
-// strategy is the one label stats, EXPLAIN and flight records show for
-// the two decisions: vector when the decide flag is set, else the
-// enumeration.
-func (p pairPlan) strategy() string {
-	if p.vector {
-		return exec.PlanVector
+// deciders is the refine stage's ordered list of exact per-pair deciders,
+// as the two switches in front of the one that is always there. A candidate
+// pair is answered by the first decider it is in the domain of, and each
+// answer is counted on the operator's recorder (env, vec, sat):
+//
+//	env   both sides are non-empty boxes (constraint.IsBox) and the filter
+//	      compared every variable they bound: the envelope overlap it found
+//	      is the verdict (BoxMerge reads it off the merged bounds again, so
+//	      nothing is assumed) and the merge is the interval intersection —
+//	      no clip, no Merge+Canon, no cache traffic;
+//	clip  both sides carry polygon forms (vector.FormOf): exact clipping;
+//	      in difference, the minuend's form scopes the whole staircase;
+//	—     the sat-cache's pair lookup, else Fourier–Motzkin.
+//
+// A decider that cannot decide a pair declines it to the next; none reads
+// as unsatisfiable. env is no wider than the filter's proof: box pairs over
+// variables the schemas do not share (parcels × time intervals) stay on the
+// pair lookup, which hands a warm session the same merged Conjunction,
+// memoised envelope included, on every request; a fresh merge would not.
+type deciders struct{ env, clip bool }
+
+// forceDecline makes the env or the clip decider decline every pair. Only
+// tests set it: the equivalence matrices run with each decider forced out,
+// and what it would have answered must come out the same from the next.
+var forceDecline deciders
+
+// pairDeciders resolves the decider list for one filtered operator call.
+// PlanDense and PlanSweep leave every pair to the cache and the eliminator
+// (the reference), PlanVector switches env off so that boxes are clipped
+// too, PlanAuto runs the whole list. sharedCon covers a schema when it
+// lists every constraint attribute of it.
+func pairDeciders(ec *exec.Context, s1, s2 schema.Schema, sharedCon []string) deciders {
+	mode := ec.Plan()
+	covered := len(sharedCon) == len(s1.ConstraintNames()) && len(sharedCon) == len(s2.ConstraintNames())
+	return deciders{
+		env:  mode == exec.PlanAuto && covered && !forceDecline.env,
+		clip: (mode == exec.PlanAuto || mode == exec.PlanVector) && !forceDecline.clip,
 	}
-	return p.enum
+}
+
+// clipPair is the clip decider for a join or intersect pair: with a
+// polygon form on both sides, the same variable pair is clipped
+// (vector.PairSat) and fully disjoint variable pairs are satisfiable
+// outright (two non-empty regions over independent variables always
+// merge). ok is false when it declines: a side without a form is not its
+// domain, forms over mixed variable pairs are counted as a fallback.
+func clipPair(rec *exec.OpRecorder, c1, c2 constraint.Conjunction) (sat, ok bool) {
+	f1 := vector.FormOf(c1)
+	if f1 == nil {
+		return false, false
+	}
+	f2 := vector.FormOf(c2)
+	if f2 == nil {
+		return false, false
+	}
+	switch {
+	case f1.XVar == f2.XVar && f1.YVar == f2.YVar:
+		sat, reject := vector.PairSat(f1, f2)
+		rec.VectorHit(sat, reject)
+		return sat, true
+	case f1.XVar != f2.XVar && f1.XVar != f2.YVar && f1.YVar != f2.XVar && f1.YVar != f2.YVar:
+		rec.VectorHit(true, false)
+		return true, true
+	}
+	rec.VectorFallback()
+	return false, false
 }
 
 // row returns the candidates of left tuple i, as flattened indexes: cands
@@ -81,20 +140,6 @@ func envelopes(ts []relation.Tuple) []constraint.Envelope {
 	return out
 }
 
-// countVectorEligible counts the tuples whose constraint part has an
-// exact polygon form (vector.FormOf non-nil). The probe is memoized on
-// the canonical conjunction, so the forms computed here are the same
-// ones the refine stage reuses — counting is not wasted work.
-func countVectorEligible(ts []relation.Tuple) int {
-	n := 0
-	for i := range ts {
-		if vector.FormOf(ts[i].Constraint()) != nil {
-			n++
-		}
-	}
-	return n
-}
-
 // pairCandidates runs the filter stage over t1s × t2s: partition on the
 // shared relational attributes and analyze the pairing (estimate.go),
 // resolve the strategy (planner.go), then enumerate candidates per bucket
@@ -102,10 +147,8 @@ func countVectorEligible(ts []relation.Tuple) int {
 func pairCandidates(ec *exec.Context, t1s, t2s []relation.Tuple, sharedRel, sharedCon []string) pairPlan {
 	n, m := len(t1s), len(t2s)
 	stats := analyzePairing(t1s, t2s, sharedRel, sharedCon)
-	stats.elig1, stats.elig2 = countVectorEligible(t1s), countVectorEligible(t2s)
-	plan := pairPlan{total: n * m, estPairs: stats.est}
 	mode := ec.Plan()
-	plan.enum, plan.vector = resolveStrategy(mode, stats)
+	plan := pairPlan{total: n * m, estPairs: stats.est, enum: resolveStrategy(mode, stats)}
 	env1, env2 := stats.env1, stats.env2
 	auto := mode == exec.PlanAuto
 	emit := func(i, j int) {

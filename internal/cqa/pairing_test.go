@@ -17,8 +17,11 @@ import (
 // schema with no relational attribute (no partition at all), and left
 // tuples (ids b2, b3) whose bucket does not exist on the right. The two
 // polygon rows (convex × convex, triangulated-concave × convex) are the
-// inputs the vector decider clips instead of eliminating; polygonInputs
-// names them. Sizes stay small enough for the dense baseline to be cheap.
+// inputs the clip decider takes; polygonInputs names them. Every row is
+// canonical, as a session's relations are (loaded from a file, or operator
+// outputs) — which is what puts the box rows in the envelope decider's
+// domain — except raw-boxes, the generator's tuples as built. Sizes stay
+// small enough for the dense baseline to be cheap.
 func pruneInputs(t *testing.T) map[string][2]*relation.Relation {
 	t.Helper()
 	p := datagen.Scaled(10)
@@ -33,7 +36,7 @@ func pruneInputs(t *testing.T) map[string][2]*relation.Relation {
 		return out
 	}
 	skewed := datagen.SkewedBoxRelation(p, 36, 6)
-	return map[string][2]*relation.Relation{
+	rows := map[string][2]*relation.Relation{
 		"empty-right":   {skewed, relation.New(skewed.Schema())},
 		"no-relational": {xy(datagen.BoxRelation(p, 36, 4)), xy(datagen.BoxRelation(p2, 36, 4))},
 		"absent-bucket": {datagen.BoxRelation(p, 36, 4), datagen.BoxRelation(p2, 36, 2)},
@@ -47,21 +50,34 @@ func pruneInputs(t *testing.T) map[string][2]*relation.Relation {
 		"concave": {datagen.ConcavePolygonRelation(p, polyN, 3, p.CoordMax/12, 99),
 			datagen.PolygonRelation(p2, polyN, 3, p.CoordMax/12, 99)},
 	}
+	for name, pair := range rows {
+		rows[name] = [2]*relation.Relation{datagen.Canonical(pair[0]), datagen.Canonical(pair[1])}
+	}
+	rows["raw-boxes"] = [2]*relation.Relation{datagen.BoxRelation(p, 36, 4), datagen.BoxRelation(p2, 36, 4)}
+	return rows
 }
 
 // polyN is the polygon rows' size: difference's staircase fragments far
 // faster on overlapping polygons than on boxes.
 const polyN = 16
 
-// polygonInputs are the pruneInputs rows on which forced vector must
-// really clip (VectorHits > 0) rather than fall back to Fourier-Motzkin.
-var polygonInputs = map[string]bool{"polygons": true, "concave": true}
+// polygonInputs are the pruneInputs rows on which auto and forced vector
+// must really clip (VectorHits > 0) rather than fall back to
+// Fourier-Motzkin; boxInputs those on which auto must decide join and
+// intersect on the envelopes alone.
+var (
+	polygonInputs = map[string]bool{"polygons": true, "concave": true}
+	boxInputs     = map[string]bool{"empty-right": true, "no-relational": true, "absent-bucket": true,
+		"boxes": true, "skewed": true, "clustered": true}
+)
 
 // TestPruningEquivalence is the filter's acceptance contract: with the
 // candidate filter on, every binary operator produces byte-identical
 // output (same tuples, same order) to the dense nested loop, sequentially
 // and under the pool, on every workload shape — pruned pairs are exactly
-// pairs the refine step would have rejected anyway.
+// pairs the refine step would have rejected anyway. The filtered side runs
+// under auto, so the whole matrix is repeated with each per-pair decider
+// forced to decline (the unfiltered side is the eliminator alone).
 func TestPruningEquivalence(t *testing.T) {
 	ops := map[string]func(ec *exec.Context, r1, r2 *relation.Relation) (*relation.Relation, error){
 		"join":       JoinCtx,
@@ -78,25 +94,28 @@ func TestPruningEquivalence(t *testing.T) {
 				&exec.Context{Parallelism: 4, SeqThreshold: 1}
 		},
 	}
-	for wName, pair := range pruneInputs(t) {
-		for opName, op := range ops {
-			for ctxName, mk := range ctxs {
-				ecDense, ecFilt := mk()
-				want, err := op(ecDense, pair[0], pair[1])
-				if err != nil {
-					t.Fatalf("%s %s %s dense: %v", wName, opName, ctxName, err)
-				}
-				got, err := op(ecFilt, pair[0], pair[1])
-				if err != nil {
-					t.Fatalf("%s %s %s filtered: %v", wName, opName, ctxName, err)
-				}
-				if dump(got) != dump(want) {
-					t.Errorf("%s %s %s: filtered output diverges from dense\ndense:\n%s\nfiltered:\n%s",
-						wName, opName, ctxName, dump(want), dump(got))
+	inputs := pruneInputs(t)
+	withDeclines(t, func(decl string) {
+		for wName, pair := range inputs {
+			for opName, op := range ops {
+				for ctxName, mk := range ctxs {
+					ecDense, ecFilt := mk()
+					want, err := op(ecDense, pair[0], pair[1])
+					if err != nil {
+						t.Fatalf("%s %s %s dense: %v", wName, opName, ctxName, err)
+					}
+					got, err := op(ecFilt, pair[0], pair[1])
+					if err != nil {
+						t.Fatalf("%s %s %s filtered: %v", wName, opName, ctxName, err)
+					}
+					if dump(got) != dump(want) {
+						t.Errorf("%s %s %s %s: filtered output diverges from dense\ndense:\n%s\nfiltered:\n%s",
+							wName, opName, ctxName, decl, dump(want), dump(got))
+					}
 				}
 			}
 		}
-	}
+	})
 }
 
 // TestSweepMatchesDenseCandidates: the interval sweep and the dense

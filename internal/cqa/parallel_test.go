@@ -3,8 +3,10 @@ package cqa
 import (
 	"runtime"
 	"strings"
+	"sync"
 	"testing"
 
+	"cdb/internal/constraint"
 	"cdb/internal/datagen"
 	"cdb/internal/exec"
 	"cdb/internal/rational"
@@ -176,13 +178,13 @@ func TestOperatorStats(t *testing.T) {
 	}
 	// No shared relational attributes: the filter considers every pair,
 	// and each pair is either envelope-pruned or decided — through the sat
-	// oracle or the vector fast path.
+	// oracle, by clipping or on the envelopes.
 	if want := int64(r1.Len() * r2b.Len()); s.PairsTotal != want {
 		t.Errorf("PairsTotal = %d, want %d", s.PairsTotal, want)
 	}
-	if want := s.PairsTotal - s.PairsPruned; s.SatChecks+s.VectorHits != want {
-		t.Errorf("SatChecks+VectorHits = %d+%d, want PairsTotal-PairsPruned = %d",
-			s.SatChecks, s.VectorHits, want)
+	if want := s.PairsTotal - s.PairsPruned; s.SatChecks+s.VectorHits+s.EnvHits != want {
+		t.Errorf("SatChecks+VectorHits+EnvHits = %d+%d+%d, want PairsTotal-PairsPruned = %d",
+			s.SatChecks, s.VectorHits, s.EnvHits, want)
 	}
 	// pruned = filter rejects + unsatisfiable sat decisions, so every
 	// candidate not in the output is accounted for exactly once.
@@ -220,6 +222,59 @@ func TestOperatorStats(t *testing.T) {
 	if ec2.Stats()[0].Parallel {
 		t.Error("join below SeqThreshold must not report Parallel")
 	}
+}
+
+// TestFMDecisionsPerRecorder: an operator row's fm is what that operator
+// sent to the eliminator, whatever other sessions run beside it. Two
+// contexts — one without a cache, one whose cache is emptied before every
+// run, so that each decision is a miss — run an FM-decided join in a loop
+// at the same time; every row must read what the same join reads run alone.
+// (fm used to be the delta of the process-wide decision count, so
+// concurrent rows counted each other's.)
+func TestFMDecisionsPerRecorder(t *testing.T) {
+	// One tight cluster of large boxes: most pairs survive the filter.
+	p := datagen.Paper()
+	p.SizeMin = 50
+	r1 := datagen.ClusteredBoxRelation(p, 16, 1, 10, 77)
+	p.Seed += 1000
+	r2 := datagen.ClusteredBoxRelation(p, 16, 1, 10, 77)
+	join := func(ec *exec.Context, cached bool) {
+		if cached {
+			ec.SatCache = constraint.NewSatCache(0)
+		}
+		if _, err := JoinCtx(ec, r1, r2); err != nil {
+			t.Error(err)
+		}
+	}
+	newCtx := func() *exec.Context { return &exec.Context{Parallelism: 1, PlanMode: exec.PlanDense} }
+	var alone [2]int64
+	for i := range alone {
+		ec := newCtx()
+		join(ec, i == 1)
+		s := ec.Stats()[0]
+		if alone[i] = s.FMDecisions; alone[i] == 0 || alone[i] != s.SatChecks {
+			t.Fatalf("context %d alone: fm = %d, sat-checks = %d; every decision of the fixture must reach the eliminator",
+				i, alone[i], s.SatChecks)
+		}
+	}
+	var wg sync.WaitGroup
+	for i := range alone {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			ec := newCtx()
+			for run := 0; run < 20; run++ {
+				join(ec, i == 1)
+			}
+			for run, s := range ec.Stats() {
+				if s.FMDecisions != alone[i] {
+					t.Errorf("context %d run %d: fm = %d beside another session, %d alone", i, run, s.FMDecisions, alone[i])
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
 }
 
 // TestEvalCtxThreadsContext checks that plan evaluation hands the context

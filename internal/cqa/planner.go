@@ -9,10 +9,12 @@ import (
 // This file is the planner's entry point and the filter stage's cost
 // model. The logical phase (Optimize + the cost-driven rewrites in
 // optimize_cost.go) reshapes the algebra tree before it runs; *how* each
-// binary node's filter stage pairs its inputs is decided once, at
-// execution time, by resolveStrategy below — the only place the actual
-// input relations (base or intermediate) are in hand. docs/ARCHITECTURE.md
-// "The filter stage" describes the two axes and why there are no more.
+// binary node's filter stage enumerates its candidate pairs is decided
+// once, at execution time, by resolveStrategy below — the only place the
+// actual input relations (base or intermediate) are in hand. How a
+// candidate pair is then decided is not a plan at all: the refine stage
+// picks per pair (pairing.go). docs/ARCHITECTURE.md "The filter stage"
+// describes both.
 //
 // Cost model. Unit = one envelope-interval comparison; k = number of
 // shared constraint attributes (each surviving pair pays a k-interval
@@ -28,50 +30,29 @@ import (
 // tiny sides costs more than scanning them.
 const sweepCrossover = 64
 
-// resolveStrategy is the filter stage's single decision point. It picks,
-// independently, how candidate pairs are enumerated (exec.PlanDense or
-// exec.PlanSweep) and whether the refine stage decides eligible pairs by
-// exact polygon clipping (vector) instead of Fourier–Motzkin:
-//
-//   - a forced dense or sweep mode pins the enumeration and leaves the
-//     decision to FM; forcing sweep with no sweepable attribute degrades
-//     to dense — the degenerate sweep is the dense loop anyway, and the
-//     stats then say so instead of flattering the forced mode;
-//   - a forced vector mode sets the flag whenever either side has an
-//     eligible tuple (the difference staircase profits from the
-//     minuend's form alone); with nothing eligible every pair would fall
-//     back to FM, so the flag — and the label — stay off;
-//   - auto sets the flag when at least half the candidate pairs are
-//     expected to be decidable in vector form (the FM savings dominate
-//     whatever the enumeration does), except on inputs below
-//     sweepCrossover, which always run plain dense.
-//
-// Wherever the mode does not pin the enumeration, the cost model does.
-func resolveStrategy(mode string, s pairStats) (enum string, vector bool) {
-	small := int64(s.n)*int64(s.m) < sweepCrossover
-	switch mode {
-	case exec.PlanDense, exec.PlanSweep:
-		// FM decides.
-	case exec.PlanVector:
-		vector = s.elig1 > 0 || s.elig2 > 0
-	default:
-		vector = !small && s.vectorFrac() >= 0.5
-	}
+// resolveStrategy is the filter stage's single decision point: how
+// candidate pairs are enumerated, exec.PlanDense or exec.PlanSweep. A
+// forced dense or sweep mode pins it; forcing sweep with no sweepable
+// attribute degrades to dense — the degenerate sweep is the dense loop
+// anyway, and the stats then say so instead of flattering the forced mode.
+// Wherever the mode does not pin the enumeration (auto, and vector, which
+// forces a decider and not an enumeration), the cost model does.
+func resolveStrategy(mode string, s pairStats) string {
 	switch {
 	case mode == exec.PlanDense || s.sweepAttr == "":
-		return exec.PlanDense, vector
+		return exec.PlanDense
 	case mode == exec.PlanSweep:
-		return exec.PlanSweep, vector
-	case small:
-		return exec.PlanDense, vector
+		return exec.PlanSweep
+	case int64(s.n)*int64(s.m) < sweepCrossover:
+		return exec.PlanDense
 	}
 	k := math.Max(1, float64(len(s.overlap)))
 	costDense := float64(s.relPairs) * k
 	costSweep := float64(s.n+s.m)*math.Log2(float64(s.n+s.m)+1) + float64(s.estSweep())*k
 	if costSweep < costDense {
-		return exec.PlanSweep, vector
+		return exec.PlanSweep
 	}
-	return exec.PlanDense, vector
+	return exec.PlanDense
 }
 
 // Plan is the planner the query front ends run when optimisation is on

@@ -51,12 +51,45 @@ func TestChooseSweepAttrTieBreak(t *testing.T) {
 	}
 }
 
+// declineSettings are the forceDecline states the equivalence matrices run
+// under: every decider live, each of env and clip forced to decline every
+// pair, and both — whatever a decider would have answered must come out the
+// same from the next one down the list.
+var declineSettings = []deciders{{}, {env: true}, {clip: true}, {env: true, clip: true}}
+
+// withDeclines runs body once per declineSettings entry, named for the
+// failure messages.
+func withDeclines(t *testing.T, body func(decl string)) {
+	t.Helper()
+	defer func() { forceDecline = deciders{} }()
+	for _, d := range declineSettings {
+		forceDecline = d
+		body(fmt.Sprintf("decline%+v", d))
+	}
+}
+
+// sumStats adds up the decision counters of every operator row on ec.
+func sumStats(ec *exec.Context) (s exec.OpStats) {
+	for _, o := range ec.Stats() {
+		s.PairsTotal += o.PairsTotal
+		s.PairsPruned += o.PairsPruned
+		s.SatChecks += o.SatChecks
+		s.FMDecisions += o.FMDecisions
+		s.EnvHits += o.EnvHits
+		s.VectorHits += o.VectorHits
+	}
+	return s
+}
+
 // TestStrategyEquivalence is the filter stage's acceptance contract:
-// every pairing strategy — forced dense, forced sweep, forced vector, and
-// the cost model's auto pick — produces byte-identical output (same
-// tuples, same order) on every binary operator and workload shape, both
-// sequentially and under the worker pool. Forced modes disable the
-// small-bucket dense escape, so the sweep really runs.
+// every plan mode — forced dense, forced sweep, forced vector, and auto —
+// produces byte-identical output (same tuples, same order) on every binary
+// operator and workload shape, both sequentially and under the worker
+// pool, with every decider live and with each forced to decline. Forced
+// modes disable the small-bucket dense escape, so the sweep really runs.
+// With nothing declined it also checks that the fast deciders really ran:
+// under auto, join and intersect of the box rows are decided on the
+// envelopes alone, and the polygon rows are clipped.
 func TestStrategyEquivalence(t *testing.T) {
 	ops := map[string]func(ec *exec.Context, r1, r2 *relation.Relation) (*relation.Relation, error){
 		"join":       JoinCtx,
@@ -64,39 +97,48 @@ func TestStrategyEquivalence(t *testing.T) {
 		"difference": DifferenceCtx,
 	}
 	modes := []string{exec.PlanDense, exec.PlanSweep, exec.PlanVector, exec.PlanAuto}
-	for wName, pair := range pruneInputs(t) {
-		for opName, op := range ops {
-			for _, par := range []int{1, 4} {
-				baseline := &exec.Context{Parallelism: par, SeqThreshold: 1, PlanMode: exec.PlanDense}
-				want, err := op(baseline, pair[0], pair[1])
-				if err != nil {
-					t.Fatalf("%s %s par%d dense: %v", wName, opName, par, err)
-				}
-				wantDump := dump(want)
-				for _, mode := range modes {
-					ec := &exec.Context{Parallelism: par, SeqThreshold: 1, PlanMode: mode}
-					got, err := op(ec, pair[0], pair[1])
+	inputs := pruneInputs(t)
+	withDeclines(t, func(decl string) {
+		for wName, pair := range inputs {
+			for opName, op := range ops {
+				for _, par := range []int{1, 4} {
+					baseline := &exec.Context{Parallelism: par, SeqThreshold: 1, PlanMode: exec.PlanDense}
+					want, err := op(baseline, pair[0], pair[1])
 					if err != nil {
-						t.Fatalf("%s %s par%d %s: %v", wName, opName, par, mode, err)
+						t.Fatalf("%s %s par%d dense: %v", wName, opName, par, err)
 					}
-					if dump(got) != wantDump {
-						t.Errorf("%s %s par%d: -plan=%s output diverges from dense\ndense:\n%s\n%s:\n%s",
-							wName, opName, par, mode, wantDump, mode, dump(got))
-					}
-					if mode == exec.PlanVector && polygonInputs[wName] {
-						var hits int64
-						for _, s := range ec.Stats() {
-							hits += s.VectorHits
+					wantDump := dump(want)
+					for _, mode := range modes {
+						ec := &exec.Context{Parallelism: par, SeqThreshold: 1, PlanMode: mode}
+						got, err := op(ec, pair[0], pair[1])
+						if err != nil {
+							t.Fatalf("%s %s par%d %s: %v", wName, opName, par, mode, err)
 						}
-						if hits == 0 {
-							t.Errorf("%s %s par%d: forced vector recorded no vector hit — the row fell back to FM",
-								wName, opName, par)
+						if dump(got) != wantDump {
+							t.Errorf("%s %s par%d %s: -plan=%s output diverges from dense\ndense:\n%s\n%s:\n%s",
+								wName, opName, par, decl, mode, wantDump, mode, dump(got))
+						}
+						if forceDecline != (deciders{}) {
+							continue
+						}
+						s := sumStats(ec)
+						cands := s.PairsTotal - s.PairsPruned
+						switch {
+						case polygonInputs[wName] && (mode == exec.PlanVector || mode == exec.PlanAuto):
+							if s.VectorHits == 0 {
+								t.Errorf("%s %s par%d %s: no vector hit — the row fell back to FM", wName, opName, par, mode)
+							}
+						case boxInputs[wName] && mode == exec.PlanAuto && opName != "difference":
+							if s.EnvHits != cands || s.VectorHits != 0 || s.SatChecks != 0 || s.FMDecisions != 0 {
+								t.Errorf("%s %s par%d auto: env=%d vec=%d sat=%d fm=%d over %d candidate pairs, want all of them decided on the envelopes",
+									wName, opName, par, s.EnvHits, s.VectorHits, s.SatChecks, s.FMDecisions, cands)
+							}
 						}
 					}
 				}
 			}
 		}
-	}
+	})
 }
 
 // TestEstimatorBounds pins the estimator's property the EXPLAIN ANALYZE

@@ -215,3 +215,45 @@ func TestWarmJoinAllocs(t *testing.T) {
 			allocs, cands, perPair, ceiling)
 	}
 }
+
+// TestBoxJoinAllocs puts a ceiling on a pair decided on its envelopes: a
+// dense 20 x 20 box join (the benchmark's box-join shape: one tight cluster,
+// nearly every pair a candidate) under auto, one worker, the tuples
+// canonical and their envelopes already memoised. Such a pair costs its merged atoms, the
+// merge's two memo boxes and the result tuple with its binding map; the rest
+// is the filter stage and the output relation. A Merge + Canon per pair —
+// seven more allocations — or a clip cannot come back under this ceiling,
+// and the counters say outright that neither ran.
+func TestBoxJoinAllocs(t *testing.T) {
+	p := datagen.Paper()
+	p.SizeMin = 50
+	r1 := datagen.Canonical(datagen.ClusteredBoxRelation(p, 20, 1, 10, 77))
+	p.Seed += 500
+	r2 := datagen.Canonical(datagen.ClusteredBoxRelation(p, 20, 1, 10, 77))
+	ec := exec.New(1)
+	ec.SatCache = constraint.NewSatCache(0)
+	join := func() {
+		if _, err := cqa.JoinCtx(ec, r1, r2); err != nil {
+			t.Fatal(err)
+		}
+	}
+	join()
+	s := ec.Stats()[0]
+	cands := s.PairsTotal - s.PairsPruned
+	if cands < 300 || s.EnvHits != cands || s.VectorHits != 0 || s.SatChecks != 0 || s.FMDecisions != 0 {
+		t.Fatalf("dense box join: env=%d vec=%d sat=%d fm=%d over %d candidate pairs of %d, want nearly all pairs candidates and every one decided on the envelopes",
+			s.EnvHits, s.VectorHits, s.SatChecks, s.FMDecisions, cands, s.PairsTotal)
+	}
+	ec.Reset()
+	allocs := testing.AllocsPerRun(10, func() {
+		join()
+		ec.Reset()
+	})
+	const ceiling = 5.0 // allocations per candidate pair; 4.28 when set
+	perPair := allocs / float64(cands)
+	t.Logf("%.0f allocations over %d candidate pairs = %.2f per pair", allocs, cands, perPair)
+	if perPair > ceiling {
+		t.Errorf("warm dense box join: %.0f allocations over %d candidate pairs = %.2f per pair, ceiling %v",
+			allocs, cands, perPair, ceiling)
+	}
+}

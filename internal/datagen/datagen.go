@@ -170,6 +170,19 @@ func DiagonalBoxes(p Params) []rstar.Rect {
 	return out
 }
 
+// Canonical returns r as a session holds it — loaded from a file, restored
+// from a snapshot or produced by an operator: every constraint part in
+// canonical form with its memo attached (envelope, box bit, polygon form).
+// The generators below hand out tuples as built; fixtures that exercise what
+// the engine memoises per tuple wrap them in this.
+func Canonical(r *relation.Relation) *relation.Relation {
+	out := relation.New(r.Schema())
+	for _, t := range r.Tuples() {
+		out.MustAdd(t.Canon())
+	}
+	return out
+}
+
 // BoxRelation materialises the first n workload rectangles as a
 // heterogeneous constraint relation over the schema
 // (id string relational, x rational constraint, y rational constraint):

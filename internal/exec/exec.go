@@ -74,15 +74,17 @@ type Context struct {
 	// output.
 	NoPrune bool
 
-	// PlanMode pins the pairing strategy of the binary CQA operators.
-	// Empty or PlanAuto — the zero value, correct for every caller —
-	// lets the filter stage's cost model choose per operator; the
-	// explicit modes (PlanDense, PlanSweep, PlanVector) force one
-	// strategy everywhere, which is how the strategy-equivalence tests
-	// and BenchmarkPairingModes run each in isolation.
-	// Outputs are byte-identical across all modes: the surviving
-	// candidate set is the same whichever enumeration found it, and it is
-	// re-sorted to the dense order before the refine stage runs.
+	// PlanMode pins how the binary CQA operators pair and decide. Empty or
+	// PlanAuto — the zero value, correct for every caller — lets the
+	// filter stage's cost model choose the enumeration per operator and
+	// the refine stage pick, per candidate pair, the cheapest decider that
+	// is exact on it; the explicit modes (PlanDense, PlanSweep,
+	// PlanVector) are forcing switches, which is how the
+	// strategy-equivalence tests and BenchmarkPairingModes run each
+	// decider in isolation. Outputs are byte-identical across all modes:
+	// the surviving candidate set is the same whichever enumeration found
+	// it, it is re-sorted to the dense order before the refine stage runs,
+	// and every decider emits the same canonical tuple.
 	PlanMode string
 
 	// Ctx, when non-nil, bounds every fan-out run under this context:
@@ -152,14 +154,16 @@ func (c *Context) ParallelFor(n int) bool {
 // so it needs no opt-in.
 func (c *Context) PruneEnabled() bool { return c == nil || !c.NoPrune }
 
-// Pairing strategies for the binary CQA operators' filter stage. These
-// are the values of Context.PlanMode (where PlanAuto means "cost model
-// decides") and of the per-operator Strategy stats column / strategy=
-// EXPLAIN label (where the auto decision has been resolved to one of the
-// concrete strategies). PlanVector is the vector fast path: candidate
-// enumeration is unchanged, but the refine stage decides satisfiability
-// by exact polygon clipping (internal/vector) on the eligible pairs
-// instead of Fourier–Motzkin, falling back per pair otherwise.
+// Plan modes of the binary CQA operators: the values of Context.PlanMode.
+// PlanDense and PlanSweep pin the enumeration and leave every pair
+// decision to the sat-cache / Fourier–Motzkin — the reference the other
+// deciders are compared against; they are also the two values of the
+// per-operator Strategy stats column / strategy= EXPLAIN label, which
+// names the enumeration that ran. PlanVector leaves the enumeration to the
+// cost model and disables the envelope decider, so that every pair with
+// polygon forms — boxes included — is decided by exact clipping
+// (internal/vector). PlanAuto runs the whole decider list
+// (internal/cqa/pairing.go).
 const (
 	PlanAuto   = "auto"
 	PlanDense  = "dense"

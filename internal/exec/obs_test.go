@@ -274,9 +274,9 @@ func TestFlightRollup(t *testing.T) {
 	ops := []OpStats{
 		{Op: "select", TuplesIn: 10, TuplesOut: 4, SatChecks: 10, PrunedUnsat: 6,
 			CacheHits: 7, CacheMisses: 3, FMDecisions: 3, Wall: 1500 * time.Microsecond},
-		{Op: "join", TuplesIn: 8, TuplesOut: 5, PairsTotal: 16, PairsPruned: 10,
+		{Op: "join", TuplesIn: 8, TuplesOut: 5, PairsTotal: 16, PairsPruned: 10, EnvHits: 6,
 			EstPairs: 9, Strategy: "sweep", Wall: 2 * time.Millisecond, Parallel: true},
-		{Op: "difference", TuplesIn: 6, TuplesOut: 7, PairsTotal: 9, EstPairs: 9, Strategy: "vector",
+		{Op: "difference", TuplesIn: 6, TuplesOut: 7, PairsTotal: 9, EstPairs: 9, Strategy: "dense",
 			VectorHits: 12, VectorFalls: 2, FloatRejects: 5},
 	}
 	rolls := FlightRollup(ops)
@@ -297,19 +297,19 @@ func TestFlightRollup(t *testing.T) {
 		t.Fatalf("unary roll gained planner fields: %+v", sel)
 	}
 	join := rolls[1]
-	if join.Strategy != "sweep" || join.EstPairs != 9 {
+	if join.Strategy != "sweep" || join.EstPairs != 9 || join.Env != 6 {
 		t.Fatalf("join roll: %+v", join)
 	}
 	// act_pairs is the filter's survivor count: pairs minus pruned.
 	if join.ActPairs != 6 {
 		t.Fatalf("join act_pairs %d, want 16-10=6", join.ActPairs)
 	}
-	// The vector decide path is visible per node, and absent elsewhere.
-	if d := rolls[2]; d.Strategy != "vector" || d.Vec != 12 || d.VecFallback != 2 || d.FloatRej != 5 {
+	// Which decider answered is visible per node, and absent elsewhere.
+	if d := rolls[2]; d.Strategy != "dense" || d.Vec != 12 || d.VecFallback != 2 || d.FloatRej != 5 || d.Env != 0 {
 		t.Fatalf("difference roll: %+v", d)
 	}
 	if join.Vec != 0 || join.VecFallback != 0 || join.FloatRej != 0 {
-		t.Fatalf("FM-decided roll gained vector counters: %+v", join)
+		t.Fatalf("envelope-decided roll gained vector counters: %+v", join)
 	}
 	if FlightRollup(nil) != nil {
 		t.Fatal("empty rollup should be nil")

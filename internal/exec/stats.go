@@ -22,11 +22,12 @@ type OpStats struct {
 	PairsPruned  int64         // binary operators: pairs rejected by the filter stage before any constraint work
 	CacheHits    int64         // sat decisions answered by the memoized engine
 	CacheMisses  int64         // sat decisions that ran the raw eliminator (cache enabled)
-	FMDecisions  int64         // raw Fourier-Motzkin eliminator runs during the operator (process-wide delta; attribution is exact when one operator runs at a time)
+	FMDecisions  int64         // sat decisions this operator routed to the raw Fourier-Motzkin eliminator: every cache miss, or every sat-check without a cache
 	EstPairs     int64         // binary operators: the planner's pre-execution estimate of surviving candidate pairs (upper bound; compare to PairsTotal-PairsPruned)
-	Strategy     string        // binary operators: the pairing strategy that ran (dense, sweep, vector); empty for unary operators
+	Strategy     string        // binary operators: how candidate pairs were enumerated (dense, sweep); empty for unary operators
+	EnvHits      int64         // pair decisions answered on the envelopes: both sides non-empty boxes, merged by interval intersection (no clip, no FM, no Merge+Canon)
 	VectorHits   int64         // sat decisions answered by the vector fast path (exact polygon clipping, no FM)
-	VectorFalls  int64         // vector-path fallbacks: decisions the fast path could not take (ineligible form, extra variable, strict-degenerate) and handed to FM
+	VectorFalls  int64         // vector-path fallbacks: decisions on polygon forms the clipper could not take (mixed variable pairs, extra variable, strict-degenerate) and handed to FM
 	FloatRejects int64         // vector-path pairs rejected by the outward-rounded float bounding-box filter before any exact arithmetic
 	Wall         time.Duration // wall time of the operator
 	Parallel     bool          // whether the worker pool was used
@@ -41,7 +42,6 @@ type OpRecorder struct {
 	op           string
 	tuplesIn     int64
 	start        time.Time
-	fmStart      int64
 	span         *obs.Span
 	satChecks    atomic.Int64
 	pruned       atomic.Int64
@@ -50,11 +50,26 @@ type OpRecorder struct {
 	tuplesOut    atomic.Int64
 	cacheHits    atomic.Int64
 	cacheMisses  atomic.Int64
+	fm           atomic.Int64
+	envHits      atomic.Int64
 	vectorHits   atomic.Int64
 	vectorFalls  atomic.Int64
 	floatRejects atomic.Int64
 	estPairs     int64  // written by Pairing before the fan-out starts
 	strategy     string // written by Pairing before the fan-out starts
+}
+
+// EnvHit records one pair decision answered on the two envelopes (both
+// sides non-empty boxes). Like VectorHit it counts into its own column
+// (and pruned on unsat), not into sat-checks.
+func (r *OpRecorder) EnvHit(sat bool) {
+	if r == nil {
+		return
+	}
+	r.envHits.Add(1)
+	if !sat {
+		r.pruned.Add(1)
+	}
 }
 
 // VectorHit records one satisfiability decision answered geometrically
@@ -64,7 +79,7 @@ type OpRecorder struct {
 // means decisions routed through the sat oracle (cache + eliminator),
 // preserving the invariant cache-hits + cache-misses = sat-checks
 // whenever a cache is configured. The total decision count of an
-// operator is therefore sat-checks + vec.
+// operator is therefore sat-checks + vec + env.
 func (r *OpRecorder) VectorHit(sat, floatReject bool) {
 	if r == nil {
 		return
@@ -99,9 +114,8 @@ func (c *Context) StartOp(op string, tuplesIn int) *OpRecorder {
 	}
 	return &OpRecorder{
 		c: c, op: op, tuplesIn: int64(tuplesIn),
-		start:   time.Now(),
-		fmStart: constraint.DecisionCount(),
-		span:    c.BeginSpan(op, ""),
+		start: time.Now(),
+		span:  c.BeginSpan(op, ""),
 	}
 }
 
@@ -144,7 +158,9 @@ func (r *OpRecorder) SatisfiablePair(a, b constraint.Conjunction) (constraint.Co
 	if r == nil || r.c.SatCache == nil {
 		merged := a.Merge(b).Canon()
 		sat := merged.IsSatisfiable()
-		r.SatCheck(sat)
+		if r != nil {
+			r.decided(sat, false)
+		}
 		return merged, sat
 	}
 	merged, sat, hit := r.c.SatCache.SatisfiablePair(a, b)
@@ -152,15 +168,20 @@ func (r *OpRecorder) SatisfiablePair(a, b constraint.Conjunction) (constraint.Co
 	return merged, sat
 }
 
-// decided records one decision routed through the context's oracle.
+// decided records one decision routed through the context's oracle: a
+// sat-check, a hit or a miss when a cache is configured, and — whenever the
+// cache did not answer — one run of the eliminator. Counting the run here,
+// on the recorder that asked, is what keeps fm exact under concurrent
+// sessions; constraint.DecisionCount is the process total only.
 func (r *OpRecorder) decided(sat, hit bool) {
 	r.SatCheck(sat)
+	if hit {
+		r.cacheHits.Add(1)
+		return
+	}
+	r.fm.Add(1)
 	if r.c.SatCache != nil {
-		if hit {
-			r.cacheHits.Add(1)
-		} else {
-			r.cacheMisses.Add(1)
-		}
+		r.cacheMisses.Add(1)
 	}
 }
 
@@ -192,8 +213,7 @@ func (r *OpRecorder) Pairs(total, pruned int64) {
 }
 
 // Pairing records the filter stage's decision for a binary operator: the
-// resolved strategy label (dense or sweep enumeration, or vector when the
-// refine stage decides by clipping — auto already resolved) and the
+// enumeration that ran (dense or sweep — auto already resolved) and the
 // estimator's upper bound on surviving pairs. Call it once,
 // before the refine fan-out starts — unlike the counters it is not
 // synchronised, mirroring how the strategy decision itself happens on
@@ -233,9 +253,10 @@ func (r *OpRecorder) Done(parallel bool) {
 		PairsPruned:  r.pairsPruned.Load(),
 		CacheHits:    r.cacheHits.Load(),
 		CacheMisses:  r.cacheMisses.Load(),
-		FMDecisions:  constraint.DecisionCount() - r.fmStart,
+		FMDecisions:  r.fm.Load(),
 		EstPairs:     r.estPairs,
 		Strategy:     r.strategy,
+		EnvHits:      r.envHits.Load(),
 		VectorHits:   r.vectorHits.Load(),
 		VectorFalls:  r.vectorFalls.Load(),
 		FloatRejects: r.floatRejects.Load(),
@@ -257,6 +278,7 @@ func (r *OpRecorder) Done(parallel bool) {
 		setNonZero("hit", s.CacheHits)
 		setNonZero("miss", s.CacheMisses)
 		setNonZero("fm", s.FMDecisions)
+		setNonZero("env", s.EnvHits)
 		setNonZero("vec", s.VectorHits)
 		setNonZero("vec_fallback", s.VectorFalls)
 		setNonZero("float_reject", s.FloatRejects)
@@ -284,6 +306,7 @@ func (r *OpRecorder) Done(parallel bool) {
 		addOpMetric(m, "cqa_pairs_pruned_total", "Candidate pairs rejected by the filter stage (partition + envelope) before any satisfiability work.", r.op, s.PairsPruned)
 		addOpMetric(m, "cdb_op_cache_hits_total", "Sat-cache hits per operator.", r.op, s.CacheHits)
 		addOpMetric(m, "cdb_op_cache_misses_total", "Sat-cache misses per operator.", r.op, s.CacheMisses)
+		addOpMetric(m, "cdb_envelope_hits_total", "Pair decisions answered on the envelopes of two non-empty boxes (interval intersection).", r.op, s.EnvHits)
 		addOpMetric(m, "cdb_vector_hits_total", "Satisfiability decisions answered by the vector fast path (exact polygon clipping).", r.op, s.VectorHits)
 		addOpMetric(m, "cdb_vector_fallbacks_total", "Vector fast-path fallbacks to the Fourier-Motzkin refine stage.", r.op, s.VectorFalls)
 		addOpMetric(m, "cdb_vector_float_rejects_total", "Vector fast-path pairs rejected by the outward-rounded float bbox filter.", r.op, s.FloatRejects)
@@ -345,6 +368,7 @@ func (c *Context) Summary() []OpStats {
 		out[i].CacheHits += s.CacheHits
 		out[i].CacheMisses += s.CacheMisses
 		out[i].FMDecisions += s.FMDecisions
+		out[i].EnvHits += s.EnvHits
 		out[i].VectorHits += s.VectorHits
 		out[i].VectorFalls += s.VectorFalls
 		out[i].FloatRejects += s.FloatRejects
@@ -383,6 +407,7 @@ func FlightRollup(ops []OpStats) []obs.OpRoll {
 			CacheHits:   s.CacheHits,
 			CacheMisses: s.CacheMisses,
 			FM:          s.FMDecisions,
+			Env:         s.EnvHits,
 			Vec:         s.VectorHits,
 			VecFallback: s.VectorFalls,
 			FloatRej:    s.FloatRejects,
@@ -402,7 +427,7 @@ func FlightRollup(ops []OpStats) []obs.OpRoll {
 func FormatStats(stats []OpStats) string {
 	var b strings.Builder
 	w := tabwriter.NewWriter(&b, 2, 0, 2, ' ', 0)
-	fmt.Fprintln(w, "operator\tin\tout\tpairs\tfiltered\test\tsat-checks\tpruned\tcache-hit\tcache-miss\tfm\tvec\tvec-fb\tfloat-rej\twall\tmode\tstrategy")
+	fmt.Fprintln(w, "operator\tin\tout\tpairs\tfiltered\test\tsat-checks\tpruned\tcache-hit\tcache-miss\tfm\tenv\tvec\tvec-fb\tfloat-rej\twall\tmode\tstrategy")
 	for _, s := range stats {
 		mode := "seq"
 		if s.Parallel {
@@ -412,11 +437,11 @@ func FormatStats(stats []OpStats) string {
 		if strategy == "" {
 			strategy = "-"
 		}
-		fmt.Fprintf(w, "%s\t%d\t%d\t%d\t%d\t%d\t%d\t%d\t%d\t%d\t%d\t%d\t%d\t%d\t%s\t%s\t%s\n",
+		fmt.Fprintf(w, "%s\t%d\t%d\t%d\t%d\t%d\t%d\t%d\t%d\t%d\t%d\t%d\t%d\t%d\t%d\t%s\t%s\t%s\n",
 			s.Op, s.TuplesIn, s.TuplesOut, s.PairsTotal, s.PairsPruned, s.EstPairs,
 			s.SatChecks, s.PrunedUnsat,
 			s.CacheHits, s.CacheMisses, s.FMDecisions,
-			s.VectorHits, s.VectorFalls, s.FloatRejects,
+			s.EnvHits, s.VectorHits, s.VectorFalls, s.FloatRejects,
 			s.Wall.Round(time.Microsecond), mode, strategy)
 	}
 	w.Flush()

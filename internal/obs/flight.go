@@ -99,10 +99,11 @@ type OpRoll struct {
 	CacheHits   int64   `json:"cache_hits,omitempty"`
 	CacheMisses int64   `json:"cache_misses,omitempty"`
 	FM          int64   `json:"fm,omitempty"`
+	Env         int64   `json:"env,omitempty"`          // pair decisions answered on the envelopes of two non-empty boxes
 	Vec         int64   `json:"vec,omitempty"`          // decisions answered by the vector fast path
 	VecFallback int64   `json:"vec_fallback,omitempty"` // decisions the fast path handed back to FM
 	FloatRej    int64   `json:"float_rej,omitempty"`    // vector pairs rejected by the float bbox filter
-	Strategy    string  `json:"strategy,omitempty"`     // binary nodes: the pairing strategy that ran
+	Strategy    string  `json:"strategy,omitempty"`     // binary nodes: how candidate pairs were enumerated
 	EstPairs    int64   `json:"est_pairs,omitempty"`
 	ActPairs    int64   `json:"act_pairs,omitempty"`
 	WallMS      float64 `json:"wall_ms"`

@@ -255,7 +255,7 @@ func TestQueryHistoryRingEviction(t *testing.T) {
 // filter then prunes on the other attributes, so est_pairs > act_pairs.
 func boxesDB() *db.Database {
 	d := db.New()
-	d.Put("B", datagen.BoxRelation(datagen.Scaled(4), 24, 4))
+	d.Put("B", datagen.Canonical(datagen.BoxRelation(datagen.Scaled(4), 24, 4)))
 	return d
 }
 
@@ -294,10 +294,11 @@ func TestPlannerQErrorTelemetry(t *testing.T) {
 	if joinRoll == nil || joinRoll.EstPairs != rec.EstPairs || joinRoll.ActPairs != rec.ActPairs {
 		t.Fatalf("per-node rollup does not carry the estimate: %+v", rec.Ops)
 	}
-	// Every box is polygon-eligible, so auto decides by clipping — and the
-	// record says so, with the vector counters beside the label.
-	if joinRoll.Strategy != "vector" || joinRoll.Vec != rec.ActPairs || joinRoll.VecFallback != 0 {
-		t.Fatalf("rollup hides the vector decide path: %+v", *joinRoll)
+	// Both sides are boxes over the shared x and y, so auto decides every
+	// candidate on the envelopes — and the record says so, with the env
+	// counter beside the enumeration's label.
+	if joinRoll.Strategy != "dense" || joinRoll.Env != rec.ActPairs || joinRoll.Vec != 0 || joinRoll.Sat != 0 {
+		t.Fatalf("rollup hides the envelope decider: %+v", *joinRoll)
 	}
 
 	// The q-error histogram is populated with an observation > 1.
