@@ -37,7 +37,7 @@ import (
 // pair the cache has not seen is merged, canonicalised and decided — on the
 // canonical form, whose fold halves what the eliminator sees. One pair is
 // one sat-check and one hit or miss. That lookup is the last of the per-pair
-// deciders (pairing.go): pairs of boxes the filter compared in full and
+// deciders (pairing.go): pairs of boxes over the same constraint attributes and
 // pairs of polygon forms are answered before it, on their intervals and by
 // clipping, and never touch the cache — their working sets (box-join cycles
 // 6400 distinct pairs through 4096 entries) would evict every entry before

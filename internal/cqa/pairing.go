@@ -62,32 +62,34 @@ func (p pairPlan) pruned() int { return p.total - len(p.cands) }
 // pair is answered by the first decider it is in the domain of, and each
 // answer is counted on the operator's recorder (env, vec, sat):
 //
-//	env   both sides are non-empty boxes (constraint.IsBox) and the filter
-//	      compared every variable they bound: the envelope overlap it found
-//	      is the verdict (BoxMerge reads it off the merged bounds again, so
-//	      nothing is assumed) and the merge is the interval intersection —
-//	      no clip, no Merge+Canon, no cache traffic;
+//	env   both sides are non-empty boxes (constraint.IsBox): BoxMerge reads
+//	      the verdict off the merged bounds, exact for any two boxes, and
+//	      the merge is the interval intersection — no clip, no Merge+Canon,
+//	      no cache traffic;
 //	clip  both sides carry polygon forms (vector.FormOf): exact clipping;
 //	      in difference, the minuend's form scopes the whole staircase;
 //	—     the sat-cache's pair lookup, else Fourier–Motzkin.
 //
 // A decider that cannot decide a pair declines it to the next; none reads
-// as unsatisfiable. env is no wider than the filter's proof: box pairs over
-// variables the schemas do not share (parcels × time intervals) stay on the
-// pair lookup, which hands a warm session the same merged Conjunction,
-// memoised envelope included, on every request; a fresh merge would not.
+// as unsatisfiable.
 type deciders struct{ env, clip bool }
 
 // forceDecline makes the env or the clip decider decline every pair. Only
-// tests set it: the equivalence matrices run with each decider forced out,
-// and what it would have answered must come out the same from the next.
+// tests set it: what it would have answered must come out of the next.
 var forceDecline deciders
 
 // pairDeciders resolves the decider list for one filtered operator call.
 // PlanDense and PlanSweep leave every pair to the cache and the eliminator
 // (the reference), PlanVector switches env off so that boxes are clipped
-// too, PlanAuto runs the whole list. sharedCon covers a schema when it
-// lists every constraint attribute of it.
+// too, PlanAuto runs the whole list.
+//
+// covered — the two schemas share every constraint attribute — is a
+// cache-sharing heuristic, not a soundness condition on env: box pairs over
+// variables the schemas do not share (hurricane's parcels × time intervals)
+// are all pair-lookup hits in a warm session, and a hit hands back the same
+// merged Conjunction, memoised envelope included, for the next join to
+// reuse; a fresh merge does not. Measured with the condition off: hurricane
+// p50 1.905, 1.919, 1.894 ms against 1.49 ms.
 func pairDeciders(ec *exec.Context, s1, s2 schema.Schema, sharedCon []string) deciders {
 	mode := ec.Plan()
 	covered := len(sharedCon) == len(s1.ConstraintNames()) && len(sharedCon) == len(s2.ConstraintNames())

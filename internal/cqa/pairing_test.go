@@ -17,11 +17,13 @@ import (
 // schema with no relational attribute (no partition at all), and left
 // tuples (ids b2, b3) whose bucket does not exist on the right. The two
 // polygon rows (convex × convex, triangulated-concave × convex) are the
-// inputs the clip decider takes; polygonInputs names them. Every row is
-// canonical, as a session's relations are (loaded from a file, or operator
-// outputs) — which is what puts the box rows in the envelope decider's
-// domain — except raw-boxes, the generator's tuples as built. Sizes stay
-// small enough for the dense baseline to be cheap.
+// inputs the clip decider takes; polygonInputs names them. Each row comes
+// twice: the generator's tuples as built (no memo, so boxes are clipped and
+// every form and envelope is derived on demand — what a hand-built database
+// such as -demo holds), and under a "canon-" prefix the canonical copy a
+// session's relations are (loaded from a file, or operator outputs), which
+// is what puts the box rows in the envelope decider's domain; boxInputs
+// names those. Sizes stay small enough for the dense baseline to be cheap.
 func pruneInputs(t *testing.T) map[string][2]*relation.Relation {
 	t.Helper()
 	p := datagen.Scaled(10)
@@ -51,9 +53,10 @@ func pruneInputs(t *testing.T) map[string][2]*relation.Relation {
 			datagen.PolygonRelation(p2, polyN, 3, p.CoordMax/12, 99)},
 	}
 	for name, pair := range rows {
-		rows[name] = [2]*relation.Relation{datagen.Canonical(pair[0]), datagen.Canonical(pair[1])}
+		if !strings.HasPrefix(name, "canon-") {
+			rows["canon-"+name] = [2]*relation.Relation{datagen.Canonical(pair[0]), datagen.Canonical(pair[1])}
+		}
 	}
-	rows["raw-boxes"] = [2]*relation.Relation{datagen.BoxRelation(p, 36, 4), datagen.BoxRelation(p2, 36, 4)}
 	return rows
 }
 
@@ -63,12 +66,13 @@ const polyN = 16
 
 // polygonInputs are the pruneInputs rows on which auto and forced vector
 // must really clip (VectorHits > 0) rather than fall back to
-// Fourier-Motzkin; boxInputs those on which auto must decide join and
-// intersect on the envelopes alone.
+// Fourier-Motzkin; boxInputs the canonical box rows, on which auto must
+// decide join and intersect on the envelopes alone.
 var (
-	polygonInputs = map[string]bool{"polygons": true, "concave": true}
-	boxInputs     = map[string]bool{"empty-right": true, "no-relational": true, "absent-bucket": true,
-		"boxes": true, "skewed": true, "clustered": true}
+	polygonInputs = map[string]bool{"polygons": true, "concave": true,
+		"canon-polygons": true, "canon-concave": true}
+	boxInputs = map[string]bool{"canon-empty-right": true, "canon-no-relational": true,
+		"canon-absent-bucket": true, "canon-boxes": true, "canon-skewed": true, "canon-clustered": true}
 )
 
 // TestPruningEquivalence is the filter's acceptance contract: with the
@@ -76,46 +80,36 @@ var (
 // output (same tuples, same order) to the dense nested loop, sequentially
 // and under the pool, on every workload shape — pruned pairs are exactly
 // pairs the refine step would have rejected anyway. The filtered side runs
-// under auto, so the whole matrix is repeated with each per-pair decider
-// forced to decline (the unfiltered side is the eliminator alone).
+// under auto, so it is repeated with each per-pair decider forced to
+// decline (the unfiltered side is the eliminator alone, run once).
 func TestPruningEquivalence(t *testing.T) {
 	ops := map[string]func(ec *exec.Context, r1, r2 *relation.Relation) (*relation.Relation, error){
 		"join":       JoinCtx,
 		"intersect":  IntersectCtx,
 		"difference": DifferenceCtx,
 	}
-	ctxs := map[string]func() (dense, filtered *exec.Context){
-		"par1": func() (*exec.Context, *exec.Context) {
-			return &exec.Context{Parallelism: 1, SeqThreshold: 1, NoPrune: true},
-				&exec.Context{Parallelism: 1, SeqThreshold: 1}
-		},
-		"par4": func() (*exec.Context, *exec.Context) {
-			return &exec.Context{Parallelism: 4, SeqThreshold: 1, NoPrune: true},
-				&exec.Context{Parallelism: 4, SeqThreshold: 1}
-		},
-	}
-	inputs := pruneInputs(t)
-	withDeclines(t, func(decl string) {
-		for wName, pair := range inputs {
-			for opName, op := range ops {
-				for ctxName, mk := range ctxs {
-					ecDense, ecFilt := mk()
-					want, err := op(ecDense, pair[0], pair[1])
-					if err != nil {
-						t.Fatalf("%s %s %s dense: %v", wName, opName, ctxName, err)
-					}
-					got, err := op(ecFilt, pair[0], pair[1])
-					if err != nil {
-						t.Fatalf("%s %s %s filtered: %v", wName, opName, ctxName, err)
-					}
-					if dump(got) != dump(want) {
-						t.Errorf("%s %s %s %s: filtered output diverges from dense\ndense:\n%s\nfiltered:\n%s",
-							wName, opName, ctxName, decl, dump(want), dump(got))
-					}
+	for wName, pair := range pruneInputs(t) {
+		for opName, op := range ops {
+			for _, par := range []int{1, 4} {
+				want, err := op(&exec.Context{Parallelism: par, SeqThreshold: 1, NoPrune: true}, pair[0], pair[1])
+				if err != nil {
+					t.Fatalf("%s %s par%d dense: %v", wName, opName, par, err)
+				}
+				for _, decl := range declineSettings {
+					withDecline(decl, func() {
+						got, err := op(&exec.Context{Parallelism: par, SeqThreshold: 1}, pair[0], pair[1])
+						if err != nil {
+							t.Fatalf("%s %s par%d filtered: %v", wName, opName, par, err)
+						}
+						if dump(got) != dump(want) {
+							t.Errorf("%s %s par%d decline%+v: filtered output diverges from dense\ndense:\n%s\nfiltered:\n%s",
+								wName, opName, par, decl, dump(want), dump(got))
+						}
+					})
 				}
 			}
 		}
-	})
+	}
 }
 
 // TestSweepMatchesDenseCandidates: the interval sweep and the dense

@@ -52,20 +52,18 @@ func TestChooseSweepAttrTieBreak(t *testing.T) {
 }
 
 // declineSettings are the forceDecline states the equivalence matrices run
-// under: every decider live, each of env and clip forced to decline every
-// pair, and both — whatever a decider would have answered must come out the
-// same from the next one down the list.
+// auto under: every decider live, each of env and clip forced to decline
+// every pair, and both — whatever a decider would have answered must come
+// out the same from the next one down the list. The forced plan modes have
+// no use for them: dense and sweep never read forceDecline, and vector is
+// auto with env declined.
 var declineSettings = []deciders{{}, {env: true}, {clip: true}, {env: true, clip: true}}
 
-// withDeclines runs body once per declineSettings entry, named for the
-// failure messages.
-func withDeclines(t *testing.T, body func(decl string)) {
-	t.Helper()
+// withDecline runs body with forceDecline set to d.
+func withDecline(d deciders, body func()) {
 	defer func() { forceDecline = deciders{} }()
-	for _, d := range declineSettings {
-		forceDecline = d
-		body(fmt.Sprintf("decline%+v", d))
-	}
+	forceDecline = d
+	body()
 }
 
 // sumStats adds up the decision counters of every operator row on ec.
@@ -85,60 +83,67 @@ func sumStats(ec *exec.Context) (s exec.OpStats) {
 // every plan mode — forced dense, forced sweep, forced vector, and auto —
 // produces byte-identical output (same tuples, same order) on every binary
 // operator and workload shape, both sequentially and under the worker
-// pool, with every decider live and with each forced to decline. Forced
-// modes disable the small-bucket dense escape, so the sweep really runs.
-// With nothing declined it also checks that the fast deciders really ran:
-// under auto, join and intersect of the box rows are decided on the
-// envelopes alone, and the polygon rows are clipped.
+// pool; auto also with each decider forced to decline. Forced modes disable
+// the small-bucket dense escape, so the sweep really runs. It also checks
+// that the fast deciders really ran: forced vector and (nothing declined)
+// auto clip the polygon rows, and under auto join and intersect of the
+// canonical box rows are decided on the envelopes alone.
 func TestStrategyEquivalence(t *testing.T) {
 	ops := map[string]func(ec *exec.Context, r1, r2 *relation.Relation) (*relation.Relation, error){
 		"join":       JoinCtx,
 		"intersect":  IntersectCtx,
 		"difference": DifferenceCtx,
 	}
-	modes := []string{exec.PlanDense, exec.PlanSweep, exec.PlanVector, exec.PlanAuto}
-	inputs := pruneInputs(t)
-	withDeclines(t, func(decl string) {
-		for wName, pair := range inputs {
-			for opName, op := range ops {
-				for _, par := range []int{1, 4} {
-					baseline := &exec.Context{Parallelism: par, SeqThreshold: 1, PlanMode: exec.PlanDense}
-					want, err := op(baseline, pair[0], pair[1])
+	for wName, pair := range pruneInputs(t) {
+		for opName, op := range ops {
+			for _, par := range []int{1, 4} {
+				run := func(mode string) (string, exec.OpStats) {
+					ec := &exec.Context{Parallelism: par, SeqThreshold: 1, PlanMode: mode}
+					got, err := op(ec, pair[0], pair[1])
 					if err != nil {
-						t.Fatalf("%s %s par%d dense: %v", wName, opName, par, err)
+						t.Fatalf("%s %s par%d %s: %v", wName, opName, par, mode, err)
 					}
-					wantDump := dump(want)
-					for _, mode := range modes {
-						ec := &exec.Context{Parallelism: par, SeqThreshold: 1, PlanMode: mode}
-						got, err := op(ec, pair[0], pair[1])
-						if err != nil {
-							t.Fatalf("%s %s par%d %s: %v", wName, opName, par, mode, err)
+					return dump(got), sumStats(ec)
+				}
+				want, _ := run(exec.PlanDense)
+				for _, mode := range []string{exec.PlanSweep, exec.PlanVector} {
+					got, s := run(mode)
+					if got != want {
+						t.Errorf("%s %s par%d: -plan=%s output diverges from dense\ndense:\n%s\n%s:\n%s",
+							wName, opName, par, mode, want, mode, got)
+					}
+					if mode == exec.PlanVector && polygonInputs[wName] && s.VectorHits == 0 {
+						t.Errorf("%s %s par%d: forced vector recorded no vector hit — the row fell back to FM",
+							wName, opName, par)
+					}
+				}
+				for _, decl := range declineSettings {
+					withDecline(decl, func() {
+						got, s := run(exec.PlanAuto)
+						if got != want {
+							t.Errorf("%s %s par%d decline%+v: auto output diverges from dense\ndense:\n%s\nauto:\n%s",
+								wName, opName, par, decl, want, got)
 						}
-						if dump(got) != wantDump {
-							t.Errorf("%s %s par%d %s: -plan=%s output diverges from dense\ndense:\n%s\n%s:\n%s",
-								wName, opName, par, decl, mode, wantDump, mode, dump(got))
+						if decl != (deciders{}) {
+							return
 						}
-						if forceDecline != (deciders{}) {
-							continue
-						}
-						s := sumStats(ec)
 						cands := s.PairsTotal - s.PairsPruned
 						switch {
-						case polygonInputs[wName] && (mode == exec.PlanVector || mode == exec.PlanAuto):
+						case polygonInputs[wName]:
 							if s.VectorHits == 0 {
-								t.Errorf("%s %s par%d %s: no vector hit — the row fell back to FM", wName, opName, par, mode)
+								t.Errorf("%s %s par%d auto: no vector hit — the row fell back to FM", wName, opName, par)
 							}
-						case boxInputs[wName] && mode == exec.PlanAuto && opName != "difference":
+						case boxInputs[wName] && opName != "difference":
 							if s.EnvHits != cands || s.VectorHits != 0 || s.SatChecks != 0 || s.FMDecisions != 0 {
 								t.Errorf("%s %s par%d auto: env=%d vec=%d sat=%d fm=%d over %d candidate pairs, want all of them decided on the envelopes",
 									wName, opName, par, s.EnvHits, s.VectorHits, s.SatChecks, s.FMDecisions, cands)
 							}
 						}
-					}
+					})
 				}
 			}
 		}
-	})
+	}
 }
 
 // TestEstimatorBounds pins the estimator's property the EXPLAIN ANALYZE
@@ -194,7 +199,7 @@ func TestEstimatorBounds(t *testing.T) {
 // fan-out span would depend on the host's core count), so the output is
 // deterministic. Regenerate with: go test ./internal/cqa -run TestExplainPlanGolden -update
 func TestExplainPlanGolden(t *testing.T) {
-	pair := pruneInputs(t)["clustered"]
+	pair := pruneInputs(t)["canon-clustered"]
 	env := Env{"R1": pair[0], "R2": pair[1]}
 	node := NewProject(NewJoin(Scan("R1"), Scan("R2")), "id", "x", "y")
 
