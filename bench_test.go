@@ -1005,37 +1005,93 @@ func churnStore(b *testing.B) *snapshot.Store {
 }
 
 // BenchmarkSnapshotMaterialize: one fork-bound session open on the
-// snapshot-churn database — read and verify the pages, decode the records.
+// snapshot-churn database. shared: the committed database is in memory and
+// carries its stored forms, so the pages are read and verified and nothing
+// is decoded. decoded: the store was reopened and remembers nothing (the
+// reopen is not timed), so the records are decoded too.
 func BenchmarkSnapshotMaterialize(b *testing.B) {
-	d, st := churnDB(b), churnStore(b)
-	snap, err := st.Commit(d, "", "bench")
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		got, err := st.Materialize(snap.ID)
-		if err != nil || got.TupleCount() != d.TupleCount() {
-			b.Fatalf("materialize: %d tuples, want %d (%v)", got.TupleCount(), d.TupleCount(), err)
-		}
+	d := churnDB(b)
+	for _, decoded := range []bool{false, true} {
+		b.Run(map[bool]string{false: "shared", true: "decoded"}[decoded], func(b *testing.B) {
+			dir := b.TempDir()
+			st, err := snapshot.Open(dir, snapshot.Options{})
+			if err != nil {
+				b.Fatal(err)
+			}
+			defer func() { st.Close() }()
+			snap, err := st.Commit(d, "", "bench")
+			if err != nil {
+				b.Fatal(err)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if decoded {
+					b.StopTimer()
+					st.Close()
+					if st, err = snapshot.Open(dir, snapshot.Options{}); err != nil {
+						b.Fatal(err)
+					}
+					b.StartTimer()
+				}
+				got, err := st.Materialize(snap.ID)
+				if err != nil || got.TupleCount() != d.TupleCount() {
+					b.Fatalf("materialize: %d tuples, want %d (%v)", got.TupleCount(), d.TupleCount(), err)
+				}
+			}
+			if stats := st.Stats(); (stats.RelationsDecoded > 0) != decoded || (stats.RelationsShared > 0) == decoded {
+				b.Fatalf("decoded %d relations, shared %d", stats.RelationsDecoded, stats.RelationsShared)
+			}
+		})
 	}
 }
 
-// BenchmarkSnapshotCommit: commit of the snapshot-churn database into a
-// store that holds no other snapshot, then its release — every page is
-// encoded, written and freed again, fsyncs included.
-func BenchmarkSnapshotCommit(b *testing.B) {
-	d, st := churnDB(b), churnStore(b)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		snap, err := st.Commit(d, "", "bench")
-		if err != nil {
-			b.Fatal(err)
-		}
-		if err := st.Release(snap.ID); err != nil {
-			b.Fatal(err)
-		}
+// BenchmarkSnapshotRecommit: one snapshot-churn operation on the store —
+// commit the database into a store that holds no other snapshot, fork,
+// materialise the fork, release both; every page is written, read back and
+// freed again, fsyncs included. warm: the database has been committed
+// before and carries its stored forms (a session's shared base): nothing is
+// encoded, nothing decoded. cold: the same tuples under new relations (not
+// timed), as a database nobody has committed: ordered, encoded, chunked and
+// hashed first.
+func BenchmarkSnapshotRecommit(b *testing.B) {
+	d := churnDB(b)
+	for _, cold := range []bool{true, false} {
+		b.Run(map[bool]string{true: "cold", false: "warm"}[cold], func(b *testing.B) {
+			st := churnStore(b)
+			state := d
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if cold {
+					b.StopTimer()
+					state = db.New()
+					for _, name := range d.Names() {
+						r, _ := d.Get(name)
+						state.Put(name, datagen.Canonical(r))
+					}
+					b.StartTimer()
+				}
+				snap, err := st.Commit(state, "", "bench")
+				if err != nil {
+					b.Fatal(err)
+				}
+				fork, err := st.Fork(snap.ID)
+				if err != nil {
+					b.Fatal(err)
+				}
+				if got, err := st.Materialize(fork.ID); err != nil || got.TupleCount() != d.TupleCount() {
+					b.Fatalf("materialize: %v", err)
+				}
+				for _, id := range []string{fork.ID, snap.ID} {
+					if err := st.Release(id); err != nil {
+						b.Fatal(err)
+					}
+				}
+			}
+			if stats := st.Stats(); cold && stats.RelationsReused != 0 || !cold && stats.RelationsEncoded > int64(len(d.Names())) {
+				b.Fatalf("encoded %d relations, reused the forms of %d", stats.RelationsEncoded, stats.RelationsReused)
+			}
+		})
 	}
 }

@@ -94,6 +94,11 @@ func (j Conjunction) Canon() Conjunction {
 	return canonical(sortAtoms(atoms), false)
 }
 
+// IsCanonical reports whether j is flagged canonical: Canon would return it
+// unchanged. Only this package sets the flag, and only on what it has itself
+// put in canonical form.
+func (j Conjunction) IsCanonical() bool { return j.canon }
+
 // canonical flags atoms — atom-canonical, trivial-free, folded and in
 // canonical order — as a canonical conjunction with fresh memo boxes (one
 // allocation holds both). box says the caller knows them to be a non-empty

@@ -5,6 +5,7 @@ import (
 	"slices"
 	"sort"
 	"strings"
+	"sync/atomic"
 
 	"cdb/internal/constraint"
 	"cdb/internal/rational"
@@ -194,6 +195,11 @@ func (t Tuple) render(con string) string {
 type Relation struct {
 	schema schema.Schema
 	tuples []Tuple
+
+	// memo holds one externally computed value derived from the schema and
+	// the tuples as they stand (see Memo); Add and AddBound clear it. It is
+	// what makes a Relation not copyable by value.
+	memo atomic.Pointer[any]
 }
 
 // New returns an empty relation with the given schema.
@@ -210,6 +216,42 @@ func (r *Relation) Len() int { return len(r.tuples) }
 
 // Tuples returns the tuples. The result must not be mutated.
 func (r *Relation) Tuples() []Tuple { return r.tuples }
+
+// Memo returns the value SetMemo attached to r, or nil when there is none
+// or a tuple has been added since. The slot is opaque to this package — the
+// same arrangement as constraint.Conjunction.Memo: a higher layer (the
+// snapshot store keeps a relation's stored form here) remembers one alternate
+// representation of the relation's content without this package learning its
+// type. Safe beside other readers of r; like every read, not beside Add.
+func (r *Relation) Memo() any {
+	if p := r.memo.Load(); p != nil {
+		return *p
+	}
+	return nil
+}
+
+// SetMemo attaches v, a value derived from r's schema and tuples as they
+// stand, replacing whatever was attached; nil detaches.
+func (r *Relation) SetMemo(v any) { r.memo.Store(&v) }
+
+// changed drops the memo: the content it was derived from is about to
+// change. A relation without one — every operator output while it is being
+// built — pays a load.
+func (r *Relation) changed() {
+	if r.memo.Load() != nil {
+		r.memo.Store(nil)
+	}
+}
+
+// Clone returns a relation with a header of its own over r's tuples: same
+// schema, same tuples in the same order, same memo. The tuple slice is
+// shared up to its length and no further, so a tuple added to either
+// relation afterwards never shows in the other.
+func (r *Relation) Clone() *Relation {
+	out := &Relation{schema: r.schema, tuples: r.tuples[:len(r.tuples):len(r.tuples)]}
+	out.memo.Store(r.memo.Load())
+	return out
+}
 
 // Add validates t against the schema and appends it:
 //
@@ -230,6 +272,7 @@ func (r *Relation) Add(t Tuple) error {
 	if err := r.checkVars(t.con); err != nil {
 		return err
 	}
+	r.changed()
 	r.tuples = append(r.tuples, t)
 	return nil
 }
@@ -263,6 +306,7 @@ func (r *Relation) AddBound(binds []Bound, con constraint.Conjunction) error {
 	if err := r.checkVars(con); err != nil {
 		return err
 	}
+	r.changed()
 	r.tuples = append(r.tuples, Tuple{rvals: rvals, con: con})
 	return nil
 }
@@ -500,28 +544,49 @@ func (w Row) String() string { return w.render(w.Con) }
 // are computed once per tuple; the comparator only compares strings. Tuples
 // that tie on both keys render identically.
 func (r *Relation) Rows() []Row {
+	rows := r.keyedRows()
+	slices.SortFunc(rows, compareRows)
+	return rows
+}
+
+// keyedRows is the tuples as rows, in insertion order.
+func (r *Relation) keyedRows() []Row {
 	rows := make([]Row, len(r.tuples))
 	for i, t := range r.tuples {
 		rows[i] = Row{Tuple: t, Con: t.con.String(), rkey: t.relationalKey()}
 	}
-	slices.SortFunc(rows, func(a, b Row) int {
-		if c := strings.Compare(a.rkey, b.rkey); c != 0 {
-			return c
-		}
-		return strings.Compare(a.Con, b.Con)
-	})
 	return rows
 }
 
-// Sorted returns the tuples in Rows order.
-func (r *Relation) Sorted() []Tuple {
-	rows := r.Rows()
-	out := make([]Tuple, len(rows))
+func compareRows(a, b Row) int {
+	if c := strings.Compare(a.rkey, b.rkey); c != 0 {
+		return c
+	}
+	return strings.Compare(a.Con, b.Con)
+}
+
+// InRowsOrder returns a relation with a header of its own holding r's
+// tuples in Rows order — r as a store that keeps tuples in display order
+// would hand it back — and no memo. A later Add to either relation never
+// shows in the other; when r is in Rows order already the two share the
+// tuple slice (see Clone) and nothing is sorted.
+func (r *Relation) InRowsOrder() *Relation {
+	rows := r.keyedRows()
+	n := len(rows)
+	if slices.IsSortedFunc(rows, compareRows) {
+		return &Relation{schema: r.schema, tuples: r.tuples[:n:n]}
+	}
+	slices.SortFunc(rows, compareRows)
+	out := &Relation{schema: r.schema, tuples: make([]Tuple, n)}
 	for i, w := range rows {
-		out[i] = w.Tuple
+		out.tuples[i] = w.Tuple
 	}
 	return out
 }
+
+// Sorted returns the tuples in Rows order. Like Tuples, the result must not
+// be mutated: it is r's own slice when r is in that order already.
+func (r *Relation) Sorted() []Tuple { return r.InRowsOrder().tuples }
 
 // String renders the relation with its schema and tuples, one per line.
 func (r *Relation) String() string {

@@ -238,3 +238,59 @@ func TestRowsAllocsLinear(t *testing.T) {
 		t.Errorf("Sorted: %.0f allocations for 300 tuples, ceiling %d", a300, 12*300)
 	}
 }
+
+// TestMemoClearedByAddKeptByClone: the memo describes the tuples as they
+// stand — Add and AddBound drop it, a rejected tuple does not, a Clone
+// carries it — and a Clone or an InRowsOrder copy and its origin never see
+// each other's later tuples, whether or not they started on one slice.
+func TestMemoClearedByAddKeptByClone(t *testing.T) {
+	rng := rand.New(rand.NewSource(22))
+	for i := 0; i < 50; i++ {
+		r := orderRelation(rng, 1+rng.Intn(40))
+		if r.Memo() != nil {
+			t.Fatal("a new relation has a memo")
+		}
+		type form struct{ n int }
+		r.SetMemo(&form{r.Len()})
+		if err := r.Add(NewTuple(map[string]Value{"nope": Int(1)}, constraint.True())); err == nil || r.Memo() == nil {
+			t.Fatalf("a rejected tuple (%v) dropped the memo", err)
+		}
+		clone, sorted := r.Clone(), r.InRowsOrder()
+		if clone == r || clone.Memo() != r.Memo() || sorted.Memo() != nil {
+			t.Fatal("Clone must carry the memo under a header of its own, InRowsOrder must not")
+		}
+		want := r.Rows()
+		for k, tp := range sorted.Tuples() {
+			if tp.String() != want[k].String() {
+				t.Fatalf("case %d: InRowsOrder has %s at %d, Rows %s", i, tp, k, want[k])
+			}
+		}
+		if again := sorted.InRowsOrder(); again == sorted || &again.tuples[0] != &sorted.tuples[0] {
+			t.Fatal("a relation already in Rows order was copied, or handed back itself")
+		}
+		// A different tuple into each, by Add or by AddBound: every copy
+		// ends with its own and the others keep their length.
+		copies := []*Relation{r, clone, sorted}
+		n := r.Len()
+		for k, x := range copies {
+			x.SetMemo(&form{n})
+			own := ConstraintTuple(constraint.And(constraint.LeConst("x", rational.FromInt(int64(k)))).Canon())
+			if i%2 == 0 {
+				x.MustAdd(own)
+			} else if err := x.AddBound(nil, own.Constraint()); err != nil {
+				t.Fatal(err)
+			}
+			if x.Memo() != nil {
+				t.Fatal("a tuple was added and the memo stayed")
+			}
+			for j, y := range copies {
+				if want := n + map[bool]int{true: 1}[j <= k]; y.Len() != want {
+					t.Fatalf("case %d: after a tuple went into copy %d, copy %d has %d tuples, want %d", i, k, j, y.Len(), want)
+				}
+				if last := y.Tuples()[y.Len()-1].String(); j <= k && last != fmt.Sprintf("(x <= %d)", j) {
+					t.Fatalf("case %d: copy %d ends with %s: copies on one slice wrote over each other", i, j, last)
+				}
+			}
+		}
+	}
+}

@@ -227,6 +227,11 @@ type Server struct {
 	// use to hold a query in flight deterministically.
 	hookQueryStart func()
 
+	// hookMaterialized, when set (tests only), runs after snapshotDB has
+	// materialised a snapshot and before it takes smu again — the window
+	// in which a release of that snapshot can overtake it.
+	hookMaterialized func()
+
 	start time.Time
 }
 

@@ -186,7 +186,11 @@ func (s *Server) handleSnapshotRelease(w http.ResponseWriter, r *http.Request) {
 
 // snapshotDB materializes a snapshot into a database, memoized per id:
 // every session bound to the same snapshot shares one in-memory copy,
-// the same way registry sessions share their base.
+// the same way registry sessions share their base. Only a live snapshot's
+// copy is kept: when a release overtook the materialisation, its delete has
+// or will have found nothing, no later one can come (the id answers 404),
+// and an entry stored now would stay until restart — the caller's session
+// keeps the copy to itself instead.
 func (s *Server) snapshotDB(id string) (*db.Database, error) {
 	s.smu.Lock()
 	if d, ok := s.snapDBs[id]; ok {
@@ -199,12 +203,19 @@ func (s *Server) snapshotDB(id string) (*db.Database, error) {
 	if err != nil {
 		return nil, err
 	}
+	if s.hookMaterialized != nil {
+		s.hookMaterialized()
+	}
 	s.smu.Lock()
 	defer s.smu.Unlock()
 	if cached, ok := s.snapDBs[id]; ok {
 		return cached, nil
 	}
-	s.snapDBs[id] = d
+	// Asked under smu, which the release takes after the store has let the
+	// snapshot go: a yes here means its delete is still to come.
+	if _, live := s.snaps.Get(id); live {
+		s.snapDBs[id] = d
+	}
 	return d, nil
 }
 

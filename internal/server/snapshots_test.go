@@ -103,14 +103,7 @@ func TestSnapshotLifecycleOverHTTP(t *testing.T) {
 	// A session bound to the fork answers queries byte-identically to a
 	// session over a full Save/Load copy of the same state.
 	snapSess := openSession(t, ts, fmt.Sprintf(`{"snapshot": %q, "par": 1}`, fork.ID))
-	var buf bytes.Buffer
-	if err := hurricane.Build().Save(&buf); err != nil {
-		t.Fatal(err)
-	}
-	full, err := db.Load(bytes.NewReader(buf.Bytes()))
-	if err != nil {
-		t.Fatal(err)
-	}
+	full := loadedHurricane(t)
 	s2, ts2 := newTestServer(t, Config{}, map[string]*db.Database{"full": full})
 	_ = s2
 	fullSess := openSession(t, ts2, `{"db": "full", "par": 1}`)
@@ -260,5 +253,157 @@ func TestGoldenSnapshotWireShape(t *testing.T) {
 	}
 	if got != string(want) {
 		t.Errorf("snapshot wire shape differs from %s (re-run with -update if intended):\n--- got ---\n%s\n--- want ---\n%s", path, got, want)
+	}
+}
+
+// loadedHurricane is the demo database as a daemon holds one it loaded
+// with -db: every tuple canonical.
+func loadedHurricane(t *testing.T) *db.Database {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := hurricane.Build().Save(&buf); err != nil {
+		t.Fatal(err)
+	}
+	d, err := db.Load(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return d
+}
+
+// TestSnapshotSessionSharedAndDecodedAgree: a session bound to a fork
+// answers the golden program with the same bytes, operator stats included,
+// and the store lists the same snapshots, whether the fork's database was
+// shared with the one that was committed (nothing decoded) or decoded from
+// the pages by a store that was reopened and remembers nothing; and the two
+// databases are equal tuple for tuple, in order, canonical flags,
+// fingerprints and saved bytes.
+func TestSnapshotSessionSharedAndDecodedAgree(t *testing.T) {
+	dir := t.TempDir()
+	const program = `{"session": %q, "query": "R0 = join Landownership and Land\nR1 = select t >= 4, t <= 9 from R0\nR2 = project R1 on name", "stats": true}`
+	var forkID string
+	run := func(shared bool) (answer, listing string, mat *db.Database) {
+		st, err := snapshot.Open(dir, snapshot.Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer st.Close()
+		_, ts := newTestServer(t, Config{Snapshots: st}, map[string]*db.Database{"loaded": loadedHurricane(t)})
+		defer ts.Close()
+		if shared {
+			_, body, _ := postJSON(t, ts.URL+"/v1/dbs/loaded/snapshots", "")
+			var base snapshot.Snapshot
+			if err := json.Unmarshal(body, &base); err != nil {
+				t.Fatal(err)
+			}
+			_, body, _ = postJSON(t, ts.URL+"/v1/snapshots/"+base.ID+"/fork", "")
+			var fork snapshot.Snapshot
+			if err := json.Unmarshal(body, &fork); err != nil {
+				t.Fatal(err)
+			}
+			forkID = fork.ID
+		}
+		sess := openSession(t, ts, fmt.Sprintf(`{"snapshot": %q, "par": 1}`, forkID))
+		if stats := st.Stats(); (stats.RelationsShared > 0) != shared || (stats.RelationsDecoded > 0) == shared {
+			t.Fatalf("shared=%v: the session open decoded %d relations and shared %d", shared, stats.RelationsDecoded, stats.RelationsShared)
+		}
+		status, _, body := runQueryReq(t, ts, fmt.Sprintf(program, sess))
+		if status != http.StatusOK {
+			t.Fatalf("shared=%v: query: %d %s", shared, status, body)
+		}
+		_, list := getJSON(t, ts.URL+"/v1/snapshots")
+		if mat, err = st.Materialize(forkID); err != nil {
+			t.Fatal(err)
+		}
+		return normalize(body), normalizeSnapshot(list), mat
+	}
+	sharedAnswer, sharedList, sharedDB := run(true)
+	decodedAnswer, decodedList, decodedDB := run(false)
+	if sharedAnswer != decodedAnswer {
+		t.Errorf("the answer over a shared database differs from the one over a decoded database:\n--- shared ---\n%s\n--- decoded ---\n%s", sharedAnswer, decodedAnswer)
+	}
+	if sharedList != decodedList {
+		t.Errorf("the listing changed across the reopen:\n--- before ---\n%s\n--- after ---\n%s", sharedList, decodedList)
+	}
+	if fmt.Sprint(sharedDB.Names()) != fmt.Sprint(decodedDB.Names()) {
+		t.Fatalf("relations %v shared, %v decoded", sharedDB.Names(), decodedDB.Names())
+	}
+	var a, b bytes.Buffer
+	if sharedDB.Save(&a); decodedDB.Save(&b) != nil || a.String() != b.String() {
+		t.Error("the shared and the decoded database save to different bytes")
+	}
+	for _, name := range sharedDB.Names() {
+		ra, _ := sharedDB.Get(name)
+		rb, _ := decodedDB.Get(name)
+		if !ra.Schema().Equal(rb.Schema()) || ra.Len() != rb.Len() {
+			t.Fatalf("%s: %s with %d tuples shared, %s with %d decoded", name, ra.Schema(), ra.Len(), rb.Schema(), rb.Len())
+		}
+		for i, ta := range ra.Tuples() {
+			tb := rb.Tuples()[i]
+			ca, cb := ta.Constraint(), tb.Constraint()
+			if !ta.SameRelationalPart(tb) || !ca.IsCanonical() || !cb.IsCanonical() || !ca.EqualCanonical(cb) || ca.Fingerprint() != cb.Fingerprint() {
+				t.Fatalf("%s: tuple %d is %s shared and %s decoded", name, i, ta, tb)
+			}
+		}
+	}
+}
+
+// TestReleaseOvertakesSessionOpen: a snapshot released while a session
+// open is materialising it leaves nothing behind — the database is not
+// kept for an id no DELETE can reach any more — the session that lost the
+// race works on its own copy, and the next open answers 404.
+func TestReleaseOvertakesSessionOpen(t *testing.T) {
+	st, err := snapshot.Open(t.TempDir(), snapshot.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	s, ts := newTestServer(t, Config{Snapshots: st}, nil)
+	_, body, _ := postJSON(t, ts.URL+"/v1/dbs/hurricane/snapshots", "")
+	var snap snapshot.Snapshot
+	if err := json.Unmarshal(body, &snap); err != nil {
+		t.Fatal(err)
+	}
+	materialized, released := make(chan struct{}), make(chan struct{})
+	s.hookMaterialized = func() {
+		close(materialized)
+		<-released
+	}
+	opened := make(chan string)
+	go func() {
+		status, body, _ := postJSON(t, ts.URL+"/v1/sessions", fmt.Sprintf(`{"snapshot": %q, "par": 1}`, snap.ID))
+		if status != http.StatusCreated {
+			t.Errorf("the open that lost the race: %d %s", status, body)
+		}
+		var info sessionInfo
+		json.Unmarshal(body, &info)
+		opened <- info.ID
+	}()
+	<-materialized
+	req, _ := http.NewRequest(http.MethodDelete, ts.URL+"/v1/snapshots/"+snap.ID, nil)
+	res, err := http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res.Body.Close()
+	if res.StatusCode != http.StatusOK {
+		t.Fatalf("release: %d", res.StatusCode)
+	}
+	close(released)
+	sess := <-opened
+	s.hookMaterialized = nil
+
+	s.smu.Lock()
+	kept := len(s.snapDBs)
+	s.smu.Unlock()
+	if kept != 0 {
+		t.Fatalf("%d materialised databases kept for a store with no snapshot", kept)
+	}
+	status, resp, body := runQueryReq(t, ts, fmt.Sprintf(`{"session": %q, "query": "R0 = join Landownership and Land"}`, sess))
+	if status != http.StatusOK || len(resp.Tuples) == 0 {
+		t.Fatalf("the session that lost the race cannot query its copy: %d %s", status, body)
+	}
+	if status, body, _ := postJSON(t, ts.URL+"/v1/sessions", fmt.Sprintf(`{"snapshot": %q}`, snap.ID)); status != http.StatusNotFound {
+		t.Fatalf("an open on the released snapshot: %d %s", status, body)
 	}
 }

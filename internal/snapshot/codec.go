@@ -105,20 +105,21 @@ func decodePage(data []byte) ([]byte, error) {
 }
 
 // encodeRelation renders r as its record stream and returns it with the
-// end offset of every record. Deterministic: Rows order, schema order
-// within a record, so equal relations encode to equal bytes — what the
-// page-level dedup relies on.
-func encodeRelation(r *relation.Relation) (stream []byte, ends []int, err error) {
+// end offset of every record, and with the relation the stream decodes to:
+// r's tuples under a header of their own, in the order they were written.
+// Deterministic: Rows order, schema order within a record, so equal
+// relations encode to equal bytes — what the page-level dedup relies on.
+func encodeRelation(r *relation.Relation) (stream []byte, ends []int, sorted *relation.Relation, err error) {
 	s := r.Schema()
-	rows := r.Rows()
-	ends = make([]int, 0, len(rows))
-	for _, row := range rows {
-		if stream, err = appendRecord(stream, s, row.Tuple); err != nil {
-			return nil, nil, err
+	sorted = r.InRowsOrder()
+	ends = make([]int, 0, sorted.Len())
+	for _, t := range sorted.Tuples() {
+		if stream, err = appendRecord(stream, s, t); err != nil {
+			return nil, nil, nil, err
 		}
 		ends = append(ends, len(stream))
 	}
-	return stream, ends, nil
+	return stream, ends, sorted, nil
 }
 
 func appendRecord(b []byte, s schema.Schema, t relation.Tuple) ([]byte, error) {

@@ -98,7 +98,7 @@ func codecFamilies() map[string]*relation.Relation {
 // their concatenation: the path of a commit followed by a materialise.
 func viaPages(t testing.TB, r *relation.Relation, cap int) *relation.Relation {
 	t.Helper()
-	stream, ends, err := encodeRelation(r)
+	stream, ends, _, err := encodeRelation(r)
 	if err != nil {
 		t.Fatalf("encode: %v", err)
 	}
@@ -190,7 +190,7 @@ func FuzzPageCodec(f *testing.F) {
 			requireCanonical(f, got)
 			requireSame(f, r, got)
 		}
-		stream, _, err := encodeRelation(r)
+		stream, _, _, err := encodeRelation(r)
 		if err != nil {
 			f.Fatalf("%s: %v", name, err)
 		}
@@ -219,7 +219,7 @@ func FuzzPageCodec(f *testing.F) {
 		// The decoded order is the stream's, not necessarily Rows order
 		// (arbitrary bytes are not a commit), so compare through a second
 		// trip instead of against Rows.
-		again, _, err := encodeRelation(r)
+		again, _, _, err := encodeRelation(r)
 		if err != nil {
 			t.Fatalf("decoded relation does not encode: %v", err)
 		}
@@ -236,7 +236,7 @@ func FuzzPageCodec(f *testing.F) {
 // only the tail of the page run.
 func TestChunkRecordsAlignment(t *testing.T) {
 	r := codecFamilies()["boxes"]
-	stream, ends, err := encodeRelation(r)
+	stream, ends, _, err := encodeRelation(r)
 	if err != nil {
 		t.Fatal(err)
 	}

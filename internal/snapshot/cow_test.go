@@ -97,6 +97,37 @@ func TestCommitAllocsMatchNewPagesExactly(t *testing.T) {
 		}
 		parent = snap.ID
 		checkInvariants(t, s)
+
+		// The same database again, and a materialisation of it: both carry
+		// their stored forms, nothing is encoded, and every page is found
+		// in the store — by the same lookup and comparison, so the counts
+		// are a first commit's.
+		mat, err := s.Materialize(snap.ID)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, again := range []*db.Database{d, mat} {
+			s0 := s.Stats()
+			re, err := s.Commit(again, parent, "prop")
+			if err != nil {
+				t.Fatal(err)
+			}
+			s1 := s.Stats()
+			if re.NewPages != 0 || re.Pages != snap.Pages || s1.Pager.Allocs != s0.Pager.Allocs ||
+				s1.PagesShared-s0.PagesShared != int64(snap.Pages) {
+				t.Fatalf("round %d: re-commit wrote %d of %d pages (first commit: %d pages), allocated %d",
+					round, re.NewPages, re.Pages, snap.Pages, s1.Pager.Allocs-s0.Pager.Allocs)
+			}
+			if s1.RelationsEncoded != s0.RelationsEncoded || s1.RelationsReused-s0.RelationsReused != 2 {
+				t.Fatalf("round %d: re-commit encoded %d relations and reused %d forms, want 0 and 2", round,
+					s1.RelationsEncoded-s0.RelationsEncoded, s1.RelationsReused-s0.RelationsReused)
+			}
+			checkInvariants(t, s)
+			if err := s.Release(re.ID); err != nil {
+				t.Fatal(err)
+			}
+			checkInvariants(t, s)
+		}
 	}
 }
 
@@ -174,6 +205,7 @@ func TestRandomizedChainKeepsInvariants(t *testing.T) {
 	type liveSnap struct {
 		id   string
 		text string
+		d    *db.Database // what was committed: it carries its stored forms
 	}
 	var live []liveSnap
 	version := 0
@@ -187,17 +219,27 @@ func TestRandomizedChainKeepsInvariants(t *testing.T) {
 	for step := 0; step < 40; step++ {
 		op := rng.Intn(3)
 		switch {
-		case op == 0 || len(live) == 0: // commit
+		case op == 0 || len(live) == 0: // commit: a new state, a live one again, or a live one as materialised
 			d := makeDB()
 			parent := ""
 			if len(live) > 0 {
-				parent = live[rng.Intn(len(live))].id
+				src := live[rng.Intn(len(live))]
+				parent = src.id
+				switch rng.Intn(3) {
+				case 1:
+					d = src.d
+				case 2:
+					var err error
+					if d, err = s.Materialize(src.id); err != nil {
+						t.Fatalf("step %d materialize: %v", step, err)
+					}
+				}
 			}
 			snap, err := s.Commit(d, parent, "chain")
 			if err != nil {
 				t.Fatalf("step %d commit: %v", step, err)
 			}
-			live = append(live, liveSnap{snap.ID, saveText(t, d)})
+			live = append(live, liveSnap{snap.ID, saveText(t, d), d})
 		case op == 1: // fork
 			src := live[rng.Intn(len(live))]
 			snap, err := s.Fork(src.id)
@@ -207,7 +249,7 @@ func TestRandomizedChainKeepsInvariants(t *testing.T) {
 			if snap.NewPages != 0 {
 				t.Fatalf("step %d: fork wrote %d pages", step, snap.NewPages)
 			}
-			live = append(live, liveSnap{snap.ID, src.text})
+			live = append(live, liveSnap{snap.ID, src.text, src.d})
 		default: // release
 			i := rng.Intn(len(live))
 			if err := s.Release(live[i].id); err != nil {
@@ -230,6 +272,11 @@ func TestRandomizedChainKeepsInvariants(t *testing.T) {
 		}
 	}
 	verify(s, "before reopen")
+	if st := s.Stats(); st.RelationsReused == 0 || st.RelationsEncoded == 0 || st.RelationsShared == 0 {
+		t.Fatalf("the chain never took one of the paths: %+v", st)
+	}
+	forget(s)
+	verify(s, "made to forget")
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
 	}

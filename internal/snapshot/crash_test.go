@@ -14,7 +14,9 @@ import (
 // assert the recovered state is exactly the last durable snapshot set —
 // never a mix of old and new, never a corrupt manifest. The fault points
 // sweep every page write and every WAL append the workload performs, so
-// each byte-offset of the commit protocol gets its own crash.
+// each byte-offset of the commit protocol gets its own crash — once with the
+// two databases carrying their stored forms (a commit that reuses a form must
+// still perform, and fail at, every write) and once made to forget them.
 
 type crashWorkload struct {
 	base    *db.Database
@@ -60,11 +62,36 @@ func newCrashWorkload(t *testing.T) *crashWorkload {
 	return w
 }
 
-// run commits base then derived with the given fault armed. It returns
+// formModes names the two states the sweeps commit the workload's databases
+// in: carrying their stored forms, and made to forget them.
+var formModes = []struct {
+	name   string
+	forced bool
+}{{"carried", false}, {"encoded", true}}
+
+// run commits base then derived with the given fault armed. Whatever an
+// earlier run left on them, every relation of the two carries its stored
+// form when the first commit starts, or — forced — none does. It returns
 // the base snapshot id and whether each commit succeeded.
-func (w *crashWorkload) run(t *testing.T, dir string, fault *Fault) (baseID string, baseOK, derivedOK bool) {
+func (w *crashWorkload) run(t *testing.T, dir string, fault *Fault, forced bool) (baseID string, baseOK, derivedOK bool) {
 	t.Helper()
 	s := openStore(t, dir, fault)
+	if forced {
+		forget(s, w.base, w.derived)
+	} else {
+		for _, d := range []*db.Database{w.base, w.derived} {
+			if _, _, err := encodePages(d, s.pager.PageSize()); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	s0 := s.Stats()
+	defer func() {
+		if s1 := s.Stats(); forced && s1.RelationsReused != s0.RelationsReused || !forced && s1.RelationsEncoded != s0.RelationsEncoded {
+			t.Errorf("forced=%v: the commits encoded %d relations and reused the forms of %d", forced,
+				s1.RelationsEncoded-s0.RelationsEncoded, s1.RelationsReused-s0.RelationsReused)
+		}
+	}()
 	// The injected fault is the crash: close without error checking, the
 	// way a dying process would.
 	defer s.Close()
@@ -153,15 +180,19 @@ func TestCrashAtEveryPageWrite(t *testing.T) {
 		for n := int64(1); n <= w.totalWrites; n++ {
 			name := fmt.Sprintf("write%d_torn=%v", n, torn)
 			t.Run(name, func(t *testing.T) {
-				dir := t.TempDir()
-				_, baseOK, derivedOK := w.run(t, dir, &Fault{PageWriteN: int(n), Torn: torn})
-				if derivedOK {
-					t.Fatalf("fault at write %d never fired", n)
+				for _, mode := range formModes {
+					t.Run(mode.name, func(t *testing.T) {
+						dir := t.TempDir()
+						_, baseOK, derivedOK := w.run(t, dir, &Fault{PageWriteN: int(n), Torn: torn}, mode.forced)
+						if derivedOK {
+							t.Fatalf("fault at write %d never fired", n)
+						}
+						if wantBase := n > w.basePageWrites; baseOK != wantBase {
+							t.Fatalf("fault at write %d: baseOK=%v, want %v", n, baseOK, wantBase)
+						}
+						w.verifyRecovered(t, dir, baseOK, false)
+					})
 				}
-				if wantBase := n > w.basePageWrites; baseOK != wantBase {
-					t.Fatalf("fault at write %d: baseOK=%v, want %v", n, baseOK, wantBase)
-				}
-				w.verifyRecovered(t, dir, baseOK, false)
 			})
 		}
 	}
@@ -176,15 +207,19 @@ func TestCrashAtEveryWALAppend(t *testing.T) {
 		for n := int64(1); n <= w.totalAppends; n++ {
 			name := fmt.Sprintf("append%d_torn=%v", n, torn)
 			t.Run(name, func(t *testing.T) {
-				dir := t.TempDir()
-				_, baseOK, derivedOK := w.run(t, dir, &Fault{WALAppendN: int(n), Torn: torn})
-				if derivedOK {
-					t.Fatalf("fault at append %d never fired", n)
+				for _, mode := range formModes {
+					t.Run(mode.name, func(t *testing.T) {
+						dir := t.TempDir()
+						_, baseOK, derivedOK := w.run(t, dir, &Fault{WALAppendN: int(n), Torn: torn}, mode.forced)
+						if derivedOK {
+							t.Fatalf("fault at append %d never fired", n)
+						}
+						if wantBase := n > w.baseAppends; baseOK != wantBase {
+							t.Fatalf("fault at append %d: baseOK=%v, want %v", n, baseOK, wantBase)
+						}
+						w.verifyRecovered(t, dir, baseOK, false)
+					})
 				}
-				if wantBase := n > w.baseAppends; baseOK != wantBase {
-					t.Fatalf("fault at append %d: baseOK=%v, want %v", n, baseOK, wantBase)
-				}
-				w.verifyRecovered(t, dir, baseOK, false)
 			})
 		}
 	}
@@ -194,12 +229,14 @@ func TestCrashAtEveryWALAppend(t *testing.T) {
 // performs: nothing fires, both commits land, and recovery sees both.
 func TestCrashPastTheWorkload(t *testing.T) {
 	w := newCrashWorkload(t)
-	dir := t.TempDir()
-	_, baseOK, derivedOK := w.run(t, dir, &Fault{PageWriteN: int(w.totalWrites) + 100, WALAppendN: int(w.totalAppends) + 100})
-	if !baseOK || !derivedOK {
-		t.Fatalf("unfired fault failed a commit")
+	for _, mode := range formModes {
+		dir := t.TempDir()
+		_, baseOK, derivedOK := w.run(t, dir, &Fault{PageWriteN: int(w.totalWrites) + 100, WALAppendN: int(w.totalAppends) + 100}, mode.forced)
+		if !baseOK || !derivedOK {
+			t.Fatalf("unfired fault failed a commit")
+		}
+		w.verifyRecovered(t, dir, true, true)
 	}
-	w.verifyRecovered(t, dir, true, true)
 }
 
 // TestCrashDuringFork arms the fault at the fork's WAL append: the fork

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"strings"
+	"weak"
 
 	"cdb/internal/schema"
 	"cdb/internal/storage"
@@ -53,6 +54,12 @@ type RelationPages struct {
 	Name   string    `json:"name"`
 	Schema []Attr    `json:"schema"`
 	Pages  []PageRef `json:"pages"`
+
+	// form points, weakly, at the stored form this page run was built from
+	// (Commit) or decoded into (Materialize), for as long as some relation in
+	// memory carries it. In memory only: never serialised, empty after a WAL
+	// replay, copied by Fork.
+	form weak.Pointer[storedForm]
 }
 
 // Attr is one attribute of a stored schema. In the manifest's JSON it is
@@ -103,9 +110,12 @@ func attrsOf(s schema.Schema) []Attr {
 
 // schema rebuilds the relation's schema, rejecting anything the schema
 // package would not have let a committed relation carry.
-func (rel RelationPages) schema() (schema.Schema, error) {
-	attrs := make([]schema.Attribute, len(rel.Schema))
-	for i, a := range rel.Schema {
+func (rel RelationPages) schema() (schema.Schema, error) { return schemaOf(rel.Schema) }
+
+// schemaOf is the inverse of attrsOf, with the schema package's checks.
+func schemaOf(stored []Attr) (schema.Schema, error) {
+	attrs := make([]schema.Attribute, len(stored))
+	for i, a := range stored {
 		attrs[i] = schema.Attribute(a)
 	}
 	return schema.New(attrs...)
@@ -201,14 +211,14 @@ func (m *Manifest) numPages() int {
 	return n
 }
 
-// clone deep-copies the manifest for Fork: page refs and identity carry
-// over, Tuples carries over (a fork holds the same data), NewPages stays
-// zero (a fork writes nothing).
+// clone deep-copies the manifest for Fork: page refs, the pointers to their
+// stored forms and identity carry over, Tuples carries over (a fork holds
+// the same data), NewPages stays zero (a fork writes nothing).
 func (m *Manifest) clone() *Manifest {
 	out := &Manifest{ID: m.ID, Parent: m.Parent, DB: m.DB, CreatedUnixMS: m.CreatedUnixMS, Tuples: m.Tuples}
 	out.Relations = make([]RelationPages, len(m.Relations))
 	for i, rel := range m.Relations {
-		out.Relations[i] = RelationPages{Name: rel.Name, Schema: rel.Schema, Pages: append([]PageRef{}, rel.Pages...)}
+		out.Relations[i] = RelationPages{Name: rel.Name, Schema: rel.Schema, Pages: append([]PageRef{}, rel.Pages...), form: rel.form}
 	}
 	return out
 }

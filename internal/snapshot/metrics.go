@@ -6,7 +6,9 @@ import "cdb/internal/obs"
 // page-share counters that tell you whether copy-on-write is actually
 // sharing (pages written vs references resolved by dedup), the WAL
 // append/fsync/byte counters that bound commit durability cost, and the
-// live/free page gauges. All families read the same counters Stats()
+// live/free page gauges, and the two decisions a stored form settles — a
+// commit encodes a relation or reuses the form it carries, a materialise
+// decodes one or shares what a database in memory still holds. All families read the same counters Stats()
 // reports, so /metrics and the API agree.
 func (s *Store) InstallMetrics(reg *obs.Registry) {
 	reg.NewCounterFunc("cdb_snapshot_commits_total",
@@ -27,6 +29,18 @@ func (s *Store) InstallMetrics(reg *obs.Registry) {
 	reg.NewCounterFunc("cdb_snapshot_pages_reused_total",
 		"Written pages that recycled a freed slot instead of growing the file.",
 		func() int64 { return s.Stats().PagesReused })
+	reg.NewCounterFunc("cdb_snapshot_relations_encoded_total",
+		"Relations a commit ordered, encoded, chunked and hashed.",
+		func() int64 { return s.Stats().RelationsEncoded })
+	reg.NewCounterFunc("cdb_snapshot_relations_reused_total",
+		"Relations a commit took the stored form of from the relation itself (no encoding; pages still compared and written).",
+		func() int64 { return s.Stats().RelationsReused })
+	reg.NewCounterFunc("cdb_snapshot_relations_decoded_total",
+		"Relations a materialise decoded from their pages.",
+		func() int64 { return s.Stats().RelationsDecoded })
+	reg.NewCounterFunc("cdb_snapshot_relations_shared_total",
+		"Relations a materialise shared with a database still in memory (no decoding; pages still read and verified).",
+		func() int64 { return s.Stats().RelationsShared })
 	reg.NewCounterFunc("cdb_wal_appends_total",
 		"WAL records appended.",
 		func() int64 { return s.Stats().WALAppends })

@@ -15,6 +15,21 @@
 // decrements refcounts and returns pages no live snapshot references to a
 // free list for reuse.
 //
+// The same holds for CPU and allocation, for as long as a relation is in
+// memory: its stored form (form.go) — the page payloads, their hashes, and
+// the relation a materialise would decode from them — hangs off the
+// relation itself, and a manifest entry points at it weakly. A commit of a
+// relation that carries one skips ordering, encoding, chunking and hashing;
+// a materialise whose entry still resolves skips decoding. Neither skips a
+// check: every page of a materialise is read and verified against its
+// hash, every page a commit shares is byte-compared first, and the write,
+// fsync and WAL path below is the only one. A materialise never hands out
+// the committed object, only what decode would build of it — same tuples,
+// Rows order, a header of its own — so its result does not depend on who
+// remembers what. The store holds no relation and no payload strongly:
+// nothing to size, nothing to evict, and a snapshot nobody has in memory
+// pins none.
+//
 // Durability is write-ahead logged: page content is fsynced to the page
 // file first, then the page-put records and the manifest are appended to
 // the WAL as one CRC-framed batch and fsynced. A snapshot exists exactly
@@ -37,10 +52,10 @@ import (
 	"strings"
 	"sync"
 	"time"
+	"weak"
 
 	"cdb/internal/db"
 	"cdb/internal/exec"
-	"cdb/internal/schema"
 	"cdb/internal/storage"
 )
 
@@ -84,6 +99,8 @@ type Store struct {
 	// Lifetime counters (see Stats).
 	commits, forks, releases               int64
 	pagesWritten, pagesShared, pagesReused int64
+	relsEncoded, relsReused                int64 // commit: stored forms made, stored forms the relation carried
+	relsDecoded, relsShared                int64 // materialise: relations decoded, relations some database still held
 }
 
 // Snapshot is one snapshot's metadata.
@@ -246,10 +263,12 @@ func (s *Store) CommitCtx(d *db.Database, parent, name string, ec *exec.Context)
 	if s.closed {
 		return Snapshot{}, fmt.Errorf("snapshot: store is closed")
 	}
-	chunks, err := encodePages(d, s.pager.PageSize())
+	forms, encoded, err := encodePages(d, s.pager.PageSize())
 	if err != nil {
 		return Snapshot{}, err
 	}
+	s.relsEncoded += int64(encoded)
+	s.relsReused += int64(len(forms) - encoded)
 
 	// Phase 1: write the pages the store does not already hold. Fresh
 	// slots come off the free list (lowest first, deterministic) before
@@ -273,11 +292,13 @@ func (s *Store) CommitCtx(d *db.Database, parent, name string, ec *exec.Context)
 		sortPages(s.free)
 		return Snapshot{}, err
 	}
-	for _, rc := range chunks {
-		rel := RelationPages{Name: rc.name, Schema: rc.schema, Pages: []PageRef{}}
+	names := d.Names()
+	for i, form := range forms {
+		rel := RelationPages{Name: names[i], Schema: form.attrs,
+			Pages: make([]PageRef, 0, len(form.payloads)), form: weak.Make(form)}
 	nextChunk:
-		for _, payload := range rc.chunks {
-			h := hashPayload(payload)
+		for k, payload := range form.payloads {
+			h := form.hashes[k]
 			// Dedup against committed pages: the hash is advisory, the
 			// byte comparison is the truth (collisions cost a read,
 			// never correctness).
@@ -366,6 +387,8 @@ func (s *Store) CommitCtx(d *db.Database, parent, name string, ec *exec.Context)
 	sp.Set("pages", int64(m.numPages()))
 	sp.Set("new_pages", int64(len(staged)))
 	sp.Set("shared_pages", int64(shared))
+	sp.Set("relations_encoded", int64(encoded))
+	sp.Set("relations_reused", int64(len(forms)-encoded))
 	return s.metaLocked(m), nil
 }
 
@@ -447,18 +470,21 @@ func (s *Store) Release(id string) error {
 
 // Materialize reconstructs the snapshot as an in-memory database: pages
 // read in manifest order, hashes verified, each relation's records decoded
-// against its manifest schema (codec.go). The result is byte-identical
-// (under db.Save) to the database that was committed, its tuples canonical
-// and in the committed Rows order.
+// against its manifest schema (codec.go) — or, for a relation whose stored
+// form some database in memory still carries, not decoded again. The result
+// is byte-identical (under db.Save) to the database that was committed, its
+// tuples canonical and in the committed Rows order, either way; its
+// relations are the caller's own (a tuple added to one shows nowhere else).
 func (s *Store) Materialize(id string) (*db.Database, error) {
 	return s.MaterializeCtx(id, nil)
 }
 
 // MaterializeCtx is Materialize under an execution context ("snapshot.
-// materialize" span, page and tuple counters). The store is locked only
-// while the pages are read and verified; decoding works on the copies, so
-// a session binding to a fork does not hold up commits, forks and releases
-// — not even a release of the snapshot being decoded.
+// materialize" span: page and tuple counters, relations decoded and
+// shared). The store is locked only while the pages are read and verified;
+// decoding works on the copies, so a session binding to a fork does not hold
+// up commits, forks and releases — not even a release of the snapshot being
+// decoded.
 func (s *Store) MaterializeCtx(id string, ec *exec.Context) (*db.Database, error) {
 	sp := ec.BeginSpan("snapshot.materialize", id)
 	defer ec.EndSpan(sp)
@@ -467,34 +493,36 @@ func (s *Store) MaterializeCtx(id string, ec *exec.Context) (*db.Database, error
 		return nil, err
 	}
 	d := db.New()
-	pages := 0
-	for _, rel := range rels {
-		r, err := decodeRelation(rel.schema, rel.stream)
+	pages, decoded := 0, 0
+	for i := range rels {
+		rel := &rels[i]
+		if rel.form.rel == nil {
+			decoded++
+		}
+		r, err := rel.relation()
 		if err != nil {
 			return nil, fmt.Errorf("snapshot: materialize %s relation %s: %w", id, rel.name, err)
 		}
 		if err := d.Put(rel.name, r); err != nil {
 			return nil, fmt.Errorf("snapshot: materialize %s: %w", id, err)
 		}
-		pages += rel.pages
+		pages += len(rel.form.payloads)
+	}
+	if decoded > 0 {
+		s.remember(id, rels)
 	}
 	sp.Set("pages", int64(pages))
 	sp.Set("tuples", int64(d.TupleCount()))
+	sp.Set("relations_decoded", int64(decoded))
+	sp.Set("relations_shared", int64(len(rels)-decoded))
 	return d, nil
 }
 
-// storedRelation is one relation of a snapshot as read off the page file:
-// its record stream, verified against the manifest's hashes but not yet
-// decoded.
-type storedRelation struct {
-	name   string
-	schema schema.Schema
-	stream []byte
-	pages  int
-}
-
-// readRelations copies a snapshot's content out of the page file. It is
-// the part of Materialize that needs the store lock.
+// readRelations is the part of Materialize that needs the store lock: it
+// reads every page of the snapshot and checks it against the manifest's
+// hash, whoever remembers what. A relation whose manifest entry still
+// resolves to a stored form with a relation comes back as that form; the
+// others as a copy of their pages, to be decoded outside the lock.
 func (s *Store) readRelations(id string) ([]storedRelation, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -505,24 +533,53 @@ func (s *Store) readRelations(id string) ([]storedRelation, error) {
 	if !ok {
 		return nil, fmt.Errorf("snapshot: no such snapshot %q", id)
 	}
+	pageSize := s.pager.PageSize()
 	out := make([]storedRelation, 0, len(m.Relations))
 	for _, rel := range m.Relations {
-		sch, err := rel.schema()
-		if err != nil {
-			return nil, fmt.Errorf("snapshot: materialize %s relation %s: %w", id, rel.Name, err)
+		sr := storedRelation{name: rel.Name, form: rel.form.Value()}
+		shared := sr.form != nil && sr.form.rel != nil
+		if shared {
+			s.relsShared++
+		} else {
+			s.relsDecoded++
+			sr.form = &storedForm{pageSize: pageSize, attrs: rel.Schema,
+				payloads: make([][]byte, 0, len(rel.Pages)), hashes: make([]uint64, 0, len(rel.Pages))}
+			sr.stream = make([]byte, 0, len(rel.Pages)*pagePayloadCap(pageSize))
 		}
-		sr := storedRelation{name: rel.Name, schema: sch, pages: len(rel.Pages),
-			stream: make([]byte, 0, len(rel.Pages)*pagePayloadCap(s.pager.PageSize()))}
 		for _, ref := range rel.Pages {
 			payload, err := readPayload(s.pager, ref)
 			if err != nil {
 				return nil, fmt.Errorf("snapshot: materialize %s relation %s: %w", id, rel.Name, err)
 			}
+			if shared {
+				continue
+			}
+			n := len(sr.stream)
 			sr.stream = append(sr.stream, payload...)
+			sr.form.payloads = append(sr.form.payloads, sr.stream[n:len(sr.stream):len(sr.stream)])
+			sr.form.hashes = append(sr.form.hashes, ref.Hash)
 		}
 		out = append(out, sr)
 	}
 	return out, nil
+}
+
+// remember points the snapshot's manifest at the stored forms a materialise
+// built for what it decoded, so that the next one — of this snapshot or of
+// a fork of it — shares them for as long as the database just handed out,
+// or anything derived from it, is alive. The snapshot may be gone by now.
+func (s *Store) remember(id string, rels []storedRelation) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	m, ok := s.snaps[id]
+	if !ok {
+		return
+	}
+	for i := range m.Relations {
+		if cur := m.Relations[i].form.Value(); cur == nil || cur.rel == nil {
+			m.Relations[i].form = weak.Make(rels[i].form)
+		}
+	}
 }
 
 // Get returns one snapshot's metadata.
@@ -568,10 +625,20 @@ type StoreStats struct {
 	PagesWritten int64 // content pages physically written
 	PagesShared  int64 // page references resolved by dedup instead of a write
 	PagesReused  int64 // written pages that recycled a freed slot
-	WALAppends   int64
-	WALFlushes   int64 // fsync batches
-	WALBytes     int64
-	Pager        storage.Stats
+
+	// A commit either encodes a relation or reuses the stored form the
+	// relation carries; a materialise either decodes one or shares what a
+	// database still in memory holds. Pages are read, verified, compared
+	// and written the same on both sides of each pair.
+	RelationsEncoded int64
+	RelationsReused  int64
+	RelationsDecoded int64
+	RelationsShared  int64
+
+	WALAppends int64
+	WALFlushes int64 // fsync batches
+	WALBytes   int64
+	Pager      storage.Stats
 }
 
 // Stats snapshots the counters.
@@ -585,6 +652,8 @@ func (s *Store) Stats() StoreStats {
 		PageSize:  s.pager.PageSize(),
 		Commits:   s.commits, Forks: s.forks, Releases: s.releases,
 		PagesWritten: s.pagesWritten, PagesShared: s.pagesShared, PagesReused: s.pagesReused,
+		RelationsEncoded: s.relsEncoded, RelationsReused: s.relsReused,
+		RelationsDecoded: s.relsDecoded, RelationsShared: s.relsShared,
 		WALAppends: s.wal.appends, WALFlushes: s.wal.flushes, WALBytes: s.wal.nbytes,
 		Pager: s.pager.Stats(),
 	}
@@ -621,31 +690,25 @@ func (s *Store) acquirePage() (storage.PageID, bool, error) {
 	return id, true, err
 }
 
-// relationChunks is one relation as a commit stores it: its schema for
-// the manifest and its record stream cut into page payloads.
-type relationChunks struct {
-	name   string
-	schema []Attr
-	chunks [][]byte
-}
-
-// encodePages renders d into per-relation page payloads, in insertion
-// order.
-func encodePages(d *db.Database, pageSize int) ([]relationChunks, error) {
-	cap := pagePayloadCap(pageSize)
-	if cap <= 0 {
-		return nil, fmt.Errorf("snapshot: page size %d too small", pageSize)
+// encodePages returns the stored form of each of d's relations, in
+// insertion order, and how many of them had to be encoded for it — the
+// rest carried theirs (formOf).
+func encodePages(d *db.Database, pageSize int) (forms []*storedForm, encoded int, err error) {
+	if pagePayloadCap(pageSize) <= 0 {
+		return nil, 0, fmt.Errorf("snapshot: page size %d too small", pageSize)
 	}
-	var out []relationChunks
 	for _, name := range d.Names() {
 		r, _ := d.Get(name)
-		stream, ends, err := encodeRelation(r)
+		f, fresh, err := formOf(r, pageSize)
 		if err != nil {
-			return nil, fmt.Errorf("%w (relation %s)", err, name)
+			return nil, 0, fmt.Errorf("%w (relation %s)", err, name)
 		}
-		out = append(out, relationChunks{name: name, schema: attrsOf(r.Schema()), chunks: chunkRecords(stream, ends, cap)})
+		if fresh {
+			encoded++
+		}
+		forms = append(forms, f)
 	}
-	return out, nil
+	return forms, encoded, nil
 }
 
 // readPayload reads one referenced page and verifies its content hash.

@@ -6,10 +6,12 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"runtime"
 	"sort"
 	"strings"
 	"sync"
 	"testing"
+	"weak"
 
 	"cdb/internal/datagen"
 	"cdb/internal/db"
@@ -342,7 +344,9 @@ func TestWALFileGrowsUnderDir(t *testing.T) {
 // TestMaterializeIsByteAndOrderIdentical: for every family of relation,
 // what a snapshot materialises saves to the bytes the committed database
 // saves to, and iterates in the committed Rows order — at a page size that
-// splits records across pages and at the default.
+// splits records across pages and at the default — and it is the same
+// database, tuple for tuple, flag for flag, whether the store shared what
+// the commit remembered, was made to forget and decoded, or was reopened.
 func TestMaterializeIsByteAndOrderIdentical(t *testing.T) {
 	families := codecFamilies()
 	d := db.New()
@@ -351,31 +355,110 @@ func TestMaterializeIsByteAndOrderIdentical(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
+	n := int64(len(d.Names()))
 	for _, pageSize := range []int{64, testPageSize, 0} {
-		s, err := Open(t.TempDir(), Options{PageSize: pageSize})
+		dir := t.TempDir()
+		s, err := Open(dir, Options{PageSize: pageSize})
 		if err != nil {
 			t.Fatal(err)
 		}
+		forget(s, d) // the last page size's forms are of no use here; say so in the counters
 		snap, err := s.Commit(d, "", "families")
 		if err != nil {
 			t.Fatalf("page size %d: commit: %v", pageSize, err)
 		}
-		got, err := s.Materialize(snap.ID)
-		if err != nil {
-			t.Fatalf("page size %d: materialize: %v", pageSize, err)
-		}
-		if saveText(t, got) != saveText(t, d) {
-			t.Fatalf("page size %d: materialised database saves differently", pageSize)
-		}
-		for _, name := range d.Names() {
-			want, _ := d.Get(name)
-			have, _ := got.Get(name)
-			if !have.Schema().Equal(want.Schema()) || fmt.Sprint(have.Schema().Names()) != fmt.Sprint(want.Schema().Names()) {
-				t.Fatalf("page size %d: %s: schema %s, want %s", pageSize, name, have.Schema(), want.Schema())
+		materialize := func(s *Store, how string, decoded, shared int64) *db.Database {
+			t.Helper()
+			s0 := s.Stats()
+			got, err := s.Materialize(snap.ID)
+			if err != nil {
+				t.Fatalf("page size %d, %s: materialize: %v", pageSize, how, err)
 			}
-			requireSame(t, want, have)
+			s1 := s.Stats()
+			if s1.RelationsDecoded-s0.RelationsDecoded != decoded || s1.RelationsShared-s0.RelationsShared != shared {
+				t.Fatalf("page size %d, %s: decoded %d and shared %d relations, want %d and %d", pageSize, how,
+					s1.RelationsDecoded-s0.RelationsDecoded, s1.RelationsShared-s0.RelationsShared, decoded, shared)
+			}
+			if saveText(t, got) != saveText(t, d) {
+				t.Fatalf("page size %d, %s: materialised database saves differently", pageSize, how)
+			}
+			for _, name := range d.Names() {
+				want, _ := d.Get(name)
+				have, _ := got.Get(name)
+				if !have.Schema().Equal(want.Schema()) || fmt.Sprint(have.Schema().Names()) != fmt.Sprint(want.Schema().Names()) {
+					t.Fatalf("page size %d, %s: %s: schema %s, want %s", pageSize, how, name, have.Schema(), want.Schema())
+				}
+				requireSame(t, want, have)
+				requireCanonical(t, have)
+			}
+			return got
 		}
+		shared := materialize(s, "shared", 0, n)
+		forget(s)
+		decoded := materialize(s, "made to forget", n, 0)
+		requireIdentical(t, shared, decoded)
+		requireIdentical(t, decoded, materialize(s, "shared with the decoded one", 0, n))
+		if err := s.Close(); err != nil {
+			t.Fatal(err)
+		}
+		if s, err = Open(dir, Options{PageSize: pageSize}); err != nil {
+			t.Fatal(err)
+		}
+		requireIdentical(t, shared, materialize(s, "reopened", n, 0))
 		s.Close()
+	}
+}
+
+// forget makes the store forget every stored form its manifests point at,
+// and the databases given the forms their relations carry: the next
+// materialise decodes and the next commit of one of them encodes — the
+// fallback of either fast path, forced. (Reopening the store and rebuilding
+// the database is the other way to get there.)
+func forget(s *Store, dbs ...*db.Database) {
+	s.mu.Lock()
+	for _, m := range s.snaps {
+		for i := range m.Relations {
+			m.Relations[i].form = weak.Pointer[storedForm]{}
+		}
+	}
+	s.mu.Unlock()
+	for _, d := range dbs {
+		for _, name := range d.Names() {
+			r, _ := d.Get(name)
+			r.SetMemo(nil)
+		}
+	}
+}
+
+// requireIdentical asserts two materialisations of one snapshot cannot be
+// told apart: the relations, their schemas, and the tuples in order — the
+// bindings, the atoms, the canonical flag and the fingerprint of each —
+// and the saved bytes.
+func requireIdentical(t testing.TB, a, b *db.Database) {
+	t.Helper()
+	if fmt.Sprint(a.Names()) != fmt.Sprint(b.Names()) {
+		t.Fatalf("relations %v and %v", a.Names(), b.Names())
+	}
+	for _, name := range a.Names() {
+		ra, _ := a.Get(name)
+		rb, _ := b.Get(name)
+		if ra == rb {
+			t.Fatalf("%s: two materialisations handed out one relation header", name)
+		}
+		if !ra.Schema().Equal(rb.Schema()) || fmt.Sprint(ra.Schema().Names()) != fmt.Sprint(rb.Schema().Names()) || ra.Len() != rb.Len() {
+			t.Fatalf("%s: %s with %d tuples and %s with %d", name, ra.Schema(), ra.Len(), rb.Schema(), rb.Len())
+		}
+		for i, ta := range ra.Tuples() {
+			tb := rb.Tuples()[i]
+			ca, cb := ta.Constraint(), tb.Constraint()
+			if !ta.SameRelationalPart(tb) || !ca.EqualCanonical(cb) || ca.Len() != cb.Len() ||
+				ca.IsCanonical() != cb.IsCanonical() || ca.Fingerprint() != cb.Fingerprint() {
+				t.Fatalf("%s: tuple %d is %s in one and %s in the other", name, i, ta, tb)
+			}
+		}
+	}
+	if saveText(t, a) != saveText(t, b) {
+		t.Fatal("the two save to different bytes")
 	}
 }
 
@@ -430,14 +513,15 @@ func TestOldFormatRefused(t *testing.T) {
 }
 
 // churnBoxes is the relation that dominates the benchmark's snapshot-churn
-// database: 1536 boxes, six in seven with an id.
-func churnBoxes() *relation.Relation {
+// database — 1536 boxes there, six in seven with an id — at n boxes.
+func churnBoxes(n int) *relation.Relation {
 	p := datagen.Paper()
 	p.SizeMin, p.Seed = 50, 41
-	return canonical(datagen.BoxRelation(p, 1536, 0))
+	return canonical(datagen.BoxRelation(p, n, 0))
 }
 
-// TestMaterializeAllocs holds materialisation of the churn relation to 15
+// TestMaterializeAllocs holds a materialisation that has to decode the
+// churn relation (the store is made to forget before each) to 15
 // allocations per tuple (9.7 measured: the bindings map, the string, and
 // what Canon builds; the text pages cost 94).
 func TestMaterializeAllocs(t *testing.T) {
@@ -447,7 +531,7 @@ func TestMaterializeAllocs(t *testing.T) {
 	}
 	defer s.Close()
 	d := db.New()
-	boxes := churnBoxes()
+	boxes := churnBoxes(1536)
 	if err := d.Put("Boxes", boxes); err != nil {
 		t.Fatal(err)
 	}
@@ -456,73 +540,96 @@ func TestMaterializeAllocs(t *testing.T) {
 		t.Fatal(err)
 	}
 	perRun := testing.AllocsPerRun(5, func() {
+		forget(s)
 		if _, err := s.Materialize(snap.ID); err != nil {
 			t.Fatal(err)
 		}
 	})
+	if st := s.Stats(); st.RelationsShared != 0 || st.RelationsDecoded == 0 {
+		t.Fatalf("the runs decoded %d relations and shared %d: not the decode path", st.RelationsDecoded, st.RelationsShared)
+	}
 	if perTuple := perRun / float64(boxes.Len()); perTuple > 15 {
 		t.Fatalf("materialise allocates %.1f times per tuple, ceiling 15", perTuple)
 	}
 }
 
-// TestMaterializeDecodesOutsideTheLock: once the pages are read, nothing a
-// materialise does depends on the store — a fork and a release of another
-// snapshot go through, and so does the release of the very snapshot being
-// decoded and a commit that recycles its pages.
+// TestMaterializeDecodesOutsideTheLock: once the pages are read and
+// verified (readRelations, the locked half), nothing a materialise does
+// depends on the store — a fork and a release of another snapshot go
+// through, and so does the release of the very snapshot being materialised
+// and a commit that recycles its pages — whether the unlocked half
+// (storedRelation.relation) has the stream to decode or a remembered
+// relation to copy. Remembering what was decoded for a snapshot that is
+// gone is a no-op.
 func TestMaterializeDecodesOutsideTheLock(t *testing.T) {
-	s := openStore(t, t.TempDir(), nil)
-	defer s.Close()
-	d := buildDB(t, map[string]int{"Land": 40, "Owner": 10}, "")
-	want := saveText(t, d)
-	snap, err := s.Commit(d, "", "a")
-	if err != nil {
-		t.Fatal(err)
-	}
-	other, err := s.Commit(buildDB(t, map[string]int{"Parcel": 30}, ""), "", "b")
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	rels, err := s.readRelations(snap.ID) // the locked half of Materialize
-	if err != nil {
-		t.Fatal(err)
-	}
-	fork, err := s.Fork(other.ID)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := s.Release(fork.ID); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.Release(snap.ID); err != nil {
-		t.Fatal(err)
-	}
-	recycled, err := s.Commit(buildDB(t, map[string]int{"Lot": 45}, ""), "", "c")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if s.Stats().PagesReused == 0 {
-		t.Fatalf("the commit after the release recycled no page: %+v", recycled)
-	}
-
-	got := db.New() // the unlocked half
-	for _, rel := range rels {
-		r, err := decodeRelation(rel.schema, rel.stream)
+	for _, forced := range []bool{true, false} {
+		s := openStore(t, t.TempDir(), nil)
+		d := buildDB(t, map[string]int{"Land": 40, "Owner": 10}, "")
+		want := saveText(t, d)
+		snap, err := s.Commit(d, "", "a")
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := got.Put(rel.name, r); err != nil {
+		other, err := s.Commit(buildDB(t, map[string]int{"Parcel": 30}, ""), "", "b")
+		if err != nil {
 			t.Fatal(err)
 		}
-	}
-	if saveText(t, got) != want {
-		t.Fatal("pages read before the release decoded to something else after it")
+		if forced {
+			forget(s)
+		}
+
+		rels, err := s.readRelations(snap.ID) // the locked half
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, rel := range rels {
+			if decodes := rel.form.rel == nil; decodes != forced || decodes != (rel.stream != nil) {
+				t.Fatalf("forced=%v: %s comes back with a relation: %v, with a stream: %v", forced, rel.name, !decodes, rel.stream != nil)
+			}
+		}
+		fork, err := s.Fork(other.ID)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := s.Release(fork.ID); err != nil {
+			t.Fatal(err)
+		}
+		if err := s.Release(snap.ID); err != nil {
+			t.Fatal(err)
+		}
+		recycled, err := s.Commit(buildDB(t, map[string]int{"Lot": 45}, ""), "", "c")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if s.Stats().PagesReused == 0 {
+			t.Fatalf("the commit after the release recycled no page: %+v", recycled)
+		}
+
+		got := db.New() // the unlocked half
+		for i := range rels {
+			r, err := rels[i].relation()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := got.Put(rels[i].name, r); err != nil {
+				t.Fatal(err)
+			}
+		}
+		s.remember(snap.ID, rels)
+		if saveText(t, got) != want {
+			t.Fatalf("forced=%v: pages read before the release came to something else after it", forced)
+		}
+		runtime.KeepAlive(d) // what the store remembered of d, it remembered for as long as d lived
+		s.Close()
 	}
 }
 
 // TestMaterializeBesideWriters runs materialises of one snapshot against
-// commits, forks and releases of others (go test -race is the assertion,
-// with each result's bytes).
+// commits, forks and releases of others, and sessions' life cycles over one
+// shared base — each commits the base's relations, whose stored forms every
+// one of them reuses and the first of them attaches, plus a result of its
+// own, forks, materialises the fork and releases both — against each other
+// (go test -race is the assertion, with each result's bytes).
 func TestMaterializeBesideWriters(t *testing.T) {
 	s := openStore(t, t.TempDir(), nil)
 	defer s.Close()
@@ -532,9 +639,25 @@ func TestMaterializeBesideWriters(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	// One base no session has committed yet, and each session's states:
+	// the base's relations and a result of its own.
+	base := buildDB(t, map[string]int{"Base": 50, "Names": 12}, "")
+	var states [3][6]*db.Database
+	for g := range states {
+		for i := range states[g] {
+			state := buildDB(t, map[string]int{"Q": 3 + g + i}, "")
+			for _, name := range base.Names() {
+				r, _ := base.Get(name)
+				if err := state.Put(name, r); err != nil {
+					t.Fatal(err)
+				}
+			}
+			states[g][i] = state
+		}
+	}
 	var wg sync.WaitGroup
-	for g := 0; g < 3; g++ {
-		wg.Add(1)
+	for g := range states {
+		wg.Add(2)
 		go func() {
 			defer wg.Done()
 			for i := 0; i < 8; i++ {
@@ -547,6 +670,41 @@ func TestMaterializeBesideWriters(t *testing.T) {
 				if err := got.Save(&buf); err != nil || buf.String() != want {
 					t.Errorf("materialised state drifted beside writers (save: %v)", err)
 					return
+				}
+			}
+		}()
+		go func() {
+			defer wg.Done()
+			for _, state := range states[g] {
+				var want, got bytes.Buffer
+				if err := state.Save(&want); err != nil {
+					t.Error(err)
+					return
+				}
+				c, err := s.Commit(state, "", "session")
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				f, err := s.Fork(c.ID)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				m, err := s.Materialize(f.ID)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				if err := m.Save(&got); err != nil || got.String() != want.String() {
+					t.Errorf("a session's fork materialised to another state (save: %v)", err)
+					return
+				}
+				for _, id := range []string{f.ID, c.ID} {
+					if err := s.Release(id); err != nil {
+						t.Error(err)
+						return
+					}
 				}
 			}
 		}()
@@ -567,4 +725,7 @@ func TestMaterializeBesideWriters(t *testing.T) {
 		}
 	}
 	wg.Wait()
+	if st := s.Stats(); st.RelationsReused == 0 || st.RelationsShared == 0 {
+		t.Fatalf("no commit reused a stored form (%d) or no materialise shared one (%d)", st.RelationsReused, st.RelationsShared)
+	}
 }

@@ -64,7 +64,7 @@ go test -race -count=2 ./internal/constraint ./internal/exec ./internal/cqa ./in
 # tests, already run above; PairingModes also fails here when auto
 # eliminates or clips more than a forced mode, or anything at all on boxes).
 echo '>> result-tail, vector-difference, pairing-mode, pair-lookup, box-join and snapshot benchmarks, one iteration'
-go test -run '^$' -bench 'Sorted|CanonMerge|RatString|NormalizePolygonMinus|NormalizeBoxJoin|DifferencePolygonMinus|ClipRing|PairingModes|HurricaneQuery3Warm|BoxJoinWarm|JoinPairLookup|SnapshotMaterialize|SnapshotCommit' -benchtime 1x ./...
+go test -run '^$' -bench 'Sorted|CanonMerge|RatString|NormalizePolygonMinus|NormalizeBoxJoin|DifferencePolygonMinus|ClipRing|PairingModes|HurricaneQuery3Warm|BoxJoinWarm|JoinPairLookup|SnapshotMaterialize|SnapshotRecommit' -benchtime 1x ./...
 
 # Corpus replay: the committed fuzz corpora under testdata/fuzz/ run as
 # ordinary seed inputs here — every input that ever broke the parsers,
