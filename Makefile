@@ -49,6 +49,7 @@ fuzz:
 	$(GO) test ./internal/vector -run '^$$' -fuzz '^FuzzVectorRoundTrip$$' -fuzztime $(FUZZTIME)
 
 # Differential check against the semantic oracle: 500 seeded random cases
-# across all seven CQA operators, engine vs naive reference evaluator.
+# across all seven CQA operators and random calculus rules, engine vs naive
+# reference evaluator.
 diff:
 	$(GO) run ./cmd/cdbbench -expt diff -n 500 -seed 1 -par 4

@@ -19,6 +19,7 @@ import (
 	"sync"
 	"testing"
 
+	"cdb/internal/calculus"
 	"cdb/internal/constraint"
 	"cdb/internal/cqa"
 	"cdb/internal/datagen"
@@ -889,6 +890,46 @@ func BenchmarkHurricaneQuery3Warm(b *testing.B) {
 			env[one.Stmts[0].Target], last = r, r
 		}
 		if last.NormalizeWith(ec.SatFunc()).Len() == 0 {
+			b.Fatalf("window %d: empty result", a)
+		}
+		ec.Reset()
+	}
+	for a := range progs {
+		run(a)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		run(i % starts)
+	}
+}
+
+// BenchmarkHurricaneRuleWarm is BenchmarkHurricaneQuery3Warm's request asked
+// through the calculus face: the same join as one three-atom rule (parse
+// excluded, normalisation included), same database, same rotating windows,
+// same session-lifetime context. The two are one language with two faces
+// (§2.2), so this one must stay within 1.5× of that one.
+func BenchmarkHurricaneRuleWarm(b *testing.B) {
+	land, owners, track := datagen.HurricaneRelations(8)
+	d := loadedDB(b, map[string]*relation.Relation{"Land": land, "Landownership": owners, "Hurricane": track})
+	const starts = 31
+	progs := make([]*calculus.Program, starts)
+	for a := range progs {
+		prog, err := calculus.Parse(fmt.Sprintf(
+			"hit(name) :- Landownership(name, t, id), Land(id, x, y), Hurricane(t, x, y), t >= %d, t <= %d.", a, a+10))
+		if err != nil {
+			b.Fatal(err)
+		}
+		progs[a] = prog
+	}
+	ec := exec.New(1)
+	ec.SatCache = constraint.NewSatCache(0)
+	run := func(a int) {
+		out, err := progs[a].RunCtx(d.Env(), ec)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if out.Len() == 0 {
 			b.Fatalf("window %d: empty result", a)
 		}
 		ec.Reset()

@@ -21,7 +21,8 @@
 //
 // The diff experiment runs the semantic oracle's differential harness
 // (internal/oracle): -n random (relation, operator) cases across all seven
-// CQA operators, engine output vs the naive reference evaluator, exact
+// CQA operators and, one case in eight, a random conjunctive rule through the
+// calculus front end, engine output vs the naive reference evaluator, exact
 // rational membership compared on witness point sets. -seed makes the run
 // reproducible, -par sets the engine's worker pool, -spatial draws
 // polygon-shaped spatial inputs (the vector fast path's workload) instead
@@ -141,8 +142,8 @@ func run(args []string) error {
 }
 
 // runDiff runs the semantic oracle's differential harness: n seeded random
-// cases across all seven CQA operators, engine vs naive reference
-// evaluator, membership compared at every witness point. Failures are
+// cases across all seven CQA operators and random calculus rules, engine vs
+// naive reference evaluator, membership compared at every witness point. Failures are
 // already minimised by the harness; any disagreement fails the run.
 func runDiff(seed int64, n, par int, plan string, spatial bool, jsonPath string) error {
 	rep, err := oracle.Diff(oracle.Config{Cases: n, Seed: seed, Workers: par, Plan: plan, Spatial: spatial})

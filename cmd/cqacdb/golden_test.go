@@ -13,6 +13,8 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"regexp"
+	"strings"
 	"testing"
 )
 
@@ -78,4 +80,48 @@ func TestGoldenHurricaneDB(t *testing.T) {
 		"-e", "R = select t >= 4, t <= 9 from (join Hurricane and Land)",
 	})
 	checkGolden(t, "hurricane_select.golden", got)
+}
+
+// rule3 is the paper's Query 3 as one three-atom rule; landId is spelled id
+// so the translation has something to rename.
+const rule3 = `hit(name) :- Landownership(name, t, id), Land(id, x, y), Hurricane(t, x, y), t >= 4, t <= 9.`
+
+// TestGoldenRule3 pins the calculus face on the same database and the same
+// question as TestGoldenQuery3: apart from the script banner, the two
+// goldens are one answer.
+func TestGoldenRule3(t *testing.T) {
+	got := captureRun(t, []string{
+		"-par", "1",
+		"-db", filepath.Join("..", "..", "testdata", "hurricane.cqa"),
+		"-rules", rule3,
+	})
+	checkGolden(t, "rule3.golden", got)
+	q3, err := os.ReadFile(filepath.Join("testdata", "query3.golden"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	banner := regexp.MustCompile(`(?m)^== .* ==\n`)
+	if want := banner.ReplaceAllString(string(q3), ""); got != want {
+		t.Errorf("the rule's output is not Query 3's:\n--- rule ---\n%s\n--- query3.golden without its banner ---\n%s", got, want)
+	}
+}
+
+// TestGoldenRule3Explain pins the shape of the plan a rule compiles to: the
+// prepared atoms (one simultaneous rename each, no rename for an atom
+// written in the relation's own names), then two joins that the pairing
+// filter prunes (filtered > 0), the shared-variable comparisons and the
+// head projection above them, and no rename above the joins. Wall times and
+// the query id are stripped; everything else in the tree is deterministic
+// at one worker.
+func TestGoldenRule3Explain(t *testing.T) {
+	got := captureRun(t, []string{
+		"-par", "1", "-explain",
+		"-db", filepath.Join("..", "..", "testdata", "hurricane.cqa"),
+		"-rules", rule3,
+	})
+	got = regexp.MustCompile(`  wall=\S+|query_id=\S+ `).ReplaceAllString(got, "")
+	checkGolden(t, "rule3_explain.golden", got)
+	if strings.Count(got, "─ join") != 2 || strings.Contains(got, "filtered=0") {
+		t.Errorf("want two joins, each with filtered > 0:\n%s", got)
+	}
 }

@@ -60,7 +60,7 @@ answer(name)   :- hitAt(name, t), t >= 4, t <= 9.`,
 		fmt.Printf("-- result --\n%s\n\n", out)
 	}
 
-	fmt.Println("Every rule above was translated to a CQA plan (rename/join/select/")
-	fmt.Println("project), optimised by selection pushdown, and evaluated by the")
-	fmt.Println("algebra — the CQC-to-CQA pipeline of the paper's Figure 1.")
+	fmt.Println("Every rule above is a natural join: each body atom was selected and")
+	fmt.Println("renamed towards its variable names, the atoms were joined, and the")
+	fmt.Println("head projected — the CQC-to-CQA pipeline of the paper's Figure 1.")
 }

@@ -64,20 +64,18 @@ type RelAtom struct {
 	Terms []Term
 }
 
-// CompAtom is a comparison over variables: either a linear comparison
-// (Lhs Op Rhs as variable/constant combinations parsed into coefficient
-// form by the parser) or a string comparison.
+// CompAtom is a comparison over variables: a linear comparison (parsed into
+// coefficient form) or a variable against a string literal. `a != b` is
+// linear whatever a and b range over: Translate knows their types, not Parse.
 type CompAtom struct {
 	// Linear form: sum of (Coef, Var) plus Const, OP 0.
 	Terms []LinTerm
 	Const rational.Rat
 	Op    cqa.CompOp
-	// String form (used when IsStr): Var op StrLit or Var op OtherVar.
-	IsStr    bool
-	Var      string
-	OtherVar string
-	StrLit   string
-	HasLit   bool
+	// String form (used when IsStr): Var op StrLit.
+	IsStr  bool
+	Var    string
+	StrLit string
 }
 
 // LinTerm is one coefficient-variable pair of a linear comparison.
@@ -118,10 +116,7 @@ func quoteStr(s string) string {
 // moved to the right-hand side.
 func (a CompAtom) String() string {
 	if a.IsStr {
-		if a.HasLit {
-			return fmt.Sprintf("%s %s %s", a.Var, a.Op, quoteStr(a.StrLit))
-		}
-		return fmt.Sprintf("%s %s %s", a.Var, a.Op, a.OtherVar)
+		return fmt.Sprintf("%s %s %s", a.Var, a.Op, quoteStr(a.StrLit))
 	}
 	var b strings.Builder
 	if len(a.Terms) == 0 {
@@ -163,146 +158,154 @@ type Program struct {
 	Rules []Rule
 }
 
-// Translate compiles one rule into a CQA plan against the given schema
-// environment. The construction is the textbook conjunctive-query
-// translation: rename every atom's attributes apart, cross-join, select
-// the induced equalities and the comparison atoms, project onto the head
-// variables' representatives, and rename them to the head variable names.
-func (r Rule) Translate(env cqa.SchemaEnv) (cqa.Node, error) {
+// Translate compiles one rule against the given schema environment: a rule
+// is a natural join. Shared variables become shared attribute names, so the
+// algebra's own join — partition buckets, envelope filter, pair cache,
+// chain reordering — does the equating, and nothing here restates it.
+//
+// Body atom i becomes prep[i] = rename(select(scan)). The selection holds
+// the atom's constants, its repeated-variable equalities and the
+// comparisons over variables no other atom binds, on the atom's own
+// attribute names; the rename maps attributes towards their variable names
+// in one simultaneous step (Land(y, x, id) permutes). A position with no
+// joinable variable — anonymous, constant, repeated, or a variable met again
+// at the other kind of position, which natural join cannot equate and an =
+// in rest does — gets a throwaway name. join chains the prepared atoms as
+// scans of their AtomName; rest, over variable names, holds the comparisons
+// on variables several atoms bind, checked on the join and deliberately not
+// below it (docs/ARCHITECTURE.md). The answer is π_head(ς_rest(join)).
+func (r Rule) Translate(env cqa.SchemaEnv) (prep []cqa.Node, join cqa.Node, rest cqa.Condition, err error) {
 	if len(r.Rels) == 0 {
-		return nil, fmt.Errorf("calculus: line %d: rule body has no relation atoms", r.Line)
+		return nil, nil, nil, fmt.Errorf("rule body has no relation atoms")
 	}
-	// rep maps each variable to its representative fresh attribute; occ
-	// collects all fresh attributes bound to a variable.
-	rep := map[string]string{}
-	repAttr := map[string]schema.Attribute{}
-	var eqConds cqa.Condition
-	var constConds cqa.Condition
-
-	var plan cqa.Node
-	for ai, atom := range r.Rels {
+	bound := map[string]schema.Attribute{}      // variable → the attribute of its first occurrence
+	home := map[string]int{}                    // variable → the one atom binding it, -1 when several do
+	conds := make([]cqa.Condition, len(r.Rels)) // per atom: the selection under its rename
+	names := make([]map[string]string, len(r.Rels))
+	for i, atom := range r.Rels {
 		s, ok := env[atom.Name]
-		if !ok {
-			return nil, fmt.Errorf("calculus: line %d: unknown relation %q", r.Line, atom.Name)
+		if atom.Name == r.HeadName { // earlier heads are fine: they are materialised by now
+			return nil, nil, nil, fmt.Errorf("recursive rule %q is not supported", r.HeadName)
+		} else if !ok {
+			return nil, nil, nil, fmt.Errorf("unknown relation %q", atom.Name)
+		} else if len(atom.Terms) != s.Len() {
+			return nil, nil, nil, fmt.Errorf("%s has arity %d, atom has %d terms", atom.Name, s.Len(), len(atom.Terms))
 		}
-		if len(atom.Terms) != s.Len() {
-			return nil, fmt.Errorf("calculus: line %d: %s has arity %d, atom has %d terms",
-				r.Line, atom.Name, s.Len(), len(atom.Terms))
-		}
-		// Rename every attribute of this atom to a fresh name.
-		var node cqa.Node = cqa.Scan(atom.Name)
-		attrs := s.Attrs()
-		freshNames := make([]string, len(attrs))
-		for i, a := range attrs {
-			fresh := fmt.Sprintf("$a%dp%d", ai, i)
-			freshNames[i] = fresh
-			node = cqa.NewRename(node, a.Name, fresh)
-		}
-		if plan == nil {
-			plan = node
-		} else {
-			plan = cqa.NewJoin(plan, node) // disjoint attrs: cross product
-		}
-		// Bind terms.
-		for i, t := range atom.Terms {
-			a := attrs[i]
-			fresh := freshNames[i]
-			switch t.Kind {
-			case TermAnon:
-				// nothing to bind
-			case TermVar:
-				if prev, seen := rep[t.Var]; seen {
-					prevAttr := repAttr[t.Var]
-					if prevAttr.Type != a.Type {
-						return nil, fmt.Errorf("calculus: line %d: variable %q used at %s and %s positions",
-							r.Line, t.Var, prevAttr.Type, a.Type)
-					}
-					if a.Type == schema.String {
-						eqConds = append(eqConds, cqa.StrEqAttr(prev, fresh))
-					} else {
-						eqConds = append(eqConds, cqa.AttrCmpAttr(prev, cqa.OpEq, fresh))
-					}
-				} else {
-					rep[t.Var] = fresh
-					repAttr[t.Var] = schema.Attribute{Name: fresh, Type: a.Type, Kind: a.Kind}
-				}
-			case TermStr:
-				if a.Type != schema.String {
-					return nil, fmt.Errorf("calculus: line %d: string constant at rational position %d of %s",
-						r.Line, i+1, atom.Name)
-				}
-				constConds = append(constConds, cqa.StrEq(fresh, t.Str))
-			case TermRat:
-				if a.Type != schema.Rational {
-					return nil, fmt.Errorf("calculus: line %d: rational constant at string position %d of %s",
-						r.Line, i+1, atom.Name)
-				}
-				constConds = append(constConds, cqa.AttrCmpConst(fresh, cqa.OpEq, t.Rat))
+		own := map[string]string{} // variable → the attribute of its first occurrence in this atom
+		names[i] = map[string]string{}
+		for j, t := range atom.Terms {
+			a := s.Attrs()[j]
+			name := fmt.Sprintf("$a%dp%d", i, j)
+			switch first, seen := bound[t.Var]; {
+			case t.Kind == TermAnon:
+			case t.Kind != TermVar && (t.Kind == TermStr) != (a.Type == schema.String):
+				return nil, nil, nil, fmt.Errorf("constant at %s position %d of %s has the wrong type", a.Type, j+1, atom.Name)
+			case t.Kind == TermStr:
+				conds[i] = append(conds[i], cqa.StrEq(a.Name, t.Str))
+			case t.Kind == TermRat:
+				conds[i] = append(conds[i], cqa.AttrCmpConst(a.Name, cqa.OpEq, t.Rat))
+			case seen && first.Type != a.Type:
+				return nil, nil, nil, fmt.Errorf("variable %q used at %s and %s positions", t.Var, first.Type, a.Type)
+			case own[t.Var] != "" && a.Type == schema.String:
+				conds[i] = append(conds[i], cqa.StrEqAttr(own[t.Var], a.Name))
+			case own[t.Var] != "":
+				conds[i] = append(conds[i], cqa.AttrCmpAttr(own[t.Var], cqa.OpEq, a.Name))
+			case !seen:
+				bound[t.Var], home[t.Var], own[t.Var], name = a, i, a.Name, t.Var
+			case first.Kind == a.Kind:
+				home[t.Var], own[t.Var], name = -1, a.Name, t.Var
+			default:
+				home[t.Var], own[t.Var] = -1, a.Name
+				rest = append(rest, cqa.AttrCmpAttr(t.Var, cqa.OpEq, name))
+			}
+			if name != a.Name {
+				names[i][a.Name] = name
 			}
 		}
 	}
-
-	// Comparison atoms over representatives.
-	var compConds cqa.Condition
 	for _, c := range r.Comps {
-		if c.IsStr {
-			lrep, ok := rep[c.Var]
-			if !ok {
-				return nil, fmt.Errorf("calculus: line %d: comparison uses unbound variable %q", r.Line, c.Var)
-			}
-			if repAttr[c.Var].Type != schema.String {
-				return nil, fmt.Errorf("calculus: line %d: string comparison on rational variable %q", r.Line, c.Var)
-			}
-			if c.HasLit {
-				compConds = append(compConds, cqa.StringAtom{Attr: lrep, Op: c.Op, Lit: c.StrLit, IsLit: true})
-			} else {
-				rrep, ok := rep[c.OtherVar]
-				if !ok {
-					return nil, fmt.Errorf("calculus: line %d: comparison uses unbound variable %q", r.Line, c.OtherVar)
-				}
-				compConds = append(compConds, cqa.StringAtom{Attr: lrep, Op: c.Op, OtherAttr: rrep})
-			}
-			continue
+		at, i, err := c.atom(bound, home)
+		if err != nil {
+			return nil, nil, nil, fmt.Errorf("comparison %s: %w", c, err)
 		}
-		expr := cqaExprFromLinear(c, rep)
-		if expr == nil {
-			return nil, fmt.Errorf("calculus: line %d: comparison uses unbound variable", r.Line)
+		if i < 0 {
+			rest = append(rest, at)
+		} else {
+			conds[i] = append(conds[i], at)
 		}
-		compConds = append(compConds, cqa.LinearAtom{Expr: *expr, Op: c.Op})
 	}
-
-	cond := append(append(append(cqa.Condition{}, constConds...), eqConds...), compConds...)
-	if len(cond) > 0 {
-		plan = cqa.NewSelect(plan, cond)
-	}
-
-	// Project onto the head variables' representatives, then rename to the
-	// head variable names.
-	var cols []string
 	for _, v := range r.HeadVars {
-		fresh, ok := rep[v]
-		if !ok {
-			return nil, fmt.Errorf("calculus: line %d: head variable %q not bound by any relation atom (rule is not range-restricted)", r.Line, v)
+		if _, ok := bound[v]; !ok {
+			return nil, nil, nil, fmt.Errorf("head variable %q not bound by any relation atom (rule is not range-restricted)", v)
 		}
-		cols = append(cols, fresh)
 	}
-	plan = cqa.NewProject(plan, cols...)
-	for i, v := range r.HeadVars {
-		plan = cqa.NewRename(plan, cols[i], v)
+	prep = make([]cqa.Node, len(r.Rels))
+	for i, atom := range r.Rels {
+		prep[i] = cqa.Scan(atom.Name)
+		if len(conds[i]) > 0 {
+			prep[i] = cqa.NewSelect(prep[i], conds[i])
+		}
+		if len(names[i]) > 0 {
+			prep[i] = cqa.NewRename(prep[i], names[i])
+		}
+		if leaf := cqa.Scan(r.AtomName(i)); i == 0 {
+			join = leaf
+		} else {
+			join = cqa.NewJoin(join, leaf)
+		}
 	}
-	return plan, nil
+	return prep, join, rest, nil
 }
 
-func cqaExprFromLinear(c CompAtom, rep map[string]string) *constraint.Expr {
-	e := constraint.Const(c.Const)
-	for _, t := range c.Terms {
-		fresh, ok := rep[t.Var]
-		if !ok {
-			return nil
-		}
-		e = e.Add(constraint.Var(fresh).Scale(t.Coef))
+// AtomName names prepared body atom i: Land$0, Land$1 — no identifier has a $.
+func (r Rule) AtomName(i int) string { return fmt.Sprintf("%s$%d", r.Rels[i].Name, i) }
+
+// atom turns the comparison into a selection atom. When one body atom alone
+// binds all its variables (home), i is that atom and the result is on its
+// own attribute names (bound has them); otherwise i is -1 and the variable
+// names stay. bound also has the types the parser lacked: a linear form
+// over string variables must be v = w or v != w and becomes a string atom.
+func (a CompAtom) atom(bound map[string]schema.Attribute, home map[string]int) (_ cqa.Atom, i int, _ error) {
+	terms := a.Terms
+	if a.IsStr {
+		terms = []LinTerm{{Var: a.Var}}
 	}
-	return &e
+	i, strs := -1, 0
+	for k, t := range terms {
+		b, ok := bound[t.Var]
+		if !ok {
+			return nil, -1, fmt.Errorf("unbound variable %q", t.Var)
+		}
+		if b.Type == schema.String {
+			strs++
+		}
+		if k == 0 {
+			i = home[t.Var]
+		} else if home[t.Var] != i {
+			i = -1
+		}
+	}
+	name := func(v string) string { return v }
+	if i >= 0 {
+		name = func(v string) string { return bound[v].Name }
+	}
+	switch {
+	case a.IsStr && strs == 0:
+		return nil, -1, fmt.Errorf("string comparison on rational variable %q", a.Var)
+	case a.IsStr:
+		return cqa.StringAtom{Attr: name(a.Var), Op: a.Op, Lit: a.StrLit, IsLit: true}, i, nil
+	case strs == 0:
+		e := constraint.Const(a.Const)
+		for _, t := range terms {
+			e = e.Add(constraint.Var(name(t.Var)).Scale(t.Coef))
+		}
+		return cqa.LinearAtom{Expr: e, Op: a.Op}, i, nil
+	case strs != 2 || len(terms) != 2 || !a.Const.IsZero() || !terms[0].Coef.Add(terms[1].Coef).IsZero():
+		return nil, -1, fmt.Errorf("string variables compare only as v = w or v != w")
+	case a.Op != cqa.OpEq && a.Op != cqa.OpNe:
+		return nil, -1, fmt.Errorf("operator %s not defined on strings", a.Op)
+	}
+	return cqa.StringAtom{Attr: name(terms[0].Var), Op: a.Op, OtherAttr: name(terms[1].Var)}, i, nil
 }
 
 // Run evaluates the program: rules execute in order; rules with the same
@@ -328,40 +331,22 @@ func (p *Program) RunCtx(env cqa.Env, ec *exec.Context) (*relation.Relation, err
 		if err := ec.Err(); err != nil {
 			return nil, fmt.Errorf("calculus: line %d (%s): %w", r.Line, r.HeadName, err)
 		}
-		// Non-recursive check: the body must not mention the head (directly;
-		// earlier heads are fine because they are already materialised).
-		for _, atom := range r.Rels {
-			if atom.Name == r.HeadName {
-				return nil, fmt.Errorf("calculus: line %d: recursive rule %q is not supported", r.Line, r.HeadName)
-			}
-		}
 		// One span per rule: translation (the calculus → algebra rewrite
 		// step), optimisation and plan evaluation all happen under it, so
 		// EXPLAIN shows which rule each plan subtree belongs to.
 		sp := ec.BeginSpan("rule", r.HeadName)
-		plan, err := r.Translate(scratch.Schemas())
-		if err != nil {
-			ec.EndSpan(sp)
-			return nil, err
+		out, err := r.eval(scratch, ec)
+		if err == nil && defined[r.HeadName] {
+			if out, err = cqa.UnionCtx(ec, scratch[r.HeadName], out); err != nil {
+				err = fmt.Errorf("rules for %q have incompatible heads: %w", r.HeadName, err)
+			}
 		}
-		plan = cqa.Plan(plan, scratch)
-		out, err := plan.EvalCtx(scratch, ec)
 		if err != nil {
 			ec.EndSpan(sp)
 			return nil, fmt.Errorf("calculus: line %d: %w", r.Line, err)
 		}
-		if defined[r.HeadName] {
-			merged, err := cqa.UnionCtx(ec, scratch[r.HeadName], out)
-			if err != nil {
-				ec.EndSpan(sp)
-				return nil, fmt.Errorf("calculus: line %d: rules for %q have incompatible heads: %w", r.Line, r.HeadName, err)
-			}
-			scratch[r.HeadName] = merged
-		} else {
-			scratch[r.HeadName] = out
-			defined[r.HeadName] = true
-		}
-		sp.Set("out", int64(scratch[r.HeadName].Len()))
+		scratch[r.HeadName], defined[r.HeadName] = out, true
+		sp.Set("out", int64(out.Len()))
 		ec.EndSpan(sp)
 	}
 	last := p.Rules[len(p.Rules)-1].HeadName
@@ -370,6 +355,24 @@ func (p *Program) RunCtx(env cqa.Env, ec *exec.Context) (*relation.Relation, err
 	sp.Set("out", int64(norm.Len()))
 	ec.EndSpan(sp)
 	return norm, nil
+}
+
+// eval runs the translated rule: the prepared atoms, bound under their
+// AtomName; the join chain over them (each through cqa.Plan); ς_rest; π_head.
+func (r Rule) eval(env cqa.Env, ec *exec.Context) (*relation.Relation, error) {
+	prep, plan, rest, err := r.Translate(env.Schemas())
+	atoms := make(cqa.Env, len(prep))
+	for i := 0; err == nil && i < len(prep); i++ {
+		atoms[r.AtomName(i)], err = cqa.Plan(prep[i], env).EvalCtx(env, ec)
+	}
+	if err != nil {
+		return nil, err
+	}
+	plan = cqa.Plan(plan, atoms)
+	if len(rest) > 0 {
+		plan = cqa.NewSelect(plan, rest)
+	}
+	return cqa.NewProject(plan, r.HeadVars...).EvalCtx(atoms, ec)
 }
 
 // String renders the program back to rule syntax.

@@ -1,13 +1,18 @@
 package calculus
 
 import (
+	"math/rand"
 	"sort"
+	"strings"
 	"testing"
 
+	"cdb/internal/constraint"
 	"cdb/internal/cqa"
 	"cdb/internal/hurricane"
+	"cdb/internal/query"
 	"cdb/internal/rational"
 	"cdb/internal/relation"
+	"cdb/internal/schema"
 )
 
 func q(s string) rational.Rat { return rational.MustParse(s) }
@@ -174,6 +179,43 @@ func TestRuleStringInequality(t *testing.T) {
 	if len(got) != 2 || got[0] != "B" || got[1] != "C" {
 		t.Errorf("others = %v", got)
 	}
+
+	// String variable against string variable. The parser cannot know a
+	// lone variable's type and hands both over in linear form; Translate
+	// knows, and makes them string atoms.
+	for _, c := range []struct {
+		op   string
+		want int // B and C overlap nowhere and A overlaps neither: only a = b pairs survive
+	}{{"!=", 0}, {"=", 3}} {
+		prog, err := Parse(`q(a, b) :- Land(a, x, y), Land(b, x, y), a ` + c.op + ` b.`)
+		if err != nil {
+			t.Fatal(err)
+		}
+		out, err := prog.Run(hurricaneEnv())
+		if err != nil {
+			t.Fatalf("a %s b: %v", c.op, err)
+		}
+		if out.Len() != c.want {
+			t.Errorf("a %s b: %d tuples, want %d:\n%s", c.op, out.Len(), c.want, out)
+		}
+	}
+	// Anything else over strings is refused at translation time, in the
+	// rule's own vocabulary: no message names a throwaway attribute.
+	for _, src := range []string{
+		`q(a) :- Land(a, x, y), Land(b, x, y), a < b.`,
+		`q(a) :- Land(a, x, y), Land(b, x, y), a + b = 0.`,
+		`q(a) :- Land(a, x, y), a = x.`,
+		`q(a) :- Land(a, x, y), a <= 3.`,
+	} {
+		prog, err := Parse(src)
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, err = prog.Run(hurricaneEnv())
+		if err == nil || strings.Contains(err.Error(), "$") {
+			t.Errorf("%s: err = %v, want a translation-time error naming no $ attribute", src, err)
+		}
+	}
 }
 
 func TestRuleRepeatedVariableInOneAtom(t *testing.T) {
@@ -253,6 +295,153 @@ func TestCalculusMatchesAlgebra(t *testing.T) {
 	}
 	if !calc.Equivalent(algebra) {
 		t.Errorf("calculus and algebra disagree:\n%s\nvs\n%s", calc, algebra)
+	}
+}
+
+// randomNullable draws a relation over s whose relational attributes are
+// unbound in one tuple position in four (the shape internal/cqa's
+// upward_test.go builds); constraint attributes get a random interval.
+func randomNullable(rng *rand.Rand, s schema.Schema) *relation.Relation {
+	r := relation.New(s)
+	for n := 1 + rng.Intn(6); n > 0; n-- {
+		row := map[string]relation.Value{}
+		con := constraint.True()
+		for _, a := range s.Attrs() {
+			switch {
+			case a.Kind == schema.Constraint:
+				lo := int64(rng.Intn(5))
+				con = con.With(constraint.GeConst(a.Name, rational.FromInt(lo)), constraint.LeConst(a.Name, rational.FromInt(lo+int64(rng.Intn(3)))))
+			case rng.Intn(4) == 0: // NULL
+			case a.Type == schema.String:
+				row[a.Name] = relation.Str(string(rune('A' + rng.Intn(3))))
+			default:
+				row[a.Name] = relation.Rat(rational.FromInt(int64(rng.Intn(5))))
+			}
+		}
+		r.MustAdd(relation.NewTuple(row, con))
+	}
+	return r
+}
+
+// TestRuleIsItsJoinProgram runs each rule beside the join program it means,
+// written by hand in the query language, on relations with unbound
+// relational values, and demands identical bytes. A rule takes the join's
+// semantics: an unbound value at a join position is identical to an unbound
+// value (cqa.Join), so conjunction is idempotent — q :- R, R is q :- R —
+// where an equality selection over renamed-apart copies dropped the NULLs.
+func TestRuleIsItsJoinProgram(t *testing.T) {
+	rng := rand.New(rand.NewSource(24))
+	sR := schema.MustNew(schema.Rel("id", schema.String), schema.Rel("v", schema.Rational), schema.Rel("w", schema.Rational))
+	sS := schema.MustNew(schema.Rel("id", schema.String), schema.Rel("v", schema.Rational))
+	sT := schema.MustNew(schema.Rel("id", schema.String), schema.Con("x"))
+	cases := []struct{ rules, program string }{
+		{`q(id) :- R(id, v, w), R(id, v, w).`, `q = project R on id`},
+		{`q(id, v, w) :- R(id, v, w), R(id, v, w).`, `q = join R and R`},
+		{`q(id, w) :- R(id, v, w), S(id, v).`, `q = project (join R and S) on id, w`},
+		{`q(n, w) :- S(n, k), R(n, k, w), w >= 1.`,
+			`q = project (join (rename v to k in (rename id to n in S)) and (rename v to k in (rename id to n in (select w >= 1 from R)))) on n, w`},
+		{`q(id, x) :- T(id, x), S(id, _), T(id, x), x <= 3.`, `q = project (select x <= 3 from (join (join T and S) and T)) on id, x`},
+		{`q(v, id) :- S(id, v), R("A", v, v).`,
+			`q = project (join S and (project (select id = "A", v = w from R) on v)) on v, id`},
+	}
+	for iter := 0; iter < 60; iter++ {
+		env := cqa.Env{"R": randomNullable(rng, sR), "S": randomNullable(rng, sS), "T": randomNullable(rng, sT)}
+		for _, c := range cases {
+			rules, err := Parse(c.rules)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, err := rules.Run(env)
+			if err != nil {
+				t.Fatalf("%s: %v", c.rules, err)
+			}
+			prog, err := query.Parse(c.program)
+			if err != nil {
+				t.Fatalf("%s: %v", c.program, err)
+			}
+			want, err := prog.RunOptimized(env)
+			if err != nil {
+				t.Fatalf("%s: %v", c.program, err)
+			}
+			if want = want.Normalize(); got.String() != want.String() {
+				t.Fatalf("iter %d: %s\ngave\n%s\nbut %s\ngives\n%s\non R = %s\nS = %s\nT = %s",
+					iter, c.rules, got, c.program, want, env["R"], env["S"], env["T"])
+			}
+		}
+	}
+}
+
+// TestRuleVariableAtBothKinds: natural join cannot equate a relational
+// attribute with a constraint one (schema.Join rejects the pair), so a
+// variable met at both kinds of position keeps a throwaway name on the
+// second occurrence and an explicit equality — the one place the old
+// translation's = atom survives.
+func TestRuleVariableAtBothKinds(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	sS := schema.MustNew(schema.Rel("id", schema.String), schema.Rel("v", schema.Rational))
+	sT := schema.MustNew(schema.Rel("id", schema.String), schema.Con("x"))
+	rules, err := Parse(`q(id, v) :- S(id, v), T(id, v), v >= 1.`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	prog, err := query.Parse(`q = project (select v = x, v >= 1 from (join S and T)) on id, v`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for iter := 0; iter < 60; iter++ {
+		env := cqa.Env{"S": randomNullable(rng, sS), "T": randomNullable(rng, sT)}
+		got, err := rules.Run(env)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := prog.RunOptimized(env)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want = want.Normalize(); got.String() != want.String() {
+			t.Fatalf("iter %d: rule gave\n%s\nprogram gives\n%s\non S = %s\nT = %s", iter, got, want, env["S"], env["T"])
+		}
+	}
+}
+
+// TestRuleTranslationShape pins what Translate emits: selections under a
+// single simultaneous rename, variable names as attribute names, throwaway
+// names only where no joinable variable sits, and comparisons over shared
+// variables left for the join.
+func TestRuleTranslationShape(t *testing.T) {
+	env := hurricaneEnv().Schemas()
+	for _, c := range []struct {
+		src        string
+		prep       []string
+		join, rest string
+	}{
+		{`hit(name) :- Landownership(name, t, id), Land(id, x, y), Hurricane(t, x, y), t >= 4, t <= 9.`,
+			[]string{"rename landId to id in Landownership", "rename landId to id in Land", "Hurricane"},
+			"join join Landownership$0 and Land$1 and Hurricane$2", "t >= 4, t <= 9"},
+		{`owned(name, t) :- Landownership(name, t, id), id = "A", t >= 4.`,
+			[]string{`rename landId to id in select landId = "A", t >= 4 from Landownership`}, "Landownership$0", ""},
+		{`p(x) :- Land(y, x, id), Hurricane(6, x, _), Hurricane(t, v, v).`,
+			[]string{"rename landId to y, y to id in Land",
+				"rename t to $a1p0, y to $a1p2 in select t = 6 from Hurricane",
+				"rename x to v, y to $a2p2 in select x - y = 0 from Hurricane"},
+			"join join Land$0 and Hurricane$1 and Hurricane$2", ""},
+	} {
+		prog, err := Parse(c.src)
+		if err != nil {
+			t.Fatal(err)
+		}
+		prep, join, rest, err := prog.Rules[0].Translate(env)
+		if err != nil {
+			t.Fatalf("%s: %v", c.src, err)
+		}
+		for i, want := range c.prep {
+			if got := prep[i].String(); got != want {
+				t.Errorf("%s: atom %d = %q, want %q", c.src, i, got, want)
+			}
+		}
+		if join.String() != c.join || rest.String() != c.rest {
+			t.Errorf("%s: join = %q, rest = %q; want %q, %q", c.src, join, rest, c.join, c.rest)
+		}
 	}
 }
 

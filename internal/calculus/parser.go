@@ -336,9 +336,9 @@ func (p *rparser) parseCompAtom() (CompAtom, error) {
 		}
 		switch {
 		case lIsStr && rVar != "":
-			return CompAtom{IsStr: true, Var: rVar, Op: op, StrLit: lStr, HasLit: true}, nil
+			return CompAtom{IsStr: true, Var: rVar, Op: op, StrLit: lStr}, nil
 		case rIsStr && lVar != "":
-			return CompAtom{IsStr: true, Var: lVar, Op: op, StrLit: rStr, HasLit: true}, nil
+			return CompAtom{IsStr: true, Var: lVar, Op: op, StrLit: rStr}, nil
 		default:
 			return CompAtom{}, p.errf("string comparison needs one variable side")
 		}

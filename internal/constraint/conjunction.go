@@ -191,11 +191,20 @@ func (j Conjunction) Substitute(v string, repl Expr) Conjunction {
 	return Conjunction{cs: out}
 }
 
-// Rename returns j with variable old renamed to new.
-func (j Conjunction) Rename(old, new string) Conjunction {
+// RenameAll returns j under the simultaneous renaming m (Expr.RenameAll).
+// When m names no variable of j the result is j itself, memos attached —
+// renaming a relational attribute costs a constraint part nothing.
+func (j Conjunction) RenameAll(m map[string]string) Conjunction {
+	touched := false
+	for v := range m {
+		touched = touched || j.HasVar(v)
+	}
+	if !touched {
+		return j
+	}
 	out := make([]Constraint, len(j.cs))
 	for i, c := range j.cs {
-		out[i] = c.Rename(old, new)
+		out[i] = c.RenameAll(m)
 	}
 	return Conjunction{cs: out}
 }

@@ -155,6 +155,11 @@ func (c Constraint) Rename(old, new string) Constraint {
 	return Constraint{Expr: c.Expr.Rename(old, new), Op: c.Op}
 }
 
+// RenameAll returns c under the simultaneous renaming m (Expr.RenameAll).
+func (c Constraint) RenameAll(m map[string]string) Constraint {
+	return Constraint{Expr: c.Expr.RenameAll(m), Op: c.Op}
+}
+
 // HasVar reports whether variable v occurs in c.
 func (c Constraint) HasVar(v string) bool { return c.Expr.HasVar(v) }
 

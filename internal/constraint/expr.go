@@ -201,13 +201,28 @@ func (e Expr) Substitute(v string, repl Expr) Expr {
 	return Expr{terms: rest, c: e.c}.Add(repl.Scale(c))
 }
 
-// Rename returns e with variable old renamed to new. It panics if new
-// already occurs in e (renaming must not merge variables silently).
+// Rename returns e with variable old renamed to new: the one-pair case of
+// RenameAll.
 func (e Expr) Rename(old, new string) Expr {
-	if !e.Coef(old).IsZero() && !e.Coef(new).IsZero() {
-		panic(fmt.Sprintf("constraint: rename %s->%s would merge variables", old, new))
+	return e.RenameAll(map[string]string{old: new})
+}
+
+// RenameAll returns e with every variable that m names replaced by its
+// image, all at once — {x: y, y: x} swaps. It panics if two variables of e
+// end up under one name (renaming must not merge variables silently).
+func (e Expr) RenameAll(m map[string]string) Expr {
+	terms := make([]Term, len(e.terms))
+	for i, t := range e.terms {
+		if to, ok := m[t.Var]; ok {
+			t.Var = to
+		}
+		terms[i] = t
 	}
-	return e.Substitute(old, Var(new))
+	out := NewExpr(terms, e.c)
+	if len(out.terms) != len(terms) {
+		panic(fmt.Sprintf("constraint: rename %v would merge variables of %s", m, e))
+	}
+	return out
 }
 
 // Equal reports whether e and f are identical expressions (same terms and

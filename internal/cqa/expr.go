@@ -2,6 +2,8 @@ package cqa
 
 import (
 	"fmt"
+	"maps"
+	"slices"
 	"strings"
 
 	"cdb/internal/exec"
@@ -265,27 +267,36 @@ func (n *DiffNode) String() string {
 	return fmt.Sprintf("minus %s and %s", n.Left, n.Right)
 }
 
-// RenameNode renames one attribute.
+// RenameNode renames attributes by one simultaneous mapping old → new.
 type RenameNode struct {
-	Input    Node
-	Old, New string
+	Input Node
+	Map   map[string]string
 }
 
-// NewRename returns a rename node.
-func NewRename(in Node, old, new string) *RenameNode {
-	return &RenameNode{Input: in, Old: old, New: new}
+// NewRename returns the node applying the whole mapping at once.
+func NewRename(in Node, m map[string]string) *RenameNode {
+	return &RenameNode{Input: in, Map: m}
+}
+
+// pairs renders the mapping in old-name order: "a<sep>b, c<sep>d".
+func (n *RenameNode) pairs(sep string) string {
+	olds := slices.Sorted(maps.Keys(n.Map))
+	for i, old := range olds {
+		olds[i] = old + sep + n.Map[old]
+	}
+	return strings.Join(olds, ", ")
 }
 
 func (n *RenameNode) Eval(env Env) (*relation.Relation, error) { return n.EvalCtx(env, nil) }
 
 func (n *RenameNode) EvalCtx(env Env, ec *exec.Context) (*relation.Relation, error) {
-	sp := ec.BeginSpan("rename", n.Old+" -> "+n.New)
+	sp := ec.BeginSpan("rename", n.pairs(" -> "))
 	defer ec.EndSpan(sp)
 	in, err := n.Input.EvalCtx(env, ec)
 	if err != nil {
 		return nil, err
 	}
-	return RenameCtx(ec, in, n.Old, n.New)
+	return RenameCtx(ec, in, n.Map)
 }
 
 func (n *RenameNode) OutSchema(env SchemaEnv) (schema.Schema, error) {
@@ -293,9 +304,9 @@ func (n *RenameNode) OutSchema(env SchemaEnv) (schema.Schema, error) {
 	if err != nil {
 		return schema.Schema{}, err
 	}
-	return s.Rename(n.Old, n.New)
+	return s.RenameAll(n.Map)
 }
 
 func (n *RenameNode) String() string {
-	return fmt.Sprintf("rename %s to %s in %s", n.Old, n.New, n.Input)
+	return fmt.Sprintf("rename %s in %s", n.pairs(" to "), n.Input)
 }

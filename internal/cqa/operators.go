@@ -348,35 +348,21 @@ func UnionCtx(ec *exec.Context, r1, r2 *relation.Relation) (*relation.Relation, 
 // Rename returns ϱ_{new|old}(r): attribute old renamed to new in the
 // schema, the relational bindings, and the constraint variables.
 func Rename(r *relation.Relation, old, new string) (*relation.Relation, error) {
-	return RenameCtx(nil, r, old, new)
+	return RenameCtx(nil, r, map[string]string{old: new})
 }
 
-// RenameCtx is Rename under an execution context. Renaming is pure
-// bookkeeping, so it always runs sequentially; the context only records
-// its stats.
-func RenameCtx(ec *exec.Context, r *relation.Relation, old, new string) (*relation.Relation, error) {
-	rs, err := r.Schema().Rename(old, new)
-	if err != nil {
-		return nil, err
-	}
+// RenameCtx is Rename under an execution context, for one simultaneous
+// mapping old → new ({x: y, y: x} permutes without a temporary). A
+// constraint part the mapping does not name comes back untouched, memos
+// attached, so the pair cache still knows it. Sequential; stats only.
+func RenameCtx(ec *exec.Context, r *relation.Relation, m map[string]string) (*relation.Relation, error) {
 	rec := ec.StartOp("rename", r.Len())
-	out := relation.New(rs)
-	for _, t := range r.Tuples() {
-		rvals := map[string]relation.Value{}
-		for name, v := range t.RVals() {
-			if name == old {
-				rvals[new] = v
-			} else {
-				rvals[name] = v
-			}
-		}
-		if err := out.Add(relation.NewTuple(rvals, t.Constraint().Rename(old, new).Canon())); err != nil {
-			return nil, err
-		}
+	out, err := r.Rename(m)
+	if err == nil {
+		rec.AddOut(out.Len())
 	}
-	rec.AddOut(out.Len())
 	rec.Done(false)
-	return out, nil
+	return out, err
 }
 
 // Difference returns r1 - r2: the points of r1 not in r2. The schemas must

@@ -129,7 +129,7 @@ func rewrite(n Node, env SchemaEnv) (Node, bool) {
 
 	case *RenameNode:
 		in, c := rewrite(node.Input, env)
-		return NewRename(in, node.Old, node.New), c
+		return NewRename(in, node.Map), c
 
 	default:
 		return n, false

@@ -44,7 +44,7 @@ func optimizeCost(n Node, env Env) Node {
 	case *ProjectNode:
 		return NewProject(optimizeCost(node.Input, env), node.Cols...)
 	case *RenameNode:
-		return NewRename(optimizeCost(node.Input, env), node.Old, node.New)
+		return NewRename(optimizeCost(node.Input, env), node.Map)
 	case *UnionNode:
 		return NewUnion(optimizeCost(node.Left, env), optimizeCost(node.Right, env))
 	case *DiffNode:

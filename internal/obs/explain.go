@@ -30,11 +30,11 @@ type TreeOptions struct {
 
 // FormatTree renders a span forest as an EXPLAIN ANALYZE-style plan
 // tree. An operator span whose name equals its parent plan-node span's
-// name is folded into the parent line — counters merge and its children
-// (the pool fanout spans) are hoisted up a level. The cqa plan nodes
-// and the operator recorders both open spans; folding shows them as the
-// single plan line a reader expects, and counter totals over the
-// rendered tree equal totals over the raw spans.
+// name — the last such child — is folded into the parent line: counters
+// merge and its children (the pool fanout spans) are hoisted up a level.
+// The cqa plan nodes and the operator recorders both open spans; folding
+// shows them as the single plan line a reader expects, and counter totals
+// over the rendered tree equal totals over the raw spans.
 func FormatTree(roots []*Span, opt TreeOptions) string {
 	var b strings.Builder
 	for _, root := range roots {
@@ -49,33 +49,37 @@ func formatSpan(b *strings.Builder, s *Span, selfPrefix, childPrefix string, opt
 	wall := s.Wall()
 	children := s.Children()
 
-	// Fold a child span of the same name (the operator recorder under
-	// its plan node) into this line: its counters merge here, its labels
-	// fill in any the plan node did not set itself, and its own children
-	// (the pool fanout spans) are hoisted into this node.
-	var kept []*Span
-	var fold func(list []*Span)
-	fold = func(list []*Span) {
-		for _, c := range list {
-			if c.Name == s.Name {
-				for k, v := range c.Counters() {
-					counters[k] += v
-				}
-				for k, v := range c.Labels() {
-					if _, ok := labels[k]; !ok {
-						if labels == nil {
-							labels = make(map[string]string, 2)
-						}
-						labels[k] = v
-					}
-				}
-				fold(c.Children())
-				continue
-			}
-			kept = append(kept, c)
+	// Fold the operator recorder's span into this line: its counters merge
+	// here, its labels fill in any the plan node did not set itself, and
+	// its own children (the pool fanout spans) are hoisted into this node.
+	// The recorder is the last child of the node's own name — a plan node
+	// opens it after its inputs have run — so an input that is itself a
+	// node of that name (a join of a join) keeps its own line.
+	recorder := -1
+	for i, c := range children {
+		if c.Name == s.Name {
+			recorder = i
 		}
 	}
-	fold(children)
+	var kept []*Span
+	for i, c := range children {
+		if i != recorder {
+			kept = append(kept, c)
+			continue
+		}
+		for k, v := range c.Counters() {
+			counters[k] += v
+		}
+		for k, v := range c.Labels() {
+			if _, ok := labels[k]; !ok {
+				if labels == nil {
+					labels = make(map[string]string, 2)
+				}
+				labels[k] = v
+			}
+		}
+		kept = append(kept, c.Children()...)
+	}
 
 	b.WriteString(selfPrefix)
 	b.WriteString(s.Name)

@@ -18,6 +18,7 @@ import (
 	"fmt"
 	"math/rand"
 
+	"cdb/internal/calculus"
 	"cdb/internal/constraint"
 	"cdb/internal/cqa"
 	"cdb/internal/datagen"
@@ -27,8 +28,9 @@ import (
 	"cdb/internal/schema"
 )
 
-// AllOps is the default operator mix: all seven CQA operators.
-var AllOps = []string{"select", "project", "join", "intersect", "union", "rename", "difference"}
+// AllOps is the default case mix: all seven CQA operators, and "rule" — a
+// random conjunctive rule through the calculus front end (rule.go).
+var AllOps = []string{"select", "project", "join", "intersect", "union", "rename", "difference", "rule"}
 
 // Config drives one Diff run. The zero value of every field selects a
 // sensible default; Seed 0 really means seed 0 (runs are reproducible
@@ -40,6 +42,7 @@ type Config struct {
 	MaxTuples int    // max tuples per random input relation (default 5)
 	Plan      string // engine PlanMode ("" = auto); "vector" forces the vector fast path
 	Spatial   bool   // draw polygon-shaped spatial inputs instead of random heterogeneous ones
+	SatCache  bool   // give each case's engine context a sat-cache of the default size
 	Ops       []string
 	Witness   WitnessOptions
 }
@@ -55,6 +58,18 @@ func (c Config) withDefaults() Config {
 		c.Ops = AllOps
 	}
 	return c
+}
+
+// engine returns a fresh execution context for one engine run of the
+// harness: everything parallelised, the configured plan mode and cache.
+func (c Config) engine() *exec.Context {
+	ec := exec.New(c.Workers)
+	ec.SeqThreshold = 1
+	ec.PlanMode = c.Plan
+	if c.SatCache {
+		ec.SatCache = constraint.NewSatCache(0)
+	}
+	return ec
 }
 
 // Failure is one engine/oracle disagreement, minimised.
@@ -104,10 +119,7 @@ func Diff(cfg Config) (*Report, error) {
 		if err != nil {
 			return nil, fmt.Errorf("oracle: case %d: %w", i, err)
 		}
-		ec := exec.New(cfg.Workers)
-		ec.SeqThreshold = 1
-		ec.PlanMode = cfg.Plan
-		eng, err := RunEngine(ec, a, r1, r2)
+		eng, err := RunEngine(cfg.engine(), a, r1, r2)
 		if err != nil {
 			rep.Failures = append(rep.Failures, Failure{Case: i, Op: op, Apply: a.String(),
 				R1: r1.String(), R2: renderR2(r2), Err: "engine: " + err.Error()})
@@ -125,7 +137,7 @@ func Diff(cfg Config) (*Report, error) {
 				break
 			}
 			if engIn != oraIn {
-				m1, m2 := minimize(a, r1, r2, p, cfg.Workers, cfg.Plan)
+				m1, m2 := minimize(a, r1, r2, p, cfg)
 				rep.Failures = append(rep.Failures, Failure{Case: i, Op: op, Apply: a.String(),
 					Point: renderPoint(p), Engine: engIn, Oracle: oraIn,
 					R1: m1.String(), R2: renderR2(m2)})
@@ -152,9 +164,11 @@ func RunEngine(ec *exec.Context, a Apply, r1, r2 *relation.Relation) (*relation.
 	case "union":
 		return cqa.UnionCtx(ec, r1, r2)
 	case "rename":
-		return cqa.RenameCtx(ec, r1, a.Old, a.New)
+		return cqa.RenameCtx(ec, r1, map[string]string{a.Old: a.New})
 	case "difference":
 		return cqa.DifferenceCtx(ec, r1, r2)
+	case "rule":
+		return (&calculus.Program{Rules: []calculus.Rule{a.Rule}}).RunCtx(ruleRels(r1, r2), ec)
 	default:
 		return nil, fmt.Errorf("oracle: unknown operator %q", a.Op)
 	}
@@ -208,6 +222,10 @@ func randomCase(rng *rand.Rand, op string, maxTuples int, spatial bool) (Apply, 
 			return a, input(), input(), nil
 		}
 		r1, r2 := datagen.RandomRelationPair(rng, maxTuples)
+		return a, r1, r2, nil
+	case "rule":
+		r1, r2 := input(), input()
+		a.Rule = randomRule(rng, r1.Schema(), r2.Schema())
 		return a, r1, r2, nil
 	default:
 		return a, nil, nil, fmt.Errorf("unknown operator %q", op)
@@ -299,6 +317,8 @@ func witnessesFor(rng *rand.Rand, a Apply, r1, r2 *relation.Relation, opts Witne
 			return nil
 		}
 		return Witnesses(rng, js, opts, Extra{}, r1, r2)
+	case "rule":
+		return ruleWitnesses(rng, a.Rule, ruleRels(r1, r2), opts)
 	default: // intersect, union, difference: schemas are equal
 		return Witnesses(rng, r1.Schema(), opts, Extra{}, r1, r2)
 	}
@@ -307,12 +327,9 @@ func witnessesFor(rng *rand.Rand, a Apply, r1, r2 *relation.Relation, opts Witne
 // minimize greedily deletes tuples from both inputs while the engine and
 // the oracle still disagree at point p, converging on a near-minimal
 // counterexample (typically a single tuple pair).
-func minimize(a Apply, r1, r2 *relation.Relation, p relation.Point, workers int, plan string) (*relation.Relation, *relation.Relation) {
+func minimize(a Apply, r1, r2 *relation.Relation, p relation.Point, cfg Config) (*relation.Relation, *relation.Relation) {
 	disagrees := func(c1, c2 *relation.Relation) bool {
-		ec := exec.New(workers)
-		ec.SeqThreshold = 1
-		ec.PlanMode = plan
-		out, err := RunEngine(ec, a, c1, c2)
+		out, err := RunEngine(cfg.engine(), a, c1, c2)
 		if err != nil {
 			return false
 		}

@@ -64,3 +64,33 @@ func TestDiffSpatialVector(t *testing.T) {
 		}
 	}
 }
+
+// TestDiffRules is the calculus front end's acceptance test: random safe
+// rules (rule.go) through Rule.Translate and the algebra, against the
+// pointwise rule specification, under every way the engine can pair and
+// decide — auto, forced dense, forced vector — each with and without a
+// sat-cache, at one worker and at two. The witness sets are capped below
+// the default: a rule's reference is a satisfiability decision per choice
+// of tuples per point, and twelve configurations run.
+func TestDiffRules(t *testing.T) {
+	for _, plan := range []string{"auto", "dense", "vector"} {
+		for _, cache := range []bool{false, true} {
+			for _, workers := range []int{1, 2} {
+				rep, err := Diff(Config{Cases: 300, Seed: 11, Workers: workers, Plan: plan, SatCache: cache,
+					Ops: []string{"rule"}, Witness: WitnessOptions{MaxPoints: 120}})
+				if err != nil {
+					t.Fatalf("plan=%s cache=%v workers=%d: %v", plan, cache, workers, err)
+				}
+				if rep.Points == 0 {
+					t.Fatalf("plan=%s cache=%v workers=%d: no witness points compared", plan, cache, workers)
+				}
+				for i, f := range rep.Failures {
+					if i == 3 {
+						t.Fatalf("plan=%s cache=%v workers=%d: %d failures (showing first 3)", plan, cache, workers, len(rep.Failures))
+					}
+					t.Errorf("plan=%s cache=%v workers=%d seed=%d: %s", plan, cache, workers, rep.Seed, f.String())
+				}
+			}
+		}
+	}
+}

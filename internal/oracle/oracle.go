@@ -15,7 +15,8 @@
 //     boundary vertices, midpoints, just-outside offsets) plus seeded
 //     random rational points;
 //   - set-theoretic operator evaluation (Apply.Holds): for each of the
-//     seven CQA operators, the textbook pointwise characterisation of the
+//     seven CQA operators, and for a conjunctive rule of the calculus front
+//     end (rule.go), the textbook pointwise characterisation of the
 //     output's semantics in terms of the inputs' semantics. Project is the
 //     only operator that needs more than membership of the inputs — its
 //     existential quantifier over the dropped attributes is decided by an
@@ -33,7 +34,9 @@ package oracle
 import (
 	"fmt"
 	"sort"
+	"strings"
 
+	"cdb/internal/calculus"
 	"cdb/internal/constraint"
 	"cdb/internal/cqa"
 	"cdb/internal/rational"
@@ -323,11 +326,12 @@ func CondHolds(cond cqa.Condition, p relation.Point) (bool, error) {
 // harness compares engine-vs-oracle on. R2-less operators (select,
 // project, rename) ignore the second relation.
 type Apply struct {
-	Op   string        // select | project | join | intersect | union | rename | difference
+	Op   string        // select | project | join | intersect | union | rename | difference | rule
 	Cond cqa.Condition // select
 	Cols []string      // project: kept attributes
 	Old  string        // rename
 	New  string        // rename
+	Rule calculus.Rule // rule: a conjunctive rule over R1 and R2 (rule.go)
 }
 
 // String renders the application for failure reports.
@@ -339,6 +343,8 @@ func (a Apply) String() string {
 		return fmt.Sprintf("project on %v", a.Cols)
 	case "rename":
 		return fmt.Sprintf("rename %s to %s", a.Old, a.New)
+	case "rule":
+		return strings.TrimSpace((&calculus.Program{Rules: []calculus.Rule{a.Rule}}).String())
 	default:
 		return a.Op
 	}
@@ -365,6 +371,8 @@ func restrict(p relation.Point, s schema.Schema) relation.Point {
 //	p ∈ r1 ∪ r2   iff  p ∈ r1 or p ∈ r2
 //	p ∈ ϱ_{n|o}r  iff  p[n↦o] ∈ r
 //	p ∈ r1 − r2   iff  p ∈ r1 and p ∉ r2
+//
+// and, for a rule over R1 = r1 and R2 = r2, the specification in rule.go.
 func (a Apply) Holds(r1, r2 *relation.Relation, p relation.Point) (bool, error) {
 	switch a.Op {
 	case "select":
@@ -410,6 +418,8 @@ func (a Apply) Holds(r1, r2 *relation.Relation, p relation.Point) (bool, error) 
 		}
 		in2, err := In(r2, p)
 		return !in2, err
+	case "rule":
+		return ruleHolds(a.Rule, ruleRels(r1, r2), p), nil
 	default:
 		return false, fmt.Errorf("oracle: unknown operator %q", a.Op)
 	}

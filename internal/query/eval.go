@@ -163,7 +163,7 @@ func toPlan(e *Expr, env cqa.Env) (cqa.Node, error) {
 		if err != nil {
 			return nil, err
 		}
-		return cqa.NewRename(in, e.Old, e.New), nil
+		return cqa.NewRename(in, map[string]string{e.Old: e.New}), nil
 	default:
 		return nil, fmt.Errorf("operator %v cannot be lowered to a CQA plan", e.Kind)
 	}

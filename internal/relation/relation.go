@@ -101,6 +101,21 @@ func (t Tuple) AndConstraints(cs ...constraint.Constraint) Tuple {
 	return Tuple{rvals: t.rvals, con: t.con.With(cs...)}
 }
 
+// rename returns t under the simultaneous attribute renaming m, in one
+// pass: bindings move to their new names, and the constraint part is
+// renamed and re-canonicalised — or, when m names none of its variables,
+// handed back as it is, memos attached (constraint.Conjunction.RenameAll).
+func (t Tuple) rename(m map[string]string) Tuple {
+	rvals := make(map[string]Value, len(t.rvals))
+	for k, v := range t.rvals {
+		if to, ok := m[k]; ok {
+			k = to
+		}
+		rvals[k] = v
+	}
+	return Tuple{rvals: rvals, con: t.con.RenameAll(m).Canon()}
+}
+
 // IsSatisfiable reports whether the constraint part admits a solution.
 func (t Tuple) IsSatisfiable() bool { return t.con.IsSatisfiable() }
 
@@ -251,6 +266,23 @@ func (r *Relation) Clone() *Relation {
 	out := &Relation{schema: r.schema, tuples: r.tuples[:len(r.tuples):len(r.tuples)]}
 	out.memo.Store(r.memo.Load())
 	return out
+}
+
+// Rename returns r under one simultaneous renaming old → new of attribute
+// names (schema.Schema.RenameAll: {x: y, y: x} swaps): the schema, every
+// relational binding and every constraint variable. Tuples valid for r's
+// schema are valid for the renamed one by construction, so none is checked
+// again.
+func (r *Relation) Rename(m map[string]string) (*Relation, error) {
+	s, err := r.schema.RenameAll(m)
+	if err != nil {
+		return nil, err
+	}
+	out := &Relation{schema: s, tuples: make([]Tuple, len(r.tuples))}
+	for i, t := range r.tuples {
+		out.tuples[i] = t.rename(m)
+	}
+	return out, nil
 }
 
 // Add validates t against the schema and appends it:

@@ -195,19 +195,29 @@ func (s Schema) Project(names ...string) (Schema, error) {
 // Rename returns the schema with attribute old renamed to new. Per the CQA
 // rename operator: old must exist and new must not.
 func (s Schema) Rename(old, new string) (Schema, error) {
-	if !s.Has(old) {
-		return Schema{}, fmt.Errorf("schema: rename of unknown attribute %q", old)
-	}
-	if s.Has(new) {
-		return Schema{}, fmt.Errorf("schema: rename target %q already exists", new)
+	return s.RenameAll(map[string]string{old: new})
+}
+
+// RenameAll returns the schema under one simultaneous renaming old → new:
+// every key of m must exist, and no two attributes may end up under one
+// name ({x: y, y: x} is a legal swap).
+func (s Schema) RenameAll(m map[string]string) (Schema, error) {
+	for old := range m {
+		if !s.Has(old) {
+			return Schema{}, fmt.Errorf("schema: rename of unknown attribute %q", old)
+		}
 	}
 	attrs := append([]Attribute{}, s.attrs...)
 	for i := range attrs {
-		if attrs[i].Name == old {
-			attrs[i].Name = new
+		if to, ok := m[attrs[i].Name]; ok {
+			attrs[i].Name = to
 		}
 	}
-	return New(attrs...)
+	out, err := New(attrs...)
+	if err != nil {
+		return Schema{}, fmt.Errorf("schema: rename target already exists: %w", err)
+	}
+	return out, nil
 }
 
 // Equal reports whether the schemas have the same attributes as *sets*
