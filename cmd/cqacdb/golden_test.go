@@ -109,7 +109,7 @@ func TestGoldenRule3(t *testing.T) {
 // TestGoldenRule3Explain pins the shape of the plan a rule compiles to: the
 // prepared atoms (one simultaneous rename each, no rename for an atom
 // written in the relation's own names), then two joins that the pairing
-// filter prunes (filtered > 0), the shared-variable comparisons and the
+// filter prunes (pairs_pruned > 0), the shared-variable comparisons and the
 // head projection above them, and no rename above the joins. Wall times and
 // the query id are stripped; everything else in the tree is deterministic
 // at one worker.
@@ -121,7 +121,7 @@ func TestGoldenRule3Explain(t *testing.T) {
 	})
 	got = regexp.MustCompile(`  wall=\S+|query_id=\S+ `).ReplaceAllString(got, "")
 	checkGolden(t, "rule3_explain.golden", got)
-	if strings.Count(got, "─ join") != 2 || strings.Contains(got, "filtered=0") {
-		t.Errorf("want two joins, each with filtered > 0:\n%s", got)
+	if strings.Count(got, "─ join") != 2 || strings.Count(got, " pairs_pruned=") != 2 {
+		t.Errorf("want two joins, each with pairs_pruned > 0:\n%s", got)
 	}
 }

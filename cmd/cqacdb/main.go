@@ -21,11 +21,10 @@
 //
 // Queries execute on the parallel CQA layer (package exec): -par sets the
 // worker-pool size (0 = GOMAXPROCS, 1 = sequential), -par-threshold the
-// input size below which operators stay sequential, and -stats prints a
-// per-operator execution table (tuples in/out, satisfiability checks,
-// pruned-unsat count, sat-cache hits/misses, raw FM decisions, wall time)
-// after each program, followed by the sat-cache counters when the cache is
-// on. -sat-cache sets the size of the memoized satisfiability engine
+// input size below which operators stay sequential, and -stats prints
+// one row per operator invocation (the operator counters of
+// docs/OBSERVABILITY.md, wall time) after each program, followed by the
+// sat-cache counters when the cache is on. -sat-cache sets the size of the memoized satisfiability engine
 // (entries; 0 disables it), which persists across the statements and
 // programs of a session, so repeated shapes are decided once. The binary
 // operators pair tuples through a filter-and-refine candidate filter
@@ -54,7 +53,7 @@
 //     log/slog on stderr, so pathological conjunctions surface themselves;
 //   - -query-log FILE appends every executed program as one NDJSON
 //     flight record (query id, wall time, rows, outcome, per-operator
-//     rollups with planner est/act pair counts and q-error) and warns on
+//     records with planner est/act pair counts and q-error) and warns on
 //     stderr when a plan node's cardinality estimate is badly off.
 //
 // When any of -explain, -trace-json, -slowlog or -query-log is active,
@@ -342,15 +341,13 @@ func (s *session) begin() {
 	if s.tracer != nil {
 		s.tracer.QueryID = s.qid
 	}
-	if s.ec.SatCache != nil {
-		s.cache0 = s.ec.SatCache.Stats()
-	}
+	s.cache0 = s.ec.SatCache.Stats()
 }
 
 // finish records the finished program as a flight record: NDJSON to the
 // -query-log file plus misestimate warnings on stderr. It must run
-// before report(), which resets the per-operator stats the record's
-// rollups are derived from.
+// before report(), which resets the per-operator records the flight
+// record carries.
 func (s *session) finish(src string, rows int, err error) {
 	if s.flight == nil || s.qid == "" {
 		return
@@ -363,18 +360,11 @@ func (s *session) finish(src string, rows int, err error) {
 		WallMS:       float64(elapsed.Microseconds()) / 1000,
 		Rows:         rows,
 		Outcome:      obs.OutcomeOf(err),
-		CacheHitRate: -1,
-		Ops:          exec.FlightRollup(s.ec.Stats()),
+		CacheHitRate: s.ec.SatCache.HitRateSince(s.cache0),
+		Ops:          s.ec.Stats(),
 	}
 	if err != nil {
 		rec.Error = err.Error()
-	}
-	if s.ec.SatCache != nil {
-		rec.CacheHitRate = 0
-		st := s.ec.SatCache.Stats()
-		if dh, dm := st.Hits-s.cache0.Hits, st.Misses-s.cache0.Misses; dh+dm > 0 {
-			rec.CacheHitRate = float64(dh) / float64(dh+dm)
-		}
 	}
 	s.flight.Finish(rec)
 }
@@ -397,7 +387,7 @@ func firstLine(src string) string {
 // accumulate silently ignored records.
 func (s *session) report(w io.Writer) error {
 	if s.stats {
-		fmt.Fprint(w, exec.FormatStats(s.ec.Summary()))
+		fmt.Fprint(w, exec.FormatStats(s.ec.Stats()))
 		if s.ec.SatCache != nil {
 			fmt.Fprintf(w, "sat-cache: %s\n", s.ec.SatCache.Stats())
 		}

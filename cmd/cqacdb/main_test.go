@@ -235,7 +235,7 @@ func TestREPLStats(t *testing.T) {
 		t.Fatal(err)
 	}
 	got := out.String()
-	for _, want := range []string{"operator", "join", "sat-checks"} {
+	for _, want := range []string{"operator", "join", "cache_misses"} {
 		if !strings.Contains(got, want) {
 			t.Errorf("repl -stats output missing %q:\n%s", want, got)
 		}

@@ -41,8 +41,7 @@
 //
 // Flight recorder knobs: -query-history sizes the finished-query ring
 // behind /v1/queries/recent, -query-log appends every finished query as
-// NDJSON to a file, -qerror-warn sets the planner-misestimate warning
-// threshold.
+// NDJSON to a file.
 //
 // On SIGINT/SIGTERM the server drains: new queries get 503, in-flight
 // queries run to completion (bounded by -shutdown-grace), sessions are
@@ -102,8 +101,6 @@ func run(args []string, out io.Writer) error {
 		"finished queries retained for GET /v1/queries/recent")
 	queryLog := fs.String("query-log", "",
 		"append every finished query as one NDJSON record to this file")
-	qerrorWarn := fs.Float64("qerror-warn", obs.DefaultQErrorThreshold,
-		"log a planner-misestimate warning when a plan node's q-error reaches this ratio")
 	snapshotDir := fs.String("snapshot-dir", "",
 		"enable the copy-on-write snapshot store rooted at this directory (/v1/snapshots API)")
 	snapshotFault := fs.String("snapshot-fault", "",
@@ -182,7 +179,6 @@ func run(args []string, out io.Writer) error {
 		DefaultSatCache:    cacheSize(*satCache),
 		QueryHistory:       *queryHistory,
 		QueryLog:           queryLogW,
-		QErrorThreshold:    *qerrorWarn,
 		Snapshots:          snaps,
 		Logger:             logger,
 	})

@@ -346,13 +346,13 @@ func (p *Program) RunCtx(env cqa.Env, ec *exec.Context) (*relation.Relation, err
 			return nil, fmt.Errorf("calculus: line %d: %w", r.Line, err)
 		}
 		scratch[r.HeadName], defined[r.HeadName] = out, true
-		sp.Set("out", int64(out.Len()))
+		sp.Set("rows", int64(out.Len()))
 		ec.EndSpan(sp)
 	}
 	last := p.Rules[len(p.Rules)-1].HeadName
 	sp := ec.BeginSpan("normalize", "")
 	norm := scratch[last].NormalizeWith(ec.SatFunc())
-	sp.Set("out", int64(norm.Len()))
+	sp.Set("rows", int64(norm.Len()))
 	ec.EndSpan(sp)
 	return norm, nil
 }

@@ -1,79 +1,133 @@
 package cqa
 
 import (
+	"encoding/json"
+	"math/rand"
 	"strings"
 	"testing"
 
 	"cdb/internal/constraint"
+	"cdb/internal/datagen"
 	"cdb/internal/exec"
 	"cdb/internal/obs"
 	"cdb/internal/rational"
 )
 
-// TestExplainSpanTotalsMatchStats is the acceptance check of the
-// observability layer: evaluating a composed plan (project ∘ select ∘
-// join) with tracing on must produce a span tree whose per-span
-// sat-check, cache-hit and tuple totals sum to exactly the aggregates
-// the flat -stats table reports — the EXPLAIN tree and -stats are two
-// views of the same numbers.
-func TestExplainSpanTotalsMatchStats(t *testing.T) {
+// composedPlan is project ∘ select ∘ join over two box relations.
+func composedPlan(t *testing.T) (Env, Node) {
 	r1, r2 := parInputs(t, 13, 20, 20, 5)
-	env := Env{"R1": r1, "R2": r2}
-	plan := NewProject(NewSelect(NewJoin(Scan("R1"), Scan("R2")),
+	return Env{"R1": r1, "R2": r2}, NewProject(NewSelect(NewJoin(Scan("R1"), Scan("R2")),
 		Condition{AttrCmpConst("x", OpLe, rational.FromInt(2000))}), "id", "x")
+}
 
-	// Dense loop: with the pair filter on, this sparse workload prunes
-	// every pair before a sat check and the totals comparison would be
-	// vacuous. Span/stat consistency of the filter counters themselves is
-	// covered by TestPairsStatsConsistent in pairing_test.go.
-	ec := &exec.Context{Parallelism: 4, SeqThreshold: 1, NoPrune: true}
-	ec.SatCache = constraint.NewSatCache(1024)
-	ec.Tracer = obs.NewTracer()
+// TestExplainSpanTotalsMatchStats is the acceptance check of the
+// observability layer, generated from the counter table: for every row of
+// obs.OpCounters, the EXPLAIN span total, the Σ of the -stats records
+// (ec.Stats), the /metrics delta and the Σ over a flight record's ops are
+// one number. The fixtures between them make every counter non-zero: a
+// composed plan on the dense reference path, run twice against one
+// sat-cache (sat, fm, cache_hits, cache_misses), a box join under auto
+// (env, pairs_pruned) and a polygon difference under forced vector, with
+// half-open strips among the tuples (vec, vec_fallback, float_rej).
+func TestExplainSpanTotalsMatchStats(t *testing.T) {
+	env, plan := composedPlan(t)
+	boxes := datagen.Canonical(datagen.BoxRelation(datagen.Scaled(4), 24, 4))
+	rng := rand.New(rand.NewSource(5))
+	minuend, subtrahend := datagen.RandomPolygonRelation(rng, 24), datagen.RandomPolygonRelation(rng, 24)
+	fixtures := []struct {
+		name    string
+		mode    string
+		noPrune bool
+		run     func(ec *exec.Context) error
+	}{
+		{"plan", exec.PlanDense, true, func(ec *exec.Context) error {
+			for i := 0; i < 2; i++ {
+				if _, err := plan.EvalCtx(env, ec); err != nil {
+					return err
+				}
+			}
+			return nil
+		}},
+		{"box join", exec.PlanAuto, false, func(ec *exec.Context) error {
+			_, err := JoinCtx(ec, boxes, boxes)
+			return err
+		}},
+		{"polygon difference", exec.PlanVector, false, func(ec *exec.Context) error {
+			_, err := DifferenceCtx(ec, minuend, subtrahend)
+			return err
+		}},
+	}
+	reg := obs.NewRegistry()
+	metricTotals := func() map[string]int64 {
+		totals := map[string]int64{}
+		snap := reg.Snapshot()
+		for _, c := range obs.OpCounters {
+			series, _ := snap["cdb_op_"+c.Name+"_total"].(map[string]any)
+			for _, v := range series {
+				totals[c.Name] += v.(int64)
+			}
+		}
+		return totals
+	}
+	nonZero := map[string]bool{}
+	for _, f := range fixtures {
+		ec := &exec.Context{Parallelism: 4, SeqThreshold: 1, PlanMode: f.mode, NoPrune: f.noPrune,
+			SatCache: constraint.NewSatCache(1024), Tracer: obs.NewTracer(), Metrics: reg}
+		before := metricTotals()
+		if err := f.run(ec); err != nil {
+			t.Fatalf("%s: %v", f.name, err)
+		}
+		after := metricTotals()
+		stats := ec.Stats()
+		b, err := json.Marshal(obs.FlightRecord{Ops: stats})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var rec struct {
+			Ops []map[string]any `json:"ops"`
+		}
+		if err := json.Unmarshal(b, &rec); err != nil {
+			t.Fatal(err)
+		}
+		roots := ec.Tracer.Roots()
+		for _, c := range obs.OpCounters {
+			var want, flight int64
+			for i := range stats {
+				want += *c.Field(&stats[i])
+			}
+			for _, op := range rec.Ops {
+				v, _ := op[c.Name].(float64)
+				flight += int64(v)
+			}
+			span, metric := obs.SumCounter(roots, c.Name), after[c.Name]-before[c.Name]
+			if span != want || metric != want || flight != want {
+				t.Errorf("%s: %s: span total %d, metrics delta %d, flight ops %d; stats %d",
+					f.name, c.Name, span, metric, flight, want)
+			}
+			if want != 0 {
+				nonZero[c.Name] = true
+			}
+		}
+	}
+	for _, c := range obs.OpCounters {
+		if !nonZero[c.Name] {
+			t.Errorf("no fixture makes %s non-zero; its comparison is vacuous", c.Name)
+		}
+	}
+}
+
+// TestExplainTreeFoldsOperators: the rendered tree shows the plan shape,
+// each operator's span folded onto its plan node's line.
+func TestExplainTreeFoldsOperators(t *testing.T) {
+	env, plan := composedPlan(t)
+	ec := &exec.Context{Parallelism: 4, SeqThreshold: 1, NoPrune: true, Tracer: obs.NewTracer()}
 	if _, err := plan.EvalCtx(env, ec); err != nil {
 		t.Fatal(err)
 	}
-
 	roots := ec.Tracer.Roots()
 	if len(roots) != 1 {
 		t.Fatalf("got %d root spans, want 1 (the outermost plan node)", len(roots))
 	}
-	var agg exec.OpStats
-	for _, s := range ec.Summary() {
-		agg.SatChecks += s.SatChecks
-		agg.CacheHits += s.CacheHits
-		agg.CacheMisses += s.CacheMisses
-		agg.TuplesIn += s.TuplesIn
-		agg.TuplesOut += s.TuplesOut
-		agg.PrunedUnsat += s.PrunedUnsat
-		agg.FMDecisions += s.FMDecisions
-	}
-	if agg.SatChecks == 0 {
-		t.Fatal("fixture produced no satisfiability checks; the comparison is vacuous")
-	}
-	for _, cmp := range []struct {
-		key  string
-		want int64
-	}{
-		{"sat", agg.SatChecks},
-		{"hit", agg.CacheHits},
-		{"miss", agg.CacheMisses},
-		{"in", agg.TuplesIn},
-		{"pruned", agg.PrunedUnsat},
-		{"fm", agg.FMDecisions},
-	} {
-		if got := obs.SumCounter(roots, cmp.key); got != cmp.want {
-			t.Errorf("span %q total = %d, -stats aggregate = %d", cmp.key, got, cmp.want)
-		}
-	}
-	// "out" is recorded by the scan spans too (they are not operators),
-	// so the span total is stats-out plus the scanned input sizes.
-	wantOut := agg.TuplesOut + int64(r1.Len()+r2.Len())
-	if got := obs.SumCounter(roots, "out"); got != wantOut {
-		t.Errorf("span out total = %d, want stats out + scans = %d", got, wantOut)
-	}
-
-	// The rendered tree shows the plan shape with operators folded onto
-	// their plan nodes.
 	rendered := obs.FormatTree(roots, obs.TreeOptions{})
 	for _, want := range []string{"project", "select", "join", "scan R1", "scan R2", "fanout"} {
 		if !strings.Contains(rendered, want) {

@@ -60,7 +60,7 @@ func (n *ScanNode) EvalCtx(env Env, ec *exec.Context) (*relation.Relation, error
 	if !ok {
 		return nil, fmt.Errorf("cqa: unknown relation %q", n.Name)
 	}
-	sp.Set("out", int64(r.Len()))
+	sp.Set("rows", int64(r.Len()))
 	return r, nil
 }
 

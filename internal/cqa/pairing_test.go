@@ -153,7 +153,7 @@ func TestSweepMatchesDenseCandidates(t *testing.T) {
 	}
 }
 
-// TestPairsStatsConsistent: the filter's pairs/filtered counters agree
+// TestPairsStatsConsistent: the filter's pairs/pairs_pruned counters agree
 // between the flat stats records, the span tree and the metric families —
 // the invariant the explain tests rely on.
 func TestPairsStatsConsistent(t *testing.T) {
@@ -185,14 +185,14 @@ func TestPairsStatsConsistent(t *testing.T) {
 	if got := obs.SumCounter(roots, "pairs"); got != pairs {
 		t.Errorf("span pairs total = %d, stats = %d", got, pairs)
 	}
-	if got := obs.SumCounter(roots, "filtered"); got != filtered {
-		t.Errorf("span filtered total = %d, stats = %d", got, filtered)
+	if got := obs.SumCounter(roots, "pairs_pruned"); got != filtered {
+		t.Errorf("span pairs_pruned total = %d, stats = %d", got, filtered)
 	}
 	var buf strings.Builder
 	if err := reg.WritePrometheus(&buf); err != nil {
 		t.Fatal(err)
 	}
-	for _, want := range []string{"cqa_pairs_considered_total", "cqa_pairs_pruned_total"} {
+	for _, want := range []string{"cdb_op_pairs_total", "cdb_op_pairs_pruned_total"} {
 		if !strings.Contains(buf.String(), want) {
 			t.Errorf("metrics output missing %s:\n%s", want, buf.String())
 		}

@@ -136,7 +136,7 @@ func (d *Database) RunCtx(src string, ec *exec.Context) (*relation.Relation, err
 	// decisions.
 	sp := ec.BeginSpan("normalize", "")
 	norm := out.NormalizeWith(ec.SatFunc())
-	sp.Set("out", int64(norm.Len()))
+	sp.Set("rows", int64(norm.Len()))
 	ec.EndSpan(sp)
 	return norm, nil
 }

@@ -111,10 +111,10 @@ type Context struct {
 	// context (see BeginSpan and OpRecorder). Nil disables tracing.
 	Tracer *obs.Tracer
 
-	// Metrics, when non-nil, aggregates per-operator counters (tuples,
-	// sat checks, pruned, cache hits/misses) and operator latencies into
-	// the registry, labelled by operator name. Set it directly or via
-	// InstallMetrics. Nil disables metric emission.
+	// Metrics, when non-nil, receives every operator record: one
+	// cdb_op_<name>_total{op} family per obs.OpCounters row, and
+	// cdb_op_seconds{op}. Set it directly or via InstallMetrics. Nil
+	// disables metric emission.
 	Metrics *obs.Registry
 
 	mu    sync.Mutex

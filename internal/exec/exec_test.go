@@ -200,29 +200,6 @@ func TestNilSafety(t *testing.T) {
 	c.Reset() // must not panic
 }
 
-func TestSummaryAggregates(t *testing.T) {
-	c := New(2)
-	for i := 0; i < 3; i++ {
-		rec := c.StartOp("select", 10)
-		rec.AddOut(4)
-		rec.SatCheck(true)
-		rec.Done(i == 1)
-	}
-	rec := c.StartOp("join", 7)
-	rec.Done(false)
-	sum := c.Summary()
-	if len(sum) != 2 {
-		t.Fatalf("got %d summary rows, want 2", len(sum))
-	}
-	if sum[0].Op != "select" || sum[0].TuplesIn != 30 || sum[0].TuplesOut != 12 ||
-		sum[0].SatChecks != 3 || !sum[0].Parallel {
-		t.Fatalf("select summary wrong: %+v", sum[0])
-	}
-	if sum[1].Op != "join" || sum[1].TuplesIn != 7 || sum[1].Parallel {
-		t.Fatalf("join summary wrong: %+v", sum[1])
-	}
-}
-
 func TestFormatStats(t *testing.T) {
 	out := FormatStats([]OpStats{
 		{Op: "join", TuplesIn: 10, TuplesOut: 3, SatChecks: 25, PrunedUnsat: 22,

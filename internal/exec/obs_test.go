@@ -63,30 +63,6 @@ func satConj(t *testing.T) constraint.Conjunction {
 	return constraint.And(con)
 }
 
-func TestSummaryMergesFMDecisions(t *testing.T) {
-	c := New(1)
-	j := satConj(t)
-	var perOp []int64
-	for i := 0; i < 2; i++ {
-		rec := c.StartOp("select", 1)
-		if !rec.Satisfiable(j) { // no cache: raw eliminator, FM delta >= 1
-			t.Fatal("x >= 0 must be satisfiable")
-		}
-		rec.Done(false)
-		perOp = append(perOp, c.Stats()[i].FMDecisions)
-		if perOp[i] < 1 {
-			t.Fatalf("record %d FMDecisions = %d, want >= 1 (raw decision ran)", i, perOp[i])
-		}
-	}
-	sum := c.Summary()
-	if len(sum) != 1 || sum[0].Op != "select" {
-		t.Fatalf("summary = %+v, want one select row", sum)
-	}
-	if want := perOp[0] + perOp[1]; sum[0].FMDecisions != want {
-		t.Errorf("summary FMDecisions = %d, want merged %d", sum[0].FMDecisions, want)
-	}
-}
-
 func TestFormatStatsFMColumn(t *testing.T) {
 	out := FormatStats([]OpStats{
 		{Op: "join", TuplesIn: 10, TuplesOut: 3, SatChecks: 25, PrunedUnsat: 22,
@@ -98,12 +74,12 @@ func TestFormatStatsFMColumn(t *testing.T) {
 		t.Fatalf("got %d lines, want header + 1 row:\n%s", len(lines), out)
 	}
 	header, row := lines[0], lines[1]
-	for _, col := range []string{"operator", "cache-hit", "cache-miss", "fm", "wall", "mode"} {
+	for _, col := range []string{"operator", "cache_hits", "cache_misses", "fm", "wall", "mode"} {
 		if !strings.Contains(header, col) {
 			t.Errorf("header missing %q: %s", col, header)
 		}
 	}
-	// fm sits between cache-miss and wall, matching the header order.
+	// fm sits between cache_misses and wall, matching the header order.
 	fi := strings.Fields(row)
 	hi := strings.Fields(header)
 	if len(fi) != len(hi) {
@@ -180,8 +156,8 @@ func TestOpRecorderDepositsSpanCounters(t *testing.T) {
 	}
 	// Zero counters are omitted, and the -stats record carries the same
 	// numbers — the two views agree.
-	if _, ok := sp.Counters()["hit"]; ok {
-		t.Error("zero cache-hit counter should be omitted from the span")
+	if _, ok := sp.Counters()["cache_hits"]; ok {
+		t.Error("zero cache_hits counter should be omitted from the span")
 	}
 	s := c.Stats()[0]
 	if s.SatChecks != sp.Counter("sat") || s.TuplesOut != sp.Counter("out") {
@@ -254,9 +230,9 @@ func TestInstallMetrics(t *testing.T) {
 	rec.Done(false)
 
 	snap := reg.Snapshot()
-	ops, ok := snap["cdb_op_sat_checks_total"].(map[string]any)
+	ops, ok := snap["cdb_op_sat_total"].(map[string]any)
 	if !ok || ops["select"] != int64(1) {
-		t.Errorf("op sat-check metric = %v", snap["cdb_op_sat_checks_total"])
+		t.Errorf("op sat-check metric = %v", snap["cdb_op_sat_total"])
 	}
 	if v, ok := snap["cdb_fm_decisions_total"].(int64); !ok || v < 1 {
 		t.Errorf("fm decision metric = %v, want >= 1", snap["cdb_fm_decisions_total"])
@@ -268,50 +244,4 @@ func TestInstallMetrics(t *testing.T) {
 	var nilCtx *Context
 	nilCtx.InstallMetrics(reg)
 	New(1).InstallMetrics(nil)
-}
-
-func TestFlightRollup(t *testing.T) {
-	ops := []OpStats{
-		{Op: "select", TuplesIn: 10, TuplesOut: 4, SatChecks: 10, PrunedUnsat: 6,
-			CacheHits: 7, CacheMisses: 3, FMDecisions: 3, Wall: 1500 * time.Microsecond},
-		{Op: "join", TuplesIn: 8, TuplesOut: 5, PairsTotal: 16, PairsPruned: 10, EnvHits: 6,
-			EstPairs: 9, Strategy: "sweep", Wall: 2 * time.Millisecond, Parallel: true},
-		{Op: "difference", TuplesIn: 6, TuplesOut: 7, PairsTotal: 9, EstPairs: 9, Strategy: "dense",
-			VectorHits: 12, VectorFalls: 2, FloatRejects: 5},
-	}
-	rolls := FlightRollup(ops)
-	if len(rolls) != 3 {
-		t.Fatalf("rollup count %d, want 3", len(rolls))
-	}
-	sel := rolls[0]
-	if sel.Op != "select" || sel.In != 10 || sel.Out != 4 || sel.Sat != 10 ||
-		sel.Pruned != 6 || sel.CacheHits != 7 || sel.CacheMisses != 3 || sel.FM != 3 {
-		t.Fatalf("select roll: %+v", sel)
-	}
-	if sel.WallMS != 1.5 {
-		t.Fatalf("select wall %v ms, want 1.5", sel.WallMS)
-	}
-	// Unary operators carry no estimate: est/act stay zero even if the
-	// raw pair counters were somehow set.
-	if sel.Strategy != "" || sel.EstPairs != 0 || sel.ActPairs != 0 {
-		t.Fatalf("unary roll gained planner fields: %+v", sel)
-	}
-	join := rolls[1]
-	if join.Strategy != "sweep" || join.EstPairs != 9 || join.Env != 6 {
-		t.Fatalf("join roll: %+v", join)
-	}
-	// act_pairs is the filter's survivor count: pairs minus pruned.
-	if join.ActPairs != 6 {
-		t.Fatalf("join act_pairs %d, want 16-10=6", join.ActPairs)
-	}
-	// Which decider answered is visible per node, and absent elsewhere.
-	if d := rolls[2]; d.Strategy != "dense" || d.Vec != 12 || d.VecFallback != 2 || d.FloatRej != 5 || d.Env != 0 {
-		t.Fatalf("difference roll: %+v", d)
-	}
-	if join.Vec != 0 || join.VecFallback != 0 || join.FloatRej != 0 {
-		t.Fatalf("envelope-decided roll gained vector counters: %+v", join)
-	}
-	if FlightRollup(nil) != nil {
-		t.Fatal("empty rollup should be nil")
-	}
 }

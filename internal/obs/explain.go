@@ -8,12 +8,11 @@ import (
 	"time"
 )
 
-// counterOrder is the display order of the well-known counters; keys not
-// listed here render after these, alphabetically. The names match the
-// -stats table columns where both exist.
+// counterOrder is the display order of the well-known counters that follow
+// the operator counters (OpCounters, in table order); keys listed nowhere
+// render after these, alphabetically.
 var counterOrder = []string{
-	"in", "out", "sat", "pruned", "hit", "miss", "fm",
-	"pairs", "filtered", "est_pairs", "act_pairs",
+	"est_pairs", "act_pairs",
 	"items", "workers", "relations", "tuples",
 	"queue_ns", "busy_ns", "maxbusy_ns",
 }
@@ -153,6 +152,9 @@ func counterLine(counters map[string]int64) string {
 			return
 		}
 		parts = append(parts, fmt.Sprintf("%s=%d", k, v))
+	}
+	for _, c := range OpCounters {
+		emit(c.Name)
 	}
 	for _, k := range counterOrder {
 		emit(k)

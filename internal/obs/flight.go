@@ -83,32 +83,6 @@ func NewQueryID() string {
 	return fmt.Sprintf("q%d-%s", seq, hex.EncodeToString(b[:]))
 }
 
-// OpRoll is one operator invocation's rollup inside a flight record —
-// the per-plan-node numbers a finished query leaves behind. It mirrors
-// the execution layer's per-operator stats (exec.OpStats) without
-// importing it: obs stays dependency-free, and exec.FlightRollup does
-// the conversion.
-type OpRoll struct {
-	Op          string  `json:"op"`
-	In          int64   `json:"in"`
-	Out         int64   `json:"out"`
-	Sat         int64   `json:"sat,omitempty"`
-	Pruned      int64   `json:"pruned,omitempty"`
-	Pairs       int64   `json:"pairs,omitempty"`
-	PairsPruned int64   `json:"pairs_pruned,omitempty"`
-	CacheHits   int64   `json:"cache_hits,omitempty"`
-	CacheMisses int64   `json:"cache_misses,omitempty"`
-	FM          int64   `json:"fm,omitempty"`
-	Env         int64   `json:"env,omitempty"`          // pair decisions answered on the envelopes of two non-empty boxes
-	Vec         int64   `json:"vec,omitempty"`          // decisions answered by the vector fast path
-	VecFallback int64   `json:"vec_fallback,omitempty"` // decisions the fast path handed back to FM
-	FloatRej    int64   `json:"float_rej,omitempty"`    // vector pairs rejected by the float bbox filter
-	Strategy    string  `json:"strategy,omitempty"`     // binary nodes: how candidate pairs were enumerated
-	EstPairs    int64   `json:"est_pairs,omitempty"`
-	ActPairs    int64   `json:"act_pairs,omitempty"`
-	WallMS      float64 `json:"wall_ms"`
-}
-
 // FlightRecord is one finished query: identity, what ran, how long, how
 // much came out, how it ended, and the planner-accuracy evidence. It is
 // the unit of the history ring, of the /v1/queries/recent response, and
@@ -142,7 +116,9 @@ type FlightRecord struct {
 	// misses).
 	CacheHitRate float64 `json:"cache_hit_rate"`
 
-	Ops []OpRoll `json:"ops,omitempty"`
+	// Ops are the query's operator invocations, one record per plan node
+	// in completion order (exec.Context.Stats).
+	Ops []OpStats `json:"ops,omitempty"`
 }
 
 // QError returns the planner-accuracy ratio max(est/act, act/est) with
@@ -202,11 +178,8 @@ type Flight struct {
 	Log io.Writer
 
 	// Logger, when non-nil, receives planner-misestimate warnings: one
-	// per binary node whose q-error reaches QErrorThreshold.
+	// per binary node whose q-error reaches DefaultQErrorThreshold.
 	Logger *slog.Logger
-
-	// QErrorThreshold overrides DefaultQErrorThreshold when positive.
-	QErrorThreshold float64
 
 	// Clock overrides time.Now for deterministic tests.
 	Clock func() time.Time
@@ -234,13 +207,6 @@ func (f *Flight) now() time.Time {
 		return f.Clock()
 	}
 	return time.Now()
-}
-
-func (f *Flight) threshold() float64 {
-	if f.QErrorThreshold > 0 {
-		return f.QErrorThreshold
-	}
-	return DefaultQErrorThreshold
 }
 
 // Start registers an in-flight query. cancel, when non-nil, is what
@@ -346,7 +312,7 @@ func (f *Flight) Finish(rec FlightRecord) {
 }
 
 // derive fills the record's planner-accuracy summary from its per-node
-// rollups: distinct strategies in first-use order, est/act pair totals,
+// records: distinct strategies in first-use order, est/act pair totals,
 // and the worst per-node q-error.
 func (f *Flight) derive(rec *FlightRecord) {
 	rec.Strategies = nil
@@ -361,8 +327,8 @@ func (f *Flight) derive(rec *FlightRecord) {
 			rec.Strategies = append(rec.Strategies, op.Strategy)
 		}
 		rec.EstPairs += op.EstPairs
-		rec.ActPairs += op.ActPairs
-		if q := QError(op.EstPairs, op.ActPairs); q > rec.QError {
+		rec.ActPairs += op.ActPairs()
+		if q := QError(op.EstPairs, op.ActPairs()); q > rec.QError {
 			rec.QError = q
 		}
 	}
@@ -378,21 +344,20 @@ func (f *Flight) observe(rec FlightRecord) {
 			"Result rows per finished query.", RowBuckets).
 			Observe(float64(rec.Rows))
 	}
-	threshold := f.threshold()
 	for _, op := range rec.Ops {
 		if op.Strategy == "" {
 			continue
 		}
-		q := QError(op.EstPairs, op.ActPairs)
+		q := QError(op.EstPairs, op.ActPairs())
 		if f.Metrics != nil {
 			f.Metrics.NewHistogram("cdb_planner_qerror",
 				"Planner cardinality q-error max(est/act, act/est) per binary plan node.",
 				QErrorBuckets).Observe(q)
 		}
-		if q >= threshold && f.Logger != nil {
+		if q >= DefaultQErrorThreshold && f.Logger != nil {
 			f.Logger.Warn("planner misestimate",
 				"query", rec.ID, "node", op.Op, "strategy", op.Strategy,
-				"est_pairs", op.EstPairs, "act_pairs", op.ActPairs,
+				"est_pairs", op.EstPairs, "act_pairs", op.ActPairs(),
 				"q_error", q)
 		}
 	}

@@ -160,11 +160,11 @@ func TestDeriveStrategiesAndQError(t *testing.T) {
 	f := NewFlight(4)
 	f.Finish(FlightRecord{
 		ID: "q1",
-		Ops: []OpRoll{
-			{Op: "select", In: 10, Out: 5}, // unary: ignored by derive
-			{Op: "join", Strategy: "sweep", EstPairs: 100, ActPairs: 50},
-			{Op: "join", Strategy: "vector", EstPairs: 400, ActPairs: 10},
-			{Op: "intersect", Strategy: "sweep", EstPairs: 20, ActPairs: 20},
+		Ops: []OpStats{
+			{Op: "select", TuplesIn: 10, TuplesOut: 5}, // unary: ignored by derive
+			{Op: "join", Strategy: "sweep", EstPairs: 100, PairsTotal: 60, PairsPruned: 10},
+			{Op: "join", Strategy: "vector", EstPairs: 400, PairsTotal: 10},
+			{Op: "intersect", Strategy: "sweep", EstPairs: 20, PairsTotal: 20},
 		},
 	})
 	rec := f.Recent(0, 1)[0]
@@ -208,7 +208,7 @@ func TestFlightMetricsFamilies(t *testing.T) {
 	f := NewFlight(4)
 	f.Metrics = reg
 	f.Finish(FlightRecord{ID: "q1", WallMS: 3, Rows: 12, Outcome: OutcomeOK,
-		Ops: []OpRoll{{Op: "join", Strategy: "dense", EstPairs: 64, ActPairs: 8}}})
+		Ops: []OpStats{{Op: "join", Strategy: "dense", EstPairs: 64, PairsTotal: 8}}})
 	f.Finish(FlightRecord{ID: "q2", WallMS: 5, Outcome: OutcomeTimeout})
 
 	var buf bytes.Buffer
@@ -234,13 +234,13 @@ func TestMisestimateWarning(t *testing.T) {
 	f.Logger = slog.New(slog.NewTextHandler(&buf, nil))
 	// Below the default threshold of 16: quiet.
 	f.Finish(FlightRecord{ID: "q1",
-		Ops: []OpRoll{{Op: "join", Strategy: "sweep", EstPairs: 100, ActPairs: 10}}})
+		Ops: []OpStats{{Op: "join", Strategy: "sweep", EstPairs: 100, PairsTotal: 10}}})
 	if strings.Contains(buf.String(), "misestimate") {
 		t.Fatalf("q-error 10 warned below threshold:\n%s", buf.String())
 	}
 	// At the threshold: one warning carrying the evidence.
 	f.Finish(FlightRecord{ID: "q2",
-		Ops: []OpRoll{{Op: "join", Strategy: "vector", EstPairs: 1600, ActPairs: 100}}})
+		Ops: []OpStats{{Op: "join", Strategy: "vector", EstPairs: 1600, PairsTotal: 100}}})
 	out := buf.String()
 	for _, want := range []string{"planner misestimate", "query=q2", "strategy=vector",
 		"est_pairs=1600", "act_pairs=100", "q_error=16"} {
@@ -248,13 +248,12 @@ func TestMisestimateWarning(t *testing.T) {
 			t.Errorf("misestimate log missing %q:\n%s", want, out)
 		}
 	}
-	// A custom threshold overrides the default.
+	// An underestimate crossing 16 warns the same way.
 	buf.Reset()
-	f.QErrorThreshold = 4
 	f.Finish(FlightRecord{ID: "q3",
-		Ops: []OpRoll{{Op: "join", Strategy: "sweep", EstPairs: 50, ActPairs: 10}}})
-	if !strings.Contains(buf.String(), "planner misestimate") {
-		t.Fatalf("q-error 5 not warned at threshold 4:\n%s", buf.String())
+		Ops: []OpStats{{Op: "join", Strategy: "sweep", EstPairs: 10, PairsTotal: 250, PairsPruned: 50}}})
+	if out := buf.String(); !strings.Contains(out, "planner misestimate") || !strings.Contains(out, "q_error=20") {
+		t.Fatalf("q-error 20 (est 10, act 200) not warned:\n%s", out)
 	}
 }
 

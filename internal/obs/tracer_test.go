@@ -198,29 +198,20 @@ func buildExplainFixture() *Tracer {
 	// The operator recorder's span: same name as the plan node, leaf —
 	// FormatTree folds it into the join line.
 	joinRec := join.StartChild("join", "")
-	joinRec.Set("in", 60)
-	joinRec.Set("out", 42)
-	joinRec.Set("sat", 900)
-	joinRec.Set("pruned", 858)
-	joinRec.Set("par", 1)
+	(&OpStats{Op: "join", TuplesIn: 60, TuplesOut: 42, SatChecks: 900, PrunedUnsat: 858,
+		Parallel: true}).Annotate(joinRec)
 	joinRec.End()
 	join.End()
 	selRec := sel.StartChild("select", "")
-	selRec.Set("in", 42)
-	selRec.Set("out", 17)
-	selRec.Set("sat", 42)
-	selRec.Set("pruned", 25)
-	selRec.Set("hit", 30)
-	selRec.Set("miss", 12)
-	selRec.Set("fm", 12)
+	(&OpStats{Op: "select", TuplesIn: 42, TuplesOut: 17, SatChecks: 42, PrunedUnsat: 25,
+		CacheHits: 30, CacheMisses: 12, FMDecisions: 12}).Annotate(selRec)
 	selRec.End()
 	sel.End()
 	projRec := project.StartChild("project", "")
-	projRec.Set("in", 17)
-	projRec.Set("out", 17)
+	(&OpStats{Op: "project", TuplesIn: 17, TuplesOut: 17}).Annotate(projRec)
 	projRec.End()
 	project.End()
-	stmt.Set("out", 17)
+	stmt.Set("rows", 17)
 	stmt.End()
 	query.End()
 	return tr
@@ -293,7 +284,7 @@ func TestTraceJSON(t *testing.T) {
 		t.Errorf("first root start offset = %d, want 0", spans[0].StartNS)
 	}
 	stmt := spans[0].Children[0]
-	if stmt.Name != "stmt" || stmt.Counters["out"] != 17 {
+	if stmt.Name != "stmt" || stmt.Counters["rows"] != 17 {
 		t.Errorf("stmt span wrong: %+v", stmt)
 	}
 	if stmt.StartNS <= 0 {

@@ -65,7 +65,7 @@ func (prog *Program) run(env cqa.Env, optimize bool, ec *exec.Context) (*relatio
 			ec.EndSpan(sp)
 			return nil, fmt.Errorf("query: line %d (%s = %s): %w", st.Line, st.Target, st.Expr, err)
 		}
-		sp.Set("out", int64(r.Len()))
+		sp.Set("rows", int64(r.Len()))
 		ec.EndSpan(sp)
 		scratch[st.Target] = r
 		last = r

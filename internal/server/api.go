@@ -67,43 +67,10 @@ type queryResponse struct {
 	Count     int             `json:"count"`
 	Truncated bool            `json:"truncated,omitempty"`
 	ElapsedMS float64         `json:"elapsed_ms"`
-	Stats     []opStatsJSON   `json:"stats,omitempty"`
+	Stats     []exec.OpStats  `json:"stats,omitempty"` // the flight record's ops, per operator invocation
 	Cache     *cacheInfo      `json:"cache,omitempty"`
 	Explain   string          `json:"explain,omitempty"`
 	Trace     json.RawMessage `json:"trace,omitempty"`
-}
-
-// opStatsJSON is one operator invocation's record (exec.OpStats over
-// the wire).
-type opStatsJSON struct {
-	Op          string  `json:"op"`
-	In          int64   `json:"in"`
-	Out         int64   `json:"out"`
-	Sat         int64   `json:"sat"`
-	Pruned      int64   `json:"pruned"`
-	Pairs       int64   `json:"pairs,omitempty"`
-	PairsPruned int64   `json:"pairs_pruned,omitempty"`
-	CacheHits   int64   `json:"cache_hits"`
-	CacheMisses int64   `json:"cache_misses"`
-	FM          int64   `json:"fm"`
-	WallMS      float64 `json:"wall_ms"`
-	Parallel    bool    `json:"parallel,omitempty"`
-}
-
-func statsJSON(ops []exec.OpStats) []opStatsJSON {
-	out := make([]opStatsJSON, len(ops))
-	for i, op := range ops {
-		out[i] = opStatsJSON{
-			Op: op.Op, In: op.TuplesIn, Out: op.TuplesOut,
-			Sat: op.SatChecks, Pruned: op.PrunedUnsat,
-			Pairs: op.PairsTotal, PairsPruned: op.PairsPruned,
-			CacheHits: op.CacheHits, CacheMisses: op.CacheMisses,
-			FM:       op.FMDecisions,
-			WallMS:   float64(op.Wall.Microseconds()) / 1000,
-			Parallel: op.Parallel,
-		}
-	}
-	return out
 }
 
 // queryResult is a finished query before encoding: the relation, its
@@ -112,7 +79,7 @@ func statsJSON(ops []exec.OpStats) []opStatsJSON {
 type queryResult struct {
 	target  string
 	rel     *relation.Relation
-	stats   []opStatsJSON
+	stats   []exec.OpStats
 	cache   *cacheInfo
 	explain string
 	trace   json.RawMessage
@@ -146,12 +113,12 @@ func (res *queryResult) render(ec *exec.Context, maxRows int) {
 }
 
 // flightExtras is what the flight recorder needs from an execution that
-// the response does not: the per-plan-node rollups (planner-accuracy
+// the response may not carry: the per-operator records (planner-accuracy
 // evidence) and this query's own sat-cache hit rate. Filled even when
 // the query fails, so error and timeout records keep their partial
 // operator evidence.
 type flightExtras struct {
-	ops          []obs.OpRoll
+	ops          []exec.OpStats
 	cacheHitRate float64
 }
 
@@ -324,21 +291,13 @@ func (s *Server) runOnSession(ctx context.Context, sess *session, req queryReque
 	defer func() { ec.Ctx = nil }()
 
 	// Flight evidence, captured even when the query errors out: the
-	// per-plan-node rollups (per-invocation stats, so every binary node
-	// keeps its own est/act pair counts for q-error), and the sat-cache
-	// hit rate over this query's decisions alone (the session cache
-	// accumulates across queries, so take a delta).
+	// per-invocation records (every binary node keeps its own est/act pair
+	// counts for q-error), and the sat-cache hit rate over this query's
+	// decisions alone (the session cache outlives the query).
 	st0 := sess.cacheStats()
 	defer func() {
-		extras.ops = exec.FlightRollup(ec.Stats())
-		extras.cacheHitRate = -1
-		if ec.SatCache != nil {
-			extras.cacheHitRate = 0
-			st1 := sess.cacheStats()
-			if dh, dm := st1.Hits-st0.Hits, st1.Misses-st0.Misses; dh+dm > 0 {
-				extras.cacheHitRate = float64(dh) / float64(dh+dm)
-			}
-		}
+		extras.ops = ec.Stats()
+		extras.cacheHitRate = ec.SatCache.HitRateSince(st0)
 	}()
 
 	var tracer *obs.Tracer
@@ -362,7 +321,7 @@ func (s *Server) runOnSession(ctx context.Context, sess *session, req queryReque
 		return nil, err
 	}
 	if req.Stats {
-		res.stats = statsJSON(ec.Summary())
+		res.stats = ec.Stats()
 		if ec.SatCache != nil {
 			st := sess.cacheStats()
 			res.cache = &cacheInfo{
@@ -424,7 +383,7 @@ func runProgram(sess *session, req queryRequest, ec *exec.Context) (*queryResult
 	}
 	sp := ec.BeginSpan("normalize", "")
 	norm := last.NormalizeWith(ec.SatFunc())
-	sp.Set("out", int64(norm.Len()))
+	sp.Set("rows", int64(norm.Len()))
 	ec.EndSpan(sp)
 	res := &queryResult{target: target, rel: norm}
 	res.render(ec, req.MaxRows)

@@ -285,20 +285,20 @@ func TestPlannerQErrorTelemetry(t *testing.T) {
 	if len(rec.Strategies) == 0 {
 		t.Fatalf("no strategies recorded: %+v", rec)
 	}
-	var joinRoll *obs.OpRoll
+	var join *obs.OpStats
 	for i := range rec.Ops {
 		if rec.Ops[i].Strategy != "" {
-			joinRoll = &rec.Ops[i]
+			join = &rec.Ops[i]
 		}
 	}
-	if joinRoll == nil || joinRoll.EstPairs != rec.EstPairs || joinRoll.ActPairs != rec.ActPairs {
-		t.Fatalf("per-node rollup does not carry the estimate: %+v", rec.Ops)
+	if join == nil || join.EstPairs != rec.EstPairs || join.ActPairs() != rec.ActPairs {
+		t.Fatalf("per-node record does not carry the estimate: %+v", rec.Ops)
 	}
 	// Both sides are boxes over the shared x and y, so auto decides every
 	// candidate on the envelopes — and the record says so, with the env
 	// counter beside the enumeration's label.
-	if joinRoll.Strategy != "dense" || joinRoll.Env != rec.ActPairs || joinRoll.Vec != 0 || joinRoll.Sat != 0 {
-		t.Fatalf("rollup hides the envelope decider: %+v", *joinRoll)
+	if join.Strategy != "dense" || join.EnvHits != rec.ActPairs || join.VectorHits != 0 || join.SatChecks != 0 {
+		t.Fatalf("record hides the envelope decider: %+v", *join)
 	}
 
 	// The q-error histogram is populated with an observation > 1.
@@ -317,6 +317,51 @@ func TestPlannerQErrorTelemetry(t *testing.T) {
 	}
 	if !strings.Contains(text, `cdb_query_duration_seconds_count{outcome="ok"} 1`) {
 		t.Fatalf("duration histogram missing:\n%s", grepLines(text, "duration"))
+	}
+	// The session's operators fold into the daemon's registry: /metrics
+	// carries the record's own counters.
+	if want := fmt.Sprintf(`cdb_op_env_total{op="join"} %d`, join.EnvHits); !strings.Contains(text, want) {
+		t.Fatalf("metrics missing %s:\n%s", want, grepLines(text, "cdb_op_"))
+	}
+}
+
+// TestStatsAreFlightOps: a query's stats array and its flight record's ops
+// are one list in one encoding.
+func TestStatsAreFlightOps(t *testing.T) {
+	_, ts := newTestServer(t, Config{}, nil)
+	id := openSession(t, ts, `{"par": 1}`)
+	status, body, _ := postJSON(t, ts.URL+"/v1/query", fmt.Sprintf(
+		`{"session": %q, "query": "R0 = join Landownership and Land\nR1 = select t >= 4, t <= 9 from R0", "stats": true}`, id))
+	if status != http.StatusOK {
+		t.Fatalf("query: %d %s", status, body)
+	}
+	var resp struct {
+		Stats json.RawMessage `json:"stats"`
+	}
+	if err := json.Unmarshal(body, &resp); err != nil {
+		t.Fatal(err)
+	}
+	status, recent := getJSON(t, ts.URL+"/v1/queries/recent")
+	if status != http.StatusOK {
+		t.Fatalf("queries/recent: %d %s", status, recent)
+	}
+	var hist struct {
+		Queries []struct {
+			Ops json.RawMessage `json:"ops"`
+		} `json:"queries"`
+	}
+	if err := json.Unmarshal(recent, &hist); err != nil || len(hist.Queries) != 1 {
+		t.Fatalf("queries/recent: %v %s", err, recent)
+	}
+	var stats, ops bytes.Buffer
+	if err := json.Compact(&stats, resp.Stats); err != nil {
+		t.Fatal(err)
+	}
+	if err := json.Compact(&ops, hist.Queries[0].Ops); err != nil {
+		t.Fatal(err)
+	}
+	if stats.Len() == 0 || stats.String() != ops.String() {
+		t.Errorf("stats\n%s\n!= flight ops\n%s", stats.String(), ops.String())
 	}
 }
 

@@ -91,10 +91,6 @@ type Config struct {
 	// NDJSON flight record (the -query-log flag).
 	QueryLog io.Writer
 
-	// QErrorThreshold overrides the planner-misestimate warning
-	// threshold (obs.DefaultQErrorThreshold when zero).
-	QErrorThreshold float64
-
 	// Snapshots, when non-nil, enables the /v1/snapshots API and
 	// snapshot-bound sessions (the -snapshot-dir flag). The server does
 	// not own the store: the embedding process opens and closes it.
@@ -263,7 +259,6 @@ func New(dbs map[string]*db.Database, cfg Config) *Server {
 	s.flight.Metrics = s.reg
 	s.flight.Log = cfg.QueryLog
 	s.flight.Logger = s.log
-	s.flight.QErrorThreshold = cfg.QErrorThreshold
 	s.installMetrics()
 	if s.snaps != nil {
 		s.snaps.InstallMetrics(s.reg)
@@ -464,7 +459,7 @@ func (s *Server) addSession(dbName string, base *db.Database, opts sessionOption
 	if len(s.sessions) >= s.cfg.maxSessions() {
 		return nil, errSessionLimit
 	}
-	sess := newSession(newSessionID(s.seq.Add(1)), dbName, base, opts, s.cfg)
+	sess := newSession(newSessionID(s.seq.Add(1)), dbName, base, opts, s.cfg, s.reg)
 	s.sessions[sess.id] = sess
 	s.mOpened.Inc()
 	return sess, nil

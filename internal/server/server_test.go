@@ -516,6 +516,7 @@ func TestMetricsExposition(t *testing.T) {
 		"cqacdbd_queries_total", "cqacdbd_sessions_active",
 		"cqacdbd_sessions_opened_total",
 		"cdb_fm_decisions_total", "cdb_satcache_hits_total",
+		"cdb_op_in_total", "cdb_op_seconds",
 	} {
 		if !bytes.Contains(body, []byte(family)) {
 			t.Errorf("/metrics missing family %s", family)

@@ -12,6 +12,7 @@ import (
 	"cdb/internal/cqa"
 	"cdb/internal/db"
 	"cdb/internal/exec"
+	"cdb/internal/obs"
 	"cdb/internal/relation"
 )
 
@@ -55,9 +56,11 @@ type sessionOptions struct {
 }
 
 // newSession builds a session against base with opts layered over the
-// server defaults.
-func newSession(id, dbName string, base *db.Database, opts sessionOptions, cfg Config) *session {
+// server defaults. Its operators fold their records into reg, the
+// registry /metrics serves (the cdb_op_* families).
+func newSession(id, dbName string, base *db.Database, opts sessionOptions, cfg Config, reg *obs.Registry) *session {
 	ec := exec.New(orDefault(opts.Par, cfg.DefaultPar))
+	ec.Metrics = reg
 	if opts.Plan != nil {
 		ec.PlanMode = *opts.Plan
 	}

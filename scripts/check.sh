@@ -115,6 +115,9 @@ curl -s "$BASE/v1/query" -d '{
 }' | grep -q '"count": 4' || { echo 'case-study query wrong'; kill "$SRV_PID"; exit 1; }
 curl -s "$BASE/metrics" | grep -q '^cqacdbd_queries_total 1$' \
     || { echo '/metrics missing query counter'; kill "$SRV_PID"; exit 1; }
+# Sessions fold their operator records into the daemon's registry.
+curl -s "$BASE/metrics" | grep -q '^cdb_op_out_total{op="join"} ' \
+    || { echo '/metrics missing the per-operator families'; kill "$SRV_PID"; exit 1; }
 # Flight recorder: the finished query must show up in the bounded
 # history with a terminal outcome, and the human view must render.
 curl -s "$BASE/v1/queries/recent" | grep -q '"outcome": "ok"' \
