@@ -982,6 +982,42 @@ func BenchmarkBoxJoinWarm(b *testing.B) {
 	}
 }
 
+// BenchmarkSelectWarm is the operator under the benchmark's lookup workload:
+// its two selection shapes — one parcel's owners in a t window (a string
+// equality the value pass decides, then a window) and an x, y window on the
+// parcels — on 5 × 5 parcels under one session-lifetime context, default
+// sat-cache, one worker. Every survivor of the value pass is one box pair
+// decided on the envelopes (TestWarmSelectAllocs pins the allocations).
+func BenchmarkSelectWarm(b *testing.B) {
+	land, owners, _ := datagen.HurricaneRelations(5)
+	ge := func(v string, k int64) cqa.LinearAtom { return cqa.AttrCmpConst(v, cqa.OpGe, rational.FromInt(k)) }
+	le := func(v string, k int64) cqa.LinearAtom { return cqa.AttrCmpConst(v, cqa.OpLe, rational.FromInt(k)) }
+	ec := exec.New(1)
+	ec.SatCache = constraint.NewSatCache(0)
+	for _, shape := range []struct {
+		name string
+		r    *relation.Relation
+		cond cqa.Condition
+	}{
+		{"owners", owners, cqa.Condition{cqa.StrEq("landId", "p2_3"), ge("t", 12), le("t", 22)}},
+		{"land", land, cqa.Condition{ge("x", 5), le("x", 17), ge("y", 10), le("y", 22)}},
+	} {
+		b.Run(shape.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				r, err := cqa.SelectCtx(ec, shape.r, shape.cond)
+				if err != nil {
+					b.Fatal(err)
+				}
+				if r.Len() == 0 {
+					b.Fatal("empty result")
+				}
+				ec.Reset()
+			}
+		})
+	}
+}
+
 // BenchmarkJoinPairLookup is the refine step of the hurricane joins at its
 // three prices. hit-unsat and hit-sat are one remembered pair decision each
 // (a parcel-ownership tuple against a track segment it misses, and one it

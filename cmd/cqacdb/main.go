@@ -20,9 +20,9 @@
 //	cqacdb -snapshot-dir ./snaps -snap-restore snap2-xxxxxxxx    # shell over a snapshot
 //
 // Queries execute on the parallel CQA layer (package exec): -par sets the
-// worker-pool size (0 = GOMAXPROCS, 1 = sequential), -par-threshold the
-// input size below which operators stay sequential, and -stats prints
-// one row per operator invocation (the operator counters of
+// worker-pool size (0 = GOMAXPROCS, 1 = sequential; operators with fewer
+// than exec.DefaultSeqThreshold work items stay sequential), and -stats
+// prints one row per operator invocation (the operator counters of
 // docs/OBSERVABILITY.md, wall time) after each program, followed by the
 // sat-cache counters when the cache is on. -sat-cache sets the size of the memoized satisfiability engine
 // (entries; 0 disables it), which persists across the statements and
@@ -112,7 +112,6 @@ func run(args []string) error {
 	rules := fs.String("rules", "", "execute one declarative rule program (calculus front end)")
 	maxRows := fs.Int("rows", 50, "maximum tuples to print per relation")
 	par := fs.Int("par", 0, "CQA worker-pool size (0 = GOMAXPROCS, 1 = sequential)")
-	parThreshold := fs.Int("par-threshold", 0, "input size below which operators run sequentially (0 = default)")
 	stats := fs.Bool("stats", false, "print per-operator execution stats after each program")
 	satCache := fs.Int("sat-cache", constraint.DefaultSatCacheSize,
 		"memoized satisfiability engine size in entries (0 = disabled)")
@@ -134,7 +133,6 @@ func run(args []string) error {
 		return fmt.Errorf("invalid -plan %q (want auto, dense, sweep or vector)", *plan)
 	}
 	ec := exec.New(*par)
-	ec.SeqThreshold = *parThreshold
 	ec.PlanMode = *plan
 	if *satCache > 0 {
 		ec.SatCache = constraint.NewSatCache(*satCache)

@@ -136,7 +136,7 @@ func TestRunParallelAndStatsFlags(t *testing.T) {
 	for _, args := range [][]string{
 		{"-demo", "hurricane", "-par", "4", "-stats", "-e",
 			"R = join Landownership and Land"},
-		{"-demo", "hurricane", "-par", "1", "-par-threshold", "1", "-e",
+		{"-demo", "hurricane", "-par", "1", "-e",
 			"R = select landId = A from Landownership"},
 		{"-demo", "hurricane", "-par", "2", "-stats", "-rules",
 			`owned(name, t) :- Landownership(name, t, id), id = "A".`},

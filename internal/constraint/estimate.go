@@ -114,45 +114,3 @@ func AttrOverlapCount(a, b []Envelope, v string) int64 {
 	}
 	return total - beforeCount(xs, ys) - beforeCount(ys, xs)
 }
-
-// CountIntersecting returns how many envelopes have a v-interval
-// intersecting iv — the selectivity numerator for a single-variable atom
-// bounding v to iv. Envelopes without a bound for v always count.
-func CountIntersecting(envs []Envelope, v string, iv Interval) int64 {
-	if iv.IsEmpty() {
-		return 0
-	}
-	var n int64
-	for _, e := range envs {
-		ei, ok := e.Interval(v)
-		if !ok || ei.Intersects(iv) {
-			n++
-		}
-	}
-	return n
-}
-
-// AtomInterval interprets a single constraint as a one-variable bound:
-// for a·v + k OP 0 it returns v and the interval of values of v the atom
-// admits. ok is false for constant or multi-variable atoms, which bound
-// no single variable. This is the per-atom selectivity hook the logical
-// optimizer uses to order select conditions cheapest-reject-first.
-func AtomInterval(c Constraint) (string, Interval, bool) {
-	ts := c.Expr.Terms()
-	if len(ts) != 1 {
-		return "", Interval{}, false
-	}
-	a, v := ts[0].Coef, ts[0].Var
-	bound := c.Expr.ConstTerm().Div(a).Neg() // a*v + k OP 0  =>  v OP' -k/a
-	var iv Interval
-	switch {
-	case c.Op == Eq:
-		tightenLower(&iv, bound, false)
-		tightenUpper(&iv, bound, false)
-	case a.Sign() > 0: // v <= bound (open if Lt)
-		tightenUpper(&iv, bound, c.Op == Lt)
-	default: // v >= bound
-		tightenLower(&iv, bound, c.Op == Lt)
-	}
-	return v, iv, true
-}

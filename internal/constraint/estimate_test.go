@@ -102,55 +102,3 @@ func TestAttrOverlapCountEndpoints(t *testing.T) {
 		}
 	}
 }
-
-// TestCountIntersecting checks the single-atom selectivity numerator,
-// including the unbounded-envelope and empty-query conventions.
-func TestCountIntersecting(t *testing.T) {
-	envs := []Envelope{
-		And(GeConst("x", rational.FromInt(0)), LeConst("x", rational.FromInt(4))).Envelope(),
-		And(GeConst("x", rational.FromInt(10))).Envelope(),
-		And().Envelope(), // unbounded: always intersects
-	}
-	_, iv, ok := AtomInterval(LeConst("x", rational.FromInt(5)))
-	if !ok {
-		t.Fatal("AtomInterval rejected a single-variable atom")
-	}
-	if got := CountIntersecting(envs, "x", iv); got != 2 {
-		t.Errorf("CountIntersecting(x <= 5) = %d, want 2", got)
-	}
-	empty := Interval{HasLower: true, HasUpper: true,
-		Lower: rational.FromInt(3), Upper: rational.FromInt(1)}
-	if got := CountIntersecting(envs, "x", empty); got != 0 {
-		t.Errorf("CountIntersecting(empty) = %d, want 0", got)
-	}
-}
-
-// TestAtomInterval pins the per-operator interval derivation against the
-// envelope's own reading of the same atoms, and the multi-variable
-// rejection.
-func TestAtomInterval(t *testing.T) {
-	five := rational.FromInt(5)
-	for _, c := range []Constraint{
-		GeConst("x", five), GtConst("x", five), LeConst("x", five),
-		LtConst("x", five), EqConst("x", five),
-	} {
-		v, iv, ok := AtomInterval(c)
-		if !ok || v != "x" {
-			t.Fatalf("AtomInterval(%v): v=%q ok=%v", c, v, ok)
-		}
-		want, wok := And(c).Envelope().Interval("x")
-		same := wok &&
-			iv.HasLower == want.HasLower && iv.HasUpper == want.HasUpper &&
-			iv.LowerOpen == want.LowerOpen && iv.UpperOpen == want.UpperOpen &&
-			(!iv.HasLower || iv.Lower.Equal(want.Lower)) &&
-			(!iv.HasUpper || iv.Upper.Equal(want.Upper))
-		if !same {
-			t.Errorf("AtomInterval(%v) = %+v, envelope says %+v", c, iv, want)
-		}
-	}
-	if _, _, ok := AtomInterval(Constraint{
-		Expr: Var("x").Add(Var("y")), Op: Le,
-	}); ok {
-		t.Error("AtomInterval accepted a multi-variable atom")
-	}
-}

@@ -24,7 +24,7 @@ import (
 //     the inputs;
 //   - memoized decisions: every satisfiability decision goes through the
 //     operator's recorder (exec.OpRecorder.Satisfiable, and for the pair
-//     decisions of join and intersect exec.OpRecorder.SatisfiablePair), so
+//     decisions of join, intersect and select exec.OpRecorder.SatisfiablePair), so
 //     a sat-cache configured on ec is consulted and the hit/miss counts
 //     land in the per-operator statistics. With no context or no cache the
 //     decisions fall back to the raw Fourier-Motzkin eliminator, and the
@@ -53,31 +53,30 @@ func Select(r *relation.Relation, cond Condition) (*relation.Relation, error) {
 	return SelectCtx(nil, r, cond)
 }
 
-// SelectCtx is Select under an execution context: the per-tuple condition
-// evaluation fans out over ec's worker pool.
+// SelectCtx is Select under an execution context. The condition is split
+// once (selection, predicate.go): the value atoms filter the input in one
+// sequential pass, and only the survivors fan out over ec's worker pool,
+// each decided once against the condition's constraint atoms by the
+// join's decider list.
 func SelectCtx(ec *exec.Context, r *relation.Relation, cond Condition) (*relation.Relation, error) {
 	if err := cond.Validate(r.Schema()); err != nil {
 		return nil, err
 	}
 	rec := ec.StartOp("select", r.Len())
+	sel := splitCondition(cond, r.Schema())
 	tuples := r.Tuples()
-	variantLists, err := exec.Map(ec, len(tuples), func(i int) ([]relation.Tuple, error) {
-		variants := []relation.Tuple{tuples[i]}
-		for _, a := range cond {
-			var next []relation.Tuple
-			for _, v := range variants {
-				res, err := evalAtom(a, r.Schema(), v, ec, rec)
-				if err != nil {
-					return nil, err
-				}
-				next = append(next, res...)
-			}
-			variants = next
-			if len(variants) == 0 {
-				break
+	if len(sel.values) > 0 || len(sel.reads) > 0 {
+		var kept []relation.Tuple
+		for _, t := range tuples {
+			if sel.keeps(t) {
+				kept = append(kept, t)
 			}
 		}
-		return variants, nil
+		tuples = kept
+	}
+	dec := pairDeciders(ec, true)
+	variantLists, err := exec.Map(ec, len(tuples), func(i int) ([]relation.Tuple, error) {
+		return sel.refine(tuples[i], dec, rec), nil
 	})
 	if err != nil {
 		return nil, err
@@ -203,28 +202,13 @@ func joinCtx(ec *exec.Context, op string, r1, r2 *relation.Relation) (*relation.
 	}
 	// refine is the expensive per-pair step, run only on pairs whose
 	// relational parts are known to match: the first decider of dec that
-	// takes the pair answers it (pairing.go), the last one by asking before
-	// it builds (see the invariants at the top of this file). Every decider
-	// emits a.Merge(b).Canon(), so the output bytes do not depend on which
-	// one ran. The relational-part copy happens after the satisfiability
-	// reject, and JoinTuple merges both sides in a single map allocation.
+	// takes the pair answers it (deciders.decide), the last one by asking
+	// before it builds (see the invariants at the top of this file). The
+	// relational-part copy happens after the satisfiability reject, and
+	// JoinTuple merges both sides in a single map allocation.
 	var dec deciders
 	refine := func(t1, t2 relation.Tuple) (*relation.Tuple, error) {
-		c1, c2 := t1.Constraint(), t2.Constraint()
-		var con constraint.Conjunction
-		sat, ok := false, false
-		if dec.env && c1.IsBox() && c2.IsBox() {
-			con, sat = constraint.BoxMerge(c1, c2)
-			rec.EnvHit(sat)
-			ok = true
-		} else if dec.clip {
-			if sat, ok = clipPair(rec, c1, c2); sat {
-				con = c1.Merge(c2).Canon()
-			}
-		}
-		if !ok {
-			con, sat = rec.SatisfiablePair(c1, c2)
-		}
+		con, sat := dec.decide(rec, t1.Constraint(), t2.Constraint())
 		if !sat {
 			return nil, nil
 		}
@@ -239,7 +223,8 @@ func joinCtx(ec *exec.Context, op string, r1, r2 *relation.Relation) (*relation.
 		// candidates are in ascending flattened order, so mapping over
 		// them preserves the sequential nested-loop output order.
 		plan := pairCandidates(ec, t1s, t2s, sharedRel, sharedCon)
-		dec = pairDeciders(ec, r1.Schema(), r2.Schema(), sharedCon)
+		dec = pairDeciders(ec, len(sharedCon) == len(r1.Schema().ConstraintNames()) &&
+			len(sharedCon) == len(r2.Schema().ConstraintNames()))
 		rec.Pairing(plan.enum, plan.estPairs)
 		rec.Pairs(int64(plan.total), int64(plan.pruned()))
 		items = len(plan.cands)
@@ -405,7 +390,7 @@ func DifferenceCtx(ec *exec.Context, r1, r2 *relation.Relation) (*relation.Relat
 	if filtered {
 		sharedRel, sharedCon := sharedAttrs(r1.Schema(), r2.Schema())
 		plan = pairCandidates(ec, t1s, t2s, sharedRel, sharedCon)
-		dec = pairDeciders(ec, r1.Schema(), r2.Schema(), sharedCon)
+		dec = pairDeciders(ec, false) // env has no part in difference
 		rec.Pairing(plan.enum, plan.estPairs)
 		rec.Pairs(int64(plan.total), int64(plan.pruned()))
 	} else {

@@ -4,7 +4,6 @@ import (
 	"testing"
 
 	"cdb/internal/datagen"
-	"cdb/internal/rational"
 )
 
 // costEnv builds three base relations with very different pairing costs:
@@ -25,51 +24,6 @@ func costEnv(t *testing.T) Env {
 	// A different center seed puts Tiny's single tight cluster elsewhere.
 	tiny := datagen.ClusteredBoxRelation(p3, 24, 1, 5, 1234)
 	return Env{"Big1": big1, "Big2": big2, "Tiny": tiny}
-}
-
-// TestOrderAtomsSelectivityFirst: the cost rewrite reorders a selection's
-// atoms most-selective-first over a base relation, without changing the
-// selection's point-set semantics.
-func TestOrderAtomsSelectivityFirst(t *testing.T) {
-	env := costEnv(t)
-	r := env["Big1"]
-	envs := envelopes(r.Tuples())
-	loose := AttrCmpConst("x", OpLe, rational.FromInt(1_000_000)) // keeps every envelope
-	tight := AttrCmpConst("x", OpLe, rational.FromInt(-1_000_000))
-	if s := atomSelectivity(tight, r.Schema(), envs); s != 0 {
-		t.Fatalf("tight atom selectivity = %v, want 0", s)
-	}
-	if s := atomSelectivity(loose, r.Schema(), envs); s != 1 {
-		t.Fatalf("loose atom selectivity = %v, want 1", s)
-	}
-
-	cond := Condition{loose, tight}
-	got := orderAtoms(cond, Scan("Big1"), env)
-	if got.String() != Condition([]Atom{tight, loose}).String() {
-		t.Errorf("orderAtoms = %s, want the tight atom first", got)
-	}
-
-	// Unscorable-only conditions come back untouched (stable identity).
-	neq := Condition{
-		AttrCmpConst("x", OpNe, rational.FromInt(3)),
-		AttrCmpConst("y", OpNe, rational.FromInt(4)),
-	}
-	if got := orderAtoms(neq, Scan("Big1"), env); got.String() != neq.String() {
-		t.Errorf("orderAtoms reordered unscorable atoms: %s", got)
-	}
-
-	// Reordering must not change the result set.
-	want, err := Select(r, cond)
-	if err != nil {
-		t.Fatal(err)
-	}
-	reordered, err := Select(r, orderAtoms(cond, Scan("Big1"), env))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if want.String() != reordered.String() {
-		t.Errorf("atom reordering changed the selection result\nwant:\n%s\ngot:\n%s", want, reordered)
-	}
 }
 
 // TestReorderJoinChain: a three-way join whose plan starts with the most

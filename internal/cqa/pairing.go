@@ -8,7 +8,6 @@ import (
 	"cdb/internal/exec"
 	"cdb/internal/rational"
 	"cdb/internal/relation"
-	"cdb/internal/schema"
 	"cdb/internal/vector"
 )
 
@@ -58,16 +57,19 @@ type pairPlan struct {
 func (p pairPlan) pruned() int { return p.total - len(p.cands) }
 
 // deciders is the refine stage's ordered list of exact per-pair deciders,
-// as the two switches in front of the one that is always there. A candidate
-// pair is answered by the first decider it is in the domain of, and each
-// answer is counted on the operator's recorder (env, vec, sat):
+// as the two switches in front of the one that is always there. A pair —
+// two tuples' constraint parts in join and intersect, a tuple's and the
+// condition's in select — is answered by the first decider it is in the
+// domain of (decide), and each answer is counted on the operator's recorder
+// (env, vec, sat):
 //
 //	env   both sides are non-empty boxes (constraint.IsBox): BoxMerge reads
 //	      the verdict off the merged bounds, exact for any two boxes, and
 //	      the merge is the interval intersection — no clip, no Merge+Canon,
 //	      no cache traffic;
-//	clip  both sides carry polygon forms (vector.FormOf): exact clipping;
-//	      in difference, the minuend's form scopes the whole staircase;
+//	clip  the left side carries a polygon form (vector.FormOf): exact
+//	      clipping (clipPair); in difference, the minuend's form scopes the
+//	      whole staircase;
 //	—     the sat-cache's pair lookup, else Fourier–Motzkin.
 //
 // A decider that cannot decide a pair declines it to the next; none reads
@@ -78,43 +80,70 @@ type deciders struct{ env, clip bool }
 // tests set it: what it would have answered must come out of the next.
 var forceDecline deciders
 
-// pairDeciders resolves the decider list for one filtered operator call.
-// PlanDense and PlanSweep leave every pair to the cache and the eliminator
-// (the reference), PlanVector switches env off so that boxes are clipped
-// too, PlanAuto runs the whole list.
+// pairDeciders resolves the decider list for one operator call. PlanDense
+// and PlanSweep leave every pair to the cache and the eliminator (the
+// reference), PlanVector switches env off so that boxes are clipped too,
+// PlanAuto runs the whole list.
 //
-// covered — the two schemas share every constraint attribute — is a
-// cache-sharing heuristic, not a soundness condition on env: box pairs over
-// variables the schemas do not share (hurricane's parcels × time intervals)
-// are all pair-lookup hits in a warm session, and a hit hands back the same
-// merged Conjunction, memoised envelope included, for the next join to
-// reuse; a fresh merge does not. Measured with the condition off: hurricane
-// p50 1.905, 1.919, 1.894 ms against 1.49 ms.
-func pairDeciders(ec *exec.Context, s1, s2 schema.Schema, sharedCon []string) deciders {
+// covered — the two sides range over the same constraint attributes — also
+// gates env under auto. A selection's condition ranges over its input's own
+// attributes; for join and intersect it means the two schemas share every
+// constraint attribute. That is a cache-sharing heuristic, not a soundness
+// condition on env: box pairs over variables the schemas do not share
+// (hurricane's parcels × time intervals) are all pair-lookup hits in a warm
+// session, and a hit hands back the same merged Conjunction, memoised
+// envelope included, for the next join to reuse; a fresh merge does not.
+// Measured with the condition off: hurricane p50 1.905, 1.919, 1.894 ms
+// against 1.49 ms.
+func pairDeciders(ec *exec.Context, covered bool) deciders {
 	mode := ec.Plan()
-	covered := len(sharedCon) == len(s1.ConstraintNames()) && len(sharedCon) == len(s2.ConstraintNames())
 	return deciders{
 		env:  mode == exec.PlanAuto && covered && !forceDecline.env,
 		clip: (mode == exec.PlanAuto || mode == exec.PlanVector) && !forceDecline.clip,
 	}
 }
 
-// clipPair is the clip decider for a join or intersect pair: with a
-// polygon form on both sides, the same variable pair is clipped
-// (vector.PairSat) and fully disjoint variable pairs are satisfiable
-// outright (two non-empty regions over independent variables always
-// merge). ok is false when it declines: a side without a form is not its
-// domain, forms over mixed variable pairs are counted as a fallback.
+// decide answers the pair (a, b) by the first decider of dec that takes it
+// and returns a.Merge(b).Canon() when it is satisfiable (the conjunction is
+// meaningless otherwise). Every decider emits that same conjunction, so the
+// caller's output bytes do not depend on which one ran.
+func (dec deciders) decide(rec *exec.OpRecorder, a, b constraint.Conjunction) (constraint.Conjunction, bool) {
+	if dec.env && a.IsBox() && b.IsBox() {
+		con, sat := constraint.BoxMerge(a, b)
+		rec.EnvHit(sat)
+		return con, sat
+	}
+	if dec.clip {
+		if sat, ok := clipPair(rec, a, b); ok {
+			if !sat {
+				return constraint.Conjunction{}, false
+			}
+			return a.Merge(b).Canon(), true
+		}
+	}
+	return rec.SatisfiablePair(a, b)
+}
+
+// clipPair is the clip decider. With a polygon form on both sides, the
+// same variable pair is clipped (vector.PairSat) and fully disjoint
+// variable pairs are satisfiable outright (two non-empty regions over
+// independent variables always merge); with a form on the left only, c2's
+// atoms clip it (vector.SatExtras). ok is false when it declines: a left
+// side without a form is not its domain; forms over mixed variable pairs,
+// and atoms the clipper cannot decide exactly (an extra variable, a strict
+// degenerate one), are counted as a fallback.
 func clipPair(rec *exec.OpRecorder, c1, c2 constraint.Conjunction) (sat, ok bool) {
 	f1 := vector.FormOf(c1)
 	if f1 == nil {
 		return false, false
 	}
 	f2 := vector.FormOf(c2)
-	if f2 == nil {
-		return false, false
-	}
 	switch {
+	case f2 == nil:
+		if sat, ok = vector.SatExtras(f1, c2.Constraints()); ok {
+			rec.VectorHit(sat, false)
+			return sat, true
+		}
 	case f1.XVar == f2.XVar && f1.YVar == f2.YVar:
 		sat, reject := vector.PairSat(f1, f2)
 		rec.VectorHit(sat, reject)

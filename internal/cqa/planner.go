@@ -7,7 +7,7 @@ import (
 )
 
 // This file is the planner's entry point and the filter stage's cost
-// model. The logical phase (Optimize + the cost-driven rewrites in
+// model. The logical phase (Optimize + the cost-driven rewrite in
 // optimize_cost.go) reshapes the algebra tree before it runs; *how* each
 // binary node's filter stage enumerates its candidate pairs is decided
 // once, at execution time, by resolveStrategy below — the only place the
@@ -57,8 +57,8 @@ func resolveStrategy(mode string, s pairStats) string {
 
 // Plan is the planner the query front ends run when optimisation is on
 // and an environment of real relations is in hand: the logical fixpoint
-// rules (Optimize), then the cost-driven logical rewrites (join
-// reordering and selectivity-ordered selections, optimize_cost.go).
+// rules (Optimize), then the cost-driven join reordering
+// (optimize_cost.go).
 // Optimize alone remains the schema-only entry point.
 func Plan(n Node, env Env) Node {
 	return optimizeCost(Optimize(n, env.Schemas()), env)

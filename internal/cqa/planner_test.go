@@ -10,7 +10,9 @@ import (
 	"cdb/internal/constraint"
 	"cdb/internal/exec"
 	"cdb/internal/obs"
+	"cdb/internal/rational"
 	"cdb/internal/relation"
+	"cdb/internal/schema"
 )
 
 var update = flag.Bool("update", false, "rewrite golden files")
@@ -144,6 +146,185 @@ func TestStrategyEquivalence(t *testing.T) {
 			}
 		}
 	}
+}
+
+// withW is r with a relational rational attribute w: bound to i mod 5 on
+// tuple i, and NULL on every third tuple.
+func withW(t *testing.T, r *relation.Relation) *relation.Relation {
+	t.Helper()
+	attrs := append([]schema.Attribute{schema.Rel("w", schema.Rational)}, r.Schema().Attrs()...)
+	out := relation.New(schema.MustNew(attrs...))
+	for i, tu := range r.Tuples() {
+		rvals := tu.RVals()
+		if i%3 != 0 {
+			rvals["w"] = relation.Int(int64(i % 5))
+		}
+		if err := out.Add(relation.NewTuple(rvals, tu.Constraint())); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return out
+}
+
+// selectCase is one selection of the select legs: a condition and the
+// relation it runs on.
+type selectCase struct {
+	r    *relation.Relation
+	cond Condition
+	// oneDecider: on a box row under auto every value-pass survivor is one
+	// pair decided on the envelopes, on a polygon row one pair clipped.
+	oneDecider bool
+}
+
+// selectCases are the selections the select legs run on r, one of a
+// pruneInputs row: a two-sided window around r's middle tuple; that window
+// behind a string equality, and beside a != inside it; a value atom and a
+// constraint atom over withW's relational rational w, NULL-bound tuples
+// included; and a window no point satisfies. A row without id runs no
+// string atom.
+func selectCases(t *testing.T, r *relation.Relation) map[string]selectCase {
+	t.Helper()
+	mid := r.Tuples()[r.Len()/2].Constraint()
+	ix, _ := mid.Eliminate("y").Canon().Envelope().Interval("x") // a polygon's shadow
+	iy, _ := mid.Eliminate("x").Canon().Envelope().Interval("y")
+	margin := rational.FromInt(300)
+	lox, hix := ix.Lower.Sub(margin), ix.Upper.Add(margin)
+	loy, hiy := iy.Lower.Sub(margin), iy.Upper.Add(margin)
+	window := Condition{AttrCmpConst("x", OpGe, lox), AttrCmpConst("x", OpLe, hix),
+		AttrCmpConst("y", OpGe, loy), AttrCmpConst("y", OpLe, hiy)}
+	id := "none" // the first id bound from the middle tuple on
+	for i := range r.Len() {
+		if v, ok := r.Tuples()[(r.Len()/2+i)%r.Len()].RVal("id"); ok {
+			id, _ = v.AsString()
+			break
+		}
+	}
+	with := func(atoms ...Atom) Condition { return append(append(Condition{}, atoms...), window...) }
+	cases := map[string]selectCase{
+		"window":        {r, window, true},
+		"string+window": {r, with(StrEq("id", id)), true},
+		"ne+window":     {r, with(AttrCmpConst("y", OpNe, iy.Lower)), false},
+		"relational": {withW(t, r), Condition{AttrCmpConst("w", OpGe, rational.FromInt(2)),
+			Linear(constraint.Var("x"), OpLe, constraint.Var("w").Scale(rational.FromInt(1000))),
+			AttrCmpConst("y", OpGe, loy), AttrCmpConst("y", OpLe, hiy)}, true},
+		"contradictory": {r, Condition{AttrCmpConst("x", OpGe, hix), AttrCmpConst("x", OpLe, lox)}, false},
+	}
+	for name, c := range cases {
+		if c.cond.Validate(c.r.Schema()) != nil {
+			delete(cases, name) // a string atom on a row without id
+		}
+	}
+	return cases
+}
+
+// TestSelectEquivalence is the select leg of TestStrategyEquivalence:
+// every selectCases selection on the left relation of every pruneInputs row
+// prints the same bytes under forced dense (the cache and the eliminator
+// alone), forced vector and auto — auto also with each decider forced to
+// decline — sequentially and under the worker pool. Under auto with nothing
+// declined it also checks that one decider took each value-pass survivor:
+// the envelopes on the canonical box rows, clipping on the polygon rows.
+func TestSelectEquivalence(t *testing.T) {
+	for wName, pair := range pruneInputs(t) {
+		for cName, c := range selectCases(t, pair[0]) {
+			sel := splitCondition(c.cond, c.r.Schema())
+			var survivors int64
+			for _, tu := range c.r.Tuples() {
+				if sel.keeps(tu) {
+					survivors++
+				}
+			}
+			for _, par := range []int{1, 4} {
+				run := func(mode string) (string, exec.OpStats) {
+					ec := &exec.Context{Parallelism: par, SeqThreshold: 1, PlanMode: mode}
+					got, err := SelectCtx(ec, c.r, c.cond)
+					if err != nil {
+						t.Fatalf("%s %s par%d %s: %v", wName, cName, par, mode, err)
+					}
+					return dump(got), sumStats(ec)
+				}
+				want, _ := run(exec.PlanDense)
+				if got, _ := run(exec.PlanVector); got != want {
+					t.Errorf("%s %s par%d: -plan=vector output diverges from dense\ndense:\n%s\nvector:\n%s",
+						wName, cName, par, want, got)
+				}
+				for _, decl := range declineSettings {
+					withDecline(decl, func() {
+						got, s := run(exec.PlanAuto)
+						if got != want {
+							t.Errorf("%s %s par%d decline%+v: auto output diverges from dense\ndense:\n%s\nauto:\n%s",
+								wName, cName, par, decl, want, got)
+						}
+						if decl != (deciders{}) || !c.oneDecider {
+							return
+						}
+						switch {
+						case boxInputs[wName]:
+							if s.EnvHits != survivors || s.VectorHits != 0 || s.SatChecks != 0 || s.FMDecisions != 0 {
+								t.Errorf("%s %s par%d auto: env=%d vec=%d sat=%d fm=%d over %d survivors, want each decided on the envelopes",
+									wName, cName, par, s.EnvHits, s.VectorHits, s.SatChecks, s.FMDecisions, survivors)
+							}
+						case polygonInputs[wName]:
+							if s.VectorHits != survivors || s.EnvHits != 0 || s.SatChecks != 0 {
+								t.Errorf("%s %s par%d auto: env=%d vec=%d sat=%d over %d survivors, want each clipped",
+									wName, cName, par, s.EnvHits, s.VectorHits, s.SatChecks, survivors)
+							}
+						}
+					})
+				}
+			}
+		}
+	}
+}
+
+// TestSelectAtomOrderFree: a selection decides its constraint atoms as one
+// conjunction and splits on != last, so the order the atoms are written in
+// changes nothing — every ordering of a four-atom condition (a string !=, a
+// window side on each variable, a constraint != inside the window) prints
+// the same bytes, on raw and canonical boxes, under auto and forced dense.
+func TestSelectAtomOrderFree(t *testing.T) {
+	inputs := pruneInputs(t)
+	for _, wName := range []string{"boxes", "canon-boxes", "skewed", "canon-skewed"} {
+		r := inputs[wName][0]
+		c := selectCases(t, r)["ne+window"].cond // y != k, then the window
+		cond := Condition{StrNe("id", "b1"), c[1], c[0], c[4]}
+		var want string
+		for _, perm := range permutations(len(cond)) {
+			order := make(Condition, len(cond))
+			for i, j := range perm {
+				order[i] = cond[j]
+			}
+			for _, mode := range []string{exec.PlanDense, exec.PlanAuto} {
+				out, err := SelectCtx(&exec.Context{Parallelism: 1, PlanMode: mode}, r, order)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if want == "" {
+					if out.Len() == 0 {
+						t.Fatalf("%s: %s selects nothing", wName, order)
+					}
+					want = dump(out)
+				} else if got := dump(out); got != want {
+					t.Fatalf("%s %s: condition %s diverges\nwant:\n%s\ngot:\n%s", wName, mode, order, want, got)
+				}
+			}
+		}
+	}
+}
+
+// permutations returns every ordering of 0..n-1.
+func permutations(n int) [][]int {
+	if n == 0 {
+		return [][]int{{}}
+	}
+	var out [][]int
+	for _, p := range permutations(n - 1) {
+		for i := 0; i <= len(p); i++ {
+			q := append(append(append([]int{}, p[:i]...), n-1), p[i:]...)
+			out = append(out, q)
+		}
+	}
+	return out
 }
 
 // TestEstimatorBounds pins the estimator's property the EXPLAIN ANALYZE

@@ -34,7 +34,6 @@ import (
 	"cdb/internal/rational"
 	"cdb/internal/relation"
 	"cdb/internal/schema"
-	"cdb/internal/vector"
 )
 
 // CompOp is a comparison operator of a selection atom.
@@ -209,97 +208,156 @@ func (c Condition) Validate(s schema.Schema) error {
 	return nil
 }
 
-// evalAtom applies one atom to a tuple, returning the surviving tuple
-// variants (empty = rejected; two variants for != over constraint
-// attributes, which splits the region into the < and > half-spaces).
-// Satisfiability decisions are recorded on rec (nil-safe); ec supplies
-// the plan mode that gates the vector fast path in keepIfSat.
-func evalAtom(a Atom, s schema.Schema, t relation.Tuple, ec *exec.Context, rec *exec.OpRecorder) ([]relation.Tuple, error) {
-	switch at := a.(type) {
-	case StringAtom:
-		lv, bound := t.RVal(at.Attr)
-		if !bound {
-			return nil, nil // narrow semantics: NULL matches nothing
-		}
-		var rv relation.Value
-		if at.IsLit {
-			rv = relation.Str(at.Lit)
-		} else {
-			other, ok := t.RVal(at.OtherAttr)
-			if !ok {
-				return nil, nil
-			}
-			rv = other
-		}
-		eq := lv.Equal(rv)
-		if (at.Op == OpEq && eq) || (at.Op == OpNe && !eq) {
-			return []relation.Tuple{t}, nil
-		}
-		return nil, nil
-
-	case LinearAtom:
-		// Substitute relational rational attributes with their values.
-		e := at.Expr
-		for _, v := range at.Expr.Vars() {
-			attr, _ := s.Attr(v)
-			if attr.Kind != schema.Relational {
-				continue
-			}
-			val, bound := t.RVal(v)
-			if !bound {
-				return nil, nil // narrow semantics
-			}
-			r, _ := val.AsRat()
-			e = e.Substitute(v, constraint.Const(r))
-		}
-		// Remaining variables are constraint attributes: conjoin.
-		switch at.Op {
-		case OpEq, OpLe, OpLt:
-			nc := constraint.Constraint{Expr: e, Op: map[CompOp]constraint.Op{
-				OpEq: constraint.Eq, OpLe: constraint.Le, OpLt: constraint.Lt}[at.Op]}
-			return keepIfSat(t, []constraint.Constraint{nc}, ec, rec), nil
-		case OpGe:
-			return keepIfSat(t, []constraint.Constraint{{Expr: e.Neg(), Op: constraint.Le}}, ec, rec), nil
-		case OpGt:
-			return keepIfSat(t, []constraint.Constraint{{Expr: e.Neg(), Op: constraint.Lt}}, ec, rec), nil
-		case OpNe:
-			// e != 0 splits into e < 0 and e > 0.
-			var out []relation.Tuple
-			out = append(out, keepIfSat(t, []constraint.Constraint{{Expr: e, Op: constraint.Lt}}, ec, rec)...)
-			out = append(out, keepIfSat(t, []constraint.Constraint{{Expr: e.Neg(), Op: constraint.Lt}}, ec, rec)...)
-			return out, nil
-		}
-	}
-	return nil, fmt.Errorf("cqa: unknown atom type %T", a)
+// constraint returns the atom as the stored constraint e {=, <=, <} 0, for
+// e its expression with the relational variables bound.
+func (a LinearAtom) constraint(e constraint.Expr) constraint.Constraint {
+	c, _ := constraint.New(e, a.Op.String(), constraint.Expr{}) // fails on != only: a selection splits on it
+	return c
 }
 
-// keepIfSat conjoins the added atoms onto t, canonicalises, and keeps the
-// result if satisfiable. Under PlanAuto and PlanVector the decision runs
-// through the vector fast path when t's constraint part has a cached
-// polygon form: the added atoms clip the polygon (vector.SatExtras)
-// instead of rebuilding the conjunction for the eliminator. The emitted
-// tuple is constructed identically on every path, so the output bytes
-// never depend on which oracle decided; forcing dense or sweep keeps
-// the decisions purely on FM for baseline comparisons.
-func keepIfSat(t relation.Tuple, added []constraint.Constraint, ec *exec.Context, rec *exec.OpRecorder) []relation.Tuple {
-	if mode := ec.Plan(); mode == exec.PlanAuto || mode == exec.PlanVector {
-		if form := vector.FormOf(t.Constraint()); form != nil {
-			if sat, ok := vector.SatExtras(form, added); ok {
-				rec.VectorHit(sat, false)
-				if !sat {
-					// Rejected without ever building the conjoined
-					// conjunction — rejected variants emit nothing, so
-					// skipping their Canon cannot change the output.
-					return nil
-				}
-				return []relation.Tuple{t.AndConstraints(added...).Canon()}
+// selection is a condition split once per operator along the schema's C/R
+// flag, the two halves of the heterogeneous semantics:
+//
+//   - value atoms — string atoms, and linear atoms all of whose variables
+//     are relational — are tested on the tuple's values, NULL matching
+//     nothing, in one pass before any constraint work (keeps);
+//   - the other linear atoms but != are one conjunction ξ, conjoined
+//     broadly and decided once per surviving tuple as the pair (tuple, ξ)
+//     by the join's decider list (deciders.decide). A relational variable
+//     in ξ is the tuple's value (NULL rejects), so ξ is built once per
+//     operator unless an atom reads one;
+//   - the != atoms over a constraint attribute split each survivor into
+//     its e < 0 and e > 0 halves, last, each half one more pair.
+//
+// Canon is order-free, so neither the order of the atoms nor the split
+// changes the output.
+type selection struct {
+	values Condition              // the value atoms
+	reads  []string               // every relational attribute an atom reads: NULL rejects
+	atoms  []LinearAtom           // ξ's atoms
+	con    constraint.Conjunction // ξ, unless bound
+	bound  bool                   // an atom of ξ reads a relational attribute: ξ is per tuple
+	ne     []LinearAtom           // the != atoms over a constraint attribute
+	// decide is false when no linear atom is a value atom or in ξ: string
+	// atoms alone ask nothing of the constraint part.
+	decide bool
+}
+
+// splitCondition splits cond, valid over s, into its selection.
+func splitCondition(cond Condition, s schema.Schema) *selection {
+	sel := &selection{}
+	for _, a := range cond {
+		vars, n := a.attrs(), len(sel.reads)
+		for _, v := range vars {
+			if attr, _ := s.Attr(v); attr.Kind == schema.Relational {
+				sel.reads = append(sel.reads, v)
 			}
-			rec.VectorFallback()
+		}
+		la, linear := a.(LinearAtom)
+		switch {
+		case len(sel.reads)-n == len(vars):
+			sel.values = append(sel.values, a)
+			sel.decide = sel.decide || linear
+		case la.Op == OpNe:
+			sel.ne = append(sel.ne, la)
+		default:
+			sel.atoms = append(sel.atoms, la)
+			sel.bound = sel.bound || len(sel.reads) > n
+			sel.decide = true
 		}
 	}
-	ct := t.AndConstraints(added...).Canon()
-	if rec.Satisfiable(ct.Constraint()) {
-		return []relation.Tuple{ct}
+	if !sel.bound {
+		sel.con = sel.xi(relation.Tuple{})
 	}
-	return nil
+	return sel
+}
+
+// keeps is the value pass: t binds every relational attribute the atoms
+// read and satisfies every value atom.
+func (sel *selection) keeps(t relation.Tuple) bool {
+	for _, v := range sel.reads {
+		if _, ok := t.RVal(v); !ok {
+			return false
+		}
+	}
+	for _, a := range sel.values {
+		switch at := a.(type) {
+		case StringAtom:
+			lv, _ := t.RVal(at.Attr)
+			rv := relation.Str(at.Lit)
+			if !at.IsLit {
+				rv, _ = t.RVal(at.OtherAttr)
+			}
+			if lv.Equal(rv) != (at.Op == OpEq) {
+				return false
+			}
+		case LinearAtom:
+			e := bind(at.Expr, t) // a constant
+			if at.Op == OpNe {
+				if e.ConstTerm().IsZero() {
+					return false
+				}
+			} else if _, holds := at.constraint(e).IsTrivial(); !holds {
+				return false
+			}
+		}
+	}
+	return true
+}
+
+// bind substitutes t's values for the variables of e that t binds: its
+// relational ones.
+func bind(e constraint.Expr, t relation.Tuple) constraint.Expr {
+	out := e
+	for _, term := range e.Terms() {
+		if v, ok := t.RVal(term.Var); ok {
+			r, _ := v.AsRat()
+			out = out.Substitute(term.Var, constraint.Const(r))
+		}
+	}
+	return out
+}
+
+// xi builds ξ, canonical, for the tuple t.
+func (sel *selection) xi(t relation.Tuple) constraint.Conjunction {
+	cs := make([]constraint.Constraint, len(sel.atoms))
+	for i, a := range sel.atoms {
+		cs[i] = a.constraint(bind(a.Expr, t))
+	}
+	return constraint.And(cs...).Canon()
+}
+
+// refine decides one value-pass survivor: once as the pair (its constraint
+// part, ξ), then once per half of every != atom, and returns what is left
+// of it.
+func (sel *selection) refine(t relation.Tuple, dec deciders, rec *exec.OpRecorder) []relation.Tuple {
+	if sel.decide {
+		xi := sel.con
+		if sel.bound {
+			xi = sel.xi(t)
+		}
+		con, sat := dec.decide(rec, t.Constraint(), xi)
+		if !sat {
+			return nil
+		}
+		t = t.WithConstraint(con)
+	}
+	variants := []relation.Tuple{t}
+	for _, a := range sel.ne {
+		e := bind(a.Expr, t)
+		halves := [2]constraint.Conjunction{
+			constraint.And(constraint.Constraint{Expr: e, Op: constraint.Lt}).Canon(),
+			constraint.And(constraint.Constraint{Expr: e.Neg(), Op: constraint.Lt}).Canon(),
+		}
+		var next []relation.Tuple
+		for _, v := range variants {
+			for _, h := range halves {
+				if con, sat := dec.decide(rec, v.Constraint(), h); sat {
+					next = append(next, v.WithConstraint(con))
+				}
+			}
+		}
+		variants = next
+	}
+	return variants
 }

@@ -257,3 +257,55 @@ func TestBoxJoinAllocs(t *testing.T) {
 			allocs, cands, perPair, ceiling)
 	}
 }
+
+// TestWarmSelectAllocs puts a ceiling on what a selection costs per input
+// tuple: the benchmark's lookup shapes — one parcel's owners in a t window
+// (a string equality and a window) and an x, y window on the parcels — on a
+// warm session cache, one worker. A tuple the value pass rejects costs
+// nothing, and a survivor is decided once against the window on the
+// envelopes: its merged atoms, their memo boxes and the output tuple. One
+// Merge + Canon + decision round per atom per tuple — some sixty
+// allocations a tuple — cannot come back under this ceiling, and the
+// counters say that every survivor was decided exactly once.
+func TestWarmSelectAllocs(t *testing.T) {
+	land, owners, _ := datagen.HurricaneRelations(5)
+	ge := func(v string, k int64) cqa.LinearAtom { return cqa.AttrCmpConst(v, cqa.OpGe, rational.FromInt(k)) }
+	le := func(v string, k int64) cqa.LinearAtom { return cqa.AttrCmpConst(v, cqa.OpLe, rational.FromInt(k)) }
+	for _, tc := range []struct {
+		name      string
+		r         *relation.Relation
+		cond      cqa.Condition
+		survivors int64   // tuples the value pass keeps
+		ceiling   float64 // allocations per input tuple
+	}{
+		// 0.36 when set
+		{"owners", owners, cqa.Condition{cqa.StrEq("landId", "p2_3"), ge("t", 12), le("t", 22)}, 3, 0.6},
+		// 2.20 when set
+		{"land", land, cqa.Condition{ge("x", 5), le("x", 17), ge("y", 10), le("y", 22)}, int64(land.Len()), 3},
+	} {
+		ec := exec.New(1)
+		ec.SatCache = constraint.NewSatCache(0)
+		sel := func() {
+			if _, err := cqa.SelectCtx(ec, tc.r, tc.cond); err != nil {
+				t.Fatal(err)
+			}
+		}
+		sel()
+		s := ec.Stats()[0]
+		if s.TuplesOut == 0 || s.EnvHits+s.VectorHits+s.SatChecks != tc.survivors {
+			t.Errorf("%s: env=%d vec=%d sat=%d decisions for %d value-pass survivors, want one each",
+				tc.name, s.EnvHits, s.VectorHits, s.SatChecks, tc.survivors)
+		}
+		ec.Reset()
+		allocs := testing.AllocsPerRun(20, func() {
+			sel()
+			ec.Reset()
+		})
+		perTuple := allocs / float64(tc.r.Len())
+		t.Logf("%s: %.0f allocations over %d input tuples = %.2f per tuple", tc.name, allocs, tc.r.Len(), perTuple)
+		if perTuple > tc.ceiling {
+			t.Errorf("%s: %.0f allocations over %d input tuples = %.2f per tuple, ceiling %v",
+				tc.name, allocs, tc.r.Len(), perTuple, tc.ceiling)
+		}
+	}
+}

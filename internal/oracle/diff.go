@@ -232,16 +232,24 @@ func randomCase(rng *rand.Rand, op string, maxTuples int, spatial bool) (Apply, 
 	}
 }
 
-// randomCondition draws a 1-2 atom selection condition over s: linear
+// randomCondition draws a 1-4 atom selection condition over s: linear
 // atoms (every comparison operator, including the tuple-splitting !=) over
 // the constraint attributes, string atoms (=, !=, attribute-to-attribute)
-// over the relational ones, with literals that sometimes match nothing.
+// over the relational ones, with literals that sometimes match nothing. One
+// draw in three adds a two-sided window v >= k, v <= k+w on one constraint
+// attribute: the box the envelope decider meets a box tuple with.
 func randomCondition(rng *rand.Rand, s schema.Schema) cqa.Condition {
 	rel := s.RelationalNames()
 	con := s.ConstraintNames()
 	pool := []string{"a", "b", "c", "zz"}
-	n := 1 + rng.Intn(2)
+	n := 1 + rng.Intn(4)
 	var cond cqa.Condition
+	if rng.Intn(3) == 0 {
+		v := con[rng.Intn(len(con))]
+		k := int64(rng.Intn(17) - 8)
+		cond = append(cond, cqa.AttrCmpConst(v, cqa.OpGe, rational.FromInt(k)),
+			cqa.AttrCmpConst(v, cqa.OpLe, rational.FromInt(k+int64(rng.Intn(9)))))
+	}
 	for i := 0; i < n; i++ {
 		if len(rel) > 0 && rng.Intn(3) == 0 {
 			attr := rel[rng.Intn(len(rel))]

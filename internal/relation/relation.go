@@ -96,11 +96,6 @@ func (t Tuple) WithConstraint(con constraint.Conjunction) Tuple {
 	return Tuple{rvals: t.rvals, con: con}
 }
 
-// AndConstraints returns t with extra constraints conjoined.
-func (t Tuple) AndConstraints(cs ...constraint.Constraint) Tuple {
-	return Tuple{rvals: t.rvals, con: t.con.With(cs...)}
-}
-
 // rename returns t under the simultaneous attribute renaming m, in one
 // pass: bindings move to their new names, and the constraint part is
 // renamed and re-canonicalised — or, when m names none of its variables,

@@ -70,12 +70,12 @@ func TestTupleBasics(t *testing.T) {
 	if !tp.IsSatisfiable() {
 		t.Error("square unsatisfiable")
 	}
-	bad := tp.AndConstraints(constraint.GeConst("x", q("9")))
+	bad := tp.WithConstraint(tp.Constraint().With(constraint.GeConst("x", q("9"))))
 	if bad.IsSatisfiable() {
 		t.Error("contradiction satisfiable")
 	}
 	if !tp.IsSatisfiable() {
-		t.Error("AndConstraints mutated original")
+		t.Error("WithConstraint mutated original")
 	}
 }
 
