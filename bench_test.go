@@ -14,8 +14,13 @@ package cdb
 
 import (
 	"bytes"
+	"context"
+	"encoding/json"
 	"fmt"
+	"net/http"
+	"net/http/httptest"
 	"sort"
+	"strings"
 	"sync"
 	"testing"
 
@@ -32,6 +37,7 @@ import (
 	"cdb/internal/relation"
 	"cdb/internal/rstar"
 	"cdb/internal/schema"
+	"cdb/internal/server"
 	"cdb/internal/snapshot"
 	"cdb/internal/spatial"
 	"cdb/internal/storage"
@@ -977,6 +983,41 @@ func BenchmarkBoxJoinWarm(b *testing.B) {
 					b.Fatal("empty result")
 				}
 				ec.Reset()
+			}
+		})
+	}
+}
+
+// BenchmarkQueryReply is the result tail of a box-join request as the
+// daemon serves it, without the network: POST /v1/query of `R = J` on a
+// session whose database holds boxJoinResult normalised, so the request
+// scans, re-normalises (dropping nothing), orders, renders and
+// encodes every tuple into an in-memory response — as one JSON body, and
+// as an NDJSON stream.
+func BenchmarkQueryReply(b *testing.B) {
+	d := loadedDB(b, map[string]*relation.Relation{"J": boxJoinResult(b).Normalize()})
+	srv := server.New(map[string]*db.Database{"box": d}, server.Config{SessionIdleTimeout: -1})
+	b.Cleanup(func() { _ = srv.Shutdown(context.Background()) })
+	h := srv.Handler()
+	rec := httptest.NewRecorder()
+	h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/sessions", strings.NewReader(`{"par": 1}`)))
+	var info struct {
+		ID string `json:"id"`
+	}
+	if err := json.Unmarshal(rec.Body.Bytes(), &info); err != nil {
+		b.Fatal(err)
+	}
+	for _, mode := range []struct{ name, stream string }{{"buffered", "false"}, {"streamed", "true"}} {
+		body := fmt.Sprintf(`{"session": %q, "query": "R = J", "stream": %s}`, info.ID, mode.stream)
+		b.Run(mode.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				rec := httptest.NewRecorder()
+				h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/query", strings.NewReader(body)))
+				if rec.Code != http.StatusOK {
+					b.Fatalf("query: %d %s", rec.Code, rec.Body)
+				}
+				b.SetBytes(int64(rec.Body.Len()))
 			}
 		})
 	}

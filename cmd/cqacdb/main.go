@@ -353,7 +353,7 @@ func (s *session) finish(src string, rows int, err error) {
 	elapsed := time.Since(s.start)
 	rec := obs.FlightRecord{
 		ID:           s.qid,
-		Statement:    firstLine(src),
+		Statement:    db.FirstLine(src),
 		StartUnixMS:  s.start.UnixMilli(),
 		WallMS:       float64(elapsed.Microseconds()) / 1000,
 		Rows:         rows,
@@ -365,17 +365,6 @@ func (s *session) finish(src string, rows int, err error) {
 		rec.Error = err.Error()
 	}
 	s.flight.Finish(rec)
-}
-
-// firstLine returns the first non-empty line of src (the flight
-// record's statement field).
-func firstLine(src string) string {
-	for _, line := range strings.Split(src, "\n") {
-		if line = strings.TrimSpace(line); line != "" {
-			return line
-		}
-	}
-	return ""
 }
 
 // report renders and clears the per-program observability state: the

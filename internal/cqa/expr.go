@@ -88,7 +88,11 @@ func NewSelect(in Node, cond Condition) *SelectNode {
 func (n *SelectNode) Eval(env Env) (*relation.Relation, error) { return n.EvalCtx(env, nil) }
 
 func (n *SelectNode) EvalCtx(env Env, ec *exec.Context) (*relation.Relation, error) {
-	sp := ec.BeginSpan("select", n.Cond.String())
+	var detail string
+	if ec.Tracing() {
+		detail = n.Cond.String()
+	}
+	sp := ec.BeginSpan("select", detail)
 	defer ec.EndSpan(sp)
 	in, err := n.Input.EvalCtx(env, ec)
 	if err != nil {
@@ -126,7 +130,11 @@ func NewProject(in Node, cols ...string) *ProjectNode {
 func (n *ProjectNode) Eval(env Env) (*relation.Relation, error) { return n.EvalCtx(env, nil) }
 
 func (n *ProjectNode) EvalCtx(env Env, ec *exec.Context) (*relation.Relation, error) {
-	sp := ec.BeginSpan("project", strings.Join(n.Cols, ", "))
+	var detail string
+	if ec.Tracing() {
+		detail = strings.Join(n.Cols, ", ")
+	}
+	sp := ec.BeginSpan("project", detail)
 	defer ec.EndSpan(sp)
 	in, err := n.Input.EvalCtx(env, ec)
 	if err != nil {
@@ -290,7 +298,11 @@ func (n *RenameNode) pairs(sep string) string {
 func (n *RenameNode) Eval(env Env) (*relation.Relation, error) { return n.EvalCtx(env, nil) }
 
 func (n *RenameNode) EvalCtx(env Env, ec *exec.Context) (*relation.Relation, error) {
-	sp := ec.BeginSpan("rename", n.pairs(" -> "))
+	var detail string
+	if ec.Tracing() {
+		detail = n.pairs(" -> ")
+	}
+	sp := ec.BeginSpan("rename", detail)
 	defer ec.EndSpan(sp)
 	in, err := n.Input.EvalCtx(env, ec)
 	if err != nil {

@@ -124,7 +124,7 @@ func (d *Database) RunCtx(src string, ec *exec.Context) (*relation.Relation, err
 	if err != nil {
 		return nil, err
 	}
-	root := ec.BeginSpan("query", firstLine(src))
+	root := ec.BeginSpan("query", FirstLine(src))
 	defer ec.EndSpan(root)
 	out, err := prog.RunOptimizedCtx(d.Env(), ec)
 	if err != nil {
@@ -141,9 +141,12 @@ func (d *Database) RunCtx(src string, ec *exec.Context) (*relation.Relation, err
 	return norm, nil
 }
 
-// firstLine returns the first non-empty line of src, as span detail.
-func firstLine(src string) string {
-	for _, line := range strings.Split(src, "\n") {
+// FirstLine returns the first line of src that is not blank, trimmed: how
+// a program is named in span details and flight records.
+func FirstLine(src string) string {
+	for src != "" {
+		var line string
+		line, src, _ = strings.Cut(src, "\n")
 		if line = strings.TrimSpace(line); line != "" {
 			return line
 		}

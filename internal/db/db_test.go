@@ -176,3 +176,21 @@ func TestFileRoundTrip(t *testing.T) {
 		t.Error("missing file accepted")
 	}
 }
+
+// TestFirstLine: the first line that is not blank, trimmed — LF or CRLF
+// line ends, leading blank lines, no newline at all.
+func TestFirstLine(t *testing.T) {
+	for _, c := range []struct{ src, want string }{
+		{"", ""},
+		{"R = select x >= 1 from Land", "R = select x >= 1 from Land"},
+		{"\n\n  \t\n  R0 = join A and B  \nR1 = project R0 on x", "R0 = join A and B"},
+		{"R0 = join A and B\r\nR1 = project R0 on x\r\n", "R0 = join A and B"},
+		{"\r\n\r\n  S = A\r\n", "S = A"},
+		{" \t\r\n \n\t", ""},
+		{"\n\nlast", "last"},
+	} {
+		if got := FirstLine(c.src); got != c.want {
+			t.Errorf("FirstLine(%q) = %q, want %q", c.src, got, c.want)
+		}
+	}
+}

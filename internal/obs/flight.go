@@ -22,10 +22,10 @@ import (
 	"encoding/hex"
 	"encoding/json"
 	"errors"
-	"fmt"
 	"io"
 	"log/slog"
 	"sort"
+	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -78,9 +78,20 @@ func NewQueryID() string {
 	if _, err := rand.Read(b[:]); err != nil {
 		// A broken crypto/rand should not stop query execution; the
 		// sequence alone is still unique within the process.
-		return fmt.Sprintf("q%d", seq)
+		return formatQueryID(seq, nil)
 	}
-	return fmt.Sprintf("q%d-%s", seq, hex.EncodeToString(b[:]))
+	return formatQueryID(seq, b[:])
+}
+
+// formatQueryID renders "q<seq>", then "-<hex of suffix>" when suffix is
+// not empty.
+func formatQueryID(seq int64, suffix []byte) string {
+	var buf [32]byte
+	b := strconv.AppendInt(append(buf[:0], 'q'), seq, 10)
+	if len(suffix) > 0 {
+		b = hex.AppendEncode(append(b, '-'), suffix)
+	}
+	return string(b)
 }
 
 // FlightRecord is one finished query: identity, what ran, how long, how

@@ -3,6 +3,7 @@ package obs
 import (
 	"bytes"
 	"context"
+	"encoding/hex"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -23,6 +24,27 @@ func TestNewQueryID(t *testing.T) {
 	}
 	if a == b {
 		t.Fatalf("consecutive query ids collide: %q", a)
+	}
+}
+
+// TestFormatQueryID: ids are the bytes of their former fmt form.
+func TestFormatQueryID(t *testing.T) {
+	for _, c := range []struct {
+		seq    int64
+		suffix []byte
+	}{
+		{1, []byte{0xde, 0xad, 0xbe, 0xef}},
+		{42, []byte{0, 1, 0x0a, 0xf0}},
+		{1 << 62, []byte{0xff, 0xff, 0xff, 0xff}},
+		{7, nil},
+	} {
+		want := fmt.Sprintf("q%d", c.seq)
+		if c.suffix != nil {
+			want = fmt.Sprintf("q%d-%s", c.seq, hex.EncodeToString(c.suffix))
+		}
+		if got := formatQueryID(c.seq, c.suffix); got != want {
+			t.Errorf("formatQueryID(%d, %x) = %q, want %q", c.seq, c.suffix, got, want)
+		}
 	}
 }
 

@@ -59,7 +59,11 @@ func (prog *Program) run(env cqa.Env, optimize bool, ec *exec.Context) (*relatio
 		if err := ec.Err(); err != nil {
 			return nil, fmt.Errorf("query: line %d (%s): %w", st.Line, st.Target, err)
 		}
-		sp := ec.BeginSpan("stmt", st.Target+" = "+st.Expr.String())
+		var detail string
+		if ec.Tracing() {
+			detail = st.Target + " = " + st.Expr.String()
+		}
+		sp := ec.BeginSpan("stmt", detail)
 		r, err := evalExpr(st.Expr, scratch, optimize, ec)
 		if err != nil {
 			ec.EndSpan(sp)

@@ -169,12 +169,18 @@ func (t Tuple) SameRelationalPart(o Tuple) bool {
 // String renders the tuple as "(name="A", t >= 2, t <= 5)".
 func (t Tuple) String() string { return t.render("") }
 
-// render assembles the tuple's line around con, the rendering of its
-// constraint part when the caller already has it (Row), or "" to render it
-// here. (A conjunction never renders as "": the empty one is "true".)
+// render is appendLine into a stack buffer, as a string.
 func (t Tuple) render(con string) string {
 	var buf [128]byte
-	b := append(buf[:0], '(')
+	return string(t.appendLine(buf[:0], con))
+}
+
+// appendLine appends the tuple's line to b around con, the rendering of its
+// constraint part when the caller already has it (Row), or "" to render it
+// here. (A conjunction never renders as "": the empty one is "true".)
+func (t Tuple) appendLine(b []byte, con string) []byte {
+	b = append(b, '(')
+	open := len(b)
 	var names [4]string
 	for i, k := range t.attrs(names[:0]) {
 		if i > 0 {
@@ -186,7 +192,7 @@ func (t Tuple) render(con string) string {
 	}
 	switch {
 	case !t.con.IsTrue():
-		if len(b) > 1 {
+		if len(b) > open {
 			b = append(b, ", "...)
 		}
 		if con != "" {
@@ -194,10 +200,10 @@ func (t Tuple) render(con string) string {
 		} else {
 			b = t.con.AppendTo(b)
 		}
-	case len(b) == 1: // no binding, no constraint
+	case len(b) == open: // no binding, no constraint
 		b = append(b, "true"...)
 	}
-	return string(append(b, ')'))
+	return append(b, ')')
 }
 
 // Relation is a finite set of heterogeneous constraint tuples over a fixed
@@ -564,6 +570,10 @@ type Row struct {
 
 // String renders the row exactly as Tuple.String does, from Con.
 func (w Row) String() string { return w.render(w.Con) }
+
+// AppendTo appends String's bytes to b and returns the extended slice, so a
+// caller writing many rows builds no string per row.
+func (w Row) AppendTo(b []byte) []byte { return w.appendLine(b, w.Con) }
 
 // Rows returns the tuples in a deterministic display order: by relational
 // part, then by the rendered constraint part. (Not by Key — hash order would

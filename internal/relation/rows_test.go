@@ -168,6 +168,9 @@ func TestRowsMatchReferenceOrder(t *testing.T) {
 			if got := rows[k].Tuple.String(); got != line {
 				t.Fatalf("case %d, row %d: Tuple.String() = %s, want %s", i, k, got, line)
 			}
+			if got := string(rows[k].AppendTo([]byte("  "))); got != "  "+line {
+				t.Fatalf("case %d, row %d: AppendTo appended %q, want %q", i, k, got, "  "+line)
+			}
 			if got := sorted[k].String(); got != line {
 				t.Fatalf("case %d, row %d: Sorted order differs\n got  %s\n want %s", i, k, got, line)
 			}
@@ -189,6 +192,9 @@ func TestRowsMatchReferenceOrder(t *testing.T) {
 	}
 	if got := ConstraintTuple(constraint.True()).String(); got != "(true)" {
 		t.Errorf("the empty tuple renders as %q", got)
+	}
+	if got := string((Row{Tuple: ConstraintTuple(constraint.True())}).AppendTo([]byte("x"))); got != "x(true)" {
+		t.Errorf("the empty tuple appends as %q", got)
 	}
 }
 

@@ -15,10 +15,7 @@
 // to represent infinite (spatiotemporal) extents.
 package schema
 
-import (
-	"fmt"
-	"strings"
-)
+import "fmt"
 
 // Type is the domain of an attribute.
 type Type int
@@ -71,7 +68,15 @@ type Attribute struct {
 }
 
 func (a Attribute) String() string {
-	return fmt.Sprintf("%s: %s, %s", a.Name, a.Type, a.Kind)
+	var buf [64]byte
+	return string(a.appendTo(buf[:0]))
+}
+
+// appendTo appends String's bytes to b: "name: type, kind".
+func (a Attribute) appendTo(b []byte) []byte {
+	b = append(append(b, a.Name...), ": "...)
+	b = append(append(b, a.Type.String()...), ", "...)
+	return append(b, a.Kind.String()...)
 }
 
 // Rel returns a relational attribute.
@@ -257,9 +262,13 @@ func (s Schema) Join(o Schema) (Schema, error) {
 // String renders the schema in the paper's notation:
 // "[landId: string, relational; x: rational, constraint; ...]".
 func (s Schema) String() string {
-	parts := make([]string, len(s.attrs))
+	var buf [256]byte
+	b := append(buf[:0], '[')
 	for i, a := range s.attrs {
-		parts[i] = a.String()
+		if i > 0 {
+			b = append(b, "; "...)
+		}
+		b = a.appendTo(b)
 	}
-	return "[" + strings.Join(parts, "; ") + "]"
+	return string(append(b, ']'))
 }

@@ -1,6 +1,10 @@
 package schema
 
-import "testing"
+import (
+	"fmt"
+	"strings"
+	"testing"
+)
 
 func land() Schema {
 	return MustNew(Rel("landId", String), Con("x"), Con("y"))
@@ -121,5 +125,30 @@ func TestString(t *testing.T) {
 	want := "[name: string, relational; t: rational, constraint]"
 	if got != want {
 		t.Errorf("String = %q, want %q", got, want)
+	}
+}
+
+// TestStringMatchesFmt: Attribute.String and Schema.String write the bytes
+// of their former fmt / strings.Join forms, long and out-of-range values
+// included.
+func TestStringMatchesFmt(t *testing.T) {
+	long := strings.Repeat("attribute", 40)
+	for _, attrs := range [][]Attribute{
+		nil,
+		{Rel("landId", String), Con("x"), Con("y")},
+		{Rel(long, Rational), Con(long + "2")},
+		{{Name: "odd", Type: Type(7), Kind: Kind(9)}},
+	} {
+		s := Schema{attrs: attrs}
+		parts := make([]string, len(attrs))
+		for i, a := range attrs {
+			parts[i] = fmt.Sprintf("%s: %s, %s", a.Name, a.Type, a.Kind)
+			if got := a.String(); got != parts[i] {
+				t.Errorf("Attribute.String = %q, want %q", got, parts[i])
+			}
+		}
+		if got, want := s.String(), "["+strings.Join(parts, "; ")+"]"; got != want {
+			t.Errorf("Schema.String = %q, want %q", got, want)
+		}
 	}
 }

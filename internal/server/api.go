@@ -6,10 +6,10 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
-	"strings"
 	"time"
 
 	"cdb/internal/calculus"
+	"cdb/internal/db"
 	"cdb/internal/exec"
 	"cdb/internal/obs"
 	"cdb/internal/query"
@@ -57,7 +57,8 @@ type queryRequest struct {
 	MaxRows int `json:"max_rows,omitempty"`
 }
 
-// queryResponse is the POST /v1/query body on success (non-streaming).
+// queryResponse is the POST /v1/query body on success (non-streaming): the
+// wire shape appendReply writes field by field, and what clients decode.
 type queryResponse struct {
 	Session   string          `json:"session"`
 	QueryID   string          `json:"query_id"`
@@ -73,9 +74,8 @@ type queryResponse struct {
 	Trace     json.RawMessage `json:"trace,omitempty"`
 }
 
-// queryResult is a finished query before encoding: the relation, its
-// rendered tuple lines, and the observability artifacts the request
-// asked for.
+// queryResult is a finished query before encoding: the relation, its rows
+// in display order, and the observability artifacts the request asked for.
 type queryResult struct {
 	target  string
 	rel     *relation.Relation
@@ -84,30 +84,27 @@ type queryResult struct {
 	explain string
 	trace   json.RawMessage
 
-	// The result tail's first half, filled by render: the tuple lines in
-	// relation.Rows order — the exact lines the REPL prints — cut to the
-	// request's max_rows, and how long ordering and rendering took.
-	lines     []string
+	// The result tail's first half, filled by render: the rows in
+	// relation.Rows order — the order the REPL prints — cut to the
+	// request's max_rows, and how long that took. The encoder writes each
+	// row's line straight from them.
+	rows      []relation.Row
 	truncated bool
 	renderDur time.Duration
 }
 
-// render orders the result and renders its tuple lines, once each
+// render orders the result and renders each constraint part once
 // (relation.Rows), under a "render" span of the query's root span so
 // EXPLAIN and trace-JSON show the step. It runs after evaluation and
 // normalisation; its duration is kept out of elapsed_ms (see handleQuery).
 func (res *queryResult) render(ec *exec.Context, maxRows int) {
 	t0 := time.Now()
 	sp := ec.BeginSpan("render", "")
-	rows := res.rel.Rows()
-	if maxRows > 0 && len(rows) > maxRows {
-		rows, res.truncated = rows[:maxRows], true
+	res.rows = res.rel.Rows()
+	if maxRows > 0 && len(res.rows) > maxRows {
+		res.rows, res.truncated = res.rows[:maxRows], true
 	}
-	res.lines = make([]string, len(rows))
-	for i, row := range rows {
-		res.lines[i] = row.String()
-	}
-	sp.Set("rows", int64(len(rows)))
+	sp.Set("rows", int64(len(res.rows)))
 	ec.EndSpan(sp)
 	res.renderDur = time.Since(t0)
 }
@@ -182,10 +179,11 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	// into the response envelope, the logs, the root span, and the
 	// in-flight registry.
 	qid := obs.NewQueryID()
-	stmt := firstLine(req.Query)
-	if req.Query == "" {
-		stmt = firstLine(req.Rules)
+	src := req.Query
+	if src == "" {
+		src = req.Rules
 	}
+	stmt := db.FirstLine(src)
 
 	// Cancellation parent: DELETE /v1/queries/{qid} fires this cancel;
 	// the per-request deadline layers on top of it, so both paths stop
@@ -217,7 +215,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	t0 := time.Now()
 	s.mQueries.Inc()
 	var extras flightExtras
-	res, err := s.runOnSession(runCtx, sess, req, qid, &extras)
+	res, err := s.runOnSession(runCtx, sess, req, qid, stmt, &extras)
 	elapsed := time.Since(t0)
 	if err == nil {
 		elapsed -= res.renderDur
@@ -251,9 +249,10 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	if req.Stream {
-		s.writeStream(w, sess.id, qid, res, elapsed)
+		writeStream(w, sess.id, qid, res, rec.WallMS)
+		s.mStreamed.Add(int64(len(res.rows)))
 	} else {
-		writeJSON(w, http.StatusOK, buildResponse(sess.id, qid, res, elapsed))
+		writeReply(w, sess.id, qid, res, rec.WallMS)
 	}
 	render := time.Since(t0) - elapsed
 	rec.Rows = res.rel.Len()
@@ -270,11 +269,12 @@ func admissionMessage(status int) string {
 	return "server is shutting down"
 }
 
-// runOnSession executes one request's program on the session. Queries
-// on a session are serialised (sess.mu), which is what makes the
-// per-query swap of the execution context's Ctx and Tracer fields safe;
-// concurrency happens across sessions.
-func (s *Server) runOnSession(ctx context.Context, sess *session, req queryRequest, qid string, extras *flightExtras) (*queryResult, error) {
+// runOnSession executes one request's program on the session; stmt, the
+// program's first line, is the detail of its root span. Queries on a
+// session are serialised (sess.mu), which is what makes the per-query swap
+// of the execution context's Ctx and Tracer fields safe; concurrency
+// happens across sessions.
+func (s *Server) runOnSession(ctx context.Context, sess *session, req queryRequest, qid, stmt string, extras *flightExtras) (*queryResult, error) {
 	sess.mu.Lock()
 	defer sess.mu.Unlock()
 	sess.running.Store(1)
@@ -313,9 +313,9 @@ func (s *Server) runOnSession(ctx context.Context, sess *session, req queryReque
 		err error
 	)
 	if req.Query != "" {
-		res, err = runProgram(sess, req, ec)
+		res, err = runProgram(sess, req, stmt, ec)
 	} else {
-		res, err = runRules(sess, req, ec)
+		res, err = runRules(sess, req, stmt, ec)
 	}
 	if err != nil {
 		return nil, err
@@ -352,16 +352,15 @@ func (s *Server) runOnSession(ctx context.Context, sess *session, req queryReque
 // normalised for the response exactly as `cqacdb -e` normalises before
 // printing — unsatisfiable tuples dropped, constraints canonical,
 // duplicates removed.
-func runProgram(sess *session, req queryRequest, ec *exec.Context) (*queryResult, error) {
-	src := req.Query
-	prog, err := query.Parse(src)
+func runProgram(sess *session, req queryRequest, stmt string, ec *exec.Context) (*queryResult, error) {
+	prog, err := query.Parse(req.Query)
 	if err != nil {
 		return nil, &apiError{http.StatusBadRequest, err.Error()}
 	}
 	if len(prog.Stmts) == 0 {
 		return nil, &apiError{http.StatusBadRequest, "empty program"}
 	}
-	root := ec.BeginSpan("query", firstLine(src))
+	root := ec.BeginSpan("query", stmt)
 	defer ec.EndSpan(root)
 	env := sess.env()
 	var (
@@ -394,13 +393,13 @@ func runProgram(sess *session, req queryRequest, ec *exec.Context) (*queryResult
 // is returned as produced (rule outputs are already operator outputs).
 // When target is set the result is also bound on the session so query
 // statements can build on it.
-func runRules(sess *session, req queryRequest, ec *exec.Context) (*queryResult, error) {
-	src, target := req.Rules, req.Target
-	prog, err := calculus.Parse(src)
+func runRules(sess *session, req queryRequest, stmt string, ec *exec.Context) (*queryResult, error) {
+	target := req.Target
+	prog, err := calculus.Parse(req.Rules)
 	if err != nil {
 		return nil, &apiError{http.StatusBadRequest, err.Error()}
 	}
-	root := ec.BeginSpan("rules", firstLine(src))
+	root := ec.BeginSpan("rules", stmt)
 	defer ec.EndSpan(root)
 	out, err := prog.RunCtx(sess.env(), ec)
 	if err != nil {
@@ -412,82 +411,4 @@ func runRules(sess *session, req queryRequest, ec *exec.Context) (*queryResult, 
 	res := &queryResult{target: target, rel: out}
 	res.render(ec, req.MaxRows)
 	return res, nil
-}
-
-// firstLine returns the first non-empty line of src, as span detail
-// (mirrors db.RunCtx).
-func firstLine(src string) string {
-	for _, line := range strings.Split(src, "\n") {
-		if line = strings.TrimSpace(line); line != "" {
-			return line
-		}
-	}
-	return ""
-}
-
-// buildResponse assembles the JSON response body around the lines
-// render produced.
-func buildResponse(sessionID, qid string, res *queryResult, elapsed time.Duration) queryResponse {
-	return queryResponse{
-		Session:   sessionID,
-		QueryID:   qid,
-		Target:    res.target,
-		Schema:    res.rel.Schema().String(),
-		Tuples:    res.lines,
-		Count:     res.rel.Len(),
-		ElapsedMS: float64(elapsed.Microseconds()) / 1000,
-		Truncated: res.truncated,
-		Stats:     res.stats,
-		Cache:     res.cache,
-		Explain:   res.explain,
-		Trace:     res.trace,
-	}
-}
-
-// writeStream writes a result as NDJSON: one header object, one
-// {"tuple": ...} object per rendered line, one trailer object. The
-// stream flushes per line so a consumer sees tuples as they are
-// written.
-func (s *Server) writeStream(w http.ResponseWriter, sessionID, qid string, res *queryResult, elapsed time.Duration) {
-	w.Header().Set("Content-Type", "application/x-ndjson")
-	w.WriteHeader(http.StatusOK)
-	flusher, _ := w.(http.Flusher)
-	flush := func() {
-		if flusher != nil {
-			flusher.Flush()
-		}
-	}
-	enc := json.NewEncoder(w)
-	header := map[string]any{
-		"session":  sessionID,
-		"query_id": qid,
-		"target":   res.target,
-		"schema":   res.rel.Schema().String(),
-		"count":    res.rel.Len(),
-	}
-	_ = enc.Encode(header)
-	flush()
-	for _, line := range res.lines {
-		_ = enc.Encode(map[string]string{"tuple": line})
-		s.mStreamed.Inc()
-		flush()
-	}
-	trailer := map[string]any{
-		"done":       true,
-		"elapsed_ms": float64(elapsed.Microseconds()) / 1000,
-	}
-	if res.truncated {
-		trailer["truncated"] = true
-	}
-	if res.stats != nil {
-		trailer["stats"] = res.stats
-	}
-	if res.explain != "" {
-		trailer["explain"] = res.explain
-	}
-	if res.trace != nil {
-		trailer["trace"] = res.trace
-	}
-	_ = enc.Encode(trailer)
-	flush()
 }

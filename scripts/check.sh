@@ -60,19 +60,19 @@ go test -race -count=2 ./internal/constraint ./internal/exec ./internal/cqa ./in
 
 # The render-once, normalisation, vector-difference, pairing-mode,
 # pair-lookup, warm Query 3 (and the same request as a rule), warm box-join,
-# warm select and snapshot benchmarks must keep compiling and running (their allocation
+# box-join reply, warm select and snapshot benchmarks must keep compiling and running (their allocation
 # and decision ceilings are plain tests, already run above; PairingModes also
 # fails here when auto eliminates or clips more than a forced mode, or
 # anything at all on boxes).
-echo '>> result-tail, vector-difference, pairing-mode, pair-lookup, box-join, select and snapshot benchmarks, one iteration'
-go test -run '^$' -bench 'Sorted|CanonMerge|RatString|NormalizePolygonMinus|NormalizeBoxJoin|DifferencePolygonMinus|ClipRing|PairingModes|HurricaneQuery3Warm|HurricaneRuleWarm|BoxJoinWarm|SelectWarm|JoinPairLookup|SnapshotMaterialize|SnapshotRecommit' -benchtime 1x ./...
+echo '>> result-tail, vector-difference, pairing-mode, pair-lookup, box-join, reply, select and snapshot benchmarks, one iteration'
+go test -run '^$' -bench 'Sorted|CanonMerge|RatString|NormalizePolygonMinus|NormalizeBoxJoin|DifferencePolygonMinus|ClipRing|PairingModes|HurricaneQuery3Warm|HurricaneRuleWarm|BoxJoinWarm|QueryReply|SelectWarm|JoinPairLookup|SnapshotMaterialize|SnapshotRecommit' -benchtime 1x ./...
 
 # Corpus replay: the committed fuzz corpora under testdata/fuzz/ run as
 # ordinary seed inputs here — every input that ever broke the parsers,
-# the canonical kernel, the rational kernel, the snapshot WAL or the page
-# codec stays fixed without a long -fuzz session.
+# the canonical kernel, the rational kernel, the snapshot WAL, the page
+# codec or the reply encoder stays fixed without a long -fuzz session.
 echo '>> fuzz corpus replay'
-go test -run Fuzz -count=1 ./internal/rational ./internal/constraint ./internal/query ./internal/calculus ./internal/snapshot ./internal/vector
+go test -run Fuzz -count=1 ./internal/rational ./internal/constraint ./internal/query ./internal/calculus ./internal/snapshot ./internal/vector ./internal/server
 
 # CLI smoke: both binaries must build and execute an end-to-end run —
 # cqacdb with the observability flags on, cdbbench on a short differential
