@@ -26,10 +26,10 @@
 // rational membership compared on witness point sets. -seed makes the run
 // reproducible, -par sets the engine's worker pool, -spatial draws
 // polygon-shaped spatial inputs (the vector fast path's workload) instead
-// of random heterogeneous ones, -plan forces the engine's pairing
-// strategy under test, and -json writes the report (cases, per-operator
-// counts, points compared, minimised failure pairs) as a JSON object. Any
-// disagreement is printed and fails the run with a nonzero exit.
+// of random heterogeneous ones, and -json writes the report (cases,
+// per-operator counts, points compared, minimised failure pairs) as a JSON
+// object. Any disagreement is printed and fails the run with a nonzero
+// exit.
 package main
 
 import (
@@ -40,7 +40,6 @@ import (
 	"sort"
 
 	"cdb/internal/datagen"
-	"cdb/internal/exec"
 	"cdb/internal/experiments"
 	"cdb/internal/oracle"
 )
@@ -64,19 +63,15 @@ func run(args []string) error {
 	jsonPath := fs.String("json", "", "diff experiment: write the report to this JSON file")
 	cases := fs.Int("n", 100, "diff experiment: number of random (relation, operator) cases")
 	spatial := fs.Bool("spatial", false, "diff experiment: draw polygon-shaped spatial inputs")
-	plan := fs.String("plan", exec.PlanAuto, "diff experiment: the engine's plan mode: auto | dense | sweep | vector (see cqacdb -plan)")
 	if err := fs.Parse(args); err != nil {
 		return err
-	}
-	if !exec.ValidPlanMode(*plan) {
-		return fmt.Errorf("invalid -plan %q (want auto, dense, sweep or vector)", *plan)
 	}
 	p := datagen.Scaled(*scale)
 	if *seed != 0 {
 		p.Seed = *seed
 	}
 	if *expt == "diff" {
-		return runDiff(*seed, *cases, *par, *plan, *spatial, *jsonPath)
+		return runDiff(*seed, *cases, *par, *spatial, *jsonPath)
 	}
 	fmt.Printf("workload: %d boxes, %d queries, coords [0,%g], sizes [%g,%g], seed %d, page %d bytes\n\n",
 		p.NumData, p.NumQueries, p.CoordMax, p.SizeMin, p.SizeMax, p.Seed, *page)
@@ -145,8 +140,8 @@ func run(args []string) error {
 // cases across all seven CQA operators and random calculus rules, engine vs
 // naive reference evaluator, membership compared at every witness point. Failures are
 // already minimised by the harness; any disagreement fails the run.
-func runDiff(seed int64, n, par int, plan string, spatial bool, jsonPath string) error {
-	rep, err := oracle.Diff(oracle.Config{Cases: n, Seed: seed, Workers: par, Plan: plan, Spatial: spatial})
+func runDiff(seed int64, n, par int, spatial bool, jsonPath string) error {
+	rep, err := oracle.Diff(oracle.Config{Cases: n, Seed: seed, Workers: par, Spatial: spatial})
 	if err != nil {
 		return err
 	}
@@ -154,12 +149,8 @@ func runDiff(seed int64, n, par int, plan string, spatial bool, jsonPath string)
 	if spatial {
 		mode = "spatial"
 	}
-	planName := plan
-	if planName == "" {
-		planName = exec.PlanAuto
-	}
-	fmt.Printf("differential oracle: %d %s cases, seed %d, plan %s, %d workers\n\n",
-		rep.Cases, mode, rep.Seed, planName, rep.Workers)
+	fmt.Printf("differential oracle: %d %s cases, seed %d, %d workers\n\n",
+		rep.Cases, mode, rep.Seed, rep.Workers)
 	ops := make([]string, 0, len(rep.PerOp))
 	for op := range rep.PerOp {
 		ops = append(ops, op)

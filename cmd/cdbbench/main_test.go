@@ -31,7 +31,10 @@ func TestRunErrors(t *testing.T) {
 			t.Errorf("-expt %s: err = %v, want unknown experiment", expt, err)
 		}
 	}
-	if err := run([]string{"-badflag"}); err == nil {
-		t.Error("bad flag accepted")
+	// Plan modes are not user surface: -plan is an unknown flag.
+	for _, args := range [][]string{{"-badflag"}, {"-expt", "diff", "-n", "1", "-plan", "vector"}} {
+		if err := run(args); err == nil {
+			t.Errorf("%v accepted", args)
+		}
 	}
 }

@@ -31,11 +31,9 @@
 // (relational hash partitioning + constraint envelopes + switched
 // enumeration; docs/ARCHITECTURE.md "The filter stage") and decide each
 // surviving pair by the cheapest decider that is exact on it (envelopes,
-// clipping, sat-cache / Fourier-Motzkin); -plan forces an enumeration with
-// Fourier-Motzkin alone (dense, sweep) or clipping for boxes too (vector),
-// or leaves both to the engine (auto, the default). Parallel output is
-// byte-identical to sequential output, with or without the cache, and
-// across every -plan mode.
+// clipping, sat-cache / Fourier-Motzkin); the engine chooses both.
+// Parallel output is byte-identical to sequential output, with or without
+// the cache.
 //
 // Observability (package obs):
 //
@@ -53,8 +51,7 @@
 //     log/slog on stderr, so pathological conjunctions surface themselves;
 //   - -query-log FILE appends every executed program as one NDJSON
 //     flight record (query id, wall time, rows, outcome, per-operator
-//     records with planner est/act pair counts and q-error) and warns on
-//     stderr when a plan node's cardinality estimate is badly off.
+//     records with the planner's strategy and est/act pair counts).
 //
 // When any of -explain, -trace-json, -slowlog or -query-log is active,
 // each program gets a flight-recorder query id ("q<seq>-<8 hex>"): root
@@ -119,7 +116,6 @@ func run(args []string) error {
 	traceJSON := fs.String("trace-json", "", "write each program's span tree as JSON to this file")
 	metricsAddr := fs.String("metrics-addr", "", "serve /metrics, expvar and /debug/pprof on this address")
 	slowlog := fs.Duration("slowlog", 0, "log spans at least this slow via slog (0 = off)")
-	plan := fs.String("plan", exec.PlanAuto, "binary operators: auto (cost model enumerates, cheapest exact decider per pair), or force dense / sweep (that enumeration, Fourier-Motzkin decides) or vector (clip boxes too)")
 	queryLog := fs.String("query-log", "", "append every executed program as one NDJSON flight record to this file")
 	snapshotDir := fs.String("snapshot-dir", "", "copy-on-write snapshot store directory (enables -snap-* commands)")
 	snapList := fs.Bool("snap-list", false, "list the store's snapshots and exit")
@@ -129,11 +125,7 @@ func run(args []string) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	if !exec.ValidPlanMode(*plan) {
-		return fmt.Errorf("invalid -plan %q (want auto, dense, sweep or vector)", *plan)
-	}
 	ec := exec.New(*par)
-	ec.PlanMode = *plan
 	if *satCache > 0 {
 		ec.SatCache = constraint.NewSatCache(*satCache)
 	}
@@ -153,7 +145,7 @@ func run(args []string) error {
 		}
 		defer f.Close()
 		// Capacity 1: the CLI never serves the history ring; the recorder
-		// is here for the NDJSON stream and the misestimate warnings.
+		// is here for the NDJSON stream.
 		s.flight = obs.NewFlight(1)
 		s.flight.Log = f
 		if s.tracer != nil && s.tracer.Logger != nil {
@@ -343,9 +335,8 @@ func (s *session) begin() {
 }
 
 // finish records the finished program as a flight record: NDJSON to the
-// -query-log file plus misestimate warnings on stderr. It must run
-// before report(), which resets the per-operator records the flight
-// record carries.
+// -query-log file. It must run before report(), which resets the
+// per-operator records the flight record carries.
 func (s *session) finish(src string, rows int, err error) {
 	if s.flight == nil || s.qid == "" {
 		return
@@ -476,41 +467,25 @@ func repl(d *db.Database, maxRows int, s *session, in io.Reader, out io.Writer) 
 				continue
 			}
 			s.begin()
-			res, err := prog.RunOptimizedCtx(d.Env(), s.ec)
+			// Every statement's target persists, so later lines can build
+			// on earlier ones; the printed result is normalised, as -e's is.
+			root := s.ec.BeginSpan("query", line)
+			_, res, err := db.RunProgram(prog, d.Env(), s.ec, func(target string, r *relation.Relation) {
+				_ = d.Put(target, r) // Put fails only on an empty name; a parsed target has one
+			})
+			s.ec.EndSpan(root)
 			if err != nil {
 				s.finish(line, 0, err)
 				fmt.Fprintln(out, err)
 				continue
 			}
 			s.finish(line, res.Len(), nil)
-			// Persist every statement's target so later lines can build on
-			// earlier ones.
-			for _, st := range prog.Stmts {
-				if r, err := evalTo(d, prog, st.Target); err == nil {
-					_ = d.Put(st.Target, r)
-				}
-			}
-			last := prog.Stmts[len(prog.Stmts)-1].Target
-			_ = d.Put(last, res)
 			fprintRelation(out, res, maxRows)
 			if err := s.report(out); err != nil {
 				fmt.Fprintln(out, err)
 			}
 		}
 	}
-}
-
-// evalTo re-evaluates the program prefix ending at the statement defining
-// target (cheap at shell scale; keeps the session environment coherent).
-func evalTo(d *db.Database, prog *query.Program, target string) (*relation.Relation, error) {
-	var prefix query.Program
-	for _, st := range prog.Stmts {
-		prefix.Stmts = append(prefix.Stmts, st)
-		if st.Target == target {
-			break
-		}
-	}
-	return prefix.RunOptimized(d.Env())
 }
 
 func printRelation(r *relation.Relation, maxRows int) {

@@ -9,6 +9,7 @@ import (
 	"strings"
 	"testing"
 
+	"cdb/internal/constraint"
 	"cdb/internal/db"
 	"cdb/internal/exec"
 	"cdb/internal/hurricane"
@@ -49,6 +50,10 @@ func TestRunErrors(t *testing.T) {
 	}
 	if err := run([]string{"-demo", "hurricane", "/no/such/script.cqa"}); err == nil {
 		t.Error("missing script accepted")
+	}
+	// Plan modes are not user surface: -plan is an unknown flag.
+	if err := run([]string{"-demo", "hurricane", "-plan", "dense", "-e", "R = select x >= 1 from Land"}); err == nil {
+		t.Error("-plan accepted")
 	}
 }
 
@@ -99,6 +104,38 @@ func TestREPLSession(t *testing.T) {
 	var out2 bytes.Buffer
 	if err := repl(d, 10, &session{ec: exec.New(1)}, strings.NewReader("\\list\n"), &out2); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestREPLLineIsRunCtx: a shell line runs the statement loop -e runs, once:
+// it prints the normalised result -e prints for the same program and makes
+// exactly the Fourier-Motzkin decisions Database.RunCtx makes.
+func TestREPLLineIsRunCtx(t *testing.T) {
+	for _, line := range []string{
+		`R0 = select x + y >= 0 from Land`,
+		`R0 = join Landownership and Land`,
+		`R0 = join Hurricane and Land`,
+	} {
+		d0 := constraint.DecisionCount()
+		want, err := hurricane.Build().RunCtx(line, exec.New(1))
+		if err != nil {
+			t.Fatal(err)
+		}
+		wantDecisions := constraint.DecisionCount() - d0
+		var wantOut bytes.Buffer
+		fprintRelation(&wantOut, want, 50)
+
+		d0 = constraint.DecisionCount()
+		var out bytes.Buffer
+		if err := repl(hurricane.Build(), 50, &session{ec: exec.New(1)}, strings.NewReader(line+"\n"), &out); err != nil {
+			t.Fatal(err)
+		}
+		if got := constraint.DecisionCount() - d0; got != wantDecisions {
+			t.Errorf("%s: the shell made %d decisions, RunCtx %d", line, got, wantDecisions)
+		}
+		if !strings.Contains(out.String(), "cqa> "+wantOut.String()) {
+			t.Errorf("%s: the shell printed\n%s\nwant (as -e prints)\n%s", line, out.String(), wantOut.String())
+		}
 	}
 }
 
@@ -304,8 +341,14 @@ func TestQueryLogNDJSON(t *testing.T) {
 	if rec.Statement != "R0 = join Landownership and Land" {
 		t.Fatalf("record statement %q", rec.Statement)
 	}
-	if len(rec.Ops) == 0 || len(rec.Strategies) == 0 {
-		t.Fatalf("record missing rollups: %+v", rec)
+	var strategies []string
+	for _, op := range rec.Ops {
+		if op.Strategy != "" {
+			strategies = append(strategies, op.Strategy)
+		}
+	}
+	if len(strategies) == 0 {
+		t.Fatalf("record has no binary operator with a strategy: %+v", rec)
 	}
 	if rec.CacheHitRate < 0 {
 		t.Fatalf("cache hit rate %v with the default cache on", rec.CacheHitRate)

@@ -10,13 +10,11 @@ import (
 // of a conjunction of linear constraints (strict inequalities are relaxed to
 // their closures: sup/inf are still exact, attainment may be open).
 //
-// It serves three roles:
-//   - computing extrema of linear objectives (bounding boxes for the R*-tree
-//     index layer, §5 of the paper; vertex extraction for the vector
-//     representation, §6);
-//   - an independent feasibility decision cross-checking Fourier-Motzkin in
-//     the test suite;
-//   - the optimisation substrate for the whole-feature spatial operators.
+// It has one role: the independent decision procedure property_test.go
+// checks Fourier-Motzkin against — feasibility reached by pivoting rather
+// than by elimination (FeasiblePoint). No production code calls Maximize,
+// Minimize or FeasiblePoint; whether the simplex earns a production role
+// (deciding satisfiability, redundancy) is an open roadmap item.
 //
 // The implementation is the standard two-phase primal simplex on a dense
 // rational dictionary with Bland's anti-cycling rule. Free variables are

@@ -111,7 +111,7 @@ func TestStrategyEquivalence(t *testing.T) {
 				for _, mode := range []string{exec.PlanSweep, exec.PlanVector} {
 					got, s := run(mode)
 					if got != want {
-						t.Errorf("%s %s par%d: -plan=%s output diverges from dense\ndense:\n%s\n%s:\n%s",
+						t.Errorf("%s %s par%d: plan=%s output diverges from dense\ndense:\n%s\n%s:\n%s",
 							wName, opName, par, mode, want, mode, got)
 					}
 					if mode == exec.PlanVector && polygonInputs[wName] && s.VectorHits == 0 {
@@ -245,7 +245,7 @@ func TestSelectEquivalence(t *testing.T) {
 				}
 				want, _ := run(exec.PlanDense)
 				if got, _ := run(exec.PlanVector); got != want {
-					t.Errorf("%s %s par%d: -plan=vector output diverges from dense\ndense:\n%s\nvector:\n%s",
+					t.Errorf("%s %s par%d: plan=vector output diverges from dense\ndense:\n%s\nvector:\n%s",
 						wName, cName, par, want, got)
 				}
 				for _, decl := range declineSettings {

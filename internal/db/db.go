@@ -126,19 +126,45 @@ func (d *Database) RunCtx(src string, ec *exec.Context) (*relation.Relation, err
 	}
 	root := ec.BeginSpan("query", FirstLine(src))
 	defer ec.EndSpan(root)
-	out, err := prog.RunOptimizedCtx(d.Env(), ec)
-	if err != nil {
-		return nil, err
+	_, out, err := RunProgram(prog, d.Env(), ec, nil)
+	return out, err
+}
+
+// RunProgram is the one statement loop of every front end: Database.RunCtx,
+// the server's /v1/query and the cqacdb shell. It runs prog's statements in
+// order on env (used as scratch: each result is bound there under its
+// target for the statements after it) and hands every raw result to bind,
+// when bind is non-nil, so a session can keep it. It returns the final
+// statement's target and its result normalised under a "normalize" span:
+// unsatisfiable tuples dropped, constraint parts simplified into canonical
+// form, duplicates removed. Semantics unchanged; the context's sat-cache
+// (if any) memoizes the decisions. A cancelled ec stops the loop between
+// statements with ec's error.
+func RunProgram(prog *query.Program, env cqa.Env, ec *exec.Context, bind func(target string, r *relation.Relation)) (string, *relation.Relation, error) {
+	var (
+		last   *relation.Relation
+		target string
+	)
+	for _, st := range prog.Stmts {
+		if err := ec.Err(); err != nil {
+			return "", nil, err
+		}
+		one := &query.Program{Stmts: []query.Stmt{st}}
+		r, err := one.RunOptimizedCtx(env, ec)
+		if err != nil {
+			return "", nil, err
+		}
+		env[st.Target] = r
+		if bind != nil {
+			bind(st.Target, r)
+		}
+		last, target = r, st.Target
 	}
-	// User-facing results are normalised: unsatisfiable tuples dropped,
-	// constraint parts simplified into canonical form, duplicates removed.
-	// Semantics unchanged; the context's sat-cache (if any) memoizes the
-	// decisions.
 	sp := ec.BeginSpan("normalize", "")
-	norm := out.NormalizeWith(ec.SatFunc())
+	norm := last.NormalizeWith(ec.SatFunc())
 	sp.Set("rows", int64(norm.Len()))
 	ec.EndSpan(sp)
-	return norm, nil
+	return target, norm, nil
 }
 
 // FirstLine returns the first line of src that is not blank, trimmed: how

@@ -8,8 +8,9 @@
 // The design contract is determinism: Map assigns every work item a fixed
 // index and merges results in index order, so a parallel operator run is
 // byte-identical to the sequential one. Parallelism only changes wall
-// time, never output. Below a tunable input-size threshold the pool is
-// bypassed entirely and work runs inline on the calling goroutine.
+// time, never output. Below an input-size threshold (DefaultSeqThreshold;
+// only tests set another) the pool is bypassed entirely and work runs
+// inline on the calling goroutine.
 //
 // A *Context carries the policy (worker count, sequential threshold) and
 // collects per-operator statistics (tuples in/out, satisfiability checks,
@@ -61,7 +62,8 @@ type Context struct {
 
 	// SeqThreshold is the input size (work items: tuples for Select /
 	// Project / Difference, tuple pairs for Join) below which operators
-	// run sequentially. Zero or negative means DefaultSeqThreshold; set
+	// run sequentially. Zero or negative means DefaultSeqThreshold. It is
+	// not a user-facing knob: no flag or session option sets it; tests set
 	// it to 1 to parallelise everything.
 	SeqThreshold int
 
@@ -80,11 +82,12 @@ type Context struct {
 	// the refine stage pick, per candidate pair, the cheapest decider that
 	// is exact on it; the explicit modes (PlanDense, PlanSweep,
 	// PlanVector) are forcing switches, which is how the
-	// strategy-equivalence tests and BenchmarkPairingModes run each
-	// decider in isolation. Outputs are byte-identical across all modes:
-	// the surviving candidate set is the same whichever enumeration found
-	// it, it is re-sorted to the dense order before the refine stage runs,
-	// and every decider emits the same canonical tuple.
+	// strategy-equivalence tests, the oracle and BenchmarkPairingModes run
+	// each decider in isolation. Like NoPrune it is not a user-facing knob:
+	// no flag or session option sets it. Outputs are byte-identical across
+	// all modes: the surviving candidate set is the same whichever
+	// enumeration found it, it is re-sorted to the dense order before the
+	// refine stage runs, and every decider emits the same canonical tuple.
 	PlanMode string
 
 	// Ctx, when non-nil, bounds every fan-out run under this context:
@@ -172,9 +175,9 @@ const (
 )
 
 // PlanIndex is the retired stats label of the R*-tree probe enumeration
-// (removed: it won no measured workload). Nothing emits it and
-// ValidPlanMode rejects it; the name stays only because the frozen
-// repository benchmark still reports an always-zero share for it.
+// (removed: it won no measured workload). Nothing emits or accepts it;
+// the name stays only because the frozen repository benchmark still
+// reports an always-zero share for it.
 const PlanIndex = "index"
 
 // Plan returns the effective planning mode: PlanAuto on the nil Context
@@ -184,17 +187,6 @@ func (c *Context) Plan() string {
 		return PlanAuto
 	}
 	return c.PlanMode
-}
-
-// ValidPlanMode reports whether s names a planning mode ("" counts: it
-// is the zero-value spelling of auto). The CLIs and the server validate
-// the -plan knob with this before it reaches a Context.
-func ValidPlanMode(s string) bool {
-	switch s {
-	case "", PlanAuto, PlanDense, PlanSweep, PlanVector:
-		return true
-	}
-	return false
 }
 
 // Err reports why the context's Ctx was cancelled: nil while it is live

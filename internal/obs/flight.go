@@ -2,12 +2,11 @@ package obs
 
 // This file is the query flight recorder: the workload-level half of the
 // observability layer. The tracer and the metrics registry answer "what
-// did this one query do"; the flight recorder answers the three
+// did this one query do"; the flight recorder answers the two
 // operational questions a resident process gets asked — what is running
-// *right now* (the in-flight registry, pg_stat_activity-style), what ran
-// recently and how did it go (a bounded history ring, slow-query-log-
-// style), and how far off was the planner (per-node q-error telemetry,
-// the measurement substrate for estimator work).
+// *right now* (the in-flight registry, pg_stat_activity-style), and what
+// ran recently and how did it go (a bounded history ring, slow-query-log-
+// style, each record carrying its per-operator records).
 //
 // Like the rest of the package it is stdlib-only and nil-safe: the nil
 // *Flight accepts every call as a no-op, so the CLIs record
@@ -34,13 +33,6 @@ import (
 // DefaultFlightCapacity is the history ring's default size (the
 // -query-history flag of cqacdbd).
 const DefaultFlightCapacity = 512
-
-// DefaultQErrorThreshold is the planner-accuracy ratio beyond which a
-// finished query's misestimated nodes are logged. 16 is two doublings
-// past "the estimate was off by 4×": far enough that envelope slack on
-// healthy workloads stays quiet, close enough that a strategy picked on
-// a wildly wrong cardinality surfaces itself.
-const DefaultQErrorThreshold = 16
 
 // Query outcomes recorded per finished query.
 const (
@@ -95,9 +87,9 @@ func formatQueryID(seq int64, suffix []byte) string {
 }
 
 // FlightRecord is one finished query: identity, what ran, how long, how
-// much came out, how it ended, and the planner-accuracy evidence. It is
-// the unit of the history ring, of the /v1/queries/recent response, and
-// of the -query-log NDJSON stream (one record per line).
+// much came out, how it ended, and its operator records. It is the unit of
+// the history ring, of the /v1/queries/recent response, and of the
+// -query-log NDJSON stream (one record per line).
 type FlightRecord struct {
 	ID          string  `json:"id"`
 	Session     string  `json:"session,omitempty"`
@@ -108,18 +100,10 @@ type FlightRecord struct {
 	// normalisation to the last byte handed to the connection (order,
 	// render, encode, write). Zero — omitted — for queries that failed or
 	// whose front end does not measure it.
-	RenderMS   float64  `json:"render_ms,omitempty"`
-	Rows       int      `json:"rows"`
-	Outcome    string   `json:"outcome"`
-	Error      string   `json:"error,omitempty"`
-	Strategies []string `json:"strategies,omitempty"` // distinct pairing strategies, first-use order
-
-	// Planner accuracy, summed/maxed over the binary plan nodes:
-	// est/act pair totals and the worst per-node q-error
-	// (max(est/act, act/est), counts clamped to ≥1).
-	EstPairs int64   `json:"est_pairs,omitempty"`
-	ActPairs int64   `json:"act_pairs,omitempty"`
-	QError   float64 `json:"q_error,omitempty"`
+	RenderMS float64 `json:"render_ms,omitempty"`
+	Rows     int     `json:"rows"`
+	Outcome  string  `json:"outcome"`
+	Error    string  `json:"error,omitempty"`
 
 	// CacheHitRate is the sat-cache hit rate over this query's decisions
 	// alone (hits/(hits+misses) of the per-query counter delta). -1
@@ -128,26 +112,9 @@ type FlightRecord struct {
 	CacheHitRate float64 `json:"cache_hit_rate"`
 
 	// Ops are the query's operator invocations, one record per plan node
-	// in completion order (exec.Context.Stats).
+	// in completion order (exec.Context.Stats). A binary node's record
+	// carries its strategy and its estimated and actual candidate pairs.
 	Ops []OpStats `json:"ops,omitempty"`
-}
-
-// QError returns the planner-accuracy ratio max(est/act, act/est) with
-// both counts clamped to ≥1, so empty nodes are well-defined: a perfect
-// estimate is 1, a 100-pairs-estimated-but-10-materialised node is 10.
-func QError(est, act int64) float64 {
-	e, a := float64(max64(est, 1)), float64(max64(act, 1))
-	if e > a {
-		return e / a
-	}
-	return a / e
-}
-
-func max64(a, b int64) int64 {
-	if a > b {
-		return a
-	}
-	return b
 }
 
 // ActiveQuery is one in-flight query as reported by Flight.Active (the
@@ -179,8 +146,7 @@ type activeEntry struct {
 // not mutated after.
 type Flight struct {
 	// Metrics, when non-nil, receives per-finished-query families:
-	// cdb_query_duration_seconds (by outcome), cdb_query_rows, and
-	// cdb_planner_qerror (one observation per binary plan node).
+	// cdb_query_duration_seconds (by outcome) and cdb_query_rows.
 	Metrics *Registry
 
 	// Log, when non-nil, receives every finished query as one NDJSON
@@ -188,8 +154,7 @@ type Flight struct {
 	// recorder's mutex.
 	Log io.Writer
 
-	// Logger, when non-nil, receives planner-misestimate warnings: one
-	// per binary node whose q-error reaches DefaultQErrorThreshold.
+	// Logger, when non-nil, receives a warning when a Log write fails.
 	Logger *slog.Logger
 
 	// Clock overrides time.Now for deterministic tests.
@@ -286,17 +251,14 @@ func (f *Flight) Active() []ActiveQuery {
 	return out
 }
 
-// Finish deregisters the query and records its terminal state: derived
-// planner-accuracy fields are computed from rec.Ops, the record enters
-// the history ring (evicting the eldest at capacity), the metric
-// families and the NDJSON log are fed, and misestimated nodes beyond
-// the q-error threshold are logged. Safe to call for ids that never
-// Started (CLI one-shots have no registry).
+// Finish deregisters the query and records its terminal state: the
+// record enters the history ring (evicting the eldest at capacity), and
+// the metric families and the NDJSON log are fed. Safe to call for ids
+// that never Started (CLI one-shots have no registry).
 func (f *Flight) Finish(rec FlightRecord) {
 	if f == nil {
 		return
 	}
-	f.derive(&rec)
 	f.observe(rec)
 
 	f.mu.Lock()
@@ -322,65 +284,22 @@ func (f *Flight) Finish(rec FlightRecord) {
 	}
 }
 
-// derive fills the record's planner-accuracy summary from its per-node
-// records: distinct strategies in first-use order, est/act pair totals,
-// and the worst per-node q-error.
-func (f *Flight) derive(rec *FlightRecord) {
-	rec.Strategies = nil
-	rec.EstPairs, rec.ActPairs, rec.QError = 0, 0, 0
-	seen := map[string]bool{}
-	for _, op := range rec.Ops {
-		if op.Strategy == "" {
-			continue // unary node: no pairing, no estimate
-		}
-		if !seen[op.Strategy] {
-			seen[op.Strategy] = true
-			rec.Strategies = append(rec.Strategies, op.Strategy)
-		}
-		rec.EstPairs += op.EstPairs
-		rec.ActPairs += op.ActPairs()
-		if q := QError(op.EstPairs, op.ActPairs()); q > rec.QError {
-			rec.QError = q
-		}
-	}
-}
-
-// observe feeds the telemetry sinks for one finished query.
+// observe feeds the metric families for one finished query.
 func (f *Flight) observe(rec FlightRecord) {
-	if f.Metrics != nil {
-		f.Metrics.HistogramVec("cdb_query_duration_seconds",
-			"Query wall time in seconds, by outcome.", "outcome", nil).
-			With(rec.Outcome).Observe(rec.WallMS / 1000)
-		f.Metrics.NewHistogram("cdb_query_rows",
-			"Result rows per finished query.", RowBuckets).
-			Observe(float64(rec.Rows))
+	if f.Metrics == nil {
+		return
 	}
-	for _, op := range rec.Ops {
-		if op.Strategy == "" {
-			continue
-		}
-		q := QError(op.EstPairs, op.ActPairs())
-		if f.Metrics != nil {
-			f.Metrics.NewHistogram("cdb_planner_qerror",
-				"Planner cardinality q-error max(est/act, act/est) per binary plan node.",
-				QErrorBuckets).Observe(q)
-		}
-		if q >= DefaultQErrorThreshold && f.Logger != nil {
-			f.Logger.Warn("planner misestimate",
-				"query", rec.ID, "node", op.Op, "strategy", op.Strategy,
-				"est_pairs", op.EstPairs, "act_pairs", op.ActPairs(),
-				"q_error", q)
-		}
-	}
+	f.Metrics.HistogramVec("cdb_query_duration_seconds",
+		"Query wall time in seconds, by outcome.", "outcome", nil).
+		With(rec.Outcome).Observe(rec.WallMS / 1000)
+	f.Metrics.NewHistogram("cdb_query_rows",
+		"Result rows per finished query.", RowBuckets).
+		Observe(float64(rec.Rows))
 }
 
 // RowBuckets are the cdb_query_rows histogram bounds (result
 // cardinalities, decade steps).
 var RowBuckets = []float64{0, 1, 10, 100, 1000, 10000, 100000}
-
-// QErrorBuckets are the cdb_planner_qerror histogram bounds: powers of
-// two from "perfect" to "three orders of magnitude off".
-var QErrorBuckets = []float64{1, 2, 4, 8, 16, 32, 64, 128, 256, 1024}
 
 // Recent returns up to limit finished queries whose wall time is at
 // least minWall, newest first. limit <= 0 means all retained records.

@@ -67,25 +67,6 @@ func TestOutcomeOf(t *testing.T) {
 	}
 }
 
-func TestQError(t *testing.T) {
-	cases := []struct {
-		est, act int64
-		want     float64
-	}{
-		{100, 100, 1}, // perfect
-		{100, 10, 10}, // overestimate
-		{10, 100, 10}, // underestimate (symmetric)
-		{0, 0, 1},     // both clamped to 1
-		{0, 50, 50},   // est clamped
-		{50, 0, 50},   // act clamped
-	}
-	for _, c := range cases {
-		if got := QError(c.est, c.act); got != c.want {
-			t.Errorf("QError(%d, %d) = %v, want %v", c.est, c.act, got, c.want)
-		}
-	}
-}
-
 func TestNilFlightIsNoOp(t *testing.T) {
 	var f *Flight
 	f.Start("q1", "s", "stmt", nil, nil)
@@ -178,29 +159,6 @@ func TestActiveAndCancel(t *testing.T) {
 	}
 }
 
-func TestDeriveStrategiesAndQError(t *testing.T) {
-	f := NewFlight(4)
-	f.Finish(FlightRecord{
-		ID: "q1",
-		Ops: []OpStats{
-			{Op: "select", TuplesIn: 10, TuplesOut: 5}, // unary: ignored by derive
-			{Op: "join", Strategy: "sweep", EstPairs: 100, PairsTotal: 60, PairsPruned: 10},
-			{Op: "join", Strategy: "vector", EstPairs: 400, PairsTotal: 10},
-			{Op: "intersect", Strategy: "sweep", EstPairs: 20, PairsTotal: 20},
-		},
-	})
-	rec := f.Recent(0, 1)[0]
-	if want := []string{"sweep", "vector"}; strings.Join(rec.Strategies, ",") != strings.Join(want, ",") {
-		t.Fatalf("strategies = %v, want %v", rec.Strategies, want)
-	}
-	if rec.EstPairs != 520 || rec.ActPairs != 80 {
-		t.Fatalf("pair totals = %d/%d, want 520/80", rec.EstPairs, rec.ActPairs)
-	}
-	if rec.QError != 40 { // the vector node: 400 est vs 10 act
-		t.Fatalf("q-error = %v, want 40 (worst node)", rec.QError)
-	}
-}
-
 func TestFlightNDJSONLog(t *testing.T) {
 	var buf bytes.Buffer
 	f := NewFlight(4)
@@ -242,40 +200,10 @@ func TestFlightMetricsFamilies(t *testing.T) {
 		`cdb_query_duration_seconds_count{outcome="ok"} 1`,
 		`cdb_query_duration_seconds_count{outcome="timeout"} 1`,
 		"cdb_query_rows_count 2",
-		"cdb_planner_qerror_count 1",
 	} {
 		if !strings.Contains(text, want) {
 			t.Errorf("exposition missing %q:\n%s", want, text)
 		}
-	}
-}
-
-func TestMisestimateWarning(t *testing.T) {
-	var buf bytes.Buffer
-	f := NewFlight(4)
-	f.Logger = slog.New(slog.NewTextHandler(&buf, nil))
-	// Below the default threshold of 16: quiet.
-	f.Finish(FlightRecord{ID: "q1",
-		Ops: []OpStats{{Op: "join", Strategy: "sweep", EstPairs: 100, PairsTotal: 10}}})
-	if strings.Contains(buf.String(), "misestimate") {
-		t.Fatalf("q-error 10 warned below threshold:\n%s", buf.String())
-	}
-	// At the threshold: one warning carrying the evidence.
-	f.Finish(FlightRecord{ID: "q2",
-		Ops: []OpStats{{Op: "join", Strategy: "vector", EstPairs: 1600, PairsTotal: 100}}})
-	out := buf.String()
-	for _, want := range []string{"planner misestimate", "query=q2", "strategy=vector",
-		"est_pairs=1600", "act_pairs=100", "q_error=16"} {
-		if !strings.Contains(out, want) {
-			t.Errorf("misestimate log missing %q:\n%s", want, out)
-		}
-	}
-	// An underestimate crossing 16 warns the same way.
-	buf.Reset()
-	f.Finish(FlightRecord{ID: "q3",
-		Ops: []OpStats{{Op: "join", Strategy: "sweep", EstPairs: 10, PairsTotal: 250, PairsPruned: 50}}})
-	if out := buf.String(); !strings.Contains(out, "planner misestimate") || !strings.Contains(out, "q_error=20") {
-		t.Fatalf("q-error 20 (est 10, act 200) not warned:\n%s", out)
 	}
 }
 

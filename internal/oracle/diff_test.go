@@ -1,6 +1,7 @@
 package oracle
 
 import (
+	"fmt"
 	"testing"
 )
 
@@ -46,21 +47,28 @@ func TestDiffReproducible(t *testing.T) {
 // vector fast path forced: polygon-shaped inputs (convex, triangulated
 // concave, and fallback strips), every decision the clipper can take
 // going through exact polygon geometry. Agreement with the pointwise
-// oracle here is the vector path's semantic acceptance test.
+// oracle here is the vector path's semantic acceptance test. The last row
+// is the spatial smoke shape: 200 cases on two workers.
 func TestDiffSpatialVector(t *testing.T) {
-	for _, plan := range []string{"vector", "auto"} {
-		rep, err := Diff(Config{Cases: 120, Seed: 3, Spatial: true, Plan: plan})
+	for _, c := range []Config{
+		{Cases: 120, Seed: 3, Plan: "vector"},
+		{Cases: 120, Seed: 3, Plan: "auto"},
+		{Cases: 200, Seed: 5, Workers: 2, Plan: "vector"},
+	} {
+		c.Spatial = true
+		name := fmt.Sprintf("plan=%s seed=%d workers=%d", c.Plan, c.Seed, c.Workers)
+		rep, err := Diff(c)
 		if err != nil {
-			t.Fatalf("plan=%s: %v", plan, err)
+			t.Fatalf("%s: %v", name, err)
 		}
 		if rep.Points == 0 {
-			t.Fatalf("plan=%s: no witness points compared", plan)
+			t.Fatalf("%s: no witness points compared", name)
 		}
 		for _, f := range rep.Failures {
-			t.Errorf("plan=%s seed=%d: %s", plan, rep.Seed, f.String())
+			t.Errorf("%s: %s", name, f.String())
 		}
 		if len(rep.Failures) > 3 {
-			t.Fatalf("plan=%s: %d failures (showing first 3)", plan, len(rep.Failures))
+			t.Fatalf("%s: %d failures (showing first 3)", name, len(rep.Failures))
 		}
 	}
 }

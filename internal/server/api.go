@@ -31,8 +31,8 @@ type queryRequest struct {
 	// Rules is a calculus (declarative rules) program.
 	Rules string `json:"rules,omitempty"`
 
-	// Target optionally names the session binding for a Rules result
-	// (query statements always bind their own targets).
+	// Target optionally names the session binding for a Rules result.
+	// With Query it is a 400: query statements bind their own targets.
 	Target string `json:"target,omitempty"`
 
 	// Explain requests the EXPLAIN ANALYZE plan tree as rendered text.
@@ -154,6 +154,10 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	}
 	if (req.Query == "") == (req.Rules == "") {
 		writeError(w, http.StatusBadRequest, "exactly one of query and rules must be set")
+		return
+	}
+	if req.Target != "" && req.Query != "" {
+		writeError(w, http.StatusBadRequest, "target names a rules result; query statements bind their own targets")
 		return
 	}
 	sess, ok := s.session(req.Session)
@@ -291,8 +295,8 @@ func (s *Server) runOnSession(ctx context.Context, sess *session, req queryReque
 	defer func() { ec.Ctx = nil }()
 
 	// Flight evidence, captured even when the query errors out: the
-	// per-invocation records (every binary node keeps its own est/act pair
-	// counts for q-error), and the sat-cache hit rate over this query's
+	// per-invocation records (every binary node keeps its own strategy and
+	// est/act pair counts), and the sat-cache hit rate over this query's
 	// decisions alone (the session cache outlives the query).
 	st0 := sess.cacheStats()
 	defer func() {
@@ -347,43 +351,21 @@ func (s *Server) runOnSession(ctx context.Context, sess *session, req queryReque
 }
 
 // runProgram executes a query-language program with REPL statement
-// semantics: every statement's raw result is bound on the session
-// (later requests see it), and the final statement's result is
+// semantics (db.RunProgram): every statement's raw result is bound on the
+// session (later requests see it), and the final statement's result is
 // normalised for the response exactly as `cqacdb -e` normalises before
-// printing — unsatisfiable tuples dropped, constraints canonical,
-// duplicates removed.
+// printing.
 func runProgram(sess *session, req queryRequest, stmt string, ec *exec.Context) (*queryResult, error) {
 	prog, err := query.Parse(req.Query)
 	if err != nil {
 		return nil, &apiError{http.StatusBadRequest, err.Error()}
 	}
-	if len(prog.Stmts) == 0 {
-		return nil, &apiError{http.StatusBadRequest, "empty program"}
-	}
 	root := ec.BeginSpan("query", stmt)
 	defer ec.EndSpan(root)
-	env := sess.env()
-	var (
-		last   *relation.Relation
-		target string
-	)
-	for _, st := range prog.Stmts {
-		if err := ec.Err(); err != nil {
-			return nil, err
-		}
-		one := &query.Program{Stmts: []query.Stmt{st}}
-		r, err := one.RunOptimizedCtx(env, ec)
-		if err != nil {
-			return nil, err
-		}
-		env[st.Target] = r
-		sess.bind(st.Target, r)
-		last, target = r, st.Target
+	target, norm, err := db.RunProgram(prog, sess.env(), ec, sess.bind)
+	if err != nil {
+		return nil, err
 	}
-	sp := ec.BeginSpan("normalize", "")
-	norm := last.NormalizeWith(ec.SatFunc())
-	sp.Set("rows", int64(norm.Len()))
-	ec.EndSpan(sp)
 	res := &queryResult{target: target, rel: norm}
 	res.render(ec, req.MaxRows)
 	return res, nil

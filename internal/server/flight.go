@@ -96,12 +96,8 @@ func (s *Server) handleQueriesDebug(w http.ResponseWriter, r *http.Request) {
 	fmt.Fprintf(&b, "\nrecent queries (newest first, %d shown of %d retained):\n",
 		len(recent), s.flight.Len())
 	for _, rec := range recent {
-		fmt.Fprintf(&b, "  %-16s %-14s %-8s %10.1fms %7d rows  %s",
+		fmt.Fprintf(&b, "  %-16s %-14s %-8s %10.1fms %7d rows  %s\n",
 			rec.ID, rec.Session, rec.Outcome, rec.WallMS, rec.Rows, rec.Statement)
-		if len(rec.Strategies) > 0 {
-			fmt.Fprintf(&b, "  [%s q_error=%.1f]", strings.Join(rec.Strategies, ","), rec.QError)
-		}
-		b.WriteByte('\n')
 	}
 	w.Header().Set("Content-Type", "text/plain; charset=utf-8")
 	w.WriteHeader(http.StatusOK)

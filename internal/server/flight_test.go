@@ -2,7 +2,7 @@ package server
 
 // Tests for the query flight recorder's HTTP surface: per-query
 // identity in the envelope, the in-flight inspector, cancel-by-id, the
-// bounded history ring, and the planner-accuracy (q-error) telemetry.
+// bounded history ring, and the per-node planner evidence in its records.
 
 import (
 	"bytes"
@@ -250,15 +250,19 @@ func TestQueryHistoryRingEviction(t *testing.T) {
 	}
 }
 
-// boxesDB builds a database whose self-join the planner misestimates:
-// the single-attribute overlap estimate over-counts pairs that the
-// filter then prunes on the other attributes, so est_pairs > act_pairs.
+// boxesDB builds a database whose self-join the planner over-estimates:
+// the single-attribute overlap estimate counts pairs that the filter then
+// prunes on the other attributes, so est_pairs > act_pairs.
 func boxesDB() *db.Database {
 	d := db.New()
 	d.Put("B", datagen.Canonical(datagen.BoxRelation(datagen.Scaled(4), 24, 4)))
 	return d
 }
 
+// TestPlannerQErrorTelemetry: a binary node's flight record carries the
+// planner's evidence — its strategy, estimated and actual candidate pairs
+// and the decider that answered them — so /v1/queries/recent answers "was
+// the planner right" per node.
 func TestPlannerQErrorTelemetry(t *testing.T) {
 	_, ts := newTestServer(t, Config{}, map[string]*db.Database{"boxes": boxesDB()})
 	id := openSession(t, ts, `{"db": "boxes", "par": 1}`)
@@ -272,49 +276,30 @@ func TestPlannerQErrorTelemetry(t *testing.T) {
 	if len(recent) != 1 {
 		t.Fatalf("history: %+v", recent)
 	}
-	rec := recent[0]
-	if rec.EstPairs <= 0 || rec.ActPairs <= 0 {
-		t.Fatalf("pair counts not recorded: est=%d act=%d", rec.EstPairs, rec.ActPairs)
-	}
-	if rec.EstPairs == rec.ActPairs {
-		t.Fatalf("workload no longer misestimates (est=act=%d); pick another", rec.EstPairs)
-	}
-	if rec.QError <= 1 {
-		t.Fatalf("q-error %v, want > 1 for a misestimated join", rec.QError)
-	}
-	if len(rec.Strategies) == 0 {
-		t.Fatalf("no strategies recorded: %+v", rec)
-	}
 	var join *obs.OpStats
-	for i := range rec.Ops {
-		if rec.Ops[i].Strategy != "" {
-			join = &rec.Ops[i]
+	for i := range recent[0].Ops {
+		if recent[0].Ops[i].Strategy != "" {
+			join = &recent[0].Ops[i]
 		}
 	}
-	if join == nil || join.EstPairs != rec.EstPairs || join.ActPairs() != rec.ActPairs {
-		t.Fatalf("per-node record does not carry the estimate: %+v", rec.Ops)
+	if join == nil {
+		t.Fatalf("no binary node in the record: %+v", recent[0].Ops)
+	}
+	if join.ActPairs() <= 0 || join.EstPairs <= join.ActPairs() {
+		t.Fatalf("pair counts est=%d act=%d, want est > act > 0 on this workload", join.EstPairs, join.ActPairs())
 	}
 	// Both sides are boxes over the shared x and y, so auto decides every
 	// candidate on the envelopes — and the record says so, with the env
 	// counter beside the enumeration's label.
-	if join.Strategy != "dense" || join.EnvHits != rec.ActPairs || join.VectorHits != 0 || join.SatChecks != 0 {
+	if join.Strategy != "dense" || join.EnvHits != join.ActPairs() || join.VectorHits != 0 || join.SatChecks != 0 {
 		t.Fatalf("record hides the envelope decider: %+v", *join)
 	}
 
-	// The q-error histogram is populated with an observation > 1.
 	status, metrics := getJSON(t, ts.URL+"/metrics")
 	if status != http.StatusOK {
 		t.Fatalf("metrics: %d", status)
 	}
 	text := string(metrics)
-	if !strings.Contains(text, "cdb_planner_qerror_count 1") {
-		t.Fatalf("metrics missing q-error observation:\n%s", grepLines(text, "qerror"))
-	}
-	// The observation landed above the first bucket (q-error 1), so the
-	// le="1" cumulative bucket stays empty.
-	if !strings.Contains(text, `cdb_planner_qerror_bucket{le="1"} 0`) {
-		t.Fatalf("q-error observation unexpectedly perfect:\n%s", grepLines(text, "qerror"))
-	}
 	if !strings.Contains(text, `cdb_query_duration_seconds_count{outcome="ok"} 1`) {
 		t.Fatalf("duration histogram missing:\n%s", grepLines(text, "duration"))
 	}

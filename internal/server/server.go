@@ -7,8 +7,8 @@
 //   - a read-only database registry, loaded once at startup and shared
 //     by every session (the databases are never mutated after load);
 //   - sessions (POST /v1/sessions), each owning a private *exec.Context
-//     — worker-pool size, sat-cache budget, pruning knobs — plus the
-//     session-local result bindings a REPL user would accumulate;
+//     — worker-pool size and sat-cache budget — plus the session-local
+//     result bindings a REPL user would accumulate;
 //   - a JSON query API (POST /v1/query) executing query-language and
 //     calculus programs on a session, with optional NDJSON streaming of
 //     result tuples, per-query EXPLAIN ANALYZE text and trace JSON;
@@ -46,7 +46,6 @@ import (
 
 	"cdb/internal/constraint"
 	"cdb/internal/db"
-	"cdb/internal/exec"
 	"cdb/internal/obs"
 	"cdb/internal/snapshot"
 )
@@ -589,7 +588,6 @@ type sessionInfo struct {
 	Snapshot  string     `json:"snapshot,omitempty"` // snapshot the session is bound to
 	Workers   int        `json:"workers"`
 	SatCache  int        `json:"sat_cache_entries"`
-	Plan      string     `json:"plan,omitempty"` // pairing strategy; omitted when auto
 	Queries   int64      `json:"queries"`
 	Results   []string   `json:"results,omitempty"`
 	CreatedMS int64      `json:"created_unix_ms"`
@@ -615,7 +613,6 @@ func (s *Server) sessionInfo(sess *session) sessionInfo {
 		DB:        sess.dbName,
 		Snapshot:  sess.snapID,
 		Workers:   sess.ec.Workers(),
-		Plan:      sess.ec.PlanMode,
 		Queries:   sess.queries.Load(),
 		Results:   results,
 		CreatedMS: sess.created.UnixMilli(),
@@ -641,11 +638,6 @@ func (s *Server) handleSessionCreate(w http.ResponseWriter, r *http.Request) {
 	// An absent or empty body means "all defaults".
 	if err := decodeJSON(w, r, &opts); err != nil && !errors.Is(err, io.EOF) {
 		writeError(w, http.StatusBadRequest, err.Error())
-		return
-	}
-	if opts.Plan != nil && !exec.ValidPlanMode(*opts.Plan) {
-		writeError(w, http.StatusBadRequest,
-			fmt.Sprintf("invalid plan %q (want auto, dense, sweep or vector)", *opts.Plan))
 		return
 	}
 	var (

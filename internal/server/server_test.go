@@ -154,30 +154,14 @@ func TestSessionDefaultsAndValidation(t *testing.T) {
 	}
 }
 
+// TestSessionPlanOption: plan modes are not session surface. A plan, like
+// the other retired options, is rejected up front as an unknown field
+// naming itself; the session info has no plan field.
 func TestSessionPlanOption(t *testing.T) {
 	_, ts := newTestServer(t, Config{}, nil)
-	id := openSession(t, ts, `{"plan": "sweep"}`)
-	status, body := getJSON(t, ts.URL+"/v1/sessions/"+id)
-	if status != http.StatusOK || !bytes.Contains(body, []byte(`"plan": "sweep"`)) {
-		t.Fatalf("session info does not echo the plan option: %d %s", status, body)
-	}
-	// The forced strategy must not change query results.
-	statusQ, resp, bodyQ := runQueryReq(t, ts,
-		fmt.Sprintf(`{"session": %q, "query": "R = join Hurricane and Land"}`, id))
-	if statusQ != http.StatusOK {
-		t.Fatalf("query on plan=sweep session: %d %s", statusQ, bodyQ)
-	}
-	def := openSession(t, ts, ``)
-	_, respDef, _ := runQueryReq(t, ts,
-		fmt.Sprintf(`{"session": %q, "query": "R = join Hurricane and Land"}`, def))
-	if got, want := fmt.Sprint(resp.Tuples), fmt.Sprint(respDef.Tuples); got != want {
-		t.Errorf("plan=sweep result differs from default plan\nsweep: %s\nauto:  %s", got, want)
-	}
-	// An unknown strategy, the retired index strategy and the retired
-	// options are rejected up front, naming the offending field.
 	for _, tc := range []struct{ body, field string }{
-		{`{"plan": "bogus"}`, "plan"},
-		{`{"plan": "index"}`, "plan"},
+		{`{"plan": "vector"}`, "plan"},
+		{`{"plan": "auto"}`, "plan"},
 		{`{"no_prune": true}`, "no_prune"},
 		{`{"sweep_threshold": 8}`, "sweep_threshold"},
 		{`{"seq_threshold": 8}`, "seq_threshold"},
@@ -186,6 +170,10 @@ func TestSessionPlanOption(t *testing.T) {
 		if status != http.StatusBadRequest || !bytes.Contains(body, []byte(tc.field)) {
 			t.Fatalf("%s: status %d, want 400 naming %q: %s", tc.body, status, tc.field, body)
 		}
+	}
+	id := openSession(t, ts, ``)
+	if status, body := getJSON(t, ts.URL+"/v1/sessions/"+id); status != http.StatusOK || bytes.Contains(body, []byte(`"plan"`)) {
+		t.Fatalf("session info: %d %s", status, body)
 	}
 }
 
@@ -543,5 +531,15 @@ func TestRulesQuery(t *testing.T) {
 		`{"session": %q, "query": "Z = select name = ann from Owners"}`, id))
 	if status != http.StatusOK || resp.Count != 1 {
 		t.Fatalf("query over rules binding: %d, count %d", status, resp.Count)
+	}
+	// target binds only a rules result: beside a query it is refused, not
+	// dropped, and nothing is bound under it.
+	status, _, body = runQueryReq(t, ts, fmt.Sprintf(
+		`{"session": %q, "query": "Z = select name = bob from Owners", "target": "Bobs"}`, id))
+	if status != http.StatusBadRequest || !bytes.Contains(body, []byte("target")) {
+		t.Fatalf("query with target: status %d, want 400 naming target: %s", status, body)
+	}
+	if _, sess := getJSON(t, ts.URL+"/v1/sessions/"+id); bytes.Contains(sess, []byte("Bobs")) {
+		t.Fatalf("refused request bound its target: %s", sess)
 	}
 }

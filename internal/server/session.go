@@ -17,10 +17,9 @@ import (
 )
 
 // session is one client's stateful connection to the server: an owned
-// *exec.Context (its own worker-pool size, sat-cache budget, pruning
-// knobs and — per query — tracer and deadline) plus the session-local
-// result bindings, layered over one shared read-only database from the
-// registry.
+// *exec.Context (its own worker-pool size, sat-cache budget and — per
+// query — tracer and deadline) plus the session-local result bindings,
+// layered over one shared read-only database from the registry.
 //
 // Queries on a session are serialised by mu, exactly like statements in
 // one REPL: concurrency happens *across* sessions, which is what keeps
@@ -48,11 +47,10 @@ type session struct {
 // Pointers distinguish "unset, use the server default" from an explicit
 // zero (e.g. sat_cache: 0 disables the cache outright).
 type sessionOptions struct {
-	DB       string  `json:"db,omitempty"`
-	Snapshot string  `json:"snapshot,omitempty"` // bind to a snapshot instead of a db
-	Par      *int    `json:"par,omitempty"`
-	SatCache *int    `json:"sat_cache,omitempty"`
-	Plan     *string `json:"plan,omitempty"` // pairing strategy: auto|dense|sweep|vector
+	DB       string `json:"db,omitempty"`
+	Snapshot string `json:"snapshot,omitempty"` // bind to a snapshot instead of a db
+	Par      *int   `json:"par,omitempty"`
+	SatCache *int   `json:"sat_cache,omitempty"`
 }
 
 // newSession builds a session against base with opts layered over the
@@ -61,9 +59,6 @@ type sessionOptions struct {
 func newSession(id, dbName string, base *db.Database, opts sessionOptions, cfg Config, reg *obs.Registry) *session {
 	ec := exec.New(orDefault(opts.Par, cfg.DefaultPar))
 	ec.Metrics = reg
-	if opts.Plan != nil {
-		ec.PlanMode = *opts.Plan
-	}
 	if cacheSize := orDefault(opts.SatCache, cfg.defaultSatCache()); cacheSize > 0 {
 		ec.SatCache = constraint.NewSatCache(cacheSize)
 	}

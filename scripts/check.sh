@@ -24,16 +24,17 @@ fi
 # One measuring instrument: benchmark/ (BENCHMARK.json) is where numbers
 # come from. The single-shot measurement files, the tool that diffed them,
 # their Makefile targets and the cdbbench experiments that wrote them are
-# gone; nothing outside the history files and the frozen benchmark/ may
-# name them again.
+# gone; so are the plan-mode validator and the planner q-error histogram,
+# threshold and buckets. Nothing outside the history files and the frozen
+# benchmark/ may name them again.
 echo '>> no second bench harness'
 if ls BENCH_*.json >/dev/null 2>&1; then
     echo 'a BENCH_*.json sits at the root; measurements belong to benchmark/'
     exit 1
 fi
-if git grep -nE 'BENCH_[a-z]+\.json|bench[d]iff|bench-(all|canon|prune|plan|vector|snapshot)|-expt (cqa|canon|prune|plan|vector|snapshot)' \
+if git grep -nE 'BENCH_[a-z]+\.json|bench[d]iff|bench-(all|canon|prune|plan|vector|snapshot)|-expt (cqa|canon|prune|plan|vector|snapshot)|Valid[P]lanMode|cdb_planner_[q]error|QError[B]uckets|DefaultQError[T]hreshold' \
     -- . ':!CHANGES.md' ':!ROADMAP.md' ':!ISSUE.md' ':!benchmark'; then
-    echo 'a retired measurement file, tool, target or experiment is named (see above)'
+    echo 'a retired measurement file, tool, target, experiment or name is named (see above)'
     exit 1
 fi
 
@@ -174,11 +175,9 @@ wait "$SRV_PID" || { echo 'phase 3: server exited non-zero'; exit 1; }
 
 # Oracle smoke: 200 random cases against the naive reference evaluator
 # guard the planner end to end (cost rewrites plus strategy switching) —
-# one in eight a random conjunctive rule through the calculus front end;
-# 200 spatial cases drive polygon workloads through the forced vector path
-# — clipper, float filter, scoped staircase and FM fallback. Zero
-# disagreements allowed.
+# one in eight a random conjunctive rule through the calculus front end.
+# Zero disagreements allowed. The spatial run through the forced vector
+# path is a row of TestDiffSpatialVector (internal/oracle), run above.
 echo '>> oracle smoke'
 go run ./cmd/cdbbench -expt diff -n 200 -seed 3 -par 2 >/dev/null
-go run ./cmd/cdbbench -expt diff -n 200 -seed 5 -par 2 -spatial -plan vector >/dev/null
 echo 'OK'
