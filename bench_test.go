@@ -910,6 +910,51 @@ func BenchmarkHurricaneQuery3Warm(b *testing.B) {
 	}
 }
 
+// BenchmarkHurricaneServer is BenchmarkHurricaneQuery3Warm's request as the
+// daemon serves it, without the network: POST /v1/query of the whole Query 3
+// program through server.Handler, on one session, against the database
+// saved and loaded again as text (what cqacdbd -db reads), with the windows
+// rotating over the 31 starts so every pair decision is a remembered one.
+// It is the profile harness of the daemon path: parse, plan, the operators,
+// normalisation, ordering and the encoded reply.
+func BenchmarkHurricaneServer(b *testing.B) {
+	land, owners, track := datagen.HurricaneRelations(8)
+	d := loadedDB(b, map[string]*relation.Relation{"Land": land, "Landownership": owners, "Hurricane": track})
+	srv := server.New(map[string]*db.Database{"hurricane": d}, server.Config{SessionIdleTimeout: -1})
+	b.Cleanup(func() { _ = srv.Shutdown(context.Background()) })
+	h := srv.Handler()
+	rec := httptest.NewRecorder()
+	h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/sessions", strings.NewReader(`{"par": 1}`)))
+	var info struct {
+		ID string `json:"id"`
+	}
+	if err := json.Unmarshal(rec.Body.Bytes(), &info); err != nil {
+		b.Fatal(err)
+	}
+	const starts = 31
+	bodies := make([]string, starts)
+	for a := range bodies {
+		prog := fmt.Sprintf("R0 = join Landownership and Land\nR1 = join R0 and Hurricane\n"+
+			"R2 = select t >= %d, t <= %d from R1\nR3 = project R2 on name", a, a+10)
+		bodies[a] = fmt.Sprintf(`{"session": %q, "query": %q}`, info.ID, prog)
+	}
+	post := func(a int) {
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/query", strings.NewReader(bodies[a])))
+		if rec.Code != http.StatusOK || !strings.Contains(rec.Body.String(), `(name=`) {
+			b.Fatalf("window %d: %d %s", a, rec.Code, rec.Body)
+		}
+	}
+	for a := range bodies {
+		post(a)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		post(i % starts)
+	}
+}
+
 // BenchmarkHurricaneRuleWarm is BenchmarkHurricaneQuery3Warm's request asked
 // through the calculus face: the same join as one three-atom rule (parse
 // excluded, normalisation included), same database, same rotating windows,

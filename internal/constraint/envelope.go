@@ -40,7 +40,9 @@ func (e Envelope) Interval(v string) (Interval, bool) {
 // conjunction is unsatisfiable on its own). Disjoint envelopes imply the
 // merged conjunction is unsatisfiable, so a filter stage may reject the
 // pair without a satisfiability decision. Not-disjoint proves nothing —
-// the refine step still decides exactly.
+// the refine step still decides exactly. The filter stage (package cqa)
+// asks the same question on envelopes projected onto its columns once per
+// operator; this is the reference its property test checks it against.
 func (e Envelope) Disjoint(o Envelope, vars []string) bool {
 	for _, v := range vars {
 		iv1, ok1 := e.ivs[v]

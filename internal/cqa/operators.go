@@ -122,12 +122,12 @@ func ProjectCtx(ec *exec.Context, r *relation.Relation, cols ...string) (*relati
 	}
 	rec := ec.StartOp("project", r.Len())
 	tuples := r.Tuples()
-	results, err := exec.Map(ec, len(tuples), func(i int) (*relation.Tuple, error) {
+	results, err := exec.Map(ec, len(tuples), func(i int) (kept, error) {
 		t := tuples[i]
 		con := t.Constraint().Eliminate(dropCon...).Canon()
 		// A non-empty box projects to a non-empty box: nothing to ask.
 		if !t.Constraint().IsBox() && !rec.Satisfiable(con) {
-			return nil, nil
+			return kept{}, nil
 		}
 		rvals := map[string]relation.Value{}
 		for name, v := range t.RVals() {
@@ -135,18 +135,14 @@ func ProjectCtx(ec *exec.Context, r *relation.Relation, cols ...string) (*relati
 				rvals[name] = v
 			}
 		}
-		nt := relation.NewTuple(rvals, con)
-		return &nt, nil
+		return kept{relation.NewTuple(rvals, con), true}, nil
 	})
 	if err != nil {
 		return nil, err
 	}
 	out := relation.New(ps)
-	for _, t := range results {
-		if t == nil {
-			continue
-		}
-		if err := out.Add(*t); err != nil {
+	for _, t := range keptTuples(results) {
+		if err := out.Add(t); err != nil {
 			return nil, err
 		}
 	}
@@ -204,44 +200,45 @@ func joinCtx(ec *exec.Context, op string, r1, r2 *relation.Relation) (*relation.
 	// relational parts are known to match: the first decider of dec that
 	// takes the pair answers it (deciders.decide), the last one by asking
 	// before it builds (see the invariants at the top of this file). The
-	// relational-part copy happens after the satisfiability reject, and
-	// JoinTuple merges both sides in a single map allocation.
+	// relational part is joined after the satisfiability reject, and
+	// JoinTuple reuses a side's binding map whenever it can.
 	var dec deciders
-	refine := func(t1, t2 relation.Tuple) (*relation.Tuple, error) {
+	refine := func(t1, t2 relation.Tuple) (kept, error) {
 		con, sat := dec.decide(rec, t1.Constraint(), t2.Constraint())
 		if !sat {
-			return nil, nil
+			return kept{}, nil
 		}
-		nt := relation.JoinTuple(t1, t2, con)
-		return &nt, nil
+		return kept{relation.JoinTuple(t1, t2, con), true}, nil
 	}
-	var results []*relation.Tuple
+	var results []kept
 	items := pairs
 	if ec.PruneEnabled() && pairs > 0 {
-		// Filter stage: partition on sharedRel, envelope-reject over
+		// Filter stage: partition on sharedRel, frame-reject over
 		// sharedCon, switched enumeration per bucket. The surviving
 		// candidates are in ascending flattened order, so mapping over
-		// them preserves the sequential nested-loop output order.
+		// them preserves the sequential nested-loop output order; the
+		// filter's inputs have canonical constraint parts, which the pair
+		// lookup keys on.
 		plan := pairCandidates(ec, t1s, t2s, sharedRel, sharedCon)
 		dec = pairDeciders(ec, len(sharedCon) == len(r1.Schema().ConstraintNames()) &&
 			len(sharedCon) == len(r2.Schema().ConstraintNames()))
 		rec.Pairing(plan.enum, plan.estPairs)
 		rec.Pairs(int64(plan.total), int64(plan.pruned()))
 		items = len(plan.cands)
-		results, err = exec.Map(ec, items, func(k int) (*relation.Tuple, error) {
+		results, err = exec.Map(ec, items, func(k int) (kept, error) {
 			idx := plan.cands[k]
-			return refine(t1s[idx/len(t2s)], t2s[idx%len(t2s)])
+			return refine(plan.t1s[idx/len(t2s)], plan.t2s[idx%len(t2s)])
 		})
 	} else {
 		// The reference path: no envelope compared, dec stays empty.
 		rec.Pairs(int64(pairs), 0)
-		results, err = exec.Map(ec, pairs, func(i int) (*relation.Tuple, error) {
+		results, err = exec.Map(ec, pairs, func(i int) (kept, error) {
 			t1, t2 := t1s[i/len(t2s)], t2s[i%len(t2s)]
 			for _, name := range sharedRel {
 				v1, _ := t1.RVal(name) // NULL when unbound
 				v2, _ := t2.RVal(name)
 				if !v1.Identical(v2) {
-					return nil, nil
+					return kept{}, nil
 				}
 			}
 			return refine(t1, t2)
@@ -250,18 +247,30 @@ func joinCtx(ec *exec.Context, op string, r1, r2 *relation.Relation) (*relation.
 	if err != nil {
 		return nil, err
 	}
-	out := relation.New(js)
-	for _, t := range results {
-		if t == nil {
-			continue
-		}
-		if err := out.Add(*t); err != nil {
-			return nil, err
-		}
-	}
+	// Every result joins two valid tuples into a tuple valid for js, the
+	// schema join checked above (relation.FromJoin).
+	out := relation.FromJoin(js, keptTuples(results))
 	rec.AddOut(out.Len())
 	rec.Done(ec.ParallelFor(items))
 	return out, nil
+}
+
+// kept is one per-tuple result by value: the tuple, and whether there is
+// one.
+type kept struct {
+	t  relation.Tuple
+	ok bool
+}
+
+// keptTuples returns the tuples of the results that hold one, in order.
+func keptTuples(results []kept) []relation.Tuple {
+	out := make([]relation.Tuple, 0, len(results))
+	for _, r := range results {
+		if r.ok {
+			out = append(out, r.t)
+		}
+	}
+	return out
 }
 
 // Intersect returns r1 ∩ r2. It requires equal schemas and is implemented
@@ -298,29 +307,19 @@ func UnionCtx(ec *exec.Context, r1, r2 *relation.Relation) (*relation.Relation, 
 	all = append(all, r1.Tuples()...)
 	all = append(all, r2.Tuples()...)
 	rec := ec.StartOp("union", len(all))
-	type normed struct {
-		t  relation.Tuple
-		ok bool
-	}
-	results, err := exec.Map(ec, len(all), func(i int) (normed, error) {
+	results, err := exec.Map(ec, len(all), func(i int) (kept, error) {
 		t := all[i]
 		con := t.Constraint().SimplifyWith(rec.SatFunc())
 		if con.IsFalse() { // unsatisfiable: decided once, inside SimplifyWith
-			return normed{}, nil
+			return kept{}, nil
 		}
-		return normed{t: t.WithConstraint(con.Canon()), ok: true}, nil
+		return kept{t.WithConstraint(con.Canon()), true}, nil
 	})
 	if err != nil {
 		return nil, err
 	}
-	kept := make([]relation.Tuple, 0, len(results))
-	for _, nr := range results {
-		if nr.ok {
-			kept = append(kept, nr.t)
-		}
-	}
 	out := relation.New(r1.Schema())
-	for _, t := range relation.Distinct(kept) {
+	for _, t := range relation.Distinct(keptTuples(results)) {
 		if err := out.Add(t); err != nil {
 			return nil, err
 		}

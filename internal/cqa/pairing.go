@@ -6,7 +6,6 @@ import (
 
 	"cdb/internal/constraint"
 	"cdb/internal/exec"
-	"cdb/internal/rational"
 	"cdb/internal/relation"
 	"cdb/internal/vector"
 )
@@ -18,39 +17,45 @@ import (
 // satisfiability decision per tuple pair, or the staircase subtraction in
 // difference — is the quantifier-elimination cost that dominates CDB
 // evaluation; the filter rejects pairs that provably cannot interact
-// before any of it runs, using three cooperating mechanisms:
+// before any of it runs. It first canonicalises both inputs' constraint
+// parts, once per operator (a no-op on loaded relations and operator
+// outputs), then uses three cooperating mechanisms:
 //
 //  1. relational-part hash partitioning (relation.Partition): pairs whose
 //     shared relational attributes are not NULL-safe-identical can never
-//     merge, so each side is bucketed once and only matching buckets pair;
-//  2. memoized envelopes (constraint.Envelope): within a bucket, a pair
-//     whose envelopes are disjoint on a shared constraint attribute has an
-//     unsatisfiable merged conjunction — rejected in O(shared attrs)
-//     rational comparisons, no eliminator run;
+//     merge, so the left side is bucketed once, the right side is matched
+//     into the same buckets, and only matching buckets pair (with no
+//     shared relational attribute there is one bucket);
+//  2. the frame (below): each side's memoised envelopes projected once
+//     onto the shared constraint attributes as columns. Within a bucket,
+//     a pair with an empty interval on either side or separated intervals
+//     in some column has an unsatisfiable merged conjunction — rejected
+//     in at most k interval comparisons, no eliminator run;
 //  3. switched enumeration: within a bucket the candidate pairs are
 //     enumerated by the dense nested loop or by the interval sweep (sort
-//     both sides on one attribute's envelope interval, plane-sweep the
-//     overlaps), as resolveStrategy (planner.go) decided. Under PlanAuto,
-//     buckets below sweepCrossover still run dense; a forced PlanMode
-//     disables that escape so equivalence tests exercise the enumeration
-//     they asked for.
+//     both sides on one column's intervals, plane-sweep the overlaps), as
+//     resolveStrategy (planner.go) decided. Under PlanAuto, buckets below
+//     sweepCrossover still run dense; a forced PlanMode disables that
+//     escape so equivalence tests exercise the enumeration they asked for.
 //
 // The contract that keeps outputs byte-identical to the dense nested loop:
 // the surviving candidate set is exactly {bucket-matched pairs whose
-// envelopes are not Disjoint}, whichever enumeration ran — the sweep is a
-// conservative superset pass (closed-endpoint overlap on one attribute)
-// with the full Disjoint check applied to every emitted pair — and the
-// candidates are sorted into ascending flattened (i1·m + i2) order before
-// the refine fan-out, which is the sequential nested-loop order. Every
-// pruned pair is one the refine step would have rejected anyway, so
-// pruning on and off, and every mode, produce the same bytes.
+// envelopes are not Disjoint}, whichever enumeration ran — the frame check
+// is Envelope.Disjoint over the shared attributes, the sweep is a
+// conservative superset pass (closed-endpoint overlap in one column) with
+// the full frame check applied to every emitted pair — and the candidates
+// are sorted into ascending flattened (i1·m + i2) order before the refine
+// fan-out, which is the sequential nested-loop order. Every pruned pair is
+// one the refine step would have rejected anyway, so pruning on and off,
+// and every mode, produce the same bytes.
 
 // pairPlan is the filter stage's output for one binary-operator call.
 type pairPlan struct {
-	cands    []int  // surviving pairs as flattened indexes i1*m + i2, ascending
-	total    int    // the dense candidate space |t1s|·|t2s|
-	enum     string // how candidates were enumerated: exec.PlanDense or exec.PlanSweep
-	estPairs int64  // the estimator's upper bound on surviving candidates
+	t1s, t2s []relation.Tuple // the inputs, constraint parts canonical
+	cands    []int            // surviving pairs as flattened indexes i1*m + i2, ascending
+	total    int              // the dense candidate space |t1s|·|t2s|
+	enum     string           // how candidates were enumerated: exec.PlanDense or exec.PlanSweep
+	estPairs int64            // the estimator's upper bound on surviving candidates
 }
 
 // pruned returns how many pairs the filter rejected.
@@ -162,34 +167,130 @@ func (p pairPlan) row(i, m int) []int {
 	return p.cands[sort.SearchInts(p.cands, i*m):sort.SearchInts(p.cands, (i+1)*m)]
 }
 
-// envelopes computes (memoized) envelopes for every tuple's constraint part.
-func envelopes(ts []relation.Tuple) []constraint.Envelope {
-	out := make([]constraint.Envelope, len(ts))
-	for i := range ts {
-		out[i] = ts[i].Constraint().Envelope()
-	}
-	return out
+// frame is one binary operator's k shared constraint attributes as columns
+// 0…k−1, in lexicographic order, and each side's memoised envelopes
+// projected onto them once. Every envelope question the filter stage asks
+// afterwards — the pair check, the sweep's intervals, the sweep-column
+// choice, the overlap counts — reads a column instead of probing a map by
+// attribute name.
+type frame struct {
+	cols []string // column c is attribute cols[c]
+	l, r side     // the left (t1s) and right (t2s) sides
 }
 
-// pairCandidates runs the filter stage over t1s × t2s: partition on the
-// shared relational attributes and analyze the pairing (estimate.go),
-// resolve the strategy (planner.go), then enumerate candidates per bucket
-// (see the file comment).
+// side is one input projected onto a frame.
+type side struct {
+	k     int
+	ivs   []constraint.Interval // tuple i's interval in column c at i·k + c; Interval{} (unbounded) where the envelope bounds nothing
+	empty []bool                // tuple i has an empty interval in some column: it pairs with nothing
+}
+
+// newFrame lays out the frame over sharedCon and projects both sides.
+func newFrame(t1s, t2s []relation.Tuple, sharedCon []string) frame {
+	cols := append([]string{}, sharedCon...)
+	sort.Strings(cols) // column order, hence every tie-break, whatever the schema order
+	return frame{cols: cols, l: project(t1s, cols), r: project(t2s, cols)}
+}
+
+func project(ts []relation.Tuple, cols []string) side {
+	k := len(cols)
+	s := side{k: k, ivs: make([]constraint.Interval, len(ts)*k), empty: make([]bool, len(ts))}
+	for i := range ts {
+		for c, a := range cols {
+			if iv, ok := ts[i].Constraint().Envelope().Interval(a); ok {
+				s.ivs[i*k+c] = iv
+				s.empty[i] = s.empty[i] || iv.IsEmpty()
+			}
+		}
+	}
+	return s
+}
+
+// at returns tuple i's interval in column c.
+func (s *side) at(i, c int) *constraint.Interval { return &s.ivs[i*s.k+c] }
+
+// disjoint is constraint.Envelope.Disjoint over the frame's columns: the
+// pair (t1s[i], t2s[j]) cannot merge satisfiably when either side has an
+// empty interval in some column, or some column's intervals are separated.
+func (f *frame) disjoint(i, j int) bool {
+	if f.l.empty[i] || f.r.empty[j] {
+		return true
+	}
+	k := f.l.k
+	x, y := f.l.ivs[i*k:i*k+k], f.r.ivs[j*k:j*k+k]
+	for c := range x {
+		if endsBefore(&x[c], &y[c]) || endsBefore(&y[c], &x[c]) {
+			return true
+		}
+	}
+	return false
+}
+
+// endsBefore reports whether non-empty x lies entirely below non-empty y,
+// open endpoints respected (constraint.Interval.Intersects is false
+// exactly when one of the two ends before the other).
+func endsBefore(x, y *constraint.Interval) bool {
+	if !x.HasUpper || !y.HasLower {
+		return false
+	}
+	c := x.Upper.Cmp(y.Lower)
+	return c < 0 || (c == 0 && (x.UpperOpen || y.LowerOpen))
+}
+
+// sweepColumn picks the column the interval sweep sorts on: the one where
+// the most tuples on both sides carry two-sided envelope bounds (score =
+// bounded₁·bounded₂ — a proxy for how selective sorting on that column
+// will be). Returns -1 when no column is bounded on both sides; the sweep
+// would then degenerate to the dense loop anyway.
+//
+// Tie-breaking is deterministic and documented: columns are in
+// lexicographic attribute order (the schema's declaration order never
+// matters) and a later column replaces the incumbent only with a strictly
+// greater score, so on a tie the lexicographically first attribute among
+// the highest-scoring ones wins. TestSweepColumnTieBreak pins this.
+func (f *frame) sweepColumn() int {
+	best, bestScore := -1, int64(0)
+	for c := range f.cols {
+		if score := f.l.count(c, twoSided) * f.r.count(c, twoSided); score > bestScore { // strict: ties keep the lex-first incumbent
+			best, bestScore = c, score
+		}
+	}
+	return best
+}
+
+func twoSided(iv *constraint.Interval) bool { return iv.HasLower && iv.HasUpper }
+
+// count counts the tuples whose column-c interval satisfies pred.
+func (s *side) count(c int, pred func(*constraint.Interval) bool) int64 {
+	var n int64
+	for i := range s.empty {
+		if pred(s.at(i, c)) {
+			n++
+		}
+	}
+	return n
+}
+
+// pairCandidates runs the filter stage over t1s × t2s: canonicalise,
+// partition on the shared relational attributes and project the frame
+// (analyzePairing, estimate.go), resolve the strategy (planner.go), then
+// enumerate candidates per bucket (see the file comment).
 func pairCandidates(ec *exec.Context, t1s, t2s []relation.Tuple, sharedRel, sharedCon []string) pairPlan {
-	n, m := len(t1s), len(t2s)
+	m := len(t2s)
 	stats := analyzePairing(t1s, t2s, sharedRel, sharedCon)
 	mode := ec.Plan()
-	plan := pairPlan{total: n * m, estPairs: stats.est, enum: resolveStrategy(mode, stats)}
-	env1, env2 := stats.env1, stats.env2
+	plan := pairPlan{t1s: stats.t1s, t2s: stats.t2s, total: len(t1s) * m, estPairs: stats.est,
+		enum: resolveStrategy(mode, stats)}
+	fr := &stats.fr
 	auto := mode == exec.PlanAuto
 	emit := func(i, j int) {
-		if !env1[i].Disjoint(env2[j], sharedCon) {
+		if !fr.disjoint(i, j) {
 			plan.cands = append(plan.cands, i*m+j)
 		}
 	}
 	runBucket := func(as, bs []int) {
 		if plan.enum == exec.PlanSweep && !(auto && len(as)*len(bs) < sweepCrossover) {
-			sweepPairs(stats.sweepAttr, as, bs, env1, env2, emit)
+			sweepPairs(fr, stats.sweepCol, as, bs, emit)
 			return
 		}
 		for _, i := range as {
@@ -198,22 +299,9 @@ func pairCandidates(ec *exec.Context, t1s, t2s []relation.Tuple, sharedRel, shar
 			}
 		}
 	}
-	if stats.p1 == nil {
-		as, bs := make([]int, n), make([]int, m)
-		for i := range as {
-			as[i] = i
-		}
-		for j := range bs {
-			bs[j] = j
-		}
-		runBucket(as, bs)
-	} else {
-		for _, key := range stats.p1.Keys() {
-			bs := stats.p2.Bucket(key)
-			if len(bs) == 0 {
-				continue
-			}
-			runBucket(stats.p1.Bucket(key), bs)
+	for b, as := range stats.as {
+		if len(stats.bs[b]) > 0 {
+			runBucket(as, stats.bs[b])
 		}
 	}
 	// Buckets emit in bucket order; the refine fan-out must see the
@@ -222,122 +310,68 @@ func pairCandidates(ec *exec.Context, t1s, t2s []relation.Tuple, sharedRel, shar
 	return plan
 }
 
-// chooseSweepAttr picks the shared constraint attribute the interval
-// sweep sorts on: the one where the most tuples on both sides carry
-// two-sided envelope bounds (score = bounded₁·bounded₂ — a proxy for how
-// selective sorting on that attribute will be). Returns "" when no
-// attribute is bounded on both sides; the sweep would then degenerate to
-// the dense loop anyway.
-//
-// Tie-breaking is deterministic and documented: candidates are visited
-// in lexicographic attribute order (the schema's declaration order never
-// matters) and a later attribute replaces the incumbent only with a
-// strictly greater score, so on a tie the lexicographically first
-// attribute among the highest-scoring ones wins. The regression test
-// TestChooseSweepAttrTieBreak pins this.
-func chooseSweepAttr(sharedCon []string, env1, env2 []constraint.Envelope) string {
-	attrs := append([]string{}, sharedCon...)
-	sort.Strings(attrs) // deterministic choice whatever the schema order
-	best, bestScore := "", 0
-	for _, a := range attrs {
-		score := countBounded(env1, a) * countBounded(env2, a)
-		if score > bestScore { // strict: ties keep the lex-first incumbent
-			best, bestScore = a, score
-		}
-	}
-	return best
-}
-
-func countBounded(envs []constraint.Envelope, attr string) int {
-	n := 0
-	for _, e := range envs {
-		if iv, ok := e.Interval(attr); ok && iv.HasLower && iv.HasUpper {
-			n++
-		}
-	}
-	return n
-}
-
-// sweepItem is one tuple's envelope interval in the sweep attribute.
-// A missing bound reads as the corresponding infinity.
-type sweepItem struct {
-	idx          int
-	lo, hi       rational.Rat
-	hasLo, hasHi bool
-}
-
-// sweepPairs enumerates, by a two-pointer sorted merge over the envelope
-// intervals of attr, every (i ∈ as, j ∈ bs) pair whose closed intervals
-// overlap, calling emit exactly once per such pair. Open endpoints are
-// treated as closed here — a conservative superset that the exact
-// Disjoint check inside emit narrows — so no pair the dense loop would
-// keep is ever missed. Tuples with an empty interval in attr are dropped
-// up front; the dense path drops them too (Disjoint reports empty
-// intervals on sight), keeping the two candidate sets identical.
-func sweepPairs(attr string, as, bs []int, env1, env2 []constraint.Envelope, emit func(i, j int)) {
-	sa := sweepItems(attr, as, env1)
-	sb := sweepItems(attr, bs, env2)
+// sweepPairs enumerates, by a two-pointer sorted merge over the column-c
+// intervals, every (i ∈ as, j ∈ bs) pair whose closed intervals overlap,
+// calling emit exactly once per such pair. Open endpoints are treated as
+// closed here — a conservative superset that the exact frame check inside
+// emit narrows — so no pair the dense loop would keep is ever missed.
+// Tuples with an empty interval in any column are dropped up front; the
+// dense path drops them too (the frame check rejects them on sight),
+// keeping the two candidate sets identical.
+func sweepPairs(fr *frame, c int, as, bs []int, emit func(i, j int)) {
+	sa, sb := sweepItems(&fr.l, c, as), sweepItems(&fr.r, c, bs)
 	i, j := 0, 0
 	for i < len(sa) && j < len(sb) {
-		if loCmp(sb[j], sa[i]) >= 0 { // sa[i] starts first (ties go to the a side)
-			a := sa[i]
-			for k := j; k < len(sb) && startsBeforeEnd(sb[k], a); k++ {
-				emit(a.idx, sb[k].idx)
+		a, b := fr.l.at(sa[i], c), fr.r.at(sb[j], c)
+		if loCmp(b, a) >= 0 { // sa[i] starts first (ties go to the a side)
+			for k := j; k < len(sb) && startsBeforeEnd(fr.r.at(sb[k], c), a); k++ {
+				emit(sa[i], sb[k])
 			}
 			i++
 		} else {
-			b := sb[j]
-			for k := i; k < len(sa) && startsBeforeEnd(sa[k], b); k++ {
-				emit(sa[k].idx, b.idx)
+			for k := i; k < len(sa) && startsBeforeEnd(fr.l.at(sa[k], c), b); k++ {
+				emit(sa[k], sb[j])
 			}
 			j++
 		}
 	}
 }
 
-// sweepItems extracts and sorts one side's intervals by start, -∞ first.
-func sweepItems(attr string, idxs []int, envs []constraint.Envelope) []sweepItem {
-	out := make([]sweepItem, 0, len(idxs))
-	for _, idx := range idxs {
-		iv, ok := envs[idx].Interval(attr)
-		if ok && iv.IsEmpty() {
-			continue // unsatisfiable on its own; the dense path prunes it via Disjoint
+// sweepItems returns the idxs without an empty interval, sorted by their
+// column-c interval's start, -∞ first. The order among equal starts does
+// not matter: each pair is emitted once whichever comes first, and the
+// candidates are sorted after.
+func sweepItems(s *side, c int, idxs []int) []int {
+	out := make([]int, 0, len(idxs))
+	for _, i := range idxs {
+		if !s.empty[i] {
+			out = append(out, i)
 		}
-		it := sweepItem{idx: idx}
-		if ok {
-			it.lo, it.hasLo = iv.Lower, iv.HasLower
-			it.hi, it.hasHi = iv.Upper, iv.HasUpper
-		}
-		out = append(out, it)
 	}
-	slices.SortFunc(out, loCmp)
+	slices.SortFunc(out, func(a, b int) int { return loCmp(s.at(a, c), s.at(b, c)) })
 	return out
 }
 
-// loCmp is the sweep's total order on interval starts: -∞ first, then by
-// start value, ties by tuple index.
-func loCmp(a, b sweepItem) int {
-	if !a.hasLo || !b.hasLo {
-		if a.hasLo != b.hasLo {
-			if !a.hasLo {
-				return -1
-			}
-			return 1
-		}
-		return a.idx - b.idx
+// loCmp is the sweep's order on interval starts: -∞ first, then by start
+// value.
+func loCmp(a, b *constraint.Interval) int {
+	switch {
+	case !a.HasLower && !b.HasLower:
+		return 0
+	case !a.HasLower:
+		return -1
+	case !b.HasLower:
+		return 1
 	}
-	if c := a.lo.Cmp(b.lo); c != 0 {
-		return c
-	}
-	return a.idx - b.idx
+	return a.Lower.Cmp(b.Lower)
 }
 
 // startsBeforeEnd reports x.lo ≤ y.hi under closed-endpoint semantics
 // with infinities — the sweep's conservative overlap half-condition (the
 // other half, y.lo ≤ x.hi, is implied by the merge order).
-func startsBeforeEnd(x, y sweepItem) bool {
-	if !x.hasLo || !y.hasHi {
+func startsBeforeEnd(x, y *constraint.Interval) bool {
+	if !x.HasLower || !y.HasUpper {
 		return true
 	}
-	return x.lo.Cmp(y.hi) <= 0
+	return x.Lower.Cmp(y.Upper) <= 0
 }

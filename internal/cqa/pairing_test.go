@@ -1,12 +1,15 @@
 package cqa
 
 import (
+	"math/rand"
 	"strings"
 	"testing"
 
+	"cdb/internal/constraint"
 	"cdb/internal/datagen"
 	"cdb/internal/exec"
 	"cdb/internal/obs"
+	"cdb/internal/rational"
 	"cdb/internal/relation"
 )
 
@@ -101,6 +104,7 @@ func TestPruningEquivalence(t *testing.T) {
 						if err != nil {
 							t.Fatalf("%s %s par%d filtered: %v", wName, opName, par, err)
 						}
+						revalidate(t, wName+" "+opName, got)
 						if dump(got) != dump(want) {
 							t.Errorf("%s %s par%d decline%+v: filtered output diverges from dense\ndense:\n%s\nfiltered:\n%s",
 								wName, opName, par, decl, dump(want), dump(got))
@@ -229,5 +233,130 @@ func TestUnionStats(t *testing.T) {
 	}
 	if ecSeq.Stats()[0].Parallel {
 		t.Error("union below SeqThreshold must not report Parallel")
+	}
+}
+
+// randBounds is a random mix of envelope bounds on v: none (1 in 6),
+// one-sided, two-sided (possibly empty), open or closed, or a point — so
+// the frame sees every endpoint shape, touching intervals included
+// (endpoints are drawn from a small range).
+func randBounds(rng *rand.Rand, v string) []constraint.Constraint {
+	if rng.Intn(6) == 0 {
+		return nil
+	}
+	lo := rational.FromInt(int64(rng.Intn(21) - 10))
+	hi := rational.FromInt(int64(rng.Intn(21) - 10))
+	switch rng.Intn(4) {
+	case 0:
+		return []constraint.Constraint{constraint.GeConst(v, lo)}
+	case 1:
+		return []constraint.Constraint{constraint.LeConst(v, hi)}
+	case 2:
+		var cs []constraint.Constraint
+		if rng.Intn(2) == 0 {
+			cs = append(cs, constraint.GeConst(v, lo))
+		} else {
+			cs = append(cs, constraint.GtConst(v, lo))
+		}
+		if rng.Intn(2) == 0 {
+			return append(cs, constraint.LeConst(v, hi))
+		}
+		return append(cs, constraint.LtConst(v, hi))
+	}
+	return []constraint.Constraint{constraint.EqConst(v, lo)}
+}
+
+// randBoundedTuples is n constraint tuples with randBounds on each of
+// vars, and now and then a bound on an unshared z.
+func randBoundedTuples(rng *rand.Rand, n int, vars ...string) []relation.Tuple {
+	out := make([]relation.Tuple, n)
+	for i := range out {
+		var cs []constraint.Constraint
+		for _, v := range vars {
+			cs = append(cs, randBounds(rng, v)...)
+		}
+		if rng.Intn(3) == 0 {
+			cs = append(cs, constraint.GeConst("z", rational.FromInt(int64(rng.Intn(5)))))
+		}
+		out[i] = relation.ConstraintTuple(constraint.And(cs...).Canon())
+	}
+	return out
+}
+
+// TestFrameDisjointMatchesEnvelope: the frame's pair check is
+// constraint.Envelope.Disjoint over the shared attributes, on random
+// envelopes with absent, empty, open, point and touching intervals in
+// one to three columns.
+func TestFrameDisjointMatchesEnvelope(t *testing.T) {
+	rng := rand.New(rand.NewSource(53))
+	for round := 0; round < 300; round++ {
+		vars := []string{"y", "x", "w"}[:1+round%3]
+		t1s := randBoundedTuples(rng, rng.Intn(10), vars...)
+		t2s := randBoundedTuples(rng, rng.Intn(10), vars...)
+		fr := newFrame(t1s, t2s, vars)
+		for i := range t1s {
+			for j := range t2s {
+				want := t1s[i].Constraint().Envelope().Disjoint(t2s[j].Constraint().Envelope(), vars)
+				if got := fr.disjoint(i, j); got != want {
+					t.Fatalf("round %d: frame disjoint(%s, %s) = %v, Envelope.Disjoint = %v",
+						round, t1s[i], t2s[j], got, want)
+				}
+			}
+		}
+	}
+}
+
+// TestFrameOverlapCountMatchesBruteForce checks the sort-and-search
+// counter against the O(n·m) definition (Interval.Intersects semantics,
+// missing interval = unbounded) on many random tuple sets, in each
+// column of a two-column frame.
+func TestFrameOverlapCountMatchesBruteForce(t *testing.T) {
+	rng := rand.New(rand.NewSource(41))
+	for round := 0; round < 200; round++ {
+		t1s := randBoundedTuples(rng, rng.Intn(12), "x", "y")
+		t2s := randBoundedTuples(rng, rng.Intn(12), "x", "y")
+		fr := newFrame(t1s, t2s, []string{"y", "x"})
+		for c, v := range fr.cols {
+			var want int64
+			for _, a := range t1s {
+				ia, _ := a.Constraint().Envelope().Interval(v) // absent = the unbounded zero Interval
+				for _, b := range t2s {
+					if ib, _ := b.Constraint().Envelope().Interval(v); ia.Intersects(ib) {
+						want++
+					}
+				}
+			}
+			if got := fr.overlapCount(c); got != want {
+				t.Fatalf("round %d column %s: overlapCount = %d, brute force = %d", round, v, got, want)
+			}
+		}
+	}
+}
+
+// TestFrameOverlapCountEndpoints pins the open-endpoint edge cases the
+// epsilon encoding exists for: closed touch intersects, any open touch
+// does not, empty intervals count nothing.
+func TestFrameOverlapCountEndpoints(t *testing.T) {
+	five := rational.FromInt(5)
+	one := func(cs ...constraint.Constraint) []relation.Tuple {
+		return []relation.Tuple{relation.ConstraintTuple(constraint.And(cs...).Canon())}
+	}
+	cases := []struct {
+		name string
+		a, b []relation.Tuple
+		want int64
+	}{
+		{"closed-touch", one(constraint.LeConst("x", five)), one(constraint.GeConst("x", five)), 1},
+		{"open-upper-touch", one(constraint.LtConst("x", five)), one(constraint.GeConst("x", five)), 0},
+		{"open-lower-touch", one(constraint.LeConst("x", five)), one(constraint.GtConst("x", five)), 0},
+		{"empty-side", one(constraint.GtConst("x", five), constraint.LtConst("x", five)), one(constraint.GeConst("x", five)), 0},
+		{"point-point", one(constraint.EqConst("x", five)), one(constraint.EqConst("x", five)), 1},
+		{"unbounded-vs-empty", one(), one(constraint.GtConst("x", five), constraint.LeConst("x", five)), 0},
+	}
+	for _, tc := range cases {
+		fr := newFrame(tc.a, tc.b, []string{"x"})
+		if got := fr.overlapCount(0); got != tc.want {
+			t.Errorf("%s: overlapCount = %d, want %d", tc.name, got, tc.want)
+		}
 	}
 }

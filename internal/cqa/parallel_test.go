@@ -26,6 +26,20 @@ func dump(r *relation.Relation) string {
 	return b.String()
 }
 
+// revalidate re-runs relation.Relation.Add's checks on every tuple of r
+// against r's schema. Join and intersect build their output with
+// relation.FromJoin, which checks nothing per tuple; the equivalence
+// matrices run this on every operator output to back that.
+func revalidate(t *testing.T, what string, r *relation.Relation) {
+	t.Helper()
+	fresh := relation.New(r.Schema())
+	for _, tu := range r.Tuples() {
+		if err := fresh.Add(tu); err != nil {
+			t.Fatalf("%s: output tuple %s is not valid for %s: %v", what, tu, r.Schema(), err)
+		}
+	}
+}
+
 // parContexts returns the execution contexts the equivalence tests
 // exercise: parallelism 1, 4 and GOMAXPROCS, each with SeqThreshold 1 so
 // even small inputs actually reach the worker pool.
@@ -80,6 +94,7 @@ func TestParallelEquivalence(t *testing.T) {
 				if err != nil {
 					t.Fatalf("seed %d %s %s: %v", seed, name, ctxName, err)
 				}
+				revalidate(t, name, got)
 				if d := dump(got); d != wantDump {
 					t.Errorf("seed %d: %s at %s diverges from sequential output\nsequential:\n%s\nparallel:\n%s",
 						seed, name, ctxName, wantDump, d)
@@ -107,6 +122,7 @@ func TestParallelEquivalenceCrossProduct(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", ctxName, err)
 		}
+		revalidate(t, "cross-product join "+ctxName, got)
 		if dump(got) != dump(want) {
 			t.Errorf("cross-product join at %s diverges from sequential output", ctxName)
 		}

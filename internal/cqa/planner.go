@@ -16,12 +16,12 @@ import (
 // picks per pair (pairing.go). docs/ARCHITECTURE.md "The filter stage"
 // describes both.
 //
-// Cost model. Unit = one envelope-interval comparison; k = number of
-// shared constraint attributes (each surviving pair pays a k-interval
-// Disjoint check whichever enumeration ran):
+// Cost model. Unit = one interval comparison; k = the frame's columns,
+// the shared constraint attributes (each enumerated pair pays the
+// k-column frame check, pairing.go, whichever enumeration ran):
 //
 //	dense  = relPairs·k                    every bucket-matched pair checked
-//	sweep  = (n+m)·log₂(n+m) + estSweep·k  sort both sides, check overlaps on the sweep attr
+//	sweep  = (n+m)·log₂(n+m) + estSweep·k  sort both sides, check overlaps in the sweep column
 //
 // Ties prefer the simpler enumeration (dense).
 
@@ -39,16 +39,19 @@ const sweepCrossover = 64
 // forces a decider and not an enumeration), the cost model does.
 func resolveStrategy(mode string, s pairStats) string {
 	switch {
-	case mode == exec.PlanDense || s.sweepAttr == "":
+	case mode == exec.PlanDense || s.sweepCol < 0:
 		return exec.PlanDense
 	case mode == exec.PlanSweep:
 		return exec.PlanSweep
-	case int64(s.n)*int64(s.m) < sweepCrossover:
+	}
+	n, m := len(s.t1s), len(s.t2s)
+	if int64(n)*int64(m) < sweepCrossover {
 		return exec.PlanDense
 	}
-	k := math.Max(1, float64(len(s.overlap)))
+	k := math.Max(1, float64(len(s.fr.cols)))
 	costDense := float64(s.relPairs) * k
-	costSweep := float64(s.n+s.m)*math.Log2(float64(s.n+s.m)+1) + float64(s.estSweep())*k
+	estSweep := min(s.relPairs, s.overlap[s.sweepCol]) // overlaps in the sweep column, capped by the buckets
+	costSweep := float64(n+m)*math.Log2(float64(n+m)+1) + float64(estSweep)*k
 	if costSweep < costDense {
 		return exec.PlanSweep
 	}

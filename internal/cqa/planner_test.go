@@ -17,39 +17,44 @@ import (
 
 var update = flag.Bool("update", false, "rewrite golden files")
 
-// TestChooseSweepAttrTieBreak pins the documented tie-break of the sweep
-// attribute choice: candidates are visited in lexicographic order and a
-// later attribute needs a strictly greater boundedness score to replace
-// the incumbent, so on a tie the lexicographically first attribute wins —
+// TestSweepColumnTieBreak pins the documented tie-break of the sweep
+// column choice: columns are in lexicographic attribute order and a later
+// column needs a strictly greater boundedness score to replace the
+// incumbent, so on a tie the lexicographically first attribute wins —
 // regardless of the order the caller lists the shared attributes in.
-func TestChooseSweepAttrTieBreak(t *testing.T) {
+func TestSweepColumnTieBreak(t *testing.T) {
 	// Both x and y are two-sided-bounded in every envelope on both sides:
 	// identical scores, so the choice is decided purely by the tie-break.
-	mk := func(n int) []constraint.Envelope {
-		out := make([]constraint.Envelope, n)
+	mk := func(n int) []relation.Tuple {
+		out := make([]relation.Tuple, n)
 		for i := range out {
 			k := fmt.Sprint(i)
-			out[i] = constraint.And(
+			out[i] = relation.ConstraintTuple(constraint.And(
 				ge("x", k), le("x", fmt.Sprint(i+1)),
 				ge("y", k), le("y", fmt.Sprint(i+1)),
-			).Envelope()
+			).Canon())
 		}
 		return out
 	}
-	env1, env2 := mk(4), mk(3)
+	t1s, t2s := mk(4), mk(3)
 	for _, shared := range [][]string{{"x", "y"}, {"y", "x"}} {
-		if got := chooseSweepAttr(shared, env1, env2); got != "x" {
-			t.Errorf("chooseSweepAttr(%v) = %q, want lex-first %q on a tie", shared, got, "x")
+		fr := newFrame(t1s, t2s, shared)
+		if c := fr.sweepColumn(); c < 0 || fr.cols[c] != "x" {
+			t.Errorf("sweepColumn over %v = %d (columns %v), want lex-first %q on a tie", shared, c, fr.cols, "x")
 		}
 	}
-	// A strictly better-scored later attribute must still win: unbound x
+	// A strictly better-scored later column must still win: unbound x
 	// on one side so y's score dominates.
-	lop := make([]constraint.Envelope, len(env1))
-	for i := range env1 {
-		lop[i] = constraint.And(ge("y", "0"), le("y", "9")).Envelope()
+	lop := make([]relation.Tuple, len(t1s))
+	for i := range lop {
+		lop[i] = relation.ConstraintTuple(constraint.And(ge("y", "0"), le("y", "9")).Canon())
 	}
-	if got := chooseSweepAttr([]string{"x", "y"}, lop, env2); got != "y" {
-		t.Errorf("chooseSweepAttr with x unbounded = %q, want %q", got, "y")
+	fr := newFrame(lop, t2s, []string{"x", "y"})
+	if c := fr.sweepColumn(); c < 0 || fr.cols[c] != "y" {
+		t.Errorf("sweepColumn with x unbounded = %d (columns %v), want %q", c, fr.cols, "y")
+	}
+	if fr := newFrame(lop, t2s, []string{"x"}); fr.sweepColumn() != -1 {
+		t.Errorf("sweepColumn with the only column unbounded on one side = %d, want -1", fr.sweepColumn())
 	}
 }
 
@@ -105,6 +110,7 @@ func TestStrategyEquivalence(t *testing.T) {
 					if err != nil {
 						t.Fatalf("%s %s par%d %s: %v", wName, opName, par, mode, err)
 					}
+					revalidate(t, wName+" "+opName+" "+mode, got)
 					return dump(got), sumStats(ec)
 				}
 				want, _ := run(exec.PlanDense)

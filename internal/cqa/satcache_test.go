@@ -182,38 +182,90 @@ func TestSatCacheWarmReuse(t *testing.T) {
 // TestWarmJoinAllocs puts a ceiling on what a remembered pair may cost: the
 // paper's Query 3 joins (owners ⋈ parcels, then ⋈ the track) on a warm
 // session cache, one worker, counted per candidate pair the filter stage
-// hands to refine. A remembered unsatisfiable pair allocates nothing and a
-// remembered satisfiable one only its result tuple; the rest is the filter
-// stage and the output relation. A Merge or a Canon on a remembered pair —
-// some twenty allocations each — cannot come back under this ceiling.
+// hands to refine. A remembered pair allocates nothing — not even its
+// result tuple, which shares the owner side's binding map and is returned
+// by value; the rest is the filter stage and the output relation, once per
+// operator. A Merge or a Canon on a remembered pair — some twenty
+// allocations each — or a binding map per result cannot come back under
+// this ceiling. The raw leg runs the same joins on the same relations
+// built without their canonical forms, as a database filled by db.Put
+// holds them: the filter canonicalises each input once per operator, so the
+// bytes are the canonical leg's and a Canon of both sides on every pair
+// lookup — two or more allocations a pair — breaks the ceiling.
 func TestWarmJoinAllocs(t *testing.T) {
 	land, owners, track := datagen.HurricaneRelations(8)
-	ec := exec.New(1)
-	ec.SatCache = constraint.NewSatCache(0)
-	query3Joins := func() {
-		r0, err := cqa.JoinCtx(ec, owners, land)
-		if err != nil {
-			t.Fatal(err)
+	for _, tc := range []struct {
+		name    string
+		ceiling float64 // allocations per candidate pair
+	}{
+		{"canonical", 1.0}, // 0.21 when set
+		{"raw", 2.0},       // 1.19 when set
+	} {
+		in := [3]*relation.Relation{owners, land, track}
+		if tc.name == "raw" {
+			for i, r := range in {
+				in[i] = nonCanonical(t, r)
+			}
 		}
-		if _, err := cqa.JoinCtx(ec, r0, track); err != nil {
-			t.Fatal(err)
+		ec := exec.New(1)
+		ec.SatCache = constraint.NewSatCache(0)
+		var out *relation.Relation
+		query3Joins := func() {
+			r0, err := cqa.JoinCtx(ec, in[0], in[1])
+			if err != nil {
+				t.Fatal(err)
+			}
+			if out, err = cqa.JoinCtx(ec, r0, in[2]); err != nil {
+				t.Fatal(err)
+			}
 		}
-	}
-	query3Joins()
-	var cands int64
-	for _, s := range ec.Stats() {
-		cands += s.PairsTotal - s.PairsPruned
-	}
-	ec.Reset()
-	allocs := testing.AllocsPerRun(10, func() {
 		query3Joins()
+		var cands int64
+		for _, s := range ec.Stats() {
+			cands += s.PairsTotal - s.PairsPruned
+		}
 		ec.Reset()
-	})
-	const ceiling = 2.3 // allocations per candidate pair; 1.51 when set
-	if perPair := allocs / float64(cands); perPair > ceiling {
-		t.Errorf("warm Query 3 joins: %.0f allocations over %d candidate pairs = %.2f per pair, ceiling %v",
-			allocs, cands, perPair, ceiling)
+		allocs := testing.AllocsPerRun(10, func() {
+			query3Joins()
+			ec.Reset()
+		})
+		if tc.name == "raw" {
+			canon, err := cqa.JoinCtx(nil, owners, land)
+			if err == nil {
+				canon, err = cqa.JoinCtx(nil, canon, track)
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			if saved(t, out) != saved(t, canon) {
+				t.Error("raw inputs: the joins print other bytes than on the canonical inputs")
+			}
+		}
+		perPair := allocs / float64(cands)
+		t.Logf("%s: %.0f allocations over %d candidate pairs = %.2f per pair", tc.name, allocs, cands, perPair)
+		if perPair > tc.ceiling {
+			t.Errorf("warm Query 3 joins, %s inputs: %.0f allocations over %d candidate pairs = %.2f per pair, ceiling %v",
+				tc.name, allocs, cands, perPair, tc.ceiling)
+		}
 	}
+}
+
+// nonCanonical is r with every constraint part rebuilt from its atoms, so
+// that none is flagged canonical or carries a memo: a relation as db.Put
+// receives it from a program that builds tuples by hand.
+func nonCanonical(t *testing.T, r *relation.Relation) *relation.Relation {
+	t.Helper()
+	out := relation.New(r.Schema())
+	for _, tu := range r.Tuples() {
+		nt := tu.WithConstraint(constraint.And(tu.Constraint().Constraints()...))
+		if nt.Constraint().IsCanonical() {
+			t.Fatal("And flagged its result canonical")
+		}
+		if err := out.Add(nt); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return out
 }
 
 // TestBoxJoinAllocs puts a ceiling on a pair decided on its envelopes: a
@@ -221,8 +273,10 @@ func TestWarmJoinAllocs(t *testing.T) {
 // nearly every pair a candidate) under auto, one worker, the tuples
 // canonical and their envelopes already memoised. Such a pair costs its merged atoms, the
 // merge's two memo boxes and the result tuple with its binding map; the rest
-// is the filter stage and the output relation. A Merge + Canon per pair —
-// seven more allocations — or a clip cannot come back under this ceiling,
+// is the filter stage and the output relation, and the result tuple shares
+// the (empty) binding map of a side. A Merge + Canon per pair — seven more
+// allocations — a binding map per result, or a clip cannot come back under
+// this ceiling,
 // and the counters say outright that neither ran.
 func TestBoxJoinAllocs(t *testing.T) {
 	p := datagen.Paper()
@@ -249,7 +303,7 @@ func TestBoxJoinAllocs(t *testing.T) {
 		join()
 		ec.Reset()
 	})
-	const ceiling = 5.0 // allocations per candidate pair; 4.28 when set
+	const ceiling = 3.0 // allocations per candidate pair; 2.15 when set
 	perPair := allocs / float64(cands)
 	t.Logf("%.0f allocations over %d candidate pairs = %.2f per pair", allocs, cands, perPair)
 	if perPair > ceiling {

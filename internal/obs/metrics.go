@@ -106,6 +106,7 @@ type family struct {
 type Registry struct {
 	mu   sync.Mutex
 	fams map[string]*family
+	ops  sync.Map // operator name -> *opSeries, OpStats.AddTo's resolved series
 }
 
 // NewRegistry returns an empty registry.

@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"math"
 	"strconv"
+	"sync/atomic"
 	"time"
 )
 
@@ -110,15 +111,42 @@ func (s *OpStats) Annotate(sp *Span) {
 }
 
 // AddTo folds the record into reg: each non-zero counter into
-// cdb_op_<name>_total{op}, the wall time into cdb_op_seconds{op}.
+// cdb_op_<name>_total{op}, the wall time into cdb_op_seconds{op}. Operator
+// names and counter rows are closed sets, so each (counter, op) series is
+// resolved once per registry and the fold is atomic adds. A counter's
+// series is still created only when the counter first moves, so an
+// exposition lists what has happened and nothing more.
 func (s *OpStats) AddTo(reg *Registry) {
+	ser := reg.opSeries(s.Op)
 	for i := range OpCounters {
 		if v := *OpCounters[i].Field(s); v != 0 {
-			reg.CounterVec(opMetrics[i], OpCounters[i].Help, "op").With(s.Op).Add(v)
+			c := ser.counters[i].Load()
+			if c == nil {
+				c = reg.CounterVec(opMetrics[i], OpCounters[i].Help, "op").With(s.Op)
+				ser.counters[i].Store(c) // racing stores store the same series
+			}
+			c.Add(v)
 		}
 	}
-	reg.HistogramVec("cdb_op_seconds", "Operator wall time.", "op", DefLatencyBuckets).
-		With(s.Op).Observe(s.Wall.Seconds())
+	ser.seconds.Observe(s.Wall.Seconds())
+}
+
+// opSeries is one operator's cdb_op_* series in one registry: a counter
+// slot per OpCounters row, filled on the row's first non-zero fold, and the
+// wall-time histogram.
+type opSeries struct {
+	counters [len(OpCounters)]atomic.Pointer[Counter]
+	seconds  *Histogram
+}
+
+// opSeries returns op's series in r, resolving them on first use.
+func (r *Registry) opSeries(op string) *opSeries {
+	if s, ok := r.ops.Load(op); ok {
+		return s.(*opSeries)
+	}
+	s, _ := r.ops.LoadOrStore(op, &opSeries{
+		seconds: r.HistogramVec("cdb_op_seconds", "Operator wall time.", "op", DefLatencyBuckets).With(op)})
+	return s.(*opSeries)
 }
 
 // MarshalJSON encodes the record as the server's stats rows and a flight

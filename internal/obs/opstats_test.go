@@ -86,3 +86,31 @@ func TestOpCountersDocumented(t *testing.T) {
 		}
 	}
 }
+
+// TestOpStatsAddTo: folding a record adds each non-zero counter to its
+// cdb_op_<name>_total{op} series and one observation to cdb_op_seconds{op};
+// a counter that never moved has no series; and once an operator's series
+// are resolved, a fold allocates nothing.
+func TestOpStatsAddTo(t *testing.T) {
+	reg := NewRegistry()
+	s := OpStats{Op: "join", TuplesIn: 7, TuplesOut: 3, SatChecks: 2, Wall: time.Millisecond}
+	s.AddTo(reg)
+	s.AddTo(reg)
+	var b strings.Builder
+	if err := reg.WritePrometheus(&b); err != nil {
+		t.Fatal(err)
+	}
+	out := b.String()
+	for _, want := range []string{`cdb_op_in_total{op="join"} 14`, `cdb_op_out_total{op="join"} 6`,
+		`cdb_op_sat_total{op="join"} 4`, `cdb_op_seconds_count{op="join"} 2`} {
+		if !strings.Contains(out, want) {
+			t.Errorf("exposition lacks %q:\n%s", want, out)
+		}
+	}
+	if strings.Contains(out, "cdb_op_env_total") {
+		t.Errorf("a counter that never moved has a series:\n%s", out)
+	}
+	if n := testing.AllocsPerRun(20, func() { s.AddTo(reg) }); n != 0 {
+		t.Errorf("a fold into resolved series allocated %v times", n)
+	}
+}

@@ -36,13 +36,21 @@ func NewTuple(rvals map[string]Value, con constraint.Conjunction) Tuple {
 }
 
 // JoinTuple returns the natural-join combination of t and o: the union of
-// their relational bindings (o's win on shared names — the join guard has
-// already checked shared bindings identical) with con as the constraint
-// part. It is the refine-stage fast path of the CQA join: one map
-// allocation per surviving pair, instead of the copy-merge-copy that
-// composing RVals with NewTuple costs. Safe because tuples never store
-// NULL bindings, so the merged map preserves the invariant unfiltered.
+// their relational bindings (the join guard has already checked shared
+// bindings identical) with con as the constraint part. It is the
+// refine-stage fast path of the CQA join. When one side already binds
+// every attribute the other binds — a key joined to the relation it keys,
+// or a side with no bindings at all — the union is that side's map, and
+// tuples are immutable, so the map is shared and nothing is allocated;
+// otherwise the two are merged into one map. Either way the result holds no
+// NULL binding, because tuples never store one.
 func JoinTuple(t, o Tuple, con constraint.Conjunction) Tuple {
+	if bindsAll(t.rvals, o.rvals) {
+		return Tuple{rvals: t.rvals, con: con}
+	}
+	if bindsAll(o.rvals, t.rvals) {
+		return Tuple{rvals: o.rvals, con: con}
+	}
 	m := make(map[string]Value, len(t.rvals)+len(o.rvals))
 	for k, v := range t.rvals {
 		m[k] = v
@@ -51,6 +59,19 @@ func JoinTuple(t, o Tuple, con constraint.Conjunction) Tuple {
 		m[k] = v
 	}
 	return Tuple{rvals: m, con: con}
+}
+
+// bindsAll reports whether a binds every attribute b binds.
+func bindsAll(a, b map[string]Value) bool {
+	if len(b) > len(a) {
+		return false
+	}
+	for k := range b {
+		if _, ok := a[k]; !ok {
+			return false
+		}
+	}
+	return true
 }
 
 // ConstraintTuple builds a tuple with only a constraint part.
@@ -308,6 +329,16 @@ func (r *Relation) Add(t Tuple) error {
 	r.changed()
 	r.tuples = append(r.tuples, t)
 	return nil
+}
+
+// FromJoin returns a relation over s holding ts, which it keeps, without
+// checking them one by one: s is the joined schema (schema.Schema.Join) of
+// two relations and every tuple of ts joins one tuple of each. Such a tuple
+// is valid for s by construction — its bindings are the union of two valid
+// tuples' bindings and its constraint part constrains only their variables
+// — so the schema join is the one check the output needs.
+func FromJoin(s schema.Schema, ts []Tuple) *Relation {
+	return &Relation{schema: s, tuples: ts}
 }
 
 // Bound is one relational binding by schema position instead of by name.
