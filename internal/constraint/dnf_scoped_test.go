@@ -7,6 +7,67 @@ import (
 	"testing"
 )
 
+// referenceSubtractAll is the second staircase the package once had beside
+// SubtractAllScoped, verbatim: each subtrahend complements every piece
+// from scratch (referenceComplement), deciding the piece itself again at
+// the top before walking the subtrahend's atoms. It is the oracle the one
+// staircase is held to, as referenceSimplify is for SimplifyWith.
+func referenceSubtractAll(j Conjunction, ks []Conjunction, sat SatFunc) Disjunction {
+	work := Disjunction{j}
+	for _, k := range ks {
+		var next Disjunction
+		for _, piece := range work {
+			next = append(next, referenceComplement(piece, k, false, sat)...)
+		}
+		work = next
+		if len(work) == 0 {
+			return nil
+		}
+	}
+	return work
+}
+
+// referenceComplement returns base ∧ ¬j as a disjunction of satisfiable
+// conjunctions by the staircase ¬c1 ∨ (c1 ∧ ¬c2) ∨ ...; lazyPrune skips
+// the satisfiability pruning (the ablation SubtractLazy serves).
+func referenceComplement(base Conjunction, j Conjunction, lazyPrune bool, sat SatFunc) Disjunction {
+	if !lazyPrune && !base.SatisfiableWith(sat) {
+		return nil
+	}
+	cs := j.Constraints()
+	var out Disjunction
+	prefix := base
+	for _, c := range cs {
+		for _, neg := range c.Complement() {
+			cand := prefix.With(neg)
+			if lazyPrune || cand.SatisfiableWith(sat) {
+				out = append(out, cand)
+			}
+		}
+		prefix = prefix.With(c)
+		if !lazyPrune && !prefix.SatisfiableWith(sat) {
+			// base already entails ¬(remaining prefix); nothing further to
+			// subtract from.
+			break
+		}
+	}
+	return out
+}
+
+// sameDisjuncts fails unless got holds want's disjuncts, atom for atom, in
+// want's order.
+func sameDisjuncts(t *testing.T, name string, got, want Disjunction) {
+	t.Helper()
+	if len(got) != len(want) {
+		t.Fatalf("%s: %d disjuncts, want %d", name, len(got), len(want))
+	}
+	for d := range want {
+		if got[d].Key() != want[d].Key() {
+			t.Fatalf("%s disjunct %d: %q != %q", name, d, got[d].Key(), want[d].Key())
+		}
+	}
+}
+
 // extrasStep is the scope state the staircase had before it carried one:
 // the list of atoms accumulated on top of base, decided from scratch. It
 // also checks the contract of SubtractAllScoped on every call — the
@@ -23,11 +84,20 @@ func extrasStep(t *testing.T, base Conjunction, decisions *int) func([]Constrain
 	}
 }
 
-// TestSubtractAllScopedMatchesSubtractAllWith checks the scoped staircase
-// against the reference one on random 2-D region stacks: when step
-// decides exactly what the sat oracle would, the emitted disjuncts must be
-// identical atoms in identical order.
-func TestSubtractAllScopedMatchesSubtractAllWith(t *testing.T) {
+// TestSubtractAllScopedMatchesReference checks the one staircase against
+// the reference on random 2-D region stacks: when step decides exactly
+// what the sat oracle would, the emitted disjuncts must be identical atoms
+// in identical order. SubtractAll, Subtract and SubtractLazy — the
+// staircase with Fourier–Motzkin steps and with none — are held to the
+// reference the same way, unsatisfiable minuends and no subtrahends
+// included.
+func TestSubtractAllScopedMatchesReference(t *testing.T) {
+	empty := box("x", "2", "1")
+	sameDisjuncts(t, "unsatisfiable minuend", SubtractAll(empty, []Conjunction{box("x", "0", "3")}),
+		referenceSubtractAll(empty, []Conjunction{box("x", "0", "3")}, nil))
+	sameDisjuncts(t, "no subtrahend", SubtractAll(empty, nil), Disjunction{empty})
+	sameDisjuncts(t, "lazy, unsatisfiable minuend", SubtractLazy(empty, box("x", "0", "3")),
+		referenceComplement(empty, box("x", "0", "3"), true, nil))
 	rng := rand.New(rand.NewSource(11))
 	randBox := func() Conjunction {
 		x0 := rng.Int63n(8)
@@ -50,20 +120,16 @@ func TestSubtractAllScopedMatchesSubtractAllWith(t *testing.T) {
 		for i := range ks {
 			ks[i] = randBox()
 		}
+		name := "case " + itoa(int64(i))
+		want := referenceSubtractAll(base, ks, nil)
+		sameDisjuncts(t, name+" SubtractAll", SubtractAll(base, ks), want)
+		sameDisjuncts(t, name+" Subtract", Subtract(base, ks[0]), referenceSubtractAll(base, ks[:1], nil))
+		sameDisjuncts(t, name+" SubtractLazy", SubtractLazy(base, ks[0]), referenceComplement(base, ks[0], true, nil))
 		if !base.IsSatisfiable() {
 			continue // the root scope is the caller's promise that base is satisfiable
 		}
-		want := SubtractAllWith(base, ks, nil)
 		var decisions int
-		got := SubtractAllScoped(base, ks, nil, extrasStep(t, base, &decisions))
-		if len(got) != len(want) {
-			t.Fatalf("case %d: %d disjuncts, want %d", i, len(got), len(want))
-		}
-		for d := range want {
-			if got[d].Key() != want[d].Key() {
-				t.Fatalf("case %d disjunct %d: %q != %q", i, d, got[d].Key(), want[d].Key())
-			}
-		}
+		sameDisjuncts(t, name, SubtractAllScoped(base, ks, nil, extrasStep(t, base, &decisions)), want)
 	}
 }
 
@@ -78,12 +144,9 @@ func TestSubtractAllScopedExtrasReconstruct(t *testing.T) {
 		box("x", "2", "4").Merge(box("y", "2", "4")),
 		box("x", "6", "8"),
 	}
-	want := SubtractAllWith(base, ks, nil)
 	var decisions int
-	got := SubtractAllScoped(base, ks, nil, extrasStep(t, base, &decisions))
-	if len(got) != len(want) {
-		t.Fatalf("%d disjuncts, want %d", len(got), len(want))
-	}
+	sameDisjuncts(t, "staircase", SubtractAllScoped(base, ks, nil, extrasStep(t, base, &decisions)),
+		referenceSubtractAll(base, ks, nil))
 	// First subtrahend: 4 atoms, each a negation and a prefix step (8), 4
 	// pieces out. Second: each piece walks x >= 6 (negation kept, prefix
 	// step) and stops where the prefix turns empty; only the piece with

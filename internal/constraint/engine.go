@@ -111,8 +111,12 @@ func NewSatCache(capacity int) *SatCache {
 
 // Satisfiable decides j through the memo: canonicalise, look up the
 // fingerprint, and only on a miss run the Fourier-Motzkin eliminator. The
-// second result reports whether the answer came from the cache.
+// second result reports whether the answer came from the cache. The nil
+// cache is the no-cache path: it runs the eliminator on j and never hits.
 func (c *SatCache) Satisfiable(j Conjunction) (sat, hit bool) {
+	if c == nil {
+		return j.IsSatisfiable(), false
+	}
 	cj := j.Canon()
 	q := satEntry{key: c.keyOf(cj.fp), cs: cj.cs}
 	if _, sat, ok := c.lookup(&q); ok {
@@ -138,7 +142,13 @@ func (c *SatCache) Satisfiable(j Conjunction) (sat, hit bool) {
 // different questions. One call is one hit or one miss. The inputs are
 // expected canonical, as operator outputs and loaded relations are: one that
 // is not is canonicalised on every call, which costs what the hit saves.
+// The nil cache merges, canonicalises and decides every pair, and never
+// hits.
 func (c *SatCache) SatisfiablePair(a, b Conjunction) (merged Conjunction, sat, hit bool) {
+	if c == nil {
+		merged = a.Merge(b).Canon()
+		return merged, merged.IsSatisfiable(), false
+	}
 	ca, cb := a.Canon(), b.Canon()
 	q := satEntry{key: c.keyOf(pairKey(ca.fp, cb.fp)), cs: ca.cs, cs2: cb.cs, pair: true}
 	if merged, sat, ok := c.lookup(&q); ok {
@@ -216,8 +226,8 @@ func (c *SatCache) store(q satEntry) {
 }
 
 // Func adapts the cache to a SatFunc for the *With decision procedures
-// (EntailsWith, SimplifyWith, SubtractAllWith). A nil receiver yields a nil
-// SatFunc, i.e. raw Fourier-Motzkin.
+// (EntailsWith, SimplifyWith). A nil receiver yields a nil SatFunc, i.e.
+// raw Fourier-Motzkin.
 func (c *SatCache) Func() SatFunc {
 	if c == nil {
 		return nil

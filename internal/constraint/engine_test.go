@@ -35,6 +35,25 @@ func TestSatCacheAgreesWithRawDecisions(t *testing.T) {
 	}
 }
 
+// TestNilSatCacheIsRaw: the nil cache is the no-cache path — every answer is
+// the raw eliminator's, a pair comes back merged and canonical, and nothing
+// is ever a hit.
+func TestNilSatCacheIsRaw(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	var cache *SatCache
+	for i := 0; i < 60; i++ {
+		a, b := randConj(rng), randConj(rng)
+		if sat, hit := cache.Satisfiable(a); sat != a.IsSatisfiable() || hit {
+			t.Fatalf("case %d: nil cache says (%v, hit %v) on %s", i, sat, hit, a)
+		}
+		want := a.Merge(b).Canon()
+		merged, sat, hit := cache.SatisfiablePair(a, b)
+		if sat != want.IsSatisfiable() || hit || !merged.EqualCanonical(want) {
+			t.Fatalf("case %d: nil cache pair (%s, %v, hit %v), want (%s, %v)", i, merged, sat, hit, want, want.IsSatisfiable())
+		}
+	}
+}
+
 // TestSatCacheHitsOnEquivalentForms checks that memoization happens at the
 // canonical-form level: rescaled and reordered variants of the same
 // conjunction share one entry.
@@ -320,9 +339,9 @@ func TestPairLookupAgreesWithMergeCanon(t *testing.T) {
 	})
 }
 
-// TestSatFuncThreading checks the *With plumbing end to end: a counting
-// SatFunc must see every decision that Simplify and SubtractAll make, and
-// the results must match the nil (raw) path exactly.
+// TestSatFuncThreading checks the decision plumbing end to end: a counting
+// SatFunc must see every decision that Simplify makes and every step of a
+// staircase that asks it, and the results must match the raw path exactly.
 func TestSatFuncThreading(t *testing.T) {
 	rng := rand.New(rand.NewSource(13))
 	cache := NewSatCache(0)
@@ -335,9 +354,12 @@ func TestSatFuncThreading(t *testing.T) {
 	for i := 0; i < 40; i++ {
 		j, k := randConj(rng), randConj(rng)
 		plain := SubtractAll(j, []Conjunction{k})
-		cached := SubtractAllWith(j, []Conjunction{k}, counting)
+		cached := SubtractAllScoped(j, []Conjunction{k}, struct{}{},
+			func(_ struct{}, prefix Conjunction, atom Constraint) (struct{}, bool) {
+				return struct{}{}, counting(prefix.With(atom))
+			})
 		if len(plain) != len(cached) {
-			t.Fatalf("case %d: SubtractAllWith disagrees: %d vs %d disjuncts", i, len(plain), len(cached))
+			t.Fatalf("case %d: a staircase through the cache disagrees: %d vs %d disjuncts", i, len(plain), len(cached))
 		}
 		for d := range plain {
 			if !plain[d].Equivalent(cached[d]) {

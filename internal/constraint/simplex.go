@@ -12,9 +12,14 @@ import (
 //
 // It has one role: the independent decision procedure property_test.go
 // checks Fourier-Motzkin against — feasibility reached by pivoting rather
-// than by elimination (FeasiblePoint). No production code calls Maximize,
-// Minimize or FeasiblePoint; whether the simplex earns a production role
-// (deciding satisfiability, redundancy) is an open roadmap item.
+// than by elimination (FeasiblePoint, and the slack LP that decides strict
+// systems exactly). No production code calls Maximize, Minimize or
+// FeasiblePoint. It stays out of production because it loses where it
+// would serve: on the 3-variable conjunctions of the paper's Query 3
+// (BenchmarkColdDecision, BenchmarkColdRedundancy) one slack LP costs
+// 3.3 cold Fourier-Motzkin decisions, and one LP per atom 3.5 times
+// SimplifyWith's entailment pass, with identical verdicts (2-core x86-64
+// host, medians of five runs).
 //
 // The implementation is the standard two-phase primal simplex on a dense
 // rational dictionary with Bland's anti-cycling rule. Free variables are

@@ -24,11 +24,12 @@ import (
 //     the inputs;
 //   - memoized decisions: every satisfiability decision goes through the
 //     operator's recorder (exec.OpRecorder.Satisfiable, and for the pair
-//     decisions of join, intersect and select exec.OpRecorder.SatisfiablePair), so
-//     a sat-cache configured on ec is consulted and the hit/miss counts
-//     land in the per-operator statistics. With no context or no cache the
-//     decisions fall back to the raw Fourier-Motzkin eliminator, and the
-//     output is byte-identical either way.
+//     decisions of join, intersect, select and difference's pre-filter
+//     exec.OpRecorder.SatisfiablePair), so a sat-cache configured on ec is
+//     consulted and the hit/miss counts land in the per-operator
+//     statistics. With no context or no cache the decisions fall back to
+//     the raw Fourier-Motzkin eliminator, and the output is byte-identical
+//     either way.
 //
 // Join and intersect ask before they build: a candidate pair is looked up
 // under its two *input* fingerprints, a remembered unsatisfiable pair is
@@ -41,7 +42,8 @@ import (
 // pairs of polygon forms are answered before it, on their intervals and by
 // clipping, and never touch the cache — their working sets (box-join cycles
 // 6400 distinct pairs through 4096 entries) would evict every entry before
-// its reuse. Difference does not use the pair lookup.
+// its reuse. Difference's intersection pre-filter decides its pairs the same
+// way, clip then pair lookup; its staircase asks about prefixes, not pairs.
 
 // Select returns ς_cond(r): the tuples of r restricted to the condition.
 // Per the heterogeneous semantics, conditions over constraint attributes
@@ -369,9 +371,11 @@ func Difference(r1, r2 *relation.Relation) (*relation.Relation, error) {
 // The subtrahends for each tuple of r1 come from the same filter stage as
 // join's candidates (pairCandidates): the surviving list is {identical
 // relational part ∧ envelopes not Disjoint}, in input order. The
-// survivors then pass an exact intersection pre-filter (Merge + sat) —
-// subtracting a region that does not intersect t1 cannot change the
-// semantics, but it would fragment the staircase expansion syntactically.
+// survivors then pass an exact intersection pre-filter, each pair decided
+// as join decides one: the clip decider (clipPair), else the pair lookup
+// on the filter's canonical inputs — subtracting a region that does not
+// intersect t1 cannot change the semantics, but it would fragment the
+// staircase expansion syntactically.
 // The pre-filter runs in every mode, which is what keeps the output
 // byte-identical with the filter on or off and across strategies: every
 // envelope-pruned subtrahend is one the pre-filter's satisfiability
@@ -384,19 +388,23 @@ func DifferenceCtx(ec *exec.Context, r1, r2 *relation.Relation) (*relation.Relat
 	rec := ec.StartOp("difference", len(t1s)+len(t2s))
 	m := len(t2s)
 	filtered := ec.PruneEnabled() && len(t1s)*m > 0
+	// The deciders read c1s, c2s: the filter's canonical inputs when it
+	// runs. The staircase subtracts the inputs' own constraint parts.
+	c1s, c2s := t1s, t2s
 	var plan pairPlan
 	var dec deciders
 	if filtered {
 		sharedRel, sharedCon := sharedAttrs(r1.Schema(), r2.Schema())
 		plan = pairCandidates(ec, t1s, t2s, sharedRel, sharedCon)
-		dec = pairDeciders(ec, false) // env has no part in difference
+		c1s, c2s = plan.t1s, plan.t2s
+		dec = pairDeciders(ec, false) // env off: no workload subtracts boxes from boxes
 		rec.Pairing(plan.enum, plan.estPairs)
 		rec.Pairs(int64(plan.total), int64(plan.pruned()))
 	} else {
 		rec.Pairs(int64(len(t1s)*m), 0)
 	}
 	rows, err := exec.Map(ec, len(t1s), func(i int) ([]relation.Tuple, error) {
-		t1 := t1s[i]
+		t1, c1 := t1s[i], c1s[i].Constraint()
 		// Candidate subtrahends, in input order either way, so the
 		// staircase expansion sees the same subtrahend order: the filter's
 		// row for t1, or — on the unfiltered reference path — every tuple
@@ -415,62 +423,49 @@ func DifferenceCtx(ec *exec.Context, r1, r2 *relation.Relation) (*relation.Relat
 				}
 			}
 		}
-		// The clip decider, per minuend (env has no part here: no workload
-		// subtracts from boxes): decisions about t1's region run on its
-		// cached polygon form where one exists; they agree with FM exactly,
-		// so the subtrahends, the staircase and the output bytes match.
-		var f1 *vector.Form
-		if dec.clip {
-			f1 = vector.FormOf(t1.Constraint())
-		}
 		// Refine, part 1 — intersection pre-filter: keep only subtrahends
 		// whose region actually meets t1's.
 		var subtrahends []constraint.Conjunction
 		for _, j := range matches {
-			if f1 != nil {
-				f2 := vector.FormOf(t2s[j].Constraint())
-				if f2 != nil && f2.XVar == f1.XVar && f2.YVar == f1.YVar {
-					sat, reject := vector.PairSat(f1, f2)
-					rec.VectorHit(sat, reject)
-					if sat {
-						subtrahends = append(subtrahends, t2s[j].Constraint())
-					}
-					continue
-				}
-				rec.VectorFallback()
+			c2 := c2s[j].Constraint()
+			sat, ok := false, false
+			if dec.clip {
+				sat, ok = clipPair(rec, c1, c2)
 			}
-			if !rec.Satisfiable(t1.Constraint().Merge(t2s[j].Constraint()).Canon()) {
-				continue
+			if !ok {
+				_, sat = rec.SatisfiablePair(c1, c2)
 			}
-			subtrahends = append(subtrahends, t2s[j].Constraint())
+			if sat {
+				subtrahends = append(subtrahends, t2s[j].Constraint())
+			}
 		}
-		// Refine, part 2 — the staircase expansion. It prunes eagerly, so
-		// every returned piece is already proven satisfiable; routing its
-		// internal decisions through the recorder both memoizes them and
-		// surfaces them in the stats. The pieces share t1's relational
-		// part: tuples are immutable, so WithConstraint reuses the binding
-		// map instead of copying it once per piece.
-		//
-		// With a vector form in hand the staircase decisions clip the
-		// polygon instead: each piece carries t1's ring clipped by the atoms
-		// accumulated on top of it, a decision is one more clip of that
-		// ring, and the conjunction is only rebuilt on the rare fallback (an
-		// atom the clipper cannot decide).
-		var pieces constraint.Disjunction
-		if f1 != nil {
-			pieces = constraint.SubtractAllScoped(t1.Constraint(), subtrahends, f1.Scope(),
-				func(parent vector.Scope, prefix constraint.Conjunction, atom constraint.Constraint) (vector.Scope, bool) {
+		// Refine, part 2 — the staircase expansion, every returned piece
+		// proven satisfiable. With a polygon form for t1 each piece carries
+		// t1's ring clipped by the atoms accumulated on top of it, and a
+		// decision is one more clip; an atom the clipper cannot decide, or a
+		// t1 without a form, goes to the recorder. The verdicts are FM's
+		// either way, so the pieces are too. They share t1's relational
+		// part: WithConstraint reuses the binding map.
+		var f1 *vector.Form
+		var root vector.Scope
+		if dec.clip {
+			if f1 = vector.FormOf(c1); f1 != nil {
+				root = f1.Scope()
+			}
+		}
+		pieces := constraint.SubtractAllScoped(t1.Constraint(), subtrahends, root,
+			func(parent vector.Scope, prefix constraint.Conjunction, atom constraint.Constraint) (vector.Scope, bool) {
+				if f1 != nil {
 					child, sat, ok := parent.Clip(atom)
 					if ok {
 						rec.VectorHit(sat, false)
 						return child, sat
 					}
 					rec.VectorFallback()
-					return child, rec.Satisfiable(prefix.With(atom))
-				})
-		} else {
-			pieces = constraint.SubtractAllWith(t1.Constraint(), subtrahends, rec.SatFunc())
-		}
+					parent = child
+				}
+				return parent, rec.Satisfiable(prefix.With(atom))
+			})
 		keepPieces := make([]relation.Tuple, 0, len(pieces))
 		for _, con := range pieces {
 			keepPieces = append(keepPieces, t1.WithConstraint(con.Canon()))

@@ -13,13 +13,14 @@ import (
 // This file is the filter stage of the binary operators' filter-and-refine
 // split — one pipeline, consumed by join, intersect and difference alike —
 // and the list of deciders the refine stage tries on each pair that
-// survives it (deciders, below). The refine step — Merge+Canon plus a
-// satisfiability decision per tuple pair, or the staircase subtraction in
-// difference — is the quantifier-elimination cost that dominates CDB
-// evaluation; the filter rejects pairs that provably cannot interact
-// before any of it runs. It first canonicalises both inputs' constraint
-// parts, once per operator (a no-op on loaded relations and operator
-// outputs), then uses three cooperating mechanisms:
+// survives it (deciders, below; difference's intersection pre-filter asks
+// clipPair and then the pair lookup itself). The refine step — Merge+Canon
+// plus a satisfiability decision per tuple pair, or the staircase
+// subtraction in difference — is the quantifier-elimination cost that
+// dominates CDB evaluation; the filter rejects pairs that provably cannot
+// interact before any of it runs. It first canonicalises both inputs'
+// constraint parts, once per operator (a no-op on loaded relations and
+// operator outputs), then uses three cooperating mechanisms:
 //
 //  1. relational-part hash partitioning (relation.Partition): pairs whose
 //     shared relational attributes are not NULL-safe-identical can never

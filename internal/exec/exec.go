@@ -200,20 +200,8 @@ func (c *Context) Err() error {
 	return c.Ctx.Err()
 }
 
-// Satisfiable decides j through the context's sat-cache when one is
-// configured (the second result reports a cache hit); otherwise — including
-// on the nil Context — it runs the raw decision procedure. Operator code
-// should prefer OpRecorder.Satisfiable, which also records the decision in
-// the per-operator statistics.
-func (c *Context) Satisfiable(j constraint.Conjunction) (sat, hit bool) {
-	if c == nil || c.SatCache == nil {
-		return j.IsSatisfiable(), false
-	}
-	return c.SatCache.Satisfiable(j)
-}
-
 // SatFunc returns the context's memoized decision function for threading
-// into constraint.*With procedures (SimplifyWith, SubtractAllWith, ...).
+// into constraint.*With procedures (SimplifyWith, EntailsWith).
 // Nil — meaning raw Fourier-Motzkin — on the nil Context or when no
 // SatCache is configured.
 func (c *Context) SatFunc() constraint.SatFunc {

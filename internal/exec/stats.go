@@ -104,49 +104,51 @@ func (r *OpRecorder) SatCheck(sat bool) {
 	}
 }
 
-// Satisfiable decides j through the context's memoized engine (falling back
-// to the raw eliminator when no cache is configured, or on the nil
-// recorder) and records the decision: one sat-check, one pruned candidate if
-// unsatisfiable, and — when the cache is enabled — one hit or miss. This is
-// the decision entry point the CQA operators use.
+// Satisfiable decides j through the context's memoized engine and records
+// the decision: one sat-check, one pruned candidate if unsatisfiable, and —
+// when the cache is enabled — one hit or miss. With no cache configured, or
+// on the nil recorder, the nil *constraint.SatCache runs the raw
+// eliminator. This is the decision entry point the CQA operators use.
 func (r *OpRecorder) Satisfiable(j constraint.Conjunction) bool {
-	if r == nil {
-		return j.IsSatisfiable()
-	}
-	sat, hit := r.c.Satisfiable(j)
+	sat, hit := r.cache().Satisfiable(j)
 	r.decided(sat, hit)
 	return sat
 }
 
-// SatisfiablePair decides a ∧ b — the refine step of join and intersect —
-// and returns its canonical form a.Merge(b).Canon() when it is satisfiable
-// (the conjunction is meaningless otherwise). With a sat-cache configured
-// the pair is looked up under its two input fingerprints first
+// SatisfiablePair decides a ∧ b — the refine step of join, intersect and
+// select, and difference's intersection pre-filter — and returns its
+// canonical form a.Merge(b).Canon() when it is satisfiable (the
+// conjunction is meaningless otherwise). With a sat-cache configured the
+// pair is looked up under its two input fingerprints first
 // (constraint.SatCache.SatisfiablePair), so a remembered pair is neither
-// merged nor canonicalised again; without one it is merged, canonicalised
-// and decided by the raw eliminator. Either way it records exactly what
-// Satisfiable records: one sat-check, one pruned candidate if
-// unsatisfiable, one hit or miss when the cache is enabled.
+// merged nor canonicalised again; the nil cache merges, canonicalises and
+// decides it by the raw eliminator. Either way it records exactly what
+// Satisfiable records.
 func (r *OpRecorder) SatisfiablePair(a, b constraint.Conjunction) (constraint.Conjunction, bool) {
-	if r == nil || r.c.SatCache == nil {
-		merged := a.Merge(b).Canon()
-		sat := merged.IsSatisfiable()
-		if r != nil {
-			r.decided(sat, false)
-		}
-		return merged, sat
-	}
-	merged, sat, hit := r.c.SatCache.SatisfiablePair(a, b)
+	merged, sat, hit := r.cache().SatisfiablePair(a, b)
 	r.decided(sat, hit)
 	return merged, sat
+}
+
+// cache is the sat-cache the recorder's decisions go through: nil — the raw
+// eliminator — on the nil recorder or when the context configures none.
+func (r *OpRecorder) cache() *constraint.SatCache {
+	if r == nil {
+		return nil
+	}
+	return r.c.SatCache
 }
 
 // decided records one decision routed through the context's oracle: a
 // sat-check, a hit or a miss when a cache is configured, and — whenever the
 // cache did not answer — one run of the eliminator. Counting the run here,
 // on the recorder that asked, is what keeps fm exact under concurrent
-// sessions; constraint.DecisionCount is the process total only.
+// sessions; constraint.DecisionCount is the process total only. No-op on
+// the nil recorder.
 func (r *OpRecorder) decided(sat, hit bool) {
+	if r == nil {
+		return
+	}
 	r.SatCheck(sat)
 	if hit {
 		atomic.AddInt64(&r.s.CacheHits, 1)
@@ -159,8 +161,8 @@ func (r *OpRecorder) decided(sat, hit bool) {
 }
 
 // SatFunc adapts the recorder to a constraint.SatFunc so decision
-// procedures threaded through the constraint package (SubtractAllWith,
-// SimplifyWith) both consult the memoized engine and show up in the
+// procedures threaded through the constraint package (SimplifyWith,
+// EntailsWith) both consult the memoized engine and show up in the
 // operator's statistics. The nil recorder yields nil (raw Fourier-Motzkin).
 func (r *OpRecorder) SatFunc() constraint.SatFunc {
 	if r == nil {

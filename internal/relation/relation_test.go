@@ -251,6 +251,42 @@ func TestEquivalent(t *testing.T) {
 	}
 }
 
+// TestEquivalentDecidesPiecesOnce: covers asks SubtractAll whether anything
+// of a tuple lies outside its cover, and every piece the staircase returns
+// is already proven satisfiable. One Equivalent call on two overlapping
+// polygons therefore costs the two tuples' own decisions and the
+// staircase's, and no elimination more.
+func TestEquivalentDecidesPiecesOnce(t *testing.T) {
+	x, y := constraint.Var("x"), constraint.Var("y")
+	tri := constraint.And(constraint.GeConst("x", q("0")), constraint.GeConst("y", q("0")),
+		constraint.MustNew(x.Add(y), "<=", constraint.ConstInt(4)))
+	quad := constraint.And(constraint.GeConst("x", q("1")), constraint.GeConst("y", q("1")),
+		constraint.MustNew(x.Add(y.Scale(q("2"))), "<=", constraint.ConstInt(9)),
+		constraint.MustNew(x.Sub(y), "<=", constraint.ConstInt(3)))
+	a, b := New(landSchema()), New(landSchema())
+	a.MustAdd(ConstraintTuple(tri))
+	b.MustAdd(ConstraintTuple(quad))
+
+	before := constraint.DecisionCount()
+	if a.Equivalent(b) {
+		t.Fatal("a triangle and a quadrilateral it only overlaps are equivalent")
+	}
+	got := constraint.DecisionCount() - before
+	// covers(a, b) decides b's tuple and a's, subtracts, finds a piece and
+	// answers false; covers(b, a) never runs.
+	before = constraint.DecisionCount()
+	quad.IsSatisfiable()
+	tri.IsSatisfiable()
+	pieces := constraint.SubtractAll(tri, []constraint.Conjunction{quad})
+	bound := constraint.DecisionCount() - before
+	if len(pieces) == 0 {
+		t.Fatal("fixture: the triangle lies inside the quadrilateral")
+	}
+	if got > bound {
+		t.Fatalf("Equivalent made %d Fourier–Motzkin decisions, the tuples and the staircase make %d", got, bound)
+	}
+}
+
 func TestSortedDeterminism(t *testing.T) {
 	r := New(landSchema())
 	r.MustAdd(NewTuple(map[string]Value{"landId": Str("B")}, constraint.True()))

@@ -71,7 +71,8 @@ type stairTally struct {
 // checkedStaircase runs base − ks through SubtractAllScoped on f's scope,
 // exactly as the difference operator does, and at every step compares the
 // incremental verdict with referenceSatExtras on the whole list of atoms
-// accumulated so far. The emitted disjuncts must be SubtractAllWith's.
+// accumulated so far. The emitted disjuncts must be SubtractAll's, whose
+// every step runs Fourier–Motzkin.
 func checkedStaircase(t *testing.T, f *Form, base constraint.Conjunction, ks []constraint.Conjunction, tally *stairTally) {
 	t.Helper()
 	type state struct {
@@ -108,13 +109,13 @@ func checkedStaircase(t *testing.T, f *Form, base constraint.Conjunction, ks []c
 			}
 			return state{scope: child, extras: extras}, sat
 		})
-	want := constraint.SubtractAllWith(base, ks, nil)
+	want := constraint.SubtractAll(base, ks)
 	if len(got) != len(want) {
-		t.Fatalf("%d disjuncts, SubtractAllWith gives %d\n base: %s", len(got), len(want), base)
+		t.Fatalf("%d disjuncts, SubtractAll gives %d\n base: %s", len(got), len(want), base)
 	}
 	for i := range want {
 		if got[i].Key() != want[i].Key() {
-			t.Fatalf("disjunct %d: %q, SubtractAllWith gives %q", i, got[i].Key(), want[i].Key())
+			t.Fatalf("disjunct %d: %q, SubtractAll gives %q", i, got[i].Key(), want[i].Key())
 		}
 	}
 }
@@ -147,7 +148,7 @@ func overlapping(r1, r2 *relation.Relation, visit func(f *Form, base constraint.
 // TestScopeMatchesFromScratchOnStaircase: at every step of the difference
 // staircase over the three generated shapes, the incremental scope gives
 // the verdict and ok the from-scratch clip of all accumulated atoms gives,
-// and the staircase emits SubtractAllWith's disjuncts.
+// and the staircase emits SubtractAll's disjuncts.
 func TestScopeMatchesFromScratchOnStaircase(t *testing.T) {
 	p1 := datagen.Paper()
 	p1.Seed = 1801

@@ -25,14 +25,15 @@ fi
 # come from. The single-shot measurement files, the tool that diffed them,
 # their Makefile targets and the cdbbench experiments that wrote them are
 # gone; so are the plan-mode validator and the planner q-error histogram,
-# threshold and buckets. Nothing outside the history files and the frozen
-# benchmark/ may name them again.
+# threshold and buckets, and the second difference staircase (one staircase:
+# constraint.SubtractAllScoped). Nothing outside the history files and the
+# frozen benchmark/ may name them again.
 echo '>> no second bench harness'
 if ls BENCH_*.json >/dev/null 2>&1; then
     echo 'a BENCH_*.json sits at the root; measurements belong to benchmark/'
     exit 1
 fi
-if git grep -nE 'BENCH_[a-z]+\.json|bench[d]iff|bench-(all|canon|prune|plan|vector|snapshot)|-expt (cqa|canon|prune|plan|vector|snapshot)|Valid[P]lanMode|cdb_planner_[q]error|QError[B]uckets|DefaultQError[T]hreshold' \
+if git grep -nE 'BENCH_[a-z]+\.json|bench[d]iff|bench-(all|canon|prune|plan|vector|snapshot)|-expt (cqa|canon|prune|plan|vector|snapshot)|Valid[P]lanMode|cdb_planner_[q]error|QError[B]uckets|DefaultQError[T]hreshold|SubtractAll[W]ith|Complement[I]nto' \
     -- . ':!CHANGES.md' ':!ROADMAP.md' ':!ISSUE.md' ':!benchmark'; then
     echo 'a retired measurement file, tool, target, experiment or name is named (see above)'
     exit 1
