@@ -794,7 +794,9 @@ func BenchmarkDifferencePolygonMinus(b *testing.B) {
 
 // BenchmarkClipRing is the vector path's kernel: one Sutherland–Hodgman
 // clip of an octagon by a half-plane that cuts it (two exact crossings),
-// one that keeps all of it and one that keeps none (both allocation-free).
+// one that keeps all of it and one that keeps none (both allocation-free),
+// and the staircase's split of the octagon into both sides of the cutting
+// line (the same two crossings, one allocation).
 func BenchmarkClipRing(b *testing.B) {
 	ring := geometry.MustPolygon(
 		geometry.Pt(3, 0), geometry.Pt(7, 0), geometry.Pt(10, 3), geometry.Pt(10, 7),
@@ -818,6 +820,12 @@ func BenchmarkClipRing(b *testing.B) {
 			}
 		})
 	}
+	b.Run("split", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			benchRing = geometry.Split(ring, hp(3, 7, -50), geometry.Le|geometry.Ge).Ge
+		}
+	})
 }
 
 var benchRing []geometry.Point

@@ -104,11 +104,95 @@ func (j Conjunction) IsCanonical() bool { return j.canon }
 // allocation holds both). box says the caller knows them to be a non-empty
 // box (see IsBox).
 func canonical(atoms []Constraint, box bool) Conjunction {
+	env, aux := memoBoxes(box)
+	return Conjunction{cs: atoms, canon: true, fp: fingerprintOf(atoms), env: env, aux: aux}
+}
+
+// memoBoxes returns a canonical form's fresh memo boxes, both in one
+// allocation.
+func memoBoxes(box bool) (*envBox, *auxBox) {
 	memo := &struct {
 		env envBox
 		aux auxBox
 	}{env: envBox{knownBox: box}}
-	return Conjunction{cs: atoms, canon: true, fp: fingerprintOf(atoms), env: &memo.env, aux: &memo.aux}
+	return &memo.env, &memo.aux
+}
+
+// insert returns j.With(c).Canon() for a j flagged canonical (the result
+// is only as canonical as j) without canonicalising j again: c is made
+// atom-canonical, folded against the at most one atom of j it is parallel
+// to (foldParallel's tie rules), dropped when it is an equality j already
+// holds, and otherwise binary-searched into place on rendered keys, so
+// about log n atoms of j are rendered.
+//
+// The result is flagged canonical with its fingerprint but, unless it is
+// j itself or a sentinel, has no memo boxes: the difference staircase
+// inserts into every prefix and attaches boxes (withMemo) only to the
+// pieces it returns. A conjunction without boxes computes its envelope and
+// memo uncached, so the lack is a cost, never a wrong answer.
+func (j Conjunction) insert(c Constraint) Conjunction {
+	if triv, val := c.IsTrivial(); triv {
+		if val {
+			return j
+		}
+		return False()
+	}
+	if j.IsFalse() {
+		return False()
+	}
+	c = c.Canonical()
+	atoms := j.cs
+	drop := -1 // the parallel atom c is tighter than
+	if c.Op != Eq {
+		for i, a := range atoms {
+			if a.Op == Eq || !sameTerms(a.Expr.terms, c.Expr.terms) {
+				continue
+			}
+			if cmp := c.Expr.c.Cmp(a.Expr.c); cmp > 0 || (cmp == 0 && c.Op == Lt && a.Op == Le) {
+				drop = i
+				break
+			}
+			return j // a is at least as tight: j already implies c
+		}
+	}
+	out := make([]Constraint, 0, len(atoms)+1)
+	if drop >= 0 {
+		out = append(append(out, atoms[:drop]...), atoms[drop+1:]...)
+	} else {
+		out = append(out, atoms...)
+	}
+	// Binary search for c's place in the canonical order: by operator, then
+	// by rendered expression. An exact tie is an identical equality.
+	var keyBuf, probeBuf [128]byte
+	key := c.Expr.appendTo(keyBuf[:0])
+	lo, hi := 0, len(out)
+	for lo < hi {
+		mid := int(uint(lo+hi) >> 1)
+		a := out[mid]
+		cmp := int(a.Op) - int(c.Op)
+		if cmp == 0 {
+			cmp = bytes.Compare(a.Expr.appendTo(probeBuf[:0]), key)
+		}
+		switch {
+		case cmp < 0:
+			lo = mid + 1
+		case cmp > 0:
+			hi = mid
+		default:
+			return j
+		}
+	}
+	out = slices.Insert(out, lo, c)
+	return Conjunction{cs: out, canon: true, fp: fingerprintOf(out)}
+}
+
+// withMemo returns the canonical j with memo boxes attached when it has
+// none (see insert).
+func (j Conjunction) withMemo() Conjunction {
+	if j.env == nil {
+		j.env, j.aux = memoBoxes(false)
+	}
+	return j
 }
 
 // sortAtoms puts atom-canonical atoms into the canonical order, in place:

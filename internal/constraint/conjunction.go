@@ -25,7 +25,8 @@ type Conjunction struct {
 	// envelope.go). Canon attaches a fresh box; copies of the conjunction
 	// share it, so the envelope is computed at most once per canonical
 	// form. Constructors that perturb the form leave env nil (Envelope
-	// then computes uncached).
+	// then computes uncached), and so does the staircase's canonical
+	// insert until it returns a piece (insert, withMemo in canon.go).
 	env *envBox
 
 	// aux, when non-nil, lazily memoizes one externally computed derived

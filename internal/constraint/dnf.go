@@ -25,21 +25,46 @@ func Subtract(j, k Conjunction) Disjunction {
 // eagerly.
 func SubtractLazy(j, k Conjunction) Disjunction {
 	return SubtractAllScoped(j, []Conjunction{k}, struct{}{},
-		func(struct{}, Conjunction, Constraint) (struct{}, bool) { return struct{}{}, true })
+		AtomStep(func(struct{}, Conjunction, Constraint) (struct{}, bool) { return struct{}{}, true }))
 }
 
 // SubtractAll returns j minus every conjunction in ks. The result is a
-// disjunction of satisfiable conjunctions covering exactly the assignments
-// in j and in none of the ks; it is empty when j is unsatisfiable and ks is
-// not.
+// disjunction of satisfiable canonical conjunctions covering exactly the
+// assignments in j and in none of the ks; it is empty when j is
+// unsatisfiable and ks is not.
 func SubtractAll(j Conjunction, ks []Conjunction) Disjunction {
 	return SubtractAllScoped(j, ks, struct{}{}, fmStep)
 }
 
 // fmStep is the scope-free staircase step: every decision runs the raw
 // eliminator on the conjunction itself.
-func fmStep(_ struct{}, prefix Conjunction, atom Constraint) (struct{}, bool) {
+var fmStep = AtomStep(func(_ struct{}, prefix Conjunction, atom Constraint) (struct{}, bool) {
 	return struct{}{}, prefix.With(atom).IsSatisfiable()
+})
+
+// Verdict is a staircase step's answer for one atom: the child's state and
+// whether prefix ∧ atom is satisfiable.
+type Verdict[S any] struct {
+	Scope S
+	Sat   bool
+}
+
+// StairStep decides one subtrahend atom c of the staircase together with
+// the atoms of its complement, negs (c.Complement(): one atom, two for an
+// equality), all against one parent state: neg[i] answers prefix ∧
+// negs[i] and pos answers prefix ∧ c.
+type StairStep[S any] func(parent S, prefix Conjunction, c Constraint, negs []Constraint) (neg [2]Verdict[S], pos Verdict[S])
+
+// AtomStep is the StairStep that decides the atoms one at a time with
+// step, the negations first.
+func AtomStep[S any](step func(parent S, prefix Conjunction, atom Constraint) (S, bool)) StairStep[S] {
+	return func(parent S, prefix Conjunction, c Constraint, negs []Constraint) (neg [2]Verdict[S], pos Verdict[S]) {
+		for i, a := range negs {
+			neg[i].Scope, neg[i].Sat = step(parent, prefix, a)
+		}
+		pos.Scope, pos.Sat = step(parent, prefix, c)
+		return neg, pos
+	}
 }
 
 // SubtractAllScoped is the difference staircase, j minus every conjunction
@@ -54,40 +79,48 @@ func fmStep(_ struct{}, prefix Conjunction, atom Constraint) (struct{}, bool) {
 //
 // The staircase only ever decides "prefix ∧ atom", where prefix is j
 // extended by the atoms accumulated so far (negations emitted into a
-// piece, plus the prefix atoms of subtrahends already walked): step
-// receives the scope state S its parent decision returned — root for j
-// itself, which the caller knows to be satisfiable — together with prefix
-// and the one new atom, and returns the child's state and whether
-// prefix ∧ atom is satisfiable. The vector fast path keeps j's polygon
-// clipped by the accumulated atoms as its state, so a decision at any
-// depth is one clip; prefix is there for the step that has to fall back on
-// the full conjunction. A piece is decided once, when it is emitted, and
+// piece, plus the prefix atoms of subtrahends already walked). step is
+// called once per atom ci walked, with the scope state S its parent
+// decision returned — root for j itself, which the caller knows to be
+// satisfiable — together with prefix, ci and ¬ci's atoms, and returns the
+// child's state and whether prefix ∧ atom is satisfiable for each of them.
+// The vector fast path keeps j's polygon clipped by the accumulated atoms
+// as its state, so the decisions at any depth are one pass over the
+// parent's ring; prefix is there for the step that has to fall back on the
+// full conjunction. A piece is decided once, when it is emitted, and
 // carried into the next subtrahend with its state. An unsatisfiable j
 // therefore emits nothing (every step extends it), and empty ks returns
-// {j}.
-func SubtractAllScoped[S any](j Conjunction, ks []Conjunction, root S, step func(parent S, prefix Conjunction, atom Constraint) (S, bool)) Disjunction {
+// {Canon(j)}.
+//
+// Prefixes and pieces are kept canonical by inserting one atom at a time
+// into Canon(j), so every returned piece is canonical (and carries memo
+// boxes) as it is: Canon on it costs nothing.
+func SubtractAllScoped[S any](j Conjunction, ks []Conjunction, root S, step StairStep[S]) Disjunction {
 	type piece struct {
 		con   Conjunction
 		scope S
 	}
-	work := []piece{{con: j, scope: root}}
+	work := []piece{{con: j.Canon(), scope: root}}
 	for _, k := range ks {
 		var next []piece
+		cs := k.Constraints()
 		for _, p := range work {
 			prefix, scope := p.con, p.scope
-			for _, c := range k.Constraints() {
-				for _, neg := range c.Complement() {
-					if child, sat := step(scope, prefix, neg); sat {
-						next = append(next, piece{con: prefix.With(neg), scope: child})
+			for i, c := range cs {
+				negs := c.Complement()
+				neg, pos := step(scope, prefix, c, negs)
+				for n, a := range negs {
+					if neg[n].Sat {
+						next = append(next, piece{con: prefix.insert(a), scope: neg[n].Scope})
 					}
 				}
-				var sat bool
-				if scope, sat = step(scope, prefix, c); !sat {
-					// p already entails ¬(remaining prefix); nothing further
-					// to subtract from.
+				if !pos.Sat || i == len(cs)-1 {
+					// Unsatisfiable: p already entails ¬(remaining prefix), and
+					// nothing further to subtract from. Last: p ∧ k is what is
+					// subtracted.
 					break
 				}
-				prefix = prefix.With(c)
+				prefix, scope = prefix.insert(c), pos.Scope
 			}
 		}
 		work = next
@@ -97,7 +130,7 @@ func SubtractAllScoped[S any](j Conjunction, ks []Conjunction, root S, step func
 	}
 	out := make(Disjunction, len(work))
 	for i, p := range work {
-		out[i] = p.con
+		out[i] = p.con.withMemo()
 	}
 	return out
 }

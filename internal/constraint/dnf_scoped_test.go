@@ -54,16 +54,21 @@ func referenceComplement(base Conjunction, j Conjunction, lazyPrune bool, sat Sa
 	return out
 }
 
-// sameDisjuncts fails unless got holds want's disjuncts, atom for atom, in
-// want's order.
+// sameDisjuncts fails unless got holds the canonical forms of want's raw
+// disjuncts, atom for atom, in want's order, each one already flagged
+// canonical with its memo boxes, as the staircase builds them.
 func sameDisjuncts(t *testing.T, name string, got, want Disjunction) {
 	t.Helper()
 	if len(got) != len(want) {
 		t.Fatalf("%s: %d disjuncts, want %d", name, len(got), len(want))
 	}
 	for d := range want {
-		if got[d].Key() != want[d].Key() {
-			t.Fatalf("%s disjunct %d: %q != %q", name, d, got[d].Key(), want[d].Key())
+		w := want[d].Canon()
+		if !got[d].canon || got[d].env == nil || got[d].aux == nil {
+			t.Fatalf("%s disjunct %d: %q is not a canonical form with memo boxes", name, d, got[d])
+		}
+		if !equalAtoms(got[d].cs, w.cs) || got[d].fp != w.fp {
+			t.Fatalf("%s disjunct %d: %q != %q", name, d, got[d], w)
 		}
 	}
 }
@@ -71,14 +76,18 @@ func sameDisjuncts(t *testing.T, name string, got, want Disjunction) {
 // extrasStep is the scope state the staircase had before it carried one:
 // the list of atoms accumulated on top of base, decided from scratch. It
 // also checks the contract of SubtractAllScoped on every call — the
-// conjunction under decision, prefix ∧ atom, is base ∧ extras.
+// conjunction under decision, prefix ∧ atom, is base ∧ extras, and prefix
+// is canonical.
 func extrasStep(t *testing.T, base Conjunction, decisions *int) func([]Constraint, Conjunction, Constraint) ([]Constraint, bool) {
 	return func(parent []Constraint, prefix Conjunction, atom Constraint) ([]Constraint, bool) {
 		*decisions++
 		extras := append(parent[:len(parent):len(parent)], atom)
 		full := base.With(extras...)
-		if got := prefix.With(atom); got.Key() != full.Key() {
-			t.Fatalf("step decides %q, want base ∧ extras = %q", got.Key(), full.Key())
+		if !prefix.canon {
+			t.Fatalf("step decides on a prefix %q that is not canonical", prefix)
+		}
+		if got := prefix.With(atom); !got.EqualCanonical(full) {
+			t.Fatalf("step decides %q, want base ∧ extras = %q", got.Canon(), full.Canon())
 		}
 		return extras, full.IsSatisfiable()
 	}
@@ -129,7 +138,7 @@ func TestSubtractAllScopedMatchesReference(t *testing.T) {
 			continue // the root scope is the caller's promise that base is satisfiable
 		}
 		var decisions int
-		sameDisjuncts(t, name, SubtractAllScoped(base, ks, nil, extrasStep(t, base, &decisions)), want)
+		sameDisjuncts(t, name, SubtractAllScoped(base, ks, nil, AtomStep(extrasStep(t, base, &decisions))), want)
 	}
 }
 
@@ -145,7 +154,7 @@ func TestSubtractAllScopedExtrasReconstruct(t *testing.T) {
 		box("x", "6", "8"),
 	}
 	var decisions int
-	sameDisjuncts(t, "staircase", SubtractAllScoped(base, ks, nil, extrasStep(t, base, &decisions)),
+	sameDisjuncts(t, "staircase", SubtractAllScoped(base, ks, nil, AtomStep(extrasStep(t, base, &decisions))),
 		referenceSubtractAll(base, ks, nil))
 	// First subtrahend: 4 atoms, each a negation and a prefix step (8), 4
 	// pieces out. Second: each piece walks x >= 6 (negation kept, prefix

@@ -355,9 +355,9 @@ func TestSatFuncThreading(t *testing.T) {
 		j, k := randConj(rng), randConj(rng)
 		plain := SubtractAll(j, []Conjunction{k})
 		cached := SubtractAllScoped(j, []Conjunction{k}, struct{}{},
-			func(_ struct{}, prefix Conjunction, atom Constraint) (struct{}, bool) {
+			AtomStep(func(_ struct{}, prefix Conjunction, atom Constraint) (struct{}, bool) {
 				return struct{}{}, counting(prefix.With(atom))
-			})
+			}))
 		if len(plain) != len(cached) {
 			t.Fatalf("case %d: a staircase through the cache disagrees: %d vs %d disjuncts", i, len(plain), len(cached))
 		}

@@ -42,11 +42,11 @@ func fuzzConstraints(src string) ([]constraint.Constraint, bool) {
 }
 
 var fuzzSeeds = []string{
-	"",                      // empty conjunction = broad true
-	"0 < 0",                 // the False sentinel
+	"",      // empty conjunction = broad true
+	"0 < 0", // the False sentinel
 	"x <= 5",
 	"x <= 5, x >= 6",
-	"x < 0, x >= 0",         // strict trap: closure feasible, set empty
+	"x < 0, x >= 0", // strict trap: closure feasible, set empty
 	"x = 3, x <= 2",
 	"2x + 3y = 6, x - y <= 0",
 	"x + y <= 1, x - y <= 1, -x <= 0",

@@ -440,12 +440,14 @@ func DifferenceCtx(ec *exec.Context, r1, r2 *relation.Relation) (*relation.Relat
 			}
 		}
 		// Refine, part 2 — the staircase expansion, every returned piece
-		// proven satisfiable. With a polygon form for t1 each piece carries
-		// t1's ring clipped by the atoms accumulated on top of it, and a
-		// decision is one more clip; an atom the clipper cannot decide, or a
-		// t1 without a form, goes to the recorder. The verdicts are FM's
-		// either way, so the pieces are too. They share t1's relational
-		// part: WithConstraint reuses the binding map.
+		// proven satisfiable and canonical. With a polygon form for t1 each
+		// piece carries t1's ring clipped by the atoms accumulated on top of
+		// it, and a subtrahend atom and its complement are decided together
+		// by one split of that ring; an atom the split does not take is
+		// clipped alone, and an atom the clipper cannot decide, or a t1
+		// without a form, goes to the recorder. The verdicts are FM's either
+		// way, so the pieces are too. They share t1's relational part:
+		// WithConstraint reuses the binding map.
 		var f1 *vector.Form
 		var root vector.Scope
 		if dec.clip {
@@ -453,22 +455,35 @@ func DifferenceCtx(ec *exec.Context, r1, r2 *relation.Relation) (*relation.Relat
 				root = f1.Scope()
 			}
 		}
-		pieces := constraint.SubtractAllScoped(t1.Constraint(), subtrahends, root,
-			func(parent vector.Scope, prefix constraint.Conjunction, atom constraint.Constraint) (vector.Scope, bool) {
-				if f1 != nil {
-					child, sat, ok := parent.Clip(atom)
-					if ok {
-						rec.VectorHit(sat, false)
-						return child, sat
-					}
-					rec.VectorFallback()
-					parent = child
-				}
+		settle := func(prefix constraint.Conjunction, atom constraint.Constraint, child vector.Scope, sat, ok bool) (vector.Scope, bool) {
+			if ok {
+				rec.VectorHit(sat, false)
+				return child, sat
+			}
+			rec.VectorFallback()
+			return child, rec.Satisfiable(prefix.With(atom))
+		}
+		perAtom := constraint.AtomStep(func(parent vector.Scope, prefix constraint.Conjunction, atom constraint.Constraint) (vector.Scope, bool) {
+			if f1 == nil {
 				return parent, rec.Satisfiable(prefix.With(atom))
+			}
+			child, sat, ok := parent.Clip(atom)
+			return settle(prefix, atom, child, sat, ok)
+		})
+		pieces := constraint.SubtractAllScoped(t1.Constraint(), subtrahends, root,
+			func(parent vector.Scope, prefix constraint.Conjunction, c constraint.Constraint, negs []constraint.Constraint) (neg [2]constraint.Verdict[vector.Scope], pos constraint.Verdict[vector.Scope]) {
+				if f1 != nil {
+					if in, out, split := parent.Split(c); split {
+						neg[0].Scope, neg[0].Sat = settle(prefix, negs[0], out.Child, out.Sat, out.OK)
+						pos.Scope, pos.Sat = settle(prefix, c, in.Child, in.Sat, in.OK)
+						return neg, pos
+					}
+				}
+				return perAtom(parent, prefix, c, negs)
 			})
 		keepPieces := make([]relation.Tuple, 0, len(pieces))
 		for _, con := range pieces {
-			keepPieces = append(keepPieces, t1.WithConstraint(con.Canon()))
+			keepPieces = append(keepPieces, t1.WithConstraint(con))
 		}
 		return keepPieces, nil
 	})

@@ -48,76 +48,172 @@ func EdgeHalfPlanes(p Polygon) []HalfPlane {
 }
 
 // ClipRing clips a convex vertex ring by one closed half-plane
-// (Sutherland–Hodgman, exact rational crossings). The input ring may be
-// degenerate — a single point, a segment (2 vertices), or a proper CCW
-// polygon ring — and the output may likewise degenerate to fewer than 3
-// vertices or to nil (empty intersection). Points exactly on the boundary
-// (Eval == 0) are kept: the result is the exact intersection of the
-// closed region with the closed half-plane.
+// (Sutherland–Hodgman, exact rational crossings): Split's Le side. The
+// input ring may be degenerate — a single point, a segment (2 vertices),
+// or a proper CCW polygon ring — and the output may likewise degenerate to
+// fewer than 3 vertices or to nil (empty intersection). Points exactly on
+// the boundary (Eval == 0) are kept: the result is the exact intersection
+// of the closed region with the closed half-plane.
 //
 // The ring must hold no consecutive duplicate points (Polygon.Vertices and
-// ClipRing's own results hold none). h is evaluated once per vertex; when
-// no vertex is cut away the ring itself is returned, so a caller must not
-// write to a result it did not own.
+// ClipRing's own results hold none). When no vertex is cut away the ring
+// itself is returned, so a caller must not write to a result it did not
+// own.
 func ClipRing(ring []Point, h HalfPlane) []Point {
+	return Split(ring, h, Le).Le
+}
+
+// Sides names the sides of a line Split builds.
+type Sides uint8
+
+const (
+	Le Sides = 1 << iota // the closed side a·x + b·y + c <= 0
+	Ge                   // the closed side a·x + b·y + c >= 0
+)
+
+// Cut is a ring cut along the boundary line of a half-plane h.
+type Cut struct {
+	// Le and Ge are the ring's closed sides, ring ∩ {h <= 0} and
+	// ring ∩ {h >= 0}: what ClipRing gives for h and for -h, point for
+	// point. A side Split was not asked to build is nil.
+	Le, Ge []Point
+	// LeIn and GeIn report that some vertex lies strictly inside the side
+	// (h < 0, h > 0). Both are set whatever Split builds. For a ring of
+	// positive area and a non-trivial h, a side has positive area exactly
+	// when its bit is set: a convex region with a vertex in an open
+	// half-plane meets it in an open set, and a region with every vertex on
+	// the closed far side meets the near side only on the line.
+	LeIn, GeIn bool
+}
+
+// Split cuts a convex vertex ring (as ClipRing takes it) along the
+// boundary line of h and builds the sides asked for. It is the one
+// Sutherland–Hodgman body: h is evaluated once per vertex, each crossing is
+// computed once and shared by both sides, a side no vertex is cut from is
+// the ring itself and a side every vertex is cut from is nil — neither
+// allocates — and when both sides are cut they share one allocation.
+func Split(ring []Point, h HalfPlane, build Sides) Cut {
 	n := len(ring)
 	if n == 0 {
-		return nil
-	}
-	if h.IsTrivial() {
-		if h.C.Sign() > 0 {
-			return nil // empty half-plane: a·x+b·y+c <= 0 with a=b=0, c>0
-		}
-		return ring // whole plane: no-op
+		return Cut{}
 	}
 	var buf [16]rational.Rat // rings this small keep their values on the stack
 	vals := buf[:0]
-	if n > len(buf) {
-		vals = make([]rational.Rat, 0, n)
-	}
-	kept := 0
-	for _, p := range ring {
-		v := h.Eval(p)
-		if v.Sign() <= 0 {
-			kept++
+	below, above := 0, 0 // vertices strictly on the Le / Ge side
+	if h.IsTrivial() {
+		// a = b = 0: every vertex evaluates to c.
+		switch h.C.Sign() {
+		case -1:
+			below = n
+		case 1:
+			above = n
 		}
-		vals = append(vals, v)
+	} else {
+		if n > len(buf) {
+			vals = make([]rational.Rat, 0, n)
+		}
+		for _, p := range ring {
+			v := h.Eval(p)
+			switch v.Sign() {
+			case -1:
+				below++
+			case 1:
+				above++
+			}
+			vals = append(vals, v)
+		}
 	}
-	switch kept {
-	case n:
-		return ring
-	case 0:
-		return nil
+	cut := Cut{LeIn: below > 0, GeIn: above > 0}
+	// A side no vertex lies strictly beyond is the ring itself, one every
+	// vertex lies strictly beyond is empty, and le / ge say which of the
+	// rest are built below.
+	le, ge := false, false
+	if build&Le != 0 {
+		if above == 0 {
+			cut.Le = ring
+		} else {
+			le = above < n
+		}
+	}
+	if build&Ge != 0 {
+		if below == 0 {
+			cut.Ge = ring
+		} else {
+			ge = below < n
+		}
+	}
+	if !le && !ge {
+		return cut
 	}
 	// A 2-point ring is an open polyline (a segment), not a closed ring:
-	// clipping the wraparound edge twice would duplicate crossings. One end
-	// is kept, the other replaced by the crossing (which is the kept end
-	// itself when that end lies on the boundary).
+	// clipping the wraparound edge twice would duplicate crossings. Each
+	// side keeps its end and the crossing (which is the kept end itself when
+	// that end lies on the boundary).
 	if n == 2 {
 		x := crossing(ring[0], ring[1], vals[0], vals[1])
-		if vals[0].Sign() <= 0 {
-			return dedupeRing([]Point{ring[0], x})
+		s0 := vals[0].Sign()
+		if le {
+			cut.Le = segmentSide(ring, x, s0 <= 0)
 		}
-		return dedupeRing([]Point{x, ring[1]})
+		if ge {
+			cut.Ge = segmentSide(ring, x, s0 >= 0)
+		}
+		return cut
 	}
-	out := make([]Point, 0, n+1)
+	// Each side of a cut convex ring keeps at most n-1 vertices plus two
+	// crossings. Two sides share one array, each capped at its half so
+	// neither writes into the other.
+	var lo, hi []Point
+	switch {
+	case le && ge:
+		both := make([]Point, 0, 2*(n+1))
+		lo, hi = both[:0:n+1], both[n+1:n+1]
+	case le:
+		lo = make([]Point, 0, n+1)
+	default:
+		hi = make([]Point, 0, n+1)
+	}
 	for i, cur := range ring {
 		k := i + 1
 		if k == n {
 			k = 0
 		}
 		cs, ns := vals[i].Sign(), vals[k].Sign()
-		if cs <= 0 {
-			out = append(out, cur)
+		if le && cs <= 0 {
+			lo = append(lo, cur)
+		}
+		if ge && cs >= 0 {
+			hi = append(hi, cur)
 		}
 		// Emit the exact crossing when the edge strictly straddles the
 		// boundary. Edges touching the boundary (value 0 endpoints) need no
 		// extra point: the on-boundary endpoint itself is kept above.
 		if (cs < 0 && ns > 0) || (cs > 0 && ns < 0) {
-			out = append(out, crossing(cur, ring[k], vals[i], vals[k]))
+			x := crossing(cur, ring[k], vals[i], vals[k])
+			if le {
+				lo = append(lo, x)
+			}
+			if ge {
+				hi = append(hi, x)
+			}
 		}
 	}
-	return dedupeRing(out)
+	if le {
+		cut.Le = dedupeRing(lo)
+	}
+	if ge {
+		cut.Ge = dedupeRing(hi)
+	}
+	return cut
+}
+
+// segmentSide is the side of a cut segment that keeps its first end
+// (first) or its second, with x the segment's crossing of the line.
+func segmentSide(seg []Point, x Point, first bool) []Point {
+	if first {
+		return dedupeRing([]Point{seg[0], x})
+	}
+	return dedupeRing([]Point{x, seg[1]})
 }
 
 // crossing returns the exact intersection of segment a-b with the
@@ -151,7 +247,8 @@ func dedupeRing(ring []Point) []Point {
 }
 
 // RingArea2 returns 2·(signed area) of the ring via the shoelace formula
-// (zero for degenerate rings of fewer than 3 vertices).
+// (zero for degenerate rings of fewer than 3 vertices). The clipper reads
+// positive area from Cut's LeIn / GeIn bits instead; this is their oracle.
 func RingArea2(ring []Point) rational.Rat {
 	if len(ring) < 3 {
 		return rational.Zero

@@ -89,7 +89,7 @@ func TestNaiveSat(t *testing.T) {
 		{"x <= 5, x >= 6", false},
 		{"x <= 5, x >= 5", true},
 		{"x < 5, x >= 5", false},
-		{"x < 0, x >= 0", false},      // strict closure trap: closure feasible, set empty
+		{"x < 0, x >= 0", false}, // strict closure trap: closure feasible, set empty
 		{"x = 3, x <= 2", false},
 		{"x = 3, x <= 3", true},
 		{"x + y <= 1, x >= 1, y >= 1", false},

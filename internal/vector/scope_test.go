@@ -65,49 +65,91 @@ func referenceSatExtras(f *Form, extras []constraint.Constraint) (sat, ok bool) 
 
 // stairTally counts what a checked staircase met.
 type stairTally struct {
-	steps, sat, unsat, undecided, foreign, trivial int
+	steps, split, sat, unsat, undecided, foreign, trivial int
+}
+
+// sameScope reports whether two scopes hold the same ring, point for
+// point, and the same flags.
+func sameScope(a, b Scope) bool {
+	if len(a.ring) != len(b.ring) || a.full != b.full || a.strict != b.strict || a.foreign != b.foreign {
+		return false
+	}
+	for i := range a.ring {
+		if !a.ring[i].Equal(b.ring[i]) {
+			return false
+		}
+	}
+	return true
 }
 
 // checkedStaircase runs base − ks through SubtractAllScoped on f's scope,
-// exactly as the difference operator does, and at every step compares the
-// incremental verdict with referenceSatExtras on the whole list of atoms
-// accumulated so far. The emitted disjuncts must be SubtractAll's, whose
-// every step runs Fourier–Motzkin.
+// exactly as the difference operator does — an atom and its complement
+// split together where Split takes them, clipped one at a time where it
+// does not — and at every step compares the incremental verdict with
+// referenceSatExtras on the whole list of atoms accumulated so far, the
+// full-dimensional bit with the ring's area, and a split with the two clips
+// it stands for. The emitted disjuncts must be SubtractAll's, whose every
+// step runs Fourier–Motzkin.
 func checkedStaircase(t *testing.T, f *Form, base constraint.Conjunction, ks []constraint.Conjunction, tally *stairTally) {
 	t.Helper()
 	type state struct {
 		scope  Scope
 		extras []constraint.Constraint
 	}
+	check := func(parent state, prefix constraint.Conjunction, atom constraint.Constraint, child Scope, sat, ok bool) constraint.Verdict[state] {
+		extras := append(parent.extras[:len(parent.extras):len(parent.extras)], atom)
+		wantSat, wantOK := referenceSatExtras(f, extras)
+		if sat != wantSat || ok != wantOK {
+			t.Fatalf("step %d: Clip = (%v, %v), from scratch (%v, %v)\n base: %s\n extras: %v", tally.steps, sat, ok, wantSat, wantOK, base, extras)
+		}
+		if foldSat, foldOK := SatExtras(f, extras); foldSat != wantSat || foldOK != wantOK {
+			t.Fatalf("step %d: SatExtras = (%v, %v), from scratch (%v, %v)\n base: %s\n extras: %v", tally.steps, foldSat, foldOK, wantSat, wantOK, base, extras)
+		}
+		if len(child.ring) != 0 && child.full == geometry.RingArea2(child.ring).IsZero() {
+			t.Fatalf("step %d: full-dimensional bit %v on a ring of area·2 %s\n base: %s\n extras: %v", tally.steps, child.full, geometry.RingArea2(child.ring), base, extras)
+		}
+		tally.steps++
+		if triv, _ := atom.IsTrivial(); triv {
+			tally.trivial++
+		}
+		switch {
+		case !ok && child.foreign:
+			tally.foreign++
+		case !ok:
+			tally.undecided++
+		case sat:
+			tally.sat++
+		default:
+			tally.unsat++
+		}
+		if !ok {
+			sat = prefix.With(atom).IsSatisfiable()
+		}
+		return constraint.Verdict[state]{Scope: state{scope: child, extras: extras}, Sat: sat}
+	}
 	got := constraint.SubtractAllScoped(base, ks, state{scope: f.Scope()},
-		func(parent state, prefix constraint.Conjunction, atom constraint.Constraint) (state, bool) {
-			extras := append(parent.extras[:len(parent.extras):len(parent.extras)], atom)
-			child, sat, ok := parent.scope.Clip(atom)
-			wantSat, wantOK := referenceSatExtras(f, extras)
-			if sat != wantSat || ok != wantOK {
-				t.Fatalf("step %d: Clip = (%v, %v), from scratch (%v, %v)\n base: %s\n extras: %v", tally.steps, sat, ok, wantSat, wantOK, base, extras)
+		func(parent state, prefix constraint.Conjunction, c constraint.Constraint, negs []constraint.Constraint) (neg [2]constraint.Verdict[state], pos constraint.Verdict[state]) {
+			if in, out, split := parent.scope.Split(c); split {
+				tally.split++
+				for _, d := range []struct {
+					atom constraint.Constraint
+					dec  Decision
+				}{{negs[0], out}, {c, in}} {
+					child, sat, ok := parent.scope.Clip(d.atom)
+					if !sameScope(child, d.dec.Child) || sat != d.dec.Sat || ok != d.dec.OK {
+						t.Fatalf("step %d: Split on %s is not Clip(%s)\n base: %s", tally.steps, c, d.atom, base)
+					}
+				}
+				neg[0] = check(parent, prefix, negs[0], out.Child, out.Sat, out.OK)
+				pos = check(parent, prefix, c, in.Child, in.Sat, in.OK)
+				return neg, pos
 			}
-			if foldSat, foldOK := SatExtras(f, extras); foldSat != wantSat || foldOK != wantOK {
-				t.Fatalf("step %d: SatExtras = (%v, %v), from scratch (%v, %v)\n base: %s\n extras: %v", tally.steps, foldSat, foldOK, wantSat, wantOK, base, extras)
+			for i, a := range negs {
+				child, sat, ok := parent.scope.Clip(a)
+				neg[i] = check(parent, prefix, a, child, sat, ok)
 			}
-			tally.steps++
-			if triv, _ := atom.IsTrivial(); triv {
-				tally.trivial++
-			}
-			switch {
-			case !ok && child.foreign:
-				tally.foreign++
-			case !ok:
-				tally.undecided++
-			case sat:
-				tally.sat++
-			default:
-				tally.unsat++
-			}
-			if !ok {
-				sat = prefix.With(atom).IsSatisfiable()
-			}
-			return state{scope: child, extras: extras}, sat
+			child, sat, ok := parent.scope.Clip(c)
+			return neg, check(parent, prefix, c, child, sat, ok)
 		})
 	want := constraint.SubtractAll(base, ks)
 	if len(got) != len(want) {
@@ -171,7 +213,7 @@ func TestScopeMatchesFromScratchOnStaircase(t *testing.T) {
 			overlapping(c.r1, c.r2, func(f *Form, base constraint.Conjunction, ks []constraint.Conjunction) {
 				checkedStaircase(t, f, base, ks, &tally)
 			})
-			if tally.steps < 100 || tally.sat == 0 || tally.unsat == 0 {
+			if tally.steps < 100 || tally.split == 0 || tally.sat == 0 || tally.unsat == 0 {
 				t.Fatalf("vacuous run: %+v", tally)
 			}
 		})
@@ -220,47 +262,61 @@ func TestScopeUndecidedCases(t *testing.T) {
 	}
 }
 
-// TestStaircaseClipsOncePerDecision: with the scope carried from parent to
-// child, a staircase decision over <= / < atoms is one ClipRing call
-// whatever its depth (the from-scratch decision clipped once per
-// accumulated atom).
-func TestStaircaseClipsOncePerDecision(t *testing.T) {
-	clips := 0
-	clipRing = func(ring []geometry.Point, h geometry.HalfPlane) []geometry.Point {
-		clips++
-		return geometry.ClipRing(ring, h)
+// TestStaircaseOnePassPerAtom: with the scope carried from parent to child
+// and a subtrahend atom split together with its complement, the staircase
+// makes one pass over a ring per subtrahend atom it walks, whatever the
+// depth (the from-scratch decision clipped once per accumulated atom, and
+// the atom-by-atom one once per atom and once per negation), and still
+// returns one verdict per decision.
+func TestStaircaseOnePassPerAtom(t *testing.T) {
+	passes := 0
+	splitRing = func(ring []geometry.Point, h geometry.HalfPlane, build geometry.Sides) geometry.Cut {
+		passes++
+		return geometry.Split(ring, h, build)
 	}
-	defer func() { clipRing = geometry.ClipRing }()
+	defer func() { splitRing = geometry.Split }()
 	p1 := datagen.Paper()
 	p1.Seed = 1811
 	p2 := p1
 	p2.Seed = 1812
-	decisions, deepest := 0, 0
+	walked, decisions, verdicts, deepest := 0, 0, 0, 0
 	type state struct {
 		scope Scope
 		depth int
 	}
+	child := func(parent state, prefix constraint.Conjunction, atom constraint.Constraint, d Decision) constraint.Verdict[state] {
+		verdicts++
+		if parent.depth+1 > deepest {
+			deepest = parent.depth + 1
+		}
+		if !d.OK { // strict atom on a touching corner: still the one pass
+			d.Sat = prefix.With(atom).IsSatisfiable()
+		}
+		return constraint.Verdict[state]{Scope: state{scope: d.Child, depth: parent.depth + 1}, Sat: d.Sat}
+	}
 	overlapping(datagen.PolygonRelation(p1, 8, 1, 60, 9), datagen.PolygonRelation(p2, 8, 1, 60, 9),
 		func(f *Form, base constraint.Conjunction, ks []constraint.Conjunction) {
-			clips = 0 // PairSat's, in overlapping
-			before := decisions
+			passes = 0
+			before := walked
 			constraint.SubtractAllScoped(base, ks, state{scope: f.Scope()},
-				func(parent state, prefix constraint.Conjunction, atom constraint.Constraint) (state, bool) {
-					child, sat, ok := parent.scope.Clip(atom)
-					if !ok { // strict atom on a touching corner: still one clip
-						sat = prefix.With(atom).IsSatisfiable()
+				func(parent state, prefix constraint.Conjunction, c constraint.Constraint, negs []constraint.Constraint) (neg [2]constraint.Verdict[state], pos constraint.Verdict[state]) {
+					walked++
+					decisions += len(negs) + 1
+					in, out, split := parent.scope.Split(c)
+					if !split {
+						t.Fatalf("polygon atom %s not split", c)
 					}
-					decisions++
-					if parent.depth+1 > deepest {
-						deepest = parent.depth + 1
-					}
-					return state{scope: child, depth: parent.depth + 1}, sat
+					neg[0] = child(parent, prefix, negs[0], out)
+					return neg, child(parent, prefix, c, in)
 				})
-			if clips != decisions-before {
-				t.Fatalf("%d clips for %d decisions", clips, decisions-before)
+			if passes != walked-before {
+				t.Fatalf("%d ring passes for %d subtrahend atoms", passes, walked-before)
 			}
 		})
-	if decisions < 200 || deepest < 8 {
-		t.Fatalf("fixture too thin: %d decisions, deepest scope %d atoms", decisions, deepest)
+	if verdicts != decisions {
+		t.Fatalf("%d verdicts for %d decisions", verdicts, decisions)
+	}
+	if walked < 100 || deepest < 8 {
+		t.Fatalf("fixture too thin: %d subtrahend atoms, deepest scope %d atoms", walked, deepest)
 	}
 }

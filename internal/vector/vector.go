@@ -17,9 +17,10 @@
 // pairs soundly, exact rational clipping (Sutherland–Hodgman) confirms
 // the rest — filter-and-refine one level below the envelope filter.
 //
-// The decision procedures (PairSat, Scope.Clip, SatExtras) replace only
-// *satisfiability decisions*. The constraint forms the operators emit are
-// built exactly as on the FM path, so outputs stay byte-identical.
+// The decision procedures (PairSat, Scope.Clip, Scope.Split, SatExtras)
+// replace only *satisfiability decisions*. The constraint forms the
+// operators emit are built exactly as on the FM path, so outputs stay
+// byte-identical.
 package vector
 
 import (
@@ -197,17 +198,18 @@ func PairSat(f1, f2 *Form) (sat, floatReject bool) {
 type Scope struct {
 	form    *Form
 	ring    []geometry.Point
+	full    bool // the ring has positive area
 	strict  bool // some atom was clipped by its closed relaxation
 	foreign bool // some atom is beyond the clipper: nothing below is decidable
 }
 
 // Scope returns f's own region with no atom added.
 func (f *Form) Scope() Scope {
-	return Scope{form: f, ring: f.Poly.Vertices()}
+	return Scope{form: f, ring: f.Poly.Vertices(), full: true}
 }
 
-// clipRing is geometry.ClipRing; tests swap it to count clips.
-var clipRing = geometry.ClipRing
+// splitRing is geometry.Split; tests swap it to count ring passes.
+var splitRing = geometry.Split
 
 // Clip extends the scope by one atom and decides satisfiability of the
 // form's conjunction with every atom clipped so far. ok=false means the
@@ -230,6 +232,11 @@ var clipRing = geometry.ClipRing
 // outright (the relaxation argument would be unsound for them — 0 < 0
 // relaxes to 0 <= 0, which holds everywhere), trivially true ones leave
 // the scope as it is.
+//
+// "Full-dimensional" is a bit carried from parent to child, never an
+// area: a half-plane's child of a full-dimensional ring is
+// full-dimensional exactly when some parent vertex lies strictly inside
+// the half-plane (geometry.Cut), and an equality's child is flat.
 func (s Scope) Clip(c constraint.Constraint) (child Scope, sat, ok bool) {
 	if s.foreign {
 		return s, false, false
@@ -239,41 +246,77 @@ func (s Scope) Clip(c constraint.Constraint) (child Scope, sat, ok bool) {
 			s.ring = nil
 			return s, false, true
 		}
-	} else {
-		h, planar := convert.HalfPlaneOf(c, s.form.XVar, s.form.YVar)
-		if !planar {
-			s.foreign = true
-			return s, false, false
-		}
-		switch c.Op {
-		case constraint.Le:
-			s.ring = clipRing(s.ring, h)
-		case constraint.Lt:
-			s.strict = true
-			s.ring = clipRing(s.ring, h)
-		case constraint.Eq:
-			// An equality is closed: clip by both opposing half-planes. The
-			// result degenerates to (part of) a line, which the no-strict
-			// degenerate rule below still decides exactly.
-			s.ring = clipRing(s.ring, h)
-			if len(s.ring) != 0 {
-				s.ring = clipRing(s.ring, geometry.HalfPlane{A: h.A.Neg(), B: h.B.Neg(), C: h.C.Neg()})
-			}
-		default:
-			s.foreign = true
-			return s, false, false
-		}
-		if len(s.ring) == 0 {
-			return s, false, true
-		}
+		return s.verdict()
 	}
-	if !geometry.RingArea2(s.ring).IsZero() {
+	h, planar := convert.HalfPlaneOf(c, s.form.XVar, s.form.YVar)
+	if !planar {
+		s.foreign = true
+		return s, false, false
+	}
+	switch c.Op {
+	case constraint.Le, constraint.Lt:
+		cut := splitRing(s.ring, h, geometry.Le)
+		s.ring, s.full = cut.Le, s.full && cut.LeIn
+		s.strict = s.strict || c.Op == constraint.Lt
+	case constraint.Eq:
+		// An equality is closed: clip by both opposing half-planes. The
+		// result degenerates to (part of) a line, which the no-strict
+		// degenerate rule still decides exactly.
+		s.ring = splitRing(splitRing(s.ring, h, geometry.Le).Le, h, geometry.Ge).Ge
+		s.full = false
+	default:
+		s.foreign = true
+		return s, false, false
+	}
+	return s.verdict()
+}
+
+// verdict decides the scope's own conjunction, as Clip reports it.
+func (s Scope) verdict() (Scope, bool, bool) {
+	switch {
+	case len(s.ring) == 0:
+		return s, false, true
+	case s.full:
 		return s, true, true
 	}
-	// Degenerate result. With no strict atoms every constraint is closed
-	// and the non-empty ring is a witness; with strict atoms the witness
-	// may sit exactly on a strict boundary — undecided here.
+	// Degenerate ring. With no strict atoms every constraint is closed and
+	// the non-empty ring is a witness; with strict atoms the witness may sit
+	// exactly on a strict boundary — undecided here.
 	return s, !s.strict, !s.strict
+}
+
+// Decision is one atom's outcome in Split: the child scope, and sat and ok
+// as Clip reports them.
+type Decision struct {
+	Child   Scope
+	Sat, OK bool
+}
+
+// Split decides an inequality atom c and its complement ¬c (the one atom
+// of c.Complement()) against the scope in one pass over its ring: in is
+// what Clip(c) returns and out what Clip(¬c) returns, ring for ring. A
+// strict c is clipped by its closed relaxation h <= 0 and ¬c is the closed
+// h >= 0; a closed c leaves ¬c, whose relaxation is h >= 0, strict. split
+// is false when c is not such an atom — an equality (two complement
+// atoms), a constant or an atom over a third variable — or the scope is
+// already beyond the clipper: the caller then decides atom by atom with
+// Clip.
+func (s Scope) Split(c constraint.Constraint) (in, out Decision, split bool) {
+	if s.foreign || (c.Op != constraint.Le && c.Op != constraint.Lt) || c.Expr.IsConst() {
+		return in, out, false
+	}
+	h, planar := convert.HalfPlaneOf(c, s.form.XVar, s.form.YVar)
+	if !planar {
+		return in, out, false
+	}
+	cut := splitRing(s.ring, h, geometry.Le|geometry.Ge)
+	strict := c.Op == constraint.Lt
+	le, ge := s, s
+	le.ring, le.full, le.strict = cut.Le, s.full && cut.LeIn, s.strict || strict
+	ge.ring, ge.full, ge.strict = cut.Ge, s.full && cut.GeIn, s.strict || !strict
+	in.Child, in.Sat, in.OK = le.verdict()
+	out.Child, out.Sat, out.OK = ge.verdict()
+	return in, out, true
 }
 
 // SatExtras decides satisfiability of f's conjunction extended with extra

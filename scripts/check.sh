@@ -11,6 +11,16 @@ T=${TMPDIR:-/tmp} # where the smoke stages put binaries and logs
 echo '>> go vet ./...'
 go vet ./...
 
+# Every Go file of the checkout (tracked, or new and not ignored: the
+# benchmark's .bench_build stays out) is as gofmt writes it.
+echo '>> gofmt'
+unformatted=$(gofmt -l $(git ls-files --cached --others --exclude-standard '*.go'))
+if [ -n "$unformatted" ]; then
+    echo "$unformatted"
+    echo 'gofmt would rewrite the files above: run gofmt -w on them'
+    exit 1
+fi
+
 # Render-once guard: outside tests, nothing under internal/ may order by
 # rendering inside the comparator (`a.String() < b.String()` renders twice
 # per comparison, n log n times per sort). Compute the key once per element
