@@ -920,46 +920,71 @@ func BenchmarkHurricaneQuery3Warm(b *testing.B) {
 
 // BenchmarkHurricaneServer is BenchmarkHurricaneQuery3Warm's request as the
 // daemon serves it, without the network: POST /v1/query of the whole Query 3
-// program through server.Handler, on one session, against the database
-// saved and loaded again as text (what cqacdbd -db reads), with the windows
-// rotating over the 31 starts so every pair decision is a remembered one.
-// It is the profile harness of the daemon path: parse, plan, the operators,
-// normalisation, ordering and the encoded reply.
+// program through server.Handler, against the database saved and loaded
+// again as text (what cqacdbd -db reads), with the windows rotating over the
+// 31 starts so every pair decision is a remembered one. It is the profile
+// harness of the daemon path: parse, plan, the operators, normalisation,
+// ordering and the encoded reply. one-session runs every request on one
+// session; fresh-session opens a new session for each request and closes it
+// after, so what the request remembers is what the server's sat-cache holds,
+// not what its session paid for.
 func BenchmarkHurricaneServer(b *testing.B) {
 	land, owners, track := datagen.HurricaneRelations(8)
 	d := loadedDB(b, map[string]*relation.Relation{"Land": land, "Landownership": owners, "Hurricane": track})
-	srv := server.New(map[string]*db.Database{"hurricane": d}, server.Config{SessionIdleTimeout: -1})
-	b.Cleanup(func() { _ = srv.Shutdown(context.Background()) })
-	h := srv.Handler()
-	rec := httptest.NewRecorder()
-	h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/sessions", strings.NewReader(`{"par": 1}`)))
-	var info struct {
-		ID string `json:"id"`
-	}
-	if err := json.Unmarshal(rec.Body.Bytes(), &info); err != nil {
-		b.Fatal(err)
-	}
 	const starts = 31
-	bodies := make([]string, starts)
-	for a := range bodies {
-		prog := fmt.Sprintf("R0 = join Landownership and Land\nR1 = join R0 and Hurricane\n"+
+	progs := make([]string, starts)
+	for a := range progs {
+		progs[a] = fmt.Sprintf("R0 = join Landownership and Land\nR1 = join R0 and Hurricane\n"+
 			"R2 = select t >= %d, t <= %d from R1\nR3 = project R2 on name", a, a+10)
-		bodies[a] = fmt.Sprintf(`{"session": %q, "query": %q}`, info.ID, prog)
 	}
-	post := func(a int) {
-		rec := httptest.NewRecorder()
-		h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/query", strings.NewReader(bodies[a])))
-		if rec.Code != http.StatusOK || !strings.Contains(rec.Body.String(), `(name=`) {
-			b.Fatalf("window %d: %d %s", a, rec.Code, rec.Body)
-		}
-	}
-	for a := range bodies {
-		post(a)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		post(i % starts)
+	for _, fresh := range []bool{false, true} {
+		b.Run(map[bool]string{false: "one-session", true: "fresh-session"}[fresh], func(b *testing.B) {
+			srv := server.New(map[string]*db.Database{"hurricane": d}, server.Config{SessionIdleTimeout: -1})
+			b.Cleanup(func() { _ = srv.Shutdown(context.Background()) })
+			h := srv.Handler()
+			serve := func(method, target, body string, want int) *httptest.ResponseRecorder {
+				rec := httptest.NewRecorder()
+				h.ServeHTTP(rec, httptest.NewRequest(method, target, strings.NewReader(body)))
+				if rec.Code != want {
+					b.Fatalf("%s %s: %d %s", method, target, rec.Code, rec.Body)
+				}
+				return rec
+			}
+			open := func() string {
+				var info struct {
+					ID string `json:"id"`
+				}
+				if err := json.Unmarshal(serve(http.MethodPost, "/v1/sessions", `{"par": 1}`, http.StatusCreated).Body.Bytes(), &info); err != nil {
+					b.Fatal(err)
+				}
+				return info.ID
+			}
+			body := func(id string, a int) string {
+				return fmt.Sprintf(`{"session": %q, "query": %q}`, id, progs[a])
+			}
+			post := func(body string) {
+				if rec := serve(http.MethodPost, "/v1/query", body, http.StatusOK); !strings.Contains(rec.Body.String(), `(name=`) {
+					b.Fatalf("%s: %s", body, rec.Body)
+				}
+			}
+			session := open()
+			bodies := make([]string, starts)
+			for a := range bodies {
+				bodies[a] = body(session, a)
+				post(bodies[a])
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if !fresh {
+					post(bodies[i%starts])
+					continue
+				}
+				id := open()
+				post(body(id, i%starts))
+				serve(http.MethodDelete, "/v1/sessions/"+id, "", http.StatusOK)
+			}
+		})
 	}
 }
 

@@ -313,9 +313,8 @@ type session struct {
 
 	// Per-program flight-recorder state, set by begin and consumed by
 	// finish. qid is empty when no observability sink wants an identity.
-	qid    string
-	start  time.Time
-	cache0 constraint.CacheStats
+	qid   string
+	start time.Time
 }
 
 // begin opens a query identity for the next program. The id is
@@ -331,7 +330,6 @@ func (s *session) begin() {
 	if s.tracer != nil {
 		s.tracer.QueryID = s.qid
 	}
-	s.cache0 = s.ec.SatCache.Stats()
 }
 
 // finish records the finished program as a flight record: NDJSON to the
@@ -343,15 +341,15 @@ func (s *session) finish(src string, rows int, err error) {
 	}
 	elapsed := time.Since(s.start)
 	rec := obs.FlightRecord{
-		ID:           s.qid,
-		Statement:    db.FirstLine(src),
-		StartUnixMS:  s.start.UnixMilli(),
-		WallMS:       float64(elapsed.Microseconds()) / 1000,
-		Rows:         rows,
-		Outcome:      obs.OutcomeOf(err),
-		CacheHitRate: s.ec.SatCache.HitRateSince(s.cache0),
-		Ops:          s.ec.Stats(),
+		ID:          s.qid,
+		Statement:   db.FirstLine(src),
+		StartUnixMS: s.start.UnixMilli(),
+		WallMS:      float64(elapsed.Microseconds()) / 1000,
+		Rows:        rows,
+		Outcome:     obs.OutcomeOf(err),
+		Ops:         s.ec.Stats(),
 	}
+	rec.CacheHitRate = obs.CacheHitRate(rec.Ops, s.ec.SatCache != nil)
 	if err != nil {
 		rec.Error = err.Error()
 	}

@@ -11,7 +11,7 @@
 //
 // The API (full reference: docs/SERVER.md):
 //
-//	POST   /v1/sessions        open a session (its own sat-cache, worker pool, knobs)
+//	POST   /v1/sessions        open a session (its own worker pool and bindings)
 //	POST   /v1/query           run a query or rules program on a session
 //	GET    /v1/sessions        list sessions        GET /v1/sessions/{id}  inspect one
 //	DELETE /v1/sessions/{id}   close a session
@@ -36,8 +36,9 @@
 // queries (beyond it the server sheds with 429 + Retry-After);
 // -query-timeout bounds each query (requests may shorten it with
 // timeout_ms); -session-idle-timeout reaps abandoned sessions;
-// -max-sessions caps open sessions. -par and -sat-cache set the
-// defaults new sessions inherit (each session may override them).
+// -max-sessions caps open sessions. -par sets the worker-pool size new
+// sessions inherit (each session may override it); -sat-cache sizes the
+// one sat-cache every session shares.
 //
 // Flight recorder knobs: -query-history sizes the finished-query ring
 // behind /v1/queries/recent, -query-log appends every finished query as
@@ -93,7 +94,7 @@ func run(args []string, out io.Writer) error {
 		"close sessions idle this long (0 = never)")
 	par := fs.Int("par", 0, "default session worker-pool size (0 = GOMAXPROCS, 1 = sequential)")
 	satCache := fs.Int("sat-cache", constraint.DefaultSatCacheSize,
-		"default session sat-cache size in entries (0 = disabled)")
+		"size in entries of the one sat-cache every session shares (0 = disabled)")
 	grace := fs.Duration("shutdown-grace", 30*time.Second,
 		"how long shutdown waits for in-flight queries to drain")
 	quiet := fs.Bool("quiet", false, "suppress request logging on stderr")

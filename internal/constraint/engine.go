@@ -256,16 +256,6 @@ func (s CacheStats) HitRate() float64 {
 	return float64(s.Hits) / float64(total)
 }
 
-// HitRateSince is the hit rate over the decisions made since before was
-// taken — one query's own rate on a cache that outlives it — and −1 on the
-// nil cache, so "no cache configured" is not read as a true 0 (all misses).
-func (c *SatCache) HitRateSince(before CacheStats) float64 {
-	if c == nil {
-		return -1
-	}
-	return CacheStats{Hits: c.hits.Load() - before.Hits, Misses: c.misses.Load() - before.Misses}.HitRate()
-}
-
 func (s CacheStats) String() string {
 	return fmt.Sprintf("hits=%d misses=%d (%.1f%% hit rate) evictions=%d collisions=%d entries=%d",
 		s.Hits, s.Misses, 100*s.HitRate(), s.Evictions, s.Collisions, s.Entries)

@@ -77,23 +77,6 @@ func TestSatCacheHitsOnEquivalentForms(t *testing.T) {
 	if st := cache.Stats(); st.Entries != 1 {
 		t.Fatalf("entries = %d, want 1", st.Entries)
 	}
-	// The per-query rate counts only what came after the snapshot: one
-	// miss then three hits since.
-	before := cache.Stats()
-	for i := 0; i < 3; i++ {
-		cache.Satisfiable(a)
-	}
-	cache.Satisfiable(And(Constraint{Expr: y.Neg(), Op: Le}))
-	if got := cache.HitRateSince(before); got != 0.75 {
-		t.Errorf("HitRateSince = %v, want 0.75 (3 hits, 1 miss)", got)
-	}
-	if got := cache.HitRateSince(cache.Stats()); got != 0 {
-		t.Errorf("HitRateSince with no decisions = %v, want 0", got)
-	}
-	var none *SatCache
-	if got := none.HitRateSince(CacheStats{}); got != -1 {
-		t.Errorf("nil cache HitRateSince = %v, want -1", got)
-	}
 }
 
 // TestSatCacheEviction checks the LRU bound: a capacity-16 cache (one entry

@@ -58,6 +58,26 @@ func OutcomeOf(err error) string {
 	return OutcomeError
 }
 
+// CacheHitRate is a query's sat-cache hit rate read from its own operator
+// records: Σ cache_hits ÷ Σ (cache_hits + cache_misses), 0 when no
+// decision reached the cache, and −1 when cached is false (no cache
+// configured), so that is not read as a true 0 (all misses). The cache
+// itself may be shared with other queries; the rows are this query's alone.
+func CacheHitRate(ops []OpStats, cached bool) float64 {
+	if !cached {
+		return -1
+	}
+	var hits, total int64
+	for i := range ops {
+		hits += ops[i].CacheHits
+		total += ops[i].CacheHits + ops[i].CacheMisses
+	}
+	if total == 0 {
+		return 0
+	}
+	return float64(hits) / float64(total)
+}
+
 var queryCounter atomic.Int64
 
 // NewQueryID returns a fresh query identity "q<seq>-<8 hex>": the
@@ -106,9 +126,8 @@ type FlightRecord struct {
 	Error    string  `json:"error,omitempty"`
 
 	// CacheHitRate is the sat-cache hit rate over this query's decisions
-	// alone (hits/(hits+misses) of the per-query counter delta). -1
-	// marks "no cache configured", distinguishing it from a true 0 (all
-	// misses).
+	// alone, read from Ops (see the CacheHitRate function). -1 marks "no
+	// cache configured", distinguishing it from a true 0 (all misses).
 	CacheHitRate float64 `json:"cache_hit_rate"`
 
 	// Ops are the query's operator invocations, one record per plan node

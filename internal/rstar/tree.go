@@ -77,21 +77,21 @@ func New(pager storage.Pager, dim int, opts Options) (*Tree, error) {
 // Open reopens a tree previously created with New on a persistent pager,
 // given its metadata page id.
 func Open(pager storage.Pager, metaPage storage.PageID) (*Tree, error) {
-	p, err := pager.Read(metaPage)
-	if err != nil {
+	buf := make([]byte, pager.PageSize())
+	if err := pager.Read(metaPage, buf); err != nil {
 		return nil, err
 	}
-	if string(p.Data[0:4]) != "RST1" {
+	if string(buf[0:4]) != "RST1" {
 		return nil, fmt.Errorf("rstar: page %d is not a tree metadata page", metaPage)
 	}
 	t := &Tree{pager: pager, meta: metaPage}
-	t.dim = int(binary.LittleEndian.Uint32(p.Data[4:8]))
-	t.root = storage.PageID(binary.LittleEndian.Uint32(p.Data[8:12]))
-	t.height = int(binary.LittleEndian.Uint32(p.Data[12:16]))
-	t.size = int(binary.LittleEndian.Uint64(p.Data[16:24]))
-	t.opts.MinFill = math.Float64frombits(binary.LittleEndian.Uint64(p.Data[24:32]))
-	t.opts.ReinsertFrac = math.Float64frombits(binary.LittleEndian.Uint64(p.Data[32:40]))
-	t.opts.DisableReinsert = p.Data[40] == 1
+	t.dim = int(binary.LittleEndian.Uint32(buf[4:8]))
+	t.root = storage.PageID(binary.LittleEndian.Uint32(buf[8:12]))
+	t.height = int(binary.LittleEndian.Uint32(buf[12:16]))
+	t.size = int(binary.LittleEndian.Uint64(buf[16:24]))
+	t.opts.MinFill = math.Float64frombits(binary.LittleEndian.Uint64(buf[24:32]))
+	t.opts.ReinsertFrac = math.Float64frombits(binary.LittleEndian.Uint64(buf[32:40]))
+	t.opts.DisableReinsert = buf[40] == 1
 	t.maxE = maxEntries(pager.PageSize(), t.dim)
 	t.minE = int(float64(t.maxE) * t.opts.MinFill)
 	if t.minE < 1 {
@@ -131,11 +131,11 @@ func (t *Tree) Height() int { return t.height }
 func (t *Tree) MaxEntries() int { return t.maxE }
 
 func (t *Tree) load(id storage.PageID) (*node, error) {
-	p, err := t.pager.Read(id)
-	if err != nil {
+	buf := make([]byte, t.pager.PageSize())
+	if err := t.pager.Read(id, buf); err != nil {
 		return nil, err
 	}
-	return decodeNode(id, p.Data, t.dim)
+	return decodeNode(id, buf, t.dim)
 }
 
 func (t *Tree) store(n *node) error {

@@ -297,11 +297,11 @@ func (s *Server) runOnSession(ctx context.Context, sess *session, req queryReque
 	// Flight evidence, captured even when the query errors out: the
 	// per-invocation records (every binary node keeps its own strategy and
 	// est/act pair counts), and the sat-cache hit rate over this query's
-	// decisions alone (the session cache outlives the query).
-	st0 := sess.cacheStats()
+	// decisions alone, read from those records (the server's cache is
+	// shared with every other session).
 	defer func() {
 		extras.ops = ec.Stats()
-		extras.cacheHitRate = ec.SatCache.HitRateSince(st0)
+		extras.cacheHitRate = obs.CacheHitRate(extras.ops, ec.SatCache != nil)
 	}()
 
 	var tracer *obs.Tracer
@@ -326,8 +326,8 @@ func (s *Server) runOnSession(ctx context.Context, sess *session, req queryReque
 	}
 	if req.Stats {
 		res.stats = ec.Stats()
-		if ec.SatCache != nil {
-			st := sess.cacheStats()
+		if s.cache != nil {
+			st := s.cache.Stats()
 			res.cache = &cacheInfo{
 				Hits: st.Hits, Misses: st.Misses, HitRate: st.HitRate(),
 				Evictions: st.Evictions, Collisions: st.Collisions, Entries: st.Entries,

@@ -57,11 +57,18 @@ func referenceLines(t *testing.T, prog []string, ec *exec.Context) (string, []st
 
 func TestConcurrentSessionsMatchREPL(t *testing.T) {
 	const sessionsPerProgram = 3 // 4 programs × 3 = 12 concurrent sessions
-	_, ts := newTestServer(t, Config{}, nil)
+	// Every third duplicate runs on a server without a sat-cache, so cached
+	// and uncached sessions are both represented in the same concurrent run.
+	_, cached := newTestServer(t, Config{}, nil)
+	_, uncached := newTestServer(t, Config{DefaultSatCache: -1}, nil)
 
 	var wg sync.WaitGroup
 	for p, prog := range equivPrograms {
 		for dup := 0; dup < sessionsPerProgram; dup++ {
+			ts := cached
+			if dup%3 == 2 {
+				ts = uncached
+			}
 			wg.Add(1)
 			go func() {
 				defer wg.Done()
@@ -78,7 +85,7 @@ func TestConcurrentSessionsMatchREPL(t *testing.T) {
 func runEquivSession(t *testing.T, ts *httptest.Server, p, dup int, prog [][]string) {
 	// Vary the knobs across duplicates so sequential and parallel
 	// sessions are both represented in the same concurrent run.
-	opts := [...]string{`{"par": 1}`, `{"par": 4}`, `{"par": 2, "sat_cache": 0}`}[dup%3]
+	opts := [...]string{`{"par": 1}`, `{"par": 4}`, `{"par": 2}`}[dup%3]
 	id := openSession(t, ts, opts)
 
 	var prefix []string

@@ -111,7 +111,8 @@ func TestQueryIDInEnvelopeAndHistory(t *testing.T) {
 }
 
 func TestInflightListingAndCancelByID(t *testing.T) {
-	s, ts := newTestServer(t, Config{}, map[string]*db.Database{"slow": slowDB()})
+	// No sat-cache: the slow self-join must stay slow enough to time out.
+	s, ts := newTestServer(t, Config{DefaultSatCache: -1}, map[string]*db.Database{"slow": slowDB()})
 	id := openSession(t, ts, `{"db": "hurricane", "par": 1}`)
 	started := make(chan struct{})
 	release := make(chan struct{})
@@ -184,7 +185,7 @@ func TestInflightListingAndCancelByID(t *testing.T) {
 	// A cancel has the same wire shape as a deadline timeout: the same
 	// envelope keys, only status and message differ.
 	s.hookQueryStart = nil
-	slowID := openSession(t, ts, `{"db": "slow", "par": 2, "sat_cache": 0}`)
+	slowID := openSession(t, ts, `{"db": "slow", "par": 2}`)
 	status, _, timeoutBody := runQueryReq(t, ts, fmt.Sprintf(
 		`{"session": %q, "query": "R = join B and B", "timeout_ms": 5}`, slowID))
 	if status != http.StatusGatewayTimeout {

@@ -2,9 +2,9 @@ package server
 
 // Metrics exposition under concurrent session churn: sessions open, run
 // cached queries and close while /metrics is scraped. The scrape must
-// stay deterministic (sorted families, stable text) and the aggregate
-// sat-cache counters must stay monotone — closing a session folds its
-// counters into the retired totals instead of dropping them. Run under
+// stay deterministic (sorted families, stable text) and the sat-cache
+// counters must stay monotone — they belong to the server's one cache,
+// which outlives every session. Run under
 // -race this also exercises the flight recorder's Start/Finish path
 // against concurrent /v1/queries and history reads.
 
@@ -56,19 +56,6 @@ func counterValue(t *testing.T, text string, re *regexp.Regexp) int64 {
 func TestMetricsExpositionUnderSessionChurn(t *testing.T) {
 	_, ts := newTestServer(t, Config{}, nil)
 
-	// post is a goroutine-safe variant of postJSON: it returns errors
-	// instead of calling t.Fatalf (FailNow must not run off the test
-	// goroutine).
-	post := func(url, body string) (int, []byte, error) {
-		resp, err := http.Post(url, "application/json", strings.NewReader(body))
-		if err != nil {
-			return 0, nil, err
-		}
-		defer resp.Body.Close()
-		b, err := io.ReadAll(resp.Body)
-		return resp.StatusCode, b, err
-	}
-
 	stop := make(chan struct{})
 	var wg sync.WaitGroup
 	for w := 0; w < 4; w++ {
@@ -84,9 +71,8 @@ func TestMetricsExpositionUnderSessionChurn(t *testing.T) {
 				// One full lifecycle per iteration: open, query, close. The
 				// query is a three-variable join (t, x, y), so its operator
 				// asks the sat-cache; normalising a two-variable result no
-				// longer does. The close folds the session's cache counters
-				// into the retired totals the scraper watches.
-				status, body, err := post(ts.URL+"/v1/sessions", `{"par": 1, "sat_cache": 64}`)
+				// longer does.
+				status, body, err := postBody(ts.URL+"/v1/sessions", `{"par": 1}`)
 				if err != nil || status != http.StatusCreated {
 					t.Errorf("churn %d: open: %d %v", w, status, err)
 					return
@@ -96,7 +82,7 @@ func TestMetricsExpositionUnderSessionChurn(t *testing.T) {
 					t.Errorf("churn %d: open decode: %v", w, err)
 					return
 				}
-				status, body, err = post(ts.URL+"/v1/query", fmt.Sprintf(
+				status, body, err = postBody(ts.URL+"/v1/query", fmt.Sprintf(
 					`{"session": %q, "query": "R = join Landownership and Land"}`, info.ID))
 				if err != nil || status != http.StatusOK {
 					t.Errorf("churn %d: query: %d %v %s", w, status, err, body)
@@ -113,9 +99,8 @@ func TestMetricsExpositionUnderSessionChurn(t *testing.T) {
 		}(w)
 	}
 
-	// Scrape concurrently with the churn: the sat-cache aggregates must
-	// never move backwards, even as the sessions carrying their counters
-	// come and go (the retired fold keeps the series monotone).
+	// Scrape concurrently with the churn: the sat-cache counters must
+	// never move backwards while the sessions that drive them come and go.
 	var lastHits, lastMisses int64
 	deadline := time.Now().Add(250 * time.Millisecond)
 	for time.Now().Before(deadline) {

@@ -6,9 +6,12 @@
 //
 //   - a read-only database registry, loaded once at startup and shared
 //     by every session (the databases are never mutated after load);
+//   - one sat-cache, shared by every session: its entries are facts about
+//     their inputs (canonical fingerprints, verified on every hit), so a
+//     decision one session paid for answers every other;
 //   - sessions (POST /v1/sessions), each owning a private *exec.Context
-//     — worker-pool size and sat-cache budget — plus the session-local
-//     result bindings a REPL user would accumulate;
+//     — worker-pool size, per-query tracer and deadline — plus the
+//     session-local result bindings a REPL user would accumulate;
 //   - a JSON query API (POST /v1/query) executing query-language and
 //     calculus programs on a session, with optional NDJSON streaming of
 //     result tuples, per-query EXPLAIN ANALYZE text and trace JSON;
@@ -76,8 +79,8 @@ type Config struct {
 	// par (0 = GOMAXPROCS, 1 = sequential).
 	DefaultPar int
 
-	// DefaultSatCache is the sat-cache size, in entries, for sessions
-	// that do not set sat_cache. Zero means
+	// DefaultSatCache is the size, in entries, of the server's one
+	// sat-cache (the -sat-cache flag). Zero means
 	// constraint.DefaultSatCacheSize; negative disables the cache.
 	DefaultSatCache int
 
@@ -198,9 +201,9 @@ type Server struct {
 	// snaps is the optional copy-on-write snapshot store (Config.Snapshots).
 	snaps *snapshot.Store
 
-	// Sat-cache counters of closed sessions, folded in at close time so
-	// the aggregate cache metrics stay monotone as sessions come and go.
-	retired constraint.CacheStats // guarded by smu
+	// cache is the sat-cache every session's decisions go through (nil
+	// when Config.DefaultSatCache disables it).
+	cache *constraint.SatCache
 
 	done     chan struct{} // closes the idle reaper
 	doneOnce sync.Once
@@ -253,6 +256,9 @@ func New(dbs map[string]*db.Database, cfg Config) *Server {
 		snaps:    cfg.Snapshots,
 		done:     make(chan struct{}),
 		start:    time.Now(),
+	}
+	if n := cfg.defaultSatCache(); n > 0 {
+		s.cache = constraint.NewSatCache(n)
 	}
 	s.flight = obs.NewFlight(cfg.QueryHistory)
 	s.flight.Metrics = s.reg
@@ -353,40 +359,7 @@ func (s *Server) installMetrics() {
 	r.NewCounterFunc("cdb_fm_decisions_total",
 		"Raw Fourier-Motzkin satisfiability decisions (process-wide).",
 		constraint.DecisionCount)
-	// Aggregate sat-cache counters: live sessions summed plus the folded
-	// totals of closed ones, so the series stay monotone.
-	r.NewCounterFunc("cdb_satcache_hits_total",
-		"Sat decisions answered by session sat-caches (all sessions ever).",
-		func() int64 { return s.satTotals().Hits })
-	r.NewCounterFunc("cdb_satcache_misses_total",
-		"Sat decisions that ran the raw eliminator under a session cache.",
-		func() int64 { return s.satTotals().Misses })
-	r.NewGaugeFunc("cdb_satcache_entries",
-		"Resident sat-cache entries across live sessions.", func() int64 {
-			s.smu.Lock()
-			defer s.smu.Unlock()
-			var n int64
-			for _, sess := range s.sessions {
-				n += int64(sess.cacheStats().Entries)
-			}
-			return n
-		})
-}
-
-// satTotals sums sat-cache counters over live sessions plus the retired
-// totals of closed ones.
-func (s *Server) satTotals() constraint.CacheStats {
-	s.smu.Lock()
-	defer s.smu.Unlock()
-	total := s.retired
-	for _, sess := range s.sessions {
-		st := sess.cacheStats()
-		total.Hits += st.Hits
-		total.Misses += st.Misses
-		total.Evictions += st.Evictions
-		total.Collisions += st.Collisions
-	}
-	return total
+	s.cache.RegisterMetrics(r)
 }
 
 // --- admission control ---
@@ -437,10 +410,7 @@ func (s *Server) Shutdown(ctx context.Context) error {
 		err = ctx.Err()
 	}
 	s.smu.Lock()
-	for id, sess := range s.sessions {
-		s.foldRetiredLocked(sess)
-		delete(s.sessions, id)
-	}
+	clear(s.sessions)
 	s.smu.Unlock()
 	return err
 }
@@ -458,7 +428,7 @@ func (s *Server) addSession(dbName string, base *db.Database, opts sessionOption
 	if len(s.sessions) >= s.cfg.maxSessions() {
 		return nil, errSessionLimit
 	}
-	sess := newSession(newSessionID(s.seq.Add(1)), dbName, base, opts, s.cfg, s.reg)
+	sess := newSession(newSessionID(s.seq.Add(1)), dbName, base, opts, s.cfg, s.cache, s.reg)
 	s.sessions[sess.id] = sess
 	s.mOpened.Inc()
 	return sess, nil
@@ -471,28 +441,16 @@ func (s *Server) session(id string) (*session, bool) {
 	return sess, ok
 }
 
-// removeSession drops id from the registry, folding its cache counters
-// into the retired totals. It reports whether the session existed.
+// removeSession drops id from the registry. It reports whether the
+// session existed.
 func (s *Server) removeSession(id string) bool {
 	s.smu.Lock()
 	defer s.smu.Unlock()
-	sess, ok := s.sessions[id]
-	if !ok {
+	if _, ok := s.sessions[id]; !ok {
 		return false
 	}
-	s.foldRetiredLocked(sess)
 	delete(s.sessions, id)
 	return true
-}
-
-// foldRetiredLocked accumulates a closing session's sat-cache counters
-// (smu held).
-func (s *Server) foldRetiredLocked(sess *session) {
-	st := sess.cacheStats()
-	s.retired.Hits += st.Hits
-	s.retired.Misses += st.Misses
-	s.retired.Evictions += st.Evictions
-	s.retired.Collisions += st.Collisions
 }
 
 // reapLoop closes sessions idle past the configured timeout. Sessions
@@ -529,7 +487,6 @@ func (s *Server) reapIdle(now time.Time, idle time.Duration) {
 		if sess.running.Load() > 0 || sess.idleFor(now) < idle {
 			continue
 		}
-		s.foldRetiredLocked(sess)
 		delete(s.sessions, id)
 		s.mExpired.Inc()
 		s.log.Info("session expired", "session", id, "db", sess.dbName,
@@ -583,18 +540,17 @@ func (s *Server) handleDBs(w http.ResponseWriter, r *http.Request) {
 }
 
 type sessionInfo struct {
-	ID        string     `json:"id"`
-	DB        string     `json:"db"`
-	Snapshot  string     `json:"snapshot,omitempty"` // snapshot the session is bound to
-	Workers   int        `json:"workers"`
-	SatCache  int        `json:"sat_cache_entries"`
-	Queries   int64      `json:"queries"`
-	Results   []string   `json:"results,omitempty"`
-	CreatedMS int64      `json:"created_unix_ms"`
-	IdleMS    int64      `json:"idle_ms"`
-	Cache     *cacheInfo `json:"cache,omitempty"`
+	ID        string   `json:"id"`
+	DB        string   `json:"db"`
+	Snapshot  string   `json:"snapshot,omitempty"` // snapshot the session is bound to
+	Workers   int      `json:"workers"`
+	Queries   int64    `json:"queries"`
+	Results   []string `json:"results,omitempty"`
+	CreatedMS int64    `json:"created_unix_ms"`
+	IdleMS    int64    `json:"idle_ms"`
 }
 
+// cacheInfo is a stats reply's cache block: the server's one sat-cache.
 type cacheInfo struct {
 	Hits       int64   `json:"hits"`
 	Misses     int64   `json:"misses"`
@@ -608,7 +564,7 @@ func (s *Server) sessionInfo(sess *session) sessionInfo {
 	sess.mu.Lock()
 	results := append([]string{}, sess.order...)
 	sess.mu.Unlock()
-	info := sessionInfo{
+	return sessionInfo{
 		ID:        sess.id,
 		DB:        sess.dbName,
 		Snapshot:  sess.snapID,
@@ -618,15 +574,6 @@ func (s *Server) sessionInfo(sess *session) sessionInfo {
 		CreatedMS: sess.created.UnixMilli(),
 		IdleMS:    sess.idleFor(time.Now()).Milliseconds(),
 	}
-	if sess.ec.SatCache != nil {
-		st := sess.cacheStats()
-		info.SatCache = st.Entries
-		info.Cache = &cacheInfo{
-			Hits: st.Hits, Misses: st.Misses, HitRate: st.HitRate(),
-			Evictions: st.Evictions, Collisions: st.Collisions, Entries: st.Entries,
-		}
-	}
-	return info
 }
 
 func (s *Server) handleSessionCreate(w http.ResponseWriter, r *http.Request) {

@@ -8,6 +8,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"sort"
 	"strings"
 	"testing"
 	"time"
@@ -105,7 +106,7 @@ func TestHealthAndDBs(t *testing.T) {
 
 func TestSessionLifecycle(t *testing.T) {
 	_, ts := newTestServer(t, Config{}, nil)
-	id := openSession(t, ts, `{"par": 2, "sat_cache": 128}`)
+	id := openSession(t, ts, `{"par": 2}`)
 
 	status, body := getJSON(t, ts.URL+"/v1/sessions/"+id)
 	if status != http.StatusOK || !bytes.Contains(body, []byte(id)) {
@@ -154,9 +155,10 @@ func TestSessionDefaultsAndValidation(t *testing.T) {
 	}
 }
 
-// TestSessionPlanOption: plan modes are not session surface. A plan, like
-// the other retired options, is rejected up front as an unknown field
-// naming itself; the session info has no plan field.
+// TestSessionPlanOption: plan modes are not session surface, and neither is
+// a sat-cache (the server has one). A plan, like the other retired options,
+// is rejected up front as an unknown field naming itself; the session info
+// holds exactly the session's own fields, no plan and no cache.
 func TestSessionPlanOption(t *testing.T) {
 	_, ts := newTestServer(t, Config{}, nil)
 	for _, tc := range []struct{ body, field string }{
@@ -165,6 +167,8 @@ func TestSessionPlanOption(t *testing.T) {
 		{`{"no_prune": true}`, "no_prune"},
 		{`{"sweep_threshold": 8}`, "sweep_threshold"},
 		{`{"seq_threshold": 8}`, "seq_threshold"},
+		{`{"sat_cache": 0}`, "sat_cache"},
+		{`{"sat_cache": 128}`, "sat_cache"},
 	} {
 		status, body, _ := postJSON(t, ts.URL+"/v1/sessions", tc.body)
 		if status != http.StatusBadRequest || !bytes.Contains(body, []byte(tc.field)) {
@@ -172,8 +176,21 @@ func TestSessionPlanOption(t *testing.T) {
 		}
 	}
 	id := openSession(t, ts, ``)
-	if status, body := getJSON(t, ts.URL+"/v1/sessions/"+id); status != http.StatusOK || bytes.Contains(body, []byte(`"plan"`)) {
+	status, body := getJSON(t, ts.URL+"/v1/sessions/"+id)
+	if status != http.StatusOK {
 		t.Fatalf("session info: %d %s", status, body)
+	}
+	var info map[string]any
+	if err := json.Unmarshal(body, &info); err != nil {
+		t.Fatal(err)
+	}
+	keys := make([]string, 0, len(info))
+	for k := range info {
+		keys = append(keys, k)
+	}
+	sort.Strings(keys)
+	if got, want := strings.Join(keys, " "), "created_unix_ms db id idle_ms queries workers"; got != want {
+		t.Fatalf("session info fields %q, want %q: %s", got, want, body)
 	}
 }
 
@@ -237,7 +254,7 @@ func TestQueryStatsExplainTrace(t *testing.T) {
 		t.Fatalf("trace is not a span array: %v %s", err, resp.Trace)
 	}
 	if resp.Cache == nil {
-		t.Fatal("stats response missing session cache counters (cache is on by default)")
+		t.Fatal("stats response missing the server cache's counters (cache is on by default)")
 	}
 }
 
@@ -332,8 +349,9 @@ func slowDB() *db.Database {
 }
 
 func TestQueryTimeout(t *testing.T) {
-	s, ts := newTestServer(t, Config{}, map[string]*db.Database{"slow": slowDB()})
-	id := openSession(t, ts, `{"db": "slow", "par": 2, "sat_cache": 0}`)
+	// No sat-cache: the self-join must stay slow enough to time out.
+	s, ts := newTestServer(t, Config{DefaultSatCache: -1}, map[string]*db.Database{"slow": slowDB()})
+	id := openSession(t, ts, `{"db": "slow", "par": 2}`)
 	status, _, body := runQueryReq(t, ts, fmt.Sprintf(
 		`{"session": %q, "query": "R = join B and B", "timeout_ms": 5}`, id))
 	if status != http.StatusGatewayTimeout {

@@ -17,9 +17,10 @@ import (
 )
 
 // session is one client's stateful connection to the server: an owned
-// *exec.Context (its own worker-pool size, sat-cache budget and — per
-// query — tracer and deadline) plus the session-local result bindings,
-// layered over one shared read-only database from the registry.
+// *exec.Context (its own worker-pool size and — per query — tracer and
+// deadline, pointed at the server's one sat-cache) plus the session-local
+// result bindings, layered over one shared read-only database from the
+// registry.
 //
 // Queries on a session are serialised by mu, exactly like statements in
 // one REPL: concurrency happens *across* sessions, which is what keeps
@@ -44,24 +45,22 @@ type session struct {
 }
 
 // sessionOptions are the per-session execution knobs, all optional.
-// Pointers distinguish "unset, use the server default" from an explicit
-// zero (e.g. sat_cache: 0 disables the cache outright).
+// A pointer distinguishes "unset, use the server default" from an
+// explicit zero.
 type sessionOptions struct {
 	DB       string `json:"db,omitempty"`
 	Snapshot string `json:"snapshot,omitempty"` // bind to a snapshot instead of a db
 	Par      *int   `json:"par,omitempty"`
-	SatCache *int   `json:"sat_cache,omitempty"`
 }
 
 // newSession builds a session against base with opts layered over the
-// server defaults. Its operators fold their records into reg, the
-// registry /metrics serves (the cdb_op_* families).
-func newSession(id, dbName string, base *db.Database, opts sessionOptions, cfg Config, reg *obs.Registry) *session {
+// server defaults. Its decisions go through cache, the server's one
+// sat-cache (nil: none), and its operators fold their records into reg,
+// the registry /metrics serves (the cdb_op_* families).
+func newSession(id, dbName string, base *db.Database, opts sessionOptions, cfg Config, cache *constraint.SatCache, reg *obs.Registry) *session {
 	ec := exec.New(orDefault(opts.Par, cfg.DefaultPar))
 	ec.Metrics = reg
-	if cacheSize := orDefault(opts.SatCache, cfg.defaultSatCache()); cacheSize > 0 {
-		ec.SatCache = constraint.NewSatCache(cacheSize)
-	}
+	ec.SatCache = cache
 	s := &session{
 		id:      id,
 		dbName:  dbName,
@@ -107,12 +106,6 @@ func (s *session) touch() { s.lastUsed.Store(time.Now().UnixNano()) }
 // idleFor returns how long the session has been idle.
 func (s *session) idleFor(now time.Time) time.Duration {
 	return now.Sub(time.Unix(0, s.lastUsed.Load()))
-}
-
-// cacheStats snapshots the session's sat-cache counters (zero when the
-// cache is disabled).
-func (s *session) cacheStats() constraint.CacheStats {
-	return s.ec.SatCache.Stats()
 }
 
 // newSessionID returns "s<seq>-<8 hex>": the sequence keeps ids readable

@@ -81,15 +81,17 @@ func hashPayload(p []byte) uint64 {
 	return h.Sum64()
 }
 
-// encodePage frames a payload as page bytes.
-func encodePage(payload []byte, pageSize int) ([]byte, error) {
-	if len(payload) > pagePayloadCap(pageSize) {
-		return nil, fmt.Errorf("snapshot: payload of %d bytes exceeds %d-byte page", len(payload), pageSize)
+// encodePage frames a payload into page, a whole page's bytes: the length
+// header, the payload, and zeros to the end, so a reused buffer writes the
+// same bytes a fresh one would.
+func encodePage(page, payload []byte) error {
+	if len(payload) > pagePayloadCap(len(page)) {
+		return fmt.Errorf("snapshot: payload of %d bytes exceeds %d-byte page", len(payload), len(page))
 	}
-	data := make([]byte, pageSize)
-	binary.LittleEndian.PutUint32(data[0:4], uint32(len(payload)))
-	copy(data[4:], payload)
-	return data, nil
+	binary.LittleEndian.PutUint32(page[0:4], uint32(len(payload)))
+	n := copy(page[4:], payload)
+	clear(page[4+n:])
+	return nil
 }
 
 // decodePage extracts the payload from page bytes.

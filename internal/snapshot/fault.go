@@ -84,12 +84,12 @@ func NewFaultPager(under storage.Pager, fault *Fault) *FaultPager {
 	return &FaultPager{under: under, fault: fault}
 }
 
-func (p *FaultPager) PageSize() int                                 { return p.under.PageSize() }
-func (p *FaultPager) Allocate() (storage.PageID, error)             { return p.under.Allocate() }
-func (p *FaultPager) Read(id storage.PageID) (*storage.Page, error) { return p.under.Read(id) }
-func (p *FaultPager) Free(id storage.PageID) error                  { return p.under.Free(id) }
-func (p *FaultPager) Stats() storage.Stats                          { return p.under.Stats() }
-func (p *FaultPager) ResetStats()                                   { p.under.ResetStats() }
+func (p *FaultPager) PageSize() int                            { return p.under.PageSize() }
+func (p *FaultPager) Allocate() (storage.PageID, error)        { return p.under.Allocate() }
+func (p *FaultPager) Read(id storage.PageID, buf []byte) error { return p.under.Read(id, buf) }
+func (p *FaultPager) Free(id storage.PageID) error             { return p.under.Free(id) }
+func (p *FaultPager) Stats() storage.Stats                     { return p.under.Stats() }
+func (p *FaultPager) ResetStats()                              { p.under.ResetStats() }
 
 // Write fails at the armed point; otherwise it passes through.
 func (p *FaultPager) Write(pg *storage.Page) error {

@@ -303,3 +303,56 @@ func TestWarmRecommitAllocs(t *testing.T) {
 		s.Close()
 	}
 }
+
+// TestSharedRecommitAllocs puts a ceiling on one commit + fork + materialise
+// + release of a database whose every relation is shared: the store holds
+// its pages under a base snapshot, and the relations carry their stored
+// forms. So the commit writes nothing and compares every page, and the
+// materialise decodes nothing and hash-checks every page. Those page reads
+// go through the store's one page buffer: what is left per operation is the
+// manifests, their log records and the fork's database, a number that does
+// not grow with the pages read. A buffer per page read would. Small pages
+// make the pages many.
+func TestSharedRecommitAllocs(t *testing.T) {
+	const (
+		ceiling = 150 // allocations per operation; 86 at 59 pages when set, against 4 more per page with a buffer per read
+		runs    = 20
+	)
+	s, err := Open(t.TempDir(), Options{PageSize: 1024})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	d := churnDB(t, 1536)
+	base := mustCommit(t, s, d, "")
+	op := func() {
+		snap := mustCommit(t, s, d, base.ID)
+		fork, err := s.Fork(snap.ID)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := mustMaterialize(t, s, fork.ID); got.TupleCount() != d.TupleCount() {
+			t.Fatalf("materialised %d tuples of %d", got.TupleCount(), d.TupleCount())
+		}
+		for _, id := range []string{fork.ID, snap.ID} {
+			if err := s.Release(id); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	st0 := s.Stats()
+	allocs := testing.AllocsPerRun(runs, op)
+	st := s.Stats()
+	pages := int64(base.Pages)
+	reads := int64(st.Pager.Reads - st0.Pager.Reads)
+	if n := int64(runs + 1); st.PagesWritten != st0.PagesWritten || st.PagesShared-st0.PagesShared != n*pages ||
+		reads != 2*n*pages || st.RelationsEncoded != st0.RelationsEncoded || st.RelationsDecoded != st0.RelationsDecoded {
+		t.Fatalf("%d operations on %d pages: wrote %d, shared %d, read %d, encoded %d, decoded %d; want 0, %d, %d, 0, 0",
+			n, pages, st.PagesWritten-st0.PagesWritten, st.PagesShared-st0.PagesShared, reads,
+			st.RelationsEncoded-st0.RelationsEncoded, st.RelationsDecoded-st0.RelationsDecoded, n*pages, 2*n*pages)
+	}
+	t.Logf("%d pages: %.0f allocations per operation", pages, allocs)
+	if allocs > ceiling {
+		t.Errorf("a shared commit + fork + materialise + release of %d pages allocates %.0f times, ceiling %d", pages, allocs, ceiling)
+	}
+}

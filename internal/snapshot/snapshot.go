@@ -89,6 +89,12 @@ type Store struct {
 	wal    *wal
 	closed bool
 
+	// page is the one page buffer every page read (the dedup comparison,
+	// the hash-checked read) and every framed write goes through. Commit
+	// and readRelations hold mu while they use it; a payload read into it
+	// is valid until the next read or framing.
+	page storage.Page
+
 	index map[uint64][]storage.PageID // content hash -> candidate pages
 	refs  map[storage.PageID]int      // live references per page
 	free  []storage.PageID            // reclaimable slots, ascending
@@ -140,6 +146,7 @@ func Open(dir string, opts Options) (*Store, error) {
 		fp:    fp,
 		pager: pager,
 		wal:   w,
+		page:  storage.Page{Data: make([]byte, fp.PageSize())},
 		index: map[uint64][]storage.PageID{},
 		refs:  map[storage.PageID]int{},
 		snaps: map[string]*Manifest{},
@@ -303,7 +310,7 @@ func (s *Store) CommitCtx(d *db.Database, parent, name string, ec *exec.Context)
 			// byte comparison is the truth (collisions cost a read,
 			// never correctness).
 			for _, id := range s.index[h] {
-				got, err := readPayloadRaw(s.pager, id)
+				got, err := s.readPayloadRaw(id)
 				if err != nil {
 					return abort(err)
 				}
@@ -329,11 +336,11 @@ func (s *Store) CommitCtx(d *db.Database, parent, name string, ec *exec.Context)
 			if !fresh {
 				s.pagesReused++
 			}
-			data, err := encodePage(payload, s.pager.PageSize())
-			if err != nil {
+			if err := encodePage(s.page.Data, payload); err != nil {
 				return abort(err)
 			}
-			if err := s.pager.Write(&storage.Page{ID: id, Data: data}); err != nil {
+			s.page.ID = id
+			if err := s.pager.Write(&s.page); err != nil {
 				return abort(err)
 			}
 			byHash[h] = append(byHash[h], len(staged))
@@ -547,7 +554,7 @@ func (s *Store) readRelations(id string) ([]storedRelation, error) {
 			sr.stream = make([]byte, 0, len(rel.Pages)*pagePayloadCap(pageSize))
 		}
 		for _, ref := range rel.Pages {
-			payload, err := readPayload(s.pager, ref)
+			payload, err := s.readPayload(ref)
 			if err != nil {
 				return nil, fmt.Errorf("snapshot: materialize %s relation %s: %w", id, rel.Name, err)
 			}
@@ -711,13 +718,10 @@ func encodePages(d *db.Database, pageSize int) (forms []*storedForm, encoded int
 	return forms, encoded, nil
 }
 
-// readPayload reads one referenced page and verifies its content hash.
-func readPayload(p storage.Pager, ref PageRef) ([]byte, error) {
-	pg, err := p.Read(storage.PageID(ref.Page))
-	if err != nil {
-		return nil, err
-	}
-	payload, err := decodePage(pg.Data)
+// readPayload reads one referenced page and verifies its content hash. The
+// payload aliases the store's page buffer (mu held).
+func (s *Store) readPayload(ref PageRef) ([]byte, error) {
+	payload, err := s.readPayloadRaw(storage.PageID(ref.Page))
 	if err != nil {
 		return nil, err
 	}
@@ -729,13 +733,13 @@ func readPayload(p storage.Pager, ref PageRef) ([]byte, error) {
 }
 
 // readPayloadRaw reads a page's payload without a hash check (dedup
-// comparisons carry their own byte-equality truth).
-func readPayloadRaw(p storage.Pager, id storage.PageID) ([]byte, error) {
-	pg, err := p.Read(id)
-	if err != nil {
+// comparisons carry their own byte-equality truth). The payload aliases the
+// store's page buffer (mu held).
+func (s *Store) readPayloadRaw(id storage.PageID) ([]byte, error) {
+	if err := s.pager.Read(id, s.page.Data); err != nil {
 		return nil, err
 	}
-	return decodePage(pg.Data)
+	return decodePage(s.page.Data)
 }
 
 // newID mints "snap<seq>-<8 hex>": readable, log-sortable, unguessable

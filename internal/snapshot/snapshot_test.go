@@ -16,6 +16,7 @@ import (
 	"cdb/internal/datagen"
 	"cdb/internal/db"
 	"cdb/internal/relation"
+	"cdb/internal/storage"
 )
 
 // testPageSize keeps test databases multi-page without being huge.
@@ -727,5 +728,44 @@ func TestMaterializeBesideWriters(t *testing.T) {
 	wg.Wait()
 	if st := s.Stats(); st.RelationsReused == 0 || st.RelationsShared == 0 {
 		t.Fatalf("no commit reused a stored form (%d) or no materialise shared one (%d)", st.RelationsReused, st.RelationsShared)
+	}
+}
+
+// TestPagesAreFramedWhole: every page on disk is exactly its frame — the
+// length header, the payload and zeros to the page's end — whatever the
+// store's one page buffer held before. Full pages and short last pages
+// alternate through that buffer, relations of several sizes follow each
+// other, and a dedup comparison reads a full page into it between writes.
+func TestPagesAreFramedWhole(t *testing.T) {
+	s, err := Open(t.TempDir(), Options{PageSize: 256})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	base := mustCommit(t, s, buildDB(t, map[string]int{"Land": 40}, ""), "")
+	next := mustCommit(t, s, buildDB(t, map[string]int{"Land": 40, "Parcel": 7, "Tiny": 1}, ""), base.ID)
+	buf := make([]byte, 256)
+	for _, id := range []string{base.ID, next.ID} {
+		for _, rel := range s.snaps[id].Relations {
+			for _, ref := range rel.Pages {
+				if err := s.pager.Read(storage.PageID(ref.Page), buf); err != nil {
+					t.Fatal(err)
+				}
+				payload, err := decodePage(buf)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if hashPayload(payload) != ref.Hash {
+					t.Fatalf("%s page %d: hash mismatch", rel.Name, ref.Page)
+				}
+				want := make([]byte, 256)
+				if err := encodePage(want, payload); err != nil {
+					t.Fatal(err)
+				}
+				if !bytes.Equal(buf, want) {
+					t.Fatalf("%s page %d (%d-byte payload) is not its zero-padded frame", rel.Name, ref.Page, len(payload))
+				}
+			}
+		}
 	}
 }

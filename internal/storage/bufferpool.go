@@ -45,28 +45,26 @@ func (b *BufferPool) PageSize() int { return b.under.PageSize() }
 // Allocate allocates on the underlying pager.
 func (b *BufferPool) Allocate() (PageID, error) { return b.under.Allocate() }
 
-// Read returns the page, from cache when possible.
-func (b *BufferPool) Read(id PageID) (*Page, error) {
+// Read copies the page into buf, from cache when possible.
+func (b *BufferPool) Read(id PageID, buf []byte) error {
+	if err := checkReadBuf(buf, b.under.PageSize()); err != nil {
+		return err
+	}
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	b.stats.Reads++
 	if el, ok := b.byID[id]; ok {
 		b.stats.Hits++
 		b.ll.MoveToFront(el)
-		e := el.Value.(*poolEntry)
-		out := make([]byte, len(e.data))
-		copy(out, e.data)
-		return &Page{ID: id, Data: out}, nil
+		copy(buf, el.Value.(*poolEntry).data)
+		return nil
 	}
 	b.stats.Misses++
-	p, err := b.under.Read(id)
-	if err != nil {
-		return nil, err
+	if err := b.under.Read(id, buf); err != nil {
+		return err
 	}
-	b.admit(id, p.Data, false)
-	out := make([]byte, len(p.Data))
-	copy(out, p.Data)
-	return &Page{ID: id, Data: out}, nil
+	b.admit(id, buf, false)
+	return nil
 }
 
 // Write stores the page in the pool (write-back) or directly when caching

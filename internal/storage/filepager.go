@@ -110,19 +110,21 @@ func (p *FilePager) Allocate() (PageID, error) {
 	return id, p.writeHeader()
 }
 
-// Read returns the page content.
-func (p *FilePager) Read(id PageID) (*Page, error) {
+// Read reads the page content into buf.
+func (p *FilePager) Read(id PageID, buf []byte) error {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	if id == 0 || id >= p.next {
-		return nil, fmt.Errorf("storage: read of invalid page %d", id)
+		return fmt.Errorf("storage: read of invalid page %d", id)
 	}
-	buf := make([]byte, p.pageSize)
+	if err := checkReadBuf(buf, p.pageSize); err != nil {
+		return err
+	}
 	if _, err := p.f.ReadAt(buf, p.offset(id)); err != nil {
-		return nil, fmt.Errorf("storage: read page %d: %w", id, err)
+		return fmt.Errorf("storage: read page %d: %w", id, err)
 	}
 	p.stats.Reads++
-	return &Page{ID: id, Data: buf}, nil
+	return nil
 }
 
 // Write persists the page.

@@ -41,12 +41,15 @@ type Stats struct {
 
 // Pager is a page store.
 //
-// Read returns a copy of the page content; callers own the result.
-// Write persists the page. Allocate returns a fresh zeroed page id.
+// Read copies the page content into buf, which the caller owns and which
+// must be exactly one page long; the pager keeps no reference to it, so one
+// buffer serves any number of reads. Write persists a copy of the page: the
+// caller may reuse p.Data as soon as it returns. Allocate returns a fresh
+// zeroed page id.
 type Pager interface {
 	PageSize() int
 	Allocate() (PageID, error)
-	Read(id PageID) (*Page, error)
+	Read(id PageID, buf []byte) error
 	Write(p *Page) error
 	Free(id PageID) error
 	Stats() Stats
@@ -85,18 +88,28 @@ func (m *MemPager) Allocate() (PageID, error) {
 	return id, nil
 }
 
-// Read returns a copy of the page.
-func (m *MemPager) Read(id PageID) (*Page, error) {
+// Read copies the page into buf.
+func (m *MemPager) Read(id PageID, buf []byte) error {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	data, ok := m.pages[id]
 	if !ok {
-		return nil, fmt.Errorf("storage: read of unallocated page %d", id)
+		return fmt.Errorf("storage: read of unallocated page %d", id)
+	}
+	if err := checkReadBuf(buf, m.pageSize); err != nil {
+		return err
 	}
 	m.stats.Reads++
-	out := make([]byte, m.pageSize)
-	copy(out, data)
-	return &Page{ID: id, Data: out}, nil
+	copy(buf, data)
+	return nil
+}
+
+// checkReadBuf rejects a read buffer that is not exactly one page.
+func checkReadBuf(buf []byte, pageSize int) error {
+	if len(buf) != pageSize {
+		return fmt.Errorf("storage: read of %d-byte page into %d bytes", pageSize, len(buf))
+	}
+	return nil
 }
 
 // Write persists the page.

@@ -19,22 +19,22 @@ func TestMemPagerBasics(t *testing.T) {
 	if id == 0 {
 		t.Fatal("allocated page id 0")
 	}
-	pg, err := p.Read(id)
+	pg, err := read(p, id)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(pg.Data) != DefaultPageSize {
-		t.Errorf("read %d bytes", len(pg.Data))
+	if len(pg) != DefaultPageSize {
+		t.Errorf("read %d bytes", len(pg))
 	}
-	copy(pg.Data, "hello")
-	if err := p.Write(pg); err != nil {
+	copy(pg, "hello")
+	if err := p.Write(&Page{ID: id, Data: pg}); err != nil {
 		t.Fatal(err)
 	}
 	// Reads return copies: mutating them must not corrupt the store.
-	pg2, _ := p.Read(id)
-	copy(pg2.Data, "WRECK")
-	pg3, _ := p.Read(id)
-	if !bytes.HasPrefix(pg3.Data, []byte("hello")) {
+	pg2, _ := read(p, id)
+	copy(pg2, "WRECK")
+	pg3, _ := read(p, id)
+	if !bytes.HasPrefix(pg3, []byte("hello")) {
 		t.Error("read did not return a copy")
 	}
 	st := p.Stats()
@@ -48,12 +48,18 @@ func TestMemPagerBasics(t *testing.T) {
 	if err := p.Free(id); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := p.Read(id); err == nil {
+	if _, err := read(p, id); err == nil {
 		t.Error("read of freed page succeeded")
 	}
 	if err := p.Write(&Page{ID: 99, Data: make([]byte, DefaultPageSize)}); err == nil {
 		t.Error("write to unallocated page succeeded")
 	}
+}
+
+// read reads page id into a fresh buffer.
+func read(p Pager, id PageID) ([]byte, error) {
+	buf := make([]byte, p.PageSize())
+	return buf, p.Read(id, buf)
 }
 
 func TestMemPagerWriteSizeCheck(t *testing.T) {
@@ -79,22 +85,22 @@ func TestBufferPoolCounting(t *testing.T) {
 	}
 	under.ResetStats()
 	// Page ids[2] and ids[1] are cached (capacity 2, LRU evicted ids[0]).
-	if _, err := pool.Read(ids[2]); err != nil {
+	if _, err := read(pool, ids[2]); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := pool.Read(ids[1]); err != nil {
+	if _, err := read(pool, ids[1]); err != nil {
 		t.Fatal(err)
 	}
 	if got := under.Stats().Reads; got != 0 {
 		t.Errorf("cached reads hit disk %d times", got)
 	}
 	// ids[0] was evicted (written back) and must hit the disk.
-	pg, err := pool.Read(ids[0])
+	pg, err := read(pool, ids[0])
 	if err != nil {
 		t.Fatal(err)
 	}
-	if pg.Data[0] != 1 {
-		t.Errorf("evicted page content lost: %d", pg.Data[0])
+	if pg[0] != 1 {
+		t.Errorf("evicted page content lost: %d", pg[0])
 	}
 	if got := under.Stats().Reads; got != 1 {
 		t.Errorf("disk reads = %d, want 1", got)
@@ -115,15 +121,15 @@ func TestBufferPoolFlush(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Not yet on "disk".
-	raw, _ := under.Read(id)
-	if bytes.HasPrefix(raw.Data, []byte("dirty")) {
+	raw, _ := read(under, id)
+	if bytes.HasPrefix(raw, []byte("dirty")) {
 		t.Error("write-back wrote through immediately")
 	}
 	if err := pool.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	raw2, _ := under.Read(id)
-	if !bytes.HasPrefix(raw2.Data, []byte("dirty")) {
+	raw2, _ := read(under, id)
+	if !bytes.HasPrefix(raw2, []byte("dirty")) {
 		t.Error("flush did not persist")
 	}
 }
@@ -138,10 +144,10 @@ func TestBufferPoolPassThrough(t *testing.T) {
 		t.Fatal(err)
 	}
 	under.ResetStats()
-	if _, err := pool.Read(id); err != nil {
+	if _, err := read(pool, id); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := pool.Read(id); err != nil {
+	if _, err := read(pool, id); err != nil {
 		t.Fatal(err)
 	}
 	if got := under.Stats().Reads; got != 2 {
@@ -178,11 +184,11 @@ func TestFilePagerPersistence(t *testing.T) {
 	if p2.PageSize() != 256 {
 		t.Errorf("page size after reopen = %d", p2.PageSize())
 	}
-	pg, err := p2.Read(id2)
+	pg, err := read(p2, id2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.HasPrefix(pg.Data, []byte("persisted")) {
+	if !bytes.HasPrefix(pg, []byte("persisted")) {
 		t.Error("content lost across reopen")
 	}
 	// Freed page is recycled.
@@ -194,14 +200,14 @@ func TestFilePagerPersistence(t *testing.T) {
 		t.Errorf("free list not reused: got %d, want %d", id3, id1)
 	}
 	// Recycled page must be zeroed.
-	pg3, _ := p2.Read(id3)
-	for _, b := range pg3.Data {
+	pg3, _ := read(p2, id3)
+	for _, b := range pg3 {
 		if b != 0 {
 			t.Error("recycled page not zeroed")
 			break
 		}
 	}
-	if _, err := p2.Read(999); err == nil {
+	if _, err := read(p2, 999); err == nil {
 		t.Error("read of invalid page succeeded")
 	}
 }
@@ -238,7 +244,7 @@ func TestBufferPoolAccessors(t *testing.T) {
 	if err := pool.Free(id); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := pool.Read(id); err == nil {
+	if _, err := read(pool, id); err == nil {
 		t.Error("read of freed page via pool succeeded")
 	}
 	if under.NumPages() != 0 {
@@ -254,8 +260,8 @@ func TestFilePagerStatsAndFreeList(t *testing.T) {
 	}
 	defer p.Close()
 	id, _ := p.Allocate()
-	pg, _ := p.Read(id)
-	_ = p.Write(pg)
+	pg, _ := read(p, id)
+	_ = p.Write(&Page{ID: id, Data: pg})
 	st := p.Stats()
 	if st.Allocs != 1 || st.Reads != 1 || st.Writes != 1 {
 		t.Errorf("stats = %+v", st)
