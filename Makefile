@@ -37,6 +37,7 @@ obs-demo:
 FUZZTIME ?= 30s
 fuzz:
 	$(GO) test ./internal/rational -run '^$$' -fuzz '^FuzzRatOps$$' -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/geometry -run '^$$' -fuzz '^FuzzSplit$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/constraint -run '^$$' -fuzz '^FuzzCanon$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/constraint -run '^$$' -fuzz '^FuzzFourierMotzkin$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/constraint -run '^$$' -fuzz '^FuzzSimplify$$' -fuzztime $(FUZZTIME)

@@ -15,7 +15,7 @@ type Disjunction []Conjunction
 // Subtract returns the difference j - k as a disjunction of satisfiable
 // conjunctions: assignments satisfying j but not k.
 func Subtract(j, k Conjunction) Disjunction {
-	return SubtractAllScoped(j, []Conjunction{k}, struct{}{}, fmStep)
+	return disjuncts(SubtractAllScoped(j, []Conjunction{k}, struct{}{}, fmStep))
 }
 
 // SubtractLazy is Subtract without the eager per-disjunct satisfiability
@@ -24,8 +24,8 @@ func Subtract(j, k Conjunction) Disjunction {
 // only for the DESIGN.md ablation benchmark; production paths always prune
 // eagerly.
 func SubtractLazy(j, k Conjunction) Disjunction {
-	return SubtractAllScoped(j, []Conjunction{k}, struct{}{},
-		AtomStep(func(struct{}, Conjunction, Constraint) (struct{}, bool) { return struct{}{}, true }))
+	return disjuncts(SubtractAllScoped(j, []Conjunction{k}, struct{}{},
+		AtomStep(func(struct{}, Conjunction, Constraint) (struct{}, bool) { return struct{}{}, true })))
 }
 
 // SubtractAll returns j minus every conjunction in ks. The result is a
@@ -33,7 +33,20 @@ func SubtractLazy(j, k Conjunction) Disjunction {
 // assignments in j and in none of the ks; it is empty when j is
 // unsatisfiable and ks is not.
 func SubtractAll(j Conjunction, ks []Conjunction) Disjunction {
-	return SubtractAllScoped(j, ks, struct{}{}, fmStep)
+	return disjuncts(SubtractAllScoped(j, ks, struct{}{}, fmStep))
+}
+
+// disjuncts is the disjunction of the staircase's pieces, each with memo
+// boxes.
+func disjuncts[S any](pieces []Piece[S]) Disjunction {
+	if len(pieces) == 0 {
+		return nil
+	}
+	out := make(Disjunction, len(pieces))
+	for i, p := range pieces {
+		out[i] = p.Con.withMemo()
+	}
+	return out
 }
 
 // fmStep is the scope-free staircase step: every decision runs the raw
@@ -92,26 +105,27 @@ func AtomStep[S any](step func(parent S, prefix Conjunction, atom Constraint) (S
 // therefore emits nothing (every step extends it), and empty ks returns
 // {Canon(j)}.
 //
+// Each piece is returned with the state its last decision gave it, so a
+// caller whose state is the piece's region can read the piece off it.
+//
 // Prefixes and pieces are kept canonical by inserting one atom at a time
-// into Canon(j), so every returned piece is canonical (and carries memo
-// boxes) as it is: Canon on it costs nothing.
-func SubtractAllScoped[S any](j Conjunction, ks []Conjunction, root S, step StairStep[S]) Disjunction {
-	type piece struct {
-		con   Conjunction
-		scope S
-	}
-	work := []piece{{con: j.Canon(), scope: root}}
+// into Canon(j), so every returned piece is canonical as it is: Canon on it
+// costs nothing. Memo boxes are left to whoever emits a piece (Subtract,
+// SubtractAll, SimplifyPlanar, IrredundantOnEdges), since the difference
+// operator emits most pieces shrunk.
+func SubtractAllScoped[S any](j Conjunction, ks []Conjunction, root S, step StairStep[S]) []Piece[S] {
+	work := []Piece[S]{{Con: j.Canon(), Scope: root}}
 	for _, k := range ks {
-		var next []piece
+		var next []Piece[S]
 		cs := k.Constraints()
 		for _, p := range work {
-			prefix, scope := p.con, p.scope
+			prefix, scope := p.Con, p.Scope
 			for i, c := range cs {
 				negs := c.Complement()
 				neg, pos := step(scope, prefix, c, negs)
 				for n, a := range negs {
 					if neg[n].Sat {
-						next = append(next, piece{con: prefix.insert(a), scope: neg[n].Scope})
+						next = append(next, Piece[S]{Con: prefix.insert(a), Scope: neg[n].Scope})
 					}
 				}
 				if !pos.Sat || i == len(cs)-1 {
@@ -128,11 +142,13 @@ func SubtractAllScoped[S any](j Conjunction, ks []Conjunction, root S, step Stai
 			return nil
 		}
 	}
-	out := make(Disjunction, len(work))
-	for i, p := range work {
-		out[i] = p.con.withMemo()
-	}
-	return out
+	return work
+}
+
+// Piece is one disjunct of the staircase with its step state.
+type Piece[S any] struct {
+	Con   Conjunction
+	Scope S
 }
 
 // Holds evaluates the disjunction under the assignment: true if any

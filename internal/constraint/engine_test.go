@@ -337,10 +337,10 @@ func TestSatFuncThreading(t *testing.T) {
 	for i := 0; i < 40; i++ {
 		j, k := randConj(rng), randConj(rng)
 		plain := SubtractAll(j, []Conjunction{k})
-		cached := SubtractAllScoped(j, []Conjunction{k}, struct{}{},
+		cached := disjuncts(SubtractAllScoped(j, []Conjunction{k}, struct{}{},
 			AtomStep(func(_ struct{}, prefix Conjunction, atom Constraint) (struct{}, bool) {
 				return struct{}{}, counting(prefix.With(atom))
-			}))
+			})))
 		if len(plain) != len(cached) {
 			t.Fatalf("case %d: a staircase through the cache disagrees: %d vs %d disjuncts", i, len(plain), len(cached))
 		}

@@ -66,27 +66,136 @@ const (
 // so a canonical j yields a canonical result, flagged as such.
 func (j Conjunction) simplifyPlanar() (_ Conjunction, ok bool) {
 	var stack [16]halfPlane
-	hs, ok := halfPlanes(j.cs, stack[:0])
+	hs, edges, ok := j.classify(stack[:0])
 	if !ok {
 		return Conjunction{}, false
 	}
-	edges := 0
+	return j.replay(hs, edges), true
+}
+
+// classify reads j's atoms as half-planes into hs and runs clipBoundary on
+// each, counting the atoms that carry an edge; ok is simplifyPlanar's.
+func (j Conjunction) classify(hs []halfPlane) (_ []halfPlane, edges int, ok bool) {
+	hs, ok = halfPlanes(j.cs, hs)
+	if !ok {
+		return nil, 0, false
+	}
 	for i := range hs {
-		if !clipBoundary(hs, i) {
-			return Conjunction{}, false
+		if !clipBoundary(hs, i, false) {
+			return nil, 0, false
 		}
 		if hs[i].kind == edge {
 			edges++
 		}
 	}
+	return hs, edges, edges > 0
+}
+
+// PlanarEdges reports which of j's atoms carry an edge of its region as
+// the planar rule classifies them, and ok = false where the rule does not
+// decide j. IrredundantOnEdges takes the same facts from a drawn region
+// instead; this is the classification it must agree with.
+func (j Conjunction) PlanarEdges() (onEdge []bool, ok bool) {
+	hs, _, ok := j.classify(nil)
+	if !ok {
+		return nil, false
+	}
+	onEdge = make([]bool, len(hs))
+	for i := range hs {
+		onEdge[i] = hs[i].kind == edge
+	}
+	return onEdge, true
+}
+
+// SimplifyPlanar returns what the planar rule of SimplifyWith leaves of a
+// canonical j, and j itself when the rule does not decide it; either way
+// the result carries memo boxes. It asks no satisfiability question. The
+// difference operator emits the pieces its clipper could not read off a
+// ring this way (see IrredundantOnEdges).
+func (j Conjunction) SimplifyPlanar() Conjunction {
+	if out, ok := j.simplifyPlanar(); ok {
+		return out.withMemo()
+	}
+	return j.withMemo()
+}
+
+// IrredundantOnEdges is the planar rule with its classification read off
+// a region already drawn: j is canonical and its region is bounded and
+// full-dimensional, and lines holds, for each edge of the region's closure,
+// one atom whose boundary line carries it (in either direction). An atom on
+// one of those lines carries an edge; a closed atom on none carries none,
+// so it is dropped without being looked at; only a strict atom on none is
+// classified by clipBoundary, for the vertex the greedy replay may keep it
+// for, and only then are the atoms read as half-planes. The result is
+// simplifyPlanar's, atom for atom, with memo boxes. ok is false — j then
+// goes to SimplifyPlanar — when j is not such a conjunction after all: an
+// atom the rule cannot read, or a strict atom sharing its line with
+// another.
+func (j Conjunction) IrredundantOnEdges(lines []Constraint) (_ Conjunction, ok bool) {
+	var keyStack [16]rational.Rat
+	keys := keyStack[:0]
+	for k := range lines {
+		keys = append(keys, lineConst(&lines[k]))
+	}
+	var onStack [16]bool
+	on := onStack[:0]
+	edges, strictOff := 0, false
+	for i := range j.cs {
+		c := &j.cs[i]
+		if c.Op == Eq || len(c.Expr.terms) == 0 {
+			return Conjunction{}, false
+		}
+		e := onAny(c, lines, keys)
+		on = append(on, e)
+		if e {
+			edges++
+		} else if c.Op == Lt {
+			strictOff = true
+		}
+	}
+	// clipBoundary reads the atoms as half-planes; without it the replay
+	// reads only their kinds.
+	var stack [16]halfPlane
+	var hs []halfPlane
+	switch {
+	case strictOff:
+		if hs, ok = halfPlanes(j.cs, stack[:0]); !ok {
+			return Conjunction{}, false
+		}
+	case len(j.cs) <= len(stack):
+		hs = stack[:len(j.cs)]
+	default:
+		hs = make([]halfPlane, len(j.cs))
+	}
+	for i := range hs {
+		if on[i] {
+			hs[i].kind = edge
+		}
+	}
+	for i := range hs {
+		if h := &hs[i]; strictOff && !on[i] && h.strict {
+			if !clipBoundary(hs, i, true) {
+				return Conjunction{}, false
+			}
+			if h.kind == edge {
+				edges++
+			}
+		}
+	}
 	if edges == 0 {
 		return Conjunction{}, false
 	}
+	return j.replay(hs, edges).withMemo(), true
+}
+
+// replay is the greedy left-to-right removal of the general path on
+// classified atoms, edges of which carry an edge: atom i goes unless it
+// carries an edge or is a strict atom whose vertex every other atom still
+// there admits.
+func (j Conjunction) replay(hs []halfPlane, edges int) Conjunction {
 	if edges == len(hs) {
-		return j, true
+		return j
 	}
-	// Replay the greedy removal: atom i goes unless it carries an edge or
-	// is a strict atom whose vertex every other atom still there admits.
 	out := make([]Constraint, 0, edges+1)
 	for i := range hs {
 		h := &hs[i]
@@ -97,9 +206,53 @@ func (j Conjunction) simplifyPlanar() (_ Conjunction, ok bool) {
 		}
 	}
 	if !j.canon {
-		return Conjunction{cs: out}, true
+		return Conjunction{cs: out}
 	}
-	return canonical(out, false), true
+	return canonical(out, false)
+}
+
+// onAny reports whether c's boundary line is that of one of lines, whose
+// lineConsts are keys.
+func onAny(c *Constraint, lines []Constraint, keys []rational.Rat) bool {
+	key := lineConst(c)
+	for k := range lines {
+		if key.Equal(keys[k]) && sameLineTerms(c, &lines[k]) {
+			return true
+		}
+	}
+	return false
+}
+
+// lineConst is a canonical inequality atom's constant with its leading
+// coefficient made positive. Canonical atoms scale that coefficient to ±1,
+// so two of them have one boundary line, read in either direction, exactly
+// when their lineConsts are equal and their terms equal up to that sign
+// (sameLineTerms). The constants tell most lines apart.
+func lineConst(c *Constraint) rational.Rat {
+	if c.Expr.terms[0].Coef.Sign() < 0 {
+		return c.Expr.c.Neg()
+	}
+	return c.Expr.c
+}
+
+// sameLineTerms reports whether two canonical inequality atoms' terms are
+// equal up to the sign of the leading coefficient.
+func sameLineTerms(a, b *Constraint) bool {
+	ta, tb := a.Expr.terms, b.Expr.terms
+	if len(ta) != len(tb) {
+		return false
+	}
+	flip := ta[0].Coef.Sign() != tb[0].Coef.Sign()
+	for i := range ta {
+		cb := tb[i].Coef
+		if flip {
+			cb = cb.Neg()
+		}
+		if ta[i].Var != tb[i].Var || !ta[i].Coef.Equal(cb) {
+			return false
+		}
+	}
+	return true
 }
 
 // halfPlanes reads cs as half-planes over at most two variables, appending
@@ -183,12 +336,17 @@ func (h *halfPlane) point(t rational.Rat) (x, y rational.Rat) {
 // soon as the interval is empty, so a pair sharing a line the region does
 // not reach goes unnoticed — both are then redundant, which is what the
 // rule answers for them.)
-func clipBoundary(hs []halfPlane, i int) bool {
+//
+// edgesOnly clips by the atoms already classified as carrying an edge and
+// skips the rest. When those are all of the edge atoms and hs[i] is not one
+// of them, the interval is the same: the edge atoms alone describe the
+// closure, which every other atom contains.
+func clipBoundary(hs []halfPlane, i int, edgesOnly bool) bool {
 	h := &hs[i]
 	var lo, hi rational.Rat
 	hasLo, hasHi := false, false
 	for k := range hs {
-		if k == i {
+		if k == i || (edgesOnly && hs[k].kind != edge) {
 			continue
 		}
 		at, slope := h.along(&hs[k])

@@ -2,6 +2,7 @@ package cqa
 
 import (
 	"fmt"
+	"slices"
 
 	"cdb/internal/constraint"
 	"cdb/internal/exec"
@@ -380,6 +381,11 @@ func Difference(r1, r2 *relation.Relation) (*relation.Relation, error) {
 // byte-identical with the filter on or off and across strategies: every
 // envelope-pruned subtrahend is one the pre-filter's satisfiability
 // decision rejects anyway.
+//
+// Each piece is emitted as the planar redundancy rule of SimplifyWith
+// leaves it (constraint.Conjunction.SimplifyPlanar), so normalising the
+// output finds nothing more to drop on two-variable pieces; a piece the
+// rule does not decide is emitted as the staircase built it.
 func DifferenceCtx(ec *exec.Context, r1, r2 *relation.Relation) (*relation.Relation, error) {
 	if !r1.Schema().Equal(r2.Schema()) {
 		return nil, fmt.Errorf("cqa: difference requires equal schemas: %s vs %s", r1.Schema(), r2.Schema())
@@ -442,17 +448,17 @@ func DifferenceCtx(ec *exec.Context, r1, r2 *relation.Relation) (*relation.Relat
 		// Refine, part 2 — the staircase expansion, every returned piece
 		// proven satisfiable and canonical. With a polygon form for t1 each
 		// piece carries t1's ring clipped by the atoms accumulated on top of
-		// it, and a subtrahend atom and its complement are decided together
-		// by one split of that ring; an atom the split does not take is
-		// clipped alone, and an atom the clipper cannot decide, or a t1
-		// without a form, goes to the recorder. The verdicts are FM's either
-		// way, so the pieces are too. They share t1's relational part:
-		// WithConstraint reuses the binding map.
+		// it, its edges labelled with the atoms that drew them, and a
+		// subtrahend atom and its complement are decided together by one
+		// split of that ring; an atom the split does not take is clipped
+		// alone, and an atom the clipper cannot decide, or a t1 without a
+		// form, goes to the recorder. The verdicts are FM's either way, so
+		// the pieces are too.
 		var f1 *vector.Form
 		var root vector.Scope
 		if dec.clip {
 			if f1 = vector.FormOf(c1); f1 != nil {
-				root = f1.Scope()
+				root = f1.LabelledScope()
 			}
 		}
 		settle := func(prefix constraint.Conjunction, atom constraint.Constraint, child vector.Scope, sat, ok bool) (vector.Scope, bool) {
@@ -481,8 +487,18 @@ func DifferenceCtx(ec *exec.Context, r1, r2 *relation.Relation) (*relation.Relat
 				}
 				return perAtom(parent, prefix, c, negs)
 			})
+		// Emit each piece as the planar rule of SimplifyWith leaves it: read
+		// off its ring where the ring is full-dimensional and labelled, and
+		// through the rule itself otherwise (no form, a declined clipper, a
+		// flat or foreign scope). Both are the rule's answer, so the output
+		// does not depend on which deciders ran. The pieces share t1's
+		// relational part: WithConstraint reuses the binding map.
 		keepPieces := make([]relation.Tuple, 0, len(pieces))
-		for _, con := range pieces {
+		for _, p := range pieces {
+			con, ok := p.Scope.Irredundant(p.Con)
+			if !ok {
+				con = p.Con.SimplifyPlanar()
+			}
 			keepPieces = append(keepPieces, t1.WithConstraint(con))
 		}
 		return keepPieces, nil
@@ -490,14 +506,10 @@ func DifferenceCtx(ec *exec.Context, r1, r2 *relation.Relation) (*relation.Relat
 	if err != nil {
 		return nil, err
 	}
-	out := relation.New(r1.Schema())
-	for _, pieces := range rows {
-		for _, t := range pieces {
-			if err := out.Add(t); err != nil {
-				return nil, err
-			}
-		}
-	}
+	// A piece keeps t1's bindings and holds atoms of t1 and of tuples of r2,
+	// over the constraint attributes the two equal schemas share: valid for
+	// r1's schema by construction.
+	out := relation.FromJoin(r1.Schema(), slices.Concat(rows...))
 	rec.AddOut(out.Len())
 	rec.Done(ec.ParallelFor(len(t1s)))
 	return out, nil

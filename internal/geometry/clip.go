@@ -71,12 +71,22 @@ const (
 	Ge                   // the closed side a·x + b·y + c >= 0
 )
 
+// Label names the line an edge of a ring lies on. What a label stands for
+// is the caller's business: SplitLabelled only hands labels on.
+type Label int32
+
 // Cut is a ring cut along the boundary line of a half-plane h.
 type Cut struct {
 	// Le and Ge are the ring's closed sides, ring ∩ {h <= 0} and
 	// ring ∩ {h >= 0}: what ClipRing gives for h and for -h, point for
 	// point. A side Split was not asked to build is nil.
 	Le, Ge []Point
+	// LeEdges and GeEdges label the sides' edges as SplitLabelled's edges
+	// label the ring's: the edge from side[i] to side[i+1] (wrapping) lies
+	// on the line LeEdges[i] (GeEdges[i]) names. Nil when no labels were
+	// given, and for a cut 2-point ring, an open segment with no boundary
+	// to label.
+	LeEdges, GeEdges []Label
 	// LeIn and GeIn report that some vertex lies strictly inside the side
 	// (h < 0, h > 0). Both are set whatever Split builds. For a ring of
 	// positive area and a non-trivial h, a side has positive area exactly
@@ -87,12 +97,25 @@ type Cut struct {
 }
 
 // Split cuts a convex vertex ring (as ClipRing takes it) along the
-// boundary line of h and builds the sides asked for. It is the one
-// Sutherland–Hodgman body: h is evaluated once per vertex, each crossing is
-// computed once and shared by both sides, a side no vertex is cut from is
-// the ring itself and a side every vertex is cut from is nil — neither
-// allocates — and when both sides are cut they share one allocation.
+// boundary line of h and builds the sides asked for, unlabelled: it is
+// SplitLabelled without edge labels, and pays nothing for them.
 func Split(ring []Point, h HalfPlane, build Sides) Cut {
+	return SplitLabelled(ring, nil, h, 0, build)
+}
+
+// SplitLabelled is the one Sutherland–Hodgman body: it cuts a convex
+// vertex ring along the boundary line of h and builds the sides asked for.
+// h is evaluated once per vertex, each crossing is computed once and shared
+// by both sides, a side no vertex is cut from is the ring itself and a side
+// every vertex is cut from is nil — neither allocates — and when both sides
+// are cut they share one allocation.
+//
+// edges, when not nil, labels the ring's edges: edges[i] names the line the
+// edge from ring[i] to ring[i+1] (wrapping) lies on. Each side's edges are
+// then labelled too: an edge that survives, whole or cut short, keeps its
+// label, and the side's closing edge along h's line gets hl. Labels cost
+// one more allocation when a side is cut, and nothing when edges is nil.
+func SplitLabelled(ring []Point, edges []Label, h HalfPlane, hl Label, build Sides) Cut {
 	n := len(ring)
 	if n == 0 {
 		return Cut{}
@@ -130,14 +153,14 @@ func Split(ring []Point, h HalfPlane, build Sides) Cut {
 	le, ge := false, false
 	if build&Le != 0 {
 		if above == 0 {
-			cut.Le = ring
+			cut.Le, cut.LeEdges = ring, edges
 		} else {
 			le = above < n
 		}
 	}
 	if build&Ge != 0 {
 		if below == 0 {
-			cut.Ge = ring
+			cut.Ge, cut.GeEdges = ring, edges
 		} else {
 			ge = below < n
 		}
@@ -153,16 +176,16 @@ func Split(ring []Point, h HalfPlane, build Sides) Cut {
 		x := crossing(ring[0], ring[1], vals[0], vals[1])
 		s0 := vals[0].Sign()
 		if le {
-			cut.Le = segmentSide(ring, x, s0 <= 0)
+			cut.Le, cut.LeEdges = segmentSide(ring, x, s0 <= 0), nil
 		}
 		if ge {
-			cut.Ge = segmentSide(ring, x, s0 >= 0)
+			cut.Ge, cut.GeEdges = segmentSide(ring, x, s0 >= 0), nil
 		}
 		return cut
 	}
 	// Each side of a cut convex ring keeps at most n-1 vertices plus two
 	// crossings. Two sides share one array, each capped at its half so
-	// neither writes into the other.
+	// neither writes into the other; their labels likewise.
 	var lo, hi []Point
 	switch {
 	case le && ge:
@@ -173,38 +196,69 @@ func Split(ring []Point, h HalfPlane, build Sides) Cut {
 	default:
 		hi = make([]Point, 0, n+1)
 	}
+	labelled := edges != nil
+	var loL, hiL []Label
+	if labelled {
+		both := make([]Label, 0, 2*(n+1))
+		loL, hiL = both[:0:n+1], both[n+1:n+1]
+	}
 	for i, cur := range ring {
 		k := i + 1
 		if k == n {
 			k = 0
 		}
 		cs, ns := vals[i].Sign(), vals[k].Sign()
+		// Each point is appended with the label of the edge that leaves it:
+		// edge i's, unless that edge is cut away right after the point, in
+		// which case the side goes on along h's line.
 		if le && cs <= 0 {
 			lo = append(lo, cur)
+			if labelled {
+				loL = append(loL, pick(cs == 0 && ns > 0, hl, edges[i]))
+			}
 		}
 		if ge && cs >= 0 {
 			hi = append(hi, cur)
+			if labelled {
+				hiL = append(hiL, pick(cs == 0 && ns < 0, hl, edges[i]))
+			}
 		}
 		// Emit the exact crossing when the edge strictly straddles the
 		// boundary. Edges touching the boundary (value 0 endpoints) need no
-		// extra point: the on-boundary endpoint itself is kept above.
+		// extra point: the on-boundary endpoint itself is kept above. Past
+		// the crossing a side goes on along h's line when the edge leaves
+		// it, and along edge i when the edge enters it.
 		if (cs < 0 && ns > 0) || (cs > 0 && ns < 0) {
 			x := crossing(cur, ring[k], vals[i], vals[k])
 			if le {
 				lo = append(lo, x)
+				if labelled {
+					loL = append(loL, pick(cs < 0, hl, edges[i]))
+				}
 			}
 			if ge {
 				hi = append(hi, x)
+				if labelled {
+					hiL = append(hiL, pick(cs > 0, hl, edges[i]))
+				}
 			}
 		}
 	}
 	if le {
-		cut.Le = dedupeRing(lo)
+		cut.Le, cut.LeEdges = dedupeLabelled(lo, loL)
 	}
 	if ge {
-		cut.Ge = dedupeRing(hi)
+		cut.Ge, cut.GeEdges = dedupeLabelled(hi, hiL)
 	}
 	return cut
+}
+
+// pick is a conditional expression for labels.
+func pick(cond bool, a, b Label) Label {
+	if cond {
+		return a
+	}
+	return b
 }
 
 // segmentSide is the side of a cut segment that keeps its first end
@@ -231,19 +285,40 @@ func crossing(a, b Point, va, vb rational.Rat) Point {
 // dedupeRing removes consecutive duplicate points, including the
 // wraparound pair, preserving order.
 func dedupeRing(ring []Point) []Point {
+	out, _ := dedupeLabelled(ring, nil)
+	return out
+}
+
+// dedupeLabelled is dedupeRing that removes labels with their points when
+// labels is not nil: the zero-length edge between two equal points goes,
+// and the point that stays leaves along the edge that left the one removed.
+func dedupeLabelled(ring []Point, labels []Label) ([]Point, []Label) {
 	if len(ring) < 2 {
-		return ring
+		return ring, labels
 	}
-	out := ring[:0]
-	for _, p := range ring {
-		if len(out) == 0 || !p.Equal(out[len(out)-1]) {
-			out = append(out, p)
+	out, outL := ring[:0], labels[:0]
+	for i, p := range ring {
+		if len(out) > 0 && p.Equal(out[len(out)-1]) {
+			if labels != nil {
+				outL[len(outL)-1] = labels[i]
+			}
+			continue
+		}
+		out = append(out, p)
+		if labels != nil {
+			outL = append(outL, labels[i])
 		}
 	}
 	for len(out) > 1 && out[0].Equal(out[len(out)-1]) {
 		out = out[:len(out)-1]
+		if labels != nil {
+			outL = outL[:len(outL)-1]
+		}
 	}
-	return out
+	if labels == nil {
+		return out, nil
+	}
+	return out, outL
 }
 
 // RingArea2 returns 2·(signed area) of the ring via the shoelace formula

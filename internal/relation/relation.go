@@ -332,11 +332,12 @@ func (r *Relation) Add(t Tuple) error {
 }
 
 // FromJoin returns a relation over s holding ts, which it keeps, without
-// checking them one by one: s is the joined schema (schema.Schema.Join) of
-// two relations and every tuple of ts joins one tuple of each. Such a tuple
-// is valid for s by construction — its bindings are the union of two valid
-// tuples' bindings and its constraint part constrains only their variables
-// — so the schema join is the one check the output needs.
+// checking them one by one: every tuple of ts must be valid for s by
+// construction. An operator's output is: a join's tuple, over the joined
+// schema (schema.Schema.Join), has the union of two valid tuples' bindings
+// and constrains only their variables, so the schema join is the one check
+// it needs; a difference piece has its minuend's bindings and atoms of two
+// tuples over the same schema.
 func FromJoin(s schema.Schema, ts []Tuple) *Relation {
 	return &Relation{schema: s, tuples: ts}
 }

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"cdb/internal/constraint"
+	"cdb/internal/convert"
 	"cdb/internal/datagen"
 	"cdb/internal/geometry"
 	"cdb/internal/relation"
@@ -66,6 +67,7 @@ func referenceSatExtras(f *Form, extras []constraint.Constraint) (sat, ok bool) 
 // stairTally counts what a checked staircase met.
 type stairTally struct {
 	steps, split, sat, unsat, undecided, foreign, trivial int
+	labelled, read                                        int // full scopes whose labels were checked; pieces read off a ring
 }
 
 // sameScope reports whether two scopes hold the same ring, point for
@@ -82,14 +84,16 @@ func sameScope(a, b Scope) bool {
 	return true
 }
 
-// checkedStaircase runs base − ks through SubtractAllScoped on f's scope,
-// exactly as the difference operator does — an atom and its complement
-// split together where Split takes them, clipped one at a time where it
-// does not — and at every step compares the incremental verdict with
-// referenceSatExtras on the whole list of atoms accumulated so far, the
-// full-dimensional bit with the ring's area, and a split with the two clips
-// it stands for. The emitted disjuncts must be SubtractAll's, whose every
-// step runs Fourier–Motzkin.
+// checkedStaircase runs base − ks through SubtractAllScoped on f's
+// labelled scope, exactly as the difference operator does — an atom and its
+// complement split together where Split takes them, clipped one at a time
+// where it does not — and at every step compares the incremental verdict
+// with referenceSatExtras on the whole list of atoms accumulated so far,
+// the full-dimensional bit with the ring's area, and a split with the two
+// clips it stands for; at every full scope it checks the edge labels
+// (checkedLabels). The emitted disjuncts must be SubtractAll's, whose every
+// step runs Fourier–Motzkin, and each piece read off its ring must be what
+// the planar rule leaves of it.
 func checkedStaircase(t *testing.T, f *Form, base constraint.Conjunction, ks []constraint.Conjunction, tally *stairTally) {
 	t.Helper()
 	type state struct {
@@ -107,6 +111,9 @@ func checkedStaircase(t *testing.T, f *Form, base constraint.Conjunction, ks []c
 		}
 		if len(child.ring) != 0 && child.full == geometry.RingArea2(child.ring).IsZero() {
 			t.Fatalf("step %d: full-dimensional bit %v on a ring of area·2 %s\n base: %s\n extras: %v", tally.steps, child.full, geometry.RingArea2(child.ring), base, extras)
+		}
+		if len(child.ring) != 0 && child.full && !child.foreign {
+			checkedLabels(t, child, prefix.With(atom).Canon(), tally)
 		}
 		tally.steps++
 		if triv, _ := atom.IsTrivial(); triv {
@@ -127,7 +134,7 @@ func checkedStaircase(t *testing.T, f *Form, base constraint.Conjunction, ks []c
 		}
 		return constraint.Verdict[state]{Scope: state{scope: child, extras: extras}, Sat: sat}
 	}
-	got := constraint.SubtractAllScoped(base, ks, state{scope: f.Scope()},
+	got := constraint.SubtractAllScoped(base, ks, state{scope: f.LabelledScope()},
 		func(parent state, prefix constraint.Conjunction, c constraint.Constraint, negs []constraint.Constraint) (neg [2]constraint.Verdict[state], pos constraint.Verdict[state]) {
 			if in, out, split := parent.scope.Split(c); split {
 				tally.split++
@@ -156,10 +163,57 @@ func checkedStaircase(t *testing.T, f *Form, base constraint.Conjunction, ks []c
 		t.Fatalf("%d disjuncts, SubtractAll gives %d\n base: %s", len(got), len(want), base)
 	}
 	for i := range want {
-		if got[i].Key() != want[i].Key() {
-			t.Fatalf("disjunct %d: %q, SubtractAll gives %q", i, got[i].Key(), want[i].Key())
+		if got[i].Con.Key() != want[i].Key() {
+			t.Fatalf("disjunct %d: %q, SubtractAll gives %q", i, got[i].Con.Key(), want[i].Key())
+		}
+		if red, ok := got[i].Scope.scope.Irredundant(got[i].Con); ok {
+			tally.read++
+			if rule := got[i].Con.SimplifyPlanar(); red.String() != rule.String() {
+				t.Fatalf("disjunct %d: read off the ring %s, the planar rule leaves %s", i, red, rule)
+			}
 		}
 	}
+}
+
+// checkedLabels checks a full-dimensional scope's edge labels against j,
+// the canonical conjunction whose closure is its ring: every edge lies on
+// the line its label names, and the atoms on a labelled line are exactly
+// those the planar rule classifies as carrying an edge (clipBoundary, via
+// PlanarEdges).
+func checkedLabels(t *testing.T, s Scope, j constraint.Conjunction, tally *stairTally) {
+	t.Helper()
+	if len(s.edges) != len(s.ring) {
+		t.Fatalf("%d labels on a ring of %d vertices\n conjunction: %s", len(s.edges), len(s.ring), j)
+	}
+	x, y := s.form.XVar, s.form.YVar
+	for i, l := range s.edges {
+		h, _ := convert.HalfPlaneOf(s.lines.atom(l), x, y)
+		if p, q := s.ring[i], s.ring[(i+1)%len(s.ring)]; h.Side(p) != 0 || h.Side(q) != 0 {
+			t.Fatalf("edge %v–%v labelled %s, off its line\n conjunction: %s", p, q, s.lines.atom(l), j)
+		}
+	}
+	onEdge, ok := j.PlanarEdges()
+	if !ok {
+		t.Fatalf("the planar rule does not decide a full-dimensional scope's conjunction %s", j)
+	}
+	for i, c := range j.Constraints() {
+		labelled := false
+		for _, l := range s.edges {
+			labelled = labelled || sameLine(c, s.lines.atom(l), x, y)
+		}
+		if labelled != onEdge[i] {
+			t.Fatalf("atom %s: on a labelled edge %v, carries an edge by clipBoundary %v\n conjunction: %s", c, labelled, onEdge[i], j)
+		}
+	}
+	tally.labelled++
+}
+
+// sameLine reports whether two atoms over x, y have one boundary line: the
+// coefficient vectors of their half-planes are parallel.
+func sameLine(a, b constraint.Constraint, x, y string) bool {
+	g, _ := convert.HalfPlaneOf(a, x, y)
+	h, _ := convert.HalfPlaneOf(b, x, y)
+	return g.A.Mul(h.B).Equal(g.B.Mul(h.A)) && g.A.Mul(h.C).Equal(g.C.Mul(h.A)) && g.B.Mul(h.C).Equal(g.C.Mul(h.B))
 }
 
 // overlapping returns, for each tuple of r1 with a vector form, the
@@ -213,7 +267,7 @@ func TestScopeMatchesFromScratchOnStaircase(t *testing.T) {
 			overlapping(c.r1, c.r2, func(f *Form, base constraint.Conjunction, ks []constraint.Conjunction) {
 				checkedStaircase(t, f, base, ks, &tally)
 			})
-			if tally.steps < 100 || tally.split == 0 || tally.sat == 0 || tally.unsat == 0 {
+			if tally.steps < 100 || tally.split == 0 || tally.sat == 0 || tally.unsat == 0 || tally.labelled < 50 || tally.read == 0 {
 				t.Fatalf("vacuous run: %+v", tally)
 			}
 		})
@@ -270,11 +324,11 @@ func TestScopeUndecidedCases(t *testing.T) {
 // returns one verdict per decision.
 func TestStaircaseOnePassPerAtom(t *testing.T) {
 	passes := 0
-	splitRing = func(ring []geometry.Point, h geometry.HalfPlane, build geometry.Sides) geometry.Cut {
+	splitRing = func(ring []geometry.Point, edges []geometry.Label, h geometry.HalfPlane, hl geometry.Label, build geometry.Sides) geometry.Cut {
 		passes++
-		return geometry.Split(ring, h, build)
+		return geometry.SplitLabelled(ring, edges, h, hl, build)
 	}
-	defer func() { splitRing = geometry.Split }()
+	defer func() { splitRing = geometry.SplitLabelled }()
 	p1 := datagen.Paper()
 	p1.Seed = 1811
 	p2 := p1

@@ -19,12 +19,15 @@
 //
 // The decision procedures (PairSat, Scope.Clip, Scope.Split, SatExtras)
 // replace only *satisfiability decisions*. The constraint forms the
-// operators emit are built exactly as on the FM path, so outputs stay
+// operators emit are built exactly as on the FM path, and Scope.Irredundant,
+// which reads a difference piece's irredundant atoms off its labelled ring,
+// returns what the planar redundancy rule returns, so outputs stay
 // byte-identical.
 package vector
 
 import (
 	"math"
+	"sync"
 
 	"cdb/internal/constraint"
 	"cdb/internal/convert"
@@ -40,6 +43,15 @@ type Form struct {
 	XVar, YVar string // the two spatial variables, sorted
 	Poly       geometry.Polygon
 	halves     []geometry.HalfPlane
+
+	// atoms are the conjunction's atoms the form was computed from. hull
+	// names, once a labelled scope has asked, the line of each edge of Poly
+	// by the atom (canonical) that carries it, and hullEdges labels the
+	// edges 0…n-1 with them (see LabelledScope).
+	atoms     []constraint.Constraint
+	labelOnce sync.Once
+	hull      []constraint.Constraint
+	hullEdges []geometry.Label
 
 	// Outward-rounded float bounds: MinX <= exact minX, MaxX >= exact
 	// maxX, likewise for Y. Never NaN.
@@ -110,7 +122,7 @@ func computeForm(j constraint.Conjunction) *Form {
 	if err != nil {
 		return nil // collinear vertices: degenerate region
 	}
-	f := &Form{XVar: x, YVar: y, Poly: hull, halves: geometry.EdgeHalfPlanes(hull)}
+	f := &Form{XVar: x, YVar: y, Poly: hull, halves: geometry.EdgeHalfPlanes(hull), atoms: cs}
 	minX, minY, maxX, maxY := hull.BBox()
 	f.MinX, f.MinY = floatDown(minX), floatDown(minY)
 	f.MaxX, f.MaxY = floatUp(maxX), floatUp(maxY)
@@ -201,6 +213,43 @@ type Scope struct {
 	full    bool // the ring has positive area
 	strict  bool // some atom was clipped by its closed relaxation
 	foreign bool // some atom is beyond the clipper: nothing below is decidable
+
+	// On a labelled scope (LabelledScope) that is full-dimensional, edges[i]
+	// names the line of the ring's edge from ring[i] to ring[i+1] as an
+	// index into lines; nil otherwise.
+	edges []geometry.Label
+	lines *lineTable
+}
+
+// lineTable is what the labels of one labelled scope family name: the
+// form's hull atoms first, then every atom a Split or Clip of the family
+// cut a full-dimensional ring in two by, canonical. It is append-only, so a
+// label once given stays valid in every scope that holds it.
+type lineTable struct {
+	hull []constraint.Constraint // labels 0…len(hull)-1, the form's, shared
+	cut  []constraint.Constraint // the labels after them
+	buf  [8]constraint.Constraint
+}
+
+// next is the label the next add returns.
+func (t *lineTable) next() geometry.Label {
+	return geometry.Label(len(t.hull) + len(t.cut))
+}
+
+// add appends the line c names, under the label next returned.
+func (t *lineTable) add(c constraint.Constraint) {
+	if t.cut == nil {
+		t.cut = t.buf[:0]
+	}
+	t.cut = append(t.cut, c.Canonical())
+}
+
+// atom is the atom label l names.
+func (t *lineTable) atom(l geometry.Label) constraint.Constraint {
+	if int(l) < len(t.hull) {
+		return t.hull[l]
+	}
+	return t.cut[int(l)-len(t.hull)]
 }
 
 // Scope returns f's own region with no atom added.
@@ -208,8 +257,95 @@ func (f *Form) Scope() Scope {
 	return Scope{form: f, ring: f.Poly.Vertices(), full: true}
 }
 
-// splitRing is geometry.Split; tests swap it to count ring passes.
-var splitRing = geometry.Split
+// LabelledScope is Scope with the ring's edges labelled by the atoms whose
+// lines carry them: a hull edge by the atom of f's conjunction on its line,
+// an edge a later Split or Clip cuts along by the atom it cut with. The
+// difference staircase runs on it, so that each piece's irredundant atoms
+// can be read off its final ring (Irredundant); the matching of hull edges
+// to atoms is done once per form. The scopes of one family share their
+// table of lines, so a family belongs to one goroutine.
+func (f *Form) LabelledScope() Scope {
+	s := f.Scope()
+	if hull := f.hullLines(); hull != nil {
+		s.edges = f.hullEdges
+		s.lines = &lineTable{hull: hull}
+	}
+	return s
+}
+
+// hullLines matches each edge of f's polygon to the atom of f's
+// conjunction whose boundary line passes through both of its ends, once.
+// It is nil if some edge has none, which a form's own hull cannot have.
+func (f *Form) hullLines() []constraint.Constraint {
+	f.labelOnce.Do(func() {
+		vs := f.Poly.Vertices()
+		hull := make([]constraint.Constraint, len(vs))
+		edges := make([]geometry.Label, len(vs))
+		for i := range vs {
+			p, q := vs[i], vs[(i+1)%len(vs)]
+			found := false
+			for _, a := range f.atoms {
+				if h, _ := convert.HalfPlaneOf(a, f.XVar, f.YVar); h.Side(p) == 0 && h.Side(q) == 0 {
+					hull[i], edges[i], found = a.Canonical(), geometry.Label(i), true
+					break
+				}
+			}
+			if !found {
+				return
+			}
+		}
+		f.hull, f.hullEdges = hull, edges
+	})
+	return f.hull
+}
+
+// splitRing is geometry.SplitLabelled; tests swap it to count ring passes.
+var splitRing = geometry.SplitLabelled
+
+// split cuts the scope's ring along h, the half-plane of c, labelling the
+// sides' edges when the scope's are. c's line enters the table only when
+// it cut the ring into two full-dimensional sides: a side that keeps a
+// closing edge along h is otherwise flat and drops its labels (side).
+func (s Scope) split(c constraint.Constraint, h geometry.HalfPlane, build geometry.Sides) geometry.Cut {
+	if s.edges == nil {
+		return splitRing(s.ring, nil, h, 0, build)
+	}
+	cut := splitRing(s.ring, s.edges, h, s.lines.next(), build)
+	if cut.LeIn && cut.GeIn {
+		s.lines.add(c)
+	}
+	return cut
+}
+
+// side is s with its ring cut down to one side of a split: full while the
+// side keeps a vertex strictly inside, and labelled only while full.
+func (s Scope) side(ring []geometry.Point, edges []geometry.Label, in, strict bool) Scope {
+	s.ring, s.full, s.strict = ring, s.full && in, s.strict || strict
+	if s.full {
+		s.edges = edges
+	} else {
+		s.edges = nil
+	}
+	return s
+}
+
+// Irredundant returns piece — a conjunction whose region's closure is the
+// scope's ring — as the planar rule of constraint.Conjunction.SimplifyWith
+// leaves it, with the atoms that carry an edge read off the ring's labels
+// (constraint.Conjunction.IrredundantOnEdges). ok is false when the ring
+// cannot say: the scope is unlabelled, not full-dimensional, or beyond the
+// clipper.
+func (s Scope) Irredundant(piece constraint.Conjunction) (_ constraint.Conjunction, ok bool) {
+	if s.edges == nil || s.foreign {
+		return constraint.Conjunction{}, false
+	}
+	var buf [16]constraint.Constraint
+	lines := buf[:0]
+	for _, l := range s.edges {
+		lines = append(lines, s.lines.atom(l))
+	}
+	return piece.IrredundantOnEdges(lines)
+}
 
 // Clip extends the scope by one atom and decides satisfiability of the
 // form's conjunction with every atom clipped so far. ok=false means the
@@ -243,7 +379,7 @@ func (s Scope) Clip(c constraint.Constraint) (child Scope, sat, ok bool) {
 	}
 	if triv, val := c.IsTrivial(); triv {
 		if !val {
-			s.ring = nil
+			s.ring, s.edges = nil, nil
 			return s, false, true
 		}
 		return s.verdict()
@@ -255,15 +391,14 @@ func (s Scope) Clip(c constraint.Constraint) (child Scope, sat, ok bool) {
 	}
 	switch c.Op {
 	case constraint.Le, constraint.Lt:
-		cut := splitRing(s.ring, h, geometry.Le)
-		s.ring, s.full = cut.Le, s.full && cut.LeIn
-		s.strict = s.strict || c.Op == constraint.Lt
+		cut := s.split(c, h, geometry.Le)
+		s = s.side(cut.Le, cut.LeEdges, cut.LeIn, c.Op == constraint.Lt)
 	case constraint.Eq:
 		// An equality is closed: clip by both opposing half-planes. The
 		// result degenerates to (part of) a line, which the no-strict
 		// degenerate rule still decides exactly.
-		s.ring = splitRing(splitRing(s.ring, h, geometry.Le).Le, h, geometry.Ge).Ge
-		s.full = false
+		s.ring = splitRing(splitRing(s.ring, nil, h, 0, geometry.Le).Le, nil, h, 0, geometry.Ge).Ge
+		s.full, s.edges = false, nil
 	default:
 		s.foreign = true
 		return s, false, false
@@ -309,13 +444,10 @@ func (s Scope) Split(c constraint.Constraint) (in, out Decision, split bool) {
 	if !planar {
 		return in, out, false
 	}
-	cut := splitRing(s.ring, h, geometry.Le|geometry.Ge)
+	cut := s.split(c, h, geometry.Le|geometry.Ge)
 	strict := c.Op == constraint.Lt
-	le, ge := s, s
-	le.ring, le.full, le.strict = cut.Le, s.full && cut.LeIn, s.strict || strict
-	ge.ring, ge.full, ge.strict = cut.Ge, s.full && cut.GeIn, s.strict || !strict
-	in.Child, in.Sat, in.OK = le.verdict()
-	out.Child, out.Sat, out.OK = ge.verdict()
+	in.Child, in.Sat, in.OK = s.side(cut.Le, cut.LeEdges, cut.LeIn, strict).verdict()
+	out.Child, out.Sat, out.OK = s.side(cut.Ge, cut.GeEdges, cut.GeIn, !strict).verdict()
 	return in, out, true
 }
 

@@ -84,10 +84,11 @@ go test -run '^$' -bench 'Sorted|CanonMerge|RatString|NormalizePolygonMinus|Norm
 
 # Corpus replay: the committed fuzz corpora under testdata/fuzz/ run as
 # ordinary seed inputs here — every input that ever broke the parsers,
-# the canonical kernel, the rational kernel, the snapshot WAL, the page
-# codec or the reply encoder stays fixed without a long -fuzz session.
+# the canonical kernel, the rational kernel, the ring splitter's edge
+# labels, the snapshot WAL, the page codec or the reply encoder stays
+# fixed without a long -fuzz session.
 echo '>> fuzz corpus replay'
-go test -run Fuzz -count=1 ./internal/rational ./internal/constraint ./internal/query ./internal/calculus ./internal/snapshot ./internal/vector ./internal/server
+go test -run Fuzz -count=1 ./internal/rational ./internal/geometry ./internal/constraint ./internal/query ./internal/calculus ./internal/snapshot ./internal/vector ./internal/server
 
 # CLI smoke: both binaries must build and execute an end-to-end run —
 # cqacdb with the observability flags on, cdbbench on a short differential

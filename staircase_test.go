@@ -1,12 +1,15 @@
 package cdb
 
 import (
+	"math/rand"
 	"testing"
 
 	"cdb/internal/constraint"
 	"cdb/internal/cqa"
 	"cdb/internal/datagen"
 	"cdb/internal/exec"
+	"cdb/internal/relation"
+	"cdb/internal/schema"
 )
 
 // TestDifferencePolygonMinusCounters pins the operator counters of
@@ -14,6 +17,8 @@ import (
 // staircase decides is an implementation choice, what it decides is not.
 // Every decision is a clip (vec), none falls back and none reaches
 // Fourier–Motzkin; the values are those the atom-by-atom staircase made.
+// The output holds as many atoms as it did when normalisation, not the
+// operator, stripped the redundant ones: 270 of the staircase's 614.
 func TestDifferencePolygonMinusCounters(t *testing.T) {
 	c0 := benchClusteredPolygons(0, 2, datagen.PolygonRelation)
 	d0 := benchClusteredPolygons(100, 2, datagen.PolygonRelation)
@@ -49,5 +54,77 @@ func TestDifferencePolygonMinusCounters(t *testing.T) {
 	}
 	if int64(out.Len()) != s.TuplesOut {
 		t.Errorf("%d tuples out, the record says %d", out.Len(), s.TuplesOut)
+	}
+	atoms := 0
+	for _, tu := range out.Tuples() {
+		atoms += tu.Constraint().Len()
+	}
+	if atoms != 270 {
+		t.Errorf("%d atoms out, want 270", atoms)
+	}
+}
+
+// TestDifferencePiecesAreIrredundant: the difference operator emits every
+// piece the planar rule decides as the rule leaves it — equal, atom for
+// atom, to its own SimplifyWith(nil) — whether the piece was read off its
+// ring or went through the rule: on the polygon-minus fixture, on the
+// polygon rows of the operator's pruning matrix (convex and triangulated
+// concave minuends, as built and canonical) under auto and forced dense,
+// and on random two-variable minuends and subtrahends, which reach the rule
+// with equalities, strict atoms and unbounded regions.
+func TestDifferencePiecesAreIrredundant(t *testing.T) {
+	p := datagen.Scaled(10)
+	p.Seed = 19
+	p2 := p
+	p2.Seed = p.Seed + 1000
+	spread := p.CoordMax / 12
+	r1, r2 := polygonMinusInputs()
+	polygons := [][2]*relation.Relation{
+		{r1, r2},
+		{datagen.PolygonRelation(p, 16, 3, spread, 99), datagen.PolygonRelation(p2, 16, 3, spread, 99)},
+		{datagen.ConcavePolygonRelation(p, 16, 3, spread, 99), datagen.PolygonRelation(p2, 16, 3, spread, 99)},
+	}
+	for _, pair := range polygons[1:] {
+		polygons = append(polygons, [2]*relation.Relation{datagen.Canonical(pair[0]), datagen.Canonical(pair[1])})
+	}
+	rng := rand.New(rand.NewSource(34))
+	xy := schema.MustNew(schema.Con("x"), schema.Con("y"))
+	for i := 0; i < 8; i++ {
+		polygons = append(polygons, [2]*relation.Relation{datagen.RandomRelation(rng, xy, 12), datagen.RandomRelation(rng, xy, 12)})
+	}
+	decided, shrunk := 0, 0
+	for i, pair := range polygons {
+		for _, mode := range []string{exec.PlanAuto, exec.PlanDense} {
+			out, err := cqa.DifferenceCtx(&exec.Context{Parallelism: 1, PlanMode: mode}, pair[0], pair[1])
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, tu := range out.Tuples() {
+				con := tu.Constraint()
+				if _, ok := con.PlanarEdges(); !ok {
+					continue
+				}
+				decided++
+				if simp := con.SimplifyWith(nil); simp.String() != con.String() {
+					t.Fatalf("input %d, %s: emitted %s, SimplifyWith leaves %s", i, mode, con, simp)
+				}
+			}
+		}
+		// The staircase pieces as built: what the operator had to strip.
+		for _, tu := range pair[0].Tuples() {
+			for _, k := range pair[1].Tuples() {
+				if !tu.SameRelationalPart(k) {
+					continue
+				}
+				for _, piece := range constraint.Subtract(tu.Constraint(), k.Constraint()) {
+					if piece.SimplifyPlanar().Len() < piece.Len() {
+						shrunk++
+					}
+				}
+			}
+		}
+	}
+	if decided < 500 || shrunk < 100 {
+		t.Fatalf("vacuous run: %d pieces the rule decides, %d staircase pieces it shrinks", decided, shrunk)
 	}
 }
