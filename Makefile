@@ -31,7 +31,7 @@ obs-demo:
 		-e "$$(printf 'R0 = join Landownership and Land\nR1 = select t >= 4, t <= 9 from R0\nR2 = project R1 on name')"
 
 # Native fuzzing: 30s per target. go's -fuzz takes one package at a time,
-# so the eleven targets run sequentially (~6min total). Inputs that fail are
+# so the thirteen targets run sequentially (~7min total). Inputs that fail are
 # auto-saved under the package's testdata/fuzz/<Target>/ — commit them;
 # they replay as regression tests in every ordinary `go test` run.
 FUZZTIME ?= 30s
@@ -48,6 +48,7 @@ fuzz:
 	$(GO) test ./internal/snapshot -run '^$$' -fuzz '^FuzzWALReplay$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/snapshot -run '^$$' -fuzz '^FuzzPageCodec$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/vector -run '^$$' -fuzz '^FuzzVectorRoundTrip$$' -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/exec -run '^$$' -fuzz '^FuzzMap$$' -fuzztime $(FUZZTIME)
 
 # Differential check against the semantic oracle: 500 seeded random cases
 # across all seven CQA operators and random calculus rules, engine vs naive

@@ -911,9 +911,12 @@ func churnDB(tb testing.TB) *db.Database {
 // workload without the server around it: the paper's Query 3 (join → join →
 // select → project, then the result tail's normalisation) on 8 × 8 parcels,
 // statement by statement as a session runs it, under one session-lifetime
-// context — default sat-cache, one worker — that has already seen every
-// window. The windows rotate over the 31 starts the request pool draws
-// from, so every pair decision of every iteration is a remembered one.
+// context — default sat-cache — that has already seen every window. The
+// windows rotate over the 31 starts the request pool draws from, so every
+// pair decision of every iteration is a remembered one. one-worker runs every
+// operator inline; pool runs at a default session's worker count
+// (exec.New(0): GOMAXPROCS), where the second join's 640 candidates go to the
+// pool, as they do in the daemon.
 func BenchmarkHurricaneQuery3Warm(b *testing.B) {
 	land, owners, track := datagen.HurricaneRelations(8)
 	d := loadedDB(b, map[string]*relation.Relation{"Land": land, "Landownership": owners, "Hurricane": track})
@@ -929,32 +932,43 @@ func BenchmarkHurricaneQuery3Warm(b *testing.B) {
 			progs[a] = append(progs[a], &query.Program{Stmts: []query.Stmt{st}})
 		}
 	}
-	ec := exec.New(1)
-	ec.SatCache = constraint.NewSatCache(0)
-	run := func(a int) {
-		env := d.Env()
-		var last *relation.Relation
-		for _, one := range progs[a] {
-			r, err := one.RunOptimizedCtx(env, ec)
-			if err != nil {
-				b.Fatal(err)
+	for _, leg := range warmLegs {
+		b.Run(leg.name, func(b *testing.B) {
+			ec := exec.New(leg.workers)
+			ec.SatCache = constraint.NewSatCache(0)
+			run := func(a int) {
+				env := d.Env()
+				var last *relation.Relation
+				for _, one := range progs[a] {
+					r, err := one.RunOptimizedCtx(env, ec)
+					if err != nil {
+						b.Fatal(err)
+					}
+					env[one.Stmts[0].Target], last = r, r
+				}
+				if last.NormalizeWith(ec.SatFunc()).Len() == 0 {
+					b.Fatalf("window %d: empty result", a)
+				}
+				ec.Reset()
 			}
-			env[one.Stmts[0].Target], last = r, r
-		}
-		if last.NormalizeWith(ec.SatFunc()).Len() == 0 {
-			b.Fatalf("window %d: empty result", a)
-		}
-		ec.Reset()
-	}
-	for a := range progs {
-		run(a)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		run(i % starts)
+			for a := range progs {
+				run(a)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				run(i % starts)
+			}
+		})
 	}
 }
+
+// warmLegs are the worker counts the warm in-process benchmarks run at: one
+// worker, and a default session's pool (exec.New(0), GOMAXPROCS workers).
+var warmLegs = []struct {
+	name    string
+	workers int
+}{{"one-worker", 1}, {"pool", 0}}
 
 // BenchmarkHurricaneServer is BenchmarkHurricaneQuery3Warm's request as the
 // daemon serves it, without the network: POST /v1/query of the whole Query 3
@@ -1070,9 +1084,10 @@ func BenchmarkHurricaneRuleWarm(b *testing.B) {
 // without the server around it: each of its three forms (join, intersect,
 // join projected on x) on two dense 20-box relations as a session holds
 // them, with the result tail's normalisation, under one session-lifetime
-// context. Every candidate pair is two boxes over the shared x and y, so
-// this is the envelope decider end to end: interval merge, a projection that
-// drops bounds, a normalisation that finds nothing to do.
+// context, at one worker and at a default session's pool (warmLegs). Every
+// candidate pair is two boxes over the shared x and y, so this is the
+// envelope decider end to end: interval merge, a projection that drops
+// bounds, a normalisation that finds nothing to do.
 func BenchmarkBoxJoinWarm(b *testing.B) {
 	p := datagen.Paper()
 	p.SizeMin, p.Seed = 50, 16
@@ -1080,27 +1095,29 @@ func BenchmarkBoxJoinWarm(b *testing.B) {
 	p2.Seed += 500
 	d := loadedDB(b, map[string]*relation.Relation{
 		"A": datagen.ClusteredBoxRelation(p, 20, 1, 10, 77), "B": datagen.ClusteredBoxRelation(p2, 20, 1, 10, 77)})
-	ec := exec.New(1)
-	ec.SatCache = constraint.NewSatCache(0)
 	for _, form := range [][2]string{{"join", "join A and B"}, {"intersect", "intersect A and B"},
 		{"project", "project (join A and B) on x"}} {
 		prog, err := query.Parse("R = " + form[1])
 		if err != nil {
 			b.Fatal(err)
 		}
-		b.Run(form[0], func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				r, err := prog.RunOptimizedCtx(d.Env(), ec)
-				if err != nil {
-					b.Fatal(err)
+		for _, leg := range warmLegs {
+			b.Run(form[0]+"/"+leg.name, func(b *testing.B) {
+				ec := exec.New(leg.workers)
+				ec.SatCache = constraint.NewSatCache(0)
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					r, err := prog.RunOptimizedCtx(d.Env(), ec)
+					if err != nil {
+						b.Fatal(err)
+					}
+					if r.NormalizeWith(ec.SatFunc()).Len() == 0 {
+						b.Fatal("empty result")
+					}
+					ec.Reset()
 				}
-				if r.NormalizeWith(ec.SatFunc()).Len() == 0 {
-					b.Fatal("empty result")
-				}
-				ec.Reset()
-			}
-		})
+			})
+		}
 	}
 }
 

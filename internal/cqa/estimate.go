@@ -135,16 +135,20 @@ func (f *frame) overlapCount(c int) int64 {
 	if total == 0 {
 		return 0
 	}
-	return total - before(&f.l, &f.r, c) - before(&f.r, &f.l, c)
+	return total - f.before(&f.l, &f.r, c) - f.before(&f.r, &f.l, c)
 }
 
 // before counts pairs (x of xs, y of ys) of non-empty column-c intervals
 // where x's upper endpoint lies open-aware-strictly below y's lower
 // endpoint — the pair separates with x entirely to the left. Intervals
 // without the relevant bound can never separate on this side and drop out
-// of the count.
-func before(xs, ys *side, c int) int64 {
-	keys := make([]endpointKey, 0, len(ys.empty))
+// of the count. The keys are sorted in f.keys, one buffer for every column
+// and both directions.
+func (f *frame) before(xs, ys *side, c int) int64 {
+	if f.keys == nil {
+		f.keys = make([]endpointKey, 0, max(len(f.l.empty), len(f.r.empty)))
+	}
+	keys := f.keys[:0]
 	for j := range ys.empty {
 		y := ys.at(j, c)
 		if !y.HasLower || y.IsEmpty() {

@@ -2,11 +2,11 @@ package cqa
 
 import (
 	"fmt"
-	"slices"
 
 	"cdb/internal/constraint"
 	"cdb/internal/exec"
 	"cdb/internal/relation"
+	"cdb/internal/schema"
 	"cdb/internal/vector"
 )
 
@@ -78,20 +78,15 @@ func SelectCtx(ec *exec.Context, r *relation.Relation, cond Condition) (*relatio
 		tuples = kept
 	}
 	dec := pairDeciders(ec, true)
-	variantLists, err := exec.Map(ec, len(tuples), func(i int) ([]relation.Tuple, error) {
-		return sel.refine(tuples[i], dec, rec), nil
+	kept, err := exec.Map(ec, len(tuples), func(i int, out []relation.Tuple) ([]relation.Tuple, error) {
+		return sel.refine(out, tuples[i], dec, rec), nil
 	})
 	if err != nil {
 		return nil, err
 	}
-	out := relation.New(r.Schema())
-	for _, variants := range variantLists {
-		for _, v := range variants {
-			if err := out.Add(v.Canon()); err != nil {
-				return nil, err
-			}
-		}
-	}
+	// A selected tuple is an input tuple with atoms over the schema's own
+	// constraint attributes conjoined: valid for it by construction.
+	out := relation.FromValid(r.Schema(), kept)
 	rec.AddOut(out.Len())
 	rec.Done(ec.ParallelFor(len(tuples)))
 	return out, nil
@@ -108,47 +103,61 @@ func Project(r *relation.Relation, cols ...string) (*relation.Relation, error) {
 
 // ProjectCtx is Project under an execution context: the per-tuple
 // Fourier-Motzkin eliminations fan out over ec's worker pool.
+//
+// A projection onto no constraint attribute is a sentence — "does some
+// point satisfy this tuple?" — so a tuple that is not a box is decided, not
+// eliminated: one recorder decision on its own constraint part (a sat-cache
+// hit once the tuple has been seen), and True when it holds. That is what
+// eliminating every variable and deciding the residue answers, without the
+// elimination. A box needs neither: it drops its bounds and asks nothing.
 func ProjectCtx(ec *exec.Context, r *relation.Relation, cols ...string) (*relation.Relation, error) {
 	ps, err := r.Schema().Project(cols...)
 	if err != nil {
 		return nil, err
 	}
-	keep := map[string]bool{}
-	for _, c := range cols {
-		keep[c] = true
-	}
-	var dropCon []string
-	for _, name := range r.Schema().ConstraintNames() {
-		if !keep[name] {
-			dropCon = append(dropCon, name)
+	dropCon := make([]string, 0, len(r.Schema().Attrs()))
+	sentence := true // ps has no constraint attribute
+	for _, a := range r.Schema().Attrs() {
+		switch {
+		case a.Kind != schema.Constraint:
+		case ps.Has(a.Name):
+			sentence = false
+		default:
+			dropCon = append(dropCon, a.Name)
 		}
 	}
 	rec := ec.StartOp("project", r.Len())
 	tuples := r.Tuples()
-	results, err := exec.Map(ec, len(tuples), func(i int) (kept, error) {
+	kept, err := exec.Map(ec, len(tuples), func(i int, out []relation.Tuple) ([]relation.Tuple, error) {
 		t := tuples[i]
-		con := t.Constraint().Eliminate(dropCon...).Canon()
-		// A non-empty box projects to a non-empty box: nothing to ask.
-		if !t.Constraint().IsBox() && !rec.Satisfiable(con) {
-			return kept{}, nil
-		}
-		rvals := map[string]relation.Value{}
-		for name, v := range t.RVals() {
-			if keep[name] {
-				rvals[name] = v
+		var con constraint.Conjunction
+		switch {
+		case t.Constraint().IsBox():
+			// A non-empty box projects to a non-empty box: nothing to ask.
+			con = t.Constraint().Eliminate(dropCon...)
+		case sentence:
+			if !rec.Satisfiable(t.Constraint()) {
+				return out, nil
+			}
+			con = constraint.True()
+		default:
+			con = t.Constraint().Eliminate(dropCon...).Canon()
+			if !rec.Satisfiable(con) {
+				return out, nil
 			}
 		}
-		return kept{relation.NewTuple(rvals, con), true}, nil
+		var prev relation.Tuple
+		if len(out) > 0 {
+			prev = out[len(out)-1]
+		}
+		return append(out, t.Project(ps, con, prev)), nil
 	})
 	if err != nil {
 		return nil, err
 	}
-	out := relation.New(ps)
-	for _, t := range keptTuples(results) {
-		if err := out.Add(t); err != nil {
-			return nil, err
-		}
-	}
+	// A projected tuple keeps some of a valid tuple's bindings and constrains
+	// only kept variables: valid for ps by construction.
+	out := relation.FromValid(ps, kept)
 	rec.AddOut(out.Len())
 	rec.Done(ec.ParallelFor(len(tuples)))
 	return out, nil
@@ -206,14 +215,14 @@ func joinCtx(ec *exec.Context, op string, r1, r2 *relation.Relation) (*relation.
 	// relational part is joined after the satisfiability reject, and
 	// JoinTuple reuses a side's binding map whenever it can.
 	var dec deciders
-	refine := func(t1, t2 relation.Tuple) (kept, error) {
+	refine := func(out []relation.Tuple, t1, t2 relation.Tuple) []relation.Tuple {
 		con, sat := dec.decide(rec, t1.Constraint(), t2.Constraint())
 		if !sat {
-			return kept{}, nil
+			return out
 		}
-		return kept{relation.JoinTuple(t1, t2, con), true}, nil
+		return append(out, relation.JoinTuple(t1, t2, con))
 	}
-	var results []kept
+	var joined []relation.Tuple
 	items := pairs
 	if ec.PruneEnabled() && pairs > 0 {
 		// Filter stage: partition on sharedRel, frame-reject over
@@ -228,52 +237,34 @@ func joinCtx(ec *exec.Context, op string, r1, r2 *relation.Relation) (*relation.
 		rec.Pairing(plan.enum, plan.estPairs)
 		rec.Pairs(int64(plan.total), int64(plan.pruned()))
 		items = len(plan.cands)
-		results, err = exec.Map(ec, items, func(k int) (kept, error) {
+		joined, err = exec.Map(ec, items, func(k int, out []relation.Tuple) ([]relation.Tuple, error) {
 			idx := plan.cands[k]
-			return refine(plan.t1s[idx/len(t2s)], plan.t2s[idx%len(t2s)])
+			return refine(out, plan.t1s[idx/len(t2s)], plan.t2s[idx%len(t2s)]), nil
 		})
 	} else {
 		// The reference path: no envelope compared, dec stays empty.
 		rec.Pairs(int64(pairs), 0)
-		results, err = exec.Map(ec, pairs, func(i int) (kept, error) {
+		joined, err = exec.Map(ec, pairs, func(i int, out []relation.Tuple) ([]relation.Tuple, error) {
 			t1, t2 := t1s[i/len(t2s)], t2s[i%len(t2s)]
 			for _, name := range sharedRel {
 				v1, _ := t1.RVal(name) // NULL when unbound
 				v2, _ := t2.RVal(name)
 				if !v1.Identical(v2) {
-					return kept{}, nil
+					return out, nil
 				}
 			}
-			return refine(t1, t2)
+			return refine(out, t1, t2), nil
 		})
 	}
 	if err != nil {
 		return nil, err
 	}
 	// Every result joins two valid tuples into a tuple valid for js, the
-	// schema join checked above (relation.FromJoin).
-	out := relation.FromJoin(js, keptTuples(results))
+	// schema join checked above (relation.FromValid).
+	out := relation.FromValid(js, joined)
 	rec.AddOut(out.Len())
 	rec.Done(ec.ParallelFor(items))
 	return out, nil
-}
-
-// kept is one per-tuple result by value: the tuple, and whether there is
-// one.
-type kept struct {
-	t  relation.Tuple
-	ok bool
-}
-
-// keptTuples returns the tuples of the results that hold one, in order.
-func keptTuples(results []kept) []relation.Tuple {
-	out := make([]relation.Tuple, 0, len(results))
-	for _, r := range results {
-		if r.ok {
-			out = append(out, r.t)
-		}
-	}
-	return out
 }
 
 // Intersect returns r1 ∩ r2. It requires equal schemas and is implemented
@@ -310,23 +301,20 @@ func UnionCtx(ec *exec.Context, r1, r2 *relation.Relation) (*relation.Relation, 
 	all = append(all, r1.Tuples()...)
 	all = append(all, r2.Tuples()...)
 	rec := ec.StartOp("union", len(all))
-	results, err := exec.Map(ec, len(all), func(i int) (kept, error) {
+	kept, err := exec.Map(ec, len(all), func(i int, out []relation.Tuple) ([]relation.Tuple, error) {
 		t := all[i]
 		con := t.Constraint().SimplifyWith(rec.SatFunc())
 		if con.IsFalse() { // unsatisfiable: decided once, inside SimplifyWith
-			return kept{}, nil
+			return out, nil
 		}
-		return kept{t.WithConstraint(con.Canon()), true}, nil
+		return append(out, t.WithConstraint(con.Canon())), nil
 	})
 	if err != nil {
 		return nil, err
 	}
-	out := relation.New(r1.Schema())
-	for _, t := range relation.Distinct(keptTuples(results)) {
-		if err := out.Add(t); err != nil {
-			return nil, err
-		}
-	}
+	// Both inputs are valid for the one schema, and simplifying a constraint
+	// part adds no variable.
+	out := relation.FromValid(r1.Schema(), relation.Distinct(kept))
 	rec.AddOut(out.Len())
 	rec.Done(ec.ParallelFor(len(all)))
 	return out, nil
@@ -409,7 +397,7 @@ func DifferenceCtx(ec *exec.Context, r1, r2 *relation.Relation) (*relation.Relat
 	} else {
 		rec.Pairs(int64(len(t1s)*m), 0)
 	}
-	rows, err := exec.Map(ec, len(t1s), func(i int) ([]relation.Tuple, error) {
+	diff, err := exec.Map(ec, len(t1s), func(i int, out []relation.Tuple) ([]relation.Tuple, error) {
 		t1, c1 := t1s[i], c1s[i].Constraint()
 		// Candidate subtrahends, in input order either way, so the
 		// staircase expansion sees the same subtrahend order: the filter's
@@ -493,15 +481,14 @@ func DifferenceCtx(ec *exec.Context, r1, r2 *relation.Relation) (*relation.Relat
 		// flat or foreign scope). Both are the rule's answer, so the output
 		// does not depend on which deciders ran. The pieces share t1's
 		// relational part: WithConstraint reuses the binding map.
-		keepPieces := make([]relation.Tuple, 0, len(pieces))
 		for _, p := range pieces {
 			con, ok := p.Scope.Irredundant(p.Con)
 			if !ok {
 				con = p.Con.SimplifyPlanar()
 			}
-			keepPieces = append(keepPieces, t1.WithConstraint(con))
+			out = append(out, t1.WithConstraint(con))
 		}
-		return keepPieces, nil
+		return out, nil
 	})
 	if err != nil {
 		return nil, err
@@ -509,7 +496,7 @@ func DifferenceCtx(ec *exec.Context, r1, r2 *relation.Relation) (*relation.Relat
 	// A piece keeps t1's bindings and holds atoms of t1 and of tuples of r2,
 	// over the constraint attributes the two equal schemas share: valid for
 	// r1's schema by construction.
-	out := relation.FromJoin(r1.Schema(), slices.Concat(rows...))
+	out := relation.FromValid(r1.Schema(), diff)
 	rec.AddOut(out.Len())
 	rec.Done(ec.ParallelFor(len(t1s)))
 	return out, nil

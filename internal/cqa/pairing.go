@@ -175,8 +175,9 @@ func (p pairPlan) row(i, m int) []int {
 // choice, the overlap counts — reads a column instead of probing a map by
 // attribute name.
 type frame struct {
-	cols []string // column c is attribute cols[c]
-	l, r side     // the left (t1s) and right (t2s) sides
+	cols []string      // column c is attribute cols[c]
+	l, r side          // the left (t1s) and right (t2s) sides
+	keys []endpointKey // before's scratch, reused across the columns
 }
 
 // side is one input projected onto a frame.
@@ -280,8 +281,10 @@ func pairCandidates(ec *exec.Context, t1s, t2s []relation.Tuple, sharedRel, shar
 	m := len(t2s)
 	stats := analyzePairing(t1s, t2s, sharedRel, sharedCon)
 	mode := ec.Plan()
+	// est bounds the survivors from above (est_pairs ≥ act_pairs), so the
+	// candidate list is allocated once.
 	plan := pairPlan{t1s: stats.t1s, t2s: stats.t2s, total: len(t1s) * m, estPairs: stats.est,
-		enum: resolveStrategy(mode, stats)}
+		enum: resolveStrategy(mode, stats), cands: make([]int, 0, stats.est)}
 	fr := &stats.fr
 	auto := mode == exec.PlanAuto
 	emit := func(i, j int) {

@@ -27,8 +27,8 @@ func dump(r *relation.Relation) string {
 }
 
 // revalidate re-runs relation.Relation.Add's checks on every tuple of r
-// against r's schema. Join and intersect build their output with
-// relation.FromJoin, which checks nothing per tuple; the equivalence
+// against r's schema. The operators build their output with
+// relation.FromValid, which checks nothing per tuple; the equivalence
 // matrices run this on every operator output to back that.
 func revalidate(t *testing.T, what string, r *relation.Relation) {
 	t.Helper()

@@ -328,9 +328,9 @@ func (sel *selection) xi(t relation.Tuple) constraint.Conjunction {
 }
 
 // refine decides one value-pass survivor: once as the pair (its constraint
-// part, ξ), then once per half of every != atom, and returns what is left
-// of it.
-func (sel *selection) refine(t relation.Tuple, dec deciders, rec *exec.OpRecorder) []relation.Tuple {
+// part, ξ), then once per half of every != atom, and appends what is left
+// of it to out, canonical.
+func (sel *selection) refine(out []relation.Tuple, t relation.Tuple, dec deciders, rec *exec.OpRecorder) []relation.Tuple {
 	if sel.decide {
 		xi := sel.con
 		if sel.bound {
@@ -338,26 +338,33 @@ func (sel *selection) refine(t relation.Tuple, dec deciders, rec *exec.OpRecorde
 		}
 		con, sat := dec.decide(rec, t.Constraint(), xi)
 		if !sat {
-			return nil
+			return out
 		}
 		t = t.WithConstraint(con)
 	}
-	variants := []relation.Tuple{t}
+	// The variants live at out[first:]; each != atom appends the halves of
+	// the current ones after them and moves the halves down in their place.
+	first := len(out)
+	out = append(out, t)
 	for _, a := range sel.ne {
 		e := bind(a.Expr, t)
 		halves := [2]constraint.Conjunction{
 			constraint.And(constraint.Constraint{Expr: e, Op: constraint.Lt}).Canon(),
 			constraint.And(constraint.Constraint{Expr: e.Neg(), Op: constraint.Lt}).Canon(),
 		}
-		var next []relation.Tuple
-		for _, v := range variants {
+		end := len(out)
+		for k := first; k < end; k++ {
+			v := out[k]
 			for _, h := range halves {
 				if con, sat := dec.decide(rec, v.Constraint(), h); sat {
-					next = append(next, v.WithConstraint(con))
+					out = append(out, v.WithConstraint(con))
 				}
 			}
 		}
-		variants = next
+		out = append(out[:first], out[end:]...)
 	}
-	return variants
+	for k := first; k < len(out); k++ {
+		out[k] = out[k].Canon()
+	}
+	return out
 }

@@ -2,6 +2,7 @@ package cqa_test
 
 import (
 	"bytes"
+	"runtime"
 	"testing"
 
 	"cdb/internal/constraint"
@@ -181,25 +182,36 @@ func TestSatCacheWarmReuse(t *testing.T) {
 
 // TestWarmJoinAllocs puts a ceiling on what a remembered pair may cost: the
 // paper's Query 3 joins (owners ⋈ parcels, then ⋈ the track) on a warm
-// session cache, one worker, counted per candidate pair the filter stage
-// hands to refine. A remembered pair allocates nothing — not even its
-// result tuple, which shares the owner side's binding map and is returned
-// by value; the rest is the filter stage and the output relation, once per
-// operator. A Merge or a Canon on a remembered pair — some twenty
-// allocations each — or a binding map per result cannot come back under
-// this ceiling. The raw leg runs the same joins on the same relations
-// built without their canonical forms, as a database filled by db.Put
-// holds them: the filter canonicalises each input once per operator, so the
-// bytes are the canonical leg's and a Canon of both sides on every pair
-// lookup — two or more allocations a pair — breaks the ceiling.
+// session cache, counted per candidate pair the filter stage hands to
+// refine, in allocations and in bytes. A remembered pair allocates nothing —
+// not even its result tuple, which shares the owner side's binding map and
+// is appended by value; the rest is the filter stage, the fan-out's output
+// and the output relation, once per operator. A Merge or a Canon on a
+// remembered pair — some twenty allocations each — or a binding map per
+// result cannot come back under the allocation ceiling, and a result or an
+// error slot per candidate, or a candidate list grown by doubling, cannot
+// come back under the byte ceiling. The two-worker leg runs the same joins
+// on the pool (exec.New(2), default threshold: both joins have more
+// candidates than it): the pool claims blocks of candidates and each worker
+// appends into one slice for the whole fan-out, so its allocations stay at
+// the one-worker leg's plus a few per operator; storage grown or allocated
+// once per block cannot stay under its ceiling. The raw leg runs the same
+// joins on the same relations built without their canonical forms, as a
+// database filled by db.Put holds them: the filter canonicalises each input
+// once per operator, so the bytes are the canonical leg's and a Canon of
+// both sides on every pair lookup — two or more allocations a pair — breaks
+// the ceiling.
 func TestWarmJoinAllocs(t *testing.T) {
 	land, owners, track := datagen.HurricaneRelations(8)
 	for _, tc := range []struct {
 		name    string
+		workers int
 		ceiling float64 // allocations per candidate pair
+		bytes   float64 // heap bytes per candidate pair; 0 = not checked
 	}{
-		{"canonical", 1.0}, // 0.21 when set
-		{"raw", 2.0},       // 1.19 when set
+		{"canonical", 1, 1.0, 200},    // 0.19 and 140 B when set
+		{"two-workers", 2, 0.24, 200}, // 0.21 and 143 B when set; 0.24 and 279 B with a result and an error slot per candidate
+		{"raw", 1, 2.0, 0},            // 1.16 when set
 	} {
 		in := [3]*relation.Relation{owners, land, track}
 		if tc.name == "raw" {
@@ -207,7 +219,7 @@ func TestWarmJoinAllocs(t *testing.T) {
 				in[i] = nonCanonical(t, r)
 			}
 		}
-		ec := exec.New(1)
+		ec := exec.New(tc.workers)
 		ec.SatCache = constraint.NewSatCache(0)
 		var out *relation.Relation
 		query3Joins := func() {
@@ -223,12 +235,17 @@ func TestWarmJoinAllocs(t *testing.T) {
 		var cands int64
 		for _, s := range ec.Stats() {
 			cands += s.PairsTotal - s.PairsPruned
+			if s.Parallel != (tc.workers > 1) {
+				t.Fatalf("%s: %s ran on the pool: %v", tc.name, s.Op, s.Parallel)
+			}
 		}
 		ec.Reset()
-		allocs := testing.AllocsPerRun(10, func() {
+		run := func() {
 			query3Joins()
 			ec.Reset()
-		})
+		}
+		allocs := testing.AllocsPerRun(10, run)
+		bytes := bytesPerRun(10, run)
 		if tc.name == "raw" {
 			canon, err := cqa.JoinCtx(nil, owners, land)
 			if err == nil {
@@ -241,13 +258,33 @@ func TestWarmJoinAllocs(t *testing.T) {
 				t.Error("raw inputs: the joins print other bytes than on the canonical inputs")
 			}
 		}
-		perPair := allocs / float64(cands)
-		t.Logf("%s: %.0f allocations over %d candidate pairs = %.2f per pair", tc.name, allocs, cands, perPair)
+		perPair, bytesPerPair := allocs/float64(cands), bytes/float64(cands)
+		t.Logf("%s: %.0f allocations, %.0f B over %d candidate pairs = %.2f, %.0f B per pair",
+			tc.name, allocs, bytes, cands, perPair, bytesPerPair)
 		if perPair > tc.ceiling {
-			t.Errorf("warm Query 3 joins, %s inputs: %.0f allocations over %d candidate pairs = %.2f per pair, ceiling %v",
+			t.Errorf("warm Query 3 joins, %s: %.0f allocations over %d candidate pairs = %.2f per pair, ceiling %v",
 				tc.name, allocs, cands, perPair, tc.ceiling)
 		}
+		if tc.bytes > 0 && bytesPerPair > tc.bytes {
+			t.Errorf("warm Query 3 joins, %s: %.0f B over %d candidate pairs = %.0f B per pair, ceiling %v B",
+				tc.name, bytes, cands, bytesPerPair, tc.bytes)
+		}
 	}
+}
+
+// bytesPerRun is testing.AllocsPerRun for bytes: the heap bytes one call of
+// f allocates, averaged over runs calls after a warm-up call, at
+// GOMAXPROCS 1 as AllocsPerRun measures.
+func bytesPerRun(runs int, f func()) float64 {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	f()
+	var m0, m1 runtime.MemStats
+	runtime.ReadMemStats(&m0)
+	for i := 0; i < runs; i++ {
+		f()
+	}
+	runtime.ReadMemStats(&m1)
+	return float64(m1.TotalAlloc-m0.TotalAlloc) / float64(runs)
 }
 
 // nonCanonical is r with every constraint part rebuilt from its atoms, so

@@ -6,11 +6,14 @@
 // into fan-outs over a bounded worker pool.
 //
 // The design contract is determinism: Map assigns every work item a fixed
-// index and merges results in index order, so a parallel operator run is
+// index, each item appends its results (none, one or several) to a slice
+// it is handed, and the pool concatenates the results of its contiguous
+// blocks of items in block order, so a parallel operator run is
 // byte-identical to the sequential one. Parallelism only changes wall
-// time, never output. Below an input-size threshold (DefaultSeqThreshold;
-// only tests set another) the pool is bypassed entirely and work runs
-// inline on the calling goroutine.
+// time, never output. Nothing is allocated per item: an operator that
+// keeps a few of many candidates pays for the few. Below an input-size
+// threshold (DefaultSeqThreshold; only tests set another) the pool is
+// bypassed entirely and work runs inline on the calling goroutine.
 //
 // A *Context carries the policy (worker count, sequential threshold) and
 // collects per-operator statistics (tuples in/out, satisfiability checks,
@@ -211,25 +214,35 @@ func (c *Context) SatFunc() constraint.SatFunc {
 	return c.SatCache.Func()
 }
 
-// Map runs fn(i) for every i in [0, n) and returns the results in index
-// order. When the Context parallelises (see ParallelFor) the calls are
-// spread over a bounded worker pool with dynamic index claiming from a
-// shared atomic counter (each worker repeatedly claims the next unrun
-// index; there are no per-worker queues and no stealing between them);
-// the result slice is still index-stable, so output is identical to the
-// sequential path whatever the scheduling.
+// Map runs fn(i, out) for every i in [0, n) and returns every item's
+// results concatenated in index order. fn appends item i's results — none,
+// one or several — to out and returns the extended slice; it may read the
+// elements it was handed (earlier items' results) but must not change them
+// or keep out. Nothing is allocated per item: the inline path appends every
+// item into one slice.
 //
-// On error the lowest-index error is returned (matching what a
-// sequential left-to-right loop would hit first). An error also cancels
-// the fan-out: workers observe a shared flag and stop claiming new
-// indices, so later indices short-circuit. Because indices are claimed
-// contiguously from zero, every index below an executed failing index
-// has itself been executed, which is what keeps the lowest-index-error
-// contract exact under cancellation. fn may still have been called for
-// some later indices (those claimed before the flag was set), so fn
-// must be safe to call for any index regardless of other indices'
-// failures. fn must not mutate shared state without its own
-// synchronisation.
+// When the Context parallelises (see ParallelFor) the items are spread over
+// a bounded worker pool that claims contiguous blocks of indices from a
+// shared atomic counter (a worker runs its block left to right, then claims
+// the next unclaimed one; there are no per-worker queues and no stealing
+// between them). The block size follows from n and the worker count alone —
+// about eight blocks per worker, enough to even out items of unequal cost.
+// Each worker appends its blocks' results into its own slice, one slice per
+// worker for the whole fan-out, and the blocks are concatenated in block
+// order at the end, so output is identical to the sequential path whatever
+// the scheduling.
+//
+// On error the lowest-index error is returned (matching what a sequential
+// left-to-right loop would hit first). An error also cancels the fan-out:
+// no worker starts an item at or above the lowest failing index known so
+// far, so later indices short-circuit. Because blocks are claimed in
+// ascending order and a worker stops short only of indices above a failing
+// one, every index below an executed failing index has itself been
+// executed, which is what keeps the lowest-index-error contract exact under
+// cancellation. fn may still have been called for some later indices
+// (those started before the failure was known), so fn must be safe to call
+// for any index regardless of other indices' failures. fn must not mutate
+// shared state without its own synchronisation.
 //
 // A panic in fn is that index's error (a *PanicError carrying the value
 // and the stack), on the pool and on the inline path alike: a pool
@@ -237,37 +250,33 @@ func (c *Context) SatFunc() constraint.SatFunc {
 // would end the process and every session with it. Everything above
 // holds for it as for any other error.
 //
-// When the context carries a Ctx and it is cancelled mid-batch, workers
-// stop claiming new indices the same way and Map returns the context's
-// error (fn errors from already-claimed indices still win, preserving
-// the lowest-index contract for work that actually ran). Indices that
-// were never claimed are simply not executed; a worker already inside
-// fn finishes that call — cancellation is a claim-time checkpoint, not
-// preemption — so fn should itself watch Ctx if a single item can block
-// for long.
+// When the context carries a Ctx, it is checked before every item, inline
+// and on the pool: once it is cancelled no new item starts and Map returns
+// the context's error (fn errors from items that ran still win, preserving
+// the lowest-index contract for work that actually ran). An item already
+// inside fn finishes that call — cancellation is a checkpoint between
+// items, not preemption — so fn should itself watch Ctx if a single item
+// can block for long.
 //
 // When the context traces (an operator span is open), the parallel path
 // opens a "fanout" child span recording the pool's shape and health:
 // items, workers, summed queue wait (delay between the fan-out start
 // and each worker's first claim) and per-worker busy time (summed and
 // maximum), which is how pool starvation and skew show up in EXPLAIN.
-func Map[T any](c *Context, n int, fn func(i int) (T, error)) ([]T, error) {
+func Map[T any](c *Context, n int, fn func(i int, out []T) ([]T, error)) ([]T, error) {
 	if n <= 0 {
 		return nil, nil
 	}
 	if !c.ParallelFor(n) {
 		return mapInline(c, n, fn)
 	}
-	out := make([]T, n)
-	errs := make([]error, n)
-	workers := c.Workers()
-	if workers > n {
-		workers = n
-	}
+	workers := min(c.Workers(), n)
+	size := (n + 8*workers - 1) / (8 * workers)
+	blocks := make([]block, (n+size-1)/size)
+	ws := make([]worker[T], workers)
 	fanout := c.currentSpan().StartChild("fanout", "")
 	traced := fanout != nil
 	var start time.Time
-	var queueNS, busyNS, maxBusyNS atomic.Int64
 	if traced {
 		start = time.Now()
 	}
@@ -275,93 +284,163 @@ func Map[T any](c *Context, n int, fn func(i int) (T, error)) ([]T, error) {
 	if c != nil && c.Ctx != nil {
 		done = c.Ctx.Done()
 	}
-	var stop atomic.Bool
 	var next atomic.Int64
-	var wg sync.WaitGroup
-	wg.Add(workers)
-	for w := 0; w < workers; w++ {
-		go func() {
-			defer wg.Done()
-			cur := -1 // the index inside fn; a panic becomes its error
-			defer func() {
-				if r := recover(); r != nil {
-					errs[cur] = newPanicError(r)
-					stop.Store(true)
-				}
-			}()
-			var busy time.Duration
-			if traced {
-				queueNS.Add(time.Since(start).Nanoseconds())
-				defer func() {
-					busyNS.Add(busy.Nanoseconds())
-					maxOf(&maxBusyNS, busy.Nanoseconds())
-				}()
+	var failAt atomic.Int64 // the lowest failing index known; no item at or above it starts
+	failAt.Store(int64(n))
+	run := func(w int) {
+		me := &ws[w]
+		cur := -1 // the index inside fn; a panic becomes its error
+		defer func() {
+			if r := recover(); r != nil {
+				me.fail(cur, newPanicError(r), &failAt)
 			}
-			for {
-				if stop.Load() {
+		}()
+		if traced {
+			me.queue = time.Since(start)
+		}
+		for {
+			b := int(next.Add(1)) - 1
+			lo := b * size
+			if lo >= n {
+				return
+			}
+			hi := min(lo+size, n)
+			var t0 time.Time
+			if traced {
+				t0 = time.Now()
+			}
+			first := len(me.out)
+			for cur = lo; cur < hi; cur++ {
+				if int64(cur) >= failAt.Load() {
 					return
 				}
 				if done != nil {
 					select {
 					case <-done:
-						stop.Store(true)
 						return
 					default:
 					}
 				}
-				i := int(next.Add(1)) - 1
-				if i >= n {
+				var err error
+				if me.out, err = fn(cur, me.out); err != nil {
+					me.fail(cur, err, &failAt)
 					return
 				}
-				var t0 time.Time
-				if traced {
-					t0 = time.Now()
-				}
-				cur = i
-				out[i], errs[i] = fn(i)
-				if traced {
-					busy += time.Since(t0)
-				}
-				if errs[i] != nil {
-					stop.Store(true)
-				}
 			}
+			blocks[b] = block{w: w, lo: first, hi: len(me.out)}
+			if traced {
+				me.busy += time.Since(t0)
+			}
+		}
+	}
+	var wg sync.WaitGroup
+	wg.Add(workers - 1)
+	for w := 1; w < workers; w++ {
+		go func() {
+			defer wg.Done()
+			run(w)
 		}()
 	}
+	run(0) // the calling goroutine is worker 0
 	wg.Wait()
 	if traced {
+		var queue, busy, maxBusy time.Duration
+		for i := range ws {
+			queue += ws[i].queue
+			busy += ws[i].busy
+			maxBusy = max(maxBusy, ws[i].busy)
+		}
 		fanout.Set("items", int64(n))
 		fanout.Set("workers", int64(workers))
-		fanout.Set("queue_ns", queueNS.Load())
-		fanout.Set("busy_ns", busyNS.Load())
-		fanout.Set("maxbusy_ns", maxBusyNS.Load())
+		fanout.Set("queue_ns", queue.Nanoseconds())
+		fanout.Set("busy_ns", busy.Nanoseconds())
+		fanout.Set("maxbusy_ns", maxBusy.Nanoseconds())
 		fanout.End()
 	}
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
+	var err error
+	errAt := n
+	for i := range ws {
+		if ws[i].err != nil && ws[i].errAt < errAt {
+			err, errAt = ws[i].err, ws[i].errAt
 		}
+	}
+	if err != nil {
+		return nil, err
 	}
 	if err := c.Err(); err != nil {
 		return nil, err
 	}
-	return out, nil
+	return concat(ws, blocks), nil
+}
+
+// block is where one claimed block's results landed: ws[w].out[lo:hi].
+type block struct{ w, lo, hi int }
+
+// worker is one pool worker's state for one fan-out: the results of the
+// blocks it ran, appended in claim order, and its first error.
+type worker[T any] struct {
+	out         []T
+	err         error
+	errAt       int
+	queue, busy time.Duration // traced only
+}
+
+// fail records the error of item i, the worker's first and last, and lowers
+// failAt to i unless a lower failing index is already known.
+func (w *worker[T]) fail(i int, err error, failAt *atomic.Int64) {
+	w.err, w.errAt = err, i
+	for {
+		old := failAt.Load()
+		if int64(i) >= old || failAt.CompareAndSwap(old, int64(i)) {
+			return
+		}
+	}
+}
+
+// concat returns the blocks' results in block order: a worker's own slice
+// when it holds every result (its blocks are ascending, so that is the
+// order), else one slice sized to the total.
+func concat[T any](ws []worker[T], blocks []block) []T {
+	total, only := 0, -1
+	for i := range ws {
+		if len(ws[i].out) > 0 {
+			total += len(ws[i].out)
+			if only == -1 {
+				only = i
+			} else {
+				only = -2
+			}
+		}
+	}
+	if only >= 0 {
+		return ws[only].out
+	}
+	if total == 0 {
+		return nil
+	}
+	out := make([]T, 0, total)
+	for _, b := range blocks {
+		out = append(out, ws[b.w].out[b.lo:b.hi]...)
+	}
+	return out
 }
 
 // mapInline is Map's sequential path: fn runs on the calling goroutine,
-// left to right, stopping at the first error.
-func mapInline[T any](c *Context, n int, fn func(i int) (T, error)) (out []T, err error) {
+// left to right, appending into one slice and stopping at the first error.
+// The slice starts with room for a few results, which is all a filter over
+// few survivors needs.
+func mapInline[T any](c *Context, n int, fn func(i int, out []T) ([]T, error)) (out []T, err error) {
 	defer func() {
 		if r := recover(); r != nil {
 			out, err = nil, newPanicError(r)
 		}
 	}()
-	out = make([]T, n)
+	out = make([]T, 0, min(n, 8))
 	for i := 0; i < n; i++ {
 		if err = c.Err(); err != nil {
 			return nil, err
 		}
-		if out[i], err = fn(i); err != nil {
+		if out, err = fn(i, out); err != nil {
 			return nil, err
 		}
 	}
@@ -383,16 +462,6 @@ func newPanicError(r any) *PanicError {
 
 func (e *PanicError) Error() string {
 	return fmt.Sprintf("exec: panic in worker: %v\n%s", e.Value, e.Stack)
-}
-
-// maxOf raises *m to v if v is larger (racing raises settle to the max).
-func maxOf(m *atomic.Int64, v int64) {
-	for {
-		old := m.Load()
-		if v <= old || m.CompareAndSwap(old, v) {
-			return
-		}
-	}
 }
 
 // --- tracing ---

@@ -12,7 +12,7 @@ import (
 )
 
 func TestMapSequentialOrder(t *testing.T) {
-	out, err := Map(nil, 10, func(i int) (int, error) { return i * i, nil })
+	out, err := Map(nil, 10, func(i int, out []int) ([]int, error) { return append(out, i*i), nil })
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -27,9 +27,9 @@ func TestMapParallelOrderAndCoverage(t *testing.T) {
 	c := &Context{Parallelism: 8, SeqThreshold: 1}
 	const n = 1000
 	var calls atomic.Int64
-	out, err := Map(c, n, func(i int) (int, error) {
+	out, err := Map(c, n, func(i int, out []int) ([]int, error) {
 		calls.Add(1)
-		return i, nil
+		return append(out, i), nil
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -45,7 +45,7 @@ func TestMapParallelOrderAndCoverage(t *testing.T) {
 }
 
 func TestMapZeroItems(t *testing.T) {
-	out, err := Map(New(4), 0, func(i int) (int, error) { return 0, errors.New("must not be called") })
+	out, err := Map(New(4), 0, func(i int, out []int) ([]int, error) { return out, errors.New("must not be called") })
 	if err != nil || out != nil {
 		t.Fatalf("Map over 0 items: got %v, %v", out, err)
 	}
@@ -54,11 +54,11 @@ func TestMapZeroItems(t *testing.T) {
 func TestMapReturnsLowestIndexError(t *testing.T) {
 	for _, par := range []int{1, 4} {
 		c := &Context{Parallelism: par, SeqThreshold: 1}
-		_, err := Map(c, 100, func(i int) (int, error) {
+		_, err := Map(c, 100, func(i int, out []int) ([]int, error) {
 			if i == 17 || i == 90 {
-				return 0, fmt.Errorf("boom at %d", i)
+				return out, fmt.Errorf("boom at %d", i)
 			}
-			return i, nil
+			return append(out, i), nil
 		})
 		if err == nil || err.Error() != "boom at 17" {
 			t.Fatalf("par=%d: got err %v, want lowest-index error (boom at 17)", par, err)
@@ -73,14 +73,14 @@ func TestMapPanicIsIndexError(t *testing.T) {
 	for _, par := range []int{4, 1} {
 		before := runtime.NumGoroutine()
 		c := &Context{Parallelism: par, SeqThreshold: 1}
-		_, err := Map(c, 100, func(i int) (int, error) {
+		_, err := Map(c, 100, func(i int, out []int) ([]int, error) {
 			if i == 3 {
 				panic("poisoned tuple")
 			}
 			if i == 7 {
-				return 0, errors.New("boom at 7")
+				return out, errors.New("boom at 7")
 			}
-			return i, nil
+			return append(out, i), nil
 		})
 		var pe *PanicError
 		if !errors.As(err, &pe) || pe.Value != "poisoned tuple" {
@@ -173,10 +173,10 @@ func TestStatsConcurrentCounters(t *testing.T) {
 	c.SeqThreshold = 1
 	rec := c.StartOp("join", 0)
 	const n = 2000
-	_, err := Map(c, n, func(i int) (struct{}, error) {
+	_, err := Map(c, n, func(i int, out []struct{}) ([]struct{}, error) {
 		rec.SatCheck(i%3 == 0)
 		rec.AddOut(1)
-		return struct{}{}, nil
+		return append(out, struct{}{}), nil
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -231,18 +231,18 @@ func TestMapContextCancelParallel(t *testing.T) {
 	}
 	done := make(chan result, 1)
 	go func() {
-		out, err := Map(c, n, func(i int) (int, error) {
+		out, err := Map(c, n, func(i int, out []int) ([]int, error) {
 			calls.Add(1)
 			if i == 0 {
 				close(blocked) // signal: worker 0 is now stuck mid-item
 				<-release
-				return i, nil
+				return append(out, i), nil
 			}
 			// Every other item parks until cancellation so the test is
 			// deterministic: no worker can race through the batch before
 			// the deadline fires.
 			<-ctx.Done()
-			return i, nil
+			return append(out, i), nil
 		})
 		done <- result{out, err}
 	}()
@@ -276,12 +276,12 @@ func TestMapContextCancelInline(t *testing.T) {
 	defer cancel()
 	c := &Context{Parallelism: 1, Ctx: ctx}
 	var calls int
-	_, err := Map(c, 100, func(i int) (int, error) {
+	_, err := Map(c, 100, func(i int, out []int) ([]int, error) {
 		calls++
 		if i == 3 {
 			cancel()
 		}
-		return i, nil
+		return append(out, i), nil
 	})
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("Map error = %v, want context.Canceled", err)
@@ -299,12 +299,12 @@ func TestMapContextFnErrorWins(t *testing.T) {
 	defer cancel()
 	boom := errors.New("boom")
 	c := &Context{Parallelism: 2, SeqThreshold: 1, Ctx: ctx}
-	_, err := Map(c, 8, func(i int) (int, error) {
+	_, err := Map(c, 8, func(i int, out []int) ([]int, error) {
 		if i == 0 {
 			cancel()
-			return 0, boom
+			return out, boom
 		}
-		return i, nil
+		return append(out, i), nil
 	})
 	if !errors.Is(err, boom) {
 		t.Fatalf("Map error = %v, want fn error to win over cancellation", err)

@@ -16,15 +16,15 @@ func TestMapCancelsOnError(t *testing.T) {
 	c := &Context{Parallelism: 2, SeqThreshold: 1}
 	const n = 1000
 	var calls atomic.Int64
-	_, err := Map(c, n, func(i int) (int, error) {
+	_, err := Map(c, n, func(i int, out []int) ([]int, error) {
 		calls.Add(1)
 		if i == 0 {
-			return 0, fmt.Errorf("boom at %d", i)
+			return out, fmt.Errorf("boom at %d", i)
 		}
 		// Slow enough that the other worker observes the stop flag long
 		// before draining all n indices.
 		time.Sleep(time.Millisecond)
-		return i, nil
+		return append(out, i), nil
 	})
 	if err == nil || err.Error() != "boom at 0" {
 		t.Fatalf("err = %v, want boom at 0", err)
@@ -40,11 +40,11 @@ func TestMapCancelKeepsLowestIndexError(t *testing.T) {
 	// scheduling varies.
 	for run := 0; run < 20; run++ {
 		c := &Context{Parallelism: 8, SeqThreshold: 1}
-		_, err := Map(c, 200, func(i int) (int, error) {
+		_, err := Map(c, 200, func(i int, out []int) ([]int, error) {
 			if i%7 == 3 { // errors at 3, 10, 17, ...
-				return 0, fmt.Errorf("boom at %d", i)
+				return out, fmt.Errorf("boom at %d", i)
 			}
-			return i, nil
+			return append(out, i), nil
 		})
 		if err == nil || err.Error() != "boom at 3" {
 			t.Fatalf("run %d: err = %v, want boom at 3", run, err)
@@ -170,7 +170,7 @@ func TestMapFanoutSpan(t *testing.T) {
 	c.Tracer = obs.NewTracer()
 	op := c.BeginSpan("join", "")
 	const n = 100
-	if _, err := Map(c, n, func(i int) (int, error) { return i, nil }); err != nil {
+	if _, err := Map(c, n, func(i int, out []int) ([]int, error) { return append(out, i), nil }); err != nil {
 		t.Fatal(err)
 	}
 	c.EndSpan(op)
@@ -198,7 +198,7 @@ func TestMapNoFanoutSpanWhenUntraced(t *testing.T) {
 	// Without a tracer (or without an open span) Map must not allocate
 	// any span machinery — and produce identical results.
 	c := &Context{Parallelism: 4, SeqThreshold: 1}
-	out, err := Map(c, 50, func(i int) (int, error) { return i * 2, nil })
+	out, err := Map(c, 50, func(i int, out []int) ([]int, error) { return append(out, i*2), nil })
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -208,7 +208,7 @@ func TestMapNoFanoutSpanWhenUntraced(t *testing.T) {
 		}
 	}
 	c.Tracer = obs.NewTracer() // tracer present but no open span
-	if _, err := Map(c, 50, func(i int) (int, error) { return i, nil }); err != nil {
+	if _, err := Map(c, 50, func(i int, out []int) ([]int, error) { return append(out, i), nil }); err != nil {
 		t.Fatal(err)
 	}
 	if roots := c.Tracer.Roots(); len(roots) != 0 {

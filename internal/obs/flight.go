@@ -224,7 +224,7 @@ func (f *Flight) Start(id, session, statement string, cancel context.CancelFunc,
 
 // Cancel cancels the in-flight query by id, reporting whether it was
 // found. The query itself observes the cancellation at its next
-// claim-time checkpoint (exec.Map) and finishes with OutcomeCanceled;
+// per-item checkpoint (exec.Map) and finishes with OutcomeCanceled;
 // the entry leaves the registry when its Finish record arrives, not
 // here, so a cancelled query is still listed until it actually stops.
 func (f *Flight) Cancel(id string) bool {

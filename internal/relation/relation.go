@@ -74,6 +74,38 @@ func bindsAll(a, b map[string]Value) bool {
 	return true
 }
 
+// Project returns t over the sub-schema s: only the bindings of attributes
+// s has, and the constraint part con. It builds at most one binding map,
+// and none when it can share one — tuples are immutable: t's own when s has
+// every attribute t binds, and prev's when prev binds exactly what the
+// result binds, to identical values (a caller projecting a run of tuples
+// passes the last result, so a run that differs only outside s shares one
+// map). prev may be the zero Tuple.
+func (t Tuple) Project(s schema.Schema, con constraint.Conjunction, prev Tuple) Tuple {
+	n, same := 0, true
+	for k, v := range t.rvals {
+		if s.Has(k) {
+			n++
+			if pv, ok := prev.rvals[k]; !ok || !pv.Identical(v) {
+				same = false
+			}
+		}
+	}
+	switch {
+	case n == len(t.rvals):
+		return Tuple{rvals: t.rvals, con: con}
+	case same && n == len(prev.rvals):
+		return Tuple{rvals: prev.rvals, con: con}
+	}
+	m := make(map[string]Value, n)
+	for k, v := range t.rvals {
+		if s.Has(k) {
+			m[k] = v
+		}
+	}
+	return Tuple{rvals: m, con: con}
+}
+
 // ConstraintTuple builds a tuple with only a constraint part.
 func ConstraintTuple(con constraint.Conjunction) Tuple {
 	return Tuple{rvals: map[string]Value{}, con: con}
@@ -331,14 +363,16 @@ func (r *Relation) Add(t Tuple) error {
 	return nil
 }
 
-// FromJoin returns a relation over s holding ts, which it keeps, without
+// FromValid returns a relation over s holding ts, which it keeps, without
 // checking them one by one: every tuple of ts must be valid for s by
 // construction. An operator's output is: a join's tuple, over the joined
 // schema (schema.Schema.Join), has the union of two valid tuples' bindings
 // and constrains only their variables, so the schema join is the one check
-// it needs; a difference piece has its minuend's bindings and atoms of two
-// tuples over the same schema.
-func FromJoin(s schema.Schema, ts []Tuple) *Relation {
+// it needs; a selected tuple, a union's tuple and a difference piece have
+// the bindings of a tuple valid for s and atoms over its constraint
+// attributes; a projected tuple (Tuple.Project) keeps some of a valid
+// tuple's bindings and constrains only the attributes it keeps.
+func FromValid(s schema.Schema, ts []Tuple) *Relation {
 	return &Relation{schema: s, tuples: ts}
 }
 

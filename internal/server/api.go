@@ -191,7 +191,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 
 	// Cancellation parent: DELETE /v1/queries/{qid} fires this cancel;
 	// the per-request deadline layers on top of it, so both paths stop
-	// the query at the same exec.Map claim-time checkpoints.
+	// the query at the same exec.Map per-item checkpoints.
 	ctx, cancel := context.WithCancel(r.Context())
 	defer cancel()
 	timeout := s.cfg.queryTimeout()

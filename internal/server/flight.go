@@ -67,7 +67,7 @@ func (s *Server) handleQueriesRecent(w http.ResponseWriter, r *http.Request) {
 
 // handleQueryCancel serves DELETE /v1/queries/{id}: it fires the
 // query's context cancellation — the same path a deadline takes — so the
-// query stops at its next claim-time checkpoint and finishes with
+// query stops at its next per-item checkpoint and finishes with
 // outcome "canceled" and HTTP 499.
 func (s *Server) handleQueryCancel(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")

@@ -88,7 +88,7 @@ go test -run '^$' -bench 'Sorted|CanonMerge|RatString|NormalizePolygonMinus|Norm
 # labels, the snapshot WAL, the page codec or the reply encoder stays
 # fixed without a long -fuzz session.
 echo '>> fuzz corpus replay'
-go test -run Fuzz -count=1 ./internal/rational ./internal/geometry ./internal/constraint ./internal/query ./internal/calculus ./internal/snapshot ./internal/vector ./internal/server
+go test -run Fuzz -count=1 ./internal/rational ./internal/geometry ./internal/constraint ./internal/query ./internal/calculus ./internal/snapshot ./internal/vector ./internal/server ./internal/exec
 
 # CLI smoke: both binaries must build and execute an end-to-end run —
 # cqacdb with the observability flags on, cdbbench on a short differential
