@@ -1,6 +1,9 @@
 package constraint
 
-import "slices"
+import (
+	"bytes"
+	"slices"
+)
 
 // This file is the interval kernel for conjunctions that are their own
 // envelope. A box — every atom a single-variable < or <= — is decided,
@@ -39,14 +42,20 @@ func (j Conjunction) IsBox() bool {
 // non-empty box. It is satisfiable when every variable's surviving lower
 // and upper bound leave an interval, which is Interval.Intersects on the
 // two envelopes, read off the atoms.
+//
+// A slot is a variable and a side; each box holds at most one atom per
+// slot, in canonical order. The survivors of each side are a subsequence of
+// that side, so Canon's order is a two-way merge of the two (boxOrder), and
+// the result's atoms share one allocation with its memo boxes (newBox).
 func BoxMerge(a, b Conjunction) (merged Conjunction, sat bool) {
-	var few [8]Constraint // the survivors, until their number is known
+	var few [8]Constraint // a's survivors, then b's
 	atoms := few[:0]
 	for _, c := range a.cs {
 		if o := sameBound(b.cs, c); o == nil || !tighter(*o, c) {
 			atoms = append(atoms, c)
 		}
 	}
+	fromA := len(atoms)
 	for _, c := range b.cs {
 		if o := sameBound(a.cs, c); o == nil || tighter(c, *o) {
 			atoms = append(atoms, c)
@@ -71,7 +80,90 @@ func BoxMerge(a, b Conjunction) (merged Conjunction, sat bool) {
 	if len(atoms) == 0 {
 		return True(), true
 	}
-	return canonical(slices.Clone(sortAtoms(atoms)), true), true
+	as, bs := atoms[:fromA], atoms[fromA:]
+	blk, out := newBox(len(atoms))
+	for len(as) > 0 && len(bs) > 0 {
+		switch cmp := boxOrder(as[0], bs[0]); {
+		case cmp < 0:
+			out, as = append(out, as[0]), as[1:]
+		case cmp > 0:
+			out, bs = append(out, bs[0]), bs[1:]
+		default: // render alike: Canon keeps one (sortAtoms)
+			out, as, bs = append(out, as[0]), as[1:], bs[1:]
+		}
+	}
+	return blk.seal(append(append(out, as...), bs...)), true
+}
+
+// boxOrder orders two atoms of canonical boxes exactly as sortAtoms does —
+// by operator, then by rendered expression — rendering only their heads
+// unless the variable names force more. A box atom renders as its head —
+// "-v" for a lower bound of v, "v" for an upper one — followed by its
+// constant part: nothing for 0, else " + k" or " - k". The first byte where
+// two heads differ decides. When one head is a prefix of the other, the
+// shorter one's constant part meets the longer head's next byte: an empty
+// constant part ends the string, which sorts first, and a non-empty one
+// starts with ' ', which decides against any byte but ' '. What is left —
+// a name that continues another with a space, or equal heads (two bounds
+// in one slot, or a lower bound of v against an upper bound of a variable
+// named "-v") — is decided on the renderings.
+func boxOrder(a, b Constraint) int {
+	if a.Op != b.Op {
+		return int(a.Op) - int(b.Op)
+	}
+	var ka, kb [32]byte
+	ha, hb := appendHead(ka[:0], a), appendHead(kb[:0], b)
+	n := min(len(ha), len(hb))
+	if c := bytes.Compare(ha[:n], hb[:n]); c != 0 {
+		return c
+	}
+	switch {
+	case len(ha) < len(hb) && a.Expr.c.Sign() == 0:
+		return -1
+	case len(hb) < len(ha) && b.Expr.c.Sign() == 0:
+		return 1
+	case len(ha) < len(hb) && hb[n] != ' ':
+		return int(' ') - int(hb[n])
+	case len(hb) < len(ha) && ha[n] != ' ':
+		return int(ha[n]) - int(' ')
+	}
+	return bytes.Compare(a.Expr.appendTo(ha[:0]), b.Expr.appendTo(hb[:0]))
+}
+
+// appendHead appends the head of the box atom c to b: its variable, after
+// a '-' for a lower bound.
+func appendHead(b []byte, c Constraint) []byte {
+	t := c.Expr.terms[0]
+	if t.Coef.Sign() < 0 {
+		b = append(b, '-')
+	}
+	return append(b, t.Var...)
+}
+
+// boxBlock is the one allocation behind a box the kernel builds: the memo
+// boxes canonical would attach, flagged a known box, and room for the atoms
+// of a box in two variables.
+type boxBlock struct {
+	env  envBox
+	aux  auxBox
+	room [4]Constraint
+}
+
+// newBox returns a fresh block and an empty atom slice of capacity n for
+// the known box it will seal: the block's room, or a slice of its own when
+// n atoms do not fit there.
+func newBox(n int) (*boxBlock, []Constraint) {
+	blk := &boxBlock{env: envBox{knownBox: true}}
+	if n <= len(blk.room) {
+		return blk, blk.room[:0:n]
+	}
+	return blk, make([]Constraint, 0, n)
+}
+
+// seal flags atoms — canonical, a non-empty box, built in the slice newBox
+// handed out — as a canonical conjunction with blk's memo boxes.
+func (blk *boxBlock) seal(atoms []Constraint) Conjunction {
+	return Conjunction{cs: atoms, canon: true, fp: fingerprintOf(atoms), env: &blk.env, aux: &blk.aux}
 }
 
 // sameBound finds the atom of the canonical box cs that bounds the same
@@ -108,11 +200,11 @@ func (j Conjunction) dropVars(vars []string) Conjunction {
 	if kept == len(j.cs) {
 		return j
 	}
-	atoms := make([]Constraint, 0, kept)
+	blk, atoms := newBox(kept)
 	for _, c := range j.cs {
 		if !slices.Contains(vars, c.Expr.terms[0].Var) {
 			atoms = append(atoms, c)
 		}
 	}
-	return canonical(atoms, true)
+	return blk.seal(atoms)
 }

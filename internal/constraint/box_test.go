@@ -9,10 +9,13 @@ package constraint_test
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 
 	"cdb/internal/constraint"
+	"cdb/internal/datagen"
+	"cdb/internal/rational"
 )
 
 // fresh copies j without its canonical flag and memo boxes, which is what
@@ -148,6 +151,12 @@ var boxRows = []struct {
 	{"three variables, apart on one", "t >= 0, t <= 9, x >= 0, x <= 5, y >= 0, y <= 5 ; t > 9, t <= 12, x >= 5, x <= 8, y >= 1, y < 2", true, false},
 	{"fractions and scaled atoms", "2x >= 1, 3x <= 7 ; x >= 1/2, 4x < 9", true, true},
 	{"variable names that order against the sign", "a1 >= 0, a1 <= 1, a10 >= 0, a10 <= 1 ; a1 >= -1, a10 <= 2, a2 >= 0", true, true},
+	{"names that are prefixes of each other", "x >= 0, x <= 2, x1 >= -1, x1 <= 1 ; x1 >= 0, xy >= 1, xy <= 3, x <= 1", true, true},
+	{"a prefix name against its longer names, constants zero", "x >= 0, x1 <= 0, xy >= 0 ; x <= 0, x1 >= 0, xy <= 0", true, true},
+	{"closed below, strict above, against strict below, closed above", "x >= 1, x < 4, xy >= 0, xy <= 1 ; x > 1, x <= 4, x1 >= 0", true, true},
+	{"strict below, closed above, against closed below, strict above", "x > 1, x <= 4, x1 <= 2 ; x >= 1, x < 4, xy < 1, xy >= 0", true, true},
+	{"one side only, each variable", "x >= 1, x1 <= 3, xy > -2 ; x <= 5, x1 > 0, xy <= 0", true, true},
+	{"one side only, prefix names apart", "x >= 1, x1 <= 3 ; x1 > 3, x <= 5", true, false},
 	{"empty left side", "x >= 5, x <= 4 ; x >= 0, x <= 9", false, false},
 	{"left side empty on a variable the right lacks", "x >= 0, x <= 9, y > 1, y < 1 ; x >= 0, x <= 9", false, false},
 	{"empty by strictness", "x >= 2, x < 2 ; x >= 0", false, false},
@@ -183,11 +192,12 @@ func TestBoxKernelTable(t *testing.T) {
 // that equal constants, touching faces and empty sides all turn up.
 func TestBoxMergeRandom(t *testing.T) {
 	rng := rand.New(rand.NewSource(21))
-	vars := []string{"t", "x", "x1", "y"}
+	vars := []string{"t", "x", "x1", "xy", "y"} // x is a prefix of x1 and xy
 	randBox := func() string {
 		var atoms []string
-		for _, v := range vars {
-			if rng.Intn(4) == 0 {
+		skip := rng.Intn(len(vars)) // at most four variables: fuzzConstraints' limit
+		for i, v := range vars {
+			if i == skip || rng.Intn(4) == 0 {
 				continue
 			}
 			lo := rng.Intn(6)
@@ -230,4 +240,153 @@ func FuzzBoxMerge(f *testing.F) {
 			checkBoxPair(t, src, a, b)
 		}
 	})
+}
+
+// TestBoxOrderMatchesSortAtoms: the merge's order on two box atoms is the
+// order Canon (sortAtoms) puts them in, for variable names of any bytes —
+// names that are prefixes of each other, names with spaces, signs and
+// digits that imitate a rendered constant, a byte below ' ' and a name that
+// starts with '-' — against each other, on both sides and under both operators. It is
+// checked against the sort key itself (operator, then rendered expression)
+// and against Canon of the two atoms, which puts distinct keys in order and
+// keeps one atom of two that render alike.
+func TestBoxOrderMatchesSortAtoms(t *testing.T) {
+	rng := rand.New(rand.NewSource(36))
+	const alphabet = "xy1 -+0/\t"
+	name := func() string {
+		b := make([]byte, 1+rng.Intn(4))
+		for i := range b {
+			b[i] = alphabet[rng.Intn(len(alphabet))]
+		}
+		return string(b)
+	}
+	bounds := []rational.Rat{rational.Zero, rational.One, rational.FromInt(-1), rational.New(3, 2), rational.FromInt(-7), rational.FromInt(10)}
+	atom := func(v string) constraint.Constraint {
+		k := bounds[rng.Intn(len(bounds))]
+		return [](func(string, rational.Rat) constraint.Constraint){
+			constraint.GeConst, constraint.GtConst, constraint.LeConst, constraint.LtConst,
+		}[rng.Intn(4)](v, k).Canonical()
+	}
+	fixed := []string{"x", "x1", "xy", "x ", "x +", "x - 1", "-x", "x y", "x\t"}
+	sign := func(n int) int { return min(max(n, -1), 1) }
+	for i := 0; i < 20000; i++ {
+		va, vb := name(), name()
+		if i%4 == 0 {
+			va, vb = fixed[rng.Intn(len(fixed))], fixed[rng.Intn(len(fixed))]
+		}
+		a, b := atom(va), atom(vb)
+		want := int(a.Op) - int(b.Op)
+		if want == 0 {
+			want = strings.Compare(a.Expr.String(), b.Expr.String())
+		}
+		got := constraint.BoxOrder(a, b)
+		if sign(got) != sign(want) || sign(constraint.BoxOrder(b, a)) != -sign(want) {
+			t.Fatalf("%q against %q: boxOrder %d, sort key order %d", a.Expr, b.Expr, got, want)
+		}
+		if a.Expr.Terms()[0] == b.Expr.Terms()[0] {
+			continue // one slot: Canon folds, the merge never compares
+		}
+		canon := constraint.And(a, b).Canon().Constraints()
+		switch {
+		case want == 0 && len(canon) != 1:
+			t.Fatalf("%q and %q render alike, Canon keeps %d atoms", a.Expr, b.Expr, len(canon))
+		case want != 0 && (len(canon) != 2 || (want < 0) != canon[0].Expr.Equal(a.Expr)):
+			t.Fatalf("%q against %q: order %d, Canon gives %v", a.Expr, b.Expr, want, canon)
+		}
+	}
+}
+
+// TestBoxMergeAnyNames is checkBoxPair on random boxes over variable names
+// drawn so that they are prefixes of each other and continue each other
+// with bytes that a rendered constant also starts with, or with a byte
+// below ' '. Two atoms of different slots can then render alike — upper
+// bounds of "x" and of "x - 1" both as "x - 1" — and Canon keeps one of
+// them, whichever its sort meets first: a side that holds such a pair is
+// skipped, and a merge that makes one need only have Canon's sort keys.
+func TestBoxMergeAnyNames(t *testing.T) {
+	rng := rand.New(rand.NewSource(37))
+	names := []string{"x", "x1", "xy", "x ", "x +", "x - 1", "x y", "x\t", "y"}
+	randBox := func() constraint.Conjunction {
+		var cs []constraint.Constraint
+		for _, v := range names {
+			if rng.Intn(2) == 0 {
+				continue
+			}
+			lo := int64(rng.Intn(3) - 1) // small constants, so that renderings meet
+			if rng.Intn(5) != 0 {
+				cs = append(cs, []func(string, rational.Rat) constraint.Constraint{constraint.GeConst, constraint.GtConst}[rng.Intn(2)](v, rational.FromInt(lo)))
+			}
+			if rng.Intn(5) != 0 {
+				cs = append(cs, []func(string, rational.Rat) constraint.Constraint{constraint.LeConst, constraint.LtConst}[rng.Intn(2)](v, rational.FromInt(lo+1+int64(rng.Intn(2)))))
+			}
+		}
+		return constraint.And(cs...)
+	}
+	alike := func(j constraint.Conjunction) bool {
+		seen, keys := map[string]constraint.Term{}, sortKeys(j)
+		for i, c := range j.Constraints() {
+			k := keys[i]
+			if o, ok := seen[k]; ok && o != c.Expr.Terms()[0] {
+				return true
+			}
+			seen[k] = c.Expr.Terms()[0]
+		}
+		return false
+	}
+	merged, met := 0, 0
+	for i := 0; i < 3000; i++ {
+		a, b := randBox(), randBox()
+		if alike(a) || alike(b) {
+			continue
+		}
+		if alike(a.Merge(b)) {
+			if got, sat := constraint.BoxMerge(a.Canon(), b.Canon()); sat && !slices.Equal(sortKeys(got), sortKeys(a.Merge(b).Canon())) {
+				t.Fatalf("BoxMerge of %s AND %s = %s, Canon gives %s", a, b, got, a.Merge(b).Canon())
+			} else if sat {
+				met++
+			}
+			continue
+		}
+		if checkBoxPair(t, fmt.Sprintf("%s ; %s", a, b), a, b) {
+			merged++
+		}
+	}
+	if merged < 1000 || met < 20 {
+		t.Fatalf("generator is lopsided: %d of 3000 pairs were boxes, %d merges met atoms that render alike", merged, met)
+	}
+}
+
+// sortKeys is each atom's key in Canon's order: operator, then rendered
+// expression.
+func sortKeys(j constraint.Conjunction) []string {
+	var keys []string
+	for _, c := range j.Constraints() {
+		keys = append(keys, c.Op.String()+" "+c.Expr.String())
+	}
+	return keys
+}
+
+// BenchmarkBoxMerge is one envelope-decided pair of the box-join workload:
+// BenchmarkBoxJoinWarm's two dense 20-box relations, canonical, every one
+// of their 400 pairs merged in turn.
+func BenchmarkBoxMerge(b *testing.B) {
+	p := datagen.Paper()
+	p.SizeMin, p.Seed = 50, 16
+	p2 := p
+	p2.Seed += 500
+	boxes := func(p datagen.Params) []constraint.Conjunction {
+		var out []constraint.Conjunction
+		for _, tp := range datagen.Canonical(datagen.ClusteredBoxRelation(p, 20, 1, 10, 77)).Tuples() {
+			if !tp.Constraint().IsBox() {
+				b.Fatalf("%s is not a box", tp)
+			}
+			out = append(out, tp.Constraint())
+		}
+		return out
+	}
+	as, bs := boxes(p), boxes(p2)
+	b.ReportAllocs()
+	for i := 0; b.Loop(); i++ {
+		constraint.BoxMerge(as[i%len(as)], bs[i/len(as)%len(bs)])
+	}
 }

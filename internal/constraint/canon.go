@@ -91,7 +91,7 @@ func (j Conjunction) Canon() Conjunction {
 	// Pass 2: fold parallel inequalities keeping only the tighter bound.
 	atoms = compact(atoms, foldParallel(atoms, hashTerms))
 	// Pass 3: stable total order.
-	return canonical(sortAtoms(atoms), false)
+	return canonical(sortAtoms(atoms))
 }
 
 // IsCanonical reports whether j is flagged canonical: Canon would return it
@@ -101,20 +101,20 @@ func (j Conjunction) IsCanonical() bool { return j.canon }
 
 // canonical flags atoms — atom-canonical, trivial-free, folded and in
 // canonical order — as a canonical conjunction with fresh memo boxes (one
-// allocation holds both). box says the caller knows them to be a non-empty
-// box (see IsBox).
-func canonical(atoms []Constraint, box bool) Conjunction {
-	env, aux := memoBoxes(box)
+// allocation holds both). A known box is sealed by the box kernel instead
+// (newBox, box.go).
+func canonical(atoms []Constraint) Conjunction {
+	env, aux := memoBoxes()
 	return Conjunction{cs: atoms, canon: true, fp: fingerprintOf(atoms), env: env, aux: aux}
 }
 
 // memoBoxes returns a canonical form's fresh memo boxes, both in one
 // allocation.
-func memoBoxes(box bool) (*envBox, *auxBox) {
+func memoBoxes() (*envBox, *auxBox) {
 	memo := &struct {
 		env envBox
 		aux auxBox
-	}{env: envBox{knownBox: box}}
+	}{}
 	return &memo.env, &memo.aux
 }
 
@@ -190,7 +190,7 @@ func (j Conjunction) insert(c Constraint) Conjunction {
 // none (see insert).
 func (j Conjunction) withMemo() Conjunction {
 	if j.env == nil {
-		j.env, j.aux = memoBoxes(false)
+		j.env, j.aux = memoBoxes()
 	}
 	return j
 }

@@ -208,7 +208,7 @@ func (j Conjunction) replay(hs []halfPlane, edges int) Conjunction {
 	if !j.canon {
 		return Conjunction{cs: out}
 	}
-	return canonical(out, false)
+	return canonical(out)
 }
 
 // onAny reports whether c's boundary line is that of one of lines, whose

@@ -308,13 +308,13 @@ func nonCanonical(t *testing.T, r *relation.Relation) *relation.Relation {
 // TestBoxJoinAllocs puts a ceiling on a pair decided on its envelopes: a
 // dense 20 x 20 box join (the benchmark's box-join shape: one tight cluster,
 // nearly every pair a candidate) under auto, one worker, the tuples
-// canonical and their envelopes already memoised. Such a pair costs its merged atoms, the
-// merge's two memo boxes and the result tuple with its binding map; the rest
-// is the filter stage and the output relation, and the result tuple shares
+// canonical and their envelopes already memoised. Such a pair costs one
+// allocation, its merged atoms and their memo boxes together; the rest is
+// the filter stage and the output relation, and the result tuple shares
 // the (empty) binding map of a side. A Merge + Canon per pair — seven more
-// allocations — a binding map per result, or a clip cannot come back under
-// this ceiling,
-// and the counters say outright that neither ran.
+// allocations — a binding map per result, a clip, or atoms and memo boxes
+// apart again cannot come back under this ceiling, and the counters say
+// outright that neither of the first three ran.
 func TestBoxJoinAllocs(t *testing.T) {
 	p := datagen.Paper()
 	p.SizeMin = 50
@@ -340,7 +340,7 @@ func TestBoxJoinAllocs(t *testing.T) {
 		join()
 		ec.Reset()
 	})
-	const ceiling = 3.0 // allocations per candidate pair; 2.15 when set
+	const ceiling = 1.5 // allocations per candidate pair; 1.11 when set
 	perPair := allocs / float64(cands)
 	t.Logf("%.0f allocations over %d candidate pairs = %.2f per pair", allocs, cands, perPair)
 	if perPair > ceiling {

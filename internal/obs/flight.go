@@ -115,11 +115,11 @@ type FlightRecord struct {
 	Session     string  `json:"session,omitempty"`
 	Statement   string  `json:"statement"`
 	StartUnixMS int64   `json:"start_unix_ms"`
-	WallMS      float64 `json:"wall_ms"` // evaluation + normalisation
+	WallMS      float64 `json:"wall_ms"` // evaluation + normalisation, which orders and renders the result
 	// RenderMS is the result tail that follows WallMS: from the end of
-	// normalisation to the last byte handed to the connection (order,
-	// render, encode, write). Zero — omitted — for queries that failed or
-	// whose front end does not measure it.
+	// normalisation to the last byte handed to the connection (encode,
+	// write). Zero — omitted — for queries that failed or whose front end
+	// does not measure it.
 	RenderMS float64 `json:"render_ms,omitempty"`
 	Rows     int     `json:"rows"`
 	Outcome  string  `json:"outcome"`

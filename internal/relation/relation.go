@@ -5,6 +5,7 @@ import (
 	"slices"
 	"sort"
 	"strings"
+	"sync"
 	"sync/atomic"
 
 	"cdb/internal/constraint"
@@ -265,6 +266,11 @@ type Relation struct {
 	schema schema.Schema
 	tuples []Tuple
 
+	// rows, when non-nil, is the tuples as Rows returns them, and the
+	// tuples are in that order: NormalizeWith builds a relation so, Clone
+	// carries it, and Add and AddBound drop it.
+	rows []Row
+
 	// memo holds one externally computed value derived from the schema and
 	// the tuples as they stand (see Memo); Add and AddBound clear it. It is
 	// what makes a Relation not copyable by value.
@@ -303,21 +309,22 @@ func (r *Relation) Memo() any {
 // stand, replacing whatever was attached; nil detaches.
 func (r *Relation) SetMemo(v any) { r.memo.Store(&v) }
 
-// changed drops the memo: the content it was derived from is about to
+// changed drops the memos: the content they were derived from is about to
 // change. A relation without one — every operator output while it is being
 // built — pays a load.
 func (r *Relation) changed() {
+	r.rows = nil
 	if r.memo.Load() != nil {
 		r.memo.Store(nil)
 	}
 }
 
 // Clone returns a relation with a header of its own over r's tuples: same
-// schema, same tuples in the same order, same memo. The tuple slice is
+// schema, same tuples in the same order, same memos. The tuple slice is
 // shared up to its length and no further, so a tuple added to either
 // relation afterwards never shows in the other.
 func (r *Relation) Clone() *Relation {
-	out := &Relation{schema: r.schema, tuples: r.tuples[:len(r.tuples):len(r.tuples)]}
+	out := &Relation{schema: r.schema, tuples: r.tuples[:len(r.tuples):len(r.tuples)], rows: r.rows}
 	out.memo.Store(r.memo.Load())
 	return out
 }
@@ -461,7 +468,15 @@ func (r *Relation) Normalize() *Relation {
 
 // NormalizeWith is Normalize with every satisfiability decision routed
 // through sat (nil = raw Fourier-Motzkin); pass exec.Context.SatFunc to
-// memoize the decisions. Deduplication is Distinct's.
+// memoize the decisions. It is the last step before a result is shown, so
+// the relation it returns is born in display order: its tuples in Rows
+// order, its rows rendered once and remembered for Rows, Sorted and
+// InRowsOrder.
+//
+// Deduplication rides on the ordering. Identical tuples render alike, so
+// they sit in one run of equal sort keys; inside a run each tuple is
+// checked exactly — SameRelationalPart and EqualCanonical — against those
+// kept before it, and a rendering alone never drops one.
 func (r *Relation) NormalizeWith(sat constraint.SatFunc) *Relation {
 	kept := make([]Tuple, 0, len(r.tuples))
 	for _, t := range r.tuples {
@@ -471,7 +486,25 @@ func (r *Relation) NormalizeWith(sat constraint.SatFunc) *Relation {
 		}
 		kept = append(kept, t.WithConstraint(con.Canon()))
 	}
-	return &Relation{schema: r.schema, tuples: Distinct(kept)}
+	rows, _ := rowsOf(kept)
+	out, run := rows[:0], 0 // run: where the run of rows equal to the last kept one starts
+scan:
+	for _, w := range rows {
+		if len(out) > run && (w.rkey != out[run].rkey || w.Con != out[run].Con) {
+			run = len(out)
+		}
+		for _, o := range out[run:] {
+			if o.SameRelationalPart(w.Tuple) && o.con.EqualCanonical(w.con) {
+				continue scan
+			}
+		}
+		out = append(out, w)
+	}
+	kept = kept[:len(out)]
+	for i, w := range out {
+		kept[i] = w.Tuple
+	}
+	return &Relation{schema: r.schema, tuples: kept, rows: out[:len(out):len(out)]}
 }
 
 // Distinct removes from ts, whose constraint parts must be canonical, every
@@ -645,43 +678,89 @@ func (w Row) AppendTo(b []byte) []byte { return w.appendLine(b, w.Con) }
 
 // Rows returns the tuples in a deterministic display order: by relational
 // part, then by the rendered constraint part. (Not by Key — hash order would
-// be stable but human-hostile in printed and saved output.) Both sort keys
-// are computed once per tuple; the comparator only compares strings. Tuples
-// that tie on both keys render identically.
+// be stable but human-hostile in printed and saved output.) Tuples that tie
+// on both keys render identically. Like Tuples, the result must not be
+// mutated: on a relation NormalizeWith built it is the one rendering it
+// made.
 func (r *Relation) Rows() []Row {
-	rows := r.keyedRows()
-	slices.SortFunc(rows, compareRows)
+	if r.rows != nil {
+		return r.rows
+	}
+	rows, _ := rowsOf(r.tuples)
 	return rows
 }
 
-// keyedRows is the tuples as rows, in insertion order.
-func (r *Relation) keyedRows() []Row {
-	rows := make([]Row, len(r.tuples))
-	for i, t := range r.tuples {
-		rows[i] = Row{Tuple: t, Con: t.con.String(), rkey: t.relationalKey()}
-	}
-	return rows
+// renderBufs recycles rowsOf's render buffers: a rendering is copied out
+// into one string, so the buffer it was built in is garbage at once. A
+// fresh buffer holds a few hundred rows without growing, and one past
+// maxPooledRender is dropped, so that one huge result does not pin its
+// memory for the life of the process.
+var renderBufs = sync.Pool{New: func() any {
+	b := make([]byte, 0, 32<<10)
+	return &b
+}}
+
+const maxPooledRender = 1 << 20
+
+// rowKey is where one tuple's two sort keys — its relational key, then the
+// rendering of its constraint part — sit in rowsOf's rendering, and which
+// tuple they are. The sort moves these, not Rows.
+type rowKey struct {
+	start, mid, end, i int
 }
 
-func compareRows(a, b Row) int {
-	if c := strings.Compare(a.rkey, b.rkey); c != 0 {
-		return c
+// rowsOf returns ts as rows in Rows order, and whether ts was in that order
+// already. Both sort keys of every tuple are rendered once, into one pooled
+// buffer that becomes one string, of which every Row's Con and rkey are
+// substrings; the comparator only compares them.
+func rowsOf(ts []Tuple) (rows []Row, inOrder bool) {
+	bp := renderBufs.Get().(*[]byte)
+	buf := (*bp)[:0]
+	keys := make([]rowKey, len(ts))
+	for i, t := range ts {
+		k := rowKey{start: len(buf), i: i}
+		buf = t.appendRelationalKey(buf)
+		k.mid = len(buf)
+		buf = t.con.AppendTo(buf)
+		k.end = len(buf)
+		keys[i] = k
 	}
-	return strings.Compare(a.Con, b.Con)
+	s := string(buf)
+	if cap(buf) <= maxPooledRender {
+		*bp = buf
+		renderBufs.Put(bp)
+	}
+	cmp := func(a, b rowKey) int {
+		if c := strings.Compare(s[a.start:a.mid], s[b.start:b.mid]); c != 0 {
+			return c
+		}
+		return strings.Compare(s[a.mid:a.end], s[b.mid:b.end])
+	}
+	if inOrder = slices.IsSortedFunc(keys, cmp); !inOrder {
+		slices.SortFunc(keys, cmp)
+	}
+	rows = make([]Row, len(ts))
+	for n, k := range keys {
+		rows[n] = Row{Tuple: ts[k.i], Con: s[k.mid:k.end], rkey: s[k.start:k.mid]}
+	}
+	return rows, inOrder
 }
 
 // InRowsOrder returns a relation with a header of its own holding r's
 // tuples in Rows order — r as a store that keeps tuples in display order
 // would hand it back — and no memo. A later Add to either relation never
-// shows in the other; when r is in Rows order already the two share the
-// tuple slice (see Clone) and nothing is sorted.
+// shows in the other; when r is in Rows order already — known without a
+// rendering when NormalizeWith built it — the two share the tuple slice
+// (see Clone).
 func (r *Relation) InRowsOrder() *Relation {
-	rows := r.keyedRows()
-	n := len(rows)
-	if slices.IsSortedFunc(rows, compareRows) {
+	n := len(r.tuples)
+	if r.rows != nil {
 		return &Relation{schema: r.schema, tuples: r.tuples[:n:n]}
 	}
-	slices.SortFunc(rows, compareRows)
+	rows, inOrder := rowsOf(r.tuples)
+	if inOrder {
+		return &Relation{schema: r.schema, tuples: r.tuples[:n:n]}
+	}
 	out := &Relation{schema: r.schema, tuples: make([]Tuple, n)}
 	for i, w := range rows {
 		out.tuples[i] = w.Tuple

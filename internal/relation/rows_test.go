@@ -76,6 +76,21 @@ func referenceTupleString(t Tuple) string {
 	return "(" + strings.Join(parts, ", ") + ")"
 }
 
+// referenceNormalize is NormalizeWith as it stood before normalisation
+// ordered and rendered its result, verbatim: tuples in input order,
+// duplicates dropped by Distinct's hash pass, no rows remembered.
+func referenceNormalize(r *Relation, sat constraint.SatFunc) *Relation {
+	kept := make([]Tuple, 0, len(r.tuples))
+	for _, t := range r.tuples {
+		con := t.con.SimplifyWith(sat)
+		if con.IsFalse() { // unsatisfiable: decided once, inside SimplifyWith
+			continue
+		}
+		kept = append(kept, t.WithConstraint(con.Canon()))
+	}
+	return &Relation{schema: r.schema, tuples: Distinct(kept)}
+}
+
 func referenceSorted(r *Relation) []Tuple {
 	out := append([]Tuple{}, r.tuples...)
 	sort.Slice(out, func(i, j int) bool {
@@ -230,7 +245,9 @@ func TestNormalizeDecidesOnce(t *testing.T) {
 // TestRowsAllocsLinear keeps a rendering comparator from coming back: with
 // both keys computed once per tuple the allocation count is linear in the
 // number of tuples, where a comparator that renders allocates n log n
-// times.
+// times. On boxes over bindings that render without allocating, the
+// rendering is one string per call, so Rows costs the same at 600 tuples
+// as at 300.
 func TestRowsAllocsLinear(t *testing.T) {
 	allocs := func(n int) float64 {
 		r := orderRelation(rand.New(rand.NewSource(18)), n)
@@ -243,16 +260,104 @@ func TestRowsAllocsLinear(t *testing.T) {
 	if a300 > 12*300 {
 		t.Errorf("Sorted: %.0f allocations for 300 tuples, ceiling %d", a300, 12*300)
 	}
+	boxes := func(n int) float64 {
+		r := New(orderSchema())
+		for i := range n {
+			r.MustAdd(NewTuple(map[string]Value{"owner": Str(fmt.Sprint("o", i%7)), "rank": Int(int64(i % 5))}, constraint.And(
+				constraint.GeConst("x", rational.FromInt(int64(i))), constraint.LeConst("x", rational.New(int64(2*i+3), 2)),
+				constraint.GeConst("y", rational.FromInt(int64(-i))), constraint.LtConst("y", rational.Zero)).Canon()))
+		}
+		return testing.AllocsPerRun(5, func() { _ = r.Rows() })
+	}
+	b300, b600 := boxes(300), boxes(600)
+	t.Logf("Rows: %.0f allocations for 300 boxes, %.0f for 600", b300, b600)
+	if b600 > b300+8 {
+		t.Errorf("Rows: %.0f allocations for 300 boxes, %.0f for 600: more than 8 apart, so a row costs allocations", b300, b600)
+	}
 }
 
-// TestMemoClearedByAddKeptByClone: the memo describes the tuples as they
-// stand — Add and AddBound drop it, a rejected tuple does not, a Clone
-// carries it — and a Clone or an InRowsOrder copy and its origin never see
-// each other's later tuples, whether or not they started on one slice.
+// TestNormalizeMatchesReference: NormalizeWith, which orders, renders and
+// drops duplicates in one pass, against the former hash-dedup body followed
+// by Rows — same Len, same lines in the same order, same String — and its
+// tuples are in that order and its rows are the ones Rows, Sorted and
+// InRowsOrder hand out. The relations repeat tuples exactly, leave
+// attributes NULL, bind several attributes and carry big.Rat coefficients
+// (orderRelation); db.Save's bytes are compared in save_test.go.
+func TestNormalizeMatchesReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(36))
+	dups := 0
+	for i := 0; i < 300; i++ {
+		r := orderRelation(rng, 1+rng.Intn(80))
+		got, want := r.Normalize(), referenceNormalize(r, nil)
+		checkNormalized(t, fmt.Sprint("case ", i), got, want)
+		if want.Len() < r.Len() {
+			dups++
+		}
+	}
+	if dups < 100 {
+		t.Fatalf("only %d of 300 relations had duplicates to drop", dups)
+	}
+	// Lines alike are not tuples alike: a constraint variable whose name
+	// reads as an atom renders two different constraint parts as one line.
+	// Only the exact check may drop a tuple.
+	s := schema.MustNew(schema.Con("x"), schema.Con("y"), schema.Con("x <= 1, y"))
+	r := New(s)
+	one := rational.One
+	r.MustAdd(ConstraintTuple(constraint.And(constraint.LeConst("x", one), constraint.LeConst("y", rational.FromInt(2)))))
+	r.MustAdd(ConstraintTuple(constraint.And(constraint.LeConst("x <= 1, y", rational.FromInt(2)))))
+	r.MustAdd(ConstraintTuple(constraint.And(constraint.LeConst("y", rational.FromInt(2)), constraint.LeConst("x", one))))
+	got := r.Normalize()
+	if rows := got.Rows(); got.Len() != 2 || rows[0].String() != rows[1].String() {
+		t.Fatalf("two tuples that render alike and one duplicate normalise to %d rows %v, want the two", got.Len(), rows)
+	}
+	checkNormalized(t, "lines alike", got, referenceNormalize(r, nil))
+}
+
+// checkNormalized compares a NormalizeWith result with the reference's.
+func checkNormalized(t *testing.T, what string, got, want *Relation) {
+	t.Helper()
+	if got.Len() != want.Len() {
+		t.Fatalf("%s: %d tuples, reference %d", what, got.Len(), want.Len())
+	}
+	rows, wantRows := got.Rows(), want.Rows()
+	sorted, inOrder := got.Sorted(), got.InRowsOrder()
+	for k := range rows {
+		line := wantRows[k].String()
+		if rows[k].String() != line || rows[k].Con != wantRows[k].Con || rows[k].rkey != wantRows[k].rkey {
+			t.Fatalf("%s, row %d: %s, reference %s", what, k, rows[k], line)
+		}
+		if got.Tuples()[k].String() != line || sorted[k].String() != line || inOrder.Tuples()[k].String() != line {
+			t.Fatalf("%s, row %d: Tuples, Sorted or InRowsOrder out of Rows order", what, k)
+		}
+	}
+	if got.String() != want.String() {
+		t.Fatalf("%s: String\n got  %s\n want %s", what, got, want)
+	}
+	if len(rows) > 0 && (&got.Rows()[0] != &rows[0] || &sorted[0] != &got.Tuples()[0] || &inOrder.Tuples()[0] != &got.Tuples()[0]) {
+		t.Fatalf("%s: Rows, Sorted or InRowsOrder rebuilt what NormalizeWith remembered", what)
+	}
+}
+
+// TestMemoClearedByAddKeptByClone: the memos — the opaque one and the rows
+// NormalizeWith remembers — describe the tuples as they stand: Add and
+// AddBound drop them, a rejected tuple does not, a Clone carries them and
+// InRowsOrder does not. A Clone or an InRowsOrder copy and its origin never
+// see each other's later tuples, whether or not they started on one slice.
 func TestMemoClearedByAddKeptByClone(t *testing.T) {
 	rng := rand.New(rand.NewSource(22))
 	for i := 0; i < 50; i++ {
 		r := orderRelation(rng, 1+rng.Intn(40))
+		if i%2 == 1 {
+			if r = r.Normalize(); r.Len() == 0 {
+				continue
+			}
+			if r.rows == nil {
+				t.Fatal("NormalizeWith remembered no rows")
+			}
+		} else if r.rows != nil {
+			t.Fatal("a relation built by Add has rows remembered")
+		}
+		remembered := r.rows
 		if r.Memo() != nil {
 			t.Fatal("a new relation has a memo")
 		}
@@ -264,6 +369,9 @@ func TestMemoClearedByAddKeptByClone(t *testing.T) {
 		clone, sorted := r.Clone(), r.InRowsOrder()
 		if clone == r || clone.Memo() != r.Memo() || sorted.Memo() != nil {
 			t.Fatal("Clone must carry the memo under a header of its own, InRowsOrder must not")
+		}
+		if remembered != nil && (r.rows == nil || &clone.rows[0] != &remembered[0]) || sorted.rows != nil {
+			t.Fatal("a rejected tuple dropped the rows, Clone did not carry them, or InRowsOrder did")
 		}
 		want := r.Rows()
 		for k, tp := range sorted.Tuples() {
@@ -286,8 +394,11 @@ func TestMemoClearedByAddKeptByClone(t *testing.T) {
 			} else if err := x.AddBound(nil, own.Constraint()); err != nil {
 				t.Fatal(err)
 			}
-			if x.Memo() != nil {
-				t.Fatal("a tuple was added and the memo stayed")
+			if x.Memo() != nil || x.rows != nil {
+				t.Fatal("a tuple was added and a memo stayed")
+			}
+			if rows := x.Rows(); len(rows) != x.Len() {
+				t.Fatalf("case %d: copy %d has %d tuples, Rows %d", i, k, x.Len(), len(rows))
 			}
 			for j, y := range copies {
 				if want := n + map[bool]int{true: 1}[j <= k]; y.Len() != want {

@@ -84,21 +84,17 @@ type queryResult struct {
 	explain string
 	trace   json.RawMessage
 
-	// The result tail's first half, filled by render: the rows in
-	// relation.Rows order — the order the REPL prints — cut to the
-	// request's max_rows, and how long that took. The encoder writes each
-	// row's line straight from them.
+	// The rows in relation.Rows order — the order the REPL prints — cut
+	// to the request's max_rows. The encoder writes each row's line
+	// straight from them.
 	rows      []relation.Row
 	truncated bool
-	renderDur time.Duration
 }
 
-// render orders the result and renders each constraint part once
-// (relation.Rows), under a "render" span of the query's root span so
-// EXPLAIN and trace-JSON show the step. It runs after evaluation and
-// normalisation; its duration is kept out of elapsed_ms (see handleQuery).
+// render takes the result's rows (relation.Rows: normalisation ordered and
+// rendered them, so this reads what it remembered), under a "render" span
+// of the query's root span so EXPLAIN and trace-JSON show the step.
 func (res *queryResult) render(ec *exec.Context, maxRows int) {
-	t0 := time.Now()
 	sp := ec.BeginSpan("render", "")
 	res.rows = res.rel.Rows()
 	if maxRows > 0 && len(res.rows) > maxRows {
@@ -106,7 +102,6 @@ func (res *queryResult) render(ec *exec.Context, maxRows int) {
 	}
 	sp.Set("rows", int64(len(res.rows)))
 	ec.EndSpan(sp)
-	res.renderDur = time.Since(t0)
 }
 
 // flightExtras is what the flight recorder needs from an execution that
@@ -212,18 +207,15 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		s.hookQueryStart()
 	}
 
-	// elapsed is evaluation + normalisation — what elapsed_ms and the
-	// flight record's wall_ms have always meant. The result tail (order,
-	// render, encode, write) comes after it and is reported separately as
+	// elapsed is evaluation + normalisation, which orders and renders the
+	// result — what elapsed_ms and the flight record's wall_ms mean. The
+	// encode and the write come after it and are reported separately as
 	// render_ms, so the two add up to the time the request held the server.
 	t0 := time.Now()
 	s.mQueries.Inc()
 	var extras flightExtras
 	res, err := s.runOnSession(runCtx, sess, req, qid, stmt, &extras)
 	elapsed := time.Since(t0)
-	if err == nil {
-		elapsed -= res.renderDur
-	}
 
 	rec := obs.FlightRecord{
 		ID: qid, Session: sess.id, Statement: stmt,

@@ -469,11 +469,12 @@ func TestStreamHeaderCarriesQueryID(t *testing.T) {
 	}
 }
 
-// TestRenderTimeReported: the result tail — order, render, encode, write —
-// runs after elapsed_ms is taken, so it must be reported on its own: as
-// render_ms on the flight record (buffered and streamed, rules and queries),
-// and as a "render" span under the query's root when explain is on. A failed
-// query has no tail and omits the field.
+// TestRenderTimeReported: the result tail — encode, write — runs after
+// elapsed_ms is taken, so it must be reported on its own: as render_ms on
+// the flight record (buffered and streamed, rules and queries). Taking the
+// rows normalisation ordered and rendered shows as a "render" span under
+// the query's root when explain is on. A failed query has no tail and
+// omits the field.
 func TestRenderTimeReported(t *testing.T) {
 	_, ts := newTestServer(t, Config{}, map[string]*db.Database{"boxes": boxesDB()})
 	id := openSession(t, ts, `{"db": "boxes", "par": 1}`)

@@ -213,7 +213,10 @@ func FuzzReplyString(f *testing.F) {
 // of rows it writes. Each request runs the same program on the same
 // relation — evaluation, normalisation and ordering fixed — once writing
 // every row and once with max_rows 1; the difference is what writing the
-// other rows cost, and it must be no larger at 300 rows than at 10.
+// other rows cost, and it must be no larger at 300 rows than at 10. Nor
+// does the whole tail grow: a request for every row costs at most 16
+// allocations more at 300 rows than at 10, so normalising, ordering and
+// rendering the rows allocates per call, not per row.
 func TestReplyAllocs(t *testing.T) {
 	boxes := func(n int) *db.Database {
 		r := relation.New(schema.MustNew(schema.Con("x"), schema.Con("y")))
@@ -254,14 +257,20 @@ func TestReplyAllocs(t *testing.T) {
 	}
 	small, large := session("small"), session("large")
 	for _, stream := range []bool{false, true} {
-		tail10 := allocs(small, stream, 0) - allocs(small, stream, 1)
-		tail300 := allocs(large, stream, 0) - allocs(large, stream, 1)
+		all10, all300 := allocs(small, stream, 0), allocs(large, stream, 0)
+		tail10 := all10 - allocs(small, stream, 1)
+		tail300 := all300 - allocs(large, stream, 1)
 		t.Logf("stream=%t: the other rows cost %.0f allocations at 10 rows, %.0f at 300", stream, tail10, tail300)
 		// Two allocations of slack: the race detector drops pooled buffers
 		// at random.
 		if tail300 > tail10+2 {
 			t.Errorf("stream=%t: writing 299 more rows costs %.0f allocations, 9 more %.0f: the encoder allocates per row",
 				stream, tail300, tail10)
+		}
+		t.Logf("stream=%t: the request costs %.0f allocations at 10 rows, %.0f at 300", stream, all10, all300)
+		if all300 > all10+16 {
+			t.Errorf("stream=%t: the request costs %.0f allocations at 300 rows, %.0f at 10: the tail allocates per row",
+				stream, all300, all10)
 		}
 	}
 }

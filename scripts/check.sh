@@ -74,13 +74,13 @@ go test -race -count=2 ./internal/constraint ./internal/exec ./internal/cqa ./in
 
 # The render-once, normalisation, vector-difference, pairing-mode,
 # pair-lookup, warm Query 3 (and the same request as a rule, and through the
-# server handler), warm box-join,
+# server handler), warm box-join and its one box pair merge,
 # box-join reply, warm select and snapshot benchmarks must keep compiling and running (their allocation
 # and decision ceilings are plain tests, already run above; PairingModes also
 # fails here when auto eliminates or clips more than a forced mode, or
 # anything at all on boxes).
-echo '>> result-tail, vector-difference, pairing-mode, pair-lookup, box-join, reply, select and snapshot benchmarks, one iteration'
-go test -run '^$' -bench 'Sorted|CanonMerge|RatString|NormalizePolygonMinus|NormalizeBoxJoin|DifferencePolygonMinus|ClipRing|PairingModes|HurricaneQuery3Warm|HurricaneServer|HurricaneRuleWarm|BoxJoinWarm|QueryReply|SelectWarm|JoinPairLookup|SnapshotMaterialize|SnapshotRecommit' -benchtime 1x ./...
+echo '>> result-tail, vector-difference, pairing-mode, pair-lookup, box-join, box-merge, reply, select and snapshot benchmarks, one iteration'
+go test -run '^$' -bench 'Sorted|CanonMerge|RatString|NormalizePolygonMinus|NormalizeBoxJoin|DifferencePolygonMinus|ClipRing|PairingModes|HurricaneQuery3Warm|HurricaneServer|HurricaneRuleWarm|BoxJoinWarm|BoxMerge|QueryReply|SelectWarm|JoinPairLookup|SnapshotMaterialize|SnapshotRecommit' -benchtime 1x ./...
 
 # Corpus replay: the committed fuzz corpora under testdata/fuzz/ run as
 # ordinary seed inputs here — every input that ever broke the parsers,
