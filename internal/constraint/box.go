@@ -83,21 +83,19 @@ func BoxMerge(a, b Conjunction) (merged Conjunction, sat bool) {
 	as, bs := atoms[:fromA], atoms[fromA:]
 	blk, out := newBox(len(atoms))
 	for len(as) > 0 && len(bs) > 0 {
-		switch cmp := boxOrder(as[0], bs[0]); {
-		case cmp < 0:
+		// The slots of as and bs are disjoint, so no two atoms tie.
+		if boxOrder(as[0], bs[0]) < 0 {
 			out, as = append(out, as[0]), as[1:]
-		case cmp > 0:
+		} else {
 			out, bs = append(out, bs[0]), bs[1:]
-		default: // render alike: Canon keeps one (sortAtoms)
-			out, as, bs = append(out, as[0]), as[1:], bs[1:]
 		}
 	}
 	return blk.seal(append(append(out, as...), bs...)), true
 }
 
 // boxOrder orders two atoms of canonical boxes exactly as sortAtoms does —
-// by operator, then by rendered expression — rendering only their heads
-// unless the variable names force more. A box atom renders as its head —
+// by operator, then by rendered expression, then tieOrder — rendering only
+// their heads unless the variable names force more. A box atom renders as its head —
 // "-v" for a lower bound of v, "v" for an upper one — followed by its
 // constant part: nothing for 0, else " + k" or " - k". The first byte where
 // two heads differ decides. When one head is a prefix of the other, the
@@ -106,7 +104,8 @@ func BoxMerge(a, b Conjunction) (merged Conjunction, sat bool) {
 // starts with ' ', which decides against any byte but ' '. What is left —
 // a name that continues another with a space, or equal heads (two bounds
 // in one slot, or a lower bound of v against an upper bound of a variable
-// named "-v") — is decided on the renderings.
+// named "-v") — is decided on the renderings, and two that render alike by
+// tieOrder.
 func boxOrder(a, b Constraint) int {
 	if a.Op != b.Op {
 		return int(a.Op) - int(b.Op)
@@ -127,7 +126,10 @@ func boxOrder(a, b Constraint) int {
 	case len(hb) < len(ha) && ha[n] != ' ':
 		return int(ha[n]) - int(' ')
 	}
-	return bytes.Compare(a.Expr.appendTo(ha[:0]), b.Expr.appendTo(hb[:0]))
+	if c := bytes.Compare(a.Expr.appendTo(ha[:0]), b.Expr.appendTo(hb[:0])); c != 0 {
+		return c
+	}
+	return tieOrder(a, b)
 }
 
 // appendHead appends the head of the box atom c to b: its variable, after

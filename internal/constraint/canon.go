@@ -3,6 +3,7 @@ package constraint
 import (
 	"bytes"
 	"slices"
+	"strings"
 
 	"cdb/internal/rational"
 )
@@ -27,8 +28,10 @@ import (
 //     inequality direction) are folded keeping only the tighter bound, and
 //     duplicate atoms are removed;
 //   - sorted: atoms are in a stable total order — by operator (=, <=, <),
-//     then by rendered expression — so two conjunctions built from the same
-//     atoms in any order canonicalise identically.
+//     then by rendered expression, then, for the variable names that make
+//     two distinct expressions render alike, by terms and constant
+//     (tieOrder) — so two conjunctions built from the same atoms in any
+//     order canonicalise identically.
 //
 // Strings are the price of a readable order, so they are paid once: Canon
 // renders each surviving atom one time and sorts on those keys; the fold
@@ -126,10 +129,11 @@ func memoBoxes() (*envBox, *auxBox) {
 // about log n atoms of j are rendered.
 //
 // The result is flagged canonical with its fingerprint but, unless it is
-// j itself or a sentinel, has no memo boxes: the difference staircase
-// inserts into every prefix and attaches boxes (withMemo) only to the
-// pieces it returns. A conjunction without boxes computes its envelope and
-// memo uncached, so the lack is a cost, never a wrong answer.
+// j itself or a sentinel, has no memo boxes: a staircase chain builds
+// every prefix it is asked for this way (Chain.Con), and boxes (withMemo)
+// go only on the pieces returned whole. A conjunction without boxes
+// computes its envelope and memo uncached, so the lack is a cost, never a
+// wrong answer.
 func (j Conjunction) insert(c Constraint) Conjunction {
 	if triv, val := c.IsTrivial(); triv {
 		if val {
@@ -162,7 +166,8 @@ func (j Conjunction) insert(c Constraint) Conjunction {
 		out = append(out, atoms...)
 	}
 	// Binary search for c's place in the canonical order: by operator, then
-	// by rendered expression. An exact tie is an identical equality.
+	// by rendered expression, then tieOrder. An exact tie is an identical
+	// equality.
 	var keyBuf, probeBuf [128]byte
 	key := c.Expr.appendTo(keyBuf[:0])
 	lo, hi := 0, len(out)
@@ -172,6 +177,9 @@ func (j Conjunction) insert(c Constraint) Conjunction {
 		cmp := int(a.Op) - int(c.Op)
 		if cmp == 0 {
 			cmp = bytes.Compare(a.Expr.appendTo(probeBuf[:0]), key)
+		}
+		if cmp == 0 {
+			cmp = tieOrder(a, c)
 		}
 		switch {
 		case cmp < 0:
@@ -196,10 +204,11 @@ func (j Conjunction) withMemo() Conjunction {
 }
 
 // sortAtoms puts atom-canonical atoms into the canonical order, in place:
-// by operator, then by rendered expression. Each atom is rendered exactly
-// once, into one shared buffer; the sort compares those keys and builds
-// nothing. Identical equalities (the fold leaves them alone) end up
-// adjacent and are dropped here; exact ties are identical atoms.
+// by operator, then by rendered expression, then tieOrder. Each atom is
+// rendered exactly once, into one shared buffer; the sort compares those
+// keys and builds nothing. Identical equalities (the fold leaves them
+// alone) end up adjacent and are dropped here; exact ties are identical
+// atoms.
 func sortAtoms(atoms []Constraint) []Constraint {
 	var stack [256]byte
 	var few [8]keyedAtom
@@ -213,7 +222,10 @@ func sortAtoms(atoms []Constraint) []Constraint {
 		if a.c.Op != b.c.Op {
 			return int(a.c.Op) - int(b.c.Op)
 		}
-		return bytes.Compare(buf[a.start:a.end], buf[b.start:b.end])
+		if c := bytes.Compare(buf[a.start:a.end], buf[b.start:b.end]); c != 0 {
+			return c
+		}
+		return tieOrder(a.c, b.c)
 	}
 	slices.SortFunc(keyed, cmp)
 	atoms = atoms[:0]
@@ -224,6 +236,28 @@ func sortAtoms(atoms []Constraint) []Constraint {
 		atoms = append(atoms, k.c)
 	}
 	return atoms
+}
+
+// tieOrder orders two atoms that render alike: by terms — variable, then
+// coefficient — then by constant, and 0 only for identical atoms. For names
+// that are identifiers a rendering is one expression, so this is reached
+// only by identical atoms; a variable name may hold any bytes, though, and
+// then the upper bounds of x at 1 and of a variable named "x - 1" at 0 both
+// render "x - 1".
+func tieOrder(a, b Constraint) int {
+	ta, tb := a.Expr.terms, b.Expr.terms
+	for i := range min(len(ta), len(tb)) {
+		if c := strings.Compare(ta[i].Var, tb[i].Var); c != 0 {
+			return c
+		}
+		if c := ta[i].Coef.Cmp(tb[i].Coef); c != 0 {
+			return c
+		}
+	}
+	if len(ta) != len(tb) {
+		return len(ta) - len(tb)
+	}
+	return a.Expr.c.Cmp(b.Expr.c)
 }
 
 // keyedAtom is a canonical atom with where the rendering of its expression

@@ -186,3 +186,43 @@ func TestTrueCanonical(t *testing.T) {
 		t.Fatal("And() and True() disagree")
 	}
 }
+
+// TestCanonKeepsAtomsThatRenderAlike: a variable name may hold any bytes,
+// so the upper bounds of x at 1 and of a variable named "x - 1" at 0 both
+// render "x - 1" as expressions. They are two atoms, and Canon, the staircase's
+// insert, the box merge and SimplifyWith's duplicate pass keep both, in one
+// order whatever order they come in.
+func TestCanonKeepsAtomsThatRenderAlike(t *testing.T) {
+	a, b := LeConst("x", q("1")), LeConst("x - 1", q("0"))
+	if a.Expr.String() != b.Expr.String() {
+		t.Fatalf("fixture: %q and %q should render alike", a.Expr, b.Expr)
+	}
+	want := And(a, b).Canon()
+	if want.Len() != 2 {
+		t.Fatalf("Canon of %q and %q keeps %d atoms, want 2", a, b, want.Len())
+	}
+	for name, got := range map[string]Conjunction{
+		"Canon, other order":   And(b, a).Canon(),
+		"insert":               And(a).Canon().insert(b),
+		"insert, other order":  And(b).Canon().insert(a),
+		"BoxMerge":             must(BoxMerge(And(a, GeConst("x", q("0"))).Canon(), And(b, GeConst("x - 1", q("0"))).Canon())),
+		"SimplifyWith raw":     And(a, b).SimplifyWith(nil).Canon(),
+		"SimplifyWith of both": And(b, a, a).SimplifyWith(nil).Canon(),
+	} {
+		ws := want.cs
+		if name == "BoxMerge" {
+			ws = And(a, b, GeConst("x", q("0")), GeConst("x - 1", q("0"))).Canon().cs
+		}
+		if !equalAtoms(got.cs, ws) {
+			t.Errorf("%s: %v, want %v", name, got.cs, ws)
+		}
+	}
+}
+
+// must is the conjunction of BoxMerge when it is satisfiable.
+func must(j Conjunction, sat bool) Conjunction {
+	if !sat {
+		return False()
+	}
+	return j
+}

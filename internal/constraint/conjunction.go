@@ -1,6 +1,7 @@
 package constraint
 
 import (
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -19,7 +20,13 @@ type Conjunction struct {
 	// which case fp caches the structural fingerprint. Every constructor
 	// that could perturb the form leaves canon false.
 	canon bool
-	fp    uint64
+	// irr records that the planar rule has decided cs irredundant
+	// (planar.go), so SimplifyWith returns it as it is. It is a memo, not
+	// identity: Canon, fingerprints, equality and rendering ignore it, and
+	// every constructor that changes the atoms leaves it clear. It sits in
+	// canon's padding, so a Conjunction stays 56 bytes.
+	irr bool
+	fp  uint64
 
 	// env, when non-nil, lazily memoizes the axis-aligned envelope (see
 	// envelope.go). Canon attaches a fresh box; copies of the conjunction
@@ -38,6 +45,16 @@ type Conjunction struct {
 	// type.
 	aux *auxBox
 }
+
+// forceIrrClear keeps the planar rule from setting irr (ForceIrrClear).
+var forceIrrClear bool
+
+// ForceIrrClear makes the planar rule leave every conjunction's irredundant
+// memo clear while on holds, so that every SimplifyWith proves its
+// conjunction again: the tests run a workload with the memo and without it
+// and compare the bytes. It must not be called while anything simplifies.
+// Tests only.
+func ForceIrrClear(on bool) { forceIrrClear = on }
 
 // auxBox lazily holds one derived value per canonical form (the same
 // shared-box pattern as envBox, but with an opaque payload chosen by the
@@ -282,13 +299,14 @@ func (j Conjunction) Simplify() Conjunction {
 
 // SimplifyWith is Simplify with every satisfiability decision (the initial
 // check and the entailment sub-queries of the redundancy pass) routed
-// through sat (nil = raw Fourier-Motzkin). A non-empty box (IsBox) is
-// satisfiable and has no redundant bound, so it is returned as it is; a
-// conjunction of inequalities over at most two variables with a
-// full-dimensional region is decided by the planar rule (planar.go).
-// Neither asks sat anything.
+// through sat (nil = raw Fourier-Motzkin). A conjunction the planar rule
+// has already left irredundant (SimplifyPlanar, the difference staircase's
+// emission) and a non-empty box (IsBox), which is satisfiable and has no
+// redundant bound, are returned as they are; a conjunction of inequalities
+// over at most two variables with a full-dimensional region is decided by
+// the planar rule (planar.go). None of these asks sat anything.
 func (j Conjunction) SimplifyWith(sat SatFunc) Conjunction {
-	if j.IsBox() {
+	if j.irr || j.IsBox() {
 		return j
 	}
 	if out, ok := j.simplifyPlanar(); ok {
@@ -297,22 +315,23 @@ func (j Conjunction) SimplifyWith(sat SatFunc) Conjunction {
 	if !j.SatisfiableWith(sat) {
 		return False()
 	}
-	// Cheap pass: canonical-key dedup. Canon has already dropped trivially
-	// true and duplicate atoms, so a canonical j skips it.
+	// Cheap pass: drop an atom whose canonical form an earlier one has.
+	// Canon has already dropped trivially true and duplicate atoms, so a
+	// canonical j skips it.
 	out := make([]Constraint, 0, len(j.cs))
 	if j.canon {
 		out = append(out, j.cs...)
 	} else {
-		seen := map[string]bool{}
+		seen := make([]Constraint, 0, len(j.cs)) // the canonical forms of out
 		for _, c := range j.cs {
 			if triv, val := c.IsTrivial(); triv && val {
 				continue
 			}
-			k := c.Key()
-			if seen[k] {
+			cc := c.Canonical()
+			if slices.ContainsFunc(seen, func(o Constraint) bool { return o.Op == cc.Op && o.Expr.Equal(cc.Expr) }) {
 				continue
 			}
-			seen[k] = true
+			seen = append(seen, cc)
 			out = append(out, c)
 		}
 	}

@@ -25,7 +25,7 @@ func Subtract(j, k Conjunction) Disjunction {
 // eagerly.
 func SubtractLazy(j, k Conjunction) Disjunction {
 	return disjuncts(SubtractAllScoped(j, []Conjunction{k}, struct{}{},
-		AtomStep(func(struct{}, Conjunction, Constraint) (struct{}, bool) { return struct{}{}, true })))
+		AtomStep(func(struct{}, *Chain, Constraint) (struct{}, bool) { return struct{}{}, true })))
 }
 
 // SubtractAll returns j minus every conjunction in ks. The result is a
@@ -36,23 +36,23 @@ func SubtractAll(j Conjunction, ks []Conjunction) Disjunction {
 	return disjuncts(SubtractAllScoped(j, ks, struct{}{}, fmStep))
 }
 
-// disjuncts is the disjunction of the staircase's pieces, each with memo
-// boxes.
+// disjuncts is the disjunction of the staircase's pieces, each
+// materialised with memo boxes.
 func disjuncts[S any](pieces []Piece[S]) Disjunction {
 	if len(pieces) == 0 {
 		return nil
 	}
 	out := make(Disjunction, len(pieces))
 	for i, p := range pieces {
-		out[i] = p.Con.withMemo()
+		out[i] = p.Chain.Con().withMemo()
 	}
 	return out
 }
 
 // fmStep is the scope-free staircase step: every decision runs the raw
 // eliminator on the conjunction itself.
-var fmStep = AtomStep(func(_ struct{}, prefix Conjunction, atom Constraint) (struct{}, bool) {
-	return struct{}{}, prefix.With(atom).IsSatisfiable()
+var fmStep = AtomStep(func(_ struct{}, prefix *Chain, atom Constraint) (struct{}, bool) {
+	return struct{}{}, prefix.Con().With(atom).IsSatisfiable()
 })
 
 // Verdict is a staircase step's answer for one atom: the child's state and
@@ -66,12 +66,12 @@ type Verdict[S any] struct {
 // the atoms of its complement, negs (c.Complement(): one atom, two for an
 // equality), all against one parent state: neg[i] answers prefix ∧
 // negs[i] and pos answers prefix ∧ c.
-type StairStep[S any] func(parent S, prefix Conjunction, c Constraint, negs []Constraint) (neg [2]Verdict[S], pos Verdict[S])
+type StairStep[S any] func(parent S, prefix *Chain, c Constraint, negs []Constraint) (neg [2]Verdict[S], pos Verdict[S])
 
 // AtomStep is the StairStep that decides the atoms one at a time with
 // step, the negations first.
-func AtomStep[S any](step func(parent S, prefix Conjunction, atom Constraint) (S, bool)) StairStep[S] {
-	return func(parent S, prefix Conjunction, c Constraint, negs []Constraint) (neg [2]Verdict[S], pos Verdict[S]) {
+func AtomStep[S any](step func(parent S, prefix *Chain, atom Constraint) (S, bool)) StairStep[S] {
+	return func(parent S, prefix *Chain, c Constraint, negs []Constraint) (neg [2]Verdict[S], pos Verdict[S]) {
 		for i, a := range negs {
 			neg[i].Scope, neg[i].Sat = step(parent, prefix, a)
 		}
@@ -108,24 +108,28 @@ func AtomStep[S any](step func(parent S, prefix Conjunction, atom Constraint) (S
 // Each piece is returned with the state its last decision gave it, so a
 // caller whose state is the piece's region can read the piece off it.
 //
-// Prefixes and pieces are kept canonical by inserting one atom at a time
-// into Canon(j), so every returned piece is canonical as it is: Canon on it
-// costs nothing. Memo boxes are left to whoever emits a piece (Subtract,
-// SubtractAll, SimplifyPlanar, IrredundantOnEdges), since the difference
-// operator emits most pieces shrunk.
+// A prefix is a Chain: Canon(j) at its root and one node per atom pushed on
+// it, so extending a prefix costs one node and builds no conjunction. Its
+// conjunction, canonical, is built only when someone asks for it
+// (Chain.Con): a step that falls back on the full conjunction, or a caller
+// that emits a piece whole. A caller that can read a piece's irredundant
+// atoms off its region asks for nothing (Chain.IrredundantOnEdges). The
+// nodes of one call come from one slab and belong to the goroutine that
+// made the call.
 func SubtractAllScoped[S any](j Conjunction, ks []Conjunction, root S, step StairStep[S]) []Piece[S] {
-	work := []Piece[S]{{Con: j.Canon(), Scope: root}}
+	var slab chainSlab
+	work := []Piece[S]{{Chain: rootChain(j.Canon()), Scope: root}}
 	for _, k := range ks {
 		var next []Piece[S]
 		cs := k.Constraints()
 		for _, p := range work {
-			prefix, scope := p.Con, p.Scope
+			prefix, scope := p.Chain, p.Scope
 			for i, c := range cs {
 				negs := c.Complement()
 				neg, pos := step(scope, prefix, c, negs)
-				for n, a := range negs {
+				for n := range negs {
 					if neg[n].Sat {
-						next = append(next, Piece[S]{Con: prefix.insert(a), Scope: neg[n].Scope})
+						next = append(next, Piece[S]{Chain: slab.push(prefix, &negs[n]), Scope: neg[n].Scope})
 					}
 				}
 				if !pos.Sat || i == len(cs)-1 {
@@ -134,7 +138,7 @@ func SubtractAllScoped[S any](j Conjunction, ks []Conjunction, root S, step Stai
 					// subtracted.
 					break
 				}
-				prefix, scope = prefix.insert(c), pos.Scope
+				prefix, scope = slab.push(prefix, &cs[i]), pos.Scope
 			}
 		}
 		work = next
@@ -147,8 +151,56 @@ func SubtractAllScoped[S any](j Conjunction, ks []Conjunction, root S, step Stai
 
 // Piece is one disjunct of the staircase with its step state.
 type Piece[S any] struct {
-	Con   Conjunction
+	Chain *Chain
 	Scope S
+}
+
+// Chain is one node of a staircase prefix: the canonical conjunction at the
+// root of its chain with the atoms of every node on the way down pushed on
+// top, in order. A node is never changed once it has children, so siblings
+// share their parent.
+type Chain struct {
+	up   *Chain
+	atom *Constraint  // the atom pushed: a subtrahend's or its complement's; nil at the root
+	con  *Conjunction // Con, once built
+}
+
+// Con returns the chain's conjunction: the root's with every pushed atom
+// inserted, canonical (insert). It is built once per node, from the
+// parent's.
+func (p *Chain) Con() Conjunction {
+	if p.con == nil {
+		con := p.up.Con().insert(*p.atom)
+		p.con = &con
+	}
+	return *p.con
+}
+
+// rootChain returns the root of a chain over the canonical j, in one
+// allocation with its conjunction.
+func rootChain(j Conjunction) *Chain {
+	r := &struct {
+		node Chain
+		con  Conjunction
+	}{con: j}
+	r.node.con = &r.con
+	return &r.node
+}
+
+// chainSlab hands out the nodes of one staircase's chains from a few
+// growing chunks, so a push costs no allocation of its own. A chunk is never
+// appended to past its capacity, so a node's address stays put.
+type chainSlab struct {
+	chunk []Chain
+}
+
+// push returns a new node that pushes atom on up.
+func (s *chainSlab) push(up *Chain, atom *Constraint) *Chain {
+	if len(s.chunk) == cap(s.chunk) {
+		s.chunk = make([]Chain, 0, max(16, 2*cap(s.chunk)))
+	}
+	s.chunk = append(s.chunk, Chain{up: up, atom: atom})
+	return &s.chunk[len(s.chunk)-1]
 }
 
 // Holds evaluates the disjunction under the assignment: true if any

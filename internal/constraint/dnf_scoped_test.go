@@ -76,17 +76,18 @@ func sameDisjuncts(t *testing.T, name string, got, want Disjunction) {
 // extrasStep is the scope state the staircase had before it carried one:
 // the list of atoms accumulated on top of base, decided from scratch. It
 // also checks the contract of SubtractAllScoped on every call — the
-// conjunction under decision, prefix ∧ atom, is base ∧ extras, and prefix
-// is canonical.
-func extrasStep(t *testing.T, base Conjunction, decisions *int) func([]Constraint, Conjunction, Constraint) ([]Constraint, bool) {
-	return func(parent []Constraint, prefix Conjunction, atom Constraint) ([]Constraint, bool) {
+// conjunction under decision, prefix ∧ atom, is base ∧ extras, and the
+// prefix's conjunction is canonical.
+func extrasStep(t *testing.T, base Conjunction, decisions *int) func([]Constraint, *Chain, Constraint) ([]Constraint, bool) {
+	return func(parent []Constraint, prefix *Chain, atom Constraint) ([]Constraint, bool) {
 		*decisions++
 		extras := append(parent[:len(parent):len(parent)], atom)
 		full := base.With(extras...)
-		if !prefix.canon {
-			t.Fatalf("step decides on a prefix %q that is not canonical", prefix)
+		con := prefix.Con()
+		if !con.canon {
+			t.Fatalf("step decides on a prefix %q that is not canonical", con)
 		}
-		if got := prefix.With(atom); !got.EqualCanonical(full) {
+		if got := con.With(atom); !got.EqualCanonical(full) {
 			t.Fatalf("step decides %q, want base ∧ extras = %q", got.Canon(), full.Canon())
 		}
 		return extras, full.IsSatisfiable()

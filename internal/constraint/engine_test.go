@@ -338,8 +338,8 @@ func TestSatFuncThreading(t *testing.T) {
 		j, k := randConj(rng), randConj(rng)
 		plain := SubtractAll(j, []Conjunction{k})
 		cached := disjuncts(SubtractAllScoped(j, []Conjunction{k}, struct{}{},
-			AtomStep(func(_ struct{}, prefix Conjunction, atom Constraint) (struct{}, bool) {
-				return struct{}{}, counting(prefix.With(atom))
+			AtomStep(func(_ struct{}, prefix *Chain, atom Constraint) (struct{}, bool) {
+				return struct{}{}, counting(prefix.Con().With(atom))
 			})))
 		if len(plain) != len(cached) {
 			t.Fatalf("case %d: a staircase through the cache disagrees: %d vs %d disjuncts", i, len(plain), len(cached))

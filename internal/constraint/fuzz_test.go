@@ -162,3 +162,33 @@ func FuzzSimplify(f *testing.F) {
 		simplifyAgrees(t, "canonical "+src, j.Canon())
 	})
 }
+
+// FuzzStaircase holds the chain staircase and its edge rule to the eager
+// reference (constraint.CheckStaircase) on "minuend ; subtrahend ; ..."
+// inputs of at most twelve atoms over at most three variables. The seeds
+// are stairRows, whose strict atoms through a vertex send pieces to the
+// built conjunction's replay.
+//
+// Run with: go test ./internal/constraint -run '^$' -fuzz FuzzStaircase
+func FuzzStaircase(f *testing.F) {
+	for _, src := range stairRows {
+		f.Add(src)
+	}
+	f.Fuzz(func(t *testing.T, src string) {
+		j, ks, ok := parseStair(src)
+		if !ok {
+			return
+		}
+		vars := map[string]bool{}
+		for _, k := range append(ks, j) {
+			for _, v := range k.Vars() {
+				vars[v] = true
+			}
+		}
+		if len(vars) > 3 {
+			return
+		}
+		var tally constraint.StaircaseTally
+		constraint.CheckStaircase(t, j, ks, &tally)
+	})
+}

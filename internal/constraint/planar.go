@@ -93,8 +93,9 @@ func (j Conjunction) classify(hs []halfPlane) (_ []halfPlane, edges int, ok bool
 
 // PlanarEdges reports which of j's atoms carry an edge of its region as
 // the planar rule classifies them, and ok = false where the rule does not
-// decide j. IrredundantOnEdges takes the same facts from a drawn region
-// instead; this is the classification it must agree with.
+// decide j. The edge rule (Chain.IrredundantOnEdges) takes the same facts
+// from a drawn region instead; this is the classification it must agree
+// with.
 func (j Conjunction) PlanarEdges() (onEdge []bool, ok bool) {
 	hs, _, ok := j.classify(nil)
 	if !ok {
@@ -109,41 +110,120 @@ func (j Conjunction) PlanarEdges() (onEdge []bool, ok bool) {
 
 // SimplifyPlanar returns what the planar rule of SimplifyWith leaves of a
 // canonical j, and j itself when the rule does not decide it; either way
-// the result carries memo boxes. It asks no satisfiability question. The
-// difference operator emits the pieces its clipper could not read off a
-// ring this way (see IrredundantOnEdges).
+// the result carries memo boxes, and where the rule decides it is flagged
+// irredundant, so SimplifyWith returns it as it is. It asks no
+// satisfiability question. The difference operator emits the pieces its
+// clipper could not read off a ring this way (see Chain.IrredundantOnEdges).
 func (j Conjunction) SimplifyPlanar() Conjunction {
 	if out, ok := j.simplifyPlanar(); ok {
-		return out.withMemo()
+		return out.irredundant()
 	}
 	return j.withMemo()
 }
 
-// IrredundantOnEdges is the planar rule with its classification read off
+// irredundant returns the canonical j, which the planar rule has just left,
+// with memo boxes and flagged irredundant (unless ForceIrrClear holds).
+func (j Conjunction) irredundant() Conjunction {
+	j = j.withMemo()
+	j.irr = !forceIrrClear
+	return j
+}
+
+// irredundantOnEdges is the planar rule with its classification read off
 // a region already drawn: j is canonical and its region is bounded and
 // full-dimensional, and lines holds, for each edge of the region's closure,
-// one atom whose boundary line carries it (in either direction). An atom on
-// one of those lines carries an edge; a closed atom on none carries none,
-// so it is dropped without being looked at; only a strict atom on none is
-// classified by clipBoundary, for the vertex the greedy replay may keep it
-// for, and only then are the atoms read as half-planes. The result is
-// simplifyPlanar's, atom for atom, with memo boxes. ok is false — j then
-// goes to SimplifyPlanar — when j is not such a conjunction after all: an
-// atom the rule cannot read, or a strict atom sharing its line with
-// another.
-func (j Conjunction) IrredundantOnEdges(lines []Constraint) (_ Conjunction, ok bool) {
+// one atom whose boundary line carries it (in either direction). The atoms
+// are classified by onEdges, and the greedy replay decides which strict
+// atoms through a vertex stay. The result is simplifyPlanar's, atom for
+// atom, with memo boxes, flagged irredundant. ok is false — j then goes to
+// SimplifyPlanar — when j is not such a conjunction after all: an atom the
+// rule cannot read, or a strict atom sharing its line with another.
+func (j Conjunction) irredundantOnEdges(lines []Constraint) (_ Conjunction, ok bool) {
+	var stack [16]halfPlane
+	hs, edges, _, ok := onEdges(j.cs, lines, stack[:0])
+	if !ok {
+		return Conjunction{}, false
+	}
+	return j.replay(hs, edges).irredundant(), true
+}
+
+// IrredundantOnEdges is p.Con().irredundantOnEdges(lines), read off the
+// chain's atoms — the nearest built conjunction above p and the atoms pushed
+// below it, made atom-canonical — without building Con. An atom on an edge
+// line stays and any other goes, unless some strict atom off the edge lines
+// touches the region at a vertex, where the replay's order decides; that
+// case, an atom the rule cannot read and a region with no edge atom build
+// Con and go to Conjunction.irredundantOnEdges. Two atoms of the chain on
+// one edge line point the same way, since the region is full-dimensional,
+// so they are one atom or its closed and strict versions: Canon's fold keeps
+// one, the strict one if there is one, and so does this. The survivors are
+// put in canonical order once.
+func (p *Chain) IrredundantOnEdges(lines []Constraint) (_ Conjunction, ok bool) {
+	var stack [24]Constraint
+	atoms := p.atoms(stack[:0])
+	var hsStack [24]halfPlane
+	hs, edges, touched, ok := onEdges(atoms, lines, hsStack[:0])
+	if !ok || touched {
+		return p.Con().irredundantOnEdges(lines)
+	}
+	out := make([]Constraint, 0, edges)
+next:
+	for i, c := range atoms {
+		if hs[i].kind != edge {
+			continue
+		}
+		for k := range out {
+			if o := &out[k]; o.Expr.c.Equal(c.Expr.c) && sameTerms(o.Expr.terms, c.Expr.terms) {
+				if c.Op == Lt {
+					o.Op = Lt
+				}
+				continue next
+			}
+		}
+		out = append(out, c)
+	}
+	return canonical(sortAtoms(out)).irredundant(), true
+}
+
+// atoms appends the atoms of p's conjunction to buf, unfolded and unsorted:
+// those of the nearest node above p whose conjunction is built, then the
+// atoms pushed below it, each made atom-canonical.
+func (p *Chain) atoms(buf []Constraint) []Constraint {
+	n := p
+	for n.con == nil {
+		n = n.up
+	}
+	buf = append(buf, n.con.cs...)
+	for q := p; q != n; q = q.up {
+		buf = append(buf, q.atom.Canonical())
+	}
+	return buf
+}
+
+// onEdges classifies the canonical atoms cs of a bounded, full-dimensional
+// region against lines, the boundary lines of its closure's edges (see
+// irredundantOnEdges), into hs, in cs's order. An atom on one of the lines
+// carries an edge; a closed atom on none carries none, so it is left
+// unclassified (noContact) without being looked at; only a strict atom on
+// none is classified by clipBoundary, against the edge atoms alone, for the
+// vertex the greedy replay may keep it for — touched reports that one
+// touches the region — and only then are the atoms read as half-planes.
+// edges counts the atoms that carry an edge. ok is false on an equality, an
+// atom without terms, a strict atom sharing its line with an edge atom, or
+// when no atom carries an edge.
+func onEdges(cs, lines []Constraint, hs []halfPlane) (_ []halfPlane, edges int, touched, ok bool) {
 	var keyStack [16]rational.Rat
 	keys := keyStack[:0]
 	for k := range lines {
 		keys = append(keys, lineConst(&lines[k]))
 	}
-	var onStack [16]bool
+	var onStack [24]bool
 	on := onStack[:0]
-	edges, strictOff := 0, false
-	for i := range j.cs {
-		c := &j.cs[i]
+	strictOff := false
+	for i := range cs {
+		c := &cs[i]
 		if c.Op == Eq || len(c.Expr.terms) == 0 {
-			return Conjunction{}, false
+			return nil, 0, false, false
 		}
 		e := onAny(c, lines, keys)
 		on = append(on, e)
@@ -155,17 +235,16 @@ func (j Conjunction) IrredundantOnEdges(lines []Constraint) (_ Conjunction, ok b
 	}
 	// clipBoundary reads the atoms as half-planes; without it the replay
 	// reads only their kinds.
-	var stack [16]halfPlane
-	var hs []halfPlane
 	switch {
 	case strictOff:
-		if hs, ok = halfPlanes(j.cs, stack[:0]); !ok {
-			return Conjunction{}, false
+		if hs, ok = halfPlanes(cs, hs); !ok {
+			return nil, 0, false, false
 		}
-	case len(j.cs) <= len(stack):
-		hs = stack[:len(j.cs)]
+	case len(cs) <= cap(hs):
+		hs = hs[:len(cs)]
+		clear(hs)
 	default:
-		hs = make([]halfPlane, len(j.cs))
+		hs = make([]halfPlane, len(cs))
 	}
 	for i := range hs {
 		if on[i] {
@@ -175,17 +254,17 @@ func (j Conjunction) IrredundantOnEdges(lines []Constraint) (_ Conjunction, ok b
 	for i := range hs {
 		if h := &hs[i]; strictOff && !on[i] && h.strict {
 			if !clipBoundary(hs, i, true) {
-				return Conjunction{}, false
+				return nil, 0, false, false
+			}
+			if h.kind != noContact {
+				touched = true
 			}
 			if h.kind == edge {
 				edges++
 			}
 		}
 	}
-	if edges == 0 {
-		return Conjunction{}, false
-	}
-	return j.replay(hs, edges).withMemo(), true
+	return hs, edges, touched, edges > 0
 }
 
 // replay is the greedy left-to-right removal of the general path on

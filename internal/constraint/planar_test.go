@@ -199,3 +199,48 @@ func TestSimplifyMatchesReference(t *testing.T) {
 		checkSimplify(t, "merge canon", a.Merge(b).Canon())
 	}
 }
+
+// TestIrredundantMemo: the planar rule flags what it leaves irredundant,
+// SimplifyWith returns a flagged conjunction as it is, and the flag is a
+// memo, not identity — Canon keeps it, fingerprints, equality and
+// rendering ignore it, and every constructor that changes the atoms leaves
+// it clear. Under ForceIrrClear the rule flags nothing and leaves the same
+// atoms.
+func TestIrredundantMemo(t *testing.T) {
+	// The unit square with a redundant bound and a strict cut through a
+	// corner, which the rule keeps.
+	raw := And(with(square, hp(1, 0, Le, 2), hp(-1, -1, Lt, 0))...).Canon()
+	j := raw.SimplifyPlanar()
+	if !j.irr || j.Len() != 5 {
+		t.Fatalf("SimplifyPlanar of %s = %s, irr %v: want the five irredundant atoms, flagged", raw, j, j.irr)
+	}
+	if got := j.SimplifyWith(nil); !got.irr || !equalAtoms(got.cs, j.cs) {
+		t.Fatalf("SimplifyWith of a flagged %s = %s", j, got)
+	}
+	bare := Conjunction{cs: j.cs, canon: true, fp: j.fp}
+	if got := bare.SimplifyWith(nil); !equalAtoms(got.cs, j.cs) {
+		t.Fatalf("SimplifyWith of %s unflagged = %s", j, got)
+	}
+	if c := j.Canon(); !c.irr || j.Fingerprint() != bare.Fingerprint() || !j.EqualCanonical(bare) || j.String() != bare.String() || j.Key() != bare.Key() {
+		t.Fatalf("the memo changed identity: Canon irr %v, fingerprints %x %x, %q %q", c.irr, j.Fingerprint(), bare.Fingerprint(), j, bare)
+	}
+	for name, got := range map[string]Conjunction{
+		"With":            j.With(hp(0, 1, Le, 3)),
+		"Merge":           j.Merge(And(hp(1, 0, Lt, 5))),
+		"insert":          j.insert(hp(0, 1, Lt, 1)),
+		"Substitute":      j.Substitute("y", Var("x")),
+		"RenameAll":       j.RenameAll(map[string]string{"x": "u"}),
+		"Eliminate":       j.Eliminate("y"),
+		"Project":         j.Project("x"),
+		"Canon of a copy": And(j.cs...).Canon(),
+	} {
+		if got.irr {
+			t.Errorf("%s: %s left flagged irredundant", name, got)
+		}
+	}
+	ForceIrrClear(true)
+	defer ForceIrrClear(false)
+	if got := raw.SimplifyPlanar(); got.irr || !equalAtoms(got.cs, j.cs) {
+		t.Fatalf("under ForceIrrClear SimplifyPlanar of %s = %s, irr %v", raw, got, got.irr)
+	}
+}

@@ -371,9 +371,10 @@ func Difference(r1, r2 *relation.Relation) (*relation.Relation, error) {
 // decision rejects anyway.
 //
 // Each piece is emitted as the planar redundancy rule of SimplifyWith
-// leaves it (constraint.Conjunction.SimplifyPlanar), so normalising the
-// output finds nothing more to drop on two-variable pieces; a piece the
-// rule does not decide is emitted as the staircase built it.
+// leaves it (constraint.Conjunction.SimplifyPlanar) and flagged
+// irredundant, so normalising the output proves nothing again on
+// two-variable pieces; a piece the rule does not decide is emitted as the
+// staircase built it.
 func DifferenceCtx(ec *exec.Context, r1, r2 *relation.Relation) (*relation.Relation, error) {
 	if !r1.Schema().Equal(r2.Schema()) {
 		return nil, fmt.Errorf("cqa: difference requires equal schemas: %s vs %s", r1.Schema(), r2.Schema())
@@ -434,7 +435,8 @@ func DifferenceCtx(ec *exec.Context, r1, r2 *relation.Relation) (*relation.Relat
 			}
 		}
 		// Refine, part 2 — the staircase expansion, every returned piece
-		// proven satisfiable and canonical. With a polygon form for t1 each
+		// proven satisfiable, as a chain of atoms on t1's canonical
+		// constraint part (constraint.Chain). With a polygon form for t1 each
 		// piece carries t1's ring clipped by the atoms accumulated on top of
 		// it, its edges labelled with the atoms that drew them, and a
 		// subtrahend atom and its complement are decided together by one
@@ -449,23 +451,23 @@ func DifferenceCtx(ec *exec.Context, r1, r2 *relation.Relation) (*relation.Relat
 				root = f1.LabelledScope()
 			}
 		}
-		settle := func(prefix constraint.Conjunction, atom constraint.Constraint, child vector.Scope, sat, ok bool) (vector.Scope, bool) {
+		settle := func(prefix *constraint.Chain, atom constraint.Constraint, child vector.Scope, sat, ok bool) (vector.Scope, bool) {
 			if ok {
 				rec.VectorHit(sat, false)
 				return child, sat
 			}
 			rec.VectorFallback()
-			return child, rec.Satisfiable(prefix.With(atom))
+			return child, rec.Satisfiable(prefix.Con().With(atom))
 		}
-		perAtom := constraint.AtomStep(func(parent vector.Scope, prefix constraint.Conjunction, atom constraint.Constraint) (vector.Scope, bool) {
+		perAtom := constraint.AtomStep(func(parent vector.Scope, prefix *constraint.Chain, atom constraint.Constraint) (vector.Scope, bool) {
 			if f1 == nil {
-				return parent, rec.Satisfiable(prefix.With(atom))
+				return parent, rec.Satisfiable(prefix.Con().With(atom))
 			}
 			child, sat, ok := parent.Clip(atom)
 			return settle(prefix, atom, child, sat, ok)
 		})
 		pieces := constraint.SubtractAllScoped(t1.Constraint(), subtrahends, root,
-			func(parent vector.Scope, prefix constraint.Conjunction, c constraint.Constraint, negs []constraint.Constraint) (neg [2]constraint.Verdict[vector.Scope], pos constraint.Verdict[vector.Scope]) {
+			func(parent vector.Scope, prefix *constraint.Chain, c constraint.Constraint, negs []constraint.Constraint) (neg [2]constraint.Verdict[vector.Scope], pos constraint.Verdict[vector.Scope]) {
 				if f1 != nil {
 					if in, out, split := parent.Split(c); split {
 						neg[0].Scope, neg[0].Sat = settle(prefix, negs[0], out.Child, out.Sat, out.OK)
@@ -476,15 +478,17 @@ func DifferenceCtx(ec *exec.Context, r1, r2 *relation.Relation) (*relation.Relat
 				return perAtom(parent, prefix, c, negs)
 			})
 		// Emit each piece as the planar rule of SimplifyWith leaves it: read
-		// off its ring where the ring is full-dimensional and labelled, and
-		// through the rule itself otherwise (no form, a declined clipper, a
-		// flat or foreign scope). Both are the rule's answer, so the output
-		// does not depend on which deciders ran. The pieces share t1's
+		// off its ring where the ring is full-dimensional and labelled —
+		// from the chain's atoms, building its conjunction only where a
+		// strict atom touches a vertex — and through the rule itself on the
+		// built piece otherwise (no form, a declined clipper, a flat or
+		// foreign scope). Both are the rule's answer, so the output does
+		// not depend on which deciders ran. The pieces share t1's
 		// relational part: WithConstraint reuses the binding map.
 		for _, p := range pieces {
-			con, ok := p.Scope.Irredundant(p.Con)
+			con, ok := p.Scope.Irredundant(p.Chain)
 			if !ok {
-				con = p.Con.SimplifyPlanar()
+				con = p.Chain.Con().SimplifyPlanar()
 			}
 			out = append(out, t1.WithConstraint(con))
 		}

@@ -99,17 +99,19 @@ func TestPruningEquivalence(t *testing.T) {
 					t.Fatalf("%s %s par%d dense: %v", wName, opName, par, err)
 				}
 				for _, decl := range declineSettings {
-					withDecline(decl, func() {
-						got, err := op(&exec.Context{Parallelism: par, SeqThreshold: 1}, pair[0], pair[1])
-						if err != nil {
-							t.Fatalf("%s %s par%d filtered: %v", wName, opName, par, err)
-						}
-						revalidate(t, wName+" "+opName, got)
-						if dump(got) != dump(want) {
-							t.Errorf("%s %s par%d decline%+v: filtered output diverges from dense\ndense:\n%s\nfiltered:\n%s",
-								wName, opName, par, decl, dump(want), dump(got))
-						}
-					})
+					for _, irrClear := range irrSettings {
+						withDecline(decl, irrClear, func() {
+							got, err := op(&exec.Context{Parallelism: par, SeqThreshold: 1}, pair[0], pair[1])
+							if err != nil {
+								t.Fatalf("%s %s par%d filtered: %v", wName, opName, par, err)
+							}
+							revalidate(t, wName+" "+opName, got)
+							if dumpNormalised(got) != dumpNormalised(want) {
+								t.Errorf("%s %s par%d decline%+v irrClear=%v: filtered output diverges from dense\ndense:\n%s\nfiltered:\n%s",
+									wName, opName, par, decl, irrClear, dumpNormalised(want), dumpNormalised(got))
+							}
+						})
+					}
 				}
 			}
 		}

@@ -66,11 +66,28 @@ func TestSweepColumnTieBreak(t *testing.T) {
 // auto with env declined.
 var declineSettings = []deciders{{}, {env: true}, {clip: true}, {env: true, clip: true}}
 
-// withDecline runs body with forceDecline set to d.
-func withDecline(d deciders, body func()) {
-	defer func() { forceDecline = deciders{} }()
+// irrSettings are the constraint.ForceIrrClear states the equivalence
+// matrices run auto under, each with every declineSettings state: the
+// planar rule's irredundant memo kept, and forced clear, so that every
+// simplification proves its conjunction again. The outputs the matrices
+// compare are also normalised, where the memo is read.
+var irrSettings = []bool{false, true}
+
+// withDecline runs body with forceDecline set to d and
+// constraint.ForceIrrClear to irrClear.
+func withDecline(d deciders, irrClear bool, body func()) {
+	defer func() {
+		forceDecline = deciders{}
+		constraint.ForceIrrClear(false)
+	}()
 	forceDecline = d
+	constraint.ForceIrrClear(irrClear)
 	body()
+}
+
+// dumpNormalised is dump of r and of r normalised.
+func dumpNormalised(r *relation.Relation) string {
+	return dump(r) + "\nnormalised:\n" + dump(r.Normalize())
 }
 
 // sumStats adds up the decision counters of every operator row on ec.
@@ -111,7 +128,7 @@ func TestStrategyEquivalence(t *testing.T) {
 						t.Fatalf("%s %s par%d %s: %v", wName, opName, par, mode, err)
 					}
 					revalidate(t, wName+" "+opName+" "+mode, got)
-					return dump(got), sumStats(ec)
+					return dumpNormalised(got), sumStats(ec)
 				}
 				want, _ := run(exec.PlanDense)
 				for _, mode := range []string{exec.PlanSweep, exec.PlanVector} {
@@ -126,28 +143,30 @@ func TestStrategyEquivalence(t *testing.T) {
 					}
 				}
 				for _, decl := range declineSettings {
-					withDecline(decl, func() {
-						got, s := run(exec.PlanAuto)
-						if got != want {
-							t.Errorf("%s %s par%d decline%+v: auto output diverges from dense\ndense:\n%s\nauto:\n%s",
-								wName, opName, par, decl, want, got)
-						}
-						if decl != (deciders{}) {
-							return
-						}
-						cands := s.PairsTotal - s.PairsPruned
-						switch {
-						case polygonInputs[wName]:
-							if s.VectorHits == 0 {
-								t.Errorf("%s %s par%d auto: no vector hit — the row fell back to FM", wName, opName, par)
+					for _, irrClear := range irrSettings {
+						withDecline(decl, irrClear, func() {
+							got, s := run(exec.PlanAuto)
+							if got != want {
+								t.Errorf("%s %s par%d decline%+v irrClear=%v: auto output diverges from dense\ndense:\n%s\nauto:\n%s",
+									wName, opName, par, decl, irrClear, want, got)
 							}
-						case boxInputs[wName] && opName != "difference":
-							if s.EnvHits != cands || s.VectorHits != 0 || s.SatChecks != 0 || s.FMDecisions != 0 {
-								t.Errorf("%s %s par%d auto: env=%d vec=%d sat=%d fm=%d over %d candidate pairs, want all of them decided on the envelopes",
-									wName, opName, par, s.EnvHits, s.VectorHits, s.SatChecks, s.FMDecisions, cands)
+							if decl != (deciders{}) || irrClear {
+								return
 							}
-						}
-					})
+							cands := s.PairsTotal - s.PairsPruned
+							switch {
+							case polygonInputs[wName]:
+								if s.VectorHits == 0 {
+									t.Errorf("%s %s par%d auto: no vector hit — the row fell back to FM", wName, opName, par)
+								}
+							case boxInputs[wName] && opName != "difference":
+								if s.EnvHits != cands || s.VectorHits != 0 || s.SatChecks != 0 || s.FMDecisions != 0 {
+									t.Errorf("%s %s par%d auto: env=%d vec=%d sat=%d fm=%d over %d candidate pairs, want all of them decided on the envelopes",
+										wName, opName, par, s.EnvHits, s.VectorHits, s.SatChecks, s.FMDecisions, cands)
+								}
+							}
+						})
+					}
 				}
 			}
 		}
@@ -247,7 +266,7 @@ func TestSelectEquivalence(t *testing.T) {
 					if err != nil {
 						t.Fatalf("%s %s par%d %s: %v", wName, cName, par, mode, err)
 					}
-					return dump(got), sumStats(ec)
+					return dumpNormalised(got), sumStats(ec)
 				}
 				want, _ := run(exec.PlanDense)
 				if got, _ := run(exec.PlanVector); got != want {
@@ -255,28 +274,30 @@ func TestSelectEquivalence(t *testing.T) {
 						wName, cName, par, want, got)
 				}
 				for _, decl := range declineSettings {
-					withDecline(decl, func() {
-						got, s := run(exec.PlanAuto)
-						if got != want {
-							t.Errorf("%s %s par%d decline%+v: auto output diverges from dense\ndense:\n%s\nauto:\n%s",
-								wName, cName, par, decl, want, got)
-						}
-						if decl != (deciders{}) || !c.oneDecider {
-							return
-						}
-						switch {
-						case boxInputs[wName]:
-							if s.EnvHits != survivors || s.VectorHits != 0 || s.SatChecks != 0 || s.FMDecisions != 0 {
-								t.Errorf("%s %s par%d auto: env=%d vec=%d sat=%d fm=%d over %d survivors, want each decided on the envelopes",
-									wName, cName, par, s.EnvHits, s.VectorHits, s.SatChecks, s.FMDecisions, survivors)
+					for _, irrClear := range irrSettings {
+						withDecline(decl, irrClear, func() {
+							got, s := run(exec.PlanAuto)
+							if got != want {
+								t.Errorf("%s %s par%d decline%+v irrClear=%v: auto output diverges from dense\ndense:\n%s\nauto:\n%s",
+									wName, cName, par, decl, irrClear, want, got)
 							}
-						case polygonInputs[wName]:
-							if s.VectorHits != survivors || s.EnvHits != 0 || s.SatChecks != 0 {
-								t.Errorf("%s %s par%d auto: env=%d vec=%d sat=%d over %d survivors, want each clipped",
-									wName, cName, par, s.EnvHits, s.VectorHits, s.SatChecks, survivors)
+							if decl != (deciders{}) || irrClear || !c.oneDecider {
+								return
 							}
-						}
-					})
+							switch {
+							case boxInputs[wName]:
+								if s.EnvHits != survivors || s.VectorHits != 0 || s.SatChecks != 0 || s.FMDecisions != 0 {
+									t.Errorf("%s %s par%d auto: env=%d vec=%d sat=%d fm=%d over %d survivors, want each decided on the envelopes",
+										wName, cName, par, s.EnvHits, s.VectorHits, s.SatChecks, s.FMDecisions, survivors)
+								}
+							case polygonInputs[wName]:
+								if s.VectorHits != survivors || s.EnvHits != 0 || s.SatChecks != 0 {
+									t.Errorf("%s %s par%d auto: env=%d vec=%d sat=%d over %d survivors, want each clipped",
+										wName, cName, par, s.EnvHits, s.VectorHits, s.SatChecks, survivors)
+								}
+							}
+						})
+					}
 				}
 			}
 		}

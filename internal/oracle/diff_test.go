@@ -2,7 +2,11 @@ package oracle
 
 import (
 	"fmt"
+	"math/rand"
+	"strings"
 	"testing"
+
+	"cdb/internal/constraint"
 )
 
 // TestDiffAgainstEngine is the core differential acceptance test: seeded
@@ -99,6 +103,50 @@ func TestDiffRules(t *testing.T) {
 					t.Errorf("plan=%s cache=%v workers=%d seed=%d: %s", plan, cache, workers, rep.Seed, f.String())
 				}
 			}
+		}
+	}
+}
+
+// TestDiffIrrClear runs the harness with the planar rule's irredundant
+// memo forced clear (constraint.ForceIrrClear), so that every
+// simplification proves its conjunction again: the engine still agrees with
+// the oracle, on random heterogeneous and on spatial cases, and every
+// case's engine output, normalised, prints the bytes it prints with the
+// memo kept.
+func TestDiffIrrClear(t *testing.T) {
+	defer constraint.ForceIrrClear(false)
+	for _, cfg := range []Config{{Cases: 140, Seed: 1, Workers: 2}, {Cases: 120, Seed: 3, Spatial: true, Workers: 2}} {
+		cfg = cfg.withDefaults()
+		var outputs [2]string
+		for i, clear := range []bool{false, true} {
+			constraint.ForceIrrClear(clear)
+			var b strings.Builder
+			for c := 0; c < cfg.Cases; c++ {
+				rng := rand.New(rand.NewSource(cfg.Seed + int64(c)*1_000_003))
+				a, r1, r2, err := randomCase(rng, cfg.Ops[c%len(cfg.Ops)], cfg.MaxTuples, cfg.Spatial)
+				if err != nil {
+					t.Fatal(err)
+				}
+				out, err := RunEngine(cfg.engine(), a, r1, r2)
+				if err != nil {
+					t.Fatalf("case %d %s: %v", c, a, err)
+				}
+				fmt.Fprintf(&b, "%d %s\n%s\n", c, a, out.Normalize())
+			}
+			outputs[i] = b.String()
+			rep, err := Diff(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, f := range rep.Failures {
+				t.Errorf("spatial=%v irrClear=%v: %s", cfg.Spatial, clear, f.String())
+			}
+		}
+		if outputs[0] != outputs[1] {
+			t.Errorf("spatial=%v: normalised engine outputs differ with the memo forced clear", cfg.Spatial)
+		}
+		if !strings.Contains(outputs[0], "difference") {
+			t.Fatalf("spatial=%v: no difference case drawn", cfg.Spatial)
 		}
 	}
 }

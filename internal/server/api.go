@@ -204,7 +204,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		return strategiesSoFar(sess.ec)
 	})
 	if s.hookQueryStart != nil {
-		s.hookQueryStart()
+		s.hookQueryStart(runCtx)
 	}
 
 	// elapsed is evaluation + normalisation, which orders and renders the

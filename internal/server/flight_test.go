@@ -6,6 +6,7 @@ package server
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
 	"net/http"
@@ -116,7 +117,7 @@ func TestInflightListingAndCancelByID(t *testing.T) {
 	id := openSession(t, ts, `{"db": "hurricane", "par": 1}`)
 	started := make(chan struct{})
 	release := make(chan struct{})
-	s.hookQueryStart = func() {
+	s.hookQueryStart = func(context.Context) {
 		started <- struct{}{}
 		<-release
 	}
@@ -184,7 +185,7 @@ func TestInflightListingAndCancelByID(t *testing.T) {
 
 	// A cancel has the same wire shape as a deadline timeout: the same
 	// envelope keys, only status and message differ.
-	s.hookQueryStart = nil
+	s.hookQueryStart = holdPastDeadline
 	slowID := openSession(t, ts, `{"db": "slow", "par": 2}`)
 	status, _, timeoutBody := runQueryReq(t, ts, fmt.Sprintf(
 		`{"session": %q, "query": "R = join B and B", "timeout_ms": 5}`, slowID))

@@ -221,9 +221,11 @@ type Server struct {
 	mStreamed *obs.Counter
 
 	// hookQueryStart, when set (tests only), runs after a query passes
-	// admission and before it executes — the seam the 429/drain tests
-	// use to hold a query in flight deterministically.
-	hookQueryStart func()
+	// admission and before it executes, with the context the query runs
+	// under — the seam the 429/drain tests use to hold a query in flight
+	// deterministically, and the timeout tests to hold one past its
+	// deadline.
+	hookQueryStart func(context.Context)
 
 	// hookMaterialized, when set (tests only), runs after snapshotDB has
 	// materialised a snapshot and before it takes smu again — the window

@@ -3,6 +3,7 @@ package server
 import (
 	"bufio"
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -336,10 +337,12 @@ func TestMaxRowsTruncation(t *testing.T) {
 	}
 }
 
-// slowDB builds a database whose self-join is expensive enough that a
-// millisecond deadline always fires first: one relation of big boxes in
-// one tight cluster (the repo benchmark's box-join shape), so nearly every
-// one of the n² pairs overlaps and the filter prunes next to nothing.
+// slowDB builds a database whose self-join is expensive: one relation of
+// big boxes in one tight cluster (the repo benchmark's box-join shape), so
+// nearly every one of the n² pairs overlaps and the filter prunes next to
+// nothing. A millisecond deadline still does not always fire before it
+// finishes, so the timeout tests hold the query past its deadline
+// (holdPastDeadline).
 func slowDB() *db.Database {
 	p := datagen.Paper()
 	p.SizeMin = 50
@@ -348,12 +351,17 @@ func slowDB() *db.Database {
 	return d
 }
 
+// holdPastDeadline is a hookQueryStart that holds the admitted query until
+// its deadline has passed, so that it times out whatever it costs.
+func holdPastDeadline(ctx context.Context) { <-ctx.Done() }
+
 func TestQueryTimeout(t *testing.T) {
-	// No sat-cache: the self-join must stay slow enough to time out.
 	s, ts := newTestServer(t, Config{DefaultSatCache: -1}, map[string]*db.Database{"slow": slowDB()})
 	id := openSession(t, ts, `{"db": "slow", "par": 2}`)
+	s.hookQueryStart = holdPastDeadline
 	status, _, body := runQueryReq(t, ts, fmt.Sprintf(
 		`{"session": %q, "query": "R = join B and B", "timeout_ms": 5}`, id))
+	s.hookQueryStart = nil
 	if status != http.StatusGatewayTimeout {
 		t.Fatalf("timed-out query: status %d, body %s", status, body)
 	}
@@ -376,7 +384,7 @@ func TestInflightCapSheds429(t *testing.T) {
 	id := openSession(t, ts, ``)
 	started := make(chan struct{})
 	release := make(chan struct{})
-	s.hookQueryStart = func() {
+	s.hookQueryStart = func(context.Context) {
 		started <- struct{}{}
 		<-release
 	}
@@ -424,7 +432,7 @@ func TestShutdownDrainsInflight(t *testing.T) {
 	id := openSession(t, ts, ``)
 	started := make(chan struct{})
 	release := make(chan struct{})
-	s.hookQueryStart = func() {
+	s.hookQueryStart = func(context.Context) {
 		started <- struct{}{}
 		<-release
 	}

@@ -100,7 +100,7 @@ func checkedStaircase(t *testing.T, f *Form, base constraint.Conjunction, ks []c
 		scope  Scope
 		extras []constraint.Constraint
 	}
-	check := func(parent state, prefix constraint.Conjunction, atom constraint.Constraint, child Scope, sat, ok bool) constraint.Verdict[state] {
+	check := func(parent state, prefix *constraint.Chain, atom constraint.Constraint, child Scope, sat, ok bool) constraint.Verdict[state] {
 		extras := append(parent.extras[:len(parent.extras):len(parent.extras)], atom)
 		wantSat, wantOK := referenceSatExtras(f, extras)
 		if sat != wantSat || ok != wantOK {
@@ -113,7 +113,7 @@ func checkedStaircase(t *testing.T, f *Form, base constraint.Conjunction, ks []c
 			t.Fatalf("step %d: full-dimensional bit %v on a ring of area·2 %s\n base: %s\n extras: %v", tally.steps, child.full, geometry.RingArea2(child.ring), base, extras)
 		}
 		if len(child.ring) != 0 && child.full && !child.foreign {
-			checkedLabels(t, child, prefix.With(atom).Canon(), tally)
+			checkedLabels(t, child, prefix.Con().With(atom).Canon(), tally)
 		}
 		tally.steps++
 		if triv, _ := atom.IsTrivial(); triv {
@@ -130,12 +130,12 @@ func checkedStaircase(t *testing.T, f *Form, base constraint.Conjunction, ks []c
 			tally.unsat++
 		}
 		if !ok {
-			sat = prefix.With(atom).IsSatisfiable()
+			sat = prefix.Con().With(atom).IsSatisfiable()
 		}
 		return constraint.Verdict[state]{Scope: state{scope: child, extras: extras}, Sat: sat}
 	}
 	got := constraint.SubtractAllScoped(base, ks, state{scope: f.LabelledScope()},
-		func(parent state, prefix constraint.Conjunction, c constraint.Constraint, negs []constraint.Constraint) (neg [2]constraint.Verdict[state], pos constraint.Verdict[state]) {
+		func(parent state, prefix *constraint.Chain, c constraint.Constraint, negs []constraint.Constraint) (neg [2]constraint.Verdict[state], pos constraint.Verdict[state]) {
 			if in, out, split := parent.scope.Split(c); split {
 				tally.split++
 				for _, d := range []struct {
@@ -163,12 +163,14 @@ func checkedStaircase(t *testing.T, f *Form, base constraint.Conjunction, ks []c
 		t.Fatalf("%d disjuncts, SubtractAll gives %d\n base: %s", len(got), len(want), base)
 	}
 	for i := range want {
-		if got[i].Con.Key() != want[i].Key() {
-			t.Fatalf("disjunct %d: %q, SubtractAll gives %q", i, got[i].Con.Key(), want[i].Key())
+		red, ok := got[i].Scope.scope.Irredundant(got[i].Chain)
+		con := got[i].Chain.Con()
+		if con.Key() != want[i].Key() {
+			t.Fatalf("disjunct %d: %q, SubtractAll gives %q", i, con.Key(), want[i].Key())
 		}
-		if red, ok := got[i].Scope.scope.Irredundant(got[i].Con); ok {
+		if ok {
 			tally.read++
-			if rule := got[i].Con.SimplifyPlanar(); red.String() != rule.String() {
+			if rule := con.SimplifyPlanar(); red.String() != rule.String() {
 				t.Fatalf("disjunct %d: read off the ring %s, the planar rule leaves %s", i, red, rule)
 			}
 		}
@@ -338,13 +340,13 @@ func TestStaircaseOnePassPerAtom(t *testing.T) {
 		scope Scope
 		depth int
 	}
-	child := func(parent state, prefix constraint.Conjunction, atom constraint.Constraint, d Decision) constraint.Verdict[state] {
+	child := func(parent state, prefix *constraint.Chain, atom constraint.Constraint, d Decision) constraint.Verdict[state] {
 		verdicts++
 		if parent.depth+1 > deepest {
 			deepest = parent.depth + 1
 		}
 		if !d.OK { // strict atom on a touching corner: still the one pass
-			d.Sat = prefix.With(atom).IsSatisfiable()
+			d.Sat = prefix.Con().With(atom).IsSatisfiable()
 		}
 		return constraint.Verdict[state]{Scope: state{scope: d.Child, depth: parent.depth + 1}, Sat: d.Sat}
 	}
@@ -353,7 +355,7 @@ func TestStaircaseOnePassPerAtom(t *testing.T) {
 			passes = 0
 			before := walked
 			constraint.SubtractAllScoped(base, ks, state{scope: f.Scope()},
-				func(parent state, prefix constraint.Conjunction, c constraint.Constraint, negs []constraint.Constraint) (neg [2]constraint.Verdict[state], pos constraint.Verdict[state]) {
+				func(parent state, prefix *constraint.Chain, c constraint.Constraint, negs []constraint.Constraint) (neg [2]constraint.Verdict[state], pos constraint.Verdict[state]) {
 					walked++
 					decisions += len(negs) + 1
 					in, out, split := parent.scope.Split(c)

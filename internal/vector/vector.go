@@ -329,13 +329,13 @@ func (s Scope) side(ring []geometry.Point, edges []geometry.Label, in, strict bo
 	return s
 }
 
-// Irredundant returns piece — a conjunction whose region's closure is the
-// scope's ring — as the planar rule of constraint.Conjunction.SimplifyWith
-// leaves it, with the atoms that carry an edge read off the ring's labels
-// (constraint.Conjunction.IrredundantOnEdges). ok is false when the ring
-// cannot say: the scope is unlabelled, not full-dimensional, or beyond the
-// clipper.
-func (s Scope) Irredundant(piece constraint.Conjunction) (_ constraint.Conjunction, ok bool) {
+// Irredundant returns the conjunction of piece — a staircase chain whose
+// region's closure is the scope's ring — as the planar rule of
+// constraint.Conjunction.SimplifyWith leaves it, with the atoms that carry
+// an edge read off the ring's labels (constraint.Chain.IrredundantOnEdges).
+// ok is false when the ring cannot say: the scope is unlabelled, not
+// full-dimensional, or beyond the clipper.
+func (s Scope) Irredundant(piece *constraint.Chain) (_ constraint.Conjunction, ok bool) {
 	if s.edges == nil || s.foreign {
 		return constraint.Conjunction{}, false
 	}
