@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test check bench bench-parallel obs-demo fuzz diff serve
+.PHONY: build test check reach bench bench-parallel obs-demo fuzz diff serve
 
 build:
 	$(GO) build ./...
@@ -11,6 +11,11 @@ test:
 # The pre-submit gate (docs/TESTING.md "What runs where").
 check:
 	scripts/check.sh
+
+# The reachability ledger alone (scripts/reach.sh; check runs it too): every
+# non-test function under internal/ is linked or listed in scripts/reach.allow.
+reach:
+	scripts/reach.sh
 
 bench:
 	$(GO) test -bench . -benchtime 1x .

@@ -349,8 +349,8 @@ func (j Conjunction) Fingerprint() uint64 {
 
 // EqualCanonical reports whether j and k have identical canonical forms —
 // the exact predicate behind a Fingerprint match. Canonically equal
-// conjunctions are equivalent; the converse does not hold (use Equivalent
-// for the semantic comparison).
+// conjunctions are equivalent; the converse does not hold (mutual entailment
+// is the semantic comparison).
 func (j Conjunction) EqualCanonical(k Conjunction) bool {
 	cj, ck := j.Canon(), k.Canon()
 	return equalAtoms(cj.cs, ck.cs)

@@ -196,19 +196,6 @@ func (j Conjunction) Holds(assign map[string]rational.Rat) (bool, error) {
 	return true, nil
 }
 
-// Substitute returns j with variable v replaced by repl in every constraint.
-func (j Conjunction) Substitute(v string, repl Expr) Conjunction {
-	out := make([]Constraint, 0, len(j.cs))
-	for _, c := range j.cs {
-		nc := c.Substitute(v, repl)
-		if triv, val := nc.IsTrivial(); triv && val {
-			continue
-		}
-		out = append(out, nc)
-	}
-	return Conjunction{cs: out}
-}
-
 // RenameAll returns j under the simultaneous renaming m (Expr.RenameAll).
 // When m names no variable of j the result is j itself, memos attached —
 // renaming a relational attribute costs a constraint part nothing.
@@ -267,39 +254,13 @@ func (j Conjunction) EntailsWith(c Constraint, sat SatFunc) bool {
 	return true
 }
 
-// EntailsAll reports whether j entails every constraint of k.
-func (j Conjunction) EntailsAll(k Conjunction) bool {
-	for _, c := range k.cs {
-		if !j.Entails(c) {
-			return false
-		}
-	}
-	return true
-}
-
-// Equivalent reports whether j and k denote the same set of assignments.
-// Both must be satisfiable or both unsatisfiable; satisfiable conjunctions
-// are compared by mutual entailment.
-func (j Conjunction) Equivalent(k Conjunction) bool {
-	js, ks := j.IsSatisfiable(), k.IsSatisfiable()
-	if !js || !ks {
-		return js == ks
-	}
-	return j.EntailsAll(k) && k.EntailsAll(j)
-}
-
-// Simplify returns an equivalent conjunction with exact duplicates and
-// redundant constraints removed. A constraint is redundant if the remaining
-// constraints entail it. Unsatisfiable conjunctions simplify to False(), so
-// a caller that needs both the decision and the simplified form asks once
-// and tests the result with IsFalse.
-func (j Conjunction) Simplify() Conjunction {
-	return j.SimplifyWith(nil)
-}
-
-// SimplifyWith is Simplify with every satisfiability decision (the initial
-// check and the entailment sub-queries of the redundancy pass) routed
-// through sat (nil = raw Fourier-Motzkin). A conjunction the planar rule
+// SimplifyWith returns an equivalent conjunction with exact duplicates and
+// redundant constraints removed — a constraint is redundant if the remaining
+// ones entail it — or False() when j is unsatisfiable, so a caller that needs
+// both the decision and the simplified form asks once and tests the result
+// with IsFalse. Every satisfiability decision (the initial check and the
+// entailment sub-queries of the redundancy pass) is routed through sat
+// (nil = raw Fourier-Motzkin). A conjunction the planar rule
 // has already left irredundant (SimplifyPlanar, the difference staircase's
 // emission) and a non-empty box (IsBox), which is satisfiable and has no
 // redundant bound, are returned as they are; a conjunction of inequalities
@@ -349,7 +310,7 @@ func (j Conjunction) SimplifyWith(sat SatFunc) Conjunction {
 
 // Key returns a canonical string for the *syntactic* form of j (sorted
 // canonical constraint keys). Equal keys imply equivalent conjunctions; the
-// converse does not hold (use Equivalent for semantic comparison).
+// converse does not hold (mutual entailment is the semantic comparison).
 func (j Conjunction) Key() string {
 	keys := make([]string, len(j.cs))
 	for i, c := range j.cs {

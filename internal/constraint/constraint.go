@@ -150,11 +150,6 @@ func (c Constraint) Substitute(v string, repl Expr) Constraint {
 	return Constraint{Expr: c.Expr.Substitute(v, repl), Op: c.Op}
 }
 
-// Rename returns c with variable old renamed to new.
-func (c Constraint) Rename(old, new string) Constraint {
-	return Constraint{Expr: c.Expr.Rename(old, new), Op: c.Op}
-}
-
 // RenameAll returns c under the simultaneous renaming m (Expr.RenameAll).
 func (c Constraint) RenameAll(m map[string]string) Constraint {
 	return Constraint{Expr: c.Expr.RenameAll(m), Op: c.Op}

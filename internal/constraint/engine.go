@@ -225,19 +225,6 @@ func (c *SatCache) store(q satEntry) {
 	s.mu.Unlock()
 }
 
-// Func adapts the cache to a SatFunc for the *With decision procedures
-// (EntailsWith, SimplifyWith). A nil receiver yields a nil SatFunc, i.e.
-// raw Fourier-Motzkin.
-func (c *SatCache) Func() SatFunc {
-	if c == nil {
-		return nil
-	}
-	return func(j Conjunction) bool {
-		sat, _ := c.Satisfiable(j)
-		return sat
-	}
-}
-
 // CacheStats is a point-in-time snapshot of a SatCache's counters.
 type CacheStats struct {
 	Hits       int64

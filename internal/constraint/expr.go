@@ -168,9 +168,6 @@ func (e Expr) Vars() []string {
 	return out
 }
 
-// NumVars returns the number of distinct variables in e.
-func (e Expr) NumVars() int { return len(e.terms) }
-
 // Eval evaluates e under the given assignment. Missing variables evaluate
 // as an error.
 func (e Expr) Eval(assign map[string]rational.Rat) (rational.Rat, error) {
@@ -199,12 +196,6 @@ func (e Expr) Substitute(v string, repl Expr) Expr {
 		}
 	}
 	return Expr{terms: rest, c: e.c}.Add(repl.Scale(c))
-}
-
-// Rename returns e with variable old renamed to new: the one-pair case of
-// RenameAll.
-func (e Expr) Rename(old, new string) Expr {
-	return e.RenameAll(map[string]string{old: new})
 }
 
 // RenameAll returns e with every variable that m names replaced by its

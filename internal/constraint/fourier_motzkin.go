@@ -285,23 +285,6 @@ func (iv Interval) IsEmpty() bool {
 	return c == 0 && (iv.LowerOpen || iv.UpperOpen)
 }
 
-// Contains reports whether x lies in the interval.
-func (iv Interval) Contains(x rational.Rat) bool {
-	if iv.HasLower {
-		c := x.Cmp(iv.Lower)
-		if c < 0 || (c == 0 && iv.LowerOpen) {
-			return false
-		}
-	}
-	if iv.HasUpper {
-		c := x.Cmp(iv.Upper)
-		if c > 0 || (c == 0 && iv.UpperOpen) {
-			return false
-		}
-	}
-	return true
-}
-
 // Intersects reports whether the two intervals share at least one
 // rational. Open endpoints are exact: [a, b] and [b, c] intersect (the
 // rationals are dense, the shared endpoint is a point of both), while

@@ -80,7 +80,7 @@ func TestSegmentRoundTrip(t *testing.T) {
 	} {
 		j := SegmentToConjunction(seg, "x", "y")
 		// Midpoint is on the segment; points off it are not.
-		mid := seg.Midpoint()
+		mid := seg.A.Add(seg.B).Scale(rational.Half)
 		ok, _ := j.Holds(map[string]rational.Rat{"x": mid.X, "y": mid.Y})
 		if !ok {
 			t.Errorf("%s: midpoint rejected", seg)

@@ -303,7 +303,7 @@ func UnionCtx(ec *exec.Context, r1, r2 *relation.Relation) (*relation.Relation, 
 	rec := ec.StartOp("union", len(all))
 	kept, err := exec.Map(ec, len(all), func(i int, out []relation.Tuple) ([]relation.Tuple, error) {
 		t := all[i]
-		con := t.Constraint().SimplifyWith(rec.SatFunc())
+		con := t.Constraint().SimplifyWith(rec.Satisfiable)
 		if con.IsFalse() { // unsatisfiable: decided once, inside SimplifyWith
 			return out, nil
 		}

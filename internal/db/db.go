@@ -70,21 +70,6 @@ func (d *Database) Get(name string) (*relation.Relation, bool) {
 	return r, ok
 }
 
-// Drop removes the named relation; it reports whether it existed.
-func (d *Database) Drop(name string) bool {
-	if _, ok := d.rels[name]; !ok {
-		return false
-	}
-	delete(d.rels, name)
-	for i, n := range d.order {
-		if n == name {
-			d.order = append(d.order[:i], d.order[i+1:]...)
-			break
-		}
-	}
-	return true
-}
-
 // Names returns the relation names in insertion order.
 func (d *Database) Names() []string {
 	return append([]string{}, d.order...)

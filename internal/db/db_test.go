@@ -136,7 +136,7 @@ func TestLoadErrors(t *testing.T) {
 	}
 }
 
-func TestPutDropGet(t *testing.T) {
+func TestPutGet(t *testing.T) {
 	d := New()
 	if err := d.Put("", nil); err == nil {
 		t.Error("empty name accepted")
@@ -148,11 +148,11 @@ func TestPutDropGet(t *testing.T) {
 	if _, ok := d.Get("X"); !ok {
 		t.Error("Get failed")
 	}
-	if !d.Drop("X") || d.Drop("X") {
-		t.Error("Drop semantics wrong")
+	if _, ok := d.Get("Y"); ok {
+		t.Error("Get found a relation never put")
 	}
-	if len(d.Names()) != 0 {
-		t.Errorf("names after drop = %v", d.Names())
+	if names := d.Names(); len(names) != 1 || names[0] != "X" {
+		t.Errorf("names = %v, want [X]", names)
 	}
 }
 

@@ -208,10 +208,14 @@ func (c *Context) Err() error {
 // Nil — meaning raw Fourier-Motzkin — on the nil Context or when no
 // SatCache is configured.
 func (c *Context) SatFunc() constraint.SatFunc {
-	if c == nil {
+	if c == nil || c.SatCache == nil {
 		return nil
 	}
-	return c.SatCache.Func()
+	cache := c.SatCache
+	return func(j constraint.Conjunction) bool {
+		sat, _ := cache.Satisfiable(j)
+		return sat
+	}
 }
 
 // Map runs fn(i, out) for every i in [0, n) and returns every item's

@@ -160,17 +160,6 @@ func (r *OpRecorder) decided(sat, hit bool) {
 	}
 }
 
-// SatFunc adapts the recorder to a constraint.SatFunc so decision
-// procedures threaded through the constraint package (SimplifyWith,
-// EntailsWith) both consult the memoized engine and show up in the
-// operator's statistics. The nil recorder yields nil (raw Fourier-Motzkin).
-func (r *OpRecorder) SatFunc() constraint.SatFunc {
-	if r == nil {
-		return nil
-	}
-	return r.Satisfiable
-}
-
 // Pairs records a binary operator's filter stage: total is the candidate
 // pair space the dense nested loop would enumerate, pruned the pairs the
 // filter rejected before any constraint work (partition bucket mismatch

@@ -95,8 +95,3 @@ func (s Segment) SqDistToSegment(o Segment) rational.Rat {
 	}
 	return min
 }
-
-// Midpoint returns the midpoint of the segment.
-func (s Segment) Midpoint() Point {
-	return s.A.Add(s.B).Scale(rational.Half)
-}

@@ -214,10 +214,10 @@ func TestTracerQueryIDStamping(t *testing.T) {
 	child := root.StartChild("join", "")
 	child.End()
 	root.End()
-	if got := root.Label("query_id"); got != "q9-deadbeef" {
+	if got := root.Labels()["query_id"]; got != "q9-deadbeef" {
 		t.Fatalf("root span query_id label = %q", got)
 	}
-	if got := child.Label("query_id"); got != "" {
+	if got := child.Labels()["query_id"]; got != "" {
 		t.Fatalf("child span unexpectedly labelled: %q", got)
 	}
 

@@ -45,9 +45,6 @@ type Gauge struct{ v atomic.Int64 }
 // Set stores the gauge value.
 func (g *Gauge) Set(n int64) { g.v.Store(n) }
 
-// Add moves the gauge by n (may be negative).
-func (g *Gauge) Add(n int64) { g.v.Add(n) }
-
 // Value returns the current value.
 func (g *Gauge) Value() int64 { return g.v.Load() }
 
@@ -147,12 +144,6 @@ func (f *family) get(labelValue string, make func() any) any {
 func (r *Registry) NewCounter(name, help string) *Counter {
 	f := r.family(name, help, typeCounter, "", nil)
 	return f.get("", func() any { return &Counter{} }).(*Counter)
-}
-
-// NewGauge registers (or fetches) an unlabelled gauge.
-func (r *Registry) NewGauge(name, help string) *Gauge {
-	f := r.family(name, help, typeGauge, "", nil)
-	return f.get("", func() any { return &Gauge{} }).(*Gauge)
 }
 
 // NewCounterFunc registers a counter whose value is read from fn at

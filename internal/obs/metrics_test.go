@@ -15,9 +15,9 @@ func TestCounterGaugeHistogram(t *testing.T) {
 	if c.Value() != 5 {
 		t.Errorf("counter = %d, want 5", c.Value())
 	}
-	g := r.NewGauge("cdb_level", "Level.")
+	g := r.GaugeVec("cdb_level", "Level.", "k").With("a")
 	g.Set(10)
-	g.Add(-3)
+	g.Set(7)
 	if g.Value() != 7 {
 		t.Errorf("gauge = %d, want 7", g.Value())
 	}
@@ -45,7 +45,7 @@ func TestRegistrationIdempotentAndConflicts(t *testing.T) {
 			t.Error("re-registering a counter as a gauge must panic")
 		}
 	}()
-	r.NewGauge("cdb_x_total", "X.")
+	r.NewGaugeFunc("cdb_x_total", "X.", func() int64 { return 0 })
 }
 
 func TestVecFamilies(t *testing.T) {
@@ -99,7 +99,7 @@ func buildMetricsFixture() *Registry {
 	r.NewCounterFunc("cdb_fm_decisions_total",
 		"Raw Fourier-Motzkin satisfiability decisions (process-wide).",
 		func() int64 { return 1234 })
-	r.NewGauge("cdb_satcache_entries", "Live sat-cache entries.").Set(256)
+	r.NewGaugeFunc("cdb_satcache_entries", "Live sat-cache entries.", func() int64 { return 256 })
 	sat := r.CounterVec("cdb_op_sat_checks_total", "Satisfiability decisions per operator.", "op")
 	sat.With("select").Add(42)
 	sat.With("join").Add(900)

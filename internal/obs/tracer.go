@@ -135,19 +135,6 @@ func (s *Span) StartChild(name, detail string) *Span {
 	return c
 }
 
-// Add increments the named counter by n.
-func (s *Span) Add(key string, n int64) {
-	if s == nil {
-		return
-	}
-	s.mu.Lock()
-	if s.counters == nil {
-		s.counters = make(map[string]int64, 8)
-	}
-	s.counters[key] += n
-	s.mu.Unlock()
-}
-
 // Set stores the named counter's value.
 func (s *Span) Set(key string, n int64) {
 	if s == nil {
@@ -175,16 +162,6 @@ func (s *Span) SetLabel(key, value string) {
 	}
 	s.labels[key] = value
 	s.mu.Unlock()
-}
-
-// Label returns the named label's value ("" when absent).
-func (s *Span) Label(key string) string {
-	if s == nil {
-		return ""
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.labels[key]
 }
 
 // Labels returns a copy of the span's labels (nil when there are none).
@@ -303,27 +280,11 @@ func (s *Span) Wall() time.Duration {
 	return s.end.Sub(s.start)
 }
 
-// Walk visits s and every descendant depth-first in start order, passing
-// each span's depth (s itself is depth 0). Nil-safe.
-func Walk(s *Span, visit func(sp *Span, depth int)) {
-	walk(s, 0, visit)
-}
-
-func walk(s *Span, depth int, visit func(*Span, int)) {
-	if s == nil {
-		return
-	}
-	visit(s, depth)
-	for _, c := range s.Children() {
-		walk(c, depth+1, visit)
-	}
-}
-
 // SumCounter totals the named counter over the forest rooted at spans.
 func SumCounter(spans []*Span, key string) int64 {
 	var total int64
-	for _, root := range spans {
-		Walk(root, func(sp *Span, _ int) { total += sp.Counter(key) })
+	for _, sp := range spans {
+		total += sp.Counter(key) + SumCounter(sp.Children(), key)
 	}
 	return total
 }

@@ -3,6 +3,7 @@ package obs
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"log/slog"
 	"os"
 	"path/filepath"
@@ -30,8 +31,8 @@ func TestSpanHierarchyAndCounters(t *testing.T) {
 	tr := NewTracer()
 	root := tr.StartSpan("query", "R = ...")
 	child := root.StartChild("join", "")
-	child.Add("sat", 3)
-	child.Add("sat", 2)
+	child.Set("sat", 3)
+	child.Set("sat", 5)
 	child.Set("out", 7)
 	grand := child.StartChild("fanout", "")
 	grand.Set("items", 25)
@@ -44,7 +45,7 @@ func TestSpanHierarchyAndCounters(t *testing.T) {
 		t.Fatalf("roots = %v, want [root]", roots)
 	}
 	if got := child.Counter("sat"); got != 5 {
-		t.Errorf("sat counter = %d, want 5 (Add accumulates)", got)
+		t.Errorf("sat counter = %d, want 5 (Set overwrites)", got)
 	}
 	if got := child.Counter("out"); got != 7 {
 		t.Errorf("out counter = %d, want 7", got)
@@ -52,12 +53,8 @@ func TestSpanHierarchyAndCounters(t *testing.T) {
 	if got := child.Counter("absent"); got != 0 {
 		t.Errorf("absent counter = %d, want 0", got)
 	}
-	var names []string
-	Walk(root, func(sp *Span, depth int) {
-		names = append(names, strings.Repeat(">", depth)+sp.Name)
-	})
-	if got := strings.Join(names, " "); got != "query >join >>fanout" {
-		t.Errorf("walk order = %q", got)
+	if c := root.Children(); len(c) != 1 || c[0] != child || len(child.Children()) != 1 || child.Children()[0] != grand {
+		t.Errorf("tree = %v under root, want join > fanout", c)
 	}
 	if got := SumCounter(roots, "sat"); got != 5 {
 		t.Errorf("SumCounter(sat) = %d, want 5", got)
@@ -99,7 +96,6 @@ func TestNilSafety(t *testing.T) {
 	if child != nil {
 		t.Fatal("nil span must hand out nil children")
 	}
-	sp.Add("sat", 1)
 	sp.Set("out", 1)
 	sp.End()
 	if sp.Counter("sat") != 0 || sp.Counters() != nil || sp.CounterKeys() != nil ||
@@ -110,7 +106,6 @@ func TestNilSafety(t *testing.T) {
 		t.Error("nil tracer Roots must be nil")
 	}
 	tr.Reset()
-	Walk(nil, func(*Span, int) { t.Error("Walk(nil) must not visit") })
 	if SumCounter(nil, "sat") != 0 {
 		t.Error("SumCounter(nil) must be 0")
 	}
@@ -124,15 +119,20 @@ func TestSpanCountersConcurrent(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			for i := 0; i < 500; i++ {
-				sp.Add("sat", 1)
+			for i := int64(1); i <= 500; i++ {
+				sp.Set(fmt.Sprintf("w%d", w), i)
 			}
 		}()
 	}
 	wg.Wait()
 	sp.End()
-	if got := sp.Counter("sat"); got != 4000 {
-		t.Errorf("lost counter updates: %d, want 4000", got)
+	if keys := sp.CounterKeys(); len(keys) != 8 {
+		t.Fatalf("counter keys %v, want 8", keys)
+	}
+	for w := 0; w < 8; w++ {
+		if got := sp.Counter(fmt.Sprintf("w%d", w)); got != 500 {
+			t.Errorf("w%d = %d, want 500 (an update was lost)", w, got)
+		}
 	}
 }
 
@@ -310,11 +310,11 @@ func TestSpanLabels(t *testing.T) {
 	rec.End()
 	join.End()
 
-	if got := rec.Label("strategy"); got != "vector" {
-		t.Errorf("Label(strategy) = %q, want vector", got)
+	if got := rec.Labels()["strategy"]; got != "vector" {
+		t.Errorf("Labels()[strategy] = %q, want vector", got)
 	}
-	if got := rec.Label("absent"); got != "" {
-		t.Errorf("Label(absent) = %q, want empty", got)
+	if got := rec.Labels()["absent"]; got != "" {
+		t.Errorf("Labels()[absent] = %q, want empty", got)
 	}
 	if ls := join.Labels(); ls != nil {
 		t.Errorf("plan node has no own labels, got %v", ls)
@@ -351,7 +351,7 @@ func TestSpanLabels(t *testing.T) {
 
 	var nilSpan *Span
 	nilSpan.SetLabel("k", "v")
-	if nilSpan.Label("k") != "" || nilSpan.Labels() != nil {
+	if nilSpan.Labels() != nil {
 		t.Error("nil span label methods not nil-safe")
 	}
 }

@@ -77,11 +77,6 @@ func (prog *Program) run(env cqa.Env, optimize bool, ec *exec.Context) (*relatio
 	return last, nil
 }
 
-// Eval evaluates a single expression against the environment.
-func (e *Expr) Eval(env cqa.Env) (*relation.Relation, error) {
-	return evalExpr(e, env, false, nil)
-}
-
 func evalExpr(e *Expr, env cqa.Env, optimize bool, ec *exec.Context) (*relation.Relation, error) {
 	switch e.Kind {
 	case ExprBufferJoin:

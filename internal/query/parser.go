@@ -568,34 +568,6 @@ func dedupStrings(in []string) []string {
 	return out
 }
 
-// BaseRelations returns the names of base relations the program reads
-// (targets of earlier statements excluded).
-func (prog *Program) BaseRelations() []string {
-	defined := map[string]bool{}
-	seen := map[string]bool{}
-	var out []string
-	var walk func(e *Expr)
-	walk = func(e *Expr) {
-		if e == nil {
-			return
-		}
-		if e.Kind == ExprScan {
-			if !defined[e.Name] && !seen[e.Name] {
-				seen[e.Name] = true
-				out = append(out, e.Name)
-			}
-			return
-		}
-		walk(e.Src)
-		walk(e.Src2)
-	}
-	for _, st := range prog.Stmts {
-		walk(st.Expr)
-		defined[st.Target] = true
-	}
-	return out
-}
-
 // String reconstructs a canonical surface form of the expression.
 func (e *Expr) String() string {
 	switch e.Kind {

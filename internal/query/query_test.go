@@ -112,11 +112,6 @@ R1 = project R0 on name, t`)
 	if out.Schema().Has("landId") {
 		t.Error("projection failed")
 	}
-	// Base relation discovery.
-	bases := prog.BaseRelations()
-	if len(bases) != 1 || bases[0] != "Landownership" {
-		t.Errorf("bases = %v", bases)
-	}
 }
 
 func TestRunConditionVariants(t *testing.T) {

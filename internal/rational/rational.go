@@ -121,16 +121,6 @@ func MustParse(s string) Rat {
 	return r
 }
 
-// FromFloat returns the exact rational value of f.
-// It panics if f is NaN or infinite.
-func FromFloat(f float64) Rat {
-	b := new(big.Rat).SetFloat64(f)
-	if b == nil {
-		panic("rational: non-finite float")
-	}
-	return fromBig(b)
-}
-
 // big returns the receiver as a big.Rat. The result must not be mutated
 // when it aliases the receiver's internal value.
 func (r Rat) bigVal() *big.Rat {
@@ -184,14 +174,6 @@ func (r Rat) Denom() *big.Int {
 		return new(big.Int).Set(r.b.Denom())
 	}
 	return big.NewInt(r.normDen())
-}
-
-// IsInt reports whether r is an integer.
-func (r Rat) IsInt() bool {
-	if r.b != nil {
-		return r.b.IsInt()
-	}
-	return r.normDen() == 1
 }
 
 // Int64 returns the value of r as an int64, and whether the conversion is

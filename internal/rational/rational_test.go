@@ -224,14 +224,8 @@ func TestIntConversions(t *testing.T) {
 	if _, ok := New(1, 2).Int64(); ok {
 		t.Error("Int64(1/2) reported exact")
 	}
-	if !FromInt(5).IsInt() || New(1, 2).IsInt() {
-		t.Error("IsInt wrong")
-	}
 	if f := New(1, 2).Float64(); f != 0.5 {
 		t.Errorf("Float64(1/2) = %g", f)
-	}
-	if !FromFloat(0.25).Equal(New(1, 4)) {
-		t.Errorf("FromFloat(0.25) = %s", FromFloat(0.25))
 	}
 }
 

@@ -103,17 +103,3 @@ func (p *Partition) group(ts []Tuple, add bool) [][]int {
 // Buckets returns the buckets by number (order of first appearance). The
 // result must not be mutated.
 func (p *Partition) Buckets() [][]int { return p.buckets }
-
-// Lookup returns the indexes of the indexed tuples whose identity over
-// the partition's attributes matches t's, in input order. The result
-// must not be mutated.
-func (p *Partition) Lookup(t Tuple) []int {
-	var buf [64]byte
-	if b, ok := p.index[string(t.appendPartitionKey(buf[:0], p.attrs))]; ok {
-		return p.buckets[b]
-	}
-	return nil
-}
-
-// Len returns the number of buckets.
-func (p *Partition) Len() int { return len(p.index) }

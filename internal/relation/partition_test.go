@@ -3,6 +3,7 @@ package relation
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"cdb/internal/constraint"
@@ -56,12 +57,24 @@ func TestPartitionKeyNoAliasing(t *testing.T) {
 	}
 }
 
-// TestPartitionLookupMatchesScan: Lookup returns exactly the indexes a
-// SameRelationalPart scan finds, in input order.
+// TestPartitionLookupMatchesScan: the bucket a tuple is looked up in is
+// exactly the indexes a SameRelationalPart scan finds, in input order, and
+// the buckets hold every tuple once.
 func TestPartitionLookupMatchesScan(t *testing.T) {
 	rng := rand.New(rand.NewSource(43))
 	ts := randRelTuples(rng, 60)
 	p := NewPartition(ts, []string{"a", "b"})
+	bucketOf := make([]int, len(ts))
+	total := 0
+	for b, members := range p.Buckets() {
+		for _, i := range members {
+			bucketOf[i] = b
+		}
+		total += len(members)
+	}
+	if total != len(ts) {
+		t.Fatalf("buckets hold %d indexes, want %d", total, len(ts))
+	}
 	for i, probe := range ts {
 		var want []int
 		for j := range ts {
@@ -69,39 +82,24 @@ func TestPartitionLookupMatchesScan(t *testing.T) {
 				want = append(want, j)
 			}
 		}
-		got := p.Lookup(probe)
-		if len(got) != len(want) {
-			t.Fatalf("tuple %d: Lookup returned %v, scan found %v", i, got, want)
+		if got := p.Buckets()[bucketOf[i]]; !slices.Equal(got, want) {
+			t.Fatalf("tuple %d: its bucket is %v, scan found %v", i, got, want)
 		}
-		for k := range got {
-			if got[k] != want[k] {
-				t.Fatalf("tuple %d: Lookup returned %v, scan found %v", i, got, want)
-			}
-		}
-	}
-	// Bucket sizes cover all tuples exactly once.
-	total := 0
-	for _, members := range p.Buckets() {
-		total += len(members)
-	}
-	if total != len(ts) {
-		t.Fatalf("buckets hold %d indexes, want %d", total, len(ts))
 	}
 }
 
 // TestPartitionMatch: Match buckets a second slice by the partition's
 // identities — each index lands in the bucket a SameRelationalPart scan
 // of the indexed tuples names, in input order, and one matching no indexed
-// tuple lands nowhere. Matching and looking up existing buckets build no
-// key: Match allocates its result, a constant four slices whatever the
-// input size, and Lookup nothing.
+// tuple lands nowhere. Matching builds no key: Match allocates its result,
+// a constant four slices whatever the input size.
 func TestPartitionMatch(t *testing.T) {
 	rng := rand.New(rand.NewSource(47))
 	ts, probes := randRelTuples(rng, 40), randRelTuples(rng, 60)
 	p := NewPartition(ts, []string{"a", "b"})
 	got := p.Match(probes)
-	if len(got) != p.Len() || len(p.Buckets()) != p.Len() {
-		t.Fatalf("Match returned %d buckets, Buckets %d, partition has %d", len(got), len(p.Buckets()), p.Len())
+	if len(got) != len(p.Buckets()) {
+		t.Fatalf("Match returned %d buckets, the partition has %d", len(got), len(p.Buckets()))
 	}
 	seen := 0
 	for b, members := range got {
@@ -115,7 +113,7 @@ func TestPartitionMatch(t *testing.T) {
 	}
 	want := 0
 	for _, pr := range probes {
-		if len(p.Lookup(pr)) > 0 {
+		if slices.ContainsFunc(ts, pr.SameRelationalPart) {
 			want++
 		}
 	}
@@ -124,9 +122,6 @@ func TestPartitionMatch(t *testing.T) {
 	}
 	if n := testing.AllocsPerRun(5, func() { p.Match(probes) }); n > 4 {
 		t.Errorf("Match allocated %v times, want at most 4", n)
-	}
-	if n := testing.AllocsPerRun(5, func() { p.Lookup(ts[0]) }); n != 0 {
-		t.Errorf("Lookup of an existing bucket allocated %v times", n)
 	}
 }
 

@@ -97,29 +97,6 @@ func (v Value) Identical(o Value) bool {
 	}
 }
 
-// Compare orders values for deterministic output: NULL < strings < rationals;
-// strings lexicographic, rationals numeric.
-func (v Value) Compare(o Value) int {
-	if v.kind != o.kind {
-		return int(v.kind) - int(o.kind)
-	}
-	switch v.kind {
-	case KindNull:
-		return 0
-	case KindString:
-		switch {
-		case v.s < o.s:
-			return -1
-		case v.s > o.s:
-			return 1
-		default:
-			return 0
-		}
-	default:
-		return v.r.Cmp(o.r)
-	}
-}
-
 // String renders the value; strings are quoted, NULL renders as "null".
 func (v Value) String() string {
 	var buf [48]byte

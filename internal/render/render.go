@@ -14,7 +14,6 @@ package render
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 
 	"cdb/internal/geometry"
@@ -219,14 +218,4 @@ func maxF(a, b float64) float64 {
 		return a
 	}
 	return b
-}
-
-// SortedIDs is a small helper for deterministic legends in callers.
-func SortedIDs(l *spatial.Layer) []string {
-	var ids []string
-	for _, f := range l.Features() {
-		ids = append(ids, f.ID)
-	}
-	sort.Strings(ids)
-	return ids
 }

@@ -94,10 +94,3 @@ func TestEscape(t *testing.T) {
 		t.Errorf("escape wrong:\n%s", svg)
 	}
 }
-
-func TestSortedIDs(t *testing.T) {
-	ids := SortedIDs(demoLayer())
-	if len(ids) != 3 || ids[0] != "park" || ids[2] != "well" {
-		t.Errorf("ids = %v", ids)
-	}
-}

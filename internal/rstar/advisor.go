@@ -74,9 +74,6 @@ func NewPartitionedIndex(dim int, blocks [][]int, pageSize int, opts Options) (*
 // Dim returns the total number of indexed attributes.
 func (p *PartitionedIndex) Dim() int { return p.dim }
 
-// Blocks returns the attribute partition. The result must not be mutated.
-func (p *PartitionedIndex) Blocks() [][]int { return p.blocks }
-
 // projectRect restricts a rect to the block's dimensions.
 func projectRect(r Rect, block []int) Rect {
 	min := make([]float64, len(block))

@@ -177,3 +177,6 @@ func TestAdviseValidation(t *testing.T) {
 		t.Error("dim 0 accepted")
 	}
 }
+
+// Blocks returns the attribute partition. The result must not be mutated.
+func (p *PartitionedIndex) Blocks() [][]int { return p.blocks }

@@ -105,16 +105,6 @@ func (r Rect) Intersects(o Rect) bool {
 	return true
 }
 
-// Contains reports whether r fully contains o.
-func (r Rect) Contains(o Rect) bool {
-	for i := range r.Min {
-		if o.Min[i] < r.Min[i] || o.Max[i] > r.Max[i] {
-			return false
-		}
-	}
-	return true
-}
-
 // OverlapArea returns the volume of the intersection (0 when disjoint).
 func (r Rect) OverlapArea(o Rect) float64 {
 	a := 1.0

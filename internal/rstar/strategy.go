@@ -57,10 +57,7 @@ func NewJointIndex(dim int, pageSize int, opts Options) (*JointIndex, error) {
 }
 
 // Dim returns the indexed dimension count.
-func (j *JointIndex) Dim() int { return j.tree.Dim() }
-
-// Tree exposes the underlying R*-tree (for structural assertions).
-func (j *JointIndex) Tree() *Tree { return j.tree }
+func (j *JointIndex) Dim() int { return j.tree.dim }
 
 // Add indexes one item.
 func (j *JointIndex) Add(r Rect, id int64) error { return j.tree.Insert(r, id) }

@@ -118,17 +118,8 @@ func (t *Tree) saveMeta() error {
 // MetaPage returns the metadata page id (pass to Open to reopen).
 func (t *Tree) MetaPage() storage.PageID { return t.meta }
 
-// Dim returns the tree's dimensionality.
-func (t *Tree) Dim() int { return t.dim }
-
 // Len returns the number of data entries.
 func (t *Tree) Len() int { return t.size }
-
-// Height returns the number of levels (1 for a single leaf).
-func (t *Tree) Height() int { return t.height }
-
-// MaxEntries returns the node capacity M.
-func (t *Tree) MaxEntries() int { return t.maxE }
 
 func (t *Tree) load(id storage.PageID) (*node, error) {
 	buf := make([]byte, t.pager.PageSize())
@@ -449,125 +440,6 @@ func (t *Tree) walk(id storage.PageID, query Rect, emit func(entry)) error {
 		if n.leaf {
 			emit(e)
 		} else if err := t.walk(e.child, query, emit); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// Delete removes one entry matching (rect, data) exactly. It returns false
-// when no such entry exists. Underfull nodes are condensed: their entries
-// are reinserted at the appropriate level, per the classic R-tree delete.
-func (t *Tree) Delete(r Rect, data int64) (bool, error) {
-	leafID, path, nodes, err := t.findLeaf(t.root, nil, nil, r, data, t.height-1)
-	if err != nil || leafID == 0 {
-		return false, err
-	}
-	leaf := nodes[len(nodes)-1]
-	for i, e := range leaf.entries {
-		if e.data == data && rectEqual(e.rect, r) {
-			leaf.entries = append(leaf.entries[:i], leaf.entries[i+1:]...)
-			break
-		}
-	}
-	if err := t.condense(path, nodes); err != nil {
-		return false, err
-	}
-	t.size--
-	// Shrink the root when it is internal with a single child.
-	for {
-		root, err := t.load(t.root)
-		if err != nil {
-			return false, err
-		}
-		if root.leaf || len(root.entries) != 1 {
-			break
-		}
-		old := t.root
-		t.root = root.entries[0].child
-		t.height--
-		if err := t.pager.Free(old); err != nil {
-			return false, err
-		}
-	}
-	return true, t.saveMeta()
-}
-
-// findLeaf locates the leaf containing (r, data); returns a zero leaf id
-// when absent.
-func (t *Tree) findLeaf(id storage.PageID, path []storage.PageID, nodes []*node, r Rect, data int64, lvl int) (storage.PageID, []storage.PageID, []*node, error) {
-	n, err := t.load(id)
-	if err != nil {
-		return 0, nil, nil, err
-	}
-	path = append(path, id)
-	nodes = append(nodes, n)
-	if n.leaf {
-		for _, e := range n.entries {
-			if e.data == data && rectEqual(e.rect, r) {
-				return id, path, nodes, nil
-			}
-		}
-		return 0, nil, nil, nil
-	}
-	for _, e := range n.entries {
-		if e.rect.Contains(r) {
-			leafID, p2, n2, err := t.findLeaf(e.child, path, nodes, r, data, lvl-1)
-			if err != nil {
-				return 0, nil, nil, err
-			}
-			if leafID != 0 {
-				return leafID, p2, n2, nil
-			}
-		}
-	}
-	return 0, nil, nil, nil
-}
-
-func rectEqual(a, b Rect) bool {
-	for i := range a.Min {
-		if a.Min[i] != b.Min[i] || a.Max[i] != b.Max[i] {
-			return false
-		}
-	}
-	return true
-}
-
-// condense removes underfull nodes along the path bottom-up and reinserts
-// their orphaned entries at the right level.
-func (t *Tree) condense(path []storage.PageID, nodes []*node) error {
-	type orphan struct {
-		e   entry
-		lvl int
-	}
-	var orphans []orphan
-	for i := len(nodes) - 1; i >= 1; i-- {
-		n := nodes[i]
-		lvl := t.height - 1 - i
-		parent := nodes[i-1]
-		idx := indexOfChild(parent, n.id)
-		if len(n.entries) < t.minE {
-			for _, e := range n.entries {
-				orphans = append(orphans, orphan{e: e, lvl: lvl})
-			}
-			parent.entries = append(parent.entries[:idx], parent.entries[idx+1:]...)
-			if err := t.pager.Free(n.id); err != nil {
-				return err
-			}
-		} else {
-			if err := t.store(n); err != nil {
-				return err
-			}
-			if len(n.entries) > 0 && idx >= 0 {
-				parent.entries[idx].rect = n.mbr()
-			}
-		}
-	}
-	if err := t.store(nodes[0]); err != nil {
-		return err
-	}
-	for _, o := range orphans {
-		if err := t.insertEntry(o.e, o.lvl, map[int]bool{}); err != nil {
 			return err
 		}
 	}

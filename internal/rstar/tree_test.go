@@ -199,89 +199,6 @@ func TestNodeFillInvariant(t *testing.T) {
 	}
 }
 
-func TestDelete(t *testing.T) {
-	tree, _ := newTestTree(t, 2, 512, Options{})
-	ref := &brute{}
-	rng := rand.New(rand.NewSource(77))
-	var rects []Rect
-	for i := 0; i < 1200; i++ {
-		r := randRect(rng, 2, 500, 30)
-		rects = append(rects, r)
-		if err := tree.Insert(r, int64(i)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	// Delete the even ids.
-	for i := 0; i < 1200; i += 2 {
-		ok, err := tree.Delete(rects[i], int64(i))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !ok {
-			t.Fatalf("delete %d failed", i)
-		}
-	}
-	for i := 1; i < 1200; i += 2 {
-		ref.add(rects[i], int64(i))
-	}
-	if tree.Len() != 600 {
-		t.Errorf("len after deletes = %d", tree.Len())
-	}
-	// Deleting a missing entry returns false.
-	ok, err := tree.Delete(rects[0], 0)
-	if err != nil || ok {
-		t.Errorf("double delete: %v %v", ok, err)
-	}
-	for k := 0; k < 30; k++ {
-		q := randRect(rng, 2, 500, 100)
-		got, err := tree.Search(q)
-		if err != nil {
-			t.Fatal(err)
-		}
-		want := ref.search(q)
-		if len(got) != len(want) {
-			t.Fatalf("query %d: got %d, want %d", k, len(got), len(want))
-		}
-		for _, id := range got {
-			if !want[id] {
-				t.Fatalf("query %d: spurious id %d", k, id)
-			}
-		}
-	}
-}
-
-func TestDeleteToEmptyAndReuse(t *testing.T) {
-	tree, _ := newTestTree(t, 1, 256, Options{})
-	for i := 0; i < 300; i++ {
-		if err := tree.Insert(Rect1(float64(i), float64(i+1)), int64(i)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	for i := 0; i < 300; i++ {
-		if ok, err := tree.Delete(Rect1(float64(i), float64(i+1)), int64(i)); err != nil || !ok {
-			t.Fatalf("delete %d: %v %v", i, ok, err)
-		}
-	}
-	if tree.Len() != 0 {
-		t.Errorf("len = %d", tree.Len())
-	}
-	got, err := tree.Search(Rect1(-1e9, 1e9))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != 0 {
-		t.Errorf("empty tree returned %v", got)
-	}
-	// The tree must remain usable.
-	if err := tree.Insert(Rect1(5, 6), 999); err != nil {
-		t.Fatal(err)
-	}
-	got2, _ := tree.Search(Rect1(5.5, 5.5))
-	if len(got2) != 1 || got2[0] != 999 {
-		t.Errorf("reuse search = %v", got2)
-	}
-}
-
 func TestOpenPersistedTree(t *testing.T) {
 	pager := storage.NewMemPager(512)
 	tree, err := New(pager, 2, Options{})
@@ -388,4 +305,20 @@ func TestReinsertImprovesTree(t *testing.T) {
 		}
 	}
 	t.Logf("R* reads=%d, plain-split reads=%d over 100 queries", starReads, plainReads)
+}
+
+// Dim returns the tree's dimensionality.
+func (t *Tree) Dim() int { return t.dim }
+
+// Height returns the number of levels (1 for a single leaf).
+func (t *Tree) Height() int { return t.height }
+
+// Contains reports whether r fully contains o.
+func (r Rect) Contains(o Rect) bool {
+	for i := range r.Min {
+		if o.Min[i] < r.Min[i] || o.Max[i] > r.Max[i] {
+			return false
+		}
+	}
+	return true
 }

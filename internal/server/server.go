@@ -275,10 +275,6 @@ func New(dbs map[string]*db.Database, cfg Config) *Server {
 	return s
 }
 
-// Registry exposes the server's metrics registry (the one /metrics
-// serves), so an embedding process can add families of its own.
-func (s *Server) Registry() *obs.Registry { return s.reg }
-
 // Handler returns the server's root handler: the /v1 API, /healthz, and
 // the obs endpoints (/metrics, /debug/vars, /debug/pprof/...), all on
 // one mux.
@@ -416,9 +412,6 @@ func (s *Server) Shutdown(ctx context.Context) error {
 	s.smu.Unlock()
 	return err
 }
-
-// Draining reports whether Shutdown has begun.
-func (s *Server) Draining() bool { return s.draining.Load() }
 
 // --- session registry ---
 

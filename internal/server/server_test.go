@@ -451,7 +451,7 @@ func TestShutdownDrainsInflight(t *testing.T) {
 
 	shutdownDone := make(chan error, 1)
 	go func() { shutdownDone <- s.Shutdown(t.Context()) }()
-	waitUntil(t, s.Draining, "server did not start draining")
+	waitUntil(t, s.draining.Load, "server did not start draining")
 
 	// New work is rejected while the drain waits.
 	status, _, body := postJSON(t, ts.URL+"/v1/query", fmt.Sprintf(

@@ -682,9 +682,6 @@ func (s *Store) Close() error {
 	return perr
 }
 
-// Dir returns the store's root directory.
-func (s *Store) Dir() string { return s.dir }
-
 // acquirePage hands out a writable slot: the lowest free slot when one
 // exists (fresh=false), else a fresh allocation.
 func (s *Store) acquirePage() (storage.PageID, bool, error) {

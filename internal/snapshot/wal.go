@@ -287,10 +287,6 @@ func (w *wal) flush() error {
 	return nil
 }
 
-// discard drops a staged-but-unflushed batch (commit aborted before the
-// WAL was touched on disk).
-func (w *wal) discard() { w.batch.Reset() }
-
 // heal rolls the file back to the last fully flushed batch after a
 // failed or torn write, so the in-process store keeps a valid log. If
 // the rollback itself fails the wal is marked broken and every further

@@ -134,12 +134,3 @@ func SqDist(a, b Geometry) rational.Rat {
 		}
 	}
 }
-
-// WithinDist reports whether dist(a, b) <= d, decided exactly on squared
-// distances: SqDist(a,b) <= d².
-func WithinDist(a, b Geometry, d rational.Rat) bool {
-	if d.Sign() < 0 {
-		return false
-	}
-	return SqDist(a, b).LessEq(d.Mul(d))
-}

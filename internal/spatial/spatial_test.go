@@ -55,12 +55,6 @@ func TestSqDistMatrix(t *testing.T) {
 			t.Errorf("case %d (sym): %s", i, got)
 		}
 	}
-	if !WithinDist(p, ln, q("3")) || WithinDist(p, ln, q("5/2")) {
-		t.Error("WithinDist boundary wrong")
-	}
-	if WithinDist(p, ln, q("-1")) {
-		t.Error("negative distance accepted")
-	}
 }
 
 func TestBufferJoin(t *testing.T) {

@@ -155,13 +155,6 @@ func (m *MemPager) ResetStats() {
 	m.stats = Stats{}
 }
 
-// NumPages returns the number of live pages.
-func (m *MemPager) NumPages() int {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return len(m.pages)
-}
-
 // HighWater returns the highest page id ever allocated (0 when none).
 // Together with a caller-side reachability set this lets a layer above
 // (the snapshot store) reclaim pages that were allocated but never
@@ -171,6 +164,3 @@ func (m *MemPager) HighWater() PageID {
 	defer m.mu.Unlock()
 	return m.next - 1
 }
-
-// Sync is a no-op: memory has no durability boundary.
-func (m *MemPager) Sync() error { return nil }

@@ -283,3 +283,10 @@ func TestFilePagerStatsAndFreeList(t *testing.T) {
 		t.Error("short write accepted")
 	}
 }
+
+// NumPages returns the number of live pages.
+func (m *MemPager) NumPages() int {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	return len(m.pages)
+}

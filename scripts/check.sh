@@ -11,6 +11,42 @@ T=${TMPDIR:-/tmp} # where the smoke stages put binaries and logs
 echo '>> go vet ./...'
 go vet ./...
 
+# Reachability ledger: every non-test function under internal/ is linked by
+# a shipped binary or the facade, or scripts/reach.allow says why it stays.
+echo '>> reachability ledger'
+scripts/reach.sh
+
+# One decision seam: a query-time satisfiability decision goes through an
+# exec.OpRecorder or an exec.Context (sat-cache, counters), never straight
+# to the eliminator, in the packages that evaluate queries.
+echo '>> no raw IsSatisfiable() on the query path'
+if grep -nE '\.IsSatisfiable\(\)' internal/cqa/*.go internal/exec/*.go internal/server/*.go \
+    internal/db/*.go internal/calculus/*.go internal/query/*.go | grep -v '_test\.go:'; then
+    echo 'a query-path package decides without its recorder or context (see above)'
+    exit 1
+fi
+
+# Doc names that exist: every backticked Test*, Benchmark* or Fuzz* name in
+# the docs names a function of some _test.go file; a trailing * matches as
+# a prefix.
+echo '>> test names in the docs exist'
+defined=$(git ls-files --cached --others --exclude-standard '*_test.go' \
+    | xargs sed -n 's/^func \(\(Test\|Benchmark\|Fuzz\)[A-Za-z0-9_]*\)(.*/\1/p' | sort -u)
+missing=$(grep -ho '`[^`]*`' README.md DESIGN.md EXPERIMENTS.md \
+        $(git ls-files docs .claude/skills | grep '\.md$') \
+    | grep -oE '\b(Test|Benchmark|Fuzz)[A-Za-z0-9_]+\*?' | sort -u \
+    | while read -r n; do
+        case $n in
+        *\*) printf '%s\n' "$defined" | grep -q "^${n%\*}" || echo "$n" ;;
+        *) printf '%s\n' "$defined" | grep -qx "$n" || echo "$n" ;;
+        esac
+    done)
+if [ -n "$missing" ]; then
+    echo "$missing"
+    echo 'the docs name the tests above, and no _test.go file declares them'
+    exit 1
+fi
+
 # Every Go file of the checkout (tracked, or new and not ignored: the
 # benchmark's .bench_build stays out) is as gofmt writes it.
 echo '>> gofmt'
