@@ -47,6 +47,7 @@ fuzz:
 	$(GO) test ./internal/constraint -run '^$$' -fuzz '^FuzzFourierMotzkin$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/constraint -run '^$$' -fuzz '^FuzzSimplify$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/constraint -run '^$$' -fuzz '^FuzzBoxMerge$$' -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/constraint -run '^$$' -fuzz '^FuzzEnvelope$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/constraint -run '^$$' -fuzz '^FuzzStaircase$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/query -run '^$$' -fuzz '^FuzzQueryParse$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/calculus -run '^$$' -fuzz '^FuzzCalculusParse$$' -fuzztime $(FUZZTIME)

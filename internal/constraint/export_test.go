@@ -1,12 +1,20 @@
 package constraint
 
-import "cdb/internal/rational"
+import (
+	"math/rand"
+
+	"cdb/internal/rational"
+)
 
 // InsertCanon is insert, for the external property test (insert_test.go).
 func InsertCanon(j Conjunction, c Constraint) Conjunction { return j.insert(c) }
 
 // BoxOrder is boxOrder, for the external order test (box_test.go).
 func BoxOrder(a, b Constraint) int { return boxOrder(a, b) }
+
+// RandConj is randConj, for the external envelope property tests
+// (envelope_prop_test.go).
+func RandConj(rng *rand.Rand) Conjunction { return randConj(rng) }
 
 // Substitute returns j with variable v replaced by repl in every constraint.
 func (j Conjunction) Substitute(v string, repl Expr) Conjunction {

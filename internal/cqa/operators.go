@@ -67,6 +67,9 @@ func SelectCtx(ec *exec.Context, r *relation.Relation, cond Condition) (*relatio
 	}
 	rec := ec.StartOp("select", r.Len())
 	sel := splitCondition(cond, r.Schema())
+	if ec.PruneEnabled() && !sel.bound {
+		sel.vars = sel.con.Vars()
+	}
 	tuples := r.Tuples()
 	if len(sel.values) > 0 || len(sel.reads) > 0 {
 		var kept []relation.Tuple

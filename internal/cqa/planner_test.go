@@ -244,9 +244,11 @@ func selectCases(t *testing.T, r *relation.Relation) map[string]selectCase {
 
 // TestSelectEquivalence is the select leg of TestStrategyEquivalence:
 // every selectCases selection on the left relation of every pruneInputs row
-// prints the same bytes under forced dense (the cache and the eliminator
-// alone), forced vector and auto — auto also with each decider forced to
-// decline — sequentially and under the worker pool. Under auto with nothing
+// prints the same bytes as the unfiltered reference (forced dense and
+// NoPrune: no envelope compared, every survivor decided by the cache and
+// the eliminator) under forced dense, forced vector and auto — auto also
+// with each decider forced to decline — sequentially and under the worker
+// pool. Under auto with nothing
 // declined it also checks that one decider took each value-pass survivor:
 // the envelopes on the canonical box rows, clipping on the polygon rows.
 func TestSelectEquivalence(t *testing.T) {
@@ -260,25 +262,29 @@ func TestSelectEquivalence(t *testing.T) {
 				}
 			}
 			for _, par := range []int{1, 4} {
-				run := func(mode string) (string, exec.OpStats) {
-					ec := &exec.Context{Parallelism: par, SeqThreshold: 1, PlanMode: mode}
+				run := func(mode string, noPrune bool) (string, exec.OpStats) {
+					ec := &exec.Context{Parallelism: par, SeqThreshold: 1, PlanMode: mode, NoPrune: noPrune}
 					got, err := SelectCtx(ec, c.r, c.cond)
 					if err != nil {
 						t.Fatalf("%s %s par%d %s: %v", wName, cName, par, mode, err)
 					}
 					return dumpNormalised(got), sumStats(ec)
 				}
-				want, _ := run(exec.PlanDense)
-				if got, _ := run(exec.PlanVector); got != want {
-					t.Errorf("%s %s par%d: plan=vector output diverges from dense\ndense:\n%s\nvector:\n%s",
+				want, _ := run(exec.PlanDense, true)
+				if got, _ := run(exec.PlanDense, false); got != want {
+					t.Errorf("%s %s par%d: plan=dense output diverges from the unfiltered reference\nreference:\n%s\ndense:\n%s",
+						wName, cName, par, want, got)
+				}
+				if got, _ := run(exec.PlanVector, false); got != want {
+					t.Errorf("%s %s par%d: plan=vector output diverges from the unfiltered reference\nreference:\n%s\nvector:\n%s",
 						wName, cName, par, want, got)
 				}
 				for _, decl := range declineSettings {
 					for _, irrClear := range irrSettings {
 						withDecline(decl, irrClear, func() {
-							got, s := run(exec.PlanAuto)
+							got, s := run(exec.PlanAuto, false)
 							if got != want {
-								t.Errorf("%s %s par%d decline%+v irrClear=%v: auto output diverges from dense\ndense:\n%s\nauto:\n%s",
+								t.Errorf("%s %s par%d decline%+v irrClear=%v: auto output diverges from the unfiltered reference\nreference:\n%s\nauto:\n%s",
 									wName, cName, par, decl, irrClear, want, got)
 							}
 							if decl != (deciders{}) || irrClear || !c.oneDecider {

@@ -241,6 +241,10 @@ type selection struct {
 	// decide is false when no linear atom is a value atom or in ξ: string
 	// atoms alone ask nothing of the constraint part.
 	decide bool
+	// vars are ξ's variables when the filter stage runs (SelectCtx: ξ not
+	// bound, pruning on): a tuple that is not a box and whose envelope is
+	// Disjoint from ξ's on them is dropped before any decider.
+	vars []string
 }
 
 // splitCondition splits cond, valid over s, into its selection.
@@ -329,12 +333,18 @@ func (sel *selection) xi(t relation.Tuple) constraint.Conjunction {
 
 // refine decides one value-pass survivor: once as the pair (its constraint
 // part, ξ), then once per half of every != atom, and appends what is left
-// of it to out, canonical.
+// of it to out, canonical. A pair the envelopes reject (sel.vars) is
+// dropped undecided and counted pruned, as the binary operators' frame
+// drops one; a box goes on to the deciders, where BoxMerge reads it.
 func (sel *selection) refine(out []relation.Tuple, t relation.Tuple, dec deciders, rec *exec.OpRecorder) []relation.Tuple {
 	if sel.decide {
 		xi := sel.con
 		if sel.bound {
 			xi = sel.xi(t)
+		}
+		if c := t.Constraint(); len(sel.vars) > 0 && !c.IsBox() && c.Envelope().Disjoint(xi.Envelope(), sel.vars) {
+			rec.Pruned()
+			return out
 		}
 		con, sat := dec.decide(rec, t.Constraint(), xi)
 		if !sat {

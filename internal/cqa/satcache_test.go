@@ -12,6 +12,7 @@ import (
 	"cdb/internal/exec"
 	"cdb/internal/rational"
 	"cdb/internal/relation"
+	"cdb/internal/schema"
 )
 
 // boxInputs are two workload-derived box relations sharing the relational
@@ -180,40 +181,53 @@ func TestSatCacheWarmReuse(t *testing.T) {
 	}
 }
 
-// TestWarmJoinAllocs puts a ceiling on what a remembered pair may cost: the
-// paper's Query 3 joins (owners ⋈ parcels, then ⋈ the track) on a warm
-// session cache, counted per candidate pair the filter stage hands to
-// refine, in allocations and in bytes. A remembered pair allocates nothing —
-// not even its result tuple, which shares the owner side's binding map and
-// is appended by value; the rest is the filter stage, the fan-out's output
-// and the output relation, once per operator. A Merge or a Canon on a
-// remembered pair — some twenty allocations each — or a binding map per
-// result cannot come back under the allocation ceiling, and a result or an
-// error slot per candidate, or a candidate list grown by doubling, cannot
-// come back under the byte ceiling. The two-worker leg runs the same joins
-// on the pool (exec.New(2), default threshold: both joins have more
-// candidates than it): the pool claims blocks of candidates and each worker
-// appends into one slice for the whole fan-out, so its allocations stay at
-// the one-worker leg's plus a few per operator; storage grown or allocated
-// once per block cannot stay under its ceiling. The raw leg runs the same
-// joins on the same relations built without their canonical forms, as a
-// database filled by db.Put holds them: the filter canonicalises each input
-// once per operator, so the bytes are the canonical leg's and a Canon of
-// both sides on every pair lookup — two or more allocations a pair — breaks
-// the ceiling.
+// TestWarmJoinAllocs puts a ceiling on what a remembered pair may cost: two
+// joins on a warm session cache, counted per candidate pair the filter
+// stage hands to refine, in allocations and in bytes. A remembered pair
+// allocates nothing — not even its result tuple, which shares the owner
+// side's binding map and is appended by value; the rest is the filter
+// stage, the fan-out's output and the output relation, once per operator.
+// A Merge or a Canon on a remembered pair — some twenty allocations each —
+// or a binding map per result cannot come back under the allocation
+// ceiling, and a result or an error slot per candidate, or a candidate list
+// grown by doubling, cannot come back under the byte ceiling.
+//
+// The joins are the paper's Query 3's first (owners ⋈ parcels, 192
+// candidates on 8 × 8 parcels) and its result ⋈ a storm corridor: in each
+// of the track's eight time slices, the diagonal band |x − y| ≤ 1/2 across
+// the whole field, which no envelope narrows below the field — 640
+// candidates, 80 of them satisfiable, decided on the pair lookup as Query
+// 3's track join decided its 640 before the track's envelopes bounded x and
+// y (that join keeps 28 now, too few to spread the once-per-operator cost
+// over). The two-worker leg runs the same joins on the pool (exec.New(2),
+// default threshold: both joins have more candidates than it): the pool
+// claims blocks of candidates and each worker appends into one slice for
+// the whole fan-out, so its allocations stay at the one-worker leg's plus a
+// few per operator; storage grown or allocated once per block cannot stay
+// under its ceiling. The raw leg runs the same joins on the same relations
+// built without their canonical forms, as a database filled by db.Put holds
+// them: the filter canonicalises each input once per operator, so the bytes
+// are the canonical leg's and a Canon of both sides on every pair lookup —
+// two or more allocations a pair — breaks the ceiling.
+//
+// Query 3's own two joins, one worker, canonical, have an absolute ceiling
+// in bytes per run: what they allocated before the track's envelopes
+// bounded x and y (116 368 B), so a filter that keeps fewer candidates
+// cannot pay for them with a costlier frame or a dearer candidate.
 func TestWarmJoinAllocs(t *testing.T) {
 	land, owners, track := datagen.HurricaneRelations(8)
+	corridor := stormCorridor(8*6, 40, 8)
 	for _, tc := range []struct {
 		name    string
 		workers int
 		ceiling float64 // allocations per candidate pair
 		bytes   float64 // heap bytes per candidate pair; 0 = not checked
 	}{
-		{"canonical", 1, 1.0, 200},    // 0.19 and 140 B when set
-		{"two-workers", 2, 0.24, 200}, // 0.21 and 143 B when set; 0.24 and 279 B with a result and an error slot per candidate
+		{"canonical", 1, 1.0, 200},    // 0.19 and 157 B when set
+		{"two-workers", 2, 0.24, 200}, // 0.21 and 160 B when set
 		{"raw", 1, 2.0, 0},            // 1.16 when set
 	} {
-		in := [3]*relation.Relation{owners, land, track}
+		in := [3]*relation.Relation{owners, land, corridor}
 		if tc.name == "raw" {
 			for i, r := range in {
 				in[i] = nonCanonical(t, r)
@@ -222,16 +236,7 @@ func TestWarmJoinAllocs(t *testing.T) {
 		ec := exec.New(tc.workers)
 		ec.SatCache = constraint.NewSatCache(0)
 		var out *relation.Relation
-		query3Joins := func() {
-			r0, err := cqa.JoinCtx(ec, in[0], in[1])
-			if err != nil {
-				t.Fatal(err)
-			}
-			if out, err = cqa.JoinCtx(ec, r0, in[2]); err != nil {
-				t.Fatal(err)
-			}
-		}
-		query3Joins()
+		joins := warmJoins(t, ec, in, &out)
 		var cands int64
 		for _, s := range ec.Stats() {
 			cands += s.PairsTotal - s.PairsPruned
@@ -240,16 +245,12 @@ func TestWarmJoinAllocs(t *testing.T) {
 			}
 		}
 		ec.Reset()
-		run := func() {
-			query3Joins()
-			ec.Reset()
-		}
-		allocs := testing.AllocsPerRun(10, run)
-		bytes := bytesPerRun(10, run)
+		allocs := testing.AllocsPerRun(10, joins)
+		bytes := bytesPerRun(10, joins)
 		if tc.name == "raw" {
 			canon, err := cqa.JoinCtx(nil, owners, land)
 			if err == nil {
-				canon, err = cqa.JoinCtx(nil, canon, track)
+				canon, err = cqa.JoinCtx(nil, canon, corridor)
 			}
 			if err != nil {
 				t.Fatal(err)
@@ -262,14 +263,62 @@ func TestWarmJoinAllocs(t *testing.T) {
 		t.Logf("%s: %.0f allocations, %.0f B over %d candidate pairs = %.2f, %.0f B per pair",
 			tc.name, allocs, bytes, cands, perPair, bytesPerPair)
 		if perPair > tc.ceiling {
-			t.Errorf("warm Query 3 joins, %s: %.0f allocations over %d candidate pairs = %.2f per pair, ceiling %v",
+			t.Errorf("warm joins, %s: %.0f allocations over %d candidate pairs = %.2f per pair, ceiling %v",
 				tc.name, allocs, cands, perPair, tc.ceiling)
 		}
 		if tc.bytes > 0 && bytesPerPair > tc.bytes {
-			t.Errorf("warm Query 3 joins, %s: %.0f B over %d candidate pairs = %.0f B per pair, ceiling %v B",
+			t.Errorf("warm joins, %s: %.0f B over %d candidate pairs = %.0f B per pair, ceiling %v B",
 				tc.name, bytes, cands, bytesPerPair, tc.bytes)
 		}
 	}
+
+	ec := exec.New(1)
+	ec.SatCache = constraint.NewSatCache(0)
+	var out *relation.Relation
+	bytes := bytesPerRun(10, warmJoins(t, ec, [3]*relation.Relation{owners, land, track}, &out))
+	t.Logf("Query 3: %.0f B per run", bytes) // 113 680 when set
+	const ceiling = 116368
+	if bytes > ceiling {
+		t.Errorf("warm Query 3 joins: %.0f B per run, ceiling %d B", bytes, ceiling)
+	}
+}
+
+// warmJoins runs in[0] ⋈ in[1] ⋈ in[2] once on ec, leaving the result in
+// *out, and returns a run that repeats the two joins and resets ec's
+// statistics: after the first call every pair is a remembered one.
+func warmJoins(t *testing.T, ec *exec.Context, in [3]*relation.Relation, out **relation.Relation) func() {
+	t.Helper()
+	joins := func() {
+		r0, err := cqa.JoinCtx(ec, in[0], in[1])
+		if err != nil {
+			t.Fatal(err)
+		}
+		if *out, err = cqa.JoinCtx(ec, r0, in[2]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	joins()
+	return func() {
+		joins()
+		ec.Reset()
+	}
+}
+
+// stormCorridor is a track relation over (t, x, y) whose envelopes bound t
+// only to a slice and x to the field: in each of slices time slices of a
+// horizon, the band |x − y| ≤ 1/2 with 0 ≤ x ≤ field.
+func stormCorridor(field, horizon, slices int) *relation.Relation {
+	r := relation.New(schema.MustNew(schema.Con("t"), schema.Con("x"), schema.Con("y")))
+	ri := func(n int) rational.Rat { return rational.FromInt(int64(n)) }
+	xy, half := constraint.Var("x").Sub(constraint.Var("y")), rational.New(1, 2)
+	dt := horizon / slices
+	for k := 0; k < slices; k++ {
+		r.MustAdd(relation.ConstraintTuple(constraint.And(
+			constraint.MustNew(xy, "<=", constraint.Const(half)), constraint.MustNew(xy, ">=", constraint.Const(half.Neg())),
+			constraint.GeConst("x", ri(0)), constraint.LeConst("x", ri(field)),
+			constraint.GeConst("t", ri(k*dt)), constraint.LeConst("t", ri(k*dt+dt))).Canon()))
+	}
+	return r
 }
 
 // bytesPerRun is testing.AllocsPerRun for bytes: the heap bytes one call of

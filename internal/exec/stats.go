@@ -176,6 +176,16 @@ func (r *OpRecorder) Pairs(total, pruned int64) {
 	atomic.AddInt64(&r.s.PrunedUnsat, pruned)
 }
 
+// Pruned records one candidate a filter stage rejected outside a pair
+// space — a selected tuple whose envelope misses the condition's: it counts
+// in pruned, not in sat or pairs_pruned. Safe from pool workers.
+func (r *OpRecorder) Pruned() {
+	if r == nil {
+		return
+	}
+	atomic.AddInt64(&r.s.PrunedUnsat, 1)
+}
+
 // Pairing records the filter stage's decision for a binary operator: the
 // enumeration that ran (dense or sweep — auto already resolved) and the
 // estimator's upper bound on surviving pairs. Call it once,
