@@ -10,27 +10,29 @@ import (
 	"cdb/internal/schema"
 )
 
-// This file is the cardinality/selectivity side of the filter stage: it
-// condenses one binary-operator input pair into the numbers the cost
-// model (planner.go) decides with, built from the two filter mechanisms'
-// own data structures — relation.Partition buckets for the relational
-// part and the frame's envelope columns (pairing.go) for the constraint
-// part. Because the estimates count exactly the pairs the filter stage
-// can keep (bucket-matched ∧ per-column interval overlap), est is a
-// true upper bound on the surviving candidates: the est_pairs ≥ act_pairs
-// invariant EXPLAIN ANALYZE exposes and the property tests pin.
+// This file is the filter stage's working set: one binary-operator input
+// pair canonicalised, partitioned on its shared relational attributes
+// (relation.Partition buckets) and projected onto the frame of its shared
+// constraint attributes (pairing.go), built once per operator call and
+// read by the enumeration. Its one count, relPairs, is the bucket-matched
+// pair count: exact, what the enumeration rule (planner.go) sizes each
+// bucket by, and an upper bound on the candidates the frame keeps — the
+// est_pairs ≥ act_pairs invariant EXPLAIN ANALYZE exposes.
+//
+// The exact per-column overlap counts below are for the plan-time
+// estimatePairs alone: the join-chain reordering (optimize_cost.go) ranks
+// base-relation joins by them, once per plan. An operator call does not
+// pay for them — sorting each side once per column costs as much as the
+// enumeration they would plan.
 
 // pairStats is the filter stage's working set for one t1s × t2s pairing
-// problem: the canonical inputs, their bucket pairs and frame, built once
-// here and reused by the enumeration, and the estimator's summary of them.
+// problem, built once by analyzePairing and reused by the enumeration.
 type pairStats struct {
 	t1s, t2s []relation.Tuple // the inputs, constraint parts canonical
 	fr       frame            // the shared constraint attributes as columns, both sides projected
 	as, bs   [][]int          // bucket b pairs t1s[as[b]] with t2s[bs[b]]; one bucket with no shared relational attrs
-	relPairs int64            // pairs whose relational parts match
-	overlap  []int64          // per frame column: pairs whose intervals intersect
+	relPairs int64            // bucket-matched pairs: Σ |as[b]|·|bs[b]|, an upper bound on the candidates
 	sweepCol int              // the interval sweep's sort column (-1 = none bounded on both sides)
-	est      int64            // min(relPairs, min over overlap): upper bound on surviving candidates
 }
 
 // sharedAttrs splits the attributes two schemas have in common into the
@@ -52,7 +54,7 @@ func sharedAttrs(s1, s2 schema.Schema) (rel, con []string) {
 
 // analyzePairing canonicalises both sides' constraint parts, partitions
 // them on the shared relational attributes, projects their envelopes onto
-// the frame and counts what the filter can keep.
+// the frame, counts the bucket-matched pairs and picks the sweep column.
 func analyzePairing(t1s, t2s []relation.Tuple, sharedRel, sharedCon []string) pairStats {
 	s := pairStats{t1s: canonTuples(t1s), t2s: canonTuples(t2s)}
 	s.fr = newFrame(s.t1s, s.t2s, sharedCon)
@@ -62,12 +64,6 @@ func analyzePairing(t1s, t2s []relation.Tuple, sharedRel, sharedCon []string) pa
 		s.relPairs += int64(len(s.as[b])) * int64(len(s.bs[b]))
 	}
 	s.sweepCol = s.fr.sweepColumn()
-	s.est = s.relPairs
-	s.overlap = make([]int64, len(s.fr.cols))
-	for c := range s.overlap {
-		s.overlap[c] = s.fr.overlapCount(c)
-		s.est = min(s.est, s.overlap[c])
-	}
 	return s
 }
 
@@ -88,11 +84,18 @@ func canonTuples(ts []relation.Tuple) []relation.Tuple {
 	return ts
 }
 
-// estimatePairs is the estimator's bound on the candidates a join of two
-// whole relations refines — what the join-chain reordering ranks by.
+// estimatePairs bounds the candidates a join of two whole relations
+// refines — what the join-chain reordering ranks by: the bucket-matched
+// pairs, capped by each frame column's overlap count (a pair the frame
+// keeps overlaps in every column).
 func estimatePairs(r1, r2 *relation.Relation) int64 {
 	sharedRel, sharedCon := sharedAttrs(r1.Schema(), r2.Schema())
-	return analyzePairing(r1.Tuples(), r2.Tuples(), sharedRel, sharedCon).est
+	s := analyzePairing(r1.Tuples(), r2.Tuples(), sharedRel, sharedCon)
+	est := s.relPairs
+	for c := range s.fr.cols {
+		est = min(est, s.fr.overlapCount(c))
+	}
+	return est
 }
 
 // The overlap count is exact (not a histogram approximation) and still
@@ -105,7 +108,7 @@ func estimatePairs(r1, r2 *relation.Relation) int64 {
 // where before(A, B) counts pairs with x.Upper open-aware-strictly below
 // y.Lower. Each before() term sorts one side's endpoints once and binary-
 // searches per interval on the other side: O((n+m)·log(n+m)) rational
-// comparisons, versus O(n·m) for the filter it predicts.
+// comparisons, versus O(n·m) for the join it ranks.
 
 // endpointKey is a totally ordered encoding of an interval endpoint under
 // the exact open-endpoint semantics of Interval.Intersects: an open upper

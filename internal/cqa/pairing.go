@@ -32,12 +32,12 @@ import (
 //     a pair with an empty interval on either side or separated intervals
 //     in some column has an unsatisfiable merged conjunction — rejected
 //     in at most k interval comparisons, no eliminator run;
-//  3. switched enumeration: within a bucket the candidate pairs are
-//     enumerated by the dense nested loop or by the interval sweep (sort
-//     both sides on one column's intervals, plane-sweep the overlaps), as
-//     resolveStrategy (planner.go) decided. Under PlanAuto, buckets below
-//     sweepCrossover still run dense; a forced PlanMode disables that
-//     escape so equivalence tests exercise the enumeration they asked for.
+//  3. switched enumeration: each bucket's candidate pairs are enumerated
+//     by the dense nested loop or by the interval sweep (sort both sides
+//     on one column's intervals, plane-sweep the overlaps), as
+//     sweepBucket (planner.go) decides from the bucket's size; a forced
+//     dense or sweep PlanMode pins every bucket, so equivalence tests
+//     exercise the enumeration they asked for.
 //
 // The contract that keeps outputs byte-identical to the dense nested loop:
 // the surviving candidate set is exactly {bucket-matched pairs whose
@@ -55,8 +55,8 @@ type pairPlan struct {
 	t1s, t2s []relation.Tuple // the inputs, constraint parts canonical
 	cands    []int            // surviving pairs as flattened indexes i1*m + i2, ascending
 	total    int              // the dense candidate space |t1s|·|t2s|
-	enum     string           // how candidates were enumerated: exec.PlanDense or exec.PlanSweep
-	estPairs int64            // the estimator's upper bound on surviving candidates
+	enum     string           // exec.PlanSweep if some bucket was swept, else exec.PlanDense
+	estPairs int64            // the bucket-matched pairs: an upper bound on len(cands)
 }
 
 // pruned returns how many pairs the filter rejected.
@@ -171,10 +171,10 @@ func (p pairPlan) row(i, m int) []int {
 
 // frame is one binary operator's k shared constraint attributes as columns
 // 0…k−1, in lexicographic order, and each side's memoised envelopes
-// projected onto them once. Every envelope question the filter stage asks
-// afterwards — the pair check, the sweep's intervals, the sweep-column
-// choice, the overlap counts — reads a column instead of probing a map by
-// attribute name.
+// projected onto them once. Every envelope question asked afterwards —
+// the pair check, the sweep's intervals, the sweep-column choice, and the
+// plan-time overlap counts (estimatePairs) — reads a column instead of
+// probing a map by attribute name.
 type frame struct {
 	cols []string      // column c is attribute cols[c]
 	l, r side          // the left (t1s) and right (t2s) sides
@@ -276,37 +276,36 @@ func (s *side) count(c int, pred func(*constraint.Interval) bool) int64 {
 
 // pairCandidates runs the filter stage over t1s × t2s: canonicalise,
 // partition on the shared relational attributes and project the frame
-// (analyzePairing, estimate.go), resolve the strategy (planner.go), then
-// enumerate candidates per bucket (see the file comment).
+// (analyzePairing, estimate.go), then enumerate each bucket's candidates
+// as sweepBucket (planner.go) decides (see the file comment).
 func pairCandidates(ec *exec.Context, t1s, t2s []relation.Tuple, sharedRel, sharedCon []string) pairPlan {
 	m := len(t2s)
 	stats := analyzePairing(t1s, t2s, sharedRel, sharedCon)
 	mode := ec.Plan()
-	// est bounds the survivors from above (est_pairs ≥ act_pairs), so the
-	// candidate list is allocated once.
-	plan := pairPlan{t1s: stats.t1s, t2s: stats.t2s, total: len(t1s) * m, estPairs: stats.est,
-		enum: resolveStrategy(mode, stats), cands: make([]int, 0, stats.est)}
+	plan := pairPlan{t1s: stats.t1s, t2s: stats.t2s, total: len(t1s) * m, estPairs: stats.relPairs, enum: exec.PlanDense}
 	fr := &stats.fr
-	auto := mode == exec.PlanAuto
+	// With no frame column every bucket-matched pair is a candidate; else
+	// the frame keeps a share no count has read, and the list grows.
+	if len(fr.cols) == 0 {
+		plan.cands = make([]int, 0, stats.relPairs)
+	}
 	emit := func(i, j int) {
 		if !fr.disjoint(i, j) {
 			plan.cands = append(plan.cands, i*m+j)
 		}
 	}
-	runBucket := func(as, bs []int) {
-		if plan.enum == exec.PlanSweep && !(auto && len(as)*len(bs) < sweepCrossover) {
-			sweepPairs(fr, stats.sweepCol, as, bs, emit)
-			return
-		}
-		for _, i := range as {
-			for _, j := range bs {
-				emit(i, j)
-			}
-		}
-	}
 	for b, as := range stats.as {
-		if len(stats.bs[b]) > 0 {
-			runBucket(as, stats.bs[b])
+		switch bs := stats.bs[b]; {
+		case len(bs) == 0:
+		case sweepBucket(mode, stats.sweepCol, len(as), len(bs)):
+			plan.enum = exec.PlanSweep
+			sweepPairs(fr, stats.sweepCol, as, bs, emit)
+		default:
+			for _, i := range as {
+				for _, j := range bs {
+					emit(i, j)
+				}
+			}
 		}
 	}
 	// Buckets emit in bucket order; the refine fan-out must see the

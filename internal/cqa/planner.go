@@ -6,56 +6,51 @@ import (
 	"cdb/internal/exec"
 )
 
-// This file is the planner's entry point and the filter stage's cost
-// model. The logical phase (Optimize + the cost-driven rewrite in
-// optimize_cost.go) reshapes the algebra tree before it runs; *how* each
-// binary node's filter stage enumerates its candidate pairs is decided
-// once, at execution time, by resolveStrategy below — the only place the
-// actual input relations (base or intermediate) are in hand. How a
-// candidate pair is then decided is not a plan at all: the refine stage
-// picks per pair (pairing.go). docs/ARCHITECTURE.md "The filter stage"
-// describes both.
+// This file is the planner's entry point and the filter stage's
+// enumeration rule. The logical phase (Optimize + the cost-driven rewrite
+// in optimize_cost.go) reshapes the algebra tree before it runs; *how*
+// each bucket of a binary node's filter stage enumerates its candidate
+// pairs is decided at execution time, by sweepBucket below — the only
+// place the actual input relations (base or intermediate) are in hand.
+// How a candidate pair is then decided is not a plan at all: the refine
+// stage picks per pair (pairing.go). docs/ARCHITECTURE.md "The filter
+// stage" describes both.
 //
-// Cost model. Unit = one interval comparison; k = the frame's columns,
-// the shared constraint attributes (each enumerated pair pays the
-// k-column frame check, pairing.go, whichever enumeration ran):
+// The rule is one size test per bucket of n left and m right tuples: the
+// interval sweep runs iff
 //
-//	dense  = relPairs·k                    every bucket-matched pair checked
-//	sweep  = (n+m)·log₂(n+m) + estSweep·k  sort both sides, check overlaps in the sweep column
+//	n·m ≥ sweepC·(n+m)·log₂(n+m)
 //
-// Ties prefer the simpler enumeration (dense).
+// — sorting both sides then costs at most about 1/sweepC of the dense
+// loop's pair checks, which bounds what the sweep loses where it skips
+// nothing (every pair overlapping in the sweep column) to that sort and
+// the ordering of its candidates. The rule reads only sizes: no estimate
+// of how many pairs overlap, whose exact per-column counts cost as much
+// to compute as the dense loop itself.
 
-// sweepCrossover is the pair count (whole input, and per bucket under
-// auto) below which enumeration is always the dense loop: sorting two
-// tiny sides costs more than scanning them.
-const sweepCrossover = 64
+// sweepC is the enumeration rule's constant, chosen on
+// BenchmarkPairCandidates (its doc comment has the table): the benchmark
+// workloads' pairings — Query 3's track join, box-join's one-cluster
+// boxes, polygon-minus's convex and concave pairs — stay dense, where the
+// sweep has almost nothing to skip, and sparse boxes from 64 a side sweep.
+const sweepC = 3.5
 
-// resolveStrategy is the filter stage's single decision point: how
-// candidate pairs are enumerated, exec.PlanDense or exec.PlanSweep. A
-// forced dense or sweep mode pins it; forcing sweep with no sweepable
-// attribute degrades to dense — the degenerate sweep is the dense loop
-// anyway, and the stats then say so instead of flattering the forced mode.
-// Wherever the mode does not pin the enumeration (auto, and vector, which
-// forces a decider and not an enumeration), the cost model does.
-func resolveStrategy(mode string, s pairStats) string {
+// sweepBucket is the filter stage's single decision point: whether the
+// bucket pairing n left with m right tuples is enumerated by the interval
+// sweep (else the dense loop). A forced dense or sweep mode pins it; with
+// no sweepable column (sweepCol < 0) there is no sweep to run — the
+// degenerate sweep is the dense loop anyway. Wherever the mode does not
+// pin the enumeration (auto, and vector, which forces a decider and not
+// an enumeration), the size rule does.
+func sweepBucket(mode string, sweepCol, n, m int) bool {
 	switch {
-	case mode == exec.PlanDense || s.sweepCol < 0:
-		return exec.PlanDense
+	case mode == exec.PlanDense || sweepCol < 0:
+		return false
 	case mode == exec.PlanSweep:
-		return exec.PlanSweep
+		return true
 	}
-	n, m := len(s.t1s), len(s.t2s)
-	if int64(n)*int64(m) < sweepCrossover {
-		return exec.PlanDense
-	}
-	k := math.Max(1, float64(len(s.fr.cols)))
-	costDense := float64(s.relPairs) * k
-	estSweep := min(s.relPairs, s.overlap[s.sweepCol]) // overlaps in the sweep column, capped by the buckets
-	costSweep := float64(n+m)*math.Log2(float64(n+m)+1) + float64(estSweep)*k
-	if costSweep < costDense {
-		return exec.PlanSweep
-	}
-	return exec.PlanDense
+	size := float64(n + m)
+	return float64(n)*float64(m) >= sweepC*size*math.Log2(size)
 }
 
 // Plan is the planner the query front ends run when optimisation is on

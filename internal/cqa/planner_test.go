@@ -407,21 +407,23 @@ func TestEstimatorBounds(t *testing.T) {
 }
 
 // TestExplainPlanGolden pins the EXPLAIN ANALYZE surface of the planner:
-// the rendered span tree for a planned join shows the chosen strategy and
-// the est_pairs/act_pairs columns, byte-for-byte. The render excludes
-// wall times, the fixture is seeded and the context pins one worker (a
+// the rendered span trees for two planned joins show the chosen strategy
+// and the est_pairs/act_pairs columns, byte-for-byte — one over the
+// clustered fixture, which the enumeration rule runs dense, and one over
+// 128 sparse boxes a side, which it sweeps. The render excludes wall
+// times, the fixtures are seeded and the context pins one worker (a
 // fan-out span would depend on the host's core count), so the output is
 // deterministic. Regenerate with: go test ./internal/cqa -run TestExplainPlanGolden -update
 func TestExplainPlanGolden(t *testing.T) {
 	pair := pruneInputs(t)["canon-clustered"]
-	env := Env{"R1": pair[0], "R2": pair[1]}
-	node := NewProject(NewJoin(Scan("R1"), Scan("R2")), "id", "x", "y")
-
+	s1, s2 := sparseBoxes(128)
+	env := Env{"R1": pair[0], "R2": pair[1], "S1": s1, "S2": s2}
 	ec := &exec.Context{Parallelism: 1}
 	ec.Tracer = obs.NewTracer()
-	planned := Plan(node, env)
-	if _, err := planned.EvalCtx(env, ec); err != nil {
-		t.Fatal(err)
+	for _, node := range []Node{NewProject(NewJoin(Scan("R1"), Scan("R2")), "id", "x", "y"), NewJoin(Scan("S1"), Scan("S2"))} {
+		if _, err := Plan(node, env).EvalCtx(env, ec); err != nil {
+			t.Fatal(err)
+		}
 	}
 	got := obs.FormatTree(ec.Tracer.Roots(), obs.TreeOptions{})
 

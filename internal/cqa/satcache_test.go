@@ -189,8 +189,8 @@ func TestSatCacheWarmReuse(t *testing.T) {
 // stage, the fan-out's output and the output relation, once per operator.
 // A Merge or a Canon on a remembered pair — some twenty allocations each —
 // or a binding map per result cannot come back under the allocation
-// ceiling, and a result or an error slot per candidate, or a candidate list
-// grown by doubling, cannot come back under the byte ceiling.
+// ceiling, and a result slot per candidate (64 B) cannot come back under
+// the byte ceiling.
 //
 // The joins are the paper's Query 3's first (owners ⋈ parcels, 192
 // candidates on 8 × 8 parcels) and its result ⋈ a storm corridor: in each

@@ -187,8 +187,9 @@ func (r *OpRecorder) Pruned() {
 }
 
 // Pairing records the filter stage's decision for a binary operator: the
-// enumeration that ran (dense or sweep — auto already resolved) and the
-// estimator's upper bound on surviving pairs. Call it once,
+// enumeration that ran (sweep if some bucket swept, else dense — auto
+// already resolved) and the bucket-matched pair count, an upper bound on
+// the surviving pairs. Call it once,
 // before the refine fan-out starts — unlike the counters it is not
 // synchronised, mirroring how the strategy decision itself happens on
 // the plan-tree goroutine.

@@ -24,8 +24,8 @@ type OpStats struct {
 	CacheHits    int64         // sat decisions answered by the memoized engine
 	CacheMisses  int64         // sat decisions that ran the raw eliminator (cache enabled)
 	FMDecisions  int64         // sat decisions this operator routed to the raw Fourier-Motzkin eliminator: every cache miss, or every sat-check without a cache
-	EstPairs     int64         // binary operators: the planner's pre-execution estimate of surviving candidate pairs (upper bound; compare to ActPairs)
-	Strategy     string        // binary operators: how candidate pairs were enumerated (dense, sweep); empty for unary operators
+	EstPairs     int64         // binary operators: the bucket-matched pairs (shared relational attributes match) the filter's frame check reads; exact, an upper bound on ActPairs
+	Strategy     string        // binary operators: how candidate pairs were enumerated (sweep if some bucket swept, else dense); empty for unary operators
 	EnvHits      int64         // pair decisions answered on the envelopes: both sides non-empty boxes, merged by interval intersection (no clip, no FM, no Merge+Canon)
 	VectorHits   int64         // sat decisions answered by the vector fast path (exact polygon clipping, no FM)
 	VectorFalls  int64         // vector-path fallbacks: decisions on polygon forms the clipper could not take (mixed variable pairs, extra variable, strict-degenerate) and handed to FM
@@ -85,8 +85,8 @@ var opMetrics = func() (names [len(OpCounters)]string) {
 	return names
 }()
 
-// ActPairs is what the planner's EstPairs estimates: the candidate pairs
-// that survived the filter stage.
+// ActPairs is what EstPairs bounds: the candidate pairs that survived the
+// filter stage.
 func (s *OpStats) ActPairs() int64 { return s.PairsTotal - s.PairsPruned }
 
 // Annotate deposits the record on sp, the operator's EXPLAIN line: the

@@ -252,9 +252,9 @@ func TestQueryHistoryRingEviction(t *testing.T) {
 	}
 }
 
-// boxesDB builds a database whose self-join the planner over-estimates:
-// the single-attribute overlap estimate counts pairs that the filter then
-// prunes on the other attributes, so est_pairs > act_pairs.
+// boxesDB builds a database whose self-join the envelopes prune:
+// est_pairs counts the bucket-matched pairs, of which the frame check
+// keeps fewer, so est_pairs > act_pairs.
 func boxesDB() *db.Database {
 	d := db.New()
 	d.Put("B", datagen.Canonical(datagen.BoxRelation(datagen.Scaled(4), 24, 4)))
