@@ -201,43 +201,6 @@ func BenchmarkAblationReinsert(b *testing.B) {
 	}
 }
 
-// ablationSystem builds a conjunction whose elimination blows up without
-// the redundancy sweep.
-func ablationSystem(nVars, nCons int) constraint.Conjunction {
-	var cs []constraint.Constraint
-	for i := 0; i < nCons; i++ {
-		e := constraint.Expr{}
-		for v := 0; v < nVars; v++ {
-			coef := rational.FromInt(int64((i*7+v*3)%5 - 2))
-			e = e.Add(constraint.Var(fmt.Sprintf("v%d", v)).Scale(coef))
-		}
-		cs = append(cs, constraint.Constraint{
-			Expr: e.AddConst(rational.FromInt(int64(i%11 - 5))), Op: constraint.Le})
-	}
-	return constraint.And(cs...)
-}
-
-// BenchmarkAblationFMRedundancySweep: Fourier-Motzkin elimination with and
-// without the per-step redundancy sweep.
-func BenchmarkAblationFMRedundancySweep(b *testing.B) {
-	j := ablationSystem(4, 10)
-	vars := []string{"v1", "v2", "v3"}
-	b.Run("sweep-on", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			out := j.Eliminate(vars...)
-			b.ReportMetric(float64(out.Len()), "output-constraints")
-		}
-	})
-	b.Run("sweep-off", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			out := j.EliminateNoSweep(vars...)
-			b.ReportMetric(float64(out.Len()), "output-constraints")
-		}
-	})
-}
-
 // BenchmarkAblationDifferencePruning: tuple difference with eager vs. lazy
 // satisfiability pruning of the complement expansion.
 func BenchmarkAblationDifferencePruning(b *testing.B) {

@@ -157,20 +157,7 @@ func (j Conjunction) Len() int { return len(j.cs) }
 func (j Conjunction) IsTrue() bool { return len(j.cs) == 0 }
 
 // Vars returns the sorted set of variables occurring in j.
-func (j Conjunction) Vars() []string {
-	set := map[string]bool{}
-	for _, c := range j.cs {
-		for _, v := range c.Expr.Vars() {
-			set[v] = true
-		}
-	}
-	out := make([]string, 0, len(set))
-	for v := range set {
-		out = append(out, v)
-	}
-	sort.Strings(out)
-	return out
-}
+func (j Conjunction) Vars() []string { return varsOf(j.cs, []string{}) }
 
 // HasVar reports whether variable v occurs in j.
 func (j Conjunction) HasVar(v string) bool {

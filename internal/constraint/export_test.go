@@ -89,3 +89,13 @@ func (iv Interval) Contains(x rational.Rat) bool {
 	}
 	return true
 }
+
+// ReferenceSatisfiable is referenceSatisfiable, the eliminator's former
+// decision loop, for the external equivalence tests (history_test.go).
+func ReferenceSatisfiable(j Conjunction) bool { return referenceSatisfiable(j.cs) }
+
+// ReferenceEliminate is referenceEliminate, the eliminator's former
+// projection loop.
+func ReferenceEliminate(j Conjunction, vars ...string) Conjunction {
+	return referenceEliminate(j, vars...)
+}

@@ -1,6 +1,7 @@
 package constraint
 
 import (
+	"math/bits"
 	"slices"
 	"sync/atomic"
 
@@ -8,24 +9,17 @@ import (
 )
 
 // This file implements exact Fourier-Motzkin variable elimination, the
-// workhorse behind:
-//
-//   - Conjunction.IsSatisfiable (eliminate everything, check residuals);
-//   - Project / Eliminate (the CQA project operator on constraint tuples);
-//   - VarBounds (projection onto a single variable yields its exact bounds).
-//
-// Equalities are eliminated by substitution (Gauss step) before the
-// quadratic lower×upper combination step, which both preserves exactness and
-// curbs the output size. After each eliminated variable an optional
-// redundancy sweep keeps intermediate systems small; see eliminateOpts.
-
-// eliminateOpts tunes the eliminator. The zero value is the default
-// production configuration.
-type eliminateOpts struct {
-	// skipRedundancy disables the per-step redundancy sweep. Exposed for the
-	// DESIGN.md ablation benchmark; never set in production paths.
-	skipRedundancy bool
-}
+// workhorse behind Conjunction.IsSatisfiable and VarBounds (eliminate all
+// but one variable, read its interval) and Project / Eliminate (the CQA
+// project operator on constraint tuples). All three run one loop,
+// eliminate. Equalities go first, by substitution (Gauss step): nextVar
+// picks a variable some equality defines whenever there is one, and a
+// lower×upper combination never makes an equality. The combination steps
+// then keep Chernikov's history bound, the one redundancy rule: every
+// inequality row carries the set of post-Gauss inequalities it was
+// combined from, and after k combination steps a combination whose set
+// would have more than k + 1 members is implied by the rows kept, so it is
+// never built.
 
 // Eliminate returns a conjunction over the remaining variables whose
 // semantics is the projection of j onto the complement of vars: an
@@ -39,135 +33,156 @@ func (j Conjunction) Eliminate(vars ...string) Conjunction {
 	if j.IsBox() {
 		return j.dropVars(vars)
 	}
-	return j.eliminateWith(eliminateOpts{}, vars...)
-}
-
-func (j Conjunction) eliminateWith(opts eliminateOpts, vars ...string) Conjunction {
-	cs := append([]Constraint{}, j.cs...)
-	for _, v := range vars {
-		cs = eliminateVar(cs, v)
-		if !opts.skipRedundancy && len(cs) > 8 {
-			cs = sweepRedundant(cs)
-		}
-		// Early exit: a trivially false residual makes everything false.
-		for _, c := range cs {
-			if triv, val := c.IsTrivial(); triv && !val {
-				return False()
-			}
-		}
+	drop := slices.Clone(vars)
+	slices.Sort(drop)
+	rows, _, ok := eliminate(j.cs, slices.Compact(drop), 0)
+	if !ok {
+		return False()
 	}
-	return And(cs...)
-}
-
-// EliminateNoSweep is Eliminate with the per-step redundancy sweep
-// disabled. It exists only for the DESIGN.md ablation benchmark that
-// quantifies how much the sweep curbs the Fourier-Motzkin output blowup;
-// production code paths always sweep.
-func (j Conjunction) EliminateNoSweep(vars ...string) Conjunction {
-	return j.eliminateWith(eliminateOpts{skipRedundancy: true}, vars...)
+	return And(rows...)
 }
 
 // Project returns the projection of j onto keep: all other variables are
 // eliminated.
 func (j Conjunction) Project(keep ...string) Conjunction {
-	keepSet := map[string]bool{}
-	for _, v := range keep {
-		keepSet[v] = true
-	}
-	var drop []string
-	for _, v := range j.Vars() {
-		if !keepSet[v] {
-			drop = append(drop, v)
-		}
-	}
-	return j.Eliminate(drop...)
+	return j.Eliminate(varsBut(j, keep...)...)
 }
 
-// eliminateVar removes variable v from the system by substitution (if an
-// equality defines v) or by the Fourier-Motzkin combination step.
-func eliminateVar(cs []Constraint, v string) []Constraint {
-	// Gauss step: find an equality containing v and substitute.
-	for i, c := range cs {
-		if c.Op == Eq {
-			a := c.Expr.Coef(v)
-			if !a.IsZero() {
-				// a*v + rest = 0  =>  v = -rest/a
-				rest := c.Expr.Sub(Var(v).Scale(a))
-				repl := rest.Scale(a.Inv().Neg())
-				out := make([]Constraint, 0, len(cs)-1)
-				for k, d := range cs {
-					if k == i {
-						continue
-					}
-					nd := d.Substitute(v, repl)
-					if triv, val := nd.IsTrivial(); triv && val {
-						continue
-					}
-					out = append(out, nd)
-				}
-				return out
+// varsOf adds the variables of cs to the sorted set vars. Systems are
+// small: a sorted slice, no map.
+func varsOf(cs []Constraint, vars []string) []string {
+	for _, c := range cs {
+		for _, t := range c.Expr.terms {
+			if i, found := slices.BinarySearch(vars, t.Var); !found {
+				vars = slices.Insert(vars, i, t.Var)
 			}
 		}
 	}
+	return vars
+}
 
-	// Fourier-Motzkin step: partition into lower bounds (coef<0), upper
-	// bounds (coef>0) and constraints not involving v.
-	var lowers, uppers, rest []Constraint
-	for _, c := range cs {
-		a := c.Expr.Coef(v)
+// varsBut returns j's variables, sorted, without those of keep.
+func varsBut(j Conjunction, keep ...string) []string {
+	return slices.DeleteFunc(j.Vars(), func(v string) bool { return slices.Contains(keep, v) })
+}
+
+// eliminate removes variables from cs until left of vars (sorted) remain,
+// in nextVar's order, and returns the rows and the variables left. ok is
+// false when a step made a constant row that is false. cs is not modified.
+func eliminate(cs []Constraint, vars []string, left int) (rows []Constraint, kept []string, ok bool) {
+	rows = cs
+	var hist []uint64 // row i's history: hist[i*w : (i+1)*w]; built at the first combination step
+	w, steps := 0, 0
+	for len(vars) > left {
+		k, occ := nextVar(rows, vars)
+		v := vars[k]
+		vars = slices.Delete(vars, k, k+1)
 		switch {
-		case a.IsZero():
-			rest = append(rest, c)
-		case a.Sign() > 0:
-			uppers = append(uppers, c)
-		default:
-			lowers = append(lowers, c)
+		case occ.eqs > 0:
+			// nextVar puts every Gauss step first, and a combination
+			// makes no equality: hist is still nil here.
+			if rows, ok = substitute(rows, v); !ok {
+				return nil, nil, false
+			}
+			continue
+		case occ.lowers+occ.uppers == 0: // substituted away
+			continue
+		case hist == nil:
+			w = (len(rows) + 63) / 64
+			hist = make([]uint64, len(rows)*w)
+			for i := range rows { // an equality left here is never combined
+				hist[i*w+i/64] = 1 << (i % 64)
+			}
+		}
+		steps++
+		if rows, hist, ok = combine(rows, hist, w, v, steps+1); !ok {
+			return nil, nil, false
 		}
 	}
-	out := rest
-	for _, lo := range lowers {
+	return rows, vars, true
+}
+
+// substitute is the Gauss step: an equality of rows defines v, and v is
+// replaced by its definition everywhere else. Rows that become trivially
+// true go; ok is false when one becomes trivially false.
+func substitute(rows []Constraint, v string) (out []Constraint, ok bool) {
+	i := slices.IndexFunc(rows, func(c Constraint) bool { return c.Op == Eq && c.Expr.HasVar(v) })
+	// a*v + rest = 0  =>  v = -rest/a
+	a := rows[i].Expr.Coef(v)
+	repl := rows[i].Expr.Sub(Var(v).Scale(a)).Scale(a.Inv().Neg())
+	out = make([]Constraint, 0, len(rows)-1)
+	for k, d := range rows {
+		if k == i {
+			continue
+		}
+		nd := d.Substitute(v, repl)
+		if triv, val := nd.IsTrivial(); triv {
+			if !val {
+				return nil, false
+			}
+			continue
+		}
+		out = append(out, nd)
+	}
+	return out, true
+}
+
+// combine is the Fourier-Motzkin step on v: rows without v stay, and every
+// lower bound (coefficient < 0) is combined with every upper bound
+// (coefficient > 0) when their histories together have at most limit
+// members. hist holds w words per row; the result's histories are the
+// unions. Trivially true combinations go; ok is false when one is
+// trivially false.
+func combine(rows []Constraint, hist []uint64, w int, v string, limit int) (out []Constraint, outHist []uint64, ok bool) {
+	var lbuf, ubuf [16]int
+	lowers, uppers := lbuf[:0], ubuf[:0]
+	for i, c := range rows {
+		if a := c.Expr.Coef(v); a.Sign() > 0 {
+			uppers = append(uppers, i)
+		} else if a.Sign() < 0 {
+			lowers = append(lowers, i)
+		}
+	}
+	out = make([]Constraint, 0, len(rows))
+	outHist = make([]uint64, 0, len(rows)*w)
+	for i, c := range rows {
+		if !c.Expr.HasVar(v) {
+			out = append(out, c)
+			outHist = append(outHist, hist[i*w:(i+1)*w]...)
+		}
+	}
+	for _, l := range lowers {
+		lo := rows[l]
 		al := lo.Expr.Coef(v) // < 0
-		for _, up := range uppers {
-			au := up.Expr.Coef(v) // > 0
+		for _, u := range uppers {
+			members := 0
+			for x := 0; x < w; x++ {
+				members += bits.OnesCount64(hist[l*w+x] | hist[u*w+x])
+			}
+			if members > limit {
+				continue
+			}
 			// (-al)*up + au*lo eliminates v; both multipliers positive so
 			// inequality directions are preserved.
-			comb := up.Expr.Scale(al.Neg()).Add(lo.Expr.Scale(au))
-			op := Le
+			up := rows[u]
+			au := up.Expr.Coef(v) // > 0
+			nc := Constraint{Expr: up.Expr.Scale(al.Neg()).Add(lo.Expr.Scale(au)), Op: Le}
 			if lo.Op == Lt || up.Op == Lt {
-				op = Lt
+				nc.Op = Lt
 			}
-			nc := Constraint{Expr: comb, Op: op}
-			if triv, val := nc.IsTrivial(); triv && val {
+			if triv, val := nc.IsTrivial(); triv {
+				if !val {
+					return nil, nil, false
+				}
 				continue
 			}
 			out = append(out, nc)
+			for x := 0; x < w; x++ {
+				outHist = append(outHist, hist[l*w+x]|hist[u*w+x])
+			}
 		}
 	}
-	return out
-}
-
-// sweepRedundant removes inequalities dominated by a parallel one (same
-// canonical normal, weaker bound; an exact duplicate is the limiting case).
-// It does not run full entailment (that would recurse into satisfiability);
-// it is a cheap but effective guard against the quadratic FM blowup. The
-// fold itself is Canon's (foldParallel, canon.go), run on canonical copies;
-// the survivors are returned unscaled and in their original order.
-func sweepRedundant(cs []Constraint) []Constraint {
-	canon := make([]Constraint, len(cs))
-	for i, c := range cs {
-		if c.Op != Eq { // equalities are not folded; spare them the scaling
-			c = c.Canonical()
-		}
-		canon[i] = c
-	}
-	dominated := foldParallel(canon, hashTerms)
-	out := make([]Constraint, 0, len(cs))
-	for i, c := range cs {
-		if !dominated[i] {
-			out = append(out, c)
-		}
-	}
-	return out
+	return out, outHist, true
 }
 
 // decisions counts raw satisfiability runs of the Fourier-Motzkin
@@ -179,64 +194,49 @@ var decisions atomic.Int64
 // decisions made by this process so far. Monotonic; read deltas.
 func DecisionCount() int64 { return decisions.Load() }
 
-// satisfiable decides satisfiability of a conjunction of constraints by
-// eliminating every variable and checking the residual trivial constraints.
+// satisfiable decides satisfiability of a conjunction of constraints: it
+// eliminates every variable but one and reads that variable's interval off
+// the rows left. The system is unsatisfiable iff the interval is empty or a
+// constant row is false.
 //
 // The elimination order is a function of the system alone (nextVar), so a
 // cold decision — what set-up and every cache miss pay — does the same work
 // and the same allocations every time it is asked.
 func satisfiable(cs []Constraint) bool {
 	decisions.Add(1)
-	// Collect the variables, sorted, without a map: systems are small.
 	var buf [8]string
-	vars := buf[:0]
-	for _, c := range cs {
-		for _, t := range c.Expr.terms {
-			if i, found := slices.BinarySearch(vars, t.Var); !found {
-				vars = slices.Insert(vars, i, t.Var)
-			}
-		}
+	rows, left, ok := eliminate(cs, varsOf(cs, buf[:0]), 1)
+	if !ok {
+		return false
 	}
-	work := append([]Constraint{}, cs...)
-	for len(vars) > 0 {
-		k := nextVar(work, vars)
-		v := vars[k]
-		vars = slices.Delete(vars, k, k+1)
-		work = eliminateVar(work, v)
-		if len(work) > 8 {
-			work = sweepRedundant(work)
-		}
-		for _, c := range work {
-			if triv, val := c.IsTrivial(); triv && !val {
-				return false
-			}
-		}
+	var v string // no variable at all: only constant rows are left
+	if len(left) == 1 {
+		v = left[0]
 	}
-	for _, c := range work {
-		if triv, val := c.IsTrivial(); triv && !val {
-			return false
-		}
-	}
-	return true
+	_, ok = interval(rows, v)
+	return ok
 }
 
+// occurrences counts the rows a variable occurs in, by kind.
+type occurrences struct{ eqs, lowers, uppers int }
+
 // nextVar picks the variable of vars (sorted, non-empty) to eliminate from
-// cs next and returns its index: a variable some equality defines if there
-// is one — the Gauss step substitutes it away and the system shrinks —
-// else the one whose Fourier-Motzkin step produces the fewest combinations
-// (lower bounds × upper bounds). Ties go to the smaller name.
-func nextVar(cs []Constraint, vars []string) int {
-	type occurrences struct{ eqs, lowers, uppers int }
+// cs next and returns its index and occurrences: a variable some equality
+// defines if there is one — the Gauss step substitutes it away and the
+// system shrinks — else the one whose Fourier-Motzkin step produces the
+// fewest combinations (lower bounds × upper bounds). Ties go to the smaller
+// name. Variables of cs outside vars are skipped.
+func nextVar(cs []Constraint, vars []string) (int, occurrences) {
 	var buf [8]occurrences
 	occ := buf[:]
 	if len(vars) > len(buf) {
 		occ = make([]occurrences, len(vars))
 	}
 	for _, c := range cs {
-		k := 0 // terms and vars are both sorted: one merge walk per atom
 		for _, t := range c.Expr.terms {
-			for vars[k] != t.Var { // every variable left in cs is still in vars
-				k++
+			k, found := slices.BinarySearch(vars, t.Var)
+			if !found {
+				continue
 			}
 			switch {
 			case c.Op == Eq:
@@ -251,13 +251,13 @@ func nextVar(cs []Constraint, vars []string) int {
 	best := 0
 	for k := range vars {
 		if occ[k].eqs > 0 {
-			return k
+			return k, occ[k]
 		}
 		if occ[k].lowers*occ[k].uppers < occ[best].lowers*occ[best].uppers {
 			best = k
 		}
 	}
-	return best
+	return best, occ[best]
 }
 
 // Interval is a (possibly unbounded, possibly open) rational interval.
@@ -308,23 +308,32 @@ func (iv Interval) Intersects(o Interval) bool {
 	return true
 }
 
-// VarBounds returns the exact range of variable v over the solutions of j,
-// computed by projecting j onto v. The second result is false when j is
-// unsatisfiable.
+// VarBounds returns the exact range of variable v over the solutions of j:
+// every other variable is eliminated and v's interval read off the rows
+// left. The second result is false when j is unsatisfiable.
 func (j Conjunction) VarBounds(v string) (Interval, bool) {
-	proj := j.Project(v)
+	rows, _, ok := eliminate(j.cs, varsBut(j, v), 0)
+	if !ok {
+		return Interval{}, false
+	}
+	return interval(rows, v)
+}
+
+// interval reads the interval of v off rows in which no other variable
+// occurs. The second result is false when a constant row is false or the
+// interval is empty.
+func interval(rows []Constraint, v string) (Interval, bool) {
 	var iv Interval
-	for _, c := range proj.Constraints() {
-		if triv, val := c.IsTrivial(); triv {
-			if !val {
+	for _, c := range rows {
+		a := c.Expr.Coef(v)
+		if a.IsZero() {
+			if _, val := c.IsTrivial(); !val {
 				return Interval{}, false
 			}
 			continue
 		}
-		a := c.Expr.Coef(v)
 		// a*v + k OP 0
-		k := c.Expr.ConstTerm()
-		bound := k.Div(a).Neg() // v OP' -k/a
+		bound := c.Expr.ConstTerm().Div(a).Neg() // v OP' -k/a
 		switch {
 		case c.Op == Eq:
 			tightenLower(&iv, bound, false)

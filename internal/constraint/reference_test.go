@@ -1,10 +1,10 @@
 package constraint
 
-// Reference implementations for the render-once kernel (ISSUE 15): the
-// string-keyed code that Canon, sweepRedundant and the renderers replaced,
-// kept verbatim as test oracles. The benchmark's digest re-sorts tuple lines
-// and the fingerprint is never printed, so nothing end-to-end would notice
-// an ordering or folding slip here — these comparisons are what does.
+// Reference implementations for the render-once kernel: the string-keyed
+// code that Canon and the renderers replaced, kept verbatim as test
+// oracles. The benchmark's digest re-sorts tuple lines and the fingerprint
+// is never printed, so nothing end-to-end would notice an ordering or
+// folding slip here — these comparisons are what does.
 
 import (
 	"fmt"
@@ -78,42 +78,6 @@ func referenceCanon(j Conjunction) []Constraint {
 	kept := referenceCanonFold(atoms)
 	sort.Slice(kept, func(a, b int) bool { return lessConstraint(kept[a], kept[b]) })
 	return kept
-}
-
-// referenceSweep is the former sweepRedundant: inequalities grouped by the
-// rendered canonical variable part, the tightest of each group kept at its
-// own position, equalities untouched.
-func referenceSweep(cs []Constraint) []Constraint {
-	groups := map[string]int{}
-	var out []Constraint
-	keep := make([]bool, len(cs))
-	for i, c := range cs {
-		if c.Op == Eq {
-			keep[i] = true
-			continue
-		}
-		cc := c.Canonical()
-		key := Expr{terms: cc.Expr.terms}.String()
-		prev, ok := groups[key]
-		if !ok {
-			groups[key] = i
-			keep[i] = true
-			continue
-		}
-		p := cs[prev].Canonical()
-		pc, nc := p.Expr.ConstTerm(), cc.Expr.ConstTerm()
-		if nc.Cmp(pc) > 0 || (nc.Equal(pc) && cc.Op == Lt && p.Op == Le) {
-			keep[prev] = false
-			groups[key] = i
-			keep[i] = true
-		}
-	}
-	for i, c := range cs {
-		if keep[i] {
-			out = append(out, c)
-		}
-	}
-	return out
 }
 
 // referenceFingerprint is the former fingerprintOf, fed by Rat.Key strings.

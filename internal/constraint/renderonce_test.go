@@ -114,19 +114,15 @@ func canonicalAtoms(cs []Constraint) []Constraint {
 	return out
 }
 
-// TestFoldParallelMatchesOldFolds pins the one fold helper against both
-// folds it replaced: the same inequalities survive as in Canon's former
-// pass 2 (which moved the winner into the group's first slot, hence the
-// comparison modulo order), and sweepRedundant returns exactly what the
-// former sweep returned, position for position — including which of `<`
-// and `<=` wins an equal constant, and that the earlier atom wins an exact
-// tie.
+// TestFoldParallelMatchesOldFolds pins the fold helper against the fold it
+// replaced: the same inequalities survive as in Canon's former pass 2
+// (which moved the winner into the group's first slot, hence the
+// comparison modulo order) — including which of `<` and `<=` wins an equal
+// constant.
 func TestFoldParallelMatchesOldFolds(t *testing.T) {
 	rng := rand.New(rand.NewSource(16))
 	for i := 0; i < 3000; i++ {
-		raw := noisyAtoms(rng, true)
-
-		atoms := canonicalAtoms(raw)
+		atoms := canonicalAtoms(noisyAtoms(rng, true))
 		got := compact(append([]Constraint{}, atoms...), foldParallel(atoms, hashTerms))
 		if g, w := inequalities(got), inequalities(referenceCanonFold(atoms)); !equalAtoms(g, w) {
 			t.Fatalf("case %d: fold survivors differ from Canon's old pass 2\natoms: %s\ngot:   %s\nwant:  %s",
@@ -140,11 +136,6 @@ func TestFoldParallelMatchesOldFolds(t *testing.T) {
 		}
 		if kept := len(got) - len(inequalities(got)); kept != eqs {
 			t.Fatalf("case %d: the fold touched equalities: %d of %d kept", i, kept, eqs)
-		}
-
-		if g, w := sweepRedundant(raw), referenceSweep(raw); !equalAtoms(g, w) {
-			t.Fatalf("case %d: sweepRedundant differs from the old sweep\ninput: %s\ngot:   %s\nwant:  %s",
-				i, Conjunction{cs: raw}, Conjunction{cs: g}, Conjunction{cs: w})
 		}
 	}
 	// The tie-break, spelled out.

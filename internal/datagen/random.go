@@ -101,6 +101,25 @@ func RandomConjunction(rng *rand.Rand, vars []string) constraint.Conjunction {
 	return constraint.And(cs...)
 }
 
+// DenseSystem draws a dense system of n atoms over vars variables v0, v1,
+// …: every atom is Σ cᵢ·vᵢ ≤ 1 over every variable, each cᵢ drawn from
+// {−2, −1, 1, 2}. Every such system holds at the origin, but eliminating
+// any variable combines most pairs of atoms: the stress case for
+// Fourier–Motzkin elimination. Deterministic in seed.
+func DenseSystem(vars, n int, seed int64) constraint.Conjunction {
+	rng := rand.New(rand.NewSource(seed))
+	coefs := [...]int64{-2, -1, 1, 2}
+	cs := make([]constraint.Constraint, n)
+	for i := range cs {
+		e := constraint.ConstInt(-1)
+		for v := 0; v < vars; v++ {
+			e = e.Add(constraint.Var(fmt.Sprintf("v%d", v)).Scale(rational.FromInt(coefs[rng.Intn(len(coefs))])))
+		}
+		cs[i] = constraint.Constraint{Expr: e, Op: constraint.Le}
+	}
+	return constraint.And(cs...)
+}
+
 // randomRelVals draws the relational part of a tuple: each relational
 // attribute is bound with probability ~3/4 to a value from a three-letter
 // pool (so independently drawn tuples collide, exercising join matches,

@@ -244,16 +244,23 @@ func TestReplyAllocs(t *testing.T) {
 		}
 		return info.ID
 	}
+	// AllocsPerRun counts every goroutine's allocations, and the server's
+	// background goroutines only ever add to a request's: each quantity is
+	// the least of several measurements.
 	allocs := func(id string, stream bool, maxRows int) float64 {
 		body := fmt.Sprintf(`{"session": %q, "query": "R = B", "stream": %t, "max_rows": %d}`, id, stream, maxRows)
-		return testing.AllocsPerRun(20, func() {
-			rec := httptest.NewRecorder()
-			rec.Body.Grow(64 << 10) // the recorder's growth is not the encoder's
-			s.handleQuery(rec, httptest.NewRequest(http.MethodPost, "/v1/query", strings.NewReader(body)))
-			if rec.Code != http.StatusOK {
-				t.Fatalf("query: %d %s", rec.Code, rec.Body)
-			}
-		})
+		least := math.Inf(1)
+		for range 5 {
+			least = min(least, testing.AllocsPerRun(20, func() {
+				rec := httptest.NewRecorder()
+				rec.Body.Grow(64 << 10) // the recorder's growth is not the encoder's
+				s.handleQuery(rec, httptest.NewRequest(http.MethodPost, "/v1/query", strings.NewReader(body)))
+				if rec.Code != http.StatusOK {
+					t.Fatalf("query: %d %s", rec.Code, rec.Body)
+				}
+			}))
+		}
+		return least
 	}
 	small, large := session("small"), session("large")
 	for _, stream := range []bool{false, true} {
