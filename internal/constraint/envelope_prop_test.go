@@ -9,11 +9,14 @@ package constraint_test
 // Run the target with: go test ./internal/constraint -run '^$' -fuzz FuzzEnvelope
 
 import (
+	"math"
+	"math/big"
 	"math/rand"
 	"testing"
 
 	"cdb/internal/constraint"
 	"cdb/internal/datagen"
+	"cdb/internal/rational"
 )
 
 // intervalContains reports whether outer ⊇ inner as sets of rationals.
@@ -111,7 +114,9 @@ func TestEnvelopeContainsExactBounds(t *testing.T) {
 	rng := rand.New(rand.NewSource(31))
 	propagated := 0
 	for i := 0; i < 400; i++ {
-		propagated += checkContainsExact(t, "random", constraint.RandConj(rng).Canon())
+		j := constraint.RandConj(rng).Canon()
+		propagated += checkContainsExact(t, "random", j)
+		checkKeys(t, "random", j)
 	}
 	parcels, track := query3Parts()
 	for _, s := range track {
@@ -123,6 +128,39 @@ func TestEnvelopeContainsExactBounds(t *testing.T) {
 	t.Logf("%d intervals bounded by propagation only", propagated)
 	if propagated == 0 {
 		t.Fatal("no interval was bounded by propagation alone; the passes were never exercised")
+	}
+}
+
+// checkKeys fails t unless every key of j's envelope is its endpoint
+// correctly rounded (math/big's Rat.Float64), exact bit set exactly when
+// the key equals the endpoint, open and empty bits as the interval has
+// them, and an absent endpoint's key an exact infinity.
+func checkKeys(t *testing.T, what string, j constraint.Conjunction) {
+	t.Helper()
+	env := j.Envelope()
+	for _, v := range j.Vars() {
+		iv, _ := env.Interval(v) // absent: the unbounded zero Interval
+		k := env.Keys(v)
+		end := func(name string, has bool, r rational.Rat, open bool, key float64, inf int, exactBit, openBit constraint.KeyBits) {
+			t.Helper()
+			gotExact, gotOpen := k.Bits&exactBit != 0, k.Bits&openBit != 0
+			if !has {
+				if !math.IsInf(key, inf) || !gotExact || gotOpen {
+					t.Errorf("%s: %q has no %s endpoint, keys %+v", what, v, name, k)
+				}
+				return
+			}
+			want, exact := new(big.Rat).SetFrac(r.Num(), r.Denom()).Float64()
+			if key != want || gotExact != exact || gotOpen != open {
+				t.Errorf("%s: %q %s endpoint %s (open %v): key %v exact %v open %v, want %v exact %v",
+					what, v, name, r, open, key, gotExact, gotOpen, want, exact)
+			}
+		}
+		end("lower", iv.HasLower, iv.Lower, iv.LowerOpen, k.Lo, -1, constraint.LoExact, constraint.LoOpen)
+		end("upper", iv.HasUpper, iv.Upper, iv.UpperOpen, k.Hi, 1, constraint.HiExact, constraint.HiOpen)
+		if (k.Bits&constraint.Empty != 0) != iv.IsEmpty() {
+			t.Errorf("%s: %q interval %+v, empty bit %v", what, v, iv, k.Bits&constraint.Empty != 0)
+		}
 	}
 }
 
@@ -185,12 +223,16 @@ var envelopeSeeds = []string{
 	"x - y <= 1/2, y - x <= 1/2, x >= 0, x <= 48 ; x >= 6, x <= 11, y >= 13, y <= 17",
 	"x + y <= 1, x >= 2, y >= 0 ; x >= 0",
 	"x = y, y >= 3, y < 3 ; x >= 0",
+	"x + y >= 1, 2x - y < 2, x - 2y >= -2 ; x >= 2",
+	"x + y <= 110194328106169817/29062511108676235, x - y <= 1/3, y >= -9223372036854775807 ; x > 9223372036854775807/3",
+	"x >= 1/3, x <= 36893488147419103233/3, y = x ; y < 1/2",
 }
 
 // FuzzEnvelope checks the envelope's two soundness properties on arbitrary
 // "a ; b" input: on each canonical side, every interval contains the exact
 // bounds (VarBounds), and envelopes disjoint on the sides' variables mean
-// an unsatisfiable merge. The committed corpus replays as a test.
+// an unsatisfiable merge. It also checks each side's float keys
+// (checkKeys). The committed corpus replays as a test.
 func FuzzEnvelope(f *testing.F) {
 	for _, s := range envelopeSeeds {
 		f.Add(s)
@@ -203,6 +245,8 @@ func FuzzEnvelope(f *testing.F) {
 		a, b = a.Canon(), b.Canon()
 		checkContainsExact(t, src, a)
 		checkContainsExact(t, src, b)
+		checkKeys(t, src, a)
+		checkKeys(t, src, b)
 		checkDisjointUnsat(t, src, a, b)
 	})
 }

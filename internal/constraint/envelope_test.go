@@ -7,9 +7,11 @@ import (
 )
 
 // TestEnvelopeDerivation pins how the envelope reads single-variable
-// atoms, and what its propagation passes derive from multi-variable ones:
+// atoms, what its propagation passes derive from multi-variable ones —
 // closed bounds only, two passes and no more, and nothing at all without a
-// single-variable atom to start from.
+// single-variable atom to start from — and that a planar conjunction reads
+// the exact range of a variable the passes leave one-sided, while one over
+// three variables does not.
 func TestEnvelopeDerivation(t *testing.T) {
 	two, five := rational.FromInt(2), rational.FromInt(5)
 	closed := func(lo, hi int64) func(iv Interval, ok bool) bool {
@@ -34,8 +36,18 @@ func TestEnvelopeDerivation(t *testing.T) {
 	// x + y < 4 with x >= 1 and y >= 0: x <= 4 and y <= 3, both closed.
 	strict := And(Constraint{Expr: Var("x").Add(Var("y")).Add(ConstInt(-4)), Op: Lt},
 		GeConst("x", rational.One), GeConst("y", rational.Zero))
+	// x + y <= 3, x - y <= 1: x <= 2 exactly, y unbounded both ways.
 	multiOnly := And(Constraint{Expr: Var("x").Add(Var("y")).Add(ConstInt(-3)), Op: Le},
 		Constraint{Expr: Var("x").Sub(Var("y")).Add(ConstInt(-1)), Op: Le})
+	// A triangle with no axis-parallel edge, x + y >= 1, 2x - y < 2,
+	// x - 2y >= -2 (corners (1, 0), (0, 1), (2, 2)), strict on one edge;
+	// and the same atoms over a third variable, which stays unbounded.
+	ge := func(a, b Expr) Constraint { return MustNew(a, ">=", b) }
+	tri := And(ge(Var("x").Add(Var("y")), ConstInt(1)), MustNew(Var("x").Scale(two).Sub(Var("y")), "<", ConstInt(2)),
+		ge(Var("x").Sub(Var("y").Scale(two)), ConstInt(-2)))
+	threeVar := And(Constraint{Expr: Var("x").Add(Var("y")).Add(ConstInt(-3)), Op: Le},
+		Constraint{Expr: Var("x").Sub(Var("z")).Add(ConstInt(-1)), Op: Le},
+		Constraint{Expr: Var("z").Sub(Var("y")), Op: Le})
 	cases := []struct {
 		name string
 		j    Conjunction
@@ -72,8 +84,19 @@ func TestEnvelopeDerivation(t *testing.T) {
 			return ok && iv.HasUpper && !iv.UpperOpen && iv.Upper.Equal(rational.FromInt(3)) &&
 				iv.HasLower && iv.Lower.IsZero()
 		}},
-		{"multi-var-only-x", multiOnly, "x", func(iv Interval, ok bool) bool { return !ok }},
+		{"multi-var-only-x", multiOnly, "x", func(iv Interval, ok bool) bool {
+			return ok && !iv.HasLower && iv.HasUpper && !iv.UpperOpen && iv.Upper.Equal(two)
+		}},
 		{"multi-var-only-y", multiOnly, "y", func(iv Interval, ok bool) bool { return !ok }},
+		// Exact, open where the extreme corner lies on the strict edge.
+		{"planar-triangle-x", tri, "x", func(iv Interval, ok bool) bool {
+			return ok && iv.HasLower && iv.Lower.IsZero() && !iv.LowerOpen && iv.HasUpper && iv.Upper.Equal(two) && iv.UpperOpen
+		}},
+		{"planar-triangle-y", tri.Canon(), "y", func(iv Interval, ok bool) bool {
+			return ok && iv.HasLower && iv.Lower.IsZero() && iv.LowerOpen && iv.HasUpper && iv.Upper.Equal(two) && iv.UpperOpen
+		}},
+		{"multi-var-only-three-vars-x", threeVar, "x", func(iv Interval, ok bool) bool { return !ok }},
+		{"multi-var-only-three-vars-y", threeVar, "y", func(iv Interval, ok bool) bool { return !ok }},
 	}
 	for _, tc := range cases {
 		iv, ok := tc.j.Envelope().Interval(tc.v)

@@ -1,11 +1,11 @@
 package cqa
 
 import (
+	"cmp"
 	"slices"
 	"sort"
 
 	"cdb/internal/constraint"
-	"cdb/internal/rational"
 	"cdb/internal/relation"
 	"cdb/internal/schema"
 )
@@ -106,24 +106,21 @@ func estimatePairs(r1, r2 *relation.Relation) int64 {
 //	overlaps = |A|·|B| − before(A, B) − before(B, A)
 //
 // where before(A, B) counts pairs with x.Upper open-aware-strictly below
-// y.Lower. Each before() term sorts one side's endpoints once and binary-
-// searches per interval on the other side: O((n+m)·log(n+m)) rational
+// y.Lower. Each before() term sorts one side's lower endpoints once and
+// binary-searches per interval on the other side: O((n+m)·log(n+m)) key
 // comparisons, versus O(n·m) for the join it ranks.
 
-// endpointKey is a totally ordered encoding of an interval endpoint under
-// the exact open-endpoint semantics of Interval.Intersects: an open upper
-// bound at a behaves as a−ε, an open lower bound at a as a+ε, so that
-// "upper separates from lower" is exactly key(upper) < key(lower).
+// endpointKey is one tuple's lower endpoint in a frame column, as before
+// sorts them: by the float key, and on a float tie, in the order of
+// Interval.Intersects' open-endpoint semantics — an open lower bound at a
+// behaves as a+ε, after a closed one at a — read off the keys' bits when
+// both are exact, and off the exact intervals (frame.interval) when either
+// is not. Under that order "x's upper endpoint separates from y's lower"
+// (frame.endsBefore) holds for a suffix of the sorted keys.
 type endpointKey struct {
-	val rational.Rat
-	eps int // -1 open upper, 0 closed, +1 open lower
-}
-
-func (k endpointKey) cmp(o endpointKey) int {
-	if c := k.val.Cmp(o.val); c != 0 {
-		return c
-	}
-	return k.eps - o.eps
+	lo   float64
+	bits constraint.KeyBits
+	i    int // the tuple
 }
 
 // overlapCount returns the exact number of pairs (i, j) whose column-c
@@ -133,7 +130,7 @@ func (k endpointKey) cmp(o endpointKey) int {
 // empty interval excludes, this is an upper bound on the pairs surviving
 // it.
 func (f *frame) overlapCount(c int) int64 {
-	nonEmpty := func(iv *constraint.Interval) bool { return !iv.IsEmpty() }
+	nonEmpty := func(k constraint.Keys) bool { return k.Bits&constraint.Empty == 0 }
 	total := f.l.count(c, nonEmpty) * f.r.count(c, nonEmpty)
 	if total == 0 {
 		return 0
@@ -153,30 +150,28 @@ func (f *frame) before(xs, ys *side, c int) int64 {
 	}
 	keys := f.keys[:0]
 	for j := range ys.empty {
-		y := ys.at(j, c)
-		if !y.HasLower || y.IsEmpty() {
-			continue
+		if y := ys.at(j, c); hasLo(y) && y.Bits&constraint.Empty == 0 {
+			keys = append(keys, endpointKey{lo: y.Lo, bits: y.Bits, i: j})
 		}
-		eps := 0
-		if y.LowerOpen {
-			eps = 1
-		}
-		keys = append(keys, endpointKey{val: y.Lower, eps: eps})
 	}
-	slices.SortFunc(keys, endpointKey.cmp)
+	slices.SortFunc(keys, func(a, b endpointKey) int {
+		if o := cmp.Compare(a.lo, b.lo); o != 0 {
+			return o
+		}
+		if a.bits&b.bits&constraint.LoExact == 0 {
+			if o := f.interval(ys, a.i, c).Lower.Cmp(f.interval(ys, b.i, c).Lower); o != 0 {
+				return o
+			}
+		}
+		return int(a.bits&constraint.LoOpen) - int(b.bits&constraint.LoOpen)
+	})
 	var n int64
 	for i := range xs.empty {
-		x := xs.at(i, c)
-		if !x.HasUpper || x.IsEmpty() {
+		if x := xs.at(i, c); !hasHi(x) || x.Bits&constraint.Empty != 0 {
 			continue
 		}
-		eps := 0
-		if x.UpperOpen {
-			eps = -1
-		}
-		k := endpointKey{val: x.Upper, eps: eps}
-		// Count keys strictly greater than k: x separates from those ys.
-		idx := sort.Search(len(keys), func(i int) bool { return k.cmp(keys[i]) < 0 })
+		// Count the ys x ends before: a suffix of the sorted keys.
+		idx := sort.Search(len(keys), func(k int) bool { return f.endsBefore(xs, ys, i, keys[k].i, c) })
 		n += int64(len(keys) - idx)
 	}
 	return n

@@ -456,7 +456,7 @@ func DifferenceCtx(ec *exec.Context, r1, r2 *relation.Relation) (*relation.Relat
 		}
 		settle := func(prefix *constraint.Chain, atom constraint.Constraint, child vector.Scope, sat, ok bool) (vector.Scope, bool) {
 			if ok {
-				rec.VectorHit(sat, false)
+				rec.VectorHit(sat)
 				return child, sat
 			}
 			rec.VectorFallback()

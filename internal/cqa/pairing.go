@@ -1,6 +1,8 @@
 package cqa
 
 import (
+	"cmp"
+	"math"
 	"slices"
 	"sort"
 
@@ -28,10 +30,11 @@ import (
 //     into the same buckets, and only matching buckets pair (with no
 //     shared relational attribute there is one bucket);
 //  2. the frame (below): each side's memoised envelopes projected once
-//     onto the shared constraint attributes as columns. Within a bucket,
-//     a pair with an empty interval on either side or separated intervals
-//     in some column has an unsatisfiable merged conjunction — rejected
-//     in at most k interval comparisons, no eliminator run;
+//     onto the shared constraint attributes as columns of float keys.
+//     Within a bucket, a pair with an empty interval on either side or
+//     separated intervals in some column has an unsatisfiable merged
+//     conjunction — rejected in at most 2k float comparisons (a float tie
+//     broken exactly), no eliminator run;
 //  3. switched enumeration: each bucket's candidate pairs are enumerated
 //     by the dense nested loop or by the interval sweep (sort both sides
 //     on one column's intervals, plane-sweep the overlaps), as
@@ -43,7 +46,7 @@ import (
 // the surviving candidate set is exactly {bucket-matched pairs whose
 // envelopes are not Disjoint}, whichever enumeration ran — the frame check
 // is Envelope.Disjoint over the shared attributes, the sweep is a
-// conservative superset pass (closed-endpoint overlap in one column) with
+// conservative superset pass (closed overlap of one column's keys) with
 // the full frame check applied to every emitted pair — and the candidates
 // are sorted into ascending flattened (i1·m + i2) order before the refine
 // fan-out, which is the sequential nested-loop order. Every pruned pair is
@@ -148,15 +151,15 @@ func clipPair(rec *exec.OpRecorder, c1, c2 constraint.Conjunction) (sat, ok bool
 	switch {
 	case f2 == nil:
 		if sat, ok = vector.SatExtras(f1, c2.Constraints()); ok {
-			rec.VectorHit(sat, false)
+			rec.VectorHit(sat)
 			return sat, true
 		}
 	case f1.XVar == f2.XVar && f1.YVar == f2.YVar:
-		sat, reject := vector.PairSat(f1, f2)
-		rec.VectorHit(sat, reject)
+		sat = vector.PairSat(f1, f2)
+		rec.VectorHit(sat)
 		return sat, true
 	case f1.XVar != f2.XVar && f1.XVar != f2.YVar && f1.YVar != f2.XVar && f1.YVar != f2.YVar:
-		rec.VectorHit(true, false)
+		rec.VectorHit(true)
 		return true, true
 	}
 	rec.VectorFallback()
@@ -171,73 +174,106 @@ func (p pairPlan) row(i, m int) []int {
 
 // frame is one binary operator's k shared constraint attributes as columns
 // 0…k−1, in lexicographic order, and each side's memoised envelopes
-// projected onto them once. Every envelope question asked afterwards —
-// the pair check, the sweep's intervals, the sweep-column choice, and the
-// plan-time overlap counts (estimatePairs) — reads a column instead of
-// probing a map by attribute name.
+// projected onto them once, as float keys (constraint.Keys). Every
+// envelope question asked afterwards — the pair check, the sweep's
+// intervals, the sweep-column choice, and the plan-time overlap counts
+// (estimatePairs) — compares keys in a column instead of probing an
+// envelope by attribute name or comparing rationals. The comparison is
+// exact: keys in strict float order are endpoints in that order (each key
+// is its endpoint correctly rounded, and rounding is monotone), and a
+// float tie is decided by the keys' open bits when both are exact, and
+// otherwise by the exact intervals read back from the two tuples'
+// envelopes (endsBefore).
 type frame struct {
-	cols []string      // column c is attribute cols[c]
-	l, r side          // the left (t1s) and right (t2s) sides
-	keys []endpointKey // before's scratch, reused across the columns
+	cols   []string         // column c is attribute cols[c]
+	l, r   side             // the left (t1s) and right (t2s) sides
+	lt, rt []relation.Tuple // the tuples l and r were projected from, for the exact tie-break
+	keys   []endpointKey    // before's scratch, reused across the columns
 }
 
-// side is one input projected onto a frame.
+// side is one input projected onto a frame. It holds no pointer the
+// garbage collector has to follow into: its slices are of plain values.
 type side struct {
 	k     int
-	ivs   []constraint.Interval // tuple i's interval in column c at i·k + c; Interval{} (unbounded) where the envelope bounds nothing
-	empty []bool                // tuple i has an empty interval in some column: it pairs with nothing
+	keys  []constraint.Keys // tuple i's column-c keys at i·k + c; (-Inf, +Inf) where the envelope bounds nothing
+	empty []bool            // tuple i has an empty interval in some column: it pairs with nothing
 }
 
 // newFrame lays out the frame over sharedCon and projects both sides.
 func newFrame(t1s, t2s []relation.Tuple, sharedCon []string) frame {
 	cols := append([]string{}, sharedCon...)
 	sort.Strings(cols) // column order, hence every tie-break, whatever the schema order
-	return frame{cols: cols, l: project(t1s, cols), r: project(t2s, cols)}
+	return frame{cols: cols, l: project(t1s, cols), r: project(t2s, cols), lt: t1s, rt: t2s}
 }
 
 func project(ts []relation.Tuple, cols []string) side {
 	k := len(cols)
-	s := side{k: k, ivs: make([]constraint.Interval, len(ts)*k), empty: make([]bool, len(ts))}
+	s := side{k: k, keys: make([]constraint.Keys, len(ts)*k), empty: make([]bool, len(ts))}
+	if k == 0 {
+		return s // no column: no envelope to read
+	}
 	for i := range ts {
+		env := ts[i].Constraint().Envelope()
 		for c, a := range cols {
-			if iv, ok := ts[i].Constraint().Envelope().Interval(a); ok {
-				s.ivs[i*k+c] = iv
-				s.empty[i] = s.empty[i] || iv.IsEmpty()
-			}
+			key := env.Keys(a)
+			s.keys[i*k+c] = key
+			s.empty[i] = s.empty[i] || key.Bits&constraint.Empty != 0
 		}
 	}
 	return s
 }
 
-// at returns tuple i's interval in column c.
-func (s *side) at(i, c int) *constraint.Interval { return &s.ivs[i*s.k+c] }
+// at returns tuple i's keys in column c.
+func (s *side) at(i, c int) constraint.Keys { return s.keys[i*s.k+c] }
 
 // disjoint is constraint.Envelope.Disjoint over the frame's columns: the
 // pair (t1s[i], t2s[j]) cannot merge satisfiably when either side has an
 // empty interval in some column, or some column's intervals are separated.
+// A float tie goes to endsBefore, which breaks it exactly.
 func (f *frame) disjoint(i, j int) bool {
 	if f.l.empty[i] || f.r.empty[j] {
 		return true
 	}
 	k := f.l.k
-	x, y := f.l.ivs[i*k:i*k+k], f.r.ivs[j*k:j*k+k]
+	x, y := f.l.keys[i*k:i*k+k], f.r.keys[j*k:j*k+k]
 	for c := range x {
-		if endsBefore(&x[c], &y[c]) || endsBefore(&y[c], &x[c]) {
+		switch {
+		case x[c].Hi < y[c].Lo || y[c].Hi < x[c].Lo:
+			return true
+		case x[c].Hi == y[c].Lo && f.endsBefore(&f.l, &f.r, i, j, c),
+			y[c].Hi == x[c].Lo && f.endsBefore(&f.r, &f.l, j, i, c):
 			return true
 		}
 	}
 	return false
 }
 
-// endsBefore reports whether non-empty x lies entirely below non-empty y,
-// open endpoints respected (constraint.Interval.Intersects is false
-// exactly when one of the two ends before the other).
-func endsBefore(x, y *constraint.Interval) bool {
-	if !x.HasUpper || !y.HasLower {
+// endsBefore reports whether tuple i of side x lies entirely below tuple j
+// of side y in column c, both non-empty, open endpoints respected
+// (constraint.Interval.Intersects is false exactly when one of the two
+// ends before the other): on the keys when they decide
+// (constraint.Keys.Before), else on the exact intervals.
+func (f *frame) endsBefore(x, y *side, i, j, c int) bool {
+	if before, ok := x.at(i, c).Before(y.at(j, c)); ok {
+		return before
+	}
+	xi, yj := f.interval(x, i, c), f.interval(y, j, c)
+	if !xi.HasUpper || !yj.HasLower {
 		return false
 	}
-	c := x.Upper.Cmp(y.Lower)
-	return c < 0 || (c == 0 && (x.UpperOpen || y.LowerOpen))
+	o := xi.Upper.Cmp(yj.Lower)
+	return o < 0 || (o == 0 && (xi.UpperOpen || yj.LowerOpen))
+}
+
+// interval reads tuple i of side s's exact column-c interval back from its
+// envelope: the unbounded Interval{} where the envelope bounds nothing.
+func (f *frame) interval(s *side, i, c int) constraint.Interval {
+	ts := f.rt
+	if s == &f.l {
+		ts = f.lt
+	}
+	iv, _ := ts[i].Constraint().Envelope().Interval(f.cols[c])
+	return iv
 }
 
 // sweepColumn picks the column the interval sweep sorts on: the one where
@@ -261,10 +297,15 @@ func (f *frame) sweepColumn() int {
 	return best
 }
 
-func twoSided(iv *constraint.Interval) bool { return iv.HasLower && iv.HasUpper }
+func twoSided(k constraint.Keys) bool { return hasLo(k) && hasHi(k) }
 
-// count counts the tuples whose column-c interval satisfies pred.
-func (s *side) count(c int, pred func(*constraint.Interval) bool) int64 {
+// hasLo and hasHi report whether k has a lower and an upper endpoint: an
+// infinite key stands for none only when it is exact.
+func hasLo(k constraint.Keys) bool { return !math.IsInf(k.Lo, -1) || k.Bits&constraint.LoExact == 0 }
+func hasHi(k constraint.Keys) bool { return !math.IsInf(k.Hi, 1) || k.Bits&constraint.HiExact == 0 }
+
+// count counts the tuples whose column-c keys satisfy pred.
+func (s *side) count(c int, pred func(constraint.Keys) bool) int64 {
 	var n int64
 	for i := range s.empty {
 		if pred(s.at(i, c)) {
@@ -315,25 +356,27 @@ func pairCandidates(ec *exec.Context, t1s, t2s []relation.Tuple, sharedRel, shar
 }
 
 // sweepPairs enumerates, by a two-pointer sorted merge over the column-c
-// intervals, every (i ∈ as, j ∈ bs) pair whose closed intervals overlap,
-// calling emit exactly once per such pair. Open endpoints are treated as
-// closed here — a conservative superset that the exact frame check inside
-// emit narrows — so no pair the dense loop would keep is ever missed.
-// Tuples with an empty interval in any column are dropped up front; the
-// dense path drops them too (the frame check rejects them on sight),
-// keeping the two candidate sets identical.
+// keys, every (i ∈ as, j ∈ bs) pair whose keys overlap as closed
+// intervals, calling emit exactly once per such pair. It needs no
+// tie-break: two intervals that meet exactly, open endpoints treated as
+// closed, have keys that meet too (rounding is monotone), so the pairs it
+// emits are a superset of those the exact frame check inside emit keeps,
+// and no pair the dense loop would keep is ever missed. Tuples with an
+// empty interval in any column are dropped up front; the dense path drops
+// them too (the frame check rejects them on sight), keeping the two
+// candidate sets identical.
 func sweepPairs(fr *frame, c int, as, bs []int, emit func(i, j int)) {
 	sa, sb := sweepItems(&fr.l, c, as), sweepItems(&fr.r, c, bs)
 	i, j := 0, 0
 	for i < len(sa) && j < len(sb) {
 		a, b := fr.l.at(sa[i], c), fr.r.at(sb[j], c)
-		if loCmp(b, a) >= 0 { // sa[i] starts first (ties go to the a side)
-			for k := j; k < len(sb) && startsBeforeEnd(fr.r.at(sb[k], c), a); k++ {
+		if b.Lo >= a.Lo { // sa[i] starts first (ties go to the a side)
+			for k := j; k < len(sb) && fr.r.at(sb[k], c).Lo <= a.Hi; k++ {
 				emit(sa[i], sb[k])
 			}
 			i++
 		} else {
-			for k := i; k < len(sa) && startsBeforeEnd(fr.l.at(sa[k], c), b); k++ {
+			for k := i; k < len(sa) && fr.l.at(sa[k], c).Lo <= b.Hi; k++ {
 				emit(sa[k], sb[j])
 			}
 			j++
@@ -342,8 +385,8 @@ func sweepPairs(fr *frame, c int, as, bs []int, emit func(i, j int)) {
 }
 
 // sweepItems returns the idxs without an empty interval, sorted by their
-// column-c interval's start, -∞ first. The order among equal starts does
-// not matter: each pair is emitted once whichever comes first, and the
+// column-c lower key, -Inf first. The order among equal keys does not
+// matter: each pair is emitted once whichever comes first, and the
 // candidates are sorted after.
 func sweepItems(s *side, c int, idxs []int) []int {
 	out := make([]int, 0, len(idxs))
@@ -352,30 +395,6 @@ func sweepItems(s *side, c int, idxs []int) []int {
 			out = append(out, i)
 		}
 	}
-	slices.SortFunc(out, func(a, b int) int { return loCmp(s.at(a, c), s.at(b, c)) })
+	slices.SortFunc(out, func(a, b int) int { return cmp.Compare(s.at(a, c).Lo, s.at(b, c).Lo) })
 	return out
-}
-
-// loCmp is the sweep's order on interval starts: -∞ first, then by start
-// value.
-func loCmp(a, b *constraint.Interval) int {
-	switch {
-	case !a.HasLower && !b.HasLower:
-		return 0
-	case !a.HasLower:
-		return -1
-	case !b.HasLower:
-		return 1
-	}
-	return a.Lower.Cmp(b.Lower)
-}
-
-// startsBeforeEnd reports x.lo ≤ y.hi under closed-endpoint semantics
-// with infinities — the sweep's conservative overlap half-condition (the
-// other half, y.lo ≤ x.hi, is implied by the merge order).
-func startsBeforeEnd(x, y *constraint.Interval) bool {
-	if !x.HasLower || !y.HasUpper {
-		return true
-	}
-	return x.Lower.Cmp(y.Upper) <= 0
 }

@@ -1,7 +1,10 @@
 package cqa
 
 import (
+	"math"
+	"math/big"
 	"math/rand"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -120,26 +123,37 @@ func TestPruningEquivalence(t *testing.T) {
 
 // TestSweepMatchesDenseCandidates: the interval sweep and the dense
 // bucket loop enumerate the same candidate set — forced via PlanMode,
-// the plans must be identical.
+// the plans must be identical — on clustered and skewed boxes, and on
+// tuples whose endpoints the float keys find hard (adversarialEndpoints),
+// where the sweep runs on keys alone and the frame check breaks the ties.
 func TestSweepMatchesDenseCandidates(t *testing.T) {
 	p := datagen.Scaled(10)
 	p.Seed = 23
 	p2 := p
 	p2.Seed = p.Seed + 1000
-	for name, pair := range map[string][2]*relation.Relation{
+	rng := rand.New(rand.NewSource(61))
+	hard := adversarialEndpoints()
+	for name, tc := range map[string]struct {
+		t1s, t2s  []relation.Tuple
+		sharedRel []string
+	}{
 		// All-NULL ids: one bucket, so the crossover decision is global.
-		"clustered": {datagen.ClusteredBoxRelation(p, 40, 6, 60, 99),
-			datagen.ClusteredBoxRelation(p2, 40, 6, 60, 99)},
-		"skewed": {datagen.SkewedBoxRelation(p, 40, 5),
-			datagen.SkewedBoxRelation(p2, 40, 5)},
+		"clustered": {datagen.ClusteredBoxRelation(p, 40, 6, 60, 99).Tuples(),
+			datagen.ClusteredBoxRelation(p2, 40, 6, 60, 99).Tuples(), []string{"id"}},
+		"skewed": {datagen.SkewedBoxRelation(p, 40, 5).Tuples(),
+			datagen.SkewedBoxRelation(p2, 40, 5).Tuples(), []string{"id"}},
+		"adversarial": {randBoundedTuples(rng, 60, hard, "x", "y"),
+			randBoundedTuples(rng, 60, hard, "x", "y"), nil},
 	} {
-		t1s, t2s := pair[0].Tuples(), pair[1].Tuples()
+		t1s, t2s := tc.t1s, tc.t2s
 		sharedCon := []string{"x", "y"}
-		sharedRel := []string{"id"}
 		ecSweep := &exec.Context{PlanMode: exec.PlanSweep} // every bucket sweeps
 		ecDense := &exec.Context{PlanMode: exec.PlanDense} // every bucket is dense
-		sweep := pairCandidates(ecSweep, t1s, t2s, sharedRel, sharedCon)
-		dense := pairCandidates(ecDense, t1s, t2s, sharedRel, sharedCon)
+		sweep := pairCandidates(ecSweep, t1s, t2s, tc.sharedRel, sharedCon)
+		dense := pairCandidates(ecDense, t1s, t2s, tc.sharedRel, sharedCon)
+		if sweep.enum != exec.PlanSweep {
+			t.Fatalf("%s: forced sweep ran %s", name, sweep.enum)
+		}
 		if sweep.total != dense.total {
 			t.Fatalf("%s: totals differ: %d vs %d", name, sweep.total, dense.total)
 		}
@@ -153,10 +167,34 @@ func TestSweepMatchesDenseCandidates(t *testing.T) {
 					name, i, sweep.cands[i], dense.cands[i])
 			}
 		}
+		vars := []string{"x", "y"}
+		for _, k := range dense.cands {
+			if i, j := k/len(t2s), k%len(t2s); t1s[i].Constraint().Envelope().Disjoint(t2s[j].Constraint().Envelope(), vars) {
+				t.Fatalf("%s: candidate (%d, %d) has disjoint envelopes", name, i, j)
+			}
+		}
+		if want := dense.total - countDisjoint(t1s, t2s, tc.sharedRel, vars); len(dense.cands) != want {
+			t.Fatalf("%s: %d candidates, %d bucket-matched pairs with envelopes not disjoint", name, len(dense.cands), want)
+		}
 		if sweep.pruned() == 0 {
 			t.Errorf("%s: filter pruned nothing; the fixture is too easy", name)
 		}
 	}
+}
+
+// countDisjoint counts the pairs of t1s × t2s that differ on a shared
+// relational attribute or whose envelopes are Disjoint on vars: what the
+// filter stage must reject, by the exact reference.
+func countDisjoint(t1s, t2s []relation.Tuple, sharedRel, vars []string) int {
+	n := 0
+	for _, a := range t1s {
+		for _, b := range t2s {
+			if a.PartitionKey(sharedRel) != b.PartitionKey(sharedRel) || a.Constraint().Envelope().Disjoint(b.Constraint().Envelope(), vars) {
+				n++
+			}
+		}
+	}
+	return n
 }
 
 // TestPairsStatsConsistent: the filter's pairs/pairs_pruned counters agree
@@ -240,14 +278,15 @@ func TestUnionStats(t *testing.T) {
 
 // randBounds is a random mix of envelope bounds on v: none (1 in 6),
 // one-sided, two-sided (possibly empty), open or closed, or a point — so
-// the frame sees every endpoint shape, touching intervals included
-// (endpoints are drawn from a small range).
-func randBounds(rng *rand.Rand, v string) []constraint.Constraint {
+// the frame sees every endpoint shape, touching intervals included. Each
+// tuple's endpoints are drawn from one cluster of pool, so they meet
+// often: smallInts, or adversarialEndpoints.
+func randBounds(rng *rand.Rand, pool [][]rational.Rat, v string) []constraint.Constraint {
 	if rng.Intn(6) == 0 {
 		return nil
 	}
-	lo := rational.FromInt(int64(rng.Intn(21) - 10))
-	hi := rational.FromInt(int64(rng.Intn(21) - 10))
+	cluster := pool[rng.Intn(len(pool))]
+	lo, hi := cluster[rng.Intn(len(cluster))], cluster[rng.Intn(len(cluster))]
 	switch rng.Intn(4) {
 	case 0:
 		return []constraint.Constraint{constraint.GeConst(v, lo)}
@@ -268,14 +307,57 @@ func randBounds(rng *rand.Rand, v string) []constraint.Constraint {
 	return []constraint.Constraint{constraint.EqConst(v, lo)}
 }
 
+// smallInts is one cluster of the integers -10…10: endpoints whose keys
+// are all exact.
+var smallInts = func() [][]rational.Rat {
+	var c []rational.Rat
+	for n := int64(-10); n <= 10; n++ {
+		c = append(c, rational.FromInt(n))
+	}
+	return [][]rational.Rat{c}
+}()
+
+// adversarialEndpoints are clusters of endpoints the float keys find
+// hard, so that a pair of tuples from one cluster meets on a float tie:
+//
+//   - dyadic values 1 ulp apart, whose keys are exact and differ;
+//   - 1/3 and the rationals 2^-60 and 2^-62 from it: unequal, one float
+//     (2^-62 away is a promoted math/big value);
+//   - 1/2, a dyadic tie (exact keys), and 1/3, a non-dyadic one (inexact);
+//   - the int64 edge, where MaxInt64 and MaxInt64 − 1 round to 2^63 and
+//     MinInt64's key is exact but MinInt64 + 1's is not, and 1/MaxInt64;
+//   - promoted values past 2^64 that round to one float.
+//
+// randBounds draws whether each endpoint is open, so open and closed
+// endpoints meet at one value too.
+func adversarialEndpoints() [][]rational.Rat {
+	ofFloat := func(f float64) rational.Rat { return rational.FromBig(new(big.Rat).SetFloat64(f)) }
+	third := rational.New(1, 3)
+	tf, _ := third.Float64()
+	off := func(k uint) rational.Rat {
+		return rational.FromBig(new(big.Rat).SetFrac(big.NewInt(1), new(big.Int).Lsh(big.NewInt(1), k)))
+	}
+	two64 := rational.FromBig(new(big.Rat).SetInt(new(big.Int).Lsh(big.NewInt(1), 64)))
+	return [][]rational.Rat{
+		{ofFloat(tf), ofFloat(math.Nextafter(tf, 1)), ofFloat(math.Nextafter(tf, 0)), third,
+			third.Add(off(60)), third.Sub(off(60)), third.Add(off(62)), third.Sub(off(62))},
+		{rational.New(1, 2), ofFloat(math.Nextafter(0.5, 1)), ofFloat(math.Nextafter(0.5, 0)), rational.New(1, 2).Add(off(70))},
+		{rational.FromInt(1 << 53), rational.FromInt(1<<53 + 1), rational.FromInt(1<<53 + 2), rational.FromInt(1<<53 - 1)},
+		{rational.FromInt(math.MaxInt64), rational.FromInt(math.MaxInt64 - 1), rational.New(math.MaxInt64, 3),
+			rational.FromInt(math.MinInt64), rational.FromInt(math.MinInt64 + 1), rational.FromInt(math.MinInt64 + 2),
+			rational.New(1, math.MaxInt64), rational.New(1, math.MaxInt64-1), rational.Zero},
+		{two64, two64.Add(rational.One), two64.Sub(rational.One), two64.Add(rational.New(1, 3))},
+	}
+}
+
 // randBoundedTuples is n constraint tuples with randBounds on each of
-// vars, and now and then a bound on an unshared z.
-func randBoundedTuples(rng *rand.Rand, n int, vars ...string) []relation.Tuple {
+// vars, endpoints from pool, and now and then a bound on an unshared z.
+func randBoundedTuples(rng *rand.Rand, n int, pool [][]rational.Rat, vars ...string) []relation.Tuple {
 	out := make([]relation.Tuple, n)
 	for i := range out {
 		var cs []constraint.Constraint
 		for _, v := range vars {
-			cs = append(cs, randBounds(rng, v)...)
+			cs = append(cs, randBounds(rng, pool, v)...)
 		}
 		if rng.Intn(3) == 0 {
 			cs = append(cs, constraint.GeConst("z", rational.FromInt(int64(rng.Intn(5)))))
@@ -288,22 +370,31 @@ func randBoundedTuples(rng *rand.Rand, n int, vars ...string) []relation.Tuple {
 // TestFrameDisjointMatchesEnvelope: the frame's pair check is
 // constraint.Envelope.Disjoint over the shared attributes, on random
 // envelopes with absent, empty, open, point and touching intervals in
-// one to three columns.
+// one to three columns, over small integers and over adversarialEndpoints.
 func TestFrameDisjointMatchesEnvelope(t *testing.T) {
 	rng := rand.New(rand.NewSource(53))
-	for round := 0; round < 300; round++ {
-		vars := []string{"y", "x", "w"}[:1+round%3]
-		t1s := randBoundedTuples(rng, rng.Intn(10), vars...)
-		t2s := randBoundedTuples(rng, rng.Intn(10), vars...)
-		fr := newFrame(t1s, t2s, vars)
-		for i := range t1s {
-			for j := range t2s {
-				want := t1s[i].Constraint().Envelope().Disjoint(t2s[j].Constraint().Envelope(), vars)
-				if got := fr.disjoint(i, j); got != want {
-					t.Fatalf("round %d: frame disjoint(%s, %s) = %v, Envelope.Disjoint = %v",
-						round, t1s[i], t2s[j], got, want)
+	for _, pool := range [][][]rational.Rat{smallInts, adversarialEndpoints()} {
+		disjoint := 0
+		for round := 0; round < 300; round++ {
+			vars := []string{"y", "x", "w"}[:1+round%3]
+			t1s := randBoundedTuples(rng, rng.Intn(10), pool, vars...)
+			t2s := randBoundedTuples(rng, rng.Intn(10), pool, vars...)
+			fr := newFrame(t1s, t2s, vars)
+			for i := range t1s {
+				for j := range t2s {
+					want := t1s[i].Constraint().Envelope().Disjoint(t2s[j].Constraint().Envelope(), vars)
+					if got := fr.disjoint(i, j); got != want {
+						t.Fatalf("round %d: frame disjoint(%s, %s) = %v, Envelope.Disjoint = %v",
+							round, t1s[i], t2s[j], got, want)
+					}
+					if want {
+						disjoint++
+					}
 				}
 			}
+		}
+		if disjoint == 0 {
+			t.Fatal("no pair was disjoint; the comparison is vacuous")
 		}
 	}
 }
@@ -311,28 +402,67 @@ func TestFrameDisjointMatchesEnvelope(t *testing.T) {
 // TestFrameOverlapCountMatchesBruteForce checks the sort-and-search
 // counter against the O(n·m) definition (Interval.Intersects semantics,
 // missing interval = unbounded) on many random tuple sets, in each
-// column of a two-column frame.
+// column of a two-column frame, over small integers and over
+// adversarialEndpoints.
 func TestFrameOverlapCountMatchesBruteForce(t *testing.T) {
 	rng := rand.New(rand.NewSource(41))
-	for round := 0; round < 200; round++ {
-		t1s := randBoundedTuples(rng, rng.Intn(12), "x", "y")
-		t2s := randBoundedTuples(rng, rng.Intn(12), "x", "y")
-		fr := newFrame(t1s, t2s, []string{"y", "x"})
-		for c, v := range fr.cols {
-			var want int64
-			for _, a := range t1s {
-				ia, _ := a.Constraint().Envelope().Interval(v) // absent = the unbounded zero Interval
-				for _, b := range t2s {
-					if ib, _ := b.Constraint().Envelope().Interval(v); ia.Intersects(ib) {
-						want++
+	for _, pool := range [][][]rational.Rat{smallInts, adversarialEndpoints()} {
+		for round := 0; round < 200; round++ {
+			t1s := randBoundedTuples(rng, rng.Intn(12), pool, "x", "y")
+			t2s := randBoundedTuples(rng, rng.Intn(12), pool, "x", "y")
+			fr := newFrame(t1s, t2s, []string{"y", "x"})
+			for c, v := range fr.cols {
+				var want int64
+				for _, a := range t1s {
+					ia, _ := a.Constraint().Envelope().Interval(v) // absent = the unbounded zero Interval
+					for _, b := range t2s {
+						if ib, _ := b.Constraint().Envelope().Interval(v); ia.Intersects(ib) {
+							want++
+						}
 					}
 				}
-			}
-			if got := fr.overlapCount(c); got != want {
-				t.Fatalf("round %d column %s: overlapCount = %d, brute force = %d", round, v, got, want)
+				if got := fr.overlapCount(c); got != want {
+					t.Fatalf("round %d column %s: overlapCount = %d, brute force = %d", round, v, got, want)
+				}
 			}
 		}
 	}
+}
+
+// TestSideHoldsNoPointers: a frame side's slices are of plain values, so
+// the garbage collector never scans the keys of a large operator input.
+func TestSideHoldsNoPointers(t *testing.T) {
+	typ := reflect.TypeOf(side{})
+	for i := range typ.NumField() {
+		f := typ.Field(i)
+		ft := f.Type
+		if ft.Kind() == reflect.Slice {
+			ft = ft.Elem()
+		}
+		if hasPointers(ft) {
+			t.Errorf("side.%s (%s) holds pointers", f.Name, f.Type)
+		}
+	}
+}
+
+// hasPointers reports whether a value of type t holds a pointer.
+func hasPointers(t reflect.Type) bool {
+	switch t.Kind() {
+	case reflect.Struct:
+		for i := range t.NumField() {
+			if hasPointers(t.Field(i).Type) {
+				return true
+			}
+		}
+		return false
+	case reflect.Array:
+		return hasPointers(t.Elem())
+	case reflect.Bool, reflect.Int, reflect.Int8, reflect.Int16, reflect.Int32, reflect.Int64,
+		reflect.Uint, reflect.Uint8, reflect.Uint16, reflect.Uint32, reflect.Uint64, reflect.Uintptr,
+		reflect.Float32, reflect.Float64, reflect.Complex64, reflect.Complex128:
+		return false
+	}
+	return true
 }
 
 // TestFrameOverlapCountEndpoints pins the open-endpoint edge cases the

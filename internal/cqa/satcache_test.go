@@ -276,7 +276,7 @@ func TestWarmJoinAllocs(t *testing.T) {
 	ec.SatCache = constraint.NewSatCache(0)
 	var out *relation.Relation
 	bytes := bytesPerRun(10, warmJoins(t, ec, [3]*relation.Relation{owners, land, track}, &out))
-	t.Logf("Query 3: %.0f B per run", bytes) // 113 680 when set
+	t.Logf("Query 3: %.0f B per run", bytes) // 84 080 when set (103 344 before the frame held float keys)
 	const ceiling = 116368
 	if bytes > ceiling {
 		t.Errorf("warm Query 3 joins: %.0f B per run, ceiling %d B", bytes, ceiling)

@@ -45,21 +45,20 @@ func (r *OpRecorder) EnvHit(sat bool) {
 }
 
 // VectorHit records one satisfiability decision answered geometrically
-// by the vector fast path, with floatReject reporting that the cheap
-// float bounding-box filter already decided it. It counts into vec (and
-// float_rej, and pruned on unsat) but NOT into sat: sat means decisions
-// routed through the sat oracle (cache + eliminator), preserving the
-// invariant cache_hits + cache_misses = sat whenever a cache is
-// configured. The total decision count of an operator is therefore
-// sat + vec + env.
-func (r *OpRecorder) VectorHit(sat, floatReject bool) {
+// by the vector fast path. It counts into vec (and pruned on unsat) but
+// NOT into sat: sat means decisions routed through the sat oracle (cache +
+// eliminator), preserving the invariant cache_hits + cache_misses = sat
+// whenever a cache is configured. The total decision count of an operator
+// is therefore sat + vec + env. Nothing counts into float_rej any more:
+// the vector path's float box is gone (the filter stage's float-keyed
+// frame rejects those pairs before any decider), and the column reads 0
+// until the benchmark's vector.float_reject_share, which reads it, is
+// retired.
+func (r *OpRecorder) VectorHit(sat bool) {
 	if r == nil {
 		return
 	}
 	atomic.AddInt64(&r.s.VectorHits, 1)
-	if floatReject {
-		atomic.AddInt64(&r.s.FloatRejects, 1)
-	}
 	if !sat {
 		atomic.AddInt64(&r.s.PrunedUnsat, 1)
 	}

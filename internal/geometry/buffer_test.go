@@ -19,7 +19,7 @@ func TestBufferAreaMonotoneInK(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		area := p.Area().Float64()
+		area, _ := p.Area().Float64()
 		if area <= prev {
 			t.Errorf("k=%d: area %g not larger than previous %g", k, area, prev)
 		}

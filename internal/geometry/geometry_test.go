@@ -321,7 +321,7 @@ func TestBufferPoint(t *testing.T) {
 	}
 	// Area between inscribed k-gon and disc: must be below πr² and above
 	// half of it for k=16.
-	area := p.Area().Float64()
+	area, _ := p.Area().Float64()
 	if area < 39 || area > 78.6 {
 		t.Errorf("buffer area = %g, want within (39, 78.6)", area)
 	}

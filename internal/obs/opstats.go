@@ -29,7 +29,7 @@ type OpStats struct {
 	EnvHits      int64         // pair decisions answered on the envelopes: both sides non-empty boxes, merged by interval intersection (no clip, no FM, no Merge+Canon)
 	VectorHits   int64         // sat decisions answered by the vector fast path (exact polygon clipping, no FM)
 	VectorFalls  int64         // vector-path fallbacks: decisions on polygon forms the clipper could not take (mixed variable pairs, extra variable, strict-degenerate) and handed to FM
-	FloatRejects int64         // vector-path pairs rejected by the outward-rounded float bounding-box filter before any exact arithmetic
+	FloatRejects int64         // always 0: the vector path's float bounding-box filter is gone (the filter stage's float-keyed frame rejects those pairs); kept while the benchmark reads it
 	Wall         time.Duration // wall time of the operator
 	Parallel     bool          // whether the worker pool was used
 }
@@ -73,7 +73,7 @@ var OpCounters = [...]OpCounter{
 		func(s *OpStats) *int64 { return &s.VectorHits }},
 	{"vec_fallback", "Decisions on polygon forms the clipper declined and handed to the sat oracle.",
 		func(s *OpStats) *int64 { return &s.VectorFalls }},
-	{"float_rej", "Vector-path pairs rejected by the outward-rounded float bounding-box filter.",
+	{"float_rej", "Always 0: the vector path's float bounding-box filter is gone; the filter stage's float-keyed envelope check rejects those pairs.",
 		func(s *OpStats) *int64 { return &s.FloatRejects }},
 }
 

@@ -54,7 +54,9 @@ func scaled(n, d int64, shift int8) *big.Rat {
 }
 
 // FuzzRatOps checks every arithmetic operation against math/big.Rat: the
-// value, and the representation invariants of the result.
+// value, and the representation invariants of the result; and that
+// Float64 is math/big's nearest float64 and exact bit, operands and
+// results alike.
 func FuzzRatOps(f *testing.F) {
 	const lo, hi = math.MinInt64, math.MaxInt64
 	for _, s := range [][4]int64{
@@ -78,6 +80,8 @@ func FuzzRatOps(f *testing.F) {
 	f.Add(int64(3), int64(1), int64(1), int64(3), int8(70), int8(-70))
 	f.Add(int64(1), int64(hi), int64(5), int64(hi), int8(-9), int8(-9))
 	f.Add(int64(lo), int64(1), int64(1), int64(1), int8(-1), int8(0))
+	// Float64 past 2^53, where one int64-to-float division rounds twice.
+	f.Add(int64(110194328106169817), int64(29062511108676235), int64(1<<53+1), int64(3), int8(0), int8(0))
 	f.Fuzz(func(t *testing.T, an, ad, bn, bd int64, sa, sb int8) {
 		ra, rb := scaled(an, ad, sa), scaled(bn, bd, sb)
 		a, b := FromBig(ra), FromBig(rb)
@@ -97,6 +101,9 @@ func FuzzRatOps(f *testing.F) {
 			checkRep(t, "a/b", a.Div(b), new(big.Rat).Quo(ra, rb))
 			checkRep(t, "1/b", b.Inv(), new(big.Rat).Inv(rb))
 		}
+		checkFloat64(t, a, ra)
+		checkFloat64(t, b, rb)
+		checkFloat64(t, a.Mul(b), new(big.Rat).Mul(ra, rb))
 		if got, want := a.Cmp(b), ra.Cmp(rb); got != want {
 			t.Fatalf("Cmp(%s, %s) = %d, want %d", a, b, got, want)
 		}

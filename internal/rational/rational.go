@@ -202,13 +202,20 @@ func (r Rat) Inline() (num, den int64, ok bool) {
 	return r.num, r.normDen(), true
 }
 
-// Float64 returns the nearest float64 value to r.
-func (r Rat) Float64() float64 {
-	if r.b != nil {
-		f, _ := r.b.Float64()
-		return f
+// Float64 returns the nearest float64 value to r (ties to even), and
+// whether it equals r, as math/big's Rat.Float64 does. When |num| and den
+// both fit in 53 bits they convert exactly and one IEEE division rounds
+// the quotient correctly; past that a conversion would round first, so the
+// value goes through math/big.
+func (r Rat) Float64() (f float64, exact bool) {
+	const exactInt = 1 << 53 // every integer of magnitude ≤ 2^53 is a float64
+	num, den := r.num, r.normDen()
+	if r.b != nil || num < -exactInt || num > exactInt || den > exactInt {
+		return r.bigVal().Float64()
 	}
-	return float64(r.num) / float64(r.normDen())
+	// In lowest terms num/den is a dyadic rational exactly when den is a
+	// power of two, and with den ≤ 2^53 it is then a float64.
+	return float64(num) / float64(den), den&(den-1) == 0
 }
 
 // Neg returns -r.

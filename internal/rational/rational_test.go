@@ -224,8 +224,36 @@ func TestIntConversions(t *testing.T) {
 	if _, ok := New(1, 2).Int64(); ok {
 		t.Error("Int64(1/2) reported exact")
 	}
-	if f := New(1, 2).Float64(); f != 0.5 {
-		t.Errorf("Float64(1/2) = %g", f)
+	if f, exact := New(1, 2).Float64(); f != 0.5 || !exact {
+		t.Errorf("Float64(1/2) = %g, %v", f, exact)
+	}
+}
+
+// TestFloat64Nearest: Float64 is the nearest float64, and exact says
+// whether it equals the value, as math/big's Rat.Float64 has them — at
+// the int64 edge, where a numerator or denominator past 2^53 would round
+// once on conversion and again in the division, at 2^53 itself, on dyadic
+// and non-dyadic values, and on promoted ones.
+func TestFloat64Nearest(t *testing.T) {
+	const lo, hi = math.MinInt64, math.MaxInt64
+	for _, c := range [][2]int64{
+		{110194328106169817, 29062511108676235}, // rounded twice by float64(num)/float64(den)
+		{1, 3}, {-2, 3}, {1, 1 << 52}, {3, 1 << 53}, {1 << 53, 1}, {1<<53 + 1, 1}, {-(1<<53 + 1), 3},
+		{1<<53 - 1, 1<<53 - 3}, {1, 1<<53 + 1}, {1<<53 + 1, 1<<53 + 3}, {hi, 1}, {lo, 1}, {1, hi}, {-1, hi},
+		{hi, hi - 1}, {lo + 1, hi}, {hi, 1 << 62}, {lo, 3}, {hi - 2, 7}, {1<<62 + 1, 1<<61 + 1}, {0, 1},
+	} {
+		want := new(big.Rat).SetFrac(big.NewInt(c[0]), big.NewInt(c[1]))
+		checkFloat64(t, New(c[0], c[1]), want)
+		checkFloat64(t, FromBig(new(big.Rat).Mul(want, big.NewRat(1<<40, 3))), new(big.Rat).Mul(want, big.NewRat(1<<40, 3)))
+	}
+}
+
+// checkFloat64 fails t unless r.Float64 is math/big's for want.
+func checkFloat64(t *testing.T, r Rat, want *big.Rat) {
+	t.Helper()
+	wf, wexact := want.Float64()
+	if f, exact := r.Float64(); f != wf || exact != wexact {
+		t.Fatalf("Float64(%s) = %v (exact %v), math/big: %v (exact %v)", r, f, exact, wf, wexact)
 	}
 }
 

@@ -17,6 +17,7 @@ import (
 	"strings"
 
 	"cdb/internal/geometry"
+	"cdb/internal/rational"
 	"cdb/internal/relation"
 	"cdb/internal/spatial"
 )
@@ -119,8 +120,8 @@ func newCanvas(feats []spatial.Feature, opts Options) (*canvas, error) {
 	first := true
 	for _, f := range feats {
 		minX, minY, maxX, maxY := f.Geom.BBox()
-		fx, fy := minX.Float64(), minY.Float64()
-		gx, gy := maxX.Float64(), maxY.Float64()
+		fx, fy := float(minX), float(minY)
+		gx, gy := float(maxX), float(maxY)
 		if first {
 			c.minX, c.minY, c.maxX, c.maxY = fx, fy, gx, gy
 			first = false
@@ -154,8 +155,8 @@ func newCanvas(feats []spatial.Feature, opts Options) (*canvas, error) {
 
 func (c *canvas) pt(p geometry.Point) (float64, float64) {
 	// SVG y grows downward: flip.
-	x := (p.X.Float64() - c.minX) * c.scale
-	y := (c.maxY - p.Y.Float64()) * c.scale
+	x := (float(p.X) - c.minX) * c.scale
+	y := (c.maxY - float(p.Y)) * c.scale
 	return x, y
 }
 
@@ -204,6 +205,12 @@ func (c *canvas) finish() string {
 func escape(s string) string {
 	r := strings.NewReplacer("&", "&amp;", "<", "&lt;", ">", "&gt;", `"`, "&quot;")
 	return r.Replace(s)
+}
+
+// float is r's nearest float64: a drawing coordinate.
+func float(r rational.Rat) float64 {
+	f, _ := r.Float64()
+	return f
 }
 
 func minF(a, b float64) float64 {

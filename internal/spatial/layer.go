@@ -187,14 +187,14 @@ func BufferJoinIndexed(l, o *Layer, d rational.Rat) ([]Pair, uint64, error) {
 
 // floorF returns a float64 lower bound of r (conservative out-rounding).
 func floorF(r rational.Rat) float64 {
-	f := r.Float64()
+	f, _ := r.Float64()
 	// Nudge down one ulp-scale step to stay conservative.
 	return f - absF(f)*1e-12 - 1e-300
 }
 
 // ceilF returns a float64 upper bound of r.
 func ceilF(r rational.Rat) float64 {
-	f := r.Float64()
+	f, _ := r.Float64()
 	return f + absF(f)*1e-12 + 1e-300
 }
 
@@ -241,7 +241,8 @@ func KNearest(l *Layer, q Geometry, k int) ([]Neighbor, error) {
 // float is what makes raw distance *unsafe* as query output, which is why
 // the query layer only exposes the whole-feature operators.
 func Distance(a, b Geometry) float64 {
-	return sqrtF(SqDist(a, b).Float64())
+	d, _ := SqDist(a, b).Float64()
+	return sqrtF(d)
 }
 
 func sqrtF(f float64) float64 {

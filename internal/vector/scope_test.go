@@ -232,7 +232,7 @@ func overlapping(r1, r2 *relation.Relation, visit func(f *Form, base constraint.
 		for _, t2 := range r2.Tuples() {
 			k := t2.Constraint().Canon()
 			if f2 := FormOf(k); f2 != nil {
-				if sat, _ := PairSat(f, f2); sat {
+				if PairSat(f, f2) {
 					ks = append(ks, k)
 				}
 			}

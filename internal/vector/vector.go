@@ -12,10 +12,11 @@
 // recession-cone test, satisfiability by the existence of feasible
 // boundary intersections — so the probe makes zero FM decisions.
 //
-// On top of the exact polygon, every Form carries a float64 bounding box
-// with outward-directed rounding: cheap float comparisons reject disjoint
-// pairs soundly, exact rational clipping (Sutherland–Hodgman) confirms
-// the rest — filter-and-refine one level below the envelope filter.
+// A Form carries no float box of its own. The pairs it is asked about have
+// passed the filter stage's float-keyed envelope check (package cqa), and
+// a planar tuple's envelope bounds each variable by its exact range where
+// interval propagation leaves it one-sided (constraint.Envelope), so every
+// pair goes straight to exact rational clipping (Sutherland–Hodgman).
 //
 // The decision procedures (PairSat, Scope.Clip, Scope.Split, SatExtras)
 // replace only *satisfiability decisions*. The constraint forms the
@@ -26,19 +27,16 @@
 package vector
 
 import (
-	"math"
 	"sync"
 
 	"cdb/internal/constraint"
 	"cdb/internal/convert"
 	"cdb/internal/geometry"
-	"cdb/internal/rational"
 )
 
 // Form is the cached vector form of a vector-eligible conjunction: the
-// exact convex polygon of its region, the polygon's edge half-planes
-// (ready for clipping), and a float64 bounding box rounded outward so
-// that float disjointness implies exact disjointness.
+// exact convex polygon of its region and the polygon's edge half-planes,
+// ready for clipping.
 type Form struct {
 	XVar, YVar string // the two spatial variables, sorted
 	Poly       geometry.Polygon
@@ -52,10 +50,6 @@ type Form struct {
 	labelOnce sync.Once
 	hull      []constraint.Constraint
 	hullEdges []geometry.Label
-
-	// Outward-rounded float bounds: MinX <= exact minX, MaxX >= exact
-	// maxX, likewise for Y. Never NaN.
-	MinX, MinY, MaxX, MaxY float64
 }
 
 // FormOf returns the vector form of j, or nil when j is not
@@ -122,11 +116,7 @@ func computeForm(j constraint.Conjunction) *Form {
 	if err != nil {
 		return nil // collinear vertices: degenerate region
 	}
-	f := &Form{XVar: x, YVar: y, Poly: hull, halves: geometry.EdgeHalfPlanes(hull), atoms: cs}
-	minX, minY, maxX, maxY := hull.BBox()
-	f.MinX, f.MinY = floatDown(minX), floatDown(minY)
-	f.MaxX, f.MaxY = floatUp(maxX), floatUp(maxY)
-	return f
+	return &Form{XVar: x, YVar: y, Poly: hull, halves: geometry.EdgeHalfPlanes(hull), atoms: cs}
 }
 
 // unboundedDirection reports whether the recession cone
@@ -156,51 +146,26 @@ func unboundedDirection(normals []geometry.Point) bool {
 	return false
 }
 
-// floatDown returns a float64 at or below the exact rational; floatUp at
-// or above. Rat.Float64 is within ~1.5 ulp of the exact value (nearest
-// big.Rat conversion, or one int64-to-float division), so four directed
-// ulp steps are a safely conservative outward bound.
-func floatDown(r rational.Rat) float64 {
-	f := r.Float64()
-	for i := 0; i < 4; i++ {
-		f = math.Nextafter(f, math.Inf(-1))
-	}
-	return f
-}
-
-func floatUp(r rational.Rat) float64 {
-	f := r.Float64()
-	for i := 0; i < 4; i++ {
-		f = math.Nextafter(f, math.Inf(1))
-	}
-	return f
-}
-
 // PairSat decides satisfiability of f1 ∧ f2 — the refine step of the
-// pairing operators — entirely in vector form. floatReject reports that
-// the cheap float bounding-box filter already proved the pair disjoint
-// (sound by the outward rounding; the exact clip never runs). Both forms
-// must be over the same variable pair (callers check; it panics
-// otherwise, as a wrong-pair answer would be silently unsound).
+// pairing operators — entirely in vector form. Both forms must be over the
+// same variable pair (callers check; it panics otherwise, as a wrong-pair
+// answer would be silently unsound).
 //
 // Both regions are closed, so the decision is exact: the clipped ring is
 // non-empty — even degenerate to a shared edge or corner — if and only if
 // the conjunction is satisfiable.
-func PairSat(f1, f2 *Form) (sat, floatReject bool) {
+func PairSat(f1, f2 *Form) bool {
 	if f1.XVar != f2.XVar || f1.YVar != f2.YVar {
 		panic("vector: PairSat forms over different variable pairs")
-	}
-	if f1.MaxX < f2.MinX || f2.MaxX < f1.MinX || f1.MaxY < f2.MinY || f2.MaxY < f1.MinY {
-		return false, true
 	}
 	ring := f1.Poly.Vertices()
 	for _, h := range f2.halves {
 		ring = geometry.ClipRing(ring, h)
 		if len(ring) == 0 {
-			return false, false
+			return false
 		}
 	}
-	return true, false
+	return true
 }
 
 // Scope is a Form's region clipped by a sequence of extra atoms — select

@@ -118,10 +118,8 @@ func TestFormOfTriangleFromConvert(t *testing.T) {
 	if !f.Poly.Area().Equal(tri.Area()) {
 		t.Fatalf("area %s, want %s", f.Poly.Area(), tri.Area())
 	}
-	// Float bbox brackets the exact one.
-	if f.MinX > 0 || f.MaxX < 6 || f.MinY > 0 || f.MaxY < 6 {
-		t.Fatalf("float bbox [%g,%g]x[%g,%g] does not bracket [0,6]^2",
-			f.MinX, f.MaxX, f.MinY, f.MaxY)
+	if minX, minY, maxX, maxY := f.Poly.BBox(); !minX.IsZero() || !minY.IsZero() || !maxX.Equal(q(6)) || !maxY.Equal(q(6)) {
+		t.Fatalf("bbox [%s,%s]x[%s,%s], want [0,6]^2", minX, maxX, minY, maxY)
 	}
 }
 
@@ -153,23 +151,17 @@ func randomPoly(rng *rand.Rand, t *testing.T) (constraint.Conjunction, *Form) {
 
 func TestPairSatAgainstFM(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
-	var sats, rejects int
+	var sats int
 	for i := 0; i < 120; i++ {
 		j1, f1 := randomPoly(rng, t)
 		j2, f2 := randomPoly(rng, t)
-		sat, floatReject := PairSat(f1, f2)
+		sat := PairSat(f1, f2)
 		want := j1.Merge(j2).Canon().IsSatisfiable()
 		if sat != want {
 			t.Fatalf("case %d: PairSat = %v, FM = %v\n j1: %s\n j2: %s", i, sat, want, j1, j2)
 		}
-		if floatReject && sat {
-			t.Fatalf("case %d: float reject on a satisfiable pair", i)
-		}
 		if sat {
 			sats++
-		}
-		if floatReject {
-			rejects++
 		}
 	}
 	if sats == 0 {
@@ -182,20 +174,18 @@ func TestPairSatTouchingRegions(t *testing.T) {
 	// the degenerate clip must count as sat, exactly like FM.
 	a := FormOf(boxConj(0, 0, 2, 2).Canon())
 	b := FormOf(boxConj(2, 0, 4, 2).Canon())
-	sat, _ := PairSat(a, b)
-	if !sat {
+	if !PairSat(a, b) {
 		t.Fatal("edge-touching boxes reported unsat")
 	}
 	// Corner touch.
 	c := FormOf(boxConj(2, 2, 4, 4).Canon())
-	if sat, _ := PairSat(a, c); !sat {
+	if !PairSat(a, c) {
 		t.Fatal("corner-touching boxes reported unsat")
 	}
-	// Disjoint, far: the float filter must fire.
+	// Disjoint, far: the clip empties the ring.
 	d := FormOf(boxConj(100, 100, 102, 102).Canon())
-	sat, reject := PairSat(a, d)
-	if sat || !reject {
-		t.Fatalf("far-disjoint: sat=%v reject=%v, want false/true", sat, reject)
+	if PairSat(a, d) {
+		t.Fatal("far-disjoint boxes reported sat")
 	}
 }
 
