@@ -36,7 +36,7 @@ obs-demo:
 		-e "$$(printf 'R0 = join Landownership and Land\nR1 = select t >= 4, t <= 9 from R0\nR2 = project R1 on name')"
 
 # Native fuzzing: 30s per target. go's -fuzz takes one package at a time,
-# so the thirteen targets run sequentially (~7min total). Inputs that fail are
+# so the sixteen targets run sequentially (~8min total). Inputs that fail are
 # auto-saved under the package's testdata/fuzz/<Target>/ — commit them;
 # they replay as regression tests in every ordinary `go test` run.
 FUZZTIME ?= 30s
@@ -51,6 +51,7 @@ fuzz:
 	$(GO) test ./internal/constraint -run '^$$' -fuzz '^FuzzStaircase$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/query -run '^$$' -fuzz '^FuzzQueryParse$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/calculus -run '^$$' -fuzz '^FuzzCalculusParse$$' -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/calculus -run '^$$' -fuzz '^FuzzComparisonFaces$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/snapshot -run '^$$' -fuzz '^FuzzManifest$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/snapshot -run '^$$' -fuzz '^FuzzWALReplay$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/snapshot -run '^$$' -fuzz '^FuzzPageCodec$$' -fuzztime $(FUZZTIME)

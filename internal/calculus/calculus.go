@@ -18,14 +18,17 @@
 // Body atoms are relation atoms R(term, ...) — with positional terms that
 // are variables, "_" (anonymous), quoted strings, or rational numbers —
 // and comparison atoms over the variables (linear over rationals; = / !=
-// against quoted strings). Rules are range-restricted: every head
-// variable must occur in some relation atom. Later rules may use earlier
-// rules' heads (non-recursive stratification is enforced). Rules sharing
-// a head name union.
+// against quoted strings). A rule is read from the query language's
+// tokens, and its comparisons and numbers by the query language's parsers
+// (package query): the two faces share one grammar. Rules are
+// range-restricted: every head variable must occur in some relation atom.
+// Later rules may use earlier rules' heads (non-recursive stratification is
+// enforced). Rules sharing a head name union.
 package calculus
 
 import (
 	"fmt"
+	"strconv"
 	"strings"
 
 	"cdb/internal/constraint"
@@ -64,84 +67,28 @@ type RelAtom struct {
 	Terms []Term
 }
 
-// CompAtom is a comparison over variables: a linear comparison (parsed into
-// coefficient form) or a variable against a string literal. `a != b` is
-// linear whatever a and b range over: Translate knows their types, not Parse.
+// CompAtom is a comparison over variables: the linear form Expr Op 0 (a
+// variable that cancels out of it is not referenced), or Var Op StrLit
+// when IsStr. `a != b` is linear whatever a and b range over: Translate
+// knows their types, not Parse.
 type CompAtom struct {
-	// Linear form: sum of (Coef, Var) plus Const, OP 0.
-	Terms []LinTerm
-	Const rational.Rat
-	Op    cqa.CompOp
+	Expr constraint.Expr // the left side minus the right side
+	Op   cqa.CompOp
 	// String form (used when IsStr): Var op StrLit.
 	IsStr  bool
 	Var    string
 	StrLit string
 }
 
-// LinTerm is one coefficient-variable pair of a linear comparison.
-type LinTerm struct {
-	Coef rational.Rat
-	Var  string
-}
-
-// quoteStr quotes a string literal in exactly the form the rule lexer
-// decodes (its inverse): quote, backslash and the common control
-// characters escape, every other byte is emitted raw. Go's %q is NOT
-// suitable here — it emits escapes like \f that the lexer decodes to a
-// plain 'f'.
-func quoteStr(s string) string {
-	var b strings.Builder
-	b.WriteByte('"')
-	for i := 0; i < len(s); i++ {
-		switch c := s[i]; c {
-		case '"', '\\':
-			b.WriteByte('\\')
-			b.WriteByte(c)
-		case '\n':
-			b.WriteString(`\n`)
-		case '\t':
-			b.WriteString(`\t`)
-		case '\r':
-			b.WriteString(`\r`)
-		default:
-			b.WriteByte(c)
-		}
-	}
-	b.WriteByte('"')
-	return b.String()
-}
-
-// String renders the comparison back to rule syntax ("2 x - y <= 10",
+// String renders the comparison back to rule syntax ("2x - y <= 10",
 // `id = "A"`), exactly the form the parser accepts, with the constant
 // moved to the right-hand side.
 func (a CompAtom) String() string {
 	if a.IsStr {
-		return fmt.Sprintf("%s %s %s", a.Var, a.Op, quoteStr(a.StrLit))
+		return fmt.Sprintf("%s %s %s", a.Var, a.Op, strconv.Quote(a.StrLit))
 	}
-	var b strings.Builder
-	if len(a.Terms) == 0 {
-		b.WriteString("0")
-	}
-	for i, t := range a.Terms {
-		coef := t.Coef
-		if neg := coef.Sign() < 0; neg {
-			coef = coef.Neg()
-			if i == 0 {
-				b.WriteString("-")
-			} else {
-				b.WriteString(" - ")
-			}
-		} else if i > 0 {
-			b.WriteString(" + ")
-		}
-		if !coef.Equal(rational.One) {
-			b.WriteString(coef.String())
-			b.WriteString(" ")
-		}
-		b.WriteString(t.Var)
-	}
-	fmt.Fprintf(&b, " %s %s", a.Op, a.Const.Neg())
-	return b.String()
+	k := a.Expr.ConstTerm().Neg()
+	return fmt.Sprintf("%s %s %s", a.Expr.AddConst(k), a.Op, k)
 }
 
 // Rule is head :- body.
@@ -266,9 +213,9 @@ func (r Rule) AtomName(i int) string { return fmt.Sprintf("%s$%d", r.Rels[i].Nam
 // names stay. bound also has the types the parser lacked: a linear form
 // over string variables must be v = w or v != w and becomes a string atom.
 func (a CompAtom) atom(bound map[string]schema.Attribute, home map[string]int) (_ cqa.Atom, i int, _ error) {
-	terms := a.Terms
+	terms := a.Expr.Terms()
 	if a.IsStr {
-		terms = []LinTerm{{Var: a.Var}}
+		terms = []constraint.Term{{Var: a.Var}}
 	}
 	i, strs := -1, 0
 	for k, t := range terms {
@@ -295,12 +242,12 @@ func (a CompAtom) atom(bound map[string]schema.Attribute, home map[string]int) (
 	case a.IsStr:
 		return cqa.StringAtom{Attr: name(a.Var), Op: a.Op, Lit: a.StrLit, IsLit: true}, i, nil
 	case strs == 0:
-		e := constraint.Const(a.Const)
+		e := constraint.Const(a.Expr.ConstTerm())
 		for _, t := range terms {
 			e = e.Add(constraint.Var(name(t.Var)).Scale(t.Coef))
 		}
 		return cqa.LinearAtom{Expr: e, Op: a.Op}, i, nil
-	case strs != 2 || len(terms) != 2 || !a.Const.IsZero() || !terms[0].Coef.Add(terms[1].Coef).IsZero():
+	case strs != 2 || len(terms) != 2 || !a.Expr.ConstTerm().IsZero() || !terms[0].Coef.Add(terms[1].Coef).IsZero():
 		return nil, -1, fmt.Errorf("string variables compare only as v = w or v != w")
 	case a.Op != cqa.OpEq && a.Op != cqa.OpNe:
 		return nil, -1, fmt.Errorf("operator %s not defined on strings", a.Op)
@@ -390,7 +337,7 @@ func (p *Program) String() string {
 				case TermAnon:
 					ts = append(ts, "_")
 				case TermStr:
-					ts = append(ts, quoteStr(t.Str))
+					ts = append(ts, strconv.Quote(t.Str))
 				default:
 					ts = append(ts, t.Rat.String())
 				}

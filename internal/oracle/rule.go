@@ -130,17 +130,15 @@ func compsHold(r calculus.Rule, strs map[string]relation.Value, sys []constraint
 		if c.IsStr || isStrVar(strs, c) {
 			a, b := strs[c.Var], relation.Str(c.StrLit)
 			if !c.IsStr {
-				a, b = strs[c.Terms[0].Var], strs[c.Terms[1].Var]
+				ts := c.Expr.Terms()
+				a, b = strs[ts[0].Var], strs[ts[1].Var]
 			}
 			if a.IsNull() || b.IsNull() || a.Equal(b) != (c.Op == cqa.OpEq) {
 				return false
 			}
 			continue
 		}
-		e := constraint.Const(c.Const)
-		for _, t := range c.Terms {
-			e = e.Add(constraint.Var(t.Var).Scale(t.Coef))
-		}
+		e := c.Expr
 		switch c.Op {
 		case cqa.OpEq:
 			sys = append(sys, constraint.Constraint{Expr: e, Op: constraint.Eq})
@@ -179,10 +177,11 @@ func compsHold(r calculus.Rule, strs map[string]relation.Value, sys []constraint
 // variables (the rule parser cannot tell `a != b` over strings from one
 // over rationals; the types can).
 func isStrVar(strs map[string]relation.Value, c calculus.CompAtom) bool {
-	if len(c.Terms) == 0 {
+	ts := c.Expr.Terms()
+	if len(ts) == 0 {
 		return false
 	}
-	_, ok := strs[c.Terms[0].Var]
+	_, ok := strs[ts[0].Var]
 	return ok
 }
 
@@ -255,7 +254,7 @@ func randomRule(rng *rand.Rand, s1, s2 schema.Schema) calculus.Rule {
 		for n := rng.Intn(3); len(r.Comps) < n; {
 			v := vars[rng.Intn(len(vars))]
 			w := vars[rng.Intn(len(vars))]
-			varToVar := calculus.CompAtom{Terms: []calculus.LinTerm{{Coef: rational.One, Var: v}, {Coef: rational.FromInt(-1), Var: w}}}
+			varToVar := calculus.CompAtom{Expr: constraint.Var(v).Sub(constraint.Var(w))}
 			switch {
 			case types[v] == schema.String && types[w] == schema.String && v != w && rng.Intn(2) == 0:
 				varToVar.Op = ops[rng.Intn(2)]
@@ -267,8 +266,8 @@ func randomRule(rng *rand.Rand, s1, s2 schema.Schema) calculus.Rule {
 				r.Comps = append(r.Comps, varToVar)
 			default:
 				r.Comps = append(r.Comps, calculus.CompAtom{
-					Terms: []calculus.LinTerm{{Coef: rational.FromInt(int64(1 + rng.Intn(2))), Var: v}},
-					Const: rational.FromInt(int64(rng.Intn(17) - 8)), Op: ops[rng.Intn(len(ops))]})
+					Expr: constraint.Var(v).Scale(rational.FromInt(int64(1 + rng.Intn(2)))).AddConst(rational.FromInt(int64(rng.Intn(17) - 8))),
+					Op:   ops[rng.Intn(len(ops))]})
 			}
 		}
 		for len(r.HeadVars) == 0 {
@@ -314,8 +313,8 @@ func ruleWitnesses(rng *rand.Rand, r calculus.Rule, rels cqa.Env, opts WitnessOp
 			extra.Strings[c.Var] = append(extra.Strings[c.Var], c.StrLit)
 			continue
 		}
-		e := constraint.Const(c.Const)
-		for _, t := range c.Terms {
+		e := constraint.Const(c.Expr.ConstTerm())
+		for _, t := range c.Expr.Terms() {
 			if types[t.Var].Type == schema.Rational {
 				e = e.Add(constraint.Var(t.Var).Scale(t.Coef))
 			}

@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"cdb/internal/constraint"
+	"cdb/internal/cqa"
 )
 
 // ParseConstraints parses a comma-separated conjunction of linear
@@ -12,13 +13,17 @@ import (
 // not convex and therefore not storable in a single constraint tuple) are
 // rejected. This is the stored-tuple syntax used by the db text format.
 func ParseConstraints(src string) ([]constraint.Constraint, error) {
-	toks, err := lex(src)
+	return named(parseConstraints(src))
+}
+
+func parseConstraints(src string) ([]constraint.Constraint, error) {
+	toks, err := Lex(src)
 	if err != nil {
 		return nil, err
 	}
 	p := &parser{toks: toks}
 	var out []constraint.Constraint
-	if p.peek().kind == tokEOF {
+	if p.peek().Kind == TokEOF {
 		return nil, nil // empty conjunction = true
 	}
 	for {
@@ -26,25 +31,25 @@ func ParseConstraints(src string) ([]constraint.Constraint, error) {
 		if err != nil {
 			return nil, err
 		}
-		if a.l.isStr || a.r.isStr {
-			return nil, fmt.Errorf("query: string literal in stored constraint %q", a)
+		if a.L.IsStr || a.R.IsStr {
+			return nil, fmt.Errorf("string literal in stored constraint %q", a)
 		}
-		if a.op == "!=" {
-			return nil, fmt.Errorf("query: != is not convex and cannot appear in a stored constraint tuple")
+		if a.Op == cqa.OpNe {
+			return nil, fmt.Errorf("!= is not convex and cannot appear in a stored constraint tuple")
 		}
-		c, err := constraint.New(a.l.linear, a.op, a.r.linear)
+		c, err := constraint.New(a.L.Linear, a.Op.String(), a.R.Linear)
 		if err != nil {
 			return nil, err
 		}
 		out = append(out, c)
-		if p.peek().kind == tokComma {
+		if p.peek().Kind == TokComma {
 			p.next()
 			continue
 		}
 		break
 	}
-	if p.peek().kind != tokEOF {
-		return nil, p.errf("trailing input %q in constraint list", p.peek().text)
+	if p.peek().Kind != TokEOF {
+		return nil, p.errf("trailing input %q in constraint list", p.peek().Text)
 	}
 	return out, nil
 }

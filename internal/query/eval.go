@@ -33,14 +33,9 @@ func (prog *Program) RunOptimized(env cqa.Env) (*relation.Relation, error) {
 	return prog.run(env, true, nil)
 }
 
-// RunCtx is Run under an execution context: CQA operators fan out over
-// ec's worker pool and record per-operator stats on ec (see package
-// exec). A nil ec is Run.
-func (prog *Program) RunCtx(env cqa.Env, ec *exec.Context) (*relation.Relation, error) {
-	return prog.run(env, false, ec)
-}
-
-// RunOptimizedCtx is RunOptimized under an execution context.
+// RunOptimizedCtx is RunOptimized under an execution context: CQA
+// operators fan out over ec's worker pool and record per-operator stats on
+// ec (see package exec). A nil ec is RunOptimized.
 func (prog *Program) RunOptimizedCtx(env cqa.Env, ec *exec.Context) (*relation.Relation, error) {
 	return prog.run(env, true, ec)
 }

@@ -23,32 +23,42 @@
 // words compare as string literals when the attribute is string-typed,
 // quoted strings always do). The program's value is the relation assigned
 // by its final statement.
+//
+// The tokens (Lex) and the comparison grammar (ParseComparison) are the
+// language's, not only this face's: the rules of internal/calculus read
+// them too.
 package query
 
 import (
 	"fmt"
+	"strconv"
 	"strings"
 	"unicode"
+	"unicode/utf8"
 )
 
-type tokenKind int
+// TokenKind discriminates Token.
+type TokenKind int
 
+// The token kinds of the language. Both faces read the same tokens: the
+// query programs of this package and the rules of internal/calculus.
 const (
-	tokEOF tokenKind = iota
-	tokIdent
-	tokNumber
-	tokString
-	tokOp     // = != < <= > >= + - * /
-	tokComma  // ,
-	tokLParen // (
-	tokRParen // )
+	TokEOF TokenKind = iota
+	TokIdent
+	TokNumber
+	TokString
+	TokOp     // = != < <= > >= + - * / and a rule's :- and .
+	TokComma  // ,
+	TokLParen // (
+	TokRParen // )
 )
 
-type token struct {
-	kind tokenKind
-	text string
-	pos  int // byte offset, for error messages
-	line int
+// Token is one lexical token. A string's Text is its decoded value.
+type Token struct {
+	Kind TokenKind
+	Text string
+	Pos  int // byte offset of the token's start
+	Line int
 }
 
 // compound keywords that contain '-': the lexer merges IDENT '-' IDENT
@@ -62,11 +72,18 @@ type lexer struct {
 	src    string
 	pos    int
 	line   int
-	tokens []token
+	tokens []Token
 }
 
-func lex(src string) ([]token, error) {
-	l := &lexer{src: src, line: 1}
+// Lex scans src into tokens, ending with one TokEOF. Comments run from
+// '#', '%' or "--" to the end of the line. An identifier is a letter or
+// '_' followed by letters, digits and '_'; a number is digits with at most
+// one '.', and a '.' belongs to a number only when a digit follows it; a
+// string is a Go string literal, decoded as strconv.Unquote does. An error
+// names its line ("line N: ..."); the caller prefixes its own name.
+func Lex(src string) ([]Token, error) {
+	// About one token per three bytes of text: one allocation, typically.
+	l := &lexer{src: src, line: 1, tokens: make([]Token, 0, len(src)/3+8)}
 	for l.pos < len(l.src) {
 		c := l.src[l.pos]
 		switch {
@@ -75,45 +92,34 @@ func lex(src string) ([]token, error) {
 			l.pos++
 		case c == ' ' || c == '\t' || c == '\r':
 			l.pos++
-		case c == '#':
+		case c == '#' || c == '%' || c == '-' && l.peekAt(1) == '-':
 			l.skipLine()
-		case c == '-' && l.peekAt(1) == '-':
-			l.skipLine()
-		case isIdentStart(rune(c)):
-			l.lexIdent()
-		case c >= '0' && c <= '9' || (c == '.' && l.peekAt(1) >= '0' && l.peekAt(1) <= '9'):
+		case isDigit(c) || c == '.' && isDigit(l.peekAt(1)):
 			l.lexNumber()
 		case c == '"':
 			if err := l.lexString(); err != nil {
 				return nil, err
 			}
 		case c == ',':
-			l.emit(tokComma, ",")
-			l.pos++
+			l.emit(TokComma, 1)
 		case c == '(':
-			l.emit(tokLParen, "(")
-			l.pos++
+			l.emit(TokLParen, 1)
 		case c == ')':
-			l.emit(tokRParen, ")")
-			l.pos++
-		case c == '<' || c == '>' || c == '!':
-			op := string(c)
-			l.pos++
-			if l.pos < len(l.src) && l.src[l.pos] == '=' {
-				op += "="
-				l.pos++
-			} else if c == '!' {
-				return nil, fmt.Errorf("query: line %d: '!' must be followed by '='", l.line)
-			}
-			l.emit(tokOp, op)
-		case c == '=' || c == '+' || c == '-' || c == '*' || c == '/':
-			l.emit(tokOp, string(c))
-			l.pos++
+			l.emit(TokRParen, 1)
+		case c == ':' && l.peekAt(1) == '-', (c == '<' || c == '>' || c == '!') && l.peekAt(1) == '=':
+			l.emit(TokOp, 2)
+		case c == '!':
+			return nil, fmt.Errorf("line %d: '!' must be followed by '='", l.line)
+		case strings.IndexByte("=<>+-*/.", c) >= 0:
+			l.emit(TokOp, 1)
 		default:
-			return nil, fmt.Errorf("query: line %d: unexpected character %q", l.line, c)
+			if r, _ := utf8.DecodeRuneInString(l.src[l.pos:]); !isIdentStart(r) {
+				return nil, fmt.Errorf("line %d: unexpected character %q", l.line, r)
+			}
+			l.lexIdent()
 		}
 	}
-	l.emit(tokEOF, "")
+	l.tokens = append(l.tokens, Token{Kind: TokEOF, Pos: l.pos, Line: l.line})
 	return l.mergeCompounds(), nil
 }
 
@@ -130,9 +136,13 @@ func (l *lexer) skipLine() {
 	}
 }
 
-func (l *lexer) emit(kind tokenKind, text string) {
-	l.tokens = append(l.tokens, token{kind: kind, text: text, pos: l.pos, line: l.line})
+// emit makes the next n bytes one token of the given kind.
+func (l *lexer) emit(kind TokenKind, n int) {
+	l.tokens = append(l.tokens, Token{Kind: kind, Text: l.src[l.pos : l.pos+n], Pos: l.pos, Line: l.line})
+	l.pos += n
 }
+
+func isDigit(c byte) bool { return c >= '0' && c <= '9' }
 
 func isIdentStart(r rune) bool {
 	return unicode.IsLetter(r) || r == '_'
@@ -143,80 +153,72 @@ func isIdentPart(r rune) bool {
 }
 
 func (l *lexer) lexIdent() {
-	start := l.pos
-	for l.pos < len(l.src) && isIdentPart(rune(l.src[l.pos])) {
-		l.pos++
+	n := 0
+	for l.pos+n < len(l.src) {
+		r, size := utf8.DecodeRuneInString(l.src[l.pos+n:])
+		if !isIdentPart(r) {
+			break
+		}
+		n += size
 	}
-	l.emit(tokIdent, l.src[start:l.pos])
+	l.emit(TokIdent, n)
 }
 
 func (l *lexer) lexNumber() {
-	start := l.pos
-	seenDot := false
-	for l.pos < len(l.src) {
-		c := l.src[l.pos]
-		if c >= '0' && c <= '9' {
-			l.pos++
-			continue
-		}
-		if c == '.' && !seenDot {
-			seenDot = true
-			l.pos++
-			continue
-		}
-		break
+	n := l.digits(0)
+	if l.peekAt(n) == '.' && isDigit(l.peekAt(n+1)) {
+		n = l.digits(n + 1)
 	}
-	l.emit(tokNumber, l.src[start:l.pos])
+	l.emit(TokNumber, n)
 }
 
+// digits returns the offset past the run of digits starting at offset n.
+func (l *lexer) digits(n int) int {
+	for isDigit(l.peekAt(n)) {
+		n++
+	}
+	return n
+}
+
+// lexString finds the closing quote (a backslash escapes the byte after
+// it) and decodes the literal with strconv.Unquote, the decoder of the db
+// text format and the inverse of how every result row prints a string.
 func (l *lexer) lexString() error {
-	line := l.line
-	l.pos++ // opening quote
-	var b strings.Builder
-	for l.pos < len(l.src) {
-		c := l.src[l.pos]
-		switch c {
-		case '"':
-			l.pos++
-			l.emit(tokString, b.String())
-			return nil
+	for n := 1; l.pos+n < len(l.src); n++ {
+		switch l.src[l.pos+n] {
 		case '\\':
-			if l.pos+1 >= len(l.src) {
-				return fmt.Errorf("query: line %d: unterminated escape", line)
-			}
-			l.pos++
-			b.WriteByte(l.src[l.pos])
-			l.pos++
+			n++
 		case '\n':
-			return fmt.Errorf("query: line %d: unterminated string", line)
-		default:
-			b.WriteByte(c)
-			l.pos++
+			return fmt.Errorf("line %d: unterminated string", l.line)
+		case '"':
+			lit := l.src[l.pos : l.pos+n+1]
+			s, err := strconv.Unquote(lit)
+			if err != nil {
+				return fmt.Errorf("line %d: invalid string literal %s", l.line, lit)
+			}
+			l.tokens = append(l.tokens, Token{Kind: TokString, Text: s, Pos: l.pos, Line: l.line})
+			l.pos += n + 1
+			return nil
 		}
 	}
-	return fmt.Errorf("query: line %d: unterminated string", line)
+	return fmt.Errorf("line %d: unterminated string", l.line)
 }
 
 // mergeCompounds turns IDENT('-')IDENT triples into compound keywords
 // ("buffer-join", "k-nearest"). The three tokens must be adjacent in the
 // source — "k - nearest" with spaces is a subtraction of two variables,
 // not the keyword — and elsewhere '-' stays a minus operator.
-func (l *lexer) mergeCompounds() []token {
-	var out []token
-	ts := l.tokens
+func (l *lexer) mergeCompounds() []Token {
+	ts, out := l.tokens, l.tokens[:0] // in place: out never passes i
 	for i := 0; i < len(ts); i++ {
-		// Identifier tokens record their END offset (lexIdent emits after
-		// advancing); the '-' records its start. Adjacent means the '-'
-		// starts where the first identifier ends and the second identifier
-		// ends one byte plus its own length later.
-		if ts[i].kind == tokIdent && i+2 < len(ts) &&
-			ts[i+1].kind == tokOp && ts[i+1].text == "-" &&
-			ts[i+2].kind == tokIdent &&
-			ts[i+1].pos == ts[i].pos &&
-			ts[i+2].pos == ts[i+1].pos+1+len(ts[i+2].text) {
-			comp := ts[i].text + "-" + ts[i+2].text
+		if ts[i].Kind == TokIdent && i+2 < len(ts) &&
+			ts[i+1].Kind == TokOp && ts[i+1].Text == "-" &&
+			ts[i+2].Kind == TokIdent &&
+			ts[i+1].Pos == ts[i].Pos+len(ts[i].Text) &&
+			ts[i+2].Pos == ts[i+1].Pos+1 {
+			comp := ts[i].Text + "-" + ts[i+2].Text
 			if compoundKeywords[strings.ToLower(comp)] {
-				out = append(out, token{kind: tokIdent, text: comp, pos: ts[i].pos, line: ts[i].line})
+				out = append(out, Token{Kind: TokIdent, Text: comp, Pos: ts[i].Pos, Line: ts[i].Line})
 				i += 2
 				continue
 			}

@@ -2,6 +2,7 @@ package query
 
 import (
 	"fmt"
+	"strconv"
 	"strings"
 
 	"cdb/internal/constraint"
@@ -48,54 +49,71 @@ const (
 )
 
 // Expr is a parsed operator expression. Conditions are kept in surface
-// form (rawAtom) and bound against schemas at evaluation time, because the
-// C/R flag and attribute types of intermediate results are only known then.
+// form (Comparison) and bound against schemas at evaluation time, because
+// the C/R flag and attribute types of intermediate results are only known
+// then.
 type Expr struct {
 	Kind      ExprKind
 	Name      string // ExprScan
 	Src, Src2 *Expr
-	Conds     []rawAtom // ExprSelect
-	Cols      []string  // ExprProject
-	Old, New  string    // ExprRename
+	Conds     []Comparison // ExprSelect
+	Cols      []string     // ExprProject
+	Old, New  string       // ExprRename
 	Dist      rational.Rat
 	K         int
 	PointX    rational.Rat
 	PointY    rational.Rat
 }
 
-// rawAtom is one comparison in surface form: linear combination OP linear
-// combination, where operands may also be bare words or quoted strings.
-type rawAtom struct {
-	l, r condOperand
-	op   string
-	line int
+// Comparison is one comparison in surface form, L Op R. It is the one
+// comparison grammar of the language: a select condition, a stored
+// constraint and a rule's comparison atom (internal/calculus) all parse
+// into it. A string literal compares, by = or !=, with one bare
+// identifier; any other operand is a linear expression.
+type Comparison struct {
+	L, R Operand
+	Op   cqa.CompOp
+	Line int
 }
 
-// condOperand is a parsed side of a comparison: either a linear expression
-// over identifiers, or a string literal, or a single bare identifier
-// (which the binder may resolve to an attribute or a string literal).
-type condOperand struct {
-	linear    constraint.Expr
-	idents    []string // identifiers appearing in linear
-	str       string
-	isStr     bool
-	singleVar string // non-empty when the operand is exactly one bare identifier
+// Operand is a parsed side of a comparison: a string literal (IsStr), or a
+// linear expression over identifiers, which is a single bare identifier
+// (Var) when the binder may resolve it to an attribute or a string literal.
+type Operand struct {
+	Linear constraint.Expr
+	Idents []string // identifiers appearing in Linear, cancelled ones too
+	Str    string
+	IsStr  bool
+	Var    string // non-empty when the operand is exactly one bare identifier
 }
 
 type parser struct {
-	toks []token
+	toks []Token
 	i    int
 }
 
 // Parse parses a multi-statement query program.
-func Parse(src string) (*Program, error) {
-	toks, err := lex(src)
+func Parse(src string) (*Program, error) { return named(parseProgram(src)) }
+
+// named prefixes a parse error, which names only its line, with this
+// face's name: the grammar it shares with internal/calculus does not know
+// which face called it.
+func named[T any](v T, err error) (T, error) {
+	if err != nil {
+		var zero T
+		return zero, fmt.Errorf("query: %w", err)
+	}
+	return v, nil
+}
+
+func parseProgram(src string) (*Program, error) {
+	toks, err := Lex(src)
 	if err != nil {
 		return nil, err
 	}
 	p := &parser{toks: toks}
 	prog := &Program{}
-	for p.peek().kind != tokEOF {
+	for p.peek().Kind != TokEOF {
 		st, err := p.parseStmt()
 		if err != nil {
 			return nil, err
@@ -103,26 +121,43 @@ func Parse(src string) (*Program, error) {
 		prog.Stmts = append(prog.Stmts, st)
 	}
 	if len(prog.Stmts) == 0 {
-		return nil, fmt.Errorf("query: empty program")
+		return nil, fmt.Errorf("empty program")
 	}
 	return prog, nil
 }
 
-func (p *parser) peek() token { return p.toks[p.i] }
-func (p *parser) next() token { t := p.toks[p.i]; p.i++; return t }
-func (p *parser) line() int   { return p.peek().line }
+// ParseComparison parses the comparison at the start of toks, a stream Lex
+// made, and returns it with the number of tokens it read.
+func ParseComparison(toks []Token) (Comparison, int, error) {
+	p := parser{toks: toks}
+	c, err := p.parseAtom()
+	return c, p.i, err
+}
+
+// ParseNumber parses the signed number ([-] NUMBER [/ NUMBER]) at the start
+// of toks, a stream Lex made, and returns it with the number of tokens it
+// read.
+func ParseNumber(toks []Token) (rational.Rat, int, error) {
+	p := parser{toks: toks}
+	n, err := p.parseSignedNumber()
+	return n, p.i, err
+}
+
+func (p *parser) peek() Token { return p.toks[p.i] }
+func (p *parser) next() Token { t := p.toks[p.i]; p.i++; return t }
+func (p *parser) line() int   { return p.peek().Line }
 
 func (p *parser) errf(format string, args ...any) error {
-	return fmt.Errorf("query: line %d: %s", p.line(), fmt.Sprintf(format, args...))
+	return fmt.Errorf("line %d: %s", p.line(), fmt.Sprintf(format, args...))
 }
 
 func (p *parser) expectIdent(words ...string) (string, error) {
 	t := p.peek()
-	if t.kind != tokIdent {
-		return "", p.errf("expected %s, got %q", strings.Join(words, " or "), t.text)
+	if t.Kind != TokIdent {
+		return "", p.errf("expected %s, got %q", strings.Join(words, " or "), t.Text)
 	}
 	if len(words) > 0 {
-		lower := strings.ToLower(t.text)
+		lower := strings.ToLower(t.Text)
 		ok := false
 		for _, w := range words {
 			if lower == w {
@@ -130,17 +165,17 @@ func (p *parser) expectIdent(words ...string) (string, error) {
 			}
 		}
 		if !ok {
-			return "", p.errf("expected %s, got %q", strings.Join(words, " or "), t.text)
+			return "", p.errf("expected %s, got %q", strings.Join(words, " or "), t.Text)
 		}
 	}
 	p.next()
-	return t.text, nil
+	return t.Text, nil
 }
 
 func (p *parser) expectOp(op string) error {
 	t := p.peek()
-	if t.kind != tokOp || t.text != op {
-		return p.errf("expected %q, got %q", op, t.text)
+	if t.Kind != TokOp || t.Text != op {
+		return p.errf("expected %q, got %q", op, t.Text)
 	}
 	p.next()
 	return nil
@@ -149,10 +184,10 @@ func (p *parser) expectOp(op string) error {
 func (p *parser) parseStmt() (Stmt, error) {
 	line := p.line()
 	t := p.peek()
-	if t.kind != tokIdent {
-		return Stmt{}, p.errf("expected statement target, got %q", t.text)
+	if t.Kind != TokIdent {
+		return Stmt{}, p.errf("expected statement target, got %q", t.Text)
 	}
-	target := p.next().text
+	target := p.next().Text
 	if err := p.expectOp("="); err != nil {
 		return Stmt{}, err
 	}
@@ -165,10 +200,10 @@ func (p *parser) parseStmt() (Stmt, error) {
 
 func (p *parser) parseExpr() (*Expr, error) {
 	t := p.peek()
-	if t.kind != tokIdent {
-		return nil, p.errf("expected operator or relation name, got %q", t.text)
+	if t.Kind != TokIdent {
+		return nil, p.errf("expected operator or relation name, got %q", t.Text)
 	}
-	switch strings.ToLower(t.text) {
+	switch strings.ToLower(t.Text) {
 	case "select":
 		p.next()
 		return p.parseSelect()
@@ -176,7 +211,7 @@ func (p *parser) parseExpr() (*Expr, error) {
 		p.next()
 		return p.parseProject()
 	case "join", "union", "minus", "diff", "intersect":
-		kw := strings.ToLower(p.next().text)
+		kw := strings.ToLower(p.next().Text)
 		return p.parseBinary(kw)
 	case "rename":
 		p.next()
@@ -188,7 +223,7 @@ func (p *parser) parseExpr() (*Expr, error) {
 		p.next()
 		return p.parseKNearest()
 	default:
-		name := p.next().text
+		name := p.next().Text
 		return &Expr{Kind: ExprScan, Name: name}, nil
 	}
 }
@@ -196,41 +231,41 @@ func (p *parser) parseExpr() (*Expr, error) {
 // parseSource parses a relation reference: a name or a parenthesised
 // expression.
 func (p *parser) parseSource() (*Expr, error) {
-	if p.peek().kind == tokLParen {
+	if p.peek().Kind == TokLParen {
 		p.next()
 		e, err := p.parseExpr()
 		if err != nil {
 			return nil, err
 		}
-		if p.peek().kind != tokRParen {
-			return nil, p.errf("expected ')', got %q", p.peek().text)
+		if p.peek().Kind != TokRParen {
+			return nil, p.errf("expected ')', got %q", p.peek().Text)
 		}
 		p.next()
 		return e, nil
 	}
 	t := p.peek()
-	if t.kind != tokIdent {
-		return nil, p.errf("expected relation name, got %q", t.text)
+	if t.Kind != TokIdent {
+		return nil, p.errf("expected relation name, got %q", t.Text)
 	}
 	// Reserved words cannot be bare sources.
-	switch strings.ToLower(t.text) {
+	switch strings.ToLower(t.Text) {
 	case "select", "project", "join", "union", "minus", "diff", "rename",
 		"buffer-join", "k-nearest", "intersect":
 		return p.parseExpr()
 	}
 	p.next()
-	return &Expr{Kind: ExprScan, Name: t.text}, nil
+	return &Expr{Kind: ExprScan, Name: t.Text}, nil
 }
 
 func (p *parser) parseSelect() (*Expr, error) {
-	var conds []rawAtom
+	var conds []Comparison
 	for {
 		a, err := p.parseAtom()
 		if err != nil {
 			return nil, err
 		}
 		conds = append(conds, a)
-		if p.peek().kind == tokComma {
+		if p.peek().Kind == TokComma {
 			p.next()
 			continue
 		}
@@ -257,11 +292,11 @@ func (p *parser) parseProject() (*Expr, error) {
 	var cols []string
 	for {
 		t := p.peek()
-		if t.kind != tokIdent {
-			return nil, p.errf("expected column name, got %q", t.text)
+		if t.Kind != TokIdent {
+			return nil, p.errf("expected column name, got %q", t.Text)
 		}
-		cols = append(cols, p.next().text)
-		if p.peek().kind == tokComma {
+		cols = append(cols, p.next().Text)
+		if p.peek().Kind == TokComma {
 			p.next()
 			continue
 		}
@@ -318,11 +353,11 @@ func (p *parser) parseRename() (*Expr, error) {
 
 func (p *parser) expectIdentAny() (string, error) {
 	t := p.peek()
-	if t.kind != tokIdent {
-		return "", p.errf("expected identifier, got %q", t.text)
+	if t.Kind != TokIdent {
+		return "", p.errf("expected identifier, got %q", t.Text)
 	}
 	p.next()
-	return t.text, nil
+	return t.Text, nil
 }
 
 func (p *parser) parseBufferJoin() (*Expr, error) {
@@ -369,7 +404,7 @@ func (p *parser) parseKNearest() (*Expr, error) {
 	if _, err := p.expectIdent("point"); err != nil {
 		return nil, err
 	}
-	if p.peek().kind != tokLParen {
+	if p.peek().Kind != TokLParen {
 		return nil, p.errf("expected '(' after point")
 	}
 	p.next()
@@ -377,7 +412,7 @@ func (p *parser) parseKNearest() (*Expr, error) {
 	if err != nil {
 		return nil, err
 	}
-	if p.peek().kind != tokComma {
+	if p.peek().Kind != TokComma {
 		return nil, p.errf("expected ',' in point")
 	}
 	p.next()
@@ -385,7 +420,7 @@ func (p *parser) parseKNearest() (*Expr, error) {
 	if err != nil {
 		return nil, err
 	}
-	if p.peek().kind != tokRParen {
+	if p.peek().Kind != TokRParen {
 		return nil, p.errf("expected ')' after point")
 	}
 	p.next()
@@ -395,25 +430,34 @@ func (p *parser) parseKNearest() (*Expr, error) {
 // parseNumber parses NUMBER, NUMBER/NUMBER, or a decimal.
 func (p *parser) parseNumber() (rational.Rat, error) {
 	t := p.peek()
-	if t.kind != tokNumber {
-		return rational.Rat{}, p.errf("expected number, got %q", t.text)
+	if t.Kind != TokNumber {
+		return rational.Rat{}, p.errf("expected number, got %q", t.Text)
 	}
 	p.next()
-	if p.peek().kind == tokOp && p.peek().text == "/" {
+	if p.peek().Kind == TokOp && p.peek().Text == "/" {
 		p.next()
 		den := p.peek()
-		if den.kind != tokNumber {
-			return rational.Rat{}, p.errf("expected denominator, got %q", den.text)
+		if den.Kind != TokNumber {
+			return rational.Rat{}, p.errf("expected denominator, got %q", den.Text)
 		}
 		p.next()
-		return rational.Parse(t.text + "/" + den.text)
+		return p.rat(t.Text + "/" + den.Text)
 	}
-	return rational.Parse(t.text)
+	return p.rat(t.Text)
+}
+
+// rat parses the text of a number the parser has just read.
+func (p *parser) rat(text string) (rational.Rat, error) {
+	r, err := rational.Parse(text)
+	if err != nil {
+		return rational.Rat{}, fmt.Errorf("line %d: %w", p.toks[p.i-1].Line, err)
+	}
+	return r, nil
 }
 
 func (p *parser) parseSignedNumber() (rational.Rat, error) {
 	neg := false
-	if p.peek().kind == tokOp && p.peek().text == "-" {
+	if p.peek().Kind == TokOp && p.peek().Text == "-" {
 		neg = true
 		p.next()
 	}
@@ -428,43 +472,46 @@ func (p *parser) parseSignedNumber() (rational.Rat, error) {
 }
 
 // parseAtom parses one comparison: operand OP operand.
-func (p *parser) parseAtom() (rawAtom, error) {
+func (p *parser) parseAtom() (Comparison, error) {
 	line := p.line()
 	l, err := p.parseOperand()
 	if err != nil {
-		return rawAtom{}, err
+		return Comparison{}, err
 	}
 	t := p.peek()
-	if t.kind != tokOp {
-		return rawAtom{}, p.errf("expected comparison operator, got %q", t.text)
+	op, err := cqa.ParseCompOp(t.Text)
+	if t.Kind != TokOp || err != nil {
+		return Comparison{}, p.errf("expected comparison operator, got %q", t.Text)
 	}
-	switch t.text {
-	case "=", "!=", "<", "<=", ">", ">=":
-	default:
-		return rawAtom{}, p.errf("expected comparison operator, got %q", t.text)
-	}
-	op := p.next().text
+	p.next()
 	r, err := p.parseOperand()
 	if err != nil {
-		return rawAtom{}, err
+		return Comparison{}, err
 	}
-	return rawAtom{l: l, r: r, op: op, line: line}, nil
+	if l.IsStr || r.IsStr {
+		if op != cqa.OpEq && op != cqa.OpNe {
+			return Comparison{}, fmt.Errorf("line %d: operator %s not defined on strings", line, op)
+		}
+		if l.Var == "" && r.Var == "" {
+			return Comparison{}, fmt.Errorf("line %d: a string literal compares with one identifier", line)
+		}
+	}
+	return Comparison{L: l, R: r, Op: op, Line: line}, nil
 }
 
 // parseOperand parses a comparison side: a quoted string, or a linear
 // combination of numbers and identifiers.
-func (p *parser) parseOperand() (condOperand, error) {
-	if p.peek().kind == tokString {
-		s := p.next().text
-		return condOperand{str: s, isStr: true}, nil
+func (p *parser) parseOperand() (Operand, error) {
+	if p.peek().Kind == TokString {
+		return Operand{Str: p.next().Text, IsStr: true}, nil
 	}
 	expr, idents, err := p.parseLinear()
 	if err != nil {
-		return condOperand{}, err
+		return Operand{}, err
 	}
-	op := condOperand{linear: expr, idents: idents}
-	if len(idents) == 1 && expr.Equal(constraint.Var(idents[0])) {
-		op.singleVar = idents[0]
+	op := Operand{Linear: expr, Idents: idents}
+	if ts := expr.Terms(); len(idents) == 1 && len(ts) == 1 && ts[0].Coef.Equal(rational.One) && expr.ConstTerm().IsZero() {
+		op.Var = idents[0]
 	}
 	return op, nil
 }
@@ -474,41 +521,36 @@ func (p *parser) parseOperand() (condOperand, error) {
 func (p *parser) parseLinear() (constraint.Expr, []string, error) {
 	var expr constraint.Expr
 	var idents []string
-	first := true
-	for {
-		sign := rational.One
+	for first := true; ; first = false {
 		t := p.peek()
-		if t.kind == tokOp && (t.text == "+" || t.text == "-") {
-			if t.text == "-" {
-				sign = rational.FromInt(-1)
-			}
+		neg := t.Kind == TokOp && t.Text == "-"
+		if neg || t.Kind == TokOp && t.Text == "+" {
 			p.next()
 		} else if !first {
-			break
+			return expr, dedupStrings(idents), nil
 		}
 		term, id, err := p.parseTerm()
 		if err != nil {
 			return constraint.Expr{}, nil, err
 		}
-		expr = expr.Add(term.Scale(sign))
+		if neg {
+			term = term.Neg()
+		}
+		if first {
+			expr = term
+		} else {
+			expr = expr.Add(term)
+		}
 		if id != "" {
 			idents = append(idents, id)
 		}
-		first = false
-		t = p.peek()
-		if t.kind == tokOp && (t.text == "+" || t.text == "-") {
-			continue
-		}
-		break
 	}
-	if first {
-		return constraint.Expr{}, nil, p.errf("expected expression, got %q", p.peek().text)
-	}
-	return expr, dedupStrings(idents), nil
 }
 
-// reservedWords cannot be used as bare attribute names inside conditions:
-// they delimit the surrounding statement grammar.
+// reservedWords delimit the statement grammar: one written apart from
+// the number before it ends the coefficient ("select x >= 2 from R").
+// Everywhere else a keyword is an identifier, so "2in", "2*in" and "in"
+// name the variable in, as a rule may.
 var reservedWords = map[string]bool{
 	"select": true, "project": true, "join": true, "union": true,
 	"minus": true, "diff": true, "intersect": true, "rename": true,
@@ -516,47 +558,39 @@ var reservedWords = map[string]bool{
 	"within": true, "point": true, "buffer-join": true, "k-nearest": true,
 }
 
-func isReserved(text string) bool {
-	return reservedWords[strings.ToLower(text)]
-}
-
 // parseTerm parses one multiplicative term.
 func (p *parser) parseTerm() (constraint.Expr, string, error) {
 	t := p.peek()
-	switch t.kind {
-	case tokNumber:
+	switch t.Kind {
+	case TokNumber:
 		coef, err := p.parseNumber()
 		if err != nil {
 			return constraint.Expr{}, "", err
 		}
-		// Optional '*' then ident, or ident directly ("2x"). Reserved
-		// words end the expression instead of becoming variables.
-		if p.peek().kind == tokOp && p.peek().text == "*" {
+		// Optional '*' then ident, or ident directly ("2x", "2 x").
+		if p.peek().Kind == TokOp && p.peek().Text == "*" {
 			p.next()
-			id := p.peek()
-			if id.kind != tokIdent || isReserved(id.text) {
-				return constraint.Expr{}, "", p.errf("expected identifier after '*', got %q", id.text)
+			if p.peek().Kind != TokIdent {
+				return constraint.Expr{}, "", p.errf("expected identifier after '*', got %q", p.peek().Text)
 			}
-			p.next()
-			return constraint.Var(id.text).Scale(coef), id.text, nil
+		} else if last, id := p.toks[p.i-1], p.peek(); id.Kind != TokIdent ||
+			reservedWords[strings.ToLower(id.Text)] && id.Pos != last.Pos+len(last.Text) {
+			return constraint.Const(coef), "", nil
 		}
-		if p.peek().kind == tokIdent && !isReserved(p.peek().text) {
-			id := p.next().text
-			return constraint.Var(id).Scale(coef), id, nil
-		}
-		return constraint.Const(coef), "", nil
-	case tokIdent:
-		if isReserved(t.text) {
-			return constraint.Expr{}, "", p.errf("expected term, got reserved word %q", t.text)
-		}
+		id := p.next().Text
+		return constraint.Var(id).Scale(coef), id, nil
+	case TokIdent:
 		p.next()
-		return constraint.Var(t.text), t.text, nil
+		return constraint.Var(t.Text), t.Text, nil
 	default:
-		return constraint.Expr{}, "", p.errf("expected term, got %q", t.text)
+		return constraint.Expr{}, "", p.errf("expected term, got %q", t.Text)
 	}
 }
 
 func dedupStrings(in []string) []string {
+	if len(in) < 2 {
+		return in
+	}
 	seen := map[string]bool{}
 	var out []string
 	for _, s := range in {
@@ -598,76 +632,64 @@ func (e *Expr) String() string {
 	}
 }
 
-func (a rawAtom) String() string {
-	return fmt.Sprintf("%s %s %s", a.l, a.op, a.r)
+func (a Comparison) String() string {
+	return fmt.Sprintf("%s %s %s", a.L, a.Op, a.R)
 }
 
-func (o condOperand) String() string {
-	if o.isStr {
-		return fmt.Sprintf("%q", o.str)
+func (o Operand) String() string {
+	if o.IsStr {
+		return strconv.Quote(o.Str)
 	}
-	return o.linear.String()
+	return o.Linear.String()
 }
 
-// bindAtom resolves a rawAtom against a schema into a cqa.Atom, applying
+// bindAtom resolves a Comparison against a schema into a cqa.Atom, applying
 // the bare-word rule: in a comparison against a string attribute, a bare
 // identifier that is not itself an attribute is a string literal (the
 // paper writes select LandID=A).
-func bindAtom(a rawAtom, s cqaSchema) (cqa.Atom, error) {
+func bindAtom(a Comparison, s cqaSchema) (cqa.Atom, error) {
 	isStrAttr := func(name string) bool {
 		at, ok := s.Attr(name)
 		return ok && at.Type == schemaString
 	}
 	// String-side resolution.
-	strSide := func(attr string, other condOperand) (cqa.Atom, error) {
-		op, err := cqa.ParseCompOp(a.op)
-		if err != nil {
-			return nil, err
+	strSide := func(attr string, other Operand) (cqa.Atom, error) {
+		if a.Op != cqa.OpEq && a.Op != cqa.OpNe {
+			return nil, fmt.Errorf("query: line %d: operator %q not defined on string attribute %q", a.Line, a.Op, attr)
 		}
-		if op != cqa.OpEq && op != cqa.OpNe {
-			return nil, fmt.Errorf("query: line %d: operator %q not defined on string attribute %q", a.line, a.op, attr)
+		if other.IsStr {
+			return cqa.StringAtom{Attr: attr, Op: a.Op, Lit: other.Str, IsLit: true}, nil
 		}
-		if other.isStr {
-			return cqa.StringAtom{Attr: attr, Op: op, Lit: other.str, IsLit: true}, nil
-		}
-		if other.singleVar != "" {
-			if isStrAttr(other.singleVar) {
-				return cqa.StringAtom{Attr: attr, Op: op, OtherAttr: other.singleVar}, nil
+		if other.Var != "" {
+			if isStrAttr(other.Var) {
+				return cqa.StringAtom{Attr: attr, Op: a.Op, OtherAttr: other.Var}, nil
 			}
-			if _, ok := s.Attr(other.singleVar); !ok {
+			if _, ok := s.Attr(other.Var); !ok {
 				// Bare word: string literal.
-				return cqa.StringAtom{Attr: attr, Op: op, Lit: other.singleVar, IsLit: true}, nil
+				return cqa.StringAtom{Attr: attr, Op: a.Op, Lit: other.Var, IsLit: true}, nil
 			}
 		}
-		return nil, fmt.Errorf("query: line %d: cannot compare string attribute %q with %s", a.line, attr, other)
+		return nil, fmt.Errorf("query: line %d: cannot compare string attribute %q with %s", a.Line, attr, other)
 	}
-	lStr := a.l.singleVar != "" && isStrAttr(a.l.singleVar)
-	rStr := a.r.singleVar != "" && isStrAttr(a.r.singleVar)
 	switch {
-	case a.l.isStr && a.r.isStr:
-		return nil, fmt.Errorf("query: line %d: comparison between two literals", a.line)
-	case lStr:
-		return strSide(a.l.singleVar, a.r)
-	case rStr:
-		return strSide(a.r.singleVar, a.l)
-	case a.l.isStr || a.r.isStr:
-		return nil, fmt.Errorf("query: line %d: string literal compared with non-string expression", a.line)
+	case a.L.Var != "" && isStrAttr(a.L.Var):
+		return strSide(a.L.Var, a.R)
+	case a.R.Var != "" && isStrAttr(a.R.Var):
+		return strSide(a.R.Var, a.L)
+	case a.L.IsStr || a.R.IsStr:
+		return nil, fmt.Errorf("query: line %d: string literal compared with non-string expression", a.Line)
 	}
 	// Linear comparison: all identifiers must be rational attributes.
-	for _, ids := range [][]string{a.l.idents, a.r.idents} {
+	for _, ids := range [][]string{a.L.Idents, a.R.Idents} {
 		for _, id := range ids {
 			at, ok := s.Attr(id)
 			if !ok {
-				return nil, fmt.Errorf("query: line %d: unknown attribute %q", a.line, id)
+				return nil, fmt.Errorf("query: line %d: unknown attribute %q", a.Line, id)
 			}
 			if at.Type != schemaRational {
-				return nil, fmt.Errorf("query: line %d: attribute %q is not rational", a.line, id)
+				return nil, fmt.Errorf("query: line %d: attribute %q is not rational", a.Line, id)
 			}
 		}
 	}
-	op, err := cqa.ParseCompOp(a.op)
-	if err != nil {
-		return nil, err
-	}
-	return cqa.Linear(a.l.linear, op, a.r.linear), nil
+	return cqa.Linear(a.L.Linear, a.Op, a.R.Linear), nil
 }

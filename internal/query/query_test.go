@@ -38,17 +38,17 @@ func testEnv() cqa.Env {
 }
 
 func TestLexerBasics(t *testing.T) {
-	toks, err := lex(`R0 = select t>=4, x+2y<=3.5 from "weird" # comment
+	toks, err := Lex(`R0 = select t>=4, x+2y<=3.5 from "weird" # comment
 -- more comment
 B = buffer-join L and T within 1/2`)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var kinds []tokenKind
+	var kinds []TokenKind
 	var texts []string
 	for _, tk := range toks {
-		kinds = append(kinds, tk.kind)
-		texts = append(texts, tk.text)
+		kinds = append(kinds, tk.Kind)
+		texts = append(texts, tk.Text)
 	}
 	joined := strings.Join(texts, " ")
 	for _, want := range []string{"R0", "=", "select", ">=", "3.5", "weird", "buffer-join", "within", "1", "/", "2"} {
@@ -56,15 +56,15 @@ B = buffer-join L and T within 1/2`)
 			t.Errorf("token stream missing %q: %v", want, texts)
 		}
 	}
-	if kinds[len(kinds)-1] != tokEOF {
+	if kinds[len(kinds)-1] != TokEOF {
 		t.Error("no EOF token")
 	}
 }
 
 func TestLexerErrors(t *testing.T) {
 	for _, src := range []string{`"unterminated`, "x ! y", "a @ b", "\"bad\nnewline\""} {
-		if _, err := lex(src); err == nil {
-			t.Errorf("lex(%q) succeeded", src)
+		if _, err := Lex(src); err == nil {
+			t.Errorf("Lex(%q) succeeded", src)
 		}
 	}
 }

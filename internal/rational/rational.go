@@ -93,6 +93,9 @@ func Parse(s string) (Rat, error) {
 	if s == "" {
 		return Rat{}, fmt.Errorf("rational: empty string")
 	}
+	if n, err := strconv.ParseInt(s, 10, 64); err == nil {
+		return FromInt(n), nil // the common case, without math/big
+	}
 	if i := strings.IndexByte(s, '/'); i >= 0 {
 		numStr, denStr := s[:i], s[i+1:]
 		num, ok1 := new(big.Int).SetString(numStr, 10)

@@ -156,19 +156,10 @@ func (c Config) defaultSatCache() int {
 
 func (c Config) logger() *slog.Logger {
 	if c.Logger == nil {
-		return slog.New(discardHandler{})
+		return slog.New(slog.DiscardHandler)
 	}
 	return c.Logger
 }
-
-// discardHandler is a no-op slog.Handler (slog.DiscardHandler arrived
-// in go1.24; keep an explicit one so the package stays easy to backport).
-type discardHandler struct{}
-
-func (discardHandler) Enabled(context.Context, slog.Level) bool  { return false }
-func (discardHandler) Handle(context.Context, slog.Record) error { return nil }
-func (discardHandler) WithAttrs([]slog.Attr) slog.Handler        { return discardHandler{} }
-func (discardHandler) WithGroup(string) slog.Handler             { return discardHandler{} }
 
 // Server is the cqacdbd HTTP server. Create with New, serve its
 // Handler(), stop with Shutdown.
