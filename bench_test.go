@@ -1036,7 +1036,9 @@ func BenchmarkHurricaneServer(b *testing.B) {
 // through the calculus face: the same join as one three-atom rule (parse
 // excluded, normalisation included), same database, same rotating windows,
 // same session-lifetime context. The two are one language with two faces
-// (§2.2), so this one must stay within 1.5× of that one.
+// (§2.2), so this one should cost what that one does; it costs 2.5–3.6×
+// on a shared 2-core host (ROADMAP item 19: its renamed atoms are fresh
+// relations on every request).
 func BenchmarkHurricaneRuleWarm(b *testing.B) {
 	land, owners, track := datagen.HurricaneRelations(8)
 	d := loadedDB(b, map[string]*relation.Relation{"Land": land, "Landownership": owners, "Hurricane": track})

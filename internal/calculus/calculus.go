@@ -28,6 +28,7 @@ package calculus
 
 import (
 	"fmt"
+	"slices"
 	"strconv"
 	"strings"
 
@@ -67,13 +68,13 @@ type RelAtom struct {
 	Terms []Term
 }
 
-// CompAtom is a comparison over variables: the linear form Expr Op 0 (a
-// variable that cancels out of it is not referenced), or Var Op StrLit
-// when IsStr. `a != b` is linear whatever a and b range over: Translate
-// knows their types, not Parse.
+// CompAtom is a comparison over variables: the linear form Expr Op 0, or
+// Var Op StrLit when IsStr. `a != b` is linear whatever a and b range over:
+// Translate knows their types, not Parse.
 type CompAtom struct {
-	Expr constraint.Expr // the left side minus the right side
-	Op   cqa.CompOp
+	Expr   constraint.Expr // the left side minus the right side
+	Idents []string        // the variables the two sides name, those that cancel out of Expr too
+	Op     cqa.CompOp
 	// String form (used when IsStr): Var op StrLit.
 	IsStr  bool
 	Var    string
@@ -216,6 +217,17 @@ func (a CompAtom) atom(bound map[string]schema.Attribute, home map[string]int) (
 	terms := a.Expr.Terms()
 	if a.IsStr {
 		terms = []constraint.Term{{Var: a.Var}}
+	}
+	// A variable that cancels out (q - q = 0) is still one the comparison
+	// names: it must be bound, and a string one leaves no v = w behind.
+	for _, v := range a.Idents {
+		b, ok := bound[v]
+		switch {
+		case !ok:
+			return nil, -1, fmt.Errorf("unbound variable %q", v)
+		case b.Type == schema.String && !slices.ContainsFunc(terms, func(t constraint.Term) bool { return t.Var == v }):
+			return nil, -1, fmt.Errorf("string variables compare only as v = w or v != w")
+		}
 	}
 	i, strs := -1, 0
 	for k, t := range terms {

@@ -19,23 +19,39 @@ import (
 // answer holds: the query's "name" column and the rule's head variable n.
 func selectBoth(t *testing.T, env cqa.Env, rel, cond, rule string) (asQuery, asRule []string) {
 	t.Helper()
+	asQuery, asRule, qerr, rerr := answerBoth(t, env, rel, cond, rule)
+	if qerr != nil {
+		t.Fatalf("query face, select %s: %v", cond, qerr)
+	}
+	if rerr != nil {
+		t.Fatalf("rule face, %s: %v", rule, rerr)
+	}
+	return asQuery, asRule
+}
+
+// answerBoth is selectBoth with each face's evaluation error returned, not
+// fatal: a face may refuse the comparison when it binds it.
+func answerBoth(t *testing.T, env cqa.Env, rel, cond, rule string) (asQuery, asRule []string, qerr, rerr error) {
+	t.Helper()
 	prog, err := query.Parse("S = select " + cond + " from " + rel)
 	if err != nil {
 		t.Fatalf("query face: %v", err)
 	}
-	out, err := prog.RunOptimized(env)
-	if err != nil {
-		t.Fatalf("query face, select %s: %v", cond, err)
+	if out, err := prog.RunOptimized(env); err == nil {
+		asQuery = names(out, "name")
+	} else {
+		qerr = err
 	}
 	rules, err := Parse(rule)
 	if err != nil {
 		t.Fatalf("rule face: %v", err)
 	}
-	got, err := rules.Run(env)
-	if err != nil {
-		t.Fatalf("rule face, %s: %v", rule, err)
+	if got, err := rules.Run(env); err == nil {
+		asRule = names(got, "n")
+	} else {
+		rerr = err
 	}
-	return names(out, "name"), names(got, "n")
+	return asQuery, asRule, qerr, rerr
 }
 
 func loadText(t *testing.T, src string) cqa.Env {
@@ -155,6 +171,7 @@ var faceCases = []struct{ src, want string }{
 	{`"a" = "b"`, ``},                    // ... with one identifier
 	{`x, y >= 1`, ``},                    // a condition is a comparison
 	{`x <= 1, y >= 2`, `x <= 1, y >= 2`}, // a list is one atom per comparison
+	{`q - q = 0`, `0 = 0`},               // a variable may cancel out (bound or not: see below)
 }
 
 func TestComparisonFaces(t *testing.T) {
@@ -173,6 +190,30 @@ func TestComparisonFaces(t *testing.T) {
 		}
 		if len(conds) != len(comps) || strings.Join(got, ", ") != c.want {
 			t.Errorf("%s: query face %q, rule face %q; want %s", c.src, conds, got, c.want)
+		}
+	}
+	// Bound against T(name, x), a variable that cancels out is still one
+	// the comparison names: unknown, or a string, both faces refuse it.
+	env := loadText(t, `relation T
+schema name string relational, x rational constraint
+tuple name="a" | x = 1
+tuple name="b" | x = 2
+end
+`)
+	for _, c := range []struct{ cond, rule, want string }{
+		{`x - x = 0`, `s(n) :- T(n, x), x - x = 0.`, "a b"},
+		{`q - q = 0`, `s(n) :- T(n, x), q - q = 0.`, ""},
+		{`name - name = 0`, `s(n) :- T(n, x), n - n = 0.`, ""},
+	} {
+		asQuery, asRule, qerr, rerr := answerBoth(t, env, "T", c.cond, c.rule)
+		if (qerr != nil) != (c.want == "") || (rerr != nil) != (c.want == "") {
+			t.Errorf("%s / %s: query face error %v, rule face error %v; want both to refuse: %v", c.cond, c.rule, qerr, rerr, c.want == "")
+			continue
+		}
+		for face, got := range map[string][]string{"query": asQuery, "rule": asRule} {
+			if strings.Join(got, " ") != c.want {
+				t.Errorf("%s face: %s / %s selects %q, want %q", face, c.cond, c.rule, got, c.want)
+			}
 		}
 	}
 }

@@ -2,6 +2,7 @@ package calculus
 
 import (
 	"fmt"
+	"slices"
 
 	"cdb/internal/query"
 )
@@ -138,7 +139,7 @@ func compAtom(c query.Comparison) CompAtom {
 	case c.R.IsStr:
 		return CompAtom{IsStr: true, Var: c.L.Var, Op: c.Op, StrLit: c.R.Str}
 	}
-	return CompAtom{Expr: c.L.Linear.Sub(c.R.Linear), Op: c.Op}
+	return CompAtom{Expr: c.L.Linear.Sub(c.R.Linear), Idents: slices.Concat(c.L.Idents, c.R.Idents), Op: c.Op}
 }
 
 func (p *rparser) parseRelAtom() (RelAtom, error) {

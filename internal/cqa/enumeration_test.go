@@ -81,10 +81,17 @@ func clusteredPolygons(rel, perCluster int, gen func(datagen.Params, int, int, f
 	return out
 }
 
-// pairShape runs the filter stage over shape's pairing under mode.
-func pairShape(mode string, shape enumShape) pairPlan {
-	sharedRel, sharedCon := sharedAttrs(shape.r1.Schema(), shape.r2.Schema())
-	return pairCandidates(&exec.Context{PlanMode: mode}, shape.r1.Tuples(), shape.r2.Tuples(), sharedRel, sharedCon)
+// pairShape runs the filter stage over shape's pairing under mode: on the
+// shape's own relations, whose working sets are memoised after the first
+// call, or, when fresh, on new relation headers over the same tuples, which
+// build theirs again as an operator output does.
+func pairShape(mode string, shape enumShape, fresh bool) pairPlan {
+	r1, r2 := shape.r1, shape.r2
+	if fresh {
+		r1, r2 = freshHeader(r1), freshHeader(r2)
+	}
+	sharedRel, sharedCon := sharedAttrs(r1.Schema(), r2.Schema())
+	return pairCandidates(&exec.Context{PlanMode: mode}, r1, r2, sharedRel, sharedCon)
 }
 
 // TestEnumerationRule pins the enumeration rule (sweepBucket) on the
@@ -94,7 +101,7 @@ func pairShape(mode string, shape enumShape) pairPlan {
 // is the bucket-matched pair count.
 func TestEnumerationRule(t *testing.T) {
 	for _, shape := range enumShapes(t) {
-		auto, dense := pairShape(exec.PlanAuto, shape), pairShape(exec.PlanDense, shape)
+		auto, dense := pairShape(exec.PlanAuto, shape, true), pairShape(exec.PlanDense, shape, true)
 		want := exec.PlanDense
 		if shape.sweeps {
 			want = exec.PlanSweep
@@ -123,10 +130,14 @@ func TestEnumerationRule(t *testing.T) {
 
 // BenchmarkPairCandidates is the enumeration rule's instrument: the filter
 // stage alone (pairCandidates) on each enumShapes pairing, under forced
-// dense, forced sweep and auto. sweepC is chosen on it. Medians of five
-// runs of 0.5 s, 2-core host shared with other work (run-to-run spread
-// about ±10 %), µs per op; r is n·m / ((n+m)·log₂(n+m)) of the largest
-// bucket, and auto sweeps a bucket iff its r ≥ sweepC = 3.5:
+// dense, forced sweep and auto, each on fresh relation headers (fresh: the
+// inputs' working sets are built in the timed call, as an operator output's
+// are) and on the shapes' own relations (stored: read from their memos, as a
+// loaded relation's are). sweepC was chosen on the fresh legs, before the
+// frame compared float keys: medians of five runs of 0.5 s, 2-core host
+// shared with other work (run-to-run spread about ±10 %), µs per op; r is
+// n·m / ((n+m)·log₂(n+m)) of the largest bucket, and auto sweeps a bucket
+// iff its r ≥ sweepC = 3.5:
 //
 //	shape                     r    dense    sweep     auto
 //	q3-track               1.00    146.5    169.8    149.9
@@ -146,15 +157,40 @@ func TestEnumerationRule(t *testing.T) {
 // r (2.92) and below sparse-64's (4.00): sparse-32 runs dense and gives up
 // its sweep's win, and in sparse-128 auto runs the 19 × 19 bucket of NULL
 // ids (r = 1.81) dense, about a tenth over forced sweep.
+//
+// With float keys and the working sets memoised, the same host, µs per op,
+// fresh / stored:
+//
+//	shape                    dense           sweep           auto
+//	q3-track                 41.3 /   15.9   45.3 /  25.3    39.5 /  13.8
+//	box-join                 18.6 /   11.0   30.2 /  21.3    17.6 /  10.4
+//	polygon-minus            14.9 /    6.0   12.8 /   4.2    17.0 /   6.5
+//	polygon-minus-concave    26.1 /   13.4   22.5 /   8.6    30.5 /  14.8
+//	sparse-32                23.0 /    7.1   19.4 /   4.9    23.0 /   7.7
+//	sparse-64                59.7 /   35.7   35.9 /  10.6    31.5 /  10.4
+//	sparse-128              167.4 /  109.4   71.3 /  26.4    77.5 /  27.7
+//	sparse-512             2239   / 2136    492   / 321     545   / 308
+//
+// The sweep now edges out dense on the two polygon pairings too, by about
+// a sixth fresh and 2 µs stored, next to a polygon-minus request's 1.8 ms;
+// sweepC stays. In a request, Query 3's track join reads Hurricane's
+// working set stored and builds its left side's, an operator output, fresh:
+// it costs between the two legs.
 func BenchmarkPairCandidates(b *testing.B) {
 	for _, shape := range enumShapes(b) {
 		for _, mode := range []string{exec.PlanDense, exec.PlanSweep, exec.PlanAuto} {
-			b.Run(shape.name+"/"+mode, func(b *testing.B) {
-				b.ReportAllocs()
-				for b.Loop() {
-					pairShape(mode, shape)
-				}
-			})
+			for _, leg := range []struct {
+				name  string
+				fresh bool
+			}{{"stored", false}, {"fresh", true}} {
+				b.Run(shape.name+"/"+mode+"/"+leg.name, func(b *testing.B) {
+					pairShape(mode, shape, leg.fresh)
+					b.ReportAllocs()
+					for b.Loop() {
+						pairShape(mode, shape, leg.fresh)
+					}
+				})
+			}
 		}
 	}
 }

@@ -10,11 +10,16 @@ import (
 	"cdb/internal/schema"
 )
 
-// This file is the filter stage's working set: one binary-operator input
-// pair canonicalised, partitioned on its shared relational attributes
-// (relation.Partition buckets) and projected onto the frame of its shared
-// constraint attributes (pairing.go), built once per operator call and
-// read by the enumeration. Its one count, relPairs, is the bucket-matched
+// This file is the filter stage's working set. Each input of a binary
+// operator is read as an input (below): its tuples canonicalised, bucketed
+// on the shared relational attributes (relation.Partition) and projected
+// onto the frame of the shared constraint attributes (pairing.go). An input
+// is built once per relation and pair of attribute lists and memoised on
+// the relation (relation.FilterMemo): relations are immutable once built,
+// so a stored relation pays for it on its first operator call and never
+// again, and an operator output pays once, when it is first an input.
+// analyzePairing pairs two inputs up: the partitions align on their keys,
+// with no tuple visited. Its one count, relPairs, is the bucket-matched
 // pair count: exact, what the enumeration rule (planner.go) sizes each
 // bucket by, and an upper bound on the candidates the frame keeps — the
 // est_pairs ≥ act_pairs invariant EXPLAIN ANALYZE exposes.
@@ -25,8 +30,35 @@ import (
 // pay for them — sorting each side once per column costs as much as the
 // enumeration they would plan.
 
-// pairStats is the filter stage's working set for one t1s × t2s pairing
-// problem, built once by analyzePairing and reused by the enumeration.
+// input is one relation as an input of the filter stage over a pair of
+// shared attribute lists: what inputOf memoises on it.
+type input struct {
+	ts   []relation.Tuple    // the tuples, constraint parts canonical
+	part *relation.Partition // ts bucketed on the shared relational attributes
+	cols []string            // the shared constraint attributes, sorted: the frame's columns
+	side side                // ts projected onto cols
+}
+
+// inputOf returns r as an input over sharedRel and sharedCon, built on the
+// first call for those lists and memoised on r.
+func inputOf(r *relation.Relation, sharedRel, sharedCon []string) *input {
+	return r.FilterMemo(sharedRel, sharedCon, func() any {
+		return newInput(r.Tuples(), sharedRel, sharedCon)
+	}).(*input)
+}
+
+// newInput canonicalises ts, partitions them on sharedRel and projects them
+// onto the sorted sharedCon.
+func newInput(ts []relation.Tuple, sharedRel, sharedCon []string) *input {
+	in := &input{ts: canonTuples(ts), cols: slices.Clone(sharedCon)}
+	slices.Sort(in.cols) // column order, hence every tie-break, whatever the schema order
+	in.part = relation.NewPartition(in.ts, sharedRel)
+	in.side = project(in.ts, in.cols)
+	return in
+}
+
+// pairStats is the filter stage's working set for one r1 × r2 pairing
+// problem, built by analyzePairing and read by the enumeration.
 type pairStats struct {
 	t1s, t2s []relation.Tuple // the inputs, constraint parts canonical
 	fr       frame            // the shared constraint attributes as columns, both sides projected
@@ -52,14 +84,13 @@ func sharedAttrs(s1, s2 schema.Schema) (rel, con []string) {
 	return rel, con
 }
 
-// analyzePairing canonicalises both sides' constraint parts, partitions
-// them on the shared relational attributes, projects their envelopes onto
-// the frame, counts the bucket-matched pairs and picks the sweep column.
-func analyzePairing(t1s, t2s []relation.Tuple, sharedRel, sharedCon []string) pairStats {
-	s := pairStats{t1s: canonTuples(t1s), t2s: canonTuples(t2s)}
-	s.fr = newFrame(s.t1s, s.t2s, sharedCon)
-	p := relation.NewPartition(s.t1s, sharedRel)
-	s.as, s.bs = p.Buckets(), p.Match(s.t2s)
+// analyzePairing reads both relations as inputs over the shared attributes,
+// aligns their partitions, counts the bucket-matched pairs and picks the
+// sweep column.
+func analyzePairing(r1, r2 *relation.Relation, sharedRel, sharedCon []string) pairStats {
+	l, r := inputOf(r1, sharedRel, sharedCon), inputOf(r2, sharedRel, sharedCon)
+	s := pairStats{t1s: l.ts, t2s: r.ts, fr: newFrame(l, r)}
+	s.as, s.bs = l.part.Buckets(), l.part.Align(r.part)
 	for b := range s.as {
 		s.relPairs += int64(len(s.as[b])) * int64(len(s.bs[b]))
 	}
@@ -69,7 +100,7 @@ func analyzePairing(t1s, t2s []relation.Tuple, sharedRel, sharedCon []string) pa
 
 // canonTuples returns ts with every constraint part canonical: ts itself
 // when they all are (loaded relations, operator outputs), else a copy —
-// once per operator, so that the pair lookup does not canonicalise both
+// once per input, so that the pair lookup does not canonicalise both
 // sides of every pair (constraint.SatCache.SatisfiablePair).
 func canonTuples(ts []relation.Tuple) []relation.Tuple {
 	for i := range ts {
@@ -90,7 +121,7 @@ func canonTuples(ts []relation.Tuple) []relation.Tuple {
 // keeps overlaps in every column).
 func estimatePairs(r1, r2 *relation.Relation) int64 {
 	sharedRel, sharedCon := sharedAttrs(r1.Schema(), r2.Schema())
-	s := analyzePairing(r1.Tuples(), r2.Tuples(), sharedRel, sharedCon)
+	s := analyzePairing(r1, r2, sharedRel, sharedCon)
 	est := s.relPairs
 	for c := range s.fr.cols {
 		est = min(est, s.fr.overlapCount(c))

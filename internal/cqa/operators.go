@@ -234,7 +234,7 @@ func joinCtx(ec *exec.Context, op string, r1, r2 *relation.Relation) (*relation.
 		// them preserves the sequential nested-loop output order; the
 		// filter's inputs have canonical constraint parts, which the pair
 		// lookup keys on.
-		plan := pairCandidates(ec, t1s, t2s, sharedRel, sharedCon)
+		plan := pairCandidates(ec, r1, r2, sharedRel, sharedCon)
 		dec = pairDeciders(ec, len(sharedCon) == len(r1.Schema().ConstraintNames()) &&
 			len(sharedCon) == len(r2.Schema().ConstraintNames()))
 		rec.Pairing(plan.enum, plan.estPairs)
@@ -393,7 +393,7 @@ func DifferenceCtx(ec *exec.Context, r1, r2 *relation.Relation) (*relation.Relat
 	var dec deciders
 	if filtered {
 		sharedRel, sharedCon := sharedAttrs(r1.Schema(), r2.Schema())
-		plan = pairCandidates(ec, t1s, t2s, sharedRel, sharedCon)
+		plan = pairCandidates(ec, r1, r2, sharedRel, sharedCon)
 		c1s, c2s = plan.t1s, plan.t2s
 		dec = pairDeciders(ec, false) // env off: no workload subtracts boxes from boxes
 		rec.Pairing(plan.enum, plan.estPairs)

@@ -20,17 +20,20 @@ import (
 // plus a satisfiability decision per tuple pair, or the staircase
 // subtraction in difference — is the quantifier-elimination cost that
 // dominates CDB evaluation; the filter rejects pairs that provably cannot
-// interact before any of it runs. It first canonicalises both inputs'
-// constraint parts, once per operator (a no-op on loaded relations and
-// operator outputs), then uses three cooperating mechanisms:
+// interact before any of it runs. It reads each input as an input
+// (estimate.go): its constraint parts canonical (a no-op on loaded relations
+// and operator outputs), bucketed and projected as below — built once per
+// relation and pair of shared attribute lists and memoised on the relation,
+// so an operator over stored relations builds none of it. It then uses
+// three cooperating mechanisms:
 //
 //  1. relational-part hash partitioning (relation.Partition): pairs whose
 //     shared relational attributes are not NULL-safe-identical can never
-//     merge, so the left side is bucketed once, the right side is matched
-//     into the same buckets, and only matching buckets pair (with no
+//     merge, so each side is bucketed on them, the two sides' buckets are
+//     aligned on their keys, and only matching buckets pair (with no
 //     shared relational attribute there is one bucket);
-//  2. the frame (below): each side's memoised envelopes projected once
-//     onto the shared constraint attributes as columns of float keys.
+//  2. the frame (below): each side's memoised envelopes projected onto the
+//     shared constraint attributes as columns of float keys.
 //     Within a bucket, a pair with an empty interval on either side or
 //     separated intervals in some column has an unsatisfiable merged
 //     conjunction — rejected in at most 2k float comparisons (a float tie
@@ -173,11 +176,11 @@ func (p pairPlan) row(i, m int) []int {
 }
 
 // frame is one binary operator's k shared constraint attributes as columns
-// 0…k−1, in lexicographic order, and each side's memoised envelopes
-// projected onto them once, as float keys (constraint.Keys). Every
-// envelope question asked afterwards — the pair check, the sweep's
-// intervals, the sweep-column choice, and the plan-time overlap counts
-// (estimatePairs) — compares keys in a column instead of probing an
+// 0…k−1, in lexicographic order, and the two inputs' envelopes projected
+// onto them, as float keys (constraint.Keys): each input's side, memoised
+// with it. Every envelope question asked afterwards — the pair check, the
+// sweep's intervals, the sweep-column choice, and the plan-time overlap
+// counts (estimatePairs) — compares keys in a column instead of probing an
 // envelope by attribute name or comparing rationals. The comparison is
 // exact: keys in strict float order are endpoints in that order (each key
 // is its endpoint correctly rounded, and rounding is monotone), and a
@@ -194,21 +197,22 @@ type frame struct {
 // side is one input projected onto a frame. It holds no pointer the
 // garbage collector has to follow into: its slices are of plain values.
 type side struct {
-	k     int
-	keys  []constraint.Keys // tuple i's column-c keys at i·k + c; (-Inf, +Inf) where the envelope bounds nothing
-	empty []bool            // tuple i has an empty interval in some column: it pairs with nothing
+	k        int
+	keys     []constraint.Keys // tuple i's column-c keys at i·k + c; (-Inf, +Inf) where the envelope bounds nothing
+	empty    []bool            // tuple i has an empty interval in some column: it pairs with nothing
+	twoSided []int64           // per column, the tuples bounded on both ends there (sweepColumn's score)
 }
 
-// newFrame lays out the frame over sharedCon and projects both sides.
-func newFrame(t1s, t2s []relation.Tuple, sharedCon []string) frame {
-	cols := append([]string{}, sharedCon...)
-	sort.Strings(cols) // column order, hence every tie-break, whatever the schema order
-	return frame{cols: cols, l: project(t1s, cols), r: project(t2s, cols), lt: t1s, rt: t2s}
+// newFrame is the frame of two inputs over the same shared attributes: their
+// projections side by side.
+func newFrame(l, r *input) frame {
+	return frame{cols: l.cols, l: l.side, r: r.side, lt: l.ts, rt: r.ts}
 }
 
+// project lays ts out over the columns cols as a side.
 func project(ts []relation.Tuple, cols []string) side {
 	k := len(cols)
-	s := side{k: k, keys: make([]constraint.Keys, len(ts)*k), empty: make([]bool, len(ts))}
+	s := side{k: k, keys: make([]constraint.Keys, len(ts)*k), empty: make([]bool, len(ts)), twoSided: make([]int64, k)}
 	if k == 0 {
 		return s // no column: no envelope to read
 	}
@@ -218,6 +222,9 @@ func project(ts []relation.Tuple, cols []string) side {
 			key := env.Keys(a)
 			s.keys[i*k+c] = key
 			s.empty[i] = s.empty[i] || key.Bits&constraint.Empty != 0
+			if twoSided(key) {
+				s.twoSided[c]++
+			}
 		}
 	}
 	return s
@@ -290,7 +297,7 @@ func (f *frame) interval(s *side, i, c int) constraint.Interval {
 func (f *frame) sweepColumn() int {
 	best, bestScore := -1, int64(0)
 	for c := range f.cols {
-		if score := f.l.count(c, twoSided) * f.r.count(c, twoSided); score > bestScore { // strict: ties keep the lex-first incumbent
+		if score := f.l.twoSided[c] * f.r.twoSided[c]; score > bestScore { // strict: ties keep the lex-first incumbent
 			best, bestScore = c, score
 		}
 	}
@@ -315,15 +322,15 @@ func (s *side) count(c int, pred func(constraint.Keys) bool) int64 {
 	return n
 }
 
-// pairCandidates runs the filter stage over t1s × t2s: canonicalise,
-// partition on the shared relational attributes and project the frame
-// (analyzePairing, estimate.go), then enumerate each bucket's candidates
-// as sweepBucket (planner.go) decides (see the file comment).
-func pairCandidates(ec *exec.Context, t1s, t2s []relation.Tuple, sharedRel, sharedCon []string) pairPlan {
-	m := len(t2s)
-	stats := analyzePairing(t1s, t2s, sharedRel, sharedCon)
+// pairCandidates runs the filter stage over r1 × r2: read both as inputs
+// over the shared attributes and align their partitions (analyzePairing,
+// estimate.go), then enumerate each bucket's candidates as sweepBucket
+// (planner.go) decides (see the file comment).
+func pairCandidates(ec *exec.Context, r1, r2 *relation.Relation, sharedRel, sharedCon []string) pairPlan {
+	stats := analyzePairing(r1, r2, sharedRel, sharedCon)
+	m := len(stats.t2s)
 	mode := ec.Plan()
-	plan := pairPlan{t1s: stats.t1s, t2s: stats.t2s, total: len(t1s) * m, estPairs: stats.relPairs, enum: exec.PlanDense}
+	plan := pairPlan{t1s: stats.t1s, t2s: stats.t2s, total: len(stats.t1s) * m, estPairs: stats.relPairs, enum: exec.PlanDense}
 	fr := &stats.fr
 	// With no frame column every bucket-matched pair is a candidate; else
 	// the frame keeps a share no count has read, and the list grows.

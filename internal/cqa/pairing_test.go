@@ -14,6 +14,7 @@ import (
 	"cdb/internal/obs"
 	"cdb/internal/rational"
 	"cdb/internal/relation"
+	"cdb/internal/schema"
 )
 
 // pruneInputs builds the three workload shapes the filter is designed
@@ -149,8 +150,8 @@ func TestSweepMatchesDenseCandidates(t *testing.T) {
 		sharedCon := []string{"x", "y"}
 		ecSweep := &exec.Context{PlanMode: exec.PlanSweep} // every bucket sweeps
 		ecDense := &exec.Context{PlanMode: exec.PlanDense} // every bucket is dense
-		sweep := pairCandidates(ecSweep, t1s, t2s, tc.sharedRel, sharedCon)
-		dense := pairCandidates(ecDense, t1s, t2s, tc.sharedRel, sharedCon)
+		sweep := pairCandidates(ecSweep, tupleRel(t1s), tupleRel(t2s), tc.sharedRel, sharedCon)
+		dense := pairCandidates(ecDense, tupleRel(t1s), tupleRel(t2s), tc.sharedRel, sharedCon)
 		if sweep.enum != exec.PlanSweep {
 			t.Fatalf("%s: forced sweep ran %s", name, sweep.enum)
 		}
@@ -180,6 +181,16 @@ func TestSweepMatchesDenseCandidates(t *testing.T) {
 			t.Errorf("%s: filter pruned nothing; the fixture is too easy", name)
 		}
 	}
+}
+
+// tupleRel is a relation header over ts, fresh: no working set memoised.
+// The filter stage reads no schema, so it has none.
+func tupleRel(ts []relation.Tuple) *relation.Relation { return relation.FromValid(schema.Schema{}, ts) }
+
+// frameOf is the frame of t1s × t2s over the shared constraint attributes
+// cols, built from fresh inputs.
+func frameOf(t1s, t2s []relation.Tuple, cols []string) frame {
+	return newFrame(newInput(t1s, nil, cols), newInput(t2s, nil, cols))
 }
 
 // countDisjoint counts the pairs of t1s × t2s that differ on a shared
@@ -379,7 +390,7 @@ func TestFrameDisjointMatchesEnvelope(t *testing.T) {
 			vars := []string{"y", "x", "w"}[:1+round%3]
 			t1s := randBoundedTuples(rng, rng.Intn(10), pool, vars...)
 			t2s := randBoundedTuples(rng, rng.Intn(10), pool, vars...)
-			fr := newFrame(t1s, t2s, vars)
+			fr := frameOf(t1s, t2s, vars)
 			for i := range t1s {
 				for j := range t2s {
 					want := t1s[i].Constraint().Envelope().Disjoint(t2s[j].Constraint().Envelope(), vars)
@@ -410,7 +421,7 @@ func TestFrameOverlapCountMatchesBruteForce(t *testing.T) {
 		for round := 0; round < 200; round++ {
 			t1s := randBoundedTuples(rng, rng.Intn(12), pool, "x", "y")
 			t2s := randBoundedTuples(rng, rng.Intn(12), pool, "x", "y")
-			fr := newFrame(t1s, t2s, []string{"y", "x"})
+			fr := frameOf(t1s, t2s, []string{"y", "x"})
 			for c, v := range fr.cols {
 				var want int64
 				for _, a := range t1s {
@@ -486,7 +497,7 @@ func TestFrameOverlapCountEndpoints(t *testing.T) {
 		{"unbounded-vs-empty", one(), one(constraint.GtConst("x", five), constraint.LeConst("x", five)), 0},
 	}
 	for _, tc := range cases {
-		fr := newFrame(tc.a, tc.b, []string{"x"})
+		fr := frameOf(tc.a, tc.b, []string{"x"})
 		if got := fr.overlapCount(0); got != tc.want {
 			t.Errorf("%s: overlapCount = %d, want %d", tc.name, got, tc.want)
 		}

@@ -38,7 +38,7 @@ func TestSweepColumnTieBreak(t *testing.T) {
 	}
 	t1s, t2s := mk(4), mk(3)
 	for _, shared := range [][]string{{"x", "y"}, {"y", "x"}} {
-		fr := newFrame(t1s, t2s, shared)
+		fr := frameOf(t1s, t2s, shared)
 		if c := fr.sweepColumn(); c < 0 || fr.cols[c] != "x" {
 			t.Errorf("sweepColumn over %v = %d (columns %v), want lex-first %q on a tie", shared, c, fr.cols, "x")
 		}
@@ -49,11 +49,11 @@ func TestSweepColumnTieBreak(t *testing.T) {
 	for i := range lop {
 		lop[i] = relation.ConstraintTuple(constraint.And(ge("y", "0"), le("y", "9")).Canon())
 	}
-	fr := newFrame(lop, t2s, []string{"x", "y"})
+	fr := frameOf(lop, t2s, []string{"x", "y"})
 	if c := fr.sweepColumn(); c < 0 || fr.cols[c] != "y" {
 		t.Errorf("sweepColumn with x unbounded = %d (columns %v), want %q", c, fr.cols, "y")
 	}
-	if fr := newFrame(lop, t2s, []string{"x"}); fr.sweepColumn() != -1 {
+	if fr := frameOf(lop, t2s, []string{"x"}); fr.sweepColumn() != -1 {
 		t.Errorf("sweepColumn with the only column unbounded on one side = %d, want -1", fr.sweepColumn())
 	}
 }

@@ -1,0 +1,7 @@
+//go:build !race
+
+package cqa_test
+
+// raceAllocs is what a race-detector build adds to a warm Query 3's
+// allocation count (TestWarmJoinAllocs): nothing without one.
+const raceAllocs = 0

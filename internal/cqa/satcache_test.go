@@ -2,6 +2,7 @@ package cqa_test
 
 import (
 	"bytes"
+	"fmt"
 	"runtime"
 	"testing"
 
@@ -10,6 +11,7 @@ import (
 	"cdb/internal/datagen"
 	"cdb/internal/db"
 	"cdb/internal/exec"
+	"cdb/internal/query"
 	"cdb/internal/rational"
 	"cdb/internal/relation"
 	"cdb/internal/schema"
@@ -206,9 +208,10 @@ func TestSatCacheWarmReuse(t *testing.T) {
 // few per operator; storage grown or allocated once per block cannot stay
 // under its ceiling. The raw leg runs the same joins on the same relations
 // built without their canonical forms, as a database filled by db.Put holds
-// them: the filter canonicalises each input once per operator, so the bytes
-// are the canonical leg's and a Canon of both sides on every pair lookup —
-// two or more allocations a pair — breaks the ceiling.
+// them: the filter canonicalises each input once and remembers it with the
+// relation's working set, so the bytes are the canonical leg's and a Canon
+// of both sides on every pair lookup — two or more allocations a pair —
+// breaks the ceiling.
 //
 // Query 3's own two joins, one worker, canonical, have an absolute ceiling
 // in bytes per run: what they allocated before the track's envelopes
@@ -223,9 +226,9 @@ func TestWarmJoinAllocs(t *testing.T) {
 		ceiling float64 // allocations per candidate pair
 		bytes   float64 // heap bytes per candidate pair; 0 = not checked
 	}{
-		{"canonical", 1, 1.0, 200},    // 0.19 and 157 B when set
-		{"two-workers", 2, 0.24, 200}, // 0.21 and 160 B when set
-		{"raw", 1, 2.0, 0},            // 1.16 when set
+		{"canonical", 1, 1.0, 200},    // 0.19 and 157 B when set; 0.09 and 115 B with working sets remembered
+		{"two-workers", 2, 0.24, 200}, // 0.21 and 160 B when set; 0.11 and 118 B
+		{"raw", 1, 2.0, 0},            // 1.16 when set; 0.09
 	} {
 		in := [3]*relation.Relation{owners, land, corridor}
 		if tc.name == "raw" {
@@ -276,11 +279,85 @@ func TestWarmJoinAllocs(t *testing.T) {
 	ec.SatCache = constraint.NewSatCache(0)
 	var out *relation.Relation
 	bytes := bytesPerRun(10, warmJoins(t, ec, [3]*relation.Relation{owners, land, track}, &out))
-	t.Logf("Query 3: %.0f B per run", bytes) // 84 080 when set (103 344 before the frame held float keys)
+	t.Logf("Query 3: %.0f B per run", bytes) // 66 744 (84 080 before the working sets were remembered, 103 344 before the frame held float keys)
 	const ceiling = 116368
 	if bytes > ceiling {
 		t.Errorf("warm Query 3 joins: %.0f B per run, ceiling %d B", bytes, ceiling)
 	}
+
+	// The whole of warm Query 3 as a session runs it, in allocations: its
+	// stored relations keep their filter-stage working sets, so neither join
+	// partitions or projects a loaded relation again (253 allocations a
+	// query when every join built both sides' working sets afresh).
+	const queryCeiling = 160 + raceAllocs
+	if n := warmQuery3Allocs(t); n > queryCeiling {
+		t.Errorf("warm Query 3: %.0f allocations per query, ceiling %d", n, queryCeiling)
+	}
+}
+
+// warmQuery3Allocs is the allocations of one request of the benchmark's
+// hurricane workload without the server (BenchmarkHurricaneQuery3Warm,
+// one worker): Query 3 on 8 × 8 parcels loaded from text, statement by
+// statement on a session's environment and context, the last result
+// normalised, the windows rotating over the workload's 31 starts, every one
+// seen before.
+func warmQuery3Allocs(t *testing.T) float64 {
+	land, owners, track := datagen.HurricaneRelations(8)
+	raw := db.New()
+	for _, r := range []struct {
+		name string
+		rel  *relation.Relation
+	}{{"Hurricane", track}, {"Land", land}, {"Landownership", owners}} {
+		if err := raw.Put(r.name, r.rel); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var buf bytes.Buffer
+	if err := raw.Save(&buf); err != nil {
+		t.Fatal(err)
+	}
+	d, err := db.Load(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var progs [31][]*query.Program
+	for a := range progs {
+		prog, err := query.Parse(fmt.Sprintf("R0 = join Landownership and Land\nR1 = join R0 and Hurricane\n"+
+			"R2 = select t >= %d, t <= %d from R1\nR3 = project R2 on name", a, a+10))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, st := range prog.Stmts {
+			progs[a] = append(progs[a], &query.Program{Stmts: []query.Stmt{st}})
+		}
+	}
+	ec := exec.New(1)
+	ec.SatCache = constraint.NewSatCache(0)
+	run := func(a int) {
+		env := d.Env()
+		var last *relation.Relation
+		for _, one := range progs[a] {
+			r, err := one.RunOptimizedCtx(env, ec)
+			if err != nil {
+				t.Fatal(err)
+			}
+			env[one.Stmts[0].Target], last = r, r
+		}
+		if last.NormalizeWith(ec.SatFunc()).Len() == 0 {
+			t.Fatalf("window %d: empty result", a)
+		}
+		ec.Reset()
+	}
+	for a := range progs {
+		run(a)
+	}
+	next := 0
+	n := testing.AllocsPerRun(2*len(progs), func() {
+		run(next % len(progs))
+		next++
+	})
+	t.Logf("warm Query 3: %.0f allocations per query", n)
+	return n
 }
 
 // warmJoins runs in[0] ⋈ in[1] ⋈ in[2] once on ec, leaving the result in

@@ -8,6 +8,7 @@ import (
 
 	"cdb/internal/constraint"
 	"cdb/internal/rational"
+	"cdb/internal/schema"
 )
 
 // randRelTuples builds tuples with random relational parts over (a, b):
@@ -88,40 +89,82 @@ func TestPartitionLookupMatchesScan(t *testing.T) {
 	}
 }
 
-// TestPartitionMatch: Match buckets a second slice by the partition's
-// identities — each index lands in the bucket a SameRelationalPart scan
-// of the indexed tuples names, in input order, and one matching no indexed
-// tuple lands nowhere. Matching builds no key: Match allocates its result,
-// a constant four slices whatever the input size.
-func TestPartitionMatch(t *testing.T) {
+// TestPartitionAlign: aligning two partitions on their keys pairs each
+// bucket of the first with the members of the second that share its
+// identity — each member of the result lands where a SameRelationalPart
+// scan of the first's tuples puts it, in input order, and one matching no
+// tuple of the first lands nowhere — whichever side has more buckets.
+// Aligning visits no tuple and builds no key: it allocates its result, one
+// slice, whatever the sizes.
+func TestPartitionAlign(t *testing.T) {
 	rng := rand.New(rand.NewSource(47))
-	ts, probes := randRelTuples(rng, 40), randRelTuples(rng, 60)
-	p := NewPartition(ts, []string{"a", "b"})
-	got := p.Match(probes)
-	if len(got) != len(p.Buckets()) {
-		t.Fatalf("Match returned %d buckets, the partition has %d", len(got), len(p.Buckets()))
-	}
-	seen := 0
-	for b, members := range got {
-		rep := ts[p.Buckets()[b][0]]
-		for k, j := range members {
-			if !rep.SameRelationalPart(probes[j]) || (k > 0 && members[k-1] >= j) {
-				t.Fatalf("bucket %d: %v holds %d out of order or of another identity", b, members, j)
+	attrs := []string{"a", "b"}
+	few, many := randRelTuples(rng, 40), randRelTuples(rng, 60)
+	many = append(many, NewTuple(map[string]Value{"a": Str("only-here")}, constraint.True()))
+	for _, tc := range []struct{ ts, probes []Tuple }{{few, many}, {many, few}} {
+		p, q := NewPartition(tc.ts, attrs), NewPartition(tc.probes, attrs)
+		got := p.Align(q)
+		if len(got) != len(p.Buckets()) {
+			t.Fatalf("Align returned %d buckets, the partition has %d", len(got), len(p.Buckets()))
+		}
+		seen := 0
+		for b, members := range got {
+			rep := tc.ts[p.Buckets()[b][0]]
+			for k, j := range members {
+				if !rep.SameRelationalPart(tc.probes[j]) || (k > 0 && members[k-1] >= j) {
+					t.Fatalf("bucket %d: %v holds %d out of order or of another identity", b, members, j)
+				}
+			}
+			seen += len(members)
+		}
+		want := 0
+		for _, pr := range tc.probes {
+			if slices.ContainsFunc(tc.ts, pr.SameRelationalPart) {
+				want++
 			}
 		}
-		seen += len(members)
-	}
-	want := 0
-	for _, pr := range probes {
-		if slices.ContainsFunc(ts, pr.SameRelationalPart) {
-			want++
+		if seen != want {
+			t.Fatalf("Align placed %d probes, %d have a bucket", seen, want)
+		}
+		if n := testing.AllocsPerRun(5, func() { p.Align(q) }); n > 1 {
+			t.Errorf("Align allocated %v times, want at most 1", n)
 		}
 	}
-	if seen != want {
-		t.Fatalf("Match placed %d probes, %d have a bucket", seen, want)
+}
+
+// TestPartitionNoAttrs: over no attribute every tuple has one identity, so
+// the partition is one bucket of every index in input order (none for no
+// tuple), built without a key or a map — three allocations (the partition,
+// its bucket list and the bucket) whatever the size — and it aligns with
+// another such partition bucket to bucket.
+func TestPartitionNoAttrs(t *testing.T) {
+	rng := rand.New(rand.NewSource(53))
+	ts := randRelTuples(rng, 50)
+	p := NewPartition(ts, nil)
+	if len(p.Buckets()) != 1 || len(p.Buckets()[0]) != len(ts) {
+		t.Fatalf("no attribute: %d buckets, want one of %d", len(p.Buckets()), len(ts))
 	}
-	if n := testing.AllocsPerRun(5, func() { p.Match(probes) }); n > 4 {
-		t.Errorf("Match allocated %v times, want at most 4", n)
+	for i, j := range p.Buckets()[0] {
+		if i != j {
+			t.Fatalf("no attribute: bucket %v is not in input order", p.Buckets()[0])
+		}
+	}
+	if n := testing.AllocsPerRun(5, func() { NewPartition(ts, nil) }); n > 3 {
+		t.Errorf("NewPartition over no attribute allocated %v times, want at most 3", n)
+	}
+	empty := NewPartition(nil, nil)
+	if len(empty.Buckets()) != 0 {
+		t.Fatalf("no tuple: %d buckets, want none", len(empty.Buckets()))
+	}
+	q := NewPartition(ts[:7], nil)
+	if got := p.Align(q); len(got) != 1 || !slices.Equal(got[0], q.Buckets()[0]) {
+		t.Fatalf("aligned %v, want the other's one bucket", got)
+	}
+	if got := p.Align(empty); len(got) != 1 || got[0] != nil {
+		t.Fatalf("aligned with no tuple: %v, want one empty bucket", got)
+	}
+	if got := empty.Align(p); len(got) != 0 {
+		t.Fatalf("no tuple aligned: %v, want no bucket", got)
 	}
 }
 
@@ -167,4 +210,51 @@ func TestJoinTupleMatchesComposition(t *testing.T) {
 			t.Errorf("%s: JoinTuple made %v allocations, want a fresh map only when neither side binds all", tc.name, got)
 		}
 	}
+}
+
+// TestFilterMemo: a working set is built on the first call for its
+// attribute lists and handed back after; lists that differ in either part
+// keep their own; Add and AddBound drop every one; a clone shares them
+// both ways until one of the two relations changes.
+func TestFilterMemo(t *testing.T) {
+	r := New(schema.MustNew(schema.Rel("a", schema.String), schema.Con("x")))
+	r.MustAdd(NewTuple(map[string]Value{"a": Str("v")}, constraint.True()))
+	builds := 0
+	get := func(r *Relation, rel, con []string) any {
+		return r.FilterMemo(rel, con, func() any { builds++; return &builds })
+	}
+	want := func(what string, n int) {
+		t.Helper()
+		if builds != n {
+			t.Fatalf("%s: %d builds, want %d", what, builds, n)
+		}
+	}
+	a := []string{"a"}
+	x := []string{"x"}
+	get(r, a, nil)
+	get(r, a, nil)
+	want("one list twice", 1)
+	get(r, nil, x)
+	get(r, a, x)
+	get(r, a, nil)
+	want("three lists", 3)
+	c := r.Clone()
+	get(c, a, x)
+	want("the clone reads the original's", 3)
+	get(c, x, nil)
+	get(r, x, nil)
+	want("the original reads what the clone built", 4)
+	c.MustAdd(NewTuple(nil, constraint.True()))
+	get(r, a, nil)
+	want("an Add to the clone leaves the original's", 4)
+	get(c, a, nil)
+	want("an Add drops the clone's", 5)
+	r.MustAdd(NewTuple(nil, constraint.True()))
+	get(r, a, nil)
+	want("an Add drops the original's", 6)
+	if err := r.AddBound([]Bound{{Attr: 0, Val: Str("w")}}, constraint.True()); err != nil {
+		t.Fatal(err)
+	}
+	get(r, a, nil)
+	want("an AddBound drops them", 7)
 }

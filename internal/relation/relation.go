@@ -275,6 +275,10 @@ type Relation struct {
 	// the tuples as they stand (see Memo); Add and AddBound clear it. It is
 	// what makes a Relation not copyable by value.
 	memo atomic.Pointer[any]
+
+	// filter holds the filter stage's working sets of the tuples as they
+	// stand (see FilterMemo); Add and AddBound detach it, and Clone shares it.
+	filter atomic.Pointer[filterMemo]
 }
 
 // New returns an empty relation with the given schema.
@@ -317,15 +321,20 @@ func (r *Relation) changed() {
 	if r.memo.Load() != nil {
 		r.memo.Store(nil)
 	}
+	if r.filter.Load() != nil {
+		r.filter.Store(nil)
+	}
 }
 
 // Clone returns a relation with a header of its own over r's tuples: same
 // schema, same tuples in the same order, same memos. The tuple slice is
 // shared up to its length and no further, so a tuple added to either
-// relation afterwards never shows in the other.
+// relation afterwards never shows in the other. The two share one filter
+// memo until then: a working set either builds serves both.
 func (r *Relation) Clone() *Relation {
 	out := &Relation{schema: r.schema, tuples: r.tuples[:len(r.tuples):len(r.tuples)], rows: r.rows}
 	out.memo.Store(r.memo.Load())
+	out.filter.Store(r.filterCell())
 	return out
 }
 
