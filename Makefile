@@ -29,8 +29,8 @@ serve:
 	$(GO) run ./cmd/cqacdbd -demo hurricane
 
 # EXPLAIN ANALYZE demo: the hurricane case study with the span tree and
-# the per-operator stats table. Add -metrics-addr 127.0.0.1:9190 to poke
-# /metrics and /debug/pprof/ while a session runs.
+# the per-operator stats table. /metrics and /debug/pprof/ are served by
+# the daemon (make serve).
 obs-demo:
 	$(GO) run ./cmd/cqacdb -demo hurricane -par 4 -explain -stats \
 		-e "$$(printf 'R0 = join Landownership and Land\nR1 = select t >= 4, t <= 9 from R0\nR2 = project R1 on name')"

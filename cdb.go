@@ -232,9 +232,8 @@ type Span = obs.Span
 func NewTracer() *Tracer { return obs.NewTracer() }
 
 // MetricsRegistry is a registry of counters, gauges and histograms with
-// Prometheus text and expvar exposition. Install it on an ExecContext
-// with InstallMetrics to collect per-operator, sat-cache and FM-decision
-// metrics.
+// Prometheus text and expvar exposition. Set it as an ExecContext's
+// Metrics to collect the per-operator families (cdb_op_*).
 type MetricsRegistry = obs.Registry
 
 // NewMetricsRegistry returns an empty metrics registry.

@@ -110,16 +110,15 @@ func TestGoldenRule3(t *testing.T) {
 // prepared atoms (one simultaneous rename each, no rename for an atom
 // written in the relation's own names), then two joins that the pairing
 // filter prunes (pairs_pruned > 0), the shared-variable comparisons and the
-// head projection above them, and no rename above the joins. Wall times and
-// the query id are stripped; everything else in the tree is deterministic
-// at one worker.
+// head projection above them, and no rename above the joins. Wall times
+// are stripped; everything else in the tree is deterministic at one worker.
 func TestGoldenRule3Explain(t *testing.T) {
 	got := captureRun(t, []string{
 		"-par", "1", "-explain",
 		"-db", filepath.Join("..", "..", "testdata", "hurricane.cqa"),
 		"-rules", rule3,
 	})
-	got = regexp.MustCompile(`  wall=\S+|query_id=\S+ `).ReplaceAllString(got, "")
+	got = regexp.MustCompile(`  wall=\S+`).ReplaceAllString(got, "")
 	checkGolden(t, "rule3_explain.golden", got)
 	if strings.Count(got, "─ join") != 2 || strings.Count(got, " pairs_pruned=") != 2 {
 		t.Errorf("want two joins, each with pairs_pruned > 0:\n%s", got)

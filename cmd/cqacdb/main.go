@@ -10,7 +10,6 @@
 //	cqacdb -db parcels.cqa -e 'R = select x >= 5 from Land'
 //	cqacdb -par 8 -stats -e '...'           # 8 workers + per-operator stats
 //	cqacdb -explain -e '...'                # EXPLAIN ANALYZE-style plan tree
-//	cqacdb -metrics-addr :8080 -demo hurricane   # /metrics + pprof while the shell runs
 //
 // Snapshot store (package snapshot; shared with cqacdbd's -snapshot-dir):
 //
@@ -35,7 +34,9 @@
 // Parallel output is byte-identical to sequential output, with or without
 // the cache.
 //
-// Observability (package obs):
+// Observability (package obs): a run prints the three views of its own
+// record that cqacdbd also returns per request (-stats is the reply's
+// "stats", -explain its "explain", -trace-json its "trace").
 //
 //   - -explain prints each program's execution as an EXPLAIN ANALYZE-style
 //     plan tree: one line per plan node, annotated with the per-span
@@ -43,21 +44,10 @@
 //     Fourier-Motzkin eliminations) and wall time, with pool fan-outs shown
 //     as child spans carrying queue-wait and per-worker busy time;
 //   - -trace-json FILE writes the same span tree as JSON (overwritten per
-//     program; the last program's trace remains);
-//   - -metrics-addr HOST:PORT starts an HTTP listener serving /metrics
-//     (Prometheus text format), /debug/vars (expvar) and /debug/pprof/...
-//     for the life of the process;
-//   - -slowlog D (e.g. 10ms) logs every span at least that slow through
-//     log/slog on stderr, so pathological conjunctions surface themselves;
-//   - -query-log FILE appends every executed program as one NDJSON
-//     flight record (query id, wall time, rows, outcome, per-operator
-//     records with the planner's strategy and est/act pair counts).
+//     program; the last program's trace remains).
 //
-// When any of -explain, -trace-json, -slowlog or -query-log is active,
-// each program gets a flight-recorder query id ("q<seq>-<8 hex>"): root
-// spans carry it as a query_id label, slow-span records and NDJSON
-// flight records reference it, so the three outputs join.
-//
+// Process-level observability (/metrics, pprof, the query history and
+// its NDJSON log) is served by cqacdbd alone (docs/OBSERVABILITY.md).
 // Tracing changes what is *reported*, never what is computed: operator
 // outputs are byte-identical with observability on or off.
 //
@@ -76,10 +66,8 @@ import (
 	"flag"
 	"fmt"
 	"io"
-	"log/slog"
 	"os"
 	"strings"
-	"time"
 
 	"cdb/internal/calculus"
 	"cdb/internal/constraint"
@@ -114,9 +102,6 @@ func run(args []string) error {
 		"memoized satisfiability engine size in entries (0 = disabled)")
 	explain := fs.Bool("explain", false, "print each program's EXPLAIN ANALYZE-style plan tree")
 	traceJSON := fs.String("trace-json", "", "write each program's span tree as JSON to this file")
-	metricsAddr := fs.String("metrics-addr", "", "serve /metrics, expvar and /debug/pprof on this address")
-	slowlog := fs.Duration("slowlog", 0, "log spans at least this slow via slog (0 = off)")
-	queryLog := fs.String("query-log", "", "append every executed program as one NDJSON flight record to this file")
 	snapshotDir := fs.String("snapshot-dir", "", "copy-on-write snapshot store directory (enables -snap-* commands)")
 	snapList := fs.Bool("snap-list", false, "list the store's snapshots and exit")
 	snapCommit := fs.Bool("snap-commit", false, "commit the loaded database as a snapshot and exit")
@@ -130,45 +115,9 @@ func run(args []string) error {
 		ec.SatCache = constraint.NewSatCache(*satCache)
 	}
 	s := &session{ec: ec, stats: *stats, explain: *explain, traceJSON: *traceJSON}
-	if *explain || *traceJSON != "" || *slowlog > 0 {
+	if *explain || *traceJSON != "" {
 		s.tracer = obs.NewTracer()
-		s.tracer.SlowThreshold = *slowlog
-		if *slowlog > 0 {
-			s.tracer.Logger = slog.New(slog.NewTextHandler(os.Stderr, nil))
-		}
 		ec.Tracer = s.tracer
-	}
-	if *queryLog != "" {
-		f, err := os.OpenFile(*queryLog, os.O_APPEND|os.O_CREATE|os.O_WRONLY, 0o644)
-		if err != nil {
-			return fmt.Errorf("-query-log: %w", err)
-		}
-		defer f.Close()
-		// Capacity 1: the CLI never serves the history ring; the recorder
-		// is here for the NDJSON stream.
-		s.flight = obs.NewFlight(1)
-		s.flight.Log = f
-		if s.tracer != nil && s.tracer.Logger != nil {
-			s.flight.Logger = s.tracer.Logger
-		} else {
-			s.flight.Logger = slog.New(slog.NewTextHandler(os.Stderr, nil))
-		}
-	}
-	if *metricsAddr != "" {
-		reg := obs.NewRegistry()
-		ec.InstallMetrics(reg)
-		if s.tracer != nil {
-			s.tracer.Metrics = reg
-		}
-		if s.flight != nil {
-			s.flight.Metrics = reg
-		}
-		srv, err := obs.ServeMetrics(*metricsAddr, reg)
-		if err != nil {
-			return err
-		}
-		defer srv.Close()
-		fmt.Printf("observability: http://%s/metrics /debug/vars /debug/pprof/\n", srv.Addr())
 	}
 
 	// The snapshot store: -snap-list and -snap-fork are standalone
@@ -251,13 +200,10 @@ func run(args []string) error {
 	}
 
 	if *expr != "" {
-		s.begin()
 		out, err := d.RunCtx(*expr, ec)
 		if err != nil {
-			s.finish(*expr, 0, err)
 			return err
 		}
-		s.finish(*expr, out.Len(), nil)
 		printRelation(out, *maxRows)
 		return s.report(os.Stdout)
 	}
@@ -266,13 +212,10 @@ func run(args []string) error {
 		if err != nil {
 			return err
 		}
-		s.begin()
 		out, err := prog.RunCtx(d.Env(), ec)
 		if err != nil {
-			s.finish(*rules, 0, err)
 			return err
 		}
-		s.finish(*rules, out.Len(), nil)
 		printRelation(out, *maxRows)
 		return s.report(os.Stdout)
 	}
@@ -282,13 +225,10 @@ func run(args []string) error {
 			if err != nil {
 				return err
 			}
-			s.begin()
 			out, err := d.RunCtx(string(src), ec)
 			if err != nil {
-				s.finish(string(src), 0, err)
 				return fmt.Errorf("%s: %w", path, err)
 			}
-			s.finish(string(src), out.Len(), nil)
 			fmt.Printf("== %s ==\n", path)
 			printRelation(out, *maxRows)
 			if err := s.report(os.Stdout); err != nil {
@@ -301,59 +241,13 @@ func run(args []string) error {
 }
 
 // session bundles one CLI invocation's execution context with its
-// observability outputs (-stats table, -explain tree, -trace-json file,
-// -query-log flight records).
+// observability outputs (-stats table, -explain tree, -trace-json file).
 type session struct {
 	ec        *exec.Context
 	tracer    *obs.Tracer
-	flight    *obs.Flight
 	stats     bool
 	explain   bool
 	traceJSON string
-
-	// Per-program flight-recorder state, set by begin and consumed by
-	// finish. qid is empty when no observability sink wants an identity.
-	qid   string
-	start time.Time
-}
-
-// begin opens a query identity for the next program. The id is
-// generated only when something consumes it — the tracer stamps it on
-// root spans and slow-span records, the flight recorder keys NDJSON
-// records by it — so plain runs stay id-free and byte-identical.
-func (s *session) begin() {
-	if s.tracer == nil && s.flight == nil {
-		return
-	}
-	s.qid = obs.NewQueryID()
-	s.start = time.Now()
-	if s.tracer != nil {
-		s.tracer.QueryID = s.qid
-	}
-}
-
-// finish records the finished program as a flight record: NDJSON to the
-// -query-log file. It must run before report(), which resets the
-// per-operator records the flight record carries.
-func (s *session) finish(src string, rows int, err error) {
-	if s.flight == nil || s.qid == "" {
-		return
-	}
-	elapsed := time.Since(s.start)
-	rec := obs.FlightRecord{
-		ID:          s.qid,
-		Statement:   db.FirstLine(src),
-		StartUnixMS: s.start.UnixMilli(),
-		WallMS:      float64(elapsed.Microseconds()) / 1000,
-		Rows:        rows,
-		Outcome:     obs.OutcomeOf(err),
-		Ops:         s.ec.Stats(),
-	}
-	rec.CacheHitRate = obs.CacheHitRate(rec.Ops, s.ec.SatCache != nil)
-	if err != nil {
-		rec.Error = err.Error()
-	}
-	s.flight.Finish(rec)
 }
 
 // report renders and clears the per-program observability state: the
@@ -464,7 +358,6 @@ func repl(d *db.Database, maxRows int, s *session, in io.Reader, out io.Writer) 
 				fmt.Fprintln(out, err)
 				continue
 			}
-			s.begin()
 			// Every statement's target persists, so later lines can build
 			// on earlier ones; the printed result is normalised, as -e's is.
 			root := s.ec.BeginSpan("query", line)
@@ -473,11 +366,9 @@ func repl(d *db.Database, maxRows int, s *session, in io.Reader, out io.Writer) 
 			})
 			s.ec.EndSpan(root)
 			if err != nil {
-				s.finish(line, 0, err)
 				fmt.Fprintln(out, err)
 				continue
 			}
-			s.finish(line, res.Len(), nil)
 			fprintRelation(out, res, maxRows)
 			if err := s.report(out); err != nil {
 				fmt.Fprintln(out, err)

@@ -51,9 +51,19 @@ func TestRunErrors(t *testing.T) {
 	if err := run([]string{"-demo", "hurricane", "/no/such/script.cqa"}); err == nil {
 		t.Error("missing script accepted")
 	}
-	// Plan modes are not user surface: -plan is an unknown flag.
-	if err := run([]string{"-demo", "hurricane", "-plan", "dense", "-e", "R = select x >= 1 from Land"}); err == nil {
-		t.Error("-plan accepted")
+	// Plan modes are not user surface: -plan is an unknown flag. Neither
+	// are process-level sinks, which cqacdbd serves: -metrics-addr,
+	// -slowlog and -query-log.
+	for _, flags := range [][]string{
+		{"-plan", "dense"},
+		{"-metrics-addr", "127.0.0.1:0"},
+		{"-slowlog", "1ms"},
+		{"-query-log", filepath.Join(t.TempDir(), "q.ndjson")},
+	} {
+		args := append(append([]string{"-demo", "hurricane"}, flags...), "-e", "R = select x >= 1 from Land")
+		if err := run(args); err == nil || !strings.Contains(err.Error(), "flag provided but not defined") {
+			t.Errorf("%s: err = %v, want an unknown-flag error", flags[0], err)
+		}
 	}
 }
 
@@ -184,20 +194,42 @@ func TestRunParallelAndStatsFlags(t *testing.T) {
 	}
 }
 
+// TestRunObservabilityFlags: tracing changes what is reported, never
+// what is computed. Under -stats -explain -trace-json the run prints the
+// plain run's output unchanged, then the reports after it.
 func TestRunObservabilityFlags(t *testing.T) {
-	// -explain, -slowlog and -metrics-addr must not change results or fail.
-	for _, args := range [][]string{
-		{"-demo", "hurricane", "-explain", "-stats", "-par", "4", "-e",
-			"R0 = join Landownership and Land\nR1 = select t >= 4, t <= 9 from R0\nR2 = project R1 on name"},
-		{"-demo", "hurricane", "-explain", "-rules",
-			`owned(name, t) :- Landownership(name, t, id), id = "A".`},
-		{"-demo", "hurricane", "-slowlog", "1h", "-explain", "-e",
-			"R = select landId = A from Landownership"},
-		{"-demo", "hurricane", "-metrics-addr", "127.0.0.1:0", "-e",
-			"R = select landId = A from Landownership"},
+	tracePath := filepath.Join(t.TempDir(), "trace.json")
+	for _, prog := range [][]string{
+		{"-par", "4", "-e", "R0 = join Landownership and Land\nR1 = select t >= 4, t <= 9 from R0\nR2 = project R1 on name"},
+		{"-rules", `owned(name, t) :- Landownership(name, t, id), id = "A".`},
+		{"-e", "R = select landId = A from Landownership"},
 	} {
-		if err := run(args); err != nil {
-			t.Errorf("run(%v): %v", args, err)
+		args := append([]string{"-demo", "hurricane"}, prog...)
+		plain, err := captureStdout(t, func() error { return run(args) })
+		if err != nil {
+			t.Fatalf("run(%v): %v", args, err)
+		}
+		traced, err := captureStdout(t, func() error {
+			return run(append([]string{"-stats", "-explain", "-trace-json", tracePath}, args...))
+		})
+		if err != nil {
+			t.Fatalf("run(%v) traced: %v", args, err)
+		}
+		if !strings.HasPrefix(traced, plain) {
+			t.Errorf("%v: tracing changed the result rows:\n--- plain ---\n%s\n--- traced ---\n%s", prog, plain, traced)
+		}
+		for _, want := range []string{"operator", "└─"} {
+			if !strings.Contains(traced[len(plain):], want) {
+				t.Errorf("%v: reports missing %q:\n%s", prog, want, traced)
+			}
+		}
+		b, err := os.ReadFile(tracePath)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var spans []obs.SpanJSON
+		if err := json.Unmarshal(b, &spans); err != nil || len(spans) == 0 {
+			t.Errorf("%v: trace file: %v\n%s", prog, err, b)
 		}
 	}
 }
@@ -301,100 +333,4 @@ func captureStdout(t *testing.T, fn func() error) (string, error) {
 		t.Fatal(readErr)
 	}
 	return string(b), runErr
-}
-
-func TestQueryLogNDJSON(t *testing.T) {
-	logPath := filepath.Join(t.TempDir(), "queries.ndjson")
-	args := []string{"-demo", "hurricane", "-e",
-		"R0 = join Landownership and Land\nR1 = project R0 on name"}
-
-	plain, err := captureStdout(t, func() error { return run(args) })
-	if err != nil {
-		t.Fatal(err)
-	}
-	logged, err := captureStdout(t, func() error {
-		return run(append([]string{"-query-log", logPath}, args...))
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// The recorder observes; it never changes what is printed.
-	if plain != logged {
-		t.Fatalf("-query-log changed stdout:\n--- plain ---\n%s\n--- logged ---\n%s", plain, logged)
-	}
-
-	b, err := os.ReadFile(logPath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	lines := strings.Split(strings.TrimSpace(string(b)), "\n")
-	if len(lines) != 1 {
-		t.Fatalf("query log has %d lines, want 1:\n%s", len(lines), b)
-	}
-	var rec obs.FlightRecord
-	if err := json.Unmarshal([]byte(lines[0]), &rec); err != nil {
-		t.Fatalf("log line not JSON: %v\n%s", err, lines[0])
-	}
-	if !strings.HasPrefix(rec.ID, "q") || rec.Outcome != obs.OutcomeOK || rec.Rows == 0 {
-		t.Fatalf("flight record: %+v", rec)
-	}
-	if rec.Statement != "R0 = join Landownership and Land" {
-		t.Fatalf("record statement %q", rec.Statement)
-	}
-	var strategies []string
-	for _, op := range rec.Ops {
-		if op.Strategy != "" {
-			strategies = append(strategies, op.Strategy)
-		}
-	}
-	if len(strategies) == 0 {
-		t.Fatalf("record has no binary operator with a strategy: %+v", rec)
-	}
-	if rec.CacheHitRate < 0 {
-		t.Fatalf("cache hit rate %v with the default cache on", rec.CacheHitRate)
-	}
-
-	// A failing program appends an error record (the file is O_APPEND:
-	// one process's records follow another's).
-	_, err = captureStdout(t, func() error {
-		return run([]string{"-demo", "hurricane", "-query-log", logPath, "-e", "R = select from X"})
-	})
-	if err == nil {
-		t.Fatal("bad query accepted")
-	}
-	b, _ = os.ReadFile(logPath)
-	lines = strings.Split(strings.TrimSpace(string(b)), "\n")
-	if len(lines) != 2 {
-		t.Fatalf("query log has %d lines after error, want 2:\n%s", len(lines), b)
-	}
-	if err := json.Unmarshal([]byte(lines[1]), &rec); err != nil {
-		t.Fatal(err)
-	}
-	if rec.Outcome != obs.OutcomeError || rec.Error == "" {
-		t.Fatalf("error record: %+v", rec)
-	}
-}
-
-func TestExplainCarriesQueryID(t *testing.T) {
-	logPath := filepath.Join(t.TempDir(), "queries.ndjson")
-	out, err := captureStdout(t, func() error {
-		return run([]string{"-demo", "hurricane", "-explain", "-query-log", logPath,
-			"-e", "R = select landId = A from Landownership"})
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// The root span is stamped with the flight-recorder id, so the
-	// EXPLAIN tree and the NDJSON record join on it.
-	if !strings.Contains(out, "query_id=q") {
-		t.Fatalf("explain output missing query_id label:\n%s", out)
-	}
-	b, _ := os.ReadFile(logPath)
-	var rec obs.FlightRecord
-	if err := json.Unmarshal([]byte(strings.TrimSpace(string(b))), &rec); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(out, "query_id="+rec.ID) {
-		t.Fatalf("explain id and record id differ: record %q, explain:\n%s", rec.ID, out)
-	}
 }

@@ -17,7 +17,7 @@
 //	DELETE /v1/sessions/{id}   close a session
 //	GET    /v1/dbs             the shared database registry
 //	GET    /v1/queries         queries executing right now; DELETE /v1/queries/{id} cancels one
-//	GET    /v1/queries/recent  finished-query history (?min_ms=&limit=); /debug/queries for humans
+//	GET    /v1/queries/recent  finished-query history (?min_ms=&limit=)
 //	GET    /healthz            liveness (reports "draining" during shutdown)
 //	GET    /metrics            Prometheus text format; /debug/vars, /debug/pprof/...
 //

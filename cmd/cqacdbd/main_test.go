@@ -220,16 +220,6 @@ func TestDaemonFlightRecorder(t *testing.T) {
 		!bytes.Contains(recent, []byte("1 from Land")) {
 		t.Fatalf("queries/recent missing the query:\n%s", recent)
 	}
-	// ...on the human view...
-	resp, err = http.Get(base + "/debug/queries")
-	if err != nil {
-		t.Fatal(err)
-	}
-	debug, _ := io.ReadAll(resp.Body)
-	resp.Body.Close()
-	if !bytes.Contains(debug, []byte("recent queries")) {
-		t.Fatalf("debug/queries:\n%s", debug)
-	}
 	// ...and in the NDJSON log file.
 	logged, err := os.ReadFile(logPath)
 	if err != nil {

@@ -166,7 +166,7 @@ func TestTracingDoesNotChangeOutput(t *testing.T) {
 
 	traced := &exec.Context{Parallelism: 4, SeqThreshold: 1}
 	traced.Tracer = obs.NewTracer()
-	traced.InstallMetrics(obs.NewRegistry())
+	traced.Metrics = obs.NewRegistry()
 	got, err := plan.EvalCtx(env, traced)
 	if err != nil {
 		t.Fatal(err)

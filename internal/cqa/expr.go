@@ -17,14 +17,12 @@ import (
 // named relations.
 type Node interface {
 	fmt.Stringer
-	// Eval evaluates the subtree against the environment, sequentially.
-	Eval(env Env) (*relation.Relation, error)
 	// EvalCtx evaluates the subtree under an execution context: operators
 	// fan their satisfiability work out over ec's worker pool and record
 	// per-operator stats on ec. When ec traces, every node opens a span,
 	// so the evaluated plan appears as a tree in EXPLAIN output (the
-	// operator's own counters fold into the node's line). A nil ec is
-	// Eval.
+	// operator's own counters fold into the node's line). A nil ec
+	// evaluates sequentially, untraced.
 	EvalCtx(env Env, ec *exec.Context) (*relation.Relation, error)
 	// OutSchema computes the result schema without evaluating.
 	OutSchema(env SchemaEnv) (schema.Schema, error)
@@ -50,8 +48,6 @@ type ScanNode struct{ Name string }
 
 // Scan returns a node reading the named relation.
 func Scan(name string) *ScanNode { return &ScanNode{Name: name} }
-
-func (n *ScanNode) Eval(env Env) (*relation.Relation, error) { return n.EvalCtx(env, nil) }
 
 func (n *ScanNode) EvalCtx(env Env, ec *exec.Context) (*relation.Relation, error) {
 	sp := ec.BeginSpan("scan", n.Name)
@@ -84,8 +80,6 @@ type SelectNode struct {
 func NewSelect(in Node, cond Condition) *SelectNode {
 	return &SelectNode{Input: in, Cond: cond}
 }
-
-func (n *SelectNode) Eval(env Env) (*relation.Relation, error) { return n.EvalCtx(env, nil) }
 
 func (n *SelectNode) EvalCtx(env Env, ec *exec.Context) (*relation.Relation, error) {
 	var detail string
@@ -127,8 +121,6 @@ func NewProject(in Node, cols ...string) *ProjectNode {
 	return &ProjectNode{Input: in, Cols: cols}
 }
 
-func (n *ProjectNode) Eval(env Env) (*relation.Relation, error) { return n.EvalCtx(env, nil) }
-
 func (n *ProjectNode) EvalCtx(env Env, ec *exec.Context) (*relation.Relation, error) {
 	var detail string
 	if ec.Tracing() {
@@ -160,8 +152,6 @@ type JoinNode struct{ Left, Right Node }
 
 // NewJoin returns a natural-join node.
 func NewJoin(l, r Node) *JoinNode { return &JoinNode{Left: l, Right: r} }
-
-func (n *JoinNode) Eval(env Env) (*relation.Relation, error) { return n.EvalCtx(env, nil) }
 
 func (n *JoinNode) EvalCtx(env Env, ec *exec.Context) (*relation.Relation, error) {
 	sp := ec.BeginSpan("join", "")
@@ -198,8 +188,6 @@ type UnionNode struct{ Left, Right Node }
 
 // NewUnion returns a union node.
 func NewUnion(l, r Node) *UnionNode { return &UnionNode{Left: l, Right: r} }
-
-func (n *UnionNode) Eval(env Env) (*relation.Relation, error) { return n.EvalCtx(env, nil) }
 
 func (n *UnionNode) EvalCtx(env Env, ec *exec.Context) (*relation.Relation, error) {
 	sp := ec.BeginSpan("union", "")
@@ -239,8 +227,6 @@ type DiffNode struct{ Left, Right Node }
 
 // NewDiff returns a difference node.
 func NewDiff(l, r Node) *DiffNode { return &DiffNode{Left: l, Right: r} }
-
-func (n *DiffNode) Eval(env Env) (*relation.Relation, error) { return n.EvalCtx(env, nil) }
 
 func (n *DiffNode) EvalCtx(env Env, ec *exec.Context) (*relation.Relation, error) {
 	sp := ec.BeginSpan("difference", "")
@@ -294,8 +280,6 @@ func (n *RenameNode) pairs(sep string) string {
 	}
 	return strings.Join(olds, ", ")
 }
-
-func (n *RenameNode) Eval(env Env) (*relation.Relation, error) { return n.EvalCtx(env, nil) }
 
 func (n *RenameNode) EvalCtx(env Env, ec *exec.Context) (*relation.Relation, error) {
 	var detail string

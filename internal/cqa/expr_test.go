@@ -43,7 +43,7 @@ func TestPlanEvalQuery1(t *testing.T) {
 	plan := NewProject(
 		NewSelect(Scan("Landownership"), Condition{StrEq("landId", "A")}),
 		"name", "t")
-	got, err := plan.Eval(env)
+	got, err := plan.EvalCtx(env, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -61,7 +61,7 @@ func TestPlanSchemaErrors(t *testing.T) {
 	if _, err := Scan("Missing").OutSchema(se); err == nil {
 		t.Error("unknown scan schema resolved")
 	}
-	if _, err := Scan("Missing").Eval(env); err == nil {
+	if _, err := Scan("Missing").EvalCtx(env, nil); err == nil {
 		t.Error("unknown scan evaluated")
 	}
 	bad := NewSelect(Scan("Land"), Condition{AttrCmpConst("t", OpLe, q("1"))})
@@ -72,7 +72,7 @@ func TestPlanSchemaErrors(t *testing.T) {
 	if _, err := badU.OutSchema(se); err == nil {
 		t.Error("union schema mismatch resolved")
 	}
-	if _, err := badU.Eval(env); err == nil {
+	if _, err := badU.EvalCtx(env, nil); err == nil {
 		t.Error("union schema mismatch evaluated")
 	}
 	badD := NewDiff(Scan("Land"), Scan("Landownership"))
@@ -117,11 +117,11 @@ func TestOptimizeSelectMergeAndPushdown(t *testing.T) {
 	}
 
 	// Equivalence of results.
-	want, err := plan.Eval(env)
+	want, err := plan.EvalCtx(env, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := opt.Eval(env)
+	got, err := opt.EvalCtx(env, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -142,8 +142,8 @@ func TestOptimizeSelectThroughUnionAndDiff(t *testing.T) {
 	if _, ok := optU.(*UnionNode); !ok {
 		t.Errorf("select not pushed through union: %s", optU)
 	}
-	wantU, _ := planU.Eval(env)
-	gotU, err := optU.Eval(env)
+	wantU, _ := planU.EvalCtx(env, nil)
+	gotU, err := optU.EvalCtx(env, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -156,8 +156,8 @@ func TestOptimizeSelectThroughUnionAndDiff(t *testing.T) {
 	if _, ok := optD.(*DiffNode); !ok {
 		t.Errorf("select not pushed through difference: %s", optD)
 	}
-	wantD, _ := planD.Eval(env)
-	gotD, err := optD.Eval(env)
+	wantD, _ := planD.EvalCtx(env, nil)
+	gotD, err := optD.EvalCtx(env, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -186,8 +186,8 @@ func TestOptimizeProjectionRules(t *testing.T) {
 		t.Errorf("identity projection not dropped: %s", idOpt)
 	}
 	// Equivalence.
-	want, _ := plan.Eval(env)
-	got, err := opt.Eval(env)
+	want, _ := plan.EvalCtx(env, nil)
+	got, err := opt.EvalCtx(env, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -255,7 +255,7 @@ func TestQuickOptimizeEquivalence(t *testing.T) {
 	for iter := 0; iter < 40; iter++ {
 		env := Env{"P": randRel(), "Q": randRel()}
 		plan := build(2 + rng.Intn(2))
-		want, err := plan.Eval(env)
+		want, err := plan.EvalCtx(env, nil)
 		if err != nil {
 			// The generator can produce ill-typed plans (e.g. selecting on a
 			// projected-away attribute); those are rejected uniformly, which
@@ -263,7 +263,7 @@ func TestQuickOptimizeEquivalence(t *testing.T) {
 			continue
 		}
 		opt := Optimize(plan, env.Schemas())
-		got, err := opt.Eval(env)
+		got, err := opt.EvalCtx(env, nil)
 		if err != nil {
 			t.Fatalf("iter %d: optimized eval: %v (%s)", iter, err, opt)
 		}

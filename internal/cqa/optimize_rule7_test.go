@@ -38,11 +38,11 @@ func TestProjectPushdownThroughJoin(t *testing.T) {
 		t.Errorf("right side kept y: %v", rp.Cols)
 	}
 	// Semantics preserved.
-	want, err := plan.Eval(env)
+	want, err := plan.EvalCtx(env, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := opt.Eval(env)
+	got, err := opt.EvalCtx(env, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

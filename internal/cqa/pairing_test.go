@@ -221,7 +221,7 @@ func TestPairsStatsConsistent(t *testing.T) {
 	ec := &exec.Context{Parallelism: 4, SeqThreshold: 1}
 	ec.Tracer = obs.NewTracer()
 	reg := obs.NewRegistry()
-	ec.InstallMetrics(reg)
+	ec.Metrics = reg
 	if _, err := JoinCtx(ec, r1, r2); err != nil {
 		t.Fatal(err)
 	}

@@ -305,7 +305,7 @@ func TestEvalCtxThreadsContext(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := plan.Eval(env)
+	want, err := plan.EvalCtx(env, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -65,11 +65,11 @@ func TestSaveLoadSpans(t *testing.T) {
 		t.Fatalf("roots = %v, want [db.save db.load]", roots)
 	}
 	for _, sp := range roots {
-		if sp.Counter("relations") != 2 {
-			t.Errorf("%s relations = %d, want 2", sp.Name, sp.Counter("relations"))
+		if sp.Counters()["relations"] != 2 {
+			t.Errorf("%s relations = %d, want 2", sp.Name, sp.Counters()["relations"])
 		}
-		if sp.Counter("tuples") != 5 {
-			t.Errorf("%s tuples = %d, want 5", sp.Name, sp.Counter("tuples"))
+		if sp.Counters()["tuples"] != 5 {
+			t.Errorf("%s tuples = %d, want 5", sp.Name, sp.Counters()["tuples"])
 		}
 	}
 }

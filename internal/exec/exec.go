@@ -119,8 +119,9 @@ type Context struct {
 
 	// Metrics, when non-nil, receives every operator record: one
 	// cdb_op_<name>_total{op} family per obs.OpCounters row, and
-	// cdb_op_seconds{op}. Set it directly or via InstallMetrics. Nil
-	// disables metric emission.
+	// cdb_op_seconds{op}. Nil disables metric emission. The sat-cache and
+	// Fourier-Motzkin families are process-level: the daemon registers
+	// them once, beside its own (server.installMetrics).
 	Metrics *obs.Registry
 
 	mu    sync.Mutex
@@ -523,20 +524,4 @@ func (c *Context) currentSpan() *obs.Span {
 		return nil
 	}
 	return c.spans[len(c.spans)-1]
-}
-
-// InstallMetrics wires the context's observable state into reg: the
-// per-operator counter and latency families (emitted by OpRecorder.Done
-// from then on), the process-wide raw Fourier-Motzkin decision counter,
-// and — when the context has a SatCache — the cache's counters. Call it
-// once after the context is fully configured.
-func (c *Context) InstallMetrics(reg *obs.Registry) {
-	if c == nil || reg == nil {
-		return
-	}
-	c.Metrics = reg
-	reg.NewCounterFunc("cdb_fm_decisions_total",
-		"Raw Fourier-Motzkin satisfiability decisions (process-wide).",
-		constraint.DecisionCount)
-	c.SatCache.RegisterMetrics(reg)
 }

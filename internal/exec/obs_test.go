@@ -150,8 +150,8 @@ func TestOpRecorderDepositsSpanCounters(t *testing.T) {
 		t.Fatalf("recorder span missing under the plan span: %v", kids)
 	}
 	sp := kids[0]
-	if sp.Counter("in") != 10 || sp.Counter("out") != 1 ||
-		sp.Counter("sat") != 2 || sp.Counter("pruned") != 1 {
+	if sp.Counters()["in"] != 10 || sp.Counters()["out"] != 1 ||
+		sp.Counters()["sat"] != 2 || sp.Counters()["pruned"] != 1 {
 		t.Errorf("span counters wrong: %v", sp.Counters())
 	}
 	// Zero counters are omitted, and the -stats record carries the same
@@ -160,7 +160,7 @@ func TestOpRecorderDepositsSpanCounters(t *testing.T) {
 		t.Error("zero cache_hits counter should be omitted from the span")
 	}
 	s := c.Stats()[0]
-	if s.SatChecks != sp.Counter("sat") || s.TuplesOut != sp.Counter("out") {
+	if s.SatChecks != sp.Counters()["sat"] || s.TuplesOut != sp.Counters()["out"] {
 		t.Errorf("stats record %+v disagrees with span %v", s, sp.Counters())
 	}
 }
@@ -180,14 +180,14 @@ func TestMapFanoutSpan(t *testing.T) {
 		t.Fatalf("fanout span missing: %v", kids)
 	}
 	f := kids[0]
-	if f.Counter("items") != n {
-		t.Errorf("items = %d, want %d", f.Counter("items"), n)
+	if f.Counters()["items"] != n {
+		t.Errorf("items = %d, want %d", f.Counters()["items"], n)
 	}
-	if w := f.Counter("workers"); w < 1 || w > 4 {
+	if w := f.Counters()["workers"]; w < 1 || w > 4 {
 		t.Errorf("workers = %d, want 1..4", w)
 	}
-	if f.Counter("busy_ns") < f.Counter("maxbusy_ns") {
-		t.Errorf("summed busy %d < max busy %d", f.Counter("busy_ns"), f.Counter("maxbusy_ns"))
+	if f.Counters()["busy_ns"] < f.Counters()["maxbusy_ns"] {
+		t.Errorf("summed busy %d < max busy %d", f.Counters()["busy_ns"], f.Counters()["maxbusy_ns"])
 	}
 	if f.Wall() <= 0 {
 		t.Error("fanout span not ended")
@@ -216,32 +216,33 @@ func TestMapNoFanoutSpanWhenUntraced(t *testing.T) {
 	}
 }
 
-func TestInstallMetrics(t *testing.T) {
+// TestMetricsFoldOpFamilies: a Context with Metrics set directly — what
+// every server session does — folds each finished operator record into
+// the cdb_op_* families, and registers nothing process-level (the
+// Fourier-Motzkin and sat-cache families live in server.installMetrics).
+func TestMetricsFoldOpFamilies(t *testing.T) {
 	c := New(1)
 	c.SatCache = constraint.NewSatCache(64)
 	reg := obs.NewRegistry()
-	c.InstallMetrics(reg)
-	if c.Metrics != reg {
-		t.Fatal("InstallMetrics did not set Context.Metrics")
-	}
+	c.Metrics = reg
 	rec := c.StartOp("select", 3)
 	rec.Satisfiable(satConj(t))
 	rec.AddOut(1)
 	rec.Done(false)
 
 	snap := reg.Snapshot()
-	ops, ok := snap["cdb_op_sat_total"].(map[string]any)
-	if !ok || ops["select"] != int64(1) {
+	if ops, ok := snap["cdb_op_sat_total"].(map[string]any); !ok || ops["select"] != int64(1) {
 		t.Errorf("op sat-check metric = %v", snap["cdb_op_sat_total"])
 	}
-	if v, ok := snap["cdb_fm_decisions_total"].(int64); !ok || v < 1 {
-		t.Errorf("fm decision metric = %v, want >= 1", snap["cdb_fm_decisions_total"])
+	if ops, ok := snap["cdb_op_out_total"].(map[string]any); !ok || ops["select"] != int64(1) {
+		t.Errorf("op out metric = %v", snap["cdb_op_out_total"])
 	}
-	if v, ok := snap["cdb_satcache_misses_total"].(int64); !ok || v < 1 {
-		t.Errorf("sat-cache miss metric = %v, want >= 1", snap["cdb_satcache_misses_total"])
+	if _, ok := snap["cdb_op_seconds"]; !ok {
+		t.Error("op latency histogram missing")
 	}
-	// Nil-safety.
-	var nilCtx *Context
-	nilCtx.InstallMetrics(reg)
-	New(1).InstallMetrics(nil)
+	for _, name := range []string{"cdb_fm_decisions_total", "cdb_satcache_misses_total"} {
+		if _, ok := snap[name]; ok {
+			t.Errorf("a context registered the process-level family %s", name)
+		}
+	}
 }

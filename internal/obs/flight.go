@@ -9,7 +9,7 @@ package obs
 // style, each record carrying its per-operator records).
 //
 // Like the rest of the package it is stdlib-only and nil-safe: the nil
-// *Flight accepts every call as a no-op, so the CLIs record
+// *Flight accepts every call as a no-op, so callers record
 // unconditionally and pay one pointer test when the recorder is off.
 // Recording never changes what a query computes — the recorder only
 // observes identifiers, counters and outcomes that execution produced
@@ -109,7 +109,7 @@ func formatQueryID(seq int64, suffix []byte) string {
 // FlightRecord is one finished query: identity, what ran, how long, how
 // much came out, how it ended, and its operator records. It is the unit of
 // the history ring, of the /v1/queries/recent response, and of the
-// -query-log NDJSON stream (one record per line).
+// cqacdbd -query-log NDJSON stream (one record per line).
 type FlightRecord struct {
 	ID          string  `json:"id"`
 	Session     string  `json:"session,omitempty"`
@@ -139,12 +139,11 @@ type FlightRecord struct {
 // ActiveQuery is one in-flight query as reported by Flight.Active (the
 // GET /v1/queries wire shape).
 type ActiveQuery struct {
-	ID          string   `json:"id"`
-	Session     string   `json:"session,omitempty"`
-	Statement   string   `json:"statement"`
-	StartUnixMS int64    `json:"start_unix_ms"`
-	ElapsedMS   float64  `json:"elapsed_ms"`
-	Strategies  []string `json:"strategies,omitempty"` // pairing strategies chosen so far
+	ID          string  `json:"id"`
+	Session     string  `json:"session,omitempty"`
+	Statement   string  `json:"statement"`
+	StartUnixMS int64   `json:"start_unix_ms"`
+	ElapsedMS   float64 `json:"elapsed_ms"`
 }
 
 // activeEntry is the registry's record of a running query.
@@ -153,7 +152,6 @@ type activeEntry struct {
 	start                  time.Time
 	seq                    int64 // registration order, for deterministic listing
 	cancel                 context.CancelFunc
-	progress               func() []string // strategies chosen so far; nil = unknown
 }
 
 // Flight is the query flight recorder: a registry of in-flight queries
@@ -169,7 +167,7 @@ type Flight struct {
 	Metrics *Registry
 
 	// Log, when non-nil, receives every finished query as one NDJSON
-	// line (the -query-log flag). Writes are serialised by the
+	// line (cqacdbd's -query-log flag). Writes are serialised by the
 	// recorder's mutex.
 	Log io.Writer
 
@@ -206,10 +204,8 @@ func (f *Flight) now() time.Time {
 
 // Start registers an in-flight query. cancel, when non-nil, is what
 // Cancel(id) invokes — the same context cancellation path a deadline
-// uses. progress, when non-nil, is polled by Active for the pairing
-// strategies chosen so far; it must be safe to call concurrently with
-// the running query.
-func (f *Flight) Start(id, session, statement string, cancel context.CancelFunc, progress func() []string) {
+// uses.
+func (f *Flight) Start(id, session, statement string, cancel context.CancelFunc) {
 	if f == nil || id == "" {
 		return
 	}
@@ -217,7 +213,7 @@ func (f *Flight) Start(id, session, statement string, cancel context.CancelFunc,
 	f.seq++
 	f.active[id] = &activeEntry{
 		id: id, session: session, statement: statement,
-		start: f.now(), seq: f.seq, cancel: cancel, progress: progress,
+		start: f.now(), seq: f.seq, cancel: cancel,
 	}
 	f.mu.Unlock()
 }
@@ -263,9 +259,6 @@ func (f *Flight) Active() []ActiveQuery {
 			StartUnixMS: e.start.UnixMilli(),
 			ElapsedMS:   float64(now.Sub(e.start).Microseconds()) / 1000,
 		}
-		if e.progress != nil {
-			out[i].Strategies = e.progress()
-		}
 	}
 	return out
 }
@@ -273,7 +266,7 @@ func (f *Flight) Active() []ActiveQuery {
 // Finish deregisters the query and records its terminal state: the
 // record enters the history ring (evicting the eldest at capacity), and
 // the metric families and the NDJSON log are fed. Safe to call for ids
-// that never Started (CLI one-shots have no registry).
+// that never Started.
 func (f *Flight) Finish(rec FlightRecord) {
 	if f == nil {
 		return
@@ -345,14 +338,4 @@ func (f *Flight) Recent(minWall time.Duration, limit int) []FlightRecord {
 		}
 	}
 	return out
-}
-
-// Len returns the number of retained finished-query records.
-func (f *Flight) Len() int {
-	if f == nil {
-		return 0
-	}
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	return len(f.ring)
 }

@@ -2,54 +2,22 @@ package obs
 
 import (
 	"expvar"
-	"fmt"
-	"net"
 	"net/http"
 	"net/http/pprof"
-	"time"
 )
 
-// Server is the optional observability HTTP listener (-metrics-addr):
-// it serves the registry in Prometheus text format, the expvar JSON
-// snapshot, and the standard pprof profiling endpoints, on a mux of its
-// own so nothing leaks onto http.DefaultServeMux.
+// Mount registers the observability endpoints on an existing mux, so a
+// process with an API server of its own — cqacdbd — exposes them on the
+// same listener instead of a second port:
 //
 //	/metrics             Prometheus text exposition of the registry
 //	/debug/vars          expvar (incl. the registry snapshot under "cdb")
 //	/debug/pprof/...     net/http/pprof: profile, heap, goroutine, trace, ...
-type Server struct {
-	ln  net.Listener
-	srv *http.Server
-}
-
-// ServeMetrics starts the observability listener on addr (host:port;
-// ":0" picks a free port) and serves in a background goroutine until
-// Close. The registry is also published to expvar under "cdb".
-func ServeMetrics(addr string, reg *Registry) (*Server, error) {
-	ln, err := net.Listen("tcp", addr)
-	if err != nil {
-		return nil, fmt.Errorf("obs: metrics listener: %w", err)
-	}
-	srv := &http.Server{Handler: Handler(reg), ReadHeaderTimeout: 5 * time.Second}
-	go srv.Serve(ln)
-	return &Server{ln: ln, srv: srv}, nil
-}
-
-// Handler returns the observability mux (exposed separately so an
-// embedding application can mount it on its own server).
-func Handler(reg *Registry) http.Handler {
-	mux := http.NewServeMux()
-	Mount(mux, reg)
-	return mux
-}
-
-// Mount registers the observability endpoints (/metrics, /debug/vars,
-// /debug/pprof/...) on an existing mux, so a process with an API server
-// of its own — cqacdbd — exposes them on the same listener instead of a
-// second port. The patterns carry no method or host, so they coexist
-// with method-qualified API routes on the same mux. The registry is
-// also published to expvar under "cdb" (once per process: expvar is
-// global, so the first registry mounted wins).
+//
+// The patterns carry no method or host, so they coexist with
+// method-qualified API routes on the same mux. The registry is also
+// published to expvar under "cdb" (once per process: expvar is global, so
+// the first registry mounted wins).
 func Mount(mux *http.ServeMux, reg *Registry) {
 	reg.PublishExpvar("cdb")
 	mux.HandleFunc("/metrics", func(w http.ResponseWriter, r *http.Request) {
@@ -63,9 +31,3 @@ func Mount(mux *http.ServeMux, reg *Registry) {
 	mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
 	mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
 }
-
-// Addr returns the listener's bound address (useful with ":0").
-func (s *Server) Addr() string { return s.ln.Addr().String() }
-
-// Close stops the listener.
-func (s *Server) Close() error { return s.srv.Close() }

@@ -20,10 +20,10 @@ import (
 // sat-cache counters, constraint.DecisionCount), and latency histograms
 // with fixed buckets — not the general labelled-metrics problem: one
 // optional label key per family is enough to split series per operator
-// or per span name.
+// or per route.
 
-// DefLatencyBuckets are the default histogram bounds for span and
-// operator latencies, in seconds (10µs .. 10s, decade steps).
+// DefLatencyBuckets are the default histogram bounds for operator,
+// query and request latencies, in seconds (10µs .. 10s, decade steps).
 var DefLatencyBuckets = []float64{1e-5, 1e-4, 1e-3, 1e-2, 1e-1, 1, 10}
 
 // Counter is a monotonically increasing int64 metric.

@@ -1,6 +1,7 @@
 // Package obs is the observability layer of CQA/CDB: a hierarchical
 // query tracer, a metrics registry with Prometheus text exposition, and
-// an optional HTTP listener serving /metrics, expvar and net/http/pprof.
+// Mount, which serves /metrics, expvar and net/http/pprof on a caller's
+// mux (cqacdbd's).
 //
 // The package is deliberately stdlib-only and imports nothing from the
 // rest of the repository, so every layer — the constraint engine, the
@@ -20,8 +21,6 @@
 package obs
 
 import (
-	"log/slog"
-	"sort"
 	"sync"
 	"time"
 )
@@ -32,28 +31,14 @@ import (
 // Spans are retained until Reset, so a long-lived session (the cqacdb
 // REPL) should Reset between programs the way it resets -stats.
 type Tracer struct {
-	// SlowThreshold, when positive, makes every span whose wall time
-	// reaches it log itself through Logger on End (the -slowlog flag).
-	SlowThreshold time.Duration
-
-	// Logger receives slow-span reports. Nil disables slow logging even
-	// with a threshold set.
-	Logger *slog.Logger
-
-	// Metrics, when non-nil, receives every finished span's latency in
-	// the cdb_span_seconds histogram, labelled by span name.
-	Metrics *Registry
-
 	// Clock overrides time.Now for deterministic tests. Nil = time.Now.
 	Clock func() time.Time
 
 	// QueryID, when set, is the flight-recorder identity of the query
 	// this tracer is collecting: every root span is stamped with a
-	// "query_id" label (visible in EXPLAIN ANALYZE and trace JSON) and
-	// every slow-span log record carries it, so a slow span in the logs
-	// joins against the query history ring. Set it before the query
-	// starts; the per-query tracer owners (the server and the CLIs)
-	// reassign it between queries.
+	// "query_id" label (visible in EXPLAIN ANALYZE and trace JSON), so a
+	// traced reply joins against the query history ring. Set it before
+	// the query starts (the server does, per query).
 	QueryID string
 
 	mu    sync.Mutex
@@ -181,16 +166,6 @@ func (s *Span) Labels() map[string]string {
 	return out
 }
 
-// Counter returns the named counter's current value (0 when absent).
-func (s *Span) Counter(key string) int64 {
-	if s == nil {
-		return 0
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.counters[key]
-}
-
 // Counters returns a copy of the span's counters.
 func (s *Span) Counters() map[string]int64 {
 	if s == nil {
@@ -205,21 +180,6 @@ func (s *Span) Counters() map[string]int64 {
 	return out
 }
 
-// CounterKeys returns the span's counter keys, sorted.
-func (s *Span) CounterKeys() []string {
-	if s == nil {
-		return nil
-	}
-	s.mu.Lock()
-	keys := make([]string, 0, len(s.counters))
-	for k := range s.counters {
-		keys = append(keys, k)
-	}
-	s.mu.Unlock()
-	sort.Strings(keys)
-	return keys
-}
-
 // Children returns the span's children, in start order.
 func (s *Span) Children() []*Span {
 	if s == nil {
@@ -230,41 +190,16 @@ func (s *Span) Children() []*Span {
 	return append([]*Span{}, s.children...)
 }
 
-// End closes the span, stamping its wall time, feeding the latency
-// histogram (when the tracer has a Metrics registry) and logging the
-// span when it is slower than the tracer's threshold. Idempotent.
+// End closes the span, stamping its wall time. Idempotent.
 func (s *Span) End() {
 	if s == nil {
 		return
 	}
 	s.mu.Lock()
-	if !s.end.IsZero() {
-		s.mu.Unlock()
-		return
+	if s.end.IsZero() {
+		s.end = s.tracer.now()
 	}
-	s.end = s.tracer.now()
-	wall := s.end.Sub(s.start)
 	s.mu.Unlock()
-
-	t := s.tracer
-	if t.Metrics != nil {
-		t.Metrics.HistogramVec("cdb_span_seconds",
-			"Span wall time by span name.", "span", DefLatencyBuckets).
-			With(s.Name).Observe(wall.Seconds())
-	}
-	if t.SlowThreshold > 0 && wall >= t.SlowThreshold && t.Logger != nil {
-		args := []any{"span", s.Name, "wall", wall}
-		if t.QueryID != "" {
-			args = append(args, "query", t.QueryID)
-		}
-		if s.Detail != "" {
-			args = append(args, "detail", s.Detail)
-		}
-		for _, k := range s.CounterKeys() {
-			args = append(args, k, s.Counter(k))
-		}
-		t.Logger.Warn("slow span", args...)
-	}
 }
 
 // Wall returns the span's wall time: end-start once ended, zero before.
@@ -284,7 +219,7 @@ func (s *Span) Wall() time.Duration {
 func SumCounter(spans []*Span, key string) int64 {
 	var total int64
 	for _, sp := range spans {
-		total += sp.Counter(key) + SumCounter(sp.Children(), key)
+		total += sp.Counters()[key] + SumCounter(sp.Children(), key)
 	}
 	return total
 }

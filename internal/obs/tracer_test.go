@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
-	"log/slog"
 	"os"
 	"path/filepath"
 	"strings"
@@ -44,13 +43,13 @@ func TestSpanHierarchyAndCounters(t *testing.T) {
 	if len(roots) != 1 || roots[0] != root {
 		t.Fatalf("roots = %v, want [root]", roots)
 	}
-	if got := child.Counter("sat"); got != 5 {
+	if got := child.Counters()["sat"]; got != 5 {
 		t.Errorf("sat counter = %d, want 5 (Set overwrites)", got)
 	}
-	if got := child.Counter("out"); got != 7 {
+	if got := child.Counters()["out"]; got != 7 {
 		t.Errorf("out counter = %d, want 7", got)
 	}
-	if got := child.Counter("absent"); got != 0 {
+	if got := child.Counters()["absent"]; got != 0 {
 		t.Errorf("absent counter = %d, want 0", got)
 	}
 	if c := root.Children(); len(c) != 1 || c[0] != child || len(child.Children()) != 1 || child.Children()[0] != grand {
@@ -59,8 +58,8 @@ func TestSpanHierarchyAndCounters(t *testing.T) {
 	if got := SumCounter(roots, "sat"); got != 5 {
 		t.Errorf("SumCounter(sat) = %d, want 5", got)
 	}
-	if keys := child.CounterKeys(); strings.Join(keys, ",") != "out,sat" {
-		t.Errorf("CounterKeys = %v, want sorted [out sat]", keys)
+	if c := child.Counters(); len(c) != 2 {
+		t.Errorf("counters = %v, want out and sat", c)
 	}
 
 	tr.Reset()
@@ -98,7 +97,7 @@ func TestNilSafety(t *testing.T) {
 	}
 	sp.Set("out", 1)
 	sp.End()
-	if sp.Counter("sat") != 0 || sp.Counters() != nil || sp.CounterKeys() != nil ||
+	if sp.Counters()["sat"] != 0 || sp.Counters() != nil ||
 		sp.Children() != nil || sp.Wall() != 0 {
 		t.Error("nil span accessors must return zero values")
 	}
@@ -126,54 +125,13 @@ func TestSpanCountersConcurrent(t *testing.T) {
 	}
 	wg.Wait()
 	sp.End()
-	if keys := sp.CounterKeys(); len(keys) != 8 {
-		t.Fatalf("counter keys %v, want 8", keys)
+	if c := sp.Counters(); len(c) != 8 {
+		t.Fatalf("counters %v, want 8", c)
 	}
 	for w := 0; w < 8; w++ {
-		if got := sp.Counter(fmt.Sprintf("w%d", w)); got != 500 {
+		if got := sp.Counters()[fmt.Sprintf("w%d", w)]; got != 500 {
 			t.Errorf("w%d = %d, want 500 (an update was lost)", w, got)
 		}
-	}
-}
-
-func TestSlowSpanLogging(t *testing.T) {
-	var buf bytes.Buffer
-	tr := NewTracer()
-	tr.Clock = fakeClock(10 * time.Millisecond)
-	tr.SlowThreshold = 5 * time.Millisecond
-	tr.Logger = slog.New(slog.NewTextHandler(&buf, nil))
-	sp := tr.StartSpan("join", "R1 x R2")
-	sp.Set("sat", 42)
-	sp.End() // wall = 10ms >= threshold
-	got := buf.String()
-	for _, want := range []string{"slow span", "span=join", "sat=42", "R1 x R2"} {
-		if !strings.Contains(got, want) {
-			t.Errorf("slow log missing %q:\n%s", want, got)
-		}
-	}
-
-	// Below threshold: silent.
-	buf.Reset()
-	tr2 := NewTracer()
-	tr2.Clock = fakeClock(time.Millisecond)
-	tr2.SlowThreshold = 5 * time.Millisecond
-	tr2.Logger = slog.New(slog.NewTextHandler(&buf, nil))
-	tr2.StartSpan("fast", "").End()
-	if buf.Len() != 0 {
-		t.Errorf("fast span logged: %s", buf.String())
-	}
-}
-
-func TestSpanLatencyMetric(t *testing.T) {
-	tr := NewTracer()
-	tr.Clock = fakeClock(time.Millisecond)
-	tr.Metrics = NewRegistry()
-	tr.StartSpan("select", "").End()
-	tr.StartSpan("select", "").End()
-	h := tr.Metrics.HistogramVec("cdb_span_seconds",
-		"Span wall time by span name.", "span", DefLatencyBuckets).With("select")
-	if h.Count() != 2 {
-		t.Errorf("span histogram count = %d, want 2", h.Count())
 	}
 }
 

@@ -200,9 +200,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		defer tcancel()
 	}
 
-	s.flight.Start(qid, sess.id, stmt, cancel, func() []string {
-		return strategiesSoFar(sess.ec)
-	})
+	s.flight.Start(qid, sess.id, stmt, cancel)
 	if s.hookQueryStart != nil {
 		s.hookQueryStart(runCtx)
 	}

@@ -362,25 +362,6 @@ func grepLines(text, substr string) string {
 	return strings.Join(out, "\n")
 }
 
-func TestDebugQueriesText(t *testing.T) {
-	_, ts := newTestServer(t, Config{}, nil)
-	id := openSession(t, ts, `{"par": 1}`)
-	if status, _, body := runQueryReq(t, ts, fmt.Sprintf(
-		`{"session": %q, "query": "R = select x >= 1 from Land"}`, id)); status != http.StatusOK {
-		t.Fatalf("query: %d %s", status, body)
-	}
-	status, body := getJSON(t, ts.URL+"/debug/queries")
-	if status != http.StatusOK {
-		t.Fatalf("debug/queries: %d", status)
-	}
-	text := string(body)
-	for _, want := range []string{"active queries: 0", "recent queries", "R = select x >= 1 from Land", "ok"} {
-		if !strings.Contains(text, want) {
-			t.Fatalf("debug text missing %q:\n%s", want, text)
-		}
-	}
-}
-
 func TestBuildInfoAndHealth(t *testing.T) {
 	_, ts := newTestServer(t, Config{}, nil)
 	status, body := getJSON(t, ts.URL+"/metrics")

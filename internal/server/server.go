@@ -282,7 +282,6 @@ func (s *Server) routes() {
 	s.handle("GET /v1/queries", s.handleQueriesActive)
 	s.handle("GET /v1/queries/recent", s.handleQueriesRecent)
 	s.handle("DELETE /v1/queries/{id}", s.handleQueryCancel)
-	s.handle("GET /debug/queries", s.handleQueriesDebug)
 	s.snapshotRoutes()
 	obs.Mount(s.mux, s.reg)
 }

@@ -132,8 +132,12 @@ go test -run Fuzz -count=1 ./internal/rational ./internal/geometry ./internal/co
 # run against the semantic oracle.
 echo '>> cli smoke'
 go build -o /dev/null ./cmd/cqacdb ./cmd/cdbbench
-go run ./cmd/cqacdb -demo hurricane -explain -stats \
+TRACE_JSON=$(mktemp "$T/cdb_trace.XXXXXX")
+go run ./cmd/cqacdb -demo hurricane -explain -stats -trace-json "$TRACE_JSON" \
     -e 'R = select landId = A from Landownership' >/dev/null
+grep -q '"name": "query"' "$TRACE_JSON" \
+    || { echo 'cqacdb -trace-json wrote no query span'; exit 1; }
+rm -f "$TRACE_JSON"
 go run ./cmd/cdbbench -expt diff -n 25 -seed 7 -par 2 >/dev/null
 
 # start_daemon <outfile> [flags…]: boot cqacdbd over the demo database on
@@ -172,11 +176,11 @@ curl -s "$BASE/metrics" | grep -q '^cqacdbd_queries_total 1$' \
 curl -s "$BASE/metrics" | grep -q '^cdb_op_out_total{op="join"} ' \
     || { echo '/metrics missing the per-operator families'; kill "$SRV_PID"; exit 1; }
 # Flight recorder: the finished query must show up in the bounded
-# history with a terminal outcome, and the human view must render.
+# history with a terminal outcome, listed under its statement.
 curl -s "$BASE/v1/queries/recent" | grep -q '"outcome": "ok"' \
     || { echo 'queries/recent missing the finished query'; kill "$SRV_PID"; exit 1; }
-curl -s "$BASE/debug/queries" | grep -q 'recent queries' \
-    || { echo '/debug/queries not rendering'; kill "$SRV_PID"; exit 1; }
+curl -s "$BASE/v1/queries/recent?limit=1" | grep -q '"statement": "R0 = join Landownership and Land"' \
+    || { echo 'queries/recent does not list the query just run'; kill "$SRV_PID"; exit 1; }
 kill -TERM "$SRV_PID"
 wait "$SRV_PID" || { echo 'server exited non-zero'; exit 1; }
 grep -q 'cqacdbd: bye' "$T/cdb_cqacdbd.out" || { echo 'no graceful drain'; exit 1; }
