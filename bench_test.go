@@ -19,6 +19,7 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"sort"
 	"strings"
 	"sync"
@@ -1083,34 +1084,99 @@ func BenchmarkHurricaneRuleWarm(b *testing.B) {
 // envelope decider end to end: interval merge, a projection that drops
 // bounds, a normalisation that finds nothing to do.
 func BenchmarkBoxJoinWarm(b *testing.B) {
-	p := datagen.Paper()
-	p.SizeMin, p.Seed = 50, 16
-	p2 := p
-	p2.Seed += 500
-	d := loadedDB(b, map[string]*relation.Relation{
-		"A": datagen.ClusteredBoxRelation(p, 20, 1, 10, 77), "B": datagen.ClusteredBoxRelation(p2, 20, 1, 10, 77)})
-	for _, form := range [][2]string{{"join", "join A and B"}, {"intersect", "intersect A and B"},
-		{"project", "project (join A and B) on x"}} {
-		prog, err := query.Parse("R = " + form[1])
-		if err != nil {
-			b.Fatal(err)
-		}
+	d, forms := boxJoinForms(b)
+	for _, form := range forms {
 		for _, leg := range warmLegs {
-			b.Run(form[0]+"/"+leg.name, func(b *testing.B) {
+			b.Run(form.name+"/"+leg.name, func(b *testing.B) {
 				ec := exec.New(leg.workers)
 				ec.SatCache = constraint.NewSatCache(0)
 				b.ReportAllocs()
 				for i := 0; i < b.N; i++ {
-					r, err := prog.RunOptimizedCtx(d.Env(), ec)
-					if err != nil {
-						b.Fatal(err)
-					}
-					if r.NormalizeWith(ec.SatFunc()).Len() == 0 {
-						b.Fatal("empty result")
-					}
-					ec.Reset()
+					form.run(b, d, ec)
 				}
 			})
+		}
+	}
+}
+
+// boxJoinForm is one of the box-join workload's three request forms.
+type boxJoinForm struct {
+	name string
+	prog *query.Program
+}
+
+// boxJoinForms loads the box-join workload's two relations as a session
+// holds them and parses its three request forms.
+func boxJoinForms(tb testing.TB) (*db.Database, []boxJoinForm) {
+	p := datagen.Paper()
+	p.SizeMin, p.Seed = 50, 16
+	p2 := p
+	p2.Seed += 500
+	d := loadedDB(tb, map[string]*relation.Relation{
+		"A": datagen.ClusteredBoxRelation(p, 20, 1, 10, 77), "B": datagen.ClusteredBoxRelation(p2, 20, 1, 10, 77)})
+	var forms []boxJoinForm
+	for _, form := range [][2]string{{"join", "join A and B"}, {"intersect", "intersect A and B"},
+		{"project", "project (join A and B) on x"}} {
+		prog, err := query.Parse("R = " + form[1])
+		if err != nil {
+			tb.Fatal(err)
+		}
+		forms = append(forms, boxJoinForm{form[0], prog})
+	}
+	return d, forms
+}
+
+// run is one warm request of the form on d under ec: the statement and the
+// result tail's normalisation.
+func (f boxJoinForm) run(tb testing.TB, d *db.Database, ec *exec.Context) {
+	r, err := f.prog.RunOptimizedCtx(d.Env(), ec)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	if r.NormalizeWith(ec.SatFunc()).Len() == 0 {
+		tb.Fatal("empty result")
+	}
+	ec.Reset()
+}
+
+// TestBoxJoinWarmBytes puts a ceiling on the heap bytes of one warm
+// box-join request on the pool (BenchmarkBoxJoinWarm's pool leg, at two
+// workers so that the pool runs at the one processor the count is taken
+// at), per form. The fan-out writes into one buffer of one result per
+// candidate and hands it on, a box is one allocation in its size class,
+// and normalisation remembers a rendering and one span per row, not a
+// second copy of every tuple; per-worker slices grown by doubling and
+// concatenated, a box block a size class up, or a []Row memo cannot come
+// back under it. The ceilings are the figures when they were set (medians
+// of three runs on a 2-core host) plus 15 %: under -race, where a sync.Pool
+// drops some of what it is handed, the render buffer is allocated again in
+// about one request of four (join read 219 KB).
+func TestBoxJoinWarmBytes(t *testing.T) {
+	d, forms := boxJoinForms(t)
+	ceilings := map[string]struct{ set, parent, ceiling float64 }{
+		"join":      {204, 333, 235},
+		"intersect": {208, 327, 240},
+		"project":   {293, 542, 337},
+	}
+	for _, form := range forms {
+		ec := exec.New(2)
+		ec.SatCache = constraint.NewSatCache(0)
+		form.run(t, d, ec)
+		if !ec.ParallelFor(400) {
+			t.Fatal("two workers do not reach the pool")
+		}
+		var m0, m1 runtime.MemStats
+		const runs = 10
+		runtime.ReadMemStats(&m0)
+		for range runs {
+			form.run(t, d, ec)
+		}
+		runtime.ReadMemStats(&m1)
+		kb := float64(m1.TotalAlloc-m0.TotalAlloc) / runs / 1024
+		c := ceilings[form.name]
+		t.Logf("%s: %.1f KB per request (%.0f when set; %.0f with per-worker output slices, 320 B box blocks and a []Row memo), ceiling %.0f KB", form.name, kb, c.set, c.parent, c.ceiling)
+		if kb > c.ceiling {
+			t.Errorf("warm box-join %s on the pool: %.1f KB per request, ceiling %.0f KB", form.name, kb, c.ceiling)
 		}
 	}
 }
@@ -1190,10 +1256,11 @@ func BenchmarkSelectWarm(b *testing.B) {
 // three prices. hit-unsat and hit-sat are one remembered pair decision each
 // (a parcel-ownership tuple against a track segment it misses, and one it
 // meets): two fingerprints mixed, both inputs' atoms verified, no Merge, no
-// Canon. miss is the whole R0 ⋈ Hurricane join through a 16-entry cache —
-// a working set the cache cannot hold, so every candidate pair merges,
-// canonicalises, runs the eliminator and evicts an entry: what the pair key
-// costs where it cannot help.
+// Canon. miss is the whole R0 ⋈ Hurricane join through an empty 16-entry
+// cache, a fresh one per iteration (built off the clock): every candidate
+// pair merges, canonicalises and runs the eliminator — what the pair key
+// costs where it cannot help. (The envelopes leave 28 candidates, so a
+// cache kept across iterations would remember some of them.)
 func BenchmarkJoinPairLookup(b *testing.B) {
 	land, owners, track := datagen.HurricaneRelations(8)
 	r0, err := cqa.Join(owners, land)
@@ -1226,9 +1293,11 @@ func BenchmarkJoinPairLookup(b *testing.B) {
 	}
 	b.Run("miss", func(b *testing.B) {
 		ec := exec.New(1)
-		ec.SatCache = constraint.NewSatCache(16)
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
+			b.StopTimer()
+			ec.SatCache = constraint.NewSatCache(16)
+			b.StartTimer()
 			if _, err := cqa.JoinCtx(ec, r0, track); err != nil {
 				b.Fatal(err)
 			}

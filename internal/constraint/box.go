@@ -149,29 +149,45 @@ func appendHead(b []byte, c Constraint) []byte {
 	return append(b, t.Var...)
 }
 
-// boxBlock is the one allocation behind a box the kernel builds: the memo
-// boxes canonical would attach, flagged a known box, and room for the atoms
-// of a box in two variables.
-type boxBlock struct {
-	env  envBox
-	aux  auxBox
-	room [4]Constraint
+// boxMemo is the memo boxes canonical would attach, flagged a known box.
+// newBox allocates it in one block with the atoms' room, sized to a Go size
+// class: 288 bytes with room for a box in two variables (four atoms), 176
+// with room for one in one variable (two atoms: what a projection onto one
+// variable keeps).
+type boxMemo struct {
+	env envBox
+	aux auxBox
 }
 
-// newBox returns a fresh block and an empty atom slice of capacity n for
-// the known box it will seal: the block's room, or a slice of its own when
-// n atoms do not fit there.
-func newBox(n int) (*boxBlock, []Constraint) {
-	blk := &boxBlock{env: envBox{knownBox: true}}
-	if n <= len(blk.room) {
-		return blk, blk.room[:0:n]
+// newBox returns fresh memo boxes and an empty atom slice of capacity n for
+// the known box they will seal, in one allocation when n atoms fit a
+// block's room, else beside a slice of their own.
+func newBox(n int) (*boxMemo, []Constraint) {
+	var blk *boxMemo
+	var room []Constraint
+	switch {
+	case n <= 2:
+		b := new(struct {
+			boxMemo
+			room [2]Constraint
+		})
+		blk, room = &b.boxMemo, b.room[:0:n]
+	case n <= 4:
+		b := new(struct {
+			boxMemo
+			room [4]Constraint
+		})
+		blk, room = &b.boxMemo, b.room[:0:n]
+	default:
+		blk, room = new(boxMemo), make([]Constraint, 0, n)
 	}
-	return blk, make([]Constraint, 0, n)
+	blk.env.knownBox = true
+	return blk, room
 }
 
 // seal flags atoms — canonical, a non-empty box, built in the slice newBox
 // handed out — as a canonical conjunction with blk's memo boxes.
-func (blk *boxBlock) seal(atoms []Constraint) Conjunction {
+func (blk *boxMemo) seal(atoms []Constraint) Conjunction {
 	return Conjunction{cs: atoms, canon: true, fp: fingerprintOf(atoms), env: &blk.env, aux: &blk.aux}
 }
 

@@ -4,6 +4,7 @@ import (
 	"math"
 	"slices"
 	"sync"
+	"unsafe"
 
 	"cdb/internal/rational"
 )
@@ -59,9 +60,17 @@ import (
 // rational interval per variable, with its float keys, in one slice sorted
 // by variable. Variables without an entry are unbounded in both
 // directions. The zero Envelope bounds nothing.
+//
+// The slice is held as its first entry and its length, not as a slice
+// header: 16 bytes instead of 24 keep envBox at 32, which is what lets a
+// box's one allocation fill its size class (newBox, box.go).
 type Envelope struct {
-	ents []envEntry
+	first *envEntry
+	n     int
 }
+
+// ents returns the envelope's entries.
+func (e Envelope) ents() []envEntry { return unsafe.Slice(e.first, e.n) }
 
 // envEntry is one variable's bound in an Envelope.
 type envEntry struct {
@@ -149,8 +158,9 @@ func find(ents []envEntry, v string) (int, bool) {
 // Interval returns the envelope's interval for variable v. ok is false
 // when the envelope carries no bound for v (unbounded both ways).
 func (e Envelope) Interval(v string) (Interval, bool) {
-	if i, ok := find(e.ents, v); ok {
-		return e.ents[i].iv, true
+	ents := e.ents()
+	if i, ok := find(ents, v); ok {
+		return ents[i].iv, true
 	}
 	return Interval{}, false
 }
@@ -158,8 +168,9 @@ func (e Envelope) Interval(v string) (Interval, bool) {
 // Keys returns the float keys of the envelope's interval for variable v:
 // (-Inf, +Inf) when the envelope carries no bound for v.
 func (e Envelope) Keys(v string) Keys {
-	if i, ok := find(e.ents, v); ok {
-		return e.ents[i].keys
+	ents := e.ents()
+	if i, ok := find(ents, v); ok {
+		return ents[i].keys
 	}
 	return unboundedKeys
 }
@@ -195,13 +206,13 @@ func (e Envelope) Disjoint(o Envelope, vars []string) bool {
 // computes both at most once, on first use.
 type envBox struct {
 	once sync.Once
-	env  Envelope
 	box  bool // set with env
 
 	// knownBox is set, before the value is shared, by the constructors
 	// that build a non-empty box from non-empty boxes (BoxMerge,
 	// dropVars): they know the answer without the envelope.
 	knownBox bool
+	env      Envelope // after the flags, which sit in once's padding: 32 bytes
 }
 
 // Envelope returns the conjunction's axis-aligned envelope: per variable,
@@ -287,7 +298,7 @@ func envelopeOf(cs []Constraint) (_ Envelope, box bool) {
 		out[i] = envEntry{v: ents[i].v, iv: ents[i].iv, keys: keysOf(ents[i].iv)}
 		box = box && out[i].keys.Bits&Empty == 0
 	}
-	return Envelope{ents: out}, box
+	return Envelope{first: &out[0], n: len(out)}, box
 }
 
 // entry returns ents with an entry for v, an unbounded one inserted where

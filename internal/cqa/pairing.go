@@ -5,6 +5,7 @@ import (
 	"math"
 	"slices"
 	"sort"
+	"sync"
 
 	"cdb/internal/constraint"
 	"cdb/internal/exec"
@@ -333,9 +334,14 @@ func pairCandidates(ec *exec.Context, r1, r2 *relation.Relation, sharedRel, shar
 	plan := pairPlan{t1s: stats.t1s, t2s: stats.t2s, total: len(stats.t1s) * m, estPairs: stats.relPairs, enum: exec.PlanDense}
 	fr := &stats.fr
 	// With no frame column every bucket-matched pair is a candidate; else
-	// the frame keeps a share no count has read, and the list grows.
+	// the frame keeps a share no count has read, so the list grows in a
+	// pooled scratch list and is copied out once, at its length.
+	var scratch *[]int
 	if len(fr.cols) == 0 {
 		plan.cands = make([]int, 0, stats.relPairs)
+	} else {
+		scratch = candBufs.Get().(*[]int)
+		plan.cands = (*scratch)[:0]
 	}
 	emit := func(i, j int) {
 		if !fr.disjoint(i, j) {
@@ -359,8 +365,21 @@ func pairCandidates(ec *exec.Context, r1, r2 *relation.Relation, sharedRel, shar
 	// Buckets emit in bucket order; the refine fan-out must see the
 	// sequential nested-loop order.
 	sort.Ints(plan.cands)
+	if scratch != nil {
+		*scratch, plan.cands = plan.cands, slices.Clone(plan.cands)
+		if cap(*scratch) <= maxPooledCands {
+			candBufs.Put(scratch)
+		}
+	}
 	return plan
 }
+
+// candBufs recycles pairCandidates' scratch lists. One past maxPooledCands
+// entries is dropped, so that one huge operator does not pin its memory
+// for the life of the process.
+var candBufs = sync.Pool{New: func() any { return new([]int) }}
+
+const maxPooledCands = 1 << 16
 
 // sweepPairs enumerates, by a two-pointer sorted merge over the column-c
 // keys, every (i ∈ as, j ∈ bs) pair whose keys overlap as closed

@@ -7,11 +7,11 @@
 //
 // The design contract is determinism: Map assigns every work item a fixed
 // index, each item appends its results (none, one or several) to a slice
-// it is handed, and the pool concatenates the results of its contiguous
-// blocks of items in block order, so a parallel operator run is
-// byte-identical to the sequential one. Parallelism only changes wall
-// time, never output. Nothing is allocated per item: an operator that
-// keeps a few of many candidates pays for the few. Below an input-size
+// it is handed, and the pool gathers the results of its contiguous blocks
+// of items in block order, so a parallel operator run is byte-identical to
+// the sequential one. Parallelism only changes wall time, never output.
+// Nothing is allocated per item: the inline path grows one slice with the
+// survivors, the pool writes into one buffer per fan-out. Below an input-size
 // threshold (DefaultSeqThreshold; only tests set another) the pool is
 // bypassed entirely and work runs inline on the calling goroutine.
 //
@@ -232,10 +232,11 @@ func (c *Context) SatFunc() constraint.SatFunc {
 // the next unclaimed one; there are no per-worker queues and no stealing
 // between them). The block size follows from n and the worker count alone —
 // about eight blocks per worker, enough to even out items of unequal cost.
-// Each worker appends its blocks' results into its own slice, one slice per
-// worker for the whole fan-out, and the blocks are concatenated in block
-// order at the end, so output is identical to the sequential path whatever
-// the scheduling.
+// The fan-out allocates one buffer of n results, each block appends into its
+// own region of it (one slot per item), and compact gathers the blocks in
+// block order, so output is identical to the sequential path whatever the
+// scheduling. The result's length is its capacity, and its backing array is
+// at most twice its length.
 //
 // On error the lowest-index error is returned (matching what a sequential
 // left-to-right loop would hit first). An error also cancels the fan-out:
@@ -277,8 +278,9 @@ func Map[T any](c *Context, n int, fn func(i int, out []T) ([]T, error)) ([]T, e
 	}
 	workers := min(c.Workers(), n)
 	size := (n + 8*workers - 1) / (8 * workers)
-	blocks := make([]block, (n+size-1)/size)
-	ws := make([]worker[T], workers)
+	buf := make([]T, n)
+	parts := make([][]T, (n+size-1)/size) // block b's results, in buf[b*size:] unless it outgrew that region
+	ws := make([]worker, workers)
 	fanout := c.currentSpan().StartChild("fanout", "")
 	traced := fanout != nil
 	var start time.Time
@@ -314,7 +316,7 @@ func Map[T any](c *Context, n int, fn func(i int, out []T) ([]T, error)) ([]T, e
 			if traced {
 				t0 = time.Now()
 			}
-			first := len(me.out)
+			part := buf[lo:lo:hi]
 			for cur = lo; cur < hi; cur++ {
 				if int64(cur) >= failAt.Load() {
 					return
@@ -327,12 +329,12 @@ func Map[T any](c *Context, n int, fn func(i int, out []T) ([]T, error)) ([]T, e
 					}
 				}
 				var err error
-				if me.out, err = fn(cur, me.out); err != nil {
+				if part, err = fn(cur, part); err != nil {
 					me.fail(cur, err, &failAt)
 					return
 				}
 			}
-			blocks[b] = block{w: w, lo: first, hi: len(me.out)}
+			parts[b] = part
 			if traced {
 				me.busy += time.Since(t0)
 			}
@@ -375,16 +377,11 @@ func Map[T any](c *Context, n int, fn func(i int, out []T) ([]T, error)) ([]T, e
 	if err := c.Err(); err != nil {
 		return nil, err
 	}
-	return concat(ws, blocks), nil
+	return compact(buf, parts, size), nil
 }
 
-// block is where one claimed block's results landed: ws[w].out[lo:hi].
-type block struct{ w, lo, hi int }
-
-// worker is one pool worker's state for one fan-out: the results of the
-// blocks it ran, appended in claim order, and its first error.
-type worker[T any] struct {
-	out         []T
+// worker is one pool worker's state for one fan-out: its first error.
+type worker struct {
 	err         error
 	errAt       int
 	queue, busy time.Duration // traced only
@@ -392,7 +389,7 @@ type worker[T any] struct {
 
 // fail records the error of item i, the worker's first and last, and lowers
 // failAt to i unless a lower failing index is already known.
-func (w *worker[T]) fail(i int, err error, failAt *atomic.Int64) {
+func (w *worker) fail(i int, err error, failAt *atomic.Int64) {
 	w.err, w.errAt = err, i
 	for {
 		old := failAt.Load()
@@ -402,32 +399,34 @@ func (w *worker[T]) fail(i int, err error, failAt *atomic.Int64) {
 	}
 }
 
-// concat returns the blocks' results in block order: a worker's own slice
-// when it holds every result (its blocks are ascending, so that is the
-// order), else one slice sized to the total.
-func concat[T any](ws []worker[T], blocks []block) []T {
-	total, only := 0, -1
-	for i := range ws {
-		if len(ws[i].out) > 0 {
-			total += len(ws[i].out)
-			if only == -1 {
-				only = i
-			} else {
-				only = -2
-			}
+// compact returns the blocks' results in block order: moved down within buf
+// when every block fit its region, buf's tail cleared for the collector (or
+// copied out, under half full, so that a kept result pins no input-sized
+// array); else — a block outgrew its region — copied into one exact slice.
+func compact[T any](buf []T, parts [][]T, size int) []T {
+	total, spilled := 0, false
+	for b, p := range parts {
+		total += len(p)
+		spilled = spilled || len(p) > min(size, len(buf)-b*size)
+	}
+	if spilled {
+		out := make([]T, 0, total)
+		for _, p := range parts {
+			out = append(out, p...)
 		}
+		return out
 	}
-	if only >= 0 {
-		return ws[only].out
+	k := 0
+	for _, p := range parts {
+		k += copy(buf[k:], p)
 	}
-	if total == 0 {
-		return nil
+	if 2*total < len(buf) {
+		out := make([]T, total)
+		copy(out, buf)
+		return out
 	}
-	out := make([]T, 0, total)
-	for _, b := range blocks {
-		out = append(out, ws[b.w].out[b.lo:b.hi]...)
-	}
-	return out
+	clear(buf[total:])
+	return buf[:total:total]
 }
 
 // mapInline is Map's sequential path: fn runs on the calling goroutine,

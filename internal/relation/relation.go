@@ -266,10 +266,12 @@ type Relation struct {
 	schema schema.Schema
 	tuples []Tuple
 
-	// rows, when non-nil, is the tuples as Rows returns them, and the
-	// tuples are in that order: NormalizeWith builds a relation so, Clone
-	// carries it, and Add and AddBound drop it.
-	rows []Row
+	// keys, when non-nil, remembers how the tuples render: they are in
+	// Rows order, and tuple i's constraint part renders as
+	// render[keys[i].mid:keys[i].end]. NormalizeWith builds a relation so,
+	// Clone carries the two, and Add and AddBound drop them.
+	render string
+	keys   []rowKey
 
 	// memo holds one externally computed value derived from the schema and
 	// the tuples as they stand (see Memo); Add and AddBound clear it. It is
@@ -317,7 +319,7 @@ func (r *Relation) SetMemo(v any) { r.memo.Store(&v) }
 // change. A relation without one — every operator output while it is being
 // built — pays a load.
 func (r *Relation) changed() {
-	r.rows = nil
+	r.render, r.keys = "", nil
 	if r.memo.Load() != nil {
 		r.memo.Store(nil)
 	}
@@ -332,7 +334,7 @@ func (r *Relation) changed() {
 // relation afterwards never shows in the other. The two share one filter
 // memo until then: a working set either builds serves both.
 func (r *Relation) Clone() *Relation {
-	out := &Relation{schema: r.schema, tuples: r.tuples[:len(r.tuples):len(r.tuples)], rows: r.rows}
+	out := &Relation{schema: r.schema, tuples: r.tuples[:len(r.tuples):len(r.tuples)], render: r.render, keys: r.keys}
 	out.memo.Store(r.memo.Load())
 	out.filter.Store(r.filterCell())
 	return out
@@ -479,13 +481,14 @@ func (r *Relation) Normalize() *Relation {
 // through sat (nil = raw Fourier-Motzkin); pass exec.Context.SatFunc to
 // memoize the decisions. It is the last step before a result is shown, so
 // the relation it returns is born in display order: its tuples in Rows
-// order, its rows rendered once and remembered for Rows, Sorted and
-// InRowsOrder.
+// order, their renderings made once and remembered for Rows, AppendRow,
+// Sorted and InRowsOrder.
 //
-// Deduplication rides on the ordering. Identical tuples render alike, so
-// they sit in one run of equal sort keys; inside a run each tuple is
-// checked exactly — SameRelationalPart and EqualCanonical — against those
-// kept before it, and a rendering alone never drops one.
+// The tuples are ordered and deduplicated on the sort keys renderKeys
+// builds, in place. Identical tuples render alike, so they sit in one run
+// of equal sort keys; inside a run each tuple is checked exactly —
+// SameRelationalPart and EqualCanonical — against those kept before it,
+// and a rendering alone never drops one.
 func (r *Relation) NormalizeWith(sat constraint.SatFunc) *Relation {
 	kept := make([]Tuple, 0, len(r.tuples))
 	for _, t := range r.tuples {
@@ -495,25 +498,39 @@ func (r *Relation) NormalizeWith(sat constraint.SatFunc) *Relation {
 		}
 		kept = append(kept, t.WithConstraint(con.Canon()))
 	}
-	rows, _ := rowsOf(kept)
-	out, run := rows[:0], 0 // run: where the run of rows equal to the last kept one starts
-scan:
-	for _, w := range rows {
-		if len(out) > run && (w.rkey != out[run].rkey || w.Con != out[run].Con) {
-			run = len(out)
+	s, keys, _ := renderKeys(kept)
+	// Move every tuple to its key's place, one cycle of the sort's
+	// permutation at a time; a key that names its own place is done.
+	for j := range keys {
+		if keys[j].i == j {
+			continue
 		}
-		for _, o := range out[run:] {
-			if o.SameRelationalPart(w.Tuple) && o.con.EqualCanonical(w.con) {
+		t, at := kept[j], j
+		for keys[at].i != j {
+			from := keys[at].i
+			kept[at], keys[at].i = kept[from], at
+			at = from
+		}
+		kept[at], keys[at].i = t, at
+	}
+	n, run := 0, 0 // run: where the run of keys equal to the last kept one starts
+scan:
+	for j, k := range keys {
+		t := kept[j]
+		if n > run && (s[k.start:k.mid] != s[keys[run].start:keys[run].mid] || s[k.mid:k.end] != s[keys[run].mid:keys[run].end]) {
+			run = n
+		}
+		for _, o := range kept[run:n] {
+			if o.SameRelationalPart(t) && o.con.EqualCanonical(t.con) {
 				continue scan
 			}
 		}
-		out = append(out, w)
+		k.i = n
+		kept[n], keys[n] = t, k
+		n++
 	}
-	kept = kept[:len(out)]
-	for i, w := range out {
-		kept[i] = w.Tuple
-	}
-	return &Relation{schema: r.schema, tuples: kept, rows: out[:len(out):len(out)]}
+	clear(kept[n:])
+	return &Relation{schema: r.schema, tuples: kept[:n], render: s, keys: keys[:n:n]}
 }
 
 // Distinct removes from ts, whose constraint parts must be canonical, every
@@ -674,34 +691,45 @@ func covers(a, b *Relation) bool {
 // each constraint part once.
 type Row struct {
 	Tuple
-	Con  string // Tuple.Constraint().String()
-	rkey string // relationalKey(), the first sort key
+	Con string // Tuple.Constraint().String()
 }
 
 // String renders the row exactly as Tuple.String does, from Con.
 func (w Row) String() string { return w.render(w.Con) }
 
-// AppendTo appends String's bytes to b and returns the extended slice, so a
-// caller writing many rows builds no string per row.
-func (w Row) AppendTo(b []byte) []byte { return w.appendLine(b, w.Con) }
-
 // Rows returns the tuples in a deterministic display order: by relational
 // part, then by the rendered constraint part. (Not by Key — hash order would
 // be stable but human-hostile in printed and saved output.) Tuples that tie
-// on both keys render identically. Like Tuples, the result must not be
-// mutated: on a relation NormalizeWith built it is the one rendering it
-// made.
+// on both keys render identically. On a relation NormalizeWith built, the
+// rows are its tuples with the renderings it remembered; nothing is
+// rendered again.
 func (r *Relation) Rows() []Row {
-	if r.rows != nil {
-		return r.rows
+	s, keys := r.render, r.keys // a remembered key names its own tuple
+	if keys == nil {
+		s, keys, _ = renderKeys(r.tuples)
 	}
-	rows, _ := rowsOf(r.tuples)
+	rows := make([]Row, len(keys))
+	for n, k := range keys {
+		rows[n] = Row{Tuple: r.tuples[k.i], Con: s[k.mid:k.end]}
+	}
 	return rows
 }
 
-// renderBufs recycles rowsOf's render buffers: a rendering is copied out
-// into one string, so the buffer it was built in is garbage at once. A
-// fresh buffer holds a few hundred rows without growing, and one past
+// AppendRow appends the line of r's i-th tuple — Tuple.String's bytes — to
+// b and returns the extended slice. On a relation NormalizeWith built, the
+// tuples are in Rows order and the line is built around the rendering it
+// remembered, so a caller writing many rows renders nothing.
+func (r *Relation) AppendRow(b []byte, i int) []byte {
+	if r.keys == nil {
+		return r.tuples[i].appendLine(b, "")
+	}
+	k := r.keys[i]
+	return r.tuples[i].appendLine(b, r.render[k.mid:k.end])
+}
+
+// renderBufs recycles renderKeys' buffers: a rendering is copied out into
+// one string, so the buffer it was built in is garbage at once. A fresh
+// buffer holds a few hundred rows without growing, and one past
 // maxPooledRender is dropped, so that one huge result does not pin its
 // memory for the life of the process.
 var renderBufs = sync.Pool{New: func() any {
@@ -712,20 +740,20 @@ var renderBufs = sync.Pool{New: func() any {
 const maxPooledRender = 1 << 20
 
 // rowKey is where one tuple's two sort keys — its relational key, then the
-// rendering of its constraint part — sit in rowsOf's rendering, and which
-// tuple they are. The sort moves these, not Rows.
+// rendering of its constraint part — sit in a rendering, and which tuple
+// they are. The sort moves these, not tuples.
 type rowKey struct {
 	start, mid, end, i int
 }
 
-// rowsOf returns ts as rows in Rows order, and whether ts was in that order
-// already. Both sort keys of every tuple are rendered once, into one pooled
-// buffer that becomes one string, of which every Row's Con and rkey are
-// substrings; the comparator only compares them.
-func rowsOf(ts []Tuple) (rows []Row, inOrder bool) {
+// renderKeys renders both sort keys of every tuple of ts once, into one
+// pooled buffer that becomes the string s, and returns s with the keys in
+// Rows order, and whether ts was in that order already; the comparator
+// only compares substrings of s.
+func renderKeys(ts []Tuple) (s string, keys []rowKey, inOrder bool) {
 	bp := renderBufs.Get().(*[]byte)
 	buf := (*bp)[:0]
-	keys := make([]rowKey, len(ts))
+	keys = make([]rowKey, len(ts))
 	for i, t := range ts {
 		k := rowKey{start: len(buf), i: i}
 		buf = t.appendRelationalKey(buf)
@@ -734,7 +762,7 @@ func rowsOf(ts []Tuple) (rows []Row, inOrder bool) {
 		k.end = len(buf)
 		keys[i] = k
 	}
-	s := string(buf)
+	s = string(buf)
 	if cap(buf) <= maxPooledRender {
 		*bp = buf
 		renderBufs.Put(bp)
@@ -748,11 +776,7 @@ func rowsOf(ts []Tuple) (rows []Row, inOrder bool) {
 	if inOrder = slices.IsSortedFunc(keys, cmp); !inOrder {
 		slices.SortFunc(keys, cmp)
 	}
-	rows = make([]Row, len(ts))
-	for n, k := range keys {
-		rows[n] = Row{Tuple: ts[k.i], Con: s[k.mid:k.end], rkey: s[k.start:k.mid]}
-	}
-	return rows, inOrder
+	return s, keys, inOrder
 }
 
 // InRowsOrder returns a relation with a header of its own holding r's
@@ -763,16 +787,16 @@ func rowsOf(ts []Tuple) (rows []Row, inOrder bool) {
 // (see Clone).
 func (r *Relation) InRowsOrder() *Relation {
 	n := len(r.tuples)
-	if r.rows != nil {
+	if r.keys != nil {
 		return &Relation{schema: r.schema, tuples: r.tuples[:n:n]}
 	}
-	rows, inOrder := rowsOf(r.tuples)
+	_, keys, inOrder := renderKeys(r.tuples)
 	if inOrder {
 		return &Relation{schema: r.schema, tuples: r.tuples[:n:n]}
 	}
 	out := &Relation{schema: r.schema, tuples: make([]Tuple, n)}
-	for i, w := range rows {
-		out.tuples[i] = w.Tuple
+	for i, k := range keys {
+		out.tuples[i] = r.tuples[k.i]
 	}
 	return out
 }

@@ -170,9 +170,9 @@ func TestRowsMatchReferenceOrder(t *testing.T) {
 	for i := 0; i < 300; i++ {
 		r := orderRelation(rng, 1+rng.Intn(60))
 		want := referenceSorted(r)
-		rows, sorted := r.Rows(), r.Sorted()
-		if len(rows) != len(want) || len(sorted) != len(want) {
-			t.Fatalf("case %d: %d rows, %d sorted, want %d", i, len(rows), len(sorted), len(want))
+		rows, sorted := r.Rows(), r.InRowsOrder()
+		if len(rows) != len(want) || sorted.Len() != len(want) {
+			t.Fatalf("case %d: %d rows, %d sorted, want %d", i, len(rows), sorted.Len(), len(want))
 		}
 		var body strings.Builder
 		for k, w := range want {
@@ -183,10 +183,10 @@ func TestRowsMatchReferenceOrder(t *testing.T) {
 			if got := rows[k].Tuple.String(); got != line {
 				t.Fatalf("case %d, row %d: Tuple.String() = %s, want %s", i, k, got, line)
 			}
-			if got := string(rows[k].AppendTo([]byte("  "))); got != "  "+line {
-				t.Fatalf("case %d, row %d: AppendTo appended %q, want %q", i, k, got, "  "+line)
+			if got := string(sorted.AppendRow([]byte("  "), k)); got != "  "+line {
+				t.Fatalf("case %d, row %d: AppendRow appended %q, want %q", i, k, got, "  "+line)
 			}
-			if got := sorted[k].String(); got != line {
+			if got := sorted.Sorted()[k].String(); got != line {
 				t.Fatalf("case %d, row %d: Sorted order differs\n got  %s\n want %s", i, k, got, line)
 			}
 			if got, con := rows[k].Con, w.con.String(); got != con {
@@ -208,7 +208,9 @@ func TestRowsMatchReferenceOrder(t *testing.T) {
 	if got := ConstraintTuple(constraint.True()).String(); got != "(true)" {
 		t.Errorf("the empty tuple renders as %q", got)
 	}
-	if got := string((Row{Tuple: ConstraintTuple(constraint.True())}).AppendTo([]byte("x"))); got != "x(true)" {
+	one := New(orderSchema())
+	one.MustAdd(ConstraintTuple(constraint.True()))
+	if got := string(one.Normalize().AppendRow([]byte("x"), 0)); got != "x(true)" {
 		t.Errorf("the empty tuple appends as %q", got)
 	}
 }
@@ -323,7 +325,7 @@ func checkNormalized(t *testing.T, what string, got, want *Relation) {
 	sorted, inOrder := got.Sorted(), got.InRowsOrder()
 	for k := range rows {
 		line := wantRows[k].String()
-		if rows[k].String() != line || rows[k].Con != wantRows[k].Con || rows[k].rkey != wantRows[k].rkey {
+		if rows[k].String() != line || rows[k].Con != wantRows[k].Con || string(got.AppendRow(nil, k)) != line {
 			t.Fatalf("%s, row %d: %s, reference %s", what, k, rows[k], line)
 		}
 		if got.Tuples()[k].String() != line || sorted[k].String() != line || inOrder.Tuples()[k].String() != line {
@@ -333,13 +335,26 @@ func checkNormalized(t *testing.T, what string, got, want *Relation) {
 	if got.String() != want.String() {
 		t.Fatalf("%s: String\n got  %s\n want %s", what, got, want)
 	}
-	if len(rows) > 0 && (&got.Rows()[0] != &rows[0] || &sorted[0] != &got.Tuples()[0] || &inOrder.Tuples()[0] != &got.Tuples()[0]) {
-		t.Fatalf("%s: Rows, Sorted or InRowsOrder rebuilt what NormalizeWith remembered", what)
+	if len(rows) > 0 && (&sorted[0] != &got.Tuples()[0] || &inOrder.Tuples()[0] != &got.Tuples()[0]) {
+		t.Fatalf("%s: Sorted or InRowsOrder rebuilt what NormalizeWith remembered", what)
+	}
+	// Neither Rows nor AppendRow renders a constraint part again: Rows
+	// allocates its slice alone, and AppendRow what the line around a given
+	// rendering costs (a big rational binding allocates as it prints).
+	if len(rows) > 0 {
+		buf := make([]byte, 0, 4<<10)
+		if a := testing.AllocsPerRun(2, func() { _ = got.Rows() }); a != 1 {
+			t.Fatalf("%s: Rows made %.0f allocations, want its slice alone", what, a)
+		}
+		line := testing.AllocsPerRun(2, func() { _ = got.tuples[0].appendLine(buf, rows[0].Con) })
+		if a := testing.AllocsPerRun(2, func() { _ = got.AppendRow(buf, 0) }); a != line {
+			t.Fatalf("%s: AppendRow made %.0f allocations, the line around its rendering %.0f", what, a, line)
+		}
 	}
 }
 
-// TestMemoClearedByAddKeptByClone: the memos — the opaque one and the rows
-// NormalizeWith remembers — describe the tuples as they stand: Add and
+// TestMemoClearedByAddKeptByClone: the memos — the opaque one and the
+// renderings NormalizeWith remembers — describe the tuples as they stand: Add and
 // AddBound drop them, a rejected tuple does not, a Clone carries them and
 // InRowsOrder does not. A Clone or an InRowsOrder copy and its origin never
 // see each other's later tuples, whether or not they started on one slice.
@@ -351,13 +366,13 @@ func TestMemoClearedByAddKeptByClone(t *testing.T) {
 			if r = r.Normalize(); r.Len() == 0 {
 				continue
 			}
-			if r.rows == nil {
-				t.Fatal("NormalizeWith remembered no rows")
+			if r.keys == nil {
+				t.Fatal("NormalizeWith remembered no renderings")
 			}
-		} else if r.rows != nil {
-			t.Fatal("a relation built by Add has rows remembered")
+		} else if r.keys != nil {
+			t.Fatal("a relation built by Add has renderings remembered")
 		}
-		remembered := r.rows
+		remembered := r.keys
 		if r.Memo() != nil {
 			t.Fatal("a new relation has a memo")
 		}
@@ -370,8 +385,8 @@ func TestMemoClearedByAddKeptByClone(t *testing.T) {
 		if clone == r || clone.Memo() != r.Memo() || sorted.Memo() != nil {
 			t.Fatal("Clone must carry the memo under a header of its own, InRowsOrder must not")
 		}
-		if remembered != nil && (r.rows == nil || &clone.rows[0] != &remembered[0]) || sorted.rows != nil {
-			t.Fatal("a rejected tuple dropped the rows, Clone did not carry them, or InRowsOrder did")
+		if remembered != nil && (r.keys == nil || &clone.keys[0] != &remembered[0] || clone.render != r.render) || sorted.keys != nil {
+			t.Fatal("a rejected tuple dropped the renderings, Clone did not carry them, or InRowsOrder did")
 		}
 		want := r.Rows()
 		for k, tp := range sorted.Tuples() {
@@ -394,7 +409,7 @@ func TestMemoClearedByAddKeptByClone(t *testing.T) {
 			} else if err := x.AddBound(nil, own.Constraint()); err != nil {
 				t.Fatal(err)
 			}
-			if x.Memo() != nil || x.rows != nil {
+			if x.Memo() != nil || x.keys != nil {
 				t.Fatal("a tuple was added and a memo stayed")
 			}
 			if rows := x.Rows(); len(rows) != x.Len() {

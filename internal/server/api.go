@@ -84,23 +84,24 @@ type queryResult struct {
 	explain string
 	trace   json.RawMessage
 
-	// The rows in relation.Rows order — the order the REPL prints — cut
-	// to the request's max_rows. The encoder writes each row's line
-	// straight from them.
-	rows      []relation.Row
+	// How many of rel's tuples the reply lists: all, or the request's
+	// max_rows. NormalizeWith made rel, so its tuples are in the order the
+	// REPL prints and their renderings are remembered; the encoder writes
+	// each line straight from them (relation.AppendRow).
+	rows      int
 	truncated bool
 }
 
-// render takes the result's rows (relation.Rows: normalisation ordered and
-// rendered them, so this reads what it remembered), under a "render" span
-// of the query's root span so EXPLAIN and trace-JSON show the step.
+// render cuts the result's rows (normalisation ordered and rendered them)
+// to the request's max_rows, under a "render" span of the query's root span
+// so EXPLAIN and trace-JSON show the step.
 func (res *queryResult) render(ec *exec.Context, maxRows int) {
 	sp := ec.BeginSpan("render", "")
-	res.rows = res.rel.Rows()
-	if maxRows > 0 && len(res.rows) > maxRows {
-		res.rows, res.truncated = res.rows[:maxRows], true
+	res.rows = res.rel.Len()
+	if maxRows > 0 && res.rows > maxRows {
+		res.rows, res.truncated = maxRows, true
 	}
-	sp.Set("rows", int64(len(res.rows)))
+	sp.Set("rows", int64(res.rows))
 	ec.EndSpan(sp)
 }
 
@@ -244,7 +245,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	}
 	if req.Stream {
 		writeStream(w, sess.id, qid, res, rec.WallMS)
-		s.mStreamed.Add(int64(len(res.rows)))
+		s.mStreamed.Add(int64(res.rows))
 	} else {
 		writeReply(w, sess.id, qid, res, rec.WallMS)
 	}

@@ -1,7 +1,7 @@
 package server
 
 // The /v1/query reply encoder. A reply is appended field by field into one
-// pooled buffer straight from the result rows and handed to the connection
+// pooled buffer straight from the result's tuples and handed to the connection
 // in one Write (a stream: in pieces of at most streamChunk). The bytes are
 // the ones encoding/json writes for the same values — an Encoder with
 // SetIndent("", "  ") for the buffered body, a plain Encoder per NDJSON
@@ -63,12 +63,9 @@ func appendReply(b []byte, sessionID, qid string, res *queryResult, elapsedMS fl
 	b = appendJSONString(append(b, ",\n  \"target\": "...), res.target)
 	b = appendJSONString(append(b, ",\n  \"schema\": "...), res.rel.Schema().String())
 	b = append(b, ",\n  \"tuples\": "...)
-	switch {
-	case res.rows == nil:
-		b = append(b, "null"...)
-	case len(res.rows) == 0:
+	if res.rows == 0 {
 		b = append(b, "[]"...)
-	default:
+	} else {
 		b = append(b, '[')
 		var scratch [256]byte
 		line := scratch[:0]
@@ -76,7 +73,7 @@ func appendReply(b []byte, sessionID, qid string, res *queryResult, elapsedMS fl
 			if i > 0 {
 				b = append(b, ',')
 			}
-			line = res.rows[i].AppendTo(line[:0])
+			line = res.rel.AppendRow(line[:0], i)
 			b = appendJSONString(append(b, "\n    "...), line)
 		}
 		b = append(b, "\n  ]"...)
@@ -118,7 +115,7 @@ func writeStream(w http.ResponseWriter, sessionID, qid string, res *queryResult,
 		var scratch [256]byte
 		line := scratch[:0]
 		for i := range res.rows {
-			line = res.rows[i].AppendTo(line[:0])
+			line = res.rel.AppendRow(line[:0], i)
 			b = append(appendJSONString(append(b, `{"tuple":`...), line), "}\n"...)
 			if len(b) >= streamChunk {
 				_, _ = w.Write(b)

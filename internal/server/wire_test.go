@@ -27,12 +27,9 @@ import (
 // oracleReply is the buffered body as encoding/json writes it.
 func oracleReply(t *testing.T, sessionID, qid string, res *queryResult, elapsedMS float64) []byte {
 	t.Helper()
-	var tuples []string
-	if res.rows != nil {
-		tuples = make([]string, len(res.rows))
-		for i, row := range res.rows {
-			tuples[i] = row.String()
-		}
+	tuples := make([]string, res.rows)
+	for i, row := range res.rel.Rows()[:res.rows] {
+		tuples[i] = row.String()
 	}
 	var buf bytes.Buffer
 	enc := json.NewEncoder(&buf)
@@ -57,7 +54,7 @@ func oracleStream(t *testing.T, sessionID, qid string, res *queryResult, elapsed
 		"session": sessionID, "query_id": qid, "target": res.target,
 		"schema": res.rel.Schema().String(), "count": res.rel.Len(),
 	}}
-	for _, row := range res.rows {
+	for _, row := range res.rel.Rows()[:res.rows] {
 		lines = append(lines, map[string]string{"tuple": row.String()})
 	}
 	trailer := map[string]any{"done": true, "elapsed_ms": elapsedMS}
@@ -83,7 +80,7 @@ func oracleStream(t *testing.T, sessionID, qid string, res *queryResult, elapsed
 
 // wireRelation holds tuples whose lines need escaping: quotes, < > &,
 // control bytes, non-ASCII, and the tuple with neither binding nor
-// constraint.
+// constraint. It is normalised, as every result the encoder writes is.
 func wireRelation() *relation.Relation {
 	r := relation.New(schema.MustNew(schema.Rel("name", schema.String), schema.Con("x"), schema.Con("y")))
 	for i, name := range []string{"ann", `<b>&"q"</b>`, "tab\there\x01", "ünï\u2028", "\xff\xfe"} {
@@ -92,17 +89,17 @@ func wireRelation() *relation.Relation {
 		r.MustAdd(relation.NewTuple(map[string]relation.Value{"name": relation.Str(name)}, con))
 	}
 	r.MustAdd(relation.ConstraintTuple(constraint.True()))
-	return r
+	return r.Normalize()
 }
 
 // TestReplyEncoding: appendReply and writeStream write the oracle's bytes
-// for every shape of result — nil, empty and non-empty tuples, truncation,
+// for every shape of result — empty and non-empty tuples, truncation,
 // each optional field present and absent — at elapsed values on both sides
 // of encoding/json's exponent cutoffs.
 func TestReplyEncoding(t *testing.T) {
 	rel := wireRelation()
-	rows := rel.Rows()
-	empty := relation.New(rel.Schema())
+	rows := rel.Len()
+	empty := relation.New(rel.Schema()).Normalize()
 	stats := []exec.OpStats{
 		{Op: "join", TuplesIn: 7, TuplesOut: 4, SatChecks: 4, PairsTotal: 12, PairsPruned: 8,
 			Strategy: "dense", EstPairs: 4, Wall: 1500 * time.Microsecond, Parallel: true},
@@ -112,14 +109,13 @@ func TestReplyEncoding(t *testing.T) {
 	explain := "query t <= 9 & x > 1  [query_id=q1]\n├─ \"scan\" \\ \x01\u2028\n"
 	trace := json.RawMessage("[\n  {\n    \"name\": \"query\",\n    \"detail\": \"t <= 9 & x > 1\",\n    \"counters\": {\"rows\": 4}\n  }\n]")
 	results := map[string]*queryResult{
-		"nil tuples":   {target: "R", rel: empty},
-		"empty tuples": {target: "R", rel: empty, rows: []relation.Row{}},
+		"empty tuples": {target: "R", rel: empty},
 		"tuples":       {target: "R<1>&", rel: rel, rows: rows},
-		"truncated":    {target: "R", rel: rel, rows: rows[:2], truncated: true},
+		"truncated":    {target: "R", rel: rel, rows: 2, truncated: true},
 		"stats":        {target: "R", rel: rel, rows: rows, stats: stats, cache: cache},
-		"empty stats":  {target: "R", rel: rel, rows: rows[:1], stats: []exec.OpStats{}},
+		"empty stats":  {target: "R", rel: rel, rows: 1, stats: []exec.OpStats{}},
 		"explain":      {target: "R", rel: rel, rows: rows, explain: explain},
-		"trace":        {target: "R", rel: rel, rows: rows[:3], truncated: true, trace: trace},
+		"trace":        {target: "R", rel: rel, rows: 3, truncated: true, trace: trace},
 		"everything": {target: "\u2029", rel: rel, rows: rows, truncated: true,
 			stats: stats, cache: cache, explain: explain, trace: trace},
 	}
@@ -156,7 +152,8 @@ func TestStreamChunks(t *testing.T) {
 	for i := 0; i < 2000; i++ {
 		rel.MustAdd(relation.ConstraintTuple(constraint.And(constraint.GeConst("x", rational.FromInt(int64(i)))).Canon()))
 	}
-	res := &queryResult{target: "R", rel: rel, rows: rel.Rows()}
+	rel = rel.Normalize()
+	res := &queryResult{target: "R", rel: rel, rows: rel.Len()}
 	w := &chunkRecorder{ResponseRecorder: httptest.NewRecorder()}
 	writeStream(w, "s", "q", res, 1)
 	if got, want := w.Body.Bytes(), oracleStream(t, "s", "q", res, 1); !bytes.Equal(got, want) {

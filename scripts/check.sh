@@ -118,6 +118,9 @@ go test -race -count=2 ./internal/constraint ./internal/exec ./internal/cqa ./in
 # anything at all on boxes).
 echo '>> result-tail, cold-decision, FM ablation, vector-difference, pairing-mode, enumeration-rule, pair-lookup, box-join, box-merge, reply, select and snapshot benchmarks, one iteration'
 go test -run '^$' -bench 'Sorted|CanonMerge|RatString|ColdDecision|AblationFMHistoryBound|NormalizePolygonMinus|NormalizeBoxJoin|DifferencePolygonMinus|ClipRing|PairingModes|PairCandidates|HurricaneQuery3Warm|HurricaneQuery3Cold|HurricaneServer|HurricaneRuleWarm|BoxJoinWarm|BoxMerge|QueryReply|SelectWarm|JoinPairLookup|SnapshotMaterialize|SnapshotRecommit' -benchtime 1x ./...
+# The pair-lookup miss leg asserts that no decision hits its cache, which
+# only a run of more than one iteration can break.
+go test -run '^$' -bench 'JoinPairLookup/miss' -benchtime 3x .
 
 # Corpus replay: the committed fuzz corpora under testdata/fuzz/ run as
 # ordinary seed inputs here — every input that ever broke the parsers,
