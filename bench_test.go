@@ -613,7 +613,7 @@ func BenchmarkPairingModes(b *testing.B) {
 		name string
 		run  func(*exec.Context, *relation.Relation, *relation.Relation) (*relation.Relation, error)
 	}{{"join", cqa.JoinCtx}, {"intersect", cqa.IntersectCtx}}
-	modes := []string{exec.PlanDense, exec.PlanSweep, exec.PlanVector, exec.PlanAuto}
+	modes := []string{exec.PlanDense, exec.PlanVector, exec.PlanAuto}
 	for _, shape := range shapes {
 		r1, r2 := datagen.Canonical(shape.r1), datagen.Canonical(shape.r2)
 		for _, op := range ops {

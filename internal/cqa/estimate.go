@@ -2,6 +2,7 @@ package cqa
 
 import (
 	"cmp"
+	"math"
 	"slices"
 	"sort"
 
@@ -20,15 +21,14 @@ import (
 // again, and an operator output pays once, when it is first an input.
 // analyzePairing pairs two inputs up: the partitions align on their keys,
 // with no tuple visited. Its one count, relPairs, is the bucket-matched
-// pair count: exact, what the enumeration rule (planner.go) sizes each
-// bucket by, and an upper bound on the candidates the frame keeps — the
-// est_pairs ≥ act_pairs invariant EXPLAIN ANALYZE exposes.
+// pair count: exact, and an upper bound on the candidates the frame keeps
+// — the est_pairs ≥ act_pairs invariant EXPLAIN ANALYZE exposes.
 //
 // The exact per-column overlap counts below are for the plan-time
 // estimatePairs alone: the join-chain reordering (optimize_cost.go) ranks
 // base-relation joins by them, once per plan. An operator call does not
-// pay for them — sorting each side once per column costs as much as the
-// enumeration they would plan.
+// pay for them — sorting each side once per column costs about as much as
+// the nested loop whose candidates they would count.
 
 // input is one relation as an input of the filter stage over a pair of
 // shared attribute lists: what inputOf memoises on it.
@@ -64,7 +64,6 @@ type pairStats struct {
 	fr       frame            // the shared constraint attributes as columns, both sides projected
 	as, bs   [][]int          // bucket b pairs t1s[as[b]] with t2s[bs[b]]; one bucket with no shared relational attrs
 	relPairs int64            // bucket-matched pairs: Σ |as[b]|·|bs[b]|, an upper bound on the candidates
-	sweepCol int              // the interval sweep's sort column (-1 = none bounded on both sides)
 }
 
 // sharedAttrs splits the attributes two schemas have in common into the
@@ -85,8 +84,7 @@ func sharedAttrs(s1, s2 schema.Schema) (rel, con []string) {
 }
 
 // analyzePairing reads both relations as inputs over the shared attributes,
-// aligns their partitions, counts the bucket-matched pairs and picks the
-// sweep column.
+// aligns their partitions and counts the bucket-matched pairs.
 func analyzePairing(r1, r2 *relation.Relation, sharedRel, sharedCon []string) pairStats {
 	l, r := inputOf(r1, sharedRel, sharedCon), inputOf(r2, sharedRel, sharedCon)
 	s := pairStats{t1s: l.ts, t2s: r.ts, fr: newFrame(l, r)}
@@ -94,7 +92,6 @@ func analyzePairing(r1, r2 *relation.Relation, sharedRel, sharedCon []string) pa
 	for b := range s.as {
 		s.relPairs += int64(len(s.as[b])) * int64(len(s.bs[b]))
 	}
-	s.sweepCol = s.fr.sweepColumn()
 	return s
 }
 
@@ -204,6 +201,22 @@ func (f *frame) before(xs, ys *side, c int) int64 {
 		// Count the ys x ends before: a suffix of the sorted keys.
 		idx := sort.Search(len(keys), func(k int) bool { return f.endsBefore(xs, ys, i, keys[k].i, c) })
 		n += int64(len(keys) - idx)
+	}
+	return n
+}
+
+// hasLo and hasHi report whether k has a lower and an upper endpoint: an
+// infinite key stands for none only when it is exact.
+func hasLo(k constraint.Keys) bool { return !math.IsInf(k.Lo, -1) || k.Bits&constraint.LoExact == 0 }
+func hasHi(k constraint.Keys) bool { return !math.IsInf(k.Hi, 1) || k.Bits&constraint.HiExact == 0 }
+
+// count counts the tuples whose column-c keys satisfy pred.
+func (s *side) count(c int, pred func(constraint.Keys) bool) int64 {
+	var n int64
+	for i := range s.empty {
+		if pred(s.at(i, c)) {
+			n++
+		}
 	}
 	return n
 }

@@ -25,40 +25,37 @@ func samePlan(got, want pairPlan) string {
 	switch {
 	case !slices.Equal(got.cands, want.cands):
 		return fmt.Sprintf("%d candidates, want %d", len(got.cands), len(want.cands))
-	case got.total != want.total || got.enum != want.enum || got.estPairs != want.estPairs:
-		return fmt.Sprintf("total %d, enum %s, est %d; want %d, %s, %d",
-			got.total, got.enum, got.estPairs, want.total, want.enum, want.estPairs)
+	case got.total != want.total || got.estPairs != want.estPairs:
+		return fmt.Sprintf("total %d, est %d; want %d, %d", got.total, got.estPairs, want.total, want.estPairs)
 	case dump(tupleRel(got.t1s)) != dump(tupleRel(want.t1s)) || dump(tupleRel(got.t2s)) != dump(tupleRel(want.t2s)):
 		return "other canonical inputs"
 	}
 	return ""
 }
 
-// TestPairCandidatesMemo: under every plan mode, on every enumShapes
-// pairing and on the Query 3 joins over relations held without their
-// canonical forms, pairCandidates on the stored relations — their working
-// sets remembered from an earlier call — gives the plan it gives on fresh
-// relation headers over the same tuples, which build theirs. A remembered
-// working set costs nothing to read.
+// TestPairCandidatesMemo: on every enumShapes pairing and on the Query 3
+// joins over relations held without their canonical forms, pairCandidates
+// on the stored relations — their working sets remembered from an earlier
+// call — gives the plan it gives on fresh relation headers over the same
+// tuples, which build theirs. A remembered working set costs nothing to
+// read. The filter stage reads no plan mode, so the test has no mode axis.
 func TestPairCandidatesMemo(t *testing.T) {
 	land, owners, _ := datagen.HurricaneRelations(4)
 	shapes := append(enumShapes(t), enumShape{name: "raw-q3-owners", r1: rawCopy(owners), r2: rawCopy(land)})
-	for _, mode := range []string{exec.PlanAuto, exec.PlanDense, exec.PlanSweep, exec.PlanVector} {
-		for _, shape := range shapes {
-			pairShape(mode, shape, false) // warms the memos
-			stored, fresh := pairShape(mode, shape, false), pairShape(mode, shape, true)
-			if d := samePlan(stored, fresh); d != "" {
-				t.Errorf("%s %s: stored relations: %s", mode, shape.name, d)
+	for _, shape := range shapes {
+		pairShape(shape, false) // warms the memos
+		stored, fresh := pairShape(shape, false), pairShape(shape, true)
+		if d := samePlan(stored, fresh); d != "" {
+			t.Errorf("%s: stored relations: %s", shape.name, d)
+		}
+		for _, tu := range stored.t1s {
+			if !tu.Constraint().IsCanonical() {
+				t.Fatalf("%s: the remembered input is not canonical: %s", shape.name, tu)
 			}
-			for _, tu := range stored.t1s {
-				if !tu.Constraint().IsCanonical() {
-					t.Fatalf("%s %s: the remembered input is not canonical: %s", mode, shape.name, tu)
-				}
-			}
-			rel, con := sharedAttrs(shape.r1.Schema(), shape.r2.Schema())
-			if n := testing.AllocsPerRun(5, func() { inputOf(shape.r1, rel, con); inputOf(shape.r2, rel, con) }); n != 0 {
-				t.Errorf("%s %s: reading two remembered inputs allocated %v times", mode, shape.name, n)
-			}
+		}
+		rel, con := sharedAttrs(shape.r1.Schema(), shape.r2.Schema())
+		if n := testing.AllocsPerRun(5, func() { inputOf(shape.r1, rel, con); inputOf(shape.r2, rel, con) }); n != 0 {
+			t.Errorf("%s: reading two remembered inputs allocated %v times", shape.name, n)
 		}
 	}
 }

@@ -196,9 +196,9 @@ func JoinCtx(ec *exec.Context, r1, r2 *relation.Relation) (*relation.Relation, e
 }
 
 // joinCtx is the shared engine of Join and Intersect. The filter stage
-// (pairCandidates) decides the pairing strategy, and the operator records
-// it plus the estimator's pair bound on its stats, which EXPLAIN ANALYZE
-// renders as strategy= / est_pairs= / act_pairs=.
+// (pairCandidates) keeps the candidate pairs, and the operator records the
+// estimator's pair bound on its stats, which EXPLAIN ANALYZE renders as
+// est_pairs= / act_pairs=.
 func joinCtx(ec *exec.Context, op string, r1, r2 *relation.Relation) (*relation.Relation, error) {
 	js, err := r1.Schema().Join(r2.Schema())
 	if err != nil {
@@ -229,15 +229,15 @@ func joinCtx(ec *exec.Context, op string, r1, r2 *relation.Relation) (*relation.
 	items := pairs
 	if ec.PruneEnabled() && pairs > 0 {
 		// Filter stage: partition on sharedRel, frame-reject over
-		// sharedCon, switched enumeration per bucket. The surviving
+		// sharedCon, one nested loop per bucket. The surviving
 		// candidates are in ascending flattened order, so mapping over
 		// them preserves the sequential nested-loop output order; the
 		// filter's inputs have canonical constraint parts, which the pair
 		// lookup keys on.
-		plan := pairCandidates(ec, r1, r2, sharedRel, sharedCon)
+		plan := pairCandidates(r1, r2, sharedRel, sharedCon)
 		dec = pairDeciders(ec, len(sharedCon) == len(r1.Schema().ConstraintNames()) &&
 			len(sharedCon) == len(r2.Schema().ConstraintNames()))
-		rec.Pairing(plan.enum, plan.estPairs)
+		rec.Pairing(plan.estPairs)
 		rec.Pairs(int64(plan.total), int64(plan.pruned()))
 		items = len(plan.cands)
 		joined, err = exec.Map(ec, items, func(k int, out []relation.Tuple) ([]relation.Tuple, error) {
@@ -393,10 +393,10 @@ func DifferenceCtx(ec *exec.Context, r1, r2 *relation.Relation) (*relation.Relat
 	var dec deciders
 	if filtered {
 		sharedRel, sharedCon := sharedAttrs(r1.Schema(), r2.Schema())
-		plan = pairCandidates(ec, r1, r2, sharedRel, sharedCon)
+		plan = pairCandidates(r1, r2, sharedRel, sharedCon)
 		c1s, c2s = plan.t1s, plan.t2s
 		dec = pairDeciders(ec, false) // env off: no workload subtracts boxes from boxes
-		rec.Pairing(plan.enum, plan.estPairs)
+		rec.Pairing(plan.estPairs)
 		rec.Pairs(int64(plan.total), int64(plan.pruned()))
 	} else {
 		rec.Pairs(int64(len(t1s)*m), 0)

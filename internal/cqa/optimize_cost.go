@@ -2,8 +2,8 @@ package cqa
 
 import "cdb/internal/relation"
 
-// This file holds the cost-driven logical rewrite of the two-phase
-// planner — the one Optimize's purely syntactic fixpoint rules cannot
+// This file holds the planner's entry point (Plan) and the cost-driven
+// logical rewrite of the two-phase planner — the one Optimize's purely syntactic fixpoint rules cannot
 // make, because it needs the estimator's numbers over actual relations:
 // join reordering. A join-only subtree over base relations is rebuilt
 // left-deep starting from the pair with the smallest estimated
@@ -15,6 +15,14 @@ import "cdb/internal/relation"
 // semantics exactly (natural join is commutative and associative; the
 // projection restores the schema); it may permute the storage order of
 // output tuples, which the sorted renderers make invisible.
+
+// Plan is the planner the query front ends run when optimisation is on
+// and an environment of real relations is in hand: the logical fixpoint
+// rules (Optimize), then the cost-driven join reordering below. Optimize
+// alone remains the schema-only entry point.
+func Plan(n Node, env Env) Node {
+	return optimizeCost(Optimize(n, env.Schemas()), env)
+}
 
 // optimizeCost applies the cost-driven rewrite to a plan. It fires only
 // where the needed statistics are exact — inputs that are base relations

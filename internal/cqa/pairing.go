@@ -1,8 +1,6 @@
 package cqa
 
 import (
-	"cmp"
-	"math"
 	"slices"
 	"sort"
 	"sync"
@@ -26,7 +24,7 @@ import (
 // and operator outputs), bucketed and projected as below — built once per
 // relation and pair of shared attribute lists and memoised on the relation,
 // so an operator over stored relations builds none of it. It then uses
-// three cooperating mechanisms:
+// two cooperating mechanisms:
 //
 //  1. relational-part hash partitioning (relation.Partition): pairs whose
 //     shared relational attributes are not NULL-safe-identical can never
@@ -38,31 +36,26 @@ import (
 //     Within a bucket, a pair with an empty interval on either side or
 //     separated intervals in some column has an unsatisfiable merged
 //     conjunction — rejected in at most 2k float comparisons (a float tie
-//     broken exactly), no eliminator run;
-//  3. switched enumeration: each bucket's candidate pairs are enumerated
-//     by the dense nested loop or by the interval sweep (sort both sides
-//     on one column's intervals, plane-sweep the overlaps), as
-//     sweepBucket (planner.go) decides from the bucket's size; a forced
-//     dense or sweep PlanMode pins every bucket, so equivalence tests
-//     exercise the enumeration they asked for.
+//     broken exactly), no eliminator run.
 //
-// The contract that keeps outputs byte-identical to the dense nested loop:
-// the surviving candidate set is exactly {bucket-matched pairs whose
-// envelopes are not Disjoint}, whichever enumeration ran — the frame check
-// is Envelope.Disjoint over the shared attributes, the sweep is a
-// conservative superset pass (closed overlap of one column's keys) with
-// the full frame check applied to every emitted pair — and the candidates
-// are sorted into ascending flattened (i1·m + i2) order before the refine
-// fan-out, which is the sequential nested-loop order. Every pruned pair is
-// one the refine step would have rejected anyway, so pruning on and off,
-// and every mode, produce the same bytes.
+// Each bucket's pairs are enumerated by one nested loop, every pair
+// checked against the frame. Candidate enumeration is not where a CDB's
+// time goes: the refine step's elimination is.
+//
+// The contract that keeps outputs byte-identical to the unfiltered nested
+// loop: the surviving candidate set is exactly {bucket-matched pairs whose
+// envelopes are not Disjoint} — the frame check is Envelope.Disjoint over
+// the shared attributes — and the candidates are sorted into ascending
+// flattened (i1·m + i2) order before the refine fan-out, which is the
+// sequential nested-loop order. Every pruned pair is one the refine step
+// would have rejected anyway, so pruning on and off, and every plan mode,
+// produce the same bytes.
 
 // pairPlan is the filter stage's output for one binary-operator call.
 type pairPlan struct {
 	t1s, t2s []relation.Tuple // the inputs, constraint parts canonical
 	cands    []int            // surviving pairs as flattened indexes i1*m + i2, ascending
 	total    int              // the dense candidate space |t1s|·|t2s|
-	enum     string           // exec.PlanSweep if some bucket was swept, else exec.PlanDense
 	estPairs int64            // the bucket-matched pairs: an upper bound on len(cands)
 }
 
@@ -89,14 +82,11 @@ func (p pairPlan) pruned() int { return p.total - len(p.cands) }
 // as unsatisfiable.
 type deciders struct{ env, clip bool }
 
-// forceDecline makes the env or the clip decider decline every pair. Only
-// tests set it: what it would have answered must come out of the next.
-var forceDecline deciders
-
-// pairDeciders resolves the decider list for one operator call. PlanDense
-// and PlanSweep leave every pair to the cache and the eliminator (the
-// reference), PlanVector switches env off so that boxes are clipped too,
-// PlanAuto runs the whole list.
+// pairDeciders resolves the decider list for one operator call: the plan
+// modes are the decider sets. PlanDense runs neither fast decider and
+// leaves every pair to the cache and the eliminator (the reference),
+// PlanVector runs clip alone, so that boxes are clipped too, and PlanAuto
+// runs the whole list.
 //
 // covered — the two sides range over the same constraint attributes — also
 // gates env under auto. A selection's condition ranges over its input's own
@@ -112,8 +102,8 @@ var forceDecline deciders
 func pairDeciders(ec *exec.Context, covered bool) deciders {
 	mode := ec.Plan()
 	return deciders{
-		env:  mode == exec.PlanAuto && covered && !forceDecline.env,
-		clip: (mode == exec.PlanAuto || mode == exec.PlanVector) && !forceDecline.clip,
+		env:  mode == exec.PlanAuto && covered,
+		clip: mode == exec.PlanAuto || mode == exec.PlanVector,
 	}
 }
 
@@ -179,15 +169,14 @@ func (p pairPlan) row(i, m int) []int {
 // frame is one binary operator's k shared constraint attributes as columns
 // 0…k−1, in lexicographic order, and the two inputs' envelopes projected
 // onto them, as float keys (constraint.Keys): each input's side, memoised
-// with it. Every envelope question asked afterwards — the pair check, the
-// sweep's intervals, the sweep-column choice, and the plan-time overlap
-// counts (estimatePairs) — compares keys in a column instead of probing an
-// envelope by attribute name or comparing rationals. The comparison is
-// exact: keys in strict float order are endpoints in that order (each key
-// is its endpoint correctly rounded, and rounding is monotone), and a
-// float tie is decided by the keys' open bits when both are exact, and
-// otherwise by the exact intervals read back from the two tuples'
-// envelopes (endsBefore).
+// with it. Every envelope question asked afterwards — the pair check and
+// the plan-time overlap counts (estimatePairs) — compares keys in a column
+// instead of probing an envelope by attribute name or comparing rationals.
+// The comparison is exact: keys in strict float order are endpoints in that
+// order (each key is its endpoint correctly rounded, and rounding is
+// monotone), and a float tie is decided by the keys' open bits when both
+// are exact, and otherwise by the exact intervals read back from the two
+// tuples' envelopes (endsBefore).
 type frame struct {
 	cols   []string         // column c is attribute cols[c]
 	l, r   side             // the left (t1s) and right (t2s) sides
@@ -198,10 +187,9 @@ type frame struct {
 // side is one input projected onto a frame. It holds no pointer the
 // garbage collector has to follow into: its slices are of plain values.
 type side struct {
-	k        int
-	keys     []constraint.Keys // tuple i's column-c keys at i·k + c; (-Inf, +Inf) where the envelope bounds nothing
-	empty    []bool            // tuple i has an empty interval in some column: it pairs with nothing
-	twoSided []int64           // per column, the tuples bounded on both ends there (sweepColumn's score)
+	k     int
+	keys  []constraint.Keys // tuple i's column-c keys at i·k + c; (-Inf, +Inf) where the envelope bounds nothing
+	empty []bool            // tuple i has an empty interval in some column: it pairs with nothing
 }
 
 // newFrame is the frame of two inputs over the same shared attributes: their
@@ -213,7 +201,7 @@ func newFrame(l, r *input) frame {
 // project lays ts out over the columns cols as a side.
 func project(ts []relation.Tuple, cols []string) side {
 	k := len(cols)
-	s := side{k: k, keys: make([]constraint.Keys, len(ts)*k), empty: make([]bool, len(ts)), twoSided: make([]int64, k)}
+	s := side{k: k, keys: make([]constraint.Keys, len(ts)*k), empty: make([]bool, len(ts))}
 	if k == 0 {
 		return s // no column: no envelope to read
 	}
@@ -223,9 +211,6 @@ func project(ts []relation.Tuple, cols []string) side {
 			key := env.Keys(a)
 			s.keys[i*k+c] = key
 			s.empty[i] = s.empty[i] || key.Bits&constraint.Empty != 0
-			if twoSided(key) {
-				s.twoSided[c]++
-			}
 		}
 	}
 	return s
@@ -284,54 +269,14 @@ func (f *frame) interval(s *side, i, c int) constraint.Interval {
 	return iv
 }
 
-// sweepColumn picks the column the interval sweep sorts on: the one where
-// the most tuples on both sides carry two-sided envelope bounds (score =
-// bounded₁·bounded₂ — a proxy for how selective sorting on that column
-// will be). Returns -1 when no column is bounded on both sides; the sweep
-// would then degenerate to the dense loop anyway.
-//
-// Tie-breaking is deterministic and documented: columns are in
-// lexicographic attribute order (the schema's declaration order never
-// matters) and a later column replaces the incumbent only with a strictly
-// greater score, so on a tie the lexicographically first attribute among
-// the highest-scoring ones wins. TestSweepColumnTieBreak pins this.
-func (f *frame) sweepColumn() int {
-	best, bestScore := -1, int64(0)
-	for c := range f.cols {
-		if score := f.l.twoSided[c] * f.r.twoSided[c]; score > bestScore { // strict: ties keep the lex-first incumbent
-			best, bestScore = c, score
-		}
-	}
-	return best
-}
-
-func twoSided(k constraint.Keys) bool { return hasLo(k) && hasHi(k) }
-
-// hasLo and hasHi report whether k has a lower and an upper endpoint: an
-// infinite key stands for none only when it is exact.
-func hasLo(k constraint.Keys) bool { return !math.IsInf(k.Lo, -1) || k.Bits&constraint.LoExact == 0 }
-func hasHi(k constraint.Keys) bool { return !math.IsInf(k.Hi, 1) || k.Bits&constraint.HiExact == 0 }
-
-// count counts the tuples whose column-c keys satisfy pred.
-func (s *side) count(c int, pred func(constraint.Keys) bool) int64 {
-	var n int64
-	for i := range s.empty {
-		if pred(s.at(i, c)) {
-			n++
-		}
-	}
-	return n
-}
-
 // pairCandidates runs the filter stage over r1 × r2: read both as inputs
 // over the shared attributes and align their partitions (analyzePairing,
-// estimate.go), then enumerate each bucket's candidates as sweepBucket
-// (planner.go) decides (see the file comment).
-func pairCandidates(ec *exec.Context, r1, r2 *relation.Relation, sharedRel, sharedCon []string) pairPlan {
+// estimate.go), then check each bucket-matched pair against the frame (see
+// the file comment).
+func pairCandidates(r1, r2 *relation.Relation, sharedRel, sharedCon []string) pairPlan {
 	stats := analyzePairing(r1, r2, sharedRel, sharedCon)
 	m := len(stats.t2s)
-	mode := ec.Plan()
-	plan := pairPlan{t1s: stats.t1s, t2s: stats.t2s, total: len(stats.t1s) * m, estPairs: stats.relPairs, enum: exec.PlanDense}
+	plan := pairPlan{t1s: stats.t1s, t2s: stats.t2s, total: len(stats.t1s) * m, estPairs: stats.relPairs}
 	fr := &stats.fr
 	// With no frame column every bucket-matched pair is a candidate; else
 	// the frame keeps a share no count has read, so the list grows in a
@@ -343,21 +288,12 @@ func pairCandidates(ec *exec.Context, r1, r2 *relation.Relation, sharedRel, shar
 		scratch = candBufs.Get().(*[]int)
 		plan.cands = (*scratch)[:0]
 	}
-	emit := func(i, j int) {
-		if !fr.disjoint(i, j) {
-			plan.cands = append(plan.cands, i*m+j)
-		}
-	}
 	for b, as := range stats.as {
-		switch bs := stats.bs[b]; {
-		case len(bs) == 0:
-		case sweepBucket(mode, stats.sweepCol, len(as), len(bs)):
-			plan.enum = exec.PlanSweep
-			sweepPairs(fr, stats.sweepCol, as, bs, emit)
-		default:
-			for _, i := range as {
-				for _, j := range bs {
-					emit(i, j)
+		bs := stats.bs[b]
+		for _, i := range as {
+			for _, j := range bs {
+				if !fr.disjoint(i, j) {
+					plan.cands = append(plan.cands, i*m+j)
 				}
 			}
 		}
@@ -380,47 +316,3 @@ func pairCandidates(ec *exec.Context, r1, r2 *relation.Relation, sharedRel, shar
 var candBufs = sync.Pool{New: func() any { return new([]int) }}
 
 const maxPooledCands = 1 << 16
-
-// sweepPairs enumerates, by a two-pointer sorted merge over the column-c
-// keys, every (i ∈ as, j ∈ bs) pair whose keys overlap as closed
-// intervals, calling emit exactly once per such pair. It needs no
-// tie-break: two intervals that meet exactly, open endpoints treated as
-// closed, have keys that meet too (rounding is monotone), so the pairs it
-// emits are a superset of those the exact frame check inside emit keeps,
-// and no pair the dense loop would keep is ever missed. Tuples with an
-// empty interval in any column are dropped up front; the dense path drops
-// them too (the frame check rejects them on sight), keeping the two
-// candidate sets identical.
-func sweepPairs(fr *frame, c int, as, bs []int, emit func(i, j int)) {
-	sa, sb := sweepItems(&fr.l, c, as), sweepItems(&fr.r, c, bs)
-	i, j := 0, 0
-	for i < len(sa) && j < len(sb) {
-		a, b := fr.l.at(sa[i], c), fr.r.at(sb[j], c)
-		if b.Lo >= a.Lo { // sa[i] starts first (ties go to the a side)
-			for k := j; k < len(sb) && fr.r.at(sb[k], c).Lo <= a.Hi; k++ {
-				emit(sa[i], sb[k])
-			}
-			i++
-		} else {
-			for k := i; k < len(sa) && fr.l.at(sa[k], c).Lo <= b.Hi; k++ {
-				emit(sa[k], sb[j])
-			}
-			j++
-		}
-	}
-}
-
-// sweepItems returns the idxs without an empty interval, sorted by their
-// column-c lower key, -Inf first. The order among equal keys does not
-// matter: each pair is emitted once whichever comes first, and the
-// candidates are sorted after.
-func sweepItems(s *side, c int, idxs []int) []int {
-	out := make([]int, 0, len(idxs))
-	for _, i := range idxs {
-		if !s.empty[i] {
-			out = append(out, i)
-		}
-	}
-	slices.SortFunc(out, func(a, b int) int { return cmp.Compare(s.at(a, c).Lo, s.at(b, c).Lo) })
-	return out
-}

@@ -1,6 +1,7 @@
 package cqa
 
 import (
+	"fmt"
 	"math"
 	"math/big"
 	"math/rand"
@@ -19,7 +20,7 @@ import (
 
 // pruneInputs builds the three workload shapes the filter is designed
 // around — skewed relational buckets (partition pruning), spatial clusters
-// with all-NULL ids (envelope + sweep pruning), and the plain BoxRelation
+// with all-NULL ids (envelope pruning), and the plain BoxRelation
 // mix — plus the edges of the shared pipeline: an empty right side, a
 // schema with no relational attribute (no partition at all), and left
 // tuples (ids b2, b3) whose bucket does not exist on the right. The two
@@ -87,8 +88,8 @@ var (
 // output (same tuples, same order) to the dense nested loop, sequentially
 // and under the pool, on every workload shape — pruned pairs are exactly
 // pairs the refine step would have rejected anyway. The filtered side runs
-// under auto, so it is repeated with each per-pair decider forced to
-// decline (the unfiltered side is the eliminator alone, run once).
+// under every plan mode, with the irredundant memo kept and forced clear
+// (the unfiltered side is the eliminator alone, run once).
 func TestPruningEquivalence(t *testing.T) {
 	ops := map[string]func(ec *exec.Context, r1, r2 *relation.Relation) (*relation.Relation, error){
 		"join":       JoinCtx,
@@ -102,17 +103,17 @@ func TestPruningEquivalence(t *testing.T) {
 				if err != nil {
 					t.Fatalf("%s %s par%d dense: %v", wName, opName, par, err)
 				}
-				for _, decl := range declineSettings {
+				for _, mode := range planModes {
 					for _, irrClear := range irrSettings {
-						withDecline(decl, irrClear, func() {
-							got, err := op(&exec.Context{Parallelism: par, SeqThreshold: 1}, pair[0], pair[1])
+						withIrrClear(irrClear, func() {
+							got, err := op(&exec.Context{Parallelism: par, SeqThreshold: 1, PlanMode: mode}, pair[0], pair[1])
 							if err != nil {
-								t.Fatalf("%s %s par%d filtered: %v", wName, opName, par, err)
+								t.Fatalf("%s %s par%d %s filtered: %v", wName, opName, par, mode, err)
 							}
 							revalidate(t, wName+" "+opName, got)
 							if dumpNormalised(got) != dumpNormalised(want) {
-								t.Errorf("%s %s par%d decline%+v irrClear=%v: filtered output diverges from dense\ndense:\n%s\nfiltered:\n%s",
-									wName, opName, par, decl, irrClear, dumpNormalised(want), dumpNormalised(got))
+								t.Errorf("%s %s par%d %s irrClear=%v: filtered output diverges from dense\ndense:\n%s\nfiltered:\n%s",
+									wName, opName, par, mode, irrClear, dumpNormalised(want), dumpNormalised(got))
 							}
 						})
 					}
@@ -122,12 +123,12 @@ func TestPruningEquivalence(t *testing.T) {
 	}
 }
 
-// TestSweepMatchesDenseCandidates: the interval sweep and the dense
-// bucket loop enumerate the same candidate set — forced via PlanMode,
-// the plans must be identical — on clustered and skewed boxes, and on
-// tuples whose endpoints the float keys find hard (adversarialEndpoints),
-// where the sweep runs on keys alone and the frame check breaks the ties.
-func TestSweepMatchesDenseCandidates(t *testing.T) {
+// TestFrameCandidatesExact: the filter stage keeps exactly the
+// bucket-matched pairs whose envelopes Envelope.Disjoint does not reject,
+// in ascending flattened order, on clustered, skewed and interleaved
+// boxes, and on tuples whose endpoints the float keys find hard (adversarialEndpoints),
+// where the frame check breaks float ties exactly.
+func TestFrameCandidatesExact(t *testing.T) {
 	p := datagen.Scaled(10)
 	p.Seed = 23
 	p2 := p
@@ -138,49 +139,54 @@ func TestSweepMatchesDenseCandidates(t *testing.T) {
 		t1s, t2s  []relation.Tuple
 		sharedRel []string
 	}{
-		// All-NULL ids: one bucket, so the crossover decision is global.
+		// All-NULL ids: one bucket.
 		"clustered": {datagen.ClusteredBoxRelation(p, 40, 6, 60, 99).Tuples(),
 			datagen.ClusteredBoxRelation(p2, 40, 6, 60, 99).Tuples(), []string{"id"}},
 		"skewed": {datagen.SkewedBoxRelation(p, 40, 5).Tuples(),
 			datagen.SkewedBoxRelation(p2, 40, 5).Tuples(), []string{"id"}},
+		// The clustered boxes with ids cycling through four values: the
+		// buckets interleave, so the loop emits out of flattened order.
+		"interleaved": {cycleIDs(datagen.ClusteredBoxRelation(p, 40, 6, 60, 99).Tuples()),
+			cycleIDs(datagen.ClusteredBoxRelation(p2, 40, 6, 60, 99).Tuples()), []string{"id"}},
 		"adversarial": {randBoundedTuples(rng, 60, hard, "x", "y"),
 			randBoundedTuples(rng, 60, hard, "x", "y"), nil},
 	} {
 		t1s, t2s := tc.t1s, tc.t2s
-		sharedCon := []string{"x", "y"}
-		ecSweep := &exec.Context{PlanMode: exec.PlanSweep} // every bucket sweeps
-		ecDense := &exec.Context{PlanMode: exec.PlanDense} // every bucket is dense
-		sweep := pairCandidates(ecSweep, tupleRel(t1s), tupleRel(t2s), tc.sharedRel, sharedCon)
-		dense := pairCandidates(ecDense, tupleRel(t1s), tupleRel(t2s), tc.sharedRel, sharedCon)
-		if sweep.enum != exec.PlanSweep {
-			t.Fatalf("%s: forced sweep ran %s", name, sweep.enum)
-		}
-		if sweep.total != dense.total {
-			t.Fatalf("%s: totals differ: %d vs %d", name, sweep.total, dense.total)
-		}
-		if len(sweep.cands) != len(dense.cands) {
-			t.Fatalf("%s: sweep found %d candidates, dense loop %d",
-				name, len(sweep.cands), len(dense.cands))
-		}
-		for i := range sweep.cands {
-			if sweep.cands[i] != dense.cands[i] {
-				t.Fatalf("%s: candidate %d differs: %d vs %d",
-					name, i, sweep.cands[i], dense.cands[i])
-			}
-		}
 		vars := []string{"x", "y"}
-		for _, k := range dense.cands {
-			if i, j := k/len(t2s), k%len(t2s); t1s[i].Constraint().Envelope().Disjoint(t2s[j].Constraint().Envelope(), vars) {
-				t.Fatalf("%s: candidate (%d, %d) has disjoint envelopes", name, i, j)
+		plan := pairCandidates(tupleRel(t1s), tupleRel(t2s), tc.sharedRel, vars)
+		if plan.total != len(t1s)*len(t2s) {
+			t.Fatalf("%s: total %d, want %d", name, plan.total, len(t1s)*len(t2s))
+		}
+		// Strictly ascending and each one kept by the reference: with the
+		// reference's count, exactly the reference's set.
+		for n, k := range plan.cands {
+			if n > 0 && plan.cands[n-1] >= k {
+				t.Fatalf("%s: candidates %d, %d are not in strictly ascending flattened order", name, plan.cands[n-1], k)
+			}
+			i, j := k/len(t2s), k%len(t2s)
+			if t1s[i].PartitionKey(tc.sharedRel) != t2s[j].PartitionKey(tc.sharedRel) ||
+				t1s[i].Constraint().Envelope().Disjoint(t2s[j].Constraint().Envelope(), vars) {
+				t.Fatalf("%s: candidate (%d, %d) is in no shared bucket or has disjoint envelopes", name, i, j)
 			}
 		}
-		if want := dense.total - countDisjoint(t1s, t2s, tc.sharedRel, vars); len(dense.cands) != want {
-			t.Fatalf("%s: %d candidates, %d bucket-matched pairs with envelopes not disjoint", name, len(dense.cands), want)
+		if want := plan.total - countDisjoint(t1s, t2s, tc.sharedRel, vars); len(plan.cands) != want {
+			t.Fatalf("%s: %d candidates, %d bucket-matched pairs with envelopes not disjoint", name, len(plan.cands), want)
 		}
-		if sweep.pruned() == 0 {
+		if plan.pruned() == 0 {
 			t.Errorf("%s: filter pruned nothing; the fixture is too easy", name)
 		}
 	}
+}
+
+// cycleIDs is ts with the relational id of tuple i bound to "b" + i mod 4.
+func cycleIDs(ts []relation.Tuple) []relation.Tuple {
+	out := make([]relation.Tuple, len(ts))
+	for i, tu := range ts {
+		rvals := tu.RVals()
+		rvals["id"] = relation.Str(fmt.Sprintf("b%d", i%4))
+		out[i] = relation.NewTuple(rvals, tu.Constraint())
+	}
+	return out
 }
 
 // tupleRel is a relation header over ts, fresh: no working set memoised.

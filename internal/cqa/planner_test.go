@@ -2,7 +2,6 @@ package cqa
 
 import (
 	"flag"
-	"fmt"
 	"os"
 	"path/filepath"
 	"testing"
@@ -17,70 +16,23 @@ import (
 
 var update = flag.Bool("update", false, "rewrite golden files")
 
-// TestSweepColumnTieBreak pins the documented tie-break of the sweep
-// column choice: columns are in lexicographic attribute order and a later
-// column needs a strictly greater boundedness score to replace the
-// incumbent, so on a tie the lexicographically first attribute wins —
-// regardless of the order the caller lists the shared attributes in.
-func TestSweepColumnTieBreak(t *testing.T) {
-	// Both x and y are two-sided-bounded in every envelope on both sides:
-	// identical scores, so the choice is decided purely by the tie-break.
-	mk := func(n int) []relation.Tuple {
-		out := make([]relation.Tuple, n)
-		for i := range out {
-			k := fmt.Sprint(i)
-			out[i] = relation.ConstraintTuple(constraint.And(
-				ge("x", k), le("x", fmt.Sprint(i+1)),
-				ge("y", k), le("y", fmt.Sprint(i+1)),
-			).Canon())
-		}
-		return out
-	}
-	t1s, t2s := mk(4), mk(3)
-	for _, shared := range [][]string{{"x", "y"}, {"y", "x"}} {
-		fr := frameOf(t1s, t2s, shared)
-		if c := fr.sweepColumn(); c < 0 || fr.cols[c] != "x" {
-			t.Errorf("sweepColumn over %v = %d (columns %v), want lex-first %q on a tie", shared, c, fr.cols, "x")
-		}
-	}
-	// A strictly better-scored later column must still win: unbound x
-	// on one side so y's score dominates.
-	lop := make([]relation.Tuple, len(t1s))
-	for i := range lop {
-		lop[i] = relation.ConstraintTuple(constraint.And(ge("y", "0"), le("y", "9")).Canon())
-	}
-	fr := frameOf(lop, t2s, []string{"x", "y"})
-	if c := fr.sweepColumn(); c < 0 || fr.cols[c] != "y" {
-		t.Errorf("sweepColumn with x unbounded = %d (columns %v), want %q", c, fr.cols, "y")
-	}
-	if fr := frameOf(lop, t2s, []string{"x"}); fr.sweepColumn() != -1 {
-		t.Errorf("sweepColumn with the only column unbounded on one side = %d, want -1", fr.sweepColumn())
-	}
-}
-
-// declineSettings are the forceDecline states the equivalence matrices run
-// auto under: every decider live, each of env and clip forced to decline
-// every pair, and both — whatever a decider would have answered must come
-// out the same from the next one down the list. The forced plan modes have
-// no use for them: dense and sweep never read forceDecline, and vector is
-// auto with env declined.
-var declineSettings = []deciders{{}, {env: true}, {clip: true}, {env: true, clip: true}}
+// planModes are the decider sets the equivalence matrices run: forced
+// dense (no fast decider: the reference), forced vector (clip alone) and
+// auto (env, then clip). A pair goes to the decider it gets under one of
+// them, so whatever a decider answers must come out the same as the
+// eliminator's answer under dense.
+var planModes = []string{exec.PlanDense, exec.PlanVector, exec.PlanAuto}
 
 // irrSettings are the constraint.ForceIrrClear states the equivalence
-// matrices run auto under, each with every declineSettings state: the
-// planar rule's irredundant memo kept, and forced clear, so that every
-// simplification proves its conjunction again. The outputs the matrices
-// compare are also normalised, where the memo is read.
+// matrices run every plan mode under: the planar rule's irredundant memo
+// kept, and forced clear, so that every simplification proves its
+// conjunction again. The outputs the matrices compare are also normalised,
+// where the memo is read.
 var irrSettings = []bool{false, true}
 
-// withDecline runs body with forceDecline set to d and
-// constraint.ForceIrrClear to irrClear.
-func withDecline(d deciders, irrClear bool, body func()) {
-	defer func() {
-		forceDecline = deciders{}
-		constraint.ForceIrrClear(false)
-	}()
-	forceDecline = d
+// withIrrClear runs body with constraint.ForceIrrClear set to irrClear.
+func withIrrClear(irrClear bool, body func()) {
+	defer constraint.ForceIrrClear(false)
 	constraint.ForceIrrClear(irrClear)
 	body()
 }
@@ -103,15 +55,14 @@ func sumStats(ec *exec.Context) (s exec.OpStats) {
 	return s
 }
 
-// TestStrategyEquivalence is the filter stage's acceptance contract:
-// every plan mode — forced dense, forced sweep, forced vector, and auto —
-// produces byte-identical output (same tuples, same order) on every binary
-// operator and workload shape, both sequentially and under the worker
-// pool; auto also with each decider forced to decline. Forced modes disable
-// the small-bucket dense escape, so the sweep really runs. It also checks
-// that the fast deciders really ran: forced vector and (nothing declined)
-// auto clip the polygon rows, and under auto join and intersect of the
-// canonical box rows are decided on the envelopes alone.
+// TestStrategyEquivalence is the refine stage's acceptance contract:
+// every plan mode — forced dense, forced vector and auto — produces
+// byte-identical output (same tuples, same order) on every binary operator
+// and workload shape, both sequentially and under the worker pool, with
+// the irredundant memo kept and forced clear. It also checks that the fast
+// deciders really ran: forced vector and auto clip the polygon rows, and
+// under auto join and intersect of the canonical box rows are decided on
+// the envelopes alone.
 func TestStrategyEquivalence(t *testing.T) {
 	ops := map[string]func(ec *exec.Context, r1, r2 *relation.Relation) (*relation.Relation, error){
 		"join":       JoinCtx,
@@ -131,35 +82,24 @@ func TestStrategyEquivalence(t *testing.T) {
 					return dumpNormalised(got), sumStats(ec)
 				}
 				want, _ := run(exec.PlanDense)
-				for _, mode := range []string{exec.PlanSweep, exec.PlanVector} {
-					got, s := run(mode)
-					if got != want {
-						t.Errorf("%s %s par%d: plan=%s output diverges from dense\ndense:\n%s\n%s:\n%s",
-							wName, opName, par, mode, want, mode, got)
-					}
-					if mode == exec.PlanVector && polygonInputs[wName] && s.VectorHits == 0 {
-						t.Errorf("%s %s par%d: forced vector recorded no vector hit — the row fell back to FM",
-							wName, opName, par)
-					}
-				}
-				for _, decl := range declineSettings {
+				for _, mode := range planModes {
 					for _, irrClear := range irrSettings {
-						withDecline(decl, irrClear, func() {
-							got, s := run(exec.PlanAuto)
+						withIrrClear(irrClear, func() {
+							got, s := run(mode)
 							if got != want {
-								t.Errorf("%s %s par%d decline%+v irrClear=%v: auto output diverges from dense\ndense:\n%s\nauto:\n%s",
-									wName, opName, par, decl, irrClear, want, got)
+								t.Errorf("%s %s par%d irrClear=%v: plan=%s output diverges from dense\ndense:\n%s\n%s:\n%s",
+									wName, opName, par, irrClear, mode, want, mode, got)
 							}
-							if decl != (deciders{}) || irrClear {
+							if irrClear || mode == exec.PlanDense {
 								return
 							}
 							cands := s.PairsTotal - s.PairsPruned
 							switch {
 							case polygonInputs[wName]:
 								if s.VectorHits == 0 {
-									t.Errorf("%s %s par%d auto: no vector hit — the row fell back to FM", wName, opName, par)
+									t.Errorf("%s %s par%d %s: no vector hit — the row fell back to FM", wName, opName, par, mode)
 								}
-							case boxInputs[wName] && opName != "difference":
+							case mode == exec.PlanAuto && boxInputs[wName] && opName != "difference":
 								if s.EnvHits != cands || s.VectorHits != 0 || s.SatChecks != 0 || s.FMDecisions != 0 {
 									t.Errorf("%s %s par%d auto: env=%d vec=%d sat=%d fm=%d over %d candidate pairs, want all of them decided on the envelopes",
 										wName, opName, par, s.EnvHits, s.VectorHits, s.SatChecks, s.FMDecisions, cands)
@@ -246,11 +186,10 @@ func selectCases(t *testing.T, r *relation.Relation) map[string]selectCase {
 // every selectCases selection on the left relation of every pruneInputs row
 // prints the same bytes as the unfiltered reference (forced dense and
 // NoPrune: no envelope compared, every survivor decided by the cache and
-// the eliminator) under forced dense, forced vector and auto — auto also
-// with each decider forced to decline — sequentially and under the worker
-// pool. Under auto with nothing
-// declined it also checks that one decider took each survivor of the value
-// pass and the envelopes: the envelopes on the canonical box rows,
+// the eliminator) under every plan mode, with the irredundant memo kept and
+// forced clear, sequentially and under the worker pool. Under auto with the
+// memo kept it also checks that one decider took each survivor of the
+// value pass and the envelopes: the envelopes on the canonical box rows,
 // clipping on the polygon rows.
 func TestSelectEquivalence(t *testing.T) {
 	for wName, pair := range pruneInputs(t) {
@@ -275,23 +214,15 @@ func TestSelectEquivalence(t *testing.T) {
 					return dumpNormalised(got), sumStats(ec)
 				}
 				want, _ := run(exec.PlanDense, true)
-				if got, _ := run(exec.PlanDense, false); got != want {
-					t.Errorf("%s %s par%d: plan=dense output diverges from the unfiltered reference\nreference:\n%s\ndense:\n%s",
-						wName, cName, par, want, got)
-				}
-				if got, _ := run(exec.PlanVector, false); got != want {
-					t.Errorf("%s %s par%d: plan=vector output diverges from the unfiltered reference\nreference:\n%s\nvector:\n%s",
-						wName, cName, par, want, got)
-				}
-				for _, decl := range declineSettings {
+				for _, mode := range planModes {
 					for _, irrClear := range irrSettings {
-						withDecline(decl, irrClear, func() {
-							got, s := run(exec.PlanAuto, false)
+						withIrrClear(irrClear, func() {
+							got, s := run(mode, false)
 							if got != want {
-								t.Errorf("%s %s par%d decline%+v irrClear=%v: auto output diverges from the unfiltered reference\nreference:\n%s\nauto:\n%s",
-									wName, cName, par, decl, irrClear, want, got)
+								t.Errorf("%s %s par%d irrClear=%v: plan=%s output diverges from the unfiltered reference\nreference:\n%s\n%s:\n%s",
+									wName, cName, par, irrClear, mode, want, mode, got)
 							}
-							if decl != (deciders{}) || irrClear || !c.oneDecider {
+							if mode != exec.PlanAuto || irrClear || !c.oneDecider {
 								return
 							}
 							switch {
@@ -366,7 +297,7 @@ func permutations(n int) [][]int {
 
 // TestEstimatorBounds pins the estimator's property the EXPLAIN ANALYZE
 // columns rely on: est_pairs is a true upper bound on the pairs that
-// survive the filter stage (act_pairs), whichever strategy ran, and a
+// survive the filter stage (act_pairs), under every plan mode, and a
 // non-empty join output implies a non-zero estimate (every join output
 // tuple descends from a surviving pair).
 func TestEstimatorBounds(t *testing.T) {
@@ -375,10 +306,9 @@ func TestEstimatorBounds(t *testing.T) {
 		"intersect":  IntersectCtx,
 		"difference": DifferenceCtx,
 	}
-	modes := []string{exec.PlanAuto, exec.PlanDense, exec.PlanSweep, exec.PlanVector}
 	for wName, pair := range pruneInputs(t) {
 		for opName, op := range ops {
-			for _, mode := range modes {
+			for _, mode := range planModes {
 				ec := &exec.Context{Parallelism: 2, SeqThreshold: 1, PlanMode: mode}
 				out, err := op(ec, pair[0], pair[1])
 				if err != nil {
@@ -411,10 +341,10 @@ func TestEstimatorBounds(t *testing.T) {
 }
 
 // TestExplainPlanGolden pins the EXPLAIN ANALYZE surface of the planner:
-// the rendered span trees for two planned joins show the chosen strategy
-// and the est_pairs/act_pairs columns, byte-for-byte — one over the
-// clustered fixture, which the enumeration rule runs dense, and one over
-// 128 sparse boxes a side, which it sweeps. The render excludes wall
+// the rendered span trees for two planned joins show the strategy and the
+// est_pairs/act_pairs columns, byte-for-byte — one over the clustered
+// fixture, and one over 128 sparse boxes a side, where the frame keeps 18
+// of the 12 242 bucket-matched pairs. The render excludes wall
 // times, the fixtures are seeded and the context pins one worker (a
 // fan-out span would depend on the host's core count), so the output is
 // deterministic. Regenerate with: go test ./internal/cqa -run TestExplainPlanGolden -update

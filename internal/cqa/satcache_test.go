@@ -124,7 +124,7 @@ func TestSatCacheOutputIdentical(t *testing.T) {
 		want := saved(t, ref)
 		for size, newCache := range caches {
 			for _, par := range []int{1, 4} {
-				for _, mode := range []string{exec.PlanAuto, exec.PlanDense, exec.PlanSweep, exec.PlanVector} {
+				for _, mode := range []string{exec.PlanAuto, exec.PlanDense, exec.PlanVector} {
 					ec := &exec.Context{Parallelism: par, SeqThreshold: 1, PlanMode: mode, SatCache: newCache()}
 					for run := 0; run < 2; run++ {
 						got, err := op(ec)
@@ -155,10 +155,10 @@ func TestSatCacheWarmReuse(t *testing.T) {
 	cache := constraint.NewSatCache(1 << 14)
 	var want string
 	for round := 0; round < 2; round++ {
-		// Force a non-vector plan: this test exercises the sat cache, and
+		// Force the dense plan: this test exercises the sat cache, and
 		// the vector fast path would decide these spatial pairs without
 		// ever consulting the oracle.
-		ec := &exec.Context{Parallelism: 4, SeqThreshold: 1, SatCache: cache, PlanMode: exec.PlanSweep}
+		ec := &exec.Context{Parallelism: 4, SeqThreshold: 1, SatCache: cache, PlanMode: exec.PlanDense}
 		out, err := cqa.JoinCtx(ec, r1, r2b)
 		if err != nil {
 			t.Fatal(err)

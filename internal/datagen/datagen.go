@@ -270,11 +270,11 @@ func SkewedBoxRelation(p Params, n, idBuckets int) *relation.Relation {
 // ClusteredBoxRelation is the BoxRelation variant with spatially
 // clustered constraint parts and an all-NULL relational part: boxes
 // gather around `clusters` shared centers (Gaussian spread around each),
-// so envelope pruning and the interval sweep — not relational
-// partitioning — separate the tuples. centerSeed draws the cluster
-// centers independently of p.Seed, so two relations built with different
-// p.Seed but the same centerSeed share cluster geography (their clusters
-// overlap; everything else is disjoint). Deterministic in both seeds.
+// so envelope pruning — not relational partitioning — separates the
+// tuples. centerSeed draws the cluster centers independently of p.Seed,
+// so two relations built with different p.Seed but the same centerSeed
+// share cluster geography (their clusters overlap; everything else is
+// disjoint). Deterministic in both seeds.
 func ClusteredBoxRelation(p Params, n, clusters int, spread float64, centerSeed int64) *relation.Relation {
 	if clusters < 1 {
 		clusters = 1

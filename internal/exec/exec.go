@@ -79,18 +79,15 @@ type Context struct {
 	// output.
 	NoPrune bool
 
-	// PlanMode pins how the binary CQA operators pair and decide. Empty or
-	// PlanAuto — the zero value, correct for every caller — lets the
-	// filter stage's cost model choose the enumeration per operator and
-	// the refine stage pick, per candidate pair, the cheapest decider that
-	// is exact on it; the explicit modes (PlanDense, PlanSweep,
-	// PlanVector) are forcing switches, which is how the
-	// strategy-equivalence tests, the oracle and BenchmarkPairingModes run
-	// each decider in isolation. Like NoPrune it is not a user-facing knob:
-	// no flag or session option sets it. Outputs are byte-identical across
-	// all modes: the surviving candidate set is the same whichever
-	// enumeration found it, it is re-sorted to the dense order before the
-	// refine stage runs, and every decider emits the same canonical tuple.
+	// PlanMode pins which per-pair deciders the CQA operators run. Empty
+	// or PlanAuto — the zero value, correct for every caller — lets the
+	// refine stage pick, per candidate pair, the cheapest decider that is
+	// exact on it; the explicit modes (PlanDense, PlanVector) are forcing
+	// switches, which is how the strategy-equivalence tests, the oracle
+	// and BenchmarkPairingModes run each decider in isolation. Like
+	// NoPrune it is not a user-facing knob: no flag or session option sets
+	// it. Outputs are byte-identical across all modes: every decider emits
+	// the same canonical tuple.
 	PlanMode string
 
 	// Ctx, when non-nil, bounds every fan-out run under this context:
@@ -161,28 +158,30 @@ func (c *Context) ParallelFor(n int) bool {
 // so it needs no opt-in.
 func (c *Context) PruneEnabled() bool { return c == nil || !c.NoPrune }
 
-// Plan modes of the binary CQA operators: the values of Context.PlanMode.
-// PlanDense and PlanSweep pin the enumeration and leave every pair
-// decision to the sat-cache / Fourier–Motzkin — the reference the other
-// deciders are compared against; they are also the two values of the
-// per-operator Strategy stats column / strategy= EXPLAIN label, which
-// names the enumeration that ran. PlanVector leaves the enumeration to the
-// cost model and disables the envelope decider, so that every pair with
-// polygon forms — boxes included — is decided by exact clipping
-// (internal/vector). PlanAuto runs the whole decider list
-// (internal/cqa/pairing.go).
+// Plan modes of the CQA operators: the values of Context.PlanMode, each a
+// set of per-pair deciders (internal/cqa/pairing.go). PlanDense runs
+// neither fast decider and leaves every pair decision to the sat-cache /
+// Fourier–Motzkin — the reference the other deciders are compared
+// against; it is also the value of the per-operator Strategy stats column
+// / strategy= EXPLAIN label, which names the one enumeration the filter
+// stage has. PlanVector disables the envelope decider, so that every pair
+// with polygon forms — boxes included — is decided by exact clipping
+// (internal/vector). PlanAuto runs the whole decider list.
 const (
 	PlanAuto   = "auto"
 	PlanDense  = "dense"
-	PlanSweep  = "sweep"
 	PlanVector = "vector"
 )
 
-// PlanIndex is the retired stats label of the R*-tree probe enumeration
-// (removed: it won no measured workload). Nothing emits or accepts it;
-// the name stays only because the frozen repository benchmark still
-// reports an always-zero share for it.
-const PlanIndex = "index"
+// PlanIndex and PlanSweep are the retired stats labels of the R*-tree
+// probe and the interval-sweep enumerations (removed: neither won a
+// measured workload). Nothing sets, emits or accepts them; the names stay
+// only because the frozen repository benchmark still reports an
+// always-zero share for each.
+const (
+	PlanIndex = "index"
+	PlanSweep = "sweep"
+)
 
 // Plan returns the effective planning mode: PlanAuto on the nil Context
 // or when PlanMode is unset.

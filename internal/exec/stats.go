@@ -185,18 +185,16 @@ func (r *OpRecorder) Pruned() {
 	atomic.AddInt64(&r.s.PrunedUnsat, 1)
 }
 
-// Pairing records the filter stage's decision for a binary operator: the
-// enumeration that ran (sweep if some bucket swept, else dense — auto
-// already resolved) and the bucket-matched pair count, an upper bound on
-// the surviving pairs. Call it once,
+// Pairing records the filter stage's bound for a binary operator: the
+// bucket-matched pair count, an upper bound on the surviving pairs, and the
+// one enumeration there is, PlanDense, as its strategy. Call it once,
 // before the refine fan-out starts — unlike the counters it is not
-// synchronised, mirroring how the strategy decision itself happens on
-// the plan-tree goroutine.
-func (r *OpRecorder) Pairing(strategy string, estPairs int64) {
+// synchronised: the filter stage runs on the plan-tree goroutine.
+func (r *OpRecorder) Pairing(estPairs int64) {
 	if r == nil {
 		return
 	}
-	r.s.Strategy = strategy
+	r.s.Strategy = PlanDense
 	r.s.EstPairs = estPairs
 }
 

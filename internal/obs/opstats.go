@@ -25,7 +25,7 @@ type OpStats struct {
 	CacheMisses  int64         // sat decisions that ran the raw eliminator (cache enabled)
 	FMDecisions  int64         // sat decisions this operator routed to the raw Fourier-Motzkin eliminator: every cache miss, or every sat-check without a cache
 	EstPairs     int64         // binary operators: the bucket-matched pairs (shared relational attributes match) the filter's frame check reads; exact, an upper bound on ActPairs
-	Strategy     string        // binary operators: how candidate pairs were enumerated (sweep if some bucket swept, else dense); empty for unary operators
+	Strategy     string        // binary operators: how candidate pairs were enumerated (always dense); empty for unary operators
 	EnvHits      int64         // pair decisions answered on the envelopes: both sides non-empty boxes, merged by interval intersection (no clip, no FM, no Merge+Canon)
 	VectorHits   int64         // sat decisions answered by the vector fast path (exact polygon clipping, no FM)
 	VectorFalls  int64         // vector-path fallbacks: decisions on polygon forms the clipper could not take (mixed variable pairs, extra variable, strict-degenerate) and handed to FM

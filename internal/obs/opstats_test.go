@@ -50,7 +50,7 @@ func TestOpStatsJSON(t *testing.T) {
 	}
 	// Every field set: counters in table order, then the planner's fields,
 	// and the encoding round-trips.
-	s := OpStats{Op: "join", Strategy: "sweep", EstPairs: 99, Wall: 2 * time.Millisecond, Parallel: true}
+	s := OpStats{Op: "join", Strategy: "dense", EstPairs: 99, Wall: 2 * time.Millisecond, Parallel: true}
 	for i, c := range OpCounters {
 		*c.Field(&s) = int64(100 - i)
 	}
@@ -60,7 +60,7 @@ func TestOpStatsJSON(t *testing.T) {
 	}
 	want := `{"op":"join","in":100,"out":99,"sat":98,"pruned":97,"pairs":96,"pairs_pruned":95,` +
 		`"cache_hits":94,"cache_misses":93,"fm":92,"env":91,"vec":90,"vec_fallback":89,"float_rej":88,` +
-		`"strategy":"sweep","est_pairs":99,"act_pairs":1,"wall_ms":2,"parallel":true}`
+		`"strategy":"dense","est_pairs":99,"act_pairs":1,"wall_ms":2,"parallel":true}`
 	if string(b) != want {
 		t.Errorf("binary record =\n%s\nwant\n%s", b, want)
 	}

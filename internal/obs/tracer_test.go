@@ -288,7 +288,7 @@ func TestSpanLabels(t *testing.T) {
 	d := tr2.StartSpan("difference", "")
 	d.SetLabel("strategy", "dense")
 	rec2 := d.StartChild("difference", "")
-	rec2.SetLabel("strategy", "sweep")
+	rec2.SetLabel("strategy", "child")
 	rec2.End()
 	d.End()
 	if out := FormatTree(tr2.Roots(), TreeOptions{}); !strings.Contains(out, "strategy=dense") {

@@ -74,14 +74,17 @@ fi
 # threshold and buckets, the second difference staircase (one staircase:
 # constraint.SubtractAllScoped), and the per-session sat-caches with the
 # server code that summed them (one cache per server; a query's hit rate is
-# read from its own operator rows). Nothing outside the history files and
-# the frozen benchmark/ may name them again.
+# read from its own operator rows), and the interval-sweep enumeration with
+# its size rule and the test hook that made a decider decline (one
+# enumeration: the bucket-matched dense loop; the plan modes are the decider
+# sets). Nothing outside the history files and the frozen benchmark/ may
+# name them again.
 echo '>> no second bench harness'
 if ls BENCH_*.json >/dev/null 2>&1; then
     echo 'a BENCH_*.json sits at the root; measurements belong to benchmark/'
     exit 1
 fi
-if git grep -nE 'BENCH_[a-z]+\.json|bench[d]iff|bench-(all|canon|prune|plan|vector|snapshot)|-expt (cqa|canon|prune|plan|vector|snapshot)|Valid[P]lanMode|cdb_planner_[q]error|QError[B]uckets|DefaultQError[T]hreshold|SubtractAll[W]ith|Complement[I]nto|sat[T]otals|foldRetired[L]ocked|HitRate[S]ince|sat_cache_[e]ntries|cache[S]tats' \
+if git grep -nE 'BENCH_[a-z]+\.json|bench[d]iff|bench-(all|canon|prune|plan|vector|snapshot)|-expt (cqa|canon|prune|plan|vector|snapshot)|Valid[P]lanMode|cdb_planner_[q]error|QError[B]uckets|DefaultQError[T]hreshold|SubtractAll[W]ith|Complement[I]nto|sat[T]otals|foldRetired[L]ocked|HitRate[S]ince|sat_cache_[e]ntries|cache[S]tats|sweep[B]ucket|sweep[C]\b|sweep[P]airs|sweep[I]tems|sweep[C]olumn|force[D]ecline|strategy=[s]weep' \
     -- . ':!CHANGES.md' ':!ROADMAP.md' ':!ISSUE.md' ':!benchmark'; then
     echo 'a retired measurement file, tool, target, experiment or name is named (see above)'
     exit 1
@@ -110,13 +113,13 @@ go test -race -count=2 ./internal/constraint ./internal/exec ./internal/cqa ./in
 
 # The render-once, cold-decision, FM history-bound ablation, normalisation,
 # vector-difference, pairing-mode,
-# enumeration-rule, pair-lookup, warm and cold Query 3 (and the same request as a rule, and through the
+# filter-stage, pair-lookup, warm and cold Query 3 (and the same request as a rule, and through the
 # server handler), warm box-join and its one box pair merge,
 # box-join reply, warm select and snapshot benchmarks must keep compiling and running (their allocation
 # and decision ceilings are plain tests, already run above; PairingModes also
 # fails here when auto eliminates or clips more than a forced mode, or
 # anything at all on boxes).
-echo '>> result-tail, cold-decision, FM ablation, vector-difference, pairing-mode, enumeration-rule, pair-lookup, box-join, box-merge, reply, select and snapshot benchmarks, one iteration'
+echo '>> result-tail, cold-decision, FM ablation, vector-difference, pairing-mode, filter-stage, pair-lookup, box-join, box-merge, reply, select and snapshot benchmarks, one iteration'
 go test -run '^$' -bench 'Sorted|CanonMerge|RatString|ColdDecision|AblationFMHistoryBound|NormalizePolygonMinus|NormalizeBoxJoin|DifferencePolygonMinus|ClipRing|PairingModes|PairCandidates|HurricaneQuery3Warm|HurricaneQuery3Cold|HurricaneServer|HurricaneRuleWarm|BoxJoinWarm|BoxMerge|QueryReply|SelectWarm|JoinPairLookup|SnapshotMaterialize|SnapshotRecommit' -benchtime 1x ./...
 # The pair-lookup miss leg asserts that no decision hits its cache, which
 # only a run of more than one iteration can break.
