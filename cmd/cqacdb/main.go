@@ -78,8 +78,8 @@ import (
 	"cdb/internal/query"
 	"cdb/internal/relation"
 	"cdb/internal/render"
-	"cdb/internal/schema"
 	"cdb/internal/snapshot"
+	"cdb/internal/spatial"
 )
 
 func main() {
@@ -328,7 +328,7 @@ func repl(d *db.Database, maxRows int, s *session, in io.Reader, out io.Writer) 
 				fmt.Fprintf(out, "no relation %q\n", args[0])
 				continue
 			}
-			fid, x, y, derr := deduceSpatialShell(r)
+			fid, x, y, derr := spatial.Attrs(r.Schema())
 			if derr != nil {
 				fmt.Fprintln(out, derr)
 				continue
@@ -392,22 +392,4 @@ func fprintRelation(w io.Writer, r *relation.Relation, maxRows int) {
 		fmt.Fprintf(w, "  %s\n", row)
 	}
 	fmt.Fprintf(w, "(%d tuples)\n", len(rows))
-}
-
-// deduceSpatialShell finds the (fid, x, y) triple of a spatial relation
-// for the \svg command.
-func deduceSpatialShell(r *relation.Relation) (fid, x, y string, err error) {
-	var fids, cons []string
-	for _, a := range r.Schema().Attrs() {
-		switch {
-		case a.Kind == schema.Relational && a.Type == schema.String:
-			fids = append(fids, a.Name)
-		case a.Kind == schema.Constraint:
-			cons = append(cons, a.Name)
-		}
-	}
-	if len(fids) != 1 || len(cons) != 2 {
-		return "", "", "", fmt.Errorf("not a spatial relation (need 1 string id + 2 constraint attrs): %s", r.Schema())
-	}
-	return fids[0], cons[0], cons[1], nil
 }

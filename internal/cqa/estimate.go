@@ -1,10 +1,7 @@
 package cqa
 
 import (
-	"cmp"
-	"math"
 	"slices"
-	"sort"
 
 	"cdb/internal/constraint"
 	"cdb/internal/relation"
@@ -23,12 +20,6 @@ import (
 // with no tuple visited. Its one count, relPairs, is the bucket-matched
 // pair count: exact, and an upper bound on the candidates the frame keeps
 // — the est_pairs ≥ act_pairs invariant EXPLAIN ANALYZE exposes.
-//
-// The exact per-column overlap counts below are for the plan-time
-// estimatePairs alone: the join-chain reordering (optimize_cost.go) ranks
-// base-relation joins by them, once per plan. An operator call does not
-// pay for them — sorting each side once per column costs about as much as
-// the nested loop whose candidates they would count.
 
 // input is one relation as an input of the filter stage over a pair of
 // shared attribute lists: what inputOf memoises on it.
@@ -116,6 +107,14 @@ func canonTuples(ts []relation.Tuple) []relation.Tuple {
 // refines — what the join-chain reordering ranks by: the bucket-matched
 // pairs, capped by each frame column's overlap count (a pair the frame
 // keeps overlaps in every column).
+//
+// Each column's count is a nested loop over the frame (overlapCount):
+// O(n·m) key comparisons, paid once per plan and only on a chain of three
+// or more base relations. With both inputs memoised (go test -bench, 2-core
+// x86-64, three alternating runs), Query 3's track pair (192 × 8, three
+// columns) costs 49–112 µs where a sort-and-search counter cost 71–74 µs;
+// the sparse 512 × 512 box pair of the enumeration benchmarks (two columns,
+// nearly every pair separated) costs 7.7–9.6 ms where it cost 0.8–1.2 ms.
 func estimatePairs(r1, r2 *relation.Relation) int64 {
 	sharedRel, sharedCon := sharedAttrs(r1.Schema(), r2.Schema())
 	s := analyzePairing(r1, r2, sharedRel, sharedCon)
@@ -126,96 +125,22 @@ func estimatePairs(r1, r2 *relation.Relation) int64 {
 	return est
 }
 
-// The overlap count is exact (not a histogram approximation) and still
-// cheap: a pair (x, y) of non-empty intervals fails to intersect iff x ends
-// strictly before y starts or vice versa, and the two separation
-// conditions are mutually exclusive, so
-//
-//	overlaps = |A|·|B| − before(A, B) − before(B, A)
-//
-// where before(A, B) counts pairs with x.Upper open-aware-strictly below
-// y.Lower. Each before() term sorts one side's lower endpoints once and
-// binary-searches per interval on the other side: O((n+m)·log(n+m)) key
-// comparisons, versus O(n·m) for the join it ranks.
-
-// endpointKey is one tuple's lower endpoint in a frame column, as before
-// sorts them: by the float key, and on a float tie, in the order of
-// Interval.Intersects' open-endpoint semantics — an open lower bound at a
-// behaves as a+ε, after a closed one at a — read off the keys' bits when
-// both are exact, and off the exact intervals (frame.interval) when either
-// is not. Under that order "x's upper endpoint separates from y's lower"
-// (frame.endsBefore) holds for a suffix of the sorted keys.
-type endpointKey struct {
-	lo   float64
-	bits constraint.KeyBits
-	i    int // the tuple
-}
-
 // overlapCount returns the exact number of pairs (i, j) whose column-c
 // intervals intersect (Interval.Intersects semantics: an unbounded entry
-// meets every non-empty one, an empty one meets nothing). Because the
-// frame check rejects exactly the pairs some column separates or some
-// empty interval excludes, this is an upper bound on the pairs surviving
-// it.
+// meets every non-empty one, an empty one meets nothing): both non-empty
+// and not separated. Because the frame check rejects exactly the pairs some
+// column separates or some empty interval excludes, this is an upper bound
+// on the pairs surviving it.
 func (f *frame) overlapCount(c int) int64 {
-	nonEmpty := func(k constraint.Keys) bool { return k.Bits&constraint.Empty == 0 }
-	total := f.l.count(c, nonEmpty) * f.r.count(c, nonEmpty)
-	if total == 0 {
-		return 0
-	}
-	return total - f.before(&f.l, &f.r, c) - f.before(&f.r, &f.l, c)
-}
-
-// before counts pairs (x of xs, y of ys) of non-empty column-c intervals
-// where x's upper endpoint lies open-aware-strictly below y's lower
-// endpoint — the pair separates with x entirely to the left. Intervals
-// without the relevant bound can never separate on this side and drop out
-// of the count. The keys are sorted in f.keys, one buffer for every column
-// and both directions.
-func (f *frame) before(xs, ys *side, c int) int64 {
-	if f.keys == nil {
-		f.keys = make([]endpointKey, 0, max(len(f.l.empty), len(f.r.empty)))
-	}
-	keys := f.keys[:0]
-	for j := range ys.empty {
-		if y := ys.at(j, c); hasLo(y) && y.Bits&constraint.Empty == 0 {
-			keys = append(keys, endpointKey{lo: y.Lo, bits: y.Bits, i: j})
-		}
-	}
-	slices.SortFunc(keys, func(a, b endpointKey) int {
-		if o := cmp.Compare(a.lo, b.lo); o != 0 {
-			return o
-		}
-		if a.bits&b.bits&constraint.LoExact == 0 {
-			if o := f.interval(ys, a.i, c).Lower.Cmp(f.interval(ys, b.i, c).Lower); o != 0 {
-				return o
-			}
-		}
-		return int(a.bits&constraint.LoOpen) - int(b.bits&constraint.LoOpen)
-	})
 	var n int64
-	for i := range xs.empty {
-		if x := xs.at(i, c); !hasHi(x) || x.Bits&constraint.Empty != 0 {
+	for i := range f.l.empty {
+		if f.l.at(i, c).Bits&constraint.Empty != 0 {
 			continue
 		}
-		// Count the ys x ends before: a suffix of the sorted keys.
-		idx := sort.Search(len(keys), func(k int) bool { return f.endsBefore(xs, ys, i, keys[k].i, c) })
-		n += int64(len(keys) - idx)
-	}
-	return n
-}
-
-// hasLo and hasHi report whether k has a lower and an upper endpoint: an
-// infinite key stands for none only when it is exact.
-func hasLo(k constraint.Keys) bool { return !math.IsInf(k.Lo, -1) || k.Bits&constraint.LoExact == 0 }
-func hasHi(k constraint.Keys) bool { return !math.IsInf(k.Hi, 1) || k.Bits&constraint.HiExact == 0 }
-
-// count counts the tuples whose column-c keys satisfy pred.
-func (s *side) count(c int, pred func(constraint.Keys) bool) int64 {
-	var n int64
-	for i := range s.empty {
-		if pred(s.at(i, c)) {
-			n++
+		for j := range f.r.empty {
+			if f.r.at(j, c).Bits&constraint.Empty == 0 && !f.separated(i, j, c) {
+				n++
+			}
 		}
 	}
 	return n

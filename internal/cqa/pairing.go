@@ -169,9 +169,10 @@ func (p pairPlan) row(i, m int) []int {
 // frame is one binary operator's k shared constraint attributes as columns
 // 0…k−1, in lexicographic order, and the two inputs' envelopes projected
 // onto them, as float keys (constraint.Keys): each input's side, memoised
-// with it. Every envelope question asked afterwards — the pair check and
-// the plan-time overlap counts (estimatePairs) — compares keys in a column
-// instead of probing an envelope by attribute name or comparing rationals.
+// with it. Every envelope question asked afterwards — the pair check
+// (disjoint) and the plan-time overlap counts (estimatePairs), both one
+// column at a time through separated — compares keys in a column instead of
+// probing an envelope by attribute name or comparing rationals.
 // The comparison is exact: keys in strict float order are endpoints in that
 // order (each key is its endpoint correctly rounded, and rounding is
 // monotone), and a float tie is decided by the keys' open bits when both
@@ -181,7 +182,6 @@ type frame struct {
 	cols   []string         // column c is attribute cols[c]
 	l, r   side             // the left (t1s) and right (t2s) sides
 	lt, rt []relation.Tuple // the tuples l and r were projected from, for the exact tie-break
-	keys   []endpointKey    // before's scratch, reused across the columns
 }
 
 // side is one input projected onto a frame. It holds no pointer the
@@ -222,7 +222,8 @@ func (s *side) at(i, c int) constraint.Keys { return s.keys[i*s.k+c] }
 // disjoint is constraint.Envelope.Disjoint over the frame's columns: the
 // pair (t1s[i], t2s[j]) cannot merge satisfiably when either side has an
 // empty interval in some column, or some column's intervals are separated.
-// A float tie goes to endsBefore, which breaks it exactly.
+// Keys in strict float order decide inline; only a float tie pays for the
+// call to separated, which breaks it exactly.
 func (f *frame) disjoint(i, j int) bool {
 	if f.l.empty[i] || f.r.empty[j] {
 		return true
@@ -230,15 +231,22 @@ func (f *frame) disjoint(i, j int) bool {
 	k := f.l.k
 	x, y := f.l.keys[i*k:i*k+k], f.r.keys[j*k:j*k+k]
 	for c := range x {
-		switch {
-		case x[c].Hi < y[c].Lo || y[c].Hi < x[c].Lo:
-			return true
-		case x[c].Hi == y[c].Lo && f.endsBefore(&f.l, &f.r, i, j, c),
-			y[c].Hi == x[c].Lo && f.endsBefore(&f.r, &f.l, j, i, c):
+		if x[c].Hi < y[c].Lo || y[c].Hi < x[c].Lo ||
+			(x[c].Hi == y[c].Lo || y[c].Hi == x[c].Lo) && f.separated(i, j, c) {
 			return true
 		}
 	}
 	return false
+}
+
+// separated reports whether left tuple i's and right tuple j's column-c
+// intervals, both non-empty, are separated: one ends before the other
+// starts. A float tie goes to endsBefore, which breaks it exactly.
+func (f *frame) separated(i, j, c int) bool {
+	x, y := f.l.at(i, c), f.r.at(j, c)
+	return x.Hi < y.Lo || y.Hi < x.Lo ||
+		x.Hi == y.Lo && f.endsBefore(&f.l, &f.r, i, j, c) ||
+		y.Hi == x.Lo && f.endsBefore(&f.r, &f.l, j, i, c)
 }
 
 // endsBefore reports whether tuple i of side x lies entirely below tuple j

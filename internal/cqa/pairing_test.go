@@ -416,8 +416,8 @@ func TestFrameDisjointMatchesEnvelope(t *testing.T) {
 	}
 }
 
-// TestFrameOverlapCountMatchesBruteForce checks the sort-and-search
-// counter against the O(n·m) definition (Interval.Intersects semantics,
+// TestFrameOverlapCountMatchesBruteForce checks the frame's per-column
+// overlap counter against the O(n·m) definition (Interval.Intersects semantics,
 // missing interval = unbounded) on many random tuple sets, in each
 // column of a two-column frame, over small integers and over
 // adversarialEndpoints.

@@ -175,25 +175,6 @@ func toPlan2(e *Expr, env cqa.Env) (cqa.Node, cqa.Node, error) {
 	return l, r, nil
 }
 
-// deduceSpatial identifies the (feature-id, x, y) attribute triple of a
-// spatial constraint relation: exactly one relational string attribute and
-// exactly two constraint attributes.
-func deduceSpatial(s schema.Schema) (fid, x, y string, err error) {
-	var fids, cons []string
-	for _, a := range s.Attrs() {
-		switch {
-		case a.Kind == schema.Relational && a.Type == schema.String:
-			fids = append(fids, a.Name)
-		case a.Kind == schema.Constraint:
-			cons = append(cons, a.Name)
-		}
-	}
-	if len(fids) != 1 || len(cons) != 2 {
-		return "", "", "", fmt.Errorf("not a spatial relation (need 1 string id + 2 constraint attrs): %s", s)
-	}
-	return fids[0], cons[0], cons[1], nil
-}
-
 func evalBufferJoin(e *Expr, env cqa.Env, optimize bool, ec *exec.Context) (*relation.Relation, error) {
 	l, err := evalExpr(e.Src, env, optimize, ec)
 	if err != nil {
@@ -203,11 +184,11 @@ func evalBufferJoin(e *Expr, env cqa.Env, optimize bool, ec *exec.Context) (*rel
 	if err != nil {
 		return nil, err
 	}
-	fid1, x1, y1, err := deduceSpatial(l.Schema())
+	fid1, x1, y1, err := spatial.Attrs(l.Schema())
 	if err != nil {
 		return nil, fmt.Errorf("buffer-join left input: %w", err)
 	}
-	fid2, x2, y2, err := deduceSpatial(r.Schema())
+	fid2, x2, y2, err := spatial.Attrs(r.Schema())
 	if err != nil {
 		return nil, fmt.Errorf("buffer-join right input: %w", err)
 	}
@@ -229,7 +210,7 @@ func evalKNearest(e *Expr, env cqa.Env, optimize bool, ec *exec.Context) (*relat
 	if err != nil {
 		return nil, err
 	}
-	fid, x, y, err := deduceSpatial(in.Schema())
+	fid, x, y, err := spatial.Attrs(in.Schema())
 	if err != nil {
 		return nil, fmt.Errorf("k-nearest input: %w", err)
 	}

@@ -182,11 +182,9 @@ type Server struct {
 	drained   chan struct{} // closed when draining && inflightN == 0
 	drainOnce sync.Once
 
-	// Session registry. snapDBs memoizes materialized snapshot databases
-	// so sessions bound to the same snapshot share one in-memory copy.
+	// Session registry.
 	smu      sync.Mutex
 	sessions map[string]*session
-	snapDBs  map[string]*db.Database
 	seq      atomic.Int64
 
 	// snaps is the optional copy-on-write snapshot store (Config.Snapshots).
@@ -218,11 +216,6 @@ type Server struct {
 	// deadline.
 	hookQueryStart func(context.Context)
 
-	// hookMaterialized, when set (tests only), runs after snapshotDB has
-	// materialised a snapshot and before it takes smu again — the window
-	// in which a release of that snapshot can overtake it.
-	hookMaterialized func()
-
 	start time.Time
 }
 
@@ -245,7 +238,6 @@ func New(dbs map[string]*db.Database, cfg Config) *Server {
 		reg:      obs.NewRegistry(),
 		drained:  make(chan struct{}),
 		sessions: map[string]*session{},
-		snapDBs:  map[string]*db.Database{},
 		snaps:    cfg.Snapshots,
 		done:     make(chan struct{}),
 		start:    time.Now(),
@@ -579,7 +571,9 @@ func (s *Server) handleSessionCreate(w http.ResponseWriter, r *http.Request) {
 	switch {
 	case opts.Snapshot != "":
 		// Bind the session to a materialized snapshot instead of a
-		// registry database.
+		// registry database. Sessions bound to one snapshot share its
+		// tuples and filter memos through the store's stored forms
+		// (snapshot.Store.Materialize).
 		if opts.DB != "" {
 			writeError(w, http.StatusBadRequest, "db and snapshot are mutually exclusive")
 			return
@@ -596,7 +590,7 @@ func (s *Server) handleSessionCreate(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 		var err error
-		base, err = s.snapshotDB(meta.ID)
+		base, err = s.snaps.Materialize(meta.ID)
 		if err != nil {
 			writeError(w, http.StatusInternalServerError, err.Error())
 			return

@@ -174,49 +174,8 @@ func (s *Server) handleSnapshotRelease(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusInternalServerError, err.Error())
 		return
 	}
-	// Drop the materialized cache entry; sessions already bound keep
-	// their in-memory database (a session outliving its snapshot is
-	// fine — the pages it read are its own copy).
-	s.smu.Lock()
-	delete(s.snapDBs, id)
-	s.smu.Unlock()
 	s.log.Info("snapshot released", "snapshot", id)
 	writeJSON(w, http.StatusOK, map[string]any{"released": id})
-}
-
-// snapshotDB materializes a snapshot into a database, memoized per id:
-// every session bound to the same snapshot shares one in-memory copy,
-// the same way registry sessions share their base. Only a live snapshot's
-// copy is kept: when a release overtook the materialisation, its delete has
-// or will have found nothing, no later one can come (the id answers 404),
-// and an entry stored now would stay until restart — the caller's session
-// keeps the copy to itself instead.
-func (s *Server) snapshotDB(id string) (*db.Database, error) {
-	s.smu.Lock()
-	if d, ok := s.snapDBs[id]; ok {
-		s.smu.Unlock()
-		return d, nil
-	}
-	s.smu.Unlock()
-	// Materialize outside smu: page reads and decoding can be slow.
-	d, err := s.snaps.Materialize(id)
-	if err != nil {
-		return nil, err
-	}
-	if s.hookMaterialized != nil {
-		s.hookMaterialized()
-	}
-	s.smu.Lock()
-	defer s.smu.Unlock()
-	if cached, ok := s.snapDBs[id]; ok {
-		return cached, nil
-	}
-	// Asked under smu, which the release takes after the store has let the
-	// snapshot go: a yes here means its delete is still to come.
-	if _, live := s.snaps.Get(id); live {
-		s.snapDBs[id] = d
-	}
-	return d, nil
 }
 
 // snapshotNames lists live snapshot ids for error messages.

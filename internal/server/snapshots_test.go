@@ -4,11 +4,14 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
 	"os"
 	"path/filepath"
 	"reflect"
 	"regexp"
+	"strings"
+	"sync"
 	"testing"
 
 	"cdb/internal/db"
@@ -165,7 +168,9 @@ func TestSnapshotLifecycleOverHTTP(t *testing.T) {
 		t.Fatalf("persisted result relation came back empty")
 	}
 
-	// Release the base; the fork keeps its pages.
+	// Release the base; the fork keeps its pages, and a session bound to
+	// the base keeps answering over the database it materialised.
+	baseSess := openSession(t, ts, fmt.Sprintf(`{"snapshot": %q, "par": 1}`, base.ID))
 	req, _ := http.NewRequest(http.MethodDelete, ts.URL+"/v1/snapshots/"+base.ID, nil)
 	res, err := http.DefaultClient.Do(req)
 	if err != nil {
@@ -177,6 +182,14 @@ func TestSnapshotLifecycleOverHTTP(t *testing.T) {
 	}
 	if _, err := st.Materialize(fork.ID); err != nil {
 		t.Fatalf("fork unreadable after parent release: %v", err)
+	}
+	status, resp, body = runQueryReq(t, ts, fmt.Sprintf(`{"session": %q, "query": "R0 = join Landownership and Land"}`, baseSess))
+	if status != http.StatusOK || len(resp.Tuples) == 0 {
+		t.Fatalf("a session bound to the released snapshot: %d %s", status, body)
+	}
+	// A new open on the released snapshot 404s.
+	if status, body, _ := postJSON(t, ts.URL+"/v1/sessions", fmt.Sprintf(`{"snapshot": %q}`, base.ID)); status != http.StatusNotFound {
+		t.Fatalf("an open on the released snapshot: %d %s", status, body)
 	}
 	// Releasing again 404s.
 	req, _ = http.NewRequest(http.MethodDelete, ts.URL+"/v1/snapshots/"+base.ID, nil)
@@ -348,11 +361,11 @@ func TestSnapshotSessionSharedAndDecodedAgree(t *testing.T) {
 	}
 }
 
-// TestReleaseOvertakesSessionOpen: a snapshot released while a session
-// open is materialising it leaves nothing behind — the database is not
-// kept for an id no DELETE can reach any more — the session that lost the
-// race works on its own copy, and the next open answers 404.
-func TestReleaseOvertakesSessionOpen(t *testing.T) {
+// TestSnapshotSessionsShareStoredForms: sessions bound to one snapshot
+// share the relations the store's stored forms hold. Several sessions open
+// at once and one more afterwards; all answer the golden program with the
+// same bytes, and the last open decodes nothing and shares every relation.
+func TestSnapshotSessionsShareStoredForms(t *testing.T) {
 	st, err := snapshot.Open(t.TempDir(), snapshot.Options{})
 	if err != nil {
 		t.Fatal(err)
@@ -364,46 +377,69 @@ func TestReleaseOvertakesSessionOpen(t *testing.T) {
 	if err := json.Unmarshal(body, &snap); err != nil {
 		t.Fatal(err)
 	}
-	materialized, released := make(chan struct{}), make(chan struct{})
-	s.hookMaterialized = func() {
-		close(materialized)
-		<-released
-	}
-	opened := make(chan string)
-	go func() {
-		status, body, _ := postJSON(t, ts.URL+"/v1/sessions", fmt.Sprintf(`{"snapshot": %q, "par": 1}`, snap.ID))
-		if status != http.StatusCreated {
-			t.Errorf("the open that lost the race: %d %s", status, body)
-		}
-		var info sessionInfo
-		json.Unmarshal(body, &info)
-		opened <- info.ID
-	}()
-	<-materialized
-	req, _ := http.NewRequest(http.MethodDelete, ts.URL+"/v1/snapshots/"+snap.ID, nil)
-	res, err := http.DefaultClient.Do(req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	res.Body.Close()
-	if res.StatusCode != http.StatusOK {
-		t.Fatalf("release: %d", res.StatusCode)
-	}
-	close(released)
-	sess := <-opened
-	s.hookMaterialized = nil
+	const program = `{"session": %q, "query": "R0 = join Landownership and Land\nR1 = select t >= 4, t <= 9 from R0\nR2 = project R1 on name"}`
+	open := fmt.Sprintf(`{"snapshot": %q, "par": 1}`, snap.ID)
 
-	s.smu.Lock()
-	kept := len(s.snapDBs)
-	s.smu.Unlock()
-	if kept != 0 {
-		t.Fatalf("%d materialised databases kept for a store with no snapshot", kept)
+	// Several opens at once, then each session's query at once.
+	const n = 4
+	ids, answers := make([]string, n), make([]string, n)
+	var wg sync.WaitGroup
+	for i := range n {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			res, err := http.Post(ts.URL+"/v1/sessions", "application/json", strings.NewReader(open))
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			defer res.Body.Close()
+			var info sessionInfo
+			if err := json.NewDecoder(res.Body).Decode(&info); err != nil || res.StatusCode != http.StatusCreated {
+				t.Errorf("concurrent open %d: %d %v", i, res.StatusCode, err)
+			}
+			ids[i] = info.ID
+		}()
 	}
-	status, resp, body := runQueryReq(t, ts, fmt.Sprintf(`{"session": %q, "query": "R0 = join Landownership and Land"}`, sess))
-	if status != http.StatusOK || len(resp.Tuples) == 0 {
-		t.Fatalf("the session that lost the race cannot query its copy: %d %s", status, body)
+	wg.Wait()
+	if t.Failed() {
+		t.FailNow()
 	}
-	if status, body, _ := postJSON(t, ts.URL+"/v1/sessions", fmt.Sprintf(`{"snapshot": %q}`, snap.ID)); status != http.StatusNotFound {
-		t.Fatalf("an open on the released snapshot: %d %s", status, body)
+	for i, id := range ids {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			res, err := http.Post(ts.URL+"/v1/query", "application/json", strings.NewReader(fmt.Sprintf(program, id)))
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			defer res.Body.Close()
+			b, err := io.ReadAll(res.Body)
+			if err != nil || res.StatusCode != http.StatusOK {
+				t.Errorf("session %d: %d %v %s", i, res.StatusCode, err, b)
+			}
+			answers[i] = normalize(b)
+		}()
+	}
+	wg.Wait()
+
+	// One more open, after the others: every relation shared, none decoded.
+	before := st.Stats()
+	last := openSession(t, ts, open)
+	after := st.Stats()
+	if rels := int64(len(s.dbs["hurricane"].Names())); after.RelationsShared-before.RelationsShared != rels ||
+		after.RelationsDecoded != before.RelationsDecoded {
+		t.Errorf("the last open shared %d and decoded %d relations, want %d and 0",
+			after.RelationsShared-before.RelationsShared, after.RelationsDecoded-before.RelationsDecoded, rels)
+	}
+	status, _, b := runQueryReq(t, ts, fmt.Sprintf(program, last))
+	if status != http.StatusOK {
+		t.Fatalf("last session: %d %s", status, b)
+	}
+	for i, got := range append(answers, normalize(b)) {
+		if got != answers[0] {
+			t.Errorf("session %d answered differently:\n--- got ---\n%s\n--- session 0 ---\n%s", i, got, answers[0])
+		}
 	}
 }

@@ -268,6 +268,25 @@ func SpatialSchema(fidName, xVar, yVar string) schema.Schema {
 	return schema.MustNew(schema.Rel(fidName, schema.String), schema.Con(xVar), schema.Con(yVar))
 }
 
+// Attrs identifies the (feature-id, x, y) attribute triple of a spatial
+// constraint relation's schema: exactly one relational string attribute and
+// exactly two constraint attributes, in declaration order.
+func Attrs(s schema.Schema) (fid, x, y string, err error) {
+	var fids, cons []string
+	for _, a := range s.Attrs() {
+		switch {
+		case a.Kind == schema.Relational && a.Type == schema.String:
+			fids = append(fids, a.Name)
+		case a.Kind == schema.Constraint:
+			cons = append(cons, a.Name)
+		}
+	}
+	if len(fids) != 1 || len(cons) != 2 {
+		return "", "", "", fmt.Errorf("not a spatial relation (need 1 string id + 2 constraint attrs): %s", s)
+	}
+	return fids[0], cons[0], cons[1], nil
+}
+
 // ToRelation converts the layer into a spatial constraint relation: one or
 // more constraint tuples per feature, all sharing the feature's ID — the
 // §4.2 representation whose only non-spatial attribute is the feature ID.

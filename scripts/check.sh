@@ -84,7 +84,7 @@ if ls BENCH_*.json >/dev/null 2>&1; then
     echo 'a BENCH_*.json sits at the root; measurements belong to benchmark/'
     exit 1
 fi
-if git grep -nE 'BENCH_[a-z]+\.json|bench[d]iff|bench-(all|canon|prune|plan|vector|snapshot)|-expt (cqa|canon|prune|plan|vector|snapshot)|Valid[P]lanMode|cdb_planner_[q]error|QError[B]uckets|DefaultQError[T]hreshold|SubtractAll[W]ith|Complement[I]nto|sat[T]otals|foldRetired[L]ocked|HitRate[S]ince|sat_cache_[e]ntries|cache[S]tats|sweep[B]ucket|sweep[C]\b|sweep[P]airs|sweep[I]tems|sweep[C]olumn|force[D]ecline|strategy=[s]weep' \
+if git grep -nE 'BENCH_[a-z]+\.json|bench[d]iff|bench-(all|canon|prune|plan|vector|snapshot)|-expt (cqa|canon|prune|plan|vector|snapshot)|Valid[P]lanMode|cdb_planner_[q]error|QError[B]uckets|DefaultQError[T]hreshold|SubtractAll[W]ith|Complement[I]nto|sat[T]otals|foldRetired[L]ocked|HitRate[S]ince|sat_cache_[e]ntries|cache[S]tats|sweep[B]ucket|sweep[C]\b|sweep[P]airs|sweep[I]tems|sweep[C]olumn|force[D]ecline|strategy=[s]weep|snap[D]Bs|hook[M]aterialized|snapshot[D]B\(|endpoint[K]ey|deduceSpatial[S]hell' \
     -- . ':!CHANGES.md' ':!ROADMAP.md' ':!ISSUE.md' ':!benchmark'; then
     echo 'a retired measurement file, tool, target, experiment or name is named (see above)'
     exit 1
@@ -151,6 +151,7 @@ go run ./cmd/cdbbench -expt diff -n 25 -seed 7 -par 2 >/dev/null
 start_daemon() {
     out=$1
     shift
+    : > "$out" # exists before the first poll below, however late the daemon starts
     "$T/cdb_cqacdbd" -demo hurricane -addr 127.0.0.1:0 -quiet "$@" > "$out" 2>&1 &
     SRV_PID=$!
     for _ in $(seq 1 100); do
