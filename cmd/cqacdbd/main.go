@@ -19,7 +19,8 @@
 //	GET    /v1/queries         queries executing right now; DELETE /v1/queries/{id} cancels one
 //	GET    /v1/queries/recent  finished-query history (?min_ms=&limit=)
 //	GET    /healthz            liveness (reports "draining" during shutdown)
-//	GET    /metrics            Prometheus text format; /debug/vars, /debug/pprof/...
+//	GET    /metrics            Prometheus text format: every process-level counter
+//	GET    /debug/vars         the runtime's expvars (memstats); /debug/pprof/... profiles
 //
 // With -snapshot-dir the daemon gains durable, branchable state (the
 // copy-on-write snapshot store, package snapshot):

@@ -4,8 +4,6 @@ import (
 	"fmt"
 	"sync"
 	"sync/atomic"
-
-	"cdb/internal/obs"
 )
 
 // This file implements the memoized satisfiability engine: a sharded,
@@ -246,28 +244,6 @@ func (s CacheStats) HitRate() float64 {
 func (s CacheStats) String() string {
 	return fmt.Sprintf("hits=%d misses=%d (%.1f%% hit rate) evictions=%d collisions=%d entries=%d",
 		s.Hits, s.Misses, 100*s.HitRate(), s.Evictions, s.Collisions, s.Entries)
-}
-
-// RegisterMetrics exposes the cache's counters on the registry as
-// scrape-time callback metrics reading the same atomics the hot path
-// updates — emitting costs the cache nothing per decision. Nil-safe on
-// both receiver and registry (no-op), so callers wire unconditionally.
-func (c *SatCache) RegisterMetrics(r *obs.Registry) {
-	if c == nil || r == nil {
-		return
-	}
-	r.NewCounterFunc("cdb_satcache_hits_total",
-		"Satisfiability decisions answered by the memoized engine.", c.hits.Load)
-	r.NewCounterFunc("cdb_satcache_misses_total",
-		"Satisfiability decisions that ran the raw eliminator (cache enabled).", c.misses.Load)
-	r.NewCounterFunc("cdb_satcache_evictions_total",
-		"LRU evictions from the sat-cache.", c.evictions.Load)
-	r.NewCounterFunc("cdb_satcache_collisions_total",
-		"Fingerprint collisions detected (and corrected) by the exactness guard.", c.collisions.Load)
-	r.NewGaugeFunc("cdb_satcache_entries",
-		"Resident sat-cache entries across all shards.", func() int64 {
-			return int64(c.Stats().Entries)
-		})
 }
 
 // Stats returns a snapshot of the cache counters. Nil-safe (zero stats).

@@ -82,11 +82,9 @@ func (p pairPlan) pruned() int { return p.total - len(p.cands) }
 // as unsatisfiable.
 type deciders struct{ env, clip bool }
 
-// pairDeciders resolves the decider list for one operator call: the plan
-// modes are the decider sets. PlanDense runs neither fast decider and
-// leaves every pair to the cache and the eliminator (the reference),
-// PlanVector runs clip alone, so that boxes are clipped too, and PlanAuto
-// runs the whole list.
+// pairDeciders resolves the decider list for one operator call: PlanAuto
+// runs the whole list, and PlanDense neither fast decider, leaving every
+// pair to the cache and the eliminator (the reference).
 //
 // covered — the two sides range over the same constraint attributes — also
 // gates env under auto. A selection's condition ranges over its input's own
@@ -100,11 +98,8 @@ type deciders struct{ env, clip bool }
 // runs of 300 iterations, 2-core host): with the condition off 1.72–2.10
 // ms and 1 024 allocations per query, with it 0.81–1.08 ms and 255.
 func pairDeciders(ec *exec.Context, covered bool) deciders {
-	mode := ec.Plan()
-	return deciders{
-		env:  mode == exec.PlanAuto && covered,
-		clip: mode == exec.PlanAuto || mode == exec.PlanVector,
-	}
+	auto := ec.Plan() == exec.PlanAuto
+	return deciders{env: auto && covered, clip: auto}
 }
 
 // decide answers the pair (a, b) by the first decider of dec that takes it

@@ -72,10 +72,10 @@ func pruneInputs(t *testing.T) map[string][2]*relation.Relation {
 // faster on overlapping polygons than on boxes.
 const polyN = 16
 
-// polygonInputs are the pruneInputs rows on which auto and forced vector
-// must really clip (VectorHits > 0) rather than fall back to
-// Fourier-Motzkin; boxInputs the canonical box rows, on which auto must
-// decide join and intersect on the envelopes alone.
+// polygonInputs are the pruneInputs rows on which auto must really clip
+// (VectorHits > 0) rather than fall back to Fourier-Motzkin; boxInputs the
+// canonical box rows, on which auto must decide join and intersect on the
+// envelopes alone.
 var (
 	polygonInputs = map[string]bool{"polygons": true, "concave": true,
 		"canon-polygons": true, "canon-concave": true}

@@ -17,11 +17,10 @@ import (
 var update = flag.Bool("update", false, "rewrite golden files")
 
 // planModes are the decider sets the equivalence matrices run: forced
-// dense (no fast decider: the reference), forced vector (clip alone) and
-// auto (env, then clip). A pair goes to the decider it gets under one of
-// them, so whatever a decider answers must come out the same as the
+// dense (no fast decider: the reference) and auto (env, then clip).
+// Whatever a fast decider answers must come out the same as the
 // eliminator's answer under dense.
-var planModes = []string{exec.PlanDense, exec.PlanVector, exec.PlanAuto}
+var planModes = []string{exec.PlanDense, exec.PlanAuto}
 
 // irrSettings are the constraint.ForceIrrClear states the equivalence
 // matrices run every plan mode under: the planar rule's irredundant memo
@@ -56,13 +55,13 @@ func sumStats(ec *exec.Context) (s exec.OpStats) {
 }
 
 // TestStrategyEquivalence is the refine stage's acceptance contract:
-// every plan mode — forced dense, forced vector and auto — produces
+// both plan modes — forced dense and auto — produce
 // byte-identical output (same tuples, same order) on every binary operator
 // and workload shape, both sequentially and under the worker pool, with
 // the irredundant memo kept and forced clear. It also checks that the fast
-// deciders really ran: forced vector and auto clip the polygon rows, and
-// under auto join and intersect of the canonical box rows are decided on
-// the envelopes alone.
+// deciders really ran under auto: the polygon rows are clipped, and join
+// and intersect of the canonical box rows are decided on the envelopes
+// alone.
 func TestStrategyEquivalence(t *testing.T) {
 	ops := map[string]func(ec *exec.Context, r1, r2 *relation.Relation) (*relation.Relation, error){
 		"join":       JoinCtx,
@@ -99,7 +98,7 @@ func TestStrategyEquivalence(t *testing.T) {
 								if s.VectorHits == 0 {
 									t.Errorf("%s %s par%d %s: no vector hit — the row fell back to FM", wName, opName, par, mode)
 								}
-							case mode == exec.PlanAuto && boxInputs[wName] && opName != "difference":
+							case boxInputs[wName] && opName != "difference":
 								if s.EnvHits != cands || s.VectorHits != 0 || s.SatChecks != 0 || s.FMDecisions != 0 {
 									t.Errorf("%s %s par%d auto: env=%d vec=%d sat=%d fm=%d over %d candidate pairs, want all of them decided on the envelopes",
 										wName, opName, par, s.EnvHits, s.VectorHits, s.SatChecks, s.FMDecisions, cands)
@@ -317,7 +316,7 @@ func TestEstimatorBounds(t *testing.T) {
 				var est, act int64
 				seen := false
 				for _, s := range ec.Stats() {
-					if s.Strategy == "" {
+					if s.Op != opName {
 						continue
 					}
 					seen = true
@@ -325,7 +324,7 @@ func TestEstimatorBounds(t *testing.T) {
 					act += s.PairsTotal - s.PairsPruned
 				}
 				if !seen && pair[0].Len()*pair[1].Len() > 0 {
-					t.Fatalf("%s %s %s: no stats row carries a strategy", wName, opName, mode)
+					t.Fatalf("%s %s %s: no stats row for the operator", wName, opName, mode)
 				}
 				if est < act {
 					t.Errorf("%s %s %s: est_pairs %d < act_pairs %d — the estimate is not an upper bound",

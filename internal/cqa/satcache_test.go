@@ -124,7 +124,7 @@ func TestSatCacheOutputIdentical(t *testing.T) {
 		want := saved(t, ref)
 		for size, newCache := range caches {
 			for _, par := range []int{1, 4} {
-				for _, mode := range []string{exec.PlanAuto, exec.PlanDense, exec.PlanVector} {
+				for _, mode := range []string{exec.PlanAuto, exec.PlanDense} {
 					ec := &exec.Context{Parallelism: par, SeqThreshold: 1, PlanMode: mode, SatCache: newCache()}
 					for run := 0; run < 2; run++ {
 						got, err := op(ec)

@@ -82,12 +82,13 @@ type Context struct {
 	// PlanMode pins which per-pair deciders the CQA operators run. Empty
 	// or PlanAuto — the zero value, correct for every caller — lets the
 	// refine stage pick, per candidate pair, the cheapest decider that is
-	// exact on it; the explicit modes (PlanDense, PlanVector) are forcing
-	// switches, which is how the strategy-equivalence tests, the oracle
-	// and BenchmarkPairingModes run each decider in isolation. Like
-	// NoPrune it is not a user-facing knob: no flag or session option sets
-	// it. Outputs are byte-identical across all modes: every decider emits
-	// the same canonical tuple.
+	// exact on it; PlanDense is the forcing switch that leaves every pair
+	// to the sat-cache and Fourier–Motzkin, which is how the
+	// equivalence tests, the oracle and BenchmarkPairingModes hold the
+	// fast deciders against the reference. Like NoPrune it is not a
+	// user-facing knob: no flag or session option sets it. Outputs are
+	// byte-identical across the modes: every decider emits the same
+	// canonical tuple.
 	PlanMode string
 
 	// Ctx, when non-nil, bounds every fan-out run under this context:
@@ -162,25 +163,22 @@ func (c *Context) PruneEnabled() bool { return c == nil || !c.NoPrune }
 // set of per-pair deciders (internal/cqa/pairing.go). PlanDense runs
 // neither fast decider and leaves every pair decision to the sat-cache /
 // Fourier–Motzkin — the reference the other deciders are compared
-// against; it is also the value of the per-operator Strategy stats column
-// / strategy= EXPLAIN label, which names the one enumeration the filter
-// stage has. PlanVector disables the envelope decider, so that every pair
-// with polygon forms — boxes included — is decided by exact clipping
-// (internal/vector). PlanAuto runs the whole decider list.
+// against. PlanAuto runs the whole decider list.
 const (
-	PlanAuto   = "auto"
-	PlanDense  = "dense"
-	PlanVector = "vector"
+	PlanAuto  = "auto"
+	PlanDense = "dense"
 )
 
-// PlanIndex and PlanSweep are the retired stats labels of the R*-tree
-// probe and the interval-sweep enumerations (removed: neither won a
-// measured workload). Nothing sets, emits or accepts them; the names stay
-// only because the frozen repository benchmark still reports an
-// always-zero share for each.
+// PlanIndex, PlanSweep and PlanVector are retired labels: the R*-tree probe
+// and interval-sweep enumerations (neither won a measured workload) and the
+// forced clip-everything mode (auto decides box pairs on their envelopes,
+// and internal/vector's tests hold the clipper to BoxMerge on boxes).
+// Nothing sets, emits or accepts them; the names stay only because the
+// frozen repository benchmark still reports an always-zero share for each.
 const (
-	PlanIndex = "index"
-	PlanSweep = "sweep"
+	PlanIndex  = "index"
+	PlanSweep  = "sweep"
+	PlanVector = "vector"
 )
 
 // Plan returns the effective planning mode: PlanAuto on the nil Context

@@ -230,19 +230,22 @@ func TestMetricsFoldOpFamilies(t *testing.T) {
 	rec.AddOut(1)
 	rec.Done(false)
 
-	snap := reg.Snapshot()
-	if ops, ok := snap["cdb_op_sat_total"].(map[string]any); !ok || ops["select"] != int64(1) {
-		t.Errorf("op sat-check metric = %v", snap["cdb_op_sat_total"])
-	}
-	if ops, ok := snap["cdb_op_out_total"].(map[string]any); !ok || ops["select"] != int64(1) {
-		t.Errorf("op out metric = %v", snap["cdb_op_out_total"])
-	}
-	if _, ok := snap["cdb_op_seconds"]; !ok {
-		t.Error("op latency histogram missing")
+	var exposition strings.Builder
+	if err := reg.WritePrometheus(&exposition); err != nil {
+		t.Fatal(err)
 	}
 	for _, name := range []string{"cdb_fm_decisions_total", "cdb_satcache_misses_total"} {
-		if _, ok := snap[name]; ok {
+		if strings.Contains(exposition.String(), name) {
 			t.Errorf("a context registered the process-level family %s", name)
 		}
+	}
+	if got := reg.CounterVec("cdb_op_sat_total", "", "op").With("select").Value(); got != 1 {
+		t.Errorf("op sat-check metric = %d, want 1", got)
+	}
+	if got := reg.CounterVec("cdb_op_out_total", "", "op").With("select").Value(); got != 1 {
+		t.Errorf("op out metric = %d, want 1", got)
+	}
+	if got := reg.HistogramVec("cdb_op_seconds", "", "op", nil).With("select").Count(); got != 1 {
+		t.Errorf("op latency histogram holds %d observations, want 1", got)
 	}
 }

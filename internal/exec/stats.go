@@ -22,7 +22,7 @@ type OpStats = obs.OpStats
 type OpRecorder struct {
 	// s is the record Done appends. Its counters are added with
 	// sync/atomic (pool workers record concurrently); Op and TuplesIn are
-	// set by StartOp and Strategy and EstPairs by Pairing, before the
+	// set by StartOp and EstPairs by Pairing, before the
 	// fan-out starts. It is the first field so that its int64 counters are
 	// 64-bit aligned on 32-bit platforms too.
 	s     OpStats
@@ -49,11 +49,7 @@ func (r *OpRecorder) EnvHit(sat bool) {
 // NOT into sat: sat means decisions routed through the sat oracle (cache +
 // eliminator), preserving the invariant cache_hits + cache_misses = sat
 // whenever a cache is configured. The total decision count of an operator
-// is therefore sat + vec + env. Nothing counts into float_rej any more:
-// the vector path's float box is gone (the filter stage's float-keyed
-// frame rejects those pairs before any decider), and the column reads 0
-// until the benchmark's vector.float_reject_share, which reads it, is
-// retired.
+// is therefore sat + vec + env.
 func (r *OpRecorder) VectorHit(sat bool) {
 	if r == nil {
 		return
@@ -186,15 +182,14 @@ func (r *OpRecorder) Pruned() {
 }
 
 // Pairing records the filter stage's bound for a binary operator: the
-// bucket-matched pair count, an upper bound on the surviving pairs, and the
-// one enumeration there is, PlanDense, as its strategy. Call it once,
-// before the refine fan-out starts — unlike the counters it is not
+// bucket-matched pair count, an upper bound on the surviving pairs. Call it
+// once, before the refine fan-out starts — unlike the counters it is not
 // synchronised: the filter stage runs on the plan-tree goroutine.
 func (r *OpRecorder) Pairing(estPairs int64) {
 	if r == nil {
 		return
 	}
-	r.s.Strategy = PlanDense
+	r.s.Strategy = PlanDense // on no surface; the repository benchmark's traced pass reads it
 	r.s.EstPairs = estPairs
 }
 
@@ -253,8 +248,7 @@ func (c *Context) Reset() {
 
 // FormatStats renders operator records as an aligned table (the -stats
 // output of cmd/cqacdb): one row per record, one column per counter of
-// obs.OpCounters, then the planner's estimate, wall time, pool use and
-// strategy.
+// obs.OpCounters, then the planner's estimate, wall time and pool use.
 func FormatStats(stats []OpStats) string {
 	var b strings.Builder
 	w := tabwriter.NewWriter(&b, 2, 0, 2, ' ', 0)
@@ -262,7 +256,7 @@ func FormatStats(stats []OpStats) string {
 	for _, c := range obs.OpCounters {
 		fmt.Fprint(w, "\t", c.Name)
 	}
-	fmt.Fprintln(w, "\test_pairs\twall\tmode\tstrategy")
+	fmt.Fprintln(w, "\test_pairs\twall\tmode")
 	for i := range stats {
 		s := &stats[i]
 		fmt.Fprint(w, s.Op)
@@ -273,11 +267,7 @@ func FormatStats(stats []OpStats) string {
 		if s.Parallel {
 			mode = "par"
 		}
-		strategy := s.Strategy
-		if strategy == "" {
-			strategy = "-"
-		}
-		fmt.Fprintf(w, "\t%d\t%s\t%s\t%s\n", s.EstPairs, s.Wall.Round(time.Microsecond), mode, strategy)
+		fmt.Fprintf(w, "\t%d\t%s\t%s\n", s.EstPairs, s.Wall.Round(time.Microsecond), mode)
 	}
 	w.Flush()
 	return b.String()

@@ -49,11 +49,11 @@ func formatSpan(b *strings.Builder, s *Span, selfPrefix, childPrefix string, opt
 	children := s.Children()
 
 	// Fold the operator recorder's span into this line: its counters merge
-	// here, its labels fill in any the plan node did not set itself, and
-	// its own children (the pool fanout spans) are hoisted into this node.
-	// The recorder is the last child of the node's own name — a plan node
-	// opens it after its inputs have run — so an input that is itself a
-	// node of that name (a join of a join) keeps its own line.
+	// here and its own children (the pool fanout spans) are hoisted into
+	// this node (it carries no labels). The recorder is the last child of
+	// the node's own name — a plan node opens it after its inputs have run
+	// — so an input that is itself a node of that name (a join of a join)
+	// keeps its own line.
 	recorder := -1
 	for i, c := range children {
 		if c.Name == s.Name {
@@ -68,14 +68,6 @@ func formatSpan(b *strings.Builder, s *Span, selfPrefix, childPrefix string, opt
 		}
 		for k, v := range c.Counters() {
 			counters[k] += v
-		}
-		for k, v := range c.Labels() {
-			if _, ok := labels[k]; !ok {
-				if labels == nil {
-					labels = make(map[string]string, 2)
-				}
-				labels[k] = v
-			}
 		}
 		kept = append(kept, c.Children()...)
 	}
@@ -114,8 +106,8 @@ func truncateDetail(d string, max int) string {
 	return string(r[:max-1]) + "…"
 }
 
-// annotationLine renders labels (sorted by key) ahead of the counters —
-// the planner's strategy= annotation reads first on a plan-node line.
+// annotationLine renders labels (sorted by key; a root's query_id) ahead of
+// the counters.
 func annotationLine(labels map[string]string, counters map[string]int64) string {
 	keys := make([]string, 0, len(labels))
 	for k := range labels {

@@ -132,7 +132,7 @@ type FlightRecord struct {
 
 	// Ops are the query's operator invocations, one record per plan node
 	// in completion order (exec.Context.Stats). A binary node's record
-	// carries its strategy and its estimated and actual candidate pairs.
+	// carries its estimated and actual candidate pairs.
 	Ops []OpStats `json:"ops,omitempty"`
 }
 

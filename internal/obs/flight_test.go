@@ -175,7 +175,7 @@ func TestFlightMetricsFamilies(t *testing.T) {
 	f := NewFlight(4)
 	f.Metrics = reg
 	f.Finish(FlightRecord{ID: "q1", WallMS: 3, Rows: 12, Outcome: OutcomeOK,
-		Ops: []OpStats{{Op: "join", Strategy: "dense", EstPairs: 64, PairsTotal: 8}}})
+		Ops: []OpStats{{Op: "join", EstPairs: 64, PairsTotal: 8}}})
 	f.Finish(FlightRecord{ID: "q2", WallMS: 5, Outcome: OutcomeTimeout})
 
 	var buf bytes.Buffer

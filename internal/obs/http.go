@@ -11,15 +11,12 @@ import (
 // same listener instead of a second port:
 //
 //	/metrics             Prometheus text exposition of the registry
-//	/debug/vars          expvar (incl. the registry snapshot under "cdb")
+//	/debug/vars          expvar: the runtime's cmdline and memstats
 //	/debug/pprof/...     net/http/pprof: profile, heap, goroutine, trace, ...
 //
 // The patterns carry no method or host, so they coexist with
-// method-qualified API routes on the same mux. The registry is also
-// published to expvar under "cdb" (once per process: expvar is global, so
-// the first registry mounted wins).
+// method-qualified API routes on the same mux.
 func Mount(mux *http.ServeMux, reg *Registry) {
-	reg.PublishExpvar("cdb")
 	mux.HandleFunc("/metrics", func(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 		reg.WritePrometheus(w)

@@ -34,7 +34,8 @@ func getBody(t *testing.T, url string) (int, string) {
 }
 
 // TestServeMetrics: a mux Mount has run on serves the registry on
-// /metrics, the expvar snapshot on /debug/vars and the pprof index.
+// /metrics, the runtime's expvars (and no copy of the registry) on
+// /debug/vars and the pprof index.
 func TestServeMetrics(t *testing.T) {
 	reg := NewRegistry()
 	reg.NewCounter("cdb_http_test_total", "HTTP test counter.").Add(7)
@@ -53,8 +54,11 @@ func TestServeMetrics(t *testing.T) {
 	if err := json.Unmarshal([]byte(body), &vars); err != nil {
 		t.Fatalf("/debug/vars not JSON: %v", err)
 	}
-	if _, ok := vars["cdb"]; !ok {
-		t.Error("/debug/vars missing the registry snapshot under \"cdb\"")
+	if _, ok := vars["memstats"]; !ok {
+		t.Error("/debug/vars has no memstats")
+	}
+	if _, ok := vars["cdb"]; ok {
+		t.Error("/debug/vars carries a copy of the registry under \"cdb\"")
 	}
 
 	// pprof is mounted (cmdline is cheap and always available).

@@ -1,7 +1,6 @@
 package obs
 
 import (
-	"expvar"
 	"fmt"
 	"io"
 	"math"
@@ -14,8 +13,7 @@ import (
 // This file is the metrics half of the observability layer: a small
 // registry of counters, gauges and histograms with lock-free hot paths
 // (atomic adds; the registry mutex is touched only on registration and
-// scrape), rendered in the Prometheus text exposition format and as an
-// expvar snapshot. It covers exactly what the engine needs — int64
+// scrape), rendered in the Prometheus text exposition format. It covers exactly what the engine needs — int64
 // counters/gauges, callback metrics reading existing atomic state (the
 // sat-cache counters, constraint.DecisionCount), and latency histograms
 // with fixed buckets — not the general labelled-metrics problem: one
@@ -312,60 +310,4 @@ func (s *labelSort) Less(i, j int) bool { return s.values[i] < s.values[j] }
 func (s *labelSort) Swap(i, j int) {
 	s.values[i], s.values[j] = s.values[j], s.values[i]
 	s.series[i], s.series[j] = s.series[j], s.series[i]
-}
-
-// --- expvar bridge ---
-
-// Snapshot returns the registry as a plain value tree for expvar (and
-// tests): metric name → value, label value → value for vec families,
-// {count, sum} for histograms.
-func (r *Registry) Snapshot() map[string]any {
-	r.mu.Lock()
-	fams := make([]*family, 0, len(r.fams))
-	for _, f := range r.fams {
-		fams = append(fams, f)
-	}
-	r.mu.Unlock()
-
-	out := map[string]any{}
-	for _, f := range fams {
-		f.mu.Lock()
-		values := append([]string{}, f.order...)
-		series := make(map[string]any, len(values))
-		for _, lv := range values {
-			series[lv] = snapshotMetric(f.series[lv])
-		}
-		f.mu.Unlock()
-		if f.label == "" {
-			out[f.name] = series[""]
-		} else {
-			out[f.name] = series
-		}
-	}
-	return out
-}
-
-func snapshotMetric(m any) any {
-	switch m := m.(type) {
-	case *Counter:
-		return m.Value()
-	case *Gauge:
-		return m.Value()
-	case func() int64:
-		return m()
-	case *Histogram:
-		return map[string]any{"count": m.Count(), "sum": m.Sum()}
-	}
-	return nil
-}
-
-var expvarPublished sync.Map // name -> struct{}
-
-// PublishExpvar exposes the registry under the given expvar name
-// (idempotent per name; expvar itself panics on duplicates).
-func (r *Registry) PublishExpvar(name string) {
-	if _, loaded := expvarPublished.LoadOrStore(name, struct{}{}); loaded {
-		return
-	}
-	expvar.Publish(name, expvar.Func(func() any { return r.Snapshot() }))
 }

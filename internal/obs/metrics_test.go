@@ -132,24 +132,6 @@ func TestWritePrometheusDeterministic(t *testing.T) {
 	}
 }
 
-func TestSnapshot(t *testing.T) {
-	snap := buildMetricsFixture().Snapshot()
-	if got := snap["cdb_fm_decisions_total"]; got != int64(1234) {
-		t.Errorf("func counter snapshot = %v, want 1234", got)
-	}
-	if got := snap["cdb_satcache_entries"]; got != int64(256) {
-		t.Errorf("gauge snapshot = %v, want 256", got)
-	}
-	ops, ok := snap["cdb_op_sat_checks_total"].(map[string]any)
-	if !ok || ops["join"] != int64(900) || ops["select"] != int64(42) {
-		t.Errorf("vec snapshot = %v", snap["cdb_op_sat_checks_total"])
-	}
-	hist, ok := snap["cdb_op_seconds"].(map[string]any)
-	if !ok || hist["count"] != int64(3) {
-		t.Errorf("histogram snapshot = %v", snap["cdb_op_seconds"])
-	}
-}
-
 func TestHistogramBucketsCumulative(t *testing.T) {
 	var buf bytes.Buffer
 	if err := buildMetricsFixture().WritePrometheus(&buf); err != nil {

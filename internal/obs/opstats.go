@@ -25,11 +25,11 @@ type OpStats struct {
 	CacheMisses  int64         // sat decisions that ran the raw eliminator (cache enabled)
 	FMDecisions  int64         // sat decisions this operator routed to the raw Fourier-Motzkin eliminator: every cache miss, or every sat-check without a cache
 	EstPairs     int64         // binary operators: the bucket-matched pairs (shared relational attributes match) the filter's frame check reads; exact, an upper bound on ActPairs
-	Strategy     string        // binary operators: how candidate pairs were enumerated (always dense); empty for unary operators
+	Strategy     string        // always dense where set (binary operators): there is one enumeration, and no surface shows it; kept while the benchmark reads it
 	EnvHits      int64         // pair decisions answered on the envelopes: both sides non-empty boxes, merged by interval intersection (no clip, no FM, no Merge+Canon)
 	VectorHits   int64         // sat decisions answered by the vector fast path (exact polygon clipping, no FM)
 	VectorFalls  int64         // vector-path fallbacks: decisions on polygon forms the clipper could not take (mixed variable pairs, extra variable, strict-degenerate) and handed to FM
-	FloatRejects int64         // always 0: the vector path's float bounding-box filter is gone (the filter stage's float-keyed frame rejects those pairs); kept while the benchmark reads it
+	FloatRejects int64         // always 0, and on no surface: the vector path's float bounding-box filter is gone (the filter stage's float-keyed frame rejects those pairs); kept while the benchmark reads it
 	Wall         time.Duration // wall time of the operator
 	Parallel     bool          // whether the worker pool was used
 }
@@ -73,8 +73,6 @@ var OpCounters = [...]OpCounter{
 		func(s *OpStats) *int64 { return &s.VectorHits }},
 	{"vec_fallback", "Decisions on polygon forms the clipper declined and handed to the sat oracle.",
 		func(s *OpStats) *int64 { return &s.VectorFalls }},
-	{"float_rej", "Always 0: the vector path's float bounding-box filter is gone; the filter stage's float-keyed envelope check rejects those pairs.",
-		func(s *OpStats) *int64 { return &s.FloatRejects }},
 }
 
 // opMetrics[i] is OpCounters[i]'s metric family name.
@@ -89,19 +87,22 @@ var opMetrics = func() (names [len(OpCounters)]string) {
 // filter stage.
 func (s *OpStats) ActPairs() int64 { return s.PairsTotal - s.PairsPruned }
 
+// filtered reports whether a binary operator's filter stage ran: it bounded
+// the pairs, or (a bound of 0) rejected every one of them.
+func (s *OpStats) filtered() bool { return s.EstPairs != 0 || s.PairsPruned != 0 }
+
 // Annotate deposits the record on sp, the operator's EXPLAIN line: the
-// non-zero counters, and on binary nodes the strategy label with the
-// estimated and actual surviving pairs.
+// non-zero counters, and where the filter stage ran the estimated and
+// actual surviving pairs.
 func (s *OpStats) Annotate(sp *Span) {
 	for _, c := range OpCounters {
 		if v := *c.Field(s); v != 0 {
 			sp.Set(c.Name, v)
 		}
 	}
-	if s.Strategy != "" {
+	if s.filtered() {
 		// est_pairs ≥ act_pairs by the estimator's upper-bound contract;
 		// the gap is the estimation error EXPLAIN ANALYZE exists to expose.
-		sp.SetLabel("strategy", s.Strategy)
 		sp.Set("est_pairs", s.EstPairs)
 		sp.Set("act_pairs", s.ActPairs())
 	}
@@ -151,7 +152,7 @@ func (r *Registry) opSeries(op string) *opSeries {
 
 // MarshalJSON encodes the record as the server's stats rows and a flight
 // record's ops do: op, the non-zero counters in table order (in and out
-// always), strategy / est_pairs / act_pairs on binary nodes, wall_ms, and
+// always), est_pairs / act_pairs where the filter stage ran, wall_ms, and
 // parallel when the pool ran.
 func (s OpStats) MarshalJSON() ([]byte, error) {
 	op, err := json.Marshal(s.Op)
@@ -165,12 +166,7 @@ func (s OpStats) MarshalJSON() ([]byte, error) {
 			b = strconv.AppendInt(b, v, 10)
 		}
 	}
-	if s.Strategy != "" {
-		strategy, err := json.Marshal(s.Strategy)
-		if err != nil {
-			return nil, err
-		}
-		b = append(append(b, `,"strategy":`...), strategy...)
+	if s.filtered() {
 		b = strconv.AppendInt(append(b, `,"est_pairs":`...), s.EstPairs, 10)
 		b = strconv.AppendInt(append(b, `,"act_pairs":`...), s.ActPairs(), 10)
 	}
@@ -186,7 +182,6 @@ func (s OpStats) MarshalJSON() ([]byte, error) {
 func (s *OpStats) UnmarshalJSON(b []byte) error {
 	var fixed struct {
 		Op       string  `json:"op"`
-		Strategy string  `json:"strategy"`
 		EstPairs int64   `json:"est_pairs"`
 		WallMS   float64 `json:"wall_ms"`
 		Parallel bool    `json:"parallel"`
@@ -198,7 +193,7 @@ func (s *OpStats) UnmarshalJSON(b []byte) error {
 	if err := json.Unmarshal(b, &counters); err != nil {
 		return err
 	}
-	*s = OpStats{Op: fixed.Op, Strategy: fixed.Strategy, EstPairs: fixed.EstPairs,
+	*s = OpStats{Op: fixed.Op, EstPairs: fixed.EstPairs,
 		Wall: time.Duration(math.Round(fixed.WallMS*1000)) * time.Microsecond, Parallel: fixed.Parallel}
 	for _, c := range OpCounters {
 		if raw, ok := counters[c.Name]; ok {

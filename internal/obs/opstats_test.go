@@ -12,7 +12,8 @@ import (
 
 // TestOpCountersCoverOpStats: every int64 counter field of OpStats has
 // exactly one row in the table (EstPairs is the planner's estimate, not a
-// counter), and no two rows share a name or a field.
+// counter; FloatRejects is always 0 and on no surface), and no two rows
+// share a name or a field.
 func TestOpCountersCoverOpStats(t *testing.T) {
 	var s OpStats
 	rows := map[*int64]string{}
@@ -30,7 +31,7 @@ func TestOpCountersCoverOpStats(t *testing.T) {
 	v := reflect.ValueOf(&s).Elem()
 	for i := 0; i < v.NumField(); i++ {
 		f := v.Type().Field(i)
-		if f.Type != reflect.TypeOf(int64(0)) || f.Name == "EstPairs" {
+		if f.Type != reflect.TypeOf(int64(0)) || f.Name == "EstPairs" || f.Name == "FloatRejects" {
 			continue
 		}
 		if _, ok := rows[v.Field(i).Addr().Interface().(*int64)]; !ok {
@@ -48,8 +49,8 @@ func TestOpStatsJSON(t *testing.T) {
 	if want := `{"op":"project","in":0,"out":0,"wall_ms":1.5}`; string(b) != want {
 		t.Errorf("unary record = %s, want %s", b, want)
 	}
-	// Every field set: counters in table order, then the planner's fields,
-	// and the encoding round-trips.
+	// Every field set: counters in table order, then the filter stage's
+	// pair bound, and the encoding round-trips. Strategy is on no surface.
 	s := OpStats{Op: "join", Strategy: "dense", EstPairs: 99, Wall: 2 * time.Millisecond, Parallel: true}
 	for i, c := range OpCounters {
 		*c.Field(&s) = int64(100 - i)
@@ -59,8 +60,8 @@ func TestOpStatsJSON(t *testing.T) {
 		t.Fatal(err)
 	}
 	want := `{"op":"join","in":100,"out":99,"sat":98,"pruned":97,"pairs":96,"pairs_pruned":95,` +
-		`"cache_hits":94,"cache_misses":93,"fm":92,"env":91,"vec":90,"vec_fallback":89,"float_rej":88,` +
-		`"strategy":"dense","est_pairs":99,"act_pairs":1,"wall_ms":2,"parallel":true}`
+		`"cache_hits":94,"cache_misses":93,"fm":92,"env":91,"vec":90,"vec_fallback":89,` +
+		`"est_pairs":99,"act_pairs":1,"wall_ms":2,"parallel":true}`
 	if string(b) != want {
 		t.Errorf("binary record =\n%s\nwant\n%s", b, want)
 	}
@@ -68,8 +69,24 @@ func TestOpStatsJSON(t *testing.T) {
 	if err := json.Unmarshal(b, &back); err != nil {
 		t.Fatal(err)
 	}
-	if back != s {
+	if s.Strategy = ""; back != s {
 		t.Errorf("round trip = %+v, want %+v", back, s)
+	}
+	// The pair bound shows where the filter stage ran: a bound of 0 with
+	// every pair rejected still shows, the unfiltered reference path's
+	// record (no bound, nothing rejected) does not.
+	for _, c := range []struct {
+		s    OpStats
+		want string
+	}{
+		{OpStats{Op: "join", PairsTotal: 4, PairsPruned: 4},
+			`{"op":"join","in":0,"out":0,"pairs":4,"pairs_pruned":4,"est_pairs":0,"act_pairs":0,"wall_ms":0}`},
+		{OpStats{Op: "join", PairsTotal: 4},
+			`{"op":"join","in":0,"out":0,"pairs":4,"wall_ms":0}`},
+	} {
+		if b, err := json.Marshal(c.s); err != nil || string(b) != c.want {
+			t.Errorf("record = %s (%v), want %s", b, err, c.want)
+		}
 	}
 }
 

@@ -4,9 +4,11 @@
 // mux (cqacdbd's).
 //
 // The package is deliberately stdlib-only and imports nothing from the
-// rest of the repository, so every layer — the constraint engine, the
-// execution layer, the algebra, the catalog, the CLIs — can depend on it
-// without cycles.
+// rest of the repository, so the layers that record — the execution
+// layer, the algebra, the CLIs, the daemon — can depend on it without
+// cycles. The kernel below them (the constraint engine, the snapshot
+// store) does not: the daemon declares their metric families, reading
+// their Stats().
 //
 // The tracer answers the question the flat -stats table cannot: *where*
 // inside a composed query plan the Fourier-Motzkin decisions, sat-cache
@@ -134,9 +136,9 @@ func (s *Span) Set(key string, n int64) {
 }
 
 // SetLabel stores a named string label on the span. Labels carry the
-// non-numeric facts EXPLAIN ANALYZE wants per plan node — the physical
-// planner's chosen pairing strategy, for one — and render ahead of the
-// counters in FormatTree. Safe from concurrent pool workers.
+// non-numeric facts EXPLAIN ANALYZE wants on a line — a root's query_id —
+// and render ahead of the counters in FormatTree. Safe from concurrent
+// pool workers.
 func (s *Span) SetLabel(key, value string) {
 	if s == nil {
 		return

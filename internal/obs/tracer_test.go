@@ -255,44 +255,31 @@ func TestTraceJSON(t *testing.T) {
 }
 
 // TestSpanLabels covers the string-label side of spans: set/get,
-// nil-safety, rendering ahead of counters, fold inheritance (the
-// operator recorder's strategy label surfaces on the plan-node line,
-// without overriding one the plan node set itself), and JSON export.
+// nil-safety, rendering ahead of counters, the fold (an operator
+// recorder's labels do not reach the plan-node line; the node's own label
+// stays) and JSON export, which keeps every span's labels.
 func TestSpanLabels(t *testing.T) {
 	tr := NewTracer()
 	join := tr.StartSpan("join", "")
+	join.SetLabel("mode", "own")
 	join.Set("pairs", 12)
 	rec := join.StartChild("join", "")
-	rec.SetLabel("strategy", "vector")
+	rec.SetLabel("mode", "child")
+	rec.SetLabel("extra", "x")
 	rec.Set("sat", 3)
 	rec.End()
 	join.End()
 
-	if got := rec.Labels()["strategy"]; got != "vector" {
-		t.Errorf("Labels()[strategy] = %q, want vector", got)
+	if got := rec.Labels()["mode"]; got != "child" {
+		t.Errorf("Labels()[mode] = %q, want child", got)
 	}
 	if got := rec.Labels()["absent"]; got != "" {
 		t.Errorf("Labels()[absent] = %q, want empty", got)
 	}
-	if ls := join.Labels(); ls != nil {
-		t.Errorf("plan node has no own labels, got %v", ls)
-	}
 
 	out := FormatTree(tr.Roots(), TreeOptions{})
-	if !strings.Contains(out, "[strategy=vector sat=3 pairs=12]") {
-		t.Errorf("folded line should lead with the strategy label:\n%s", out)
-	}
-
-	// A label the plan node set itself survives the fold.
-	tr2 := NewTracer()
-	d := tr2.StartSpan("difference", "")
-	d.SetLabel("strategy", "dense")
-	rec2 := d.StartChild("difference", "")
-	rec2.SetLabel("strategy", "child")
-	rec2.End()
-	d.End()
-	if out := FormatTree(tr2.Roots(), TreeOptions{}); !strings.Contains(out, "strategy=dense") {
-		t.Errorf("fold overwrote the parent's own label:\n%s", out)
+	if !strings.Contains(out, "[mode=own sat=3 pairs=12]") {
+		t.Errorf("folded line should lead with the node's own label alone:\n%s", out)
 	}
 
 	b, err := TraceJSON(tr.Roots())
@@ -303,7 +290,7 @@ func TestSpanLabels(t *testing.T) {
 	if err := json.Unmarshal(b, &spans); err != nil {
 		t.Fatal(err)
 	}
-	if spans[0].Children[0].Labels["strategy"] != "vector" {
+	if spans[0].Labels["mode"] != "own" || spans[0].Children[0].Labels["extra"] != "x" {
 		t.Errorf("TraceJSON lost the label: %+v", spans[0].Children[0])
 	}
 

@@ -40,7 +40,7 @@ type Config struct {
 	Seed      int64  // base seed; case i derives its own rng from it
 	Workers   int    // engine worker-pool size (0 = GOMAXPROCS)
 	MaxTuples int    // max tuples per random input relation (default 5)
-	Plan      string // engine PlanMode ("" = auto); "vector" forces the vector fast path
+	Plan      string // engine PlanMode ("" = auto); "dense" leaves every pair to the sat-cache and Fourier-Motzkin
 	Spatial   bool   // draw polygon-shaped spatial inputs instead of random heterogeneous ones
 	SatCache  bool   // give each case's engine context a sat-cache of the default size
 	Ops       []string

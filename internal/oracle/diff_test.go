@@ -47,17 +47,16 @@ func TestDiffReproducible(t *testing.T) {
 	}
 }
 
-// TestDiffSpatialVector drives the harness in spatial mode with the
-// vector fast path forced: polygon-shaped inputs (convex, triangulated
-// concave, and fallback strips), every decision the clipper can take
-// going through exact polygon geometry. Agreement with the pointwise
-// oracle here is the vector path's semantic acceptance test. The last row
-// is the spatial smoke shape: 200 cases on two workers.
+// TestDiffSpatialVector drives the harness in spatial mode under auto:
+// polygon-shaped inputs (convex, triangulated concave, and fallback
+// strips), every decision the clipper can take going through exact polygon
+// geometry. Agreement with the pointwise oracle here is the vector path's
+// semantic acceptance test. The last row is the spatial smoke shape: 200
+// cases on two workers.
 func TestDiffSpatialVector(t *testing.T) {
 	for _, c := range []Config{
-		{Cases: 120, Seed: 3, Plan: "vector"},
 		{Cases: 120, Seed: 3, Plan: "auto"},
-		{Cases: 200, Seed: 5, Workers: 2, Plan: "vector"},
+		{Cases: 200, Seed: 5, Workers: 2, Plan: "auto"},
 	} {
 		c.Spatial = true
 		name := fmt.Sprintf("plan=%s seed=%d workers=%d", c.Plan, c.Seed, c.Workers)
@@ -80,12 +79,12 @@ func TestDiffSpatialVector(t *testing.T) {
 // TestDiffRules is the calculus front end's acceptance test: random safe
 // rules (rule.go) through Rule.Translate and the algebra, against the
 // pointwise rule specification, under every way the engine can pair and
-// decide — auto, forced dense, forced vector — each with and without a
-// sat-cache, at one worker and at two. The witness sets are capped below
-// the default: a rule's reference is a satisfiability decision per choice
-// of tuples per point, and twelve configurations run.
+// decide — auto and forced dense — each with and without a sat-cache, at
+// one worker and at two. The witness sets are capped below the default: a
+// rule's reference is a satisfiability decision per choice of tuples per
+// point, and eight configurations run.
 func TestDiffRules(t *testing.T) {
-	for _, plan := range []string{"auto", "dense", "vector"} {
+	for _, plan := range []string{"auto", "dense"} {
 		for _, cache := range []bool{false, true} {
 			for _, workers := range []int{1, 2} {
 				rep, err := Diff(Config{Cases: 300, Seed: 11, Workers: workers, Plan: plan, SatCache: cache,

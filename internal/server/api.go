@@ -69,7 +69,6 @@ type queryResponse struct {
 	Truncated bool            `json:"truncated,omitempty"`
 	ElapsedMS float64         `json:"elapsed_ms"`
 	Stats     []exec.OpStats  `json:"stats,omitempty"` // the flight record's ops, per operator invocation
-	Cache     *cacheInfo      `json:"cache,omitempty"`
 	Explain   string          `json:"explain,omitempty"`
 	Trace     json.RawMessage `json:"trace,omitempty"`
 }
@@ -80,7 +79,6 @@ type queryResult struct {
 	target  string
 	rel     *relation.Relation
 	stats   []exec.OpStats
-	cache   *cacheInfo
 	explain string
 	trace   json.RawMessage
 
@@ -286,10 +284,10 @@ func (s *Server) runOnSession(ctx context.Context, sess *session, req queryReque
 	defer func() { ec.Ctx = nil }()
 
 	// Flight evidence, captured even when the query errors out: the
-	// per-invocation records (every binary node keeps its own strategy and
-	// est/act pair counts), and the sat-cache hit rate over this query's
-	// decisions alone, read from those records (the server's cache is
-	// shared with every other session).
+	// per-invocation records (every binary node keeps its own est/act pair
+	// counts), and the sat-cache hit rate over this query's decisions
+	// alone, read from those records (the server's cache is shared with
+	// every other session).
 	defer func() {
 		extras.ops = ec.Stats()
 		extras.cacheHitRate = obs.CacheHitRate(extras.ops, ec.SatCache != nil)
@@ -317,13 +315,6 @@ func (s *Server) runOnSession(ctx context.Context, sess *session, req queryReque
 	}
 	if req.Stats {
 		res.stats = ec.Stats()
-		if s.cache != nil {
-			st := s.cache.Stats()
-			res.cache = &cacheInfo{
-				Hits: st.Hits, Misses: st.Misses, HitRate: st.HitRate(),
-				Evictions: st.Evictions, Collisions: st.Collisions, Entries: st.Entries,
-			}
-		}
 	}
 	if tracer != nil {
 		roots := tracer.Roots()

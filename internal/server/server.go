@@ -23,8 +23,9 @@
 //   - graceful shutdown: draining rejects new queries with 503 while
 //     in-flight queries run to completion;
 //   - the obs metrics/pprof endpoints mounted on the same listener,
-//     with server-level metric families (inflight, rejected, request
-//     latency, session counts) next to the engine's own.
+//     with every process-level metric family declared here
+//     (installMetrics): the server's (inflight, rejected, request
+//     latency, session counts), the sat-cache's and the snapshot store's.
 //
 // Results are byte-identical to the REPL path: the same statements on a
 // session produce the same schema line and the same Sorted()-order
@@ -250,9 +251,6 @@ func New(dbs map[string]*db.Database, cfg Config) *Server {
 	s.flight.Log = cfg.QueryLog
 	s.flight.Logger = s.log
 	s.installMetrics()
-	if s.snaps != nil {
-		s.snaps.InstallMetrics(s.reg)
-	}
 	s.routes()
 	go s.reapLoop()
 	return s
@@ -339,7 +337,62 @@ func (s *Server) installMetrics() {
 	r.NewCounterFunc("cdb_fm_decisions_total",
 		"Raw Fourier-Motzkin satisfiability decisions (process-wide).",
 		constraint.DecisionCount)
-	s.cache.RegisterMetrics(r)
+
+	// The sat-cache's and the snapshot store's families are scrape-time
+	// reads of the Stats() each keeps: emitting costs the hot path nothing.
+	if c := s.cache; c != nil {
+		r.NewCounterFunc("cdb_satcache_hits_total", "Satisfiability decisions answered by the memoized engine.",
+			func() int64 { return c.Stats().Hits })
+		r.NewCounterFunc("cdb_satcache_misses_total", "Satisfiability decisions that ran the raw eliminator (cache enabled).",
+			func() int64 { return c.Stats().Misses })
+		r.NewCounterFunc("cdb_satcache_evictions_total", "LRU evictions from the sat-cache.",
+			func() int64 { return c.Stats().Evictions })
+		r.NewCounterFunc("cdb_satcache_collisions_total", "Fingerprint collisions detected (and corrected) by the exactness guard.",
+			func() int64 { return c.Stats().Collisions })
+		r.NewGaugeFunc("cdb_satcache_entries", "Resident sat-cache entries across all shards.",
+			func() int64 { return int64(c.Stats().Entries) })
+	}
+	st := s.snaps
+	if st == nil {
+		return
+	}
+	// Pages written against pages shared say whether copy-on-write shares;
+	// encoded against reused, and decoded against shared, which side of a
+	// stored form a commit and a materialise took.
+	r.NewCounterFunc("cdb_snapshot_commits_total", "Snapshot commits (durable WAL commit records written).",
+		func() int64 { return st.Stats().Commits })
+	r.NewCounterFunc("cdb_snapshot_forks_total", "Snapshot forks (manifest copies; no page I/O).",
+		func() int64 { return st.Stats().Forks })
+	r.NewCounterFunc("cdb_snapshot_releases_total", "Snapshots released (pages reclaimed by refcount).",
+		func() int64 { return st.Stats().Releases })
+	r.NewCounterFunc("cdb_snapshot_pages_written_total", "Content pages physically written by commits.",
+		func() int64 { return st.Stats().PagesWritten })
+	r.NewCounterFunc("cdb_snapshot_pages_shared_total", "Page references resolved by content dedup instead of a write.",
+		func() int64 { return st.Stats().PagesShared })
+	r.NewCounterFunc("cdb_snapshot_pages_reused_total", "Written pages that recycled a freed slot instead of growing the file.",
+		func() int64 { return st.Stats().PagesReused })
+	r.NewCounterFunc("cdb_snapshot_relations_encoded_total", "Relations a commit ordered, encoded, chunked and hashed.",
+		func() int64 { return st.Stats().RelationsEncoded })
+	r.NewCounterFunc("cdb_snapshot_relations_reused_total",
+		"Relations a commit took the stored form of from the relation itself (no encoding; pages still compared and written).",
+		func() int64 { return st.Stats().RelationsReused })
+	r.NewCounterFunc("cdb_snapshot_relations_decoded_total", "Relations a materialise decoded from their pages.",
+		func() int64 { return st.Stats().RelationsDecoded })
+	r.NewCounterFunc("cdb_snapshot_relations_shared_total",
+		"Relations a materialise shared with a database still in memory (no decoding; pages still read and verified).",
+		func() int64 { return st.Stats().RelationsShared })
+	r.NewCounterFunc("cdb_wal_appends_total", "WAL records appended.",
+		func() int64 { return st.Stats().WALAppends })
+	r.NewCounterFunc("cdb_wal_fsyncs_total", "WAL fsync batches (one per commit, fork or release).",
+		func() int64 { return st.Stats().WALFlushes })
+	r.NewCounterFunc("cdb_wal_bytes_total", "Bytes durably appended to the WAL.",
+		func() int64 { return st.Stats().WALBytes })
+	r.NewGaugeFunc("cdb_snapshots_live", "Snapshots currently live in the store.",
+		func() int64 { return int64(st.Stats().Snapshots) })
+	r.NewGaugeFunc("cdb_snapshot_pages_live", "Distinct pages referenced by at least one live snapshot.",
+		func() int64 { return int64(st.Stats().PagesLive) })
+	r.NewGaugeFunc("cdb_snapshot_pages_free", "Allocated pages on the free list, awaiting reuse.",
+		func() int64 { return int64(st.Stats().PagesFree) })
 }
 
 // --- admission control ---
@@ -525,16 +578,6 @@ type sessionInfo struct {
 	Results   []string `json:"results,omitempty"`
 	CreatedMS int64    `json:"created_unix_ms"`
 	IdleMS    int64    `json:"idle_ms"`
-}
-
-// cacheInfo is a stats reply's cache block: the server's one sat-cache.
-type cacheInfo struct {
-	Hits       int64   `json:"hits"`
-	Misses     int64   `json:"misses"`
-	HitRate    float64 `json:"hit_rate"`
-	Evictions  int64   `json:"evictions"`
-	Collisions int64   `json:"collisions"`
-	Entries    int     `json:"entries"`
 }
 
 func (s *Server) sessionInfo(sess *session) sessionInfo {

@@ -17,6 +17,7 @@ import (
 	"cdb/internal/datagen"
 	"cdb/internal/db"
 	"cdb/internal/hurricane"
+	"cdb/internal/snapshot"
 )
 
 // newTestServer builds a Server over the hurricane demo database (plus
@@ -254,8 +255,10 @@ func TestQueryStatsExplainTrace(t *testing.T) {
 	if err := json.Unmarshal(resp.Trace, &trace); err != nil || len(trace) == 0 {
 		t.Fatalf("trace is not a span array: %v %s", err, resp.Trace)
 	}
-	if resp.Cache == nil {
-		t.Fatal("stats response missing the server cache's counters (cache is on by default)")
+	// The server's sat-cache counters are /metrics' (cdb_satcache_*), not
+	// a block of every stats reply.
+	if bytes.Contains(body, []byte(`"cache"`)) {
+		t.Fatalf("stats reply carries a cache block:\n%s", body)
 	}
 }
 
@@ -536,8 +539,89 @@ func TestMetricsExposition(t *testing.T) {
 			t.Errorf("/metrics missing family %s", family)
 		}
 	}
-	if status, body := getJSON(t, ts.URL+"/debug/vars"); status != http.StatusOK || !bytes.Contains(body, []byte("cdb")) {
-		t.Fatalf("/debug/vars: %d", status)
+	// /debug/vars is the runtime's expvars; the registry is /metrics' alone.
+	status, body = getJSON(t, ts.URL+"/debug/vars")
+	var vars map[string]json.RawMessage
+	if err := json.Unmarshal(body, &vars); status != http.StatusOK || err != nil {
+		t.Fatalf("/debug/vars: %d %v", status, err)
+	}
+	if _, ok := vars["memstats"]; !ok {
+		t.Errorf("/debug/vars has no memstats: %s", body)
+	}
+	if _, ok := vars["cdb"]; ok {
+		t.Errorf("/debug/vars carries a copy of the registry under cdb")
+	}
+}
+
+// processFamilies is the exposition's HELP and TYPE lines of the sat-cache
+// and snapshot-store families, in its sorted order: their names, help text
+// and types are what a dashboard reads, so they are pinned byte for byte.
+const processFamilies = `# HELP cdb_satcache_collisions_total Fingerprint collisions detected (and corrected) by the exactness guard.
+# TYPE cdb_satcache_collisions_total counter
+# HELP cdb_satcache_entries Resident sat-cache entries across all shards.
+# TYPE cdb_satcache_entries gauge
+# HELP cdb_satcache_evictions_total LRU evictions from the sat-cache.
+# TYPE cdb_satcache_evictions_total counter
+# HELP cdb_satcache_hits_total Satisfiability decisions answered by the memoized engine.
+# TYPE cdb_satcache_hits_total counter
+# HELP cdb_satcache_misses_total Satisfiability decisions that ran the raw eliminator (cache enabled).
+# TYPE cdb_satcache_misses_total counter
+# HELP cdb_snapshot_commits_total Snapshot commits (durable WAL commit records written).
+# TYPE cdb_snapshot_commits_total counter
+# HELP cdb_snapshot_forks_total Snapshot forks (manifest copies; no page I/O).
+# TYPE cdb_snapshot_forks_total counter
+# HELP cdb_snapshot_pages_free Allocated pages on the free list, awaiting reuse.
+# TYPE cdb_snapshot_pages_free gauge
+# HELP cdb_snapshot_pages_live Distinct pages referenced by at least one live snapshot.
+# TYPE cdb_snapshot_pages_live gauge
+# HELP cdb_snapshot_pages_reused_total Written pages that recycled a freed slot instead of growing the file.
+# TYPE cdb_snapshot_pages_reused_total counter
+# HELP cdb_snapshot_pages_shared_total Page references resolved by content dedup instead of a write.
+# TYPE cdb_snapshot_pages_shared_total counter
+# HELP cdb_snapshot_pages_written_total Content pages physically written by commits.
+# TYPE cdb_snapshot_pages_written_total counter
+# HELP cdb_snapshot_relations_decoded_total Relations a materialise decoded from their pages.
+# TYPE cdb_snapshot_relations_decoded_total counter
+# HELP cdb_snapshot_relations_encoded_total Relations a commit ordered, encoded, chunked and hashed.
+# TYPE cdb_snapshot_relations_encoded_total counter
+# HELP cdb_snapshot_relations_reused_total Relations a commit took the stored form of from the relation itself (no encoding; pages still compared and written).
+# TYPE cdb_snapshot_relations_reused_total counter
+# HELP cdb_snapshot_relations_shared_total Relations a materialise shared with a database still in memory (no decoding; pages still read and verified).
+# TYPE cdb_snapshot_relations_shared_total counter
+# HELP cdb_snapshot_releases_total Snapshots released (pages reclaimed by refcount).
+# TYPE cdb_snapshot_releases_total counter
+# HELP cdb_snapshots_live Snapshots currently live in the store.
+# TYPE cdb_snapshots_live gauge
+# HELP cdb_wal_appends_total WAL records appended.
+# TYPE cdb_wal_appends_total counter
+# HELP cdb_wal_bytes_total Bytes durably appended to the WAL.
+# TYPE cdb_wal_bytes_total counter
+# HELP cdb_wal_fsyncs_total WAL fsync batches (one per commit, fork or release).
+# TYPE cdb_wal_fsyncs_total counter
+`
+
+// TestProcessFamiliesHelpAndType: the daemon declares the sat-cache's and
+// the snapshot store's families, and declares them as they always read.
+func TestProcessFamiliesHelpAndType(t *testing.T) {
+	st, err := snapshot.Open(t.TempDir(), snapshot.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	_, ts := newTestServer(t, Config{Snapshots: st}, nil)
+	text, err := scrapeMetrics(ts.URL)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got strings.Builder
+	for _, line := range strings.SplitAfter(text, "\n") {
+		if strings.HasPrefix(line, "# ") && (strings.Contains(line, " cdb_satcache_") ||
+			strings.Contains(line, " cdb_snapshot") || strings.Contains(line, " cdb_wal_")) {
+			got.WriteString(line)
+		}
+	}
+	if got.String() != processFamilies {
+		t.Errorf("process families:\n%s\nwant:\n%s", got.String(), processFamilies)
 	}
 }
 

@@ -86,9 +86,6 @@ func appendReply(b []byte, sessionID, qid string, res *queryResult, elapsedMS fl
 	if len(res.stats) > 0 {
 		b = appendNested(append(b, ",\n  \"stats\": "...), res.stats, true)
 	}
-	if res.cache != nil {
-		b = appendNested(append(b, ",\n  \"cache\": "...), res.cache, true)
-	}
 	if res.explain != "" {
 		b = appendJSONString(append(b, ",\n  \"explain\": "...), res.explain)
 	}
@@ -146,7 +143,7 @@ func writeStream(w http.ResponseWriter, sessionID, qid string, res *queryResult,
 
 // appendNested appends v as encoding/json writes it as a field value: one
 // level deep in an indented object, or on one line. It is called with the
-// stats rows, the cache counters and the trace, whose encodings cannot
+// stats rows and the trace, whose encodings cannot
 // fail; were one to, the field would read null.
 func appendNested(b []byte, v any, indent bool) []byte {
 	var (

@@ -38,7 +38,7 @@ func oracleReply(t *testing.T, sessionID, qid string, res *queryResult, elapsedM
 		Session: sessionID, QueryID: qid, Target: res.target,
 		Schema: res.rel.Schema().String(), Tuples: tuples, Count: res.rel.Len(),
 		Truncated: res.truncated, ElapsedMS: elapsedMS,
-		Stats: res.stats, Cache: res.cache, Explain: res.explain, Trace: res.trace,
+		Stats: res.stats, Explain: res.explain, Trace: res.trace,
 	}); err != nil {
 		t.Fatal(err)
 	}
@@ -102,22 +102,21 @@ func TestReplyEncoding(t *testing.T) {
 	empty := relation.New(rel.Schema()).Normalize()
 	stats := []exec.OpStats{
 		{Op: "join", TuplesIn: 7, TuplesOut: 4, SatChecks: 4, PairsTotal: 12, PairsPruned: 8,
-			Strategy: "dense", EstPairs: 4, Wall: 1500 * time.Microsecond, Parallel: true},
+			EstPairs: 4, Wall: 1500 * time.Microsecond, Parallel: true},
 		{Op: "select", TuplesIn: 4, TuplesOut: 4, EnvHits: 4},
 	}
-	cache := &cacheInfo{Hits: 3, Misses: 1, HitRate: 0.75, Evictions: 2, Entries: 9}
 	explain := "query t <= 9 & x > 1  [query_id=q1]\n├─ \"scan\" \\ \x01\u2028\n"
 	trace := json.RawMessage("[\n  {\n    \"name\": \"query\",\n    \"detail\": \"t <= 9 & x > 1\",\n    \"counters\": {\"rows\": 4}\n  }\n]")
 	results := map[string]*queryResult{
 		"empty tuples": {target: "R", rel: empty},
 		"tuples":       {target: "R<1>&", rel: rel, rows: rows},
 		"truncated":    {target: "R", rel: rel, rows: 2, truncated: true},
-		"stats":        {target: "R", rel: rel, rows: rows, stats: stats, cache: cache},
+		"stats":        {target: "R", rel: rel, rows: rows, stats: stats},
 		"empty stats":  {target: "R", rel: rel, rows: 1, stats: []exec.OpStats{}},
 		"explain":      {target: "R", rel: rel, rows: rows, explain: explain},
 		"trace":        {target: "R", rel: rel, rows: 3, truncated: true, trace: trace},
 		"everything": {target: "\u2029", rel: rel, rows: rows, truncated: true,
-			stats: stats, cache: cache, explain: explain, trace: trace},
+			stats: stats, explain: explain, trace: trace},
 	}
 	for name, res := range results {
 		for _, ms := range []float64{0, 1e-7, 0.123, 1e21, 12.5, 1e-6} {

@@ -620,7 +620,8 @@ func (s *Store) metaLocked(m *Manifest) Snapshot {
 	}
 }
 
-// StoreStats is the store's operational telemetry (see InstallMetrics).
+// StoreStats is the store's operational telemetry (the daemon's
+// cdb_snapshot_* and cdb_wal_* metric families read it).
 type StoreStats struct {
 	Snapshots    int
 	PagesLive    int // distinct pages referenced by live snapshots

@@ -1,6 +1,7 @@
 package vector
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 
@@ -186,6 +187,63 @@ func TestPairSatTouchingRegions(t *testing.T) {
 	d := FormOf(boxConj(100, 100, 102, 102).Canon())
 	if PairSat(a, d) {
 		t.Fatal("far-disjoint boxes reported sat")
+	}
+}
+
+// TestPairSatAgainstBoxMerge: on two boxes, clipping (PairSat) and the
+// envelope decider (constraint.BoxMerge) are two exact answers to one
+// question, and auto only ever asks the second. They must agree on the
+// verdict, and on a satisfiable pair BoxMerge's merge is the canonical
+// merge the clip path emits. The table covers the contacts a clip reads as
+// degenerate (a shared edge, a shared corner, containment), then random
+// pairs over a small grid, so that overlaps, touches and gaps all occur.
+func TestPairSatAgainstBoxMerge(t *testing.T) {
+	type box [4]int64 // x0, y0, x1, y1
+	cases := []struct {
+		name string
+		a, b box
+	}{
+		{"overlap", box{0, 0, 4, 4}, box{2, 2, 6, 6}},
+		{"shared edge", box{0, 0, 2, 2}, box{2, 0, 4, 2}},
+		{"shared corner", box{0, 0, 2, 2}, box{2, 2, 4, 4}},
+		{"contained", box{0, 0, 8, 8}, box{2, 3, 4, 5}},
+		{"identical", box{1, 1, 3, 3}, box{1, 1, 3, 3}},
+		{"gap in x", box{0, 0, 2, 2}, box{3, 0, 5, 2}},
+		{"gap in y", box{0, 0, 2, 2}, box{0, 3, 2, 5}},
+		{"overlap in x only", box{0, 0, 4, 2}, box{1, 5, 3, 7}},
+	}
+	rng := rand.New(rand.NewSource(7))
+	randomBox := func() box {
+		x0, y0 := rng.Int63n(12), rng.Int63n(12)
+		return box{x0, y0, x0 + 1 + rng.Int63n(6), y0 + 1 + rng.Int63n(6)}
+	}
+	for i := 0; i < 200; i++ {
+		cases = append(cases, struct {
+			name string
+			a, b box
+		}{fmt.Sprintf("random %d", i), randomBox(), randomBox()})
+	}
+	var sats, unsats int
+	for _, c := range cases {
+		a, b := boxConj(c.a[0], c.a[1], c.a[2], c.a[3]).Canon(), boxConj(c.b[0], c.b[1], c.b[2], c.b[3]).Canon()
+		if !a.IsBox() || !b.IsBox() {
+			t.Fatalf("%s: not boxes: %s, %s", c.name, a, b)
+		}
+		merged, want := constraint.BoxMerge(a, b)
+		if got := PairSat(FormOf(a), FormOf(b)); got != want {
+			t.Errorf("%s: PairSat = %v, BoxMerge = %v\n a: %s\n b: %s", c.name, got, want, a, b)
+		}
+		if !want {
+			unsats++
+			continue
+		}
+		sats++
+		if canon := a.Merge(b).Canon(); !merged.EqualCanonical(canon) {
+			t.Errorf("%s: BoxMerge = %s, the clip path's merge = %s", c.name, merged, canon)
+		}
+	}
+	if sats == 0 || unsats == 0 {
+		t.Fatalf("%d satisfiable and %d unsatisfiable pairs: one verdict is never tested", sats, unsats)
 	}
 }
 

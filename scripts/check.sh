@@ -26,6 +26,27 @@ if grep -nE '\.IsSatisfiable\(\)' internal/cqa/*.go internal/exec/*.go internal/
     exit 1
 fi
 
+# The kernel declares no metrics: the constraint engine and the snapshot
+# store keep Stats(), and the daemon (server.installMetrics) declares the
+# families that read them, so neither package imports the observability
+# layer.
+echo '>> the kernel imports no internal/obs'
+if go list -f '{{.ImportPath}}: {{join .Imports " "}}' ./internal/constraint ./internal/snapshot | grep -E ' cdb/internal/obs( |$)'; then
+    echo 'a kernel package imports cdb/internal/obs (see above)'
+    exit 1
+fi
+
+# Entry size: a CHANGES.md entry from PR 49 on is one line of at most
+# 4 000 bytes; the pairs behind a claim go in a table, not in prose.
+echo '>> CHANGES.md entries from PR 49 on are at most 4000 bytes'
+if ! LC_ALL=C awk 'match($0, /^- PR [0-9]+/) {
+        n = substr($0, 6, RLENGTH - 5) + 0
+        if (n >= 49 && length($0) > 4000) { printf "CHANGES.md:%d: PR %d entry is %d bytes\n", NR, n, length($0); bad = 1 }
+    } END { exit bad }' CHANGES.md; then
+    echo 'a CHANGES.md entry is over 4000 bytes (see above)'
+    exit 1
+fi
+
 # Doc names that exist: every backticked Test*, Benchmark* or Fuzz* name in
 # the docs names a function of some _test.go file; a trailing * matches as
 # a prefix.
@@ -77,14 +98,16 @@ fi
 # read from its own operator rows), and the interval-sweep enumeration with
 # its size rule and the test hook that made a decider decline (one
 # enumeration: the bucket-matched dense loop; the plan modes are the decider
-# sets). Nothing outside the history files and the frozen benchmark/ may
-# name them again.
+# sets), and the copies of process-level facts beside /metrics (the stats
+# reply's cache block, the registry's expvar twin, the kernel's own metric
+# declarations, the always-zero float_rej counter row). Nothing outside the
+# history files and the frozen benchmark/ may name them again.
 echo '>> no second bench harness'
 if ls BENCH_*.json >/dev/null 2>&1; then
     echo 'a BENCH_*.json sits at the root; measurements belong to benchmark/'
     exit 1
 fi
-if git grep -nE 'BENCH_[a-z]+\.json|bench[d]iff|bench-(all|canon|prune|plan|vector|snapshot)|-expt (cqa|canon|prune|plan|vector|snapshot)|Valid[P]lanMode|cdb_planner_[q]error|QError[B]uckets|DefaultQError[T]hreshold|SubtractAll[W]ith|Complement[I]nto|sat[T]otals|foldRetired[L]ocked|HitRate[S]ince|sat_cache_[e]ntries|cache[S]tats|sweep[B]ucket|sweep[C]\b|sweep[P]airs|sweep[I]tems|sweep[C]olumn|force[D]ecline|strategy=[s]weep|snap[D]Bs|hook[M]aterialized|snapshot[D]B\(|endpoint[K]ey|deduceSpatial[S]hell' \
+if git grep -nE 'BENCH_[a-z]+\.json|bench[d]iff|bench-(all|canon|prune|plan|vector|snapshot)|-expt (cqa|canon|prune|plan|vector|snapshot)|Valid[P]lanMode|cdb_planner_[q]error|QError[B]uckets|DefaultQError[T]hreshold|SubtractAll[W]ith|Complement[I]nto|sat[T]otals|foldRetired[L]ocked|HitRate[S]ince|sat_cache_[e]ntries|cache[S]tats|sweep[B]ucket|sweep[C]\b|sweep[P]airs|sweep[I]tems|sweep[C]olumn|force[D]ecline|strategy=[s]weep|snap[D]Bs|hook[M]aterialized|snapshot[D]B\(|endpoint[K]ey|deduceSpatial[S]hell|Publish[E]xpvar|cache[I]nfo|Register[M]etrics|Install[M]etrics|"float_[r]ej"' \
     -- . ':!CHANGES.md' ':!ROADMAP.md' ':!ISSUE.md' ':!benchmark'; then
     echo 'a retired measurement file, tool, target, experiment or name is named (see above)'
     exit 1
@@ -117,7 +140,7 @@ go test -race -count=2 ./internal/constraint ./internal/exec ./internal/cqa ./in
 # server handler), warm box-join and its one box pair merge,
 # box-join reply, warm select and snapshot benchmarks must keep compiling and running (their allocation
 # and decision ceilings are plain tests, already run above; PairingModes also
-# fails here when auto eliminates or clips more than a forced mode, or
+# fails here when auto eliminates or clips more than dense eliminates, or
 # anything at all on boxes).
 echo '>> result-tail, cold-decision, FM ablation, vector-difference, pairing-mode, filter-stage, pair-lookup, box-join, box-merge, reply, select and snapshot benchmarks, one iteration'
 go test -run '^$' -bench 'Sorted|CanonMerge|RatString|ColdDecision|AblationFMHistoryBound|NormalizePolygonMinus|NormalizeBoxJoin|DifferencePolygonMinus|ClipRing|PairingModes|PairCandidates|HurricaneQuery3Warm|HurricaneQuery3Cold|HurricaneServer|HurricaneRuleWarm|BoxJoinWarm|BoxMerge|QueryReply|SelectWarm|JoinPairLookup|SnapshotMaterialize|SnapshotRecommit' -benchtime 1x ./...
@@ -239,8 +262,8 @@ wait "$SRV_PID" || { echo 'phase 3: server exited non-zero'; exit 1; }
 # Oracle smoke: 200 random cases against the naive reference evaluator
 # guard the planner end to end (cost rewrites plus strategy switching) —
 # one in eight a random conjunctive rule through the calculus front end.
-# Zero disagreements allowed. The spatial run through the forced vector
-# path is a row of TestDiffSpatialVector (internal/oracle), run above.
+# Zero disagreements allowed. The spatial run through the vector path is
+# a row of TestDiffSpatialVector (internal/oracle), run above.
 echo '>> oracle smoke'
 go run ./cmd/cdbbench -expt diff -n 200 -seed 3 -par 2 >/dev/null
 echo 'OK'
