@@ -222,7 +222,7 @@ func BenchmarkAblationDifferencePruning(b *testing.B) {
 	)
 	b.Run("eager-prune", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			d := constraint.Subtract(big, sub)
+			d := constraint.SubtractAll(big, []constraint.Conjunction{sub})
 			b.ReportMetric(float64(len(d)), "disjuncts")
 		}
 	})
@@ -343,7 +343,7 @@ func BenchmarkCQASelect(b *testing.B) {
 	cond := cqa.Condition{cqa.AttrCmpConst("x", cqa.OpLe, rational.FromInt(50))}
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if _, err := cqa.Select(r, cond); err != nil {
+		if _, err := cqa.Select(nil, r, cond); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -354,7 +354,7 @@ func BenchmarkCQAProject(b *testing.B) {
 	r := benchRelation(500)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if _, err := cqa.Project(r, "id", "x"); err != nil {
+		if _, err := cqa.Project(nil, r, "id", "x"); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -366,7 +366,7 @@ func BenchmarkCQAJoin(b *testing.B) {
 	r2 := benchRelation(60)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if _, err := cqa.Join(r1, r2); err != nil {
+		if _, err := cqa.Join(nil, r1, r2); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -393,7 +393,7 @@ func BenchmarkHurricaneSuite(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		for _, nq := range qs {
-			if _, err := d.Run(nq.Text); err != nil {
+			if _, err := d.Run(nq.Text, nil); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -412,7 +412,7 @@ func parBenchInputs(b *testing.B, n int) (*relation.Relation, *relation.Relation
 	r1 := datagen.BoxRelation(p, n, 0)
 	p2 := p
 	p2.Seed += 1000
-	r2, err := cqa.Rename(datagen.BoxRelation(p2, n, 0), "id", "id2")
+	r2, err := cqa.Rename(nil, datagen.BoxRelation(p2, n, 0), map[string]string{"id": "id2"})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -445,7 +445,7 @@ func benchOpParallel(b *testing.B, run func(ec *exec.Context) error) {
 func BenchmarkJoinParallel(b *testing.B) {
 	r1, r2 := parBenchInputs(b, 40)
 	benchOpParallel(b, func(ec *exec.Context) error {
-		_, err := cqa.JoinCtx(ec, r1, r2)
+		_, err := cqa.Join(ec, r1, r2)
 		return err
 	})
 }
@@ -459,7 +459,7 @@ func BenchmarkIntersectParallel(b *testing.B) {
 	p2.Seed += 1000
 	r2 := datagen.BoxRelation(p2, 40, 0)
 	benchOpParallel(b, func(ec *exec.Context) error {
-		_, err := cqa.IntersectCtx(ec, r1, r2)
+		_, err := cqa.Intersect(ec, r1, r2)
 		return err
 	})
 }
@@ -474,7 +474,7 @@ func BenchmarkSelectParallel(b *testing.B) {
 		cqa.AttrCmpConst("y", cqa.OpNe, rational.FromInt(700)),
 	}
 	benchOpParallel(b, func(ec *exec.Context) error {
-		_, err := cqa.SelectCtx(ec, r, cond)
+		_, err := cqa.Select(ec, r, cond)
 		return err
 	})
 }
@@ -488,7 +488,7 @@ func BenchmarkDifferenceParallel(b *testing.B) {
 	p2.Seed += 1000
 	r2 := datagen.BoxRelation(p2, 60, 8)
 	benchOpParallel(b, func(ec *exec.Context) error {
-		_, err := cqa.DifferenceCtx(ec, r1, r2)
+		_, err := cqa.Difference(ec, r1, r2)
 		return err
 	})
 }
@@ -579,7 +579,7 @@ func BenchmarkJoinPruning(b *testing.B) {
 		b.Run(name, func(b *testing.B) {
 			ec := &exec.Context{Parallelism: 1, NoPrune: noPrune}
 			for i := 0; i < b.N; i++ {
-				if _, err := cqa.JoinCtx(ec, r1, r2); err != nil {
+				if _, err := cqa.Join(ec, r1, r2); err != nil {
 					b.Fatal(err)
 				}
 				ec.Reset()
@@ -612,7 +612,7 @@ func BenchmarkPairingModes(b *testing.B) {
 	ops := []struct {
 		name string
 		run  func(*exec.Context, *relation.Relation, *relation.Relation) (*relation.Relation, error)
-	}{{"join", cqa.JoinCtx}, {"intersect", cqa.IntersectCtx}}
+	}{{"join", cqa.Join}, {"intersect", cqa.Intersect}}
 	modes := []string{exec.PlanDense, exec.PlanAuto}
 	for _, shape := range shapes {
 		r1, r2 := datagen.Canonical(shape.r1), datagen.Canonical(shape.r2)
@@ -664,7 +664,7 @@ func BenchmarkPairingModes(b *testing.B) {
 // two-variable constraint parts.
 func polygonMinusResult(tb testing.TB) *relation.Relation {
 	r1, r2 := polygonMinusInputs()
-	out, err := cqa.Difference(r1, r2)
+	out, err := cqa.Difference(nil, r1, r2)
 	if err != nil {
 		tb.Fatal(err)
 	}
@@ -724,7 +724,7 @@ func boxJoinResult(tb testing.TB) *relation.Relation {
 	p.Seed = 16
 	p2 := p
 	p2.Seed += 500
-	out, err := cqa.Join(datagen.ClusteredBoxRelation(p, 20, 1, 10, 77), datagen.ClusteredBoxRelation(p2, 20, 1, 10, 77))
+	out, err := cqa.Join(nil, datagen.ClusteredBoxRelation(p, 20, 1, 10, 77), datagen.ClusteredBoxRelation(p2, 20, 1, 10, 77))
 	if err != nil {
 		tb.Fatal(err)
 	}
@@ -787,7 +787,7 @@ func BenchmarkDifferencePolygonMinus(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := cqa.DifferenceCtx(ec, c0, d0); err != nil {
+		if _, err := cqa.Difference(ec, c0, d0); err != nil {
 			b.Fatal(err)
 		}
 		ec.Reset()
@@ -851,7 +851,7 @@ func loadedDB(tb testing.TB, rels map[string]*relation.Relation) *db.Database {
 	if err := raw.Save(&buf); err != nil {
 		tb.Fatal(err)
 	}
-	d, err := db.Load(&buf)
+	d, err := db.Load(&buf, nil)
 	if err != nil {
 		tb.Fatal(err)
 	}
@@ -880,13 +880,14 @@ func churnDB(tb testing.TB) *db.Database {
 // pair decision of every iteration is a remembered one. one-worker runs every
 // operator inline; pool runs at a default session's worker count
 // (exec.New(0): GOMAXPROCS), where the first join's 192 candidates go to the
-// pool, as they do in the daemon.
+// pool, as they do in the daemon. nil-cache runs inline with no sat-cache,
+// so every pair the filter keeps is merged, canonicalised and decided again:
+// what the cache saves a warm request.
 func BenchmarkHurricaneQuery3Warm(b *testing.B) {
 	d, progs := hurricaneQuery3(b)
 	for _, leg := range warmLegs {
 		b.Run(leg.name, func(b *testing.B) {
-			ec := exec.New(leg.workers)
-			ec.SatCache = constraint.NewSatCache(0)
+			ec := leg.context()
 			for a := range progs {
 				runQuery3(b, d, ec, progs, a)
 			}
@@ -956,12 +957,25 @@ func runQuery3(b *testing.B, d *db.Database, ec *exec.Context, progs [][]*query.
 	ec.Reset()
 }
 
-// warmLegs are the worker counts the warm in-process benchmarks run at: one
-// worker, and a default session's pool (exec.New(0), GOMAXPROCS workers).
-var warmLegs = []struct {
+// warmLegs are the contexts the warm in-process benchmarks run under: one
+// worker and a default session's pool (exec.New(0), GOMAXPROCS workers),
+// each with a default sat-cache, and one worker with none.
+var warmLegs = []warmLeg{{"one-worker", 1, true}, {"pool", 0, true}, {"nil-cache", 1, false}}
+
+type warmLeg struct {
 	name    string
 	workers int
-}{{"one-worker", 1}, {"pool", 0}}
+	cache   bool
+}
+
+// context returns a fresh session-lifetime context for the leg.
+func (l warmLeg) context() *exec.Context {
+	ec := exec.New(l.workers)
+	if l.cache {
+		ec.SatCache = constraint.NewSatCache(0)
+	}
+	return ec
+}
 
 // BenchmarkHurricaneServer is BenchmarkHurricaneQuery3Warm's request as the
 // daemon serves it, without the network: POST /v1/query of the whole Query 3
@@ -1079,7 +1093,8 @@ func BenchmarkHurricaneRuleWarm(b *testing.B) {
 // without the server around it: each of its three forms (join, intersect,
 // join projected on x) on two dense 20-box relations as a session holds
 // them, with the result tail's normalisation, under one session-lifetime
-// context, at one worker and at a default session's pool (warmLegs). Every
+// context, at one worker and at a default session's pool, and at one worker
+// without a sat-cache (warmLegs). Every
 // candidate pair is two boxes over the shared x and y, so this is the
 // envelope decider end to end: interval merge, a projection that drops
 // bounds, a normalisation that finds nothing to do.
@@ -1088,8 +1103,7 @@ func BenchmarkBoxJoinWarm(b *testing.B) {
 	for _, form := range forms {
 		for _, leg := range warmLegs {
 			b.Run(form.name+"/"+leg.name, func(b *testing.B) {
-				ec := exec.New(leg.workers)
-				ec.SatCache = constraint.NewSatCache(0)
+				ec := leg.context()
 				b.ReportAllocs()
 				for i := 0; i < b.N; i++ {
 					form.run(b, d, ec)
@@ -1188,7 +1202,7 @@ func TestBoxJoinWarmBytes(t *testing.T) {
 // encodes every tuple into an in-memory response — as one JSON body, and
 // as an NDJSON stream.
 func BenchmarkQueryReply(b *testing.B) {
-	d := loadedDB(b, map[string]*relation.Relation{"J": boxJoinResult(b).Normalize()})
+	d := loadedDB(b, map[string]*relation.Relation{"J": boxJoinResult(b).NormalizeWith(nil)})
 	srv := server.New(map[string]*db.Database{"box": d}, server.Config{SessionIdleTimeout: -1})
 	b.Cleanup(func() { _ = srv.Shutdown(context.Background()) })
 	h := srv.Handler()
@@ -1239,7 +1253,7 @@ func BenchmarkSelectWarm(b *testing.B) {
 		b.Run(shape.name, func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				r, err := cqa.SelectCtx(ec, shape.r, shape.cond)
+				r, err := cqa.Select(ec, shape.r, shape.cond)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -1263,7 +1277,7 @@ func BenchmarkSelectWarm(b *testing.B) {
 // cache kept across iterations would remember some of them.)
 func BenchmarkJoinPairLookup(b *testing.B) {
 	land, owners, track := datagen.HurricaneRelations(8)
-	r0, err := cqa.Join(owners, land)
+	r0, err := cqa.Join(nil, owners, land)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -1298,7 +1312,7 @@ func BenchmarkJoinPairLookup(b *testing.B) {
 			b.StopTimer()
 			ec.SatCache = constraint.NewSatCache(16)
 			b.StartTimer()
-			if _, err := cqa.JoinCtx(ec, r0, track); err != nil {
+			if _, err := cqa.Join(ec, r0, track); err != nil {
 				b.Fatal(err)
 			}
 			if s := ec.Stats()[0]; s.CacheHits != 0 {
@@ -1348,7 +1362,7 @@ func BenchmarkSnapshotMaterialize(b *testing.B) {
 					}
 					b.StartTimer()
 				}
-				got, err := st.Materialize(snap.ID)
+				got, err := st.MaterializeCtx(snap.ID, nil)
 				if err != nil || got.TupleCount() != d.TupleCount() {
 					b.Fatalf("materialize: %d tuples, want %d (%v)", got.TupleCount(), d.TupleCount(), err)
 				}
@@ -1394,7 +1408,7 @@ func BenchmarkSnapshotRecommit(b *testing.B) {
 				if err != nil {
 					b.Fatal(err)
 				}
-				if got, err := st.Materialize(fork.ID); err != nil || got.TupleCount() != d.TupleCount() {
+				if got, err := st.MaterializeCtx(fork.ID, nil); err != nil || got.TupleCount() != d.TupleCount() {
 					b.Fatalf("materialize: %v", err)
 				}
 				for _, id := range []string{fork.ID, snap.ID} {

@@ -29,7 +29,7 @@
 //		cdb.Rel("landId", cdb.String), cdb.Con("x"), cdb.Con("y")))
 //	// ... add tuples ...
 //	d.Put("Land", land)
-//	out, err := d.Run(`R = select x >= 5 from Land`)
+//	out, err := d.Run(`R = select x >= 5 from Land`, nil) // nil: sequential, no stats
 //
 // See the runnable programs under examples/ for complete scenarios.
 package cdb
@@ -156,7 +156,10 @@ func ParseConstraints(src string) ([]LinearConstraint, error) {
 // --- the algebra (CQA) ---
 
 // Select, Project, Join, Intersect, Union, Rename, Difference are the six
-// (plus derived) CQA operators over heterogeneous relations.
+// (plus derived) CQA operators over heterogeneous relations. Each takes an
+// execution context first: the per-tuple(-pair) satisfiability work fans
+// out over the context's worker pool and per-operator stats are recorded
+// on it; a nil context is sequential with no stats.
 var (
 	Select     = cqa.Select
 	Project    = cqa.Project
@@ -183,8 +186,8 @@ func Optimize(n PlanNode, schemas cqa.SchemaEnv) PlanNode { return cqa.Optimize(
 
 // ExecContext carries the parallel execution policy (worker-pool size,
 // sequential-fallback threshold) and collects per-operator statistics.
-// Pass it to the *Ctx operator variants, Database.RunCtx, or
-// Program.RunCtx; a nil *ExecContext means sequential with no stats.
+// Every operator, Database.Run and RuleProgram.RunCtx take one; a nil
+// *ExecContext means sequential with no stats.
 // Parallel execution is deterministic: results are byte-identical to the
 // sequential path at any parallelism.
 type ExecContext = exec.Context
@@ -219,8 +222,8 @@ func FormatStats(stats []OpStats) string { return exec.FormatStats(stats) }
 // --- observability (package obs) ---
 
 // Tracer collects hierarchical query execution spans. Set it on
-// ExecContext.Tracer and every plan node, calculus rule, database
-// load/save and pool fan-out records a span (Tracer.Roots). All tracing
+// ExecContext.Tracer and every plan node, calculus rule, database load
+// and pool fan-out records a span (Tracer.Roots). All tracing
 // APIs are nil-safe: a nil Tracer (the default) costs a nil check.
 type Tracer = obs.Tracer
 
@@ -238,20 +241,6 @@ type MetricsRegistry = obs.Registry
 
 // NewMetricsRegistry returns an empty metrics registry.
 func NewMetricsRegistry() *MetricsRegistry { return obs.NewRegistry() }
-
-// SelectCtx, ProjectCtx, JoinCtx, IntersectCtx, UnionCtx, RenameCtx,
-// DifferenceCtx are the CQA operators under an execution context: the
-// per-tuple(-pair) satisfiability work fans out over the context's worker
-// pool and per-operator stats are recorded on it.
-var (
-	SelectCtx     = cqa.SelectCtx
-	ProjectCtx    = cqa.ProjectCtx
-	JoinCtx       = cqa.JoinCtx
-	IntersectCtx  = cqa.IntersectCtx
-	UnionCtx      = cqa.UnionCtx
-	RenameCtx     = cqa.RenameCtx
-	DifferenceCtx = cqa.DifferenceCtx
-)
 
 // --- the query language ---
 

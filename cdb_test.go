@@ -31,7 +31,7 @@ func TestFacadeEndToEnd(t *testing.T) {
 	}
 	out, err := d.Run(`
 R0 = select x >= 1, x + y <= 5 from Land
-R1 = project R0 on landId, x`)
+R1 = project R0 on landId, x`, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -61,15 +61,15 @@ R1 = project R0 on landId, x`)
 	}
 
 	// Algebra functions re-exported.
-	sel, err := Select(land, Condition{})
+	sel, err := Select(nil, land, Condition{})
 	if err != nil || sel.Len() != 2 {
 		t.Errorf("empty-condition select: %v %v", sel.Len(), err)
 	}
-	ren, err := Rename(land, "x", "lon")
+	ren, err := Rename(nil, land, map[string]string{"x": "lon"})
 	if err != nil || !ren.Schema().Has("lon") {
 		t.Errorf("rename: %v", err)
 	}
-	diff, err := Difference(land, land)
+	diff, err := Difference(nil, land, land)
 	if err != nil || diff.Len() != 0 {
 		t.Errorf("self difference: %d, %v", diff.Len(), err)
 	}
@@ -136,11 +136,11 @@ func TestFacadeModelAndAlgebra(t *testing.T) {
 	r := NewRelation(s)
 	cs, _ := ParseConstraints("x >= 0, x <= 1")
 	r.MustAdd(NewTuple(map[string]Value{"id": Str("a")}, And(cs...)))
-	got, err := Project(r, "x")
+	got, err := Project(nil, r, "x")
 	if err != nil || got.Len() != 1 {
 		t.Fatalf("project: %v %v", got, err)
 	}
-	u, err := Union(r, r)
+	u, err := Union(nil, r, r)
 	if err != nil || u.Len() != 1 {
 		t.Errorf("union: %v %v", u, err)
 	}

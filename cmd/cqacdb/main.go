@@ -27,8 +27,8 @@
 // (entries; 0 disables it), which persists across the statements and
 // programs of a session, so repeated shapes are decided once. The binary
 // operators pair tuples through a filter-and-refine candidate filter
-// (relational hash partitioning + constraint envelopes + switched
-// enumeration; docs/ARCHITECTURE.md "The filter stage") and decide each
+// (relational hash partitioning + constraint envelopes + one nested loop
+// per bucket; docs/ARCHITECTURE.md "The filter stage") and decide each
 // surviving pair by the cheapest decider that is exact on it (envelopes,
 // clipping, sat-cache / Fourier-Motzkin); the engine chooses both.
 // Parallel output is byte-identical to sequential output, with or without
@@ -177,8 +177,12 @@ func run(args []string) error {
 	case *demo != "":
 		return fmt.Errorf("unknown demo %q (try: hurricane)", *demo)
 	case *dbPath != "":
-		var err error
-		d, err = db.LoadFileCtx(*dbPath, ec)
+		f, err := os.Open(*dbPath)
+		if err != nil {
+			return err
+		}
+		d, err = db.Load(f, ec)
+		f.Close()
 		if err != nil {
 			return err
 		}
@@ -200,7 +204,7 @@ func run(args []string) error {
 	}
 
 	if *expr != "" {
-		out, err := d.RunCtx(*expr, ec)
+		out, err := d.Run(*expr, ec)
 		if err != nil {
 			return err
 		}
@@ -225,7 +229,7 @@ func run(args []string) error {
 			if err != nil {
 				return err
 			}
-			out, err := d.RunCtx(string(src), ec)
+			out, err := d.Run(string(src), ec)
 			if err != nil {
 				return fmt.Errorf("%s: %w", path, err)
 			}
@@ -361,7 +365,7 @@ func repl(d *db.Database, maxRows int, s *session, in io.Reader, out io.Writer) 
 			// Every statement's target persists, so later lines can build
 			// on earlier ones; the printed result is normalised, as -e's is.
 			root := s.ec.BeginSpan("query", line)
-			_, res, err := db.RunProgram(prog, d.Env(), s.ec, func(target string, r *relation.Relation) {
+			_, res, err := prog.Exec(d.Env(), s.ec, func(target string, r *relation.Relation) {
 				_ = d.Put(target, r) // Put fails only on an empty name; a parsed target has one
 			})
 			s.ec.EndSpan(root)

@@ -119,7 +119,7 @@ func TestREPLSession(t *testing.T) {
 
 // TestREPLLineIsRunCtx: a shell line runs the statement loop -e runs, once:
 // it prints the normalised result -e prints for the same program and makes
-// exactly the Fourier-Motzkin decisions Database.RunCtx makes.
+// exactly the Fourier-Motzkin decisions Database.Run makes.
 func TestREPLLineIsRunCtx(t *testing.T) {
 	for _, line := range []string{
 		`R0 = select x + y >= 0 from Land`,
@@ -127,7 +127,7 @@ func TestREPLLineIsRunCtx(t *testing.T) {
 		`R0 = join Hurricane and Land`,
 	} {
 		d0 := constraint.DecisionCount()
-		want, err := hurricane.Build().RunCtx(line, exec.New(1))
+		want, err := hurricane.Build().Run(line, exec.New(1))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -141,7 +141,7 @@ func TestREPLLineIsRunCtx(t *testing.T) {
 			t.Fatal(err)
 		}
 		if got := constraint.DecisionCount() - d0; got != wantDecisions {
-			t.Errorf("%s: the shell made %d decisions, RunCtx %d", line, got, wantDecisions)
+			t.Errorf("%s: the shell made %d decisions, Database.Run %d", line, got, wantDecisions)
 		}
 		if !strings.Contains(out.String(), "cqa> "+wantOut.String()) {
 			t.Errorf("%s: the shell printed\n%s\nwant (as -e prints)\n%s", line, out.String(), wantOut.String())
@@ -276,7 +276,7 @@ func TestSessionReportExplain(t *testing.T) {
 	ec.SeqThreshold = 1
 	s := &session{ec: ec, stats: true, explain: true, tracer: obs.NewTracer()}
 	ec.Tracer = s.tracer
-	if _, err := d.RunCtx("R0 = join Landownership and Land\nR1 = select t >= 4, t <= 9 from R0\nR2 = project R1 on name", ec); err != nil {
+	if _, err := d.Run("R0 = join Landownership and Land\nR1 = select t >= 4, t <= 9 from R0\nR2 = project R1 on name", ec); err != nil {
 		t.Fatal(err)
 	}
 	var out bytes.Buffer

@@ -92,12 +92,12 @@ func TestCounterGolden(t *testing.T) {
 		{"box-join join", statements(boxDB(), "R = join A and B")},
 		{"box-join intersect", statements(boxDB(), "R = intersect A and B")},
 		{"box-join project", statements(boxDB(), "R = project (join A and B) on x")},
-		{"polygon-minus minus C0 and D0", func(ec *exec.Context) (*relation.Relation, error) { return cqa.DifferenceCtx(ec, c0, d0) }},
+		{"polygon-minus minus C0 and D0", func(ec *exec.Context) (*relation.Relation, error) { return cqa.Difference(ec, c0, d0) }},
 		{"lookup select owners", func(ec *exec.Context) (*relation.Relation, error) {
-			return cqa.SelectCtx(ec, owners5, cqa.Condition{cqa.StrEq("landId", "p2_3"), ge("t", 12), le("t", 22)})
+			return cqa.Select(ec, owners5, cqa.Condition{cqa.StrEq("landId", "p2_3"), ge("t", 12), le("t", 22)})
 		}},
 		{"lookup select land", func(ec *exec.Context) (*relation.Relation, error) {
-			return cqa.SelectCtx(ec, land5, cqa.Condition{ge("x", 5), le("x", 17), ge("y", 10), le("y", 22)})
+			return cqa.Select(ec, land5, cqa.Condition{ge("x", 5), le("x", 17), ge("y", 10), le("y", 22)})
 		}},
 	}
 

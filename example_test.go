@@ -26,8 +26,8 @@ func ExampleDatabase_Run() {
 	if err := d.Put("R", r); err != nil {
 		log.Fatal(err)
 	}
-	byX, _ := d.Run(`A = select x = 17 from R`)
-	byY, _ := d.Run(`A = select y = 17 from R`)
+	byX, _ := d.Run(`A = select x = 17 from R`, nil)
+	byY, _ := d.Run(`A = select y = 17 from R`, nil)
 	fmt.Printf("select x=17: %d tuple(s)\n", byX.Len())
 	fmt.Printf("select y=17: %d tuple(s)\n", byY.Len())
 	// Output:
@@ -66,7 +66,7 @@ func ExampleParseRules() {
 	land.MustAdd(cdb.NewTuple(map[string]cdb.Value{"id": cdb.Str("A")}, cdb.And(cs...)))
 
 	prog, _ := cdb.ParseRules(`near(id) :- Land(id, x), x <= 2.`)
-	out, _ := prog.Run(cdb.Env{"Land": land})
+	out, _ := prog.RunCtx(cdb.Env{"Land": land}, nil)
 	fmt.Println(out.Len(), "feature(s)")
 	// Output:
 	// 1 feature(s)

@@ -53,7 +53,7 @@ answer(name)   :- hitAt(name, t), t >= 4, t <= 9.`,
 		if err != nil {
 			log.Fatal(err)
 		}
-		out, err := prog.Run(env)
+		out, err := prog.RunCtx(env, nil)
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -28,7 +28,7 @@ func main() {
 	for _, nq := range hurricane.Queries() {
 		fmt.Printf("\n=== %s: %s ===\n", nq.Name, nq.Description)
 		fmt.Println(nq.Text)
-		out, err := d.Run(nq.Text)
+		out, err := d.Run(nq.Text, nil)
 		if err != nil {
 			log.Fatalf("%s: %v", nq.Name, err)
 		}

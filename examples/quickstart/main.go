@@ -43,7 +43,7 @@ func main() {
 
 	// The paper's asymmetry, through the query language:
 	// ς_{x=17} R returns one tuple (narrow: the (y=1) tuple has x = NULL).
-	out1, err := d.Run(`A = select x = 17 from R`)
+	out1, err := d.Run(`A = select x = 17 from R`, nil)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -51,7 +51,7 @@ func main() {
 
 	// ς_{y=17} R returns two tuples (broad: the (x=1) tuple's free y
 	// admits 17).
-	out2, err := d.Run(`A = select y = 17 from R`)
+	out2, err := d.Run(`A = select y = 17 from R`, nil)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -61,14 +61,14 @@ func main() {
 	// attribute y ranges over an interval after a selection.
 	out3, err := d.Run(`
 S0 = select y >= 3, y <= 20 from R
-S1 = project S0 on y`)
+S1 = project S0 on y`, nil)
 	if err != nil {
 		log.Fatal(err)
 	}
 	fmt.Printf("project (select 3 <= y <= 20 from R) on y:\n%s\n", out3)
 
 	// Exactness: coefficients are rationals, not floats.
-	out4, err := d.Run(`T = select 1/3y <= 1/3 from R`)
+	out4, err := d.Run(`T = select 1/3y <= 1/3 from R`, nil)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -267,15 +267,11 @@ func (a CompAtom) atom(bound map[string]schema.Attribute, home map[string]int) (
 	return cqa.StringAtom{Attr: name(terms[0].Var), Op: a.Op, OtherAttr: name(terms[1].Var)}, i, nil
 }
 
-// Run evaluates the program: rules execute in order; rules with the same
-// head name union; the final head's relation is returned.
-func (p *Program) Run(env cqa.Env) (*relation.Relation, error) {
-	return p.RunCtx(env, nil)
-}
-
-// RunCtx is Run under an execution context: the translated CQA plans fan
-// their operator work out over ec's worker pool and record per-operator
-// stats on ec. A nil ec is Run.
+// RunCtx evaluates the program: rules execute in order; rules with the
+// same head name union; the final head's relation is returned normalised.
+// The translated CQA plans fan their operator work out over ec's worker
+// pool and record per-operator stats on ec (a nil ec is sequential with no
+// stats).
 func (p *Program) RunCtx(env cqa.Env, ec *exec.Context) (*relation.Relation, error) {
 	if len(p.Rules) == 0 {
 		return nil, fmt.Errorf("calculus: empty program")
@@ -296,7 +292,7 @@ func (p *Program) RunCtx(env cqa.Env, ec *exec.Context) (*relation.Relation, err
 		sp := ec.BeginSpan("rule", r.HeadName)
 		out, err := r.eval(scratch, ec)
 		if err == nil && defined[r.HeadName] {
-			if out, err = cqa.UnionCtx(ec, scratch[r.HeadName], out); err != nil {
+			if out, err = cqa.Union(ec, scratch[r.HeadName], out); err != nil {
 				err = fmt.Errorf("rules for %q have incompatible heads: %w", r.HeadName, err)
 			}
 		}

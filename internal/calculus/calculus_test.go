@@ -45,7 +45,7 @@ func TestRuleQuery1(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	out, err := prog.Run(hurricaneEnv())
+	out, err := prog.RunCtx(hurricaneEnv(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -65,7 +65,7 @@ func TestRuleQuery2JoinOnSharedVariables(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	out, err := prog.Run(hurricaneEnv())
+	out, err := prog.RunCtx(hurricaneEnv(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -84,7 +84,7 @@ answer(name)   :- hitAt(name, t), t >= 4, t <= 9.`)
 	if err != nil {
 		t.Fatal(err)
 	}
-	out, err := prog.Run(hurricaneEnv())
+	out, err := prog.RunCtx(hurricaneEnv(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -100,7 +100,7 @@ func TestRuleConstantsAndAnonymous(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	out, err := prog.Run(hurricaneEnv())
+	out, err := prog.RunCtx(hurricaneEnv(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -125,7 +125,7 @@ near(id) :- Land(id, x, y), y >= 5.`)
 	if err != nil {
 		t.Fatal(err)
 	}
-	out, err := prog.Run(hurricaneEnv())
+	out, err := prog.RunCtx(hurricaneEnv(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -141,7 +141,7 @@ func TestRuleLinearComparisons(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	out, err := prog.Run(hurricaneEnv())
+	out, err := prog.RunCtx(hurricaneEnv(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -154,7 +154,7 @@ func TestRuleLinearComparisons(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	out2, err := prog2.Run(hurricaneEnv())
+	out2, err := prog2.RunCtx(hurricaneEnv(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -171,7 +171,7 @@ func TestRuleStringInequality(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	out, err := prog.Run(hurricaneEnv())
+	out, err := prog.RunCtx(hurricaneEnv(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -191,7 +191,7 @@ func TestRuleStringInequality(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		out, err := prog.Run(hurricaneEnv())
+		out, err := prog.RunCtx(hurricaneEnv(), nil)
 		if err != nil {
 			t.Fatalf("a %s b: %v", c.op, err)
 		}
@@ -211,7 +211,7 @@ func TestRuleStringInequality(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		_, err = prog.Run(hurricaneEnv())
+		_, err = prog.RunCtx(hurricaneEnv(), nil)
 		if err == nil || strings.Contains(err.Error(), "$") {
 			t.Errorf("%s: err = %v, want a translation-time error naming no $ attribute", src, err)
 		}
@@ -225,7 +225,7 @@ func TestRuleRepeatedVariableInOneAtom(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	out, err := prog.Run(hurricaneEnv())
+	out, err := prog.RunCtx(hurricaneEnv(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -259,7 +259,7 @@ func TestRuleErrors(t *testing.T) {
 		if err != nil {
 			continue // parse-time rejection is fine too
 		}
-		if _, err := prog.Run(env); err == nil {
+		if _, err := prog.RunCtx(env, nil); err == nil {
 			t.Errorf("%s: accepted", c.name)
 		}
 	}
@@ -281,7 +281,7 @@ func TestRuleErrors(t *testing.T) {
 // this fragment).
 func TestCalculusMatchesAlgebra(t *testing.T) {
 	d := hurricane.Build()
-	algebra, err := d.Run(hurricane.Queries()[1].Text) // Query 2
+	algebra, err := d.Run(hurricane.Queries()[1].Text, nil) // Query 2
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -289,7 +289,7 @@ func TestCalculusMatchesAlgebra(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	calc, err := prog.Run(d.Env())
+	calc, err := prog.RunCtx(d.Env(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -351,7 +351,7 @@ func TestRuleIsItsJoinProgram(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			got, err := rules.Run(env)
+			got, err := rules.RunCtx(env, nil)
 			if err != nil {
 				t.Fatalf("%s: %v", c.rules, err)
 			}
@@ -359,11 +359,11 @@ func TestRuleIsItsJoinProgram(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s: %v", c.program, err)
 			}
-			want, err := prog.RunOptimized(env)
+			want, err := prog.RunOptimizedCtx(env, nil)
 			if err != nil {
 				t.Fatalf("%s: %v", c.program, err)
 			}
-			if want = want.Normalize(); got.String() != want.String() {
+			if want = want.NormalizeWith(nil); got.String() != want.String() {
 				t.Fatalf("iter %d: %s\ngave\n%s\nbut %s\ngives\n%s\non R = %s\nS = %s\nT = %s",
 					iter, c.rules, got, c.program, want, env["R"], env["S"], env["T"])
 			}
@@ -390,15 +390,15 @@ func TestRuleVariableAtBothKinds(t *testing.T) {
 	}
 	for iter := 0; iter < 60; iter++ {
 		env := cqa.Env{"S": randomNullable(rng, sS), "T": randomNullable(rng, sT)}
-		got, err := rules.Run(env)
+		got, err := rules.RunCtx(env, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
-		want, err := prog.RunOptimized(env)
+		want, err := prog.RunOptimizedCtx(env, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if want = want.Normalize(); got.String() != want.String() {
+		if want = want.NormalizeWith(nil); got.String() != want.String() {
 			t.Fatalf("iter %d: rule gave\n%s\nprogram gives\n%s\non S = %s\nT = %s", iter, got, want, env["S"], env["T"])
 		}
 	}

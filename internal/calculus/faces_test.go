@@ -37,7 +37,7 @@ func answerBoth(t *testing.T, env cqa.Env, rel, cond, rule string) (asQuery, asR
 	if err != nil {
 		t.Fatalf("query face: %v", err)
 	}
-	if out, err := prog.RunOptimized(env); err == nil {
+	if out, err := prog.RunOptimizedCtx(env, nil); err == nil {
 		asQuery = names(out, "name")
 	} else {
 		qerr = err
@@ -46,7 +46,7 @@ func answerBoth(t *testing.T, env cqa.Env, rel, cond, rule string) (asQuery, asR
 	if err != nil {
 		t.Fatalf("rule face: %v", err)
 	}
-	if got, err := rules.Run(env); err == nil {
+	if got, err := rules.RunCtx(env, nil); err == nil {
 		asRule = names(got, "n")
 	} else {
 		rerr = err
@@ -56,7 +56,7 @@ func answerBoth(t *testing.T, env cqa.Env, rel, cond, rule string) (asQuery, asR
 
 func loadText(t *testing.T, src string) cqa.Env {
 	t.Helper()
-	d, err := db.Load(strings.NewReader(src))
+	d, err := db.Load(strings.NewReader(src), nil)
 	if err != nil {
 		t.Fatal(err)
 	}

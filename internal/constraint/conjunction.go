@@ -215,8 +215,8 @@ func (j Conjunction) IsSatisfiable() bool {
 // the decision procedures below: a nil SatFunc means "raw Fourier-Motzkin".
 type SatFunc func(Conjunction) bool
 
-// SatisfiableWith is IsSatisfiable through sat (nil = raw Fourier-Motzkin).
-func (j Conjunction) SatisfiableWith(sat SatFunc) bool {
+// satisfiableWith is IsSatisfiable through sat (nil = raw Fourier-Motzkin).
+func (j Conjunction) satisfiableWith(sat SatFunc) bool {
 	if sat == nil {
 		return j.IsSatisfiable()
 	}
@@ -224,17 +224,13 @@ func (j Conjunction) SatisfiableWith(sat SatFunc) bool {
 }
 
 // Entails reports whether every assignment satisfying j also satisfies c,
-// i.e. j ∧ ¬c is unsatisfiable (for every disjunct of ¬c).
-func (j Conjunction) Entails(c Constraint) bool {
-	return j.EntailsWith(c, nil)
-}
-
-// EntailsWith is Entails with the satisfiability sub-queries routed through
-// sat (nil = raw Fourier-Motzkin).
-func (j Conjunction) EntailsWith(c Constraint, sat SatFunc) bool {
+// i.e. j ∧ ¬c is unsatisfiable (for every disjunct of ¬c), with the
+// satisfiability sub-queries routed through sat (nil = raw
+// Fourier-Motzkin).
+func (j Conjunction) Entails(c Constraint, sat SatFunc) bool {
 	for _, neg := range c.Complement() {
 		q := Conjunction{cs: append(append([]Constraint{}, j.cs...), neg)}
-		if q.SatisfiableWith(sat) {
+		if q.satisfiableWith(sat) {
 			return false
 		}
 	}
@@ -260,7 +256,7 @@ func (j Conjunction) SimplifyWith(sat SatFunc) Conjunction {
 	if out, ok := j.simplifyPlanar(); ok {
 		return out
 	}
-	if !j.SatisfiableWith(sat) {
+	if !j.satisfiableWith(sat) {
 		return False()
 	}
 	// Cheap pass: drop an atom whose canonical form an earlier one has.
@@ -286,7 +282,7 @@ func (j Conjunction) SimplifyWith(sat SatFunc) Conjunction {
 	// Expensive pass: drop constraints entailed by the rest.
 	for i := 0; i < len(out); {
 		rest := Conjunction{cs: append(append([]Constraint{}, out[:i]...), out[i+1:]...)}
-		if rest.EntailsWith(out[i], sat) {
+		if rest.Entails(out[i], sat) {
 			out = append(out[:i], out[i+1:]...)
 		} else {
 			i++

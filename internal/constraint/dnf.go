@@ -12,17 +12,11 @@ import "cdb/internal/rational"
 // disjunction denotes "false".
 type Disjunction []Conjunction
 
-// Subtract returns the difference j - k as a disjunction of satisfiable
-// conjunctions: assignments satisfying j but not k.
-func Subtract(j, k Conjunction) Disjunction {
-	return disjuncts(SubtractAllScoped(j, []Conjunction{k}, struct{}{}, fmStep))
-}
-
-// SubtractLazy is Subtract without the eager per-disjunct satisfiability
-// pruning: every step answers satisfiable, so the result may contain
-// unsatisfiable disjuncts that downstream consumers must filter. It exists
-// only for the DESIGN.md ablation benchmark; production paths always prune
-// eagerly.
+// SubtractLazy is SubtractAll(j, []Conjunction{k}) without the eager
+// per-disjunct satisfiability pruning: every step answers satisfiable, so
+// the result may contain unsatisfiable disjuncts that downstream consumers
+// must filter. It exists only for the DESIGN.md ablation benchmark;
+// production paths always prune eagerly.
 func SubtractLazy(j, k Conjunction) Disjunction {
 	return disjuncts(SubtractAllScoped(j, []Conjunction{k}, struct{}{},
 		AtomStep(func(struct{}, *Chain, Constraint) (struct{}, bool) { return struct{}{}, true })))

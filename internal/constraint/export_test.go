@@ -32,7 +32,7 @@ func (j Conjunction) Substitute(v string, repl Expr) Conjunction {
 // EntailsAll reports whether j entails every constraint of k.
 func (j Conjunction) EntailsAll(k Conjunction) bool {
 	for _, c := range k.cs {
-		if !j.Entails(c) {
+		if !j.Entails(c, nil) {
 			return false
 		}
 	}

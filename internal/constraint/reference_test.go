@@ -170,7 +170,7 @@ func referenceConjunctionString(j Conjunction) string {
 // path of SimplifyWith is this code minus the string pass on canonical
 // input.
 func referenceSimplify(j Conjunction, sat SatFunc) Conjunction {
-	if !j.SatisfiableWith(sat) {
+	if !j.satisfiableWith(sat) {
 		return False()
 	}
 	// Cheap pass: canonical-key dedup.
@@ -191,7 +191,7 @@ func referenceSimplify(j Conjunction, sat SatFunc) Conjunction {
 	out := append([]Constraint{}, uniq...)
 	for i := 0; i < len(out); {
 		rest := Conjunction{cs: append(append([]Constraint{}, out[:i]...), out[i+1:]...)}
-		if rest.EntailsWith(out[i], sat) {
+		if rest.Entails(out[i], sat) {
 			out = append(out[:i], out[i+1:]...)
 		} else {
 			i++

@@ -5,6 +5,7 @@ import (
 
 	"cdb/internal/cqa"
 	"cdb/internal/datagen"
+	"cdb/internal/exec"
 	"cdb/internal/relation"
 )
 
@@ -24,7 +25,7 @@ func TestSimplifyMatchesReferenceOnOperatorOutputs(t *testing.T) {
 		p.Seed = seed
 		return gen(p, n, 2, 60, 977)
 	}
-	type binary func(r1, r2 *relation.Relation) (*relation.Relation, error)
+	type binary func(ec *exec.Context, r1, r2 *relation.Relation) (*relation.Relation, error)
 	cases := []struct {
 		name   string
 		op     binary
@@ -39,7 +40,7 @@ func TestSimplifyMatchesReferenceOnOperatorOutputs(t *testing.T) {
 		{"minus concave from convex", cqa.Difference, polygons(datagen.PolygonRelation, 7, 8), polygons(datagen.ConcavePolygonRelation, 507, 8)},
 	}
 	for _, c := range cases {
-		out, err := c.op(c.r1, c.r2)
+		out, err := c.op(nil, c.r1, c.r2)
 		if err != nil {
 			t.Fatalf("%s: %v", c.name, err)
 		}

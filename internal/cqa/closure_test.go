@@ -89,7 +89,7 @@ func TestQuickClosureSelect(t *testing.T) {
 		if rng.Intn(2) == 0 {
 			cond = append(cond, StrEq("id", "A"))
 		}
-		out, err := Select(r, cond)
+		out, err := Select(nil, r, cond)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -177,11 +177,11 @@ func TestQuickClosureUnionDifference(t *testing.T) {
 	for iter := 0; iter < 60; iter++ {
 		r1 := randClosureRelation(rng, s)
 		r2 := randClosureRelation(rng, s)
-		u, err := Union(r1, r2)
+		u, err := Union(nil, r1, r2)
 		if err != nil {
 			t.Fatal(err)
 		}
-		d, err := Difference(r1, r2)
+		d, err := Difference(nil, r1, r2)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -228,7 +228,7 @@ func TestQuickClosureJoin(t *testing.T) {
 	for iter := 0; iter < 80; iter++ {
 		r := mk(sR, "x")
 		sRel := mk(sS, "y")
-		j, err := Join(r, sRel)
+		j, err := Join(nil, r, sRel)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -254,7 +254,7 @@ func TestQuickClosureProjectSound(t *testing.T) {
 	s := schema.MustNew(schema.Rel("id", schema.String), schema.Con("x"), schema.Con("y"))
 	for iter := 0; iter < 60; iter++ {
 		r := randClosureRelation(rng, s)
-		pr, err := Project(r, "id", "x")
+		pr, err := Project(nil, r, "id", "x")
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -24,7 +24,7 @@ type enumShape struct {
 func enumShapes(tb testing.TB) []enumShape {
 	tb.Helper()
 	land, owners, track := datagen.HurricaneRelations(8)
-	r0, err := Join(datagen.Canonical(owners), datagen.Canonical(land))
+	r0, err := Join(nil, datagen.Canonical(owners), datagen.Canonical(land))
 	if err != nil {
 		tb.Fatal(err)
 	}

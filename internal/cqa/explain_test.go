@@ -49,11 +49,11 @@ func TestExplainSpanTotalsMatchStats(t *testing.T) {
 			return nil
 		}},
 		{"box join", exec.PlanAuto, false, func(ec *exec.Context) error {
-			_, err := JoinCtx(ec, boxes, boxes)
+			_, err := Join(ec, boxes, boxes)
 			return err
 		}},
 		{"polygon difference", exec.PlanAuto, false, func(ec *exec.Context) error {
-			_, err := DifferenceCtx(ec, minuend, subtrahend)
+			_, err := Difference(ec, minuend, subtrahend)
 			return err
 		}},
 	}

@@ -92,7 +92,7 @@ func (n *SelectNode) EvalCtx(env Env, ec *exec.Context) (*relation.Relation, err
 	if err != nil {
 		return nil, err
 	}
-	return SelectCtx(ec, in, n.Cond)
+	return Select(ec, in, n.Cond)
 }
 
 func (n *SelectNode) OutSchema(env SchemaEnv) (schema.Schema, error) {
@@ -132,7 +132,7 @@ func (n *ProjectNode) EvalCtx(env Env, ec *exec.Context) (*relation.Relation, er
 	if err != nil {
 		return nil, err
 	}
-	return ProjectCtx(ec, in, n.Cols...)
+	return Project(ec, in, n.Cols...)
 }
 
 func (n *ProjectNode) OutSchema(env SchemaEnv) (schema.Schema, error) {
@@ -200,7 +200,7 @@ func (n *UnionNode) EvalCtx(env Env, ec *exec.Context) (*relation.Relation, erro
 	if err != nil {
 		return nil, err
 	}
-	return UnionCtx(ec, l, r)
+	return Union(ec, l, r)
 }
 
 func (n *UnionNode) OutSchema(env SchemaEnv) (schema.Schema, error) {
@@ -239,7 +239,7 @@ func (n *DiffNode) EvalCtx(env Env, ec *exec.Context) (*relation.Relation, error
 	if err != nil {
 		return nil, err
 	}
-	return DifferenceCtx(ec, l, r)
+	return Difference(ec, l, r)
 }
 
 func (n *DiffNode) OutSchema(env SchemaEnv) (schema.Schema, error) {
@@ -292,7 +292,7 @@ func (n *RenameNode) EvalCtx(env Env, ec *exec.Context) (*relation.Relation, err
 	if err != nil {
 		return nil, err
 	}
-	return RenameCtx(ec, in, n.Map)
+	return Rename(ec, in, n.Map)
 }
 
 func (n *RenameNode) OutSchema(env SchemaEnv) (schema.Schema, error) {

@@ -79,11 +79,11 @@ func freshHeader(r *relation.Relation) *relation.Relation {
 // fails when the two outputs differ; it returns the stored one.
 func checkJoin(t *testing.T, what string, r1, r2 *relation.Relation) *relation.Relation {
 	t.Helper()
-	got, err := JoinCtx(&exec.Context{}, r1, r2)
+	got, err := Join(&exec.Context{}, r1, r2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := JoinCtx(&exec.Context{}, freshHeader(r1), freshHeader(r2))
+	want, err := Join(&exec.Context{}, freshHeader(r1), freshHeader(r2))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -157,11 +157,11 @@ func TestFilterMemoTwoAttributeLists(t *testing.T) {
 func TestFilterMemoConcurrent(t *testing.T) {
 	land, owners, track := datagen.HurricaneRelations(4)
 	query3 := func(l, o, tr *relation.Relation) (string, error) {
-		r0, err := JoinCtx(&exec.Context{}, o, l)
+		r0, err := Join(&exec.Context{}, o, l)
 		if err != nil {
 			return "", err
 		}
-		out, err := JoinCtx(&exec.Context{}, r0, tr)
+		out, err := Join(&exec.Context{}, r0, tr)
 		if err != nil {
 			return "", err
 		}

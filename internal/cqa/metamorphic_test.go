@@ -18,6 +18,7 @@ import (
 	"cdb/internal/constraint"
 	"cdb/internal/cqa"
 	"cdb/internal/datagen"
+	"cdb/internal/exec"
 	"cdb/internal/rational"
 	"cdb/internal/relation"
 	"cdb/internal/schema"
@@ -45,20 +46,20 @@ func TestMetamorphicCanonClosure(t *testing.T) {
 		r1, r2 := datagen.RandomRelationPair(rng, 4)
 		cond := cqa.Condition{cqa.AttrCmpConst(r1.Schema().ConstraintNames()[0], cqa.OpLe, rational.FromInt(3))}
 
-		out, err := cqa.Select(r1, cond)
+		out, err := cqa.Select(nil, r1, cond)
 		check(fmt.Sprintf("case %d select", i), out, err)
-		out, err = cqa.Project(r1, r1.Schema().Names()[0])
+		out, err = cqa.Project(nil, r1, r1.Schema().Names()[0])
 		check(fmt.Sprintf("case %d project", i), out, err)
-		out, err = cqa.Join(r1, r2)
+		out, err = cqa.Join(nil, r1, r2)
 		check(fmt.Sprintf("case %d join", i), out, err)
-		out, err = cqa.Intersect(r1, r2)
+		out, err = cqa.Intersect(nil, r1, r2)
 		check(fmt.Sprintf("case %d intersect", i), out, err)
-		out, err = cqa.Union(r1, r2)
+		out, err = cqa.Union(nil, r1, r2)
 		check(fmt.Sprintf("case %d union", i), out, err)
-		out, err = cqa.Difference(r1, r2)
+		out, err = cqa.Difference(nil, r1, r2)
 		check(fmt.Sprintf("case %d difference", i), out, err)
 		old := r1.Schema().Names()[0]
-		out, err = cqa.Rename(r1, old, "r"+old)
+		out, err = cqa.Rename(nil, r1, map[string]string{old: "r" + old})
 		check(fmt.Sprintf("case %d rename", i), out, err)
 	}
 }
@@ -72,16 +73,16 @@ func TestMetamorphicCommutativity(t *testing.T) {
 		r1, r2 := datagen.RandomRelationPair(rng, 4)
 		for _, op := range []struct {
 			name string
-			f    func(a, b *relation.Relation) (*relation.Relation, error)
+			f    func(ec *exec.Context, a, b *relation.Relation) (*relation.Relation, error)
 		}{
 			{"union", cqa.Union},
 			{"intersect", cqa.Intersect},
 		} {
-			ab, err := op.f(r1, r2)
+			ab, err := op.f(nil, r1, r2)
 			if err != nil {
 				t.Fatalf("case %d %s: %v", i, op.name, err)
 			}
-			ba, err := op.f(r2, r1)
+			ba, err := op.f(nil, r2, r1)
 			if err != nil {
 				t.Fatalf("case %d %s: %v", i, op.name, err)
 			}
@@ -102,15 +103,15 @@ func TestMetamorphicDifferenceIdentity(t *testing.T) {
 	rng := rand.New(rand.NewSource(13))
 	for i := 0; i < 60; i++ {
 		r, s := datagen.RandomRelationPair(rng, 4)
-		rs, err := cqa.Difference(r, s)
+		rs, err := cqa.Difference(nil, r, s)
 		if err != nil {
 			t.Fatalf("case %d: %v", i, err)
 		}
-		lhs, err := cqa.Difference(r, rs)
+		lhs, err := cqa.Difference(nil, r, rs)
 		if err != nil {
 			t.Fatalf("case %d: %v", i, err)
 		}
-		rhs, err := cqa.Intersect(r, s)
+		rhs, err := cqa.Intersect(nil, r, s)
 		if err != nil {
 			t.Fatalf("case %d: %v", i, err)
 		}
@@ -152,15 +153,15 @@ func TestMetamorphicProjectCollapse(t *testing.T) {
 		if len(x) == 0 {
 			x = y[:1]
 		}
-		py, err := cqa.Project(r, y...)
+		py, err := cqa.Project(nil, r, y...)
 		if err != nil {
 			t.Fatalf("case %d: %v", i, err)
 		}
-		twoStep, err := cqa.Project(py, x...)
+		twoStep, err := cqa.Project(nil, py, x...)
 		if err != nil {
 			t.Fatalf("case %d: %v", i, err)
 		}
-		oneStep, err := cqa.Project(r, x...)
+		oneStep, err := cqa.Project(nil, r, x...)
 		if err != nil {
 			t.Fatalf("case %d: %v", i, err)
 		}
@@ -289,7 +290,7 @@ func TestMetamorphicUpwardCompatibility(t *testing.T) {
 
 		// Select id = 'a'.
 		cond := cqa.Condition{cqa.StrEq("id", "a")}
-		got, err := cqa.Select(r1, cond)
+		got, err := cqa.Select(nil, r1, cond)
 		if err != nil {
 			t.Fatalf("case %d select: %v", i, err)
 		}
@@ -304,7 +305,7 @@ func TestMetamorphicUpwardCompatibility(t *testing.T) {
 		}
 
 		// Select id != tag (attribute comparison, narrow NULL).
-		got, err = cqa.Select(r1, cqa.Condition{cqa.StrEqAttr("id", "tag")})
+		got, err = cqa.Select(nil, r1, cqa.Condition{cqa.StrEqAttr("id", "tag")})
 		if err != nil {
 			t.Fatalf("case %d select attr: %v", i, err)
 		}
@@ -319,7 +320,7 @@ func TestMetamorphicUpwardCompatibility(t *testing.T) {
 		}
 
 		// Project onto id (with classical dedup).
-		got, err = cqa.Project(r1, "id")
+		got, err = cqa.Project(nil, r1, "id")
 		if err != nil {
 			t.Fatalf("case %d project: %v", i, err)
 		}
@@ -333,7 +334,7 @@ func TestMetamorphicUpwardCompatibility(t *testing.T) {
 		}
 
 		// Union with dedup.
-		got, err = cqa.Union(r1, r2)
+		got, err = cqa.Union(nil, r1, r2)
 		if err != nil {
 			t.Fatalf("case %d union: %v", i, err)
 		}
@@ -343,7 +344,7 @@ func TestMetamorphicUpwardCompatibility(t *testing.T) {
 		}
 
 		// Intersection: identical rows (NULL identical to NULL).
-		got, err = cqa.Intersect(r1, r2)
+		got, err = cqa.Intersect(nil, r1, r2)
 		if err != nil {
 			t.Fatalf("case %d intersect: %v", i, err)
 		}
@@ -362,7 +363,7 @@ func TestMetamorphicUpwardCompatibility(t *testing.T) {
 		}
 
 		// Difference: drop rows present (identically) in r2.
-		got, err = cqa.Difference(r1, r2)
+		got, err = cqa.Difference(nil, r1, r2)
 		if err != nil {
 			t.Fatalf("case %d difference: %v", i, err)
 		}
@@ -377,7 +378,7 @@ func TestMetamorphicUpwardCompatibility(t *testing.T) {
 		}
 
 		// Rename is a pure relabelling.
-		got, err = cqa.Rename(r1, "id", "key")
+		got, err = cqa.Rename(nil, r1, map[string]string{"id": "key"})
 		if err != nil {
 			t.Fatalf("case %d rename: %v", i, err)
 		}

@@ -10,13 +10,12 @@ import (
 	"cdb/internal/vector"
 )
 
-// The operators come in pairs: Op(args) is the sequential convenience
-// form and OpCtx(ec, args) the form that takes an execution context.
-// OpCtx fans the per-tuple (Select, Project, Difference) or per-tuple-
-// pair (Join, Intersect) satisfiability work out over ec's worker pool
-// and records per-operator statistics on ec; results are merged in input
-// index order, so the output is byte-identical to the sequential path.
-// A nil context is valid and means sequential execution with no stats.
+// Every operator takes its execution context first. It fans the per-tuple
+// (Select, Project, Union, Difference) or per-tuple-pair (Join, Intersect)
+// satisfiability work out over ec's worker pool and records per-operator
+// statistics on ec; results are merged in input index order, so the output
+// is byte-identical at any parallelism. A nil context is valid and means
+// sequential execution with no stats.
 //
 // Two cross-cutting invariants of every operator:
 //
@@ -52,16 +51,12 @@ import (
 // by value with NULL matching nothing (narrow). Atoms using != over
 // constraint attributes may split a tuple in two, so the output can have
 // more tuples than the input (but never more points).
-func Select(r *relation.Relation, cond Condition) (*relation.Relation, error) {
-	return SelectCtx(nil, r, cond)
-}
-
-// SelectCtx is Select under an execution context. The condition is split
-// once (selection, predicate.go): the value atoms filter the input in one
-// sequential pass, and only the survivors fan out over ec's worker pool,
-// each decided once against the condition's constraint atoms by the
-// join's decider list.
-func SelectCtx(ec *exec.Context, r *relation.Relation, cond Condition) (*relation.Relation, error) {
+//
+// The condition is split once (selection, predicate.go): the value atoms
+// filter the input in one sequential pass, and only the survivors fan out
+// over ec's worker pool, each decided once against the condition's
+// constraint atoms by the join's decider list.
+func Select(ec *exec.Context, r *relation.Relation, cond Condition) (*relation.Relation, error) {
 	if err := cond.Validate(r.Schema()); err != nil {
 		return nil, err
 	}
@@ -99,12 +94,7 @@ func SelectCtx(ec *exec.Context, r *relation.Relation, cond Condition) (*relatio
 // X. Constraint attributes outside X are eliminated exactly (Fourier-
 // Motzkin projection of the constraint part; a box just loses their
 // bounds); relational bindings outside X are dropped. Tuples whose
-// projected constraint part is unsatisfiable are removed.
-func Project(r *relation.Relation, cols ...string) (*relation.Relation, error) {
-	return ProjectCtx(nil, r, cols...)
-}
-
-// ProjectCtx is Project under an execution context: the per-tuple
+// projected constraint part is unsatisfiable are removed. The per-tuple
 // Fourier-Motzkin eliminations fan out over ec's worker pool.
 //
 // A projection onto no constraint attribute is a sentence — "does some
@@ -113,7 +103,7 @@ func Project(r *relation.Relation, cols ...string) (*relation.Relation, error) {
 // hit once the tuple has been seen), and True when it holds. That is what
 // eliminating every variable and deciding the residue answers, without the
 // elimination. A box needs neither: it drops its bounds and asks nothing.
-func ProjectCtx(ec *exec.Context, r *relation.Relation, cols ...string) (*relation.Relation, error) {
+func Project(ec *exec.Context, r *relation.Relation, cols ...string) (*relation.Relation, error) {
 	ps, err := r.Schema().Project(cols...)
 	if err != nil {
 		return nil, err
@@ -183,15 +173,11 @@ func ProjectCtx(ec *exec.Context, r *relation.Relation, cols ...string) (*relati
 //
 // Cross-product and intersection are the special cases with disjoint and
 // identical schemas respectively (paper §2.4, remark under Natural-Join).
-func Join(r1, r2 *relation.Relation) (*relation.Relation, error) {
-	return JoinCtx(nil, r1, r2)
-}
-
-// JoinCtx is Join under an execution context: the tuple-pair merge and
-// satisfiability checks fan out over ec's worker pool, indexed by the
-// flattened (t1, t2) pair so output order matches the sequential
-// nested-loop order exactly.
-func JoinCtx(ec *exec.Context, r1, r2 *relation.Relation) (*relation.Relation, error) {
+//
+// The tuple-pair merge and satisfiability checks fan out over ec's worker
+// pool, indexed by the flattened (t1, t2) pair so output order matches the
+// sequential nested-loop order exactly.
+func Join(ec *exec.Context, r1, r2 *relation.Relation) (*relation.Relation, error) {
 	return joinCtx(ec, "join", r1, r2)
 }
 
@@ -272,12 +258,7 @@ func joinCtx(ec *exec.Context, op string, r1, r2 *relation.Relation) (*relation.
 
 // Intersect returns r1 ∩ r2. It requires equal schemas and is implemented
 // as the natural join (of which it is the special case).
-func Intersect(r1, r2 *relation.Relation) (*relation.Relation, error) {
-	return IntersectCtx(nil, r1, r2)
-}
-
-// IntersectCtx is Intersect under an execution context (see JoinCtx).
-func IntersectCtx(ec *exec.Context, r1, r2 *relation.Relation) (*relation.Relation, error) {
+func Intersect(ec *exec.Context, r1, r2 *relation.Relation) (*relation.Relation, error) {
 	if !r1.Schema().Equal(r2.Schema()) {
 		return nil, fmt.Errorf("cqa: intersect requires equal schemas: %s vs %s", r1.Schema(), r2.Schema())
 	}
@@ -285,18 +266,12 @@ func IntersectCtx(ec *exec.Context, r1, r2 *relation.Relation) (*relation.Relati
 }
 
 // Union returns r1 ∪ r2. The schemas must be equal (as attribute sets with
-// matching types and kinds).
-func Union(r1, r2 *relation.Relation) (*relation.Relation, error) {
-	return UnionCtx(nil, r1, r2)
-}
-
-// UnionCtx is Union under an execution context: the per-tuple
-// normalisation work (simplification into canonical form, which also
-// decides satisfiability) fans out over ec's worker pool; the dedup pass that
-// follows is relation.Distinct, sequential in input order as in
-// relation.NormalizeWith, so the output is byte-identical to the
-// sequential path.
-func UnionCtx(ec *exec.Context, r1, r2 *relation.Relation) (*relation.Relation, error) {
+// matching types and kinds). The per-tuple normalisation work
+// (simplification into canonical form, which also decides satisfiability)
+// fans out over ec's worker pool; the dedup pass that follows is
+// relation.Distinct, sequential in input order as in
+// relation.NormalizeWith.
+func Union(ec *exec.Context, r1, r2 *relation.Relation) (*relation.Relation, error) {
 	if !r1.Schema().Equal(r2.Schema()) {
 		return nil, fmt.Errorf("cqa: union requires equal schemas: %s vs %s", r1.Schema(), r2.Schema())
 	}
@@ -323,17 +298,12 @@ func UnionCtx(ec *exec.Context, r1, r2 *relation.Relation) (*relation.Relation, 
 	return out, nil
 }
 
-// Rename returns ϱ_{new|old}(r): attribute old renamed to new in the
-// schema, the relational bindings, and the constraint variables.
-func Rename(r *relation.Relation, old, new string) (*relation.Relation, error) {
-	return RenameCtx(nil, r, map[string]string{old: new})
-}
-
-// RenameCtx is Rename under an execution context, for one simultaneous
-// mapping old → new ({x: y, y: x} permutes without a temporary). A
+// Rename returns ϱ_{new|old}(r) for every old → new of m: each attribute
+// renamed in the schema, the relational bindings, and the constraint
+// variables, all at once ({x: y, y: x} permutes without a temporary). A
 // constraint part the mapping does not name comes back untouched, memos
 // attached, so the pair cache still knows it. Sequential; stats only.
-func RenameCtx(ec *exec.Context, r *relation.Relation, m map[string]string) (*relation.Relation, error) {
+func Rename(ec *exec.Context, r *relation.Relation, m map[string]string) (*relation.Relation, error) {
 	rec := ec.StartOp("rename", r.Len())
 	out, err := r.Rename(m)
 	if err == nil {
@@ -351,14 +321,8 @@ func RenameCtx(ec *exec.Context, r *relation.Relation, m map[string]string) (*re
 // within such a match the constraint parts are subtracted exactly,
 // producing a disjunction of constraint tuples (the closure principle at
 // work: the complement of a conjunction of linear constraints expands into
-// finitely many linear constraint tuples).
-func Difference(r1, r2 *relation.Relation) (*relation.Relation, error) {
-	return DifferenceCtx(nil, r1, r2)
-}
-
-// DifferenceCtx is Difference under an execution context: the per-tuple
-// complement expansions (the heaviest CQA work) fan out over ec's worker
-// pool.
+// finitely many linear constraint tuples). The per-tuple complement
+// expansions (the heaviest CQA work) fan out over ec's worker pool.
 //
 // The subtrahends for each tuple of r1 come from the same filter stage as
 // join's candidates (pairCandidates): the surviving list is {identical
@@ -378,7 +342,7 @@ func Difference(r1, r2 *relation.Relation) (*relation.Relation, error) {
 // irredundant, so normalising the output proves nothing again on
 // two-variable pieces; a piece the rule does not decide is emitted as the
 // staircase built it.
-func DifferenceCtx(ec *exec.Context, r1, r2 *relation.Relation) (*relation.Relation, error) {
+func Difference(ec *exec.Context, r1, r2 *relation.Relation) (*relation.Relation, error) {
 	if !r1.Schema().Equal(r2.Schema()) {
 		return nil, fmt.Errorf("cqa: difference requires equal schemas: %s vs %s", r1.Schema(), r2.Schema())
 	}

@@ -26,7 +26,7 @@ func TestMissingAttributeInconsistency(t *testing.T) {
 	broadSchema := schema.MustNew(schema.Con("x"), schema.Con("y"))
 	broad := relation.New(broadSchema)
 	broad.MustAdd(relation.ConstraintTuple(constraint.And(eq("x", "1"))))
-	got, err := Select(broad, query)
+	got, err := Select(nil, broad, query)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -42,7 +42,7 @@ func TestMissingAttributeInconsistency(t *testing.T) {
 	narrowSchema := schema.MustNew(schema.Con("x"), schema.Rel("y", schema.Rational))
 	narrow := relation.New(narrowSchema)
 	narrow.MustAdd(relation.ConstraintTuple(constraint.And(eq("x", "1"))))
-	got2, err := Select(narrow, query)
+	got2, err := Select(nil, narrow, query)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -63,7 +63,7 @@ func TestHeterogeneousExample3(t *testing.T) {
 		constraint.And(eq("y", "17"))))
 
 	// ς_{x=17} R returns {(x=17, y=17)} only: the (y=1) tuple has x=NULL.
-	rx, err := Select(r, Condition{AttrCmpConst("x", OpEq, q("17"))})
+	rx, err := Select(nil, r, Condition{AttrCmpConst("x", OpEq, q("17"))})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -77,7 +77,7 @@ func TestHeterogeneousExample3(t *testing.T) {
 
 	// ς_{y=17} R returns {(x=1, y=17), (x=17, y=17)}: the x=1 tuple's
 	// unconstrained y is interpreted broadly.
-	ry, err := Select(r, Condition{AttrCmpConst("y", OpEq, q("17"))})
+	ry, err := Select(nil, r, Condition{AttrCmpConst("y", OpEq, q("17"))})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -92,7 +92,7 @@ func TestHeterogeneousExample3(t *testing.T) {
 		}
 		r, _ := v.AsRat()
 		seen[r.String()] = true
-		if !tp.Constraint().Entails(eq("y", "17")) {
+		if !tp.Constraint().Entails(eq("y", "17"), nil) {
 			t.Errorf("result tuple does not pin y=17: %s", tp)
 		}
 	}
@@ -118,14 +118,14 @@ func landRel(t *testing.T) *relation.Relation {
 
 func TestSelectStringAtom(t *testing.T) {
 	r := landRel(t)
-	got, err := Select(r, Condition{StrEq("landId", "A")})
+	got, err := Select(nil, r, Condition{StrEq("landId", "A")})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if got.Len() != 1 {
 		t.Fatalf("got %d tuples", got.Len())
 	}
-	ne, err := Select(r, Condition{StrNe("landId", "A")})
+	ne, err := Select(nil, r, Condition{StrNe("landId", "A")})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -142,7 +142,7 @@ func TestSelectStringAtom(t *testing.T) {
 	r2.MustAdd(relation.NewTuple(map[string]relation.Value{"a": relation.Str("x"), "b": relation.Str("x")}, constraint.True()))
 	r2.MustAdd(relation.NewTuple(map[string]relation.Value{"a": relation.Str("x"), "b": relation.Str("y")}, constraint.True()))
 	r2.MustAdd(relation.NewTuple(map[string]relation.Value{"a": relation.Str("x")}, constraint.True())) // b NULL
-	eqr, err := Select(r2, Condition{StrEqAttr("a", "b")})
+	eqr, err := Select(nil, r2, Condition{StrEqAttr("a", "b")})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -154,7 +154,7 @@ func TestSelectStringAtom(t *testing.T) {
 func TestSelectLinearOverConstraintAttrs(t *testing.T) {
 	r := landRel(t)
 	// x >= 4 clips parcel B and removes parcel A.
-	got, err := Select(r, Condition{AttrCmpConst("x", OpGe, q("4"))})
+	got, err := Select(nil, r, Condition{AttrCmpConst("x", OpGe, q("4"))})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -166,7 +166,7 @@ func TestSelectLinearOverConstraintAttrs(t *testing.T) {
 		t.Errorf("clipped bounds = %+v", iv)
 	}
 	// Multi-attribute linear atom: x + y <= 1 keeps only a corner of A.
-	got2, err := Select(r, Condition{Linear(
+	got2, err := Select(nil, r, Condition{Linear(
 		constraint.Var("x").Add(constraint.Var("y")), OpLe, constraint.ConstInt(1))})
 	if err != nil {
 		t.Fatal(err)
@@ -182,7 +182,7 @@ func TestSelectLinearOverConstraintAttrs(t *testing.T) {
 
 func TestSelectNeSplitsRegion(t *testing.T) {
 	r := landRel(t)
-	got, err := Select(r, Condition{AttrCmpConst("x", OpNe, q("1"))})
+	got, err := Select(nil, r, Condition{AttrCmpConst("x", OpNe, q("1"))})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -215,7 +215,7 @@ func TestSelectOnRelationalRationalAttr(t *testing.T) {
 		"name": relation.Str("ann"), "age": relation.Rat(q("40"))}, constraint.True()))
 	r.MustAdd(relation.NewTuple(map[string]relation.Value{
 		"name": relation.Str("bob")}, constraint.True())) // age missing
-	got, err := Select(r, Condition{AttrCmpConst("age", OpEq, q("40"))})
+	got, err := Select(nil, r, Condition{AttrCmpConst("age", OpEq, q("40"))})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -227,7 +227,7 @@ func TestSelectOnRelationalRationalAttr(t *testing.T) {
 		t.Errorf("got %s", name)
 	}
 	// Range comparison against bound values.
-	older, err := Select(r, Condition{AttrCmpConst("age", OpGt, q("30"))})
+	older, err := Select(nil, r, Condition{AttrCmpConst("age", OpGt, q("30"))})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -238,23 +238,23 @@ func TestSelectOnRelationalRationalAttr(t *testing.T) {
 
 func TestSelectValidation(t *testing.T) {
 	r := landRel(t)
-	if _, err := Select(r, Condition{AttrCmpConst("nope", OpEq, q("1"))}); err == nil {
+	if _, err := Select(nil, r, Condition{AttrCmpConst("nope", OpEq, q("1"))}); err == nil {
 		t.Error("unknown attribute accepted")
 	}
-	if _, err := Select(r, Condition{StrEq("x", "A")}); err == nil {
+	if _, err := Select(nil, r, Condition{StrEq("x", "A")}); err == nil {
 		t.Error("string atom over rational attribute accepted")
 	}
-	if _, err := Select(r, Condition{AttrCmpConst("landId", OpEq, q("1"))}); err == nil {
+	if _, err := Select(nil, r, Condition{AttrCmpConst("landId", OpEq, q("1"))}); err == nil {
 		t.Error("linear atom over string attribute accepted")
 	}
-	if _, err := Select(r, Condition{StringAtom{Attr: "landId", Op: OpLt, Lit: "A", IsLit: true}}); err == nil {
+	if _, err := Select(nil, r, Condition{StringAtom{Attr: "landId", Op: OpLt, Lit: "A", IsLit: true}}); err == nil {
 		t.Error("< on strings accepted")
 	}
 }
 
 func TestProject(t *testing.T) {
 	r := landRel(t)
-	got, err := Project(r, "landId", "x")
+	got, err := Project(nil, r, "landId", "x")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -262,7 +262,7 @@ func TestProject(t *testing.T) {
 		t.Fatal("y survived projection")
 	}
 	// Parcel A projects to x in [0,2].
-	sel, err := Select(got, Condition{StrEq("landId", "A")})
+	sel, err := Select(nil, got, Condition{StrEq("landId", "A")})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -276,7 +276,7 @@ func TestProject(t *testing.T) {
 	tri.MustAdd(relation.ConstraintTuple(constraint.And(
 		ge("x", "0"), ge("y", "0"),
 		constraint.MustNew(constraint.Var("x").Add(constraint.Var("y")), "<=", constraint.ConstInt(2)))))
-	px, err := Project(tri, "x")
+	px, err := Project(nil, tri, "x")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -284,7 +284,7 @@ func TestProject(t *testing.T) {
 	if !iv2.Lower.IsZero() || !iv2.Upper.Equal(q("2")) {
 		t.Errorf("triangle projection = %+v", iv2)
 	}
-	if _, err := Project(r, "ghost"); err == nil {
+	if _, err := Project(nil, r, "ghost"); err == nil {
 		t.Error("projecting unknown column accepted")
 	}
 }
@@ -297,7 +297,7 @@ func TestJoinSharedConstraintAttrs(t *testing.T) {
 	hur.MustAdd(relation.ConstraintTuple(constraint.And(
 		constraint.MustNew(constraint.Var("x"), "=", constraint.Var("t")),
 		eq("y", "1"), ge("t", "0"), le("t", "4"))))
-	j, err := Join(land, hur)
+	j, err := Join(nil, land, hur)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -305,7 +305,7 @@ func TestJoinSharedConstraintAttrs(t *testing.T) {
 	if j.Len() != 2 {
 		t.Fatalf("join produced %d tuples:\n%s", j.Len(), j)
 	}
-	ids, err := Project(j, "landId")
+	ids, err := Project(nil, j, "landId")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -338,7 +338,7 @@ func TestJoinSharedRelationalAttrs(t *testing.T) {
 		"name": relation.Str("ann"), "landId": relation.Str("A")}, constraint.True()))
 	owners.MustAdd(relation.NewTuple(map[string]relation.Value{
 		"name": relation.Str("bob")}, constraint.True())) // landId NULL
-	j, err := Join(owners, landRel(t))
+	j, err := Join(nil, owners, landRel(t))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -358,7 +358,7 @@ func TestJoinDisjointSchemasIsCrossProduct(t *testing.T) {
 	a.MustAdd(relation.ConstraintTuple(constraint.And(ge("x", "5"), le("x", "6"))))
 	b := relation.New(schema.MustNew(schema.Con("y")))
 	b.MustAdd(relation.ConstraintTuple(constraint.And(ge("y", "0"), le("y", "1"))))
-	j, err := Join(a, b)
+	j, err := Join(nil, a, b)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -373,7 +373,7 @@ func TestJoinDisjointSchemasIsCrossProduct(t *testing.T) {
 func TestJoinSchemaConflict(t *testing.T) {
 	a := relation.New(schema.MustNew(schema.Con("x")))
 	b := relation.New(schema.MustNew(schema.Rel("x", schema.Rational)))
-	if _, err := Join(a, b); err == nil {
+	if _, err := Join(nil, a, b); err == nil {
 		t.Error("kind conflict accepted")
 	}
 }
@@ -384,7 +384,7 @@ func TestIntersect(t *testing.T) {
 	a.MustAdd(relation.ConstraintTuple(constraint.And(ge("x", "0"), le("x", "2"))))
 	b := relation.New(s)
 	b.MustAdd(relation.ConstraintTuple(constraint.And(ge("x", "1"), le("x", "3"))))
-	got, err := Intersect(a, b)
+	got, err := Intersect(nil, a, b)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -393,7 +393,7 @@ func TestIntersect(t *testing.T) {
 		t.Errorf("intersection = %+v", iv)
 	}
 	c := relation.New(schema.MustNew(schema.Con("y")))
-	if _, err := Intersect(a, c); err == nil {
+	if _, err := Intersect(nil, a, c); err == nil {
 		t.Error("schema mismatch accepted")
 	}
 }
@@ -404,7 +404,7 @@ func TestUnion(t *testing.T) {
 	a.MustAdd(relation.ConstraintTuple(constraint.And(ge("x", "0"), le("x", "1"))))
 	b := relation.New(s)
 	b.MustAdd(relation.ConstraintTuple(constraint.And(ge("x", "2"), le("x", "3"))))
-	got, err := Union(a, b)
+	got, err := Union(nil, a, b)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -412,7 +412,7 @@ func TestUnion(t *testing.T) {
 		t.Errorf("union len = %d", got.Len())
 	}
 	// Duplicate tuples are deduplicated.
-	dup, err := Union(a, a)
+	dup, err := Union(nil, a, a)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -420,14 +420,14 @@ func TestUnion(t *testing.T) {
 		t.Errorf("self-union len = %d", dup.Len())
 	}
 	c := relation.New(schema.MustNew(schema.Con("y")))
-	if _, err := Union(a, c); err == nil {
+	if _, err := Union(nil, a, c); err == nil {
 		t.Error("schema mismatch accepted")
 	}
 }
 
 func TestRename(t *testing.T) {
 	r := landRel(t)
-	got, err := Rename(r, "x", "lon")
+	got, err := Rename(nil, r, map[string]string{"x": "lon"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -439,14 +439,14 @@ func TestRename(t *testing.T) {
 			t.Error("constraint variable not renamed")
 		}
 	}
-	got2, err := Rename(got, "landId", "id")
+	got2, err := Rename(nil, got, map[string]string{"landId": "id"})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if _, ok := got2.Tuples()[0].RVal("id"); !ok {
 		t.Error("relational binding not renamed")
 	}
-	if _, err := Rename(r, "x", "y"); err == nil {
+	if _, err := Rename(nil, r, map[string]string{"x": "y"}); err == nil {
 		t.Error("rename onto existing attribute accepted")
 	}
 }
@@ -462,7 +462,7 @@ func TestDifference(t *testing.T) {
 	r1.MustAdd(mk("B", "0", "4"))
 	r2 := relation.New(s)
 	r2.MustAdd(mk("A", "1", "2"))
-	got, err := Difference(r1, r2)
+	got, err := Difference(nil, r1, r2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -488,7 +488,7 @@ func TestDifference(t *testing.T) {
 	// tuples.
 	r3 := relation.New(s)
 	r3.MustAdd(relation.ConstraintTuple(constraint.And(ge("x", "0"), le("x", "4"))))
-	got2, err := Difference(r1, r3)
+	got2, err := Difference(nil, r1, r3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -497,7 +497,7 @@ func TestDifference(t *testing.T) {
 	}
 	// Schema check.
 	other := relation.New(schema.MustNew(schema.Con("x")))
-	if _, err := Difference(r1, other); err == nil {
+	if _, err := Difference(nil, r1, other); err == nil {
 		t.Error("schema mismatch accepted")
 	}
 }
@@ -512,7 +512,7 @@ func TestDifferenceUpwardCompatible(t *testing.T) {
 		}
 		return r
 	}
-	got, err := Difference(mk("a", "b", "c"), mk("b"))
+	got, err := Difference(nil, mk("a", "b", "c"), mk("b"))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -39,7 +39,7 @@ func pruneInputs(t *testing.T) map[string][2]*relation.Relation {
 	p2 := p
 	p2.Seed = p.Seed + 1000
 	xy := func(r *relation.Relation) *relation.Relation {
-		out, err := Project(r, "x", "y")
+		out, err := Project(nil, r, "x", "y")
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -92,9 +92,9 @@ var (
 // (the unfiltered side is the eliminator alone, run once).
 func TestPruningEquivalence(t *testing.T) {
 	ops := map[string]func(ec *exec.Context, r1, r2 *relation.Relation) (*relation.Relation, error){
-		"join":       JoinCtx,
-		"intersect":  IntersectCtx,
-		"difference": DifferenceCtx,
+		"join":       Join,
+		"intersect":  Intersect,
+		"difference": Difference,
 	}
 	for wName, pair := range pruneInputs(t) {
 		for opName, op := range ops {
@@ -228,7 +228,7 @@ func TestPairsStatsConsistent(t *testing.T) {
 	ec.Tracer = obs.NewTracer()
 	reg := obs.NewRegistry()
 	ec.Metrics = reg
-	if _, err := JoinCtx(ec, r1, r2); err != nil {
+	if _, err := Join(ec, r1, r2); err != nil {
 		t.Fatal(err)
 	}
 	var pairs, filtered int64
@@ -265,7 +265,7 @@ func TestPairsStatsConsistent(t *testing.T) {
 func TestUnionStats(t *testing.T) {
 	r1, r2 := parInputs(t, 31, 30, 30, 5)
 	ec := &exec.Context{Parallelism: 4, SeqThreshold: 1}
-	out, err := UnionCtx(ec, r1, r2)
+	out, err := Union(ec, r1, r2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -285,7 +285,7 @@ func TestUnionStats(t *testing.T) {
 	}
 
 	ecSeq := &exec.Context{Parallelism: 4, SeqThreshold: 1 << 20}
-	if _, err := UnionCtx(ecSeq, r1, r2); err != nil {
+	if _, err := Union(ecSeq, r1, r2); err != nil {
 		t.Fatal(err)
 	}
 	if ecSeq.Stats()[0].Parallel {

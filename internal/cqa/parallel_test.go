@@ -77,11 +77,11 @@ func TestParallelEquivalence(t *testing.T) {
 	for _, seed := range []int64{1, 42, 2003} {
 		r1, r2 := parInputs(t, seed, 48, 40, 5)
 		ops := map[string]func(*exec.Context) (*relation.Relation, error){
-			"select":     func(ec *exec.Context) (*relation.Relation, error) { return SelectCtx(ec, r1, cond) },
-			"project":    func(ec *exec.Context) (*relation.Relation, error) { return ProjectCtx(ec, r1, "id", "x") },
-			"join":       func(ec *exec.Context) (*relation.Relation, error) { return JoinCtx(ec, r1, r2) },
-			"intersect":  func(ec *exec.Context) (*relation.Relation, error) { return IntersectCtx(ec, r1, r2) },
-			"difference": func(ec *exec.Context) (*relation.Relation, error) { return DifferenceCtx(ec, r1, r2) },
+			"select":     func(ec *exec.Context) (*relation.Relation, error) { return Select(ec, r1, cond) },
+			"project":    func(ec *exec.Context) (*relation.Relation, error) { return Project(ec, r1, "id", "x") },
+			"join":       func(ec *exec.Context) (*relation.Relation, error) { return Join(ec, r1, r2) },
+			"intersect":  func(ec *exec.Context) (*relation.Relation, error) { return Intersect(ec, r1, r2) },
+			"difference": func(ec *exec.Context) (*relation.Relation, error) { return Difference(ec, r1, r2) },
 		}
 		for name, op := range ops {
 			want, err := op(nil) // sequential baseline
@@ -109,16 +109,16 @@ func TestParallelEquivalence(t *testing.T) {
 // satisfiability check).
 func TestParallelEquivalenceCrossProduct(t *testing.T) {
 	r1, r2 := parInputs(t, 7, 30, 30, 0)
-	r2b, err := Rename(r2, "id", "id2")
+	r2b, err := Rename(nil, r2, map[string]string{"id": "id2"})
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := Join(r1, r2b)
+	want, err := Join(nil, r1, r2b)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for ctxName, ec := range parContexts() {
-		got, err := JoinCtx(ec, r1, r2b)
+		got, err := Join(ec, r1, r2b)
 		if err != nil {
 			t.Fatalf("%s: %v", ctxName, err)
 		}
@@ -139,22 +139,22 @@ func TestParallelEquivalenceEmpty(t *testing.T) {
 		"right-empty": {r1, empty},
 		"both-empty":  {empty, empty},
 	} {
-		want, err := Join(pair[0], pair[1])
+		want, err := Join(nil, pair[0], pair[1])
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
-		got, err := JoinCtx(ec, pair[0], pair[1])
+		got, err := Join(ec, pair[0], pair[1])
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
 		if dump(got) != dump(want) {
 			t.Errorf("%s: parallel join diverges", name)
 		}
-		wantD, err := Difference(pair[0], pair[1])
+		wantD, err := Difference(nil, pair[0], pair[1])
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
-		gotD, err := DifferenceCtx(ec, pair[0], pair[1])
+		gotD, err := Difference(ec, pair[0], pair[1])
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
@@ -168,12 +168,12 @@ func TestParallelEquivalenceEmpty(t *testing.T) {
 // execution context.
 func TestOperatorStats(t *testing.T) {
 	r1, r2 := parInputs(t, 11, 30, 30, 0)
-	r2b, err := Rename(r2, "id", "id2")
+	r2b, err := Rename(nil, r2, map[string]string{"id": "id2"})
 	if err != nil {
 		t.Fatal(err)
 	}
 	ec := &exec.Context{Parallelism: 4, SeqThreshold: 1}
-	out, err := JoinCtx(ec, r1, r2b)
+	out, err := Join(ec, r1, r2b)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -214,7 +214,7 @@ func TestOperatorStats(t *testing.T) {
 
 	// With the filter off, the dense loop checks every pair.
 	ecDense := &exec.Context{Parallelism: 4, SeqThreshold: 1, NoPrune: true}
-	if _, err := JoinCtx(ecDense, r1, r2b); err != nil {
+	if _, err := Join(ecDense, r1, r2b); err != nil {
 		t.Fatal(err)
 	}
 	d := ecDense.Stats()[0]
@@ -232,7 +232,7 @@ func TestOperatorStats(t *testing.T) {
 
 	// Threshold fallback: same join with a huge threshold stays sequential.
 	ec2 := &exec.Context{Parallelism: 4, SeqThreshold: 1 << 20}
-	if _, err := JoinCtx(ec2, r1, r2b); err != nil {
+	if _, err := Join(ec2, r1, r2b); err != nil {
 		t.Fatal(err)
 	}
 	if ec2.Stats()[0].Parallel {
@@ -258,7 +258,7 @@ func TestFMDecisionsPerRecorder(t *testing.T) {
 		if cached {
 			ec.SatCache = constraint.NewSatCache(0)
 		}
-		if _, err := JoinCtx(ec, r1, r2); err != nil {
+		if _, err := Join(ec, r1, r2); err != nil {
 			t.Error(err)
 		}
 	}

@@ -38,7 +38,7 @@ func withIrrClear(irrClear bool, body func()) {
 
 // dumpNormalised is dump of r and of r normalised.
 func dumpNormalised(r *relation.Relation) string {
-	return dump(r) + "\nnormalised:\n" + dump(r.Normalize())
+	return dump(r) + "\nnormalised:\n" + dump(r.NormalizeWith(nil))
 }
 
 // sumStats adds up the decision counters of every operator row on ec.
@@ -64,9 +64,9 @@ func sumStats(ec *exec.Context) (s exec.OpStats) {
 // alone.
 func TestStrategyEquivalence(t *testing.T) {
 	ops := map[string]func(ec *exec.Context, r1, r2 *relation.Relation) (*relation.Relation, error){
-		"join":       JoinCtx,
-		"intersect":  IntersectCtx,
-		"difference": DifferenceCtx,
+		"join":       Join,
+		"intersect":  Intersect,
+		"difference": Difference,
 	}
 	for wName, pair := range pruneInputs(t) {
 		for opName, op := range ops {
@@ -206,7 +206,7 @@ func TestSelectEquivalence(t *testing.T) {
 			for _, par := range []int{1, 4} {
 				run := func(mode string, noPrune bool) (string, exec.OpStats) {
 					ec := &exec.Context{Parallelism: par, SeqThreshold: 1, PlanMode: mode, NoPrune: noPrune}
-					got, err := SelectCtx(ec, c.r, c.cond)
+					got, err := Select(ec, c.r, c.cond)
 					if err != nil {
 						t.Fatalf("%s %s par%d %s: %v", wName, cName, par, mode, err)
 					}
@@ -262,7 +262,7 @@ func TestSelectAtomOrderFree(t *testing.T) {
 				order[i] = cond[j]
 			}
 			for _, mode := range []string{exec.PlanDense, exec.PlanAuto} {
-				out, err := SelectCtx(&exec.Context{Parallelism: 1, PlanMode: mode}, r, order)
+				out, err := Select(&exec.Context{Parallelism: 1, PlanMode: mode}, r, order)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -301,9 +301,9 @@ func permutations(n int) [][]int {
 // tuple descends from a surviving pair).
 func TestEstimatorBounds(t *testing.T) {
 	ops := map[string]func(ec *exec.Context, r1, r2 *relation.Relation) (*relation.Relation, error){
-		"join":       JoinCtx,
-		"intersect":  IntersectCtx,
-		"difference": DifferenceCtx,
+		"join":       Join,
+		"intersect":  Intersect,
+		"difference": Difference,
 	}
 	for wName, pair := range pruneInputs(t) {
 		for opName, op := range ops {

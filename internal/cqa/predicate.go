@@ -241,7 +241,7 @@ type selection struct {
 	// decide is false when no linear atom is a value atom or in ξ: string
 	// atoms alone ask nothing of the constraint part.
 	decide bool
-	// vars are ξ's variables when the filter stage runs (SelectCtx: ξ not
+	// vars are ξ's variables when the filter stage runs (Select: ξ not
 	// bound, pruning on): a tuple that is not a box and whose envelope is
 	// Disjoint from ξ's on them is dropped before any decider.
 	vars []string

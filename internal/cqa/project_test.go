@@ -70,13 +70,13 @@ func referenceProject(t *testing.T, ec *exec.Context, r *relation.Relation, cols
 // Query 3's R2, and three a box.
 func TestProjectAwayEveryConstraintVar(t *testing.T) {
 	land, owners, track := datagen.HurricaneRelations(8)
-	r0, err := cqa.JoinCtx(nil, owners, land)
+	r0, err := cqa.Join(nil, owners, land)
 	if err == nil {
-		r0, err = cqa.JoinCtx(nil, r0, track)
+		r0, err = cqa.Join(nil, r0, track)
 	}
 	var r2 *relation.Relation
 	if err == nil {
-		r2, err = cqa.SelectCtx(nil, r0, cqa.Condition{ // a window of the benchmark's width
+		r2, err = cqa.Select(nil, r0, cqa.Condition{ // a window of the benchmark's width
 			cqa.AttrCmpConst("t", cqa.OpGe, rational.FromInt(4)), cqa.AttrCmpConst("t", cqa.OpLe, rational.FromInt(14))})
 	}
 	if err != nil {
@@ -107,7 +107,7 @@ func TestProjectAwayEveryConstraintVar(t *testing.T) {
 		refEC, ec := exec.New(1), exec.New(1)
 		refEC.SatCache, ec.SatCache = cache, cache
 		project := func() *relation.Relation {
-			out, err := cqa.ProjectCtx(ec, tc.r, tc.cols...)
+			out, err := cqa.Project(ec, tc.r, tc.cols...)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -122,7 +122,7 @@ func TestProjectAwayEveryConstraintVar(t *testing.T) {
 		if got := saved(t, out); got != want {
 			t.Fatalf("%s: project prints\n%s\nthe elimination loop prints\n%s", tc.name, got, want)
 		}
-		pooled, err := cqa.ProjectCtx(&exec.Context{Parallelism: 4, SeqThreshold: 1, SatCache: cache}, tc.r, tc.cols...)
+		pooled, err := cqa.Project(&exec.Context{Parallelism: 4, SeqThreshold: 1, SatCache: cache}, tc.r, tc.cols...)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -149,7 +149,7 @@ func TestProjectAwayEveryConstraintVar(t *testing.T) {
 			return fixed, total
 		}
 		fixed, total := warm(ec, func(r *relation.Relation) {
-			if _, err := cqa.ProjectCtx(ec, r, tc.cols...); err != nil {
+			if _, err := cqa.Project(ec, r, tc.cols...); err != nil {
 				t.Fatal(err)
 			}
 		})

@@ -69,10 +69,10 @@ func TestSatCacheOutputIdentical(t *testing.T) {
 	for _, seed := range []int64{1, 42} {
 		r1, r2 := boxInputs(t, seed, 40, 36, 5)
 		ops := map[string]relOp{
-			"select":     func(ec *exec.Context) (*relation.Relation, error) { return cqa.SelectCtx(ec, r1, cond) },
-			"project":    func(ec *exec.Context) (*relation.Relation, error) { return cqa.ProjectCtx(ec, r1, "id", "x") },
-			"union":      func(ec *exec.Context) (*relation.Relation, error) { return cqa.UnionCtx(ec, r1, r2) },
-			"difference": func(ec *exec.Context) (*relation.Relation, error) { return cqa.DifferenceCtx(ec, r1, r2) },
+			"select":     func(ec *exec.Context) (*relation.Relation, error) { return cqa.Select(ec, r1, cond) },
+			"project":    func(ec *exec.Context) (*relation.Relation, error) { return cqa.Project(ec, r1, "id", "x") },
+			"union":      func(ec *exec.Context) (*relation.Relation, error) { return cqa.Union(ec, r1, r2) },
+			"difference": func(ec *exec.Context) (*relation.Relation, error) { return cqa.Difference(ec, r1, r2) },
 		}
 		for name, op := range ops {
 			for _, par := range []int{1, 4} {
@@ -96,20 +96,20 @@ func TestSatCacheOutputIdentical(t *testing.T) {
 	}
 
 	land, owners, track := datagen.HurricaneRelations(3)
-	r0, err := cqa.Join(owners, land)
+	r0, err := cqa.Join(nil, owners, land)
 	if err != nil {
 		t.Fatal(err)
 	}
 	b1, b2 := boxInputs(t, 1, 40, 36, 5)
 	pairOps := map[string]relOp{
-		"join boxes":      func(ec *exec.Context) (*relation.Relation, error) { return cqa.JoinCtx(ec, b1, b2) },
-		"intersect boxes": func(ec *exec.Context) (*relation.Relation, error) { return cqa.IntersectCtx(ec, b1, b2) },
+		"join boxes":      func(ec *exec.Context) (*relation.Relation, error) { return cqa.Join(ec, b1, b2) },
+		"intersect boxes": func(ec *exec.Context) (*relation.Relation, error) { return cqa.Intersect(ec, b1, b2) },
 		"join owners-land": func(ec *exec.Context) (*relation.Relation, error) {
-			return cqa.JoinCtx(ec, owners, land)
+			return cqa.Join(ec, owners, land)
 		},
-		"join r0-track":         func(ec *exec.Context) (*relation.Relation, error) { return cqa.JoinCtx(ec, r0, track) },
-		"intersect r0-r0":       func(ec *exec.Context) (*relation.Relation, error) { return cqa.IntersectCtx(ec, r0, r0) },
-		"intersect track-track": func(ec *exec.Context) (*relation.Relation, error) { return cqa.IntersectCtx(ec, track, track) },
+		"join r0-track":         func(ec *exec.Context) (*relation.Relation, error) { return cqa.Join(ec, r0, track) },
+		"intersect r0-r0":       func(ec *exec.Context) (*relation.Relation, error) { return cqa.Intersect(ec, r0, r0) },
+		"intersect track-track": func(ec *exec.Context) (*relation.Relation, error) { return cqa.Intersect(ec, track, track) },
 	}
 	caches := map[string]func() *constraint.SatCache{
 		"off":     func() *constraint.SatCache { return nil },
@@ -148,7 +148,7 @@ func TestSatCacheOutputIdentical(t *testing.T) {
 // account for every decision as a hit or a miss.
 func TestSatCacheWarmReuse(t *testing.T) {
 	r1, r2 := boxInputs(t, 7, 30, 30, 0)
-	r2b, err := cqa.Rename(r2, "id", "id2")
+	r2b, err := cqa.Rename(nil, r2, map[string]string{"id": "id2"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -159,7 +159,7 @@ func TestSatCacheWarmReuse(t *testing.T) {
 		// the vector fast path would decide these spatial pairs without
 		// ever consulting the oracle.
 		ec := &exec.Context{Parallelism: 4, SeqThreshold: 1, SatCache: cache, PlanMode: exec.PlanDense}
-		out, err := cqa.JoinCtx(ec, r1, r2b)
+		out, err := cqa.Join(ec, r1, r2b)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -255,9 +255,9 @@ func TestWarmJoinAllocs(t *testing.T) {
 		allocs := testing.AllocsPerRun(10, joins)
 		bytes := bytesPerRun(10, joins)
 		if tc.name == "raw" {
-			canon, err := cqa.JoinCtx(nil, owners, land)
+			canon, err := cqa.Join(nil, owners, land)
 			if err == nil {
-				canon, err = cqa.JoinCtx(nil, canon, corridor)
+				canon, err = cqa.Join(nil, canon, corridor)
 			}
 			if err != nil {
 				t.Fatal(err)
@@ -323,7 +323,7 @@ func warmQuery3Allocs(t *testing.T) float64 {
 	if err := raw.Save(&buf); err != nil {
 		t.Fatal(err)
 	}
-	d, err := db.Load(&buf)
+	d, err := db.Load(&buf, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -373,11 +373,11 @@ func warmQuery3Allocs(t *testing.T) float64 {
 func warmJoins(t *testing.T, ec *exec.Context, in [3]*relation.Relation, out **relation.Relation) func() {
 	t.Helper()
 	joins := func() {
-		r0, err := cqa.JoinCtx(ec, in[0], in[1])
+		r0, err := cqa.Join(ec, in[0], in[1])
 		if err != nil {
 			t.Fatal(err)
 		}
-		if *out, err = cqa.JoinCtx(ec, r0, in[2]); err != nil {
+		if *out, err = cqa.Join(ec, r0, in[2]); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -457,7 +457,7 @@ func TestBoxJoinAllocs(t *testing.T) {
 	ec := exec.New(1)
 	ec.SatCache = constraint.NewSatCache(0)
 	join := func() {
-		if _, err := cqa.JoinCtx(ec, r1, r2); err != nil {
+		if _, err := cqa.Join(ec, r1, r2); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -510,7 +510,7 @@ func TestWarmSelectAllocs(t *testing.T) {
 		ec := exec.New(1)
 		ec.SatCache = constraint.NewSatCache(0)
 		sel := func() {
-			if _, err := cqa.SelectCtx(ec, tc.r, tc.cond); err != nil {
+			if _, err := cqa.Select(ec, tc.r, tc.cond); err != nil {
 				t.Fatal(err)
 			}
 		}

@@ -323,7 +323,7 @@ func TestQuickUpwardCompatibility(t *testing.T) {
 		if rng.Intn(2) == 0 {
 			cond = append(cond, randAtom())
 		}
-		gotS, err := Select(r1, cond)
+		gotS, err := Select(nil, r1, cond)
 		if err != nil {
 			t.Fatalf("iter %d select: %v", iter, err)
 		}
@@ -333,7 +333,7 @@ func TestQuickUpwardCompatibility(t *testing.T) {
 
 		// project
 		cols := [][]string{{"id"}, {"id", "v"}, {"v", "w"}}[rng.Intn(3)]
-		gotP, err := Project(r1, cols...)
+		gotP, err := Project(nil, r1, cols...)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -342,7 +342,7 @@ func TestQuickUpwardCompatibility(t *testing.T) {
 		}
 
 		// join (shared attrs id, v)
-		gotJ, err := Join(r1, rj)
+		gotJ, err := Join(nil, r1, rj)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -351,14 +351,14 @@ func TestQuickUpwardCompatibility(t *testing.T) {
 		}
 
 		// union / difference
-		gotU, err := Union(r1, r2)
+		gotU, err := Union(nil, r1, r2)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if !sameRows(toRef(t, gotU), refUnion(ref1, ref2)) {
 			t.Fatalf("iter %d: union diverges", iter)
 		}
-		gotD, err := Difference(r1, r2)
+		gotD, err := Difference(nil, r1, r2)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -367,7 +367,7 @@ func TestQuickUpwardCompatibility(t *testing.T) {
 		}
 
 		// rename
-		gotR, err := Rename(r1, "v", "v2")
+		gotR, err := Rename(nil, r1, map[string]string{"v": "v2"})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -93,63 +93,22 @@ func (d *Database) Env() cqa.Env {
 	return env
 }
 
-// Run parses and executes a query program against the database, returning
-// the final statement's relation. Intermediate results are not persisted.
-func (d *Database) Run(src string) (*relation.Relation, error) {
-	return d.RunCtx(src, nil)
-}
-
-// RunCtx is Run under an execution context: CQA operators fan out over
-// ec's worker pool and record per-operator stats on ec. When ec traces,
-// the whole program runs under a "query" root span (statements and plan
-// nodes nest below it; the final normalisation pass is its own child).
-// A nil ec is Run.
-func (d *Database) RunCtx(src string, ec *exec.Context) (*relation.Relation, error) {
+// Run parses and executes a query program against the database
+// (query.Program.Exec), returning the final statement's relation
+// normalised. Intermediate results are not persisted. CQA operators fan
+// out over ec's worker pool and record per-operator stats on ec; when ec
+// traces, the whole program runs under a "query" root span (statements and
+// plan nodes nest below it; the final normalisation pass is its own
+// child). A nil ec is sequential with no stats.
+func (d *Database) Run(src string, ec *exec.Context) (*relation.Relation, error) {
 	prog, err := query.Parse(src)
 	if err != nil {
 		return nil, err
 	}
 	root := ec.BeginSpan("query", FirstLine(src))
 	defer ec.EndSpan(root)
-	_, out, err := RunProgram(prog, d.Env(), ec, nil)
+	_, out, err := prog.Exec(d.Env(), ec, nil)
 	return out, err
-}
-
-// RunProgram is the one statement loop of every front end: Database.RunCtx,
-// the server's /v1/query and the cqacdb shell. It runs prog's statements in
-// order on env (used as scratch: each result is bound there under its
-// target for the statements after it) and hands every raw result to bind,
-// when bind is non-nil, so a session can keep it. It returns the final
-// statement's target and its result normalised under a "normalize" span:
-// unsatisfiable tuples dropped, constraint parts simplified into canonical
-// form, duplicates removed. Semantics unchanged; the context's sat-cache
-// (if any) memoizes the decisions. A cancelled ec stops the loop between
-// statements with ec's error.
-func RunProgram(prog *query.Program, env cqa.Env, ec *exec.Context, bind func(target string, r *relation.Relation)) (string, *relation.Relation, error) {
-	var (
-		last   *relation.Relation
-		target string
-	)
-	for _, st := range prog.Stmts {
-		if err := ec.Err(); err != nil {
-			return "", nil, err
-		}
-		one := &query.Program{Stmts: []query.Stmt{st}}
-		r, err := one.RunOptimizedCtx(env, ec)
-		if err != nil {
-			return "", nil, err
-		}
-		env[st.Target] = r
-		if bind != nil {
-			bind(st.Target, r)
-		}
-		last, target = r, st.Target
-	}
-	sp := ec.BeginSpan("normalize", "")
-	norm := last.NormalizeWith(ec.SatFunc())
-	sp.Set("rows", int64(norm.Len()))
-	ec.EndSpan(sp)
-	return target, norm, nil
 }
 
 // FirstLine returns the first line of src that is not blank, trimmed: how
@@ -169,16 +128,6 @@ func FirstLine(src string) string {
 
 // Save writes the database in the text format.
 func (d *Database) Save(w io.Writer) error {
-	return d.SaveCtx(w, nil)
-}
-
-// SaveCtx is Save under an execution context: when ec traces, the write
-// runs under a "db.save" span counting relations and tuples written.
-func (d *Database) SaveCtx(w io.Writer, ec *exec.Context) error {
-	sp := ec.BeginSpan("db.save", "")
-	defer ec.EndSpan(sp)
-	sp.Set("relations", int64(len(d.rels)))
-	sp.Set("tuples", int64(d.TupleCount()))
 	bw := bufio.NewWriter(w)
 	for _, name := range d.order {
 		encodeRelation(bw, name, d.rels[name])
@@ -244,30 +193,15 @@ func (d *Database) SaveFile(path string) error {
 	return f.Close()
 }
 
-// Load reads a database in the text format.
-func Load(r io.Reader) (*Database, error) {
-	return LoadCtx(r, nil)
-}
-
-// LoadCtx is Load under an execution context: when ec traces, parsing
-// and canonicalising the file runs under a "db.load" span counting the
-// relations and tuples read.
-func LoadCtx(r io.Reader, ec *exec.Context) (*Database, error) {
-	sp := ec.BeginSpan("db.load", "")
-	defer ec.EndSpan(sp)
-	d, err := load(r)
-	if err != nil {
-		return nil, err
-	}
-	sp.Set("relations", int64(len(d.rels)))
-	sp.Set("tuples", int64(d.TupleCount()))
-	return d, nil
-}
-
 // maxLineBytes is the longest line the loader accepts, newline included.
 const maxLineBytes = 1 << 20
 
-func load(r io.Reader) (*Database, error) {
+// Load reads a database in the text format. When ec traces, parsing and
+// canonicalising the input runs under a "db.load" span counting the
+// relations and tuples read.
+func Load(r io.Reader, ec *exec.Context) (*Database, error) {
+	sp := ec.BeginSpan("db.load", "")
+	defer ec.EndSpan(sp)
 	d := New()
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 64<<10), maxLineBytes)
@@ -336,22 +270,19 @@ func load(r io.Reader) (*Database, error) {
 	if curRel != nil || curName != "" {
 		return nil, fmt.Errorf("db: unterminated relation block %q", curName)
 	}
+	sp.Set("relations", int64(len(d.rels)))
+	sp.Set("tuples", int64(d.TupleCount()))
 	return d, nil
 }
 
 // LoadFile reads a database file.
 func LoadFile(path string) (*Database, error) {
-	return LoadFileCtx(path, nil)
-}
-
-// LoadFileCtx is LoadFile under an execution context (see LoadCtx).
-func LoadFileCtx(path string, ec *exec.Context) (*Database, error) {
 	f, err := os.Open(path)
 	if err != nil {
 		return nil, err
 	}
 	defer f.Close()
-	return LoadCtx(f, ec)
+	return Load(f, nil)
 }
 
 func splitWord(line string) (string, string) {

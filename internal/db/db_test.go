@@ -27,7 +27,7 @@ end
 `
 
 func TestLoadAndRun(t *testing.T) {
-	d, err := Load(strings.NewReader(sampleDB))
+	d, err := Load(strings.NewReader(sampleDB), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -39,14 +39,14 @@ func TestLoadAndRun(t *testing.T) {
 		t.Fatalf("R has %d tuples", r.Len())
 	}
 	// Example 3 behaviour through the full stack.
-	out, err := d.Run(`A = select y = 17 from R`)
+	out, err := d.Run(`A = select y = 17 from R`, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if out.Len() != 2 {
 		t.Errorf("select y=17: %d tuples, want 2:\n%s", out.Len(), out)
 	}
-	out2, err := d.Run(`A = select x = 17 from R`)
+	out2, err := d.Run(`A = select x = 17 from R`, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -54,7 +54,7 @@ func TestLoadAndRun(t *testing.T) {
 		t.Errorf("select x=17: %d tuples, want 1:\n%s", out2.Len(), out2)
 	}
 	// Unquoted string id loaded correctly.
-	out3, err := d.Run(`A = select landId = B from Land`)
+	out3, err := d.Run(`A = select landId = B from Land`, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -64,7 +64,7 @@ func TestLoadAndRun(t *testing.T) {
 }
 
 func TestSaveLoadRoundTrip(t *testing.T) {
-	d, err := Load(strings.NewReader(sampleDB))
+	d, err := Load(strings.NewReader(sampleDB), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -72,7 +72,7 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 	if err := d.Save(&buf); err != nil {
 		t.Fatal(err)
 	}
-	d2, err := Load(strings.NewReader(buf.String()))
+	d2, err := Load(strings.NewReader(buf.String()), nil)
 	if err != nil {
 		t.Fatalf("reload: %v\nsaved:\n%s", err, buf.String())
 	}
@@ -104,7 +104,7 @@ func TestSaveLoadFractionsAndNegatives(t *testing.T) {
 	if err := d.Save(&buf); err != nil {
 		t.Fatal(err)
 	}
-	d2, err := Load(strings.NewReader(buf.String()))
+	d2, err := Load(strings.NewReader(buf.String()), nil)
 	if err != nil {
 		t.Fatalf("%v\n%s", err, buf.String())
 	}
@@ -130,7 +130,7 @@ func TestLoadErrors(t *testing.T) {
 		{"end outside", "end\n"},
 	}
 	for _, c := range cases {
-		if _, err := Load(strings.NewReader(c.src)); err == nil {
+		if _, err := Load(strings.NewReader(c.src), nil); err == nil {
 			t.Errorf("%s: accepted", c.name)
 		}
 	}
@@ -157,7 +157,7 @@ func TestPutGet(t *testing.T) {
 }
 
 func TestFileRoundTrip(t *testing.T) {
-	d, err := Load(strings.NewReader(sampleDB))
+	d, err := Load(strings.NewReader(sampleDB), nil)
 	if err != nil {
 		t.Fatal(err)
 	}

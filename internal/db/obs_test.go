@@ -9,18 +9,18 @@ import (
 	"cdb/internal/obs"
 )
 
-// TestRunCtxSpans checks the database layer's tracing contract: RunCtx
+// TestRunCtxSpans checks the database layer's tracing contract: Run
 // wraps the whole program in a "query" root span (detail = first query
 // line) with the statements and the final normalisation pass nested
 // below it.
 func TestRunCtxSpans(t *testing.T) {
-	d, err := Load(strings.NewReader(sampleDB))
+	d, err := Load(strings.NewReader(sampleDB), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	ec := exec.New(1)
 	ec.Tracer = obs.NewTracer()
-	if _, err := d.RunCtx("R0 = select x >= 1 from R", ec); err != nil {
+	if _, err := d.Run("R0 = select x >= 1 from R", ec); err != nil {
 		t.Fatal(err)
 	}
 	roots := ec.Tracer.Roots()
@@ -42,34 +42,32 @@ func TestRunCtxSpans(t *testing.T) {
 	}
 }
 
-// TestSaveLoadSpans checks that SaveCtx and LoadCtx open db.save/db.load
-// spans counting the relations and tuples moved.
+// TestSaveLoadSpans checks that Load opens a db.load span counting the
+// relations and tuples read.
 func TestSaveLoadSpans(t *testing.T) {
-	d, err := Load(strings.NewReader(sampleDB))
+	d, err := Load(strings.NewReader(sampleDB), nil)
 	if err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := d.Save(&buf); err != nil {
 		t.Fatal(err)
 	}
 	ec := exec.New(1)
 	ec.Tracer = obs.NewTracer()
-
-	var buf bytes.Buffer
-	if err := d.SaveCtx(&buf, ec); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := LoadCtx(bytes.NewReader(buf.Bytes()), ec); err != nil {
+	if _, err := Load(bytes.NewReader(buf.Bytes()), ec); err != nil {
 		t.Fatal(err)
 	}
 
 	roots := ec.Tracer.Roots()
-	if len(roots) != 2 || roots[0].Name != "db.save" || roots[1].Name != "db.load" {
-		t.Fatalf("roots = %v, want [db.save db.load]", roots)
+	if len(roots) != 1 || roots[0].Name != "db.load" {
+		t.Fatalf("roots = %v, want [db.load]", roots)
 	}
-	for _, sp := range roots {
-		if sp.Counters()["relations"] != 2 {
-			t.Errorf("%s relations = %d, want 2", sp.Name, sp.Counters()["relations"])
-		}
-		if sp.Counters()["tuples"] != 5 {
-			t.Errorf("%s tuples = %d, want 5", sp.Name, sp.Counters()["tuples"])
-		}
+	sp := roots[0]
+	if sp.Counters()["relations"] != 2 {
+		t.Errorf("%s relations = %d, want 2", sp.Name, sp.Counters()["relations"])
+	}
+	if sp.Counters()["tuples"] != 5 {
+		t.Errorf("%s tuples = %d, want 5", sp.Name, sp.Counters()["tuples"])
 	}
 }

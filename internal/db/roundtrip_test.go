@@ -88,7 +88,7 @@ func TestQuickSaveLoadEquivalent(t *testing.T) {
 	for iter := 0; iter < 60; iter++ {
 		d0 := randDatabase(rng)
 		s1 := saveString(t, d0)
-		d1, err := Load(strings.NewReader(s1))
+		d1, err := Load(strings.NewReader(s1), nil)
 		if err != nil {
 			t.Fatalf("iter %d: load: %v\n%s", iter, err, s1)
 		}
@@ -119,7 +119,7 @@ func TestQuickSaveLoadEquivalent(t *testing.T) {
 		// One round trip reaches the format's fixpoint: canonical tuples
 		// rendered to text parse back to themselves.
 		s2 := saveString(t, d1)
-		d2, err := Load(strings.NewReader(s2))
+		d2, err := Load(strings.NewReader(s2), nil)
 		if err != nil {
 			t.Fatalf("iter %d: reload: %v", iter, err)
 		}
@@ -149,7 +149,7 @@ func TestSpecialStringsRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	text := saveString(t, d)
-	got, err := Load(strings.NewReader(strings.ReplaceAll(text, "\ntuple", " # a comment, with | and \"\ntuple")))
+	got, err := Load(strings.NewReader(strings.ReplaceAll(text, "\ntuple", " # a comment, with | and \"\ntuple")), nil)
 	if err != nil {
 		t.Fatalf("load: %v\n%s", err, text)
 	}
@@ -175,7 +175,7 @@ func TestSpecialStringsRoundTrip(t *testing.T) {
 func TestStringLiteralTrailingJunk(t *testing.T) {
 	for _, line := range []string{`tuple id="a"junk | x >= 0`, `tuple id="a" b | x >= 0`, `tuple id="a | x >= 0`} {
 		src := "relation R\nschema id string relational, x rational constraint\n" + line + "\nend\n"
-		if _, err := Load(strings.NewReader(src)); err == nil || !strings.Contains(err.Error(), "line 3") {
+		if _, err := Load(strings.NewReader(src), nil); err == nil || !strings.Contains(err.Error(), "line 3") {
 			t.Errorf("%s: loaded, or failed without naming line 3: %v", line, err)
 		}
 	}
@@ -191,14 +191,14 @@ func TestLongLines(t *testing.T) {
 		return "relation R\nschema id string relational, x rational constraint\n" + line + "\nend\n"
 	}
 	const overhead = len(`tuple id="" | x >= 0`)
-	d, err := Load(strings.NewReader(block(maxLineBytes - 1 - overhead)))
+	d, err := Load(strings.NewReader(block(maxLineBytes-1-overhead)), nil)
 	if err != nil {
 		t.Fatalf("a line of maxLineBytes-1 bytes did not load: %v", err)
 	}
 	if r, _ := d.Get("R"); r.Len() != 1 {
 		t.Fatalf("long line loaded %d tuples, want 1", r.Len())
 	}
-	_, err = Load(strings.NewReader(block(maxLineBytes - overhead)))
+	_, err = Load(strings.NewReader(block(maxLineBytes-overhead)), nil)
 	if !errors.Is(err, bufio.ErrTooLong) || !strings.Contains(err.Error(), "db: line 3:") {
 		t.Fatalf("over-long line: err = %v, want db: line 3: wrapping bufio.ErrTooLong", err)
 	}

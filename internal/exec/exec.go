@@ -202,7 +202,7 @@ func (c *Context) Err() error {
 }
 
 // SatFunc returns the context's memoized decision function for threading
-// into constraint.*With procedures (SimplifyWith, EntailsWith).
+// into the constraint procedures that take one (SimplifyWith, Entails).
 // Nil — meaning raw Fourier-Motzkin — on the nil Context or when no
 // SatCache is configured.
 func (c *Context) SatFunc() constraint.SatFunc {

@@ -57,7 +57,7 @@ func TestBuildSchemas(t *testing.T) {
 
 func TestQuery1WhoOwnedLandA(t *testing.T) {
 	d := Build()
-	out, err := d.Run(Queries()[0].Text)
+	out, err := d.Run(Queries()[0].Text, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -79,7 +79,7 @@ func TestQuery1WhoOwnedLandA(t *testing.T) {
 
 func TestQuery2LandsPassed(t *testing.T) {
 	d := Build()
-	out, err := d.Run(Queries()[1].Text)
+	out, err := d.Run(Queries()[1].Text, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -91,7 +91,7 @@ func TestQuery2LandsPassed(t *testing.T) {
 
 func TestQuery3OwnersHitBetween4And9(t *testing.T) {
 	d := Build()
-	out, err := d.Run(Queries()[2].Text)
+	out, err := d.Run(Queries()[2].Text, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -107,7 +107,7 @@ func TestQuery3OwnersHitBetween4And9(t *testing.T) {
 
 func TestQuery4BufferJoin(t *testing.T) {
 	d := Build()
-	out, err := d.Run(Queries()[3].Text)
+	out, err := d.Run(Queries()[3].Text, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -137,7 +137,7 @@ func TestQuery4BufferJoin(t *testing.T) {
 
 func TestQuery5KNearest(t *testing.T) {
 	d := Build()
-	out, err := d.Run(Queries()[4].Text)
+	out, err := d.Run(Queries()[4].Text, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -161,11 +161,11 @@ func TestDatabaseSurvivesSerialisation(t *testing.T) {
 	// Re-run all five queries on the reloaded database.
 	reloaded := mustLoad(t, path)
 	for _, nq := range Queries() {
-		a, err := d.Run(nq.Text)
+		a, err := d.Run(nq.Text, nil)
 		if err != nil {
 			t.Fatalf("%s: %v", nq.Name, err)
 		}
-		b, err := reloaded.Run(nq.Text)
+		b, err := reloaded.Run(nq.Text, nil)
 		if err != nil {
 			t.Fatalf("%s after reload: %v", nq.Name, err)
 		}

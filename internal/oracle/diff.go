@@ -154,19 +154,19 @@ func Diff(cfg Config) (*Report, error) {
 func RunEngine(ec *exec.Context, a Apply, r1, r2 *relation.Relation) (*relation.Relation, error) {
 	switch a.Op {
 	case "select":
-		return cqa.SelectCtx(ec, r1, a.Cond)
+		return cqa.Select(ec, r1, a.Cond)
 	case "project":
-		return cqa.ProjectCtx(ec, r1, a.Cols...)
+		return cqa.Project(ec, r1, a.Cols...)
 	case "join":
-		return cqa.JoinCtx(ec, r1, r2)
+		return cqa.Join(ec, r1, r2)
 	case "intersect":
-		return cqa.IntersectCtx(ec, r1, r2)
+		return cqa.Intersect(ec, r1, r2)
 	case "union":
-		return cqa.UnionCtx(ec, r1, r2)
+		return cqa.Union(ec, r1, r2)
 	case "rename":
-		return cqa.RenameCtx(ec, r1, map[string]string{a.Old: a.New})
+		return cqa.Rename(ec, r1, map[string]string{a.Old: a.New})
 	case "difference":
-		return cqa.DifferenceCtx(ec, r1, r2)
+		return cqa.Difference(ec, r1, r2)
 	case "rule":
 		return (&calculus.Program{Rules: []calculus.Rule{a.Rule}}).RunCtx(ruleRels(r1, r2), ec)
 	default:

@@ -130,7 +130,7 @@ func TestDiffIrrClear(t *testing.T) {
 				if err != nil {
 					t.Fatalf("case %d %s: %v", c, a, err)
 				}
-				fmt.Fprintf(&b, "%d %s\n%s\n", c, a, out.Normalize())
+				fmt.Fprintf(&b, "%d %s\n%s\n", c, a, out.NormalizeWith(nil))
 			}
 			outputs[i] = b.String()
 			rep, err := Diff(cfg)

@@ -19,40 +19,65 @@ const (
 	schemaRational = schema.Rational
 )
 
-// Run executes the program against the environment: each statement's
-// result is bound to its target name (visible to later statements), and
-// the final statement's relation is returned. The environment itself is
-// not mutated; intermediate results live in a scratch copy.
+// Run executes the program against the environment without the
+// optimiser: each statement's result is bound to its target name (visible
+// to later statements), and the final statement's relation is returned.
+// The environment itself is not mutated; intermediate results live in a
+// scratch copy.
 func (prog *Program) Run(env cqa.Env) (*relation.Relation, error) {
-	return prog.run(env, false, nil)
+	_, last, err := prog.run(env, false, nil, nil)
+	return last, err
 }
 
-// RunOptimized is Run with the CQA optimiser applied to each statement's
-// plan before evaluation.
-func (prog *Program) RunOptimized(env cqa.Env) (*relation.Relation, error) {
-	return prog.run(env, true, nil)
-}
-
-// RunOptimizedCtx is RunOptimized under an execution context: CQA
+// RunOptimizedCtx is Run with the CQA optimiser applied to each
+// statement's plan before evaluation, under an execution context: CQA
 // operators fan out over ec's worker pool and record per-operator stats on
-// ec (see package exec). A nil ec is RunOptimized.
+// ec (see package exec; a nil ec is sequential with no stats).
 func (prog *Program) RunOptimizedCtx(env cqa.Env, ec *exec.Context) (*relation.Relation, error) {
-	return prog.run(env, true, ec)
+	_, last, err := prog.run(env, true, ec, nil)
+	return last, err
 }
 
-func (prog *Program) run(env cqa.Env, optimize bool, ec *exec.Context) (*relation.Relation, error) {
+// Exec runs the program as every front end does (Database.Run, the
+// server's /v1/query and the cqacdb shell): optimised, under ec, with every
+// statement's raw result handed to bind, when bind is non-nil, so a session
+// can keep it. It returns the final statement's target and its result
+// normalised under a "normalize" span: unsatisfiable tuples dropped,
+// constraint parts simplified into canonical form, duplicates removed.
+// Semantics unchanged; the context's sat-cache (if any) memoizes the
+// decisions. env is not mutated.
+func (prog *Program) Exec(env cqa.Env, ec *exec.Context, bind func(target string, r *relation.Relation)) (string, *relation.Relation, error) {
+	target, last, err := prog.run(env, true, ec, bind)
+	if err != nil {
+		return "", nil, err
+	}
+	sp := ec.BeginSpan("normalize", "")
+	norm := last.NormalizeWith(ec.SatFunc())
+	sp.Set("rows", int64(norm.Len()))
+	ec.EndSpan(sp)
+	return target, norm, nil
+}
+
+// run is the one statement loop: it evaluates the statements in order on
+// one scratch copy of env, binds each result there under its target for
+// the statements after it, hands it to bind when bind is non-nil, and
+// returns the last target and result.
+func (prog *Program) run(env cqa.Env, optimize bool, ec *exec.Context, bind func(string, *relation.Relation)) (string, *relation.Relation, error) {
 	scratch := make(cqa.Env, len(env)+len(prog.Stmts))
 	for k, v := range env {
 		scratch[k] = v
 	}
-	var last *relation.Relation
+	var (
+		last   *relation.Relation
+		target string
+	)
 	for _, st := range prog.Stmts {
 		// Deadline checkpoint between statements: a cancelled execution
 		// context (server timeout, client disconnect) stops the program
 		// here even when the next statement would run below the fan-out
 		// threshold.
 		if err := ec.Err(); err != nil {
-			return nil, fmt.Errorf("query: line %d (%s): %w", st.Line, st.Target, err)
+			return "", nil, fmt.Errorf("query: line %d (%s): %w", st.Line, st.Target, err)
 		}
 		var detail string
 		if ec.Tracing() {
@@ -62,14 +87,17 @@ func (prog *Program) run(env cqa.Env, optimize bool, ec *exec.Context) (*relatio
 		r, err := evalExpr(st.Expr, scratch, optimize, ec)
 		if err != nil {
 			ec.EndSpan(sp)
-			return nil, fmt.Errorf("query: line %d (%s = %s): %w", st.Line, st.Target, st.Expr, err)
+			return "", nil, fmt.Errorf("query: line %d (%s = %s): %w", st.Line, st.Target, st.Expr, err)
 		}
 		sp.Set("rows", int64(r.Len()))
 		ec.EndSpan(sp)
 		scratch[st.Target] = r
-		last = r
+		if bind != nil {
+			bind(st.Target, r)
+		}
+		last, target = r, st.Target
 	}
-	return last, nil
+	return target, last, nil
 }
 
 func evalExpr(e *Expr, env cqa.Env, optimize bool, ec *exec.Context) (*relation.Relation, error) {

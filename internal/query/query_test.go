@@ -268,7 +268,7 @@ R2 = project R1 on name, t`
 	if err != nil {
 		t.Fatal(err)
 	}
-	opt, err := prog.RunOptimized(env)
+	opt, err := prog.RunOptimizedCtx(env, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -338,5 +338,62 @@ func TestParseConstraints(t *testing.T) {
 	empty, err := ParseConstraints("")
 	if err != nil || empty != nil {
 		t.Errorf("empty = %v, %v", empty, err)
+	}
+}
+
+// TestExecBindsEachStatement holds the front ends' runner to its contract:
+// the caller's environment map is left as it was, bind sees every
+// statement's raw result once and in order, and only the last result is
+// returned, normalised.
+func TestExecBindsEachStatement(t *testing.T) {
+	env := testEnv()
+	before := make(cqa.Env, len(env))
+	for k, v := range env {
+		before[k] = v
+	}
+	prog, err := Parse(`R0 = select x <= 6 from Land
+R1 = join R0 and Landownership
+R2 = project R0 on y`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var targets []string
+	var bound []*relation.Relation
+	target, out, err := prog.Exec(env, nil, func(name string, r *relation.Relation) {
+		targets = append(targets, name)
+		bound = append(bound, r)
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(env) != len(before) {
+		t.Errorf("env has %d entries after Exec, want %d", len(env), len(before))
+	}
+	for k, v := range before {
+		if env[k] != v {
+			t.Errorf("env[%q] changed", k)
+		}
+	}
+	if got := strings.Join(targets, ","); got != "R0,R1,R2" {
+		t.Fatalf("bind saw %s, want R0,R1,R2", got)
+	}
+	for i := range prog.Stmts {
+		want, err := (&Program{Stmts: prog.Stmts[:i+1]}).RunOptimizedCtx(env, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if bound[i].Len() != want.Len() || bound[i].String() != want.String() {
+			t.Errorf("bind %s = %s, want the raw result %s", targets[i], bound[i], want)
+		}
+	}
+	if target != "R2" {
+		t.Errorf("target = %q, want R2", target)
+	}
+	norm := bound[2].NormalizeWith(nil)
+	if norm.Len() >= bound[2].Len() {
+		t.Fatalf("R2 normalises from %d to %d tuples: the check below is vacuous", bound[2].Len(), norm.Len())
+	}
+	if out.String() != norm.String() {
+		t.Errorf("Exec returned %s, want the last result normalised %s", out, norm)
 	}
 }

@@ -8,7 +8,7 @@ import (
 	"cdb/internal/constraint"
 )
 
-// referenceDistinct is the dedup loop NormalizeWith and cqa.UnionCtx each
+// referenceDistinct is the dedup loop NormalizeWith and cqa.Union each
 // carried before Distinct: a rendered key per tuple — relational key, '|',
 // hex fingerprint — and exact verification of every key match.
 func referenceDistinct(ts []Tuple) []Tuple {

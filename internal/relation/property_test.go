@@ -40,7 +40,7 @@ func TestQuickNormalizeProperties(t *testing.T) {
 	rng := rand.New(rand.NewSource(19))
 	for iter := 0; iter < 150; iter++ {
 		r := randRelation(rng)
-		n := r.Normalize()
+		n := r.NormalizeWith(nil)
 		if !n.Equivalent(r) {
 			t.Fatalf("iter %d: Normalize changed semantics:\n%s\nvs\n%s", iter, r, n)
 		}
@@ -52,7 +52,7 @@ func TestQuickNormalizeProperties(t *testing.T) {
 				t.Fatalf("iter %d: unsatisfiable tuple survived: %s", iter, tp)
 			}
 		}
-		nn := n.Normalize()
+		nn := n.NormalizeWith(nil)
 		if nn.Len() != n.Len() {
 			t.Fatalf("iter %d: Normalize not idempotent: %d -> %d", iter, n.Len(), nn.Len())
 		}

@@ -470,16 +470,11 @@ func (r *Relation) MustAdd(t Tuple) {
 	}
 }
 
-// Normalize removes unsatisfiable tuples, simplifies constraint parts into
-// canonical form, and deduplicates canonically identical tuples. The
-// semantics is unchanged.
-func (r *Relation) Normalize() *Relation {
-	return r.NormalizeWith(nil)
-}
-
-// NormalizeWith is Normalize with every satisfiability decision routed
-// through sat (nil = raw Fourier-Motzkin); pass exec.Context.SatFunc to
-// memoize the decisions. It is the last step before a result is shown, so
+// NormalizeWith removes unsatisfiable tuples, simplifies constraint parts
+// into canonical form, and deduplicates canonically identical tuples; the
+// semantics is unchanged. Every satisfiability decision is routed through
+// sat (nil = raw Fourier-Motzkin); pass exec.Context.SatFunc to memoize
+// the decisions. It is the last step before a result is shown, so
 // the relation it returns is born in display order: its tuples in Rows
 // order, their renderings made once and remembered for Rows, AppendRow,
 // Sorted and InRowsOrder.

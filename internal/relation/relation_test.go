@@ -204,7 +204,7 @@ func TestNormalize(t *testing.T) {
 	r.MustAdd(NewTuple(map[string]Value{"landId": Str("A")}, sq)) // duplicate
 	r.MustAdd(ConstraintTuple(constraint.And(
 		constraint.GeConst("x", q("2")), constraint.LeConst("x", q("1"))))) // unsat
-	n := r.Normalize()
+	n := r.NormalizeWith(nil)
 	if n.Len() != 1 {
 		t.Errorf("Normalize: %d tuples, want 1:\n%s", n.Len(), n)
 	}

@@ -210,7 +210,7 @@ func TestRowsMatchReferenceOrder(t *testing.T) {
 	}
 	one := New(orderSchema())
 	one.MustAdd(ConstraintTuple(constraint.True()))
-	if got := string(one.Normalize().AppendRow([]byte("x"), 0)); got != "x(true)" {
+	if got := string(one.NormalizeWith(nil).AppendRow([]byte("x"), 0)); got != "x(true)" {
 		t.Errorf("the empty tuple appends as %q", got)
 	}
 }
@@ -233,7 +233,7 @@ func TestNormalizeDecidesOnce(t *testing.T) {
 		if calls != want {
 			t.Fatalf("case %d: NormalizeWith made %d decisions, SimplifyWith alone makes %d", i, calls, want)
 		}
-		if ref := r.Normalize(); got.String() != ref.String() {
+		if ref := r.NormalizeWith(nil); got.String() != ref.String() {
 			t.Fatalf("case %d: counted and plain Normalize differ:\n%s\n%s", i, got, ref)
 		}
 		for _, tp := range got.Tuples() {
@@ -290,7 +290,7 @@ func TestNormalizeMatchesReference(t *testing.T) {
 	dups := 0
 	for i := 0; i < 300; i++ {
 		r := orderRelation(rng, 1+rng.Intn(80))
-		got, want := r.Normalize(), referenceNormalize(r, nil)
+		got, want := r.NormalizeWith(nil), referenceNormalize(r, nil)
 		checkNormalized(t, fmt.Sprint("case ", i), got, want)
 		if want.Len() < r.Len() {
 			dups++
@@ -308,7 +308,7 @@ func TestNormalizeMatchesReference(t *testing.T) {
 	r.MustAdd(ConstraintTuple(constraint.And(constraint.LeConst("x", one), constraint.LeConst("y", rational.FromInt(2)))))
 	r.MustAdd(ConstraintTuple(constraint.And(constraint.LeConst("x <= 1, y", rational.FromInt(2)))))
 	r.MustAdd(ConstraintTuple(constraint.And(constraint.LeConst("y", rational.FromInt(2)), constraint.LeConst("x", one))))
-	got := r.Normalize()
+	got := r.NormalizeWith(nil)
 	if rows := got.Rows(); got.Len() != 2 || rows[0].String() != rows[1].String() {
 		t.Fatalf("two tuples that render alike and one duplicate normalise to %d rows %v, want the two", got.Len(), rows)
 	}
@@ -363,7 +363,7 @@ func TestMemoClearedByAddKeptByClone(t *testing.T) {
 	for i := 0; i < 50; i++ {
 		r := orderRelation(rng, 1+rng.Intn(40))
 		if i%2 == 1 {
-			if r = r.Normalize(); r.Len() == 0 {
+			if r = r.NormalizeWith(nil); r.Len() == 0 {
 				continue
 			}
 			if r.keys == nil {

@@ -197,12 +197,6 @@ func (s Schema) Project(names ...string) (Schema, error) {
 	return New(attrs...)
 }
 
-// Rename returns the schema with attribute old renamed to new. Per the CQA
-// rename operator: old must exist and new must not.
-func (s Schema) Rename(old, new string) (Schema, error) {
-	return s.RenameAll(map[string]string{old: new})
-}
-
 // RenameAll returns the schema under one simultaneous renaming old → new:
 // every key of m must exist, and no two attributes may end up under one
 // name ({x: y, y: x} is a legal swap).

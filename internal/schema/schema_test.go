@@ -65,17 +65,17 @@ func TestProject(t *testing.T) {
 
 func TestRename(t *testing.T) {
 	s := land()
-	r, err := s.Rename("x", "lon")
+	r, err := s.RenameAll(map[string]string{"x": "lon"})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !r.Has("lon") || r.Has("x") {
 		t.Error("rename did not apply")
 	}
-	if _, err := s.Rename("nope", "a"); err == nil {
+	if _, err := s.RenameAll(map[string]string{"nope": "a"}); err == nil {
 		t.Error("renaming unknown attribute succeeded")
 	}
-	if _, err := s.Rename("x", "y"); err == nil {
+	if _, err := s.RenameAll(map[string]string{"x": "y"}); err == nil {
 		t.Error("renaming onto existing attribute succeeded")
 	}
 }

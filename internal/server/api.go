@@ -333,7 +333,7 @@ func (s *Server) runOnSession(ctx context.Context, sess *session, req queryReque
 }
 
 // runProgram executes a query-language program with REPL statement
-// semantics (db.RunProgram): every statement's raw result is bound on the
+// semantics (query.Program.Exec): every statement's raw result is bound on the
 // session (later requests see it), and the final statement's result is
 // normalised for the response exactly as `cqacdb -e` normalises before
 // printing.
@@ -344,7 +344,7 @@ func runProgram(sess *session, req queryRequest, stmt string, ec *exec.Context) 
 	}
 	root := ec.BeginSpan("query", stmt)
 	defer ec.EndSpan(root)
-	target, norm, err := db.RunProgram(prog, sess.env(), ec, sess.bind)
+	target, norm, err := prog.Exec(sess.env(), ec, sess.bind)
 	if err != nil {
 		return nil, err
 	}
@@ -354,7 +354,7 @@ func runProgram(sess *session, req queryRequest, stmt string, ec *exec.Context) 
 }
 
 // runRules executes a calculus program; like `cqacdb -rules` the result
-// is returned as produced (rule outputs are already operator outputs).
+// is the program's last head normalised (calculus.Program.RunCtx).
 // When target is set the result is also bound on the session so query
 // statements can build on it.
 func runRules(sess *session, req queryRequest, stmt string, ec *exec.Context) (*queryResult, error) {

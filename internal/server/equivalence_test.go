@@ -13,7 +13,7 @@ import (
 
 // The ISSUE acceptance bar: N ≥ 8 concurrent sessions issue interleaved
 // multi-request programs and every response is byte-identical to what
-// the REPL path (db.RunCtx + NormalizeWith, rendered by Sorted +
+// the REPL path (Database.Run, which normalises, rendered by Sorted +
 // String) produces for the same statement prefix.
 
 // equivPrograms are per-session statement sequences. Each inner slice
@@ -44,9 +44,9 @@ var equivPrograms = [][][]string{
 // way the server does.
 func referenceLines(t *testing.T, prog []string, ec *exec.Context) (string, []string) {
 	t.Helper()
-	rel, err := hurricane.Build().RunCtx(strings.Join(prog, "\n"), ec)
+	rel, err := hurricane.Build().Run(strings.Join(prog, "\n"), ec)
 	if err != nil {
-		t.Fatalf("reference RunCtx(%q): %v", prog, err)
+		t.Fatalf("reference Run(%q): %v", prog, err)
 	}
 	lines := make([]string, 0, len(rel.Sorted()))
 	for _, tp := range rel.Sorted() {

@@ -616,7 +616,7 @@ func (s *Server) handleSessionCreate(w http.ResponseWriter, r *http.Request) {
 		// Bind the session to a materialized snapshot instead of a
 		// registry database. Sessions bound to one snapshot share its
 		// tuples and filter memos through the store's stored forms
-		// (snapshot.Store.Materialize).
+		// (snapshot.Store.MaterializeCtx).
 		if opts.DB != "" {
 			writeError(w, http.StatusBadRequest, "db and snapshot are mutually exclusive")
 			return
@@ -633,7 +633,7 @@ func (s *Server) handleSessionCreate(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 		var err error
-		base, err = s.snaps.Materialize(meta.ID)
+		base, err = s.snaps.MaterializeCtx(meta.ID, nil)
 		if err != nil {
 			writeError(w, http.StatusInternalServerError, err.Error())
 			return

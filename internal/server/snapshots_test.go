@@ -148,7 +148,7 @@ func TestSnapshotLifecycleOverHTTP(t *testing.T) {
 		t.Fatalf("session snapshot shared nothing: %+v", branch)
 	}
 	// The branch materializes with the session's result bindings.
-	got, err := st.Materialize(branch.ID)
+	got, err := st.MaterializeCtx(branch.ID, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -180,7 +180,7 @@ func TestSnapshotLifecycleOverHTTP(t *testing.T) {
 	if res.StatusCode != http.StatusOK {
 		t.Fatalf("release: %d", res.StatusCode)
 	}
-	if _, err := st.Materialize(fork.ID); err != nil {
+	if _, err := st.MaterializeCtx(fork.ID, nil); err != nil {
 		t.Fatalf("fork unreadable after parent release: %v", err)
 	}
 	status, resp, body = runQueryReq(t, ts, fmt.Sprintf(`{"session": %q, "query": "R0 = join Landownership and Land"}`, baseSess))
@@ -277,7 +277,7 @@ func loadedHurricane(t *testing.T) *db.Database {
 	if err := hurricane.Build().Save(&buf); err != nil {
 		t.Fatal(err)
 	}
-	d, err := db.Load(&buf)
+	d, err := db.Load(&buf, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -325,7 +325,7 @@ func TestSnapshotSessionSharedAndDecodedAgree(t *testing.T) {
 			t.Fatalf("shared=%v: query: %d %s", shared, status, body)
 		}
 		_, list := getJSON(t, ts.URL+"/v1/snapshots")
-		if mat, err = st.Materialize(forkID); err != nil {
+		if mat, err = st.MaterializeCtx(forkID, nil); err != nil {
 			t.Fatal(err)
 		}
 		return normalize(body), normalizeSnapshot(list), mat

@@ -89,7 +89,7 @@ func wireRelation() *relation.Relation {
 		r.MustAdd(relation.NewTuple(map[string]relation.Value{"name": relation.Str(name)}, con))
 	}
 	r.MustAdd(relation.ConstraintTuple(constraint.True()))
-	return r.Normalize()
+	return r.NormalizeWith(nil)
 }
 
 // TestReplyEncoding: appendReply and writeStream write the oracle's bytes
@@ -99,7 +99,7 @@ func wireRelation() *relation.Relation {
 func TestReplyEncoding(t *testing.T) {
 	rel := wireRelation()
 	rows := rel.Len()
-	empty := relation.New(rel.Schema()).Normalize()
+	empty := relation.New(rel.Schema()).NormalizeWith(nil)
 	stats := []exec.OpStats{
 		{Op: "join", TuplesIn: 7, TuplesOut: 4, SatChecks: 4, PairsTotal: 12, PairsPruned: 8,
 			EstPairs: 4, Wall: 1500 * time.Microsecond, Parallel: true},
@@ -151,7 +151,7 @@ func TestStreamChunks(t *testing.T) {
 	for i := 0; i < 2000; i++ {
 		rel.MustAdd(relation.ConstraintTuple(constraint.And(constraint.GeConst("x", rational.FromInt(int64(i)))).Canon()))
 	}
-	rel = rel.Normalize()
+	rel = rel.NormalizeWith(nil)
 	res := &queryResult{target: "R", rel: rel, rows: rel.Len()}
 	w := &chunkRecorder{ResponseRecorder: httptest.NewRecorder()}
 	writeStream(w, "s", "q", res, 1)

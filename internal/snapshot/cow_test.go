@@ -102,7 +102,7 @@ func TestCommitAllocsMatchNewPagesExactly(t *testing.T) {
 		// their stored forms, nothing is encoded, and every page is found
 		// in the store — by the same lookup and comparison, so the counts
 		// are a first commit's.
-		mat, err := s.Materialize(snap.ID)
+		mat, err := s.MaterializeCtx(snap.ID, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -188,7 +188,7 @@ func TestReleaseFreesAllAndOnlyUnreachable(t *testing.T) {
 	checkInvariants(t, s)
 
 	// The survivor still materializes (its shared pages were retained).
-	if _, err := s.Materialize(d1.ID); err != nil {
+	if _, err := s.MaterializeCtx(d1.ID, nil); err != nil {
 		t.Fatalf("survivor corrupt after releases: %v", err)
 	}
 }
@@ -230,7 +230,7 @@ func TestRandomizedChainKeepsInvariants(t *testing.T) {
 					d = src.d
 				case 2:
 					var err error
-					if d, err = s.Materialize(src.id); err != nil {
+					if d, err = s.MaterializeCtx(src.id, nil); err != nil {
 						t.Fatalf("step %d materialize: %v", step, err)
 					}
 				}
@@ -262,7 +262,7 @@ func TestRandomizedChainKeepsInvariants(t *testing.T) {
 
 	verify := func(s *Store, when string) {
 		for _, ls := range live {
-			got, err := s.Materialize(ls.id)
+			got, err := s.MaterializeCtx(ls.id, nil)
 			if err != nil {
 				t.Fatalf("%s: materialize %s: %v", when, ls.id, err)
 			}

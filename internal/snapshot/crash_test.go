@@ -130,7 +130,7 @@ func (w *crashWorkload) verifyRecovered(t *testing.T, dir string, baseOK, derive
 			t.Fatalf("pass %d: recovered %d snapshots, want %d (%+v)", pass, len(list), wantLen, list)
 		}
 		if baseOK {
-			got, err := s.Materialize(list[0].ID)
+			got, err := s.MaterializeCtx(list[0].ID, nil)
 			if err != nil {
 				t.Fatalf("pass %d: materialize base: %v", pass, err)
 			}
@@ -139,7 +139,7 @@ func (w *crashWorkload) verifyRecovered(t *testing.T, dir string, baseOK, derive
 			}
 		}
 		if derivedOK {
-			got, err := s.Materialize(list[1].ID)
+			got, err := s.MaterializeCtx(list[1].ID, nil)
 			if err != nil {
 				t.Fatalf("pass %d: materialize derived: %v", pass, err)
 			}
@@ -158,7 +158,7 @@ func (w *crashWorkload) verifyRecovered(t *testing.T, dir string, baseOK, derive
 			if err != nil {
 				t.Fatalf("post-recovery commit: %v", err)
 			}
-			got, err := s.Materialize(snap.ID)
+			got, err := s.MaterializeCtx(snap.ID, nil)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -16,7 +16,7 @@ import (
 //
 // Commit makes one for a relation that has none (formOf) and, for a
 // relation that has, skips ordering, encoding, chunking and hashing;
-// Materialize makes one for what it decoded (readRelations, assemble) and,
+// MaterializeCtx makes one for what it decoded (readRelations, assemble) and,
 // where the manifest entry still resolves, decodes nothing. What neither
 // skips is in snapshot.go: every page of a materialise is read and checked
 // against its hash, every page a commit shares is byte-compared first.

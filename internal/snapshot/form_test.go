@@ -37,7 +37,7 @@ func mustCommit(t testing.TB, s *Store, d *db.Database, parent string) Snapshot 
 
 func mustMaterialize(t testing.TB, s *Store, id string) *db.Database {
 	t.Helper()
-	d, err := s.Materialize(id)
+	d, err := s.MaterializeCtx(id, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

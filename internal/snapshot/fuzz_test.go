@@ -146,7 +146,7 @@ func FuzzWALReplay(f *testing.F) {
 		}
 		defer s.Close()
 		for _, meta := range s.List() {
-			d, err := s.Materialize(meta.ID)
+			d, err := s.MaterializeCtx(meta.ID, nil)
 			if err != nil {
 				// Acceptable: the manifest replayed but its pages are
 				// absent from the (empty) page file; the error is the

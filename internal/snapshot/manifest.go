@@ -43,7 +43,7 @@ type Manifest struct {
 	NewPages int `json:"new_pages,omitempty"`
 
 	// Relations lists each relation's schema and page run, in database
-	// insertion order. Materialize decodes each run's concatenated
+	// insertion order. MaterializeCtx decodes each run's concatenated
 	// payloads (codec.go) against that schema.
 	Relations []RelationPages `json:"relations"`
 }
@@ -56,7 +56,7 @@ type RelationPages struct {
 	Pages  []PageRef `json:"pages"`
 
 	// form points, weakly, at the stored form this page run was built from
-	// (Commit) or decoded into (Materialize), for as long as some relation in
+	// (Commit) or decoded into (MaterializeCtx), for as long as some relation in
 	// memory carries it. In memory only: never serialised, empty after a WAL
 	// replay, copied by Fork.
 	form weak.Pointer[storedForm]
@@ -123,7 +123,7 @@ func schemaOf(stored []Attr) (schema.Schema, error) {
 
 // PageRef points at one content page. Page is the slot in the store's
 // page file; Hash is the FNV-1a 64 fingerprint of the payload, checked
-// on every Materialize so a corrupt or misdirected page read is an
+// on every MaterializeCtx so a corrupt or misdirected page read is an
 // error, not silent data.
 type PageRef struct {
 	Page uint32 `json:"page"`

@@ -475,20 +475,15 @@ func (s *Store) Release(id string) error {
 	return nil
 }
 
-// Materialize reconstructs the snapshot as an in-memory database: pages
+// MaterializeCtx reconstructs the snapshot as an in-memory database: pages
 // read in manifest order, hashes verified, each relation's records decoded
 // against its manifest schema (codec.go) — or, for a relation whose stored
 // form some database in memory still carries, not decoded again. The result
 // is byte-identical (under db.Save) to the database that was committed, its
 // tuples canonical and in the committed Rows order, either way; its
 // relations are the caller's own (a tuple added to one shows nowhere else).
-func (s *Store) Materialize(id string) (*db.Database, error) {
-	return s.MaterializeCtx(id, nil)
-}
-
-// MaterializeCtx is Materialize under an execution context ("snapshot.
-// materialize" span: page and tuple counters, relations decoded and
-// shared). The store is locked only while the pages are read and verified;
+// It runs under a "snapshot.materialize" span on ec (page and tuple
+// counters, relations decoded and shared). The store is locked only while the pages are read and verified;
 // decoding works on the copies, so a session binding to a fork does not hold
 // up commits, forks and releases — not even a release of the snapshot being
 // decoded.
@@ -525,7 +520,7 @@ func (s *Store) MaterializeCtx(id string, ec *exec.Context) (*db.Database, error
 	return d, nil
 }
 
-// readRelations is the part of Materialize that needs the store lock: it
+// readRelations is the part of MaterializeCtx that needs the store lock: it
 // reads every page of the snapshot and checks it against the manifest's
 // hash, whoever remembers what. A relation whose manifest entry still
 // resolves to a stored form with a relation comes back as that form; the

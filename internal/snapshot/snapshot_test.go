@@ -53,7 +53,7 @@ func buildDB(t *testing.T, rels map[string]int, extraRel string, extra ...string
 		}
 		b.WriteString("end\n\n")
 	}
-	d, err := db.Load(strings.NewReader(b.String()))
+	d, err := db.Load(strings.NewReader(b.String()), nil)
 	if err != nil {
 		t.Fatalf("buildDB: %v", err)
 	}
@@ -97,7 +97,7 @@ func TestCommitMaterializeRoundTrip(t *testing.T) {
 	if snap.Tuples != d.TupleCount() {
 		t.Fatalf("tuples = %d, want %d", snap.Tuples, d.TupleCount())
 	}
-	got, err := s.Materialize(snap.ID)
+	got, err := s.MaterializeCtx(snap.ID, nil)
 	if err != nil {
 		t.Fatalf("Materialize: %v", err)
 	}
@@ -128,7 +128,7 @@ func TestReopenSurvivesRestart(t *testing.T) {
 	if list[0].NewPages != snap.NewPages || list[0].Pages != snap.Pages {
 		t.Fatalf("share accounting lost across restart: %+v vs %+v", list[0], snap)
 	}
-	got, err := s2.Materialize(snap.ID)
+	got, err := s2.MaterializeCtx(snap.ID, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -164,20 +164,20 @@ func TestForkIsSharedAndByteIdenticalToFullLoad(t *testing.T) {
 
 	// A query on the materialized fork must be byte-identical to the
 	// same query on a full Save/Load copy of the same state.
-	forkDB, err := s.Materialize(fork.ID)
+	forkDB, err := s.MaterializeCtx(fork.ID, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	full, err := db.Load(strings.NewReader(saveText(t, d)))
+	full, err := db.Load(strings.NewReader(saveText(t, d)), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	const q = "R = select x >= 5, x <= 12 from Land"
-	a, err := forkDB.Run(q)
+	a, err := forkDB.Run(q, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := full.Run(q)
+	b, err := full.Run(q, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -238,7 +238,7 @@ func TestDerivedCommitSharesUnchangedPages(t *testing.T) {
 		}
 	}
 	// And the derived snapshot materializes to the derived state.
-	got, err := s.Materialize(dsnap.ID)
+	got, err := s.MaterializeCtx(dsnap.ID, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -265,7 +265,7 @@ func TestReleaseUnknownAndDoubleRelease(t *testing.T) {
 	if err := s.Release(snap.ID); err == nil {
 		t.Fatal("double release succeeded")
 	}
-	if _, err := s.Materialize(snap.ID); err == nil {
+	if _, err := s.MaterializeCtx(snap.ID, nil); err == nil {
 		t.Fatal("materialize of released snapshot succeeded")
 	}
 }
@@ -278,7 +278,7 @@ func TestEmptyDatabaseCommits(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := s.Materialize(snap.ID)
+	got, err := s.MaterializeCtx(snap.ID, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -318,7 +318,7 @@ func TestFreedPagesAreReused(t *testing.T) {
 		t.Fatalf("fresh allocations = %d, want %d (new %d, reusable %d)",
 			got, s2.NewPages-reusedWanted, s2.NewPages, freed)
 	}
-	if _, err := s.Materialize(s2.ID); err != nil {
+	if _, err := s.MaterializeCtx(s2.ID, nil); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -371,7 +371,7 @@ func TestMaterializeIsByteAndOrderIdentical(t *testing.T) {
 		materialize := func(s *Store, how string, decoded, shared int64) *db.Database {
 			t.Helper()
 			s0 := s.Stats()
-			got, err := s.Materialize(snap.ID)
+			got, err := s.MaterializeCtx(snap.ID, nil)
 			if err != nil {
 				t.Fatalf("page size %d, %s: materialize: %v", pageSize, how, err)
 			}
@@ -542,7 +542,7 @@ func TestMaterializeAllocs(t *testing.T) {
 	}
 	perRun := testing.AllocsPerRun(5, func() {
 		forget(s)
-		if _, err := s.Materialize(snap.ID); err != nil {
+		if _, err := s.MaterializeCtx(snap.ID, nil); err != nil {
 			t.Fatal(err)
 		}
 	})
@@ -662,7 +662,7 @@ func TestMaterializeBesideWriters(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < 8; i++ {
-				got, err := s.Materialize(snap.ID)
+				got, err := s.MaterializeCtx(snap.ID, nil)
 				if err != nil {
 					t.Error(err)
 					return
@@ -692,7 +692,7 @@ func TestMaterializeBesideWriters(t *testing.T) {
 					t.Error(err)
 					return
 				}
-				m, err := s.Materialize(f.ID)
+				m, err := s.MaterializeCtx(f.ID, nil)
 				if err != nil {
 					t.Error(err)
 					return

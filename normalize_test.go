@@ -17,7 +17,7 @@ import (
 // must give the bytes normalising the difference operator's output gives.
 func TestNormalizeMakesNoDecisions(t *testing.T) {
 	pieces := polygonMinusPieces(t)
-	if got, want := pieces.Normalize().String(), polygonMinusResult(t).Normalize().String(); got != want {
+	if got, want := pieces.NormalizeWith(nil).String(), polygonMinusResult(t).NormalizeWith(nil).String(); got != want {
 		t.Errorf("polygon-minus: the normalised pieces differ from the normalised difference\npieces:\n%s\ndifference:\n%s", got, want)
 	}
 	for name, r := range map[string]*relation.Relation{
@@ -37,7 +37,7 @@ func TestNormalizeMakesNoDecisions(t *testing.T) {
 		if norm.Len() == 0 || norm.Len() > r.Len() {
 			t.Errorf("%s: normalised %d tuples into %d", name, r.Len(), norm.Len())
 		}
-		if ref := r.Normalize(); norm.String() != ref.String() {
+		if ref := r.NormalizeWith(nil); norm.String() != ref.String() {
 			t.Errorf("%s: normalising through the cache and without it differ", name)
 		}
 	}
@@ -49,7 +49,7 @@ func TestNormalizeMakesNoDecisions(t *testing.T) {
 // where the elimination-based pass made several hundred per tuple.
 func TestNormalizeAllocs(t *testing.T) {
 	r := polygonMinusPieces(t)
-	perTuple := testing.AllocsPerRun(5, func() { _ = r.Normalize() }) / float64(r.Len())
+	perTuple := testing.AllocsPerRun(5, func() { _ = r.NormalizeWith(nil) }) / float64(r.Len())
 	t.Logf("%d tuples, %.1f allocations per tuple", r.Len(), perTuple)
 	if perTuple > 8 {
 		t.Errorf("Normalize: %.1f allocations per tuple on the %d staircase pieces, ceiling 8", perTuple, r.Len())

@@ -26,7 +26,7 @@ func TestDifferencePolygonMinusAllocs(t *testing.T) {
 	ec := exec.New(1)
 	ec.SatCache = constraint.NewSatCache(0)
 	minus := func() {
-		if _, err := cqa.DifferenceCtx(ec, c0, d0); err != nil {
+		if _, err := cqa.Difference(ec, c0, d0); err != nil {
 			t.Fatal(err)
 		}
 		ec.Reset()
@@ -78,7 +78,7 @@ func TestDifferencePiecesAreIrredundant(t *testing.T) {
 	decided, shrunk := 0, 0
 	for i, pair := range polygons {
 		for _, mode := range []string{exec.PlanAuto, exec.PlanDense} {
-			out, err := cqa.DifferenceCtx(&exec.Context{Parallelism: 1, PlanMode: mode}, pair[0], pair[1])
+			out, err := cqa.Difference(&exec.Context{Parallelism: 1, PlanMode: mode}, pair[0], pair[1])
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -101,7 +101,7 @@ func TestDifferencePiecesAreIrredundant(t *testing.T) {
 				if !tu.SameRelationalPart(k) {
 					continue
 				}
-				for _, piece := range constraint.Subtract(tu.Constraint(), k.Constraint()) {
+				for _, piece := range constraint.SubtractAll(tu.Constraint(), []constraint.Conjunction{k.Constraint()}) {
 					if piece.SimplifyPlanar().Len() < piece.Len() {
 						shrunk++
 					}
