@@ -874,7 +874,7 @@ func churnDB(tb testing.TB) *db.Database {
 // BenchmarkHurricaneQuery3Warm is one request of the benchmark's hurricane
 // workload without the server around it: the paper's Query 3 (join → join →
 // select → project, then the result tail's normalisation) on 8 × 8 parcels,
-// statement by statement as a session runs it, under one session-lifetime
+// through query.Program.Exec as a session runs it, under one session-lifetime
 // context — default sat-cache — that has already seen every window. The
 // windows rotate over the 31 starts the request pool draws from, so every
 // pair decision of every iteration is a remembered one. one-worker runs every
@@ -921,37 +921,30 @@ func BenchmarkHurricaneQuery3Cold(b *testing.B) {
 
 // hurricaneQuery3 loads the 8 × 8 hurricane database and parses Query 3 at
 // each of the 31 window starts the benchmark's request pool draws from
-// (horizon − window length + 1), one program per statement.
-func hurricaneQuery3(b *testing.B) (*db.Database, [][]*query.Program) {
+// (horizon − window length + 1).
+func hurricaneQuery3(b *testing.B) (*db.Database, []*query.Program) {
 	land, owners, track := datagen.HurricaneRelations(8)
 	d := loadedDB(b, map[string]*relation.Relation{"Land": land, "Landownership": owners, "Hurricane": track})
-	progs := make([][]*query.Program, 31)
+	progs := make([]*query.Program, 31)
 	for a := range progs {
 		prog, err := query.Parse(fmt.Sprintf("R0 = join Landownership and Land\nR1 = join R0 and Hurricane\n"+
 			"R2 = select t >= %d, t <= %d from R1\nR3 = project R2 on name", a, a+10))
 		if err != nil {
 			b.Fatal(err)
 		}
-		for _, st := range prog.Stmts {
-			progs[a] = append(progs[a], &query.Program{Stmts: []query.Stmt{st}})
-		}
+		progs[a] = prog
 	}
 	return d, progs
 }
 
-// runQuery3 runs window a's statements on ec as a session does, normalises
-// the last result and resets ec's statistics.
-func runQuery3(b *testing.B, d *db.Database, ec *exec.Context, progs [][]*query.Program, a int) {
-	env := d.Env()
-	var last *relation.Relation
-	for _, one := range progs[a] {
-		r, err := one.RunOptimizedCtx(env, ec)
-		if err != nil {
-			b.Fatal(err)
-		}
-		env[one.Stmts[0].Target], last = r, r
+// runQuery3 runs window a on ec as a session does (query.Program.Exec: the
+// statements, then the last result normalised) and resets ec's statistics.
+func runQuery3(b *testing.B, d *db.Database, ec *exec.Context, progs []*query.Program, a int) {
+	_, out, err := progs[a].Exec(d.Env(), ec, nil)
+	if err != nil {
+		b.Fatal(err)
 	}
-	if last.NormalizeWith(ec.SatFunc()).Len() == 0 {
+	if out.Len() == 0 {
 		b.Fatalf("window %d: empty result", a)
 	}
 	ec.Reset()

@@ -176,11 +176,11 @@ type Condition = cqa.Condition
 // PlanNode is a CQA plan (expression tree).
 type PlanNode = cqa.Node
 
-// Env maps relation names to relations for plan evaluation.
+// Env is the catalog of named relations a plan reads (Database.Env).
 type Env = cqa.Env
 
-// Optimize rewrites a plan (selection pushdown, projection collapse, ...).
-func Optimize(n PlanNode, schemas cqa.SchemaEnv) PlanNode { return cqa.Optimize(n, schemas) }
+// Optimize rewrites a plan over env's schemas (selection pushdown, ...).
+func Optimize(n PlanNode, env Env) PlanNode { return cqa.Optimize(n, env) }
 
 // --- parallel execution (package exec) ---
 

@@ -56,23 +56,17 @@ func TestCounterGolden(t *testing.T) {
 	ge := func(v string, k int64) cqa.LinearAtom { return cqa.AttrCmpConst(v, cqa.OpGe, rational.FromInt(k)) }
 	le := func(v string, k int64) cqa.LinearAtom { return cqa.AttrCmpConst(v, cqa.OpLe, rational.FromInt(k)) }
 
-	// statements runs a query-language program statement by statement, as a
-	// session does, and returns the last statement's result.
+	// statements runs a query-language program as a session does
+	// (query.Program.Exec) and returns the last statement's raw result.
 	statements := func(d *db.Database, src string) func(*exec.Context) (*relation.Relation, error) {
 		prog, err := query.Parse(src)
 		if err != nil {
 			t.Fatal(err)
 		}
 		return func(ec *exec.Context) (*relation.Relation, error) {
-			env, last := d.Env(), (*relation.Relation)(nil)
-			for _, st := range prog.Stmts {
-				r, err := (&query.Program{Stmts: []query.Stmt{st}}).RunOptimizedCtx(env, ec)
-				if err != nil {
-					return nil, err
-				}
-				env[st.Target], last = r, r
-			}
-			return last, nil
+			var last *relation.Relation
+			_, _, err := prog.Exec(d.Env(), ec, func(_ string, r *relation.Relation) { last = r })
+			return last, err
 		}
 	}
 	rule, err := calculus.Parse("hit(name) :- Landownership(name, t, id), Land(id, x, y), Hurricane(t, x, y), t >= 0, t <= 10.")

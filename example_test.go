@@ -65,8 +65,11 @@ func ExampleParseRules() {
 	cs, _ := cdb.ParseConstraints("x >= 0, x <= 5")
 	land.MustAdd(cdb.NewTuple(map[string]cdb.Value{"id": cdb.Str("A")}, cdb.And(cs...)))
 
+	d := cdb.NewDatabase()
+	_ = d.Put("Land", land)
+
 	prog, _ := cdb.ParseRules(`near(id) :- Land(id, x), x <= 2.`)
-	out, _ := prog.RunCtx(cdb.Env{"Land": land}, nil)
+	out, _ := prog.RunCtx(d.Env(), nil)
 	fmt.Println(out.Len(), "feature(s)")
 	// Output:
 	// 1 feature(s)

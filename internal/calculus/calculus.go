@@ -106,7 +106,7 @@ type Program struct {
 	Rules []Rule
 }
 
-// Translate compiles one rule against the given schema environment: a rule
+// Translate compiles one rule against the schemas of env's relations: a rule
 // is a natural join. Shared variables become shared attribute names, so the
 // algebra's own join — partition buckets, envelope filter, pair cache,
 // chain reordering — does the equating, and nothing here restates it.
@@ -122,7 +122,7 @@ type Program struct {
 // scans of their AtomName; rest, over variable names, holds the comparisons
 // on variables several atoms bind, checked on the join and deliberately not
 // below it (docs/ARCHITECTURE.md). The answer is π_head(ς_rest(join)).
-func (r Rule) Translate(env cqa.SchemaEnv) (prep []cqa.Node, join cqa.Node, rest cqa.Condition, err error) {
+func (r Rule) Translate(env cqa.Env) (prep []cqa.Node, join cqa.Node, rest cqa.Condition, err error) {
 	if len(r.Rels) == 0 {
 		return nil, nil, nil, fmt.Errorf("rule body has no relation atoms")
 	}
@@ -131,12 +131,14 @@ func (r Rule) Translate(env cqa.SchemaEnv) (prep []cqa.Node, join cqa.Node, rest
 	conds := make([]cqa.Condition, len(r.Rels)) // per atom: the selection under its rename
 	names := make([]map[string]string, len(r.Rels))
 	for i, atom := range r.Rels {
-		s, ok := env[atom.Name]
+		rel, ok := env.Lookup(atom.Name)
 		if atom.Name == r.HeadName { // earlier heads are fine: they are materialised by now
 			return nil, nil, nil, fmt.Errorf("recursive rule %q is not supported", r.HeadName)
 		} else if !ok {
 			return nil, nil, nil, fmt.Errorf("unknown relation %q", atom.Name)
-		} else if len(atom.Terms) != s.Len() {
+		}
+		s := rel.Schema()
+		if len(atom.Terms) != s.Len() {
 			return nil, nil, nil, fmt.Errorf("%s has arity %d, atom has %d terms", atom.Name, s.Len(), len(atom.Terms))
 		}
 		own := map[string]string{} // variable → the attribute of its first occurrence in this atom
@@ -271,16 +273,13 @@ func (a CompAtom) atom(bound map[string]schema.Attribute, home map[string]int) (
 // same head name union; the final head's relation is returned normalised.
 // The translated CQA plans fan their operator work out over ec's worker
 // pool and record per-operator stats on ec (a nil ec is sequential with no
-// stats).
+// stats). Heads are bound in a layer above env; env is not written.
 func (p *Program) RunCtx(env cqa.Env, ec *exec.Context) (*relation.Relation, error) {
 	if len(p.Rules) == 0 {
 		return nil, fmt.Errorf("calculus: empty program")
 	}
-	scratch := make(cqa.Env, len(env))
-	for k, v := range env {
-		scratch[k] = v
-	}
-	defined := map[string]bool{}
+	heads := map[string]*relation.Relation{}
+	env = env.With(heads)
 	for _, r := range p.Rules {
 		// Deadline checkpoint between rules (see exec.Context.Ctx).
 		if err := ec.Err(); err != nil {
@@ -290,9 +289,9 @@ func (p *Program) RunCtx(env cqa.Env, ec *exec.Context) (*relation.Relation, err
 		// step), optimisation and plan evaluation all happen under it, so
 		// EXPLAIN shows which rule each plan subtree belongs to.
 		sp := ec.BeginSpan("rule", r.HeadName)
-		out, err := r.eval(scratch, ec)
-		if err == nil && defined[r.HeadName] {
-			if out, err = cqa.Union(ec, scratch[r.HeadName], out); err != nil {
+		out, err := r.eval(env, ec)
+		if prev, ok := heads[r.HeadName]; err == nil && ok {
+			if out, err = cqa.Union(ec, prev, out); err != nil {
 				err = fmt.Errorf("rules for %q have incompatible heads: %w", r.HeadName, err)
 			}
 		}
@@ -300,13 +299,13 @@ func (p *Program) RunCtx(env cqa.Env, ec *exec.Context) (*relation.Relation, err
 			ec.EndSpan(sp)
 			return nil, fmt.Errorf("calculus: line %d: %w", r.Line, err)
 		}
-		scratch[r.HeadName], defined[r.HeadName] = out, true
+		heads[r.HeadName] = out
 		sp.Set("rows", int64(out.Len()))
 		ec.EndSpan(sp)
 	}
 	last := p.Rules[len(p.Rules)-1].HeadName
 	sp := ec.BeginSpan("normalize", "")
-	norm := scratch[last].NormalizeWith(ec.SatFunc())
+	norm := heads[last].NormalizeWith(ec.SatFunc())
 	sp.Set("rows", int64(norm.Len()))
 	ec.EndSpan(sp)
 	return norm, nil
@@ -315,19 +314,20 @@ func (p *Program) RunCtx(env cqa.Env, ec *exec.Context) (*relation.Relation, err
 // eval runs the translated rule: the prepared atoms, bound under their
 // AtomName; the join chain over them (each through cqa.Plan); ς_rest; π_head.
 func (r Rule) eval(env cqa.Env, ec *exec.Context) (*relation.Relation, error) {
-	prep, plan, rest, err := r.Translate(env.Schemas())
-	atoms := make(cqa.Env, len(prep))
+	prep, plan, rest, err := r.Translate(env)
+	atoms := make(map[string]*relation.Relation, len(prep))
 	for i := 0; err == nil && i < len(prep); i++ {
 		atoms[r.AtomName(i)], err = cqa.Plan(prep[i], env).EvalCtx(env, ec)
 	}
 	if err != nil {
 		return nil, err
 	}
-	plan = cqa.Plan(plan, atoms)
+	atomEnv := cqa.EnvOf(atoms)
+	plan = cqa.Plan(plan, atomEnv)
 	if len(rest) > 0 {
 		plan = cqa.NewSelect(plan, rest)
 	}
-	return cqa.NewProject(plan, r.HeadVars...).EvalCtx(atoms, ec)
+	return cqa.NewProject(plan, r.HeadVars...).EvalCtx(atomEnv, ec)
 }
 
 // String renders the program back to rule syntax.

@@ -345,7 +345,8 @@ func TestRuleIsItsJoinProgram(t *testing.T) {
 			`q = project (join S and (project (select id = "A", v = w from R) on v)) on v, id`},
 	}
 	for iter := 0; iter < 60; iter++ {
-		env := cqa.Env{"R": randomNullable(rng, sR), "S": randomNullable(rng, sS), "T": randomNullable(rng, sT)}
+		rels := map[string]*relation.Relation{"R": randomNullable(rng, sR), "S": randomNullable(rng, sS), "T": randomNullable(rng, sT)}
+		env := cqa.EnvOf(rels)
 		for _, c := range cases {
 			rules, err := Parse(c.rules)
 			if err != nil {
@@ -365,7 +366,7 @@ func TestRuleIsItsJoinProgram(t *testing.T) {
 			}
 			if want = want.NormalizeWith(nil); got.String() != want.String() {
 				t.Fatalf("iter %d: %s\ngave\n%s\nbut %s\ngives\n%s\non R = %s\nS = %s\nT = %s",
-					iter, c.rules, got, c.program, want, env["R"], env["S"], env["T"])
+					iter, c.rules, got, c.program, want, rels["R"], rels["S"], rels["T"])
 			}
 		}
 	}
@@ -389,7 +390,8 @@ func TestRuleVariableAtBothKinds(t *testing.T) {
 		t.Fatal(err)
 	}
 	for iter := 0; iter < 60; iter++ {
-		env := cqa.Env{"S": randomNullable(rng, sS), "T": randomNullable(rng, sT)}
+		rels := map[string]*relation.Relation{"S": randomNullable(rng, sS), "T": randomNullable(rng, sT)}
+		env := cqa.EnvOf(rels)
 		got, err := rules.RunCtx(env, nil)
 		if err != nil {
 			t.Fatal(err)
@@ -399,7 +401,7 @@ func TestRuleVariableAtBothKinds(t *testing.T) {
 			t.Fatal(err)
 		}
 		if want = want.NormalizeWith(nil); got.String() != want.String() {
-			t.Fatalf("iter %d: rule gave\n%s\nprogram gives\n%s\non S = %s\nT = %s", iter, got, want, env["S"], env["T"])
+			t.Fatalf("iter %d: rule gave\n%s\nprogram gives\n%s\non S = %s\nT = %s", iter, got, want, rels["S"], rels["T"])
 		}
 	}
 }
@@ -409,7 +411,7 @@ func TestRuleVariableAtBothKinds(t *testing.T) {
 // names only where no joinable variable sits, and comparisons over shared
 // variables left for the join.
 func TestRuleTranslationShape(t *testing.T) {
-	env := hurricaneEnv().Schemas()
+	env := hurricaneEnv()
 	for _, c := range []struct {
 		src        string
 		prep       []string

@@ -78,7 +78,8 @@ end
 `)
 	lits := map[string]string{`"\x41"`: "A"} // as the file writes it
 	printed := regexp.MustCompile(`name=("(?:[^"\\]|\\.)*")`)
-	for _, row := range env["R"].Rows() {
+	r, _ := env.Lookup("R")
+	for _, row := range r.Rows() {
 		v, _ := row.RVal("name")
 		name, _ := v.AsString()
 		m := printed.FindStringSubmatch(row.String())

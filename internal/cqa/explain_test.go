@@ -11,12 +11,13 @@ import (
 	"cdb/internal/exec"
 	"cdb/internal/obs"
 	"cdb/internal/rational"
+	"cdb/internal/relation"
 )
 
 // composedPlan is project ∘ select ∘ join over two box relations.
 func composedPlan(t *testing.T) (Env, Node) {
 	r1, r2 := parInputs(t, 13, 20, 20, 5)
-	return Env{"R1": r1, "R2": r2}, NewProject(NewSelect(NewJoin(Scan("R1"), Scan("R2")),
+	return EnvOf(map[string]*relation.Relation{"R1": r1, "R2": r2}), NewProject(NewSelect(NewJoin(Scan("R1"), Scan("R2")),
 		Condition{AttrCmpConst("x", OpLe, rational.FromInt(2000))}), "id", "x")
 }
 
@@ -146,7 +147,7 @@ func TestExplainTreeFoldsOperators(t *testing.T) {
 // byte-identical (same tuples, same order) to the untraced run.
 func TestTracingDoesNotChangeOutput(t *testing.T) {
 	r1, r2 := parInputs(t, 17, 30, 30, 5)
-	env := Env{"R1": r1, "R2": r2}
+	env := EnvOf(map[string]*relation.Relation{"R1": r1, "R2": r2})
 	plan := NewProject(NewSelect(NewJoin(Scan("R1"), Scan("R2")),
 		Condition{AttrCmpConst("x", OpLe, rational.FromInt(2000)),
 			AttrCmpConst("y", OpNe, rational.FromInt(700))}), "id", "x")

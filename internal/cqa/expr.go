@@ -25,22 +25,29 @@ type Node interface {
 	// evaluates sequentially, untraced.
 	EvalCtx(env Env, ec *exec.Context) (*relation.Relation, error)
 	// OutSchema computes the result schema without evaluating.
-	OutSchema(env SchemaEnv) (schema.Schema, error)
+	OutSchema(env Env) (schema.Schema, error)
 }
 
-// Env maps relation names to relations.
-type Env map[string]*relation.Relation
+// Env is the catalog a plan reads: relation names looked up through
+// layers, the newest first. Binding puts a layer on top (With); the layers
+// below — a shared database, a session's overlay — are read, never copied.
+type Env struct {
+	rels  map[string]*relation.Relation
+	outer *Env
+}
 
-// SchemaEnv maps relation names to schemas.
-type SchemaEnv map[string]schema.Schema
+// EnvOf returns the one-layer environment over rels.
+func EnvOf(rels map[string]*relation.Relation) Env { return Env{rels: rels} }
 
-// Schemas derives a SchemaEnv from an Env.
-func (e Env) Schemas() SchemaEnv {
-	out := make(SchemaEnv, len(e))
-	for name, r := range e {
-		out[name] = r.Schema()
+// With returns e under a new top layer rels, whose names shadow e's.
+func (e Env) With(rels map[string]*relation.Relation) Env { return Env{rels, &e} }
+
+// Lookup returns the relation bound to name in the topmost layer binding it.
+func (e Env) Lookup(name string) (*relation.Relation, bool) {
+	if r, ok := e.rels[name]; ok || e.outer == nil {
+		return r, ok
 	}
-	return out
+	return e.outer.Lookup(name)
 }
 
 // ScanNode reads a named base (or intermediate) relation.
@@ -52,7 +59,7 @@ func Scan(name string) *ScanNode { return &ScanNode{Name: name} }
 func (n *ScanNode) EvalCtx(env Env, ec *exec.Context) (*relation.Relation, error) {
 	sp := ec.BeginSpan("scan", n.Name)
 	defer ec.EndSpan(sp)
-	r, ok := env[n.Name]
+	r, ok := env.Lookup(n.Name)
 	if !ok {
 		return nil, fmt.Errorf("cqa: unknown relation %q", n.Name)
 	}
@@ -60,12 +67,12 @@ func (n *ScanNode) EvalCtx(env Env, ec *exec.Context) (*relation.Relation, error
 	return r, nil
 }
 
-func (n *ScanNode) OutSchema(env SchemaEnv) (schema.Schema, error) {
-	s, ok := env[n.Name]
+func (n *ScanNode) OutSchema(env Env) (schema.Schema, error) {
+	r, ok := env.Lookup(n.Name)
 	if !ok {
 		return schema.Schema{}, fmt.Errorf("cqa: unknown relation %q", n.Name)
 	}
-	return s, nil
+	return r.Schema(), nil
 }
 
 func (n *ScanNode) String() string { return n.Name }
@@ -95,7 +102,7 @@ func (n *SelectNode) EvalCtx(env Env, ec *exec.Context) (*relation.Relation, err
 	return Select(ec, in, n.Cond)
 }
 
-func (n *SelectNode) OutSchema(env SchemaEnv) (schema.Schema, error) {
+func (n *SelectNode) OutSchema(env Env) (schema.Schema, error) {
 	s, err := n.Input.OutSchema(env)
 	if err != nil {
 		return schema.Schema{}, err
@@ -135,7 +142,7 @@ func (n *ProjectNode) EvalCtx(env Env, ec *exec.Context) (*relation.Relation, er
 	return Project(ec, in, n.Cols...)
 }
 
-func (n *ProjectNode) OutSchema(env SchemaEnv) (schema.Schema, error) {
+func (n *ProjectNode) OutSchema(env Env) (schema.Schema, error) {
 	s, err := n.Input.OutSchema(env)
 	if err != nil {
 		return schema.Schema{}, err
@@ -167,7 +174,7 @@ func (n *JoinNode) EvalCtx(env Env, ec *exec.Context) (*relation.Relation, error
 	return joinCtx(ec, "join", l, r)
 }
 
-func (n *JoinNode) OutSchema(env SchemaEnv) (schema.Schema, error) {
+func (n *JoinNode) OutSchema(env Env) (schema.Schema, error) {
 	ls, err := n.Left.OutSchema(env)
 	if err != nil {
 		return schema.Schema{}, err
@@ -203,7 +210,7 @@ func (n *UnionNode) EvalCtx(env Env, ec *exec.Context) (*relation.Relation, erro
 	return Union(ec, l, r)
 }
 
-func (n *UnionNode) OutSchema(env SchemaEnv) (schema.Schema, error) {
+func (n *UnionNode) OutSchema(env Env) (schema.Schema, error) {
 	ls, err := n.Left.OutSchema(env)
 	if err != nil {
 		return schema.Schema{}, err
@@ -242,7 +249,7 @@ func (n *DiffNode) EvalCtx(env Env, ec *exec.Context) (*relation.Relation, error
 	return Difference(ec, l, r)
 }
 
-func (n *DiffNode) OutSchema(env SchemaEnv) (schema.Schema, error) {
+func (n *DiffNode) OutSchema(env Env) (schema.Schema, error) {
 	ls, err := n.Left.OutSchema(env)
 	if err != nil {
 		return schema.Schema{}, err
@@ -295,7 +302,7 @@ func (n *RenameNode) EvalCtx(env Env, ec *exec.Context) (*relation.Relation, err
 	return Rename(ec, in, n.Map)
 }
 
-func (n *RenameNode) OutSchema(env SchemaEnv) (schema.Schema, error) {
+func (n *RenameNode) OutSchema(env Env) (schema.Schema, error) {
 	s, err := n.Input.OutSchema(env)
 	if err != nil {
 		return schema.Schema{}, err

@@ -24,7 +24,7 @@ func testEnv(t *testing.T) Env {
 	owners.MustAdd(relation.NewTuple(map[string]relation.Value{
 		"name": relation.Str("cat"), "landId": relation.Str("B")},
 		constraint.And(ge("t", "0"), le("t", "10"))))
-	return Env{"Landownership": owners, "Land": landRelForEnv()}
+	return EnvOf(map[string]*relation.Relation{"Landownership": owners, "Land": landRelForEnv()})
 }
 
 func landRelForEnv() *relation.Relation {
@@ -57,26 +57,25 @@ func TestPlanEvalQuery1(t *testing.T) {
 
 func TestPlanSchemaErrors(t *testing.T) {
 	env := testEnv(t)
-	se := env.Schemas()
-	if _, err := Scan("Missing").OutSchema(se); err == nil {
+	if _, err := Scan("Missing").OutSchema(env); err == nil {
 		t.Error("unknown scan schema resolved")
 	}
 	if _, err := Scan("Missing").EvalCtx(env, nil); err == nil {
 		t.Error("unknown scan evaluated")
 	}
 	bad := NewSelect(Scan("Land"), Condition{AttrCmpConst("t", OpLe, q("1"))})
-	if _, err := bad.OutSchema(se); err == nil {
+	if _, err := bad.OutSchema(env); err == nil {
 		t.Error("condition over missing attribute resolved")
 	}
 	badU := NewUnion(Scan("Land"), Scan("Landownership"))
-	if _, err := badU.OutSchema(se); err == nil {
+	if _, err := badU.OutSchema(env); err == nil {
 		t.Error("union schema mismatch resolved")
 	}
 	if _, err := badU.EvalCtx(env, nil); err == nil {
 		t.Error("union schema mismatch evaluated")
 	}
 	badD := NewDiff(Scan("Land"), Scan("Landownership"))
-	if _, err := badD.OutSchema(se); err == nil {
+	if _, err := badD.OutSchema(env); err == nil {
 		t.Error("diff schema mismatch resolved")
 	}
 }
@@ -95,14 +94,13 @@ func TestPlanString(t *testing.T) {
 
 func TestOptimizeSelectMergeAndPushdown(t *testing.T) {
 	env := testEnv(t)
-	se := env.Schemas()
 	// select name="ann" from (select t>=1 from (join Landownership and Land))
 	plan := NewSelect(
 		NewSelect(
 			NewJoin(Scan("Landownership"), Scan("Land")),
 			Condition{AttrCmpConst("t", OpGe, q("1"))}),
 		Condition{StrEq("name", "ann"), AttrCmpConst("x", OpLe, q("1"))})
-	opt := Optimize(plan, se)
+	opt := Optimize(plan, env)
 
 	// The top node should now be a join (every atom pushed to one side).
 	join, ok := opt.(*JoinNode)
@@ -131,14 +129,13 @@ func TestOptimizeSelectMergeAndPushdown(t *testing.T) {
 }
 
 func TestOptimizeSelectThroughUnionAndDiff(t *testing.T) {
-	env := Env{
+	env := EnvOf(map[string]*relation.Relation{
 		"P": landRelForEnv(),
 		"Q": landRelForEnv(),
-	}
-	se := env.Schemas()
+	})
 	cond := Condition{AttrCmpConst("x", OpLe, q("1"))}
 	planU := NewSelect(NewUnion(Scan("P"), Scan("Q")), cond)
-	optU := Optimize(planU, se)
+	optU := Optimize(planU, env)
 	if _, ok := optU.(*UnionNode); !ok {
 		t.Errorf("select not pushed through union: %s", optU)
 	}
@@ -152,7 +149,7 @@ func TestOptimizeSelectThroughUnionAndDiff(t *testing.T) {
 	}
 
 	planD := NewSelect(NewDiff(Scan("P"), Scan("Q")), cond)
-	optD := Optimize(planD, se)
+	optD := Optimize(planD, env)
 	if _, ok := optD.(*DiffNode); !ok {
 		t.Errorf("select not pushed through difference: %s", optD)
 	}
@@ -168,10 +165,9 @@ func TestOptimizeSelectThroughUnionAndDiff(t *testing.T) {
 
 func TestOptimizeProjectionRules(t *testing.T) {
 	env := testEnv(t)
-	se := env.Schemas()
 	// Nested projection collapses.
 	plan := NewProject(NewProject(Scan("Land"), "landId", "x"), "landId")
-	opt := Optimize(plan, se)
+	opt := Optimize(plan, env)
 	p, ok := opt.(*ProjectNode)
 	if !ok {
 		t.Fatalf("optimized to %T", opt)
@@ -181,7 +177,7 @@ func TestOptimizeProjectionRules(t *testing.T) {
 	}
 	// Identity projection dropped.
 	idPlan := NewProject(Scan("Land"), "landId", "x", "y")
-	idOpt := Optimize(idPlan, se)
+	idOpt := Optimize(idPlan, env)
 	if _, ok := idOpt.(*ScanNode); !ok {
 		t.Errorf("identity projection not dropped: %s", idOpt)
 	}
@@ -253,7 +249,7 @@ func TestQuickOptimizeEquivalence(t *testing.T) {
 		}
 	}
 	for iter := 0; iter < 40; iter++ {
-		env := Env{"P": randRel(), "Q": randRel()}
+		env := EnvOf(map[string]*relation.Relation{"P": randRel(), "Q": randRel()})
 		plan := build(2 + rng.Intn(2))
 		want, err := plan.EvalCtx(env, nil)
 		if err != nil {
@@ -262,7 +258,7 @@ func TestQuickOptimizeEquivalence(t *testing.T) {
 			// is itself the contract — skip them here.
 			continue
 		}
-		opt := Optimize(plan, env.Schemas())
+		opt := Optimize(plan, env)
 		got, err := opt.EvalCtx(env, nil)
 		if err != nil {
 			t.Fatalf("iter %d: optimized eval: %v (%s)", iter, err, opt)

@@ -23,9 +23,9 @@ import "cdb/internal/schema"
 //     Applied only when it actually narrows a side, to guarantee
 //     termination.
 //
-// The environment's schemas are needed to decide rule 2; nodes whose
-// schemas cannot be resolved are left untouched.
-func Optimize(n Node, env SchemaEnv) Node {
+// Rules 2 and 7 read the schemas of the environment's relations; nodes
+// whose schemas cannot be resolved are left untouched.
+func Optimize(n Node, env Env) Node {
 	for {
 		rewritten, changed := rewrite(n, env)
 		n = rewritten
@@ -35,7 +35,7 @@ func Optimize(n Node, env SchemaEnv) Node {
 	}
 }
 
-func rewrite(n Node, env SchemaEnv) (Node, bool) {
+func rewrite(n Node, env Env) (Node, bool) {
 	switch node := n.(type) {
 	case *ScanNode:
 		return node, false
@@ -142,7 +142,7 @@ func rewrite(n Node, env SchemaEnv) (Node, bool) {
 // only when at least one side actually loses a column (otherwise it could
 // loop) and when no projected column disappears (every projected column
 // is on some side).
-func pushProjectThroughJoin(p *ProjectNode, j *JoinNode, env SchemaEnv) (Node, bool) {
+func pushProjectThroughJoin(p *ProjectNode, j *JoinNode, env Env) (Node, bool) {
 	ls, lerr := j.Left.OutSchema(env)
 	rs, rerr := j.Right.OutSchema(env)
 	if lerr != nil || rerr != nil {

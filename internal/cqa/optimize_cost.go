@@ -16,12 +16,11 @@ import "cdb/internal/relation"
 // projection restores the schema); it may permute the storage order of
 // output tuples, which the sorted renderers make invisible.
 
-// Plan is the planner the query front ends run when optimisation is on
-// and an environment of real relations is in hand: the logical fixpoint
-// rules (Optimize), then the cost-driven join reordering below. Optimize
-// alone remains the schema-only entry point.
+// Plan is the planner the query front ends run when optimisation is on:
+// the logical fixpoint rules (Optimize), then the cost-driven join
+// reordering below. Optimize alone reads only the relations' schemas.
 func Plan(n Node, env Env) Node {
-	return optimizeCost(Optimize(n, env.Schemas()), env)
+	return optimizeCost(Optimize(n, env), env)
 }
 
 // optimizeCost applies the cost-driven rewrite to a plan. It fires only
@@ -65,7 +64,7 @@ func joinLeaves(n Node, env Env) ([]*ScanNode, bool) {
 		}
 		return append(l, r...), true
 	case *ScanNode:
-		if _, ok := env[node.Name]; !ok {
+		if _, ok := env.Lookup(node.Name); !ok {
 			return nil, false
 		}
 		return []*ScanNode{node}, true
@@ -89,13 +88,13 @@ func reorderJoinChain(n *JoinNode, env Env) (Node, bool) {
 	if !ok || len(leaves) < 3 || len(leaves) > 6 {
 		return nil, false
 	}
-	origSchema, err := n.OutSchema(env.Schemas())
+	origSchema, err := n.OutSchema(env)
 	if err != nil {
 		return nil, false
 	}
 	rels := make([]*relation.Relation, len(leaves))
 	for i, l := range leaves {
-		rels[i] = env[l.Name]
+		rels[i], _ = env.Lookup(l.Name)
 	}
 	est := func(i, j int) int64 { return estimatePairs(rels[i], rels[j]) }
 	// The original plan's first-evaluated join is its deepest-left node,

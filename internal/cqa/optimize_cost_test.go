@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"cdb/internal/datagen"
+	"cdb/internal/relation"
 )
 
 // costEnv builds three base relations with very different pairing costs:
@@ -23,7 +24,7 @@ func costEnv(t *testing.T) Env {
 	big2 := datagen.ClusteredBoxRelation(p2, 24, 1, 80, 7)
 	// A different center seed puts Tiny's single tight cluster elsewhere.
 	tiny := datagen.ClusteredBoxRelation(p3, 24, 1, 5, 1234)
-	return Env{"Big1": big1, "Big2": big2, "Tiny": tiny}
+	return EnvOf(map[string]*relation.Relation{"Big1": big1, "Big2": big2, "Tiny": tiny})
 }
 
 // TestReorderJoinChain: a three-way join whose plan starts with the most
@@ -43,11 +44,11 @@ func TestReorderJoinChain(t *testing.T) {
 	if !isProj {
 		t.Fatalf("rewritten chain is %T, want a schema-restoring projection", out)
 	}
-	origSchema, err := expensiveFirst.OutSchema(env.Schemas())
+	origSchema, err := expensiveFirst.OutSchema(env)
 	if err != nil {
 		t.Fatal(err)
 	}
-	newSchema, err := proj.OutSchema(env.Schemas())
+	newSchema, err := proj.OutSchema(env)
 	if err != nil {
 		t.Fatal(err)
 	}

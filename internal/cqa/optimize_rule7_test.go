@@ -9,12 +9,11 @@ import (
 // semantic safety is covered by TestQuickOptimizeEquivalence).
 func TestProjectPushdownThroughJoin(t *testing.T) {
 	env := testEnv(t)
-	se := env.Schemas()
 	// Landownership: (name, landId rel; t con), Land: (landId rel; x,y con).
 	// π_{name,x}(Landownership ⋈ Land): t and y can be dropped early;
 	// landId (shared) must be kept on both sides.
 	plan := NewProject(NewJoin(Scan("Landownership"), Scan("Land")), "name", "x")
-	opt := Optimize(plan, se)
+	opt := Optimize(plan, env)
 	top, ok := opt.(*ProjectNode)
 	if !ok {
 		t.Fatalf("optimized to %T (%s)", opt, opt)
@@ -50,7 +49,7 @@ func TestProjectPushdownThroughJoin(t *testing.T) {
 		t.Errorf("rule 7 changed semantics:\n%s\nvs\n%s", want, got)
 	}
 	// Termination/stability: optimizing again changes nothing structurally.
-	again := Optimize(opt, se)
+	again := Optimize(opt, env)
 	if again.String() != opt.String() {
 		t.Errorf("optimizer not at fixpoint:\n%s\nvs\n%s", opt, again)
 	}
@@ -60,10 +59,9 @@ func TestProjectPushdownThroughJoin(t *testing.T) {
 // attributes plus everything leaves the plan unchanged (no loop fuel).
 func TestProjectPushdownSkipsWhenNothingToDrop(t *testing.T) {
 	env := testEnv(t)
-	se := env.Schemas()
 	plan := NewProject(NewJoin(Scan("Landownership"), Scan("Land")),
 		"name", "landId", "t", "x", "y")
-	opt := Optimize(plan, se)
+	opt := Optimize(plan, env)
 	// Identity projection over the join collapses to the join itself
 	// (rule 6), or stays a single projection; either way no nested
 	// projections appear.

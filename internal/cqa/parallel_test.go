@@ -297,7 +297,7 @@ func TestFMDecisionsPerRecorder(t *testing.T) {
 // down to every operator in the tree.
 func TestEvalCtxThreadsContext(t *testing.T) {
 	r1, r2 := parInputs(t, 13, 20, 20, 5)
-	env := Env{"R1": r1, "R2": r2}
+	env := EnvOf(map[string]*relation.Relation{"R1": r1, "R2": r2})
 	plan := NewProject(NewSelect(NewJoin(Scan("R1"), Scan("R2")),
 		Condition{AttrCmpConst("x", OpLe, rational.FromInt(2000))}), "id", "x")
 	ec := &exec.Context{Parallelism: 4, SeqThreshold: 1}

@@ -350,7 +350,7 @@ func TestEstimatorBounds(t *testing.T) {
 func TestExplainPlanGolden(t *testing.T) {
 	pair := pruneInputs(t)["canon-clustered"]
 	s1, s2 := sparseBoxes(128)
-	env := Env{"R1": pair[0], "R2": pair[1], "S1": s1, "S2": s2}
+	env := EnvOf(map[string]*relation.Relation{"R1": pair[0], "R2": pair[1], "S1": s1, "S2": s2})
 	ec := &exec.Context{Parallelism: 1}
 	ec.Tracer = obs.NewTracer()
 	for _, node := range []Node{NewProject(NewJoin(Scan("R1"), Scan("R2")), "id", "x", "y"), NewJoin(Scan("S1"), Scan("S2"))} {

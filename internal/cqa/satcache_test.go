@@ -294,9 +294,12 @@ func TestWarmJoinAllocs(t *testing.T) {
 	// partitions or projects a loaded relation again (253 allocations a
 	// query when every join built both sides' working sets afresh), and each
 	// join's candidate list is collected in a pooled scratch list and copied
-	// out once (154 allocations; 160 while it grew by append, 156 under
-	// -race, where a sync.Pool drops some of what it is handed).
-	const queryCeiling = 157 + raceAllocs
+	// out once, and the request reads its environment through layers (138
+	// allocations; 153 while every statement ran as a program of its own
+	// over a copy of the environment, 160 while the candidate list grew by
+	// append, 140 under -race, where a sync.Pool drops some of what it is
+	// handed).
+	const queryCeiling = 141 + raceAllocs
 	if n := warmQuery3Allocs(t); n > queryCeiling {
 		t.Errorf("warm Query 3: %.0f allocations per query, ceiling %d", n, queryCeiling)
 	}
@@ -304,9 +307,9 @@ func TestWarmJoinAllocs(t *testing.T) {
 
 // warmQuery3Allocs is the allocations of one request of the benchmark's
 // hurricane workload without the server (BenchmarkHurricaneQuery3Warm,
-// one worker): Query 3 on 8 × 8 parcels loaded from text, statement by
-// statement on a session's environment and context, the last result
-// normalised, the windows rotating over the workload's 31 starts, every one
+// one worker): Query 3 on 8 × 8 parcels loaded from text, run by
+// query.Program.Exec on a session's environment and context (the last
+// result normalised), the windows rotating over the workload's 31 starts, every one
 // seen before.
 func warmQuery3Allocs(t *testing.T) float64 {
 	land, owners, track := datagen.HurricaneRelations(8)
@@ -327,30 +330,23 @@ func warmQuery3Allocs(t *testing.T) float64 {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var progs [31][]*query.Program
+	var progs [31]*query.Program
 	for a := range progs {
 		prog, err := query.Parse(fmt.Sprintf("R0 = join Landownership and Land\nR1 = join R0 and Hurricane\n"+
 			"R2 = select t >= %d, t <= %d from R1\nR3 = project R2 on name", a, a+10))
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, st := range prog.Stmts {
-			progs[a] = append(progs[a], &query.Program{Stmts: []query.Stmt{st}})
-		}
+		progs[a] = prog
 	}
 	ec := exec.New(1)
 	ec.SatCache = constraint.NewSatCache(0)
 	run := func(a int) {
-		env := d.Env()
-		var last *relation.Relation
-		for _, one := range progs[a] {
-			r, err := one.RunOptimizedCtx(env, ec)
-			if err != nil {
-				t.Fatal(err)
-			}
-			env[one.Stmts[0].Target], last = r, r
+		_, out, err := progs[a].Exec(d.Env(), ec, nil)
+		if err != nil {
+			t.Fatal(err)
 		}
-		if last.NormalizeWith(ec.SatFunc()).Len() == 0 {
+		if out.Len() == 0 {
 			t.Fatalf("window %d: empty result", a)
 		}
 		ec.Reset()

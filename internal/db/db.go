@@ -84,14 +84,9 @@ func (d *Database) TupleCount() int {
 	return n
 }
 
-// Env returns the database as a CQA evaluation environment.
-func (d *Database) Env() cqa.Env {
-	env := make(cqa.Env, len(d.rels))
-	for name, r := range d.rels {
-		env[name] = r
-	}
-	return env
-}
+// Env returns the database as a CQA evaluation environment: a view of its
+// relations, not a copy, so a later Put shows through it.
+func (d *Database) Env() cqa.Env { return cqa.EnvOf(d.rels) }
 
 // Run parses and executes a query program against the database
 // (query.Program.Exec), returning the final statement's relation

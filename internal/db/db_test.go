@@ -1,6 +1,7 @@
 package db
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
@@ -192,5 +193,36 @@ func TestFirstLine(t *testing.T) {
 		if got := FirstLine(c.src); got != c.want {
 			t.Errorf("FirstLine(%q) = %q, want %q", c.src, got, c.want)
 		}
+	}
+}
+
+// TestRunAllocsIgnoreCatalogSize: a request reads the database through its
+// environment and copies none of it, so one select allocates the same on a
+// database of 3 relations as on one of 300.
+func TestRunAllocsIgnoreCatalogSize(t *testing.T) {
+	base, err := Load(strings.NewReader(sampleDB), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	land, _ := base.Get("Land")
+	allocs := func(n int) float64 {
+		d := New()
+		for i := 0; i < n; i++ {
+			name := "Land"
+			if i > 0 {
+				name = fmt.Sprintf("Other%d", i)
+			}
+			if err := d.Put(name, land); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return testing.AllocsPerRun(20, func() {
+			if out, err := d.Run(`A = select landId = B from Land`, nil); err != nil || out.Len() != 1 {
+				t.Fatalf("select landId = B: %v, %v", out, err)
+			}
+		})
+	}
+	if small, large := allocs(3), allocs(300); small != large {
+		t.Errorf("one select allocates %.0f times over 3 relations, %.0f over 300", small, large)
 	}
 }

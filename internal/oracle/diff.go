@@ -168,7 +168,7 @@ func RunEngine(ec *exec.Context, a Apply, r1, r2 *relation.Relation) (*relation.
 	case "difference":
 		return cqa.Difference(ec, r1, r2)
 	case "rule":
-		return (&calculus.Program{Rules: []calculus.Rule{a.Rule}}).RunCtx(ruleRels(r1, r2), ec)
+		return (&calculus.Program{Rules: []calculus.Rule{a.Rule}}).RunCtx(cqa.EnvOf(ruleRels(r1, r2)), ec)
 	default:
 		return nil, fmt.Errorf("oracle: unknown operator %q", a.Op)
 	}

@@ -32,7 +32,9 @@ import (
 )
 
 // ruleRels names the two inputs of a rule case.
-func ruleRels(r1, r2 *relation.Relation) cqa.Env { return cqa.Env{"R1": r1, "R2": r2} }
+func ruleRels(r1, r2 *relation.Relation) map[string]*relation.Relation {
+	return map[string]*relation.Relation{"R1": r1, "R2": r2}
+}
 
 // atomOver writes tuple t of body atom i's relation over the rule's
 // variable names: the constraint part with every attribute replaced by what
@@ -92,7 +94,7 @@ func atomOver(i int, atom calculus.RelAtom, s schema.Schema, t relation.Tuple, s
 // answer of r over rels. The choice is built one body atom at a time, so a
 // tuple its atom rejects, or one that disagrees with the head's or an
 // earlier atom's relational values, ends that branch at once.
-func ruleHolds(r calculus.Rule, rels cqa.Env, p relation.Point) bool {
+func ruleHolds(r calculus.Rule, rels map[string]*relation.Relation, p relation.Point) bool {
 	head := map[string]relation.Value{} // (c): the head's relational variables carry p's values
 	for _, v := range r.HeadVars {
 		if _, isRat := p[v].AsRat(); !isRat {
@@ -285,7 +287,7 @@ func randomRule(rng *rand.Rand, s1, s2 schema.Schema) calculus.Rule {
 // schema: the candidate pools are fed every tuple of every body atom
 // written over variable names (atomOver) and the comparisons' boundaries
 // and literals, so the probes sit where the answer's corners can be.
-func ruleWitnesses(rng *rand.Rand, r calculus.Rule, rels cqa.Env, opts WitnessOptions) []relation.Point {
+func ruleWitnesses(rng *rand.Rand, r calculus.Rule, rels map[string]*relation.Relation, opts WitnessOptions) []relation.Point {
 	extra := Extra{Strings: map[string][]string{}}
 	types := map[string]schema.Attribute{}
 	for i, atom := range r.Rels {

@@ -23,7 +23,7 @@ const (
 // optimiser: each statement's result is bound to its target name (visible
 // to later statements), and the final statement's relation is returned.
 // The environment itself is not mutated; intermediate results live in a
-// scratch copy.
+// layer of their own above it.
 func (prog *Program) Run(env cqa.Env) (*relation.Relation, error) {
 	_, last, err := prog.run(env, false, nil, nil)
 	return last, err
@@ -58,15 +58,13 @@ func (prog *Program) Exec(env cqa.Env, ec *exec.Context, bind func(target string
 	return target, norm, nil
 }
 
-// run is the one statement loop: it evaluates the statements in order on
-// one scratch copy of env, binds each result there under its target for
-// the statements after it, hands it to bind when bind is non-nil, and
+// run is the one statement loop: it evaluates the statements in order
+// over env, binds each result under its target in one layer on top of env
+// for the statements after it, hands it to bind when bind is non-nil, and
 // returns the last target and result.
 func (prog *Program) run(env cqa.Env, optimize bool, ec *exec.Context, bind func(string, *relation.Relation)) (string, *relation.Relation, error) {
-	scratch := make(cqa.Env, len(env)+len(prog.Stmts))
-	for k, v := range env {
-		scratch[k] = v
-	}
+	bound := make(map[string]*relation.Relation, len(prog.Stmts))
+	env = env.With(bound)
 	var (
 		last   *relation.Relation
 		target string
@@ -84,14 +82,14 @@ func (prog *Program) run(env cqa.Env, optimize bool, ec *exec.Context, bind func
 			detail = st.Target + " = " + st.Expr.String()
 		}
 		sp := ec.BeginSpan("stmt", detail)
-		r, err := evalExpr(st.Expr, scratch, optimize, ec)
+		r, err := evalExpr(st.Expr, env, optimize, ec)
 		if err != nil {
 			ec.EndSpan(sp)
 			return "", nil, fmt.Errorf("query: line %d (%s = %s): %w", st.Line, st.Target, st.Expr, err)
 		}
 		sp.Set("rows", int64(r.Len()))
 		ec.EndSpan(sp)
-		scratch[st.Target] = r
+		bound[st.Target] = r
 		if bind != nil {
 			bind(st.Target, r)
 		}
@@ -127,7 +125,7 @@ func evalExpr(e *Expr, env cqa.Env, optimize bool, ec *exec.Context) (*relation.
 func toPlan(e *Expr, env cqa.Env) (cqa.Node, error) {
 	switch e.Kind {
 	case ExprScan:
-		if _, ok := env[e.Name]; !ok {
+		if _, ok := env.Lookup(e.Name); !ok {
 			return nil, fmt.Errorf("unknown relation %q", e.Name)
 		}
 		return cqa.Scan(e.Name), nil
@@ -136,7 +134,7 @@ func toPlan(e *Expr, env cqa.Env) (cqa.Node, error) {
 		if err != nil {
 			return nil, err
 		}
-		s, err := in.OutSchema(env.Schemas())
+		s, err := in.OutSchema(env)
 		if err != nil {
 			return nil, err
 		}
@@ -161,8 +159,8 @@ func toPlan(e *Expr, env cqa.Env) (cqa.Node, error) {
 			return nil, err
 		}
 		if e.Name == "intersect" {
-			ls, lerr := l.OutSchema(env.Schemas())
-			rs, rerr := r.OutSchema(env.Schemas())
+			ls, lerr := l.OutSchema(env)
+			rs, rerr := r.OutSchema(env)
 			if lerr == nil && rerr == nil && !ls.Equal(rs) {
 				return nil, fmt.Errorf("intersect requires equal schemas: %s vs %s", ls, rs)
 			}

@@ -1,6 +1,7 @@
 package query
 
 import (
+	"slices"
 	"strings"
 	"testing"
 
@@ -34,7 +35,7 @@ func testEnv() cqa.Env {
 	}
 	addO("ann", "A", "0", "5")
 	addO("bob", "B", "2", "8")
-	return cqa.Env{"Land": land, "Landownership": owners}
+	return cqa.EnvOf(map[string]*relation.Relation{"Land": land, "Landownership": owners})
 }
 
 func TestLexerBasics(t *testing.T) {
@@ -342,58 +343,83 @@ func TestParseConstraints(t *testing.T) {
 }
 
 // TestExecBindsEachStatement holds the front ends' runner to its contract:
-// the caller's environment map is left as it was, bind sees every
-// statement's raw result once and in order, and only the last result is
-// returned, normalised.
+// every statement reads the bindings of the statements before it, including
+// one that shadows a name of the caller's environment; that environment
+// looks up what it did before; bind sees every statement's raw result once
+// and in order; and only the last result is returned, normalised. Each row's
+// last statement must give what same, one statement over the caller's
+// names, gives.
 func TestExecBindsEachStatement(t *testing.T) {
-	env := testEnv()
-	before := make(cqa.Env, len(env))
-	for k, v := range env {
-		before[k] = v
-	}
-	prog, err := Parse(`R0 = select x <= 6 from Land
-R1 = join R0 and Landownership
-R2 = project R0 on y`)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var targets []string
-	var bound []*relation.Relation
-	target, out, err := prog.Exec(env, nil, func(name string, r *relation.Relation) {
-		targets = append(targets, name)
-		bound = append(bound, r)
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(env) != len(before) {
-		t.Errorf("env has %d entries after Exec, want %d", len(env), len(before))
-	}
-	for k, v := range before {
-		if env[k] != v {
-			t.Errorf("env[%q] changed", k)
+	shrank := false
+	for _, row := range []struct{ src, same string }{
+		{"R0 = select x <= 6 from Land\nR1 = join R0 and Landownership\nR2 = project R0 on y",
+			"R2 = project (select x <= 6 from Land) on y"},
+		{"Land = select x <= 6 from Land\nR = join Land and Landownership",
+			"R = join (select x <= 6 from Land) and Landownership"},
+	} {
+		env := testEnv()
+		names := []string{"Land", "Landownership"}
+		before := make([]*relation.Relation, len(names))
+		for i, name := range names {
+			before[i], _ = env.Lookup(name)
 		}
-	}
-	if got := strings.Join(targets, ","); got != "R0,R1,R2" {
-		t.Fatalf("bind saw %s, want R0,R1,R2", got)
-	}
-	for i := range prog.Stmts {
-		want, err := (&Program{Stmts: prog.Stmts[:i+1]}).RunOptimizedCtx(env, nil)
+		prog, err := Parse(row.src)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if bound[i].Len() != want.Len() || bound[i].String() != want.String() {
-			t.Errorf("bind %s = %s, want the raw result %s", targets[i], bound[i], want)
+		var targets []string
+		var bound []*relation.Relation
+		target, out, err := prog.Exec(env, nil, func(name string, r *relation.Relation) {
+			targets = append(targets, name)
+			bound = append(bound, r)
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, name := range names {
+			if r, _ := env.Lookup(name); r != before[i] {
+				t.Errorf("%s: env looks up another %s after Exec", row.src, name)
+			}
+		}
+		var want []string
+		for _, st := range prog.Stmts {
+			want = append(want, st.Target)
+			if _, ok := env.Lookup(st.Target); ok && !slices.Contains(names, st.Target) {
+				t.Errorf("%s: env binds %s after Exec", row.src, st.Target)
+			}
+		}
+		if got := strings.Join(targets, ","); got != strings.Join(want, ",") {
+			t.Fatalf("%s: bind saw %s, want %s", row.src, got, strings.Join(want, ","))
+		}
+		for i := range prog.Stmts {
+			want, err := (&Program{Stmts: prog.Stmts[:i+1]}).RunOptimizedCtx(env, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if bound[i].Len() != want.Len() || bound[i].String() != want.String() {
+				t.Errorf("%s: bind %s = %s, want the raw result %s", row.src, targets[i], bound[i], want)
+			}
+		}
+		same, err := Parse(row.same)
+		if err != nil {
+			t.Fatal(err)
+		}
+		last := bound[len(bound)-1]
+		if want, err := same.RunOptimizedCtx(env, nil); err != nil {
+			t.Fatal(err)
+		} else if last.String() != want.String() {
+			t.Errorf("%s: %s = %s, want %s's %s", row.src, target, last, row.same, want)
+		}
+		if target != prog.Stmts[len(prog.Stmts)-1].Target {
+			t.Errorf("%s: target = %q", row.src, target)
+		}
+		norm := last.NormalizeWith(nil)
+		shrank = shrank || norm.Len() < last.Len()
+		if out.String() != norm.String() {
+			t.Errorf("%s: Exec returned %s, want the last result normalised %s", row.src, out, norm)
 		}
 	}
-	if target != "R2" {
-		t.Errorf("target = %q, want R2", target)
-	}
-	norm := bound[2].NormalizeWith(nil)
-	if norm.Len() >= bound[2].Len() {
-		t.Fatalf("R2 normalises from %d to %d tuples: the check below is vacuous", bound[2].Len(), norm.Len())
-	}
-	if out.String() != norm.String() {
-		t.Errorf("Exec returned %s, want the last result normalised %s", out, norm)
+	if !shrank {
+		t.Fatal("no row's last result normalises to fewer tuples: the normalisation check is vacuous")
 	}
 }

@@ -344,7 +344,7 @@ func runProgram(sess *session, req queryRequest, stmt string, ec *exec.Context) 
 	}
 	root := ec.BeginSpan("query", stmt)
 	defer ec.EndSpan(root)
-	target, norm, err := prog.Exec(sess.env(), ec, sess.bind)
+	target, norm, err := prog.Exec(sess.env, ec, sess.bind)
 	if err != nil {
 		return nil, err
 	}
@@ -365,7 +365,7 @@ func runRules(sess *session, req queryRequest, stmt string, ec *exec.Context) (*
 	}
 	root := ec.BeginSpan("rules", stmt)
 	defer ec.EndSpan(root)
-	out, err := prog.RunCtx(sess.env(), ec)
+	out, err := prog.RunCtx(sess.env, ec)
 	if err != nil {
 		return nil, err
 	}

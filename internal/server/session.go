@@ -37,6 +37,7 @@ type session struct {
 	mu      sync.Mutex // serialises query execution and overlay access
 	results map[string]*relation.Relation
 	order   []string
+	env     cqa.Env // results layered over base: what a query reads (mu held)
 
 	created  time.Time
 	lastUsed atomic.Int64 // unix nanos of the last query start/finish
@@ -61,13 +62,15 @@ func newSession(id, dbName string, base *db.Database, opts sessionOptions, cfg C
 	ec := exec.New(orDefault(opts.Par, cfg.DefaultPar))
 	ec.Metrics = reg
 	ec.SatCache = cache
+	results := map[string]*relation.Relation{}
 	s := &session{
 		id:      id,
 		dbName:  dbName,
 		snapID:  opts.Snapshot,
 		base:    base,
 		ec:      ec,
-		results: map[string]*relation.Relation{},
+		results: results,
+		env:     base.Env().With(results),
 		created: time.Now(),
 	}
 	s.touch()
@@ -79,17 +82,6 @@ func orDefault(p *int, def int) int {
 		return *p
 	}
 	return def
-}
-
-// env layers the session's result bindings over the shared database.
-// Call with mu held. The returned map is a fresh copy: evaluation may
-// scribble scratch bindings into it freely.
-func (s *session) env() cqa.Env {
-	env := s.base.Env()
-	for k, v := range s.results {
-		env[k] = v
-	}
-	return env
 }
 
 // bind persists a statement result into the session overlay (mu held).

@@ -19,7 +19,7 @@ type work struct{ pairs, sat, ops int64 }
 
 // runFace evaluates one request on a fresh one-worker context with the
 // default sat-cache — src as a rule program when rules is set, else as a
-// query-language program run statement by statement, as a session runs it —
+// query-language program run as a session runs it (query.Program.Exec) —
 // and returns the normalised result with what it cost.
 func runFace(t *testing.T, env cqa.Env, rules bool, src string) (*relation.Relation, work) {
 	t.Helper()
@@ -39,14 +39,9 @@ func runFace(t *testing.T, env cqa.Env, rules bool, src string) (*relation.Relat
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, st := range prog.Stmts {
-			r, err := (&query.Program{Stmts: []query.Stmt{st}}).RunOptimizedCtx(env, ec)
-			if err != nil {
-				t.Fatal(err)
-			}
-			env[st.Target], out = r, r
+		if _, out, err = prog.Exec(env, ec, nil); err != nil {
+			t.Fatal(err)
 		}
-		out = out.NormalizeWith(ec.SatFunc())
 	}
 	var w work
 	for _, st := range ec.Stats() {
