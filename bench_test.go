@@ -19,7 +19,6 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
-	"runtime"
 	"sort"
 	"strings"
 	"sync"
@@ -732,8 +731,7 @@ func boxJoinResult(tb testing.TB) *relation.Relation {
 }
 
 func benchNormalize(b *testing.B, r *relation.Relation) {
-	ec := exec.New(1)
-	ec.SatCache = constraint.NewSatCache(0)
+	ec := session(1)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -782,8 +780,7 @@ func benchClusteredPolygons(rel, perCluster int, gen func(datagen.Params, int, i
 func BenchmarkDifferencePolygonMinus(b *testing.B) {
 	c0 := benchClusteredPolygons(0, 2, datagen.PolygonRelation)
 	d0 := benchClusteredPolygons(100, 2, datagen.PolygonRelation)
-	ec := exec.New(1)
-	ec.SatCache = constraint.NewSatCache(0)
+	ec := session(1)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -858,6 +855,24 @@ func loadedDB(tb testing.TB, rels map[string]*relation.Relation) *db.Database {
 	return d
 }
 
+// hurricaneDB is the benchmark's hurricane database at 8 × 8 parcels as a
+// session holds it.
+func hurricaneDB(tb testing.TB) *db.Database {
+	land, owners, track := datagen.HurricaneRelations(8)
+	return loadedDB(tb, map[string]*relation.Relation{"Land": land, "Landownership": owners, "Hurricane": track})
+}
+
+// query3 and rule3 are the paper's Query 3 over hurricaneDB with the window
+// t ∈ [a, a + 10]: as a query-language program and as one three-atom rule.
+func query3(a int) string {
+	return fmt.Sprintf("R0 = join Landownership and Land\nR1 = join R0 and Hurricane\n"+
+		"R2 = select t >= %d, t <= %d from R1\nR3 = project R2 on name", a, a+10)
+}
+
+func rule3(a int) string {
+	return fmt.Sprintf("hit(name) :- Landownership(name, t, id), Land(id, x, y), Hurricane(t, x, y), t >= %d, t <= %d.", a, a+10)
+}
+
 // churnDB is a database of the shape the benchmark's snapshot-churn
 // workload commits and materialises: the hurricane case study on a 5×5
 // parcel grid (25 + 75 tuples with relational parts, the track) beside a
@@ -912,8 +927,7 @@ func BenchmarkHurricaneQuery3Cold(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		b.StopTimer()
-		ec := exec.New(1)
-		ec.SatCache = constraint.NewSatCache(0)
+		ec := session(1)
 		b.StartTimer()
 		runQuery3(b, d, ec, progs, i%len(progs))
 	}
@@ -923,12 +937,10 @@ func BenchmarkHurricaneQuery3Cold(b *testing.B) {
 // each of the 31 window starts the benchmark's request pool draws from
 // (horizon − window length + 1).
 func hurricaneQuery3(b *testing.B) (*db.Database, []*query.Program) {
-	land, owners, track := datagen.HurricaneRelations(8)
-	d := loadedDB(b, map[string]*relation.Relation{"Land": land, "Landownership": owners, "Hurricane": track})
+	d := hurricaneDB(b)
 	progs := make([]*query.Program, 31)
 	for a := range progs {
-		prog, err := query.Parse(fmt.Sprintf("R0 = join Landownership and Land\nR1 = join R0 and Hurricane\n"+
-			"R2 = select t >= %d, t <= %d from R1\nR3 = project R2 on name", a, a+10))
+		prog, err := query.Parse(query3(a))
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -981,62 +993,76 @@ func (l warmLeg) context() *exec.Context {
 // after, so what the request remembers is what the server's sat-cache holds,
 // not what its session paid for.
 func BenchmarkHurricaneServer(b *testing.B) {
-	land, owners, track := datagen.HurricaneRelations(8)
-	d := loadedDB(b, map[string]*relation.Relation{"Land": land, "Landownership": owners, "Hurricane": track})
+	d := hurricaneDB(b)
 	const starts = 31
-	progs := make([]string, starts)
-	for a := range progs {
-		progs[a] = fmt.Sprintf("R0 = join Landownership and Land\nR1 = join R0 and Hurricane\n"+
-			"R2 = select t >= %d, t <= %d from R1\nR3 = project R2 on name", a, a+10)
-	}
 	for _, fresh := range []bool{false, true} {
 		b.Run(map[bool]string{false: "one-session", true: "fresh-session"}[fresh], func(b *testing.B) {
-			srv := server.New(map[string]*db.Database{"hurricane": d}, server.Config{SessionIdleTimeout: -1})
-			b.Cleanup(func() { _ = srv.Shutdown(context.Background()) })
-			h := srv.Handler()
-			serve := func(method, target, body string, want int) *httptest.ResponseRecorder {
-				rec := httptest.NewRecorder()
-				h.ServeHTTP(rec, httptest.NewRequest(method, target, strings.NewReader(body)))
-				if rec.Code != want {
-					b.Fatalf("%s %s: %d %s", method, target, rec.Code, rec.Body)
-				}
-				return rec
-			}
-			open := func() string {
-				var info struct {
-					ID string `json:"id"`
-				}
-				if err := json.Unmarshal(serve(http.MethodPost, "/v1/sessions", `{"par": 1}`, http.StatusCreated).Body.Bytes(), &info); err != nil {
-					b.Fatal(err)
-				}
-				return info.ID
-			}
-			body := func(id string, a int) string {
-				return fmt.Sprintf(`{"session": %q, "query": %q}`, id, progs[a])
-			}
-			post := func(body string) {
-				if rec := serve(http.MethodPost, "/v1/query", body, http.StatusOK); !strings.Contains(rec.Body.String(), `(name=`) {
-					b.Fatalf("%s: %s", body, rec.Body)
-				}
-			}
-			session := open()
+			c := newHandlerClient(b, d)
+			sid := c.open()
 			bodies := make([]string, starts)
 			for a := range bodies {
-				bodies[a] = body(session, a)
-				post(bodies[a])
+				bodies[a] = query3Body(sid, a)
+				c.query3(bodies[a])
 			}
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				if !fresh {
-					post(bodies[i%starts])
+					c.query3(bodies[i%starts])
 					continue
 				}
-				id := open()
-				post(body(id, i%starts))
-				serve(http.MethodDelete, "/v1/sessions/"+id, "", http.StatusOK)
+				id := c.open()
+				c.query3(query3Body(id, i%starts))
+				c.serve(http.MethodDelete, "/v1/sessions/"+id, "", http.StatusOK)
 			}
 		})
+	}
+}
+
+// handlerClient serves requests in process on the handler of a server over
+// one database, failing tb on any status but the one wanted.
+type handlerClient struct {
+	tb testing.TB
+	h  http.Handler
+}
+
+// newHandlerClient starts a server over d that reaps no idle session and
+// shuts it down when tb ends.
+func newHandlerClient(tb testing.TB, d *db.Database) handlerClient {
+	srv := server.New(map[string]*db.Database{"db": d}, server.Config{SessionIdleTimeout: -1})
+	tb.Cleanup(func() { _ = srv.Shutdown(context.Background()) })
+	return handlerClient{tb, srv.Handler()}
+}
+
+func (c handlerClient) serve(method, target, body string, want int) *httptest.ResponseRecorder {
+	rec := httptest.NewRecorder()
+	c.h.ServeHTTP(rec, httptest.NewRequest(method, target, strings.NewReader(body)))
+	if rec.Code != want {
+		c.tb.Fatalf("%s %s: %d %s", method, target, rec.Code, rec.Body)
+	}
+	return rec
+}
+
+// open opens a one-worker session and returns its id.
+func (c handlerClient) open() string {
+	var info struct {
+		ID string `json:"id"`
+	}
+	if err := json.Unmarshal(c.serve(http.MethodPost, "/v1/sessions", `{"par": 1}`, http.StatusCreated).Body.Bytes(), &info); err != nil {
+		c.tb.Fatal(err)
+	}
+	return info.ID
+}
+
+// query3Body is the /v1/query body of query3(a) on session id.
+func query3Body(id string, a int) string {
+	return fmt.Sprintf(`{"session": %q, "query": %q}`, id, query3(a))
+}
+
+// query3 posts a query3Body and fails unless the reply holds a name.
+func (c handlerClient) query3(body string) {
+	if rec := c.serve(http.MethodPost, "/v1/query", body, http.StatusOK); !strings.Contains(rec.Body.String(), `(name=`) {
+		c.tb.Fatalf("%s: %s", body, rec.Body)
 	}
 }
 
@@ -1048,20 +1074,17 @@ func BenchmarkHurricaneServer(b *testing.B) {
 // on a shared 2-core host (ROADMAP item 19: its renamed atoms are fresh
 // relations on every request).
 func BenchmarkHurricaneRuleWarm(b *testing.B) {
-	land, owners, track := datagen.HurricaneRelations(8)
-	d := loadedDB(b, map[string]*relation.Relation{"Land": land, "Landownership": owners, "Hurricane": track})
+	d := hurricaneDB(b)
 	const starts = 31
 	progs := make([]*calculus.Program, starts)
 	for a := range progs {
-		prog, err := calculus.Parse(fmt.Sprintf(
-			"hit(name) :- Landownership(name, t, id), Land(id, x, y), Hurricane(t, x, y), t >= %d, t <= %d.", a, a+10))
+		prog, err := calculus.Parse(rule3(a))
 		if err != nil {
 			b.Fatal(err)
 		}
 		progs[a] = prog
 	}
-	ec := exec.New(1)
-	ec.SatCache = constraint.NewSatCache(0)
+	ec := session(1)
 	run := func(a int) {
 		out, err := progs[a].RunCtx(d.Env(), ec)
 		if err != nil {
@@ -1112,15 +1135,21 @@ type boxJoinForm struct {
 	prog *query.Program
 }
 
-// boxJoinForms loads the box-join workload's two relations as a session
-// holds them and parses its three request forms.
-func boxJoinForms(tb testing.TB) (*db.Database, []boxJoinForm) {
+// boxJoinDB is the box-join workload's two dense 20-box relations as a
+// session holds them.
+func boxJoinDB(tb testing.TB) *db.Database {
 	p := datagen.Paper()
 	p.SizeMin, p.Seed = 50, 16
 	p2 := p
 	p2.Seed += 500
-	d := loadedDB(tb, map[string]*relation.Relation{
+	return loadedDB(tb, map[string]*relation.Relation{
 		"A": datagen.ClusteredBoxRelation(p, 20, 1, 10, 77), "B": datagen.ClusteredBoxRelation(p2, 20, 1, 10, 77)})
+}
+
+// boxJoinForms parses the box-join workload's three request forms over
+// boxJoinDB.
+func boxJoinForms(tb testing.TB) (*db.Database, []boxJoinForm) {
+	d := boxJoinDB(tb)
 	var forms []boxJoinForm
 	for _, form := range [][2]string{{"join", "join A and B"}, {"intersect", "intersect A and B"},
 		{"project", "project (join A and B) on x"}} {
@@ -1146,48 +1175,6 @@ func (f boxJoinForm) run(tb testing.TB, d *db.Database, ec *exec.Context) {
 	ec.Reset()
 }
 
-// TestBoxJoinWarmBytes puts a ceiling on the heap bytes of one warm
-// box-join request on the pool (BenchmarkBoxJoinWarm's pool leg, at two
-// workers so that the pool runs at the one processor the count is taken
-// at), per form. The fan-out writes into one buffer of one result per
-// candidate and hands it on, a box is one allocation in its size class,
-// and normalisation remembers a rendering and one span per row, not a
-// second copy of every tuple; per-worker slices grown by doubling and
-// concatenated, a box block a size class up, or a []Row memo cannot come
-// back under it. The ceilings are the figures when they were set (medians
-// of three runs on a 2-core host) plus 15 %: under -race, where a sync.Pool
-// drops some of what it is handed, the render buffer is allocated again in
-// about one request of four (join read 219 KB).
-func TestBoxJoinWarmBytes(t *testing.T) {
-	d, forms := boxJoinForms(t)
-	ceilings := map[string]struct{ set, parent, ceiling float64 }{
-		"join":      {204, 333, 235},
-		"intersect": {208, 327, 240},
-		"project":   {293, 542, 337},
-	}
-	for _, form := range forms {
-		ec := exec.New(2)
-		ec.SatCache = constraint.NewSatCache(0)
-		form.run(t, d, ec)
-		if !ec.ParallelFor(400) {
-			t.Fatal("two workers do not reach the pool")
-		}
-		var m0, m1 runtime.MemStats
-		const runs = 10
-		runtime.ReadMemStats(&m0)
-		for range runs {
-			form.run(t, d, ec)
-		}
-		runtime.ReadMemStats(&m1)
-		kb := float64(m1.TotalAlloc-m0.TotalAlloc) / runs / 1024
-		c := ceilings[form.name]
-		t.Logf("%s: %.1f KB per request (%.0f when set; %.0f with per-worker output slices, 320 B box blocks and a []Row memo), ceiling %.0f KB", form.name, kb, c.set, c.parent, c.ceiling)
-		if kb > c.ceiling {
-			t.Errorf("warm box-join %s on the pool: %.1f KB per request, ceiling %.0f KB", form.name, kb, c.ceiling)
-		}
-	}
-}
-
 // BenchmarkQueryReply is the result tail of a box-join request as the
 // daemon serves it, without the network: POST /v1/query of `R = J` on a
 // session whose database holds boxJoinResult normalised, so the request
@@ -1195,29 +1182,15 @@ func TestBoxJoinWarmBytes(t *testing.T) {
 // encodes every tuple into an in-memory response — as one JSON body, and
 // as an NDJSON stream.
 func BenchmarkQueryReply(b *testing.B) {
-	d := loadedDB(b, map[string]*relation.Relation{"J": boxJoinResult(b).NormalizeWith(nil)})
-	srv := server.New(map[string]*db.Database{"box": d}, server.Config{SessionIdleTimeout: -1})
-	b.Cleanup(func() { _ = srv.Shutdown(context.Background()) })
-	h := srv.Handler()
-	rec := httptest.NewRecorder()
-	h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/sessions", strings.NewReader(`{"par": 1}`)))
-	var info struct {
-		ID string `json:"id"`
-	}
-	if err := json.Unmarshal(rec.Body.Bytes(), &info); err != nil {
-		b.Fatal(err)
-	}
+	c := newHandlerClient(b, loadedDB(b, map[string]*relation.Relation{"J": boxJoinResult(b).NormalizeWith(nil)}))
+	id := c.open()
 	for _, mode := range []struct{ name, stream string }{{"buffered", "false"}, {"streamed", "true"}} {
-		body := fmt.Sprintf(`{"session": %q, "query": "R = J", "stream": %s}`, info.ID, mode.stream)
+		body := fmt.Sprintf(`{"session": %q, "query": "R = J", "stream": %s}`, id, mode.stream)
 		b.Run(mode.name, func(b *testing.B) {
+			c := handlerClient{b, c.h}
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				rec := httptest.NewRecorder()
-				h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/query", strings.NewReader(body)))
-				if rec.Code != http.StatusOK {
-					b.Fatalf("query: %d %s", rec.Code, rec.Body)
-				}
-				b.SetBytes(int64(rec.Body.Len()))
+				b.SetBytes(int64(c.serve(http.MethodPost, "/v1/query", body, http.StatusOK).Body.Len()))
 			}
 		})
 	}
@@ -1228,13 +1201,13 @@ func BenchmarkQueryReply(b *testing.B) {
 // equality the value pass decides, then a window) and an x, y window on the
 // parcels — on 5 × 5 parcels under one session-lifetime context, default
 // sat-cache, one worker. Every survivor of the value pass is one box pair
-// decided on the envelopes (TestWarmSelectAllocs pins the allocations).
+// decided on the envelopes (testdata/allocs.golden's "lookup select" lines
+// hold the allocations).
 func BenchmarkSelectWarm(b *testing.B) {
 	land, owners, _ := datagen.HurricaneRelations(5)
 	ge := func(v string, k int64) cqa.LinearAtom { return cqa.AttrCmpConst(v, cqa.OpGe, rational.FromInt(k)) }
 	le := func(v string, k int64) cqa.LinearAtom { return cqa.AttrCmpConst(v, cqa.OpLe, rational.FromInt(k)) }
-	ec := exec.New(1)
-	ec.SatCache = constraint.NewSatCache(0)
+	ec := session(1)
 	for _, shape := range []struct {
 		name string
 		r    *relation.Relation

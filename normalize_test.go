@@ -4,7 +4,6 @@ import (
 	"testing"
 
 	"cdb/internal/constraint"
-	"cdb/internal/exec"
 	"cdb/internal/relation"
 )
 
@@ -24,8 +23,7 @@ func TestNormalizeMakesNoDecisions(t *testing.T) {
 		"polygon-minus": pieces,
 		"box-join":      boxJoinResult(t),
 	} {
-		ec := exec.New(1)
-		ec.SatCache = constraint.NewSatCache(0)
+		ec := session(1)
 		fm := constraint.DecisionCount()
 		norm := r.NormalizeWith(ec.SatFunc())
 		if d := constraint.DecisionCount() - fm; d != 0 {
@@ -40,18 +38,5 @@ func TestNormalizeMakesNoDecisions(t *testing.T) {
 		if ref := r.NormalizeWith(nil); norm.String() != ref.String() {
 			t.Errorf("%s: normalising through the cache and without it differ", name)
 		}
-	}
-}
-
-// TestNormalizeAllocs caps the allocations of normalising the
-// polygon-minus staircase pieces as built: a few per tuple (the surviving
-// atoms, the fresh memo boxes of a shrunk conjunction, the dedup tables),
-// where the elimination-based pass made several hundred per tuple.
-func TestNormalizeAllocs(t *testing.T) {
-	r := polygonMinusPieces(t)
-	perTuple := testing.AllocsPerRun(5, func() { _ = r.NormalizeWith(nil) }) / float64(r.Len())
-	t.Logf("%d tuples, %.1f allocations per tuple", r.Len(), perTuple)
-	if perTuple > 8 {
-		t.Errorf("Normalize: %.1f allocations per tuple on the %d staircase pieces, ceiling 8", perTuple, r.Len())
 	}
 }

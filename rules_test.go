@@ -4,10 +4,7 @@ import (
 	"testing"
 
 	"cdb/internal/calculus"
-	"cdb/internal/constraint"
 	"cdb/internal/cqa"
-	"cdb/internal/datagen"
-	"cdb/internal/exec"
 	"cdb/internal/query"
 	"cdb/internal/relation"
 )
@@ -23,8 +20,7 @@ type work struct{ pairs, sat, ops int64 }
 // and returns the normalised result with what it cost.
 func runFace(t *testing.T, env cqa.Env, rules bool, src string) (*relation.Relation, work) {
 	t.Helper()
-	ec := exec.New(1)
-	ec.SatCache = constraint.NewSatCache(0)
+	ec := session(1)
 	var out *relation.Relation
 	if rules {
 		prog, err := calculus.Parse(src)
@@ -60,13 +56,9 @@ func runFace(t *testing.T, env cqa.Env, rules bool, src string) (*relation.Relat
 // (Translated as renamed-apart cross products the first took 9.3× the pairs
 // and 10.8× the decisions, the second 7 operators.)
 func TestRuleCostsWhatItsAlgebraCosts(t *testing.T) {
-	land, owners, track := datagen.HurricaneRelations(8)
-	d := loadedDB(t, map[string]*relation.Relation{"Land": land, "Landownership": owners, "Hurricane": track})
-
-	q3, q3w := runFace(t, d.Env(), false, "R0 = join Landownership and Land\nR1 = join R0 and Hurricane\n"+
-		"R2 = select t >= 4, t <= 14 from R1\nR3 = project R2 on name")
-	rule, rw := runFace(t, d.Env(), true,
-		`hit(name) :- Landownership(name, t, id), Land(id, x, y), Hurricane(t, x, y), t >= 4, t <= 14.`)
+	d := hurricaneDB(t)
+	q3, q3w := runFace(t, d.Env(), false, query3(4))
+	rule, rw := runFace(t, d.Env(), true, rule3(4))
 	t.Logf("Query 3: %+v; three-atom rule: %+v", q3w, rw)
 	if q3.Len() == 0 || rule.String() != q3.String() {
 		t.Errorf("the rule and Query 3 differ:\n%s\nvs\n%s", rule, q3)
@@ -93,8 +85,7 @@ func TestRuleCostsWhatItsAlgebraCosts(t *testing.T) {
 // estimatePairs — writing the body in an expensive order (the t-overlap join
 // first) costs what the cheap order costs, and answers the same bytes.
 func TestRuleAtomOrderIsThePlanners(t *testing.T) {
-	land, owners, track := datagen.HurricaneRelations(8)
-	d := loadedDB(t, map[string]*relation.Relation{"Land": land, "Landownership": owners, "Hurricane": track})
+	d := hurricaneDB(t)
 	cheap, cw := runFace(t, d.Env(), true, `hit(name, t) :- Landownership(name, t, id), Land(id, x, y), Hurricane(t, x, y).`)
 	dear, dw := runFace(t, d.Env(), true, `hit(name, t) :- Landownership(name, t, id), Hurricane(t, x, y), Land(id, x, y).`)
 	t.Logf("cheap order: %+v; expensive order as written: %+v", cw, dw)

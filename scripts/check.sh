@@ -108,14 +108,16 @@ fi
 # rename; the snapshot store's context-free materialise) with the second
 # statement loop (query.Program.Exec is the one loop), and the second
 # catalog (a schema-only environment and the method that copied one out of
-# cqa.Env: plans read schemas through Env.Lookup). Nothing outside the
-# history files and the frozen benchmark/ may name them again.
+# cqa.Env: plans read schemas through Env.Lookup), and the race-build
+# allowance and the byte counter of the per-test allocation ceilings (one
+# allocation ledger: testdata/allocs.golden). Nothing outside the history
+# files and the frozen benchmark/ may name them again.
 echo '>> no second bench harness'
 if ls BENCH_*.json >/dev/null 2>&1; then
     echo 'a BENCH_*.json sits at the root; measurements belong to benchmark/'
     exit 1
 fi
-if git grep -nE 'BENCH_[a-z]+\.json|bench[d]iff|bench-(all|canon|prune|plan|vector|snapshot)|-expt (cqa|canon|prune|plan|vector|snapshot)|Valid[P]lanMode|cdb_planner_[q]error|QError[B]uckets|DefaultQError[T]hreshold|SubtractAll[W]ith|Complement[I]nto|sat[T]otals|foldRetired[L]ocked|HitRate[S]ince|sat_cache_[e]ntries|cache[S]tats|sweep[B]ucket|sweep[C]\b|sweep[P]airs|sweep[I]tems|sweep[C]olumn|force[D]ecline|strategy=[s]weep|snap[D]Bs|hook[M]aterialized|snapshot[D]B\(|endpoint[K]ey|deduceSpatial[S]hell|Publish[E]xpvar|cache[I]nfo|Register[M]etrics|Install[M]etrics|"float_[r]ej"|\b(Select|Project|Join|Intersect|Union|Rename|Difference|Save|Load|LoadFile)[C]tx\b|(Database|db|d)\.Run[C]tx\b|RunOptimize[d]\b|Run[P]rogram|db\.sav[e]\b|\.Normaliz[e]\(\)|Entails[W]ith|Satisfiable[W]ith|\bSubtrac[t]\(|constraint\.Subtrac[t]\b|Schema\.Renam[e]\b|\bMaterializ[e]\(|Schema[E]nv|\.Schema[s]\(\)' \
+if git grep -nE 'BENCH_[a-z]+\.json|bench[d]iff|bench-(all|canon|prune|plan|vector|snapshot)|-expt (cqa|canon|prune|plan|vector|snapshot)|Valid[P]lanMode|cdb_planner_[q]error|QError[B]uckets|DefaultQError[T]hreshold|SubtractAll[W]ith|Complement[I]nto|sat[T]otals|foldRetired[L]ocked|HitRate[S]ince|sat_cache_[e]ntries|cache[S]tats|sweep[B]ucket|sweep[C]\b|sweep[P]airs|sweep[I]tems|sweep[C]olumn|force[D]ecline|strategy=[s]weep|snap[D]Bs|hook[M]aterialized|snapshot[D]B\(|endpoint[K]ey|deduceSpatial[S]hell|Publish[E]xpvar|cache[I]nfo|Register[M]etrics|Install[M]etrics|"float_[r]ej"|\b(Select|Project|Join|Intersect|Union|Rename|Difference|Save|Load|LoadFile)[C]tx\b|(Database|db|d)\.Run[C]tx\b|RunOptimize[d]\b|Run[P]rogram|db\.sav[e]\b|\.Normaliz[e]\(\)|Entails[W]ith|Satisfiable[W]ith|\bSubtrac[t]\(|constraint\.Subtrac[t]\b|Schema\.Renam[e]\b|\bMaterializ[e]\(|Schema[E]nv|\.Schema[s]\(\)|race[A]llocs|bytesPer[R]un' \
     -- . ':!CHANGES.md' ':!ROADMAP.md' ':!ISSUE.md' ':!benchmark'; then
     echo 'a retired measurement file, tool, target, experiment or name is named (see above)'
     exit 1
@@ -130,6 +132,12 @@ if grep -nE 'db\.(Load|EncodeRelation)\(' internal/snapshot/*.go | grep -v '_tes
     echo 'internal/snapshot reads or writes the db text format (see above)'
     exit 1
 fi
+
+# Ledger stability: the allocation ledger read five times in one process,
+# so that a figure that flakes on a shared host fails this gate, not a later
+# change (the race run below compares only its set of lines).
+echo '>> go test -count=5 -run TestAllocLedger .'
+go test -count=5 -run TestAllocLedger .
 
 echo '>> go test -race ./...'
 go test -race ./...
@@ -146,8 +154,9 @@ go test -race -count=2 ./internal/constraint ./internal/exec ./internal/cqa ./in
 # vector-difference, pairing-mode,
 # filter-stage, pair-lookup, warm and cold Query 3 (and the same request as a rule, and through the
 # server handler), warm box-join and its one box pair merge,
-# box-join reply, warm select and snapshot benchmarks must keep compiling and running (their allocation
-# and decision ceilings are plain tests, already run above; PairingModes also
+# box-join reply, warm select and snapshot benchmarks must keep compiling and running (their requests'
+# allocations are testdata/allocs.golden's lines and their decisions
+# testdata/counters.golden's, both plain tests run above; PairingModes also
 # fails here when auto eliminates or clips more than dense eliminates, or
 # anything at all on boxes).
 echo '>> result-tail, cold-decision, FM ablation, vector-difference, pairing-mode, filter-stage, pair-lookup, box-join, box-merge, reply, select and snapshot benchmarks, one iteration'

@@ -2,7 +2,6 @@ package cdb
 
 import (
 	"math/rand"
-	"runtime"
 	"testing"
 
 	"cdb/internal/constraint"
@@ -12,40 +11,6 @@ import (
 	"cdb/internal/relation"
 	"cdb/internal/schema"
 )
-
-// TestDifferencePolygonMinusAllocs puts a ceiling on what
-// BenchmarkDifferencePolygonMinus's request, `minus C0 and D0`, allocates
-// on warm canonical-form memos: 290 KB and 1 318 allocations per request.
-// Its prefixes extend a chain by one slab node per atom and its pieces are
-// built once, at emission, from the atoms on their rings' edges (202 KB
-// and 1 118 allocations when set); a staircase that builds a canonical
-// conjunction per prefix step allocates 311 KB and 1 314 allocations.
-func TestDifferencePolygonMinusAllocs(t *testing.T) {
-	c0 := benchClusteredPolygons(0, 2, datagen.PolygonRelation)
-	d0 := benchClusteredPolygons(100, 2, datagen.PolygonRelation)
-	ec := exec.New(1)
-	ec.SatCache = constraint.NewSatCache(0)
-	minus := func() {
-		if _, err := cqa.Difference(ec, c0, d0); err != nil {
-			t.Fatal(err)
-		}
-		ec.Reset()
-	}
-	minus() // forms and hull labels memoised
-	const runs = 20
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	for range runs {
-		minus()
-	}
-	runtime.ReadMemStats(&after)
-	kb := float64(after.TotalAlloc-before.TotalAlloc) / runs / 1024
-	allocs := float64(after.Mallocs-before.Mallocs) / runs
-	t.Logf("%.0f KB, %.0f allocations per request", kb, allocs)
-	if kb > 290 || allocs > 1318 {
-		t.Errorf("minus C0 and D0: %.0f KB and %.0f allocations per request, ceilings 290 KB and 1318", kb, allocs)
-	}
-}
 
 // TestDifferencePiecesAreIrredundant: the difference operator emits every
 // piece the planar rule decides as the rule leaves it — equal, atom for
