@@ -96,7 +96,7 @@ func TestCounterGolden(t *testing.T) {
 }
 
 // request is one row of the request table that both goldens run
-// (TestCounterGolden and TestAllocLedger): a benchmark workload's request
+// (TestCounterGolden and the allocation ledger): a benchmark workload's request
 // as a session evaluates it, returning the raw last result; the harness
 // normalises it as the session does.
 type request struct {

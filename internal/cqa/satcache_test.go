@@ -178,3 +178,133 @@ func TestSatCacheWarmReuse(t *testing.T) {
 		t.Errorf("cache stats after warm reuse: %s", st)
 	}
 }
+
+// TestWarmJoinAllocs pins that a remembered pair allocates nothing: Query
+// 3's two joins on a warm session cache, one worker, on 4 × 4 and on
+// 10 × 10 parcels. A remembered pair shares the owner side's binding map
+// and is appended by value; the rest is the filter stage, the fan-out's
+// output and the output relation, once per operator. So five times the
+// candidate pairs cost at most a few allocations more, where a Merge or a
+// Canon per pair (some twenty allocations each) or a binding map per
+// result costs hundreds. The level is the allocation ledger's (the root
+// package's testdata/allocs.golden).
+func TestWarmJoinAllocs(t *testing.T) {
+	joins := func(grid int) (allocs float64, cands int64) {
+		land, owners, track := datagen.HurricaneRelations(grid)
+		ec := warmContext()
+		run := func() {
+			r0, err := cqa.Join(ec, owners, land)
+			if err == nil {
+				_, err = cqa.Join(ec, r0, track)
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+		}
+		run()
+		for _, s := range ec.Stats() {
+			cands += s.PairsTotal - s.PairsPruned
+		}
+		return warmAllocs(ec, run), cands
+	}
+	a4, c4 := joins(4)
+	a10, c10 := joins(10)
+	t.Logf("warm Query 3 joins: %.0f allocations over %d candidate pairs, %.0f over %d", a4, c4, a10, c10)
+	if a10 > a4+8 {
+		t.Errorf("warm Query 3 joins: %.0f allocations over %d candidate pairs, %.0f over %d: more than 8 apart, so a remembered pair allocates",
+			a4, c4, a10, c10)
+	}
+}
+
+// TestBoxJoinAllocs pins that a pair decided on its envelopes costs one
+// allocation, its merged atoms and their memo boxes together: dense box
+// joins (the benchmark's box-join shape: one tight cluster, every pair a
+// candidate) under auto, one worker, the tuples canonical, of 20 boxes
+// with 20 and with 40. The 400 more pairs may cost 400 allocations and a
+// few for the filter stage and the output; a Merge + Canon per pair (seven
+// more), a binding map per result, or atoms and memo boxes apart again
+// cost hundreds more. The counters say that every candidate was decided
+// on the envelopes.
+func TestBoxJoinAllocs(t *testing.T) {
+	join := func(n int) (allocs float64, cands int64) {
+		p := datagen.Paper()
+		p.SizeMin = 50
+		r1 := datagen.Canonical(datagen.ClusteredBoxRelation(p, 20, 1, 10, 77))
+		p.Seed += 500
+		r2 := datagen.Canonical(datagen.ClusteredBoxRelation(p, n, 1, 10, 77))
+		ec := warmContext()
+		run := func() {
+			if _, err := cqa.Join(ec, r1, r2); err != nil {
+				t.Fatal(err)
+			}
+		}
+		run()
+		s := ec.Stats()[0]
+		cands = s.PairsTotal - s.PairsPruned
+		if cands < int64(15*n) || s.EnvHits != cands || s.VectorHits != 0 || s.SatChecks != 0 || s.FMDecisions != 0 {
+			t.Fatalf("dense box join 20 x %d: env=%d vec=%d sat=%d fm=%d over %d candidate pairs of %d, want nearly all pairs candidates and every one decided on the envelopes",
+				n, s.EnvHits, s.VectorHits, s.SatChecks, s.FMDecisions, cands, s.PairsTotal)
+		}
+		return warmAllocs(ec, run), cands
+	}
+	a20, c20 := join(20)
+	a40, c40 := join(40)
+	t.Logf("warm dense box join: %.0f allocations over %d candidate pairs, %.0f over %d", a20, c20, a40, c40)
+	if a40-a20 > float64(c40-c20)+8 {
+		t.Errorf("warm dense box join: %.0f allocations over %d candidate pairs, %.0f over %d: more than one allocation a pair",
+			a20, c20, a40, c40)
+	}
+}
+
+// TestWarmSelectAllocs pins that a tuple the value pass rejects costs
+// nothing: the benchmark's owners lookup — one parcel's owners in a t window
+// — on a warm session cache, one worker, over 5 × 5 parcels' owners, and
+// over them and 189 owners of other parcels. Each of the three survivors is
+// decided exactly once; a Merge + Canon + decision round per atom per tuple
+// costs some sixty allocations a tuple.
+func TestWarmSelectAllocs(t *testing.T) {
+	_, owners, _ := datagen.HurricaneRelations(5)
+	_, owners8, _ := datagen.HurricaneRelations(8)
+	others := owners.Clone()
+	for _, tu := range owners8.Tuples() {
+		if v, _ := tu.RVal("landId"); v != relation.Str("p2_3") {
+			others.MustAdd(tu)
+		}
+	}
+	cond := cqa.Condition{cqa.StrEq("landId", "p2_3"),
+		cqa.AttrCmpConst("t", cqa.OpGe, rational.FromInt(12)), cqa.AttrCmpConst("t", cqa.OpLe, rational.FromInt(22))}
+	var allocs [2]float64
+	for i, r := range []*relation.Relation{owners, others} {
+		ec := warmContext()
+		sel := func() {
+			if _, err := cqa.Select(ec, r, cond); err != nil {
+				t.Fatal(err)
+			}
+		}
+		sel()
+		if s := ec.Stats()[0]; s.TuplesOut == 0 || s.EnvHits+s.VectorHits+s.SatChecks != 3 {
+			t.Errorf("%d owners: env=%d vec=%d sat=%d decisions for 3 value-pass survivors, want one each",
+				r.Len(), s.EnvHits, s.VectorHits, s.SatChecks)
+		}
+		allocs[i] = warmAllocs(ec, sel)
+	}
+	t.Logf("owners select: %.0f allocations over %d tuples, %.0f over %d", allocs[0], owners.Len(), allocs[1], others.Len())
+	if allocs[1] > allocs[0]+2 {
+		t.Errorf("owners select: %.0f allocations over %d tuples, %.0f over %d: more than 2 apart, so a rejected tuple allocates",
+			allocs[0], owners.Len(), allocs[1], others.Len())
+	}
+}
+
+// warmContext is a session's context: one worker, a default sat-cache.
+func warmContext() *exec.Context {
+	ec := exec.New(1)
+	ec.SatCache = constraint.NewSatCache(0)
+	return ec
+}
+
+// warmAllocs is what a run of f allocates on ec, whose statistics are
+// reset around each run.
+func warmAllocs(ec *exec.Context, f func()) float64 {
+	ec.Reset()
+	return testing.AllocsPerRun(10, func() { f(); ec.Reset() })
+}

@@ -133,11 +133,13 @@ if grep -nE 'db\.(Load|EncodeRelation)\(' internal/snapshot/*.go | grep -v '_tes
     exit 1
 fi
 
-# Ledger stability: the allocation ledger read five times in one process,
-# so that a figure that flakes on a shared host fails this gate, not a later
-# change (the race run below compares only its set of lines).
-echo '>> go test -count=5 -run TestAllocLedger .'
-go test -count=5 -run TestAllocLedger .
+# Ledger stability: the allocation ledger's four tests read five times in
+# one process, so that a figure that flakes on a shared host fails this
+# gate, not a later change (the race run below compares only its set of
+# lines).
+LEDGER='AllocLedger|BoxJoinWarmBytes|DifferencePolygonMinusAllocs|NormalizeAllocs'
+echo ">> go test -count=5 -run '$LEDGER' ."
+go test -count=5 -run "$LEDGER" .
 
 echo '>> go test -race ./...'
 go test -race ./...
