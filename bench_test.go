@@ -772,30 +772,41 @@ func benchClusteredPolygons(rel, perCluster int, gen func(datagen.Params, int, i
 	return out
 }
 
-// BenchmarkDifferencePolygonMinus is one request of the polygon-minus
-// workload without the server around it: `minus C0 and D0` on warm
-// canonical-form memos. Every decision runs on the vector path, so this is
-// the guard for the staircase scope, ClipRing and the rational kernel
-// together.
+// BenchmarkDifferencePolygonMinus is one request of each kind of the
+// polygon-minus workload without the server around it, on warm
+// canonical-form memos: `minus C0 and D0` over convex polygons (convex)
+// and `minus S0 and T0` over triangulated concave ones (concave), whose
+// pieces share edges, so that flat scopes with strict atoms are settled.
+// Every decision runs on the vector path, so this is the guard for the
+// pair test, the staircase scope, the ring splitter and the rational
+// kernel together.
 func BenchmarkDifferencePolygonMinus(b *testing.B) {
-	c0 := benchClusteredPolygons(0, 2, datagen.PolygonRelation)
-	d0 := benchClusteredPolygons(100, 2, datagen.PolygonRelation)
-	ec := session(1)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := cqa.Difference(ec, c0, d0); err != nil {
-			b.Fatal(err)
-		}
-		ec.Reset()
+	for _, c := range []struct {
+		name   string
+		r1, r2 *relation.Relation
+	}{
+		{"convex", benchClusteredPolygons(0, 2, datagen.PolygonRelation), benchClusteredPolygons(100, 2, datagen.PolygonRelation)},
+		{"concave", benchClusteredPolygons(200, 3, datagen.ConcavePolygonRelation), benchClusteredPolygons(300, 3, datagen.ConcavePolygonRelation)},
+	} {
+		b.Run(c.name, func(b *testing.B) {
+			ec := session(1)
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := cqa.Difference(ec, c.r1, c.r2); err != nil {
+					b.Fatal(err)
+				}
+				ec.Reset()
+			}
+		})
 	}
 }
 
-// BenchmarkClipRing is the vector path's kernel: one Sutherland–Hodgman
-// clip of an octagon by a half-plane that cuts it (two exact crossings),
-// one that keeps all of it and one that keeps none (both allocation-free),
-// and the staircase's split of the octagon into both sides of the cutting
-// line (the same two crossings, one allocation).
+// BenchmarkClipRing is the vector path's kernel, geometry.SplitLabelled
+// unlabelled: one Sutherland–Hodgman clip of an octagon by a half-plane
+// that cuts it (two exact crossings), one that keeps all of it and one
+// that keeps none (both allocation-free), and the staircase's split of the
+// octagon into both sides of the cutting line (the same two crossings, one
+// allocation).
 func BenchmarkClipRing(b *testing.B) {
 	ring := geometry.MustPolygon(
 		geometry.Pt(3, 0), geometry.Pt(7, 0), geometry.Pt(10, 3), geometry.Pt(10, 7),
@@ -815,14 +826,14 @@ func BenchmarkClipRing(b *testing.B) {
 		b.Run(c.name, func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				benchRing = geometry.ClipRing(ring, c.h)
+				benchRing = geometry.SplitLabelled(ring, nil, c.h, 0, geometry.Le).Le
 			}
 		})
 	}
 	b.Run("split", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			benchRing = geometry.Split(ring, hp(3, 7, -50), geometry.Le|geometry.Ge).Ge
+			benchRing = geometry.SplitLabelled(ring, nil, hp(3, 7, -50), 0, geometry.Le|geometry.Ge).Ge
 		}
 	})
 }

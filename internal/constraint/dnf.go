@@ -116,10 +116,14 @@ func SubtractAllScoped[S any](j Conjunction, ks []Conjunction, root S, step Stai
 	for _, k := range ks {
 		var next []Piece[S]
 		cs := k.Constraints()
+		comps := make([][]Constraint, len(cs)) // once for every piece; chains point into it
+		for i, c := range cs {
+			comps[i] = c.Complement()
+		}
 		for _, p := range work {
 			prefix, scope := p.Chain, p.Scope
 			for i, c := range cs {
-				negs := c.Complement()
+				negs := comps[i]
 				neg, pos := step(scope, prefix, c, negs)
 				for n := range negs {
 					if neg[n].Sat {
@@ -168,6 +172,12 @@ func (p *Chain) Con() Conjunction {
 		p.con = &con
 	}
 	return *p.con
+}
+
+// Pushed yields the atoms pushed on p's chain, newest first.
+func (p *Chain) Pushed(yield func(Constraint) bool) {
+	for q := p; q.atom != nil && yield(*q.atom); q = q.up {
+	}
 }
 
 // rootChain returns the root of a chain over the canonical j, in one

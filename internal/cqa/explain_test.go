@@ -12,6 +12,7 @@ import (
 	"cdb/internal/obs"
 	"cdb/internal/rational"
 	"cdb/internal/relation"
+	"cdb/internal/schema"
 )
 
 // composedPlan is project ∘ select ∘ join over two box relations.
@@ -29,12 +30,31 @@ func composedPlan(t *testing.T) (Env, Node) {
 // composed plan on the dense reference path, run twice against one
 // sat-cache (sat, fm, cache_hits, cache_misses), a box join under auto
 // (env, pairs_pruned) and a polygon difference under auto, which clips,
-// with half-open strips among the tuples (vec, vec_fallback).
+// with half-open strips among the tuples (vec) and a subtrahend with an
+// atom over a third variable, beyond the clipper (vec_fallback).
 func TestExplainSpanTotalsMatchStats(t *testing.T) {
 	env, plan := composedPlan(t)
 	boxes := datagen.Canonical(datagen.BoxRelation(datagen.Scaled(4), 24, 4))
 	rng := rand.New(rand.NewSource(5))
 	minuend, subtrahend := datagen.RandomPolygonRelation(rng, 24), datagen.RandomPolygonRelation(rng, 24)
+	// Both over (x, y, z), the subtrahend with a box over the whole plane
+	// of the polygons that also bounds z.
+	spatial3 := schema.MustNew(schema.Rel("id", schema.String), schema.Con("x"), schema.Con("y"), schema.Con("z"))
+	widen := func(r *relation.Relation, extra ...constraint.Conjunction) *relation.Relation {
+		out := relation.New(spatial3)
+		for _, tu := range r.Tuples() {
+			out.MustAdd(tu)
+		}
+		for _, j := range extra {
+			out.MustAdd(relation.NewTuple(nil, j))
+		}
+		return out
+	}
+	zero, twenty := rational.Zero, rational.FromInt(20)
+	minuend, subtrahend = widen(minuend), widen(subtrahend, constraint.And(
+		constraint.GeConst("x", zero), constraint.LeConst("x", twenty),
+		constraint.GeConst("y", zero), constraint.LeConst("y", twenty),
+		constraint.LeConst("z", rational.One)))
 	fixtures := []struct {
 		name    string
 		mode    string

@@ -408,9 +408,9 @@ func Difference(ec *exec.Context, r1, r2 *relation.Relation) (*relation.Relation
 		// it, its edges labelled with the atoms that drew them, and a
 		// subtrahend atom and its complement are decided together by one
 		// split of that ring; an atom the split does not take is clipped
-		// alone, and an atom the clipper cannot decide, or a t1 without a
-		// form, goes to the recorder. The verdicts are FM's either way, so
-		// the pieces are too.
+		// alone, a flat ring is settled on the chain's atoms, and an atom
+		// the clipper cannot represent, or a t1 without a form, goes to the
+		// recorder. The verdicts are FM's either way, so the pieces are too.
 		var f1 *vector.Form
 		var root vector.Scope
 		if dec.clip {
@@ -419,6 +419,13 @@ func Difference(ec *exec.Context, r1, r2 *relation.Relation) (*relation.Relation
 			}
 		}
 		settle := func(prefix *constraint.Chain, atom constraint.Constraint, child vector.Scope, sat, ok bool) (vector.Scope, bool) {
+			if !ok {
+				sat, ok = child.Settle(func(yield func(constraint.Constraint) bool) {
+					if yield(atom) {
+						prefix.Pushed(yield)
+					}
+				})
+			}
 			if ok {
 				rec.VectorHit(sat)
 				return child, sat

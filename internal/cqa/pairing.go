@@ -124,13 +124,13 @@ func (dec deciders) decide(rec *exec.OpRecorder, a, b constraint.Conjunction) (c
 }
 
 // clipPair is the clip decider. With a polygon form on both sides, the
-// same variable pair is clipped (vector.PairSat) and fully disjoint
-// variable pairs are satisfiable outright (two non-empty regions over
-// independent variables always merge); with a form on the left only, c2's
-// atoms clip it (vector.SatExtras). ok is false when it declines: a left
-// side without a form is not its domain; forms over mixed variable pairs,
-// and atoms the clipper cannot decide exactly (an extra variable, a strict
-// degenerate one), are counted as a fallback.
+// same variable pair is decided by a separating edge (vector.PairSat) and
+// fully disjoint variable pairs are satisfiable outright (two non-empty
+// regions over independent variables always merge); with a form on the
+// left only, c2's atoms clip it (vector.SatExtras). ok is false when it
+// declines: a left side without a form is not its domain; forms over mixed
+// variable pairs, and atoms the clipper cannot represent (an extra
+// variable), are counted as a fallback.
 func clipPair(rec *exec.OpRecorder, c1, c2 constraint.Conjunction) (sat, ok bool) {
 	f1 := vector.FormOf(c1)
 	if f1 == nil {

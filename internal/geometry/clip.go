@@ -6,8 +6,8 @@ import "cdb/internal/rational"
 // geometric twin of a canonical `Le` linear constraint atom over two
 // spatial variables, and the clipping primitive of the vector fast path:
 // a convex region is the intersection of its edge half-planes, and
-// clipping a vertex ring by each half-plane in turn (Sutherland–Hodgman)
-// computes the exact intersection of two convex regions.
+// cutting a vertex ring by each half-plane in turn (Sutherland–Hodgman,
+// SplitLabelled) computes the exact intersection of convex regions.
 type HalfPlane struct {
 	A, B, C rational.Rat
 }
@@ -47,23 +47,7 @@ func EdgeHalfPlanes(p Polygon) []HalfPlane {
 	return out
 }
 
-// ClipRing clips a convex vertex ring by one closed half-plane
-// (Sutherland–Hodgman, exact rational crossings): Split's Le side. The
-// input ring may be degenerate — a single point, a segment (2 vertices),
-// or a proper CCW polygon ring — and the output may likewise degenerate to
-// fewer than 3 vertices or to nil (empty intersection). Points exactly on
-// the boundary (Eval == 0) are kept: the result is the exact intersection
-// of the closed region with the closed half-plane.
-//
-// The ring must hold no consecutive duplicate points (Polygon.Vertices and
-// ClipRing's own results hold none). When no vertex is cut away the ring
-// itself is returned, so a caller must not write to a result it did not
-// own.
-func ClipRing(ring []Point, h HalfPlane) []Point {
-	return Split(ring, h, Le).Le
-}
-
-// Sides names the sides of a line Split builds.
+// Sides names the sides of a line SplitLabelled builds.
 type Sides uint8
 
 const (
@@ -78,8 +62,8 @@ type Label int32
 // Cut is a ring cut along the boundary line of a half-plane h.
 type Cut struct {
 	// Le and Ge are the ring's closed sides, ring ∩ {h <= 0} and
-	// ring ∩ {h >= 0}: what ClipRing gives for h and for -h, point for
-	// point. A side Split was not asked to build is nil.
+	// ring ∩ {h >= 0}, exact: a side keeps the points on the line and may
+	// be flat or nil. A side SplitLabelled was not asked to build is nil.
 	Le, Ge []Point
 	// LeEdges and GeEdges label the sides' edges as SplitLabelled's edges
 	// label the ring's: the edge from side[i] to side[i+1] (wrapping) lies
@@ -88,7 +72,7 @@ type Cut struct {
 	// to label.
 	LeEdges, GeEdges []Label
 	// LeIn and GeIn report that some vertex lies strictly inside the side
-	// (h < 0, h > 0). Both are set whatever Split builds. For a ring of
+	// (h < 0, h > 0). Both are set whatever is built. For a ring of
 	// positive area and a non-trivial h, a side has positive area exactly
 	// when its bit is set: a convex region with a vertex in an open
 	// half-plane meets it in an open set, and a region with every vertex on
@@ -96,19 +80,14 @@ type Cut struct {
 	LeIn, GeIn bool
 }
 
-// Split cuts a convex vertex ring (as ClipRing takes it) along the
-// boundary line of h and builds the sides asked for, unlabelled: it is
-// SplitLabelled without edge labels, and pays nothing for them.
-func Split(ring []Point, h HalfPlane, build Sides) Cut {
-	return SplitLabelled(ring, nil, h, 0, build)
-}
-
 // SplitLabelled is the one Sutherland–Hodgman body: it cuts a convex
-// vertex ring along the boundary line of h and builds the sides asked for.
-// h is evaluated once per vertex, each crossing is computed once and shared
-// by both sides, a side no vertex is cut from is the ring itself and a side
-// every vertex is cut from is nil — neither allocates — and when both sides
-// are cut they share one allocation.
+// vertex ring — a point, a segment or a CCW polygon ring, with no
+// consecutive duplicate points — along the boundary line of h and builds
+// the sides asked for. h is evaluated once per vertex, each crossing is
+// computed once and shared by both sides, a side no vertex is cut from is
+// the ring itself (a caller must not write to it) and a side every vertex
+// is cut from is nil — neither allocates — and when both sides are cut
+// they share one allocation.
 //
 // edges, when not nil, labels the ring's edges: edges[i] names the line the
 // edge from ring[i] to ring[i+1] (wrapping) lies on. Each side's edges are
@@ -319,19 +298,4 @@ func dedupeLabelled(ring []Point, labels []Label) ([]Point, []Label) {
 		return out, nil
 	}
 	return out, outL
-}
-
-// RingArea2 returns 2·(signed area) of the ring via the shoelace formula
-// (zero for degenerate rings of fewer than 3 vertices). The clipper reads
-// positive area from Cut's LeIn / GeIn bits instead; this is their oracle.
-func RingArea2(ring []Point) rational.Rat {
-	if len(ring) < 3 {
-		return rational.Zero
-	}
-	sum := rational.Zero
-	n := len(ring)
-	for i := 0; i < n; i++ {
-		sum = sum.Add(ring[i].Cross(ring[(i+1)%n]))
-	}
-	return sum
 }

@@ -8,9 +8,9 @@ import (
 )
 
 // referenceClipRing, referenceClipSegment and referenceCrossing are the
-// bodies ClipRing had while it evaluated the half-plane at every vertex
-// twice and at both ends of a crossing edge a third time. Kept verbatim as
-// the oracle for the evaluate-once body.
+// bodies the one-sided clip had while it evaluated the half-plane at every
+// vertex twice and at both ends of a crossing edge a third time. Kept
+// verbatim as the oracle for the evaluate-once body.
 func referenceClipRing(ring []Point, h HalfPlane) []Point {
 	if len(ring) == 0 {
 		return nil
@@ -138,20 +138,21 @@ func negHalfPlane(h HalfPlane) HalfPlane {
 	return HalfPlane{A: h.A.Neg(), B: h.B.Neg(), C: h.C.Neg()}
 }
 
-// TestClipRingMatchesReference: the same points in the same order as the
-// reference on randomClip's rings and half-planes.
+// TestClipRingMatchesReference: SplitLabelled's Le side, unlabelled (clip),
+// holds the same points in the same order as the reference on randomClip's
+// rings and half-planes.
 func TestClipRingMatchesReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(18))
 	var cutAll, cutNone, cutSome, onBoundary int
 	for i := 0; i < 3000; i++ {
 		ring, h := randomClip(rng)
 		in := append([]Point(nil), ring...)
-		got, want := ClipRing(ring, h), referenceClipRing(append([]Point(nil), ring...), h)
+		got, want := clip(ring, h), referenceClipRing(append([]Point(nil), ring...), h)
 		if !sameRing(got, want) {
 			t.Fatalf("case %d: ring %v, half-plane %v\n got  %v\n want %v", i, in, h, got, want)
 		}
 		if !sameRing(ring, in) {
-			t.Fatalf("case %d: ClipRing wrote to its input: %v, was %v", i, ring, in)
+			t.Fatalf("case %d: the clip wrote to its input: %v, was %v", i, ring, in)
 		}
 		switch {
 		case len(got) == 0:
@@ -175,8 +176,8 @@ func TestClipRingMatchesReference(t *testing.T) {
 	}
 }
 
-// TestSplitIsTheTwoClips: on randomClip's rings and half-planes, Split's
-// Le and Ge sides are the reference clips by h and by -h, the same points
+// TestSplitIsTheTwoClips: on randomClip's rings and half-planes, the Le
+// and Ge sides of an unlabelled SplitLabelled are the reference clips by h and by -h, the same points
 // in the same order, whichever sides it is asked to build; it never writes
 // to its input; its bits do not depend on what it builds; and on an input
 // of positive area and a line (a non-trivial h) each side's bit says
@@ -189,7 +190,7 @@ func TestSplitIsTheTwoClips(t *testing.T) {
 		in := append([]Point(nil), ring...)
 		wantLe := referenceClipRing(append([]Point(nil), ring...), h)
 		wantGe := referenceClipRing(append([]Point(nil), ring...), negHalfPlane(h))
-		both, le, ge := Split(ring, h, Le|Ge), Split(ring, h, Le), Split(ring, h, Ge)
+		both, le, ge := SplitLabelled(ring, nil, h, 0, Le|Ge), SplitLabelled(ring, nil, h, 0, Le), SplitLabelled(ring, nil, h, 0, Ge)
 		if !sameRing(both.Le, wantLe) || !sameRing(both.Ge, wantGe) || !sameRing(le.Le, wantLe) || !sameRing(ge.Ge, wantGe) {
 			t.Fatalf("case %d: ring %v, half-plane %v\n split  %v | %v\n alone  %v | %v\n want   %v | %v",
 				i, in, h, both.Le, both.Ge, le.Le, ge.Ge, wantLe, wantGe)
@@ -206,15 +207,15 @@ func TestSplitIsTheTwoClips(t *testing.T) {
 		if len(wantLe) > 0 && len(wantGe) > 0 && !sameRing(wantLe, in) && !sameRing(wantGe, in) {
 			bothCut++
 		}
-		if RingArea2(ring).IsZero() || h.IsTrivial() {
+		if ringArea2(ring).IsZero() || h.IsTrivial() {
 			continue
 		}
 		for _, side := range []struct {
 			ring []Point
 			in   bool
 		}{{both.Le, both.LeIn}, {both.Ge, both.GeIn}} {
-			if full := !RingArea2(side.ring).IsZero(); full != side.in {
-				t.Fatalf("case %d: strictly-inside bit %v on a side of area·2 %s\n ring %v, half-plane %v", i, side.in, RingArea2(side.ring), in, h)
+			if full := !ringArea2(side.ring).IsZero(); full != side.in {
+				t.Fatalf("case %d: strictly-inside bit %v on a side of area·2 %s\n ring %v, half-plane %v", i, side.in, ringArea2(side.ring), in, h)
 			}
 			if len(side.ring) > 0 && side.in {
 				fullSide++
@@ -228,7 +229,8 @@ func TestSplitIsTheTwoClips(t *testing.T) {
 	}
 }
 
-// TestClipRingAllocs: a clip that cuts nothing returns the ring and one
+// TestClipRingAllocs: a clip (SplitLabelled's Le side, unlabelled) that
+// cuts nothing returns the ring and one
 // that cuts everything returns nil, neither allocating; a clip that cuts
 // some of a ring of at most 16 vertices allocates the output ring only
 // (the per-vertex values stay on the stack). A split allocates once when
@@ -256,12 +258,27 @@ func TestClipRingAllocs(t *testing.T) {
 		{"segment cut", ring[:2], hp(1, 0, -2), 1, 2},
 	} {
 		var out []Point
-		if got := testing.AllocsPerRun(50, func() { out = ClipRing(c.ring, c.h) }); got > c.max {
+		if got := testing.AllocsPerRun(50, func() { out = clip(c.ring, c.h) }); got > c.max {
 			t.Errorf("%s: %v allocations, want at most %v (result %v)", c.name, got, c.max, out)
 		}
 		var cut Cut
-		if got := testing.AllocsPerRun(50, func() { cut = Split(c.ring, c.h, Le|Ge) }); got > c.split {
+		if got := testing.AllocsPerRun(50, func() { cut = SplitLabelled(c.ring, nil, c.h, 0, Le|Ge) }); got > c.split {
 			t.Errorf("%s, split: %v allocations, want at most %v (result %v | %v)", c.name, got, c.split, cut.Le, cut.Ge)
 		}
 	}
+}
+
+// ringArea2 returns 2·(signed area) of the ring via the shoelace formula
+// (zero for degenerate rings of fewer than 3 vertices): the oracle for
+// Cut's LeIn / GeIn bits.
+func ringArea2(ring []Point) rational.Rat {
+	if len(ring) < 3 {
+		return rational.Zero
+	}
+	sum := rational.Zero
+	n := len(ring)
+	for i := 0; i < n; i++ {
+		sum = sum.Add(ring[i].Cross(ring[(i+1)%n]))
+	}
+	return sum
 }

@@ -10,10 +10,15 @@ func hp(a, b, c int64) HalfPlane {
 	return HalfPlane{A: rational.FromInt(a), B: rational.FromInt(b), C: rational.FromInt(c)}
 }
 
+// clip is the closed side ring ∩ {h <= 0}.
+func clip(ring []Point, h HalfPlane) []Point {
+	return SplitLabelled(ring, nil, h, 0, Le).Le
+}
+
 // clipAll intersects a ring with every half-plane in turn.
 func clipAll(ring []Point, hs []HalfPlane) []Point {
 	for _, h := range hs {
-		ring = ClipRing(ring, h)
+		ring = clip(ring, h)
 		if len(ring) == 0 {
 			return nil
 		}
@@ -24,7 +29,7 @@ func clipAll(ring []Point, hs []HalfPlane) []Point {
 func TestClipRingSquareByLine(t *testing.T) {
 	sq := RectPoly(0, 0, 4, 4)
 	// x <= 2
-	out := ClipRing(sq.Vertices(), hp(1, 0, -2))
+	out := clip(sq.Vertices(), hp(1, 0, -2))
 	got, err := NewPolygon(out)
 	if err != nil {
 		t.Fatalf("clip result not a polygon: %v", err)
@@ -39,7 +44,7 @@ func TestClipRingExactCrossing(t *testing.T) {
 	// Triangle (0,0) (3,0) (0,3) clipped by x <= 1: crossing on the
 	// hypotenuse must be the exact rational point (1, 2).
 	tri := MustPolygon(Pt(0, 0), Pt(3, 0), Pt(0, 3))
-	out := ClipRing(tri.Vertices(), hp(1, 0, -1))
+	out := clip(tri.Vertices(), hp(1, 0, -1))
 	found := false
 	for _, p := range out {
 		if p.Equal(Pt(1, 2)) {
@@ -54,7 +59,7 @@ func TestClipRingExactCrossing(t *testing.T) {
 func TestClipRingEmpty(t *testing.T) {
 	sq := RectPoly(0, 0, 2, 2)
 	// x <= -1 removes everything.
-	if out := ClipRing(sq.Vertices(), hp(1, 0, 1)); len(out) != 0 {
+	if out := clip(sq.Vertices(), hp(1, 0, 1)); len(out) != 0 {
 		t.Fatalf("expected empty clip, got %v", out)
 	}
 }
@@ -62,20 +67,20 @@ func TestClipRingEmpty(t *testing.T) {
 func TestClipRingTouchingBoundary(t *testing.T) {
 	sq := RectPoly(0, 0, 2, 2)
 	// x <= 0 leaves exactly the left edge: a degenerate 2-point ring.
-	out := ClipRing(sq.Vertices(), hp(1, 0, 0))
+	out := clip(sq.Vertices(), hp(1, 0, 0))
 	if len(out) != 2 {
 		t.Fatalf("expected 2-point degenerate ring, got %v", out)
 	}
-	if !RingArea2(out).IsZero() {
+	if !ringArea2(out).IsZero() {
 		t.Fatalf("degenerate ring should have zero area")
 	}
 	// A further clip y <= 0 leaves the single corner (0,0).
-	out = ClipRing(out, hp(0, 1, 0))
+	out = clip(out, hp(0, 1, 0))
 	if len(out) != 1 || !out[0].Equal(Pt(0, 0)) {
 		t.Fatalf("expected single corner (0,0), got %v", out)
 	}
 	// And y <= -1 removes even that.
-	if out = ClipRing(out, hp(0, 1, 1)); len(out) != 0 {
+	if out = clip(out, hp(0, 1, 1)); len(out) != 0 {
 		t.Fatalf("expected empty after cutting the corner, got %v", out)
 	}
 }
@@ -83,11 +88,11 @@ func TestClipRingTouchingBoundary(t *testing.T) {
 func TestClipRingTrivialHalfPlanes(t *testing.T) {
 	sq := RectPoly(0, 0, 2, 2)
 	// 0 <= 0: whole plane, no-op.
-	if out := ClipRing(sq.Vertices(), hp(0, 0, 0)); len(out) != 4 {
+	if out := clip(sq.Vertices(), hp(0, 0, 0)); len(out) != 4 {
 		t.Fatalf("whole-plane clip changed the ring: %v", out)
 	}
 	// 0·x + 0·y + 1 <= 0: empty.
-	if out := ClipRing(sq.Vertices(), hp(0, 0, 1)); len(out) != 0 {
+	if out := clip(sq.Vertices(), hp(0, 0, 1)); len(out) != 0 {
 		t.Fatalf("empty half-plane should clear the ring")
 	}
 }
@@ -125,9 +130,9 @@ func TestClipConvexIntersectionAgainstContains(t *testing.T) {
 	}
 	// Symmetry: clipping b by a's half-planes gives the same area.
 	out2 := clipAll(b.Vertices(), EdgeHalfPlanes(a))
-	if !RingArea2(out).Abs().Equal(RingArea2(out2).Abs()) {
+	if !ringArea2(out).Abs().Equal(ringArea2(out2).Abs()) {
 		t.Fatalf("asymmetric intersection areas: %s vs %s",
-			RingArea2(out), RingArea2(out2))
+			ringArea2(out), ringArea2(out2))
 	}
 }
 
@@ -149,8 +154,8 @@ func TestClipTouchingPolygonsShareEdge(t *testing.T) {
 	if len(out) == 0 {
 		t.Fatalf("touching polygons must yield a non-empty (degenerate) clip")
 	}
-	if !RingArea2(out).IsZero() {
+	if !ringArea2(out).IsZero() {
 		t.Fatalf("shared-edge intersection should be degenerate, got area2 %s",
-			RingArea2(out))
+			ringArea2(out))
 	}
 }

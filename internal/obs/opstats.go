@@ -28,7 +28,7 @@ type OpStats struct {
 	Strategy     string        // always dense where set (binary operators): there is one enumeration, and no surface shows it; kept while the benchmark reads it
 	EnvHits      int64         // pair decisions answered on the envelopes: both sides non-empty boxes, merged by interval intersection (no clip, no FM, no Merge+Canon)
 	VectorHits   int64         // sat decisions answered by the vector fast path (exact polygon clipping, no FM)
-	VectorFalls  int64         // vector-path fallbacks: decisions on polygon forms the clipper could not take (mixed variable pairs, extra variable, strict-degenerate) and handed to FM
+	VectorFalls  int64         // vector-path fallbacks: decisions on polygon forms the clipper could not take (mixed variable pairs, extra variable) and handed to FM
 	FloatRejects int64         // always 0, and on no surface: the vector path's float bounding-box filter is gone (the filter stage's float-keyed frame rejects those pairs); kept while the benchmark reads it
 	Wall         time.Duration // wall time of the operator
 	Parallel     bool          // whether the worker pool was used

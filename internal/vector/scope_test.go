@@ -7,13 +7,18 @@ import (
 	"cdb/internal/convert"
 	"cdb/internal/datagen"
 	"cdb/internal/geometry"
+	"cdb/internal/rational"
 	"cdb/internal/relation"
 )
 
 // referenceSatExtras is the body SatExtras had while every decision
 // clipped the form's polygon through the whole list of extras from
-// scratch. Kept verbatim as the oracle for the incremental Scope.
+// scratch, and a flat ring with a strict atom in play was left undecided.
+// Kept as the oracle for the incremental Scope where it decides.
 func referenceSatExtras(f *Form, extras []constraint.Constraint) (sat, ok bool) {
+	clip := func(ring []geometry.Point, h geometry.HalfPlane) []geometry.Point {
+		return geometry.SplitLabelled(ring, nil, h, 0, geometry.Le).Le
+	}
 	ring := f.Poly.Vertices()
 	strict := false
 	for _, c := range extras {
@@ -33,17 +38,17 @@ func referenceSatExtras(f *Form, extras []constraint.Constraint) (sat, ok bool) 
 		h := geometry.HalfPlane{A: a, B: b, C: k}
 		switch c.Op {
 		case constraint.Le:
-			ring = geometry.ClipRing(ring, h)
+			ring = clip(ring, h)
 		case constraint.Lt:
 			strict = true
-			ring = geometry.ClipRing(ring, h)
+			ring = clip(ring, h)
 		case constraint.Eq:
 			// An equality is closed: clip by both opposing half-planes. The
 			// result degenerates to (part of) a line, which the no-strict
 			// degenerate rule below still decides exactly.
-			ring = geometry.ClipRing(ring, h)
+			ring = clip(ring, h)
 			if len(ring) != 0 {
-				ring = geometry.ClipRing(ring, geometry.HalfPlane{A: a.Neg(), B: b.Neg(), C: k.Neg()})
+				ring = clip(ring, geometry.HalfPlane{A: a.Neg(), B: b.Neg(), C: k.Neg()})
 			}
 		default:
 			return false, false
@@ -52,7 +57,7 @@ func referenceSatExtras(f *Form, extras []constraint.Constraint) (sat, ok bool) 
 			return false, true
 		}
 	}
-	if !geometry.RingArea2(ring).IsZero() {
+	if !area2(ring).IsZero() {
 		return true, true
 	}
 	// Degenerate result. With no strict atoms every constraint is closed
@@ -66,14 +71,15 @@ func referenceSatExtras(f *Form, extras []constraint.Constraint) (sat, ok bool) 
 
 // stairTally counts what a checked staircase met.
 type stairTally struct {
-	steps, split, sat, unsat, undecided, foreign, trivial int
-	labelled, read                                        int // full scopes whose labels were checked; pieces read off a ring
+	steps, split, sat, unsat, foreign, trivial int
+	settled, settledUnsat                      int // flat scopes Settle decided; of them, empty
+	labelled, read                             int // full scopes whose labels were checked; pieces read off a ring
 }
 
 // sameScope reports whether two scopes hold the same ring, point for
 // point, and the same flags.
 func sameScope(a, b Scope) bool {
-	if len(a.ring) != len(b.ring) || a.full != b.full || a.strict != b.strict || a.foreign != b.foreign {
+	if len(a.ring) != len(b.ring) || a.full != b.full || a.foreign != b.foreign {
 		return false
 	}
 	for i := range a.ring {
@@ -87,10 +93,13 @@ func sameScope(a, b Scope) bool {
 // checkedStaircase runs base − ks through SubtractAllScoped on f's
 // labelled scope, exactly as the difference operator does — an atom and its
 // complement split together where Split takes them, clipped one at a time
-// where it does not — and at every step compares the incremental verdict
-// with referenceSatExtras on the whole list of atoms accumulated so far,
-// the full-dimensional bit with the ring's area, and a split with the two
-// clips it stands for; at every full scope it checks the edge labels
+// where it does not, a flat scope settled on the chain's atoms — and at
+// every step compares the verdict with Fourier–Motzkin on
+// base ∧ the atoms accumulated so far, with SatExtras on those atoms, and
+// with referenceSatExtras where that decides; it checks that only a scope
+// beyond the clipper (a third-variable atom) stays undecided, the
+// full-dimensional bit against the ring's area, and a split against the
+// two clips it stands for; at every full scope it checks the edge labels
 // (checkedLabels). The emitted disjuncts must be SubtractAll's, whose every
 // step runs Fourier–Motzkin, and each piece read off its ring must be what
 // the planar rule leaves of it.
@@ -102,15 +111,32 @@ func checkedStaircase(t *testing.T, f *Form, base constraint.Conjunction, ks []c
 	}
 	check := func(parent state, prefix *constraint.Chain, atom constraint.Constraint, child Scope, sat, ok bool) constraint.Verdict[state] {
 		extras := append(parent.extras[:len(parent.extras):len(parent.extras)], atom)
-		wantSat, wantOK := referenceSatExtras(f, extras)
-		if sat != wantSat || ok != wantOK {
-			t.Fatalf("step %d: Clip = (%v, %v), from scratch (%v, %v)\n base: %s\n extras: %v", tally.steps, sat, ok, wantSat, wantOK, base, extras)
+		if !ok && !child.foreign {
+			sat, ok = child.Settle(func(yield func(constraint.Constraint) bool) {
+				if yield(atom) {
+					prefix.Pushed(yield)
+				}
+			})
+			if !ok {
+				t.Fatalf("step %d: Settle left a planar scope undecided\n base: %s\n extras: %v", tally.steps, base, extras)
+			}
+			tally.settled++
+			if !sat {
+				tally.settledUnsat++
+			}
 		}
-		if foldSat, foldOK := SatExtras(f, extras); foldSat != wantSat || foldOK != wantOK {
-			t.Fatalf("step %d: SatExtras = (%v, %v), from scratch (%v, %v)\n base: %s\n extras: %v", tally.steps, foldSat, foldOK, wantSat, wantOK, base, extras)
+		if refSat, refOK := referenceSatExtras(f, extras); refOK && (!ok || sat != refSat) {
+			t.Fatalf("step %d: vector path (%v, %v), from scratch (%v, true)\n base: %s\n extras: %v", tally.steps, sat, ok, refSat, base, extras)
 		}
-		if len(child.ring) != 0 && child.full == geometry.RingArea2(child.ring).IsZero() {
-			t.Fatalf("step %d: full-dimensional bit %v on a ring of area·2 %s\n base: %s\n extras: %v", tally.steps, child.full, geometry.RingArea2(child.ring), base, extras)
+		want := prefix.Con().With(atom).IsSatisfiable()
+		if ok && sat != want {
+			t.Fatalf("step %d: vector path = %v, FM = %v\n base: %s\n extras: %v", tally.steps, sat, want, base, extras)
+		}
+		if foldSat, foldOK := SatExtras(f, extras); foldSat != sat || foldOK != ok {
+			t.Fatalf("step %d: SatExtras = (%v, %v), the staircase (%v, %v)\n base: %s\n extras: %v", tally.steps, foldSat, foldOK, sat, ok, base, extras)
+		}
+		if len(child.ring) != 0 && child.full == area2(child.ring).IsZero() {
+			t.Fatalf("step %d: full-dimensional bit %v on a ring of area·2 %s\n base: %s\n extras: %v", tally.steps, child.full, area2(child.ring), base, extras)
 		}
 		if len(child.ring) != 0 && child.full && !child.foreign {
 			checkedLabels(t, child, prefix.Con().With(atom).Canon(), tally)
@@ -120,19 +146,14 @@ func checkedStaircase(t *testing.T, f *Form, base constraint.Conjunction, ks []c
 			tally.trivial++
 		}
 		switch {
-		case !ok && child.foreign:
-			tally.foreign++
 		case !ok:
-			tally.undecided++
+			tally.foreign++
 		case sat:
 			tally.sat++
 		default:
 			tally.unsat++
 		}
-		if !ok {
-			sat = prefix.Con().With(atom).IsSatisfiable()
-		}
-		return constraint.Verdict[state]{Scope: state{scope: child, extras: extras}, Sat: sat}
+		return constraint.Verdict[state]{Scope: state{scope: child, extras: extras}, Sat: want}
 	}
 	got := constraint.SubtractAllScoped(base, ks, state{scope: f.LabelledScope()},
 		func(parent state, prefix *constraint.Chain, c constraint.Constraint, negs []constraint.Constraint) (neg [2]constraint.Verdict[state], pos constraint.Verdict[state]) {
@@ -244,9 +265,10 @@ func overlapping(r1, r2 *relation.Relation, visit func(f *Form, base constraint.
 }
 
 // TestScopeMatchesFromScratchOnStaircase: at every step of the difference
-// staircase over the three generated shapes, the incremental scope gives
-// the verdict and ok the from-scratch clip of all accumulated atoms gives,
-// and the staircase emits SubtractAll's disjuncts.
+// staircase over the three generated shapes, the incremental scope decides
+// as Fourier–Motzkin does on all accumulated atoms, and as the from-scratch
+// clip does where that decides, and the staircase emits SubtractAll's
+// disjuncts.
 func TestScopeMatchesFromScratchOnStaircase(t *testing.T) {
 	p1 := datagen.Paper()
 	p1.Seed = 1801
@@ -259,17 +281,18 @@ func TestScopeMatchesFromScratchOnStaircase(t *testing.T) {
 	for _, c := range []struct {
 		name   string
 		r1, r2 *relation.Relation
+		flat   bool // shared edges: some flat scope with strict atoms is settled
 	}{
-		{"PolygonRelation", datagen.PolygonRelation(p1, 10, 1, 60, 5), datagen.PolygonRelation(p2, 10, 1, 60, 5)},
-		{"ConcavePolygonRelation", datagen.ConcavePolygonRelation(p1, 12, 1, 60, 5), datagen.ConcavePolygonRelation(p2, 12, 1, 60, 5)},
-		{"ClusteredBoxRelation", datagen.ClusteredBoxRelation(boxes, 12, 1, 10, 5), datagen.ClusteredBoxRelation(boxes2, 12, 1, 10, 5)},
+		{"PolygonRelation", datagen.PolygonRelation(p1, 10, 1, 60, 5), datagen.PolygonRelation(p2, 10, 1, 60, 5), false},
+		{"ConcavePolygonRelation", datagen.ConcavePolygonRelation(p1, 12, 1, 60, 5), datagen.ConcavePolygonRelation(p2, 12, 1, 60, 5), true},
+		{"ClusteredBoxRelation", datagen.ClusteredBoxRelation(boxes, 12, 1, 10, 5), datagen.ClusteredBoxRelation(boxes2, 12, 1, 10, 5), true},
 	} {
 		t.Run(c.name, func(t *testing.T) {
 			var tally stairTally
 			overlapping(c.r1, c.r2, func(f *Form, base constraint.Conjunction, ks []constraint.Conjunction) {
 				checkedStaircase(t, f, base, ks, &tally)
 			})
-			if tally.steps < 100 || tally.split == 0 || tally.sat == 0 || tally.unsat == 0 || tally.labelled < 50 || tally.read == 0 {
+			if tally.steps < 100 || tally.split == 0 || tally.sat == 0 || tally.unsat == 0 || tally.labelled < 50 || tally.read == 0 || c.flat && tally.settled == 0 {
 				t.Fatalf("vacuous run: %+v", tally)
 			}
 		})
@@ -278,21 +301,23 @@ func TestScopeMatchesFromScratchOnStaircase(t *testing.T) {
 
 // TestScopeUndecidedCases walks staircases built to reach the three ways a
 // step is not a plain clip: a strict atom on a region the closed atoms
-// already cut to measure zero (undecided, FM decides, and a deeper atom
-// may still empty the ring), an atom over a third variable (undecided for
-// every scope below it), and constant atoms (true leaves the scope alone,
-// false decides unsat).
+// already cut to measure zero (decided on the strict atoms' lines, by the
+// clip or by Settle), an atom over a third variable (the one undecided
+// case, for every scope below it), and constant atoms (true leaves the
+// scope alone, false decides unsat).
 func TestScopeUndecidedCases(t *testing.T) {
 	base := boxConj(0, 0, 4, 4).Canon()
 	f := FormOf(base)
 	var tally stairTally
 	// Neighbours sharing an edge and a corner with base: the prefix cuts the
-	// ring to a segment or a point before the strict negations arrive.
+	// ring to a segment or a point before the strict negations arrive, and
+	// after them (x < 1, then x >= 1 on a flat ring).
 	checkedStaircase(t, f, base, []constraint.Conjunction{
 		boxConj(4, 0, 6, 4), boxConj(4, 4, 6, 6), boxConj(1, 1, 4, 2),
+		boxConj(0, 2, 1, 3), boxConj(1, 3, 2, 4),
 	}, &tally)
-	if tally.undecided == 0 {
-		t.Fatalf("no strict-degenerate step reached: %+v", tally)
+	if tally.settled == 0 || tally.settledUnsat == 0 || tally.settled == tally.settledUnsat {
+		t.Fatalf("Settle not reached with both verdicts: %+v", tally)
 	}
 	// A third variable in the middle of a subtrahend, then another
 	// subtrahend on the pieces that inherited it.
@@ -345,7 +370,7 @@ func TestStaircaseOnePassPerAtom(t *testing.T) {
 		if parent.depth+1 > deepest {
 			deepest = parent.depth + 1
 		}
-		if !d.OK { // strict atom on a touching corner: still the one pass
+		if !d.OK { // a flat ring, Settle's: still the one pass
 			d.Sat = prefix.Con().With(atom).IsSatisfiable()
 		}
 		return constraint.Verdict[state]{Scope: state{scope: d.Child, depth: parent.depth + 1}, Sat: d.Sat}
@@ -375,4 +400,14 @@ func TestStaircaseOnePassPerAtom(t *testing.T) {
 	if walked < 100 || deepest < 8 {
 		t.Fatalf("fixture too thin: %d subtrahend atoms, deepest scope %d atoms", walked, deepest)
 	}
+}
+
+// area2 is 2·(signed area) of a ring by the shoelace formula, zero for
+// fewer than 3 vertices.
+func area2(ring []geometry.Point) rational.Rat {
+	sum := rational.Zero
+	for i := range ring {
+		sum = sum.Add(ring[i].Cross(ring[(i+1)%len(ring)]))
+	}
+	return sum
 }

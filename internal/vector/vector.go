@@ -13,20 +13,20 @@
 // boundary intersections — so the probe makes zero FM decisions.
 //
 // A Form carries no float box of its own. The pairs it is asked about have
-// passed the filter stage's float-keyed envelope check (package cqa), and
-// a planar tuple's envelope bounds each variable by its exact range where
-// interval propagation leaves it one-sided (constraint.Envelope), so every
-// pair goes straight to exact rational clipping (Sutherland–Hodgman).
+// passed the filter stage's float-keyed envelope check (package cqa and
+// constraint.Envelope), so every pair goes straight to exact geometry.
 //
-// The decision procedures (PairSat, Scope.Clip, Scope.Split, SatExtras)
-// replace only *satisfiability decisions*. The constraint forms the
-// operators emit are built exactly as on the FM path, and Scope.Irredundant,
-// which reads a difference piece's irredundant atoms off its labelled ring,
-// returns what the planar redundancy rule returns, so outputs stay
-// byte-identical.
+// The decision procedures (PairSat, Scope.Clip, Scope.Split, Scope.Settle,
+// SatExtras) replace only *satisfiability decisions*. The constraint forms
+// the operators emit are built exactly as on the FM path, and
+// Scope.Irredundant, which reads a difference piece's irredundant atoms off
+// its labelled ring, returns what the planar redundancy rule returns, so
+// outputs stay byte-identical.
 package vector
 
 import (
+	"iter"
+	"slices"
 	"sync"
 
 	"cdb/internal/constraint"
@@ -151,21 +151,32 @@ func unboundedDirection(normals []geometry.Point) bool {
 // same variable pair (callers check; it panics otherwise, as a wrong-pair
 // answer would be silently unsound).
 //
-// Both regions are closed, so the decision is exact: the clipped ring is
-// non-empty — even degenerate to a shared edge or corner — if and only if
-// the conjunction is satisfiable.
+// Both are closed, bounded, full-dimensional convex polygons P and Q, and
+// they are disjoint exactly when some edge half-plane of one leaves every
+// vertex of the other strictly outside: P ∩ Q is empty iff the origin lies
+// outside the Minkowski difference P − Q, whose every edge is parallel to
+// an edge of P or of Q, so iff max n·P < min n·Q for the outward normal n
+// of an edge of P (or, reversed, of Q): every vertex of the other polygon
+// lies strictly beyond that edge's line. Nothing is allocated.
 func PairSat(f1, f2 *Form) bool {
 	if f1.XVar != f2.XVar || f1.YVar != f2.YVar {
 		panic("vector: PairSat forms over different variable pairs")
 	}
-	ring := f1.Poly.Vertices()
-	for _, h := range f2.halves {
-		ring = geometry.ClipRing(ring, h)
-		if len(ring) == 0 {
-			return false
+	return !separates(f2.halves, f1.Poly.Vertices()) && !separates(f1.halves, f2.Poly.Vertices())
+}
+
+// separates reports whether a half-plane of hs has every point of vs beyond it.
+func separates(hs []geometry.HalfPlane, vs []geometry.Point) bool {
+next:
+	for _, h := range hs {
+		for _, v := range vs {
+			if h.Side(v) <= 0 {
+				continue next
+			}
 		}
+		return true
 	}
-	return true
+	return false
 }
 
 // Scope is a Form's region clipped by a sequence of extra atoms — select
@@ -176,7 +187,6 @@ type Scope struct {
 	form    *Form
 	ring    []geometry.Point
 	full    bool // the ring has positive area
-	strict  bool // some atom was clipped by its closed relaxation
 	foreign bool // some atom is beyond the clipper: nothing below is decidable
 
 	// On a labelled scope (LabelledScope) that is full-dimensional, edges[i]
@@ -284,8 +294,8 @@ func (s Scope) split(c constraint.Constraint, h geometry.HalfPlane, build geomet
 
 // side is s with its ring cut down to one side of a split: full while the
 // side keeps a vertex strictly inside, and labelled only while full.
-func (s Scope) side(ring []geometry.Point, edges []geometry.Label, in, strict bool) Scope {
-	s.ring, s.full, s.strict = ring, s.full && in, s.strict || strict
+func (s Scope) side(ring []geometry.Point, edges []geometry.Label, in bool) Scope {
+	s.ring, s.full = ring, s.full && in
 	if s.full {
 		s.edges = edges
 	} else {
@@ -314,21 +324,19 @@ func (s Scope) Irredundant(piece *constraint.Chain) (_ constraint.Conjunction, o
 
 // Clip extends the scope by one atom and decides satisfiability of the
 // form's conjunction with every atom clipped so far. ok=false means the
-// atoms fall outside what the vector path can decide exactly — an extra
-// variable, an unsupported operator (both final: every scope below is
-// undecided too), or a strict atom whose truth depends on a degenerate
-// (measure-zero) region — and the caller must fall back to FM; the child
-// scope stays valid to extend, since a deeper atom can still empty the
-// ring. A decided-unsatisfiable scope has nothing below it and must not be
-// extended.
+// ring is flat, which Settle decides on the atoms, or that an atom is
+// beyond the clipper — an extra variable or an unsupported operator, final:
+// every scope below is undecided too — and the caller must fall back to FM.
+// The child scope stays valid to extend either way. A decided-unsatisfiable
+// scope has nothing below it and must not be extended.
 //
 // Soundness: the clip runs on the *closed relaxation* of every atom
 // (strict < relaxed to <=, equalities to a pair of opposing <=). An empty
 // clip of the relaxation is exactly unsat. A full-dimensional clip
 // (positive area) is sat even with strict atoms: the strict boundaries
 // are finitely many lines, which cannot cover a region of positive area,
-// so an interior point satisfying every strict atom strictly exists. Only
-// a degenerate clip with strict atoms in play is undecided here.
+// so an interior point satisfying every strict atom strictly exists. A
+// flat clip is left to Settle.
 // Constant atoms never reach the clip: trivially false decides unsat
 // outright (the relaxation argument would be unsound for them — 0 < 0
 // relaxes to 0 <= 0, which holds everywhere), trivially true ones leave
@@ -357,11 +365,10 @@ func (s Scope) Clip(c constraint.Constraint) (child Scope, sat, ok bool) {
 	switch c.Op {
 	case constraint.Le, constraint.Lt:
 		cut := s.split(c, h, geometry.Le)
-		s = s.side(cut.Le, cut.LeEdges, cut.LeIn, c.Op == constraint.Lt)
+		s = s.side(cut.Le, cut.LeEdges, cut.LeIn)
 	case constraint.Eq:
 		// An equality is closed: clip by both opposing half-planes. The
-		// result degenerates to (part of) a line, which the no-strict
-		// degenerate rule still decides exactly.
+		// result is flat, (part of) a line.
 		s.ring = splitRing(splitRing(s.ring, nil, h, 0, geometry.Le).Le, nil, h, 0, geometry.Ge).Ge
 		s.full, s.edges = false, nil
 	default:
@@ -371,18 +378,33 @@ func (s Scope) Clip(c constraint.Constraint) (child Scope, sat, ok bool) {
 	return s.verdict()
 }
 
-// verdict decides the scope's own conjunction, as Clip reports it.
+// verdict decides the scope's own conjunction, as Clip reports it: an
+// empty ring is unsat, a full one sat, and a flat one Settle's.
 func (s Scope) verdict() (Scope, bool, bool) {
-	switch {
-	case len(s.ring) == 0:
-		return s, false, true
-	case s.full:
-		return s, true, true
+	return s, s.full, s.full || len(s.ring) == 0
+}
+
+// Settle is Clip's verdict, with a flat ring decided on atoms, the atoms
+// clipped into the scope (the form's own are closed and may be left out).
+// The region is the ring less the line of each strict atom h < 0, and the
+// ring lies in h <= 0, so the line meets a flat ring (a segment or a point)
+// in all of it or in at most an endpoint: the region is empty exactly when
+// one strict atom's line holds every ring vertex. ok is false only on a
+// scope beyond the clipper.
+func (s Scope) Settle(atoms iter.Seq[constraint.Constraint]) (sat, ok bool) {
+	if s.foreign {
+		return false, false
 	}
-	// Degenerate ring. With no strict atoms every constraint is closed and
-	// the non-empty ring is a witness; with strict atoms the witness may sit
-	// exactly on a strict boundary — undecided here.
-	return s, !s.strict, !s.strict
+	if _, sat, ok = s.verdict(); ok {
+		return sat, true
+	}
+	for c := range atoms {
+		h, _ := convert.HalfPlaneOf(c, s.form.XVar, s.form.YVar)
+		if c.Op == constraint.Lt && !slices.ContainsFunc(s.ring, func(v geometry.Point) bool { return h.Side(v) != 0 }) {
+			return false, true
+		}
+	}
+	return true, true
 }
 
 // Decision is one atom's outcome in Split: the child scope, and sat and ok
@@ -394,9 +416,8 @@ type Decision struct {
 
 // Split decides an inequality atom c and its complement ¬c (the one atom
 // of c.Complement()) against the scope in one pass over its ring: in is
-// what Clip(c) returns and out what Clip(¬c) returns, ring for ring. A
-// strict c is clipped by its closed relaxation h <= 0 and ¬c is the closed
-// h >= 0; a closed c leaves ¬c, whose relaxation is h >= 0, strict. split
+// what Clip(c) returns and out what Clip(¬c) returns, ring for ring: c
+// and ¬c are clipped by their closed relaxations h <= 0 and h >= 0. split
 // is false when c is not such an atom — an equality (two complement
 // atoms), a constant or an atom over a third variable — or the scope is
 // already beyond the clipper: the caller then decides atom by atom with
@@ -410,22 +431,20 @@ func (s Scope) Split(c constraint.Constraint) (in, out Decision, split bool) {
 		return in, out, false
 	}
 	cut := s.split(c, h, geometry.Le|geometry.Ge)
-	strict := c.Op == constraint.Lt
-	in.Child, in.Sat, in.OK = s.side(cut.Le, cut.LeEdges, cut.LeIn, strict).verdict()
-	out.Child, out.Sat, out.OK = s.side(cut.Ge, cut.GeEdges, cut.GeIn, !strict).verdict()
+	in.Child, in.Sat, in.OK = s.side(cut.Le, cut.LeEdges, cut.LeIn).verdict()
+	out.Child, out.Sat, out.OK = s.side(cut.Ge, cut.GeEdges, cut.GeIn).verdict()
 	return in, out, true
 }
 
 // SatExtras decides satisfiability of f's conjunction extended with extra
-// atoms by clipping them onto f's scope one at a time; sat and ok are
-// Scope.Clip's for the whole list.
+// atoms by clipping them onto f's scope one at a time, and settling the
+// last scope on them (Scope.Settle).
 func SatExtras(f *Form, extras []constraint.Constraint) (sat, ok bool) {
 	s := f.Scope()
-	sat, ok = true, true // f itself: full-dimensional by construction
 	for _, c := range extras {
 		if s, sat, ok = s.Clip(c); ok && !sat {
-			break
+			return false, true
 		}
 	}
-	return sat, ok
+	return s.Settle(slices.Values(extras))
 }

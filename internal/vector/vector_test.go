@@ -7,8 +7,10 @@ import (
 
 	"cdb/internal/constraint"
 	"cdb/internal/convert"
+	"cdb/internal/datagen"
 	"cdb/internal/geometry"
 	"cdb/internal/rational"
+	"cdb/internal/relation"
 )
 
 func q(n int64) rational.Rat { return rational.FromInt(n) }
@@ -247,6 +249,104 @@ func TestPairSatAgainstBoxMerge(t *testing.T) {
 	}
 }
 
+// referencePairSat is the body PairSat had while it clipped f1's polygon
+// by every edge half-plane of f2 (Sutherland–Hodgman): the pair is
+// satisfiable iff the clipped ring is not empty. Kept as the oracle for
+// the separating-edge test.
+func referencePairSat(f1, f2 *Form) bool {
+	ring := f1.Poly.Vertices()
+	for _, h := range f2.halves {
+		ring = geometry.SplitLabelled(ring, nil, h, 0, geometry.Le).Le
+		if len(ring) == 0 {
+			return false
+		}
+	}
+	return true
+}
+
+// polyForm is the form of the convex polygon with the given vertices.
+func polyForm(t *testing.T, pts ...geometry.Point) *Form {
+	t.Helper()
+	j, err := convert.ConvexPolygonToConjunction(geometry.MustPolygon(pts...), "x", "y")
+	if err != nil {
+		t.Fatal(err)
+	}
+	f := FormOf(j.Canon())
+	if f == nil {
+		t.Fatalf("polygon %v ineligible", pts)
+	}
+	return f
+}
+
+// TestPairSatMatchesReference: the separating-edge test answers as the
+// clip does, in both orders, on every pair of the workloads' shapes —
+// convex polygons, triangulated concave pieces and boxes — and on built
+// pairs at the contacts a clip reads as degenerate, each with its known
+// answer; and it allocates nothing.
+func TestPairSatMatchesReference(t *testing.T) {
+	p := datagen.Paper()
+	p.Seed = 1821
+	boxes := p
+	boxes.SizeMin = 50 // dense enough that boxes meet
+	var forms []*Form
+	for _, r := range []*relation.Relation{
+		datagen.PolygonRelation(p, 30, 1, 60, 5),
+		datagen.ConcavePolygonRelation(p, 30, 1, 60, 5),
+		datagen.ClusteredBoxRelation(boxes, 30, 1, 10, 5),
+	} {
+		for _, tu := range r.Tuples() {
+			if f := FormOf(tu.Constraint().Canon()); f != nil {
+				forms = append(forms, f)
+			}
+		}
+	}
+	sats, unsats := 0, 0
+	for _, f1 := range forms {
+		for _, f2 := range forms {
+			got, want := PairSat(f1, f2), referencePairSat(f1, f2)
+			if got != want {
+				t.Fatalf("PairSat = %v, the clip %v\n f1: %v\n f2: %v", got, want, f1.Poly.Vertices(), f2.Poly.Vertices())
+			}
+			if got {
+				sats++
+			} else {
+				unsats++
+			}
+		}
+	}
+	if len(forms) < 80 || sats < 1000 || unsats < 500 {
+		t.Fatalf("fixture too thin: %d forms, %d satisfiable and %d unsatisfiable pairs", len(forms), sats, unsats)
+	}
+
+	pt := geometry.Pt
+	square := polyForm(t, pt(0, 0), pt(2, 0), pt(2, 2), pt(0, 2))
+	lower := polyForm(t, pt(0, 0), pt(4, 0), pt(0, 4)) // x + y <= 4 over the quadrant
+	for _, c := range []struct {
+		name string
+		a, b *Form
+		want bool
+	}{
+		{"shared oblique edge", lower, polyForm(t, pt(4, 0), pt(4, 4), pt(0, 4)), true},
+		{"shared axis edge", square, polyForm(t, pt(2, 0), pt(5, 0), pt(5, 2), pt(2, 2)), true},
+		{"shared corner", square, polyForm(t, pt(2, 2), pt(4, 2), pt(2, 4)), true},
+		{"vertex on an edge", lower, polyForm(t, pt(2, 2), pt(5, 3), pt(3, 5)), true},
+		{"nested", polyForm(t, pt(0, 0), pt(10, 0), pt(10, 10), pt(0, 10)), polyForm(t, pt(3, 3), pt(6, 4), pt(4, 6)), true},
+		{"identical", lower, polyForm(t, pt(0, 0), pt(4, 0), pt(0, 4)), true},
+		{"one unit apart, axis", square, polyForm(t, pt(3, 0), pt(5, 0), pt(5, 2), pt(3, 2)), false},
+		{"one unit apart, oblique", lower, polyForm(t, pt(5, 0), pt(6, 6), pt(0, 5)), false},
+		{"separated by the other's edge only", square, polyForm(t, pt(5, 0), pt(5, 5), pt(0, 5)), false},
+	} {
+		for _, pair := range [][2]*Form{{c.a, c.b}, {c.b, c.a}} {
+			if got, ref := PairSat(pair[0], pair[1]), referencePairSat(pair[0], pair[1]); got != c.want || ref != c.want {
+				t.Errorf("%s: PairSat = %v, the clip %v, want %v", c.name, got, ref, c.want)
+			}
+		}
+		if n := testing.AllocsPerRun(20, func() { PairSat(c.a, c.b) }); n != 0 {
+			t.Errorf("%s: PairSat allocates %v times, want 0", c.name, n)
+		}
+	}
+}
+
 func TestSatExtrasAgainstFM(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	randExtra := func() constraint.Constraint {
@@ -307,15 +407,23 @@ func TestSatExtrasConstantAtoms(t *testing.T) {
 	if _, ok := SatExtras(f, []constraint.Constraint{constraint.LeConst("z", q(1))}); ok {
 		t.Fatal("extra variable should force fallback")
 	}
-	// Strict atom cutting to a degenerate region: undecidable here.
+	// Strict atom on a degenerate region: sat, its line misses the segment.
 	degen := []constraint.Constraint{
 		constraint.GeConst("x", q(4)), constraint.LtConst("y", q(10)),
 	}
-	if _, ok := SatExtras(f, degen); ok {
-		t.Fatal("strict atom on a degenerate region should force fallback")
+	if sat, ok := SatExtras(f, degen); !ok || !sat {
+		t.Fatalf("strict atom off a degenerate region: sat=%v ok=%v, want true/true", sat, ok)
 	}
 	// Same degenerate cut without the strict atom: decidable, sat.
 	if sat, ok := SatExtras(f, degen[:1]); !ok || !sat {
 		t.Fatalf("closed degenerate cut: sat=%v ok=%v, want true/true", sat, ok)
+	}
+	// A strict atom clipped while the region was full, whose line then holds
+	// the whole degenerate cut: unsat.
+	onLine := []constraint.Constraint{
+		constraint.LtConst("x", q(4)), constraint.LtConst("y", q(10)), constraint.GeConst("x", q(4)),
+	}
+	if sat, ok := SatExtras(f, onLine); !ok || sat {
+		t.Fatalf("strict line through a degenerate region: sat=%v ok=%v, want false/true", sat, ok)
 	}
 }

@@ -78,3 +78,36 @@ func TestDifferencePiecesAreIrredundant(t *testing.T) {
 		t.Fatalf("vacuous run: %d pieces the rule decides, %d staircase pieces it shrinks", decided, shrunk)
 	}
 }
+
+// TestConcaveDifferenceDecidesOnPolygons: `minus S0 and T0` of the
+// polygon-minus workload at seed 1 — triangulated concave pieces, whose
+// shared edges cut staircase scopes flat under strict atoms — makes every
+// decision of the difference on the vector path, cold: no fallback and no
+// Fourier–Motzkin decision, and the pieces forced dense emits. (Its
+// normalisation still decides on five flat pieces no planar rule reads,
+// which keeps the request out of TestCounterGolden's table.)
+func TestConcaveDifferenceDecidesOnPolygons(t *testing.T) {
+	s0 := benchClusteredPolygons(200, 3, datagen.ConcavePolygonRelation)
+	t0 := benchClusteredPolygons(300, 3, datagen.ConcavePolygonRelation)
+	ec := session(1)
+	fm := constraint.DecisionCount()
+	out, err := cqa.Difference(ec, s0, t0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if d := constraint.DecisionCount() - fm; d != 0 {
+		t.Errorf("the difference made %d Fourier–Motzkin decisions", d)
+	}
+	for _, s := range ec.Stats() {
+		if s.VectorFalls != 0 || s.FMDecisions != 0 || s.VectorHits == 0 {
+			t.Errorf("%s: vec=%d vec_fallback=%d fm=%d, want every decision on the vector path", s.Op, s.VectorHits, s.VectorFalls, s.FMDecisions)
+		}
+	}
+	dense, err := cqa.Difference(&exec.Context{Parallelism: 1, PlanMode: exec.PlanDense}, s0, t0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if out.Len() == 0 || out.String() != dense.String() {
+		t.Fatalf("auto emits %d tuples, forced dense %d, or they differ", out.Len(), dense.Len())
+	}
+}
