@@ -47,14 +47,17 @@ if ! LC_ALL=C awk 'match($0, /^- PR [0-9]+/) {
     exit 1
 fi
 
+# The docs a builder reads before any code; the next three gates check the
+# names and paths they give and their size.
+DOCS="README.md DESIGN.md EXPERIMENTS.md $(git ls-files docs .claude/skills | grep '\.md$')"
+
 # Doc names that exist: every backticked Test*, Benchmark* or Fuzz* name in
 # the docs names a function of some _test.go file; a trailing * matches as
 # a prefix.
 echo '>> test names in the docs exist'
 defined=$(git ls-files --cached --others --exclude-standard '*_test.go' \
     | xargs sed -n 's/^func \(\(Test\|Benchmark\|Fuzz\)[A-Za-z0-9_]*\)(.*/\1/p' | sort -u)
-missing=$(grep -ho '`[^`]*`' README.md DESIGN.md EXPERIMENTS.md \
-        $(git ls-files docs .claude/skills | grep '\.md$') \
+missing=$(grep -ho '`[^`]*`' $DOCS \
     | grep -oE '\b(Test|Benchmark|Fuzz)[A-Za-z0-9_]+\*?' | sort -u \
     | while read -r n; do
         case $n in
@@ -65,6 +68,41 @@ missing=$(grep -ho '`[^`]*`' README.md DESIGN.md EXPERIMENTS.md \
 if [ -n "$missing" ]; then
     echo "$missing"
     echo 'the docs name the tests above, and no _test.go file declares them'
+    exit 1
+fi
+
+# Doc paths that exist: every backticked path in the docs that starts
+# with internal/, cmd/, scripts/, docs/ or examples/ and names a source,
+# script, doc, golden, JSON, ledger or database file is a file of the
+# checkout.
+echo '>> paths in the docs exist'
+missing=$(grep -ho '`[^`]*`' $DOCS | tr -d '`' \
+    | grep -E '^(internal|cmd|scripts|docs|examples)/[^ ]*\.(go|sh|md|golden|json|allow|cqa)$' \
+    | sort -u | while read -r p; do [ -e "$p" ] || echo "$p"; done)
+if [ -n "$missing" ]; then
+    echo "$missing"
+    echo 'the docs name the paths above, and the checkout has no such file'
+    exit 1
+fi
+
+# Prose budget: a CHANGES.md entry before PR 49 is one line of at most
+# 1 500 bytes, followed by nothing but table lines; and the docs total at
+# most 155 000 bytes.
+echo '>> prose budget'
+if ! LC_ALL=C awk 'match($0, /^- PR [0-9]+/) {
+        n = substr($0, 6, RLENGTH - 5) + 0
+        if (n < 49 && length($0) > 1500) { printf "CHANGES.md:%d: PR %d entry is %d bytes\n", NR, n, length($0); bad = 1 }
+        next
+    }
+    /^(FOUND|MENDED):/ { n = 0; next }
+    n && n < 49 && $0 != "" && $0 !~ /^  \|/ { printf "CHANGES.md:%d: PR %d entry goes on past its line\n", NR, n; bad = 1 }
+    END { exit bad }' CHANGES.md; then
+    echo 'a CHANGES.md entry before PR 49 is not one line of at most 1500 bytes (see above)'
+    exit 1
+fi
+total=$(cat $DOCS | wc -c)
+if [ "$total" -gt 155000 ]; then
+    echo "the docs ($DOCS) hold $total bytes, over 155000"
     exit 1
 fi
 
